@@ -1,324 +1,190 @@
 package dataflow
 
 import (
+	"context"
 	"fmt"
-	"sort"
+	"iter"
 	"strings"
 
 	"blazes/internal/core"
-	"blazes/internal/fd"
 )
 
-// ComponentAnalysis records the derivation performed at one component: the
-// inference steps for every (input label × path) pair and the per-output
-// reconciliation, in the notation of Section V-A4.
-type ComponentAnalysis struct {
-	Name string
-	// Steps lists every inference step performed at the component.
+// OutputAnalysis records the derivation performed at one output interface:
+// the inference steps for every (input label × path) pair and the Figure 10
+// reconciliation, in the notation of Section V-A4. It is immutable once
+// derived and may be shared between analyses.
+type OutputAnalysis struct {
+	// Iface names the output interface.
+	Iface string
+	// Steps lists the inference steps of the paths ending at the interface.
 	Steps []core.Step
-	// Reconciliations maps each output interface to its Figure 10 run.
-	Reconciliations map[string]core.Reconciliation
-	// OutputLabels maps each output interface to its merged label.
-	OutputLabels map[string]core.Label
+	// Reconciliation is the interface's Figure 10 run; its Output is the
+	// interface's merged label.
+	Reconciliation core.Reconciliation
+}
 
-	// builtBy tags the incremental-engine pass that assembled this record
-	// (zero for one-shot analyses); see Incremental.Analyze.
-	builtBy uint64
+// ComponentAnalysis is a view of the derivation performed at one component
+// of the analyzed (collapsed) graph.
+type ComponentAnalysis struct {
+	// Component is the analyzed component; cycle supernodes are named
+	// "scc+A+B".
+	Component *Component
+
+	a     *Analysis
+	index int32
+}
+
+// Outputs yields the component's output-interface derivations in interface
+// name order.
+func (ca ComponentAnalysis) Outputs() iter.Seq[*OutputAnalysis] {
+	return func(yield func(*OutputAnalysis) bool) {
+		st := ca.a.st
+		for v := st.compStart[ca.index]; v < st.compStart[ca.index+1]; v++ {
+			if st.nodeOut[v] && !yield(&ca.a.derived[st.rank[v]].OutputAnalysis) {
+				return
+			}
+		}
+	}
+}
+
+// Output returns the derivation at the named output interface, or nil.
+func (ca ComponentAnalysis) Output(iface string) *OutputAnalysis {
+	if v := ca.a.st.node(ca.index, iface, true); v >= 0 {
+		return &ca.a.derived[ca.a.st.rank[v]].OutputAnalysis
+	}
+	return nil
+}
+
+// Derivations yields the component's output-interface derivations in
+// propagation order, the order Steps concatenates them in. Derivations are
+// immutable and keep their address while they stay in force (across passes
+// and across structure rebuilds), so a component that yields the same
+// pointers as before has, its configuration being equal, the same record.
+func (ca ComponentAnalysis) Derivations() iter.Seq[*OutputAnalysis] {
+	return func(yield func(*OutputAnalysis) bool) {
+		for _, r := range ca.a.st.outRanks.at(ca.index) {
+			if !yield(&ca.a.derived[r].OutputAnalysis) {
+				return
+			}
+		}
+	}
+}
+
+// Steps yields every inference step performed at the component, output
+// interfaces in propagation order.
+func (ca ComponentAnalysis) Steps() iter.Seq[core.Step] {
+	return func(yield func(core.Step) bool) {
+		for d := range ca.Derivations() {
+			for _, step := range d.Steps {
+				if !yield(step) {
+					return
+				}
+			}
+		}
+	}
 }
 
 // Analysis is the result of analyzing a dataflow graph: a label for every
 // stream, the derivation at every component, and the overall verdict (the
 // worst label on any sink stream, or on any stream if there are no sinks).
+// Labels and derivations live in flat slices over the compiled structure's
+// stream ids and topological ranks; read them through the methods.
 type Analysis struct {
 	Graph *Graph
 	// Collapsed is the graph actually analyzed (after cycle collapse);
 	// identical to Graph when the dataflow has no interface-level cycles.
 	Collapsed *Graph
-	// StreamLabels maps stream name → derived label.
-	StreamLabels map[string]core.Label
-	// Components maps component name → its derivation record (names refer
-	// to the collapsed graph; supernodes are named "scc+A+B").
-	Components map[string]*ComponentAnalysis
 	// Verdict is the highest-severity label among sink streams.
 	Verdict core.Label
+
+	st      *structure
+	labels  []core.Label  // stream id → derived label
+	derived []*derivation // topological rank → the derivation in force
 }
 
-// streamIndex precomputes per-(component, interface) stream lists so the
-// label propagation does not rescan the whole stream list at every node.
-// Slices preserve declaration order, matching StreamsInto/StreamsOutOf.
-type streamIndex struct {
-	into  map[[2]string][]*Stream
-	outOf map[[2]string][]*Stream
-}
-
-func indexStreams(g *Graph) *streamIndex {
-	idx := &streamIndex{
-		into:  map[[2]string][]*Stream{},
-		outOf: map[[2]string][]*Stream{},
+func newAnalysis(st *structure) *Analysis {
+	return &Analysis{
+		Graph:     st.g,
+		Collapsed: st.collapsed,
+		st:        st,
+		labels:    make([]core.Label, len(st.streams)),
+		derived:   make([]*derivation, len(st.order)),
 	}
-	for _, s := range g.Streams() {
-		if !s.IsSink() {
-			k := [2]string{s.ToComp, s.ToIface}
-			idx.into[k] = append(idx.into[k], s)
-		}
-		if !s.IsSource() {
-			k := [2]string{s.FromComp, s.FromIface}
-			idx.outOf[k] = append(idx.outOf[k], s)
-		}
-	}
-	return idx
 }
 
 // Analyze runs the Blazes analysis over g: validate, collapse cycles,
 // propagate labels over output interfaces in topological order (inference
 // per path, reconciliation per output interface, merge), and compute the
-// verdict.
+// verdict. It is one cold pass of the incremental engine.
 func Analyze(g *Graph) (*Analysis, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	cg := collapseSCCs(g)
-	if cg != g {
-		if err := cg.Validate(); err != nil {
-			return nil, fmt.Errorf("dataflow: internal error: collapsed graph invalid: %w", err)
-		}
-	}
-
-	a := &Analysis{
-		Graph:        g,
-		Collapsed:    cg,
-		StreamLabels: map[string]core.Label{},
-		Components:   map[string]*ComponentAnalysis{},
-	}
-
-	// Source streams start from their annotations: Seal_key if annotated,
-	// otherwise the conservative default Async.
-	for _, s := range cg.Streams() {
-		if s.IsSource() {
-			a.StreamLabels[s.Name] = sourceLabel(s)
-		}
-	}
-
-	idx := indexStreams(cg)
-	for _, node := range outputTopoOrder(cg) {
-		a.analyzeOutput(cg, idx, node)
-	}
-
-	a.Verdict = a.verdict(cg)
-	return a, nil
+	a, _, err := NewIncremental(g).Analyze(context.Background())
+	return a, err
 }
 
-// outputTopoOrder returns the OUT interface nodes of the (acyclic) collapsed
-// graph in topological order using Kahn's algorithm over the interface
-// graph. The ready set is a min-heap ordered by less(), so each pop yields
-// the lexicographically least ready node — the same order the previous
-// implementation produced by re-sorting a slice on every push, but in
-// O(E log V) instead of O(V·E log E).
-func outputTopoOrder(g *Graph) []ifaceNode {
-	ig := buildIfaceGraph(g)
-	indeg := make(map[ifaceNode]int, len(ig.nodes))
-	for _, n := range ig.nodes {
-		indeg[n] += 0
-	}
-	for _, vs := range ig.adj {
-		for _, w := range vs {
-			indeg[w]++
-		}
-	}
-	heap := make(ifaceHeap, 0, len(ig.nodes))
-	for _, n := range ig.nodes {
-		if indeg[n] == 0 {
-			heap.push(n)
-		}
-	}
-	outs := make([]ifaceNode, 0, len(ig.nodes)/2+1)
-	for len(heap) > 0 {
-		v := heap.pop()
-		if v.out {
-			outs = append(outs, v)
-		}
-		for _, w := range ig.adj[v] {
-			indeg[w]--
-			if indeg[w] == 0 {
-				heap.push(w)
+// Components yields the derivation at every component of the collapsed
+// graph, in name order.
+func (a *Analysis) Components() iter.Seq[ComponentAnalysis] {
+	return func(yield func(ComponentAnalysis) bool) {
+		for i, c := range a.st.comps {
+			if !yield(ComponentAnalysis{Component: c, a: a, index: int32(i)}) {
+				return
 			}
 		}
 	}
-	return outs
 }
 
-// ifaceHeap is a binary min-heap of interface nodes ordered by less().
-// Hand-rolled (rather than container/heap) to keep the hot path free of
-// interface boxing and per-op allocations.
-type ifaceHeap []ifaceNode
-
-func (h *ifaceHeap) push(n ifaceNode) {
-	*h = append(*h, n)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !less(s[i], s[parent]) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
+// Component returns the derivation at the named component of the collapsed
+// graph.
+func (a *Analysis) Component(name string) (ComponentAnalysis, bool) {
+	i, ok := a.st.component(name)
+	if !ok {
+		return ComponentAnalysis{}, false
 	}
+	return ComponentAnalysis{Component: a.st.comps[i], a: a, index: i}, true
 }
 
-func (h *ifaceHeap) pop() ifaceNode {
-	s := *h
-	min := s[0]
-	last := len(s) - 1
-	s[0] = s[last]
-	s = s[:last]
-	*h = s
-	i := 0
-	for {
-		left, right := 2*i+1, 2*i+2
-		smallest := i
-		if left < len(s) && less(s[left], s[smallest]) {
-			smallest = left
-		}
-		if right < len(s) && less(s[right], s[smallest]) {
-			smallest = right
-		}
-		if smallest == i {
-			break
-		}
-		s[i], s[smallest] = s[smallest], s[i]
-		i = smallest
-	}
-	return min
-}
-
-// deriveOutput performs the derivation for one output interface: inference
-// per (input label × path), then reconciliation, then the mechanism floor.
-// It is the single implementation shared by the one-shot Analyze and the
-// incremental engine; labels supplies the already-derived stream labels.
-func deriveOutput(comp *Component, iface string, idx *streamIndex, labels map[string]core.Label) (steps []core.Step, rec core.Reconciliation, out core.Label) {
-	coordinated := comp.Coordination == CoordSequenced || comp.Coordination == CoordDynamicOrder ||
-		comp.Coordination == CoordQuorumOrder || comp.Coordination == CoordMergeRewrite
-
-	var merged []core.Label
-	for _, p := range comp.PathsTo(iface) {
-		ann := p.Ann
-		if coordinated && ann.OrderSensitive() {
-			// A total order over inputs (M1/M2/M1q) or a commutative merge
-			// in place of the fold (merge rewrite) removes order
-			// sensitivity: the path behaves as its confluent counterpart.
-			// (M2's residual cross-run nondeterminism is reapplied below.)
-			ann = core.Annotation{Confluent: true, Write: ann.Write}
-		}
-		info := core.PathInfo{Ann: ann, Deps: comp.Deps}
-		for _, in := range inputLabels(idx, labels, comp.Name, p.From) {
-			step := core.InferInfo(in, info)
-			steps = append(steps, step)
-			merged = append(merged, step.Out)
-		}
-	}
-	rep := comp.Rep
-	for _, s := range idx.outOf[[2]string{comp.Name, iface}] {
-		if s.Rep {
-			rep = true
-		}
-	}
-	var outSchema fd.AttrSet
-	if comp.OutSchema != nil {
-		outSchema = comp.OutSchema[iface]
-	}
-	rec = core.ReconcileWithSchema(merged, rep, comp.Deps, outSchema)
-
-	out = rec.Output
-	// M2 (dynamic ordering) fixes order within a run only: contents remain
-	// nondeterministic across runs (Figure 5).
-	if comp.Coordination == CoordDynamicOrder && out.Severity() < core.Run.Severity() {
-		out = core.Run
-	}
-	return steps, rec, out
-}
-
-// analyzeOutput derives the label for one output interface and stamps it on
-// the streams leaving it.
-func (a *Analysis) analyzeOutput(g *Graph, idx *streamIndex, node ifaceNode) {
-	comp := g.Lookup(node.comp)
-	if comp == nil {
-		return
-	}
-	ca := a.Components[comp.Name]
-	if ca == nil {
-		ca = &ComponentAnalysis{
-			Name:            comp.Name,
-			Reconciliations: map[string]core.Reconciliation{},
-			OutputLabels:    map[string]core.Label{},
-		}
-		a.Components[comp.Name] = ca
-	}
-
-	steps, rec, out := deriveOutput(comp, node.iface, idx, a.StreamLabels)
-	ca.Steps = append(ca.Steps, steps...)
-	ca.Reconciliations[node.iface] = rec
-	ca.OutputLabels[node.iface] = rec.Output
-	for _, s := range idx.outOf[[2]string{comp.Name, node.iface}] {
-		a.StreamLabels[s.Name] = out
-	}
-}
-
-// inputLabels gathers the labels of every stream feeding comp.iface; an
-// unconnected input defaults to Async.
-func inputLabels(idx *streamIndex, labels map[string]core.Label, comp, iface string) []core.Label {
-	var out []core.Label
-	for _, s := range idx.into[[2]string{comp, iface}] {
-		if l, ok := labels[s.Name]; ok {
-			out = append(out, l)
-		} else {
-			out = append(out, core.Async)
-		}
-	}
-	if len(out) == 0 {
-		out = append(out, core.Async)
-	}
-	return out
-}
-
-func (a *Analysis) verdict(g *Graph) core.Label {
-	verdict := core.Label{Kind: core.LNDRead}
-	found := false
-	consider := func(l core.Label) {
-		if !found || l.Severity() > verdict.Severity() {
-			verdict, found = l, true
-		}
-	}
-	for _, s := range g.Streams() {
-		if s.IsSink() {
-			if l, ok := a.StreamLabels[s.Name]; ok {
-				consider(l)
+// Streams yields every stream of the collapsed graph with its derived
+// label, in name order.
+func (a *Analysis) Streams() iter.Seq2[*Stream, core.Label] {
+	return func(yield func(*Stream, core.Label) bool) {
+		for _, id := range a.st.byName {
+			if !yield(a.st.streams[id], a.labels[id]) {
+				return
 			}
 		}
 	}
-	if !found {
-		for _, s := range g.Streams() {
-			if l, ok := a.StreamLabels[s.Name]; ok {
-				consider(l)
-			}
-		}
+}
+
+// Label returns the derived label of the named stream (the zero label for
+// a stream the collapsed graph does not have).
+func (a *Analysis) Label(stream string) core.Label {
+	if ids := a.st.streamsNamed(stream); len(ids) > 0 {
+		return a.labels[ids[0]]
 	}
-	if !found {
-		return core.Async
+	return core.Label{}
+}
+
+// computeVerdict returns the worst label over the sink streams, or over
+// every stream when the dataflow has no sinks; the first of equally severe
+// labels wins.
+func (a *Analysis) computeVerdict() core.Label {
+	verdict := core.Async
+	for i, id := range a.st.verdictOver {
+		if l := a.labels[id]; i == 0 || l.Severity() > verdict.Severity() {
+			verdict = l
+		}
 	}
 	return verdict
 }
 
-// sourceLabel derives the initial label of an external input stream.
+// sourceLabel derives the initial label of an external input stream: its
+// Seal_key annotation, or the conservative default Async.
 func sourceLabel(s *Stream) core.Label {
 	if !s.Seal.IsEmpty() {
 		return core.SealOn(s.Seal)
 	}
 	return core.Async
 }
-
-// Label returns the derived label of the named stream.
-func (a *Analysis) Label(stream string) core.Label { return a.StreamLabels[stream] }
 
 // Deterministic reports whether the whole dataflow is guaranteed to produce
 // deterministic output contents (verdict at most Async).
@@ -331,42 +197,21 @@ func (a *Analysis) Deterministic() bool {
 func (a *Analysis) Explain() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "dataflow %q\n", a.Graph.Name)
-	names := make([]string, 0, len(a.Components))
-	for n := range a.Components {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		ca := a.Components[n]
-		fmt.Fprintf(&b, "\ncomponent %s\n", n)
-		for _, st := range ca.Steps {
+	for ca := range a.Components() {
+		fmt.Fprintf(&b, "\ncomponent %s\n", ca.Component.Name)
+		for st := range ca.Steps() {
 			fmt.Fprintf(&b, "  %s\n", st)
 		}
-		for _, iface := range sortedRecKeys(ca.Reconciliations) {
-			rec := ca.Reconciliations[iface]
-			fmt.Fprintf(&b, "  output %s: %s\n", iface, indent(rec.String(), "  "))
+		for out := range ca.Outputs() {
+			fmt.Fprintf(&b, "  output %s: %s\n", out.Iface, indent(out.Reconciliation.String(), "  "))
 		}
 	}
 	fmt.Fprintf(&b, "\nstreams\n")
-	streams := make([]string, 0, len(a.StreamLabels))
-	for s := range a.StreamLabels {
-		streams = append(streams, s)
-	}
-	sort.Strings(streams)
-	for _, s := range streams {
-		fmt.Fprintf(&b, "  %-20s %s\n", s, a.StreamLabels[s])
+	for s, l := range a.Streams() {
+		fmt.Fprintf(&b, "  %-20s %s\n", s.Name, l)
 	}
 	fmt.Fprintf(&b, "\nverdict: %s\n", a.Verdict)
 	return b.String()
-}
-
-func sortedRecKeys(m map[string]core.Reconciliation) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func indent(s, pad string) string {

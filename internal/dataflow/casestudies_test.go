@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -19,18 +20,18 @@ func TestCaseStudyWordcountUnsealed(t *testing.T) {
 	}
 
 	// Splitter: Async × CR ⇒(p) Async.
-	if got := a.Components["Splitter"].OutputLabels["words"]; !got.Equal(core.Async) {
+	if got := outputLabel(t, a, "Splitter", "words"); !got.Equal(core.Async) {
 		t.Errorf("Splitter output = %s, want Async", got)
 	}
 	// Count: Async × OW_{word,batch} ⇒(2) Taint ⇒ Run.
-	if got := a.Components["Count"].OutputLabels["counts"]; !got.Equal(core.Run) {
+	if got := outputLabel(t, a, "Count", "counts"); !got.Equal(core.Run) {
 		t.Errorf("Count output = %s, want Run", got)
 	}
 	assertStep(t, a, "Count", core.Step{
 		In: core.Async, Ann: core.OWGate("word", "batch"), Rule: core.Rule2, Out: core.Taint,
 	})
 	// Commit: Run × CW ⇒(p) Run.
-	if got := a.Components["Commit"].OutputLabels["db"]; !got.Equal(core.Run) {
+	if got := outputLabel(t, a, "Commit", "db"); !got.Equal(core.Run) {
 		t.Errorf("Commit output = %s, want Run", got)
 	}
 	if !a.Verdict.Equal(core.Run) {
@@ -51,11 +52,11 @@ func TestCaseStudyWordcountSealed(t *testing.T) {
 	}
 
 	// Splitter: Seal_batch × CR ⇒(p) Seal_batch.
-	if got := a.Components["Splitter"].OutputLabels["words"]; !got.Equal(core.Seal("batch")) {
+	if got := outputLabel(t, a, "Splitter", "words"); !got.Equal(core.Seal("batch")) {
 		t.Errorf("Splitter output = %s, want Seal(batch)", got)
 	}
 	// Count: Seal_batch × OW_{word,batch} ⇒(p) Async (seal consumed).
-	if got := a.Components["Count"].OutputLabels["counts"]; !got.Equal(core.Async) {
+	if got := outputLabel(t, a, "Count", "counts"); !got.Equal(core.Async) {
 		t.Errorf("Count output = %s, want Async", got)
 	}
 	// Commit: Async × CW ⇒(p) Async.
@@ -74,7 +75,7 @@ func TestCaseStudyTHRESH(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := a.Components["Report"].OutputLabels["response"]; !got.Equal(core.Async) {
+	if got := outputLabel(t, a, "Report", "response"); !got.Equal(core.Async) {
 		t.Errorf("Report output = %s, want Async", got)
 	}
 	if !a.Verdict.Equal(core.Async) {
@@ -92,7 +93,7 @@ func TestCaseStudyPOOR(t *testing.T) {
 	}
 	// Report: request path OR_id over Async ⇒ NDRead_id, unprotected, Rep
 	// ⇒ Inst.
-	if got := a.Components["Report"].OutputLabels["response"]; !got.Equal(core.Inst) {
+	if got := outputLabel(t, a, "Report", "response"); !got.Equal(core.Inst) {
 		t.Errorf("Report output = %s, want Inst", got)
 	}
 	assertStep(t, a, "Report", core.Step{
@@ -116,7 +117,7 @@ func TestCaseStudyCAMPAIGNSealed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := a.Components["Report"].OutputLabels["response"]; !got.Equal(core.Async) {
+	if got := outputLabel(t, a, "Report", "response"); !got.Equal(core.Async) {
 		t.Errorf("Report output = %s, want Async", got)
 	}
 	if !a.Verdict.Equal(core.Async) {
@@ -164,17 +165,28 @@ func TestCaseStudyWINDOWUnsealed(t *testing.T) {
 // assertStep checks that the component's derivation contains the given step.
 func assertStep(t *testing.T, a *Analysis, comp string, want core.Step) {
 	t.Helper()
-	ca := a.Components[comp]
-	if ca == nil {
+	ca, ok := a.Component(comp)
+	if !ok {
 		t.Fatalf("no analysis for component %q", comp)
 	}
-	for _, st := range ca.Steps {
+	steps := slices.Collect(ca.Steps())
+	for _, st := range steps {
 		if st.Rule == want.Rule && st.In.Equal(want.In) && st.Out.Equal(want.Out) &&
 			st.Ann.String() == want.Ann.String() {
 			return
 		}
 	}
-	t.Errorf("component %s: missing step %q; have %v", comp, want, ca.Steps)
+	t.Errorf("component %s: missing step %q; have %v", comp, want, steps)
+}
+
+// outputLabel returns the merged label of comp's output interface.
+func outputLabel(t *testing.T, a *Analysis, comp, iface string) core.Label {
+	t.Helper()
+	ca, ok := a.Component(comp)
+	if !ok || ca.Output(iface) == nil {
+		t.Fatalf("no analysis for %s.%s", comp, iface)
+	}
+	return ca.Output(iface).Reconciliation.Output
 }
 
 func TestExplainContainsDerivation(t *testing.T) {

@@ -6,9 +6,11 @@
 package dataflow
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"sync/atomic"
 
 	"blazes/internal/core"
 	"blazes/internal/fd"
@@ -101,22 +103,38 @@ type Component struct {
 	// making the merge-rewrite strategy applicable.
 	Merge string
 
-	inputs  map[string]bool
-	outputs map[string]bool
+	// ins and outs are the interface names the paths read and feed, each
+	// sorted: a component has a handful, and two flat lists cost the
+	// collector a fraction of what two maps do.
+	ins, outs []string
 }
 
 // Inputs returns the component's input interface names in sorted order.
-func (c *Component) Inputs() []string { return sortedKeys(c.inputs) }
+func (c *Component) Inputs() []string { return slices.Clone(c.ins) }
 
 // Outputs returns the component's output interface names in sorted order.
-func (c *Component) Outputs() []string { return sortedKeys(c.outputs) }
+func (c *Component) Outputs() []string { return slices.Clone(c.outs) }
 
 // AddPath declares an annotated path. Interfaces are created on first use.
 func (c *Component) AddPath(from, to string, ann core.Annotation) *Component {
 	c.Paths = append(c.Paths, Path{From: from, To: to, Ann: ann})
-	c.inputs[from] = true
-	c.outputs[to] = true
+	c.ins = addSorted(c.ins, from)
+	c.outs = addSorted(c.outs, to)
 	return c
+}
+
+// addSorted inserts name into the sorted set unless it is there.
+func addSorted(set []string, name string) []string {
+	i, found := slices.BinarySearch(set, name)
+	if found {
+		return set
+	}
+	return slices.Insert(set, i, name)
+}
+
+func hasSorted(set []string, name string) bool {
+	_, found := slices.BinarySearch(set, name)
+	return found
 }
 
 // SetPathAnn replaces the annotation of every from→to path and reports
@@ -138,11 +156,10 @@ func (c *Component) SetPathAnn(from, to string, ann core.Annotation) bool {
 // interfaces that no longer exist are caught by the next Validate.
 func (c *Component) SetPaths(paths []Path) {
 	c.Paths = append(c.Paths[:0:0], paths...)
-	c.inputs = map[string]bool{}
-	c.outputs = map[string]bool{}
+	c.ins, c.outs = nil, nil
 	for _, p := range c.Paths {
-		c.inputs[p.From] = true
-		c.outputs[p.To] = true
+		c.ins = addSorted(c.ins, p.From)
+		c.outs = addSorted(c.outs, p.To)
 	}
 }
 
@@ -198,6 +215,9 @@ type Graph struct {
 	components map[string]*Component
 	streams    []*Stream
 	byName     map[string]*Stream
+	// sorted caches Components(); creating a component resets it. Atomic
+	// so that concurrent readers of an unchanging graph stay race-free.
+	sorted atomic.Pointer[[]*Component]
 }
 
 // NewGraph creates an empty dataflow graph.
@@ -214,22 +234,24 @@ func (g *Graph) Component(name string) *Component {
 	if c, ok := g.components[name]; ok {
 		return c
 	}
-	c := &Component{
-		Name:    name,
-		inputs:  map[string]bool{},
-		outputs: map[string]bool{},
-	}
+	c := &Component{Name: name}
 	g.components[name] = c
+	g.sorted.Store(nil)
 	return c
 }
 
-// Components returns the components in name order.
+// Components returns the components in name order. The slice is shared
+// between calls and must not be modified.
 func (g *Graph) Components() []*Component {
-	names := sortedKeys2(g.components)
-	out := make([]*Component, len(names))
-	for i, n := range names {
-		out[i] = g.components[n]
+	if p := g.sorted.Load(); p != nil {
+		return *p
 	}
+	out := make([]*Component, 0, len(g.components))
+	for _, c := range g.components {
+		out = append(out, c)
+	}
+	slices.SortFunc(out, func(a, b *Component) int { return cmp.Compare(a.Name, b.Name) })
+	g.sorted.Store(&out)
 	return out
 }
 
@@ -282,7 +304,10 @@ func (g *Graph) RemoveStream(name string) bool {
 // Streams returns all streams in declaration order.
 func (g *Graph) Streams() []*Stream { return g.streams }
 
-// StreamsInto returns the streams arriving at comp.iface.
+// StreamsInto returns the streams arriving at comp.iface. It scans every
+// stream of the graph, O(streams) per call: code that asks for many
+// interfaces of an analyzed graph should use the compiled index instead
+// (StrategyContext.StreamsInto).
 func (g *Graph) StreamsInto(comp, iface string) []*Stream {
 	var out []*Stream
 	for _, s := range g.streams {
@@ -293,7 +318,8 @@ func (g *Graph) StreamsInto(comp, iface string) []*Stream {
 	return out
 }
 
-// StreamsOutOf returns the streams leaving comp.iface.
+// StreamsOutOf returns the streams leaving comp.iface. Like StreamsInto it
+// scans every stream of the graph, O(streams) per call.
 func (g *Graph) StreamsOutOf(comp, iface string) []*Stream {
 	var out []*Stream
 	for _, s := range g.streams {
@@ -313,9 +339,9 @@ func (g *Graph) StreamsOutOf(comp, iface string) []*Stream {
 // so the message is deterministic.
 func (g *Graph) Validate() error {
 	var errs []error
-	for _, name := range sortedKeys2(g.components) {
-		if len(g.components[name].Paths) == 0 {
-			errs = append(errs, fmt.Errorf("dataflow: component %q has no annotated paths", name))
+	for _, c := range g.Components() {
+		if len(c.Paths) == 0 {
+			errs = append(errs, fmt.Errorf("dataflow: component %q has no annotated paths", c.Name))
 		}
 	}
 	for _, s := range g.streams {
@@ -323,7 +349,7 @@ func (g *Graph) Validate() error {
 			c, ok := g.components[s.FromComp]
 			if !ok {
 				errs = append(errs, fmt.Errorf("dataflow: stream %q: unknown producer component %q", s.Name, s.FromComp))
-			} else if !c.outputs[s.FromIface] {
+			} else if !hasSorted(c.outs, s.FromIface) {
 				errs = append(errs, fmt.Errorf("dataflow: stream %q: component %q has no output interface %q", s.Name, s.FromComp, s.FromIface))
 			}
 		}
@@ -331,7 +357,7 @@ func (g *Graph) Validate() error {
 			c, ok := g.components[s.ToComp]
 			if !ok {
 				errs = append(errs, fmt.Errorf("dataflow: stream %q: unknown consumer component %q", s.Name, s.ToComp))
-			} else if !c.inputs[s.ToIface] {
+			} else if !hasSorted(c.ins, s.ToIface) {
 				errs = append(errs, fmt.Errorf("dataflow: stream %q: component %q has no input interface %q", s.Name, s.ToComp, s.ToIface))
 			}
 		}
@@ -344,7 +370,11 @@ func (g *Graph) Validate() error {
 
 // Clone deep-copies the graph so strategies can be applied to a copy.
 func (g *Graph) Clone() *Graph {
-	ng := NewGraph(g.Name)
+	ng := &Graph{
+		Name:       g.Name,
+		components: make(map[string]*Component, len(g.components)),
+		byName:     make(map[string]*Stream, len(g.byName)),
+	}
 	for _, c := range g.Components() {
 		nc := ng.Component(c.Name)
 		nc.Rep = c.Rep
@@ -357,32 +387,13 @@ func (g *Graph) Clone() *Graph {
 				nc.OutSchema[k] = v
 			}
 		}
-		for _, p := range c.Paths {
-			nc.AddPath(p.From, p.To, p.Ann)
-		}
+		nc.Paths, nc.ins, nc.outs = slices.Clone(c.Paths), slices.Clone(c.ins), slices.Clone(c.outs)
 	}
+	ng.streams = make([]*Stream, 0, len(g.streams))
 	for _, s := range g.streams {
 		ns := ng.Connect(s.Name, s.FromComp, s.FromIface, s.ToComp, s.ToIface)
 		ns.Seal = s.Seal
 		ns.Rep = s.Rep
 	}
 	return ng
-}
-
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedKeys2(m map[string]*Component) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -1,23 +1,28 @@
 package dataflow
 
 import (
+	"cmp"
 	"context"
-	"fmt"
+	"slices"
 
 	"blazes/internal/core"
 	"blazes/internal/fd"
 )
 
-// Incremental is a dependency-tracked, memoized analysis engine over one
-// mutable graph: the backbone of blazes.Session. The owner mutates the
-// graph it registered, reports what changed through the Note* methods, and
-// calls Analyze to re-derive labels; per-output-interface derivations are
-// memoized against their exact inputs (path annotations, component config,
-// incoming stream labels), so a mutation re-derives only its downstream
-// closure — propagation stops as soon as a derived label comes out
-// unchanged. Structural work (validation, cycle collapse, topological
-// order, stream indexes) is cached across analyses and rebuilt only when a
-// topology-changing mutation is noted, tracked by a graph version counter.
+// Incremental is the analysis engine: a dependency-tracked, memoized label
+// propagation over the compiled structure of one mutable graph. Analyze
+// (the one-shot entry point) runs it cold; blazes.Session keeps it warm.
+// The owner mutates the graph it registered, reports what changed through
+// the Note* methods, and calls Analyze to re-derive labels.
+//
+// Per-output-interface derivations are memoized against their exact inputs
+// (path annotations, component config, incoming stream labels). A noted
+// label edit queues only the output interfaces it touches; Analyze works
+// the queue in topological rank and queues an interface's consumers only
+// when its derived label actually changed, so an edit costs the label chain
+// it changes, not the graph. The compiled structure (validation, cycle
+// collapse, topological order, stream indexes) is rebuilt only when a
+// topology-changing mutation is noted.
 //
 // Incremental is not safe for concurrent use; blazes.Session serializes
 // access.
@@ -25,46 +30,38 @@ type Incremental struct {
 	g *Graph
 
 	// version counts noted mutations; analyzed is the version the last
-	// completed Analyze observed. Equal versions mean the cached Analysis
-	// is current.
+	// completed Analyze observed. Equal versions mean the Analysis is
+	// current.
 	version  uint64
 	analyzed uint64
 
-	// Structure cache, valid while topoDirty is false.
+	// st is the compiled structure, stale while topoDirty; a the analysis
+	// over it, updated in place. complete records that a reflects a
+	// finished pass over st — until then (after a rebuild, or a rebuild
+	// pass that was cancelled) the next pass is a full one.
 	topoDirty bool
-	collapsed *Graph
-	order     []ifaceNode
-	idx       *streamIndex
-	// cyclic marks original components lying on interface-level cycles:
-	// their annotations feed the collapse itself, so annotation changes on
-	// them degrade to a structural rebuild.
-	cyclic map[string]bool
+	st        *structure
+	a         *Analysis
+	complete  bool
 
-	// Pending cheap syncs into the collapsed clone (when the collapse
-	// produced a rewritten copy, its components/streams shadow the
-	// originals and must track annotation/seal mutations).
-	pendingComps   map[string]bool
-	pendingStreams map[string]bool
+	// memo keeps up to memoVersions derivations per output interface (by
+	// topological rank), most-recently-used first: the repair loop's
+	// try-and-revert pattern (flip an annotation, analyze, flip it back)
+	// hits the cache in both directions. Entries follow their interface,
+	// by name, across a structure rebuild.
+	memo [][memoVersions]*derivation
 
-	// memo keeps up to memoVersions derivations per output interface,
-	// most-recently-used first: the repair loop's try-and-revert pattern
-	// (flip an annotation, analyze, flip it back) hits the cache in both
-	// directions.
-	memo map[[2]string][]*nodeMemo
-	// stamped records, per interface, the memo entry whose label was last
-	// written to its outgoing streams; a hit on any other entry means the
-	// derivation changed and must restamp and rebuild.
-	stamped map[[2]string]*nodeMemo
-	last    *Analysis
-	// carry accumulates the interfaces whose derivation changed since the
-	// last *completed* pass: a cancelled pass updates memo state, so its
-	// changes must still be reported (and their components' records
-	// rebuilt) by the pass that eventually completes.
-	carry map[[2]string]bool
-	// runSeq identifies each non-cached Analyze pass; ComponentAnalysis
-	// records carry the pass that built them so an aborted pass can never
-	// leave a half-built record that a later pass appends to twice.
-	runSeq uint64
+	// work is the queue of ranks awaiting re-derivation; it survives a
+	// cancelled pass. carry accumulates the ranks whose derivation changed
+	// since the last *completed* pass, so changes made by a cancelled pass
+	// are still reported by the pass that eventually completes.
+	work    idHeap
+	queued  []bool
+	carry   []int32
+	carried []bool
+
+	sig, merged []core.Label // gather buffers
+	visited     int          // output interfaces the last pass worked through
 }
 
 // memoVersions bounds the per-interface derivation cache.
@@ -81,9 +78,9 @@ type NodeRef struct {
 // Stats reports what one incremental Analyze actually did.
 type Stats struct {
 	// Rebuilt: this pass was a full (non-incremental) one — the structure
-	// caches were rebuilt by this pass or by a cancelled pass since the
-	// last completed analysis, so nothing from the previous analysis
-	// (labels, records, projections) carries over.
+	// was rebuilt by this pass or by a cancelled pass since the last
+	// completed analysis, so nothing from the previous analysis (labels,
+	// records, projections) carries over.
 	Rebuilt bool
 	// Recomputed lists the collapsed-graph output interfaces whose
 	// derivation record changed this round — freshly derived, or swapped
@@ -93,21 +90,21 @@ type Stats struct {
 	Reused int
 }
 
-// nodeMemo captures one output interface's derivation together with the
-// exact inputs it depends on; the entry is valid while every recorded
-// dependency still matches.
-type nodeMemo struct {
+// derivation is one output interface's derivation together with the exact
+// inputs it depends on; it stays valid while every recorded dependency
+// still matches. The incoming labels are the In side of its steps.
+type derivation struct {
 	paths     []Path
 	coord     Coordination
 	rep       bool
 	deps      *fd.Set
 	outSchema fd.AttrSet
-	inLabels  []core.Label
 	outReps   bool
 
-	steps []core.Step
-	rec   core.Reconciliation
-	out   core.Label
+	OutputAnalysis
+	// out is the label stamped on the interface's streams: the
+	// reconciled output after the mechanism floor.
+	out core.Label
 }
 
 func annEqual(a, b core.Annotation) bool {
@@ -115,53 +112,27 @@ func annEqual(a, b core.Annotation) bool {
 		a.GateStar == b.GateStar && a.Gate.Equal(b.Gate)
 }
 
-func pathsEqual(a, b []Path) bool {
-	if len(a) != len(b) {
+func pathEqual(a, b Path) bool {
+	return a.From == b.From && a.To == b.To && annEqual(a.Ann, b.Ann)
+}
+
+func (d *derivation) valid(comp *Component, in []core.Label, outReps bool) bool {
+	if d.coord != comp.Coordination || d.rep != comp.Rep || d.deps != comp.Deps || d.outReps != outReps ||
+		len(d.Steps) != len(in) || !d.outSchema.Equal(comp.OutSchema[d.Iface]) {
 		return false
 	}
-	for i := range a {
-		if a[i].From != b[i].From || a[i].To != b[i].To || !annEqual(a[i].Ann, b[i].Ann) {
+	for i, l := range in {
+		if !d.Steps[i].In.Equal(l) {
 			return false
 		}
 	}
-	return true
-}
-
-func labelsEqual(a, b []core.Label) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !a[i].Equal(b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-func (m *nodeMemo) valid(comp *Component, iface string, in []core.Label, outReps bool) bool {
-	if m.coord != comp.Coordination || m.rep != comp.Rep || m.deps != comp.Deps || m.outReps != outReps {
-		return false
-	}
-	var schema fd.AttrSet
-	if comp.OutSchema != nil {
-		schema = comp.OutSchema[iface]
-	}
-	return m.outSchema.Equal(schema) && pathsEqual(m.paths, comp.Paths) && labelsEqual(m.inLabels, in)
+	return slices.EqualFunc(d.paths, comp.Paths, pathEqual)
 }
 
 // NewIncremental wraps g (which the caller owns and mutates in place; every
 // mutation must be reported through a Note* method before the next Analyze).
 func NewIncremental(g *Graph) *Incremental {
-	return &Incremental{
-		g:              g,
-		topoDirty:      true,
-		pendingComps:   map[string]bool{},
-		pendingStreams: map[string]bool{},
-		memo:           map[[2]string][]*nodeMemo{},
-		stamped:        map[[2]string]*nodeMemo{},
-		carry:          map[[2]string]bool{},
-	}
+	return &Incremental{g: g, topoDirty: true}
 }
 
 // Graph returns the live graph. Mutations must be noted.
@@ -171,315 +142,282 @@ func (inc *Incremental) Graph() *Graph { return inc.g }
 func (inc *Incremental) Version() uint64 { return inc.version }
 
 // NoteTopologyChange records a structural mutation (components, paths or
-// streams added/removed/replaced): the next Analyze revalidates and rebuilds
-// the collapse, order and indexes.
+// streams added/removed/replaced): the next Analyze recompiles the
+// structure.
 func (inc *Incremental) NoteTopologyChange() {
 	inc.version++
 	inc.topoDirty = true
 }
 
 // NoteAnnotationChange records that the named component's path annotations
-// changed in place (same path list, new annotations). Components on
-// interface-level cycles degrade to a structural rebuild, because the
-// collapsed annotation is derived from its cycle members.
+// changed in place (same path list, new annotations) and queues its output
+// interfaces. Components on interface-level cycles degrade to a structural
+// rebuild, because the collapsed annotation is derived from its cycle
+// members.
 func (inc *Incremental) NoteAnnotationChange(comp string) {
 	inc.version++
 	if inc.topoDirty {
 		return
 	}
-	if inc.cyclic[comp] {
+	c, ok := inc.st.component(comp)
+	if !ok || inc.st.cyclic[comp] {
+		// Unknown to the collapsed graph means merged into a supernode (or
+		// a mutation that was not noted): rebuild.
 		inc.topoDirty = true
 		return
 	}
-	inc.pendingComps[comp] = true
+	for _, r := range inc.st.outRanks.at(c) {
+		inc.enqueue(r)
+	}
 }
 
 // NoteStreamChange records that the named stream's seal (or replication
-// flag) changed in place.
+// flag) changed in place: the collapsed graph's copy of a rewired stream is
+// brought in line, the producing interface is queued (its replication may
+// have changed), and a source's new label is stamped and its consumers
+// queued. A stream the collapse dropped has no effect on the labels.
 func (inc *Incremental) NoteStreamChange(stream string) {
 	inc.version++
-	if !inc.topoDirty {
-		inc.pendingStreams[stream] = true
-	}
-}
-
-// rebuildStructure revalidates and recomputes the collapse, topo order,
-// stream index and cycle membership.
-func (inc *Incremental) rebuildStructure() error {
-	if err := inc.g.Validate(); err != nil {
-		return err
-	}
-	cg := collapseSCCs(inc.g)
-	if cg != inc.g {
-		if err := cg.Validate(); err != nil {
-			return fmt.Errorf("dataflow: internal error: collapsed graph invalid: %w", err)
-		}
-	}
-	inc.collapsed = cg
-	inc.order = outputTopoOrder(cg)
-	inc.idx = indexStreams(cg)
-
-	ig := buildIfaceGraph(inc.g)
-	sccs := condenseIfaces(ig)
-	inc.cyclic = map[string]bool{}
-	for id, members := range sccs.members {
-		if !sccs.cyclic[id] {
-			continue
-		}
-		for _, m := range members {
-			inc.cyclic[m.comp] = true
-		}
-	}
-
-	// Prune memo entries for output interfaces that no longer exist.
-	live := map[[2]string]bool{}
-	for _, n := range inc.order {
-		live[[2]string{n.comp, n.iface}] = true
-	}
-	for k := range inc.memo {
-		if !live[k] {
-			delete(inc.memo, k)
-			delete(inc.stamped, k)
-		}
-	}
-
-	clear(inc.pendingComps)
-	clear(inc.pendingStreams)
-	clear(inc.carry)
-	// The cached analysis indexes the old structure; the rebuild pass
-	// restamps everything from scratch.
-	inc.last = nil
-	inc.topoDirty = false
-	return nil
-}
-
-// applyPendingSyncs mirrors in-place annotation and seal mutations into the
-// collapsed clone. When the collapse returned the original graph the clone
-// IS the graph and nothing needs doing. The pending sets stay populated —
-// Analyze consumes them (to restamp the affected source labels) and clears
-// them once the pass is under way.
-func (inc *Incremental) applyPendingSyncs() {
-	if inc.collapsed == inc.g {
+	if inc.topoDirty {
 		return
 	}
-	//lint:allow maporder per-name sync of disjoint components; the lookups are read-only
-	for name := range inc.pendingComps {
-		orig := inc.g.Lookup(name)
-		cc := inc.collapsed.Lookup(name)
-		if orig == nil || cc == nil || len(cc.Paths) != len(orig.Paths) {
-			// A component folded into a supernode (or out of sync): only
-			// reachable if cycle membership changed without a topology
-			// note — rebuild defensively.
-			inc.topoDirty = true
-			return
-		}
-		for i := range cc.Paths {
-			cc.Paths[i].Ann = orig.Paths[i].Ann
+	st := inc.st
+	ids := st.streamsNamed(stream)
+	orig := inc.g.Stream(stream)
+	if len(ids) == 0 || orig == nil {
+		return
+	}
+	if len(ids) > 1 {
+		inc.topoDirty = true // a name declared twice: which copy changed is not recorded
+		return
+	}
+	id := ids[0]
+	s := st.streams[id]
+	s.Seal, s.Rep = orig.Seal, orig.Rep
+	if from := st.from[id]; from >= 0 {
+		inc.enqueue(st.rank[from])
+	} else if inc.complete {
+		// A pass that is not complete restamps every source anyway.
+		inc.stamp(id, sourceLabel(s))
+	}
+}
+
+func (inc *Incremental) enqueue(rank int32) {
+	if !inc.queued[rank] {
+		inc.queued[rank] = true
+		inc.work.push(rank)
+	}
+}
+
+// stamp sets a stream's label and, when that changes it, queues the output
+// interfaces reading the stream.
+func (inc *Incremental) stamp(stream int32, l core.Label) {
+	if inc.a.labels[stream].Equal(l) {
+		return
+	}
+	inc.a.labels[stream] = l
+	if to := inc.st.to[stream]; to >= 0 {
+		for _, out := range inc.st.succ.at(to) {
+			inc.enqueue(inc.st.rank[out])
 		}
 	}
-	//lint:allow maporder per-name seal/rep sync of disjoint streams; the lookups are read-only
-	for name := range inc.pendingStreams {
-		if orig, cs := inc.g.Stream(name), inc.collapsed.Stream(name); orig != nil && cs != nil {
-			cs.Seal = orig.Seal
-			cs.Rep = orig.Rep
+}
+
+// rebuild recompiles the structure and moves the memo over to it.
+func (inc *Incremental) rebuild() error {
+	st, err := compile(inc.g)
+	if err != nil {
+		return err
+	}
+	n := len(st.order)
+	memo := make([][memoVersions]*derivation, n)
+	if old := inc.st; old != nil {
+		// Both node lists are in (component, interface, direction) order:
+		// one merge pairs the output interfaces that kept their name.
+		o := int32(0)
+		for v := range int32(len(st.nodeOut)) {
+			if !st.nodeOut[v] {
+				continue
+			}
+			comp := st.comps[st.nodeComp[v]].Name
+			for ; int(o) < len(old.nodeOut); o++ {
+				c := cmp.Compare(old.comps[old.nodeComp[o]].Name, comp)
+				if c == 0 {
+					c = old.key(o).compare(st.key(v))
+				}
+				if c == 0 {
+					memo[st.rank[v]] = inc.memo[old.rank[o]]
+				}
+				if c >= 0 {
+					break
+				}
+			}
 		}
 	}
+	inc.st, inc.a, inc.memo, inc.complete = st, newAnalysis(st), memo, false
+	inc.work = inc.work[:0]
+	inc.carry = inc.carry[:0]
+	inc.queued = make([]bool, n)
+	inc.carried = make([]bool, n)
+	inc.topoDirty = false
+	return nil
 }
 
 // Analyze re-derives the analysis, reusing every memoized derivation whose
 // dependencies are unchanged. The result is identical to a fresh
 // Analyze(g) of the current graph. The returned Analysis is owned by the
-// engine: it is updated in place by the next Analyze, so callers must
+// engine: later Note* and Analyze calls update it in place, so callers must
 // project what they need (labels, reports) before mutating further. ctx
 // cancels between interface derivations.
 //
-// Invariant exploited by the in-place path: after every pass, each output
-// interface's streams are stamped with the label of the memo entry recorded
-// in `stamped`, so a hit on that same entry can skip stamping (and record
-// rebuilding) entirely; a hit on any other cached version restamps and is
-// reported as changed.
+// Invariant: between passes, every output interface outside the work queue
+// has its streams stamped with the label of the derivation recorded for it
+// in the Analysis, and that derivation is valid for the current graph.
 func (inc *Incremental) Analyze(ctx context.Context) (*Analysis, Stats, error) {
 	var stats Stats
-	if inc.last != nil && inc.version == inc.analyzed && !inc.topoDirty {
-		stats.Reused = len(inc.order)
-		return inc.last, stats, nil
+	if inc.complete && inc.version == inc.analyzed && !inc.topoDirty {
+		stats.Reused = len(inc.st.order)
+		return inc.a, stats, nil
 	}
-
 	if inc.topoDirty {
-		if err := inc.rebuildStructure(); err != nil {
+		if err := inc.rebuild(); err != nil {
 			return nil, stats, err
 		}
-	} else {
-		inc.applyPendingSyncs()
-		if inc.topoDirty { // defensive re-entry from applyPendingSyncs
-			if err := inc.rebuildStructure(); err != nil {
-				return nil, stats, err
+	}
+	st, a := inc.st, inc.a
+	stats.Rebuilt = !inc.complete
+	if !inc.complete {
+		for id, s := range st.streams {
+			if st.from[id] < 0 {
+				a.labels[id] = sourceLabel(s)
 			}
+		}
+		for r := range st.order {
+			inc.enqueue(int32(r))
 		}
 	}
 
-	cg := inc.collapsed
-	inc.runSeq++
-	// last survives only completed passes: rebuildStructure drops it, so
-	// a rebuild performed by a *cancelled* pass still forces (and
-	// reports) a full pass here.
-	inPlace := inc.last != nil
-	stats.Rebuilt = !inPlace
-	a := inc.last
-	if !inPlace {
-		a = &Analysis{
-			Graph:        inc.g,
-			Collapsed:    cg,
-			StreamLabels: make(map[string]core.Label, len(cg.Streams())),
-			Components:   map[string]*ComponentAnalysis{},
-		}
-		for _, s := range cg.Streams() {
-			if s.IsSource() {
-				a.StreamLabels[s.Name] = sourceLabel(s)
-			}
-		}
-	} else {
-		// Only noted seal flips can move a source label.
-		//lint:allow maporder each iteration writes its own StreamLabels slot
-		for name := range inc.pendingStreams {
-			if s := cg.Stream(name); s != nil && s.IsSource() {
-				a.StreamLabels[name] = sourceLabel(s)
-			}
-		}
-	}
-	clear(inc.pendingComps)
-	clear(inc.pendingStreams)
-
-	var sig []core.Label // reused gather buffer
-	for _, node := range inc.order {
+	hits := 0
+	inc.visited = 0
+	for len(inc.work) > 0 {
 		if err := ctx.Err(); err != nil {
 			return nil, stats, err
 		}
-		comp := cg.Lookup(node.comp)
-		if comp == nil {
-			continue
-		}
-		key := [2]string{node.comp, node.iface}
-		sig = sig[:0]
-		for _, p := range comp.Paths {
-			if p.To != node.iface {
-				continue
-			}
-			streams := inc.idx.into[[2]string{node.comp, p.From}]
+		r := inc.work.pop()
+		inc.queued[r] = false
+		inc.visited++
+
+		v := st.order[r]
+		comp := st.comps[st.nodeComp[v]]
+		sig := inc.sig[:0]
+		for _, p := range st.feed.at(v) {
+			streams := st.into.at(st.pathIn[p])
 			if len(streams) == 0 {
-				sig = append(sig, core.Async)
-				continue
+				sig = append(sig, core.Async) // an unconnected input defaults to Async
 			}
 			for _, s := range streams {
-				if l, ok := a.StreamLabels[s.Name]; ok {
-					sig = append(sig, l)
-				} else {
-					sig = append(sig, core.Async)
-				}
+				sig = append(sig, a.labels[s])
 			}
 		}
+		inc.sig = sig
 		outReps := false
-		for _, s := range inc.idx.outOf[key] {
-			if s.Rep {
-				outReps = true
-			}
+		for _, s := range st.outOf.at(v) {
+			outReps = outReps || st.streams[s].Rep
 		}
 
-		// Look the signature up in the per-interface version cache
-		// (most-recently-used first).
-		var m *nodeMemo
-		entries := inc.memo[key]
-		for i, e := range entries {
-			if e.valid(comp, node.iface, sig, outReps) {
-				m = e
-				if i > 0 { // move to front
-					copy(entries[1:i+1], entries[:i])
-					entries[0] = m
-				}
-				break
-			}
+		// Look the signature up in the interface's version cache.
+		entries := &inc.memo[r]
+		at := 0
+		for at < memoVersions && entries[at] != nil && !entries[at].valid(comp, sig, outReps) {
+			at++
 		}
-		if m != nil {
-			stats.Reused++
+		var d *derivation
+		if at < memoVersions && entries[at] != nil {
+			d = entries[at]
+			hits++
 		} else {
-			steps, rec, out := deriveOutput(comp, node.iface, inc.idx, a.StreamLabels)
-			var schema fd.AttrSet
-			if comp.OutSchema != nil {
-				schema = comp.OutSchema[node.iface]
-			}
-			m = &nodeMemo{
-				paths:     append([]Path(nil), comp.Paths...),
-				coord:     comp.Coordination,
-				rep:       comp.Rep,
-				deps:      comp.Deps,
-				outSchema: schema,
-				inLabels:  append([]core.Label(nil), sig...),
-				outReps:   outReps,
-				steps:     steps,
-				rec:       rec,
-				out:       out,
-			}
-			if len(entries) >= memoVersions {
-				entries = entries[:memoVersions-1]
-			}
-			inc.memo[key] = append([]*nodeMemo{m}, entries...)
+			d = inc.derive(v, comp, sig, outReps)
+			at = min(at, memoVersions-1)
 		}
+		copy(entries[1:at+1], entries[:at]) // move to front, evicting the oldest
+		entries[0] = d
 
-		if inPlace && inc.stamped[key] == m {
-			continue // streams already stamped with m.out, record unchanged
+		if a.derived[r] == d {
+			continue // streams already stamped with d.out, record unchanged
 		}
-		inc.carry[key] = true
-		inc.stamped[key] = m
-		for _, s := range inc.idx.outOf[key] {
-			a.StreamLabels[s.Name] = m.out
+		a.derived[r] = d
+		if !inc.carried[r] {
+			inc.carried[r] = true
+			inc.carry = append(inc.carry, r)
+		}
+		for _, s := range st.outOf.at(v) {
+			inc.stamp(s, d.out)
 		}
 	}
 
 	// The pass completed: report every interface whose derivation changed
-	// since the last completed pass (including changes made by cancelled
-	// passes), in propagation order, and rebuild the derivation records of
-	// their components (of all components on the full path).
-	touched := map[string]bool{}
-	for _, node := range inc.order {
-		key := [2]string{node.comp, node.iface}
-		if inc.carry[key] {
-			stats.Recomputed = append(stats.Recomputed, NodeRef{Comp: node.comp, Iface: node.iface})
-			touched[node.comp] = true
-		}
+	// since the last completed pass, in propagation order.
+	slices.Sort(inc.carry)
+	stats.Recomputed = make([]NodeRef, len(inc.carry))
+	for i, r := range inc.carry {
+		v := st.order[r]
+		stats.Recomputed[i] = NodeRef{Comp: st.comps[st.nodeComp[v]].Name, Iface: st.nodeIface[v]}
+		inc.carried[r] = false
 	}
-	clear(inc.carry)
-	if !inPlace {
-		for _, node := range inc.order {
-			touched[node.comp] = true
-		}
-	}
-	if len(touched) > 0 {
-		for _, node := range inc.order {
-			if !touched[node.comp] {
-				continue
-			}
-			ca := a.Components[node.comp]
-			if ca == nil || ca.builtBy != inc.runSeq {
-				ca = &ComponentAnalysis{
-					Name:            node.comp,
-					Reconciliations: map[string]core.Reconciliation{},
-					OutputLabels:    map[string]core.Label{},
-					builtBy:         inc.runSeq,
-				}
-				a.Components[node.comp] = ca
-			}
-			m := inc.stamped[[2]string{node.comp, node.iface}]
-			if m == nil {
-				continue // unreachable: every visited node has an entry
-			}
-			ca.Steps = append(ca.Steps, m.steps...)
-			ca.Reconciliations[node.iface] = m.rec
-			ca.OutputLabels[node.iface] = m.rec.Output
-		}
-	}
+	inc.carry = inc.carry[:0]
+	// Every interface the pass did not visit would have hit its memo.
+	stats.Reused = len(st.order) - inc.visited + hits
 
-	a.Verdict = a.verdict(cg)
+	a.Verdict = a.computeVerdict()
 	inc.analyzed = inc.version
-	inc.last = a
+	inc.complete = true
 	return a, stats, nil
+}
+
+// derive performs the derivation for output interface v: inference per
+// (input label × path), then reconciliation, then the mechanism floor. in
+// holds the incoming labels, path by path.
+func (inc *Incremental) derive(v int32, comp *Component, in []core.Label, outReps bool) *derivation {
+	st := inc.st
+	coordinated := comp.Coordination == CoordSequenced || comp.Coordination == CoordDynamicOrder ||
+		comp.Coordination == CoordQuorumOrder || comp.Coordination == CoordMergeRewrite
+
+	d := &derivation{
+		paths:     slices.Clone(comp.Paths),
+		coord:     comp.Coordination,
+		rep:       comp.Rep,
+		deps:      comp.Deps,
+		outSchema: comp.OutSchema[st.nodeIface[v]],
+		outReps:   outReps,
+	}
+	d.Iface = st.nodeIface[v]
+	d.Steps = make([]core.Step, 0, len(in))
+	merged := inc.merged[:0]
+	first := st.pathOff[st.nodeComp[v]]
+	for _, p := range st.feed.at(v) {
+		ann := comp.Paths[p-first].Ann
+		if coordinated && ann.OrderSensitive() {
+			// A total order over inputs (M1/M2/M1q) or a commutative merge
+			// in place of the fold (merge rewrite) removes order
+			// sensitivity: the path behaves as its confluent counterpart.
+			// (M2's residual cross-run nondeterminism is reapplied below.)
+			ann = core.Annotation{Confluent: true, Write: ann.Write}
+		}
+		info := core.PathInfo{Ann: ann, Deps: comp.Deps}
+		for range max(1, len(st.into.at(st.pathIn[p]))) {
+			step := core.InferInfo(in[len(d.Steps)], info)
+			d.Steps = append(d.Steps, step)
+			merged = append(merged, step.Out)
+		}
+	}
+	inc.merged = merged
+	d.Reconciliation = core.ReconcileWithSchema(merged, comp.Rep || outReps, comp.Deps, d.outSchema)
+
+	d.out = d.Reconciliation.Output
+	// M2 (dynamic ordering) fixes order within a run only: contents remain
+	// nondeterministic across runs (Figure 5).
+	if comp.Coordination == CoordDynamicOrder && d.out.Severity() < core.Run.Severity() {
+		d.out = core.Run
+	}
+	return d
 }

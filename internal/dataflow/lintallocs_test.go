@@ -16,7 +16,7 @@ func TestLintAllocsLinear(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const n = 2000
 	g := randomLayeredGraph(rng, 40, 50)
-	cg := collapseSCCs(g)
+	cg := collapsedOf(t, g)
 
 	lint := testing.AllocsPerRun(5, func() { LintGraph(cg) })
 	// Measured ~6.7 allocs/component; 12 leaves slack for runtime drift

@@ -99,41 +99,39 @@ func (d LintDiagnostic) String() string {
 }
 
 // lintContext is the structure every lint pass shares: the sorted component
-// list, the per-interface stream index, and component-level adjacency —
-// built exactly once per LintGraph call. Before it existed each pass
-// rebuilt its own view (and the inner loops re-scanned the whole stream
-// list), which made linting quadratic on 10k-component graphs.
+// list and component-level adjacency — built exactly once per LintGraph
+// call. Before it existed each pass rebuilt its own view (and the inner
+// loops re-scanned the whole stream list), which made linting quadratic on
+// 10k-component graphs.
 type lintContext struct {
 	comps    []*Component
-	index    map[string]int // component name → position in comps
-	idx      *streamIndex
-	adj      [][]int // comp-level edges over internal streams
+	index    map[string]int32 // component name → position in comps
+	adj      csr              // comp-level edges over internal streams
 	selfLoop []bool
 }
 
 func newLintContext(g *Graph) *lintContext {
 	comps := g.Components()
-	index := make(map[string]int, len(comps))
-	for i, c := range comps {
-		index[c.Name] = i
-	}
 	lc := &lintContext{
 		comps:    comps,
-		index:    index,
-		idx:      indexStreams(g),
-		adj:      make([][]int, len(comps)),
+		index:    make(map[string]int32, len(comps)),
 		selfLoop: make([]bool, len(comps)),
 	}
+	for i, c := range comps {
+		lc.index[c.Name] = int32(i)
+	}
+	var from, to []int32
 	for _, s := range g.Streams() {
 		if s.IsSource() || s.IsSink() {
 			continue
 		}
-		f, t := index[s.FromComp], index[s.ToComp]
-		lc.adj[f] = append(lc.adj[f], t)
+		f, t := lc.index[s.FromComp], lc.index[s.ToComp]
+		from, to = append(from, f), append(to, t)
 		if f == t {
 			lc.selfLoop[f] = true
 		}
 	}
+	lc.adj = groupBy(len(comps), from, to)
 	return lc
 }
 
@@ -145,7 +143,7 @@ func LintGraph(g *Graph) []LintDiagnostic {
 	lc := newLintContext(g)
 	var diags []LintDiagnostic
 	diags = append(diags, lintSealSchemas(g)...)
-	diags = append(diags, lintGateSchemas(lc)...)
+	diags = append(diags, lintGateSchemas(g, lc)...)
 	diags = append(diags, lintReachability(g, lc)...)
 	diags = append(diags, lintAnnotations(lc)...)
 	diags = append(diags, lintSealCompatibility(g)...)
@@ -202,38 +200,33 @@ func lintSealSchemas(g *Graph) []LintDiagnostic {
 // feeding producer's schema does not carry. The gate partitions input
 // records; gating on an attribute the records lack degenerates to one
 // partition per record, which is OR*/OW* in disguise.
-func lintGateSchemas(lc *lintContext) []LintDiagnostic {
+func lintGateSchemas(g *Graph, lc *lintContext) []LintDiagnostic {
 	var diags []LintDiagnostic
-	for _, c := range lc.comps {
-		for _, p := range c.Paths {
-			if p.Ann.Confluent || p.Ann.GateStar || p.Ann.Gate.IsEmpty() {
+	for _, s := range g.Streams() {
+		if s.IsSource() || s.IsSink() {
+			continue
+		}
+		pi, ok := lc.index[s.FromComp]
+		ci, ok2 := lc.index[s.ToComp]
+		if !ok || !ok2 || lc.comps[pi].OutSchema == nil {
+			continue
+		}
+		schema, ok := lc.comps[pi].OutSchema[s.FromIface]
+		if !ok {
+			continue
+		}
+		for _, p := range lc.comps[ci].Paths {
+			if p.From != s.ToIface || p.Ann.Confluent || p.Ann.GateStar || p.Ann.Gate.IsEmpty() {
 				continue
 			}
-			for _, s := range lc.idx.into[[2]string{c.Name, p.From}] {
-				if s.IsSource() {
-					continue
-				}
-				i, ok := lc.index[s.FromComp]
-				if !ok {
-					continue
-				}
-				producer := lc.comps[i]
-				if producer.OutSchema == nil {
-					continue
-				}
-				schema, ok := producer.OutSchema[s.FromIface]
-				if !ok {
-					continue
-				}
-				if missing := p.Ann.Gate.Minus(schema); !missing.IsEmpty() {
-					diags = append(diags, LintDiagnostic{
-						Code:     CodeGateNotInSchema,
-						Severity: SeverityError,
-						Subject:  c.Name,
-						Message: fmt.Sprintf("path %s→%s gates on (%s) but stream %q carries schema (%s): attribute(s) %s are missing",
-							p.From, p.To, p.Ann.Gate, s.Name, schema, missing),
-					})
-				}
+			if missing := p.Ann.Gate.Minus(schema); !missing.IsEmpty() {
+				diags = append(diags, LintDiagnostic{
+					Code:     CodeGateNotInSchema,
+					Severity: SeverityError,
+					Subject:  s.ToComp,
+					Message: fmt.Sprintf("path %s→%s gates on (%s) but stream %q carries schema (%s): attribute(s) %s are missing",
+						p.From, p.To, p.Ann.Gate, s.Name, schema, missing),
+				})
 			}
 		}
 	}
@@ -247,7 +240,7 @@ func lintGateSchemas(lc *lintContext) []LintDiagnostic {
 // definition, and Validate-level concerns apply instead.
 func lintReachability(g *Graph, lc *lintContext) []LintDiagnostic {
 	seen := make([]bool, len(lc.comps))
-	var frontier []int
+	var frontier []int32
 	for _, s := range g.Streams() {
 		if s.IsSource() && !s.IsSink() {
 			if i, ok := lc.index[s.ToComp]; ok && !seen[i] {
@@ -262,7 +255,7 @@ func lintReachability(g *Graph, lc *lintContext) []LintDiagnostic {
 	for len(frontier) > 0 {
 		comp := frontier[0]
 		frontier = frontier[1:]
-		for _, w := range lc.adj[comp] {
+		for _, w := range lc.adj.at(comp) {
 			if !seen[w] {
 				seen[w] = true
 				frontier = append(frontier, w)
@@ -364,16 +357,11 @@ func lintSealCompatibility(g *Graph) []LintDiagnostic {
 // around such a cycle and amplify instead of washing out — the divergence
 // risk the paper's case studies coordinate away.
 func lintUnsealedCycles(g *Graph, lc *lintContext) []LintDiagnostic {
-	groups := stronglyConnected(lc.adj)
-	groupID := make([]int, len(lc.comps))
-	for gid, group := range groups {
-		for _, i := range group {
-			groupID[i] = gid
-		}
-	}
+	groupID, n := tarjanSCC(len(lc.comps), lc.adj)
+	groups := groupBy(n, groupID, nil) // members ascending, i.e. in name order
 	// One pass over the streams marks which groups contain a sealed
 	// internal edge, instead of rescanning the stream list per group.
-	groupSealed := make([]bool, len(groups))
+	groupSealed := make([]bool, n)
 	for _, s := range g.Streams() {
 		if s.IsSource() || s.IsSink() || s.Seal.IsEmpty() {
 			continue
@@ -385,7 +373,8 @@ func lintUnsealedCycles(g *Graph, lc *lintContext) []LintDiagnostic {
 	}
 
 	var diags []LintDiagnostic
-	for gid, group := range groups {
+	for gid := range int32(n) {
+		group := groups.at(gid)
 		if len(group) == 1 && !lc.selfLoop[group[0]] {
 			continue
 		}
@@ -408,7 +397,6 @@ func lintUnsealedCycles(g *Graph, lc *lintContext) []LintDiagnostic {
 		for _, i := range group {
 			names = append(names, lc.comps[i].Name)
 		}
-		sort.Strings(names)
 		diags = append(diags, LintDiagnostic{
 			Code:     CodeUnsealedCycle,
 			Severity: SeverityWarning,
@@ -429,60 +417,4 @@ func joinNames(names []string) string {
 		out += n
 	}
 	return out
-}
-
-// stronglyConnected returns the strongly connected components of the
-// directed graph given as adjacency lists, using Tarjan's algorithm
-// (iterative indices, deterministic order).
-func stronglyConnected(adj [][]int) [][]int {
-	n := len(adj)
-	const unvisited = -1
-	indexOf := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	for i := range indexOf {
-		indexOf[i] = unvisited
-	}
-	var stack []int
-	var groups [][]int
-	next := 0
-
-	var strongconnect func(v int)
-	strongconnect = func(v int) {
-		indexOf[v] = next
-		low[v] = next
-		next++
-		stack = append(stack, v)
-		onStack[v] = true
-		for _, w := range adj[v] {
-			if indexOf[w] == unvisited {
-				strongconnect(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && indexOf[w] < low[v] {
-				low[v] = indexOf[w]
-			}
-		}
-		if low[v] == indexOf[v] {
-			var group []int
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				group = append(group, w)
-				if w == v {
-					break
-				}
-			}
-			sort.Ints(group)
-			groups = append(groups, group)
-		}
-	}
-	for v := 0; v < n; v++ {
-		if indexOf[v] == unvisited {
-			strongconnect(v)
-		}
-	}
-	return groups
 }

@@ -1,7 +1,6 @@
 package dataflow
 
 import (
-	"sort"
 	"strings"
 
 	"blazes/internal/core"
@@ -16,359 +15,239 @@ import (
 // and Report form no cycle because Cache provides no internal path from its
 // response input to its request output.
 //
-// We therefore build an interface-level graph: one node per (component,
-// interface, direction); a component path contributes an IN→OUT edge and a
-// stream contributes an OUT→IN edge. Strongly connected components of this
-// graph are the paper's cycles.
+// The strongly connected components of the interface table (one node per
+// (component, interface, direction); paths are IN→OUT edges, streams OUT→IN
+// edges) are therefore the paper's cycles.
 
-// ifaceNode identifies one side of one component interface.
-type ifaceNode struct {
-	comp  string
-	iface string
-	out   bool
-}
-
-func (n ifaceNode) String() string {
-	dir := "in"
-	if n.out {
-		dir = "out"
-	}
-	return n.comp + "." + n.iface + "/" + dir
-}
-
-// ifaceGraph is the interface-level view of a dataflow graph.
-type ifaceGraph struct {
-	nodes []ifaceNode
-	adj   map[ifaceNode][]ifaceNode
-}
-
-func buildIfaceGraph(g *Graph) *ifaceGraph {
-	ig := &ifaceGraph{adj: map[ifaceNode][]ifaceNode{}}
-	seen := map[ifaceNode]bool{}
-	addNode := func(n ifaceNode) {
-		if !seen[n] {
-			seen[n] = true
-			ig.nodes = append(ig.nodes, n)
-		}
-	}
-	addEdge := func(a, b ifaceNode) {
-		addNode(a)
-		addNode(b)
-		ig.adj[a] = append(ig.adj[a], b)
-	}
-	for _, c := range g.Components() {
-		for _, p := range c.Paths {
-			addEdge(ifaceNode{c.Name, p.From, false}, ifaceNode{c.Name, p.To, true})
-		}
-	}
-	for _, s := range g.Streams() {
-		if s.IsSource() || s.IsSink() {
-			continue
-		}
-		addEdge(ifaceNode{s.FromComp, s.FromIface, true}, ifaceNode{s.ToComp, s.ToIface, false})
-	}
-	sort.Slice(ig.nodes, func(i, j int) bool { return less(ig.nodes[i], ig.nodes[j]) })
-	//lint:allow maporder sorts each adjacency list in place; the lists are disjoint per key
-	for _, vs := range ig.adj {
-		sort.Slice(vs, func(i, j int) bool { return less(vs[i], vs[j]) })
-	}
-	return ig
-}
-
-func less(a, b ifaceNode) bool {
-	if a.comp != b.comp {
-		return a.comp < b.comp
-	}
-	if a.iface != b.iface {
-		return a.iface < b.iface
-	}
-	return !a.out && b.out
-}
-
-// ifaceSCC is the condensation of an interface graph.
-type ifaceSCC struct {
-	id      map[ifaceNode]int
-	members [][]ifaceNode
-	cyclic  []bool
-}
-
-// condenseIfaces runs Tarjan's algorithm (iteratively deterministic via the
-// sorted node order) over the interface graph.
-func condenseIfaces(ig *ifaceGraph) *ifaceSCC {
-	res := &ifaceSCC{id: map[ifaceNode]int{}}
-	index := map[ifaceNode]int{}
-	low := map[ifaceNode]int{}
-	onStack := map[ifaceNode]bool{}
-	var stack []ifaceNode
-	next := 0
-
-	var strongconnect func(v ifaceNode)
-	strongconnect = func(v ifaceNode) {
-		index[v] = next
-		low[v] = next
-		next++
-		stack = append(stack, v)
-		onStack[v] = true
-		for _, w := range ig.adj[v] {
-			if _, ok := index[w]; !ok {
-				strongconnect(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
-			}
-		}
-		if low[v] == index[v] {
-			var comp []ifaceNode
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				comp = append(comp, w)
-				if w == v {
-					break
-				}
-			}
-			sort.Slice(comp, func(i, j int) bool { return less(comp[i], comp[j]) })
-			id := len(res.members)
-			for _, m := range comp {
-				res.id[m] = id
-			}
-			res.members = append(res.members, comp)
-			res.cyclic = append(res.cyclic, len(comp) > 1)
-		}
-	}
-	for _, v := range ig.nodes {
-		if _, ok := index[v]; !ok {
-			strongconnect(v)
-		}
-	}
-	return res
-}
-
-// collapseSCCs rewrites g so that every interface-level cycle is collapsed:
+// collapse rewrites g so that every interface-level cycle is collapsed:
 // intra-cycle streams are dropped and every path on a cycle is upgraded to
 // the highest-severity annotation among the cycle's paths. Cycles spanning
 // several components merge those components into one supernode whose
 // external paths connect reachable (external input, external output) pairs.
-// Acyclic graphs are returned unchanged (same object).
-func collapseSCCs(g *Graph) *Graph {
-	ig := buildIfaceGraph(g)
-	sccs := condenseIfaces(ig)
-
-	anyCyclic := false
-	for _, c := range sccs.cyclic {
-		if c {
-			anyCyclic = true
-			break
-		}
-	}
-	if !anyCyclic {
-		return g
-	}
+// t is g's interface table, scc its condensation and size each strongly
+// connected component's member count.
+//
+// The result shares every component and stream the collapse leaves alone
+// with g, so in-place annotation and seal edits of those need no mirroring;
+// only components on a cycle and streams touching a supernode are copies.
+// It also returns the components of g that lie on a cycle.
+func collapse(g *Graph, t *ifaceTable, scc, size []int32) (*Graph, map[string]bool) {
+	nComps := len(t.comps)
+	onCycle := func(a, b int32) bool { return scc[a] == scc[b] && size[scc[a]] > 1 }
+	pathOnCycle := func(j int32) bool { return onCycle(t.pathIn[j], t.pathOut[j]) }
 
 	// Union components that share a cyclic SCC.
-	groupOf := map[string]string{} // component → group representative
-	find := func(c string) string {
-		for groupOf[c] != "" && groupOf[c] != c {
-			c = groupOf[c]
+	group := make([]int32, nComps)
+	for i := range group {
+		group[i] = int32(i)
+	}
+	find := func(c int32) int32 {
+		for group[c] != c {
+			group[c] = group[group[c]]
+			c = group[c]
 		}
 		return c
 	}
-	union := func(a, b string) {
-		ra, rb := find(a), find(b)
-		if ra == "" {
-			ra = a
-		}
-		if rb == "" {
-			rb = b
-		}
-		if ra != rb {
-			groupOf[rb] = ra
-		}
-		groupOf[ra] = ra
+	cyclicComp := make([]bool, nComps)
+	first := make([]int32, len(size)) // cyclic SCC → its first member's component
+	for i := range first {
+		first[i] = -1
 	}
-	cyclicComp := map[string]bool{}
-	for id, members := range sccs.members {
-		if !sccs.cyclic[id] {
+	for v, c := range t.nodeComp {
+		id := scc[v]
+		if size[id] < 2 {
 			continue
 		}
-		for _, m := range members {
-			cyclicComp[m.comp] = true
-			union(members[0].comp, m.comp)
+		cyclicComp[c] = true
+		if first[id] < 0 {
+			first[id] = c
+		} else if a, b := find(first[id]), find(c); a != b {
+			group[b] = a
 		}
 	}
 
-	// Gather the paths and streams lying on cycles, plus the per-group
-	// collapsed annotation.
-	cycleStream := map[string]bool{}
-	for _, s := range g.Streams() {
-		if s.IsSource() || s.IsSink() {
+	// Per group: the collapsed annotation (the maximum over the paths on
+	// its cycles, components in name order) and the member count.
+	groupAnn := make([]core.Annotation, nComps)
+	annSet := make([]bool, nComps)
+	members := make([]int32, nComps)
+	cyclic := map[string]bool{}
+	for i, c := range t.comps {
+		if !cyclicComp[i] {
 			continue
 		}
-		a := ifaceNode{s.FromComp, s.FromIface, true}
-		b := ifaceNode{s.ToComp, s.ToIface, false}
-		if sccs.id[a] == sccs.id[b] && sccs.cyclic[sccs.id[a]] {
-			cycleStream[s.Name] = true
-		}
-	}
-	onCycle := func(comp string, p Path) bool {
-		a := ifaceNode{comp, p.From, false}
-		b := ifaceNode{comp, p.To, true}
-		return sccs.id[a] == sccs.id[b] && sccs.cyclic[sccs.id[a]]
-	}
-	groupAnn := map[string]core.Annotation{}
-	groupAnnSet := map[string]bool{}
-	for _, c := range g.Components() {
-		for _, p := range c.Paths {
-			if !onCycle(c.Name, p) {
+		cyclic[c.Name] = true
+		r := find(int32(i))
+		members[r]++
+		for k, p := range c.Paths {
+			if !pathOnCycle(t.pathOff[i] + int32(k)) {
 				continue
 			}
-			rep := find(c.Name)
-			if !groupAnnSet[rep] {
-				groupAnn[rep] = p.Ann
-				groupAnnSet[rep] = true
+			if !annSet[r] {
+				groupAnn[r], annSet[r] = p.Ann, true
 			} else {
-				groupAnn[rep] = maxAnnotation(groupAnn[rep], p.Ann)
+				groupAnn[r] = maxAnnotation(groupAnn[r], p.Ann)
+			}
+		}
+	}
+	// super maps each component merged into a supernode (a group of two or
+	// more) to its group, every other component to -1.
+	super := make([]int32, nComps)
+	for i := range super {
+		super[i] = -1
+		if r := find(int32(i)); cyclicComp[i] && members[r] > 1 {
+			super[i] = r
+		}
+	}
+	superOfNode := func(v int32) int32 {
+		if v < 0 {
+			return -1
+		}
+		return super[t.nodeComp[v]]
+	}
+
+	ng := &Graph{
+		Name:       g.Name,
+		components: make(map[string]*Component, nComps),
+		streams:    make([]*Stream, 0, len(t.streams)),
+		byName:     make(map[string]*Stream, len(t.streams)),
+	}
+
+	// Components outside every cycle are shared; a component with a
+	// self-cycle is copied with its cyclic paths upgraded to the group
+	// annotation.
+	for i, c := range t.comps {
+		switch {
+		case super[i] >= 0:
+		case !cyclicComp[i]:
+			ng.components[c.Name] = c
+		default:
+			nc := ng.Component(c.Name)
+			nc.Rep, nc.Deps, nc.OutSchema = c.Rep, c.Deps, c.OutSchema
+			nc.Coordination, nc.Merge = c.Coordination, c.Merge
+			for k, p := range c.Paths {
+				ann := p.Ann
+				if pathOnCycle(t.pathOff[i] + int32(k)) {
+					ann = groupAnn[find(int32(i))]
+				}
+				nc.AddPath(p.From, p.To, ann)
 			}
 		}
 	}
 
-	// Collect groups with ≥2 components (true supernodes).
-	groupMembers := map[string][]string{}
-	for _, c := range g.Components() {
-		if cyclicComp[c.Name] {
-			rep := find(c.Name)
-			groupMembers[rep] = append(groupMembers[rep], c.Name)
-		}
-	}
-	//lint:allow maporder sorts each member list in place; the lists are disjoint per group
-	for rep := range groupMembers {
-		sort.Strings(groupMembers[rep])
-	}
-	multi := map[string]bool{} // component → part of a multi-component group
-	superOf := map[string]string{}
-	for rep, members := range groupMembers {
-		if len(members) > 1 {
-			name := "scc+" + strings.Join(members, "+")
-			for _, m := range members {
-				multi[m] = true
-				superOf[m] = name
-			}
-			_ = rep
-		}
-	}
-
-	ioByGroup := groupBoundaries(g, superOf)
-
-	ng := NewGraph(g.Name)
-
-	// Copy components that are not merged into a supernode; upgrade their
-	// cyclic paths (single-component self-cycles) to the group annotation.
-	for _, c := range g.Components() {
-		if multi[c.Name] {
+	// Build one supernode per group of two or more components.
+	groups := groupBy(nComps, super, nil)
+	superName := make([]string, nComps)
+	qualified := func(v int32) string { return t.comps[t.nodeComp[v]].Name + "." + t.nodeIface[v] }
+	seen := make([]int32, len(t.nodeComp)) // node → the BFS that last reached it
+	var ins, outs, queue []int32
+	bfs := int32(0)
+	for r := int32(0); int(r) < nComps; r++ {
+		comps := groups.at(r) // ascending, i.e. in name order
+		if len(comps) == 0 {
 			continue
 		}
-		nc := ng.Component(c.Name)
-		nc.Rep = c.Rep
-		nc.Deps = c.Deps
-		nc.OutSchema = c.OutSchema
-		nc.Coordination = c.Coordination
-		for _, p := range c.Paths {
-			ann := p.Ann
-			if onCycle(c.Name, p) {
-				ann = groupAnn[find(c.Name)]
-			}
-			nc.AddPath(p.From, p.To, ann)
+		names := make([]string, len(comps))
+		for i, c := range comps {
+			names[i] = t.comps[c].Name
 		}
-	}
-
-	// Build supernodes for multi-component groups.
-	//lint:allow maporder insertion order is invisible: Components() returns name order
-	for rep, members := range groupMembers {
-		if len(members) < 2 {
-			continue
-		}
-		name := superOf[members[0]]
-		super := ng.Component(name)
-		ann := groupAnnFor(g, rep, members, groupAnn)
+		superName[r] = "scc+" + strings.Join(names, "+")
+		sn := ng.Component(superName[r])
 		deps := fd.NewSet()
-		for _, m := range members {
-			mc := g.Lookup(m)
-			super.Rep = super.Rep || mc.Rep
-			if mc.Coordination > super.Coordination {
-				super.Coordination = mc.Coordination
-			}
+		// The group's boundary: inputs fed by a source, from outside the
+		// group or by nothing at all, and outputs with a stream leaving it.
+		ins, outs = ins[:0], outs[:0]
+		for _, c := range comps {
+			mc := t.comps[c]
+			sn.Rep = sn.Rep || mc.Rep
+			sn.Coordination = max(sn.Coordination, mc.Coordination)
 			if mc.Deps != nil {
 				for _, f := range mc.Deps.FDs() {
 					deps.Add(f)
 				}
 			}
-		}
-		if deps.Len() > 0 {
-			super.Deps = deps
-		}
-		io := ioByGroup[name]
-		reach := groupReachability(g, members, io.internal)
-		for _, in := range io.ins {
-			for _, out := range io.outs {
-				if reach[[2]ifaceNode{in, out}] {
-					super.AddPath(in.comp+"."+in.iface, out.comp+"."+out.iface, ann)
+			for v := t.compStart[c]; v < t.compStart[c+1]; v++ {
+				if t.nodeOut[v] {
+					for _, s := range t.outOf.at(v) {
+						if superOfNode(t.to[s]) != r {
+							outs = append(outs, v)
+							break
+						}
+					}
+					continue
+				}
+				external := len(t.into.at(v)) == 0
+				for _, s := range t.into.at(v) {
+					if superOfNode(t.from[s]) != r {
+						external = true
+					}
+				}
+				if external {
+					ins = append(ins, v)
 				}
 			}
 		}
-		if len(super.Paths) == 0 {
+		if deps.Len() > 0 {
+			sn.Deps = deps
+		}
+		// An external path per (input, output) pair connected through the
+		// group's own paths and internal streams.
+		ann := groupAnn[r]
+		for _, in := range ins {
+			bfs++
+			seen[in] = bfs
+			queue = append(queue[:0], in)
+			for len(queue) > 0 {
+				v := queue[0]
+				queue = queue[1:]
+				for _, w := range t.succ.at(v) {
+					if seen[w] != bfs && superOfNode(w) == r {
+						seen[w] = bfs
+						queue = append(queue, w)
+					}
+				}
+			}
+			for _, out := range outs {
+				if seen[out] == bfs {
+					sn.AddPath(qualified(in), qualified(out), ann)
+				}
+			}
+		}
+		if len(sn.Paths) == 0 {
 			// Degenerate sink cycle: expose state so validation passes.
-			for _, in := range io.ins {
-				super.AddPath(in.comp+"."+in.iface, "state", ann)
+			for _, in := range ins {
+				sn.AddPath(qualified(in), "state", ann)
 			}
 		}
 	}
 
 	// Rewire streams, dropping those on cycles and those internal to a
-	// multi-component group.
-	for _, s := range g.Streams() {
-		if cycleStream[s.Name] {
+	// supernode.
+	for i, s := range t.streams {
+		from, to := t.from[i], t.to[i]
+		internal := from >= 0 && to >= 0
+		if internal && onCycle(from, to) {
 			continue
 		}
-		fromComp, fromIface := s.FromComp, s.FromIface
-		toComp, toIface := s.ToComp, s.ToIface
-		if !s.IsSource() && !s.IsSink() && multi[fromComp] && multi[toComp] && superOf[fromComp] == superOf[toComp] {
+		fs, ts := superOfNode(from), superOfNode(to)
+		if internal && fs >= 0 && fs == ts {
 			continue
 		}
-		if fromComp != "" && multi[fromComp] {
-			fromIface = fromComp + "." + fromIface
-			fromComp = superOf[fromComp]
-		}
-		if toComp != "" && multi[toComp] {
-			toIface = toComp + "." + toIface
-			toComp = superOf[toComp]
-		}
-		ns := ng.Connect(s.Name, fromComp, fromIface, toComp, toIface)
-		ns.Seal = s.Seal
-		ns.Rep = s.Rep
-	}
-	return ng
-}
-
-// groupAnnFor returns the collapsed annotation for a group, falling back to
-// the max over all member paths when no path was detected on the cycle
-// (defensive; should not happen).
-func groupAnnFor(g *Graph, rep string, members []string, groupAnn map[string]core.Annotation) core.Annotation {
-	if ann, ok := groupAnn[rep]; ok {
-		return ann
-	}
-	var best core.Annotation
-	first := true
-	for _, m := range members {
-		for _, p := range g.Lookup(m).Paths {
-			if first || p.Ann.Severity() > best.Severity() {
-				best, first = p.Ann, false
+		ns := s
+		if fs >= 0 || ts >= 0 {
+			cp := *s
+			ns = &cp
+			if fs >= 0 {
+				ns.FromComp, ns.FromIface = superName[fs], qualified(from)
+			}
+			if ts >= 0 {
+				ns.ToComp, ns.ToIface = superName[ts], qualified(to)
 			}
 		}
+		ng.streams = append(ng.streams, ns)
+		ng.byName[ns.Name] = ns
 	}
-	return best
+	return ng, cyclic
 }
 
 // maxAnnotation returns the higher-severity annotation; on severity ties
@@ -385,121 +264,4 @@ func maxAnnotation(a, b core.Annotation) core.Annotation {
 		}
 	}
 	return a
-}
-
-// groupIO is one supernode group's stream classification: external input
-// and output interfaces plus the OUT→IN stream edges internal to the group.
-type groupIO struct {
-	ins, outs []ifaceNode
-	internal  [][2]ifaceNode
-}
-
-// groupBoundaries classifies every stream exactly once against all
-// multi-component groups (superOf maps member component → supernode name),
-// returning each group's external inputs — IN nodes fed by sources, fed
-// from outside the group, or fed by nothing at all — external outputs, and
-// internal edges. A single pass over the stream list replaces the previous
-// per-group rescans, which were quadratic in the number of supernodes.
-func groupBoundaries(g *Graph, superOf map[string]string) map[string]*groupIO {
-	res := map[string]*groupIO{}
-	at := func(comp string) *groupIO {
-		name := superOf[comp]
-		if name == "" {
-			return nil
-		}
-		io := res[name]
-		if io == nil {
-			io = &groupIO{}
-			res[name] = io
-		}
-		return io
-	}
-	// Interface nodes belong to exactly one group, so global dedupe maps
-	// are safe across groups.
-	insSeen := map[ifaceNode]bool{}
-	outsSeen := map[ifaceNode]bool{}
-	fedFromInside := map[ifaceNode]bool{}
-	for _, s := range g.Streams() {
-		sameGroup := !s.IsSource() && !s.IsSink() &&
-			superOf[s.FromComp] != "" && superOf[s.FromComp] == superOf[s.ToComp]
-		if !s.IsSink() {
-			if io := at(s.ToComp); io != nil {
-				n := ifaceNode{s.ToComp, s.ToIface, false}
-				if sameGroup {
-					fedFromInside[n] = true
-				} else if !insSeen[n] {
-					insSeen[n] = true
-					io.ins = append(io.ins, n)
-				}
-			}
-		}
-		if !s.IsSource() {
-			if io := at(s.FromComp); io != nil {
-				n := ifaceNode{s.FromComp, s.FromIface, true}
-				if sameGroup {
-					io.internal = append(io.internal, [2]ifaceNode{n, {s.ToComp, s.ToIface, false}})
-				} else if !outsSeen[n] {
-					outsSeen[n] = true
-					io.outs = append(io.outs, n)
-				}
-			}
-		}
-	}
-	// Member inputs fed by nothing (every incoming stream marks the node
-	// in insSeen or fedFromInside) are external too.
-	//lint:allow maporder appends are re-sorted below before use
-	for comp := range superOf {
-		for _, iface := range g.Lookup(comp).Inputs() {
-			n := ifaceNode{comp, iface, false}
-			if !insSeen[n] && !fedFromInside[n] {
-				io := at(comp)
-				insSeen[n] = true
-				io.ins = append(io.ins, n)
-			}
-		}
-	}
-	//lint:allow maporder sorts each group's lists in place; the lists are disjoint per group
-	for _, io := range res {
-		sort.Slice(io.ins, func(i, j int) bool { return less(io.ins[i], io.ins[j]) })
-		sort.Slice(io.outs, func(i, j int) bool { return less(io.outs[i], io.outs[j]) })
-	}
-	return res
-}
-
-// groupReachability computes (in, out) reachability through the group's
-// internal paths and the pre-classified internal stream edges.
-func groupReachability(g *Graph, members []string, internal [][2]ifaceNode) map[[2]ifaceNode]bool {
-	adj := map[ifaceNode][]ifaceNode{}
-	for _, comp := range members {
-		for _, p := range g.Lookup(comp).Paths {
-			adj[ifaceNode{comp, p.From, false}] = append(adj[ifaceNode{comp, p.From, false}], ifaceNode{comp, p.To, true})
-		}
-	}
-	for _, e := range internal {
-		adj[e[0]] = append(adj[e[0]], e[1])
-	}
-	res := map[[2]ifaceNode]bool{}
-	for _, comp := range members {
-		for _, iface := range g.Lookup(comp).Inputs() {
-			start := ifaceNode{comp, iface, false}
-			seen := map[ifaceNode]bool{start: true}
-			queue := []ifaceNode{start}
-			for len(queue) > 0 {
-				v := queue[0]
-				queue = queue[1:]
-				for _, w := range adj[v] {
-					if !seen[w] {
-						seen[w] = true
-						queue = append(queue, w)
-					}
-				}
-			}
-			for n := range seen {
-				if n.out {
-					res[[2]ifaceNode{start, n}] = true
-				}
-			}
-		}
-	}
-	return res
 }

@@ -12,7 +12,7 @@ import (
 // to its request output. Cycle detection must therefore be path-granular.
 func TestFootnote3NoComponentLevelCycle(t *testing.T) {
 	g := AdNetwork(THRESH)
-	cg := collapseSCCs(g)
+	cg := collapsedOf(t, g)
 	if cg == g {
 		t.Fatal("the gossip self-edge should force a collapse")
 	}
@@ -43,7 +43,7 @@ func TestSelfCycleUpgradesAnnotation(t *testing.T) {
 	g.Connect("self", "A", "loop2", "A", "loop")
 	g.Sink("snk2", "A", "loop2")
 
-	cg := collapseSCCs(g)
+	cg := collapsedOf(t, g)
 	if cg == g {
 		t.Fatal("self-loop should trigger collapse")
 	}
@@ -80,7 +80,7 @@ func TestMultiComponentCycleCollapses(t *testing.T) {
 	g.Connect("ba", "B", "out", "A", "in")
 	g.Sink("snk", "B", "out")
 
-	cg := collapseSCCs(g)
+	cg := collapsedOf(t, g)
 	super := cg.Lookup("scc+A+B")
 	if super == nil {
 		t.Fatalf("expected supernode scc+A+B; components = %v", names(cg))
@@ -108,7 +108,7 @@ func TestMultiComponentCycleCollapses(t *testing.T) {
 
 func TestAcyclicGraphReturnedUnchanged(t *testing.T) {
 	g := WordcountTopology(false)
-	if cg := collapseSCCs(g); cg != g {
+	if cg := collapsedOf(t, g); cg != g {
 		t.Error("acyclic graph should be returned unchanged")
 	}
 }
@@ -126,7 +126,7 @@ func TestMultiComponentCycleRepAndCoordinationPropagate(t *testing.T) {
 	g.Connect("ba", "B", "out", "A", "in")
 	g.Sink("snk", "B", "out")
 
-	cg := collapseSCCs(g)
+	cg := collapsedOf(t, g)
 	super := cg.Lookup("scc+A+B")
 	if super == nil {
 		t.Fatal("expected supernode")
@@ -137,6 +137,16 @@ func TestMultiComponentCycleRepAndCoordinationPropagate(t *testing.T) {
 	if super.Coordination != CoordSequenced {
 		t.Error("supernode should inherit the strongest coordination")
 	}
+}
+
+// collapsedOf compiles g and returns the graph the analysis runs over.
+func collapsedOf(t *testing.T, g *Graph) *Graph {
+	t.Helper()
+	st, err := compile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.collapsed
 }
 
 func names(g *Graph) []string {

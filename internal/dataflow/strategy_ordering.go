@@ -29,7 +29,7 @@ func (orderingStrategy) Plan(ctx *StrategyContext) (Strategy, bool) {
 	return Strategy{
 		Component: ctx.Component.Name,
 		Mechanism: mech,
-		Inputs:    allInputStreams(ctx.Graph, ctx.Component),
+		Inputs:    ctx.inputStreams(),
 		Reason:    reason,
 	}, true
 }

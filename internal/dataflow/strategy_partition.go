@@ -17,9 +17,9 @@ func (partitionSealingStrategy) Summary() string {
 }
 
 func (partitionSealingStrategy) Plan(ctx *StrategyContext) (Strategy, bool) {
-	a, g, comp := ctx.Analysis, ctx.Graph, ctx.Component
+	comp := ctx.Component
 	if ctx.Origin {
-		keys, ok := sealPlan(a, g, comp)
+		keys, ok := ctx.sealPlan()
 		if !ok {
 			return Strategy{}, false
 		}
@@ -30,9 +30,9 @@ func (partitionSealingStrategy) Plan(ctx *StrategyContext) (Strategy, bool) {
 			Reason:    "order-sensitive paths are compatible with the seals on their rendezvousing inputs; partitions release independently as they seal",
 		}, true
 	}
-	keys, ok := sealPlan(a, g, comp)
+	keys, ok := ctx.sealPlan()
 	if !ok {
-		keys = consumedSealKeys(a, g, comp)
+		keys = ctx.consumedSealKeys()
 	}
 	return Strategy{
 		Component: comp.Name,

@@ -24,7 +24,7 @@ func (quorumOrderingStrategy) Plan(ctx *StrategyContext) (Strategy, bool) {
 	return Strategy{
 		Component: ctx.Component.Name,
 		Mechanism: CoordQuorumOrder,
-		Inputs:    allInputStreams(ctx.Graph, ctx.Component),
+		Inputs:    ctx.inputStreams(),
 		Reason:    "producer clocks and stability frontiers preordain a total order without per-message sequencer round trips",
 	}, true
 }

@@ -15,9 +15,9 @@ func (sealingStrategy) Summary() string {
 }
 
 func (sealingStrategy) Plan(ctx *StrategyContext) (Strategy, bool) {
-	a, g, comp := ctx.Analysis, ctx.Graph, ctx.Component
+	comp := ctx.Component
 	if ctx.Origin {
-		keys, ok := sealPlan(a, g, comp)
+		keys, ok := ctx.sealPlan()
 		if !ok {
 			return Strategy{}, false
 		}
@@ -28,12 +28,12 @@ func (sealingStrategy) Plan(ctx *StrategyContext) (Strategy, bool) {
 			Reason:    "order-sensitive paths are compatible with the seals on their rendezvousing inputs",
 		}, true
 	}
-	keys, ok := sealPlan(a, g, comp)
+	keys, ok := ctx.sealPlan()
 	if !ok {
 		// Defensive: the analysis says seals protect this component, so a
 		// plan must exist; fall back to reporting the consumed keys
 		// directly from the steps.
-		keys = consumedSealKeys(a, g, comp)
+		keys = ctx.consumedSealKeys()
 	}
 	return Strategy{
 		Component: comp.Name,

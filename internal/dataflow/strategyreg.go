@@ -23,6 +23,26 @@ type StrategyContext struct {
 	// PreferSequencing carries the caller's M1-over-M2 preference through
 	// to strategies that order inputs.
 	PreferSequencing bool
+
+	index int32 // Component's position in the analysis's compiled structure
+}
+
+// StreamsInto returns the streams arriving at the component's named input
+// interface, in declaration order, from the analysis's compiled index —
+// unlike Graph.StreamsInto it does not scan the graph. Their derived
+// labels are ctx.Analysis.Label(stream.Name).
+func (ctx *StrategyContext) StreamsInto(iface string) []*Stream {
+	st := ctx.Analysis.st
+	in := st.node(ctx.index, iface, false)
+	if in < 0 {
+		return nil
+	}
+	ids := st.into.at(in)
+	out := make([]*Stream, len(ids))
+	for i, id := range ids {
+		out[i] = st.streams[id]
+	}
+	return out
 }
 
 // StrategyDef is a registered coordination strategy: a named recipe that

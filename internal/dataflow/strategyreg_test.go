@@ -1,6 +1,8 @@
 package dataflow
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -89,5 +91,66 @@ func TestStrategyRegistryContents(t *testing.T) {
 	defs := Strategies()
 	if len(defs) != len(names) {
 		t.Errorf("Strategies() returned %d defs for %d names", len(defs), len(names))
+	}
+}
+
+// probeStrategy declines every component after recording what the
+// context's stream index answers for each of its input interfaces.
+type probeStrategy struct{ seen map[string][]string }
+
+func (probeStrategy) Name() string    { return "zz-test-probe" }
+func (probeStrategy) Summary() string { return "test-only strategy" }
+func (p probeStrategy) Plan(ctx *StrategyContext) (Strategy, bool) {
+	for _, in := range ctx.Component.Inputs() {
+		p.seen[ctx.Component.Name+"."+in] = streamNames(ctx.StreamsInto(in))
+	}
+	return Strategy{}, false
+}
+
+// TestStrategyContextStreamsInto: the helper out-of-tree strategies use in
+// place of Graph.StreamsInto answers the same streams in the same order, on
+// plain components and on a supernode's member-qualified interfaces.
+func TestStrategyContextStreamsInto(t *testing.T) {
+	probe := probeStrategy{seen: map[string][]string{}}
+	RegisterStrategy(probe)
+	// The first random graph whose supernode is offered to the strategy (some
+	// draws close a cycle the collapse refuses, or only a self-loop, or one
+	// that needs no coordination).
+	withSupernode := func() *Graph {
+		for seed := int64(0); ; seed++ {
+			g := randomCyclicGraph(rand.New(rand.NewSource(seed)))
+			a, err := Analyze(g)
+			if err != nil {
+				continue
+			}
+			clear(probe.seen)
+			Synthesize(a, SynthesisOptions{Strategy: probe.Name()})
+			for key := range probe.seen {
+				if strings.HasPrefix(key, "scc+") {
+					return g
+				}
+			}
+		}
+	}
+	for _, g := range []*Graph{AdNetwork(POOR), WordcountTopology(false), withSupernode()} {
+		a, err := Analyze(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clear(probe.seen)
+		Synthesize(a, SynthesisOptions{Strategy: probe.Name()})
+		if len(probe.seen) == 0 {
+			t.Fatalf("%s: no component was offered to the preferred strategy", g.Name)
+		}
+		for key, got := range probe.seen {
+			comp, iface, _ := strings.Cut(key, ".") // component names here have no dot; a supernode's interfaces do
+			want := streamNames(a.Collapsed.StreamsInto(comp, iface))
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("%s: StreamsInto(%s) = %v, Graph.StreamsInto has %v", g.Name, key, got, want)
+			}
+		}
+		if got := (&StrategyContext{Analysis: a, Component: a.Collapsed.Components()[0]}).StreamsInto("no-such-interface"); got != nil {
+			t.Errorf("unknown interface answers %v", got)
+		}
 	}
 }

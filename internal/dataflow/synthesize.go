@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -99,20 +100,17 @@ func Synthesize(a *Analysis, opts SynthesisOptions) []Strategy {
 	}
 
 	var out []Strategy
-	cg := a.Collapsed
-	for _, comp := range cg.Components() {
+	for ca := range a.Components() {
+		comp := ca.Component
 		if comp.Coordination != CoordNone {
 			continue // already coordinated
 		}
-		ca := a.Components[comp.Name]
-		if ca == nil {
-			continue
-		}
 		ctx := StrategyContext{
 			Analysis:         a,
-			Graph:            cg,
+			Graph:            a.Collapsed,
 			Component:        comp,
 			PreferSequencing: opts.PreferSequencing,
+			index:            ca.index,
 		}
 		switch {
 		case originatesAnomaly(ca):
@@ -136,10 +134,10 @@ func Synthesize(a *Analysis, opts SynthesisOptions) []Strategy {
 // (Run or worse) at this component *and* some inference rule fired on a
 // deterministic input — i.e. the nondeterminism is born here rather than
 // inherited.
-func originatesAnomaly(ca *ComponentAnalysis) bool {
+func originatesAnomaly(ca ComponentAnalysis) bool {
 	added := false
-	for _, rec := range ca.Reconciliations {
-		for _, l := range rec.Added {
+	for out := range ca.Outputs() {
+		for _, l := range out.Reconciliation.Added {
 			if l.Severity() >= core.Run.Severity() {
 				added = true
 			}
@@ -148,7 +146,7 @@ func originatesAnomaly(ca *ComponentAnalysis) bool {
 	if !added {
 		return false
 	}
-	for _, st := range ca.Steps {
+	for st := range ca.Steps() {
 		switch st.Rule {
 		case core.Rule1, core.Rule2, core.Rule4, core.Rule1Seal:
 			if st.In.Kind == core.LAsync || st.In.Kind == core.LSeal {
@@ -162,26 +160,17 @@ func originatesAnomaly(ca *ComponentAnalysis) bool {
 // consumesSeal reports whether the component blocks on sealed partitions:
 // an order-sensitive path consumed a compatible seal, or a protected NDRead
 // was reconciled to Async.
-func consumesSeal(ca *ComponentAnalysis) bool {
-	for _, st := range ca.Steps {
+func consumesSeal(ca ComponentAnalysis) bool {
+	for st := range ca.Steps() {
 		if st.In.Kind == core.LSeal && st.Ann.OrderSensitive() && st.Rule == core.RuleP {
 			return true
 		}
 	}
-	for _, rec := range ca.Reconciliations {
-		hasND := false
-		for _, l := range rec.Input {
-			if l.Kind == core.LNDRead {
-				hasND = true
-			}
-		}
-		if !hasND {
-			continue
-		}
-		for _, l := range rec.Added {
-			if l.Equal(core.Async) {
-				return true // protected NDRead
-			}
+	for out := range ca.Outputs() {
+		rec := out.Reconciliation
+		hasND := slices.ContainsFunc(rec.Input, func(l core.Label) bool { return l.Kind == core.LNDRead })
+		if hasND && slices.ContainsFunc(rec.Added, core.Async.Equal) {
+			return true // protected NDRead
 		}
 	}
 	return false
@@ -200,35 +189,36 @@ func consumesSeal(ca *ComponentAnalysis) bool {
 //     sealed itself.
 //
 // It returns the per-stream seal keys gating the component.
-func sealPlan(a *Analysis, g *Graph, comp *Component) (map[string]fd.AttrSet, bool) {
-	writeIfaces := map[string]bool{}
-	for _, p := range comp.Paths {
+func (ctx *StrategyContext) sealPlan() (map[string]fd.AttrSet, bool) {
+	a, st, comp := ctx.Analysis, ctx.Analysis.st, ctx.Component
+	first := st.pathOff[ctx.index]
+
+	// The input interfaces of the write paths, in name order (node ids
+	// ascend with the interface name).
+	var writeIns []int32
+	for k, p := range comp.Paths {
 		if p.Ann.Write {
-			writeIfaces[p.From] = true
+			writeIns = append(writeIns, st.pathIn[first+int32(k)])
 		}
 	}
+	slices.Sort(writeIns)
+	writeIns = slices.Compact(writeIns)
 
 	keys := map[string]fd.AttrSet{}
-	checkIface := func(iface string, gate core.Annotation) bool {
-		streams := g.StreamsInto(comp.Name, iface)
-		if len(streams) == 0 {
-			return false
-		}
+	checkIface := func(in int32, gate core.Annotation) bool {
+		streams := st.into.at(in)
 		for _, s := range streams {
-			l := a.StreamLabels[s.Name]
-			if l.Kind != core.LSeal {
+			l := a.labels[s]
+			if l.Kind != core.LSeal || !gate.SealCompatible(l.Key, comp.Deps) {
 				return false
 			}
-			if !gate.SealCompatible(l.Key, comp.Deps) {
-				return false
-			}
-			keys[s.Name] = l.Key
+			keys[st.streams[s].Name] = l.Key
 		}
-		return true
+		return len(streams) > 0
 	}
 
 	found := false
-	for _, p := range comp.Paths {
+	for k, p := range comp.Paths {
 		if !p.Ann.OrderSensitive() {
 			continue
 		}
@@ -236,19 +226,14 @@ func sealPlan(a *Analysis, g *Graph, comp *Component) (map[string]fd.AttrSet, bo
 		if p.Ann.GateStar || p.Ann.Gate.IsEmpty() {
 			return nil, false
 		}
-		if p.Ann.Write {
-			if !checkIface(p.From, p.Ann) {
-				return nil, false
-			}
-			continue
+		// A write path gates on its own input, a read path on the
+		// state-building inputs.
+		rendezvous := writeIns
+		if p.Ann.Write || len(writeIns) == 0 {
+			rendezvous = []int32{st.pathIn[first+int32(k)]}
 		}
-		// Read path: gate on the state-building inputs.
-		rendezvous := sortedBoolKeys(writeIfaces)
-		if len(rendezvous) == 0 {
-			rendezvous = []string{p.From}
-		}
-		for _, iface := range rendezvous {
-			if !checkIface(iface, p.Ann) {
+		for _, in := range rendezvous {
+			if !checkIface(in, p.Ann) {
 				return nil, false
 			}
 		}
@@ -261,33 +246,27 @@ func sealPlan(a *Analysis, g *Graph, comp *Component) (map[string]fd.AttrSet, bo
 
 // consumedSealKeys reports the seal keys observed on inputs to
 // order-sensitive paths (fallback reporting).
-func consumedSealKeys(a *Analysis, g *Graph, comp *Component) map[string]fd.AttrSet {
+func (ctx *StrategyContext) consumedSealKeys() map[string]fd.AttrSet {
+	a, st := ctx.Analysis, ctx.Analysis.st
 	keys := map[string]fd.AttrSet{}
-	for _, p := range comp.Paths {
-		for _, s := range g.StreamsInto(comp.Name, p.From) {
-			if l := a.StreamLabels[s.Name]; l.Kind == core.LSeal {
-				keys[s.Name] = l.Key
+	for v := st.compStart[ctx.index]; v < st.compStart[ctx.index+1]; v++ {
+		for _, s := range st.into.at(v) {
+			if l := a.labels[s]; l.Kind == core.LSeal {
+				keys[st.streams[s].Name] = l.Key
 			}
 		}
 	}
 	return keys
 }
 
-func allInputStreams(g *Graph, comp *Component) []string {
+// inputStreams names every stream feeding the component, sorted.
+func (ctx *StrategyContext) inputStreams() []string {
+	st := ctx.Analysis.st
 	var out []string
-	for _, in := range comp.Inputs() {
-		for _, s := range g.StreamsInto(comp.Name, in) {
-			out = append(out, s.Name)
+	for v := st.compStart[ctx.index]; v < st.compStart[ctx.index+1]; v++ {
+		for _, s := range st.into.at(v) {
+			out = append(out, st.streams[s].Name)
 		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedBoolKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
 	}
 	sort.Strings(out)
 	return out

@@ -3,19 +3,21 @@ package dataflow
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
 	"blazes/internal/core"
 )
 
-// outputTopoOrderQuadratic is the implementation outputTopoOrder replaced: a
-// slice-backed ready queue fully re-sorted after the initial fill and after
-// every push. It pops the lexicographically least ready node each round, so
-// the heap-based version must produce the identical sequence. Kept here as
-// the regression oracle.
+// outputTopoOrderQuadratic is the first implementation of the output
+// interface order: a slice-backed ready queue fully re-sorted after the
+// initial fill and after every push. It pops the lexicographically least
+// ready node each round, so the compiled structure's heap-based Kahn over
+// dense ids must produce the identical sequence. Kept here as the
+// regression oracle.
 func outputTopoOrderQuadratic(g *Graph) []ifaceNode {
-	ig := buildIfaceGraph(g)
+	ig := refBuildIfaceGraph(g)
 	indeg := map[ifaceNode]int{}
 	for _, n := range ig.nodes {
 		indeg[n] += 0
@@ -93,9 +95,12 @@ func TestOutputTopoOrderMatchesQuadratic(t *testing.T) {
 		if trial%3 == 0 && layers >= 2 {
 			g.Connect("back", fmt.Sprintf("C%02d_%02d", 1, 0), "out", "C00_00", "in")
 		}
-		cg := collapseSCCs(g)
-		got := outputTopoOrder(cg)
-		want := outputTopoOrderQuadratic(cg)
+		st, err := compile(g)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		got := st.orderNodes()
+		want := outputTopoOrderQuadratic(st.collapsed)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: order length %d != %d", trial, len(got), len(want))
 		}
@@ -107,24 +112,30 @@ func TestOutputTopoOrderMatchesQuadratic(t *testing.T) {
 	}
 }
 
+// orderNodes names the structure's topological order.
+func (st *structure) orderNodes() []ifaceNode {
+	out := make([]ifaceNode, len(st.order))
+	for r, v := range st.order {
+		out[r] = ifaceNode{st.comps[st.nodeComp[v]].Name, st.nodeIface[v], true}
+	}
+	return out
+}
+
+// TestIfaceHeapOrdering: interface nodes interned in less() order pop off
+// the id heap in less() order.
 func TestIfaceHeapOrdering(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	var h ifaceHeap
-	nodes := make([]ifaceNode, 0, 200)
+	var h idHeap
+	ids := make([]int32, 0, 200)
 	for i := 0; i < 200; i++ {
-		n := ifaceNode{
-			comp:  fmt.Sprintf("C%03d", rng.Intn(60)),
-			iface: fmt.Sprintf("p%d", rng.Intn(4)),
-			out:   rng.Intn(2) == 0,
-		}
-		nodes = append(nodes, n)
-		h.push(n)
+		id := int32(rng.Intn(120))
+		ids = append(ids, id)
+		h.push(id)
 	}
-	sort.Slice(nodes, func(i, j int) bool { return less(nodes[i], nodes[j]) })
-	for i, want := range nodes {
-		got := h.pop()
-		if got != want {
-			t.Fatalf("pop %d = %+v, want %+v", i, got, want)
+	slices.Sort(ids)
+	for i, want := range ids {
+		if got := h.pop(); got != want {
+			t.Fatalf("pop %d = %d, want %d", i, got, want)
 		}
 	}
 	if len(h) != 0 {

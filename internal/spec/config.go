@@ -267,6 +267,7 @@ func (c *Config) parseTopology(v Value) error {
 
 func parseStream(section string, m *Map) (StreamSpec, error) {
 	var st StreamSpec
+	sealStrings := true
 	for _, key := range m.Keys() {
 		v, _ := m.Get(key)
 		switch key {
@@ -282,7 +283,10 @@ func parseStream(section string, m *Map) (StreamSpec, error) {
 				return st, fmt.Errorf("spec: %s: seal must be a list", section)
 			}
 			for _, item := range list {
-				s, _ := item.(string)
+				// A bare on/yes/no/true/… is a boolean to the scalar
+				// parser, not the attribute the author meant.
+				s, ok := item.(string)
+				sealStrings = sealStrings && ok
 				st.Seal = append(st.Seal, s)
 			}
 		case "Rep", "rep":
@@ -297,6 +301,9 @@ func parseStream(section string, m *Map) (StreamSpec, error) {
 	}
 	if st.Name == "" {
 		return st, fmt.Errorf("spec: %s entries need a name", section)
+	}
+	if !sealStrings { // reported here: the name may follow the seal in the entry
+		return st, fmt.Errorf("spec: %s: stream %q: seal entries must be strings (quote words like on/yes/no/true)", section, st.Name)
 	}
 	return st, nil
 }

@@ -173,6 +173,14 @@ func TestConfigErrors(t *testing.T) {
 		{"unknown ann field", "C:\n  annotation: { from: a, to: b, label: CR, nope: x }", "unknown annotation field"},
 		{"bad topology section", "topology:\n  widgets:\n    - { name: w, from: A.x }", "unknown topology section"},
 		{"source without to", "topology:\n  sources:\n    - { name: s }", "needs `to`"},
+		{"subscript not list", "C:\n  annotation: { from: a, to: b, label: OW, subscript: k }", "subscript must be a list"},
+		{"subscript bool entry", "C:\n  annotation: { from: a, to: b, label: OW, subscript: [on] }", "subscript entries must be strings"},
+		{"subscript nested entry", "C:\n  annotation: { from: a, to: b, label: OW, subscript: [[k]] }", "subscript entries must be strings"},
+		{"seal not list", "topology:\n  sources:\n    - { name: s, to: C.a, seal: k }", "seal must be a list"},
+		{"seal bool entry", "topology:\n  sources:\n    - { name: clicks, to: C.a, seal: [on] }", `stream "clicks": seal entries must be strings`},
+		{"seal bool entry before name", "topology:\n  streams:\n    - { seal: [k, yes], name: mid, from: C.b, to: D.a }", `stream "mid": seal entries must be strings`},
+		{"seal nested entry", "topology:\n  sinks:\n    - { name: out, from: C.b, seal: [[k]] }", `stream "out": seal entries must be strings`},
+		{"seal quoted word", "topology:\n  sources:\n    - { name: s, to: C.a, seal: ['on'] }", `unknown consumer component "C"`}, // parses; fails only at the graph
 		{"bad endpoint", "C:\n  annotation: { from: a, to: b, label: CR }\ntopology:\n  sources:\n    - { name: s, to: noDot }", "Component.iface"},
 	}
 	for _, tt := range tests {

@@ -3,7 +3,6 @@ package blazes
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	"blazes/internal/dataflow"
 )
@@ -245,9 +244,15 @@ func (r *Result) Report() *Report {
 		Deterministic: an.Deterministic(),
 		Repaired:      r.repaired,
 	}
-	rep.Streams = streamReportsOf(an)
-	for _, n := range componentNamesOf(an) {
-		rep.Components = append(rep.Components, componentReportOf(an, n))
+	rep.Streams = make([]StreamReport, 0, len(an.Collapsed.Streams()))
+	for st, l := range an.Streams() {
+		rep.Streams = append(rep.Streams, streamReport(st, l))
+	}
+	if n := len(an.Collapsed.Components()); n > 0 { // an empty list stays nil on the wire
+		rep.Components = make([]ComponentReport, 0, n)
+	}
+	for ca := range an.Components() {
+		rep.Components = append(rep.Components, componentReport(ca))
 	}
 	for _, st := range r.strategies {
 		rep.Strategies = append(rep.Strategies, strategyReport(st))
@@ -255,48 +260,32 @@ func (r *Result) Report() *Report {
 	return rep
 }
 
-// streamReportsOf projects every stream of the analyzed (collapsed) graph,
-// in name order.
-func streamReportsOf(an *Analysis) []StreamReport {
-	streams := an.Collapsed.Streams()
-	byName := make([]*dataflow.Stream, len(streams))
-	copy(byName, streams)
-	sort.Slice(byName, func(i, j int) bool { return byName[i].Name < byName[j].Name })
-	out := make([]StreamReport, 0, len(byName))
-	for _, s := range byName {
-		out = append(out, StreamReport{
-			Name:       s.Name,
-			From:       endpoint(s.FromComp, s.FromIface),
-			To:         endpoint(s.ToComp, s.ToIface),
-			Label:      labelReport(an.StreamLabels[s.Name]),
-			Seal:       attrList(s.Seal),
-			Replicated: s.Rep,
-		})
+// streamReport projects one stream of the analyzed (collapsed) graph.
+func streamReport(s *dataflow.Stream, l Label) StreamReport {
+	return StreamReport{
+		Name:       s.Name,
+		From:       endpoint(s.FromComp, s.FromIface),
+		To:         endpoint(s.ToComp, s.ToIface),
+		Label:      labelReport(l),
+		Seal:       attrList(s.Seal),
+		Replicated: s.Rep,
 	}
-	return out
 }
 
-// componentNamesOf returns the analyzed component names in name order.
-func componentNamesOf(an *Analysis) []string {
-	names := make([]string, 0, len(an.Components))
-	for n := range an.Components {
-		names = append(names, n)
+// coordinationToken is a component's mechanism on the wire: empty when it
+// has none.
+func coordinationToken(c Coordination) string {
+	if c == CoordNone {
+		return ""
 	}
-	sort.Strings(names)
-	return names
+	return MechanismToken(c)
 }
 
-// componentReportOf projects one component's derivation record.
-func componentReportOf(an *Analysis, n string) ComponentReport {
-	ca := an.Components[n]
-	cr := ComponentReport{Name: n}
-	if comp := an.Collapsed.Lookup(n); comp != nil {
-		cr.Replicated = comp.Rep
-		if comp.Coordination != CoordNone {
-			cr.Coordination = MechanismToken(comp.Coordination)
-		}
-	}
-	for _, st := range ca.Steps {
+// componentReport projects one component's derivation record.
+func componentReport(ca dataflow.ComponentAnalysis) ComponentReport {
+	comp := ca.Component
+	cr := ComponentReport{Name: comp.Name, Replicated: comp.Rep, Coordination: coordinationToken(comp.Coordination)}
+	for st := range ca.Steps() {
 		cr.Steps = append(cr.Steps, StepReport{
 			Input:      labelReport(st.In),
 			Annotation: st.Ann.String(),
@@ -304,15 +293,10 @@ func componentReportOf(an *Analysis, n string) ComponentReport {
 			Output:     labelReport(st.Out),
 		})
 	}
-	ifaces := make([]string, 0, len(ca.Reconciliations))
-	for iface := range ca.Reconciliations {
-		ifaces = append(ifaces, iface)
-	}
-	sort.Strings(ifaces)
-	for _, iface := range ifaces {
-		rec := ca.Reconciliations[iface]
+	for out := range ca.Outputs() {
+		rec := out.Reconciliation
 		rr := ReconciliationReport{
-			Interface: iface,
+			Interface: out.Iface,
 			Output:    labelReport(rec.Output),
 		}
 		for _, l := range rec.Input {

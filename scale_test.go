@@ -13,10 +13,14 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
+	"runtime"
 	"testing"
+	"time"
 
+	"blazes/internal/dataflow"
 	"blazes/topogen"
 )
 
@@ -153,5 +157,44 @@ func TestScaleTiers(t *testing.T) {
 			t.Logf("%d components: verdict %s (deterministic %v), %d streams reported",
 				tier.components, res.Verdict(), res.Deterministic(), len(rep.Streams))
 		})
+	}
+}
+
+// TestScaleSynthesizeLinear: strategy synthesis reads each flagged
+// component's input streams from the compiled index, so it grows with the
+// graph, not with components × streams. At 16k components it must take
+// less than 8× its time at 4k (the per-interface stream scans it replaced
+// took 16×). A run takes milliseconds and the host changes speed between
+// one second and the next, so the two sizes are timed in turn, twenty
+// times, after a collection (no run pays for the set-up's garbage), and
+// each keeps its fastest run.
+func TestScaleSynthesizeLinear(t *testing.T) {
+	if testing.Short() {
+		t.Skip("scale tier skipped under -short")
+	}
+	analyze := func(components int) *dataflow.Analysis {
+		_, g := openGenerated(t, components, 8)
+		an, err := dataflow.Analyze(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return an
+	}
+	sizes := [2]*dataflow.Analysis{analyze(4000), analyze(16000)}
+	best := [2]time.Duration{math.MaxInt64, math.MaxInt64}
+	runtime.GC()
+	for range 20 {
+		for i, an := range sizes {
+			start := time.Now()
+			if len(dataflow.Synthesize(an, dataflow.SynthesisOptions{})) == 0 {
+				t.Fatal("nothing to coordinate in a generated topology")
+			}
+			best[i] = min(best[i], time.Since(start))
+		}
+	}
+	small, large := best[0], best[1]
+	t.Logf("Synthesize: %v at 4k components, %v at 16k (×%.1f)", small, large, float64(large)/float64(small))
+	if large >= 8*small {
+		t.Errorf("Synthesize took %v at 16k components against %v at 4k: more than 8×", large, small)
 	}
 }

@@ -3,6 +3,7 @@ package blazes
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -43,17 +44,11 @@ type Session struct {
 	prev      *Report
 	prevSynth bool
 	last      SessionStats
-	// lastComps is the set of collapsed components re-derived by the
-	// most recent analysis — kept structurally (supernode names and
-	// member-qualified interfaces both contain dots, so the display
-	// strings in SessionStats.Recomputed cannot be parsed back).
-	lastComps map[string]bool
-
-	// Projection caches, valid while the structure is unchanged (reset on
-	// Rebuilt): the name-sorted stream pointers and component names backing
-	// prev.Streams / prev.Components index-for-index.
-	sortedStreams []*dataflow.Stream
-	compNames     []string
+	// prevOuts lists, component by component, the derivations prev was
+	// projected from, and prevEnd[i] ends those of prev.Components[i]; the
+	// spare pair is the one before, reused for the next report.
+	prevOuts, spareOuts []*dataflow.OutputAnalysis
+	prevEnd, spareEnd   []int
 }
 
 // SessionStats describes what the most recent Analyze/Synthesize actually
@@ -366,16 +361,17 @@ func (s *Session) analyze(ctx context.Context, synth bool) (*Report, error) {
 		res.strategies = dataflow.Synthesize(an, dataflow.SynthesisOptions{PreferSequencing: s.cfg.preferSequencing, Strategy: s.cfg.strategy})
 		res.synthesized = true
 	}
-	recomputed := make([]string, 0, len(stats.Recomputed))
-	s.lastComps = map[string]bool{}
-	for _, n := range stats.Recomputed {
-		recomputed = append(recomputed, n.Comp+"."+n.Iface)
-		s.lastComps[n.Comp] = true
+	recomputed := make([]string, len(stats.Recomputed))
+	comps := make([]string, len(stats.Recomputed))
+	for i, n := range stats.Recomputed {
+		recomputed[i] = n.Comp + "." + n.Iface
+		comps[i] = n.Comp
 	}
+	sort.Strings(comps)
 	s.last = SessionStats{Rebuilt: stats.Rebuilt, Recomputed: recomputed, Reused: stats.Reused}
 	rep := s.project(res, an)
 	if s.prev != nil {
-		rep.Delta = computeDelta(s.prev, rep, s.lastComps, s.last.Reused, s.seq, s.prevSynth && synth)
+		rep.Delta = computeDelta(s.prev, rep, slices.Compact(comps), s.last.Reused, s.seq, s.prevSynth && synth)
 	}
 	s.seq++
 	s.prev = rep
@@ -383,70 +379,144 @@ func (s *Session) analyze(ctx context.Context, synth bool) (*Report, error) {
 	return rep, nil
 }
 
-// project builds the wire report, reusing the previous report's
-// ComponentReports for components whose whole derivation was served from
-// the memo: a memo hit on every output interface guarantees steps,
-// reconciliations and config are unchanged, so the projection is too.
-// Reports are immutable wire data, so sharing the entries is safe. The
-// first analysis and structural rebuilds fall back to the full projection.
+// project builds the wire report, sharing with the previous report every
+// entry that did not change; reports are immutable wire data, so sharing
+// is safe. A stream entry is shared when its wire fields still describe the
+// stream. A component entry is shared when the component still yields the
+// derivations the entry was projected from: a derivation is immutable and
+// keeps its address while it stays in force, also across a structural
+// rebuild, so equal pointers and an equal configuration mean an equal
+// record. Both lists are in name order in both reports and are paired by
+// one merge; a list in which nothing changed is shared whole.
 func (s *Session) project(res *Result, an *dataflow.Analysis) *Report {
-	if s.prev == nil || s.last.Rebuilt {
-		s.sortedStreams = nil
-		s.compNames = nil
-		return res.Report()
+	prev := s.prev
+	if prev == nil {
+		prev = &Report{}
 	}
-	if s.sortedStreams == nil {
-		streams := an.Collapsed.Streams()
-		s.sortedStreams = make([]*dataflow.Stream, len(streams))
-		copy(s.sortedStreams, streams)
-		sort.Slice(s.sortedStreams, func(i, j int) bool { return s.sortedStreams[i].Name < s.sortedStreams[j].Name })
-		s.compNames = componentNamesOf(an)
-	}
-	recomputed := s.lastComps
-	prevComp := make(map[string]*ComponentReport, len(s.prev.Components))
-	for i := range s.prev.Components {
-		prevComp[s.prev.Components[i].Name] = &s.prev.Components[i]
-	}
-
 	rep := &Report{
 		Version:       ReportVersion,
 		Dataflow:      an.Graph.Name,
 		Verdict:       labelReport(an.Verdict),
 		Deterministic: an.Deterministic(),
 	}
-	// With an unchanged structure, prev.Streams aligns index-for-index
-	// with the sorted stream list: copy entries whose label and seal are
-	// unchanged, re-project the rest.
-	rep.Streams = make([]StreamReport, 0, len(s.sortedStreams))
-	for i, st := range s.sortedStreams {
-		l := an.StreamLabels[st.Name]
-		if i < len(s.prev.Streams) && s.prev.Streams[i].Name == st.Name {
-			pr := &s.prev.Streams[i]
-			if wireLabelEqual(pr.Label, l) && stringsEqualAttrs(pr.Seal, st.Seal) && pr.Replicated == st.Rep {
-				rep.Streams = append(rep.Streams, *pr)
+
+	streams, pi := sharedPrefix[StreamReport]{prev: prev.Streams, size: len(an.Collapsed.Streams())}, 0
+	for st, l := range an.Streams() {
+		// An entry that kept its place shares its name's bytes with the
+		// stream, and a string equals itself without being read: the test
+		// for equality comes first.
+		for pi < len(prev.Streams) && prev.Streams[pi].Name != st.Name && prev.Streams[pi].Name < st.Name {
+			pi++
+		}
+		if pi < len(prev.Streams) && prev.Streams[pi].Name == st.Name {
+			pi++
+			if pr := &prev.Streams[pi-1]; streamReportCurrent(pr, st, l, s.last.Rebuilt) {
+				streams.keep(pi - 1)
 				continue
 			}
 		}
-		rep.Streams = append(rep.Streams, StreamReport{
-			Name:       st.Name,
-			From:       endpoint(st.FromComp, st.FromIface),
-			To:         endpoint(st.ToComp, st.ToIface),
-			Label:      labelReport(l),
-			Seal:       attrList(st.Seal),
-			Replicated: st.Rep,
-		})
+		streams.add(streamReport(st, l))
 	}
-	for _, n := range s.compNames {
-		if pc, ok := prevComp[n]; ok && !recomputed[n] {
-			rep.Components = append(rep.Components, *pc)
-			continue
+	if rep.Streams = streams.list(); rep.Streams == nil {
+		rep.Streams = []StreamReport{} // an empty list of streams is a list on the wire, not null
+	}
+
+	// outs collects, component by component, the derivations this report
+	// is projected from; outEnd[i] ends the i-th component's.
+	outs, outEnd := s.spareOuts[:0], s.spareEnd[:0]
+	comps, pi := sharedPrefix[ComponentReport]{prev: prev.Components, size: len(an.Collapsed.Components())}, 0
+	for ca := range an.Components() {
+		comp := ca.Component
+		first := len(outs)
+		for d := range ca.Derivations() {
+			outs = append(outs, d)
 		}
-		rep.Components = append(rep.Components, componentReportOf(an, n))
+		outEnd = append(outEnd, len(outs))
+		for pi < len(prev.Components) && prev.Components[pi].Name != comp.Name && prev.Components[pi].Name < comp.Name {
+			pi++
+		}
+		if pi < len(prev.Components) && prev.Components[pi].Name == comp.Name {
+			pi++
+			lo := 0
+			if pi > 1 {
+				lo = s.prevEnd[pi-2]
+			}
+			pr := &prev.Components[pi-1]
+			if pr.Replicated == comp.Rep && pr.Coordination == coordinationToken(comp.Coordination) &&
+				slices.Equal(s.prevOuts[lo:s.prevEnd[pi-1]], outs[first:]) {
+				comps.keep(pi - 1)
+				continue
+			}
+		}
+		comps.add(componentReport(ca))
 	}
+	rep.Components = comps.list()
+	s.spareOuts, s.spareEnd = s.prevOuts, s.prevEnd
+	s.prevOuts, s.prevEnd = outs, outEnd
+
 	for _, st := range res.strategies {
 		rep.Strategies = append(rep.Strategies, strategyReport(st))
 	}
 	return rep
+}
+
+// sharedPrefix builds a list that repeats entries of a previous list: while
+// it repeats them index for index it allocates nothing, and a list that
+// repeated all of prev is prev itself.
+type sharedPrefix[T any] struct {
+	prev  []T
+	size  int // entries the finished list will have
+	out   []T
+	n     int  // entries so far
+	owned bool // out is a list of its own
+}
+
+// keep appends prev[i].
+func (b *sharedPrefix[T]) keep(i int) {
+	if !b.owned && i == b.n {
+		b.n++
+		return
+	}
+	b.add(b.prev[i])
+}
+
+// add appends an entry prev does not have.
+func (b *sharedPrefix[T]) add(e T) {
+	if !b.owned {
+		b.out = append(make([]T, 0, max(b.size, b.n+1)), b.prev[:b.n]...)
+		b.owned = true
+	}
+	b.out = append(b.out, e)
+	b.n++
+}
+
+// list returns the built list; an empty one is nil, as on the wire.
+func (b *sharedPrefix[T]) list() []T {
+	switch {
+	case b.owned:
+		return b.out
+	case b.n == 0:
+		return nil
+	default:
+		return b.prev[:b.n:b.n]
+	}
+}
+
+// streamReportCurrent reports whether a previous report's entry still
+// describes stream s with label l, without projecting either. Only a
+// structural rebuild can have given the name to a stream with other
+// endpoints.
+func streamReportCurrent(pr *StreamReport, s *dataflow.Stream, l Label, rebuilt bool) bool {
+	return wireLabelEqual(pr.Label, l) && stringsEqualAttrs(pr.Seal, s.Seal) && pr.Replicated == s.Rep &&
+		(!rebuilt || endpointEqual(pr.From, s.FromComp, s.FromIface) && endpointEqual(pr.To, s.ToComp, s.ToIface))
+}
+
+// endpointEqual reports whether w is endpoint(comp, iface).
+func endpointEqual(w, comp, iface string) bool {
+	if comp == "" {
+		return w == ""
+	}
+	return len(w) == len(comp)+1+len(iface) && w[:len(comp)] == comp && w[len(comp)] == '.' && w[len(comp)+1:] == iface
 }
 
 // wireLabelEqual compares a wire-form label against a core label without
@@ -472,10 +542,13 @@ func stringsEqualAttrs(w []string, s AttrSet) bool {
 	return true
 }
 
-// computeDelta diffs two consecutive session reports; recomputedComps is
-// the set of collapsed components the engine actually re-derived.
-func computeDelta(prev, cur *Report, recomputedComps map[string]bool, reused, since int, strategies bool) *Delta {
+// computeDelta diffs two consecutive session reports; recomputed names, in
+// name order, the collapsed components the engine actually re-derived.
+func computeDelta(prev, cur *Report, recomputed []string, reused, since int, strategies bool) *Delta {
 	d := &Delta{Since: since, Reused: reused}
+	if len(recomputed) > 0 {
+		d.Recomputed = recomputed
+	}
 
 	// Streams are sorted by name in both reports; merge-walk them.
 	i, j := 0, 0
@@ -504,10 +577,6 @@ func computeDelta(prev, cur *Report, recomputedComps map[string]bool, reused, si
 		d.Strategies = strategyDeltas(prev.Strategies, cur.Strategies)
 	}
 
-	for name := range recomputedComps {
-		d.Recomputed = append(d.Recomputed, name)
-	}
-	sort.Strings(d.Recomputed)
 	return d
 }
 

@@ -41,6 +41,45 @@ func cyclicTopology(t *testing.T) *Graph {
 	return g
 }
 
+// replicatedCyclicTopology puts the A↔B supernode between an upstream and
+// a downstream component, with replicated streams into, out of and past
+// it: annotation flips on Up and Down land next to the supernode, and seal
+// flips on the replicated streams change what the producing interface
+// derives, not just what the consumers read.
+func replicatedCyclicTopology(t *testing.T) *Graph {
+	t.Helper()
+	g, err := NewGraphBuilder("replicated-gossip").
+		ComponentPath("Up", "in", "out", CR).
+		ComponentPath("A", "in", "out", CW).
+		ComponentPath("B", "in", "out", OWGate("k")).
+		ComponentPath("Down", "in", "out", ORGate("k")).
+		Source("src", "Up", "in").Seal("src", "k").
+		Stream("feed", "Up", "out", "A", "in").Replicate("feed").
+		Stream("ab", "A", "out", "B", "in").
+		Stream("ba", "B", "out", "A", "in").Replicate("ba").
+		Stream("drain", "B", "out", "Down", "in").Replicate("drain").
+		Sink("snk", "Down", "out").Replicate("snk").
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// stopAfter is a context that reports cancellation from its n-th Err call
+// on: it cuts an analysis pass short part-way through.
+type stopAfter struct {
+	context.Context
+	n int
+}
+
+func (c *stopAfter) Err() error {
+	if c.n--; c.n < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
 // mutator applies one random valid mutation to the session and returns a
 // description of what it did.
 type mutator func(t *testing.T, rng *rand.Rand, s *Session, specBacked bool, serial *int) string
@@ -155,6 +194,15 @@ func sessionMutators() []mutator {
 			}
 			return "remove " + name
 		},
+		// Cut an analysis pass short: whatever it re-derived and whatever it
+		// left queued must carry over into the next complete analysis.
+		func(t *testing.T, rng *rand.Rand, s *Session, _ bool, _ *int) string {
+			n := rng.Intn(3)
+			if _, err := s.Analyze(&stopAfter{context.Background(), n}); err == nil {
+				return "noop"
+			}
+			return fmt.Sprintf("analysis cancelled after %d interfaces", n)
+		},
 		// Re-select a spec variant (spec-backed sessions only).
 		func(t *testing.T, rng *rand.Rand, s *Session, specBacked bool, _ *int) string {
 			if !specBacked {
@@ -175,7 +223,7 @@ func sessionMutators() []mutator {
 // Synthesize) emits bytes identical to a fresh one-shot analysis of the
 // equivalent graph, modulo the Delta section a one-shot report cannot have.
 func TestSessionDifferential(t *testing.T) {
-	const sequences = 160
+	const sequences = 192
 	ctx := context.Background()
 	muts := sessionMutators()
 
@@ -186,7 +234,7 @@ func TestSessionDifferential(t *testing.T) {
 			specBacked bool
 			err        error
 		)
-		switch seq % 5 {
+		switch seq % 6 {
 		case 0:
 			s, err = OpenSession(WordcountTopology(rng.Intn(2) == 0))
 		case 1:
@@ -195,6 +243,8 @@ func TestSessionDifferential(t *testing.T) {
 			s, err = loadSessionSpec(t, "wordcount.blazes").OpenSession("wordcount")
 		case 3:
 			s, err = OpenSession(cyclicTopology(t)) // supernode path
+		case 4:
+			s, err = OpenSession(replicatedCyclicTopology(t)) // edits next to a supernode
 		default:
 			specBacked = true
 			s, err = loadSessionSpec(t, "adreport.blazes").OpenSession("adreport",
@@ -348,6 +398,79 @@ func TestSessionMemoization(t *testing.T) {
 	}
 	if st.Reused == 0 {
 		t.Error("annotation flip must reuse upstream derivations")
+	}
+}
+
+// TestSessionSharesUnchangedEntries: a report repeats the previous report's
+// entries for everything an edit left alone — the whole lists when nothing
+// changed, and across a structural rebuild every component whose
+// derivations stayed in force — and still equals a fresh analysis.
+func TestSessionSharesUnchangedEntries(t *testing.T) {
+	ctx := context.Background()
+	s, err := OpenSession(AdNetwork(CAMPAIGN, "campaign"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := s.Synthesize(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(a, b []StepReport) bool { return len(a) > 0 && len(a) == len(b) && &a[0] == &b[0] }
+
+	again, err := s.Synthesize(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &again.Streams[0] != &first.Streams[0] || &again.Components[0] != &first.Components[0] {
+		t.Error("a re-analysis that changed nothing must share both lists whole")
+	}
+
+	// A tap on Report's output rebuilds the structure and changes no label.
+	if err := s.Connect("tap", "Report.response", ""); err != nil {
+		t.Fatal(err)
+	}
+	tapped, err := s.Synthesize(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !s.LastStats().Rebuilt {
+		t.Fatal("a new stream must rebuild the structure")
+	}
+	if len(tapped.Streams) != len(first.Streams)+1 {
+		t.Fatalf("streams = %d, want %d", len(tapped.Streams), len(first.Streams)+1)
+	}
+	for i, c := range tapped.Components {
+		if !same(c.Steps, first.Components[i].Steps) {
+			t.Errorf("component %s re-projected across a rebuild that left its derivations in force", c.Name)
+		}
+	}
+	fresh, err := NewAnalyzer().Synthesize(s.Graph())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := marshalWithoutDelta(t, tapped), marshalWithoutDelta(t, fresh.Report()); !bytes.Equal(got, want) {
+		t.Errorf("report after the rebuild differs from a fresh analysis\n--- session ---\n%s\n--- fresh ---\n%s", got, want)
+	}
+
+	// An annotation flip re-projects the components it re-derives, no more.
+	if err := s.Annotate("Report", "request", "response", ORGate("id")); err != nil {
+		t.Fatal(err)
+	}
+	flipped, err := s.Synthesize(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recomputed := map[string]bool{}
+	for _, name := range flipped.Delta.Recomputed {
+		recomputed[name] = true
+	}
+	if !recomputed["Report"] {
+		t.Fatalf("recomputed = %v, want Report among them", flipped.Delta.Recomputed)
+	}
+	for i, c := range flipped.Components {
+		if same(c.Steps, tapped.Components[i].Steps) == recomputed[c.Name] {
+			t.Errorf("component %s: shared = %v, recomputed = %v", c.Name, !recomputed[c.Name], recomputed[c.Name])
+		}
 	}
 }
 
