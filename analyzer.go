@@ -8,7 +8,7 @@ import (
 )
 
 // Option configures an Analyzer (and spec→graph construction).
-type Option func(*config)
+type Option func(*settings)
 
 type sealRepair struct {
 	stream string
@@ -16,18 +16,37 @@ type sealRepair struct {
 }
 
 type config struct {
-	sealRepairs      []sealRepair
-	variants         map[string]string
-	preferSequencing bool
-	strategy         string
+	sealRepairs []sealRepair
+	variants    map[string]string
+	// prefer lists the strategies synthesis tries before its default
+	// chain (dataflow.SynthesisOptions.Prefer).
+	prefer []string
+}
+
+// settings is what the options write: the config, plus the public
+// strategy/sequencing pair that buildConfig folds into config.prefer once
+// every option has spoken (the two may arrive in either order).
+type settings struct {
+	config
+	strategy   string
+	sequencing bool
 }
 
 func buildConfig(opts []Option) config {
-	var c config
+	var s settings
 	for _, o := range opts {
-		o(&c)
+		o(&s)
 	}
-	return c
+	s.prefer = dataflow.StrategyPreference(s.strategy, s.sequencing)
+	return s.config
+}
+
+// checkStrategies rejects a WithStrategy name that is not registered.
+func (c *config) checkStrategies() error {
+	if err := dataflow.CheckStrategies(c.prefer); err != nil {
+		return fmt.Errorf("blazes: %w", err)
+	}
+	return nil
 }
 
 // WithSealRepair seals the named stream on the given key before analysis —
@@ -36,7 +55,7 @@ func buildConfig(opts []Option) config {
 // not mutated; analysis runs on a sealed copy. An unknown stream name is an
 // error at analysis time.
 func WithSealRepair(stream string, key ...string) Option {
-	return func(c *config) {
+	return func(c *settings) {
 		c.sealRepairs = append(c.sealRepairs, sealRepair{stream: stream, key: fd.NewAttrSet(key...)})
 	}
 }
@@ -44,9 +63,12 @@ func WithSealRepair(stream string, key ...string) Option {
 // PreferSequencing selects M1 (preordained total order, e.g. Storm
 // transactional batch ids) over the default M2 dynamic ordering whenever
 // synthesis must order inputs — required for replay-based fault tolerance,
-// which needs cross-run determinism.
+// which needs cross-run determinism. It substitutes the "sequencing"
+// strategy for "ordering" wherever the chain (WithStrategy's choice, then
+// sealing, then ordering) names it, so a sealable component still gets its
+// seal; WithStrategy("sequencing") instead tries M1 first everywhere.
 func PreferSequencing() Option {
-	return func(c *config) { c.preferSequencing = true }
+	return func(c *settings) { c.sequencing = true }
 }
 
 // WithStrategy asks synthesis to try the named registered coordination
@@ -57,14 +79,14 @@ func PreferSequencing() Option {
 // listed by the blazes/strategy package; an unknown name is an error at
 // analysis time.
 func WithStrategy(name string) Option {
-	return func(c *config) { c.strategy = name }
+	return func(c *settings) { c.strategy = name }
 }
 
 // WithVariant selects a named annotation variant for a component when a
 // graph is built from a Spec (e.g. WithVariant("Report", "CAMPAIGN")). It
 // has no effect on graphs built in code.
 func WithVariant(component, variant string) Option {
-	return func(c *config) {
+	return func(c *settings) {
 		if c.variants == nil {
 			c.variants = map[string]string{}
 		}
@@ -74,7 +96,7 @@ func WithVariant(component, variant string) Option {
 
 // WithVariants selects several variants at once; see WithVariant.
 func WithVariants(variants map[string]string) Option {
-	return func(c *config) {
+	return func(c *settings) {
 		if c.variants == nil {
 			c.variants = map[string]string{}
 		}
@@ -100,10 +122,8 @@ func NewAnalyzer(opts ...Option) *Analyzer {
 // prepare validates the configured strategy and applies seal repairs to a
 // copy of g (or returns g unchanged when there are none).
 func (a *Analyzer) prepare(g *Graph) (*Graph, error) {
-	if a.cfg.strategy != "" {
-		if _, err := dataflow.LookupStrategy(a.cfg.strategy); err != nil {
-			return nil, fmt.Errorf("blazes: %w", err)
-		}
+	if err := a.cfg.checkStrategies(); err != nil {
+		return nil, err
 	}
 	if len(a.cfg.sealRepairs) == 0 {
 		return g, nil
@@ -123,7 +143,7 @@ func (a *Analyzer) prepare(g *Graph) (*Graph, error) {
 }
 
 func (a *Analyzer) synthOpts() dataflow.SynthesisOptions {
-	return dataflow.SynthesisOptions{PreferSequencing: a.cfg.preferSequencing, Strategy: a.cfg.strategy}
+	return dataflow.SynthesisOptions{Prefer: a.cfg.prefer}
 }
 
 // Analyze derives a label for every stream and the dataflow verdict.

@@ -104,7 +104,7 @@ func BenchmarkSynthesizePreferred(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if sts := dataflow.Synthesize(an, dataflow.SynthesisOptions{Strategy: dataflow.StrategyQuorumOrdering}); len(sts) == 0 {
+		if sts := dataflow.Synthesize(an, dataflow.SynthesisOptions{Prefer: []string{dataflow.StrategyQuorumOrdering}}); len(sts) == 0 {
 			b.Fatal("no strategies")
 		}
 	}
@@ -215,9 +215,8 @@ func BenchmarkWhiteBoxExtraction(b *testing.B) {
 // and reports the sealed/transactional throughput ratio at both ends of the
 // cluster-size axis. The sweep's four independent simulations run on one
 // worker per CPU (results are identical at any parallelism); setting
-// BLAZES_BENCH_QUICK=1 shrinks the sweep further for scripts/bench.sh
-// -quick (those numbers are a smoke signal, not comparable to the
-// baseline).
+// BLAZES_BENCH_QUICK=1 shrinks the sweep further for a quick local run
+// (those numbers are a smoke signal, not comparable to the baseline).
 func BenchmarkFig11WordcountThroughput(b *testing.B) {
 	cfg := experiments.DefaultFig11()
 	cfg.ClusterSizes = []int{5, 20}
@@ -353,8 +352,8 @@ func BenchmarkBloomTick(b *testing.B) {
 
 // scaleBenchGraph builds the scale-bench topology through the public
 // pipeline (generate → parse → graph): 10k components by default, 1k under
-// BLAZES_BENCH_QUICK=1 for scripts/bench.sh -quick (those numbers are a
-// smoke signal, not comparable to the baseline).
+// BLAZES_BENCH_QUICK=1 for a quick local run (those numbers are a smoke
+// signal, not comparable to the baseline).
 func scaleBenchGraph(b *testing.B) *Graph {
 	b.Helper()
 	n := 10_000

@@ -98,6 +98,10 @@ func TestJSONIsParseableAndStable(t *testing.T) {
 	}
 }
 
+// unknownStrategy is the registry's unknown-name error: it lists the whole
+// catalog, M1's `sequencing` included.
+const unknownStrategy = `unknown strategy "nope" (registered: [merge-rewrite ordering partition-sealing quorum-ordering sealing sequencing])`
+
 // TestExitCodeContract pins the documented 0/1/2 contract for both the
 // analysis flow and the verify subcommand.
 func TestExitCodeContract(t *testing.T) {
@@ -124,7 +128,7 @@ func TestExitCodeContract(t *testing.T) {
 		{"verify-unknown-workload", []string{"verify", "-workload", "nope"}, exitUsage, "unknown workload"},
 		{"verify-bad-seeds", []string{"verify", "-seeds", "0"}, exitUsage, "-seeds must be positive"},
 		{"verify-stray-args", []string{"verify", "extra"}, exitUsage, "unexpected arguments"},
-		{"verify-unknown-strategy", []string{"verify", "-strategy", "nope"}, exitUsage, "unknown strategy"},
+		{"verify-unknown-strategy", []string{"verify", "-strategy", "nope"}, exitUsage, unknownStrategy},
 		{"verify-replay-reshrink-conflict", []string{"verify", "-replay", "x.json", "-reshrink", "dir"}, exitUsage, "cannot be combined"},
 	}
 	for _, tc := range cases {

@@ -14,8 +14,9 @@
 //   - GraphBuilder: fluent construction of annotated dataflows with
 //     deferred validation (every mistake reported at Build, at once);
 //   - Analyzer: the one-shot analysis façade, configured by functional
-//     options (WithSealRepair, PreferSequencing, WithVariant), wrapping
-//     label derivation, strategy synthesis, and fixpoint repair;
+//     options (WithSealRepair, WithStrategy, PreferSequencing,
+//     WithVariant), wrapping label derivation, strategy synthesis, and
+//     fixpoint repair;
 //   - Session: the mutable, incrementally re-analyzed counterpart for
 //     the interactive repair loop — mutate (Annotate, SealStream,
 //     Connect, SetVariant, ...) and Analyze re-derives only the
@@ -26,11 +27,20 @@
 //     round-trip; the v2 decoder still accepts v1 documents;
 //   - Spec: the grey-box annotation file format of Figure 1.
 //
-// Four sibling packages complete the public surface: blazes/substrate
+// Coordination is the one axis of delivery mechanisms (Figure 5's none /
+// M1 / M2 / M3 plus the registered extensions); each mechanism has one
+// Figure 5 name, one wire token (MechanismToken) and one registered
+// strategy that installs it, named by WithStrategy. PreferSequencing is
+// shorthand on that axis: where the default chain would say M2 ordering,
+// say M1 sequencing.
+//
+// Six sibling packages complete the public surface: blazes/substrate
 // (the simulated Storm wordcount, ad-tracking network, and Bloom
 // white-box extraction), blazes/experiments (regeneration of the paper's
 // evaluation figures), blazes/verify (the schedule-exploration harness
-// that proves the analyzer's guarantee under adversarial delivery), and
+// that proves the analyzer's guarantee under adversarial delivery),
+// blazes/strategy (the catalog of registered coordination strategies),
+// blazes/topogen (seeded synthetic specs at any scale), and
 // blazes/service (the analysis as a long-running HTTP+JSON service —
 // `blazes serve` — hosting concurrent sessions). Everything under
 // internal/ is implementation detail; cmd/ and examples/ consume only

@@ -10,6 +10,7 @@ import (
 	"context"
 	"io"
 
+	"blazes/internal/chaos"
 	iexp "blazes/internal/experiments"
 	"blazes/internal/sim"
 )
@@ -25,11 +26,11 @@ const (
 )
 
 // Cell addresses one cell of the Figure 5 matrix: a consistency property
-// under one delivery mechanism.
+// under one delivery mechanism (a blazes.Coordination).
 type Cell = iexp.Cell
 
 // Anomalies records what the simulated substrate observed in one cell.
-type Anomalies = iexp.Anomalies
+type Anomalies = chaos.Anomalies
 
 // Fig5Matrix runs the Figure 5 anomaly/remediation matrix (3 properties ×
 // 4 mechanisms) across the given number of seeds.

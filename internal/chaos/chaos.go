@@ -4,13 +4,14 @@
 // — reordering, duplication, bounded extra delay, partition-then-heal — and
 // feeds the per-replica outcomes to a confluence oracle that detects the
 // paper's three anomaly classes (cross-run and cross-instance
-// nondeterminism, replica divergence, generalizing
-// internal/experiments/anomalies.go). The harness closes the loop with the
-// analyzer: Check derives the dataflow's verdict, runs the workload under
-// whatever coordination Synthesize recommends and asserts outcome
-// invariance, then strips the coordination from non-confluent programs and
-// asserts the predicted divergence actually occurs — the paper's Section
-// VIII spot-checks turned into a reusable property checker.
+// nondeterminism, replica divergence — Figure 5's observable axes, which
+// experiments.Fig5Matrix regenerates from this package's synthetic workload
+// and oracle). The harness closes the loop with the analyzer: Check derives
+// the dataflow's verdict, runs the workload under whatever coordination
+// Synthesize recommends and asserts outcome invariance, then strips the
+// coordination from non-confluent programs and asserts the predicted
+// divergence actually occurs — the paper's Section VIII spot-checks turned
+// into a reusable property checker.
 package chaos
 
 import (

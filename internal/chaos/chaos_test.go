@@ -87,7 +87,7 @@ func TestGuaranteeAcrossSubstrates(t *testing.T) {
 // even the cross-run anomaly that M2 permits must disappear.
 func TestPreferSequencingEliminatesRunAnomalies(t *testing.T) {
 	t.Parallel()
-	rep, err := Check(context.Background(), ReplicatedReport(dataflow.POOR), Config{PreferSequencing: true})
+	rep, err := Check(context.Background(), ReplicatedReport(dataflow.POOR), Config{Prefer: dataflow.StrategyPreference("", true)})
 	if err != nil {
 		t.Fatal(err)
 	}

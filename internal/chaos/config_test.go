@@ -4,6 +4,8 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"blazes/internal/dataflow"
 )
 
 // TestConfigValidation pins the configuration contract: the documented
@@ -79,10 +81,10 @@ func TestPlanCheckLayout(t *testing.T) {
 	}
 }
 
-// TestParseCoordinationRoundTrip: every mechanism's String form parses
-// back, and junk is rejected.
+// TestParseCoordinationRoundTrip: every mechanism's String form — a row of
+// dataflow's mechanism table — parses back, and junk is rejected.
 func TestParseCoordinationRoundTrip(t *testing.T) {
-	for _, c := range coordinations {
+	for _, c := range dataflow.Coordinations() {
 		got, err := ParseCoordination(c.String())
 		if err != nil || got != c {
 			t.Errorf("ParseCoordination(%q) = %v, %v; want %v", c.String(), got, err, c)

@@ -17,47 +17,29 @@ func conformanceWorkload(strategy string) Workload {
 	switch strategy {
 	case dataflow.StrategySealing, dataflow.StrategyPartitionSealing:
 		return SyntheticChains(true)
-	case dataflow.StrategyOrdering, dataflow.StrategyQuorumOrdering, dataflow.StrategyMergeRewrite:
+	case dataflow.StrategyOrdering, dataflow.StrategySequencing, dataflow.StrategyQuorumOrdering, dataflow.StrategyMergeRewrite:
 		return SyntheticChains(false)
 	}
 	return nil
-}
-
-// conformanceMechanism is the delivery mechanism each strategy must
-// actually install on its conformance workload — asserting it guards
-// against the preferred strategy silently falling back to the default
-// chain.
-func conformanceMechanism(strategy string) string {
-	switch strategy {
-	case dataflow.StrategySealing:
-		return dataflow.CoordSealed.String()
-	case dataflow.StrategyOrdering:
-		return dataflow.CoordDynamicOrder.String()
-	case dataflow.StrategyQuorumOrdering:
-		return dataflow.CoordQuorumOrder.String()
-	case dataflow.StrategyMergeRewrite:
-		return dataflow.CoordMergeRewrite.String()
-	case dataflow.StrategyPartitionSealing:
-		return dataflow.CoordPartitionSealed.String()
-	}
-	return ""
 }
 
 // TestStrategyConformance is the conformance gate every registered
 // strategy must pass: iterating the registry (so future registrations are
 // checked by construction), synthesize with the strategy preferred and
 // require the two-sided guarantee — the coordinated sweeps converge and
-// the stripped variant reproduces divergence. The default tier is a smoke
-// matrix (8 seeds × 2 fault plans); BLAZES_SCALE_FULL selects the full
-// 64 × 4 sweep.
+// the stripped variant reproduces divergence — under the mechanism the
+// strategy declares (StrategyDef.Mechanism), which guards against the
+// preferred strategy silently falling back to the default chain. The
+// default tier is a smoke matrix (8 seeds × 2 fault plans);
+// BLAZES_SCALE_FULL selects the full 64 × 4 sweep.
 func TestStrategyConformance(t *testing.T) {
 	seeds, plans := 8, DefaultPlans()[:2]
 	if os.Getenv("BLAZES_SCALE_FULL") != "" {
 		seeds, plans = DefaultSeeds, DefaultPlans()
 	}
 	defs := dataflow.Strategies()
-	if len(defs) < 5 {
-		t.Fatalf("registry has %d strategies, want at least 5 (%v)", len(defs), dataflow.StrategyNames())
+	if len(defs) < 6 {
+		t.Fatalf("registry has %d strategies, want at least 6 (%v)", len(defs), dataflow.StrategyNames())
 	}
 	for _, def := range defs {
 		def := def
@@ -67,14 +49,11 @@ func TestStrategyConformance(t *testing.T) {
 			if w == nil {
 				t.Fatalf("strategy %q has no conformance workload; map it in conformanceWorkload", def.Name())
 			}
-			wantMech := conformanceMechanism(def.Name())
-			if wantMech == "" {
-				t.Fatalf("strategy %q has no expected mechanism; map it in conformanceMechanism", def.Name())
-			}
+			wantMech := def.Mechanism().String()
 			rep, err := Check(context.Background(), w, Config{
-				Seeds:    seeds,
-				Plans:    plans,
-				Strategy: def.Name(),
+				Seeds:  seeds,
+				Plans:  plans,
+				Prefer: []string{def.Name()},
 			})
 			if err != nil {
 				t.Fatalf("Check(%s, strategy=%s): %v", w.Name(), def.Name(), err)

@@ -44,12 +44,12 @@ type Config struct {
 	Seeds int
 	// Plans is the fault-plan sweep; nil selects DefaultPlans.
 	Plans []FaultPlan
-	// PreferSequencing selects M1 over M2 when synthesis must order.
-	PreferSequencing bool
-	// Strategy optionally names a registered strategy to prefer during
-	// synthesis (dataflow.RegisterStrategy); empty keeps the default
-	// sealing-then-ordering chain. Unknown names are rejected.
-	Strategy string
+	// Prefer names registered strategies synthesis tries, in order, before
+	// the default sealing-then-ordering chain
+	// (dataflow.SynthesisOptions.Prefer; dataflow.StrategyPreference builds
+	// it from a strategy name and the sequencing flag). Unknown names are
+	// rejected.
+	Prefer []string
 	// Parallelism is the worker count for exploring seeded schedules
 	// concurrently. Each seed runs on its own simulator and the oracle
 	// folds outcomes in seed order, so the verdict — anomalies, details,
@@ -69,10 +69,8 @@ func (cfg Config) validate() error {
 	if cfg.Parallelism < -1 {
 		return fmt.Errorf("chaos: Parallelism must be ≥ -1 (got %d; -1 selects one worker per CPU)", cfg.Parallelism)
 	}
-	if cfg.Strategy != "" {
-		if _, err := dataflow.LookupStrategy(cfg.Strategy); err != nil {
-			return fmt.Errorf("chaos: %w", err)
-		}
+	if err := dataflow.CheckStrategies(cfg.Prefer); err != nil {
+		return fmt.Errorf("chaos: %w", err)
 	}
 	return nil
 }
@@ -138,32 +136,16 @@ func allowedAnomalies(mech dataflow.Coordination) Anomalies {
 	return Anomalies{}
 }
 
-// coordinations enumerates every delivery mechanism in declaration order.
-var coordinations = []dataflow.Coordination{
-	dataflow.CoordNone,
-	dataflow.CoordSequenced,
-	dataflow.CoordDynamicOrder,
-	dataflow.CoordSealed,
-	dataflow.CoordQuorumOrder,
-	dataflow.CoordMergeRewrite,
-	dataflow.CoordPartitionSealed,
-}
-
 // ParseCoordination resolves the canonical mechanism string (the
 // Coordination String form used in every Sweep and Cell) back to the
 // enum — the inverse every wire consumer (sweep workers, trace replay)
 // relies on.
 func ParseCoordination(s string) (dataflow.Coordination, error) {
-	for _, c := range coordinations {
-		if c.String() == s {
-			return c, nil
-		}
+	c, err := dataflow.ParseCoordination(s)
+	if err != nil {
+		return c, fmt.Errorf("chaos: %w", err)
 	}
-	known := make([]string, len(coordinations))
-	for i, c := range coordinations {
-		known[i] = c.String()
-	}
-	return 0, fmt.Errorf("chaos: unknown coordination mechanism %q (mechanisms: %s)", s, strings.Join(known, ", "))
+	return c, nil
 }
 
 // Cell identifies one independently runnable sweep cell of a Check: a
@@ -242,10 +224,7 @@ func PlanCheck(w Workload, cfg Config) (*CheckPlan, error) {
 	// the punctuation/voting protocol, and Synthesize says so. Only a
 	// deterministic program with *no* synthesized strategies is confluent
 	// in the run-it-bare sense.
-	strategies := dataflow.Synthesize(an, dataflow.SynthesisOptions{
-		PreferSequencing: cfg.PreferSequencing,
-		Strategy:         cfg.Strategy,
-	})
+	strategies := dataflow.Synthesize(an, dataflow.SynthesisOptions{Prefer: cfg.Prefer})
 	bare := an.Deterministic() && len(strategies) == 0
 
 	var mechs []dataflow.Coordination

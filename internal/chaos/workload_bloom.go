@@ -20,7 +20,8 @@ import (
 //
 //	THRESH   — monotone threshold: confluent, the harness runs it bare;
 //	POOR     — non-monotone count with no compatible seal: the analyzer
-//	           recommends ordering (M2, or M1 under PreferSequencing);
+//	           recommends ordering (M2, or M1 when the sequencing
+//	           strategy is preferred);
 //	CAMPAIGN — non-monotone count whose gate matches a campaign seal on
 //	           the click source: the analyzer recommends sealing (M3).
 //

@@ -4,6 +4,8 @@ import (
 	"context"
 	"os"
 	"testing"
+
+	"blazes/internal/dataflow"
 )
 
 // TestGeneratedWorkloadCheck closes the loop from the topology generator
@@ -37,7 +39,7 @@ func TestGeneratedWorkloadCheck(t *testing.T) {
 func TestGeneratedRunDeterminism(t *testing.T) {
 	w := Generated(24, 7)
 	plan := DefaultPlans()[1] // reorder
-	for _, mech := range coordinations {
+	for _, mech := range dataflow.Coordinations() {
 		if !w.Supports(mech) {
 			continue // e.g. merge rewrite: generated graphs declare no merges
 		}

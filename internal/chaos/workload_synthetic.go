@@ -12,13 +12,16 @@ import (
 	"blazes/internal/sim"
 )
 
-// SyntheticWorkload is the Figure 5 component generalized from
-// internal/experiments/anomalies.go and wired into the harness: N producers
-// stream messages to R replicas of a single component, with interleaved
-// reads. Three variants span the annotation lattice:
+// SyntheticWorkload is the Figure 5 component wired into the harness (and
+// the one replica model behind experiments.Fig5Matrix): N producers stream
+// messages to R replicas of a single component, with interleaved reads.
+// Four variants span Figure 5's property axis and the annotation lattice:
 //
 //   - confluent: a grow-only set (CW write, CR read) — the analyzer
 //     certifies it and the harness runs it bare;
+//   - convergent: a last-writer-wins register over pre-stamped messages
+//     (CW write, OR* read) — replicas end equal, but reads race the
+//     writes; it is Figure 5's middle row and not part of Suite;
 //   - gated order-sensitive: per-producer hash chains with the source
 //     sealed on producer (OW_producer / OR_producer + Seal_producer) — the
 //     analyzer recommends sealing (M3);
@@ -31,8 +34,11 @@ import (
 type SyntheticWorkload struct {
 	// Confluent selects the grow-only-set variant.
 	Confluent bool
+	// Convergent selects the last-writer-wins register; ignored when
+	// Confluent.
+	Convergent bool
 	// Gated marks the order-sensitive paths as partitioned per producer
-	// and seals the source; ignored when Confluent.
+	// and seals the source; ignored when Confluent or Convergent.
 	Gated bool
 	// Producers, PerProducer, Reads, Replicas size the run.
 	Producers, PerProducer, Reads, Replicas int
@@ -41,6 +47,11 @@ type SyntheticWorkload struct {
 // SyntheticSet returns the confluent variant.
 func SyntheticSet() *SyntheticWorkload {
 	return &SyntheticWorkload{Confluent: true, Producers: 2, PerProducer: 10, Reads: 4, Replicas: 2}
+}
+
+// SyntheticRegister returns the convergent variant.
+func SyntheticRegister() *SyntheticWorkload {
+	return &SyntheticWorkload{Convergent: true, Producers: 2, PerProducer: 10, Reads: 4, Replicas: 2}
 }
 
 // SyntheticChains returns the order-sensitive variant; gated selects
@@ -54,6 +65,8 @@ func (w *SyntheticWorkload) Name() string {
 	switch {
 	case w.Confluent:
 		return "synthetic-set"
+	case w.Convergent:
+		return "synthetic-register"
 	case w.Gated:
 		return "synthetic-chains-gated"
 	default:
@@ -70,6 +83,9 @@ func (w *SyntheticWorkload) Graph() (*dataflow.Graph, error) {
 	case w.Confluent:
 		comp.AddPath("msgs", "out", core.CW)
 		comp.AddPath("reads", "out", core.CR)
+	case w.Convergent:
+		comp.AddPath("msgs", "out", core.CW)
+		comp.AddPath("reads", "out", core.ORStar())
 	case w.Gated:
 		comp.AddPath("msgs", "out", core.OWGate("producer"))
 		comp.AddPath("reads", "out", core.ORGate("producer"))
@@ -77,14 +93,15 @@ func (w *SyntheticWorkload) Graph() (*dataflow.Graph, error) {
 		comp.AddPath("msgs", "out", core.OWStar())
 		comp.AddPath("reads", "out", core.ORStar())
 	}
-	if !w.Confluent {
+	chains := !w.Confluent && !w.Convergent
+	if chains {
 		// The per-producer XOR digest in synReplica is a declared
 		// commutative merge, so the merge-rewrite strategy applies to the
 		// order-sensitive variants.
 		comp.Merge = "xor-set-digest"
 	}
 	src := g.Source("msgs", "Synthetic", "msgs")
-	if w.Gated && !w.Confluent {
+	if w.Gated && chains {
 		src.Seal = fd.NewAttrSet("producer")
 	}
 	g.Source("reads", "Synthetic", "reads")
@@ -107,10 +124,13 @@ func (w *SyntheticWorkload) Supports(mech dataflow.Coordination) bool {
 	return false
 }
 
-// synMsg is one producer message.
+// synMsg is one producer message; Stamp is a predetermined logical
+// timestamp, which makes the convergent register's final state
+// schedule-independent.
 type synMsg struct {
 	Producer string
 	Seq      int
+	Stamp    int
 }
 
 func (m synMsg) id() string    { return fmt.Sprintf("%s:%d", m.Producer, m.Seq) }
@@ -118,18 +138,22 @@ func (m synMsg) value() string { return m.id() }
 
 // synReplica is one replica of the component under test.
 type synReplica struct {
-	confluent bool
+	confluent, convergent bool
 	// merge selects the rewritten fold (merge-rewrite strategy): an
 	// order-insensitive XOR digest per producer instead of the hash chain.
-	merge   bool
-	seen    map[string]bool
-	set     map[string]bool
-	chains  map[string]uint64
-	outputs []string
+	merge bool
+	seen  map[string]bool
+	set   map[string]bool // confluent: a grow-only set
+	// convergent: a last-writer-wins register.
+	regStamp int
+	regVal   string
+	chains   map[string]uint64 // order-sensitive: per-producer hash chains
+	outputs  []string
 }
 
-func newSynReplica(confluent bool) *synReplica {
-	return &synReplica{confluent: confluent, seen: map[string]bool{}, set: map[string]bool{}, chains: map[string]uint64{}}
+func newSynReplica(w *SyntheticWorkload) *synReplica {
+	return &synReplica{confluent: w.Confluent, convergent: w.Convergent,
+		seen: map[string]bool{}, set: map[string]bool{}, chains: map[string]uint64{}}
 }
 
 func (r *synReplica) apply(m synMsg) {
@@ -139,6 +163,12 @@ func (r *synReplica) apply(m synMsg) {
 	r.seen[m.id()] = true
 	if r.confluent {
 		r.set[m.value()] = true
+		return
+	}
+	if r.convergent {
+		if m.Stamp > r.regStamp {
+			r.regStamp, r.regVal = m.Stamp, m.value()
+		}
 		return
 	}
 	if r.merge {
@@ -160,6 +190,9 @@ func (r *synReplica) snapshot() string {
 			vals = append(vals, v)
 		}
 		return canonSet(vals)
+	}
+	if r.convergent {
+		return r.regVal
 	}
 	keys := make([]string, 0, len(r.chains))
 	for k := range r.chains {
@@ -197,12 +230,12 @@ func (w *SyntheticWorkload) Run(seed int64, plan FaultPlan, mech dataflow.Coordi
 
 	reps := make([]*synReplica, w.Replicas)
 	for i := range reps {
-		reps[i] = newSynReplica(w.Confluent)
+		reps[i] = newSynReplica(w)
 	}
 	var msgs []synMsg
 	for p := 0; p < w.Producers; p++ {
 		for i := 0; i < w.PerProducer; i++ {
-			msgs = append(msgs, synMsg{Producer: fmt.Sprintf("p%d", p), Seq: i})
+			msgs = append(msgs, synMsg{Producer: fmt.Sprintf("p%d", p), Seq: i, Stamp: i*w.Producers + p + 1})
 		}
 	}
 	sendTime := func(m synMsg) sim.Time {
@@ -357,11 +390,14 @@ func (w *SyntheticWorkload) Run(seed int64, plan FaultPlan, mech dataflow.Coordi
 		}
 		s.At(end, reader.Done)
 
-	case dataflow.CoordPartitionSealed:
-		// M3p: the same punctuation/voting protocol as CoordSealed, but
-		// each partition releases its readers as soon as it alone seals;
-		// reads target (and observe) a single partition, so a straggler
-		// producer delays only its own partition's readers.
+	case dataflow.CoordSealed, dataflow.CoordPartitionSealed:
+		// M3 / M3p: per-producer partitions sealed by punctuation after the
+		// producer's last message. Seals ride the producer's FIFO stream so
+		// they cannot overtake data. The two differ only in what a read
+		// waits for: M3 gates it on every partition, M3p on the single
+		// partition it targets (and observes), so a straggler producer
+		// delays only its own partition's readers.
+		const allPartitions = ""
 		registry := coord.NewRegistry(s, link)
 		for p := 0; p < w.Producers; p++ {
 			producer := fmt.Sprintf("p%d", p)
@@ -369,80 +405,23 @@ func (w *SyntheticWorkload) Run(seed int64, plan FaultPlan, mech dataflow.Coordi
 		}
 		for ri := range reps {
 			r := reps[ri]
-			sealedPart := map[string]bool{}
-			held := map[string][]func(){}
-			// Reads release in partition-seal order, which legitimately
-			// differs across replicas; answers are keyed by read index so
-			// the trace compares query answers, not release order.
-			answers := make([]string, w.Reads)
-			finalize = append(finalize, func() { r.outputs = append(r.outputs, answers...) })
-			tracker := coord.NewSealTracker(func(partition string, buffered []any) {
-				vals := make([]synMsg, 0, len(buffered))
-				for _, b := range buffered {
-					vals = append(vals, b.(synMsg))
+			sealed := map[string]bool{}
+			open := func(gate string) bool {
+				if gate == allPartitions {
+					return len(sealed) == w.Producers
 				}
-				sort.Slice(vals, func(i, j int) bool { return vals[i].Seq < vals[j].Seq })
-				for _, m := range vals {
-					r.apply(m)
+				return sealed[gate]
+			}
+			held := map[string][]func(){} // reads waiting, by gate
+			release := func(gate string) {
+				if !open(gate) {
+					return
 				}
-				sealedPart[partition] = true
-				for _, fn := range held[partition] {
+				for _, fn := range held[gate] {
 					fn()
 				}
-				delete(held, partition)
-			})
-			fifo := newFifoLink(s, link)
-			for p := 0; p < w.Producers; p++ {
-				producer := fmt.Sprintf("p%d", p)
-				registry.Lookup(producer, func(producers []string) {
-					tracker.SetExpected(producer, producers)
-				})
+				delete(held, gate)
 			}
-			var lastSend sim.Time
-			for _, m := range msgs {
-				m := m
-				at := sendTime(m)
-				if at > lastSend {
-					lastSend = at
-				}
-				fifo.deliver(m.Producer, at, func() { tracker.Data(m.Producer, m) })
-				if dup() {
-					fifo.deliver(m.Producer, at, func() { tracker.Data(m.Producer, m) })
-				}
-			}
-			for p := 0; p < w.Producers; p++ {
-				producer := fmt.Sprintf("p%d", p)
-				fifo.deliver(producer, lastSend+sim.Millisecond, func() {
-					tracker.Seal(coord.Punctuation{Partition: producer, Producer: producer})
-				})
-			}
-			for i, t := range readTimes {
-				i := i
-				part := fmt.Sprintf("p%d", i%w.Producers)
-				answer := func() { answers[i] = fmt.Sprintf("%s=%x", part, r.chains[part]) }
-				s.At(arrival(t), func() {
-					if sealedPart[part] {
-						answer()
-					} else {
-						held[part] = append(held[part], answer)
-					}
-				})
-			}
-		}
-
-	case dataflow.CoordSealed:
-		// M3: per-producer partitions sealed by punctuation after the
-		// producer's last message; reads gate on every partition. Seals
-		// ride the producer's FIFO stream so they cannot overtake data.
-		registry := coord.NewRegistry(s, link)
-		for p := 0; p < w.Producers; p++ {
-			producer := fmt.Sprintf("p%d", p)
-			registry.Register(producer, producer)
-		}
-		for ri := range reps {
-			r := reps[ri]
-			sealed := 0
-			var heldReads []func()
 			tracker := coord.NewSealTracker(func(partition string, buffered []any) {
 				vals := make([]synMsg, 0, len(buffered))
 				for _, b := range buffered {
@@ -452,13 +431,9 @@ func (w *SyntheticWorkload) Run(seed int64, plan FaultPlan, mech dataflow.Coordi
 				for _, m := range vals {
 					r.apply(m)
 				}
-				sealed++
-				if sealed == w.Producers {
-					for _, fn := range heldReads {
-						fn()
-					}
-					heldReads = nil
-				}
+				sealed[partition] = true
+				release(partition)
+				release(allPartitions)
 			})
 			fifo := newFifoLink(s, link)
 			for p := 0; p < w.Producers; p++ {
@@ -485,12 +460,25 @@ func (w *SyntheticWorkload) Run(seed int64, plan FaultPlan, mech dataflow.Coordi
 					tracker.Seal(coord.Punctuation{Partition: producer, Producer: producer})
 				})
 			}
-			for _, t := range readTimes {
+			// M3p reads release in partition-seal order, which legitimately
+			// differs across replicas; answers are keyed by read index so
+			// the trace compares query answers, not release order.
+			var answers []string
+			if mech == dataflow.CoordPartitionSealed {
+				answers = make([]string, w.Reads)
+				finalize = append(finalize, func() { r.outputs = append(r.outputs, answers...) })
+			}
+			for i, t := range readTimes {
+				gate, read := allPartitions, r.read
+				if answers != nil {
+					part := fmt.Sprintf("p%d", i%w.Producers)
+					gate, read = part, func() { answers[i] = fmt.Sprintf("%s=%x", part, r.chains[part]) }
+				}
 				s.At(arrival(t), func() {
-					if sealed == w.Producers {
-						r.read()
+					if open(gate) {
+						read()
 					} else {
-						heldReads = append(heldReads, r.read)
+						held[gate] = append(held[gate], read)
 					}
 				})
 			}

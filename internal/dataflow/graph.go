@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"sync/atomic"
 
 	"blazes/internal/core"
@@ -50,26 +51,72 @@ const (
 	CoordPartitionSealed
 )
 
-// String names the mechanism as in Figure 5.
-func (c Coordination) String() string {
-	switch c {
-	case CoordNone:
-		return "none"
-	case CoordSequenced:
-		return "sequencing (M1)"
-	case CoordDynamicOrder:
-		return "dynamic ordering (M2)"
-	case CoordSealed:
-		return "sealing (M3)"
-	case CoordQuorumOrder:
-		return "quorum ordering (M1q)"
-	case CoordMergeRewrite:
-		return "merge rewrite (confluent)"
-	case CoordPartitionSealed:
-		return "partition sealing (M3p)"
-	default:
-		return fmt.Sprintf("Coordination(%d)", int(c))
+// mechanism is one row of the mechanisms table.
+type mechanism struct{ name, token, strategy string }
+
+// mechanisms is the one table of delivery mechanisms, a row per
+// Coordination in declaration order: its Figure 5 name (String), its
+// stable wire token (Token), and the registered strategy that installs it
+// (Strategy; the strategy's StrategyDef.Mechanism points back). A new
+// mechanism is declared by adding a constant above and a row here.
+var mechanisms = [...]mechanism{
+	CoordNone:            {"none", "none", ""},
+	CoordSequenced:       {"sequencing (M1)", "sequencing", StrategySequencing},
+	CoordDynamicOrder:    {"dynamic ordering (M2)", "dynamic-ordering", StrategyOrdering},
+	CoordSealed:          {"sealing (M3)", "sealing", StrategySealing},
+	CoordQuorumOrder:     {"quorum ordering (M1q)", "quorum-ordering", StrategyQuorumOrdering},
+	CoordMergeRewrite:    {"merge rewrite (confluent)", "merge-rewrite", StrategyMergeRewrite},
+	CoordPartitionSealed: {"partition sealing (M3p)", "partition-sealing", StrategyPartitionSealing},
+}
+
+// Coordinations lists every delivery mechanism in declaration order.
+func Coordinations() []Coordination {
+	out := make([]Coordination, len(mechanisms))
+	for i := range out {
+		out[i] = Coordination(i)
 	}
+	return out
+}
+
+// row is c's table row; an undeclared value renders as "Coordination(n)",
+// with the token of CoordNone and no strategy.
+func (c Coordination) row() mechanism {
+	if c < 0 || int(c) >= len(mechanisms) {
+		return mechanism{name: fmt.Sprintf("Coordination(%d)", int(c)), token: mechanisms[CoordNone].token}
+	}
+	return mechanisms[c]
+}
+
+// String names the mechanism as in Figure 5.
+func (c Coordination) String() string { return c.row().name }
+
+// Token is the mechanism's stable wire token (report v2).
+func (c Coordination) Token() string { return c.row().token }
+
+// Strategy names the registered strategy that installs the mechanism;
+// empty for CoordNone.
+func (c Coordination) Strategy() string { return c.row().strategy }
+
+// ParseCoordination inverts String and ParseToken inverts Token; the error
+// of either lists the valid spellings.
+func ParseCoordination(name string) (Coordination, error) {
+	return parseMechanism("coordination mechanism", name, Coordination.String)
+}
+
+// ParseToken resolves a wire token back to its mechanism.
+func ParseToken(token string) (Coordination, error) {
+	return parseMechanism("mechanism token", token, Coordination.Token)
+}
+
+func parseMechanism(what, s string, spell func(Coordination) string) (Coordination, error) {
+	all := Coordinations()
+	known := make([]string, len(all))
+	for i, c := range all {
+		if known[i] = spell(c); known[i] == s {
+			return c, nil
+		}
+	}
+	return CoordNone, fmt.Errorf("unknown %s %q (valid: %s)", what, s, strings.Join(known, ", "))
 }
 
 // Path is an annotated path from an input interface to an output interface

@@ -107,3 +107,45 @@ func TestCoordinationString(t *testing.T) {
 		}
 	}
 }
+
+// TestMechanismTable: the one table spells every mechanism once — names
+// and tokens are unique and parse back, and each mechanism and the
+// registered strategy that installs it point at each other.
+func TestMechanismTable(t *testing.T) {
+	names, tokens := map[string]bool{}, map[string]bool{}
+	for _, c := range Coordinations() {
+		if names[c.String()] || tokens[c.Token()] {
+			t.Errorf("%v: name %q or token %q is spelled twice", c, c.String(), c.Token())
+		}
+		names[c.String()], tokens[c.Token()] = true, true
+		if got, err := ParseCoordination(c.String()); err != nil || got != c {
+			t.Errorf("ParseCoordination(%q) = %v, %v; want %v", c.String(), got, err, c)
+		}
+		if got, err := ParseToken(c.Token()); err != nil || got != c {
+			t.Errorf("ParseToken(%q) = %v, %v; want %v", c.Token(), got, err, c)
+		}
+		if c == CoordNone {
+			if c.Strategy() != "" {
+				t.Errorf("CoordNone is installed by %q", c.Strategy())
+			}
+			continue
+		}
+		def, err := LookupStrategy(c.Strategy())
+		if err != nil {
+			t.Errorf("%v: %v", c, err)
+		} else if def.Mechanism() != c {
+			t.Errorf("%v names strategy %q, which installs %v", c, c.Strategy(), def.Mechanism())
+		}
+	}
+	for _, bad := range []string{"vector clocks (M9)", "teleportation"} {
+		if _, err := ParseCoordination(bad); err == nil || !strings.Contains(err.Error(), CoordSealed.String()) {
+			t.Errorf("ParseCoordination(%q): error %v does not list the mechanisms", bad, err)
+		}
+		if _, err := ParseToken(bad); err == nil || !strings.Contains(err.Error(), CoordSealed.Token()) {
+			t.Errorf("ParseToken(%q): error %v does not list the tokens", bad, err)
+		}
+	}
+	if got := Coordination(99); got.String() != "Coordination(99)" || got.Token() != "none" || got.Strategy() != "" {
+		t.Errorf("undeclared mechanism renders %q / %q / %q", got.String(), got.Token(), got.Strategy())
+	}
+}

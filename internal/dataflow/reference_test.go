@@ -737,14 +737,14 @@ func refPlan(ra *refAnalysis, strategy string, comp *Component, origin, preferSe
 			}
 		}
 		st.SealKeys = keys
-	case StrategyOrdering, StrategyQuorumOrdering:
+	case StrategyOrdering, StrategyQuorumOrdering, StrategySequencing:
 		if !origin {
 			return Strategy{}, false
 		}
 		st.Mechanism = CoordDynamicOrder
 		if strategy == StrategyQuorumOrdering {
 			st.Mechanism = CoordQuorumOrder
-		} else if preferSequencing {
+		} else if preferSequencing || strategy == StrategySequencing {
 			st.Mechanism = CoordSequenced
 		}
 		for _, in := range comp.Inputs() {
@@ -767,11 +767,14 @@ func refPlan(ra *refAnalysis, strategy string, comp *Component, origin, preferSe
 // refSynthesize is Synthesize over the reference analysis: flag the
 // components where an anomaly originates or a seal is consumed, then take
 // the first of preferred strategy, sealing, ordering that applies. Reasons
-// are prose, not decisions, and are left out.
-func refSynthesize(ra *refAnalysis, opts SynthesisOptions) []Strategy {
+// are prose, not decisions, and are left out. It decides from the public
+// (strategy, sequencing) pair itself — the flag turns the ordering
+// strategy's M2 into M1 and touches nothing else — where the product is fed
+// StrategyPreference's list, so comparing the two pins that function's rule.
+func refSynthesize(ra *refAnalysis, strategy string, preferSequencing bool) []Strategy {
 	chain := []string{StrategySealing, StrategyOrdering}
-	if opts.Strategy != "" {
-		chain = append([]string{opts.Strategy}, chain...)
+	if strategy != "" {
+		chain = append([]string{strategy}, chain...)
 	}
 	var out []Strategy
 	for _, comp := range ra.collapsed.Components() {
@@ -803,7 +806,7 @@ func refSynthesize(ra *refAnalysis, opts SynthesisOptions) []Strategy {
 			continue
 		}
 		for _, name := range chain {
-			if st, ok := refPlan(ra, name, comp, origin, opts.PreferSequencing); ok {
+			if st, ok := refPlan(ra, name, comp, origin, preferSequencing); ok {
 				out = append(out, st)
 				break
 			}
@@ -916,7 +919,9 @@ func diffReference(g *Graph) error {
 	}
 
 	// The analysis and, for the default chain and every registered
-	// strategy as the preferred one, synthesis.
+	// strategy as the preferred one, with and without the sequencing flag,
+	// synthesis: the product is fed StrategyPreference's list, the
+	// reference the pair itself, so the edge rule cannot drift unnoticed.
 	a, err := Analyze(g)
 	if err != nil {
 		return err
@@ -928,17 +933,15 @@ func diffReference(g *Graph) error {
 	if got, want := a.Explain(), ra.explain(); got != want {
 		return fmt.Errorf("derivation differs:\n got:\n%s\nwant:\n%s", got, want)
 	}
-	options := []SynthesisOptions{{}, {PreferSequencing: true}}
-	for _, name := range []string{StrategySealing, StrategyOrdering, StrategyQuorumOrdering, StrategyMergeRewrite, StrategyPartitionSealing} {
-		options = append(options, SynthesisOptions{Strategy: name})
-	}
-	for _, opts := range options {
-		got := Synthesize(a, opts)
-		for i := range got {
-			got[i].Reason = ""
-		}
-		if want := refSynthesize(ra, opts); fmt.Sprint(got) != fmt.Sprint(want) || len(got) != len(want) {
-			return fmt.Errorf("synthesis with %+v: %v, reference has %v", opts, got, want)
+	for _, name := range []string{"", StrategySealing, StrategyOrdering, StrategySequencing, StrategyQuorumOrdering, StrategyMergeRewrite, StrategyPartitionSealing} {
+		for _, sequencing := range []bool{false, true} {
+			got := Synthesize(a, SynthesisOptions{Prefer: StrategyPreference(name, sequencing)})
+			for i := range got {
+				got[i].Reason = ""
+			}
+			if want := refSynthesize(ra, name, sequencing); fmt.Sprint(got) != fmt.Sprint(want) || len(got) != len(want) {
+				return fmt.Errorf("synthesis with strategy %q, sequencing %v: %v, reference has %v", name, sequencing, got, want)
+			}
 		}
 	}
 	return nil

@@ -1,35 +1,60 @@
 package dataflow
 
-// StrategyOrdering names the ordering strategy: M2 dynamic ordering by
-// default, M1 sequencing under PreferSequencing (Figure 5).
-const StrategyOrdering = "ordering"
+// The ordering family imposes one total order on every input of a
+// component where an anomaly originates. Its members differ only in who
+// decides that order (Figure 5), so each is a row of the same strategy.
+const (
+	// StrategyOrdering is M2: a dynamic ordering service (Paxos,
+	// Zookeeper) decides the order per run.
+	StrategyOrdering = "ordering"
+	// StrategySequencing is M1: a global sequencer preordains the order
+	// (e.g. Storm transactional batch ids), which also makes it the same
+	// across runs — what replay-based fault tolerance needs.
+	StrategySequencing = "sequencing"
+	// StrategyQuorumOrdering is M1q, a cheaper M1: producers stamp
+	// messages with Lamport clocks and replicas deliver in (clock,
+	// producer, seq) order once the stability frontier passes, so no
+	// per-message sequencer round trip is needed.
+	StrategyQuorumOrdering = "quorum-ordering"
+)
 
-func init() { RegisterStrategy(orderingStrategy{}) }
-
-type orderingStrategy struct{}
-
-func (orderingStrategy) Name() string { return StrategyOrdering }
-
-func (orderingStrategy) Summary() string {
-	return "total order over inputs: M2 dynamic ordering service by default, M1 global sequencer under PreferSequencing — one coordination round trip per message"
+func init() {
+	RegisterStrategy(orderingStrategy{
+		mech:    CoordDynamicOrder,
+		summary: "dynamic ordering (M2): an ordering service decides a total order over inputs per run — one coordination round trip per message; replicas agree, runs may differ",
+		reason:  "no compatible seal available; replicas must process state-modifying events in a single order",
+	})
+	RegisterStrategy(orderingStrategy{
+		mech:    CoordSequenced,
+		summary: "sequencing (M1): a global sequencer preordains a total order over inputs — one coordination round trip per message; deterministic across runs and replays",
+		reason:  "no compatible seal available; replay-based fault tolerance requires a preordained total order",
+	})
+	RegisterStrategy(orderingStrategy{
+		mech:    CoordQuorumOrder,
+		summary: "quorum ordering (M1q): producer Lamport clocks + stability frontiers preordain a total order — coordination cost is one heartbeat per quiescent interval, not one round trip per message",
+		reason:  "producer clocks and stability frontiers preordain a total order without per-message sequencer round trips",
+	})
 }
 
-func (orderingStrategy) Plan(ctx *StrategyContext) (Strategy, bool) {
+type orderingStrategy struct {
+	mech            Coordination
+	summary, reason string
+}
+
+func (s orderingStrategy) Name() string            { return s.mech.Strategy() }
+func (s orderingStrategy) Mechanism() Coordination { return s.mech }
+func (s orderingStrategy) Summary() string         { return s.summary }
+
+func (s orderingStrategy) Plan(ctx *StrategyContext) (Strategy, bool) {
 	if !ctx.Origin {
 		// Seal consumers need the punctuation protocol installed, not an
 		// order imposed; let the chain fall through to sealing.
 		return Strategy{}, false
 	}
-	mech, reason := CoordDynamicOrder,
-		"no compatible seal available; replicas must process state-modifying events in a single order"
-	if ctx.PreferSequencing {
-		mech, reason = CoordSequenced,
-			"no compatible seal available; replay-based fault tolerance requires a preordained total order"
-	}
 	return Strategy{
 		Component: ctx.Component.Name,
-		Mechanism: mech,
+		Mechanism: s.mech,
 		Inputs:    ctx.inputStreams(),
-		Reason:    reason,
+		Reason:    s.reason,
 	}, true
 }

@@ -1,44 +1,59 @@
 package dataflow
 
-// StrategySealing names the seal-based strategy (M3): per-partition
-// barriers driven by producer punctuations and a unanimous vote.
-const StrategySealing = "sealing"
+// The sealing family gates a component's order-sensitive paths on the
+// seals of their rendezvousing inputs: per-partition barriers driven by
+// producer punctuations and a unanimous vote. Its two members run the same
+// protocol and differ in when a sealed partition's readers are released.
+const (
+	// StrategySealing is M3: reads wait until every partition has sealed.
+	StrategySealing = "sealing"
+	// StrategyPartitionSealing is M3p: each partition key seals and
+	// releases on its own, so one slow partition does not hold back reads
+	// against the others.
+	StrategyPartitionSealing = "partition-sealing"
+)
 
-func init() { RegisterStrategy(sealingStrategy{}) }
-
-type sealingStrategy struct{}
-
-func (sealingStrategy) Name() string { return StrategySealing }
-
-func (sealingStrategy) Summary() string {
-	return "seal-based barriers (M3): buffer each partition until every producer seals it — no global coordination, cost proportional to partition count"
+func init() {
+	RegisterStrategy(sealingStrategy{
+		mech:     CoordSealed,
+		summary:  "seal-based barriers (M3): buffer each partition until every producer seals it — no global coordination, cost proportional to partition count",
+		origin:   "order-sensitive paths are compatible with the seals on their rendezvousing inputs",
+		consumer: "sealed inputs gate per-partition processing; install the punctuation/voting protocol",
+	})
+	RegisterStrategy(sealingStrategy{
+		mech:     CoordPartitionSealed,
+		summary:  "per-partition sealing (M3p): partitions seal and release independently — same protocol cost as sealing, but a straggler partition delays only its own reads",
+		origin:   "order-sensitive paths are compatible with the seals on their rendezvousing inputs; partitions release independently as they seal",
+		consumer: "sealed inputs gate per-partition processing; partitions release independently as their seals arrive",
+	})
 }
 
-func (sealingStrategy) Plan(ctx *StrategyContext) (Strategy, bool) {
-	comp := ctx.Component
-	if ctx.Origin {
-		keys, ok := ctx.sealPlan()
-		if !ok {
-			return Strategy{}, false
-		}
-		return Strategy{
-			Component: comp.Name,
-			Mechanism: CoordSealed,
-			SealKeys:  keys,
-			Reason:    "order-sensitive paths are compatible with the seals on their rendezvousing inputs",
-		}, true
-	}
+type sealingStrategy struct {
+	mech    Coordination
+	summary string
+	// origin and consumer are the reasons given where an anomaly
+	// originates and where upstream seals are merely consumed.
+	origin, consumer string
+}
+
+func (s sealingStrategy) Name() string            { return s.mech.Strategy() }
+func (s sealingStrategy) Mechanism() Coordination { return s.mech }
+func (s sealingStrategy) Summary() string         { return s.summary }
+
+func (s sealingStrategy) Plan(ctx *StrategyContext) (Strategy, bool) {
 	keys, ok := ctx.sealPlan()
-	if !ok {
-		// Defensive: the analysis says seals protect this component, so a
-		// plan must exist; fall back to reporting the consumed keys
-		// directly from the steps.
-		keys = ctx.consumedSealKeys()
+	reason := s.origin
+	if !ctx.Origin {
+		reason = s.consumer
+		if !ok {
+			// Defensive: the analysis says seals protect this component, so
+			// a plan must exist; fall back to reporting the consumed keys
+			// directly from the steps.
+			keys, ok = ctx.consumedSealKeys(), true
+		}
 	}
-	return Strategy{
-		Component: comp.Name,
-		Mechanism: CoordSealed,
-		SealKeys:  keys,
-		Reason:    "sealed inputs gate per-partition processing; install the punctuation/voting protocol",
-	}, true
+	if !ok {
+		return Strategy{}, false
+	}
+	return Strategy{Component: ctx.Component.Name, Mechanism: s.mech, SealKeys: keys, Reason: reason}, true
 }

@@ -3,6 +3,7 @@ package dataflow
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -20,9 +21,6 @@ type StrategyContext struct {
 	// component consumes compatible seals and only needs the runtime
 	// protocol installed.
 	Origin bool
-	// PreferSequencing carries the caller's M1-over-M2 preference through
-	// to strategies that order inputs.
-	PreferSequencing bool
 
 	index int32 // Component's position in the analysis's compiled structure
 }
@@ -56,6 +54,9 @@ type StrategyDef interface {
 	Name() string
 	// Summary is a one-line description for catalogs and docs.
 	Summary() string
+	// Mechanism is the delivery mechanism every Strategy this definition
+	// plans installs; the conformance matrix holds it to that.
+	Mechanism() Coordination
 	// Plan produces a Strategy for ctx.Component, or reports false when
 	// the strategy does not apply (synthesis then falls back down the
 	// default chain).
@@ -132,18 +133,52 @@ func Strategies() []StrategyDef {
 	return out
 }
 
-// defaultChain is the fallback planning order, reproducing the paper's
-// repair preference: sealing when compatible seals exist, ordering
-// otherwise. A preferred strategy (SynthesisOptions.Strategy) is tried
-// before this chain.
-func defaultChain() []StrategyDef {
-	sealing, err := LookupStrategy(StrategySealing)
-	if err != nil {
-		panic(err) // registered in this package's init
+// StrategyPreference is the one place the public (strategy, sequencing)
+// pair — the two blazes Analyzer options, the -strategy and -sequencing
+// flags, the "strategy" and "sequencing" request fields — becomes the
+// preference list of SynthesisOptions.Prefer. The named strategy, if any,
+// goes first. Sequencing substitutes M1 for M2 wherever the whole chain
+// [strategy, sealing, ordering] says ordering, rather than preferring M1
+// outright: sealing stays ahead of it, so a sealable component still gets
+// its seal.
+func StrategyPreference(strategy string, sequencing bool) []string {
+	var prefer []string
+	if strategy != "" {
+		prefer = append(prefer, strategy)
 	}
-	ordering, err := LookupStrategy(StrategyOrdering)
-	if err != nil {
-		panic(err)
+	if sequencing {
+		prefer = append(prefer, StrategySealing, StrategyOrdering)
+		for i, name := range prefer {
+			if name == StrategyOrdering {
+				prefer[i] = StrategySequencing
+			}
+		}
 	}
-	return []StrategyDef{sealing, ordering}
+	return prefer
+}
+
+// CheckStrategies returns LookupStrategy's error for the first name that
+// is not registered.
+func CheckStrategies(names []string) error {
+	for _, name := range names {
+		if _, err := LookupStrategy(name); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// planningChain resolves the preferred names (unregistered ones are
+// skipped) and appends the fixed tail that reproduces the paper's repair
+// preference: sealing when compatible seals exist, ordering otherwise.
+func planningChain(prefer []string) []StrategyDef {
+	strategyMu.RLock()
+	defer strategyMu.RUnlock()
+	chain := make([]StrategyDef, 0, len(prefer)+2)
+	for _, name := range append(slices.Clip(prefer), StrategySealing, StrategyOrdering) {
+		if r, ok := strategyReg[name]; ok {
+			chain = append(chain, r.def)
+		}
+	}
+	return chain
 }

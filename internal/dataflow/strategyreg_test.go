@@ -10,8 +10,9 @@ import (
 // fakeStrategy is a registrable no-op used by the misuse tests.
 type fakeStrategy struct{ name string }
 
-func (f fakeStrategy) Name() string    { return f.name }
-func (f fakeStrategy) Summary() string { return "test-only strategy" }
+func (f fakeStrategy) Name() string          { return f.name }
+func (f fakeStrategy) Summary() string       { return "test-only strategy" }
+func (fakeStrategy) Mechanism() Coordination { return CoordNone }
 func (f fakeStrategy) Plan(*StrategyContext) (Strategy, bool) {
 	return Strategy{}, false
 }
@@ -53,14 +54,14 @@ func TestLookupStrategyUnknown(t *testing.T) {
 	if !strings.Contains(msg, `unknown strategy "nope"`) {
 		t.Errorf("error %q does not name the unknown strategy", msg)
 	}
-	for _, name := range []string{StrategySealing, StrategyOrdering, StrategyQuorumOrdering, StrategyMergeRewrite, StrategyPartitionSealing} {
+	for _, name := range []string{StrategySealing, StrategyOrdering, StrategySequencing, StrategyQuorumOrdering, StrategyMergeRewrite, StrategyPartitionSealing} {
 		if !strings.Contains(msg, name) {
 			t.Errorf("error %q does not list registered strategy %q", msg, name)
 		}
 	}
 }
 
-// TestStrategyRegistryContents: the five shipped strategies are registered
+// TestStrategyRegistryContents: the six shipped strategies are registered
 // and listed in sorted order.
 func TestStrategyRegistryContents(t *testing.T) {
 	names := StrategyNames()
@@ -72,7 +73,7 @@ func TestStrategyRegistryContents(t *testing.T) {
 			break
 		}
 	}
-	for _, want := range []string{StrategySealing, StrategyOrdering, StrategyQuorumOrdering, StrategyMergeRewrite, StrategyPartitionSealing} {
+	for _, want := range []string{StrategySealing, StrategyOrdering, StrategySequencing, StrategyQuorumOrdering, StrategyMergeRewrite, StrategyPartitionSealing} {
 		if !seen[want] {
 			t.Errorf("strategy %q not registered (registered: %v)", want, names)
 		}
@@ -98,8 +99,9 @@ func TestStrategyRegistryContents(t *testing.T) {
 // context's stream index answers for each of its input interfaces.
 type probeStrategy struct{ seen map[string][]string }
 
-func (probeStrategy) Name() string    { return "zz-test-probe" }
-func (probeStrategy) Summary() string { return "test-only strategy" }
+func (probeStrategy) Name() string            { return "zz-test-probe" }
+func (probeStrategy) Summary() string         { return "test-only strategy" }
+func (probeStrategy) Mechanism() Coordination { return CoordNone }
 func (p probeStrategy) Plan(ctx *StrategyContext) (Strategy, bool) {
 	for _, in := range ctx.Component.Inputs() {
 		p.seen[ctx.Component.Name+"."+in] = streamNames(ctx.StreamsInto(in))
@@ -124,7 +126,7 @@ func TestStrategyContextStreamsInto(t *testing.T) {
 				continue
 			}
 			clear(probe.seen)
-			Synthesize(a, SynthesisOptions{Strategy: probe.Name()})
+			Synthesize(a, SynthesisOptions{Prefer: []string{probe.Name()}})
 			for key := range probe.seen {
 				if strings.HasPrefix(key, "scc+") {
 					return g
@@ -138,7 +140,7 @@ func TestStrategyContextStreamsInto(t *testing.T) {
 			t.Fatal(err)
 		}
 		clear(probe.seen)
-		Synthesize(a, SynthesisOptions{Strategy: probe.Name()})
+		Synthesize(a, SynthesisOptions{Prefer: []string{probe.Name()}})
 		if len(probe.seen) == 0 {
 			t.Fatalf("%s: no component was offered to the preferred strategy", g.Name)
 		}

@@ -55,20 +55,14 @@ func (s Strategy) String() string {
 
 // SynthesisOptions tunes strategy selection.
 type SynthesisOptions struct {
-	// PreferSequencing selects M1 (preordained order, e.g. Storm
-	// transactional batch ids) instead of M2 when ordering is required —
-	// appropriate for replay-based fault tolerance, which needs cross-run
-	// determinism. The default M2 models a dynamic ordering service such
-	// as Zookeeper, which removes replication anomalies but not cross-run
-	// nondeterminism (Figure 5).
-	PreferSequencing bool
-	// Strategy optionally names a registered strategy (RegisterStrategy)
-	// to try first for every flagged component; where it does not apply,
-	// synthesis falls back to the default sealing-then-ordering chain.
-	// Unknown names are ignored here — boundary layers (Analyzer options,
-	// CLI flags, service validation) reject them via LookupStrategy before
-	// synthesis runs.
-	Strategy string
+	// Prefer names registered strategies (RegisterStrategy) to try, in
+	// order, for every flagged component before the default
+	// sealing-then-ordering chain; where none applies synthesis falls back
+	// to that chain. Unknown names are ignored here — boundary layers
+	// (Analyzer options, CLI flags, service validation) reject them via
+	// CheckStrategies before synthesis runs. StrategyPreference builds the
+	// list from the public strategy/sequencing pair.
+	Prefer []string
 }
 
 // Synthesize inspects an analysis and produces one strategy per component
@@ -88,16 +82,11 @@ type SynthesisOptions struct {
 // (fix the origin and re-analyze — see Repair).
 //
 // Selection dispatches through the strategy registry: the preferred
-// strategy (opts.Strategy, if set and applicable) is tried first, then the
-// default sealing-then-ordering chain, and the first strategy whose Plan
-// accepts the component wins.
+// strategies (opts.Prefer) are tried in order, then the default
+// sealing-then-ordering chain, and the first strategy whose Plan accepts
+// the component wins.
 func Synthesize(a *Analysis, opts SynthesisOptions) []Strategy {
-	chain := defaultChain()
-	if opts.Strategy != "" {
-		if def, err := LookupStrategy(opts.Strategy); err == nil {
-			chain = append([]StrategyDef{def}, chain...)
-		}
-	}
+	chain := planningChain(opts.Prefer)
 
 	var out []Strategy
 	for ca := range a.Components() {
@@ -105,13 +94,7 @@ func Synthesize(a *Analysis, opts SynthesisOptions) []Strategy {
 		if comp.Coordination != CoordNone {
 			continue // already coordinated
 		}
-		ctx := StrategyContext{
-			Analysis:         a,
-			Graph:            a.Collapsed,
-			Component:        comp,
-			PreferSequencing: opts.PreferSequencing,
-			index:            ca.index,
-		}
+		ctx := StrategyContext{Analysis: a, Graph: a.Collapsed, Component: comp, index: ca.index}
 		switch {
 		case originatesAnomaly(ca):
 			ctx.Origin = true

@@ -1,33 +1,39 @@
 package experiments
 
 import (
+	"flag"
+	"os"
 	"strings"
 	"testing"
 
+	"blazes/internal/chaos"
+	"blazes/internal/dataflow"
 	"blazes/internal/sim"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/fig5.golden")
 
 // TestFig5AnomalyMatrix pins the observable behaviour of every Figure 5
 // cell: which anomalies occur under which property/mechanism combination.
 func TestFig5AnomalyMatrix(t *testing.T) {
 	m := Fig5Matrix(8)
 
-	expect := map[Cell]Anomalies{
+	expect := map[Cell]chaos.Anomalies{
 		// Confluent components never exhibit the anomalies.
-		{Confluent, MechNone}:      {},
-		{Confluent, MechSequenced}: {},
-		{Confluent, MechDynamic}:   {},
-		{Confluent, MechSealed}:    {},
+		{Confluent, dataflow.CoordNone}:         {},
+		{Confluent, dataflow.CoordSequenced}:    {},
+		{Confluent, dataflow.CoordDynamicOrder}: {},
+		{Confluent, dataflow.CoordSealed}:       {},
 		// Convergent components prevent divergence only: reads race.
-		{Convergent, MechNone}:      {Run: true, Inst: true},
-		{Convergent, MechSequenced}: {},
-		{Convergent, MechDynamic}:   {Run: true},
-		{Convergent, MechSealed}:    {},
+		{Convergent, dataflow.CoordNone}:         {Run: true, Inst: true},
+		{Convergent, dataflow.CoordSequenced}:    {},
+		{Convergent, dataflow.CoordDynamicOrder}: {Run: true},
+		{Convergent, dataflow.CoordSealed}:       {},
 		// Order-sensitive components exhibit everything uncoordinated.
-		{OrderSensitive, MechNone}:      {Run: true, Inst: true, Diverge: true},
-		{OrderSensitive, MechSequenced}: {},
-		{OrderSensitive, MechDynamic}:   {Run: true},
-		{OrderSensitive, MechSealed}:    {},
+		{OrderSensitive, dataflow.CoordNone}:         {Run: true, Inst: true, Diverge: true},
+		{OrderSensitive, dataflow.CoordSequenced}:    {},
+		{OrderSensitive, dataflow.CoordDynamicOrder}: {Run: true},
+		{OrderSensitive, dataflow.CoordSealed}:       {},
 	}
 
 	for cell, want := range expect {
@@ -35,6 +41,24 @@ func TestFig5AnomalyMatrix(t *testing.T) {
 		if got != want {
 			t.Errorf("%s × %s: observed %v, want %v", cell.Prop, cell.Mech, got, want)
 		}
+	}
+
+	// The printout of the same matrix — what `experiments -fig 5` shows —
+	// is pinned byte for byte.
+	var b strings.Builder
+	PrintFig5(&b, m)
+	const golden = "testdata/fig5.golden"
+	if *update {
+		if err := os.WriteFile(golden, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.String() != string(want) {
+		t.Errorf("PrintFig5(Fig5Matrix(8)) differs from %s:\n%s", golden, b.String())
 	}
 }
 

@@ -26,9 +26,9 @@ func TestCtxFlow(t *testing.T) {
 	linttest.Run(t, "ctxflow", "testdata/src", "./ctxflow")
 }
 
-// The registry's two-place invariant: every valid name resolves through
-// New, All returns them sorted, unknown names fail with a self-updating
-// message.
+// The registry table's invariant: every valid name resolves through New
+// to a complete analyzer, Names returns them sorted, unknown names fail
+// with a self-updating message.
 
 func TestRegistry(t *testing.T) {
 	names := lint.Names()

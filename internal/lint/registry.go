@@ -2,7 +2,7 @@ package lint
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -33,74 +33,49 @@ var CtxFlowPackages = []string{
 	"blazes/internal/dataflow",
 }
 
-// Adding an analyzer is a two-file change (the BLIS two-place registration
-// recipe):
-//
-//  1. Implement the pass in its own file (run function + default scope) and
-//     add its name to validAnalyzers below.
-//  2. Add the matching case to New in the same commit — New panics at init
-//     time if the two places disagree, so a half-registered analyzer cannot
-//     ship.
-//
-// CLI error messages derive from Names(), so no command-line code changes.
-var validAnalyzers = map[string]string{
-	"maporder": "range over a map must not let iteration order escape without a canonical sort",
-	"nondet":   "no wall-clock reads, global math/rand draws, env-conditioned behavior or multi-channel select in deterministic packages",
-	"ctxflow":  "sweep/analyze entry points accept context.Context first and thread it",
+// analyzers is the registry, in name order: adding an analyzer is
+// implementing the pass in its own file (run function + default scope) and
+// adding its row here. CLI error messages derive from Names(), so no
+// command-line code changes.
+var analyzers = []Analyzer{
+	{Name: "ctxflow", Scope: CtxFlowPackages, Run: runCtxFlow,
+		Doc: "sweep/analyze entry points accept context.Context first and thread it"},
+	{Name: "maporder", Scope: DeterministicPackages, Run: runMapOrder,
+		Doc: "range over a map must not let iteration order escape without a canonical sort"},
+	{Name: "nondet", Scope: DeterministicPackages, Run: runNonDet,
+		Doc: "no wall-clock reads, global math/rand draws, env-conditioned behavior or multi-channel select in deterministic packages"},
 }
 
 // IsValidAnalyzer reports whether name is a registered check.
 func IsValidAnalyzer(name string) bool {
-	_, ok := validAnalyzers[name]
-	return ok
+	return slices.Contains(Names(), name)
 }
 
 // Names returns the registered analyzer names, sorted.
 func Names() []string {
-	out := make([]string, 0, len(validAnalyzers))
-	for n := range validAnalyzers {
-		out = append(out, n)
+	out := make([]string, len(analyzers))
+	for i, a := range analyzers {
+		out[i] = a.Name
 	}
-	sort.Strings(out)
 	return out
 }
 
 // New builds the named analyzer with its default scope. Unknown names are
 // an error spelled with the valid set so CLI messages stay self-updating.
 func New(name string) (*Analyzer, error) {
-	doc, ok := validAnalyzers[name]
-	if !ok {
-		return nil, fmt.Errorf("lint: unknown analyzer %q (valid: %s)", name, strings.Join(Names(), ", "))
+	for _, a := range analyzers {
+		if a.Name == name {
+			return &a, nil
+		}
 	}
-	a := &Analyzer{Name: name, Doc: doc}
-	switch name {
-	case "maporder":
-		a.Scope = DeterministicPackages
-		a.Run = runMapOrder
-	case "nondet":
-		a.Scope = DeterministicPackages
-		a.Run = runNonDet
-	case "ctxflow":
-		a.Scope = CtxFlowPackages
-		a.Run = runCtxFlow
-	default:
-		// Unreachable while the two registration places agree; reaching it
-		// means validAnalyzers gained a name without a factory case.
-		return nil, fmt.Errorf("lint: analyzer %q is registered but has no factory case (update New)", name)
-	}
-	return a, nil
+	return nil, fmt.Errorf("lint: unknown analyzer %q (valid: %s)", name, strings.Join(Names(), ", "))
 }
 
 // All returns every registered analyzer with default scopes, in name order.
 func All() []*Analyzer {
-	names := Names()
-	out := make([]*Analyzer, 0, len(names))
-	for _, n := range names {
-		a, err := New(n)
-		if err != nil {
-			panic(err) // registration invariant broken
-		}
-		out = append(out, a)
+	out := make([]*Analyzer, len(analyzers))
+	for i, a := range analyzers {
+		out[i] = &a
 	}
 	return out
 }

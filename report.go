@@ -143,8 +143,10 @@ type ComponentReport struct {
 // StrategyReport is one synthesized coordination strategy in wire form.
 type StrategyReport struct {
 	Component string `json:"component"`
-	// Mechanism is a stable token: "none", "sequencing" (M1),
-	// "dynamic-ordering" (M2) or "sealing" (M3).
+	// Mechanism is the stable wire token of the delivery mechanism
+	// (MechanismToken): "none", "sequencing" (M1), "dynamic-ordering"
+	// (M2), "sealing" (M3), "quorum-ordering" (M1q), "merge-rewrite" or
+	// "partition-sealing" (M3p).
 	Mechanism string `json:"mechanism"`
 	// SealKeys maps each gating input stream to its seal key (sealing
 	// strategies only).
@@ -157,45 +159,15 @@ type StrategyReport struct {
 
 // MechanismToken renders a Coordination as the stable wire token used in
 // StrategyReport.Mechanism.
-func MechanismToken(c Coordination) string {
-	switch c {
-	case CoordSequenced:
-		return "sequencing"
-	case CoordDynamicOrder:
-		return "dynamic-ordering"
-	case CoordSealed:
-		return "sealing"
-	case CoordQuorumOrder:
-		return "quorum-ordering"
-	case CoordMergeRewrite:
-		return "merge-rewrite"
-	case CoordPartitionSealed:
-		return "partition-sealing"
-	default:
-		return "none"
-	}
-}
+func MechanismToken(c Coordination) string { return c.Token() }
 
 // ParseMechanism inverts MechanismToken.
 func ParseMechanism(token string) (Coordination, error) {
-	switch token {
-	case "none":
-		return CoordNone, nil
-	case "sequencing":
-		return CoordSequenced, nil
-	case "dynamic-ordering":
-		return CoordDynamicOrder, nil
-	case "sealing":
-		return CoordSealed, nil
-	case "quorum-ordering":
-		return CoordQuorumOrder, nil
-	case "merge-rewrite":
-		return CoordMergeRewrite, nil
-	case "partition-sealing":
-		return CoordPartitionSealed, nil
-	default:
-		return CoordNone, fmt.Errorf("blazes: unknown mechanism token %q", token)
+	c, err := dataflow.ParseToken(token)
+	if err != nil {
+		return c, fmt.Errorf("blazes: %w", err)
 	}
+	return c, nil
 }
 
 func labelReport(l Label) LabelReport {
@@ -219,7 +191,7 @@ func endpoint(comp, iface string) string {
 func strategyReport(st Strategy) StrategyReport {
 	sr := StrategyReport{
 		Component: st.Component,
-		Mechanism: MechanismToken(st.Mechanism),
+		Mechanism: st.Mechanism.Token(),
 		Reason:    st.Reason,
 	}
 	if len(st.SealKeys) > 0 {
@@ -278,7 +250,7 @@ func coordinationToken(c Coordination) string {
 	if c == CoordNone {
 		return ""
 	}
-	return MechanismToken(c)
+	return c.Token()
 }
 
 // componentReport projects one component's derivation record.

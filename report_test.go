@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"blazes/internal/dataflow"
 )
 
 var update = flag.Bool("update", false, "rewrite golden report fixtures")
@@ -143,7 +145,7 @@ func TestDecodeReportRejectsUnknownVersion(t *testing.T) {
 }
 
 func TestMechanismTokensRoundTrip(t *testing.T) {
-	for _, c := range []Coordination{CoordNone, CoordSequenced, CoordDynamicOrder, CoordSealed} {
+	for _, c := range dataflow.Coordinations() {
 		back, err := ParseMechanism(MechanismToken(c))
 		if err != nil || back != c {
 			t.Errorf("mechanism %v → %q → %v, %v", c, MechanismToken(c), back, err)

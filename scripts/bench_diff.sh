@@ -13,7 +13,7 @@
 #
 # Exits 1 when any benchmark is more than THRESHOLD× slower than its
 # baseline mean. Single-iteration numbers are noisy and CI hardware differs
-# from the baseline machine, so callers (the bench-smoke and load-smoke CI
+# from the baseline machine, so callers (a hand run and the load-smoke CI
 # jobs) treat the result as NON-BLOCKING: the point is to surface silent
 # order-of-magnitude rots, not to gate merges on jitter.
 set -euo pipefail

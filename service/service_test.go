@@ -222,6 +222,11 @@ func TestMutateBatchStopsAtFirstError(t *testing.T) {
 }
 
 // TestBadRequests pins the request-validation contract.
+// unknownStrategy is the registry's unknown-name error as a 400 body
+// carries it (JSON-escaped): it lists the whole catalog, M1's `sequencing`
+// included.
+const unknownStrategy = `unknown strategy \"nope\" (registered: [merge-rewrite ordering partition-sealing quorum-ordering sealing sequencing])`
+
 func TestBadRequests(t *testing.T) {
 	h := New(Options{}).Handler()
 	cases := []struct {
@@ -239,9 +244,9 @@ func TestBadRequests(t *testing.T) {
 		{"mutate-no-ops", "POST", "/v1/sessions/nope/mutate", MutateRequest{}, http.StatusNotFound, "unknown session"},
 		{"verify-unknown-workload", "POST", "/v1/verify", VerifyRequest{Workloads: []string{"nope"}}, http.StatusBadRequest, "unknown workload"},
 		{"verify-bad-seeds", "POST", "/v1/verify", VerifyRequest{Seeds: -1}, http.StatusBadRequest, "seeds"},
-		{"verify-unknown-strategy", "POST", "/v1/verify", VerifyRequest{Strategy: "nope"}, http.StatusBadRequest, "unknown strategy"},
-		{"sweep-unknown-strategy", "POST", "/v1/sweeps", SweepSubmitRequest{Strategy: "nope"}, http.StatusBadRequest, "unknown strategy"},
-		{"create-unknown-strategy", "POST", "/v1/sessions", CreateRequest{Spec: "A: {annotation: {from: i, to: o, label: CR}}\ntopology:\n  sources:\n    - {name: s, to: A.i}\n", Strategy: "nope"}, http.StatusBadRequest, "unknown strategy"},
+		{"verify-unknown-strategy", "POST", "/v1/verify", VerifyRequest{Strategy: "nope"}, http.StatusBadRequest, unknownStrategy},
+		{"sweep-unknown-strategy", "POST", "/v1/sweeps", SweepSubmitRequest{Strategy: "nope"}, http.StatusBadRequest, unknownStrategy},
+		{"create-unknown-strategy", "POST", "/v1/sessions", CreateRequest{Spec: "A: {annotation: {from: i, to: o, label: CR}}\ntopology:\n  sources:\n    - {name: s, to: A.i}\n", Strategy: "nope"}, http.StatusBadRequest, unknownStrategy},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

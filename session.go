@@ -70,10 +70,8 @@ type SessionStats struct {
 // validate.
 func OpenSession(g *Graph, opts ...Option) (*Session, error) {
 	cfg := buildConfig(opts)
-	if cfg.strategy != "" {
-		if _, err := dataflow.LookupStrategy(cfg.strategy); err != nil {
-			return nil, fmt.Errorf("blazes: %w", err)
-		}
+	if err := cfg.checkStrategies(); err != nil {
+		return nil, err
 	}
 	ng := g.Clone()
 	for _, sr := range cfg.sealRepairs {
@@ -358,7 +356,7 @@ func (s *Session) analyze(ctx context.Context, synth bool) (*Report, error) {
 	}
 	res := &Result{analysis: an}
 	if synth {
-		res.strategies = dataflow.Synthesize(an, dataflow.SynthesisOptions{PreferSequencing: s.cfg.preferSequencing, Strategy: s.cfg.strategy})
+		res.strategies = dataflow.Synthesize(an, dataflow.SynthesisOptions{Prefer: s.cfg.prefer})
 		res.synthesized = true
 	}
 	recomputed := make([]string, len(stats.Recomputed))

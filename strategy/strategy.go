@@ -6,9 +6,11 @@
 // service API — comes from the set reported here, so error messages and
 // validation stay in lockstep with what is actually registered.
 //
-// A strategy plans one coordination mechanism for one component: sealing
-// and ordering are the paper's defaults; quorum-ordering, merge-rewrite
-// and partition-sealing are registered extensions. New strategies register
+// A strategy plans one coordination mechanism for one component, and the
+// two are one to one: sealing (M3), ordering (M2) and sequencing (M1) are
+// Figure 5's mechanisms — the first two, in that order, the paper's default
+// chain — and quorum-ordering, merge-rewrite and partition-sealing are
+// registered extensions. New strategies register
 // in internal/dataflow with RegisterStrategy and must pass the chaos
 // conformance gate (the synthesized graph converges under fault injection,
 // the stripped graph demonstrably diverges) before they ship.
@@ -20,6 +22,7 @@ import "blazes/internal/dataflow"
 const (
 	Sealing          = dataflow.StrategySealing
 	Ordering         = dataflow.StrategyOrdering
+	Sequencing       = dataflow.StrategySequencing
 	QuorumOrdering   = dataflow.StrategyQuorumOrdering
 	MergeRewrite     = dataflow.StrategyMergeRewrite
 	PartitionSealing = dataflow.StrategyPartitionSealing

@@ -26,7 +26,7 @@ func TestWithStrategyUnknownRejected(t *testing.T) {
 		if !strings.Contains(err.Error(), `unknown strategy "nope"`) {
 			t.Errorf("%s error %q does not name the unknown strategy", name, err)
 		}
-		if !strings.Contains(err.Error(), "sealing") || !strings.Contains(err.Error(), "quorum-ordering") {
+		if !strings.Contains(err.Error(), "sealing") || !strings.Contains(err.Error(), "quorum-ordering") || !strings.Contains(err.Error(), "sequencing") {
 			t.Errorf("%s error %q does not list the registered names", name, err)
 		}
 	}

@@ -51,13 +51,7 @@ const TraceVersion = chaos.TraceVersion
 // PlanCheck analyzes the workload and lays out the sweep cells a Check
 // would run, without running any of them — the coordinator's first step.
 func PlanCheck(w Workload, opts Options) (*CheckPlan, error) {
-	return chaos.PlanCheck(w, chaos.Config{
-		Seeds:            opts.Seeds,
-		Plans:            opts.Plans,
-		PreferSequencing: opts.PreferSequencing,
-		Strategy:         opts.Strategy,
-		Parallelism:      opts.Parallelism,
-	})
+	return chaos.PlanCheck(w, opts.config())
 }
 
 // NewSweepState lays the cells out into batches of at most batchSize seeds
@@ -89,13 +83,7 @@ func FoldCell(cell Cell, outcomes []Outcome) Sweep { return chaos.FoldCell(cell,
 // sweep observed an anomaly is delta-debugged to a 1-minimal replayable
 // Trace. Traces are returned in cell order.
 func CheckShrink(ctx context.Context, w Workload, opts Options) (*Report, []*Trace, error) {
-	return chaos.CheckShrink(ctx, w, chaos.Config{
-		Seeds:            opts.Seeds,
-		Plans:            opts.Plans,
-		PreferSequencing: opts.PreferSequencing,
-		Strategy:         opts.Strategy,
-		Parallelism:      opts.Parallelism,
-	})
+	return chaos.CheckShrink(ctx, w, opts.config())
 }
 
 // ShrinkCell delta-debugs an anomalous cell to a 1-minimal replayable

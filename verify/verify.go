@@ -24,6 +24,7 @@ import (
 
 	"blazes"
 	"blazes/internal/chaos"
+	"blazes/internal/dataflow"
 )
 
 // Workload is a runnable system under test: it exposes its annotated
@@ -86,13 +87,18 @@ func Check(w Workload, opts Options) (*Report, error) {
 // check returns the context's error — a multi-minute sweep stops within one
 // seed's run time instead of running to completion.
 func CheckContext(ctx context.Context, w Workload, opts Options) (*Report, error) {
-	return chaos.Check(ctx, w, chaos.Config{
-		Seeds:            opts.Seeds,
-		Plans:            opts.Plans,
-		PreferSequencing: opts.PreferSequencing,
-		Strategy:         opts.Strategy,
-		Parallelism:      opts.Parallelism,
-	})
+	return chaos.Check(ctx, w, opts.config())
+}
+
+// config is the harness form of the options; the strategy/sequencing pair
+// becomes one preference list by the rule every boundary shares.
+func (opts Options) config() chaos.Config {
+	return chaos.Config{
+		Seeds:       opts.Seeds,
+		Plans:       opts.Plans,
+		Prefer:      dataflow.StrategyPreference(opts.Strategy, opts.PreferSequencing),
+		Parallelism: opts.Parallelism,
+	}
 }
 
 // Wordcount is the paper's streaming wordcount on the simulated Storm
