@@ -63,13 +63,24 @@ func TestNilPoolIsInline(t *testing.T) {
 // state, each apply draws from the shared rng and schedules follow-ups
 // (including same-instant plain events that act as window breakers). The
 // trace records every apply in execution order plus all partition state.
-func computeTrace(seed int64, pool *Pool) string {
+// ballast plain events, each drawing from the rng, lie under the rounds —
+// on their instants, between them and past them — so that with enough of
+// them the windows form over the event queue's bucket ring and not over one
+// small heap.
+func computeTrace(t *testing.T, seed int64, pool *Pool, ballast int) string {
 	const partitions = 5
 	const rounds = 4
 	s := New(seed)
 	s.SetPool(pool)
 	var b strings.Builder
 	state := make([]int, partitions)
+	var ballastDraws int64
+	for i := 0; i < ballast; i++ {
+		s.At(Time(i%9)*50+Time(i%2)*Time(i), func() { ballastDraws = ballastDraws*31 + s.Rand().Int63n(1000) })
+	}
+	if ringed := s.events.ring != nil; ringed != (ballast > bringIn) {
+		t.Fatalf("%d events pending, ring in: %v", s.Pending(), ringed)
+	}
 
 	var tick func(p Partition, round int)
 	tick = func(p Partition, round int) {
@@ -98,22 +109,24 @@ func computeTrace(seed int64, pool *Pool) string {
 		tick(p, 0)
 	}
 	s.Run()
-	fmt.Fprintf(&b, "steps=%d now=%d state=%v\n", s.Steps(), s.Now(), state)
+	fmt.Fprintf(&b, "steps=%d now=%d state=%v ballast=%d\n", s.Steps(), s.Now(), state, ballastDraws)
 	return b.String()
 }
 
 // TestParallelScheduleByteIdentical pins the tentpole contract: the
 // parallel scheduler produces a byte-identical schedule — same event order,
 // same rng draw sequence, same final state — as the sequential one, for
-// every pool size.
+// every pool size, over a small queue and over one with the ring in.
 func TestParallelScheduleByteIdentical(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
-		want := computeTrace(seed, nil)
-		for _, workers := range []int{1, 2, 4, 8} {
-			got := computeTrace(seed, NewPool(workers))
-			if got != want {
-				t.Fatalf("seed %d workers %d: parallel schedule differs from sequential:\n--- sequential\n%s--- parallel\n%s",
-					seed, workers, want, got)
+	for _, ballast := range []int{0, 2 * bringIn} {
+		for seed := int64(1); seed <= 3; seed++ {
+			want := computeTrace(t, seed, nil, ballast)
+			for _, workers := range []int{1, 2, 4, 8} {
+				got := computeTrace(t, seed, NewPool(workers), ballast)
+				if got != want {
+					t.Fatalf("ballast %d seed %d workers %d: parallel schedule differs from sequential:\n--- sequential\n%s--- parallel\n%s",
+						ballast, seed, workers, want, got)
+				}
 			}
 		}
 	}

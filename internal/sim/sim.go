@@ -45,89 +45,10 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // partitions may run concurrently; events sharing a partition never do.
 type Partition int32
 
-type event struct {
-	at  Time
-	seq uint64 // FIFO tie-break for events at the same instant
-	fn  func()
-	// compute, when non-nil, marks a two-phase event: compute runs first
-	// (possibly on a worker, never touching the Sim) and returns the apply
-	// to run on the scheduler goroutine; fn is nil for such events. key is
-	// its partition.
-	compute func() func()
-	key     Partition
-}
-
-// eventHeap is a hand-specialized 4-ary min-heap ordered by (at, seq).
-// container/heap is deliberately not used: its interface methods box every
-// pushed and popped event (two heap allocations per scheduled event), which
-// at tens of millions of events per run dominated the allocation profile.
-// The 4-ary layout halves the tree depth of a binary heap; with hundreds of
-// thousands of in-flight deliveries the sift paths are the scheduler's
-// hottest loop. The (at, seq) order is a strict total order (seq is unique),
-// so the pop sequence — and therefore the schedule — is independent of the
-// heap's internal arrangement.
-type eventHeap []event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *eventHeap) push(e event) {
-	*h = append(*h, e)
-	// Sift up.
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !s.less(i, parent) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-}
-
-func (h *eventHeap) pop() event {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s[n] = event{} // release closure references for the GC
-	s = s[:n]
-	*h = s
-	// Sift down.
-	i := 0
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		min := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if s.less(c, min) {
-				min = c
-			}
-		}
-		if !s.less(min, i) {
-			break
-		}
-		s[i], s[min] = s[min], s[i]
-		i = min
-	}
-	return top
-}
-
 // Sim is a deterministic discrete-event scheduler.
 type Sim struct {
 	now    Time
-	events eventHeap
+	events eventQueue
 	rng    *rand.Rand
 	seq    uint64
 	steps  uint64
@@ -143,7 +64,7 @@ type Sim struct {
 // New creates a simulator whose nondeterministic choices are driven by the
 // given seed.
 func New(seed int64) *Sim {
-	return &Sim{rng: rand.New(rand.NewSource(seed))}
+	return &Sim{rng: rand.New(rand.NewSource(seed)), events: eventQueue{curB: unringed}}
 }
 
 // Now returns the current virtual time.
@@ -207,10 +128,10 @@ func (s *Sim) runEvent(e event) {
 // Step runs the next event; it reports false when no events remain. Step is
 // always sequential; parallel windows form only inside Run and RunUntil.
 func (s *Sim) Step() bool {
-	if len(s.events) == 0 {
+	if !s.events.settle() {
 		return false
 	}
-	s.runEvent(s.events.pop())
+	s.runEvent(s.events.cur.pop())
 	return true
 }
 
@@ -222,20 +143,20 @@ func (s *Sim) Step() bool {
 // seq values (and times ≥ the instant), so they order strictly after every
 // event of the window — the interleaving is exactly the sequential one.
 func (s *Sim) stepWindow() bool {
-	if len(s.events) == 0 {
+	q := &s.events
+	if !q.settle() {
 		return false
 	}
-	h := &s.events
-	if (*h)[0].compute == nil {
-		s.runEvent(h.pop())
+	if q.cur[0].compute == nil {
+		s.runEvent(q.cur.pop())
 		return true
 	}
-	at := (*h)[0].at
+	at := q.cur[0].at
 	s.window = s.window[:0]
 	s.windowKeys.reset()
-	for len(*h) > 0 && (*h)[0].at == at && (*h)[0].compute != nil && !s.windowKeys.has((*h)[0].key) {
-		s.windowKeys.add((*h)[0].key)
-		s.window = append(s.window, h.pop())
+	for q.settle() && q.cur[0].at == at && q.cur[0].compute != nil && !s.windowKeys.has(q.cur[0].key) {
+		s.windowKeys.add(q.cur[0].key)
+		s.window = append(s.window, q.cur.pop())
 	}
 	w := s.window
 	if len(w) > 1 {
@@ -293,13 +214,14 @@ func (s *Sim) Run() {
 // deadline (or later if an executed event scheduled exactly at it advanced
 // time further).
 func (s *Sim) RunUntil(deadline Time) {
+	q := &s.events
 	if s.parallel() {
-		for len(s.events) > 0 && s.events[0].at <= deadline {
+		for q.settle() && q.cur[0].at <= deadline {
 			s.stepWindow()
 		}
 	} else {
-		for len(s.events) > 0 && s.events[0].at <= deadline {
-			s.Step()
+		for q.settle() && q.cur[0].at <= deadline {
+			s.runEvent(q.cur.pop())
 		}
 	}
 	if s.now < deadline {
@@ -311,4 +233,4 @@ func (s *Sim) RunUntil(deadline Time) {
 func (s *Sim) Steps() uint64 { return s.steps }
 
 // Pending reports the number of queued events.
-func (s *Sim) Pending() int { return len(s.events) }
+func (s *Sim) Pending() int { return s.events.len() }

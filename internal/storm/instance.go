@@ -1,13 +1,6 @@
 package storm
 
-import (
-	"fmt"
-
-	"blazes/internal/sim"
-)
-
-// debugStragglers enables straggler diagnostics during development.
-var debugStragglers = false
+import "blazes/internal/sim"
 
 // Committer is implemented by bolts whose FinishBatch output must be applied
 // durably at commit time (e.g. a backing-store writer). The engine calls
@@ -100,8 +93,10 @@ func (bs *batchState) isSeen(from, seq int32) bool {
 func (bs *batchState) markSeen(from, seq int32) {
 	bits := bs.seen[from]
 	word := int(seq) / 64
-	for word >= len(bits) {
-		bits = append(bits, 0)
+	if word >= len(bits) {
+		// In one step: arrivals are reordered, so the first is as likely to
+		// need the last word as the first.
+		bits = append(bits, make([]uint64, word+1-len(bits))...)
 	}
 	bits[word] |= 1 << (uint(seq) % 64)
 	bs.seen[from] = bits
@@ -182,13 +177,13 @@ func (in *instance) receive(m message) {
 	t := in.st.topo
 	bs := in.batch(m.batchID())
 
-	if m.batchEnd {
+	if m.batchEnd() {
 		if bs.finished {
 			in.maybeResend(m.batchID(), bs, m.attempt)
 			return
 		}
 		bs.endFrom[m.from] = true
-		bs.expected[m.from] = m.count
+		bs.expected[m.from] = int(m.count)
 		in.tryFinish(m.batchID(), bs)
 		return
 	}
@@ -203,10 +198,6 @@ func (in *instance) receive(m message) {
 		// A tuple for a batch this instance already (timer-)flushed:
 		// data loss under the anomalous configuration.
 		t.metrics.Stragglers++
-		if debugStragglers {
-			println("straggler:", in.st.name, in.idx, "batch", int(m.batchID()),
-				"from", int(m.from), "seq", int(m.seq), "attempt", int(m.attempt))
-		}
 		return
 	}
 	bs.markSeen(m.from, m.seq)
@@ -290,10 +281,6 @@ func (in *instance) flush(b int64, bs *batchState) {
 // the commit path on committer stages.
 func (in *instance) finish(b int64, bs *batchState) {
 	t := in.st.topo
-	if debugStragglers {
-		println("finish:", in.st.name, in.idx, "batch", int(b),
-			"recv", fmt.Sprint(bs.recvFrom), "expected", fmt.Sprint(bs.expected))
-	}
 	bs.finished = true
 	at := in.busyUntil
 	if now := t.sim.Now(); at < now {
@@ -328,7 +315,7 @@ func (in *instance) sendPunctuations(b int64, bs *batchState, attempt int32) {
 			}
 			m := message{
 				seq: -1, from: int32(in.idx), tuple: Tuple{Batch: b},
-				batchEnd: true, count: count, attempt: attempt,
+				count: int32(count), attempt: attempt,
 			}
 			t.deliver(down, target, m, t.sim.Now())
 		}

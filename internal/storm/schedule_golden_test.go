@@ -1,0 +1,131 @@
+package storm_test
+
+import (
+	"flag"
+	"fmt"
+	"hash/fnv"
+	"os"
+	"sort"
+	"strings"
+	"testing"
+
+	"blazes/internal/sim"
+	"blazes/internal/storm"
+	"blazes/internal/wc"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/schedule.golden")
+
+// scheduleScenario is one fault shape of the schedule golden.
+type scheduleScenario struct {
+	name  string
+	shape func(*storm.Config)
+}
+
+var scheduleScenarios = []scheduleScenario{
+	{"clean", func(*storm.Config) {}},
+	{"dup-replay", func(c *storm.Config) {
+		c.Link.DupProb = 0.1
+		c.ReplayTimeout = 60 * sim.Millisecond
+	}},
+	{"partition", func(c *storm.Config) {
+		c.Link.Partitions = []sim.PartitionWindow{{From: 3 * sim.Millisecond, Until: 15 * sim.Millisecond}}
+	}},
+	{"unpunctuated", func(c *storm.Config) {
+		c.Punctuate = false
+		c.FlushTimeout = 8 * sim.Millisecond
+	}},
+}
+
+// scheduleLine runs one wordcount topology, wired as wc.Run wires it, and
+// renders what the schedule decides: the simulator's step count, the engine
+// metrics, the store's first-commit order and a digest of its rows. The
+// topology opens with 4,800 spout sends pending at once, so the simulator's
+// event queue is past the size at which its bucket ring comes in.
+func scheduleLine(t *testing.T, mode storm.CommitMode, sc scheduleScenario, seed int64, parallelism int) string {
+	t.Helper()
+	const workers = 4
+	s := sim.New(seed)
+	if parallelism > 1 {
+		s.SetPool(sim.NewPool(parallelism))
+	}
+	cfg := storm.DefaultConfig()
+	cfg.Link.MaxDelay = 6 * sim.Millisecond
+	sc.shape(&cfg)
+	store := wc.NewStore()
+	spout := &wc.TweetSpout{Batches: 4, TuplesPerBatch: 300, WordsPerTweet: 4, Vocab: wc.SyntheticVocabulary(60)}
+	tp := storm.NewTopology(s, cfg, mode)
+	tp.SetSpout("tweets", spout, workers)
+	tp.AddBolt("split", func(int) storm.Bolt { return wc.Splitter{} }, workers, storm.ShuffleGrouping{}, "tweets")
+	tp.AddBolt("count", func(int) storm.Bolt { return wc.NewCount() }, workers, storm.FieldsGrouping{Fields: []int{0}}, "split")
+	tp.AddCommitter("commit", func(int) storm.Bolt { return wc.NewCommit(store) }, workers, storm.FieldsGrouping{Fields: []int{0}}, "count")
+	if err := tp.Start(); err != nil {
+		t.Fatal(err)
+	}
+	s.RunUntil(2 * sim.Second)
+
+	var rows []string
+	for batch, counts := range store.Snapshot() {
+		for word, n := range counts {
+			rows = append(rows, fmt.Sprintf("%d/%s=%d", batch, word, n))
+		}
+	}
+	sort.Strings(rows)
+	h := fnv.New64a()
+	for _, r := range rows {
+		h.Write([]byte(r))
+		h.Write([]byte{'\n'})
+	}
+	return fmt.Sprintf("%s %s seed=%d steps=%d pending=%d done=%v metrics=%+v order=%v rows=%d store=%016x",
+		mode, sc.name, seed, s.Steps(), s.Pending(), tp.Done(), tp.Metrics(), store.CommitOrder(), len(rows), h.Sum64())
+}
+
+// TestScheduleGolden holds the engine to a schedule recorded before the
+// event queue and the delivery pool changed: testdata/schedule.golden was
+// generated on the commit that still had the single heap and one closure per
+// message. A sequential and a parallel run must both reproduce it, so the
+// refcounted duplicate deliveries and the resend path are compared with the
+// old engine and not only with each other.
+func TestScheduleGolden(t *testing.T) {
+	const golden = "testdata/schedule.golden"
+	var b strings.Builder
+	for _, mode := range []storm.CommitMode{storm.CommitSealed, storm.CommitTransactional} {
+		for _, sc := range scheduleScenarios {
+			for seed := int64(1); seed <= 3; seed++ {
+				line := scheduleLine(t, mode, sc, seed, 1)
+				if par := scheduleLine(t, mode, sc, seed, 8); par != line {
+					t.Errorf("Parallelism 8 differs from 1:\n--- 1\n%s\n--- 8\n%s", line, par)
+				}
+				b.WriteString(line)
+				b.WriteByte('\n')
+			}
+		}
+	}
+	got := b.String()
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := range gl {
+			if i >= len(wl) || gl[i] != wl[i] {
+				w := "<missing>"
+				if i < len(wl) {
+					w = wl[i]
+				}
+				t.Fatalf("schedule moved at line %d:\n--- got\n%s\n--- want\n%s", i+1, gl[i], w)
+			}
+		}
+		t.Fatalf("schedule.golden has %d lines, the run produced %d", len(wl), len(gl))
+	}
+}

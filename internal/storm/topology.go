@@ -126,11 +126,15 @@ type Topology struct {
 	spout     Spout
 	spoutN    int
 
-	stages  []*stage
-	byName  map[string]*stage
-	seq     *coord.Sequencer
-	txc     *txCoordinator
-	metrics Metrics
+	stages []*stage
+	byName map[string]*stage
+	// firstStages read directly from the spout and committers is the
+	// committer stage (nil without one); both are resolved once, in Start.
+	firstStages []*stage
+	committers  *stage
+	seq         *coord.Sequencer
+	txc         *txCoordinator
+	metrics     Metrics
 
 	// recordResend marks configurations under which a finished instance
 	// can observe a resend trigger (batch replay or duplicate delivery).
@@ -140,12 +144,18 @@ type Topology struct {
 	// routeBuf is the shared routing scratch buffer (scheduler goroutine
 	// only).
 	routeBuf []int
+	// The delivery pool (scheduler goroutine only): slab is the uncarved
+	// rest of the newest slab, slabSize its full size.
+	freeDeliveries []*delivery
+	slab           []delivery
+	slabSize       int
 
 	// Spout-side batch control.
 	nextBatch    int64
 	exhausted    bool
 	totalBatches int64
 	inflight     map[int64]*batchControl
+	unacked      int // emitted batches not yet fully committed
 	spoutOutbox  map[int64]*spoutBatch
 	// scratchBatch is the reusable routed-batch buffer used when replay
 	// state need not be retained.
@@ -262,8 +272,12 @@ func (t *Topology) Start() error {
 		return fmt.Errorf("storm: topology has no bolts")
 	}
 	for _, st := range t.stages {
+		if st.committer && t.committers == nil {
+			t.committers = st
+		}
 		if st.upstream == t.spoutName {
 			st.upstreamN = t.spoutN
+			t.firstStages = append(t.firstStages, st)
 			continue
 		}
 		up, ok := t.byName[st.upstream]
@@ -306,36 +320,15 @@ func (t *Topology) schedulePaced(b int64) {
 	})
 }
 
-// spoutDownstream returns the stages reading directly from the spout.
-func (t *Topology) spoutDownstream() []*stage {
-	var out []*stage
-	for _, st := range t.stages {
-		if st.upstream == t.spoutName {
-			out = append(out, st)
-		}
-	}
-	return out
-}
-
 // maybeEmit keeps MaxInFlight batches in the pipeline.
 func (t *Topology) maybeEmit() {
-	for !t.exhausted && t.unackedCount() < t.cfg.MaxInFlight {
+	for !t.exhausted && t.unacked < t.cfg.MaxInFlight {
 		t.emitBatch(t.nextBatch)
 		if t.exhausted {
 			break
 		}
 		t.nextBatch++
 	}
-}
-
-func (t *Topology) unackedCount() int {
-	n := 0
-	for _, bc := range t.inflight {
-		if !bc.acked {
-			n++
-		}
-	}
-	return n
 }
 
 // emitBatch pulls batch b from every spout instance (concurrently when the
@@ -363,6 +356,7 @@ func (t *Topology) emitBatch(b int64) {
 		return
 	}
 	t.inflight[b] = &batchControl{commits: map[int]bool{}}
+	t.unacked++
 
 	var sb *spoutBatch
 	if t.recordResend {
@@ -373,7 +367,7 @@ func (t *Topology) emitBatch(b int64) {
 		sb.sends = sb.sends[:0]
 		sb.ends = sb.ends[:0]
 	}
-	for _, st := range t.spoutDownstream() {
+	for _, st := range t.firstStages {
 		for i, tuples := range perInstance {
 			counts := make([]int, st.n)
 			var offset sim.Time
@@ -422,7 +416,7 @@ func (t *Topology) sendBatch(sb *spoutBatch, b int64, attempt int32) {
 	for _, end := range sb.ends {
 		t.deliver(end.stage, end.target, message{
 			seq: -1, from: int32(end.from), tuple: Tuple{Batch: b},
-			batchEnd: true, count: end.count, attempt: attempt,
+			count: int32(end.count), attempt: attempt,
 		}, start+end.offset)
 	}
 }
@@ -442,11 +436,61 @@ func (t *Topology) deliver(st *stage, idx int, m message, notBefore sim.Time) {
 		at = now
 	}
 	ins := st.instances[idx]
-	recv := func() { ins.receive(m) }
-	t.sim.At(at, recv)
+	t.arriveAt(at, ins, m)
 	if t.cfg.Link.DupProb > 0 && t.sim.Rand().Float64() < t.cfg.Link.DupProb {
-		t.sim.At(at+delay, recv)
+		t.arriveAt(at+delay, ins, m)
 	}
+}
+
+// delivery is one message in flight. A closure per message was more than
+// half of everything a run allocated, so deliveries are pooled: carved from
+// slabs, with the func() the simulator calls bound once, when the delivery
+// is carved. Ownership rule: the pool is touched on the scheduler goroutine
+// only (deliver runs in plain events and apply phases, delivery events are
+// plain events), and a delivery goes back to the free list before receive
+// runs — receive may send, and the send may take this very delivery.
+type delivery struct {
+	ins *instance
+	m   message
+	fn  func()
+}
+
+// firstSlab and maxSlab bound the slabs deliveries are carved from: each is
+// twice the last, so a small topology pays for a small pool.
+const (
+	firstSlab = 64
+	maxSlab   = 16384
+)
+
+// arriveAt schedules m's arrival at ins.
+func (t *Topology) arriveAt(at sim.Time, ins *instance, m message) {
+	d := t.newDelivery()
+	d.ins, d.m = ins, m
+	t.sim.At(at, d.fn)
+}
+
+func (t *Topology) newDelivery() *delivery {
+	if n := len(t.freeDeliveries); n > 0 {
+		d := t.freeDeliveries[n-1]
+		t.freeDeliveries = t.freeDeliveries[:n-1]
+		return d
+	}
+	if len(t.slab) == 0 {
+		t.slabSize = min(max(2*t.slabSize, firstSlab), maxSlab)
+		t.slab = make([]delivery, t.slabSize)
+	}
+	d := &t.slab[0]
+	t.slab = t.slab[1:]
+	d.fn = func() { t.arrive(d) }
+	return d
+}
+
+// arrive is a delivery's event.
+func (t *Topology) arrive(d *delivery) {
+	ins, m := d.ins, d.m
+	d.m.tuple.Values = nil // the pool must not keep a batch's strings alive
+	t.freeDeliveries = append(t.freeDeliveries, d)
+	ins.receive(m)
 }
 
 // scheduleReplayCheck re-emits the batch if it has not been acked in time.
@@ -476,11 +520,11 @@ func (t *Topology) commitDone(b int64, committerIdx int) {
 		return
 	}
 	bc.commits[committerIdx] = true
-	committers := t.committerStage()
-	if committers == nil || len(bc.commits) < committers.n {
+	if t.committers == nil || len(bc.commits) < t.committers.n {
 		return
 	}
 	bc.acked = true
+	t.unacked--
 	t.metrics.AckedBatches++
 	t.metrics.FinishedAt = t.sim.Now()
 	t.metrics.CommitSeries = append(t.metrics.CommitSeries, CommitPoint{At: t.sim.Now(), Batches: t.metrics.AckedBatches})
@@ -490,24 +534,7 @@ func (t *Topology) commitDone(b int64, committerIdx int) {
 	}
 }
 
-func (t *Topology) committerStage() *stage {
-	for _, st := range t.stages {
-		if st.committer {
-			return st
-		}
-	}
-	return nil
-}
-
 // Done reports whether every emitted batch has fully committed.
 func (t *Topology) Done() bool {
-	if !t.exhausted {
-		return false
-	}
-	for _, bc := range t.inflight {
-		if !bc.acked {
-			return false
-		}
-	}
-	return true
+	return t.exhausted && t.unacked == 0
 }

@@ -39,18 +39,20 @@ func (t Tuple) String() string {
 // receiving instance's batch, because every consumer stage has exactly one
 // upstream stage and producers number their per-batch emissions densely.
 // The batch rides in tuple.Batch (set even on punctuations, whose Values
-// are nil): one delivery closure per message is the engine's floor on
-// allocations, so the struct is kept lean. (An earlier revision carried a
-// formatted string id; building and hashing those strings dominated the
-// allocation profile.)
+// are nil) and a punctuation is told by its seq, so that the message is 48
+// bytes and a pooled delivery — message, receiver, func — exactly one cache
+// line. (An earlier revision carried a formatted string id; building and
+// hashing those strings dominated the allocation profile.)
 type message struct {
-	seq      int32 // producer's per-batch emission sequence; -1 for punctuations
-	from     int32 // producer instance index within its stage
-	attempt  int32 // replay attempt that produced this message
-	batchEnd bool
-	count    int // tuples the producer emitted to this consumer for batch
-	tuple    Tuple
+	seq     int32 // producer's per-batch emission sequence; -1 for punctuations
+	from    int32 // producer instance index within its stage
+	attempt int32 // replay attempt that produced this message
+	count   int32 // punctuations: tuples the producer emitted to this consumer for batch
+	tuple   Tuple
 }
+
+// batchEnd reports whether the message is a punctuation.
+func (m message) batchEnd() bool { return m.seq < 0 }
 
 // batchID returns the batch the message belongs to.
 func (m message) batchID() int64 { return m.tuple.Batch }

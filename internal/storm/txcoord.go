@@ -74,7 +74,7 @@ func (c *txCoordinator) tryCommit() {
 	if c.committing {
 		return
 	}
-	st := c.topo.committerStage()
+	st := c.topo.committers
 	if st == nil {
 		return
 	}
@@ -105,7 +105,7 @@ func (c *txCoordinator) onApplied(b int64, idx int) {
 		c.applied[b] = set
 	}
 	set[idx] = true
-	st := c.topo.committerStage()
+	st := c.topo.committers
 	if len(set) < st.n {
 		return
 	}

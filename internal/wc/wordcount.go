@@ -8,7 +8,6 @@
 package wc
 
 import (
-	"hash/fnv"
 	"sort"
 	"strconv"
 	"strings"
@@ -63,30 +62,35 @@ func (s *TweetSpout) NextBatch(instance int, batch int64) ([]storm.Values, bool)
 		vocab = DefaultVocabulary
 	}
 	tuples := make([]storm.Values, s.TuplesPerBatch)
+	// One backing array for the whole share: each tuple's Values is a
+	// capacity-clamped one-element subslice of it.
+	tweets := make([]string, s.TuplesPerBatch)
 	words := make([]string, s.WordsPerTweet) // scratch, reused across tweets
 	for j := range tuples {
 		for k := range words {
 			words[k] = vocab[wordIndex(instance, batch, j, k, len(vocab))]
 		}
-		tuples[j] = storm.Values{strings.Join(words, " ")}
+		tweets[j] = strings.Join(words, " ")
+		tuples[j] = tweets[j : j+1 : j+1]
 	}
 	return tuples, true
 }
 
+// wordIndex is FNV-1a over the four coordinates as little-endian 64-bit
+// words, inlined so that choosing a word allocates no hasher.
 func wordIndex(instance int, batch int64, tuple, pos, n int) int {
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		for i := range buf {
-			buf[i] = byte(v >> (8 * i))
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for _, v := range [4]uint64{uint64(instance), uint64(batch), uint64(tuple), uint64(pos)} {
+		for i := 0; i < 8; i++ {
+			h ^= v >> (8 * i) & 0xff
+			h *= prime64
 		}
-		h.Write(buf[:])
 	}
-	put(uint64(instance))
-	put(uint64(batch))
-	put(uint64(tuple))
-	put(uint64(pos))
-	return int(h.Sum64() % uint64(n))
+	return int(h % uint64(n))
 }
 
 // ExpectedCounts computes the ground-truth per-batch word counts of the
