@@ -74,10 +74,7 @@ func runSweepWorker(ctx context.Context, args []string, stdout, stderr io.Writer
 		host, _ := os.Hostname()
 		worker = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
-	parallelism := *parallel
-	if parallelism == 0 {
-		parallelism = -1 // one worker per CPU
-	}
+	parallelism := libraryParallelism(*parallel)
 	base := strings.TrimRight(*coordinator, "/")
 
 	for ctx.Err() == nil {

@@ -158,11 +158,7 @@ func runVerify(ctx context.Context, args []string, stdout, stderr io.Writer) int
 		return runCoordinated(ctx, *coordinator, workloads, *seeds, *batch, *sequencing, *strategyArg, *shrinkDir, *jsonOut, stdout, stderr)
 	}
 
-	parallelism := *parallel
-	if parallelism == 0 {
-		parallelism = -1 // one worker per CPU
-	}
-	opts := verify.Options{Seeds: *seeds, PreferSequencing: *sequencing, Strategy: *strategyArg, Parallelism: parallelism}
+	opts := verify.Options{Seeds: *seeds, PreferSequencing: *sequencing, Strategy: *strategyArg, Parallelism: libraryParallelism(*parallel)}
 	var reports []*verify.Report
 	holds := true
 	for _, w := range selected {
@@ -420,4 +416,14 @@ func workloadNames() []string {
 		names = append(names, w.Name())
 	}
 	return names
+}
+
+// libraryParallelism translates a validated -parallel flag (0 = one worker
+// per CPU, 1 = sequential) to the library's convention (0/1 sequential, -1
+// one worker per CPU).
+func libraryParallelism(flag int) int {
+	if flag == 0 {
+		return -1
+	}
+	return flag
 }

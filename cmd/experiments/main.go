@@ -11,6 +11,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -31,9 +32,10 @@ func main() {
 		parallel = flag.Int("parallel", 0, "workers for a figure's independent simulations (0 = one per CPU, 1 = sequential; figures are identical at any setting)")
 	)
 	flag.Parse()
-	parallelism := *parallel
-	if parallelism == 0 {
-		parallelism = -1 // one worker per CPU
+	parallelism, err := libraryParallelism(*parallel)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		os.Exit(2)
 	}
 
 	run := func(name string, f func() error) {
@@ -95,4 +97,18 @@ func main() {
 	run("12", adFig(5, true, ""))
 	run("13", adFig(10, true, ""))
 	run("14", adFig(10, false, "Seal-based strategies, 10 ad servers"))
+}
+
+// libraryParallelism validates the -parallel flag (0 = one worker per CPU,
+// 1 = sequential) and translates it to the library's convention (0/1
+// sequential, -1 one worker per CPU). A negative flag is a usage error, as
+// in blazes verify: passed through, it would select one worker per CPU.
+func libraryParallelism(flag int) (int, error) {
+	switch {
+	case flag < 0:
+		return 0, errors.New("-parallel must be non-negative")
+	case flag == 0:
+		return -1, nil
+	}
+	return flag, nil
 }

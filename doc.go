@@ -46,12 +46,11 @@
 // internal/ is implementation detail; cmd/ and examples/ consume only
 // the public packages.
 //
-// Simulation-backed entry points accept a Parallelism option (see
-// substrate.WordcountConfig, verify.Options, experiments.Fig11Config):
-// independent partitions and seeded runs execute on a bounded worker pool
-// while schedules stay in seeded order, so results are byte-identical at
-// any setting — the deterministic parallel runtime described in
-// DESIGN.md's "Parallel execution" section.
+// Sweeps over simulations accept a Parallelism option (see verify.Options,
+// experiments.Fig11Config): independent seeded runs execute on a bounded
+// worker pool and fold in index order, so results are byte-identical at
+// any setting; one simulation is always sequential. See DESIGN.md's
+// "Parallel execution" section.
 //
 // See README.md for a tour, DESIGN.md for the system inventory and
 // layering, and EXPERIMENTS.md for paper-vs-measured results.

@@ -15,11 +15,11 @@
 //
 // Concurrency contract: the package keeps no mutable package-level state
 // and a Node touches only its own stores, so distinct replicas may be
-// constructed and ticked concurrently (the deterministic parallel runtime
-// and the chaos harness's parallel sweeps rely on this; pinned under -race
-// by TestConcurrentTickAcrossReplicas). A single Node remains
-// single-threaded: Deliver and Tick must not race with themselves. NewNode
-// only reads the module it instantiates, so replicas may share one.
+// constructed and ticked concurrently (the chaos harness's parallel sweeps
+// rely on this; pinned under -race by TestConcurrentTickAcrossReplicas). A
+// single Node remains single-threaded: Deliver and Tick must not race with
+// themselves. NewNode only reads the module it instantiates, so replicas
+// may share one.
 package bloom
 
 import (

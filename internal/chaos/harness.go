@@ -30,13 +30,6 @@ type Workload interface {
 	Run(seed int64, plan FaultPlan, mech dataflow.Coordination) (Outcome, error)
 }
 
-// poolAware is implemented by workloads that can use a worker pool inside
-// one run (e.g. replica construction and quiescence digests); the harness
-// hands them the sweep's pool before running.
-type poolAware interface {
-	setPool(*sim.Pool)
-}
-
 // Config tunes a verification run.
 type Config struct {
 	// Seeds is the number of schedules explored per (mechanism, plan)
@@ -430,13 +423,7 @@ func check(ctx context.Context, w Workload, cfg Config, keep bool) (*Report, [][
 	if err != nil {
 		return nil, nil, err
 	}
-	var pool *sim.Pool
-	if cfg.Parallelism != 0 && cfg.Parallelism != 1 {
-		pool = sim.NewPool(cfg.Parallelism)
-	}
-	if pa, ok := w.(poolAware); ok {
-		pa.setPool(pool)
-	}
+	pool := sim.PoolFor(cfg.Parallelism)
 	sweeps := make([]Sweep, len(plan.Cells))
 	var kept [][]Outcome
 	if keep {

@@ -283,9 +283,8 @@ func (sh *shrinker) ddmin(ctx context.Context, events []Event) ([]Event, error) 
 // ShrinkCell re-run the cell first.
 func ShrinkCell(ctx context.Context, w Workload, cell Cell, outcomes []Outcome) (*Trace, error) {
 	if outcomes == nil {
-		var pool *sim.Pool
 		var err error
-		outcomes, err = RunCell(ctx, w, cell, pool, 1, cell.Seeds+1)
+		outcomes, err = RunCell(ctx, w, cell, nil, 1, cell.Seeds+1)
 		if err != nil {
 			return nil, err
 		}

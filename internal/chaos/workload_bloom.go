@@ -38,16 +38,7 @@ type BloomReportWorkload struct {
 	Campaigns       int
 	AdsPerCampaign  int
 	Requests        int
-
-	// pool, when set by the harness, parallelizes per-replica work inside
-	// one run: node construction (module build + rule compilation) and the
-	// quiescence digests, both outside the simulator's event loop. Nodes
-	// are fully independent, so results are identical either way.
-	pool *sim.Pool
 }
-
-// setPool implements poolAware.
-func (w *BloomReportWorkload) setPool(p *sim.Pool) { w.pool = p }
 
 // ReplicatedReport returns the default chaos-sized reporting server for the
 // given query.
@@ -264,14 +255,12 @@ func (w *BloomReportWorkload) Run(seed int64, plan FaultPlan, mech dataflow.Coor
 	clicks, requests, span := w.plan()
 
 	reps := make([]*bloomReplica, w.Replicas)
-	repErrs := make([]error, w.Replicas)
-	w.pool.Map(w.Replicas, func(i int) {
-		reps[i], repErrs[i] = newBloomReplica(fmt.Sprintf("report%d", i), w)
-	})
-	for _, err := range repErrs {
+	for i := range reps {
+		r, err := newBloomReplica(fmt.Sprintf("report%d", i), w)
 		if err != nil {
 			return Outcome{}, err
 		}
+		reps[i] = r
 	}
 
 	var runErr error
@@ -441,19 +430,13 @@ func (w *BloomReportWorkload) Run(seed int64, plan FaultPlan, mech dataflow.Coor
 	if runErr != nil {
 		return Outcome{}, runErr
 	}
-	// The simulation is over; replicas are independent again, so the
-	// quiescence digests (drain + re-posed requests per node) can run
-	// concurrently and merge in replica order.
-	finals := make([]string, len(reps))
-	w.pool.Map(len(reps), func(i int) {
-		finals[i], repErrs[i] = reps[i].finalDigest(requests)
-	})
 	out := Outcome{}
-	for i, r := range reps {
-		if repErrs[i] != nil {
-			return Outcome{}, repErrs[i]
+	for _, r := range reps {
+		final, err := r.finalDigest(requests)
+		if err != nil {
+			return Outcome{}, err
 		}
-		out.Replicas = append(out.Replicas, ReplicaOutcome{Trace: r.trace(), Final: finals[i]})
+		out.Replicas = append(out.Replicas, ReplicaOutcome{Trace: r.trace(), Final: final})
 	}
 	return out, nil
 }

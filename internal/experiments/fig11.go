@@ -116,11 +116,7 @@ func Fig11Context(ctx context.Context, cfg Fig11Config) ([]Fig11Row, error) {
 
 	tputs := make([]float64, len(cells))
 	errs := make([]error, len(cells))
-	pool := sim.NewPool(1)
-	if cfg.Parallelism != 0 && cfg.Parallelism != 1 {
-		pool = sim.NewPool(cfg.Parallelism)
-	}
-	if err := pool.MapContext(ctx, len(cells), func(i int) {
+	if err := sim.PoolFor(cfg.Parallelism).MapContext(ctx, len(cells), func(i int) {
 		c := cells[i]
 		w := cfg.ClusterSizes[c.size]
 		engine := engineForFig11()

@@ -86,11 +86,7 @@ func Fig12Or13Context(ctx context.Context, cfg AdFigureConfig) (*AdFigure, error
 	}
 	results := make([]*adtrack.Result, len(included))
 	errs := make([]error, len(included))
-	pool := sim.NewPool(1)
-	if cfg.Parallelism != 0 && cfg.Parallelism != 1 {
-		pool = sim.NewPool(cfg.Parallelism)
-	}
-	if err := pool.MapContext(ctx, len(included), func(i int) {
+	if err := sim.PoolFor(cfg.Parallelism).MapContext(ctx, len(included), func(i int) {
 		v := included[i]
 		rc := adtrack.DefaultConfig(cfg.AdServers, v.regime, v.independent)
 		rc.Seed = cfg.Seed

@@ -28,6 +28,16 @@ func NewPool(n int) *Pool {
 	return &Pool{n: n}
 }
 
+// PoolFor sizes a pool from a Parallelism option under the library
+// convention: 0 or 1 is sequential (a nil pool, whose Map runs inline) and
+// -1 is one worker per CPU.
+func PoolFor(parallelism int) *Pool {
+	if parallelism == 0 || parallelism == 1 {
+		return nil
+	}
+	return NewPool(parallelism)
+}
+
 // Size reports the worker count (1 for an inline pool).
 func (p *Pool) Size() int {
 	if p == nil || p.n < 1 {

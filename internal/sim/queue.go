@@ -9,12 +9,6 @@ type event struct {
 	at  Time
 	seq uint64 // FIFO tie-break for events at the same instant
 	fn  func()
-	// compute, when non-nil, marks a two-phase event: compute runs first
-	// (possibly on a worker, never touching the Sim) and returns the apply
-	// to run on the scheduler goroutine; fn is nil for such events. key is
-	// its partition.
-	compute func() func()
-	key     Partition
 }
 
 // eventHeap is a hand-specialized 4-ary min-heap ordered by (at, seq).

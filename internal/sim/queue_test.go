@@ -3,12 +3,21 @@ package sim
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 )
 
 const (
 	bucketWidth = Time(1) << bucketShift
 	horizon     = ringSize * bucketWidth
 )
+
+// TestEventIsThreeWords: a bucket chunk holds chunkSize events back to back,
+// so at 24 bytes a chunk of 8 is three cache lines.
+func TestEventIsThreeWords(t *testing.T) {
+	if size := unsafe.Sizeof(event{}); size != 24 {
+		t.Fatalf("event is %d bytes, want 24", size)
+	}
+}
 
 // queueDelta turns two program bytes into a delay: same instant, inside one
 // bucket, exactly on and one short of a bucket boundary, around the ring's

@@ -12,11 +12,8 @@ type Emitter func(Tuple)
 // identical outputs (Section II). Order-sensitivity enters through the
 // network, not the operator.
 //
-// In parallel mode each instance is one partition of the deterministic
-// scheduler: Execute/FinishBatch may run on a worker goroutine, but never
-// concurrently for the same instance, and emitted tuples are routed on the
-// scheduler goroutine in schedule order. A bolt instance must therefore not
-// share mutable state with other instances.
+// The engine calls a topology's bolts from one goroutine, one call at a
+// time, and routes each emitted tuple before emit returns.
 type Bolt interface {
 	Execute(t Tuple, emit Emitter)
 	FinishBatch(batch int64, emit Emitter)
@@ -25,11 +22,8 @@ type Bolt interface {
 // Spout produces the input stream in numbered batches. Each spout instance
 // is asked for its share of every batch; ok=false marks the end of the
 // stream for that instance.
-//
-// In parallel mode NextBatch may be called concurrently for *different*
-// instances of the same batch; implementations must not share unsynchronized
-// mutable state across instances (the synthetic spouts are pure functions of
-// (instance, batch)).
+// The engine asks the instances of a batch in index order, from one
+// goroutine.
 type Spout interface {
 	NextBatch(instance int, batch int64) (tuples []Values, ok bool)
 }

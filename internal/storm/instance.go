@@ -11,24 +11,14 @@ type Committer interface {
 }
 
 // instance is one physical task of a bolt stage: a serial executor fed by
-// reordering network links. Each instance is one partition of the
-// deterministic scheduler (key): its bolt code may run on a worker
-// goroutine, but never concurrently with other work of the same instance,
-// and everything that touches the simulator — routing draws, delivery
-// scheduling, batch bookkeeping — runs in the apply phase on the scheduler
-// goroutine.
+// reordering network links.
 type instance struct {
 	st   *stage
 	idx  int
-	key  sim.Partition
 	bolt Bolt
 
 	busyUntil sim.Time
 	batches   map[int64]*batchState
-	// emitBuf collects a compute phase's emissions for routing in the apply
-	// phase. Reused across events: windows guarantee at most one in-flight
-	// compute per instance.
-	emitBuf []Tuple
 	// queue holds tuples awaiting their execution event, in busy-time
 	// order. Execution events of one instance fire in exactly the order
 	// they were scheduled (busyUntil strictly increases), so a FIFO matches
@@ -36,15 +26,10 @@ type instance struct {
 	// closures below instead of allocating one per tuple.
 	queue    []execItem
 	queueOff int
-	// pendingBatch/pendingBS carry the in-flight two-phase event's batch
-	// from its compute to its matching apply (same serialization guarantee
-	// as emitBuf).
-	pendingBatch int64
-	pendingBS    *batchState
-	execCompute  func() func()
-	execApply    func()
-	collect      Emitter
-	finishApply  func()
+	// cur is the tuple exec is running; collect routes its emissions.
+	cur     execItem
+	exec    func()
+	collect Emitter
 }
 
 // execItem is one queued tuple execution.
@@ -108,19 +93,18 @@ type outMsg struct {
 	m      message
 }
 
-func newInstance(st *stage, idx int, key sim.Partition) *instance {
+func newInstance(st *stage, idx int) *instance {
 	in := &instance{
 		st:      st,
 		idx:     idx,
-		key:     key,
 		bolt:    st.factory(idx),
 		batches: map[int64]*batchState{},
 	}
 	in.collect = func(out Tuple) {
-		out.Batch = in.pendingBatch
-		in.emitBuf = append(in.emitBuf, out)
+		out.Batch = in.cur.tuple.Batch
+		in.emit(in.cur.bs, out)
 	}
-	in.execCompute = func() func() {
+	in.exec = func() {
 		it := in.queue[in.queueOff]
 		in.queue[in.queueOff] = execItem{}
 		in.queueOff++
@@ -128,31 +112,9 @@ func newInstance(st *stage, idx int, key sim.Partition) *instance {
 			in.queue = in.queue[:0]
 			in.queueOff = 0
 		}
-		in.pendingBatch, in.pendingBS = it.tuple.Batch, it.bs
-		in.emitBuf = in.emitBuf[:0]
+		in.cur = it
 		in.bolt.Execute(it.tuple, in.collect)
-		return in.execApply
-	}
-	in.execApply = func() {
-		b, bs := in.pendingBatch, in.pendingBS
-		for _, out := range in.emitBuf {
-			in.emit(b, bs, out)
-		}
-		in.tryFinish(b, bs)
-	}
-	in.finishApply = func() {
-		t := in.st.topo
-		b, bs := in.pendingBatch, in.pendingBS
-		defer func() { bs.finishDone = true }()
-		for _, out := range in.emitBuf {
-			in.emit(b, bs, out)
-		}
-		if t.cfg.Punctuate {
-			in.sendPunctuations(b, bs, bs.lastAttempt)
-		}
-		if in.st.committer {
-			in.enterCommit(b, bs)
-		}
+		in.tryFinish(it.tuple.Batch, it.bs)
 	}
 	return in
 }
@@ -209,15 +171,8 @@ func (in *instance) receive(m message) {
 	}
 	execAt += t.cfg.PerTupleCost
 	in.busyUntil = execAt
-	// Two-phase execution: the bolt runs in the compute phase (worker-safe,
-	// partition = this instance, emissions buffered), while routing — which
-	// draws from the shared rng — happens in the prebuilt apply on the
-	// scheduler goroutine, in schedule order. One instance's execution
-	// events fire in scheduling order (busyUntil strictly increases), so
-	// the queued tuple and the prebuilt closures replace the per-tuple
-	// closure allocations this path used to make.
 	in.queue = append(in.queue, execItem{tuple: m.tuple, bs: bs})
-	t.sim.AtCompute(execAt, in.key, in.execCompute)
+	t.sim.At(execAt, in.exec)
 
 	if !t.cfg.Punctuate && !bs.flushScheduled {
 		bs.flushScheduled = true
@@ -226,9 +181,9 @@ func (in *instance) receive(m message) {
 	}
 }
 
-// emit routes one produced tuple to every downstream stage. Must run on the
-// scheduler goroutine (it draws routing randomness and network delays).
-func (in *instance) emit(b int64, bs *batchState, out Tuple) {
+// emit routes one produced tuple to every downstream stage, drawing routing
+// randomness and network delays.
+func (in *instance) emit(bs *batchState, out Tuple) {
 	t := in.st.topo
 	if bs.counts == nil && len(in.st.downstream) > 0 {
 		bs.counts = make([][]int, len(in.st.downstream))
@@ -288,14 +243,18 @@ func (in *instance) finish(b int64, bs *batchState) {
 	}
 	at += t.cfg.FinishBatchCost
 	in.busyUntil = at
-	t.sim.AtCompute(at, in.key, func() func() {
-		in.pendingBatch, in.pendingBS = b, bs
-		in.emitBuf = in.emitBuf[:0]
+	t.sim.At(at, func() {
 		in.bolt.FinishBatch(b, func(out Tuple) {
 			out.Batch = b
-			in.emitBuf = append(in.emitBuf, out)
+			in.emit(bs, out)
 		})
-		return in.finishApply
+		if t.cfg.Punctuate {
+			in.sendPunctuations(b, bs, bs.lastAttempt)
+		}
+		if in.st.committer {
+			in.enterCommit(b, bs)
+		}
+		bs.finishDone = true
 	})
 }
 

@@ -141,11 +141,10 @@ type Topology struct {
 	// Only then do instances retain their outbox and the spout its routed
 	// batches — that state is large and pure overhead otherwise.
 	recordResend bool
-	// routeBuf is the shared routing scratch buffer (scheduler goroutine
-	// only).
+	// routeBuf is the shared routing scratch buffer.
 	routeBuf []int
-	// The delivery pool (scheduler goroutine only): slab is the uncarved
-	// rest of the newest slab, slabSize its full size.
+	// The delivery pool: slab is the uncarved rest of the newest slab,
+	// slabSize its full size.
 	freeDeliveries []*delivery
 	slab           []delivery
 	slabSize       int
@@ -160,9 +159,8 @@ type Topology struct {
 	// scratchBatch is the reusable routed-batch buffer used when replay
 	// state need not be retained.
 	scratchBatch spoutBatch
-	// spoutTuples/spoutOK are reusable per-instance pull buffers.
+	// spoutTuples is the reusable per-instance pull buffer.
 	spoutTuples [][]Values
-	spoutOK     []bool
 }
 
 // spoutBatch is a batch routed once at first emission and stored verbatim so
@@ -288,18 +286,13 @@ func (t *Topology) Start() error {
 		st.upstreamN = up.n
 	}
 	t.recordResend = t.cfg.ReplayTimeout > 0 || t.cfg.Link.DupProb > 0
-	// Instantiate instances; each gets a topology-unique partition key for
-	// the deterministic parallel scheduler.
-	key := sim.Partition(0)
 	for _, st := range t.stages {
 		st.instances = make([]*instance, st.n)
 		for i := 0; i < st.n; i++ {
-			st.instances[i] = newInstance(st, i, key)
-			key++
+			st.instances[i] = newInstance(st, i)
 		}
 	}
 	t.spoutTuples = make([][]Values, t.spoutN)
-	t.spoutOK = make([]bool, t.spoutN)
 	if t.cfg.BatchInterval > 0 {
 		t.schedulePaced(0)
 	} else {
@@ -331,24 +324,20 @@ func (t *Topology) maybeEmit() {
 	}
 }
 
-// emitBatch pulls batch b from every spout instance (concurrently when the
-// simulator carries a worker pool — each instance's share is an independent
-// pure function), routes it exactly once, and streams it into the first
-// stages. The routed batch is retained for replay only when a resend is
-// actually observable; otherwise a reusable scratch buffer holds it just
-// long enough to send.
+// emitBatch pulls batch b from every spout instance, routes it exactly
+// once, and streams it into the first stages. The routed batch is retained
+// for replay only when a resend is actually observable; otherwise a
+// reusable scratch buffer holds it just long enough to send.
 func (t *Topology) emitBatch(b int64) {
 	perInstance := t.spoutTuples
-	t.sim.Pool().Map(t.spoutN, func(i int) {
-		perInstance[i], t.spoutOK[i] = t.spout.NextBatch(i, b)
-	})
 	any := false
-	for i := 0; i < t.spoutN; i++ {
-		if t.spoutOK[i] {
-			any = true
-		} else {
-			perInstance[i] = nil
+	for i := range perInstance {
+		tuples, ok := t.spout.NextBatch(i, b)
+		if !ok {
+			tuples = nil
 		}
+		perInstance[i] = tuples
+		any = any || ok
 	}
 	if !any {
 		t.exhausted = true
@@ -445,10 +434,8 @@ func (t *Topology) deliver(st *stage, idx int, m message, notBefore sim.Time) {
 // delivery is one message in flight. A closure per message was more than
 // half of everything a run allocated, so deliveries are pooled: carved from
 // slabs, with the func() the simulator calls bound once, when the delivery
-// is carved. Ownership rule: the pool is touched on the scheduler goroutine
-// only (deliver runs in plain events and apply phases, delivery events are
-// plain events), and a delivery goes back to the free list before receive
-// runs — receive may send, and the send may take this very delivery.
+// is carved. A delivery goes back to the free list before receive runs —
+// receive may send, and the send may take this very delivery.
 type delivery struct {
 	ins *instance
 	m   message

@@ -8,12 +8,10 @@
 // wordcount of Section VI-A). It is the substrate for the Figure 11
 // experiment.
 //
-// Execution is deterministic even in parallel mode: when the simulator
-// carries a worker pool, bolt work runs as two-phase events partitioned by
-// operator instance (sim.AtCompute) and spout instances generate their
-// batch shares concurrently, while every routing decision and network-delay
-// draw stays on the scheduler goroutine in schedule order — the delivery
-// schedule is byte-identical to the sequential run.
+// Execution is single-threaded and deterministic: every bolt call, routing
+// decision and network-delay draw happens on the simulator's one event
+// loop, in schedule order. A topology keeps no package-level state, so
+// whole runs may execute concurrently, one simulator each.
 package storm
 
 import "fmt"

@@ -34,15 +34,11 @@ type RunConfig struct {
 	Engine *storm.Config
 	// Deadline bounds the virtual run (0 = run to completion).
 	Deadline sim.Time
-	// Parallelism sizes the deterministic worker pool attached to the
-	// simulator: spout instances generate batch shares concurrently and
-	// same-instant bolt work runs on workers, with deliveries merged in
-	// seeded schedule order — results are byte-identical to Parallelism 1.
-	// 0 or 1 keeps the run fully sequential; < 0 selects GOMAXPROCS.
+	// Parallelism must be 0 or 1: a run is one sequential simulation, and
+	// parallelism belongs to sweeps over runs (sim.Pool). The field exists
+	// only because benchmark/storm.go names it, and goes when that line
+	// does (ROADMAP, Fig11 item).
 	Parallelism int
-	// Pool, when non-nil, supplies the worker pool directly (shared pools
-	// amortize across many runs); it overrides Parallelism.
-	Pool *sim.Pool
 }
 
 // RunResult is the outcome of one run.
@@ -60,6 +56,9 @@ func Run(rc RunConfig) (RunResult, error) {
 	if rc.Workers <= 0 {
 		return RunResult{}, fmt.Errorf("wc: Workers must be positive")
 	}
+	if rc.Parallelism != 0 && rc.Parallelism != 1 {
+		return RunResult{}, fmt.Errorf("wc: Parallelism %d: a run is sequential; parallelize across runs with sim.Pool", rc.Parallelism)
+	}
 	if rc.WordsPerTweet <= 0 {
 		rc.WordsPerTweet = 4
 	}
@@ -71,12 +70,6 @@ func Run(rc RunConfig) (RunResult, error) {
 	}
 
 	s := sim.New(rc.Seed)
-	switch {
-	case rc.Pool != nil:
-		s.SetPool(rc.Pool)
-	case rc.Parallelism != 0 && rc.Parallelism != 1:
-		s.SetPool(sim.NewPool(rc.Parallelism))
-	}
 	cfg := storm.DefaultConfig()
 	if rc.Engine != nil {
 		cfg = *rc.Engine

@@ -9,12 +9,6 @@ import (
 // Example runs the paper's wordcount topology on the simulated Storm
 // engine with sealed (per-batch, uncoordinated) commits and reads the
 // engine's metrics.
-//
-// Parallelism attaches the deterministic worker pool to the run's
-// simulator: spout instances generate their batch shares concurrently and
-// same-instant bolt work runs on workers, while every delivery keeps its
-// seeded schedule position — metrics, commit order, and store contents are
-// byte-identical to a sequential run.
 func Example() {
 	res, err := substrate.RunWordcount(substrate.WordcountConfig{
 		Seed:           1,
@@ -24,7 +18,6 @@ func Example() {
 		WordsPerTweet:  3,
 		Mode:           substrate.CommitSealed,
 		Punctuate:      true,
-		Parallelism:    4, // byte-identical to Parallelism: 1, just faster
 	})
 	if err != nil {
 		panic(err)

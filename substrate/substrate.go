@@ -16,7 +16,7 @@ import (
 	"blazes/internal/wc"
 )
 
-// Time is virtual simulation time (nanoseconds).
+// Time is virtual simulation time in microseconds.
 type Time = sim.Time
 
 // Virtual-time units.

@@ -67,11 +67,7 @@ func NewSweepState(cells []Cell, batchSize int, claimTTL int64) *SweepState {
 // with the given parallelism (0/1 sequential, -1 one worker per CPU) and
 // returns one Outcome per seed in seed order.
 func RunCell(ctx context.Context, w Workload, cell Cell, parallelism int, from, to int) ([]Outcome, error) {
-	var pool *sim.Pool
-	if parallelism != 0 && parallelism != 1 {
-		pool = sim.NewPool(parallelism)
-	}
-	return chaos.RunCell(ctx, w, cell, pool, from, to)
+	return chaos.RunCell(ctx, w, cell, sim.PoolFor(parallelism), from, to)
 }
 
 // FoldCell merges a cell's per-seed outcomes (outcomes[i] = seed i+1) in
