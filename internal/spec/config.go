@@ -25,7 +25,8 @@ type ComponentSpec struct {
 	Name        string
 	Rep         bool
 	Annotations []AnnotationSpec
-	// Variants maps a variant name (e.g. a query) to its annotation.
+	// Variants maps a variant name (e.g. a query) to its annotation; nil
+	// for a component without variants.
 	Variants map[string]AnnotationSpec
 	// VariantOrder preserves file order of variant names.
 	VariantOrder []string
@@ -48,11 +49,16 @@ type StreamSpec struct {
 type Config struct {
 	Components []ComponentSpec
 	Streams    []StreamSpec
-	byName     map[string]*ComponentSpec
+	byName     map[string]int // index into Components
 }
 
 // Component returns the named component spec, or nil.
-func (c *Config) Component(name string) *ComponentSpec { return c.byName[name] }
+func (c *Config) Component(name string) *ComponentSpec {
+	if i, ok := c.byName[name]; ok {
+		return &c.Components[i]
+	}
+	return nil
+}
 
 // reserved component-level keys; any other key with a flow-map value is a
 // named annotation variant.
@@ -62,251 +68,6 @@ const (
 	keySchema     = "schema"
 	keyTopology   = "topology"
 )
-
-// Parse reads a Blazes configuration document.
-func Parse(src string) (*Config, error) {
-	doc, err := ParseDocument(src)
-	if err != nil {
-		return nil, err
-	}
-	cfg := &Config{byName: map[string]*ComponentSpec{}}
-	for _, key := range doc.Keys() {
-		v, _ := doc.Get(key)
-		if key == keyTopology {
-			if err := cfg.parseTopology(v); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		comp, err := parseComponent(key, v)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Components = append(cfg.Components, comp)
-	}
-	for i := range cfg.Components {
-		cfg.byName[cfg.Components[i].Name] = &cfg.Components[i]
-	}
-	return cfg, nil
-}
-
-func parseComponent(name string, v Value) (ComponentSpec, error) {
-	comp := ComponentSpec{Name: name, Variants: map[string]AnnotationSpec{}}
-	m, ok := v.(*Map)
-	if !ok {
-		return comp, fmt.Errorf("spec: component %q must be a mapping", name)
-	}
-	for _, key := range m.Keys() {
-		val, _ := m.Get(key)
-		switch key {
-		case keyRep:
-			b, ok := val.(bool)
-			if !ok {
-				return comp, fmt.Errorf("spec: component %q: Rep must be a boolean", name)
-			}
-			comp.Rep = b
-		case keyAnnotation:
-			anns, err := parseAnnotations(name, val)
-			if err != nil {
-				return comp, err
-			}
-			comp.Annotations = append(comp.Annotations, anns...)
-		case keySchema:
-			schema, err := parseSchema(name, val)
-			if err != nil {
-				return comp, err
-			}
-			comp.Schema = schema
-		default:
-			// Named variant: value must be a single annotation map.
-			am, ok := val.(*Map)
-			if !ok {
-				return comp, fmt.Errorf("spec: component %q: key %q must be an annotation map", name, key)
-			}
-			ann, err := parseAnnotation(name, am)
-			if err != nil {
-				return comp, err
-			}
-			comp.Variants[key] = ann
-			comp.VariantOrder = append(comp.VariantOrder, key)
-		}
-	}
-	return comp, nil
-}
-
-// parseSchema reads the reserved `schema` component key: a mapping from
-// output interface name to a list of attribute names. It must be handled
-// before the variant fallback — its value is a mapping too, but its inner
-// values are lists, not annotation maps.
-func parseSchema(comp string, v Value) (map[string][]string, error) {
-	m, ok := v.(*Map)
-	if !ok {
-		return nil, fmt.Errorf("spec: component %q: schema must be a mapping of interface to attribute list", comp)
-	}
-	out := map[string][]string{}
-	for _, iface := range m.Keys() {
-		val, _ := m.Get(iface)
-		list, ok := val.([]Value)
-		if !ok {
-			return nil, fmt.Errorf("spec: component %q: schema for %q must be a list of attribute names", comp, iface)
-		}
-		attrs := make([]string, 0, len(list))
-		for _, item := range list {
-			s, ok := item.(string)
-			if !ok {
-				return nil, fmt.Errorf("spec: component %q: schema attributes for %q must be strings", comp, iface)
-			}
-			attrs = append(attrs, s)
-		}
-		out[iface] = attrs
-	}
-	return out, nil
-}
-
-func parseAnnotations(comp string, v Value) ([]AnnotationSpec, error) {
-	switch val := v.(type) {
-	case []Value:
-		var out []AnnotationSpec
-		for _, item := range val {
-			m, ok := item.(*Map)
-			if !ok {
-				return nil, fmt.Errorf("spec: component %q: annotation entries must be maps", comp)
-			}
-			ann, err := parseAnnotation(comp, m)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, ann)
-		}
-		return out, nil
-	case *Map:
-		ann, err := parseAnnotation(comp, val)
-		if err != nil {
-			return nil, err
-		}
-		return []AnnotationSpec{ann}, nil
-	default:
-		return nil, fmt.Errorf("spec: component %q: annotation must be a map or list of maps", comp)
-	}
-}
-
-func parseAnnotation(comp string, m *Map) (AnnotationSpec, error) {
-	var ann AnnotationSpec
-	for _, key := range m.Keys() {
-		v, _ := m.Get(key)
-		switch key {
-		case "from":
-			ann.From, _ = v.(string)
-		case "to":
-			ann.To, _ = v.(string)
-		case "label":
-			ann.Label, _ = v.(string)
-		case "subscript":
-			list, ok := v.([]Value)
-			if !ok {
-				return ann, fmt.Errorf("spec: component %q: subscript must be a list", comp)
-			}
-			for _, item := range list {
-				s, ok := item.(string)
-				if !ok {
-					return ann, fmt.Errorf("spec: component %q: subscript entries must be strings", comp)
-				}
-				ann.Subscript = append(ann.Subscript, s)
-			}
-		default:
-			return ann, fmt.Errorf("spec: component %q: unknown annotation field %q", comp, key)
-		}
-	}
-	if ann.From == "" || ann.To == "" || ann.Label == "" {
-		return ann, fmt.Errorf("spec: component %q: annotation needs from, to and label", comp)
-	}
-	return ann, nil
-}
-
-func (c *Config) parseTopology(v Value) error {
-	m, ok := v.(*Map)
-	if !ok {
-		return fmt.Errorf("spec: topology must be a mapping")
-	}
-	for _, section := range m.Keys() {
-		val, _ := m.Get(section)
-		list, ok := val.([]Value)
-		if !ok {
-			return fmt.Errorf("spec: topology %s must be a list", section)
-		}
-		for _, item := range list {
-			em, ok := item.(*Map)
-			if !ok {
-				return fmt.Errorf("spec: topology %s entries must be maps", section)
-			}
-			st, err := parseStream(section, em)
-			if err != nil {
-				return err
-			}
-			switch section {
-			case "sources":
-				if st.To == "" {
-					return fmt.Errorf("spec: source %q needs `to`", st.Name)
-				}
-			case "sinks":
-				if st.From == "" {
-					return fmt.Errorf("spec: sink %q needs `from`", st.Name)
-				}
-			case "streams":
-				if st.From == "" || st.To == "" {
-					return fmt.Errorf("spec: stream %q needs `from` and `to`", st.Name)
-				}
-			default:
-				return fmt.Errorf("spec: unknown topology section %q", section)
-			}
-			c.Streams = append(c.Streams, st)
-		}
-	}
-	return nil
-}
-
-func parseStream(section string, m *Map) (StreamSpec, error) {
-	var st StreamSpec
-	sealStrings := true
-	for _, key := range m.Keys() {
-		v, _ := m.Get(key)
-		switch key {
-		case "name":
-			st.Name, _ = v.(string)
-		case "from":
-			st.From, _ = v.(string)
-		case "to":
-			st.To, _ = v.(string)
-		case "seal":
-			list, ok := v.([]Value)
-			if !ok {
-				return st, fmt.Errorf("spec: %s: seal must be a list", section)
-			}
-			for _, item := range list {
-				// A bare on/yes/no/true/… is a boolean to the scalar
-				// parser, not the attribute the author meant.
-				s, ok := item.(string)
-				sealStrings = sealStrings && ok
-				st.Seal = append(st.Seal, s)
-			}
-		case "Rep", "rep":
-			b, ok := v.(bool)
-			if !ok {
-				return st, fmt.Errorf("spec: %s: rep must be a boolean", section)
-			}
-			st.Rep = b
-		default:
-			return st, fmt.Errorf("spec: %s: unknown field %q", section, key)
-		}
-	}
-	if st.Name == "" {
-		return st, fmt.Errorf("spec: %s entries need a name", section)
-	}
-	if !sealStrings { // reported here: the name may follow the seal in the entry
-		return st, fmt.Errorf("spec: %s: stream %q: seal entries must be strings (quote words like on/yes/no/true)", section, st.Name)
-	}
-	return st, nil
-}
 
 // BuildOptions selects annotation variants when building a graph.
 type BuildOptions struct {
@@ -320,7 +81,8 @@ type BuildOptions struct {
 // section supplies sources, streams and sinks.
 func (c *Config) Graph(name string, opts BuildOptions) (*dataflow.Graph, error) {
 	g := dataflow.NewGraph(name)
-	for _, comp := range c.Components {
+	for i := range c.Components {
+		comp := &c.Components[i]
 		dc := g.Component(comp.Name)
 		dc.Rep = comp.Rep
 		if len(comp.Schema) > 0 {
@@ -329,29 +91,22 @@ func (c *Config) Graph(name string, opts BuildOptions) (*dataflow.Graph, error) 
 				dc.OutSchema[iface] = fd.NewAttrSet(attrs...)
 			}
 		}
-		anns := append([]AnnotationSpec(nil), comp.Annotations...)
-		if variant, ok := opts.Variants[comp.Name]; ok {
-			spec, found := comp.Variants[variant]
-			if !found {
-				return nil, fmt.Errorf("spec: component %q has no variant %q (have %v)",
-					comp.Name, variant, comp.VariantOrder)
-			}
-			anns = append(anns, spec)
+		variant, selected := opts.Variants[comp.Name]
+		var buf [4]dataflow.Path
+		paths, err := comp.paths(buf[:0], variant, selected)
+		if err != nil {
+			return nil, err
 		}
-		for _, a := range anns {
-			ann, err := core.ParseAnnotation(a.Label, a.Subscript)
-			if err != nil {
-				return nil, fmt.Errorf("spec: component %q: %w", comp.Name, err)
-			}
-			dc.AddPath(a.From, a.To, ann)
+		for _, p := range paths {
+			dc.AddPath(p.From, p.To, p.Ann)
 		}
 	}
 	for _, st := range c.Streams {
-		fromComp, fromIface, err := splitEndpoint(st.From)
+		fromComp, fromIface, err := SplitEndpoint(st.From)
 		if err != nil {
 			return nil, fmt.Errorf("spec: stream %q: %w", st.Name, err)
 		}
-		toComp, toIface, err := splitEndpoint(st.To)
+		toComp, toIface, err := SplitEndpoint(st.To)
 		if err != nil {
 			return nil, fmt.Errorf("spec: stream %q: %w", st.Name, err)
 		}
@@ -376,34 +131,35 @@ func (c *Config) VariantPaths(name, variant string) ([]dataflow.Path, error) {
 	if comp == nil {
 		return nil, fmt.Errorf("spec: unknown component %q", name)
 	}
-	anns := append([]AnnotationSpec(nil), comp.Annotations...)
-	if variant != "" {
-		spec, ok := comp.Variants[variant]
-		if !ok {
+	return comp.paths(nil, variant, variant != "")
+}
+
+// paths appends to dst the component's base annotations, then the named
+// variant's when one is selected, resolved to dataflow paths.
+func (comp *ComponentSpec) paths(dst []dataflow.Path, variant string, selected bool) ([]dataflow.Path, error) {
+	anns := comp.Annotations
+	if selected {
+		a, found := comp.Variants[variant]
+		if !found {
 			return nil, fmt.Errorf("spec: component %q has no variant %q (have %v)",
-				name, variant, comp.VariantOrder)
+				comp.Name, variant, comp.VariantOrder)
 		}
-		anns = append(anns, spec)
+		anns = append(anns[:len(anns):len(anns)], a) // copies: the base list stays as parsed
 	}
-	var paths []dataflow.Path
 	for _, a := range anns {
 		ann, err := core.ParseAnnotation(a.Label, a.Subscript)
 		if err != nil {
-			return nil, fmt.Errorf("spec: component %q: %w", name, err)
+			return nil, fmt.Errorf("spec: component %q: %w", comp.Name, err)
 		}
-		paths = append(paths, dataflow.Path{From: a.From, To: a.To, Ann: ann})
+		dst = append(dst, dataflow.Path{From: a.From, To: a.To, Ann: ann})
 	}
-	return paths, nil
+	return dst, nil
 }
 
 // SplitEndpoint splits a "Component.iface" endpoint ("" stays empty for
 // source/sink ends) — the wire syntax the topology section and the service
 // mutate ops share.
-func SplitEndpoint(s string) (comp, iface string, err error) { return splitEndpoint(s) }
-
-// splitEndpoint splits "Component.iface" ("" stays empty for source/sink
-// ends).
-func splitEndpoint(s string) (comp, iface string, err error) {
+func SplitEndpoint(s string) (comp, iface string, err error) {
 	if s == "" {
 		return "", "", nil
 	}

@@ -176,6 +176,12 @@ func TestConfigErrors(t *testing.T) {
 		{"subscript not list", "C:\n  annotation: { from: a, to: b, label: OW, subscript: k }", "subscript must be a list"},
 		{"subscript bool entry", "C:\n  annotation: { from: a, to: b, label: OW, subscript: [on] }", "subscript entries must be strings"},
 		{"subscript nested entry", "C:\n  annotation: { from: a, to: b, label: OW, subscript: [[k]] }", "subscript entries must be strings"},
+		{"name read as bool", "topology:\n  sources:\n    - { name: on, to: C.a }", "spec: sources: line 3: name must be a string (quote words like on/yes/no/true)"},
+		{"endpoint read as bool", "topology:\n  sinks:\n    - { name: s, from: C.a,\n        to: off }", "spec: sinks: line 3: to must be a string"},
+		{"annotation from read as bool", "C:\n  annotation: { from: yes, to: b, label: CR }", `spec: component "C": line 2: from must be a string (quote words like on/yes/no/true)`},
+		{"annotation label read as bool", "C:\n  annotation:\n    from: a\n    to: b\n    label: no", `spec: component "C": line 5: label must be a string`},
+		{"name nested", "topology:\n  sources:\n    - { name: [s], to: C.a }", "name must be a string"},
+		{"name read as bool then replaced", "topology:\n  sources:\n    - { name: on, to: C.a, name: s }", `unknown consumer component "C"`}, // the last value of a flow key wins
 		{"seal not list", "topology:\n  sources:\n    - { name: s, to: C.a, seal: k }", "seal must be a list"},
 		{"seal bool entry", "topology:\n  sources:\n    - { name: clicks, to: C.a, seal: [on] }", `stream "clicks": seal entries must be strings`},
 		{"seal bool entry before name", "topology:\n  streams:\n    - { seal: [k, yes], name: mid, from: C.b, to: D.a }", `stream "mid": seal entries must be strings`},
@@ -185,7 +191,7 @@ func TestConfigErrors(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			cfg, err := Parse(tt.src)
+			cfg, err := parseBoth(t, tt.src)
 			if err == nil {
 				_, err = cfg.Graph("g", BuildOptions{})
 			}
@@ -255,7 +261,7 @@ func TestSchemaErrors(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			_, err := Parse(tt.src)
+			_, err := parseBoth(t, tt.src)
 			if err == nil || !strings.Contains(err.Error(), tt.wantSub) {
 				t.Errorf("error = %v, want substring %q", err, tt.wantSub)
 			}

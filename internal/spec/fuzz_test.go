@@ -2,69 +2,111 @@ package spec
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 )
 
-// FuzzParseSpec fuzzes the hand-written YAML-subset parser with two
-// properties:
+// checkParse is the body of FuzzParseSpec (fuzz_external_test.go: its seeds
+// need the generator, which imports this package), a differential fuzzer: the
+// single-pass parser against the tree parser it replaced (reference_test.go).
+// On every input
 //
-//  1. it never panics, whatever the input;
-//  2. valid inputs round-trip: a document that parses is rendered back to
-//     text by the test-only renderer below and re-parses to a deeply equal
-//     document (and, when it forms a valid Config, to an equal Config).
-//
-// The seed corpus under testdata/fuzz/FuzzParseSpec is augmented with the
-// real configuration files shipped in testdata/.
-func FuzzParseSpec(f *testing.F) {
-	for _, name := range []string{"wordcount.blazes", "adreport.blazes"} {
-		src, err := os.ReadFile(filepath.Join("testdata", name))
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(string(src))
+//  1. neither panics, and they agree on accept or reject;
+//  2. an accepted input gives deeply equal Configs;
+//  3. when both report a `spec: line N:` syntax error, N is the same. Which
+//     of two errors in one file is reported may differ in two ways: the tree
+//     parser finds every syntax error before it looks at meaning, and every
+//     tab-indented line before any other syntax error; Parse reports what it
+//     meets first. So a semantic error has no N, and a tab error is exempt;
+//  4. valid inputs round-trip: a document the oracle parses is rendered back
+//     to text by the test-only renderer below, re-parses to a deeply equal
+//     document, satisfies 1–3 again, and gives an equal Config when it is one.
+func checkParse(t testing.TB, src string) {
+	t.Helper()
+	cfg, cfgErr := parseBoth(t, src)
+	doc, err := ParseDocument(src)
+	if err != nil {
+		return
 	}
-	f.Add("a: 1\nb:\n  - x\n  - {k: v, l: [1, 2]}\n")
-	f.Add("key: 'quoted # not comment'\nother: \"true\"\n")
-	f.Add("nested:\n  deep:\n    deeper: [a,\n      b]\n")
+	rendered, ok := renderDocument(doc)
+	if !ok {
+		// The document contains scalars the plain renderer cannot
+		// express unambiguously (e.g. strings holding both quote
+		// kinds); round-tripping is not claimed for those.
+		return
+	}
+	back, err := ParseDocument(rendered)
+	if err != nil {
+		t.Fatalf("rendered document no longer parses: %v\ninput: %q\nrendered: %q", err, src, rendered)
+	}
+	if !reflect.DeepEqual(doc, back) {
+		t.Fatalf("document round trip mismatch\ninput: %q\nrendered: %q\n got: %#v\nwant: %#v",
+			src, rendered, back, doc)
+	}
+	// When the document is a valid Blazes config, the config itself
+	// must round-trip too.
+	cfg2, err := parseBoth(t, rendered)
+	if cfgErr != nil {
+		return
+	}
+	if err != nil {
+		t.Fatalf("rendered config no longer parses: %v\nrendered: %q", err, rendered)
+	}
+	if !reflect.DeepEqual(cfg, cfg2) {
+		t.Fatalf("config round trip mismatch\ninput: %q\nrendered: %q", src, rendered)
+	}
+}
 
-	f.Fuzz(func(t *testing.T, src string) {
-		doc, err := ParseDocument(src)
-		if err != nil {
-			return
+// parseBoth runs Parse and the reference parser on src, holds them to
+// properties 1–3 of FuzzParseSpec, and returns what Parse returned.
+func parseBoth(t testing.TB, src string) (*Config, error) {
+	t.Helper()
+	got, gotErr := Parse(src)
+	want, wantErr := referenceParse(src)
+	switch {
+	case (gotErr == nil) != (wantErr == nil):
+		t.Fatalf("accept/reject mismatch: Parse error %v, reference error %v\ninput: %q", gotErr, wantErr, src)
+	case gotErr == nil && !reflect.DeepEqual(got, want):
+		t.Fatalf("config mismatch\ninput: %q\n got: %+v\nwant: %+v", src, got, want)
+	case gotErr != nil:
+		n, m := syntaxLine(gotErr), syntaxLine(wantErr)
+		tabs := strings.Contains(gotErr.Error()+wantErr.Error(), "tabs are not allowed")
+		if n != 0 && m != 0 && n != m && !tabs {
+			t.Fatalf("syntax error line mismatch: Parse %q, reference %q\ninput: %q", gotErr, wantErr, src)
 		}
-		rendered, ok := renderDocument(doc)
-		if !ok {
-			// The document contains scalars the plain renderer cannot
-			// express unambiguously (e.g. strings holding both quote
-			// kinds); round-tripping is not claimed for those.
-			return
-		}
-		back, err := ParseDocument(rendered)
-		if err != nil {
-			t.Fatalf("rendered document no longer parses: %v\ninput: %q\nrendered: %q", err, src, rendered)
-		}
-		if !reflect.DeepEqual(doc, back) {
-			t.Fatalf("document round trip mismatch\ninput: %q\nrendered: %q\n got: %#v\nwant: %#v",
-				src, rendered, back, doc)
-		}
-		// When the document is a valid Blazes config, the config itself
-		// must round-trip too.
-		cfg, err := Parse(src)
-		if err != nil {
-			return
-		}
-		cfg2, err := Parse(rendered)
-		if err != nil {
-			t.Fatalf("rendered config no longer parses: %v\nrendered: %q", err, rendered)
-		}
-		if !reflect.DeepEqual(cfg, cfg2) {
-			t.Fatalf("config round trip mismatch\ninput: %q\nrendered: %q", src, rendered)
-		}
-	})
+	}
+	return got, gotErr
+}
+
+// syntaxLine is N of a `spec: line N:` error, 0 for any other.
+func syntaxLine(err error) int {
+	var n int
+	if _, scanErr := fmt.Sscanf(err.Error(), "spec: line %d:", &n); scanErr != nil {
+		return 0
+	}
+	return n
+}
+
+// differentialSeeds are inputs on which a streaming parser and a tree
+// parser are most likely to part ways: repeated keys in flow maps (last
+// value wins, first position stays), both spellings of a stream's rep,
+// values of the wrong shape that a later repeat replaces, block forms of
+// what the shipped files write inline, flow forms of what they write as
+// blocks, and errors of two kinds in one file.
+var differentialSeeds = []string{
+	"C: { annotation: {from: a, to: b, label: CR}, V: x, V: {from: a, to: b, label: CW}, Rep: yes }\n",
+	"C:\n  annotation:\n    from: a\n    to: b\n    label: OW\n    subscript:\n      - k\n      - 'on'\n",
+	"C:\n  annotation:\n  - {from: a, to: b, label: CR, subscript: k, subscript: [k]}\n  Rep: off\n",
+	"topology: { sources: [ {name: s, to: C.a, rep: true, Rep: false, rep: true} ], widgets: [ , ] }\n",
+	"topology:\n  sources:\n    - { name: on, to: C.a }\n",
+	"topology:\n  sources:\n    - { name: s, name: [x}, to: C.a }\n",
+	"C:\n  annotation: { from: yes, to: b, label: CR }\n\tD: x\n",
+	"C:\n  annotation: { from: a, to: b, label: no }\nD:\n    x: 1\n  y: 2\n",
+	"C:\n  schema: { out: [a, b], out: [] }\n  annotation: []\n  schema2:\n    from: a\n    to: b\n    label: CR\n",
+	"- a\n- {k: [v}\nx: y\n",
+	"C:\n  annotation: { from: a, to: b, label: CR } # wraps {\n  Rep: TRUE\nC:\n  Rep: false\n",
+	"C:\n  annotation: { from: 'a, b', to: \"c: d\", label: CR,\n    subscript: [x,\n # comment\n  y] }\n",
 }
 
 // renderDocument renders a parsed document back to the YAML subset. It

@@ -3,6 +3,7 @@ package storm_test
 import (
 	"testing"
 
+	"blazes/internal/race"
 	"blazes/internal/sim"
 	"blazes/internal/storm"
 	"blazes/internal/wc"
@@ -14,7 +15,7 @@ import (
 // tweet's string, its Fields slice, the dedup bitsets and per-batch maps.
 // One closure per message alone was more than five per tweet.
 func TestSealedRunAllocsPerTuple(t *testing.T) {
-	if storm.RaceEnabled {
+	if race.Enabled {
 		t.Skip("the race detector changes allocation counts")
 	}
 	engine := storm.DefaultConfig()

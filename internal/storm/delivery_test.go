@@ -4,6 +4,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"blazes/internal/race"
 	"blazes/internal/sim"
 )
 
@@ -20,7 +21,7 @@ func TestDeliveryIsOneCacheLine(t *testing.T) {
 // message and running its arrival allocate nothing, with and without the
 // link duplicating it.
 func TestDeliverAllocatesNothing(t *testing.T) {
-	if RaceEnabled {
+	if race.Enabled {
 		t.Skip("the race detector changes allocation counts")
 	}
 	for _, dup := range []float64{0, 1} {
