@@ -218,12 +218,13 @@ func Run(cfg Config) (*Result, error) {
 	s := sim.New(cfg.Seed)
 	res := &Result{}
 
+	// NewNode only reads its module, so the replicas share one.
+	mod, err := ReportModule(cfg.Query, cfg.Threshold)
+	if err != nil {
+		return nil, err
+	}
 	replicas := make([]*replica, cfg.Replicas)
 	for i := range replicas {
-		mod, err := ReportModule(cfg.Query, cfg.Threshold)
-		if err != nil {
-			return nil, err
-		}
 		node, err := bloom.NewNode(fmt.Sprintf("report%d", i), mod)
 		if err != nil {
 			return nil, err

@@ -1,9 +1,6 @@
 package bloom
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Kind classifies a collection's persistence and visibility semantics
 // (Bloom's collection types).
@@ -86,14 +83,23 @@ type Collection struct {
 	Schema Schema
 }
 
-// store is the runtime contents of a collection: a set of rows, bucketed by
-// FNV hash with element-wise equality resolving collisions. Rows held by a
-// store are immutable by convention: the evaluator never mutates a row after
-// construction, so inserts do not clone. Cloning happens only at the public
-// boundary (Deliver in; snapshot/Rows/Emission out).
+// store is the runtime contents of a collection: a set of rows held flat in
+// insertion order, indexed by FNV hash with element-wise equality resolving
+// collisions. Rows sharing a hash are chained through next, newest first;
+// head and next hold 1-based positions into rows, 0 ending a chain, so an
+// insert allocates nothing per row. Rows held by a store are immutable by
+// convention: the evaluator never mutates a row after construction, so
+// inserts do not clone. Cloning happens only at the public boundary (Deliver
+// in; snapshot/Rows/Emission out).
 type store struct {
-	buckets map[uint64][]Row
-	n       int
+	// rows is in insertion order, except that remove fills the hole it
+	// leaves with the last row — a function of the operations applied,
+	// never of map iteration, so scans are deterministic.
+	rows []Row
+	head map[uint64]int32
+	next []int32
+	// hashShift discards low hash bits; tests raise it to force collisions.
+	hashShift uint
 	// version counts mutations (it never repeats), so two reads of the
 	// store under equal versions saw identical contents. Rule memoization
 	// keys on it.
@@ -105,20 +111,49 @@ type store struct {
 	newDelta []Row
 }
 
-func newStore() *store { return &store{buckets: map[uint64][]Row{}} }
+func newStore() *store { return &store{head: map[uint64]int32{}} }
+
+// hash is the row's index hash.
+func (s *store) hash(r Row) uint64 { return r.hash() >> s.hashShift }
+
+// find returns the 1-based position of r in the chain of hash h, or 0.
+func (s *store) find(h uint64, r Row) int32 {
+	for i := s.head[h]; i != 0; i = s.next[i-1] {
+		if rowsSame(s.rows[i-1], r) {
+			return i
+		}
+	}
+	return 0
+}
+
+// relink repoints the one reference to position from in the chain of hash
+// h — the head entry or a predecessor's next — at position to.
+func (s *store) relink(h uint64, from, to int32) {
+	if s.head[h] == from {
+		if to == 0 {
+			delete(s.head, h)
+		} else {
+			s.head[h] = to
+		}
+		return
+	}
+	i := s.head[h]
+	for s.next[i-1] != from {
+		i = s.next[i-1]
+	}
+	s.next[i-1] = to
+}
 
 // insert adds a row; reports whether it was new. The row is aliased, not
 // cloned — callers must not mutate it afterwards.
 func (s *store) insert(r Row) bool {
-	h := r.hash()
-	b := s.buckets[h]
-	for _, x := range b {
-		if rowsSame(x, r) {
-			return false
-		}
+	h := s.hash(r)
+	if s.find(h, r) != 0 {
+		return false
 	}
-	s.buckets[h] = append(b, r)
-	s.n++
+	s.next = append(s.next, s.head[h])
+	s.rows = append(s.rows, r)
+	s.head[h] = int32(len(s.rows))
 	s.version++
 	return true
 }
@@ -143,77 +178,48 @@ func (s *store) rotate() bool {
 // clearDelta drops both delta generations.
 func (s *store) clearDelta() { s.delta, s.newDelta = nil, nil }
 
-// remove deletes a row; reports whether it was present.
+// remove deletes a row; reports whether it was present. The last row moves
+// into the freed position, so removal is O(chain length), not O(rows).
 func (s *store) remove(r Row) bool {
-	h := r.hash()
-	b := s.buckets[h]
-	for i, x := range b {
-		if rowsSame(x, r) {
-			b[i] = b[len(b)-1]
-			b = b[:len(b)-1]
-			if len(b) == 0 {
-				delete(s.buckets, h)
-			} else {
-				s.buckets[h] = b
-			}
-			s.n--
-			s.version++
-			return true
-		}
+	h := s.hash(r)
+	i := s.find(h, r)
+	if i == 0 {
+		return false
 	}
-	return false
+	s.relink(h, i, s.next[i-1])
+	last := int32(len(s.rows))
+	if i != last {
+		s.relink(s.hash(s.rows[last-1]), last, i)
+		s.rows[i-1], s.next[i-1] = s.rows[last-1], s.next[last-1]
+	}
+	s.rows[last-1] = nil
+	s.rows, s.next = s.rows[:last-1], s.next[:last-1]
+	s.version++
+	return true
 }
 
 // contains reports membership.
-func (s *store) contains(r Row) bool {
-	for _, x := range s.buckets[r.hash()] {
-		if rowsSame(x, r) {
-			return true
-		}
-	}
-	return false
-}
-
-// appendRows appends every row (aliased, unordered) to dst — the internal
-// no-clone read path used by compiled scans.
-func (s *store) appendRows(dst []Row) []Row {
-	for _, b := range s.buckets {
-		//lint:allow maporder documented unordered internal path; public reads canonicalize via snapshot
-		dst = append(dst, b...)
-	}
-	return dst
-}
+func (s *store) contains(r Row) bool { return s.find(s.hash(r), r) != 0 }
 
 // snapshot returns cloned rows in canonical order — the public read path.
-// Keys are encoded once per row (decorate-sort), not inside the comparator.
 func (s *store) snapshot() []Row {
-	type keyed struct {
-		key string
-		row Row
+	out := make([]Row, len(s.rows))
+	for i, r := range s.rows {
+		out[i] = r.clone()
 	}
-	ks := make([]keyed, 0, s.n)
-	//lint:allow maporder key() is a pure row encoder; ks is decorate-sorted below
-	for _, b := range s.buckets {
-		for _, r := range b {
-			ks = append(ks, keyed{key: r.key(), row: r})
-		}
-	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i].key < ks[j].key })
-	out := make([]Row, len(ks))
-	for i, k := range ks {
-		out[i] = k.row.clone()
-	}
+	SortRows(out)
 	return out
 }
 
 // size reports the number of rows.
-func (s *store) size() int { return s.n }
+func (s *store) size() int { return len(s.rows) }
 
-// clear empties the store.
+// clear empties the store, keeping the capacity of its rows and index.
 func (s *store) clear() {
-	if s.n > 0 {
-		s.buckets = map[uint64][]Row{}
-		s.n = 0
+	if len(s.rows) > 0 {
+		clear(s.head)
+		clear(s.rows)
+		s.rows, s.next = s.rows[:0], s.next[:0]
 		s.version++
 	}
 	s.clearDelta()

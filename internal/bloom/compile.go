@@ -52,7 +52,7 @@ func (s rowSet) add(r Row) bool {
 // cScan reads a bound store.
 type cScan struct{ st *store }
 
-func (e *cScan) full(out []Row) []Row  { return e.st.appendRows(out) }
+func (e *cScan) full(out []Row) []Row  { return append(out, e.st.rows...) }
 func (e *cScan) delta(out []Row) []Row { return append(out, e.st.delta...) }
 func (e *cScan) anyDelta() bool        { return len(e.st.delta) > 0 }
 

@@ -124,15 +124,19 @@ func (n *Node) Ticks() int { return n.ticks }
 // state agrees — the comparison replica-convergence checks rest on.
 func (n *Node) Digest() string {
 	h := fnv.New64a()
+	var rows []Row
+	var buf []byte
 	for _, c := range n.mod.Collections() {
 		if c.Kind.Transient() {
 			continue
 		}
-		fmt.Fprintf(h, "%s[", c.Name)
-		for _, row := range n.state[c.Name].snapshot() {
-			fmt.Fprintf(h, "%s;", row)
+		rows = append(rows[:0], n.state[c.Name].rows...)
+		SortRows(rows)
+		buf = append(append(buf[:0], c.Name...), '[')
+		for _, row := range rows {
+			buf = append(row.appendString(buf), ';')
 		}
-		fmt.Fprint(h, "]")
+		h.Write(append(buf, ']'))
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
 }
@@ -165,14 +169,14 @@ func (n *Node) Tick() ([]Emission, error) {
 			st.insert(r)
 		}
 	}
-	n.pendingIns = map[string][]Row{}
+	clear(n.pendingIns)
 	for _, coll := range sortedKeys(n.pendingDel) {
 		st := n.state[coll]
 		for _, r := range n.pendingDel[coll] {
 			st.remove(r)
 		}
 	}
-	n.pendingDel = map[string][]Row{}
+	clear(n.pendingDel)
 
 	// 2. Semi-naive stratified fixpoint of instant rules.
 	for s := 0; s <= n.prog.maxStratum; s++ {

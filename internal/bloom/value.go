@@ -23,8 +23,9 @@
 package bloom
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -211,25 +212,23 @@ func keysSameAt(a Row, aIdx []int, b Row, bIdx []int) bool {
 }
 
 // key encodes a row canonically for set membership.
-func (r Row) key() string {
-	var b strings.Builder
+func (r Row) key() string { return string(r.appendKey(nil)) }
+
+// appendKey appends the row's canonical encoding to buf.
+func (r Row) appendKey(buf []byte) []byte {
 	for _, v := range r {
 		switch x := v.(type) {
 		case int64:
-			b.WriteString("i")
-			b.WriteString(strconv.FormatInt(x, 10))
+			buf = strconv.AppendInt(append(buf, 'i'), x, 10)
 		case string:
-			b.WriteString("s")
-			b.WriteString(strconv.Itoa(len(x)))
-			b.WriteString(":")
-			b.WriteString(x)
+			buf = strconv.AppendInt(append(buf, 's'), int64(len(x)), 10)
+			buf = append(append(buf, ':'), x...)
 		default:
-			b.WriteString("o")
-			b.WriteString(fmt.Sprintf("%v", x))
+			buf = fmt.Appendf(append(buf, 'o'), "%v", x)
 		}
-		b.WriteByte('|')
+		buf = append(buf, '|')
 	}
-	return b.String()
+	return buf
 }
 
 // clone copies the row.
@@ -240,18 +239,51 @@ func (r Row) clone() Row {
 }
 
 // String renders the row.
-func (r Row) String() string {
-	parts := make([]string, len(r))
+func (r Row) String() string { return string(r.appendString(nil)) }
+
+// appendString appends the row's rendering — the bytes String returns and
+// Node.Digest hashes — to buf.
+func (r Row) appendString(buf []byte) []byte {
+	buf = append(buf, '(')
 	for i, v := range r {
-		parts[i] = AsString(v)
+		if i > 0 {
+			buf = append(buf, ", "...)
+		}
+		switch x := v.(type) {
+		case string:
+			buf = append(buf, x...)
+		case int64:
+			buf = strconv.AppendInt(buf, x, 10)
+		default:
+			buf = append(buf, AsString(x)...)
+		}
 	}
-	return "(" + strings.Join(parts, ", ") + ")"
+	return append(buf, ')')
 }
 
 // SortRows orders rows canonically (for deterministic iteration and
-// comparison in tests).
+// comparison in tests). Decorate-sort: every row's key is encoded once,
+// into one shared buffer, not inside the comparator.
 func SortRows(rows []Row) {
-	sort.Slice(rows, func(i, j int) bool { return rows[i].key() < rows[j].key() })
+	type keyed struct {
+		off, end int
+		row      Row
+	}
+	var keys []byte
+	ks := make([]keyed, len(rows))
+	for i, r := range rows {
+		off := len(keys)
+		keys = r.appendKey(keys)
+		ks[i] = keyed{off, len(keys), r}
+		if i == 0 {
+			// Rows of one collection encode to similar lengths.
+			keys = slices.Grow(keys, len(keys)*len(rows))
+		}
+	}
+	slices.SortFunc(ks, func(a, b keyed) int { return bytes.Compare(keys[a.off:a.end], keys[b.off:b.end]) })
+	for i, k := range ks {
+		rows[i] = k.row
+	}
 }
 
 // RowsEqual reports set equality of two row slices.

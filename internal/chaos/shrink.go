@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
 
+	"blazes/internal/dataflow"
 	"blazes/internal/sim"
 )
 
@@ -166,25 +168,70 @@ func DecodeTrace(data []byte) (*Trace, error) {
 
 // shrinker carries the fixed context of one ShrinkCell call.
 type shrinker struct {
+	// w is the cell's workload behind a per-call memo of its runs.
 	w      Workload
 	cell   Cell
+	mech   dataflow.Coordination
 	target Anomalies
 	steps  int
+}
+
+func newShrinker(w Workload, cell Cell, target Anomalies) (*shrinker, error) {
+	mech, err := ParseCoordination(cell.Mechanism)
+	if err != nil {
+		return nil, err
+	}
+	return &shrinker{w: &memoRuns{Workload: w, seen: map[runKey]Outcome{}}, cell: cell, mech: mech, target: target}, nil
+}
+
+// memoRuns answers a repeated (plan, seed, mechanism) run from the first
+// one. A run is a pure function of those three, and ddmin's candidates
+// overlap: dropping seed events leaves the plan as it was, dropping plan
+// events leaves the seeds, so over half of a shrink's probes repeat one
+// already made. Only runs made through the memo fill it. The sweep's
+// recorded outcomes never do, so the first probe of a shrink simulates every
+// seed again and minimize's "did not reproduce" guard still checks the
+// workload's determinism, not the recording.
+type memoRuns struct {
+	Workload
+	seen map[runKey]Outcome
+}
+
+// runKey is what a run's outcome depends on; the plan's name is a label.
+type runKey struct {
+	spread  sim.Time
+	dup     float64
+	windows string // the partition windows, in order
+	seed    int64
+	mech    dataflow.Coordination
+}
+
+func (m *memoRuns) Run(seed int64, plan FaultPlan, mech dataflow.Coordination) (Outcome, error) {
+	var windows []byte
+	for _, w := range plan.Partitions {
+		windows = strconv.AppendInt(append(windows, '['), int64(w.From), 10)
+		windows = strconv.AppendInt(append(windows, ','), int64(w.Until), 10)
+	}
+	key := runKey{plan.DelaySpread, plan.DupProb, string(windows), seed, mech}
+	if out, ok := m.seen[key]; ok {
+		return out, nil
+	}
+	out, err := m.Workload.Run(seed, plan, mech)
+	if err == nil {
+		m.seen[key] = out
+	}
+	return out, err
 }
 
 // fold runs the candidate (plan, seeds) and returns the oracle's
 // classification and first detail.
 func (sh *shrinker) fold(ctx context.Context, plan FaultPlan, seeds []int64) (Anomalies, string, error) {
-	mech, err := ParseCoordination(sh.cell.Mechanism)
-	if err != nil {
-		return Anomalies{}, "", err
-	}
 	oracle := NewOracle(sh.cell.Confluent)
 	for _, seed := range seeds {
 		if err := ctx.Err(); err != nil {
 			return Anomalies{}, "", err
 		}
-		out, err := sh.w.Run(seed, plan, mech)
+		out, err := sh.w.Run(seed, plan, sh.mech)
 		if err != nil {
 			return Anomalies{}, "", fmt.Errorf("seed %d: %w", seed, err)
 		}
@@ -276,22 +323,47 @@ func (sh *shrinker) ddmin(ctx context.Context, events []Event) ([]Event, error) 
 	return events, nil
 }
 
-// ShrinkCell delta-debugs an anomalous cell down to a 1-minimal replayable
-// trace. outcomes are the cell's recorded per-seed outcomes (outcomes[i] =
-// seed i+1), used to pick the shortest seed prefix that already shows the
-// cell's classification before any new runs happen; pass nil to have
-// ShrinkCell re-run the cell first.
-func ShrinkCell(ctx context.Context, w Workload, cell Cell, outcomes []Outcome) (*Trace, error) {
-	if outcomes == nil {
-		var err error
-		outcomes, err = RunCell(ctx, w, cell, nil, 1, cell.Seeds+1)
-		if err != nil {
-			return nil, err
-		}
+// minimize checks that events reproduce the target, delta-debugs them to a
+// 1-minimal set and renders the trace, its plan named base. A full event
+// set that does not reproduce is reported as stale rather than shrunk into
+// garbage.
+func (sh *shrinker) minimize(ctx context.Context, events []Event, base string, stale error) (*Trace, error) {
+	if ok, err := sh.reproduces(ctx, events); err != nil {
+		return nil, err
+	} else if !ok {
+		return nil, stale
 	}
+	minimal, err := sh.ddmin(ctx, events)
+	if err != nil {
+		return nil, err
+	}
+	plan, seeds := eventsPlan(base, minimal)
+	_, detail, err := sh.fold(ctx, plan, seeds)
+	if err != nil {
+		return nil, err
+	}
+	return &Trace{
+		Version:   TraceVersion,
+		Workload:  sh.cell.Workload,
+		Mechanism: sh.cell.Mechanism,
+		Confluent: sh.cell.Confluent,
+		Stripped:  sh.cell.Stripped,
+		BasePlan:  base,
+		Plan:      plan,
+		Seeds:     seeds,
+		Anomalies: sh.target,
+		Detail:    detail,
+		Events:    minimal,
+		Steps:     sh.steps,
+	}, nil
+}
+
+// cellEvents is the classification a cell's recorded outcomes fold to and
+// the event set a shrink of it starts from.
+func cellEvents(cell Cell, outcomes []Outcome) (Anomalies, []Event, error) {
 	target := FoldCell(cell, outcomes).Observed
 	if !target.Any() {
-		return nil, fmt.Errorf("chaos: %s under %s/%s: no anomaly to shrink", cell.Workload, cell.Mechanism, cell.Plan.Name)
+		return target, nil, fmt.Errorf("chaos: %s under %s/%s: no anomaly to shrink", cell.Workload, cell.Mechanism, cell.Plan.Name)
 	}
 
 	// Oracle folding is prefix-monotone, so the shortest prefix of the
@@ -313,42 +385,51 @@ func ShrinkCell(ctx context.Context, w Workload, cell Cell, outcomes []Outcome) 
 	for seed := 1; seed <= prefix; seed++ {
 		events = append(events, Event{Kind: "seed", Seed: int64(seed)})
 	}
-	events = append(events, planEvents(cell.Plan)...)
+	return target, append(events, planEvents(cell.Plan)...), nil
+}
 
-	sh := &shrinker{w: w, cell: cell, target: target}
-	if ok, err := sh.reproduces(ctx, events); err != nil {
-		return nil, err
-	} else if !ok {
-		// Cannot happen for deterministic workloads: the prefix fold
-		// already matched. Guard anyway so a non-reproducing input fails
-		// loudly instead of shrinking garbage.
-		return nil, fmt.Errorf("chaos: %s under %s/%s: cell anomalies did not reproduce from recorded seeds",
-			cell.Workload, cell.Mechanism, cell.Plan.Name)
+// ShrinkCell delta-debugs an anomalous cell down to a 1-minimal replayable
+// trace. outcomes are the cell's recorded per-seed outcomes (outcomes[i] =
+// seed i+1), used to pick the shortest seed prefix that already shows the
+// cell's classification before any new runs happen; pass nil to have
+// ShrinkCell re-run the cell first.
+func ShrinkCell(ctx context.Context, w Workload, cell Cell, outcomes []Outcome) (*Trace, error) {
+	if outcomes == nil {
+		var err error
+		outcomes, err = RunCell(ctx, w, cell, nil, 1, cell.Seeds+1)
+		if err != nil {
+			return nil, err
+		}
 	}
-	minimal, err := sh.ddmin(ctx, events)
+	target, events, err := cellEvents(cell, outcomes)
 	if err != nil {
 		return nil, err
 	}
-
-	plan, seeds := eventsPlan(cell.Plan.Name, minimal)
-	_, detail, err := sh.fold(ctx, plan, seeds)
+	sh, err := newShrinker(w, cell, target)
 	if err != nil {
 		return nil, err
 	}
-	return &Trace{
-		Version:   TraceVersion,
-		Workload:  cell.Workload,
-		Mechanism: cell.Mechanism,
-		Confluent: cell.Confluent,
-		Stripped:  cell.Stripped,
-		BasePlan:  cell.Plan.Name,
-		Plan:      plan,
-		Seeds:     seeds,
-		Anomalies: target,
-		Detail:    detail,
-		Events:    minimal,
-		Steps:     sh.steps,
-	}, nil
+	// Cannot happen for deterministic workloads: the prefix fold already
+	// matched.
+	return sh.minimize(ctx, events, cell.Plan.Name, fmt.Errorf("chaos: %s under %s/%s: cell anomalies did not reproduce from recorded seeds",
+		cell.Workload, cell.Mechanism, cell.Plan.Name))
+}
+
+// traceShrinker resolves a trace's workload by name and builds the shrinker
+// that re-executes it.
+func traceShrinker(tr *Trace) (*shrinker, error) {
+	w, err := LookupWorkload(tr.Workload)
+	if err != nil {
+		return nil, err
+	}
+	return newShrinker(w, Cell{
+		Workload:  tr.Workload,
+		Mechanism: tr.Mechanism,
+		Plan:      tr.Plan,
+		Seeds:     len(tr.Seeds),
+		Confluent: tr.Confluent,
+		Stripped:  tr.Stripped,
+	}, tr.Anomalies)
 }
 
 // ReshrinkTrace re-runs delta debugging over an existing trace's event set
@@ -360,17 +441,9 @@ func ShrinkCell(ctx context.Context, w Workload, cell Cell, outcomes []Outcome) 
 // error says so. The result is a fresh 1-minimal trace with the same
 // identity fields (workload, mechanism, base plan, anomalies).
 func ReshrinkTrace(ctx context.Context, tr *Trace) (*Trace, error) {
-	w, err := LookupWorkload(tr.Workload)
+	sh, err := traceShrinker(tr)
 	if err != nil {
 		return nil, err
-	}
-	cell := Cell{
-		Workload:  tr.Workload,
-		Mechanism: tr.Mechanism,
-		Plan:      tr.Plan,
-		Seeds:     len(tr.Seeds),
-		Confluent: tr.Confluent,
-		Stripped:  tr.Stripped,
 	}
 	events := tr.Events
 	if len(events) == 0 {
@@ -381,36 +454,8 @@ func ReshrinkTrace(ctx context.Context, tr *Trace) (*Trace, error) {
 		}
 		events = append(events, planEvents(tr.Plan)...)
 	}
-	sh := &shrinker{w: w, cell: cell, target: tr.Anomalies}
-	if ok, err := sh.reproduces(ctx, events); err != nil {
-		return nil, err
-	} else if !ok {
-		return nil, fmt.Errorf("chaos: reshrink %s under %s/%s: recorded anomalies no longer reproduce from the recorded events",
-			tr.Workload, tr.Mechanism, tr.BasePlan)
-	}
-	minimal, err := sh.ddmin(ctx, events)
-	if err != nil {
-		return nil, err
-	}
-	plan, seeds := eventsPlan(tr.BasePlan, minimal)
-	_, detail, err := sh.fold(ctx, plan, seeds)
-	if err != nil {
-		return nil, err
-	}
-	return &Trace{
-		Version:   TraceVersion,
-		Workload:  tr.Workload,
-		Mechanism: tr.Mechanism,
-		Confluent: tr.Confluent,
-		Stripped:  tr.Stripped,
-		BasePlan:  tr.BasePlan,
-		Plan:      plan,
-		Seeds:     seeds,
-		Anomalies: tr.Anomalies,
-		Detail:    detail,
-		Events:    minimal,
-		Steps:     sh.steps,
-	}, nil
+	return sh.minimize(ctx, events, tr.BasePlan, fmt.Errorf("chaos: reshrink %s under %s/%s: recorded anomalies no longer reproduce from the recorded events",
+		tr.Workload, tr.Mechanism, tr.BasePlan))
 }
 
 // ReplayResult is the verdict of re-executing a trace.
@@ -430,19 +475,10 @@ type ReplayResult struct {
 // seed-deterministic, so a trace that reproduced when it was shrunk
 // reproduces on every replay.
 func Replay(ctx context.Context, tr *Trace) (*ReplayResult, error) {
-	w, err := LookupWorkload(tr.Workload)
+	sh, err := traceShrinker(tr)
 	if err != nil {
 		return nil, err
 	}
-	cell := Cell{
-		Workload:  tr.Workload,
-		Mechanism: tr.Mechanism,
-		Plan:      tr.Plan,
-		Seeds:     len(tr.Seeds),
-		Confluent: tr.Confluent,
-		Stripped:  tr.Stripped,
-	}
-	sh := &shrinker{w: w, cell: cell, target: tr.Anomalies}
 	observed, detail, err := sh.fold(ctx, tr.Plan, tr.Seeds)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: replay %s under %s/%s: %w", tr.Workload, tr.Mechanism, tr.Plan.Name, err)

@@ -92,7 +92,10 @@ func TestShrinkCorpus(t *testing.T) {
 			}
 
 			// (b) 1-minimality under the shrinker's own predicate.
-			sh := &shrinker{w: w, cell: cell, target: tr.Anomalies}
+			sh, err := newShrinker(w, cell, tr.Anomalies)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for i, ev := range tr.Events {
 				sub := append(append([]Event{}, tr.Events[:i]...), tr.Events[i+1:]...)
 				ok, err := sh.reproduces(ctx, sub)

@@ -107,11 +107,7 @@ type bloomReplica struct {
 	order   []string
 }
 
-func newBloomReplica(id string, w *BloomReportWorkload) (*bloomReplica, error) {
-	mod, err := adtrack.ReportModule(w.Query, w.Threshold)
-	if err != nil {
-		return nil, err
-	}
+func newBloomReplica(id string, mod *bloom.Module) (*bloomReplica, error) {
 	node, err := bloom.NewNode(id, mod)
 	if err != nil {
 		return nil, err
@@ -254,9 +250,14 @@ func (w *BloomReportWorkload) Run(seed int64, plan FaultPlan, mech dataflow.Coor
 	link := plan.Shape(sim.LinkConfig{MinDelay: 200 * sim.Microsecond, MaxDelay: 6 * sim.Millisecond})
 	clicks, requests, span := w.plan()
 
+	// NewNode only reads its module, so the replicas share one.
+	mod, err := adtrack.ReportModule(w.Query, w.Threshold)
+	if err != nil {
+		return Outcome{}, err
+	}
 	reps := make([]*bloomReplica, w.Replicas)
 	for i := range reps {
-		r, err := newBloomReplica(fmt.Sprintf("report%d", i), w)
+		r, err := newBloomReplica(fmt.Sprintf("report%d", i), mod)
 		if err != nil {
 			return Outcome{}, err
 		}
