@@ -125,12 +125,18 @@ func Analyze(g *Graph) (*Analysis, error) {
 // graph, in name order.
 func (a *Analysis) Components() iter.Seq[ComponentAnalysis] {
 	return func(yield func(ComponentAnalysis) bool) {
-		for i, c := range a.st.comps {
-			if !yield(ComponentAnalysis{Component: c, a: a, index: int32(i)}) {
+		for i := range a.st.comps {
+			if !yield(a.ComponentAt(i)) {
 				return
 			}
 		}
 	}
+}
+
+// ComponentAt returns the derivation at the i-th component Components
+// yields.
+func (a *Analysis) ComponentAt(i int) ComponentAnalysis {
+	return ComponentAnalysis{Component: a.st.comps[i], a: a, index: int32(i)}
 }
 
 // Component returns the derivation at the named component of the collapsed
@@ -140,7 +146,7 @@ func (a *Analysis) Component(name string) (ComponentAnalysis, bool) {
 	if !ok {
 		return ComponentAnalysis{}, false
 	}
-	return ComponentAnalysis{Component: a.st.comps[i], a: a, index: i}, true
+	return a.ComponentAt(int(i)), true
 }
 
 // Streams yields every stream of the collapsed graph with its derived
@@ -153,6 +159,12 @@ func (a *Analysis) Streams() iter.Seq2[*Stream, core.Label] {
 			}
 		}
 	}
+}
+
+// StreamAt returns the i-th stream Streams yields, with its derived label.
+func (a *Analysis) StreamAt(i int) (*Stream, core.Label) {
+	id := a.st.byName[i]
+	return a.st.streams[id], a.labels[id]
 }
 
 // Label returns the derived label of the named stream (the zero label for

@@ -10,3 +10,6 @@ var DiffReference = diffReference
 // Visited reports how many output interfaces the last Analyze worked
 // through.
 func (inc *Incremental) Visited() int { return inc.visited }
+
+// Planned reports how many components the last Synthesize planned.
+func (inc *Incremental) Planned() int { return inc.planned }

@@ -7,6 +7,7 @@ import (
 
 	"blazes/internal/core"
 	"blazes/internal/dataflow"
+	"blazes/internal/race"
 	"blazes/internal/topogen"
 )
 
@@ -61,53 +62,63 @@ func TestAnalyzeAllocsLinear(t *testing.T) {
 	}
 }
 
+// leafFlipper analyzes a generated n-component graph and returns the engine
+// with an edit that flips the annotation of one leaf component — one that
+// feeds only sinks and lies on no cycle — between two annotations and
+// re-analyzes. Both derivations are memoized by the time it returns.
+func leafFlipper(t *testing.T, n int) (*dataflow.Incremental, func(k int) dataflow.Stats) {
+	t.Helper()
+	ctx := context.Background()
+	inc := dataflow.NewIncremental(generated(t, n, 8))
+	if _, _, err := inc.Analyze(ctx); err != nil {
+		t.Fatal(err)
+	}
+	g := inc.Graph()
+	feedsOnlySinks := map[string]bool{}
+	for _, s := range g.Streams() {
+		if !s.IsSource() {
+			if _, seen := feedsOnlySinks[s.FromComp]; !seen {
+				feedsOnlySinks[s.FromComp] = true
+			}
+			feedsOnlySinks[s.FromComp] = feedsOnlySinks[s.FromComp] && s.IsSink()
+		}
+	}
+	flips := [2]core.Annotation{core.OWStar(), core.CR}
+	comps := g.Components()
+	for i := len(comps) - 1; i >= 0; i-- {
+		leaf := comps[i]
+		if !feedsOnlySinks[leaf.Name] {
+			continue
+		}
+		edit := func(k int) dataflow.Stats {
+			leaf.SetPathAnn(leaf.Paths[0].From, leaf.Paths[0].To, flips[k%2])
+			inc.NoteAnnotationChange(leaf.Name)
+			_, stats, err := inc.Analyze(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return stats
+		}
+		if edit(0).Rebuilt {
+			continue // on a gossip self-loop: the flip recompiles
+		}
+		edit(1)
+		return inc, edit
+	}
+	t.Fatal("no acyclic leaf component")
+	return nil, nil
+}
+
 // TestLabelEditCostIndependentOfGraphSize: re-analysis after flipping the
 // annotation of one leaf component visits the same number of output
 // interfaces and allocates the same, whether the graph has 1k or 4k
 // components — the edit pays for the label chain it changes, not the graph.
 func TestLabelEditCostIndependentOfGraphSize(t *testing.T) {
-	ctx := context.Background()
 	cost := func(n int) (visited int, allocs float64) {
-		inc := dataflow.NewIncremental(generated(t, n, 8))
-		if _, _, err := inc.Analyze(ctx); err != nil {
-			t.Fatal(err)
-		}
-		g := inc.Graph()
-		feedsOnlySinks := map[string]bool{}
-		for _, s := range g.Streams() {
-			if !s.IsSource() {
-				if _, seen := feedsOnlySinks[s.FromComp]; !seen {
-					feedsOnlySinks[s.FromComp] = true
-				}
-				feedsOnlySinks[s.FromComp] = feedsOnlySinks[s.FromComp] && s.IsSink()
-			}
-		}
-		flips := [2]core.Annotation{core.OWStar(), core.CR}
-		comps := g.Components()
-		for i := len(comps) - 1; i >= 0; i-- {
-			leaf := comps[i]
-			if !feedsOnlySinks[leaf.Name] {
-				continue
-			}
-			edit := func(k int) dataflow.Stats {
-				leaf.SetPathAnn(leaf.Paths[0].From, leaf.Paths[0].To, flips[k%2])
-				inc.NoteAnnotationChange(leaf.Name)
-				_, stats, err := inc.Analyze(ctx)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return stats
-			}
-			if edit(0).Rebuilt {
-				continue // on a gossip self-loop: the flip recompiles
-			}
-			edit(1) // both derivations are memoized from here on
-			k := 0
-			allocs = testing.AllocsPerRun(10, func() { edit(k); k++ })
-			return inc.Visited(), allocs
-		}
-		t.Fatal("no acyclic leaf component")
-		return 0, 0
+		inc, edit := leafFlipper(t, n)
+		k := 0
+		allocs = testing.AllocsPerRun(10, func() { edit(k); k++ })
+		return inc.Visited(), allocs
 	}
 	v1, a1 := cost(1000)
 	v4, a4 := cost(4000)
@@ -116,5 +127,40 @@ func TestLabelEditCostIndependentOfGraphSize(t *testing.T) {
 	}
 	if v1 > 2 || a1 > 4 {
 		t.Errorf("a leaf flip visits %d interfaces and allocates %.0f, want ≤ 2 and ≤ 4", v1, a1)
+	}
+}
+
+// TestSynthesisCostIndependentOfGraphSize: synthesis after the same flip
+// plans the one component whose derivation changed and allocates the same
+// at 1k and 4k components; a synthesis with nothing to plan returns the very
+// list it returned before.
+func TestSynthesisCostIndependentOfGraphSize(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector changes what allocates")
+	}
+	cost := func(n int) (planned int, allocs float64) {
+		inc, edit := leafFlipper(t, n)
+		all := inc.Synthesize(dataflow.SynthesisOptions{})
+		if inc.Planned() < n/2 {
+			t.Fatalf("the first synthesis planned %d of %d components", inc.Planned(), n)
+		}
+		if again := inc.Synthesize(dataflow.SynthesisOptions{}); inc.Planned() != 0 || len(again) != len(all) || &again[0] != &all[0] {
+			t.Fatalf("a synthesis with nothing to plan planned %d components, or returned another list", inc.Planned())
+		}
+		k := 0
+		allocs = testing.AllocsPerRun(10, func() {
+			stats := edit(k)
+			k++
+			inc.Synthesize(dataflow.SynthesisOptions{})
+			if len(stats.Components) != 1 || inc.Planned() != 1 {
+				t.Fatalf("the flip re-derived components %v and synthesis planned %d", stats.Components, inc.Planned())
+			}
+		})
+		return inc.Planned(), allocs
+	}
+	p1, a1 := cost(1000)
+	p4, a4 := cost(4000)
+	if p1 != p4 || a1 != a4 {
+		t.Errorf("synthesis after a leaf flip plans %d components and allocates %.0f at 1k, but %d and %.0f at 4k", p1, a1, p4, a4)
 	}
 }

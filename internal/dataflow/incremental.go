@@ -52,16 +52,27 @@ type Incremental struct {
 	memo [][memoVersions]*derivation
 
 	// work is the queue of ranks awaiting re-derivation; it survives a
-	// cancelled pass. carry accumulates the ranks whose derivation changed
+	// cancelled pass. carry accumulates the ranks whose derivation changed,
+	// and touched the streams whose label, seal or replication flag did,
 	// since the last *completed* pass, so changes made by a cancelled pass
 	// are still reported by the pass that eventually completes.
 	work    idHeap
 	queued  []bool
-	carry   []int32
-	carried []bool
+	carry   idSet
+	touched idSet
 
-	sig, merged []core.Label // gather buffers
-	visited     int          // output interfaces the last pass worked through
+	// The synthesis cache (Synthesize): one plan per component of st, nil
+	// until the first synthesis over st; stale holds the components to plan
+	// again, strategies the plans in force, flattened in name order.
+	plans      []cachedPlan
+	planPrefer []string
+	stale      idSet
+	strategies []Strategy
+
+	sig, merged    []core.Label // gather buffers
+	comps, streams []int32      // back Stats.Components and Stats.Streams
+	visited        int          // output interfaces the last pass worked through
+	planned        int          // components the last Synthesize planned
 }
 
 // memoVersions bounds the per-interface derivation cache.
@@ -88,6 +99,13 @@ type Stats struct {
 	Recomputed []NodeRef
 	// Reused counts output interfaces served from the memo.
 	Reused int
+	// Components and Streams are the same change set as positions in the
+	// name-ordered lists Analysis.Components and Analysis.Streams yield,
+	// ascending: the components with an interface in Recomputed, and the
+	// streams whose label, seal or replication flag changed. A Rebuilt pass
+	// reports neither — its positions pair with nothing that came before.
+	// Both are the engine's buffers, valid until its next Analyze.
+	Components, Streams []int32
 }
 
 // derivation is one output interface's derivation together with the exact
@@ -194,6 +212,10 @@ func (inc *Incremental) NoteStreamChange(stream string) {
 	id := ids[0]
 	s := st.streams[id]
 	s.Seal, s.Rep = orig.Seal, orig.Rep
+	inc.touched.add(id)
+	if to := st.to[id]; to >= 0 {
+		inc.replan(st.nodeComp[to]) // a plan may read its input streams' own annotations
+	}
 	if from := st.from[id]; from >= 0 {
 		inc.enqueue(st.rank[from])
 	} else if inc.complete {
@@ -216,6 +238,7 @@ func (inc *Incremental) stamp(stream int32, l core.Label) {
 		return
 	}
 	inc.a.labels[stream] = l
+	inc.touched.add(stream)
 	if to := inc.st.to[stream]; to >= 0 {
 		for _, out := range inc.st.succ.at(to) {
 			inc.enqueue(inc.st.rank[out])
@@ -256,9 +279,11 @@ func (inc *Incremental) rebuild() error {
 	}
 	inc.st, inc.a, inc.memo, inc.complete = st, newAnalysis(st), memo, false
 	inc.work = inc.work[:0]
-	inc.carry = inc.carry[:0]
 	inc.queued = make([]bool, n)
-	inc.carried = make([]bool, n)
+	inc.carry = newIDSet(n)
+	inc.touched = newIDSet(len(st.streams))
+	inc.plans, inc.strategies = nil, nil // planned over the old structure
+	inc.stale = newIDSet(len(st.comps))
 	inc.topoDirty = false
 	return nil
 }
@@ -346,10 +371,8 @@ func (inc *Incremental) Analyze(ctx context.Context) (*Analysis, Stats, error) {
 			continue // streams already stamped with d.out, record unchanged
 		}
 		a.derived[r] = d
-		if !inc.carried[r] {
-			inc.carried[r] = true
-			inc.carry = append(inc.carry, r)
-		}
+		inc.carry.add(r)
+		inc.replan(st.nodeComp[v])
 		for _, s := range st.outOf.at(v) {
 			inc.stamp(s, d.out)
 		}
@@ -357,14 +380,26 @@ func (inc *Incremental) Analyze(ctx context.Context) (*Analysis, Stats, error) {
 
 	// The pass completed: report every interface whose derivation changed
 	// since the last completed pass, in propagation order.
-	slices.Sort(inc.carry)
-	stats.Recomputed = make([]NodeRef, len(inc.carry))
-	for i, r := range inc.carry {
+	slices.Sort(inc.carry.ids)
+	stats.Recomputed = make([]NodeRef, len(inc.carry.ids))
+	for i, r := range inc.carry.ids {
 		v := st.order[r]
 		stats.Recomputed[i] = NodeRef{Comp: st.comps[st.nodeComp[v]].Name, Iface: st.nodeIface[v]}
-		inc.carried[r] = false
 	}
-	inc.carry = inc.carry[:0]
+	if !stats.Rebuilt {
+		inc.comps, inc.streams = inc.comps[:0], inc.streams[:0]
+		for _, r := range inc.carry.ids {
+			inc.comps = append(inc.comps, st.nodeComp[st.order[r]])
+		}
+		for _, id := range inc.touched.ids {
+			inc.streams = append(inc.streams, st.namePos[id])
+		}
+		slices.Sort(inc.comps)
+		slices.Sort(inc.streams)
+		stats.Components, stats.Streams = slices.Compact(inc.comps), inc.streams
+	}
+	inc.carry.clear()
+	inc.touched.clear()
 	// Every interface the pass did not visit would have hit its memo.
 	stats.Reused = len(st.order) - inc.visited + hits
 

@@ -154,3 +154,27 @@ func (h *idHeap) pop() int32 {
 	}
 	return min
 }
+
+// idSet is a set of dense ids that remembers what it holds: add is O(1) and
+// clear costs its members, not its range, so an edit that marks three ids of
+// ten thousand pays for three.
+type idSet struct {
+	ids []int32 // the members, in insertion order
+	has []bool  // id → member
+}
+
+func newIDSet(n int) idSet { return idSet{has: make([]bool, n)} }
+
+func (s *idSet) add(id int32) {
+	if !s.has[id] {
+		s.has[id] = true
+		s.ids = append(s.ids, id)
+	}
+}
+
+func (s *idSet) clear() {
+	for _, id := range s.ids {
+		s.has[id] = false
+	}
+	s.ids = s.ids[:0]
+}

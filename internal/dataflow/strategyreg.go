@@ -60,6 +60,18 @@ type StrategyDef interface {
 	// Plan produces a Strategy for ctx.Component, or reports false when
 	// the strategy does not apply (synthesis then falls back down the
 	// default chain).
+	//
+	// A plan must be a function of the component alone: its derivation
+	// (ctx.Analysis.Component), its configuration and annotations, and its
+	// input streams with their derived labels (ctx.StreamsInto) — not of
+	// another component's record, a stream elsewhere in the graph, or
+	// anything outside the analysis. A session keeps each component's plan
+	// until one of those changes ((*Incremental).Synthesize) and would
+	// keep a plan that read further afield past the edit that outdated
+	// it; TestSessionScriptDifferential runs every registered strategy
+	// against that cache. The Strategy returned is shared between
+	// consecutive results: like a report entry it is immutable once
+	// returned, its SealKeys map and Inputs slice included.
 	Plan(ctx *StrategyContext) (Strategy, bool)
 }
 

@@ -206,6 +206,7 @@ type structure struct {
 	// order in which a component's output interfaces are derived.
 	outRanks csr
 	byName   []int32 // stream ids in name order
+	namePos  []int32 // stream id → its position in byName
 	// verdictOver lists, in declaration order, the streams the verdict
 	// ranges over: the sinks, or every stream when there is no sink.
 	verdictOver []int32
@@ -256,6 +257,10 @@ func compile(g *Graph) (*structure, error) {
 	slices.SortStableFunc(st.byName, func(a, b int32) int {
 		return cmp.Compare(st.streams[a].Name, st.streams[b].Name)
 	})
+	st.namePos = make([]int32, len(st.byName))
+	for pos, id := range st.byName {
+		st.namePos[id] = int32(pos)
+	}
 	return st, nil
 }
 

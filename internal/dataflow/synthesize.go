@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -87,30 +88,93 @@ type SynthesisOptions struct {
 // the component wins.
 func Synthesize(a *Analysis, opts SynthesisOptions) []Strategy {
 	chain := planningChain(opts.Prefer)
-
 	var out []Strategy
 	for ca := range a.Components() {
-		comp := ca.Component
-		if comp.Coordination != CoordNone {
-			continue // already coordinated
-		}
-		ctx := StrategyContext{Analysis: a, Graph: a.Collapsed, Component: comp, index: ca.index}
-		switch {
-		case originatesAnomaly(ca):
-			ctx.Origin = true
-		case consumesSeal(ca):
-			ctx.Origin = false
-		default:
-			continue
-		}
-		for _, def := range chain {
-			if st, ok := def.Plan(&ctx); ok {
-				out = append(out, st)
-				break
-			}
+		if st, ok := plan(ca, chain); ok {
+			out = append(out, st)
 		}
 	}
 	return out
+}
+
+// plan is synthesis for one component: the first strategy of the chain that
+// accepts it, if it needs one at all. It reads the component's derivations
+// and configuration and, through the strategies, its input streams — and
+// nothing else, which is what lets the engine keep a plan until one of
+// those changes (see StrategyDef.Plan).
+func plan(ca ComponentAnalysis, chain []StrategyDef) (Strategy, bool) {
+	comp := ca.Component
+	if comp.Coordination != CoordNone {
+		return Strategy{}, false // already coordinated
+	}
+	origin := originatesAnomaly(ca)
+	if !origin && !consumesSeal(ca) {
+		return Strategy{}, false
+	}
+	ctx := StrategyContext{Analysis: ca.a, Graph: ca.a.Collapsed, Component: comp, Origin: origin, index: ca.index}
+	for _, def := range chain {
+		if st, ok := def.Plan(&ctx); ok {
+			return st, true
+		}
+	}
+	return Strategy{}, false
+}
+
+// cachedPlan is one component's plan as the engine keeps it.
+type cachedPlan struct {
+	Strategy
+	ok bool
+}
+
+func (p cachedPlan) equal(q cachedPlan) bool {
+	return p.ok == q.ok && p.Mechanism == q.Mechanism && p.Reason == q.Reason &&
+		slices.Equal(p.Inputs, q.Inputs) && maps.EqualFunc(p.SealKeys, q.SealKeys, fd.AttrSet.Equal)
+}
+
+// replan marks component c's cached plan as out of date.
+func (inc *Incremental) replan(c int32) {
+	if inc.plans != nil {
+		inc.stale.add(c)
+	}
+}
+
+// Synthesize is Synthesize over the engine's analysis as the last completed
+// Analyze left it, planning only the components whose plan can have
+// changed since the previous call: those with a derivation that changed
+// (whichever pass changed it, synthesized after or not) or an input stream
+// that was re-annotated. A structure rebuild or another Prefer list plans
+// everything again. When no plan changed the result is the very slice
+// returned last time; like report entries, the strategies and what they
+// hold (SealKeys, Inputs) are shared between results and must not be
+// modified.
+func (inc *Incremental) Synthesize(opts SynthesisOptions) []Strategy {
+	if inc.plans == nil || !slices.Equal(inc.planPrefer, opts.Prefer) {
+		inc.plans, inc.planPrefer, inc.strategies = make([]cachedPlan, len(inc.st.comps)), slices.Clone(opts.Prefer), nil
+		for c := range inc.plans {
+			inc.stale.add(int32(c))
+		}
+	}
+	chain := planningChain(opts.Prefer)
+	changed := false
+	for _, c := range inc.stale.ids {
+		var p cachedPlan
+		p.Strategy, p.ok = plan(inc.a.ComponentAt(int(c)), chain)
+		if !p.equal(inc.plans[c]) {
+			inc.plans[c], changed = p, true
+		}
+	}
+	inc.planned = len(inc.stale.ids)
+	inc.stale.clear()
+	if changed {
+		out := make([]Strategy, 0, len(inc.strategies)+1)
+		for i := range inc.plans {
+			if p := &inc.plans[i]; p.ok {
+				out = append(out, p.Strategy)
+			}
+		}
+		inc.strategies = out
+	}
+	return inc.strategies
 }
 
 // originatesAnomaly reports whether reconciliation added an anomaly label

@@ -17,10 +17,12 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"blazes/internal/dataflow"
+	"blazes/internal/race"
 	"blazes/topogen"
 )
 
@@ -196,5 +198,91 @@ func TestScaleSynthesizeLinear(t *testing.T) {
 	t.Logf("Synthesize: %v at 4k components, %v at 16k (×%.1f)", small, large, float64(large)/float64(small))
 	if large >= 8*small {
 		t.Errorf("Synthesize took %v at 16k components against %v at 4k: more than 8×", large, small)
+	}
+}
+
+// TestSessionEditCostIndependentOfGraphSize is the session-level twin of
+// internal/dataflow's TestLabelEditCostIndependentOfGraphSize and
+// TestSynthesisCostIndependentOfGraphSize: flipping the annotation of one
+// sink-side component and synthesizing allocates the same number of times
+// in a 1k-component graph and in the same graph with 3k more components
+// beside it, re-projects the one component the engine re-derived and shares
+// every other entry of the previous report. (What still grows with the
+// graph is the size of one allocation: the copy of the component list the
+// changed entry goes into.) The flipped component is the same in both, so
+// its own entry costs the same.
+func TestSessionEditCostIndependentOfGraphSize(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector changes what allocates")
+	}
+	ctx := context.Background()
+	cost := func(padding int) float64 {
+		_, g := openGenerated(t, 1000, 8)
+		for i := range padding {
+			name := fmt.Sprintf("pad%04d", i)
+			g.Component(name).AddPath("in", "out", CR)
+			g.Source(name+"-in", name, "in")
+			g.Sink(name+"-out", name, "out")
+		}
+		s, err := OpenSession(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Synthesize(ctx); err != nil {
+			t.Fatal(err)
+		}
+		feedsOnlySinks := map[string]bool{}
+		for _, st := range g.Streams() {
+			if !st.IsSource() {
+				if _, seen := feedsOnlySinks[st.FromComp]; !seen {
+					feedsOnlySinks[st.FromComp] = true
+				}
+				feedsOnlySinks[st.FromComp] = feedsOnlySinks[st.FromComp] && st.IsSink()
+			}
+		}
+		flips := [2]Annotation{OWStar(), CR}
+		var prev *Report
+		for _, leaf := range g.Components() {
+			if !feedsOnlySinks[leaf.Name] || strings.HasPrefix(leaf.Name, "pad") {
+				continue
+			}
+			edit := func(k int) *Report {
+				if err := s.Annotate(leaf.Name, leaf.Paths[0].From, leaf.Paths[0].To, flips[k%2]); err != nil {
+					t.Fatal(err)
+				}
+				rep, err := s.Synthesize(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rep
+			}
+			if edit(0); s.LastStats().Rebuilt {
+				continue // on a gossip self-loop: the flip recompiles
+			}
+			prev = edit(1) // both derivations are memoized from here on
+			k := 0
+			return testing.AllocsPerRun(10, func() {
+				rep := edit(k)
+				k++
+				projected := 0
+				for i := range rep.Components {
+					if &rep.Components[i].Steps[0] != &prev.Components[i].Steps[0] {
+						projected++
+					}
+				}
+				if got := rep.Delta.Recomputed; projected != 1 || len(got) != 1 || got[0] != leaf.Name {
+					t.Fatalf("flipping %s beside %d components re-derived %v and re-projected %d entries", leaf.Name, padding, got, projected)
+				}
+				if &rep.Streams[0] != &prev.Streams[0] && len(rep.Delta.Streams) == 0 {
+					t.Fatalf("flipping %s beside %d components copied the stream list with no label changed", leaf.Name, padding)
+				}
+				prev = rep
+			})
+		}
+		t.Fatal("no acyclic sink-side component")
+		return 0
+	}
+	if a1, a4 := cost(0), cost(3000); a1 != a4 {
+		t.Errorf("a sink-side flip and Synthesize allocates %.0f times at 1k components but %.0f at 4k", a1, a4)
 	}
 }

@@ -49,6 +49,10 @@ type Session struct {
 	// spare pair is the one before, reused for the next report.
 	prevOuts, spareOuts []*dataflow.OutputAnalysis
 	prevEnd, spareEnd   []int
+	// strategies is the projection of planned, the strategy list the engine
+	// last returned; the engine returns the same list until a plan changes.
+	planned    []Strategy
+	strategies []StrategyReport
 }
 
 // SessionStats describes what the most recent Analyze/Synthesize actually
@@ -354,11 +358,6 @@ func (s *Session) analyze(ctx context.Context, synth bool) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{analysis: an}
-	if synth {
-		res.strategies = dataflow.Synthesize(an, dataflow.SynthesisOptions{Prefer: s.cfg.prefer})
-		res.synthesized = true
-	}
 	recomputed := make([]string, len(stats.Recomputed))
 	comps := make([]string, len(stats.Recomputed))
 	for i, n := range stats.Recomputed {
@@ -366,15 +365,106 @@ func (s *Session) analyze(ctx context.Context, synth bool) (*Report, error) {
 		comps[i] = n.Comp
 	}
 	sort.Strings(comps)
+	comps = slices.Compact(comps)
 	s.last = SessionStats{Rebuilt: stats.Rebuilt, Recomputed: recomputed, Reused: stats.Reused}
-	rep := s.project(res, an)
-	if s.prev != nil {
-		rep.Delta = computeDelta(s.prev, rep, slices.Compact(comps), s.last.Reused, s.seq, s.prevSynth && synth)
+
+	// While the structure stands, positions in the previous report's lists
+	// are positions in the engine's, and the pass's change set names every
+	// entry that can differ; a first report, or one across a recompile, is
+	// paired with the previous one by name.
+	patched := s.prev != nil && !stats.Rebuilt
+	var rep *Report
+	if patched {
+		rep = s.patch(an, stats)
+	} else {
+		rep = s.project(an)
+	}
+	replanned := false
+	if synth {
+		rep.Strategies, replanned = s.strategyReports(s.inc.Synthesize(dataflow.SynthesisOptions{Prefer: s.cfg.prefer}))
+	}
+	switch {
+	case patched:
+		rep.Delta.header(s.prev, rep, comps, stats.Reused, s.seq)
+		if s.prevSynth && replanned {
+			rep.Delta.Strategies = strategyDeltas(s.prev.Strategies, rep.Strategies)
+		}
+	case s.prev != nil:
+		rep.Delta = computeDelta(s.prev, rep, comps, stats.Reused, s.seq, s.prevSynth && synth)
 	}
 	s.seq++
 	s.prev = rep
 	s.prevSynth = synth
 	return rep, nil
+}
+
+// strategyReports projects the engine's strategies — once per slice: a
+// synthesis that changed no plan returns the slice it returned before, and
+// gets the projection made then. replanned reports that it was another.
+func (s *Session) strategyReports(planned []Strategy) (reports []StrategyReport, replanned bool) {
+	if len(planned) == len(s.planned) && (len(planned) == 0 || &planned[0] == &s.planned[0]) {
+		return s.strategies, false
+	}
+	s.planned, s.strategies = planned, nil
+	for _, st := range planned {
+		s.strategies = append(s.strategies, strategyReport(st))
+	}
+	return s.strategies, true
+}
+
+// patch builds the report of a pass that kept the structure from the
+// previous one: the lists are the previous report's own, or — reports being
+// immutable — a copy with the changed positions projected again. The
+// report's Delta holds the streams whose label moved.
+func (s *Session) patch(an *dataflow.Analysis, stats dataflow.Stats) *Report {
+	prev := s.prev
+	rep := &Report{
+		Version:       ReportVersion,
+		Dataflow:      an.Graph.Name,
+		Verdict:       labelReport(an.Verdict),
+		Deterministic: an.Deterministic(),
+		Streams:       prev.Streams,
+		Components:    prev.Components,
+		Delta:         &Delta{},
+	}
+	cloned := false
+	for _, pos := range stats.Streams {
+		st, l := an.StreamAt(int(pos))
+		pr := &prev.Streams[pos]
+		if streamReportCurrent(pr, st, l, false) {
+			continue // moved and moved back
+		}
+		if !cloned {
+			rep.Streams, cloned = slices.Clone(prev.Streams), true
+		}
+		sr := streamReport(st, l)
+		rep.Streams[pos] = sr
+		if !labelReportEqual(pr.Label, sr.Label) {
+			rep.Delta.Streams = append(rep.Delta.Streams, StreamDelta{Name: sr.Name, Before: pr.Label, After: sr.Label})
+		}
+	}
+	cloned = false
+	for _, pos := range stats.Components {
+		ca := an.ComponentAt(int(pos))
+		lo := 0
+		if pos > 0 {
+			lo = s.prevEnd[pos-1]
+		}
+		outs, i, same := s.prevOuts[lo:s.prevEnd[pos]], 0, true
+		for d := range ca.Derivations() {
+			same = same && outs[i] == d
+			outs[i] = d
+			i++
+		}
+		if same {
+			continue // swapped out and back in
+		}
+		if !cloned {
+			rep.Components, cloned = slices.Clone(prev.Components), true
+		}
+		rep.Components[pos] = componentReport(ca)
+	}
+	return rep
 }
 
 // project builds the wire report, sharing with the previous report every
@@ -386,7 +476,7 @@ func (s *Session) analyze(ctx context.Context, synth bool) (*Report, error) {
 // rebuild, so equal pointers and an equal configuration mean an equal
 // record. Both lists are in name order in both reports and are paired by
 // one merge; a list in which nothing changed is shared whole.
-func (s *Session) project(res *Result, an *dataflow.Analysis) *Report {
+func (s *Session) project(an *dataflow.Analysis) *Report {
 	prev := s.prev
 	if prev == nil {
 		prev = &Report{}
@@ -451,10 +541,6 @@ func (s *Session) project(res *Result, an *dataflow.Analysis) *Report {
 	rep.Components = comps.list()
 	s.spareOuts, s.spareEnd = s.prevOuts, s.prevEnd
 	s.prevOuts, s.prevEnd = outs, outEnd
-
-	for _, st := range res.strategies {
-		rep.Strategies = append(rep.Strategies, strategyReport(st))
-	}
 	return rep
 }
 
@@ -543,10 +629,8 @@ func stringsEqualAttrs(w []string, s AttrSet) bool {
 // computeDelta diffs two consecutive session reports; recomputed names, in
 // name order, the collapsed components the engine actually re-derived.
 func computeDelta(prev, cur *Report, recomputed []string, reused, since int, strategies bool) *Delta {
-	d := &Delta{Since: since, Reused: reused}
-	if len(recomputed) > 0 {
-		d.Recomputed = recomputed
-	}
+	d := &Delta{}
+	d.header(prev, cur, recomputed, reused, since)
 
 	// Streams are sorted by name in both reports; merge-walk them.
 	i, j := 0, 0
@@ -567,15 +651,22 @@ func computeDelta(prev, cur *Report, recomputed []string, reused, since int, str
 		}
 	}
 
-	if !labelReportEqual(prev.Verdict, cur.Verdict) {
-		d.Verdict = &VerdictDelta{Before: prev.Verdict, After: cur.Verdict}
-	}
-
 	if strategies {
 		d.Strategies = strategyDeltas(prev.Strategies, cur.Strategies)
 	}
 
 	return d
+}
+
+// header fills in what a delta says of the pass and of the verdict.
+func (d *Delta) header(prev, cur *Report, recomputed []string, reused, since int) {
+	d.Since, d.Reused = since, reused
+	if len(recomputed) > 0 {
+		d.Recomputed = recomputed
+	}
+	if !labelReportEqual(prev.Verdict, cur.Verdict) {
+		d.Verdict = &VerdictDelta{Before: prev.Verdict, After: cur.Verdict}
+	}
 }
 
 func labelReportEqual(a, b LabelReport) bool {
@@ -616,37 +707,29 @@ func strategyReportEqual(a, b StrategyReport) bool {
 	return true
 }
 
-// strategyDeltas diffs two strategy lists by component name.
+// strategyDeltas diffs two strategy lists; like the stream lists, both are
+// in component-name order and are paired by one merge.
 func strategyDeltas(prev, cur []StrategyReport) []StrategyDelta {
-	byComp := map[string]*StrategyDelta{}
-	var order []string
-	for i := range prev {
-		p := prev[i]
-		byComp[p.Component] = &StrategyDelta{Component: p.Component, Before: &p}
-		order = append(order, p.Component)
-	}
-	for i := range cur {
-		c := cur[i]
-		if d, ok := byComp[c.Component]; ok {
-			d.After = &c
-		} else {
-			byComp[c.Component] = &StrategyDelta{Component: c.Component, After: &c}
-			order = append(order, c.Component)
-		}
-	}
-	sort.Strings(order)
 	var out []StrategyDelta
-	seen := map[string]bool{}
-	for _, name := range order {
-		if seen[name] {
-			continue
+	i, j := 0, 0
+	for i < len(prev) || j < len(cur) {
+		switch {
+		case j >= len(cur) || (i < len(prev) && prev[i].Component < cur[j].Component):
+			before := prev[i]
+			out = append(out, StrategyDelta{Component: before.Component, Before: &before})
+			i++
+		case i >= len(prev) || cur[j].Component < prev[i].Component:
+			after := cur[j]
+			out = append(out, StrategyDelta{Component: after.Component, After: &after})
+			j++
+		default:
+			if !strategyReportEqual(prev[i], cur[j]) {
+				before, after := prev[i], cur[j]
+				out = append(out, StrategyDelta{Component: after.Component, Before: &before, After: &after})
+			}
+			i++
+			j++
 		}
-		seen[name] = true
-		d := byComp[name]
-		if d.Before != nil && d.After != nil && strategyReportEqual(*d.Before, *d.After) {
-			continue
-		}
-		out = append(out, *d)
 	}
 	return out
 }

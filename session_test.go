@@ -3,10 +3,12 @@ package blazes
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -262,12 +264,7 @@ func TestSessionDifferential(t *testing.T) {
 				trace = append(trace, muts[rng.Intn(len(muts))](t, rng, s, specBacked, &serial))
 			}
 			synth := rng.Intn(3) == 0
-			var got *Report
-			if synth {
-				got, err = s.Synthesize(ctx)
-			} else {
-				got, err = s.Analyze(ctx)
-			}
+			got, err := analyzeCheckingDelta(ctx, s, synth)
 			if err != nil {
 				t.Fatalf("seq %d step %d (%v): session analyze: %v", seq, step, trace, err)
 			}
@@ -292,6 +289,35 @@ func TestSessionDifferential(t *testing.T) {
 			}
 		}
 	}
+}
+
+// analyzeCheckingDelta is s.Analyze or s.Synthesize with the report's Delta
+// held to the oracle: computeDelta's merge by name over the session's
+// previous report and this one, both whole. The session reports the pass's
+// own figures (the components it re-derived, the derivations it reused) the
+// same way on every path, so the oracle is given those.
+func analyzeCheckingDelta(ctx context.Context, s *Session, synth bool) (*Report, error) {
+	prev, prevSynth, since := s.prev, s.prevSynth, s.seq
+	got, err := s.analyze(ctx, synth)
+	if err != nil {
+		return nil, err
+	}
+	if prev == nil {
+		if got.Delta != nil {
+			return nil, fmt.Errorf("a first report carries a delta")
+		}
+		return got, nil
+	}
+	if got.Delta == nil {
+		return nil, fmt.Errorf("report %d carries no delta", since)
+	}
+	want := computeDelta(prev, got, got.Delta.Recomputed, s.LastStats().Reused, since, prevSynth && synth)
+	if !reflect.DeepEqual(got.Delta, want) {
+		g, _ := json.Marshal(got.Delta)
+		w, _ := json.Marshal(want)
+		return nil, fmt.Errorf("delta differs from the diff of the two reports\n--- session ---\n%s\n--- diff ---\n%s", g, w)
+	}
+	return got, nil
 }
 
 func marshalWithoutDelta(t *testing.T, rep *Report) []byte {

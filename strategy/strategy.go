@@ -14,6 +14,13 @@
 // in internal/dataflow with RegisterStrategy and must pass the chaos
 // conformance gate (the synthesized graph converges under fault injection,
 // the stripped graph demonstrably diverges) before they ship.
+//
+// A strategy's plan for a component is a function of that component alone —
+// its derivation, its configuration, its input streams and their labels. A
+// session plans a component again only when one of those changed, so a
+// strategy that consulted anything else would be served from a stale
+// cache; and the strategies a session returns are shared from one result to
+// the next, so they are read-only, seal keys and input lists included.
 package strategy
 
 import "blazes/internal/dataflow"
