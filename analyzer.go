@@ -49,6 +49,22 @@ func (c *config) checkStrategies() error {
 	return nil
 }
 
+// applySealRepairs sets the configured seals on g's streams, in option
+// order; g is the caller's private copy.
+func (c *config) applySealRepairs(g *Graph) error {
+	for _, sr := range c.sealRepairs {
+		s := g.Stream(sr.stream)
+		if s == nil {
+			return fmt.Errorf("blazes: seal repair: unknown stream %q (declared: %v)", sr.stream, streamNames(g))
+		}
+		if sr.key.IsEmpty() {
+			return fmt.Errorf("blazes: seal repair on %q needs at least one key attribute", sr.stream)
+		}
+		s.Seal = sr.key
+	}
+	return nil
+}
+
 // WithSealRepair seals the named stream on the given key before analysis —
 // the paper's cheapest repair: tell Blazes the producer punctuates the
 // stream per partition, and re-derive. The graph handed to the Analyzer is
@@ -129,15 +145,8 @@ func (a *Analyzer) prepare(g *Graph) (*Graph, error) {
 		return g, nil
 	}
 	ng := g.Clone()
-	for _, sr := range a.cfg.sealRepairs {
-		s := ng.Stream(sr.stream)
-		if s == nil {
-			return nil, fmt.Errorf("blazes: seal repair: unknown stream %q (declared: %v)", sr.stream, streamNames(ng))
-		}
-		if sr.key.IsEmpty() {
-			return nil, fmt.Errorf("blazes: seal repair on %q needs at least one key attribute", sr.stream)
-		}
-		s.Seal = sr.key
+	if err := a.cfg.applySealRepairs(ng); err != nil {
+		return nil, err
 	}
 	return ng, nil
 }

@@ -1,8 +1,10 @@
 // Command loadgen is the open-loop load generator for `blazes serve`: it
 // drives many concurrent analysis sessions through the service's
-// create → mutate → analyze loop at a fixed arrival rate and reports
-// latency percentiles per endpoint, in the benchmark-baseline JSON shape
-// scripts/bench_diff.sh diffs (BENCH_7.json records the committed run).
+// create → mutate → analyze loop at a fixed arrival rate and reports, as
+// JSON, every reply by endpoint and status code (sheds included) and the
+// latency percentiles of the requests the server served. It exists for
+// the two things a closed loop cannot show — overload and a kill -9 under
+// load; how fast the service is, is `go run ./benchmark`'s to say.
 //
 // Open loop means arrivals are scheduled by the clock, not by completions:
 // each session starts at its arrival time whether or not earlier sessions
@@ -146,7 +148,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	return runLoad(ctx, cfg, stdout, stderr)
 }
 
-// runLoad measures a full burst against one healthy server.
+// runLoad drives a full burst against one healthy server.
 func runLoad(ctx context.Context, cfg config, stdout, stderr io.Writer) int {
 	base, shutdown, err := startTarget(ctx, cfg, stderr)
 	if err != nil {

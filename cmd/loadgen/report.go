@@ -1,16 +1,16 @@
 package main
 
 import (
-	"fmt"
 	"runtime"
 	"sort"
 	"sync"
 	"time"
 )
 
-// recorder collects exact per-endpoint latency samples (a burst is at most
-// a few hundred thousand requests, so sorting beats histogram buckets for
-// percentile fidelity) plus status-code and transport-error tallies.
+// recorder collects exact per-endpoint latency samples of the 2xx replies
+// (a burst is at most a few hundred thousand requests, so sorting beats
+// histogram buckets for percentile fidelity) plus status-code and
+// transport-error tallies of every request.
 type recorder struct {
 	mu      sync.Mutex
 	samples map[string][]time.Duration
@@ -27,10 +27,15 @@ func newRecorder() *recorder {
 	}
 }
 
+// observe tallies one response. Only a 2xx reply is a latency sample: a
+// 429 or 503 returns in microseconds, so counting sheds would pull the
+// percentiles down exactly when the server is overloaded.
 func (r *recorder) observe(endpoint string, code int, d time.Duration) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.samples[endpoint] = append(r.samples[endpoint], d)
+	if code >= 200 && code < 300 {
+		r.samples[endpoint] = append(r.samples[endpoint], d)
+	}
 	if r.codes[endpoint] == nil {
 		r.codes[endpoint] = map[int]int{}
 	}
@@ -43,12 +48,15 @@ func (r *recorder) transportError(endpoint string) {
 	r.errs[endpoint]++
 }
 
+// requests counts the responses received, whatever their status.
 func (r *recorder) requests() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	n := 0
-	for _, s := range r.samples {
-		n += len(s)
+	for _, byCode := range r.codes {
+		for _, c := range byCode {
+			n += c
+		}
 	}
 	return n
 }
@@ -109,15 +117,14 @@ func percentiles(samples []time.Duration) Percentiles {
 	}
 }
 
-// Report is the loadgen output document. Benchmarks mirrors the
-// BENCH_N.json baseline shape ("Benchmark...": {"ns_per_op": ...}) so
-// scripts/bench_diff.sh can diff a smoke run against the committed
-// BENCH_7.json with the same awk it uses for the Go benchmarks.
+// Report is the loadgen output document. Latency summarizes the 2xx
+// replies of each endpoint; Status tallies every reply by endpoint and
+// status code, sheds included.
 type Report struct {
-	Meta       map[string]any                `json:"meta"`
-	Totals     Totals                        `json:"totals"`
-	Latency    map[string]Percentiles        `json:"latency"`
-	Benchmarks map[string]map[string]float64 `json:"benchmarks"`
+	Meta    map[string]any         `json:"meta"`
+	Totals  Totals                 `json:"totals"`
+	Latency map[string]Percentiles `json:"latency"`
+	Status  map[string]map[int]int `json:"status"`
 }
 
 // Totals aggregates the burst.
@@ -130,38 +137,13 @@ type Totals struct {
 	ThroughputRPS float64 `json:"throughput_rps"`
 }
 
+// report summarizes a finished burst; nothing records while it runs.
 func (r *recorder) report(cfg config) Report {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	total := r.requests()
 	lat := map[string]Percentiles{}
-	total := 0
 	for ep, s := range r.samples {
 		lat[ep] = percentiles(s)
-		total += len(s)
 	}
-	shed := 0
-	for _, byCode := range r.codes {
-		shed += byCode[429] + byCode[503]
-	}
-	errs := 0
-	for _, c := range r.errs {
-		errs += c
-	}
-
-	benchmarks := map[string]map[string]float64{}
-	caser := map[string]string{"create": "Create", "mutate": "Mutate", "analyze": "Analyze"}
-	for ep, p := range lat {
-		name, ok := caser[ep]
-		if !ok || p.Count == 0 {
-			continue
-		}
-		for q, us := range map[string]uint64{"P50": p.P50Us, "P95": p.P95Us, "P99": p.P99Us} {
-			benchmarks[fmt.Sprintf("BenchmarkLoadgen%s%s", name, q)] = map[string]float64{
-				"ns_per_op": float64(us) * 1e3,
-			}
-		}
-	}
-
 	wall := r.wall.Seconds()
 	rps := 0.0
 	if wall > 0 {
@@ -180,12 +162,12 @@ func (r *recorder) report(cfg config) Report {
 		Totals: Totals{
 			Sessions:      cfg.sessions,
 			Requests:      total,
-			Shed:          shed,
-			Errors:        errs,
+			Shed:          r.shedCount(),
+			Errors:        r.errorCount(),
 			DurationSec:   wall,
 			ThroughputRPS: rps,
 		},
-		Latency:    lat,
-		Benchmarks: benchmarks,
+		Latency: lat,
+		Status:  r.codes,
 	}
 }

@@ -78,15 +78,8 @@ func OpenSession(g *Graph, opts ...Option) (*Session, error) {
 		return nil, err
 	}
 	ng := g.Clone()
-	for _, sr := range cfg.sealRepairs {
-		s := ng.Stream(sr.stream)
-		if s == nil {
-			return nil, fmt.Errorf("blazes: seal repair: unknown stream %q (declared: %v)", sr.stream, streamNames(ng))
-		}
-		if sr.key.IsEmpty() {
-			return nil, fmt.Errorf("blazes: seal repair on %q needs at least one key attribute", sr.stream)
-		}
-		s.Seal = sr.key
+	if err := cfg.applySealRepairs(ng); err != nil {
+		return nil, err
 	}
 	if err := ng.Validate(); err != nil {
 		return nil, err
