@@ -55,7 +55,7 @@ func (c *config) applySealRepairs(g *Graph) error {
 	for _, sr := range c.sealRepairs {
 		s := g.Stream(sr.stream)
 		if s == nil {
-			return fmt.Errorf("blazes: seal repair: unknown stream %q (declared: %v)", sr.stream, streamNames(g))
+			return fmt.Errorf("blazes: seal repair: unknown stream %q (declared: %v)", sr.stream, streamNames(g, sr.stream))
 		}
 		if sr.key.IsEmpty() {
 			return fmt.Errorf("blazes: seal repair on %q needs at least one key attribute", sr.stream)

@@ -1,9 +1,12 @@
 package blazes
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"blazes/internal/dataflow"
 	"blazes/internal/fd"
@@ -123,7 +126,7 @@ func (b *GraphBuilder) Build() (*Graph, error) {
 	for _, name := range b.reps {
 		s := b.g.Stream(name)
 		if s == nil {
-			errs = append(errs, fmt.Errorf("blazes: Replicate(%q): unknown stream (declared: %v)", name, streamNames(b.g)))
+			errs = append(errs, fmt.Errorf("blazes: Replicate(%q): unknown stream (declared: %v)", name, streamNames(b.g, name)))
 			continue
 		}
 		s.Rep = true
@@ -131,7 +134,7 @@ func (b *GraphBuilder) Build() (*Graph, error) {
 	for _, name := range sortedSealNames(b.seals) {
 		s := b.g.Stream(name)
 		if s == nil {
-			errs = append(errs, fmt.Errorf("blazes: Seal(%q): unknown stream (declared: %v)", name, streamNames(b.g)))
+			errs = append(errs, fmt.Errorf("blazes: Seal(%q): unknown stream (declared: %v)", name, streamNames(b.g, name)))
 			continue
 		}
 		s.Seal = b.seals[name]
@@ -213,11 +216,40 @@ func sortedSealNames(m map[string]AttrSet) []string {
 	return out
 }
 
-func streamNames(g *dataflow.Graph) []string {
-	var out []string
-	for _, s := range g.Streams() {
-		out = append(out, s.Name)
+// streamNames lists the streams g declares, for the error that asked is not
+// one of them: all of them in name order while they are few, else the few
+// nearest to asked — those sharing the longest prefix with it first, then in
+// name order — and how many more there are. An error is sent to a client and
+// formatted under the session's lock; it does not grow with the graph.
+func streamNames(g *dataflow.Graph, asked string) string {
+	const few = 8
+	streams := g.Streams()
+	nearer := cmp.Compare[string]
+	if len(streams) > few {
+		nearer = func(a, b string) int {
+			return cmp.Or(cmp.Compare(commonPrefix(b, asked), commonPrefix(a, asked)), cmp.Compare(a, b))
+		}
 	}
-	sort.Strings(out)
-	return out
+	nearest := make([]string, 0, few+1)
+	for _, s := range streams {
+		if len(nearest) == few && nearer(s.Name, nearest[few-1]) >= 0 {
+			continue
+		}
+		i, _ := slices.BinarySearchFunc(nearest, s.Name, nearer)
+		nearest = slices.Insert(nearest, i, s.Name)
+		nearest = nearest[:min(len(nearest), few)]
+	}
+	if len(streams) <= few {
+		return fmt.Sprint(nearest)
+	}
+	return fmt.Sprintf("[%s … and %d more]", strings.Join(nearest, " "), len(streams)-few)
+}
+
+// commonPrefix returns the length of the longest prefix a and b share.
+func commonPrefix(a, b string) int {
+	n := 0
+	for n < len(a) && n < len(b) && a[n] == b[n] {
+		n++
+	}
+	return n
 }

@@ -334,17 +334,13 @@ func (g *Graph) Stream(name string) *Stream { return g.byName[name] }
 // RemoveStream deletes the named stream from the graph and reports whether
 // it existed. Declaration order of the remaining streams is preserved.
 func (g *Graph) RemoveStream(name string) bool {
-	if _, ok := g.byName[name]; !ok {
+	s, ok := g.byName[name]
+	if !ok {
 		return false
 	}
 	delete(g.byName, name)
-	kept := g.streams[:0]
-	for _, s := range g.streams {
-		if s.Name != name {
-			kept = append(kept, s)
-		}
-	}
-	g.streams = kept
+	i := slices.Index(g.streams, s)
+	g.streams = slices.Delete(g.streams, i, i+1)
 	return true
 }
 

@@ -21,8 +21,10 @@ import (
 // the queue in topological rank and queues an interface's consumers only
 // when its derived label actually changed, so an edit costs the label chain
 // it changes, not the graph. The compiled structure (validation, cycle
-// collapse, topological order, stream indexes) is rebuilt only when a
-// topology-changing mutation is noted.
+// collapse, topological order, stream indexes) stands through label edits,
+// is patched in place when a noted stream is a tap (NoteStreamAdded,
+// NoteStreamRemoved) and is compiled anew only after any other
+// topology-changing mutation.
 //
 // Incremental is not safe for concurrent use; blazes.Session serializes
 // access.
@@ -53,13 +55,15 @@ type Incremental struct {
 
 	// work is the queue of ranks awaiting re-derivation; it survives a
 	// cancelled pass. carry accumulates the ranks whose derivation changed,
-	// and touched the streams whose label, seal or replication flag did,
-	// since the last *completed* pass, so changes made by a cancelled pass
-	// are still reported by the pass that eventually completes.
+	// touched the streams whose label, seal or replication flag did (a
+	// stream patched in among them), and splices the taps patched in and
+	// out, since the last *completed* pass, so changes made by a cancelled
+	// pass are still reported by the pass that eventually completes.
 	work    idHeap
 	queued  []bool
 	carry   idSet
 	touched idSet
+	splices []Splice
 
 	// The synthesis cache (Synthesize): one plan per component of st, nil
 	// until the first synthesis over st; stale holds the components to plan
@@ -70,6 +74,7 @@ type Incremental struct {
 	strategies []Strategy
 
 	sig, merged    []core.Label // gather buffers
+	ends           []int32      // gather buffer
 	comps, streams []int32      // back Stats.Components and Stats.Streams
 	visited        int          // output interfaces the last pass worked through
 	planned        int          // components the last Synthesize planned
@@ -86,12 +91,21 @@ type NodeRef struct {
 	Comp, Iface string
 }
 
+// Splice is one patch of the standing structure: a tap entered into, or
+// taken out of, the name-ordered stream list at Pos — its position in the
+// list as the splices before it left it.
+type Splice struct {
+	Pos   int32
+	Added bool
+}
+
 // Stats reports what one incremental Analyze actually did.
 type Stats struct {
 	// Rebuilt: this pass was a full (non-incremental) one — the structure
-	// was rebuilt by this pass or by a cancelled pass since the last
+	// was compiled anew by this pass or by a cancelled pass since the last
 	// completed analysis, so nothing from the previous analysis (labels,
-	// records, projections) carries over.
+	// records, projections) carries over. A structure that was only patched
+	// (Splices) is not rebuilt.
 	Rebuilt bool
 	// Recomputed lists the collapsed-graph output interfaces whose
 	// derivation record changed this round — freshly derived, or swapped
@@ -102,17 +116,26 @@ type Stats struct {
 	// Components and Streams are the same change set as positions in the
 	// name-ordered lists Analysis.Components and Analysis.Streams yield,
 	// ascending: the components with an interface in Recomputed, and the
-	// streams whose label, seal or replication flag changed. A Rebuilt pass
-	// reports neither — its positions pair with nothing that came before.
-	// Both are the engine's buffers, valid until its next Analyze.
+	// streams whose label, seal or replication flag changed, every stream
+	// Splices added among them. A Rebuilt pass reports neither — its
+	// positions pair with nothing that came before. Both are the engine's
+	// buffers, valid until its next Analyze.
 	Components, Streams []int32
+	// Splices lists, in the order they were made, the patches since the
+	// last completed pass: applied one after the other to the previous
+	// pass's name-ordered stream list they yield this pass's, the one
+	// Streams holds positions in. Empty on a Rebuilt pass.
+	Splices []Splice
 }
 
 // derivation is one output interface's derivation together with the exact
 // inputs it depends on; it stays valid while every recorded dependency
-// still matches. The incoming labels are the In side of its steps.
+// still matches. The incoming labels are the In side of its steps, and ends
+// says which path each arrived on: where in the steps every feeding path
+// but the last ends (a tap moves no label and can still move that).
 type derivation struct {
 	paths     []Path
+	ends      []int32
 	coord     Coordination
 	rep       bool
 	deps      *fd.Set
@@ -134,9 +157,9 @@ func pathEqual(a, b Path) bool {
 	return a.From == b.From && a.To == b.To && annEqual(a.Ann, b.Ann)
 }
 
-func (d *derivation) valid(comp *Component, in []core.Label, outReps bool) bool {
+func (d *derivation) valid(comp *Component, in []core.Label, ends []int32, outReps bool) bool {
 	if d.coord != comp.Coordination || d.rep != comp.Rep || d.deps != comp.Deps || d.outReps != outReps ||
-		len(d.Steps) != len(in) || !d.outSchema.Equal(comp.OutSchema[d.Iface]) {
+		len(d.Steps) != len(in) || !slices.Equal(d.ends, ends) || !d.outSchema.Equal(comp.OutSchema[d.Iface]) {
 		return false
 	}
 	for i, l := range in {
@@ -165,6 +188,79 @@ func (inc *Incremental) Version() uint64 { return inc.version }
 func (inc *Incremental) NoteTopologyChange() {
 	inc.version++
 	inc.topoDirty = true
+}
+
+// NoteStreamAdded records that the graph gained the named stream, declared
+// last. A tap (structure.tapNode) is patched into the standing structure:
+// it is stamped with its producer's label or its own source label, and the
+// interfaces that read it, or the one that feeds it (a replicated stream
+// changes what its producer derives), are queued. Any other stream, or a
+// tap while the last pass over the structure is incomplete, is a
+// NoteTopologyChange.
+func (inc *Incremental) NoteStreamAdded(stream string) {
+	inc.version++
+	if inc.topoDirty {
+		return
+	}
+	st, v := inc.st, int32(-1)
+	s := inc.g.Stream(stream)
+	if inc.complete && s != nil && s == inc.g.streams[len(inc.g.streams)-1] && len(st.streamsNamed(stream)) == 0 {
+		v = st.tapNode(s)
+	}
+	if v < 0 {
+		inc.topoDirty = true
+		return
+	}
+	id, pos := st.addTap(s, v)
+	label := sourceLabel(s)
+	if s.IsSink() {
+		label = inc.a.derived[st.rank[v]].out
+	}
+	inc.a.labels = append(inc.a.labels, label)
+	inc.touched.grow()
+	inc.touched.add(id)
+	inc.spliced(v, Splice{Pos: pos, Added: true})
+}
+
+// NoteStreamRemoved records that the graph lost the named stream; like
+// NoteStreamAdded it patches a tap out of the standing structure and is a
+// NoteTopologyChange for anything else.
+func (inc *Incremental) NoteStreamRemoved(stream string) {
+	inc.version++
+	if inc.topoDirty {
+		return
+	}
+	st, v := inc.st, int32(-1)
+	ids := st.streamsNamed(stream)
+	if inc.complete && len(ids) == 1 && inc.g.Stream(stream) == nil {
+		v = st.tapNode(st.streams[ids[0]])
+	}
+	if v < 0 {
+		inc.topoDirty = true
+		return
+	}
+	id := ids[0]
+	pos := st.dropTap(id)
+	inc.a.labels = slices.Delete(inc.a.labels, int(id), int(id)+1)
+	inc.touched.drop(id)
+	inc.spliced(v, Splice{Pos: pos})
+}
+
+// spliced records a patch of the tap on interface node v and queues what
+// the tap's coming or going can change: the plan of v's component (a plan
+// reads its input streams), v's own derivation when it feeds the tap, and
+// its readers' when the tap feeds it.
+func (inc *Incremental) spliced(v int32, sp Splice) {
+	st := inc.st
+	inc.splices = append(inc.splices, sp)
+	inc.replan(st.nodeComp[v])
+	if st.nodeOut[v] {
+		inc.enqueue(st.rank[v])
+		return
+	}
+	for _, out := range st.succ.at(v) {
+		inc.enqueue(st.rank[out])
+	}
 }
 
 // NoteAnnotationChange records that the named component's path annotations
@@ -282,6 +378,7 @@ func (inc *Incremental) rebuild() error {
 	inc.queued = make([]bool, n)
 	inc.carry = newIDSet(n)
 	inc.touched = newIDSet(len(st.streams))
+	inc.splices = nil
 	inc.plans, inc.strategies = nil, nil // planned over the old structure
 	inc.stale = newIDSet(len(st.comps))
 	inc.topoDirty = false
@@ -334,8 +431,11 @@ func (inc *Incremental) Analyze(ctx context.Context) (*Analysis, Stats, error) {
 
 		v := st.order[r]
 		comp := st.comps[st.nodeComp[v]]
-		sig := inc.sig[:0]
-		for _, p := range st.feed.at(v) {
+		sig, ends := inc.sig[:0], inc.ends[:0]
+		for i, p := range st.feed.at(v) {
+			if i > 0 {
+				ends = append(ends, int32(len(sig)))
+			}
 			streams := st.into.at(st.pathIn[p])
 			if len(streams) == 0 {
 				sig = append(sig, core.Async) // an unconnected input defaults to Async
@@ -344,7 +444,7 @@ func (inc *Incremental) Analyze(ctx context.Context) (*Analysis, Stats, error) {
 				sig = append(sig, a.labels[s])
 			}
 		}
-		inc.sig = sig
+		inc.sig, inc.ends = sig, ends
 		outReps := false
 		for _, s := range st.outOf.at(v) {
 			outReps = outReps || st.streams[s].Rep
@@ -353,7 +453,7 @@ func (inc *Incremental) Analyze(ctx context.Context) (*Analysis, Stats, error) {
 		// Look the signature up in the interface's version cache.
 		entries := &inc.memo[r]
 		at := 0
-		for at < memoVersions && entries[at] != nil && !entries[at].valid(comp, sig, outReps) {
+		for at < memoVersions && entries[at] != nil && !entries[at].valid(comp, sig, ends, outReps) {
 			at++
 		}
 		var d *derivation
@@ -361,7 +461,7 @@ func (inc *Incremental) Analyze(ctx context.Context) (*Analysis, Stats, error) {
 			d = entries[at]
 			hits++
 		} else {
-			d = inc.derive(v, comp, sig, outReps)
+			d = inc.derive(v, comp, sig, ends, outReps)
 			at = min(at, memoVersions-1)
 		}
 		copy(entries[1:at+1], entries[:at]) // move to front, evicting the oldest
@@ -397,6 +497,7 @@ func (inc *Incremental) Analyze(ctx context.Context) (*Analysis, Stats, error) {
 		slices.Sort(inc.comps)
 		slices.Sort(inc.streams)
 		stats.Components, stats.Streams = slices.Compact(inc.comps), inc.streams
+		stats.Splices, inc.splices = inc.splices, nil
 	}
 	inc.carry.clear()
 	inc.touched.clear()
@@ -411,14 +512,16 @@ func (inc *Incremental) Analyze(ctx context.Context) (*Analysis, Stats, error) {
 
 // derive performs the derivation for output interface v: inference per
 // (input label × path), then reconciliation, then the mechanism floor. in
-// holds the incoming labels, path by path.
-func (inc *Incremental) derive(v int32, comp *Component, in []core.Label, outReps bool) *derivation {
+// holds the incoming labels, path by path; ends, where in it the labels of
+// each feeding path but the last end.
+func (inc *Incremental) derive(v int32, comp *Component, in []core.Label, ends []int32, outReps bool) *derivation {
 	st := inc.st
 	coordinated := comp.Coordination == CoordSequenced || comp.Coordination == CoordDynamicOrder ||
 		comp.Coordination == CoordQuorumOrder || comp.Coordination == CoordMergeRewrite
 
 	d := &derivation{
 		paths:     slices.Clone(comp.Paths),
+		ends:      slices.Clone(ends),
 		coord:     comp.Coordination,
 		rep:       comp.Rep,
 		deps:      comp.Deps,

@@ -1,5 +1,7 @@
 package dataflow
 
+import "slices"
+
 // Dense-id graph primitives shared by the compiled structure and the lint
 // passes: CSR adjacency, Tarjan's SCC algorithm and a binary min-heap, all
 // over int32 ids so the hot paths touch flat slices only.
@@ -12,6 +14,33 @@ type csr struct {
 }
 
 func (c csr) at(v int32) []int32 { return c.val[c.off[v]:c.off[v+1]] }
+
+// insert files x last under key v.
+func (c *csr) insert(v, x int32) {
+	c.val = slices.Insert(c.val, int(c.off[v+1]), x)
+	for w := int(v) + 1; w < len(c.off); w++ {
+		c.off[w]++
+	}
+}
+
+// remove drops x, which is filed under key v.
+func (c *csr) remove(v, x int32) {
+	i := int(c.off[v]) + slices.Index(c.at(v), x)
+	c.val = slices.Delete(c.val, i, i+1)
+	for w := int(v) + 1; w < len(c.off); w++ {
+		c.off[w]--
+	}
+}
+
+// closeGap renumbers ids after id gap has been dropped from their range:
+// every id above it moves down by one.
+func closeGap(ids []int32, gap int32) {
+	for i, id := range ids {
+		if id > gap {
+			ids[i] = id - 1
+		}
+	}
+}
 
 // groupBy files item j under keys[j] (items with a negative key are
 // skipped), storing vals[j] — or j itself when vals is nil. Items keep
@@ -170,6 +199,19 @@ func (s *idSet) add(id int32) {
 		s.has[id] = true
 		s.ids = append(s.ids, id)
 	}
+}
+
+// grow extends the set's range by one id.
+func (s *idSet) grow() { s.has = append(s.has, false) }
+
+// drop takes id out of the set's range: the ids above it move down by one.
+func (s *idSet) drop(id int32) {
+	if s.has[id] {
+		i := slices.Index(s.ids, id)
+		s.ids = slices.Delete(s.ids, i, i+1)
+	}
+	s.has = slices.Delete(s.has, int(id), int(id)+1)
+	closeGap(s.ids, id)
 }
 
 func (s *idSet) clear() {

@@ -189,9 +189,10 @@ func (t *ifaceTable) topoOrder() (order, rank []int32, ok bool) {
 
 // structure is the compiled form of one topology version of a graph:
 // built once by compile, read by the propagation engine, by synthesis and
-// by the report projection, and thrown away when the topology changes. The
-// embedded table describes the collapsed graph — the one labels are
-// propagated over.
+// by the report projection, brought up to date in place when a tap comes or
+// goes (addTap, dropTap) and thrown away when the topology changes in any
+// other way. The embedded table describes the collapsed graph — the one
+// labels are propagated over.
 type structure struct {
 	g         *Graph
 	collapsed *Graph // g itself when g has no interface-level cycle
@@ -276,4 +277,111 @@ func (st *structure) streamsNamed(name string) []int32 {
 		hi++
 	}
 	return st.byName[lo:hi]
+}
+
+// A tap is a stream with one external end and the other on a component
+// outside every cycle. It touches no edge between interface nodes, so the
+// nodes, the paths, succ, the strongly connected components and with them
+// the collapse of everything else, and the order — Kahn's ready set never
+// sees a stream without two interface ends — are what they are without it:
+// a tap only joins or leaves the stream tables, and addTap and dropTap leave
+// them as compile would have filled them.
+
+// tapNode returns the interface node the tap s hangs on, or -1 when s is
+// not a tap (or names an interface its component does not have). s may be
+// the collapsed graph's copy of a stream: a supernode is no component of g.
+func (st *structure) tapNode(s *Stream) int32 {
+	if s.IsSource() == s.IsSink() {
+		return -1
+	}
+	comp, iface := s.FromComp, s.FromIface
+	if s.IsSource() {
+		comp, iface = s.ToComp, s.ToIface
+	}
+	c, ok := st.component(comp)
+	if !ok || st.cyclic[comp] || st.g.Lookup(comp) == nil {
+		return -1
+	}
+	return st.node(c, iface, s.IsSink())
+}
+
+// verdictOverSinks reports whether verdictOver lists the sinks rather than,
+// for want of one, every stream.
+func (st *structure) verdictOverSinks() bool {
+	return len(st.verdictOver) > 0 && st.streams[st.verdictOver[0]].IsSink()
+}
+
+// addTap enters the tap s on node v — the stream g declared last, under a
+// name no other stream has — and returns its id and its position in name
+// order.
+func (st *structure) addTap(s *Stream, v int32) (id, pos int32) {
+	id = int32(len(st.streams))
+	from, to := int32(-1), int32(-1)
+	if s.IsSink() {
+		from = v
+		st.outOf.insert(v, id)
+	} else {
+		to = v
+		st.into.insert(v, id)
+	}
+	st.streams, st.from, st.to = append(st.streams, s), append(st.from, from), append(st.to, to)
+	if st.collapsed != st.g {
+		st.collapsed.streams = append(st.collapsed.streams, s)
+		st.collapsed.byName[s.Name] = s
+	}
+
+	at, _ := sort.Find(len(st.byName), func(i int) int {
+		return cmp.Compare(s.Name, st.streams[st.byName[i]].Name)
+	})
+	pos = int32(at)
+	for i, p := range st.namePos {
+		if p >= pos {
+			st.namePos[i] = p + 1
+		}
+	}
+	st.byName, st.namePos = slices.Insert(st.byName, at, id), append(st.namePos, pos)
+
+	overSinks := st.verdictOverSinks()
+	if s.IsSink() && !overSinks {
+		st.verdictOver = st.verdictOver[:0] // the first sink: the verdict is its label alone
+	}
+	if s.IsSink() || !overSinks {
+		st.verdictOver = append(st.verdictOver, id)
+	}
+	return id, pos
+}
+
+// dropTap takes the tap with the given id, which g no longer declares, out
+// again and returns the position in name order it had. Later streams move
+// down by one id.
+func (st *structure) dropTap(id int32) (pos int32) {
+	if v := st.from[id]; v >= 0 {
+		st.outOf.remove(v, id)
+	} else {
+		st.into.remove(st.to[id], id)
+	}
+	closeGap(st.into.val, id)
+	closeGap(st.outOf.val, id)
+	if st.collapsed != st.g {
+		st.collapsed.RemoveStream(st.streams[id].Name)
+	}
+	i := int(id)
+	st.streams, st.from, st.to = slices.Delete(st.streams, i, i+1), slices.Delete(st.from, i, i+1), slices.Delete(st.to, i, i+1)
+
+	pos = st.namePos[id]
+	st.byName = slices.Delete(st.byName, int(pos), int(pos)+1)
+	st.namePos = slices.Delete(st.namePos, i, i+1)
+	closeGap(st.byName, id)
+	closeGap(st.namePos, pos)
+
+	if at, listed := slices.BinarySearch(st.verdictOver, id); listed {
+		st.verdictOver = slices.Delete(st.verdictOver, at, at+1)
+	}
+	closeGap(st.verdictOver, id)
+	if len(st.verdictOver) == 0 { // the last sink went: the verdict ranges over every stream
+		for i := range st.streams {
+			st.verdictOver = append(st.verdictOver, int32(i))
+		}
+	}
+	return pos
 }

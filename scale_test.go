@@ -20,6 +20,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"blazes/internal/dataflow"
 	"blazes/internal/race"
@@ -86,6 +87,43 @@ func TestScaleSessionDifferential(t *testing.T) {
 				t.Fatalf("seq %d step %d (%v): session report differs from fresh analysis at 1k scale",
 					seq, step, trace)
 			}
+		}
+	}
+}
+
+// TestScaleUnknownStreamErrorBounded: the error for a stream name the graph
+// does not declare names a few near misses, not all of a thousand-component
+// graph's streams (at 10k components the full list was 187 KB, sorted under
+// the session's lock and sent back as the 4xx body).
+func TestScaleUnknownStreamErrorBounded(t *testing.T) {
+	_, g := openGenerated(t, 1000, 8)
+	s, err := OpenSession(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	real := g.Streams()[len(g.Streams())/2].Name
+	typo := real + "x"
+	_, buildErr := NewGraphBuilder("b").ComponentPath("C", "in", "out", CR).Source("s0", "C", "in").Sink("s1", "C", "out").
+		Sink("s2", "C", "out").Sink("s3", "C", "out").Sink("s4", "C", "out").Sink("s5", "C", "out").
+		Sink("s6", "C", "out").Sink("s7", "C", "out").Sink("s8", "C", "out").Seal("s9", "k").Build()
+	for name, err := range map[string]error{
+		"RemoveEdge":     s.RemoveEdge(typo),
+		"SealStream":     s.SealStream(typo, "k"),
+		"WithSealRepair": func() error { _, err := OpenSession(g, WithSealRepair(typo, "k")); return err }(),
+		"Builder.Seal":   buildErr,
+	} {
+		if err == nil {
+			t.Fatalf("%s: no error for an unknown stream", name)
+		}
+		msg := err.Error()
+		if len(msg) >= 1024 {
+			t.Errorf("%s: a %d-byte error, beginning %q", name, len(msg), msg[:200])
+		}
+		if !strings.Contains(msg, "more]") {
+			t.Errorf("%s: error does not say how many streams it left out: %s", name, msg)
+		}
+		if name != "Builder.Seal" && !strings.Contains(msg, " "+real+" ") && !strings.Contains(msg, "["+real+" ") {
+			t.Errorf("%s: error does not name the near miss %q: %s", name, real, msg)
 		}
 	}
 }
@@ -284,5 +322,140 @@ func TestSessionEditCostIndependentOfGraphSize(t *testing.T) {
 	}
 	if a1, a4 := cost(0), cost(3000); a1 != a4 {
 		t.Errorf("a sink-side flip and Synthesize allocates %.0f times at 1k components but %.0f at 4k", a1, a4)
+	}
+}
+
+// TestSessionTapCostIndependentOfGraphSize is that test for the topology
+// edit the structure is patched for: wiring a sink tap onto a component
+// outside every cycle and synthesizing, then dropping it and synthesizing,
+// allocates the same number of times at 1k components and with 3k more
+// beside them; both passes report Patched, share the component list whole
+// and every stream entry but the spliced one with the report before, and
+// carry the one Delta.Streams entry. (What grows with the graph is, again,
+// the size of one allocation: the copy of the stream list.) A tap on a
+// component inside a cycle recompiles.
+func TestSessionTapCostIndependentOfGraphSize(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector changes what allocates")
+	}
+	ctx := context.Background()
+	// sameEntry: b is a's entry copied, not projected again (a projection
+	// builds its endpoint strings and key lists anew).
+	data := func(s string) *byte {
+		if s == "" {
+			return nil
+		}
+		return unsafe.StringData(s)
+	}
+	sameEntry := func(a, b *StreamReport) bool {
+		return a.Name == b.Name && data(a.From) == data(b.From) && data(a.To) == data(b.To) &&
+			unsafe.SliceData(a.Seal) == unsafe.SliceData(b.Seal) && unsafe.SliceData(a.Label.Key) == unsafe.SliceData(b.Label.Key) &&
+			a.Label.Kind == b.Label.Kind && a.Replicated == b.Replicated
+	}
+	cost := func(padding int) float64 {
+		_, g := openGenerated(t, 1000, 8)
+		for i := range padding {
+			name := fmt.Sprintf("pad%04d", i)
+			g.Component(name).AddPath("in", "out", CR)
+			g.Source(name+"-in", name, "in")
+			g.Sink(name+"-out", name, "out")
+		}
+		s, err := OpenSession(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prev, err := s.Synthesize(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// step wires or drops the tap, synthesizes and holds the report to
+		// the one before it; thorough also walks the stream entries.
+		step := func(comp *Component, connect, thorough bool) SessionStats {
+			if connect {
+				err = s.Connect("m-tap", comp.Name+"."+comp.Outputs()[0], "")
+			} else {
+				err = s.RemoveEdge("m-tap")
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := s.Synthesize(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stats := s.LastStats()
+			if !stats.Rebuilt {
+				t.Fatalf("a topology edit on %s reports no rebuild", comp.Name)
+			}
+			if !stats.Patched {
+				prev = rep
+				return stats
+			}
+			d := rep.Delta.Streams
+			if len(d) != 1 || d[0].Name != "m-tap" || (d[0].After.Kind != "") != connect || (d[0].Before.Kind != "") == connect {
+				t.Fatalf("tap on %s beside %d components (connect=%v): delta streams %+v", comp.Name, padding, connect, d)
+			}
+			if &rep.Components[0] != &prev.Components[0] || len(rep.Delta.Recomputed) != 0 {
+				t.Fatalf("tap on %s beside %d components: re-derived %v, component list copied: %v", comp.Name, padding, rep.Delta.Recomputed, &rep.Components[0] != &prev.Components[0])
+			}
+			if thorough {
+				longer, shorter := rep.Streams, prev.Streams
+				if !connect {
+					longer, shorter = shorter, longer
+				}
+				if len(longer) != len(shorter)+1 {
+					t.Fatalf("tap on %s: %d streams after %d", comp.Name, len(rep.Streams), len(prev.Streams))
+				}
+				for i, j := 0, 0; i < len(longer); i++ {
+					if longer[i].Name == "m-tap" {
+						continue
+					}
+					if !sameEntry(&longer[i], &shorter[j]) {
+						t.Fatalf("tap on %s: stream entry %s projected again", comp.Name, longer[i].Name)
+					}
+					j++
+				}
+			}
+			prev = rep
+			return stats
+		}
+		onSelfLoop := map[string]bool{}
+		for _, st := range g.Streams() {
+			if st.FromComp != "" && st.FromComp == st.ToComp {
+				onSelfLoop[st.FromComp] = true
+			}
+		}
+		allocs, cyclic := -1.0, false
+		for _, comp := range g.Components() {
+			switch {
+			case onSelfLoop[comp.Name] && !cyclic:
+				cyclic = true
+				if stats := step(comp, true, false); stats.Patched {
+					t.Errorf("a tap on %s, on a gossip self-loop, was patched in", comp.Name)
+				}
+				if stats := step(comp, false, false); stats.Patched {
+					t.Errorf("the tap on %s, on a gossip self-loop, was patched out", comp.Name)
+				}
+			case !onSelfLoop[comp.Name] && allocs < 0 && !strings.HasPrefix(comp.Name, "pad"):
+				if stats := step(comp, true, true); !stats.Patched {
+					step(comp, false, false) // inside a longer cycle
+					continue
+				}
+				step(comp, false, true)
+				allocs = testing.AllocsPerRun(10, func() {
+					step(comp, true, false)
+					step(comp, false, false)
+				})
+			}
+		}
+		if allocs < 0 || !cyclic {
+			t.Fatalf("no component to tap outside every cycle (%v) or none on a self-loop (%v)", allocs < 0, !cyclic)
+		}
+		return allocs
+	}
+	a1, a4 := cost(0), cost(3000)
+	t.Logf("a tap wired, synthesized, dropped and synthesized allocates %.0f times", a1)
+	if a1 != a4 {
+		t.Errorf("a tap wired, synthesized, dropped and synthesized allocates %.0f times at 1k components but %.0f at 4k", a1, a4)
 	}
 }

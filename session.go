@@ -1,10 +1,10 @@
 package blazes
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -43,7 +43,7 @@ type Session struct {
 	seq       int // completed analyses
 	prev      *Report
 	prevSynth bool
-	last      SessionStats
+	last      dataflow.Stats // of the latest pass; LastStats renders it
 	// prevOuts lists, component by component, the derivations prev was
 	// projected from, and prevEnd[i] ends those of prev.Components[i]; the
 	// spare pair is the one before, reused for the next report.
@@ -59,8 +59,15 @@ type Session struct {
 // did — the observability hook for the incremental engine.
 type SessionStats struct {
 	// Rebuilt: the structural caches (validation, cycle collapse,
-	// topological order, stream index) were rebuilt.
+	// topological order, stream index) were rebuilt — true after every
+	// topology edit, whether they were compiled anew or patched.
 	Rebuilt bool
+	// Patched: they were patched in place, not compiled anew — every stream
+	// that came or went since the previous analysis was a tap (an external
+	// source or sink on a component outside every cycle), so the pass
+	// re-derived what the taps touch and the report repeats the previous
+	// one's entries around them. Implies Rebuilt.
+	Patched bool
 	// Recomputed lists the output interfaces ("Comp.iface") re-derived, in
 	// propagation order.
 	Recomputed []string
@@ -154,7 +161,12 @@ func (s *Session) StreamNames() []string {
 func (s *Session) LastStats() SessionStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.last
+	patched := len(s.last.Splices) > 0
+	recomputed := make([]string, len(s.last.Recomputed))
+	for i, n := range s.last.Recomputed {
+		recomputed[i] = n.Comp + "." + n.Iface
+	}
+	return SessionStats{Rebuilt: s.last.Rebuilt || patched, Patched: patched, Recomputed: recomputed, Reused: s.last.Reused}
 }
 
 // AddComponent declares a new component with the given annotated paths.
@@ -241,7 +253,7 @@ func (s *Session) Connect(stream, from, to string) error {
 		}
 	}
 	g.Connect(stream, fromComp, fromIface, toComp, toIface)
-	s.inc.NoteTopologyChange()
+	s.inc.NoteStreamAdded(stream)
 	s.bumped()
 	return nil
 }
@@ -251,9 +263,9 @@ func (s *Session) RemoveEdge(stream string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.inc.Graph().RemoveStream(stream) {
-		return fmt.Errorf("blazes: session: unknown stream %q (declared: %v)", stream, streamNames(s.inc.Graph()))
+		return fmt.Errorf("blazes: session: unknown stream %q (declared: %v)", stream, streamNames(s.inc.Graph(), stream))
 	}
-	s.inc.NoteTopologyChange()
+	s.inc.NoteStreamRemoved(stream)
 	s.bumped()
 	return nil
 }
@@ -283,7 +295,7 @@ func (s *Session) SealStream(stream string, key ...string) error {
 	defer s.mu.Unlock()
 	st := s.inc.Graph().Stream(stream)
 	if st == nil {
-		return fmt.Errorf("blazes: session: unknown stream %q (declared: %v)", stream, streamNames(s.inc.Graph()))
+		return fmt.Errorf("blazes: session: unknown stream %q (declared: %v)", stream, streamNames(s.inc.Graph(), stream))
 	}
 	if len(key) == 0 {
 		st.Seal = AttrSet{}
@@ -351,20 +363,13 @@ func (s *Session) analyze(ctx context.Context, synth bool) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	recomputed := make([]string, len(stats.Recomputed))
-	comps := make([]string, len(stats.Recomputed))
-	for i, n := range stats.Recomputed {
-		recomputed[i] = n.Comp + "." + n.Iface
-		comps[i] = n.Comp
-	}
-	sort.Strings(comps)
-	comps = slices.Compact(comps)
-	s.last = SessionStats{Rebuilt: stats.Rebuilt, Recomputed: recomputed, Reused: stats.Reused}
+	s.last = stats
 
-	// While the structure stands, positions in the previous report's lists
-	// are positions in the engine's, and the pass's change set names every
-	// entry that can differ; a first report, or one across a recompile, is
-	// paired with the previous one by name.
+	// While the structure stands or is patched, positions in the previous
+	// report's lists are positions in the engine's, give or take the
+	// splices, and the pass's change set names every entry that can differ;
+	// a first report, or one across a recompile, is paired with the previous
+	// one by name.
 	patched := s.prev != nil && !stats.Rebuilt
 	var rep *Report
 	if patched {
@@ -378,17 +383,36 @@ func (s *Session) analyze(ctx context.Context, synth bool) (*Report, error) {
 	}
 	switch {
 	case patched:
-		rep.Delta.header(s.prev, rep, comps, stats.Reused, s.seq)
+		rep.Delta.header(s.prev, rep, recomputedComponents(an, stats), stats.Reused, s.seq)
 		if s.prevSynth && replanned {
 			rep.Delta.Strategies = strategyDeltas(s.prev.Strategies, rep.Strategies)
 		}
 	case s.prev != nil:
-		rep.Delta = computeDelta(s.prev, rep, comps, stats.Reused, s.seq, s.prevSynth && synth)
+		rep.Delta = computeDelta(s.prev, rep, recomputedComponents(an, stats), stats.Reused, s.seq, s.prevSynth && synth)
 	}
 	s.seq++
 	s.prev = rep
 	s.prevSynth = synth
 	return rep, nil
+}
+
+// recomputedComponents names, in name order, the components of which the
+// pass re-derived an interface.
+func recomputedComponents(an *dataflow.Analysis, stats dataflow.Stats) []string {
+	if stats.Rebuilt {
+		// A full pass records every derivation anew, and no component is
+		// without one.
+		names := make([]string, 0, len(an.Collapsed.Components()))
+		for ca := range an.Components() {
+			names = append(names, ca.Component.Name)
+		}
+		return names
+	}
+	names := make([]string, len(stats.Components))
+	for i, pos := range stats.Components {
+		names[i] = an.ComponentAt(int(pos)).Component.Name
+	}
+	return names
 }
 
 // strategyReports projects the engine's strategies — once per slice: a
@@ -406,9 +430,11 @@ func (s *Session) strategyReports(planned []Strategy) (reports []StrategyReport,
 }
 
 // patch builds the report of a pass that kept the structure from the
-// previous one: the lists are the previous report's own, or — reports being
-// immutable — a copy with the changed positions projected again. The
-// report's Delta holds the streams whose label moved.
+// previous one, give or take a tap: the lists are the previous report's own,
+// or — reports being immutable — a copy with the spliced entries inserted or
+// dropped and the changed positions projected again. The report's Delta
+// holds the streams that came, went or changed label, in name order as
+// computeDelta would list them.
 func (s *Session) patch(an *dataflow.Analysis, stats dataflow.Stats) *Report {
 	prev := s.prev
 	rep := &Report{
@@ -420,21 +446,65 @@ func (s *Session) patch(an *dataflow.Analysis, stats dataflow.Stats) *Report {
 		Components:    prev.Components,
 		Delta:         &Delta{},
 	}
-	cloned := false
+	// The splices, applied to a copy of the previous list. A stream that came
+	// leaves a blank entry — no projected entry has a label without a kind —
+	// which the engine lists among the changed ones below; a stream that went
+	// is remembered for the Delta, unless it is one that had just come.
+	var gone []StreamDelta
+	cloned := len(stats.Splices) > 0
+	if cloned {
+		// The copy is made around the first splice, as a rule the only one:
+		// nothing is moved twice.
+		first, rest := stats.Splices[0], prev.Streams
+		rep.Streams = append(make([]StreamReport, 0, len(rest)+len(stats.Splices)), rest[:first.Pos]...)
+		rest = rest[first.Pos:]
+		if first.Added {
+			rep.Streams = append(rep.Streams, StreamReport{})
+		} else {
+			gone, rest = append(gone, StreamDelta{Name: rest[0].Name, Before: rest[0].Label}), rest[1:]
+		}
+		rep.Streams = append(rep.Streams, rest...)
+		for _, sp := range stats.Splices[1:] {
+			pos := int(sp.Pos)
+			if sp.Added {
+				rep.Streams = slices.Insert(rep.Streams, pos, StreamReport{})
+				continue
+			}
+			if was := &rep.Streams[pos]; was.Label.Kind != "" {
+				gone = append(gone, StreamDelta{Name: was.Name, Before: was.Label})
+			}
+			rep.Streams = slices.Delete(rep.Streams, pos, pos+1)
+		}
+	}
 	for _, pos := range stats.Streams {
 		st, l := an.StreamAt(int(pos))
-		pr := &prev.Streams[pos]
-		if streamReportCurrent(pr, st, l, false) {
+		pr := &rep.Streams[pos]
+		came := pr.Label.Kind == ""
+		if !came && streamReportCurrent(pr, st, l, false) {
 			continue // moved and moved back
 		}
 		if !cloned {
 			rep.Streams, cloned = slices.Clone(prev.Streams), true
 		}
-		sr := streamReport(st, l)
+		before, sr := pr.Label, streamReport(st, l)
 		rep.Streams[pos] = sr
-		if !labelReportEqual(pr.Label, sr.Label) {
-			rep.Delta.Streams = append(rep.Delta.Streams, StreamDelta{Name: sr.Name, Before: pr.Label, After: sr.Label})
+		if came {
+			// A name that went and came again is a stream both reports have.
+			i := slices.IndexFunc(gone, func(d StreamDelta) bool { return d.Name == sr.Name })
+			if i < 0 {
+				rep.Delta.Streams = append(rep.Delta.Streams, StreamDelta{Name: sr.Name, After: sr.Label})
+				continue
+			}
+			before = gone[i].Before
+			gone = slices.Delete(gone, i, i+1)
 		}
+		if !labelReportEqual(before, sr.Label) {
+			rep.Delta.Streams = append(rep.Delta.Streams, StreamDelta{Name: sr.Name, Before: before, After: sr.Label})
+		}
+	}
+	if len(gone) > 0 {
+		rep.Delta.Streams = append(rep.Delta.Streams, gone...)
+		slices.SortFunc(rep.Delta.Streams, func(a, b StreamDelta) int { return cmp.Compare(a.Name, b.Name) })
 	}
 	cloned = false
 	for _, pos := range stats.Components {

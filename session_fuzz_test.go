@@ -14,10 +14,10 @@ import (
 // one-shot analysis of its graph reports, with a Delta equal to the diff of
 // the two reports. The script's first byte picks the fixture and the
 // options; every pair of bytes after it is one step — the differential's own
-// mutators (annotate, seal and unseal, connect, add a component, remove,
-// cut a pass short), chosen by the first byte and driven by a generator
-// seeded with the second, then Analyze or Synthesize by the first byte's
-// top bit.
+// mutators (annotate, seal and unseal, tap a sink or a source, add a
+// component, remove, re-wire a tap under its old name, cut a pass short),
+// chosen by the first byte and driven by a generator seeded with the second,
+// then Analyze or Synthesize by the first byte's top bit.
 func FuzzSessionEdits(f *testing.F) {
 	muts := sessionMutators()
 	// One script per mutator and kind of analysis, and longer ones drawn the
@@ -26,6 +26,16 @@ func FuzzSessionEdits(f *testing.F) {
 		for m := range muts {
 			f.Add([]byte{fixture, byte(m), 1, byte(m) | 0x80, 2})
 		}
+	}
+	// Two that are mostly taps — sink (2), source (7), removed (4), re-wired
+	// (8) — with a label edit and a cancelled pass (5) between them: the
+	// patched structure's scripts, on the acyclic and on the cyclic fixture.
+	for fixture := byte(1); fixture < 3; fixture++ {
+		script := []byte{fixture}
+		for i, m := range []byte{2, 7, 2, 4, 8, 0, 7, 5, 4, 2, 8, 4, 1, 7, 4, 4} {
+			script = append(script, m|byte(i%2)<<7, byte(3*i)+fixture)
+		}
+		f.Add(script)
 	}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 16; i++ {

@@ -37,7 +37,7 @@ type editScript struct {
 	taps     []string
 	serial   int
 
-	edits, analyses, patched, sealOnly, stratDeltas, cancelled int
+	edits, analyses, patched, spliced, sealOnly, stratDeltas, cancelled int
 }
 
 func newEditScript(t *testing.T, seed int64, opts ...Option) *editScript {
@@ -112,8 +112,11 @@ func (e *editScript) analyze(synth bool) *Report {
 	e.analyses++
 	e.fresh = want
 	if got.Delta != nil {
-		if !e.s.LastStats().Rebuilt {
+		switch stats := e.s.LastStats(); {
+		case !stats.Rebuilt:
 			e.patched++
+		case stats.Patched:
+			e.spliced++
 		}
 		if len(got.Delta.Strategies) > 0 {
 			e.stratDeltas++
@@ -212,16 +215,22 @@ func (e *editScript) round(r int) {
 	}
 	e.analyze(true)
 
-	// A topology edit between label edits: a tap, a component that sorts
-	// before every other (each position moves up by one), a tap removed.
+	// A topology edit between label edits: a tap (patched into the standing
+	// structure), a component that sorts before every other (a recompile:
+	// each position moves up by one), a tap removed (patched out).
 	e.seal(in)
 	e.serial++
 	e.edits++
 	switch r % 3 {
 	case 0:
-		from := pick(rng, e.acyclic)
-		name := fmt.Sprintf("script-tap-%d", e.serial)
-		if err := e.s.Connect(name, from.Name+"."+pick(rng, from.Outputs()), ""); err != nil {
+		// A sink tap moves no label; a source tap is one more input to its
+		// component, whose entry changes under a stream list that grew.
+		on := pick(rng, e.acyclic)
+		name, from, to := fmt.Sprintf("script-tap-%d", e.serial), on.Name+"."+pick(rng, on.Outputs()), ""
+		if r%2 == 1 {
+			from, to = "", on.Name+"."+pick(rng, on.Inputs())
+		}
+		if err := e.s.Connect(name, from, to); err != nil {
 			t.Fatal(err)
 		}
 		e.taps = append(e.taps, name)
@@ -316,13 +325,14 @@ func TestSessionScriptDifferential(t *testing.T) {
 			if !bytes.Equal(marshalWithoutDelta(t, e.last), marshalWithoutDelta(t, e.fresh)) {
 				t.Fatal("the session's last report does not encode to the bytes of a fresh analysis")
 			}
-			t.Logf("%d edits, %d analyses: %d patched, %d of them a seal alone, %d with a strategy delta, %d passes cancelled",
-				e.edits, e.analyses, e.patched, e.sealOnly, e.stratDeltas, e.cancelled)
+			t.Logf("%d edits, %d analyses: %d patched (%d of them a seal alone) and %d more across a tap, %d with a strategy delta, %d passes cancelled",
+				e.edits, e.analyses, e.patched, e.sealOnly, e.spliced, e.stratDeltas, e.cancelled)
 			// The script must have been where the caches are: most passes
-			// keep the structure, plans come and go, passes are cut short.
-			if e.patched < 5*rounds || e.sealOnly < rounds/2 || e.stratDeltas < rounds || e.cancelled < rounds/2 {
-				t.Errorf("script missed its targets: %d patched, %d seal-only, %d strategy deltas, %d cancelled over %d rounds",
-					e.patched, e.sealOnly, e.stratDeltas, e.cancelled, rounds)
+			// keep the structure, taps are patched in and out of it, plans
+			// come and go, passes are cut short.
+			if e.patched < 5*rounds || e.spliced < rounds/2 || e.sealOnly < rounds/2 || e.stratDeltas < rounds || e.cancelled < rounds/2 {
+				t.Errorf("script missed its targets: %d patched, %d across a tap, %d seal-only, %d strategy deltas, %d cancelled over %d rounds",
+					e.patched, e.spliced, e.sealOnly, e.stratDeltas, e.cancelled, rounds)
 			}
 		})
 	}

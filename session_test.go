@@ -217,6 +217,57 @@ func sessionMutators() []mutator {
 			}
 			return "variant Report=" + v
 		},
+		// Tap a new external source into a random input interface, beside
+		// whatever feeds it already.
+		func(t *testing.T, rng *rand.Rand, s *Session, _ bool, serial *int) string {
+			g := s.Graph()
+			comps := g.Components()
+			c := comps[rng.Intn(len(comps))]
+			ins := c.Inputs()
+			iface := ins[rng.Intn(len(ins))]
+			*serial++
+			name := fmt.Sprintf("tap%d", *serial)
+			if err := s.Connect(name, "", c.Name+"."+iface); err != nil {
+				t.Fatalf("Connect(%s): %v", name, err)
+			}
+			if rng.Intn(2) == 0 {
+				if err := s.SealStream(name, randAttrs(rng)...); err != nil {
+					t.Fatalf("seal %s: %v", name, err)
+				}
+			}
+			return "source tap " + c.Name + "." + iface
+		},
+		// Remove a tap (wiring one first when there is none) and wire one of
+		// the same name elsewhere, all between two analyses: both reports
+		// have the name, with other endpoints.
+		func(t *testing.T, rng *rand.Rand, s *Session, _ bool, serial *int) string {
+			g := s.Graph()
+			comps := g.Components()
+			c := comps[rng.Intn(len(comps))]
+			outs := c.Outputs()
+			to := c.Name + "." + outs[rng.Intn(len(outs))]
+			var taps []string
+			for _, st := range g.Streams() {
+				if strings.HasPrefix(st.Name, "tap") {
+					taps = append(taps, st.Name)
+				}
+			}
+			if len(taps) == 0 {
+				*serial++
+				taps = []string{fmt.Sprintf("tap%d", *serial)}
+				if err := s.Connect(taps[0], comps[0].Name+"."+comps[0].Outputs()[0], ""); err != nil {
+					t.Fatalf("Connect(%s): %v", taps[0], err)
+				}
+			}
+			name := taps[rng.Intn(len(taps))]
+			if err := s.RemoveEdge(name); err != nil {
+				t.Fatalf("RemoveEdge(%s): %v", name, err)
+			}
+			if err := s.Connect(name, to, ""); err != nil {
+				t.Fatalf("Connect(%s) again: %v", name, err)
+			}
+			return "re-wire " + name + " to " + to
+		},
 	}
 }
 
