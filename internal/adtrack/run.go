@@ -3,6 +3,7 @@ package adtrack
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"blazes/internal/bloom"
 	"blazes/internal/coord"
@@ -181,27 +182,22 @@ func (r *Result) AvgBufferTime() sim.Time {
 	return r.BufferSum / sim.Time(r.BufferCount)
 }
 
-// workItem is one element of a replica's serialized input queue: a click
-// record or a request. Keeping both in one queue preserves the relative
-// order in which they reached the replica — essential for the ordering
-// regime's guarantee that all replicas process the same interleaving.
-type workItem struct {
-	click *Click
-	req   *Request
-}
-
 // replica is one reporting server instance in the simulation.
 type replica struct {
 	idx       int
 	node      *bloom.Node
 	busyUntil sim.Time
 	draining  bool
-	pending   []workItem
-	ingested  int
-	series    Series
+	// pending is the serialized input queue. Clicks and requests share it,
+	// which preserves the relative order in which they reached the replica
+	// — essential for the ordering regime's guarantee that all replicas
+	// process the same interleaving.
+	pending  []*record
+	ingested int
+	series   Series
 	// Sealed-regime state.
 	tracker *coord.SealTracker
-	held    map[string][]Request
+	held    map[string][]*record
 	looked  map[string]bool
 	// arrivals records per-campaign data arrival times until release.
 	arrivals map[string][]sim.Time
@@ -210,37 +206,37 @@ type replica struct {
 	fifo map[string]sim.Time
 }
 
-// Run executes one ad-network run to completion.
-func Run(cfg Config) (*Result, error) {
+// Run executes one ad-network run to completion. A caller running many
+// schedules of one workload passes the plan it prepared once (Prepare);
+// without one the run prepares its own.
+func Run(cfg Config, prepared ...*Prepared) (*Result, error) {
 	if cfg.Replicas <= 0 {
 		return nil, fmt.Errorf("adtrack: Replicas must be positive")
 	}
-	s := sim.New(cfg.Seed)
-	res := &Result{}
-
-	// NewNode only reads its module, so the replicas share one.
-	mod, err := ReportModule(cfg.Query, cfg.Threshold)
+	plan, err := planFor(cfg, prepared)
 	if err != nil {
 		return nil, err
 	}
+	bursts, requests := plan.bursts, plan.requests
+	s := sim.New(cfg.Seed)
+	res := &Result{}
+
+	// NewNode only reads its module, so the replicas (of every run) share one.
 	replicas := make([]*replica, cfg.Replicas)
 	for i := range replicas {
-		node, err := bloom.NewNode(fmt.Sprintf("report%d", i), mod)
+		node, err := bloom.NewNode("report"+strconv.Itoa(i), plan.module)
 		if err != nil {
 			return nil, err
 		}
 		replicas[i] = &replica{
 			idx:      i,
 			node:     node,
-			held:     map[string][]Request{},
+			held:     map[string][]*record{},
 			looked:   map[string]bool{},
 			arrivals: map[string][]sim.Time{},
 			fifo:     map[string]sim.Time{},
 		}
 	}
-
-	bursts := cfg.Workload.Plan()
-	requests := cfg.Workload.RequestPlan(cfg.Requests, cfg.RequestSpacing)
 
 	// linkArrival is the partition-adjusted delivery time for a message
 	// sent now over the direct adserver→replica / analyst→replica links.
@@ -282,15 +278,12 @@ func Run(cfg Config) (*Result, error) {
 		r.draining = true
 		var clicks []bloom.Row
 		i := 0
-		for ; i < len(r.pending); i++ {
-			if r.pending[i].req != nil {
-				break
-			}
-			clicks = append(clicks, r.pending[i].click.Row())
+		for ; i < len(r.pending) && !r.pending[i].request; i++ {
+			clicks = append(clicks, r.pending[i].row)
 		}
-		var req *Request
+		var req *record
 		if i < len(r.pending) {
-			req = r.pending[i].req
+			req = r.pending[i]
 			i++
 		}
 		r.pending = r.pending[i:]
@@ -311,7 +304,7 @@ func Run(cfg Config) (*Result, error) {
 				r.series = append(r.series, Point{At: s.Now(), Records: r.ingested})
 			}
 			if req != nil {
-				if err := r.node.Deliver("request", req.Row()); err != nil {
+				if err := r.node.Deliver("request", req.row); err != nil {
 					fail(err)
 					return
 				}
@@ -321,12 +314,8 @@ func Run(cfg Config) (*Result, error) {
 			drain(r)
 		})
 	}
-	enqueueClick := func(r *replica, c Click) {
-		r.pending = append(r.pending, workItem{click: &c})
-		drain(r)
-	}
-	enqueueRequest := func(r *replica, req Request) {
-		r.pending = append(r.pending, workItem{req: &req})
+	enqueue := func(r *replica, m *record) {
+		r.pending = append(r.pending, m)
 		drain(r)
 	}
 
@@ -335,22 +324,20 @@ func Run(cfg Config) (*Result, error) {
 		// Every click travels independently: reordering across records
 		// and across replicas.
 		for _, b := range bursts {
-			b := b
 			s.At(b.At, func() {
-				for _, c := range b.Clicks {
+				for i := range b.records {
+					m := &b.records[i]
 					for _, r := range replicas {
-						c, r := c, r
-						s.At(linkArrival(), func() { enqueueClick(r, c) })
+						s.At(linkArrival(), func() { enqueue(r, m) })
 					}
 				}
 			})
 		}
-		for _, req := range requests {
-			req := req
-			s.At(req.At, func() {
+		for i := range requests {
+			req := &requests[i]
+			s.At(req.at, func() {
 				for _, r := range replicas {
-					r := r
-					s.At(linkArrival(), func() { enqueueRequest(r, req) })
+					s.At(linkArrival(), func() { enqueue(r, req) })
 				}
 			})
 		}
@@ -358,51 +345,33 @@ func Run(cfg Config) (*Result, error) {
 	case Ordered:
 		seq := coord.NewSequencer(s, cfg.Sequencer)
 		for _, r := range replicas {
-			r := r
-			seq.Subscribe(func(m coord.Sequenced) {
-				switch v := m.Msg.(type) {
-				case Click:
-					enqueueClick(r, v)
-				case Request:
-					enqueueRequest(r, v)
-				}
-			})
+			seq.Subscribe(func(m coord.Sequenced) { enqueue(r, m.Msg.(*record)) })
 		}
 		// Clients throttle when the service queue grows (connection
 		// backpressure): a burst finding the queue deep defers itself.
-		var submitBurst func(b Burst)
-		submitBurst = func(b Burst) {
+		var submitBurst func(b *Burst)
+		submitBurst = func(b *Burst) {
 			if d := seq.QueueDelay(); d > cfg.BackpressureThreshold {
 				backoff := d + sim.Time(s.Rand().Int63n(int64(d)+1))
 				s.After(backoff, func() { submitBurst(b) })
 				return
 			}
-			for _, c := range b.Clicks {
-				seq.Submit(c)
+			for i := range b.records {
+				seq.Submit(&b.records[i])
 			}
 		}
-		for _, b := range bursts {
-			b := b
-			s.At(b.At, func() { submitBurst(b) })
+		for i := range bursts {
+			s.At(bursts[i].At, func() { submitBurst(&bursts[i]) })
 		}
-		for _, req := range requests {
-			req := req
-			s.At(req.At, func() { seq.Submit(req) })
+		for i := range requests {
+			s.At(requests[i].at, func() { seq.Submit(&requests[i]) })
 		}
 		defer func() { res.CoordMessages = seq.Submitted() }()
 
 	case Quorum:
 		q := coord.NewQuorumOrder(s, cfg.Quorum)
 		for _, r := range replicas {
-			r := r
-			q.Subscribe(func(_ coord.Stamp, msg any) {
-				switch v := msg.(type) {
-				case Click:
-					enqueueClick(r, v)
-				case Request:
-					enqueueRequest(r, v)
-				}
-			})
+			q.Subscribe(func(_ coord.Stamp, msg any) { enqueue(r, msg.(*record)) })
 		}
 		// One stamping producer per ad server (first-occurrence order, so
 		// producer ids — and hence the preordained order — are
@@ -420,40 +389,32 @@ func Run(cfg Config) (*Result, error) {
 		plist = append(plist, analyst)
 		var last sim.Time
 		for _, b := range bursts {
-			b := b
-			if b.At > last {
-				last = b.At
-			}
+			last = max(last, b.At)
 			s.At(b.At, func() {
 				p := producers[b.Server]
-				for _, c := range b.Clicks {
-					p.Send(c)
+				for i := range b.records {
+					p.Send(&b.records[i])
 				}
 			})
 		}
-		for _, req := range requests {
-			req := req
-			if req.At > last {
-				last = req.At
-			}
-			s.At(req.At, func() { analyst.Send(req) })
+		for i := range requests {
+			last = max(last, requests[i].at)
+			s.At(requests[i].at, func() { analyst.Send(&requests[i]) })
 		}
 		// Quiescence markers flush everything buffered behind the frontier.
 		for _, p := range plist {
-			p := p
 			s.At(last+sim.Millisecond, p.Done)
 		}
 		defer func() { res.CoordMessages = q.Heartbeats() }()
 
 	case Sealed:
 		registry := coord.NewRegistry(s, cfg.Link)
-		for campaign, producers := range cfg.Workload.Producers() {
+		for campaign, producers := range plan.producers {
 			for _, p := range producers {
 				registry.Register(campaign, p)
 			}
 		}
 		for _, r := range replicas {
-			r := r
 			r.tracker = coord.NewSealTracker(func(partition string, msgs []any) {
 				if r.idx == 0 {
 					for _, at := range r.arrivals[partition] {
@@ -463,10 +424,10 @@ func Run(cfg Config) (*Result, error) {
 					delete(r.arrivals, partition)
 				}
 				for _, m := range msgs {
-					enqueueClick(r, m.(Click))
+					enqueue(r, m.(*record))
 				}
 				for _, req := range r.held[partition] {
-					enqueueRequest(r, req)
+					enqueue(r, req)
 				}
 				delete(r.held, partition)
 			})
@@ -491,41 +452,36 @@ func Run(cfg Config) (*Result, error) {
 			s.At(at, fn)
 		}
 		for _, b := range bursts {
-			b := b
 			s.At(b.At, func() {
 				for _, r := range replicas {
-					r := r
-					for _, c := range b.Clicks {
-						c := c
+					for i := range b.records {
+						c := &b.records[i]
 						fifoDeliver(r, b.Server, func() {
-							lookup(r, c.Campaign)
+							lookup(r, c.campaign)
 							if r.idx == 0 {
-								r.arrivals[c.Campaign] = append(r.arrivals[c.Campaign], s.Now())
+								r.arrivals[c.campaign] = append(r.arrivals[c.campaign], s.Now())
 							}
-							r.tracker.Data(c.Campaign, c)
+							r.tracker.Data(c.campaign, c)
 						})
 					}
 					for _, campaign := range b.Seals {
-						campaign := campaign
-						server := b.Server
-						fifoDeliver(r, server, func() {
+						fifoDeliver(r, b.Server, func() {
 							lookup(r, campaign)
-							r.tracker.Seal(coord.Punctuation{Partition: campaign, Producer: server})
+							r.tracker.Seal(coord.Punctuation{Partition: campaign, Producer: b.Server})
 						})
 					}
 				}
 			})
 		}
-		for _, req := range requests {
-			req := req
-			s.At(req.At, func() {
+		for i := range requests {
+			req := &requests[i]
+			s.At(req.at, func() {
 				for _, r := range replicas {
-					r := r
 					s.At(linkArrival(), func() {
-						if r.tracker.Sealed(req.Campaign) {
-							enqueueRequest(r, req)
+						if r.tracker.Sealed(req.campaign) {
+							enqueue(r, req)
 						} else {
-							r.held[req.Campaign] = append(r.held[req.Campaign], req)
+							r.held[req.campaign] = append(r.held[req.campaign], req)
 						}
 					})
 				}
@@ -548,7 +504,9 @@ func Run(cfg Config) (*Result, error) {
 		}
 		res.LogSizes = append(res.LogSizes, r.node.Size("clicklog"))
 		res.LogDigests = append(res.LogDigests, r.node.Digest())
-		res.Held += len(r.held)
+		for _, reqs := range r.held {
+			res.Held += len(reqs)
+		}
 		if n := len(r.series); n > 0 && r.series[n-1].At > res.FinishedAt {
 			res.FinishedAt = r.series[n-1].At
 		}

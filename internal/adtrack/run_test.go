@@ -1,6 +1,7 @@
 package adtrack
 
 import (
+	"reflect"
 	"testing"
 
 	"blazes/internal/dataflow"
@@ -282,5 +283,56 @@ func TestRunPOORQueryRegimes(t *testing.T) {
 	}
 	if res.Series.Final() != 3*60 {
 		t.Errorf("final = %d", res.Series.Final())
+	}
+}
+
+// TestHeldCountsRequests pins Result.Held to what it documents: requests
+// still held at run end, not the campaigns they wait on. One server masters
+// three campaigns but has records for two, so camp02 is never punctuated and
+// both requests for it stay held — at one map key.
+func TestHeldCountsRequests(t *testing.T) {
+	cfg := DefaultConfig(1, Sealed, true)
+	cfg.Replicas = 1
+	cfg.Workload.EntriesPerServer = 2
+	cfg.Workload.Campaigns = 3
+	cfg.Requests = 6
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Held != 2 {
+		t.Errorf("%d requests still held, want 2 (requests 2 and 5, both for the never-sealed camp02)", res.Held)
+	}
+}
+
+// TestPreparedRunMatchesUnprepared holds a run over a shared, prepared plan
+// to the run that prepares its own — every regime, several seeds over one
+// plan, in either order — and Run to refusing a plan prepared from another
+// workload.
+func TestPreparedRunMatchesUnprepared(t *testing.T) {
+	plan, err := Prepare(testConfig(0, Uncoordinated, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, regime := range []Regime{Uncoordinated, Ordered, Sealed, Quorum} {
+		for _, seed := range []int64{3, 1, 2} {
+			cfg := testConfig(seed, regime, false)
+			want, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Run(cfg, plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s seed %d: the run over the shared plan differs from the run that prepared its own", regime, seed)
+			}
+		}
+	}
+	other := testConfig(1, Sealed, false)
+	other.Requests++
+	if _, err := Run(other, plan); err == nil {
+		t.Error("Run accepted a plan prepared for another request count")
 	}
 }

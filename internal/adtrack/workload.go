@@ -1,7 +1,7 @@
 package adtrack
 
 import (
-	"fmt"
+	"strconv"
 
 	"blazes/internal/bloom"
 	"blazes/internal/sim"
@@ -44,14 +44,25 @@ func DefaultWorkload(adServers int, independent bool) Workload {
 	}
 }
 
+// padded renders a non-negative n in at least width digits, as %0*d does.
+// The names below are wire data (TestNamesPinned): they appear verbatim in
+// rows, traces and digests.
+func padded(n, width int) string {
+	s := strconv.Itoa(n)
+	for len(s) < width {
+		s = "0" + s
+	}
+	return s
+}
+
 // CampaignName returns the canonical campaign identifier.
-func CampaignName(c int) string { return fmt.Sprintf("camp%02d", c) }
+func CampaignName(c int) string { return "camp" + padded(c, 2) }
 
 // AdName returns the canonical ad identifier within a campaign.
-func AdName(campaign, ad int) string { return fmt.Sprintf("ad%02d-%d", campaign, ad) }
+func AdName(campaign, ad int) string { return "ad" + padded(campaign, 2) + "-" + strconv.Itoa(ad) }
 
 // ServerName returns the canonical ad-server identifier.
-func ServerName(s int) string { return fmt.Sprintf("adserver%d", s) }
+func ServerName(s int) string { return "adserver" + strconv.Itoa(s) }
 
 // Click is one log record. Seq is a per-server sequence number making every
 // record unique (a click log is a bag of events; without it the runtime's
@@ -76,6 +87,9 @@ type Burst struct {
 	At     sim.Time
 	Clicks []Click
 	Seals  []string
+	// records is Clicks as a run routes them, each row boxed once; Prepare
+	// fills it in.
+	records []record
 }
 
 // campaignsOf returns the campaigns server s produces, in emission order.
@@ -127,7 +141,7 @@ func (w Workload) Plan() []Burst {
 			pending = append(pending, Click{
 				ID:       AdName(c, ad),
 				Campaign: CampaignName(c),
-				Window:   fmt.Sprintf("w%d", k%4),
+				Window:   "w" + strconv.Itoa(k%4),
 				Server:   server,
 				Seq:      seq,
 			})
@@ -220,8 +234,8 @@ func (w Workload) RequestPlan(n int, spacing sim.Time) []Request {
 		out = append(out, Request{
 			ID:       AdName(c, i%w.AdsPerCampaign),
 			Campaign: CampaignName(c),
-			Window:   fmt.Sprintf("w%d", i%4),
-			ReqID:    fmt.Sprintf("req%03d", i),
+			Window:   "w" + strconv.Itoa(i%4),
+			ReqID:    "req" + padded(i, 3),
 			At:       sim.Time(i+1) * spacing,
 		})
 	}

@@ -92,6 +92,8 @@ type Collection struct {
 // inserts do not clone. Cloning happens only at the public boundary (Deliver
 // in; snapshot/Rows/Emission out).
 type store struct {
+	// decl is the collection the store holds (nil for a bare test store).
+	decl *Collection
 	// rows is in insertion order, except that remove fills the hole it
 	// leaves with the last row — a function of the operations applied,
 	// never of map iteration, so scans are deterministic.
@@ -109,6 +111,10 @@ type store struct {
 	// rotation discipline.
 	delta    []Row
 	newDelta []Row
+	// pendingIns/pendingDel apply at the start of the next tick (<+, <-,
+	// and network deliveries); outbox gathers a tick's async (<~) merges
+	// until the tick emits them.
+	pendingIns, pendingDel, outbox []Row
 }
 
 func newStore() *store { return &store{head: map[uint64]int32{}} }

@@ -1,6 +1,10 @@
 package bloom
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"strings"
+)
 
 // This file is the compiled evaluator. NewNode lowers every rule body into a
 // compiledExpr tree exactly once: schemas are resolved, column offsets and
@@ -52,7 +56,18 @@ func (s rowSet) add(r Row) bool {
 // cScan reads a bound store.
 type cScan struct{ st *store }
 
-func (e *cScan) full(out []Row) []Row  { return append(out, e.st.rows...) }
+// full(nil) lends the store's own rows instead of copying them: a read-only
+// view, good until the store's next version bump (a remove or a clear
+// rewrites the array in place; an insert only appends past the view, which
+// is capped so that nothing can append into the store through it). Every
+// holder — an operator for the length of its evaluation, a rule memo, a join
+// side cache — reads it and keys its reuse on that version.
+func (e *cScan) full(out []Row) []Row {
+	if out == nil {
+		return e.st.rows[:len(e.st.rows):len(e.st.rows)]
+	}
+	return append(out, e.st.rows...)
+}
 func (e *cScan) delta(out []Row) []Row { return append(out, e.st.delta...) }
 func (e *cScan) anyDelta() bool        { return len(e.st.delta) > 0 }
 
@@ -323,35 +338,50 @@ type groupAcc struct {
 	repr Row // first row of the group, for key values
 	n    int64
 	agg  []Val // running Sum/Min/Max values, indexed like cGroupBy.aggs
+	next int32 // the next group under the same hash, as in store.next
 }
 
-// groupRows buckets rows by their keyIdx projection (hash plus key-equality
+// groupIndex buckets rows by a key projection in the store's shape: the
+// accumulators lie flat in first-seen order, chained per hash through head
+// and next (1-based, 0 ending a chain). It belongs to one operator of one
+// node and every evaluation resets it, so after the first it is as large as
+// the groups met and allocates nothing.
+type groupIndex struct {
+	accs []groupAcc
+	head map[uint64]int32
+	// hashShift discards low hash bits; tests raise it to force collisions.
+	hashShift uint
+}
+
+// group buckets rows by their keyIdx projection (hash plus key-equality
 // probe), counting cardinality per group and invoking onRow per assignment,
-// and returns the accumulators in first-seen order. Shared by the group-by
-// and threshold operators so the probe logic cannot diverge.
-func groupRows(rows []Row, keyIdx []int, onRow func(acc *groupAcc, r Row)) []*groupAcc {
-	buckets := make(map[uint64][]*groupAcc, len(rows))
-	var order []*groupAcc
+// and returns the accumulators in first-seen order, valid until the next
+// call. Shared by the group-by and threshold operators so the probe logic
+// cannot diverge.
+func (g *groupIndex) group(rows []Row, keyIdx []int, onRow func(acc *groupAcc, r Row)) []groupAcc {
+	if g.head == nil {
+		g.head = map[uint64]int32{}
+	}
+	clear(g.head)
+	g.accs = g.accs[:0]
 	for _, r := range rows {
-		h := hashAt(r, keyIdx)
-		var acc *groupAcc
-		for _, a := range buckets[h] {
-			if keysSameAt(r, keyIdx, a.repr, keyIdx) {
-				acc = a
-				break
-			}
+		h := hashAt(r, keyIdx) >> g.hashShift
+		i := g.head[h]
+		for i != 0 && !keysSameAt(r, keyIdx, g.accs[i-1].repr, keyIdx) {
+			i = g.accs[i-1].next
 		}
-		if acc == nil {
-			acc = &groupAcc{repr: r}
-			buckets[h] = append(buckets[h], acc)
-			order = append(order, acc)
+		if i == 0 {
+			g.accs = append(g.accs, groupAcc{repr: r, next: g.head[h]})
+			i = int32(len(g.accs))
+			g.head[h] = i
 		}
+		acc := &g.accs[i-1]
 		acc.n++
 		if onRow != nil {
 			onRow(acc, r)
 		}
 	}
-	return order
+	return g.accs
 }
 
 // cGroupBy groups on key offsets and streams aggregates.
@@ -360,10 +390,12 @@ type cGroupBy struct {
 	keyIdx []int
 	aggs   []cAgg
 	having []cPred // offsets into the output row
+	groups groupIndex
+	folds  bool // some aggregate keeps a running value: anything but Count
 }
 
 func (e *cGroupBy) full(out []Row) []Row {
-	order := groupRows(e.in.full(nil), e.keyIdx, func(acc *groupAcc, r Row) {
+	fold := func(acc *groupAcc, r Row) {
 		if acc.agg == nil {
 			acc.agg = make([]Val, len(e.aggs))
 		}
@@ -383,8 +415,11 @@ func (e *cGroupBy) full(out []Row) []Row {
 				}
 			}
 		}
-	})
-	for _, acc := range order {
+	}
+	if !e.folds {
+		fold = nil
+	}
+	for _, acc := range e.groups.group(e.in.full(nil), e.keyIdx, fold) {
 		nr := make(Row, 0, len(e.keyIdx)+len(e.aggs))
 		for _, j := range e.keyIdx {
 			nr = append(nr, acc.repr[j])
@@ -420,10 +455,11 @@ type cThreshold struct {
 	in      compiledExpr
 	keyIdx  []int
 	atLeast int64
+	groups  groupIndex
 }
 
 func (e *cThreshold) full(out []Row) []Row {
-	for _, acc := range groupRows(e.in.full(nil), e.keyIdx, nil) {
+	for _, acc := range e.groups.group(e.in.full(nil), e.keyIdx, nil) {
 		if acc.n < e.atLeast {
 			continue
 		}
@@ -560,6 +596,7 @@ func compileExpr(m *Module, state map[string]*store, e Expr) (compiledExpr, Sche
 				col = inSchema.IndexOf(a.Col)
 			}
 			ce.aggs = append(ce.aggs, cAgg{fn: a.Func, col: col})
+			ce.folds = ce.folds || a.Func != Count
 		}
 		ce.having, err = compilePreds(x.Having, outSchema, "having")
 		if err != nil {
@@ -673,8 +710,11 @@ type program struct {
 	// can mutate during stratum s's fixpoint).
 	instant [][]*compiledRule
 	heads   [][]*store
-	// rest holds deferred/delete/async rules in module rule order.
-	rest []*compiledRule
+	// rest holds deferred/delete/async rules in module rule order;
+	// asyncHeads the distinct heads of the async ones in name order, the
+	// order a tick emits them in.
+	rest       []*compiledRule
+	asyncHeads []*store
 }
 
 // compileProgram lowers every rule of the module against the node's stores.
@@ -691,6 +731,9 @@ func compileProgram(m *Module, state map[string]*store, strata map[string]int, m
 		cr := &compiledRule{rule: r, head: state[r.Head], body: body, readStores: readStores(state, r.Body)}
 		if r.Op != Instant {
 			p.rest = append(p.rest, cr)
+			if r.Op == Async && !slices.Contains(p.asyncHeads, cr.head) {
+				p.asyncHeads = append(p.asyncHeads, cr.head)
+			}
 			continue
 		}
 		s := strata[r.Head]
@@ -703,5 +746,6 @@ func compileProgram(m *Module, state map[string]*store, strata map[string]int, m
 			p.heads[s] = append(p.heads[s], cr.head)
 		}
 	}
+	slices.SortFunc(p.asyncHeads, func(a, b *store) int { return strings.Compare(a.decl.Name, b.decl.Name) })
 	return p, nil
 }

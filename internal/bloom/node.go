@@ -3,7 +3,6 @@ package bloom
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
 )
 
 // Emission is a batch of rows leaving a node in one timestep: rows merged
@@ -23,15 +22,14 @@ type Node struct {
 	ID    string
 	mod   *Module
 	state map[string]*store
+	// stores lists state's values in declaration order, so that a tick
+	// walks a slice and sorts no keys.
+	stores []*store
 	// prog is the module compiled against this node's stores: schemas,
 	// strata, and column offsets resolved once, scans bound to store
 	// pointers.
-	prog *program
-	// pendingIns/pendingDel apply at the start of the next tick (<+, <-,
-	// and network deliveries).
-	pendingIns map[string][]Row
-	pendingDel map[string][]Row
-	ticks      int
+	prog  *program
+	ticks int
 }
 
 // NewNode instantiates a module. The module must validate, stratify, and
@@ -45,15 +43,12 @@ func NewNode(id string, mod *Module) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := &Node{
-		ID:         id,
-		mod:        mod,
-		state:      map[string]*store{},
-		pendingIns: map[string][]Row{},
-		pendingDel: map[string][]Row{},
-	}
+	n := &Node{ID: id, mod: mod, state: map[string]*store{}}
 	for _, c := range mod.Collections() {
-		n.state[c.Name] = newStore()
+		st := newStore()
+		st.decl = c
+		n.state[c.Name] = st
+		n.stores = append(n.stores, st)
 	}
 	n.prog, err = compileProgram(mod, n.state, strata, maxStratum)
 	if err != nil {
@@ -68,10 +63,11 @@ func (n *Node) Module() *Module { return n.mod }
 // Deliver queues rows for a collection; they become visible at the next
 // tick (asynchronous arrival).
 func (n *Node) Deliver(collection string, rows ...Row) error {
-	c := n.mod.Collection(collection)
-	if c == nil {
+	st := n.state[collection]
+	if st == nil {
 		return fmt.Errorf("bloom: node %s: deliver to unknown collection %q", n.ID, collection)
 	}
+	c := st.decl
 	// Validate the whole batch before queuing anything, so a failed
 	// Deliver is never partially applied.
 	for _, r := range rows {
@@ -88,14 +84,21 @@ func (n *Node) Deliver(collection string, rows ...Row) error {
 		}
 	}
 	for _, r := range rows {
-		n.pendingIns[collection] = append(n.pendingIns[collection], r.clone())
+		st.pendingIns = append(st.pendingIns, r.clone())
 	}
 	return nil
 }
 
 // Pending reports whether queued work exists (delivered rows or deferred
 // merges), i.e. whether a tick would make progress.
-func (n *Node) Pending() bool { return len(n.pendingIns) > 0 || len(n.pendingDel) > 0 }
+func (n *Node) Pending() bool {
+	for _, st := range n.stores {
+		if len(st.pendingIns) > 0 || len(st.pendingDel) > 0 {
+			return true
+		}
+	}
+	return false
+}
 
 // Rows returns the current contents of a collection in canonical order.
 func (n *Node) Rows(collection string) []Row {
@@ -104,6 +107,17 @@ func (n *Node) Rows(collection string) []Row {
 		return nil
 	}
 	return st.snapshot()
+}
+
+// Render returns the collection's rows as text: each rendered as Row.String
+// renders it, sorted, comma-joined — what a digest of the contents wants,
+// without the copies and the key sort Rows makes first.
+func (n *Node) Render(collection string) string {
+	st, ok := n.state[collection]
+	if !ok {
+		return ""
+	}
+	return renderSorted(st.rows)
 }
 
 // Size returns a collection's cardinality.
@@ -124,17 +138,15 @@ func (n *Node) Ticks() int { return n.ticks }
 // state agrees — the comparison replica-convergence checks rest on.
 func (n *Node) Digest() string {
 	h := fnv.New64a()
-	var rows []Row
 	var buf []byte
-	for _, c := range n.mod.Collections() {
-		if c.Kind.Transient() {
+	for _, st := range n.stores {
+		if st.decl.Kind.Transient() {
 			continue
 		}
-		rows = append(rows[:0], n.state[c.Name].rows...)
-		SortRows(rows)
-		buf = append(append(buf[:0], c.Name...), '[')
-		for _, row := range rows {
-			buf = append(row.appendString(buf), ';')
+		_, byKey := encodeSorted(st.rows, Row.appendKey)
+		buf = append(append(buf[:0], st.decl.Name...), '[')
+		for _, e := range byKey {
+			buf = append(e.row.appendString(buf), ';')
 		}
 		h.Write(append(buf, ']'))
 	}
@@ -162,21 +174,18 @@ func (n *Node) rowsOf(name string) []Row { return n.state[name].snapshot() }
 func (n *Node) Tick() ([]Emission, error) {
 	n.ticks++
 
-	// 1. Apply pending work.
-	for _, coll := range sortedKeys(n.pendingIns) {
-		st := n.state[coll]
-		for _, r := range n.pendingIns[coll] {
+	// 1. Apply pending work: per store, insertions before deletions. The
+	// queues keep their capacity (and, until overwritten, a tick's worth of
+	// references to rows that are mostly the store's own by now).
+	for _, st := range n.stores {
+		for _, r := range st.pendingIns {
 			st.insert(r)
 		}
-	}
-	clear(n.pendingIns)
-	for _, coll := range sortedKeys(n.pendingDel) {
-		st := n.state[coll]
-		for _, r := range n.pendingDel[coll] {
+		for _, r := range st.pendingDel {
 			st.remove(r)
 		}
+		st.pendingIns, st.pendingDel = st.pendingIns[:0], st.pendingDel[:0]
 	}
-	clear(n.pendingDel)
 
 	// 2. Semi-naive stratified fixpoint of instant rules.
 	for s := 0; s <= n.prog.maxStratum; s++ {
@@ -223,36 +232,31 @@ func (n *Node) Tick() ([]Emission, error) {
 	// Their rows stay internal (pending queues alias immutable rows); only
 	// async emissions cross the public boundary, cloned in step 4.
 	var emissions []Emission
-	asyncRows := map[string][]Row{}
 	for _, cr := range n.prog.rest {
 		rows := cr.eval()
-		if len(rows) == 0 {
-			continue
-		}
 		switch cr.rule.Op {
 		case Deferred:
-			n.pendingIns[cr.rule.Head] = append(n.pendingIns[cr.rule.Head], rows...)
+			cr.head.pendingIns = append(cr.head.pendingIns, rows...)
 		case Delete:
-			n.pendingDel[cr.rule.Head] = append(n.pendingDel[cr.rule.Head], rows...)
+			cr.head.pendingDel = append(cr.head.pendingDel, rows...)
 		case Async:
-			asyncRows[cr.rule.Head] = append(asyncRows[cr.rule.Head], rows...)
+			cr.head.outbox = append(cr.head.outbox, rows...)
 		}
 	}
-	for _, coll := range sortedKeys(asyncRows) {
-		emissions = append(emissions, Emission{Collection: coll, Rows: canonRows(asyncRows[coll])})
-	}
-
-	// 4. Output interfaces emit their fixpoint contents.
-	for _, out := range n.mod.Outputs() {
-		if rows := n.state[out].snapshot(); len(rows) > 0 {
-			emissions = append(emissions, Emission{Collection: out, Rows: rows})
+	for _, st := range n.prog.asyncHeads {
+		if len(st.outbox) > 0 {
+			emissions = append(emissions, Emission{Collection: st.decl.Name, Rows: canonRows(st.outbox)})
+			st.outbox = st.outbox[:0]
 		}
 	}
 
-	// 5. Clear transients.
-	for _, c := range n.mod.Collections() {
-		if c.Kind.Transient() {
-			n.state[c.Name].clear()
+	// 4. Output interfaces emit their fixpoint contents; 5. transients clear.
+	for _, st := range n.stores {
+		if st.decl.Kind == Output && len(st.rows) > 0 {
+			emissions = append(emissions, Emission{Collection: st.decl.Name, Rows: st.snapshot()})
+		}
+		if st.decl.Kind.Transient() {
+			st.clear()
 		}
 	}
 	return emissions, nil
@@ -289,13 +293,4 @@ func (n *Node) Drain(maxTicks int) ([]Emission, error) {
 		}
 	}
 	return out, fmt.Errorf("bloom: node %s did not quiesce within %d ticks", n.ID, maxTicks)
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

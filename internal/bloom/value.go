@@ -261,29 +261,55 @@ func (r Row) appendString(buf []byte) []byte {
 	return append(buf, ')')
 }
 
-// SortRows orders rows canonically (for deterministic iteration and
-// comparison in tests). Decorate-sort: every row's key is encoded once,
-// into one shared buffer, not inside the comparator.
-func SortRows(rows []Row) {
-	type keyed struct {
-		off, end int
-		row      Row
-	}
-	var keys []byte
-	ks := make([]keyed, len(rows))
+// encoded is one row's span in a shared buffer of encodings.
+type encoded struct {
+	off, end int
+	row      Row
+}
+
+// encodeSorted is decorate-sort: every row is encoded once, by enc, into one
+// shared buffer — not inside a comparator — and the rows' spans come back
+// ordered by encoding. rows itself is only read.
+func encodeSorted(rows []Row, enc func(Row, []byte) []byte) ([]byte, []encoded) {
+	var buf []byte
+	es := make([]encoded, len(rows))
 	for i, r := range rows {
-		off := len(keys)
-		keys = r.appendKey(keys)
-		ks[i] = keyed{off, len(keys), r}
+		off := len(buf)
+		buf = enc(r, buf)
+		es[i] = encoded{off, len(buf), r}
 		if i == 0 {
 			// Rows of one collection encode to similar lengths.
-			keys = slices.Grow(keys, len(keys)*len(rows))
+			buf = slices.Grow(buf, len(buf)*len(rows))
 		}
 	}
-	slices.SortFunc(ks, func(a, b keyed) int { return bytes.Compare(keys[a.off:a.end], keys[b.off:b.end]) })
-	for i, k := range ks {
-		rows[i] = k.row
+	slices.SortFunc(es, func(a, b encoded) int { return bytes.Compare(buf[a.off:a.end], buf[b.off:b.end]) })
+	return buf, es
+}
+
+// SortRows orders rows canonically, by key (for deterministic iteration and
+// comparison in tests).
+func SortRows(rows []Row) {
+	if len(rows) < 2 {
+		return
 	}
+	_, es := encodeSorted(rows, Row.appendKey)
+	for i, e := range es {
+		rows[i] = e.row
+	}
+}
+
+// renderSorted renders each row once, as String does, and joins the
+// renderings in sorted order with commas: the canonical text of a row set.
+func renderSorted(rows []Row) string {
+	buf, es := encodeSorted(rows, Row.appendString)
+	out := make([]byte, 0, len(buf)+len(es))
+	for i, e := range es {
+		if i > 0 {
+			out = append(out, ',')
+		}
+		out = append(out, buf[e.off:e.end]...)
+	}
+	return string(out)
 }
 
 // RowsEqual reports set equality of two row slices.

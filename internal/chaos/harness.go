@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 
 	"blazes/internal/dataflow"
 	"blazes/internal/sim"
@@ -17,8 +18,14 @@ import (
 //
 // Run must be safe for concurrent calls with distinct seeds: the parallel
 // sweep explores many seeded schedules at once, each on its own simulator.
-// Every built-in workload satisfies this by constructing all per-run state
-// inside Run.
+// Every built-in workload satisfies this by splitting a run in two. What is
+// a function of (seed, plan, mechanism) — the simulator, the replicas, their
+// nodes and stores, every queue — is constructed inside Run. What is a
+// function of the workload alone — a click plan and its rows, a validated
+// module, a generated graph's indexes, a ground truth — may be built once
+// and shared by every run, under one rule: it lives in a once on the
+// workload value, never at package level, and nothing writes to it after
+// the once (TestScheduleCannotSeeItsNeighbours).
 type Workload interface {
 	// Name identifies the workload in reports.
 	Name() string
@@ -28,6 +35,19 @@ type Workload interface {
 	Supports(mech dataflow.Coordination) bool
 	// Run executes one seeded schedule and returns the observable outcome.
 	Run(seed int64, plan FaultPlan, mech dataflow.Coordination) (Outcome, error)
+}
+
+// once holds the shared half of a workload's runs (see Workload): the first
+// run that needs it builds it, every later and concurrent run reads it.
+type once[T any] struct {
+	sync.Once
+	v   T
+	err error
+}
+
+func (o *once[T]) get(build func() (T, error)) (T, error) {
+	o.Do(func() { o.v, o.err = build() })
+	return o.v, o.err
 }
 
 // Config tunes a verification run.

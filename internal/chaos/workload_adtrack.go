@@ -3,8 +3,10 @@ package chaos
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"blazes/internal/adtrack"
+	"blazes/internal/bloom"
 	"blazes/internal/dataflow"
 	"blazes/internal/sim"
 )
@@ -25,6 +27,10 @@ type AdNetworkWorkload struct {
 	AdServers        int
 	EntriesPerServer int
 	Requests         int
+
+	// prepared is the plan the fields above determine; set them before the
+	// first Run.
+	prepared once[*adtrack.Prepared]
 }
 
 // AdNetwork returns the default chaos-sized ad network.
@@ -83,7 +89,13 @@ func (w *AdNetworkWorkload) Run(seed int64, plan FaultPlan, mech dataflow.Coordi
 	cfg.Sequencer.DeliverDelay = plan.Shape(cfg.Sequencer.DeliverDelay)
 	cfg.Quorum.Delivery = plan.Shape(cfg.Quorum.Delivery)
 
-	res, err := adtrack.Run(cfg)
+	// The plan is a function of cfg's workload, query and requests only —
+	// none of which a schedule's seed, regime or fault plan touches.
+	prepared, err := w.prepared.get(func() (*adtrack.Prepared, error) { return adtrack.Prepare(cfg) })
+	if err != nil {
+		return Outcome{}, err
+	}
+	res, err := adtrack.Run(cfg, prepared)
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -95,7 +107,7 @@ func (w *AdNetworkWorkload) Run(seed int64, plan FaultPlan, mech dataflow.Coordi
 		answers[i] = map[string][]string{}
 	}
 	for _, resp := range res.Responses {
-		reqid := fmt.Sprint(resp.Row[1])
+		reqid := bloom.AsString(resp.Row[1])
 		answers[resp.Replica][reqid] = append(answers[resp.Replica][reqid], resp.Row.String())
 	}
 	out := Outcome{}
@@ -107,9 +119,9 @@ func (w *AdNetworkWorkload) Run(seed int64, plan FaultPlan, mech dataflow.Coordi
 		sort.Strings(ids)
 		trace := make([]string, 0, len(ids))
 		for _, id := range ids {
-			trace = append(trace, fmt.Sprintf("%s→{%s}", id, canonSet(answers[i][id])))
+			trace = append(trace, id+"→{"+canonSet(answers[i][id])+"}")
 		}
-		final := fmt.Sprintf("state:%s held:%d", res.LogDigests[i], res.Held)
+		final := "state:" + res.LogDigests[i] + " held:" + strconv.Itoa(res.Held)
 		out.Replicas = append(out.Replicas, ReplicaOutcome{Trace: trace, Final: final})
 	}
 	return out, nil

@@ -3,6 +3,7 @@ package chaos
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"blazes/internal/adtrack"
 	"blazes/internal/bloom"
@@ -38,6 +39,10 @@ type BloomReportWorkload struct {
 	Campaigns       int
 	AdsPerCampaign  int
 	Requests        int
+
+	// prepared is the plan the fields above determine; set them before the
+	// first Run.
+	prepared once[*bloomPlan]
 }
 
 // ReplicatedReport returns the default chaos-sized reporting server for the
@@ -115,12 +120,14 @@ func newBloomReplica(id string, mod *bloom.Module) (*bloomReplica, error) {
 	return &bloomReplica{node: node, answers: map[string]map[string]bool{}}, nil
 }
 
-func (r *bloomReplica) click(row bloom.Row) error { return r.node.Deliver("click", row) }
-
-// request delivers one analyst request and runs the timestep that answers
-// it, folding the response rows into the per-request answer set.
-func (r *bloomReplica) request(row bloom.Row) error {
-	if err := r.node.Deliver("request", row); err != nil {
+// deliver hands the replica one click, or one analyst request and runs the
+// timestep that answers it, folding the response rows into the per-request
+// answer set.
+func (r *bloomReplica) deliver(m *bloomMsg) error {
+	if !m.request {
+		return r.node.Deliver("click", m.row)
+	}
+	if err := r.node.Deliver("request", m.row); err != nil {
 		return err
 	}
 	em, err := r.node.Tick()
@@ -132,7 +139,7 @@ func (r *bloomReplica) request(row bloom.Row) error {
 			continue
 		}
 		for _, resp := range e.Rows {
-			reqid := fmt.Sprint(resp[1])
+			reqid := bloom.AsString(resp[1])
 			set, ok := r.answers[reqid]
 			if !ok {
 				set = map[string]bool{}
@@ -156,7 +163,7 @@ func (r *bloomReplica) trace() []string {
 		for row := range r.answers[id] {
 			rows = append(rows, row)
 		}
-		out = append(out, fmt.Sprintf("%s→{%s}", id, canonSet(rows)))
+		out = append(out, id+"→{"+canonSet(rows)+"}")
 	}
 	return out
 }
@@ -164,100 +171,148 @@ func (r *bloomReplica) trace() []string {
 // finalDigest drains the node, digests its persistent click log, and
 // re-poses every request at quiescence — the eventual answers a confluent
 // (or properly coordinated) replica must agree on.
-func (r *bloomReplica) finalDigest(requests []adtrack.Request) (string, error) {
+func (r *bloomReplica) finalDigest(p *bloomPlan) (string, error) {
 	if r.node.Pending() {
 		if _, err := r.node.Tick(); err != nil {
 			return "", err
 		}
 	}
-	logRows := r.node.Rows("clicklog")
-	rows := make([]string, 0, len(logRows))
-	for _, row := range logRows {
-		rows = append(rows, row.String())
-	}
-	quiesced := newBloomQuiescentProbe()
-	for i, req := range requests {
-		probe := req
-		probe.ReqID = fmt.Sprintf("fq%d", i)
-		if err := r.node.Deliver("request", probe.Row()); err != nil {
+	entries := make([]string, len(p.probes))
+	for i := range p.probes {
+		probe := &p.probes[i]
+		if err := r.node.Deliver("request", probe.row); err != nil {
 			return "", err
 		}
 		em, err := r.node.Tick()
 		if err != nil {
 			return "", err
 		}
-		quiesced.collect(probe.ReqID, em)
-	}
-	return digest("log{"+canonSet(rows)+"}", "final{"+canonSet(quiesced.entries)+"}"), nil
-}
-
-type bloomQuiescentProbe struct{ entries []string }
-
-func newBloomQuiescentProbe() *bloomQuiescentProbe { return &bloomQuiescentProbe{} }
-
-func (p *bloomQuiescentProbe) collect(reqid string, em []bloom.Emission) {
-	var rows []string
-	for _, e := range em {
-		if e.Collection != "response" {
-			continue
-		}
-		for _, resp := range e.Rows {
-			if fmt.Sprint(resp[1]) == reqid {
-				rows = append(rows, resp.String())
+		var rows []string
+		for _, e := range em {
+			if e.Collection != "response" {
+				continue
+			}
+			for _, resp := range e.Rows {
+				if bloom.AsString(resp[1]) == probe.id {
+					rows = append(rows, resp.String())
+				}
 			}
 		}
+		entries[i] = probe.id + "→{" + canonSet(rows) + "}"
 	}
-	p.entries = append(p.entries, fmt.Sprintf("%s→{%s}", reqid, canonSet(rows)))
+	return digest("log{"+r.node.Render("clicklog")+"}", "final{"+canonSet(entries)+"}"), nil
 }
 
-// plan returns the click stream and request schedule (identical for every
-// seed: the logical workload is fixed; only delivery varies).
-func (w *BloomReportWorkload) plan() (clicks []adtrack.Click, requests []adtrack.Request, span sim.Time) {
-	span = 60 * sim.Millisecond
-	for srv := 0; srv < w.Servers; srv++ {
-		for i := 0; i < w.ClicksPerServer; i++ {
-			campaign := i % w.Campaigns
-			clicks = append(clicks, adtrack.Click{
-				ID:       adtrack.AdName(campaign, i%w.AdsPerCampaign),
-				Campaign: adtrack.CampaignName(campaign),
-				Window:   "w0",
-				Server:   adtrack.ServerName(srv),
-				Seq:      int64(srv*w.ClicksPerServer + i),
-			})
+// bloomMsg is one click or request of the plan, its row boxed once, with
+// the fields the mechanisms route on.
+type bloomMsg struct {
+	row      bloom.Row
+	request  bool
+	id       string   // a request's id
+	campaign string   // the partition sealing gates on
+	server   string   // a click's producer, the FIFO stream it rides
+	at       sim.Time // send time
+}
+
+// bloomSeal is one producer's punctuation of one campaign, sent a
+// millisecond after its last click for it.
+type bloomSeal struct {
+	coord.Punctuation
+	at sim.Time
+}
+
+// bloomPlan is the half of every run that is a function of the workload
+// alone — identical for every seed, plan and mechanism: the logical workload
+// is fixed; only delivery varies. Runs share it read-only.
+type bloomPlan struct {
+	mod              *bloom.Module
+	clicks, requests []bloomMsg
+	// probes re-pose the requests at quiescence under ids of their own.
+	probes []bloomMsg
+	// sequenced is M1's preordained total order: clicks in workload order
+	// with requests interleaved at fixed positions.
+	sequenced          []*bloomMsg
+	campaigns, servers []string
+	seals              []bloomSeal
+}
+
+// plan returns the prepared plan, building it on first use.
+func (w *BloomReportWorkload) plan() (*bloomPlan, error) {
+	return w.prepared.get(func() (*bloomPlan, error) {
+		mod, err := adtrack.ReportModule(w.Query, w.Threshold)
+		if err != nil {
+			return nil, err
 		}
-	}
-	for i := 0; i < w.Requests; i++ {
-		campaign := i % w.Campaigns
-		requests = append(requests, adtrack.Request{
-			ID:       adtrack.AdName(campaign, i%w.AdsPerCampaign),
-			Campaign: adtrack.CampaignName(campaign),
-			Window:   "w0",
-			ReqID:    fmt.Sprintf("q%d", i),
-			At:       10*sim.Millisecond + span*sim.Time(i)/sim.Time(w.Requests),
-		})
-	}
-	return clicks, requests, span
-}
-
-// clickTime paces one server's stream across the span.
-func clickTime(span sim.Time, perServer, idx int) sim.Time {
-	return span * sim.Time(idx) / sim.Time(perServer+1)
+		const span = 60 * sim.Millisecond
+		p := &bloomPlan{mod: mod}
+		for c := 0; c < w.Campaigns; c++ {
+			p.campaigns = append(p.campaigns, adtrack.CampaignName(c))
+		}
+		// lastFor tracks each server's final send time per campaign so the
+		// punctuation follows its stream.
+		lastFor := make([]sim.Time, w.Campaigns)
+		for srv := 0; srv < w.Servers; srv++ {
+			server := adtrack.ServerName(srv)
+			p.servers = append(p.servers, server)
+			clear(lastFor)
+			for i := 0; i < w.ClicksPerServer; i++ {
+				c := adtrack.Click{
+					ID:       adtrack.AdName(i%w.Campaigns, i%w.AdsPerCampaign),
+					Campaign: p.campaigns[i%w.Campaigns],
+					Window:   "w0",
+					Server:   server,
+					Seq:      int64(srv*w.ClicksPerServer + i),
+				}
+				// Each server's stream is paced across the span.
+				at := span * sim.Time(i) / sim.Time(w.ClicksPerServer+1)
+				lastFor[i%w.Campaigns] = at
+				p.clicks = append(p.clicks, bloomMsg{row: c.Row(), campaign: c.Campaign, server: server, at: at})
+			}
+			for c, campaign := range p.campaigns {
+				p.seals = append(p.seals, bloomSeal{coord.Punctuation{Partition: campaign, Producer: server}, lastFor[c] + sim.Millisecond})
+			}
+		}
+		for i := 0; i < w.Requests; i++ {
+			req := adtrack.Request{
+				ID:       adtrack.AdName(i%w.Campaigns, i%w.AdsPerCampaign),
+				Campaign: p.campaigns[i%w.Campaigns],
+				Window:   "w0",
+				ReqID:    "q" + strconv.Itoa(i),
+			}
+			at := 10*sim.Millisecond + span*sim.Time(i)/sim.Time(w.Requests)
+			p.requests = append(p.requests, bloomMsg{row: req.Row(), request: true, id: req.ReqID, campaign: req.Campaign, at: at})
+			req.ReqID = "fq" + strconv.Itoa(i)
+			p.probes = append(p.probes, bloomMsg{row: req.Row(), request: true, id: req.ReqID})
+		}
+		stride := len(p.clicks)/(len(p.requests)+1) + 1
+		ri := 0
+		for i := range p.clicks {
+			p.sequenced = append(p.sequenced, &p.clicks[i])
+			if (i+1)%stride == 0 && ri < len(p.requests) {
+				p.sequenced = append(p.sequenced, &p.requests[ri])
+				ri++
+			}
+		}
+		for ; ri < len(p.requests); ri++ {
+			p.sequenced = append(p.sequenced, &p.requests[ri])
+		}
+		return p, nil
+	})
 }
 
 // Run implements Workload.
 func (w *BloomReportWorkload) Run(seed int64, plan FaultPlan, mech dataflow.Coordination) (Outcome, error) {
-	s := sim.New(seed)
-	link := plan.Shape(sim.LinkConfig{MinDelay: 200 * sim.Microsecond, MaxDelay: 6 * sim.Millisecond})
-	clicks, requests, span := w.plan()
-
-	// NewNode only reads its module, so the replicas share one.
-	mod, err := adtrack.ReportModule(w.Query, w.Threshold)
+	p, err := w.plan()
 	if err != nil {
 		return Outcome{}, err
 	}
+	s := sim.New(seed)
+	link := plan.Shape(sim.LinkConfig{MinDelay: 200 * sim.Microsecond, MaxDelay: 6 * sim.Millisecond})
+
+	// NewNode only reads its module, so the replicas (of every run) share one.
 	reps := make([]*bloomReplica, w.Replicas)
 	for i := range reps {
-		r, err := newBloomReplica(fmt.Sprintf("report%d", i), mod)
+		r, err := newBloomReplica("report"+strconv.Itoa(i), p.mod)
 		if err != nil {
 			return Outcome{}, err
 		}
@@ -275,59 +330,26 @@ func (w *BloomReportWorkload) Run(seed int64, plan FaultPlan, mech dataflow.Coor
 
 	switch mech {
 	case dataflow.CoordNone:
-		for ci, c := range clicks {
-			row := c.Row()
-			at := clickTime(span, w.ClicksPerServer, ci%w.ClicksPerServer)
-			for _, r := range reps {
-				r := r
-				s.At(arrival(at), func() { fail(r.click(row)) })
-				if dup() {
-					s.At(arrival(at), func() { fail(r.click(row)) })
-				}
-			}
-		}
-		for _, req := range requests {
-			row := req.Row()
-			for _, r := range reps {
-				r := r
-				s.At(arrival(req.At), func() { fail(r.request(row)) })
-				if dup() {
-					s.At(arrival(req.At), func() { fail(r.request(row)) })
+		for _, msgs := range [][]bloomMsg{p.clicks, p.requests} {
+			for i := range msgs {
+				m := &msgs[i]
+				for _, r := range reps {
+					s.At(arrival(m.at), func() { fail(r.deliver(m)) })
+					if dup() {
+						s.At(arrival(m.at), func() { fail(r.deliver(m)) })
+					}
 				}
 			}
 		}
 
 	case dataflow.CoordSequenced:
-		// M1: a preordained total order, identical in every run: clicks in
-		// workload order with requests interleaved at fixed positions.
-		type step struct {
-			click *adtrack.Click
-			req   *adtrack.Request
-		}
-		var order []step
-		stride := len(clicks)/(len(requests)+1) + 1
-		ri := 0
-		for i := range clicks {
-			order = append(order, step{click: &clicks[i]})
-			if (i+1)%stride == 0 && ri < len(requests) {
-				order = append(order, step{req: &requests[ri]})
-				ri++
-			}
-		}
-		for ; ri < len(requests); ri++ {
-			order = append(order, step{req: &requests[ri]})
-		}
+		// M1: a preordained total order, identical in every run.
 		at := sim.Time(0)
-		for _, st := range order {
-			st := st
+		for _, m := range p.sequenced {
 			at += 200 * sim.Microsecond
 			s.At(at, func() {
 				for _, r := range reps {
-					if st.click != nil {
-						fail(r.click(st.click.Row()))
-					} else {
-						fail(r.request(st.req.Row()))
-					}
+					fail(r.deliver(m))
 				}
 			})
 		}
@@ -338,23 +360,12 @@ func (w *BloomReportWorkload) Run(seed int64, plan FaultPlan, mech dataflow.Coor
 		cfg.DeliverDelay = plan.Shape(cfg.DeliverDelay)
 		seq := coord.NewSequencer(s, cfg)
 		for _, r := range reps {
-			r := r
-			seq.Subscribe(func(m coord.Sequenced) {
-				switch v := m.Msg.(type) {
-				case adtrack.Click:
-					fail(r.click(v.Row()))
-				case adtrack.Request:
-					fail(r.request(v.Row()))
-				}
-			})
+			seq.Subscribe(func(m coord.Sequenced) { fail(r.deliver(m.Msg.(*bloomMsg))) })
 		}
-		for ci, c := range clicks {
-			c := c
-			s.At(clickTime(span, w.ClicksPerServer, ci%w.ClicksPerServer), func() { seq.Submit(c) })
-		}
-		for _, req := range requests {
-			req := req
-			s.At(req.At, func() { seq.Submit(req) })
+		for _, msgs := range [][]bloomMsg{p.clicks, p.requests} {
+			for i := range msgs {
+				s.At(msgs[i].at, func() { seq.Submit(&msgs[i]) })
+			}
 		}
 
 	case dataflow.CoordSealed:
@@ -363,61 +374,45 @@ func (w *BloomReportWorkload) Run(seed int64, plan FaultPlan, mech dataflow.Coor
 		// stream, and requests are held until their campaign's vote is
 		// unanimous.
 		registry := coord.NewRegistry(s, link)
-		for c := 0; c < w.Campaigns; c++ {
-			for srv := 0; srv < w.Servers; srv++ {
-				registry.Register(adtrack.CampaignName(c), adtrack.ServerName(srv))
+		for _, campaign := range p.campaigns {
+			for _, server := range p.servers {
+				registry.Register(campaign, server)
 			}
 		}
-		for ri := range reps {
-			r := reps[ri]
-			held := map[string][]adtrack.Request{}
+		for _, r := range reps {
+			held := map[string][]*bloomMsg{}
 			tracker := coord.NewSealTracker(func(partition string, buffered []any) {
 				for _, b := range buffered {
-					fail(r.click(b.(adtrack.Click).Row()))
+					fail(r.deliver(b.(*bloomMsg)))
 				}
 				for _, req := range held[partition] {
-					fail(r.request(req.Row()))
+					fail(r.deliver(req))
 				}
 				delete(held, partition)
 			})
-			for c := 0; c < w.Campaigns; c++ {
-				campaign := adtrack.CampaignName(c)
+			for _, campaign := range p.campaigns {
 				registry.Lookup(campaign, func(producers []string) {
 					tracker.SetExpected(campaign, producers)
 				})
 			}
 			fifo := newFifoLink(s, link)
-			// lastFor tracks each server's final send time per campaign so
-			// the punctuation follows its stream.
-			lastFor := map[string]sim.Time{}
-			for ci, c := range clicks {
-				c := c
-				at := clickTime(span, w.ClicksPerServer, ci%w.ClicksPerServer)
-				key := c.Server + "/" + c.Campaign
-				if at > lastFor[key] {
-					lastFor[key] = at
-				}
-				fifo.deliver(c.Server, at, func() { tracker.Data(c.Campaign, c) })
+			for i := range p.clicks {
+				c := &p.clicks[i]
+				fifo.deliver(c.server, c.at, func() { tracker.Data(c.campaign, c) })
 				if dup() {
-					fifo.deliver(c.Server, at, func() { tracker.Data(c.Campaign, c) })
+					fifo.deliver(c.server, c.at, func() { tracker.Data(c.campaign, c) })
 				}
 			}
-			for srv := 0; srv < w.Servers; srv++ {
-				for c := 0; c < w.Campaigns; c++ {
-					campaign := adtrack.CampaignName(c)
-					server := adtrack.ServerName(srv)
-					fifo.deliver(server, lastFor[server+"/"+campaign]+sim.Millisecond, func() {
-						tracker.Seal(coord.Punctuation{Partition: campaign, Producer: server})
-					})
-				}
+			for _, seal := range p.seals {
+				fifo.deliver(seal.Producer, seal.at, func() { tracker.Seal(seal.Punctuation) })
 			}
-			for _, req := range requests {
-				req := req
-				s.At(arrival(req.At), func() {
-					if tracker.Sealed(req.Campaign) {
-						fail(r.request(req.Row()))
+			for i := range p.requests {
+				req := &p.requests[i]
+				s.At(arrival(req.at), func() {
+					if tracker.Sealed(req.campaign) {
+						fail(r.deliver(req))
 					} else {
-						held[req.Campaign] = append(held[req.Campaign], req)
+						held[req.campaign] = append(held[req.campaign], req)
 					}
 				})
 			}
@@ -433,7 +428,7 @@ func (w *BloomReportWorkload) Run(seed int64, plan FaultPlan, mech dataflow.Coor
 	}
 	out := Outcome{}
 	for _, r := range reps {
-		final, err := r.finalDigest(requests)
+		final, err := r.finalDigest(p)
 		if err != nil {
 			return Outcome{}, err
 		}

@@ -3,7 +3,7 @@ package chaos
 import (
 	"fmt"
 	"hash/fnv"
-	"sync"
+	"strconv"
 
 	"blazes/internal/dataflow"
 	"blazes/internal/sim"
@@ -38,9 +38,7 @@ type GeneratedWorkload struct {
 	// 0 selects 3.
 	MsgsPerSource int
 
-	once     sync.Once
-	model    *genModel
-	modelErr error
+	model once[*genModel]
 }
 
 // Generated returns the workload for topogen.Default(components, seed).
@@ -55,9 +53,9 @@ func (w *GeneratedWorkload) Name() string {
 
 // genIface is one component input interface of the generated graph.
 type genIface struct {
-	comp    int // index into genModel.comps
-	name    string
-	ordered bool // some path from this interface is order-sensitive
+	comp    int    // index into genModel.comps
+	label   string // "component.interface:", as the digest writes it
+	ordered bool   // some path from this interface is order-sensitive
 }
 
 // genModel is the prebuilt interpreter model: indexes over the generated
@@ -72,10 +70,12 @@ type genModel struct {
 	// stream declaration order.
 	outs [][]int
 	// sources lists the target interface index of each source stream, in
-	// stream declaration order; sourceNames the matching stream names.
-	sources     []int
-	sourceNames []string
-	msgsPer     int
+	// stream declaration order.
+	sources []int
+	msgsPer int
+	// msgIDs[id] is message id's "source:seq" — what an order-sensitive
+	// interface chains (wire data, TestWireNamesPinned) — formatted once.
+	msgIDs []string
 }
 
 func (w *GeneratedWorkload) build() (*genModel, error) {
@@ -107,7 +107,7 @@ func (w *GeneratedWorkload) build() (*genModel, error) {
 				}
 			}
 			ifaceIdx[name+"\x00"+in] = len(m.ifaces)
-			m.ifaces = append(m.ifaces, genIface{comp: ci, name: in, ordered: ordered})
+			m.ifaces = append(m.ifaces, genIface{comp: ci, label: name + "." + in + ":", ordered: ordered})
 		}
 	}
 	m.outs = make([][]int, len(m.comps))
@@ -119,7 +119,9 @@ func (w *GeneratedWorkload) build() (*genModel, error) {
 				return nil, fmt.Errorf("generated: source %q targets unknown interface %s.%s", s.Name, s.ToComp, s.ToIface)
 			}
 			m.sources = append(m.sources, ti)
-			m.sourceNames = append(m.sourceNames, s.Name)
+			for seq := 0; seq < m.msgsPer; seq++ {
+				m.msgIDs = append(m.msgIDs, s.Name+":"+strconv.Itoa(seq))
+			}
 		case s.IsSink():
 			// Sinks carry state out of the dataflow; the digest already
 			// covers every component, so they need no interpretation.
@@ -138,10 +140,7 @@ func (w *GeneratedWorkload) build() (*genModel, error) {
 	return m, nil
 }
 
-func (w *GeneratedWorkload) modelOnce() (*genModel, error) {
-	w.once.Do(func() { w.model, w.modelErr = w.build() })
-	return w.model, w.modelErr
-}
+func (w *GeneratedWorkload) modelOnce() (*genModel, error) { return w.model.get(w.build) }
 
 // Graph implements Workload.
 func (w *GeneratedWorkload) Graph() (*dataflow.Graph, error) {
@@ -216,8 +215,7 @@ func (st *genState) apply(iface int, msg genMsg) {
 	}
 	st.seen[iface][msg.id] = true
 	if st.m.ifaces[iface].ordered {
-		st.chains[iface][msg.src] = synChainHash(st.chains[iface][msg.src],
-			fmt.Sprintf("%s:%d", st.m.sourceNames[msg.src], msg.seq))
+		st.chains[iface][msg.src] = synChainHash(st.chains[iface][msg.src], st.m.msgIDs[msg.id])
 	}
 }
 
@@ -226,22 +224,24 @@ func (st *genState) apply(iface int, msg genMsg) {
 // order-sensitive interfaces by their per-source chains.
 func (st *genState) digest() string {
 	h := fnv.New64a()
+	var buf []byte
 	for i, ifc := range st.m.ifaces {
-		fmt.Fprintf(h, "%s.%s:", st.m.comps[ifc.comp], ifc.name)
+		buf = append(buf[:0], ifc.label...)
 		if ifc.ordered {
 			for src, chain := range st.chains[i] {
 				if chain != 0 {
-					fmt.Fprintf(h, "%d=%x,", src, chain)
+					buf = append(strconv.AppendInt(buf, int64(src), 10), '=')
+					buf = append(strconv.AppendUint(buf, chain, 16), ',')
 				}
 			}
 		} else {
 			for id, ok := range st.seen[i] {
 				if ok {
-					fmt.Fprintf(h, "%d,", id)
+					buf = append(strconv.AppendInt(buf, int64(id), 10), ',')
 				}
 			}
 		}
-		h.Write([]byte{'|'})
+		h.Write(append(buf, '|'))
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
 }

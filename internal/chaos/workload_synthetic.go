@@ -2,8 +2,8 @@ package chaos
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
+	"strconv"
 
 	"blazes/internal/coord"
 	"blazes/internal/core"
@@ -131,10 +131,14 @@ type synMsg struct {
 	Producer string
 	Seq      int
 	Stamp    int
+	// ID is "producer:seq", formatted once per message, not per delivery:
+	// the dedup key and, verbatim, the value replicas fold (wire data,
+	// TestWireNamesPinned).
+	ID string
 }
 
-func (m synMsg) id() string    { return fmt.Sprintf("%s:%d", m.Producer, m.Seq) }
-func (m synMsg) value() string { return m.id() }
+func (m synMsg) id() string    { return m.ID }
+func (m synMsg) value() string { return m.ID }
 
 // synReplica is one replica of the component under test.
 type synReplica struct {
@@ -201,7 +205,7 @@ func (r *synReplica) snapshot() string {
 	sort.Strings(keys)
 	parts := make([]string, 0, len(keys))
 	for _, k := range keys {
-		parts = append(parts, fmt.Sprintf("%s=%x", k, r.chains[k]))
+		parts = append(parts, k+"="+strconv.FormatUint(r.chains[k], 16))
 	}
 	return canonSet(parts)
 }
@@ -210,17 +214,27 @@ func (r *synReplica) outcome() ReplicaOutcome {
 	return ReplicaOutcome{Trace: append([]string{}, r.outputs...), Final: r.snapshot()}
 }
 
-func synChainHash(prev uint64, v string) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%x|%s", prev, v)
-	return h.Sum64()
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnv1a folds s into a 64-bit FNV-1a state (hash/fnv's New64a, without the
+// hash.Hash64 and the []byte it wants).
+func fnv1a[T string | []byte](h uint64, s T) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime64
+	}
+	return h
 }
 
-func synElemHash(v string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(v))
-	return h.Sum64()
+// synChainHash links v onto a hash chain: FNV-1a of "<prev in hex>|<v>".
+func synChainHash(prev uint64, v string) uint64 {
+	var hex [17]byte
+	return fnv1a(fnv1a(fnvOffset64, append(strconv.AppendUint(hex[:0], prev, 16), '|')), v)
 }
+
+func synElemHash(v string) uint64 { return fnv1a(fnvOffset64, v) }
 
 // Run implements Workload.
 func (w *SyntheticWorkload) Run(seed int64, plan FaultPlan, mech dataflow.Coordination) (Outcome, error) {
@@ -235,7 +249,8 @@ func (w *SyntheticWorkload) Run(seed int64, plan FaultPlan, mech dataflow.Coordi
 	var msgs []synMsg
 	for p := 0; p < w.Producers; p++ {
 		for i := 0; i < w.PerProducer; i++ {
-			msgs = append(msgs, synMsg{Producer: fmt.Sprintf("p%d", p), Seq: i, Stamp: i*w.Producers + p + 1})
+			producer := "p" + strconv.Itoa(p)
+			msgs = append(msgs, synMsg{Producer: producer, Seq: i, Stamp: i*w.Producers + p + 1, ID: producer + ":" + strconv.Itoa(i)})
 		}
 	}
 	sendTime := func(m synMsg) sim.Time {
@@ -472,7 +487,7 @@ func (w *SyntheticWorkload) Run(seed int64, plan FaultPlan, mech dataflow.Coordi
 				gate, read := allPartitions, r.read
 				if answers != nil {
 					part := fmt.Sprintf("p%d", i%w.Producers)
-					gate, read = part, func() { answers[i] = fmt.Sprintf("%s=%x", part, r.chains[part]) }
+					gate, read = part, func() { answers[i] = part + "=" + strconv.FormatUint(r.chains[part], 16) }
 				}
 				s.At(arrival(t), func() {
 					if open(gate) {

@@ -3,8 +3,8 @@ package chaos
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
-	"sync"
 
 	"blazes/internal/dataflow"
 	"blazes/internal/sim"
@@ -37,12 +37,9 @@ type WordcountWorkload struct {
 	// tuples straggle.
 	FlushTimeout sim.Time
 
-	// truthOnce/truth cache the schedule-independent ground-truth digest:
-	// it depends only on the workload shape, not on seed, plan, or
-	// mechanism, yet used to be recomputed on each of a sweep's hundreds
-	// of runs.
-	truthOnce sync.Once
-	truth     string
+	// truth is the schedule-independent ground-truth digest: it depends
+	// only on the workload shape, not on seed, plan, or mechanism.
+	truth once[string]
 }
 
 // Wordcount returns the default chaos-sized wordcount (small enough that a
@@ -108,17 +105,17 @@ func (w *WordcountWorkload) Run(seed int64, plan FaultPlan, mech dataflow.Coordi
 		return Outcome{}, err
 	}
 
-	w.truthOnce.Do(func() {
+	truth, _ := w.truth.get(func() (string, error) {
 		spout := &wc.TweetSpout{
 			Batches:        w.Batches,
 			TuplesPerBatch: w.TuplesPerBatch,
 			WordsPerTweet:  w.WordsPerTweet,
 		}
-		w.truth = digestCounts(spout.ExpectedCounts(w.Workers))
+		return digestCounts(spout.ExpectedCounts(w.Workers)), nil
 	})
 	return Outcome{Replicas: []ReplicaOutcome{
 		{Final: digestCounts(res.Store.Snapshot())},
-		{Final: w.truth},
+		{Final: truth},
 	}}, nil
 }
 
@@ -138,9 +135,9 @@ func digestCounts(counts map[int64]map[string]int64) string {
 		sort.Strings(words)
 		row := make([]string, 0, len(words))
 		for _, word := range words {
-			row = append(row, fmt.Sprintf("%s=%d", word, counts[b][word]))
+			row = append(row, word+"="+strconv.FormatInt(counts[b][word], 10))
 		}
-		out = append(out, fmt.Sprintf("b%d{%s}", b, strings.Join(row, ",")))
+		out = append(out, "b"+strconv.FormatInt(b, 10)+"{"+strings.Join(row, ",")+"}")
 	}
 	return digest(out...)
 }
