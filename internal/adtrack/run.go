@@ -184,8 +184,11 @@ func (r *Result) AvgBufferTime() sim.Time {
 
 // replica is one reporting server instance in the simulation.
 type replica struct {
-	idx       int
-	node      *bloom.Node
+	idx  int
+	node *bloom.Node
+	// link is the direct adserver→replica / analyst→replica hop; no send on
+	// it retransmits (DESIGN.md "What a fault plan duplicates").
+	link      *sim.Link
 	busyUntil sim.Time
 	draining  bool
 	// pending is the serialized input queue. Clicks and requests share it,
@@ -201,9 +204,6 @@ type replica struct {
 	looked  map[string]bool
 	// arrivals records per-campaign data arrival times until release.
 	arrivals map[string][]sim.Time
-	// fifo enforces per-producer in-order delivery (punctuations are
-	// embedded in the stream; a seal must not overtake its data).
-	fifo map[string]sim.Time
 }
 
 // Run executes one ad-network run to completion. A caller running many
@@ -231,16 +231,12 @@ func Run(cfg Config, prepared ...*Prepared) (*Result, error) {
 		replicas[i] = &replica{
 			idx:      i,
 			node:     node,
+			link:     sim.NewLink(s, cfg.Link),
 			held:     map[string][]*record{},
 			looked:   map[string]bool{},
 			arrivals: map[string][]sim.Time{},
-			fifo:     map[string]sim.Time{},
 		}
 	}
-
-	// linkArrival is the partition-adjusted delivery time for a message
-	// sent now over the direct adserver→replica / analyst→replica links.
-	linkArrival := func() sim.Time { return cfg.Link.Arrival(s) }
 
 	var tickErr error
 	fail := func(err error) {
@@ -328,7 +324,7 @@ func Run(cfg Config, prepared ...*Prepared) (*Result, error) {
 				for i := range b.records {
 					m := &b.records[i]
 					for _, r := range replicas {
-						s.At(linkArrival(), func() { enqueue(r, m) })
+						r.link.Send(sim.Unordered, s.Now(), func() { enqueue(r, m) })
 					}
 				}
 			})
@@ -337,7 +333,7 @@ func Run(cfg Config, prepared ...*Prepared) (*Result, error) {
 			req := &requests[i]
 			s.At(req.at, func() {
 				for _, r := range replicas {
-					s.At(linkArrival(), func() { enqueue(r, req) })
+					r.link.Send(sim.Unordered, s.Now(), func() { enqueue(r, req) })
 				}
 			})
 		}
@@ -387,9 +383,9 @@ func Run(cfg Config, prepared ...*Prepared) (*Result, error) {
 		}
 		analyst := q.Producer()
 		plist = append(plist, analyst)
-		var last sim.Time
+		var end sim.Time
 		for _, b := range bursts {
-			last = max(last, b.At)
+			end = max(end, b.At)
 			s.At(b.At, func() {
 				p := producers[b.Server]
 				for i := range b.records {
@@ -398,12 +394,12 @@ func Run(cfg Config, prepared ...*Prepared) (*Result, error) {
 			})
 		}
 		for i := range requests {
-			last = max(last, requests[i].at)
+			end = max(end, requests[i].at)
 			s.At(requests[i].at, func() { analyst.Send(&requests[i]) })
 		}
 		// Quiescence markers flush everything buffered behind the frontier.
 		for _, p := range plist {
-			s.At(last+sim.Millisecond, p.Done)
+			s.At(end+sim.Millisecond, p.Done)
 		}
 		defer func() { res.CoordMessages = q.Heartbeats() }()
 
@@ -441,22 +437,15 @@ func Run(cfg Config, prepared ...*Prepared) (*Result, error) {
 				r.tracker.SetExpected(campaign, producers)
 			})
 		}
-		// Per-(producer, replica) FIFO delivery: punctuations are embedded
-		// in the producer's stream and must not overtake its data.
-		fifoDeliver := func(r *replica, server string, fn func()) {
-			at := linkArrival()
-			if prev := r.fifo[server]; at < prev {
-				at = prev
-			}
-			r.fifo[server] = at
-			s.At(at, fn)
-		}
+		// Each ad server's traffic is one FIFO stream on a replica's link:
+		// punctuations are embedded in the producer's stream and must not
+		// overtake its data.
 		for _, b := range bursts {
 			s.At(b.At, func() {
 				for _, r := range replicas {
 					for i := range b.records {
 						c := &b.records[i]
-						fifoDeliver(r, b.Server, func() {
+						r.link.Send(b.Server, s.Now(), func() {
 							lookup(r, c.campaign)
 							if r.idx == 0 {
 								r.arrivals[c.campaign] = append(r.arrivals[c.campaign], s.Now())
@@ -465,7 +454,7 @@ func Run(cfg Config, prepared ...*Prepared) (*Result, error) {
 						})
 					}
 					for _, campaign := range b.Seals {
-						fifoDeliver(r, b.Server, func() {
+						r.link.Send(b.Server, s.Now(), func() {
 							lookup(r, campaign)
 							r.tracker.Seal(coord.Punctuation{Partition: campaign, Producer: b.Server})
 						})
@@ -477,7 +466,7 @@ func Run(cfg Config, prepared ...*Prepared) (*Result, error) {
 			req := &requests[i]
 			s.At(req.at, func() {
 				for _, r := range replicas {
-					s.At(linkArrival(), func() {
+					r.link.Send(sim.Unordered, s.Now(), func() {
 						if r.tracker.Sealed(req.campaign) {
 							enqueue(r, req)
 						} else {

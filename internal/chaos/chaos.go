@@ -19,6 +19,7 @@ import (
 	"sort"
 	"strings"
 
+	"blazes/internal/coord"
 	"blazes/internal/sim"
 )
 
@@ -30,8 +31,8 @@ type FaultPlan struct {
 	Name string `json:"name"`
 	// DelaySpread widens each link's MaxDelay, increasing reordering.
 	DelaySpread sim.Time `json:"delay_spread,omitempty"`
-	// DupProb raises each link's duplicate-delivery probability to at
-	// least this value (at-least-once delivery).
+	// DupProb raises each link's duplicate-delivery probability to at least
+	// this value; only a link's at-least-once sends consult it (sim.Link).
 	DupProb float64 `json:"dup_prob,omitempty"`
 	// Partitions cuts every link during these windows; messages sent
 	// while a window is open are buffered and flushed at heal time.
@@ -50,6 +51,13 @@ func (p FaultPlan) Shape(cfg sim.LinkConfig) sim.LinkConfig {
 	if len(p.Partitions) > 0 {
 		cfg.Partitions = append(append([]sim.PartitionWindow{}, cfg.Partitions...), p.Partitions...)
 	}
+	return cfg
+}
+
+// shapeSequencer applies the plan to both hops of an ordering service.
+func (p FaultPlan) shapeSequencer(cfg coord.SequencerConfig) coord.SequencerConfig {
+	cfg.SubmitDelay = p.Shape(cfg.SubmitDelay)
+	cfg.DeliverDelay = p.Shape(cfg.DeliverDelay)
 	return cfg
 }
 
@@ -214,32 +222,6 @@ func firstDiff(a, b []string) string {
 		}
 	}
 	return fmt.Sprintf("lengths %d vs %d", len(a), len(b))
-}
-
-// fifoLink delivers messages over one chaotic link while preserving
-// per-key FIFO order — the seal protocol's contract that a producer's
-// punctuation is embedded in its stream and must not overtake its data.
-// Latency draws and partition holds come from the link configuration;
-// reordering across keys remains.
-type fifoLink struct {
-	s    *sim.Sim
-	cfg  sim.LinkConfig
-	last map[string]sim.Time
-}
-
-func newFifoLink(s *sim.Sim, cfg sim.LinkConfig) *fifoLink {
-	return &fifoLink{s: s, cfg: cfg, last: map[string]sim.Time{}}
-}
-
-// deliver schedules fn at the link's (partition-adjusted) arrival time for
-// a message sent at sent on the FIFO stream identified by key.
-func (l *fifoLink) deliver(key string, sent sim.Time, fn func()) {
-	at := l.cfg.Release(sent, sent+l.cfg.Delay(l.s))
-	if prev := l.last[key]; at < prev {
-		at = prev
-	}
-	l.last[key] = at
-	l.s.At(at, fn)
 }
 
 // digest builds a canonical single-line digest from labeled parts.

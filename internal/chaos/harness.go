@@ -405,8 +405,7 @@ func (p *CheckPlan) Assemble(sweeps []Sweep) (*Report, error) {
 // Cancelling ctx aborts the check promptly: in-flight seeded runs finish,
 // queued ones never start, and Check returns the context's error.
 func Check(ctx context.Context, w Workload, cfg Config) (*Report, error) {
-	rep, _, err := check(ctx, w, cfg, false)
-	return rep, err
+	return check(ctx, w, cfg, nil)
 }
 
 // CheckShrink is Check plus anomaly shrinking: every cell whose sweep
@@ -414,56 +413,47 @@ func Check(ctx context.Context, w Workload, cfg Config) (*Report, error) {
 // sweeps — is delta-debugged down to a 1-minimal replayable Trace. Traces
 // are returned in cell order.
 func CheckShrink(ctx context.Context, w Workload, cfg Config) (*Report, []*Trace, error) {
-	rep, outcomes, err := check(ctx, w, cfg, true)
-	if err != nil {
-		return nil, nil, err
-	}
-	plan, err := PlanCheck(w, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
 	var traces []*Trace
-	for i, cell := range plan.Cells {
-		if !FoldCell(cell, outcomes[i]).Observed.Any() {
-			continue
+	rep, err := check(ctx, w, cfg, func(cell Cell, sweep Sweep, outcomes []Outcome) error {
+		if !sweep.Observed.Any() {
+			return nil
 		}
-		tr, err := ShrinkCell(ctx, w, cell, outcomes[i])
+		tr, err := ShrinkCell(ctx, w, cell, outcomes)
 		if err != nil {
-			return nil, nil, fmt.Errorf("chaos: shrink %s under %s/%s: %w", cell.Workload, cell.Mechanism, cell.Plan.Name, err)
+			return fmt.Errorf("chaos: shrink %s under %s/%s: %w", cell.Workload, cell.Mechanism, cell.Plan.Name, err)
 		}
 		traces = append(traces, tr)
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	return rep, traces, nil
 }
 
-// check is the shared execution path: plan, run every cell, fold, assemble.
-// With keep it also returns the raw per-cell outcomes (for shrinking).
-func check(ctx context.Context, w Workload, cfg Config, keep bool) (*Report, [][]Outcome, error) {
+// check is the shared execution path: plan once, run and fold every cell,
+// assemble. each, when set, sees every cell's verdict while its raw outcomes
+// are still at hand (for shrinking).
+func check(ctx context.Context, w Workload, cfg Config, each func(Cell, Sweep, []Outcome) error) (*Report, error) {
 	plan, err := PlanCheck(w, cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	pool := sim.PoolFor(cfg.Parallelism)
 	sweeps := make([]Sweep, len(plan.Cells))
-	var kept [][]Outcome
-	if keep {
-		kept = make([][]Outcome, len(plan.Cells))
-	}
 	for i, cell := range plan.Cells {
 		outcomes, err := RunCell(ctx, w, cell, pool, 1, cell.Seeds+1)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		sweeps[i] = FoldCell(cell, outcomes)
-		if keep {
-			kept[i] = outcomes
+		if each != nil {
+			if err := each(cell, sweeps[i], outcomes); err != nil {
+				return nil, err
+			}
 		}
 	}
-	rep, err := plan.Assemble(sweeps)
-	if err != nil {
-		return nil, nil, err
-	}
-	return rep, kept, nil
+	return plan.Assemble(sweeps)
 }
 
 // Suite returns the standard verification workloads, covering the Storm,

@@ -85,8 +85,7 @@ func (w *AdNetworkWorkload) Run(seed int64, plan FaultPlan, mech dataflow.Coordi
 	// clicks; in the gaps between bursts every replica would agree.
 	cfg.RequestSpacing = cfg.Workload.Sleep
 	cfg.Link = plan.Shape(cfg.Link)
-	cfg.Sequencer.SubmitDelay = plan.Shape(cfg.Sequencer.SubmitDelay)
-	cfg.Sequencer.DeliverDelay = plan.Shape(cfg.Sequencer.DeliverDelay)
+	cfg.Sequencer = plan.shapeSequencer(cfg.Sequencer)
 	cfg.Quorum.Delivery = plan.Shape(cfg.Quorum.Delivery)
 
 	// The plan is a function of cfg's workload, query and requests only —

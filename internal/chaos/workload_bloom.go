@@ -123,11 +123,11 @@ func newBloomReplica(id string, mod *bloom.Module) (*bloomReplica, error) {
 // deliver hands the replica one click, or one analyst request and runs the
 // timestep that answers it, folding the response rows into the per-request
 // answer set.
-func (r *bloomReplica) deliver(m *bloomMsg) error {
-	if !m.request {
-		return r.node.Deliver("click", m.row)
+func (r *bloomReplica) deliver(request bool, row bloom.Row) error {
+	if !request {
+		return r.node.Deliver("click", row)
 	}
-	if err := r.node.Deliver("request", m.row); err != nil {
+	if err := r.node.Deliver("request", row); err != nil {
 		return err
 	}
 	em, err := r.node.Tick()
@@ -203,37 +203,29 @@ func (r *bloomReplica) finalDigest(p *bloomPlan) (string, error) {
 	return digest("log{"+r.node.Render("clicklog")+"}", "final{"+canonSet(entries)+"}"), nil
 }
 
-// bloomMsg is one click or request of the plan, its row boxed once, with
-// the fields the mechanisms route on.
-type bloomMsg struct {
-	row      bloom.Row
-	request  bool
-	id       string   // a request's id
-	campaign string   // the partition sealing gates on
-	server   string   // a click's producer, the FIFO stream it rides
-	at       sim.Time // send time
-}
-
-// bloomSeal is one producer's punctuation of one campaign, sent a
-// millisecond after its last click for it.
-type bloomSeal struct {
-	coord.Punctuation
-	at sim.Time
+// bloomProbe re-poses one request at quiescence, under an id of its own.
+type bloomProbe struct {
+	row bloom.Row
+	id  string
 }
 
 // bloomPlan is the half of every run that is a function of the workload
 // alone — identical for every seed, plan and mechanism: the logical workload
 // is fixed; only delivery varies. Runs share it read-only.
 type bloomPlan struct {
-	mod              *bloom.Module
-	clicks, requests []bloomMsg
-	// probes re-pose the requests at quiescence under ids of their own.
-	probes []bloomMsg
+	mod *bloom.Module
+	// msgs are the clicks, then the requests: a click rides its server's
+	// stream and belongs to its campaign's partition, a request reads one
+	// campaign. rows[i] is msgs[i]'s row, boxed once.
+	msgs   []message
+	rows   []bloom.Row
+	probes []bloomProbe
 	// sequenced is M1's preordained total order: clicks in workload order
 	// with requests interleaved at fixed positions.
-	sequenced          []*bloomMsg
-	campaigns, servers []string
-	seals              []bloomSeal
+	sequenced []int
+	// seals: every server punctuates a campaign a millisecond after its
+	// last click for it.
+	seals []seal
 }
 
 // plan returns the prepared plan, building it on first use.
@@ -245,20 +237,20 @@ func (w *BloomReportWorkload) plan() (*bloomPlan, error) {
 		}
 		const span = 60 * sim.Millisecond
 		p := &bloomPlan{mod: mod}
-		for c := 0; c < w.Campaigns; c++ {
-			p.campaigns = append(p.campaigns, adtrack.CampaignName(c))
+		campaigns := make([]string, w.Campaigns)
+		for c := range campaigns {
+			campaigns[c] = adtrack.CampaignName(c)
 		}
 		// lastFor tracks each server's final send time per campaign so the
 		// punctuation follows its stream.
 		lastFor := make([]sim.Time, w.Campaigns)
 		for srv := 0; srv < w.Servers; srv++ {
 			server := adtrack.ServerName(srv)
-			p.servers = append(p.servers, server)
 			clear(lastFor)
 			for i := 0; i < w.ClicksPerServer; i++ {
 				c := adtrack.Click{
 					ID:       adtrack.AdName(i%w.Campaigns, i%w.AdsPerCampaign),
-					Campaign: p.campaigns[i%w.Campaigns],
+					Campaign: campaigns[i%w.Campaigns],
 					Window:   "w0",
 					Server:   server,
 					Seq:      int64(srv*w.ClicksPerServer + i),
@@ -266,35 +258,40 @@ func (w *BloomReportWorkload) plan() (*bloomPlan, error) {
 				// Each server's stream is paced across the span.
 				at := span * sim.Time(i) / sim.Time(w.ClicksPerServer+1)
 				lastFor[i%w.Campaigns] = at
-				p.clicks = append(p.clicks, bloomMsg{row: c.Row(), campaign: c.Campaign, server: server, at: at})
+				p.msgs = append(p.msgs, message{at: at, producer: server, partition: c.Campaign})
+				p.rows = append(p.rows, c.Row())
 			}
-			for c, campaign := range p.campaigns {
-				p.seals = append(p.seals, bloomSeal{coord.Punctuation{Partition: campaign, Producer: server}, lastFor[c] + sim.Millisecond})
+			for c, campaign := range campaigns {
+				p.seals = append(p.seals, seal{coord.Punctuation{Partition: campaign, Producer: server}, lastFor[c] + sim.Millisecond})
 			}
 		}
+		clicks := len(p.msgs)
 		for i := 0; i < w.Requests; i++ {
 			req := adtrack.Request{
 				ID:       adtrack.AdName(i%w.Campaigns, i%w.AdsPerCampaign),
-				Campaign: p.campaigns[i%w.Campaigns],
+				Campaign: campaigns[i%w.Campaigns],
 				Window:   "w0",
 				ReqID:    "q" + strconv.Itoa(i),
 			}
+			// A request is a row on the wire like any other: bare, it is
+			// retransmitted like one.
 			at := 10*sim.Millisecond + span*sim.Time(i)/sim.Time(w.Requests)
-			p.requests = append(p.requests, bloomMsg{row: req.Row(), request: true, id: req.ReqID, campaign: req.Campaign, at: at})
+			p.msgs = append(p.msgs, message{at: at, partition: req.Campaign, read: true})
+			p.rows = append(p.rows, req.Row())
 			req.ReqID = "fq" + strconv.Itoa(i)
-			p.probes = append(p.probes, bloomMsg{row: req.Row(), request: true, id: req.ReqID})
+			p.probes = append(p.probes, bloomProbe{row: req.Row(), id: req.ReqID})
 		}
-		stride := len(p.clicks)/(len(p.requests)+1) + 1
-		ri := 0
-		for i := range p.clicks {
-			p.sequenced = append(p.sequenced, &p.clicks[i])
-			if (i+1)%stride == 0 && ri < len(p.requests) {
-				p.sequenced = append(p.sequenced, &p.requests[ri])
-				ri++
+		stride := clicks/(w.Requests+1) + 1
+		next := clicks
+		for i := 0; i < clicks; i++ {
+			p.sequenced = append(p.sequenced, i)
+			if (i+1)%stride == 0 && next < len(p.msgs) {
+				p.sequenced = append(p.sequenced, next)
+				next++
 			}
 		}
-		for ; ri < len(p.requests); ri++ {
-			p.sequenced = append(p.sequenced, &p.requests[ri])
+		for ; next < len(p.msgs); next++ {
+			p.sequenced = append(p.sequenced, next)
 		}
 		return p, nil
 	})
@@ -302,13 +299,13 @@ func (w *BloomReportWorkload) plan() (*bloomPlan, error) {
 
 // Run implements Workload.
 func (w *BloomReportWorkload) Run(seed int64, plan FaultPlan, mech dataflow.Coordination) (Outcome, error) {
+	if !w.Supports(mech) {
+		return Outcome{}, fmt.Errorf("bloom-report: unsupported mechanism %s", mech)
+	}
 	p, err := w.plan()
 	if err != nil {
 		return Outcome{}, err
 	}
-	s := sim.New(seed)
-	link := plan.Shape(sim.LinkConfig{MinDelay: 200 * sim.Microsecond, MaxDelay: 6 * sim.Millisecond})
-
 	// NewNode only reads its module, so the replicas (of every run) share one.
 	reps := make([]*bloomReplica, w.Replicas)
 	for i := range reps {
@@ -320,108 +317,24 @@ func (w *BloomReportWorkload) Run(seed int64, plan FaultPlan, mech dataflow.Coor
 	}
 
 	var runErr error
-	fail := func(err error) {
-		if err != nil && runErr == nil {
-			runErr = err
-		}
+	s := sim.New(seed)
+	d := delivery{
+		s:        s,
+		plan:     plan,
+		link:     sim.LinkConfig{MinDelay: 200 * sim.Microsecond, MaxDelay: 6 * sim.Millisecond},
+		replicas: len(reps),
+		msgs:     p.msgs,
+		order:    p.sequenced,
+		seals:    p.seals,
+		apply: func(ri, i int) {
+			if err := reps[ri].deliver(p.msgs[i].read, p.rows[i]); err != nil && runErr == nil {
+				runErr = err
+			}
+		},
 	}
-	arrival := func(sent sim.Time) sim.Time { return link.Release(sent, sent+link.Delay(s)) }
-	dup := func() bool { return link.DupProb > 0 && s.Rand().Float64() < link.DupProb }
-
-	switch mech {
-	case dataflow.CoordNone:
-		for _, msgs := range [][]bloomMsg{p.clicks, p.requests} {
-			for i := range msgs {
-				m := &msgs[i]
-				for _, r := range reps {
-					s.At(arrival(m.at), func() { fail(r.deliver(m)) })
-					if dup() {
-						s.At(arrival(m.at), func() { fail(r.deliver(m)) })
-					}
-				}
-			}
-		}
-
-	case dataflow.CoordSequenced:
-		// M1: a preordained total order, identical in every run.
-		at := sim.Time(0)
-		for _, m := range p.sequenced {
-			at += 200 * sim.Microsecond
-			s.At(at, func() {
-				for _, r := range reps {
-					fail(r.deliver(m))
-				}
-			})
-		}
-
-	case dataflow.CoordDynamicOrder:
-		cfg := coord.DefaultSequencer
-		cfg.SubmitDelay = plan.Shape(cfg.SubmitDelay)
-		cfg.DeliverDelay = plan.Shape(cfg.DeliverDelay)
-		seq := coord.NewSequencer(s, cfg)
-		for _, r := range reps {
-			seq.Subscribe(func(m coord.Sequenced) { fail(r.deliver(m.Msg.(*bloomMsg))) })
-		}
-		for _, msgs := range [][]bloomMsg{p.clicks, p.requests} {
-			for i := range msgs {
-				s.At(msgs[i].at, func() { seq.Submit(&msgs[i]) })
-			}
-		}
-
-	case dataflow.CoordSealed:
-		// M3: per-campaign partitions; every server punctuates a campaign
-		// after its last record for it, seals ride the server's FIFO
-		// stream, and requests are held until their campaign's vote is
-		// unanimous.
-		registry := coord.NewRegistry(s, link)
-		for _, campaign := range p.campaigns {
-			for _, server := range p.servers {
-				registry.Register(campaign, server)
-			}
-		}
-		for _, r := range reps {
-			held := map[string][]*bloomMsg{}
-			tracker := coord.NewSealTracker(func(partition string, buffered []any) {
-				for _, b := range buffered {
-					fail(r.deliver(b.(*bloomMsg)))
-				}
-				for _, req := range held[partition] {
-					fail(r.deliver(req))
-				}
-				delete(held, partition)
-			})
-			for _, campaign := range p.campaigns {
-				registry.Lookup(campaign, func(producers []string) {
-					tracker.SetExpected(campaign, producers)
-				})
-			}
-			fifo := newFifoLink(s, link)
-			for i := range p.clicks {
-				c := &p.clicks[i]
-				fifo.deliver(c.server, c.at, func() { tracker.Data(c.campaign, c) })
-				if dup() {
-					fifo.deliver(c.server, c.at, func() { tracker.Data(c.campaign, c) })
-				}
-			}
-			for _, seal := range p.seals {
-				fifo.deliver(seal.Producer, seal.at, func() { tracker.Seal(seal.Punctuation) })
-			}
-			for i := range p.requests {
-				req := &p.requests[i]
-				s.At(arrival(req.at), func() {
-					if tracker.Sealed(req.campaign) {
-						fail(r.deliver(req))
-					} else {
-						held[req.campaign] = append(held[req.campaign], req)
-					}
-				})
-			}
-		}
-
-	default:
-		return Outcome{}, fmt.Errorf("bloom-report: unsupported mechanism %s", mech)
+	if err := d.install(mech); err != nil {
+		return Outcome{}, fmt.Errorf("bloom-report: %w", err)
 	}
-
 	s.Run()
 	if runErr != nil {
 		return Outcome{}, runErr

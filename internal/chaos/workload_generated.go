@@ -299,14 +299,8 @@ func (w *GeneratedWorkload) Run(seed int64, plan FaultPlan, mech dataflow.Coordi
 		// simulator, so arrival order at order-sensitive interfaces is
 		// schedule-dependent.
 		s := sim.New(seed)
-		link := plan.Shape(sim.LinkConfig{MinDelay: 100 * sim.Microsecond, MaxDelay: 10 * sim.Millisecond})
+		link := sim.NewLink(s, plan.Shape(sim.LinkConfig{MinDelay: 100 * sim.Microsecond, MaxDelay: 10 * sim.Millisecond}))
 		var deliver func(iface int, msg genMsg)
-		send := func(at sim.Time, iface int, msg genMsg) {
-			s.At(link.Release(at, at+link.Delay(s)), func() { deliver(iface, msg) })
-			if link.DupProb > 0 && s.Rand().Float64() < link.DupProb {
-				s.At(link.Release(at, at+link.Delay(s)), func() { deliver(iface, msg) })
-			}
-		}
 		deliver = func(iface int, msg genMsg) {
 			st.apply(iface, msg)
 			c := m.ifaces[iface].comp
@@ -316,7 +310,7 @@ func (w *GeneratedWorkload) Run(seed int64, plan FaultPlan, mech dataflow.Coordi
 			st.forwarded[c][msg.id] = true
 			now := s.Now()
 			for _, ti := range m.outs[c] {
-				send(now, ti, msg)
+				link.SendDup(sim.Unordered, now, func() { deliver(ti, msg) })
 			}
 		}
 		for src := range m.sources {
@@ -325,7 +319,8 @@ func (w *GeneratedWorkload) Run(seed int64, plan FaultPlan, mech dataflow.Coordi
 			// further hop compounds it.
 			for seq := 0; seq < m.msgsPer; seq++ {
 				at := sim.Time(seq)*2*sim.Millisecond + sim.Time(src%8)*250*sim.Microsecond
-				send(at, m.sources[src], genMsg{src: src, seq: seq, id: src*m.msgsPer + seq})
+				iface, msg := m.sources[src], genMsg{src: src, seq: seq, id: src*m.msgsPer + seq}
+				link.SendDup(sim.Unordered, at, func() { deliver(iface, msg) })
 			}
 		}
 		s.Run()

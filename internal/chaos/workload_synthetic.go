@@ -129,7 +129,6 @@ func (w *SyntheticWorkload) Supports(mech dataflow.Coordination) bool {
 // schedule-independent.
 type synMsg struct {
 	Producer string
-	Seq      int
 	Stamp    int
 	// ID is "producer:seq", formatted once per message, not per delivery:
 	// the dedup key and, verbatim, the value replicas fold (wire data,
@@ -236,277 +235,93 @@ func synChainHash(prev uint64, v string) uint64 {
 
 func synElemHash(v string) uint64 { return fnv1a(fnvOffset64, v) }
 
-// Run implements Workload.
+// Run implements Workload: the logical workload — who sends what when, M1's
+// order, the punctuations — is laid out here; carrying it is delivery's job.
 func (w *SyntheticWorkload) Run(seed int64, plan FaultPlan, mech dataflow.Coordination) (Outcome, error) {
-	span := 80 * sim.Millisecond
-	s := sim.New(seed)
-	link := plan.Shape(sim.LinkConfig{MinDelay: 100 * sim.Microsecond, MaxDelay: 12 * sim.Millisecond})
-
+	const span = 80 * sim.Millisecond
+	perPartition := mech == dataflow.CoordPartitionSealed
 	reps := make([]*synReplica, w.Replicas)
 	for i := range reps {
 		reps[i] = newSynReplica(w)
-	}
-	var msgs []synMsg
-	for p := 0; p < w.Producers; p++ {
-		for i := 0; i < w.PerProducer; i++ {
-			producer := "p" + strconv.Itoa(p)
-			msgs = append(msgs, synMsg{Producer: producer, Seq: i, Stamp: i*w.Producers + p + 1, ID: producer + ":" + strconv.Itoa(i)})
-		}
-	}
-	sendTime := func(m synMsg) sim.Time {
-		return span * sim.Time(m.Seq*w.Producers) / sim.Time(len(msgs))
-	}
-	readTimes := make([]sim.Time, w.Reads)
-	for i := range readTimes {
-		readTimes[i] = span * sim.Time(i+1) / sim.Time(w.Reads+1)
-	}
-	// arrival draws one chaotic hop for a message sent at `sent`.
-	arrival := func(sent sim.Time) sim.Time {
-		return link.Release(sent, sent+link.Delay(s))
-	}
-	// dup reports whether the link duplicates this delivery.
-	dup := func() bool { return link.DupProb > 0 && s.Rand().Float64() < link.DupProb }
-	// finalize runs after the simulation drains, before outcomes are
-	// collected (e.g. to assemble request-keyed answers into a trace).
-	var finalize []func()
-
-	switch mech {
-	case dataflow.CoordNone, dataflow.CoordMergeRewrite:
 		// Merge rewrite installs no delivery protocol: replicas run the
 		// declared commutative merge over the same chaotic uncoordinated
 		// schedule, and order-insensitivity of the merge does the rest.
-		if mech == dataflow.CoordMergeRewrite && !w.Confluent {
-			for _, r := range reps {
-				r.merge = true
-			}
+		reps[i].merge = mech == dataflow.CoordMergeRewrite && !w.Confluent
+		if perPartition {
+			reps[i].outputs = make([]string, w.Reads)
 		}
-		for _, m := range msgs {
-			m := m
-			at := sendTime(m)
-			for _, r := range reps {
-				r := r
-				s.At(arrival(at), func() { r.apply(m) })
-				if dup() {
-					s.At(arrival(at), func() { r.apply(m) })
-				}
-			}
-		}
-		for _, t := range readTimes {
-			for _, r := range reps {
-				r := r
-				s.At(arrival(t), func() { r.read() })
-			}
-		}
+	}
+	if mech == dataflow.CoordMergeRewrite {
+		mech = dataflow.CoordNone
+	}
 
-	case dataflow.CoordSequenced:
-		// M1: a preordained total order, fully deterministic: messages by
-		// global index with reads at fixed positions.
-		type step struct {
-			msg  *synMsg
-			read bool
+	// Each producer paces its messages across the span, all on one cadence,
+	// and is its own partition, sealed a millisecond after its last message.
+	total := w.Producers * w.PerProducer
+	data := make([]synMsg, 0, total)
+	msgs := make([]message, 0, total+w.Reads)
+	seals := make([]seal, w.Producers)
+	for p := range seals {
+		producer := "p" + strconv.Itoa(p)
+		var at sim.Time
+		for i := 0; i < w.PerProducer; i++ {
+			at = span * sim.Time(i*w.Producers) / sim.Time(total)
+			data = append(data, synMsg{Producer: producer, Stamp: i*w.Producers + p + 1, ID: producer + ":" + strconv.Itoa(i)})
+			msgs = append(msgs, message{at: at, producer: producer, partition: producer})
 		}
-		var order []step
-		stride := len(msgs)/(w.Reads+1) + 1
-		for i, m := range msgs {
-			m := m
-			order = append(order, step{msg: &m})
-			if (i+1)%stride == 0 {
-				order = append(order, step{read: true})
-			}
+		seals[p] = seal{coord.Punctuation{Partition: producer, Producer: producer}, at + sim.Millisecond}
+	}
+	// Reads are posed at the replica, so nothing retransmits them. A read
+	// observes the whole state, and under sealing waits for all of it —
+	// except under M3p, where read i targets (and observes) one partition.
+	// Those release in partition-seal order, which legitimately differs
+	// across replicas, so each answer lands at its read's index: the trace
+	// compares query answers, not release order.
+	for i := 0; i < w.Reads; i++ {
+		m := message{at: span * sim.Time(i+1) / sim.Time(w.Reads+1), read: true, once: true}
+		if perPartition {
+			m.partition = "p" + strconv.Itoa(i%w.Producers)
 		}
-		order = append(order, step{read: true})
-		at := sim.Time(0)
-		for _, st := range order {
-			st := st
-			at += sim.Millisecond
-			s.At(at, func() {
-				for _, r := range reps {
-					if st.read {
-						r.read()
-					} else {
-						r.apply(*st.msg)
-					}
-				}
-			})
+		msgs = append(msgs, m)
+	}
+	// M1: messages by global index with a read at fixed positions.
+	var order []int
+	stride := total/(w.Reads+1) + 1
+	for i := range data {
+		order = append(order, i)
+		if (i+1)%stride == 0 {
+			order = append(order, total)
 		}
+	}
+	order = append(order, total)
 
-	case dataflow.CoordDynamicOrder:
-		// M2: the ordering service decides a per-run arrival order; its
-		// own hops suffer the fault plan too.
-		cfg := coord.DefaultSequencer
-		cfg.SubmitDelay = plan.Shape(cfg.SubmitDelay)
-		cfg.DeliverDelay = plan.Shape(cfg.DeliverDelay)
-		seq := coord.NewSequencer(s, cfg)
-		for _, r := range reps {
-			r := r
-			seq.Subscribe(func(m coord.Sequenced) {
-				switch v := m.Msg.(type) {
-				case synMsg:
-					r.apply(v)
-				case string:
-					r.read()
-				}
-			})
-		}
-		for _, m := range msgs {
-			m := m
-			s.At(sendTime(m), func() { seq.Submit(m) })
-		}
-		for i, t := range readTimes {
-			i := i
-			s.At(t, func() { seq.Submit(fmt.Sprintf("read%d", i)) })
-		}
-
-	case dataflow.CoordQuorumOrder:
-		// M1q: producers stamp messages with Lamport clocks and replicas
-		// deliver in (clock, producer, seq) order once the stability
-		// frontier passes. The reader registers as a producer too, so
-		// reads occupy preordained positions in the same total order —
-		// no sequencer round trips, only heartbeats.
-		cfg := coord.DefaultQuorum
-		cfg.Delivery = plan.Shape(cfg.Delivery)
-		cfg.HeartbeatEvery = 10 * sim.Millisecond
-		q := coord.NewQuorumOrder(s, cfg)
-		for _, r := range reps {
-			r := r
-			q.Subscribe(func(_ coord.Stamp, msg any) {
-				switch v := msg.(type) {
-				case synMsg:
-					r.apply(v)
-				case string:
-					r.read()
-				}
-			})
-		}
-		producers := make([]*coord.QuorumProducer, w.Producers)
-		for p := range producers {
-			producers[p] = q.Producer()
-		}
-		reader := q.Producer()
-		for pi := 0; pi < w.Producers; pi++ {
-			prod := producers[pi]
-			name := fmt.Sprintf("p%d", pi)
-			for _, m := range msgs {
-				if m.Producer != name {
-					continue
-				}
-				m := m
-				s.At(sendTime(m), func() { prod.Send(m) })
-			}
-		}
-		for i, t := range readTimes {
-			i := i
-			s.At(t, func() { reader.Send(fmt.Sprintf("read%d", i)) })
-		}
-		end := span + sim.Millisecond
-		for _, p := range producers {
-			p := p
-			s.At(end, p.Done)
-		}
-		s.At(end, reader.Done)
-
-	case dataflow.CoordSealed, dataflow.CoordPartitionSealed:
-		// M3 / M3p: per-producer partitions sealed by punctuation after the
-		// producer's last message. Seals ride the producer's FIFO stream so
-		// they cannot overtake data. The two differ only in what a read
-		// waits for: M3 gates it on every partition, M3p on the single
-		// partition it targets (and observes), so a straggler producer
-		// delays only its own partition's readers.
-		const allPartitions = ""
-		registry := coord.NewRegistry(s, link)
-		for p := 0; p < w.Producers; p++ {
-			producer := fmt.Sprintf("p%d", p)
-			registry.Register(producer, producer)
-		}
-		for ri := range reps {
+	s := sim.New(seed)
+	d := delivery{
+		s:        s,
+		plan:     plan,
+		link:     sim.LinkConfig{MinDelay: 100 * sim.Microsecond, MaxDelay: 12 * sim.Millisecond},
+		replicas: len(reps),
+		msgs:     msgs,
+		order:    order,
+		seals:    seals,
+		apply: func(ri, i int) {
 			r := reps[ri]
-			sealed := map[string]bool{}
-			open := func(gate string) bool {
-				if gate == allPartitions {
-					return len(sealed) == w.Producers
-				}
-				return sealed[gate]
+			switch {
+			case i < total:
+				r.apply(data[i])
+			case perPartition:
+				part := msgs[i].partition
+				r.outputs[i-total] = part + "=" + strconv.FormatUint(r.chains[part], 16)
+			default:
+				r.read()
 			}
-			held := map[string][]func(){} // reads waiting, by gate
-			release := func(gate string) {
-				if !open(gate) {
-					return
-				}
-				for _, fn := range held[gate] {
-					fn()
-				}
-				delete(held, gate)
-			}
-			tracker := coord.NewSealTracker(func(partition string, buffered []any) {
-				vals := make([]synMsg, 0, len(buffered))
-				for _, b := range buffered {
-					vals = append(vals, b.(synMsg))
-				}
-				sort.Slice(vals, func(i, j int) bool { return vals[i].Seq < vals[j].Seq })
-				for _, m := range vals {
-					r.apply(m)
-				}
-				sealed[partition] = true
-				release(partition)
-				release(allPartitions)
-			})
-			fifo := newFifoLink(s, link)
-			for p := 0; p < w.Producers; p++ {
-				producer := fmt.Sprintf("p%d", p)
-				registry.Lookup(producer, func(producers []string) {
-					tracker.SetExpected(producer, producers)
-				})
-			}
-			var lastSend sim.Time
-			for _, m := range msgs {
-				m := m
-				at := sendTime(m)
-				if at > lastSend {
-					lastSend = at
-				}
-				fifo.deliver(m.Producer, at, func() { tracker.Data(m.Producer, m) })
-				if dup() {
-					fifo.deliver(m.Producer, at, func() { tracker.Data(m.Producer, m) })
-				}
-			}
-			for p := 0; p < w.Producers; p++ {
-				producer := fmt.Sprintf("p%d", p)
-				fifo.deliver(producer, lastSend+sim.Millisecond, func() {
-					tracker.Seal(coord.Punctuation{Partition: producer, Producer: producer})
-				})
-			}
-			// M3p reads release in partition-seal order, which legitimately
-			// differs across replicas; answers are keyed by read index so
-			// the trace compares query answers, not release order.
-			var answers []string
-			if mech == dataflow.CoordPartitionSealed {
-				answers = make([]string, w.Reads)
-				finalize = append(finalize, func() { r.outputs = append(r.outputs, answers...) })
-			}
-			for i, t := range readTimes {
-				gate, read := allPartitions, r.read
-				if answers != nil {
-					part := fmt.Sprintf("p%d", i%w.Producers)
-					gate, read = part, func() { answers[i] = part + "=" + strconv.FormatUint(r.chains[part], 16) }
-				}
-				s.At(arrival(t), func() {
-					if open(gate) {
-						read()
-					} else {
-						held[gate] = append(held[gate], read)
-					}
-				})
-			}
-		}
-
-	default:
-		return Outcome{}, fmt.Errorf("synthetic: unsupported mechanism %s", mech)
+		},
 	}
-
+	if err := d.install(mech); err != nil {
+		return Outcome{}, fmt.Errorf("synthetic: %w", err)
+	}
 	s.Run()
-	for _, fn := range finalize {
-		fn()
-	}
+
 	out := Outcome{}
 	for _, r := range reps {
 		out.Replicas = append(out.Replicas, r.outcome())

@@ -75,8 +75,7 @@ func (w *WordcountWorkload) Supports(mech dataflow.Coordination) bool {
 func (w *WordcountWorkload) Run(seed int64, plan FaultPlan, mech dataflow.Coordination) (Outcome, error) {
 	engine := storm.DefaultConfig()
 	engine.Link = plan.Shape(engine.Link)
-	engine.Sequencer.SubmitDelay = plan.Shape(engine.Sequencer.SubmitDelay)
-	engine.Sequencer.DeliverDelay = plan.Shape(engine.Sequencer.DeliverDelay)
+	engine.Sequencer = plan.shapeSequencer(engine.Sequencer)
 	engine.FlushTimeout = w.FlushTimeout
 
 	mode := storm.CommitSealed

@@ -3,6 +3,7 @@ package coord
 import (
 	"math"
 	"sort"
+	"strconv"
 
 	"blazes/internal/sim"
 )
@@ -80,11 +81,11 @@ func NewQuorumOrder(s *sim.Sim, cfg QuorumConfig) *QuorumOrder {
 // the same (Clock, Producer, Seq) total order.
 func (q *QuorumOrder) Subscribe(fn func(Stamp, any)) {
 	r := &quorumReplica{
-		q:           q,
-		fn:          fn,
-		watermark:   map[int]uint64{},
-		seen:        map[[2]uint64]bool{},
-		lastArrival: map[int]sim.Time{},
+		q:         q,
+		fn:        fn,
+		link:      sim.NewLink(q.sim, q.cfg.Delivery),
+		watermark: map[int]uint64{},
+		seen:      map[[2]uint64]bool{},
 	}
 	for _, p := range q.producers {
 		r.watermark[p.id] = 0
@@ -95,7 +96,7 @@ func (q *QuorumOrder) Subscribe(fn func(Stamp, any)) {
 // Producer registers a new producer and starts its heartbeat. Register
 // every producer before the first Send so replicas know the full frontier.
 func (q *QuorumOrder) Producer() *QuorumProducer {
-	p := &QuorumProducer{q: q, id: len(q.producers)}
+	p := &QuorumProducer{q: q, id: len(q.producers), stream: strconv.Itoa(len(q.producers))}
 	q.producers = append(q.producers, p)
 	for _, r := range q.replicas {
 		r.watermark[p.id] = 0
@@ -114,24 +115,23 @@ func (q *QuorumOrder) Delivered() int { return q.delivered }
 
 // QuorumProducer is one stamping client of the quorum order.
 type QuorumProducer struct {
-	q     *QuorumOrder
-	id    int
-	clock uint64
-	seq   uint64
-	done  bool
+	q      *QuorumOrder
+	id     int
+	stream string // the FIFO key of its data and watermarks on every replica's link
+	clock  uint64
+	seq    uint64
+	done   bool
 }
 
-// ID returns the producer's position in the (Clock, Producer, Seq) order.
-func (p *QuorumProducer) ID() int { return p.id }
-
 // Send stamps msg with the producer's next clock and broadcasts it to
-// every replica over the direct jittered (but per-pair FIFO) hop.
+// every replica over the direct jittered (but per-pair FIFO) hop, at least
+// once: data dedups by stamp.
 func (p *QuorumProducer) Send(msg any) {
 	p.clock++
 	p.seq++
 	st := Stamp{Clock: p.clock, Producer: p.id, Seq: p.seq}
 	for _, r := range p.q.replicas {
-		r.send(p.id, func() { r.data(st, msg) })
+		r.link.SendDup(p.stream, p.q.sim.Now(), func() { r.data(st, msg) })
 	}
 }
 
@@ -155,11 +155,12 @@ func (p *QuorumProducer) Done() {
 }
 
 // heartbeat broadcasts the producer's watermark: a promise that no future
-// stamp from it will carry a clock ≤ w.
+// stamp from it will carry a clock ≤ w. It rides the data's stream, at
+// least once like the data: a watermark is idempotent.
 func (p *QuorumProducer) heartbeat(w uint64) {
 	p.q.heartbeats++
 	for _, r := range p.q.replicas {
-		r.send(p.id, func() { r.mark(p.id, w) })
+		r.link.SendDup(p.stream, p.q.sim.Now(), func() { r.mark(p.id, w) })
 	}
 }
 
@@ -168,6 +169,8 @@ func (p *QuorumProducer) heartbeat(w uint64) {
 type quorumReplica struct {
 	q  *QuorumOrder
 	fn func(Stamp, any)
+	// link is the hop into this replica, one FIFO stream per producer.
+	link *sim.Link
 	// buffer holds arrived-but-unstable messages.
 	buffer []stamped
 	// watermark is the highest clock each producer has promised not to
@@ -176,33 +179,11 @@ type quorumReplica struct {
 	// seen dedups data messages by (producer, seq) under at-least-once
 	// delivery.
 	seen map[[2]uint64]bool
-	// lastArrival keeps each producer→replica link FIFO, like the
-	// Sequencer's per-subscriber clamp.
-	lastArrival map[int]sim.Time
 }
 
 type stamped struct {
 	st  Stamp
 	msg any
-}
-
-// send schedules fn at a jittered arrival that never overtakes earlier
-// traffic from the same producer, duplicating per the link configuration
-// (data dedups by stamp, watermarks are idempotent).
-func (r *quorumReplica) send(producer int, fn func()) {
-	r.deliver(producer, fn)
-	if p := r.q.cfg.Delivery.DupProb; p > 0 && r.q.sim.Rand().Float64() < p {
-		r.deliver(producer, fn)
-	}
-}
-
-func (r *quorumReplica) deliver(producer int, fn func()) {
-	at := r.q.cfg.Delivery.Arrival(r.q.sim)
-	if last := r.lastArrival[producer]; at < last {
-		at = last
-	}
-	r.lastArrival[producer] = at
-	r.q.sim.At(at, fn)
 }
 
 // data receives one stamped message: dedup, record the implied watermark

@@ -12,7 +12,7 @@ import (
 // campaign — that is, one call to Zookeeper per campaign" (Section VIII-B3).
 type Registry struct {
 	sim     *sim.Sim
-	rtt     sim.LinkConfig
+	link    *sim.Link
 	members map[string]map[string]bool // partition → producer set
 	lookups int
 }
@@ -20,7 +20,7 @@ type Registry struct {
 // NewRegistry creates a registry whose Lookup calls cost one round trip
 // drawn from rtt.
 func NewRegistry(s *sim.Sim, rtt sim.LinkConfig) *Registry {
-	return &Registry{sim: s, rtt: rtt, members: map[string]map[string]bool{}}
+	return &Registry{sim: s, link: sim.NewLink(s, rtt), members: map[string]map[string]bool{}}
 }
 
 // Register synchronously records that producer contributes to partition
@@ -51,11 +51,8 @@ func (r *Registry) Producers(partition string) []string {
 // completes only after the partition heals.
 func (r *Registry) Lookup(partition string, cb func(producers []string)) {
 	r.lookups++
-	sent := r.sim.Now()
-	request := r.rtt.Release(sent, sent+r.rtt.Delay(r.sim))
-	response := r.rtt.Release(request, request+r.rtt.Delay(r.sim))
 	producers := r.Producers(partition)
-	r.sim.At(response, func() { cb(producers) })
+	r.link.RoundTrip(r.sim.Now(), func() { cb(producers) })
 }
 
 // Lookups reports how many Lookup calls were made (the sealing strategy

@@ -60,8 +60,8 @@ func NewSealTracker(onSealed func(partition string, msgs []any)) *SealTracker {
 }
 
 // SetExpected supplies the producer vote set for a partition (from a
-// registry lookup). The empty set means the partition can seal with no
-// votes; callers should guard against that.
+// registry lookup). A partition whose vote set is empty is never released:
+// with no producer to punctuate it, nothing says it is complete.
 func (t *SealTracker) SetExpected(partition string, producers []string) {
 	ps := append([]string(nil), producers...)
 	sort.Strings(ps)

@@ -43,6 +43,7 @@ type Sequenced struct {
 type Sequencer struct {
 	sim         *sim.Sim
 	cfg         SequencerConfig
+	submit      *sim.Link
 	subscribers []*subscriber
 	nextSeq     uint64
 	busyUntil   sim.Time
@@ -50,28 +51,29 @@ type Sequencer struct {
 	delivered   int
 }
 
+// subscriber is one delivery callback and the service→subscriber hop into
+// it, on which the decided sequence is the one FIFO stream.
 type subscriber struct {
-	fn           func(Sequenced)
-	lastDelivery sim.Time
-	seq          *Sequencer
+	fn   func(Sequenced)
+	link *sim.Link
 }
 
 // NewSequencer creates an ordering service on the given simulator.
 func NewSequencer(s *sim.Sim, cfg SequencerConfig) *Sequencer {
-	return &Sequencer{sim: s, cfg: cfg}
+	return &Sequencer{sim: s, cfg: cfg, submit: sim.NewLink(s, cfg.SubmitDelay)}
 }
 
 // Subscribe registers a delivery callback. All subscribers observe the same
 // total order.
 func (q *Sequencer) Subscribe(fn func(Sequenced)) {
-	q.subscribers = append(q.subscribers, &subscriber{fn: fn, seq: q})
+	q.subscribers = append(q.subscribers, &subscriber{fn: fn, link: sim.NewLink(q.sim, q.cfg.DeliverDelay)})
 }
 
 // Submit sends msg to the service; it will be sequenced in arrival order
 // and broadcast to all subscribers.
 func (q *Sequencer) Submit(msg any) {
 	q.submitted++
-	q.sim.At(q.cfg.SubmitDelay.Arrival(q.sim), func() { q.arrive(msg) })
+	q.submit.Send(sim.Unordered, q.sim.Now(), func() { q.arrive(msg) })
 }
 
 // arrive sequences one message, modelling the service's serial processing.
@@ -86,23 +88,11 @@ func (q *Sequencer) arrive(msg any) {
 	sm := Sequenced{Seq: q.nextSeq, Msg: msg}
 	q.sim.At(done, func() {
 		for _, sub := range q.subscribers {
-			sub.deliver(sm)
+			sub.link.Send("decided", q.sim.Now(), func() { // one FIFO stream
+				q.delivered++
+				sub.fn(sm)
+			})
 		}
-	})
-}
-
-// deliver schedules an in-order (FIFO) delivery to one subscriber: the
-// jittered hop never overtakes earlier deliveries.
-func (s *subscriber) deliver(m Sequenced) {
-	q := s.seq
-	at := q.cfg.DeliverDelay.Arrival(q.sim)
-	if at < s.lastDelivery {
-		at = s.lastDelivery
-	}
-	s.lastDelivery = at
-	q.sim.At(at, func() {
-		q.delivered++
-		s.fn(m)
 	})
 }
 

@@ -18,15 +18,16 @@ func scheduleTrace(seed int64) string {
 	}
 
 	links := []*Link{
-		NewLink(s, LinkConfig{MinDelay: 10, MaxDelay: 5000}, func(m any) { record("l0", m) }),
-		NewLink(s, LinkConfig{MinDelay: 1, MaxDelay: 2000, DupProb: 0.3, DropProb: 0.2}, func(m any) { record("l1", m) }),
+		NewLink(s, LinkConfig{MinDelay: 10, MaxDelay: 5000}),
+		NewLink(s, LinkConfig{MinDelay: 1, MaxDelay: 2000, DupProb: 0.3, DropProb: 0.2}),
 		NewLink(s, LinkConfig{MinDelay: 5, MaxDelay: 300,
-			Partitions: []PartitionWindow{{From: 200, Until: 1500}}}, func(m any) { record("l2", m) }),
+			Partitions: []PartitionWindow{{From: 200, Until: 1500}}}),
 	}
 	for i := 0; i < 40; i++ {
-		i := i
 		s.At(Time(i)*100, func() {
-			links[i%3].Send(i)
+			// The third link's traffic is one FIFO stream.
+			key := [...]string{Unordered, Unordered, "stream"}[i%3]
+			links[i%3].SendDup(key, s.Now(), func() { record(fmt.Sprintf("l%d", i%3), i) })
 			if i%5 == 0 {
 				// Nested re-scheduling driven by the shared rng.
 				s.After(Time(s.Rand().Int63n(400)), func() { record("timer", i) })

@@ -30,9 +30,7 @@ type LinkConfig struct {
 }
 
 // Delay draws one uniform per-message latency from the simulator's rng,
-// treating MaxDelay < MinDelay as a fixed MinDelay latency. Every substrate
-// draws its link latencies through this helper so fault plans that widen the
-// bounds reach all of them uniformly.
+// treating MaxDelay < MinDelay as a fixed MinDelay latency.
 func (cfg LinkConfig) Delay(s *Sim) Time {
 	delay := cfg.MinDelay
 	if span := cfg.MaxDelay - cfg.MinDelay; span > 0 {
@@ -72,7 +70,9 @@ func (cfg LinkConfig) Arrival(s *Sim) Time {
 // DefaultLAN mimics a low-latency datacenter link with mild reordering.
 var DefaultLAN = LinkConfig{MinDelay: 200 * Microsecond, MaxDelay: 2 * Millisecond}
 
-// LinkStats counts a link's deliveries.
+// LinkStats counts what a link did with the messages handed to it. The
+// counts are taken when a message is sent — its arrival is decided then and
+// nothing cancels it — so Delivered == Sent − Dropped + Duplicate always.
 type LinkStats struct {
 	Sent      int
 	Delivered int
@@ -80,49 +80,89 @@ type LinkStats struct {
 	Dropped   int
 }
 
-// Link is a unidirectional message channel between two simulated endpoints.
-// Delivery order is nondeterministic within the configured delay bounds but
-// fully determined by the simulator's seed.
+// Unordered is the FIFO key of a message that rides no ordered stream.
+const Unordered = ""
+
+// Link is one simulated network hop, and the one place a message is sent:
+// it draws the latency, holds the message through any partition open at its
+// send time, drops or duplicates it per the configuration, and keeps each
+// keyed stream FIFO — all determined by the simulator's seed. A message is a
+// callback, scheduled as is: a send allocates nothing of its own. It takes
+// the time the message leaves its sender (a workload lays out its schedule
+// up front; a protocol passes Now) and a FIFO key: under a key other than
+// Unordered a message never arrives before an earlier send of the same key,
+// so a sender's punctuations and watermarks cannot overtake its data.
+// Different keys reorder freely; keys are per link, so ordered streams into
+// different endpoints take a link each.
 type Link struct {
-	sim     *Sim
-	cfg     LinkConfig
-	deliver func(msg any)
-	stats   LinkStats
+	sim   *Sim
+	cfg   LinkConfig
+	last  map[string]Time // latest arrival per FIFO key
+	stats LinkStats
 }
 
-// NewLink creates a link that hands arriving messages to deliver.
-func NewLink(s *Sim, cfg LinkConfig, deliver func(msg any)) *Link {
-	if cfg.MaxDelay < cfg.MinDelay {
-		cfg.MaxDelay = cfg.MinDelay
+// NewLink creates a link on s shaped by cfg.
+func NewLink(s *Sim, cfg LinkConfig) *Link { return &Link{sim: s, cfg: cfg} }
+
+// Send carries one message exactly once: fn runs at the arrival of a message
+// sent at sent. Nothing retransmits it, so DupProb is not consulted.
+func (l *Link) Send(key string, sent Time, fn func()) {
+	if !l.lost() {
+		l.sim.At(l.arrival(key, sent), fn)
 	}
-	return &Link{sim: s, cfg: cfg, deliver: deliver}
 }
 
-// Send queues msg for delivery after a random delay, possibly duplicating
-// or dropping it per the link configuration.
-func (l *Link) Send(msg any) {
+// SendDup carries one message at least once: with probability DupProb the
+// sender retransmits and fn runs a second time, at a latency of its own
+// (under a key, in FIFO order behind the first).
+func (l *Link) SendDup(key string, sent Time, fn func()) {
+	if l.lost() {
+		return
+	}
+	l.sim.At(l.arrival(key, sent), fn)
+	if l.cfg.DupProb > 0 && l.sim.rng.Float64() < l.cfg.DupProb {
+		l.stats.Duplicate++
+		l.sim.At(l.arrival(key, sent), fn)
+	}
+}
+
+// RoundTrip carries a request sent at sent and, from the instant it arrives,
+// its response, both exactly once and unordered; fn runs when the response
+// arrives. Either leg waits out a partition open when it leaves.
+func (l *Link) RoundTrip(sent Time, fn func()) {
+	if !l.lost() {
+		l.Send(Unordered, l.arrival(Unordered, sent), fn)
+	}
+}
+
+// lost counts one message in and draws its loss.
+func (l *Link) lost() bool {
 	l.stats.Sent++
 	if l.cfg.DropProb > 0 && l.sim.rng.Float64() < l.cfg.DropProb {
 		l.stats.Dropped++
-		return
+		return true
 	}
-	l.scheduleDelivery(msg, false)
-	if l.cfg.DupProb > 0 && l.sim.rng.Float64() < l.cfg.DupProb {
-		l.scheduleDelivery(msg, true)
-	}
+	return false
 }
 
-func (l *Link) scheduleDelivery(msg any, dup bool) {
-	sent := l.sim.Now()
+// arrival decides when one delivery of a message sent at sent arrives: a
+// drawn latency after any partition open at sent heals and, under a FIFO
+// key, no earlier than the key's previous arrival.
+func (l *Link) arrival(key string, sent Time) Time {
+	l.stats.Delivered++
 	at := l.cfg.Release(sent, sent+l.cfg.Delay(l.sim))
-	l.sim.At(at, func() {
-		l.stats.Delivered++
-		if dup {
-			l.stats.Duplicate++
-		}
-		l.deliver(msg)
-	})
+	if key == Unordered {
+		return at
+	}
+	if prev := l.last[key]; at < prev {
+		at = prev
+	}
+	if l.last == nil {
+		l.last = map[string]Time{}
+	}
+	l.last[key] = at
+	return at
 }
 
-// Stats returns the link's delivery counters.
+// Stats returns the link's counters.
 func (l *Link) Stats() LinkStats { return l.stats }

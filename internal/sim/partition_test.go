@@ -13,10 +13,10 @@ func TestPartitionBuffersUntilHeal(t *testing.T) {
 		Partitions: []PartitionWindow{{From: 10 * Millisecond, Until: 50 * Millisecond}},
 	}
 	var arrivals []Time
-	l := NewLink(s, cfg, func(any) { arrivals = append(arrivals, s.Now()) })
-	s.At(5*Millisecond, func() { l.Send("before") })
-	s.At(20*Millisecond, func() { l.Send("during") })
-	s.At(60*Millisecond, func() { l.Send("after") })
+	l := NewLink(s, cfg)
+	for _, sent := range []Time{5 * Millisecond, 20 * Millisecond, 60 * Millisecond} { // before, during, after
+		l.Send(Unordered, sent, func() { arrivals = append(arrivals, s.Now()) })
+	}
 	s.Run()
 	if len(arrivals) != 3 {
 		t.Fatalf("delivered %d of 3", len(arrivals))

@@ -92,15 +92,16 @@ func TestTimeString(t *testing.T) {
 	}
 }
 
-// deliverySequence runs a fixed message pattern through a lossy, reordering
-// link and records the delivered order.
+// deliverySequence runs a fixed message pattern through a lossy, reordering,
+// at-least-once link and records the delivered order.
 func deliverySequence(seed int64, cfg LinkConfig, n int) []int {
 	s := New(seed)
 	var got []int
-	l := NewLink(s, cfg, func(m any) { got = append(got, m.(int)) })
+	l := NewLink(s, cfg)
 	for i := 0; i < n; i++ {
-		i := i
-		s.At(Time(i)*10, func() { l.Send(i) })
+		s.At(Time(i)*10, func() {
+			l.SendDup(Unordered, s.Now(), func() { got = append(got, i) })
+		})
 	}
 	s.Run()
 	return got
@@ -156,9 +157,9 @@ func TestLinkReliableDeliversAll(t *testing.T) {
 func TestLinkDuplication(t *testing.T) {
 	s := New(3)
 	count := map[int]int{}
-	l := NewLink(s, LinkConfig{MinDelay: 1, MaxDelay: 10, DupProb: 1.0}, func(m any) { count[m.(int)]++ })
+	l := NewLink(s, LinkConfig{MinDelay: 1, MaxDelay: 10, DupProb: 1.0})
 	for i := 0; i < 20; i++ {
-		l.Send(i)
+		l.SendDup(Unordered, 0, func() { count[i]++ })
 	}
 	s.Run()
 	for i := 0; i < 20; i++ {
@@ -174,9 +175,9 @@ func TestLinkDuplication(t *testing.T) {
 func TestLinkDrop(t *testing.T) {
 	s := New(4)
 	delivered := 0
-	l := NewLink(s, LinkConfig{MinDelay: 1, MaxDelay: 10, DropProb: 1.0}, func(any) { delivered++ })
+	l := NewLink(s, LinkConfig{MinDelay: 1, MaxDelay: 10, DropProb: 1.0})
 	for i := 0; i < 20; i++ {
-		l.Send(i)
+		l.Send(Unordered, 0, func() { delivered++ })
 	}
 	s.Run()
 	if delivered != 0 {
@@ -191,10 +192,10 @@ func TestLinkDrop(t *testing.T) {
 func TestLinkDropRateApproximates(t *testing.T) {
 	s := New(5)
 	delivered := 0
-	l := NewLink(s, LinkConfig{MinDelay: 1, MaxDelay: 2, DropProb: 0.3}, func(any) { delivered++ })
+	l := NewLink(s, LinkConfig{MinDelay: 1, MaxDelay: 2, DropProb: 0.3})
 	const n = 5000
 	for i := 0; i < n; i++ {
-		l.Send(i)
+		l.Send(Unordered, 0, func() { delivered++ })
 	}
 	s.Run()
 	rate := 1 - float64(delivered)/float64(n)
@@ -207,11 +208,10 @@ func TestLinkDropRateApproximates(t *testing.T) {
 func TestLinkConfigSwappedDelaysNormalized(t *testing.T) {
 	s := New(6)
 	n := 0
-	l := NewLink(s, LinkConfig{MinDelay: 100, MaxDelay: 1}, func(any) { n++ })
-	l.Send(1)
+	NewLink(s, LinkConfig{MinDelay: 100, MaxDelay: 1}).Send(Unordered, 0, func() { n++ })
 	s.Run()
-	if n != 1 {
-		t.Error("message lost with swapped delay bounds")
+	if n != 1 || s.Now() != 100 {
+		t.Errorf("swapped delay bounds: %d deliveries, the last at %v; want 1 at MinDelay", n, s.Now())
 	}
 }
 

@@ -902,20 +902,13 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	suite := verify.Workloads()
-	selected := suite
+	selected := verify.Workloads()
 	if len(req.Workloads) > 0 {
-		byName := map[string]verify.Workload{}
-		var names []string
-		for _, wl := range suite {
-			byName[wl.Name()] = wl
-			names = append(names, wl.Name())
-		}
 		selected = nil
 		for _, name := range req.Workloads {
-			wl, ok := byName[name]
-			if !ok {
-				writeError(w, http.StatusBadRequest, "unknown workload %q (workloads: %v)", name, names)
+			wl, err := verify.LookupWorkload(name)
+			if err != nil {
+				writeError(w, http.StatusBadRequest, "%v", err)
 				return
 			}
 			selected = append(selected, wl)

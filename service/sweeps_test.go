@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -189,6 +190,39 @@ func TestSweepShrinkOnAnomaly(t *testing.T) {
 	sw := stats.Sweeps
 	if sw.Submitted < 1 || sw.Completed < 1 || sw.BatchesReported == 0 || sw.TracesShrunk == 0 {
 		t.Fatalf("sweep stats missing activity: %+v", sw)
+	}
+}
+
+// TestWorkloadNamesResolveAlike: /v1/verify and /v1/sweeps accept the same
+// workload names — the suite's, and a generated topology's, which only
+// LookupWorkload can resolve — and refuse an unknown one by listing the
+// valid spellings.
+func TestWorkloadNamesResolveAlike(t *testing.T) {
+	h := New(Options{}).Handler()
+	for _, ep := range []struct {
+		path string
+		ok   int
+	}{
+		{"/v1/verify", http.StatusOK},
+		{"/v1/sweeps", http.StatusCreated},
+	} {
+		for _, tc := range []struct {
+			name string
+			code int
+		}{
+			{"synthetic-set", ep.ok},
+			{"generated-40c-s8", ep.ok},
+			{"no-such-workload", http.StatusBadRequest},
+		} {
+			code, body := call(t, h, "POST", ep.path, map[string]any{"workloads": []string{tc.name}, "seeds": 2})
+			if code != tc.code {
+				t.Errorf("%s %s: %d %s, want %d", ep.path, tc.name, code, body, tc.code)
+			}
+			if tc.code == http.StatusBadRequest &&
+				(!strings.Contains(body, "synthetic-set") || !strings.Contains(body, ", generated-")) {
+				t.Errorf("%s %s: error does not list the valid spellings: %s", ep.path, tc.name, body)
+			}
+		}
 	}
 }
 
