@@ -64,12 +64,17 @@ func (s Schema) Contains(col string) bool { return s.IndexOf(col) >= 0 }
 
 // checkNoDupCols rejects schemas with repeated column names. Duplicate
 // names make IndexOf ambiguous and break the evaluator's set-semantics
-// reasoning, so every schema-producing site refuses them.
-func checkNoDupCols(s Schema, ctx string) error {
+// reasoning, so every schema-producing site refuses them. The site is what
+// (an operator, or a kind of declaration) and, if it has one, its name —
+// put together only on failure, because Validate runs per node built.
+func checkNoDupCols(s Schema, what, name string) error {
 	seen := make(map[string]bool, len(s))
 	for _, c := range s {
 		if seen[c] {
-			return fmt.Errorf("bloom: %s produces duplicate column %q (have %v)", ctx, c, s)
+			if name != "" {
+				what = fmt.Sprintf("%s %q", what, name)
+			}
+			return fmt.Errorf("bloom: %s produces duplicate column %q (have %v)", what, c, s)
 		}
 		seen[c] = true
 	}

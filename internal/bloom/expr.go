@@ -98,7 +98,7 @@ func (e *ProjectExpr) Schema(m *Module) (Schema, error) {
 		}
 		out[i] = c.out()
 	}
-	if err := checkNoDupCols(out, "project"); err != nil {
+	if err := checkNoDupCols(out, "project", ""); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -480,7 +480,7 @@ func (e *GroupByExpr) Schema(m *Module) (Schema, error) {
 		}
 		out = append(out, a.As)
 	}
-	if err := checkNoDupCols(out, "group by"); err != nil {
+	if err := checkNoDupCols(out, "group by", ""); err != nil {
 		return nil, err
 	}
 	return out, nil

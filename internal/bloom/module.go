@@ -154,7 +154,7 @@ func (m *Module) Validate() error {
 		return fmt.Errorf("bloom: module %q has no rules", m.Name)
 	}
 	for _, c := range m.Collections() {
-		if err := checkNoDupCols(c.Schema, fmt.Sprintf("collection %q", c.Name)); err != nil {
+		if err := checkNoDupCols(c.Schema, "collection", c.Name); err != nil {
 			return fmt.Errorf("bloom: module %q: %w", m.Name, err)
 		}
 	}

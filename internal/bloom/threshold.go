@@ -34,7 +34,7 @@ func (e *ThresholdExpr) Schema(m *Module) (Schema, error) {
 		}
 		out = append(out, k)
 	}
-	if err := checkNoDupCols(out, "threshold"); err != nil {
+	if err := checkNoDupCols(out, "threshold", ""); err != nil {
 		return nil, err
 	}
 	return out, nil

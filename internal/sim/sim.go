@@ -14,6 +14,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -57,14 +58,17 @@ func (s *Sim) Now() Time { return s.now }
 // simulation must flow through it to preserve determinism.
 func (s *Sim) Rand() *rand.Rand { return s.rng }
 
-// At schedules fn at absolute virtual time t (clamped to now).
-func (s *Sim) At(t Time, fn func()) {
+// Schedule schedules h at absolute virtual time t (clamped to now).
+func (s *Sim) Schedule(t Time, h Handler) {
 	if t < s.now {
 		t = s.now
 	}
 	s.seq++
-	s.events.push(event{at: t, seq: s.seq, fn: fn})
+	s.events.push(event{at: t, seq: s.seq, h: h})
 }
+
+// At schedules fn at absolute virtual time t (clamped to now).
+func (s *Sim) At(t Time, fn func()) { s.Schedule(t, Func(fn)) }
 
 // After schedules fn d after the current time.
 func (s *Sim) After(d Time, fn func()) { s.At(s.now+d, fn) }
@@ -73,16 +77,16 @@ func (s *Sim) After(d Time, fn func()) { s.At(s.now+d, fn) }
 func (s *Sim) runEvent(e event) {
 	s.now = e.at
 	s.steps++
-	e.fn()
+	e.h.Fire()
 }
 
 // Step runs the next event; it reports false when no events remain.
 func (s *Sim) Step() bool {
-	if !s.events.settle() {
-		return false
+	e, ok := s.events.pop(math.MaxInt64)
+	if ok {
+		s.runEvent(e)
 	}
-	s.runEvent(s.events.cur.pop())
-	return true
+	return ok
 }
 
 // Run executes events until none remain.
@@ -95,9 +99,8 @@ func (s *Sim) Run() {
 // deadline (or later if an executed event scheduled exactly at it advanced
 // time further).
 func (s *Sim) RunUntil(deadline Time) {
-	q := &s.events
-	for q.settle() && q.cur[0].at <= deadline {
-		s.runEvent(q.cur.pop())
+	for e, ok := s.events.pop(deadline); ok; e, ok = s.events.pop(deadline) {
+		s.runEvent(e)
 	}
 	if s.now < deadline {
 		s.now = deadline

@@ -431,15 +431,16 @@ func (t *Topology) deliver(st *stage, idx int, m message, notBefore sim.Time) {
 	}
 }
 
-// delivery is one message in flight. A closure per message was more than
-// half of everything a run allocated, so deliveries are pooled: carved from
-// slabs, with the func() the simulator calls bound once, when the delivery
-// is carved. A delivery goes back to the free list before receive runs —
-// receive may send, and the send may take this very delivery.
+// delivery is one message in flight, and its own arrival event. A closure
+// per message was more than half of everything a run allocated, so
+// deliveries are pooled: carved from slabs, each knowing the topology whose
+// free list it goes back to. The simulator's queue entry points at the
+// delivery itself, so the arrival — tens of thousands of events after the
+// send, with nothing of it left in cache — loads this one line.
 type delivery struct {
+	t   *Topology
 	ins *instance
 	m   message
-	fn  func()
 }
 
 // firstSlab and maxSlab bound the slabs deliveries are carved from: each is
@@ -453,7 +454,7 @@ const (
 func (t *Topology) arriveAt(at sim.Time, ins *instance, m message) {
 	d := t.newDelivery()
 	d.ins, d.m = ins, m
-	t.sim.At(at, d.fn)
+	t.sim.Schedule(at, d)
 }
 
 func (t *Topology) newDelivery() *delivery {
@@ -468,13 +469,15 @@ func (t *Topology) newDelivery() *delivery {
 	}
 	d := &t.slab[0]
 	t.slab = t.slab[1:]
-	d.fn = func() { t.arrive(d) }
+	d.t = t
 	return d
 }
 
-// arrive is a delivery's event.
-func (t *Topology) arrive(d *delivery) {
-	ins, m := d.ins, d.m
+// Fire is a delivery's arrival. The delivery goes back to the free list
+// before receive runs — receive may send, and the send may take this very
+// delivery.
+func (d *delivery) Fire() {
+	t, ins, m := d.t, d.ins, d.m
 	d.m.tuple.Values = nil // the pool must not keep a batch's strings alive
 	t.freeDeliveries = append(t.freeDeliveries, d)
 	ins.receive(m)

@@ -38,7 +38,7 @@ func (t Tuple) String() string {
 // upstream stage and producers number their per-batch emissions densely.
 // The batch rides in tuple.Batch (set even on punctuations, whose Values
 // are nil) and a punctuation is told by its seq, so that the message is 48
-// bytes and a pooled delivery — message, receiver, func — exactly one cache
+// bytes and a pooled delivery — message, receiver, topology — exactly one cache
 // line. (An earlier revision carried a formatted string id; building and
 // hashing those strings dominated the allocation profile.)
 type message struct {
