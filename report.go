@@ -3,6 +3,7 @@ package blazes
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"blazes/internal/dataflow"
 )
@@ -21,6 +22,13 @@ const (
 // any synthesized or applied strategies. It is plain data — it marshals to
 // JSON and back without loss (encode → decode → deep-equal), which is what
 // `blazes -json` emits and what embedding systems should persist.
+//
+// Streams and Components hold their entries by address (on the wire a
+// pointer is its element, so the JSON is that of a list of objects), and no
+// entry is nil. A report is read-only once handed out, its entries included:
+// a session's consecutive reports share, by address, every entry the edit
+// between them left alone, and a report may be read — encoded, say — while
+// the session that made it analyzes again.
 type Report struct {
 	Version  string `json:"version"`
 	Dataflow string `json:"dataflow"`
@@ -29,10 +37,10 @@ type Report struct {
 	Deterministic bool        `json:"deterministic"`
 	// Streams lists every stream of the analyzed (collapsed) graph with
 	// its derived label, in name order.
-	Streams []StreamReport `json:"streams"`
+	Streams []*StreamReport `json:"streams"`
 	// Components lists the per-component derivations in name order; cycle
 	// supernodes appear under their collapsed name ("scc+A+B").
-	Components []ComponentReport `json:"components"`
+	Components []*ComponentReport `json:"components"`
 	// Strategies lists synthesized strategies (after Synthesize) or the
 	// strategies applied to reach the fixpoint (after Repair).
 	Strategies []StrategyReport `json:"strategies,omitempty"`
@@ -216,20 +224,32 @@ func (r *Result) Report() *Report {
 		Deterministic: an.Deterministic(),
 		Repaired:      r.repaired,
 	}
-	rep.Streams = make([]StreamReport, 0, len(an.Collapsed.Streams()))
+	streams := make([]StreamReport, 0, len(an.Collapsed.Streams()))
 	for st, l := range an.Streams() {
-		rep.Streams = append(rep.Streams, streamReport(st, l))
+		streams = append(streams, streamReport(st, l))
 	}
-	if n := len(an.Collapsed.Components()); n > 0 { // an empty list stays nil on the wire
-		rep.Components = make([]ComponentReport, 0, n)
-	}
+	rep.Streams = addresses(streams)
+	comps := make([]ComponentReport, 0, len(an.Collapsed.Components()))
 	for ca := range an.Components() {
-		rep.Components = append(rep.Components, componentReport(ca))
+		comps = append(comps, componentReport(ca))
+	}
+	if len(comps) > 0 { // an empty list stays nil on the wire
+		rep.Components = addresses(comps)
 	}
 	for _, st := range r.strategies {
 		rep.Strategies = append(rep.Strategies, strategyReport(st))
 	}
 	return rep
+}
+
+// addresses lists the entries of backing by address: a one-shot report's
+// list is one array of entries and one word per entry, nothing per entry.
+func addresses[T any](backing []T) []*T {
+	list := make([]*T, len(backing))
+	for i := range backing {
+		list[i] = &backing[i]
+	}
+	return list
 }
 
 // streamReport projects one stream of the analyzed (collapsed) graph.
@@ -292,8 +312,10 @@ func (r *Report) MarshalIndent() ([]byte, error) {
 }
 
 // DecodeReport parses a Report from JSON, rejecting unknown schema
-// versions. Both the current v2 schema and the delta-free v1 schema
-// decode; the document keeps the version it was written with.
+// versions and a null entry in streams or components (every reader of a
+// report dereferences its entries). Both the current v2 schema and the
+// delta-free v1 schema decode; the document keeps the version it was
+// written with.
 func DecodeReport(data []byte) (*Report, error) {
 	var rep Report
 	if err := json.Unmarshal(data, &rep); err != nil {
@@ -301,6 +323,12 @@ func DecodeReport(data []byte) (*Report, error) {
 	}
 	if rep.Version != ReportVersion && rep.Version != ReportVersionV1 {
 		return nil, fmt.Errorf("blazes: unsupported report version %q (want %q or %q)", rep.Version, ReportVersion, ReportVersionV1)
+	}
+	if i := slices.Index(rep.Streams, nil); i >= 0 {
+		return nil, fmt.Errorf("blazes: decoding report: streams[%d] is null", i)
+	}
+	if i := slices.Index(rep.Components, nil); i >= 0 {
+		return nil, fmt.Errorf("blazes: decoding report: components[%d] is null", i)
 	}
 	return &rep, nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -12,7 +13,9 @@ import (
 // marshal → decode → marshal cycle byte-identically (the wire schema is
 // loss-free), across both the v1 and v2 schemas. The corpus seeds are the
 // recorded golden documents — v1 fixtures, current v2 goldens, and a
-// hand-built delta-carrying session report — plus degenerate shapes.
+// hand-built delta-carrying session report — plus degenerate shapes, among
+// them the null list entries DecodeReport rejects: an accepted document has
+// no nil entry.
 func FuzzReportRoundTrip(f *testing.F) {
 	for _, name := range []string{
 		"report_wordcount_v1.json",
@@ -53,11 +56,18 @@ func FuzzReportRoundTrip(f *testing.F) {
 	f.Add([]byte(`{"version":"blazes.report/v1","streams":[{"name":"s","label":{"kind":"Async","severity":2}}]}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`not json`))
+	// The lists hold their entries by address: a null entry is rejected.
+	f.Add([]byte(`{"version":"blazes.report/v2","streams":[null]}`))
+	f.Add([]byte(`{"version":"blazes.report/v2","components":[null]}`))
+	f.Add([]byte(`{"version":"blazes.report/v2","streams":[{"name":"a","label":{"kind":"Async","severity":2}},null,{"name":"b","label":{"kind":"Run","severity":4}}]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rep, err := DecodeReport(data)
 		if err != nil {
 			return // rejected input: nothing to round-trip
+		}
+		if slices.Index(rep.Streams, nil) >= 0 || slices.Index(rep.Components, nil) >= 0 {
+			t.Fatalf("accepted report has a nil entry: %s", data)
 		}
 		first, err := json.Marshal(rep)
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"blazes/internal/dataflow"
@@ -141,6 +142,21 @@ func TestReportContents(t *testing.T) {
 func TestDecodeReportRejectsUnknownVersion(t *testing.T) {
 	if _, err := DecodeReport([]byte(`{"version":"blazes.report/v999"}`)); err == nil {
 		t.Error("unknown version accepted")
+	}
+}
+
+// TestDecodeReportRejectsNullEntry: the error names the list and the index.
+func TestDecodeReportRejectsNullEntry(t *testing.T) {
+	entry := `{"name":"a","label":{"kind":"Async","severity":2}}`
+	for doc, want := range map[string]string{
+		`{"version":"blazes.report/v2","streams":[null]}`:                         "streams[0]",
+		`{"version":"blazes.report/v2","components":[null]}`:                      "components[0]",
+		`{"version":"blazes.report/v1","streams":[` + entry + `,null]}`:           "streams[1]",
+		`{"version":"blazes.report/v2","components":[{"name":"C"},{},null,null]}`: "components[2]",
+	} {
+		if _, err := DecodeReport([]byte(doc)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("DecodeReport(%s) = %v, want an error naming %s", doc, err, want)
+		}
 	}
 }
 

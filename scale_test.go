@@ -14,13 +14,13 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"os"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
-	"unsafe"
 
 	"blazes/internal/dataflow"
 	"blazes/internal/race"
@@ -245,16 +245,19 @@ func TestScaleSynthesizeLinear(t *testing.T) {
 // sink-side component and synthesizing allocates the same number of times
 // in a 1k-component graph and in the same graph with 3k more components
 // beside it, re-projects the one component the engine re-derived and shares
-// every other entry of the previous report. (What still grows with the
-// graph is the size of one allocation: the copy of the component list the
-// changed entry goes into.) The flipped component is the same in both, so
-// its own entry costs the same.
+// every other entry of the previous report by address. What still grows with
+// the graph is the size of one allocation, the copy of a list the changed
+// entry goes into — and that is a list of addresses: the bytes one edit
+// allocates grow by at most two words per report entry added (one for the
+// copy, one of slack for size classes; a list of entries by value fails this
+// several times over). The flipped component is the same in both, so its own
+// entry costs the same.
 func TestSessionEditCostIndependentOfGraphSize(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector changes what allocates")
 	}
 	ctx := context.Background()
-	cost := func(padding int) float64 {
+	cost := func(padding int) editCost {
 		_, g := openGenerated(t, 1000, 8)
 		for i := range padding {
 			name := fmt.Sprintf("pad%04d", i)
@@ -299,12 +302,12 @@ func TestSessionEditCostIndependentOfGraphSize(t *testing.T) {
 			}
 			prev = edit(1) // both derivations are memoized from here on
 			k := 0
-			return testing.AllocsPerRun(10, func() {
+			return measureEdits(prev, 1, func() {
 				rep := edit(k)
 				k++
 				projected := 0
 				for i := range rep.Components {
-					if &rep.Components[i].Steps[0] != &prev.Components[i].Steps[0] {
+					if rep.Components[i] != prev.Components[i] {
 						projected++
 					}
 				}
@@ -318,10 +321,50 @@ func TestSessionEditCostIndependentOfGraphSize(t *testing.T) {
 			})
 		}
 		t.Fatal("no acyclic sink-side component")
-		return 0
+		return editCost{}
 	}
-	if a1, a4 := cost(0), cost(3000); a1 != a4 {
-		t.Errorf("a sink-side flip and Synthesize allocates %.0f times at 1k components but %.0f at 4k", a1, a4)
+	c1, c4 := cost(0), cost(3000)
+	if c1.allocs != c4.allocs {
+		t.Errorf("a sink-side flip and Synthesize allocates %.0f times at 1k components but %.0f at 4k", c1.allocs, c4.allocs)
+	}
+	c1.holdGrowth(t, "a sink-side flip and Synthesize", c4)
+}
+
+// editCost is what one session edit and its Synthesize allocate, in a
+// session whose report has so many entries in its two lists.
+type editCost struct {
+	allocs, bytes float64
+	entries       int
+}
+
+// measureEdits runs round, which makes so many edits to the session rep came
+// from, under testing.AllocsPerRun and then between two readings of
+// runtime.MemStats.TotalAlloc.
+func measureEdits(rep *Report, edits int, round func()) editCost {
+	c := editCost{entries: len(rep.Streams) + len(rep.Components)}
+	c.allocs = testing.AllocsPerRun(10, round)
+	const rounds = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range rounds {
+		round()
+	}
+	runtime.ReadMemStats(&after)
+	c.bytes = float64(after.TotalAlloc-before.TotalAlloc) / float64(rounds*edits)
+	return c
+}
+
+// holdGrowth fails when an edit in the larger session allocates more bytes
+// than one in the smaller by over two words per entry the larger report has
+// more.
+func (small editCost) holdGrowth(t *testing.T, what string, large editCost) {
+	t.Helper()
+	added := large.entries - small.entries
+	grew, bound := large.bytes-small.bytes, float64(added)*2*bits.UintSize/8
+	t.Logf("%s allocates %.0f B with %d report entries and %.0f B with %d: %.1f B per added entry", what, small.bytes, small.entries, large.bytes, large.entries, grew/float64(added))
+	if added <= 0 || grew > bound {
+		t.Errorf("%s allocates %.0f B with %d report entries but %.0f B with %d: %.0f B more, over the %.0f B of two words per added entry",
+			what, small.bytes, small.entries, large.bytes, large.entries, grew, bound)
 	}
 }
 
@@ -330,29 +373,17 @@ func TestSessionEditCostIndependentOfGraphSize(t *testing.T) {
 // outside every cycle and synthesizing, then dropping it and synthesizing,
 // allocates the same number of times at 1k components and with 3k more
 // beside them; both passes report Patched, share the component list whole
-// and every stream entry but the spliced one with the report before, and
-// carry the one Delta.Streams entry. (What grows with the graph is, again,
-// the size of one allocation: the copy of the stream list.) A tap on a
-// component inside a cycle recompiles.
+// and, by address, every stream entry but the spliced one with the report
+// before, and carry the one Delta.Streams entry. What grows with the graph
+// is, again, the size of one allocation — the copy of the stream list's
+// addresses — and it is held to the same two words per added entry. A tap on
+// a component inside a cycle recompiles.
 func TestSessionTapCostIndependentOfGraphSize(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector changes what allocates")
 	}
 	ctx := context.Background()
-	// sameEntry: b is a's entry copied, not projected again (a projection
-	// builds its endpoint strings and key lists anew).
-	data := func(s string) *byte {
-		if s == "" {
-			return nil
-		}
-		return unsafe.StringData(s)
-	}
-	sameEntry := func(a, b *StreamReport) bool {
-		return a.Name == b.Name && data(a.From) == data(b.From) && data(a.To) == data(b.To) &&
-			unsafe.SliceData(a.Seal) == unsafe.SliceData(b.Seal) && unsafe.SliceData(a.Label.Key) == unsafe.SliceData(b.Label.Key) &&
-			a.Label.Kind == b.Label.Kind && a.Replicated == b.Replicated
-	}
-	cost := func(padding int) float64 {
+	cost := func(padding int) editCost {
 		_, g := openGenerated(t, 1000, 8)
 		for i := range padding {
 			name := fmt.Sprintf("pad%04d", i)
@@ -410,7 +441,7 @@ func TestSessionTapCostIndependentOfGraphSize(t *testing.T) {
 					if longer[i].Name == "m-tap" {
 						continue
 					}
-					if !sameEntry(&longer[i], &shorter[j]) {
+					if longer[i] != shorter[j] {
 						t.Fatalf("tap on %s: stream entry %s projected again", comp.Name, longer[i].Name)
 					}
 					j++
@@ -425,7 +456,8 @@ func TestSessionTapCostIndependentOfGraphSize(t *testing.T) {
 				onSelfLoop[st.FromComp] = true
 			}
 		}
-		allocs, cyclic := -1.0, false
+		measured, cyclic := false, false
+		var c editCost
 		for _, comp := range g.Components() {
 			switch {
 			case onSelfLoop[comp.Name] && !cyclic:
@@ -436,26 +468,27 @@ func TestSessionTapCostIndependentOfGraphSize(t *testing.T) {
 				if stats := step(comp, false, false); stats.Patched {
 					t.Errorf("the tap on %s, on a gossip self-loop, was patched out", comp.Name)
 				}
-			case !onSelfLoop[comp.Name] && allocs < 0 && !strings.HasPrefix(comp.Name, "pad"):
+			case !onSelfLoop[comp.Name] && !measured && !strings.HasPrefix(comp.Name, "pad"):
 				if stats := step(comp, true, true); !stats.Patched {
 					step(comp, false, false) // inside a longer cycle
 					continue
 				}
 				step(comp, false, true)
-				allocs = testing.AllocsPerRun(10, func() {
+				c, measured = measureEdits(prev, 2, func() {
 					step(comp, true, false)
 					step(comp, false, false)
-				})
+				}), true
 			}
 		}
-		if allocs < 0 || !cyclic {
-			t.Fatalf("no component to tap outside every cycle (%v) or none on a self-loop (%v)", allocs < 0, !cyclic)
+		if !measured || !cyclic {
+			t.Fatalf("no component to tap outside every cycle (%v) or none on a self-loop (%v)", !measured, !cyclic)
 		}
-		return allocs
+		return c
 	}
-	a1, a4 := cost(0), cost(3000)
-	t.Logf("a tap wired, synthesized, dropped and synthesized allocates %.0f times", a1)
-	if a1 != a4 {
-		t.Errorf("a tap wired, synthesized, dropped and synthesized allocates %.0f times at 1k components but %.0f at 4k", a1, a4)
+	c1, c4 := cost(0), cost(3000)
+	t.Logf("a tap wired, synthesized, dropped and synthesized allocates %.0f times", c1.allocs)
+	if c1.allocs != c4.allocs {
+		t.Errorf("a tap wired, synthesized, dropped and synthesized allocates %.0f times at 1k components but %.0f at 4k", c1.allocs, c4.allocs)
 	}
+	c1.holdGrowth(t, "a tap wired or dropped, and Synthesize,", c4)
 }

@@ -431,8 +431,9 @@ func (s *Session) strategyReports(planned []Strategy) (reports []StrategyReport,
 
 // patch builds the report of a pass that kept the structure from the
 // previous one, give or take a tap: the lists are the previous report's own,
-// or — reports being immutable — a copy with the spliced entries inserted or
-// dropped and the changed positions projected again. The report's Delta
+// or — reports being immutable, and read outside the session's lock — a copy
+// of the addresses with the spliced entries inserted or dropped and the
+// changed positions projected into entries of their own. The report's Delta
 // holds the streams that came, went or changed label, in name order as
 // computeDelta would list them.
 func (s *Session) patch(an *dataflow.Analysis, stats dataflow.Stats) *Report {
@@ -447,19 +448,19 @@ func (s *Session) patch(an *dataflow.Analysis, stats dataflow.Stats) *Report {
 		Delta:         &Delta{},
 	}
 	// The splices, applied to a copy of the previous list. A stream that came
-	// leaves a blank entry — no projected entry has a label without a kind —
-	// which the engine lists among the changed ones below; a stream that went
-	// is remembered for the Delta, unless it is one that had just come.
+	// leaves a nil entry, which the engine lists among the changed ones below;
+	// a stream that went is remembered for the Delta, unless it is one that
+	// had just come.
 	var gone []StreamDelta
 	cloned := len(stats.Splices) > 0
 	if cloned {
 		// The copy is made around the first splice, as a rule the only one:
 		// nothing is moved twice.
 		first, rest := stats.Splices[0], prev.Streams
-		rep.Streams = append(make([]StreamReport, 0, len(rest)+len(stats.Splices)), rest[:first.Pos]...)
+		rep.Streams = append(make([]*StreamReport, 0, len(rest)+len(stats.Splices)), rest[:first.Pos]...)
 		rest = rest[first.Pos:]
 		if first.Added {
-			rep.Streams = append(rep.Streams, StreamReport{})
+			rep.Streams = append(rep.Streams, nil)
 		} else {
 			gone, rest = append(gone, StreamDelta{Name: rest[0].Name, Before: rest[0].Label}), rest[1:]
 		}
@@ -467,10 +468,10 @@ func (s *Session) patch(an *dataflow.Analysis, stats dataflow.Stats) *Report {
 		for _, sp := range stats.Splices[1:] {
 			pos := int(sp.Pos)
 			if sp.Added {
-				rep.Streams = slices.Insert(rep.Streams, pos, StreamReport{})
+				rep.Streams = slices.Insert(rep.Streams, pos, nil)
 				continue
 			}
-			if was := &rep.Streams[pos]; was.Label.Kind != "" {
+			if was := rep.Streams[pos]; was != nil {
 				gone = append(gone, StreamDelta{Name: was.Name, Before: was.Label})
 			}
 			rep.Streams = slices.Delete(rep.Streams, pos, pos+1)
@@ -478,16 +479,17 @@ func (s *Session) patch(an *dataflow.Analysis, stats dataflow.Stats) *Report {
 	}
 	for _, pos := range stats.Streams {
 		st, l := an.StreamAt(int(pos))
-		pr := &rep.Streams[pos]
-		came := pr.Label.Kind == ""
+		pr := rep.Streams[pos]
+		came := pr == nil
 		if !came && streamReportCurrent(pr, st, l, false) {
 			continue // moved and moved back
 		}
 		if !cloned {
 			rep.Streams, cloned = slices.Clone(prev.Streams), true
 		}
-		before, sr := pr.Label, streamReport(st, l)
-		rep.Streams[pos] = sr
+		sr := streamReport(st, l)
+		rep.Streams[pos] = &sr
+		var before LabelReport
 		if came {
 			// A name that went and came again is a stream both reports have.
 			i := slices.IndexFunc(gone, func(d StreamDelta) bool { return d.Name == sr.Name })
@@ -497,6 +499,8 @@ func (s *Session) patch(an *dataflow.Analysis, stats dataflow.Stats) *Report {
 			}
 			before = gone[i].Before
 			gone = slices.Delete(gone, i, i+1)
+		} else {
+			before = pr.Label
 		}
 		if !labelReportEqual(before, sr.Label) {
 			rep.Delta.Streams = append(rep.Delta.Streams, StreamDelta{Name: sr.Name, Before: before, After: sr.Label})
@@ -525,20 +529,21 @@ func (s *Session) patch(an *dataflow.Analysis, stats dataflow.Stats) *Report {
 		if !cloned {
 			rep.Components, cloned = slices.Clone(prev.Components), true
 		}
-		rep.Components[pos] = componentReport(ca)
+		cr := componentReport(ca)
+		rep.Components[pos] = &cr
 	}
 	return rep
 }
 
-// project builds the wire report, sharing with the previous report every
-// entry that did not change; reports are immutable wire data, so sharing
-// is safe. A stream entry is shared when its wire fields still describe the
-// stream. A component entry is shared when the component still yields the
-// derivations the entry was projected from: a derivation is immutable and
-// keeps its address while it stays in force, also across a structural
-// rebuild, so equal pointers and an equal configuration mean an equal
-// record. Both lists are in name order in both reports and are paired by
-// one merge; a list in which nothing changed is shared whole.
+// project builds the wire report, sharing with the previous report, by
+// address, every entry that did not change; reports are immutable wire data,
+// so sharing is safe. A stream entry is shared when its wire fields still
+// describe the stream. A component entry is shared when the component still
+// yields the derivations the entry was projected from: a derivation is
+// immutable and keeps its address while it stays in force, also across a
+// structural rebuild, so equal pointers and an equal configuration mean an
+// equal record. Both lists are in name order in both reports and are paired
+// by one merge; a list in which nothing changed is shared whole.
 func (s *Session) project(an *dataflow.Analysis) *Report {
 	prev := s.prev
 	if prev == nil {
@@ -551,7 +556,7 @@ func (s *Session) project(an *dataflow.Analysis) *Report {
 		Deterministic: an.Deterministic(),
 	}
 
-	streams, pi := sharedPrefix[StreamReport]{prev: prev.Streams, size: len(an.Collapsed.Streams())}, 0
+	streams, pi := sharedPrefix[*StreamReport]{prev: prev.Streams, size: len(an.Collapsed.Streams())}, 0
 	for st, l := range an.Streams() {
 		// An entry that kept its place shares its name's bytes with the
 		// stream, and a string equals itself without being read: the test
@@ -561,21 +566,22 @@ func (s *Session) project(an *dataflow.Analysis) *Report {
 		}
 		if pi < len(prev.Streams) && prev.Streams[pi].Name == st.Name {
 			pi++
-			if pr := &prev.Streams[pi-1]; streamReportCurrent(pr, st, l, s.last.Rebuilt) {
+			if pr := prev.Streams[pi-1]; streamReportCurrent(pr, st, l, s.last.Rebuilt) {
 				streams.keep(pi - 1)
 				continue
 			}
 		}
-		streams.add(streamReport(st, l))
+		sr := streamReport(st, l)
+		streams.add(&sr)
 	}
 	if rep.Streams = streams.list(); rep.Streams == nil {
-		rep.Streams = []StreamReport{} // an empty list of streams is a list on the wire, not null
+		rep.Streams = []*StreamReport{} // an empty list of streams is a list on the wire, not null
 	}
 
 	// outs collects, component by component, the derivations this report
 	// is projected from; outEnd[i] ends the i-th component's.
 	outs, outEnd := s.spareOuts[:0], s.spareEnd[:0]
-	comps, pi := sharedPrefix[ComponentReport]{prev: prev.Components, size: len(an.Collapsed.Components())}, 0
+	comps, pi := sharedPrefix[*ComponentReport]{prev: prev.Components, size: len(an.Collapsed.Components())}, 0
 	for ca := range an.Components() {
 		comp := ca.Component
 		first := len(outs)
@@ -592,14 +598,15 @@ func (s *Session) project(an *dataflow.Analysis) *Report {
 			if pi > 1 {
 				lo = s.prevEnd[pi-2]
 			}
-			pr := &prev.Components[pi-1]
+			pr := prev.Components[pi-1]
 			if pr.Replicated == comp.Rep && pr.Coordination == coordinationToken(comp.Coordination) &&
 				slices.Equal(s.prevOuts[lo:s.prevEnd[pi-1]], outs[first:]) {
 				comps.keep(pi - 1)
 				continue
 			}
 		}
-		comps.add(componentReport(ca))
+		cr := componentReport(ca)
+		comps.add(&cr)
 	}
 	rep.Components = comps.list()
 	s.spareOuts, s.spareEnd = s.prevOuts, s.prevEnd

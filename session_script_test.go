@@ -287,9 +287,9 @@ func (e *editScript) plannedComponent() *Component {
 }
 
 func findStream(rep *Report, name string) *StreamReport {
-	for i := range rep.Streams {
-		if rep.Streams[i].Name == name {
-			return &rep.Streams[i]
+	for _, st := range rep.Streams {
+		if st.Name == name {
+			return st
 		}
 	}
 	return nil

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -478,10 +479,23 @@ func TestSessionMemoization(t *testing.T) {
 	}
 }
 
-// TestSessionSharesUnchangedEntries: a report repeats the previous report's
-// entries for everything an edit left alone — the whole lists when nothing
-// changed, and across a structural rebuild every component whose
-// derivations stayed in force — and still equals a fresh analysis.
+// newEntries counts the entries of cur that prev does not hold by address.
+func newEntries[T any](cur, prev []*T) int {
+	n := 0
+	for _, e := range cur {
+		if !slices.Contains(prev, e) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestSessionSharesUnchangedEntries: a report repeats, by address, the
+// previous report's entries for everything an edit left alone — the whole
+// lists when nothing changed, and across a structural rebuild every
+// component whose derivations stayed in force — so an edit that changes one
+// entry yields one new address in each list it touched, and the report still
+// equals a fresh analysis.
 func TestSessionSharesUnchangedEntries(t *testing.T) {
 	ctx := context.Background()
 	s, err := OpenSession(AdNetwork(CAMPAIGN, "campaign"))
@@ -492,7 +506,6 @@ func TestSessionSharesUnchangedEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	same := func(a, b []StepReport) bool { return len(a) > 0 && len(a) == len(b) && &a[0] == &b[0] }
 
 	again, err := s.Synthesize(ctx)
 	if err != nil {
@@ -516,10 +529,8 @@ func TestSessionSharesUnchangedEntries(t *testing.T) {
 	if len(tapped.Streams) != len(first.Streams)+1 {
 		t.Fatalf("streams = %d, want %d", len(tapped.Streams), len(first.Streams)+1)
 	}
-	for i, c := range tapped.Components {
-		if !same(c.Steps, first.Components[i].Steps) {
-			t.Errorf("component %s re-projected across a rebuild that left its derivations in force", c.Name)
-		}
+	if n, m := newEntries(tapped.Streams, first.Streams), newEntries(tapped.Components, first.Components); n != 1 || m != 0 {
+		t.Errorf("a tap that changed no label: %d new stream entries and %d new component entries, want 1 and 0", n, m)
 	}
 	fresh, err := NewAnalyzer().Synthesize(s.Graph())
 	if err != nil {
@@ -529,7 +540,27 @@ func TestSessionSharesUnchangedEntries(t *testing.T) {
 		t.Errorf("report after the rebuild differs from a fresh analysis\n--- session ---\n%s\n--- fresh ---\n%s", got, want)
 	}
 
-	// An annotation flip re-projects the components it re-derives, no more.
+	// A seal on the tap is that stream's entry and nothing else: one new
+	// address among the streams, and the component list is the previous one.
+	if err := s.SealStream("tap", "campaign"); err != nil {
+		t.Fatal(err)
+	}
+	sealed, err := s.Synthesize(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := newEntries(sealed.Streams, tapped.Streams); n != 1 || findStream(sealed, "tap") == findStream(tapped, "tap") {
+		t.Errorf("sealing one sink: %d new stream entries, want the tap's alone", n)
+	}
+	if &sealed.Components[0] != &tapped.Components[0] {
+		t.Error("sealing a sink copied the component list")
+	}
+	if got := findStream(tapped, "tap"); len(got.Seal) != 0 {
+		t.Errorf("the report handed out before the seal now shows it: %+v", got)
+	}
+
+	// An annotation flip re-projects the components it re-derives, no more,
+	// and the streams whose label it moved.
 	if err := s.Annotate("Report", "request", "response", ORGate("id")); err != nil {
 		t.Fatal(err)
 	}
@@ -545,9 +576,107 @@ func TestSessionSharesUnchangedEntries(t *testing.T) {
 		t.Fatalf("recomputed = %v, want Report among them", flipped.Delta.Recomputed)
 	}
 	for i, c := range flipped.Components {
-		if same(c.Steps, tapped.Components[i].Steps) == recomputed[c.Name] {
+		if (c == sealed.Components[i]) == recomputed[c.Name] {
 			t.Errorf("component %s: shared = %v, recomputed = %v", c.Name, !recomputed[c.Name], recomputed[c.Name])
 		}
+	}
+	if n, want := newEntries(flipped.Streams, sealed.Streams), len(flipped.Delta.Streams); n != want || want == 0 {
+		t.Errorf("the flip moved %d stream labels and made %d new stream entries", want, n)
+	}
+}
+
+// TestHandedOutReportNeverChanges: a report encodes to the same bytes after
+// 200 further edits as when it was handed out — label edits, seals, taps
+// wired, dropped and re-wired under their old names, components added,
+// passes cut short (the fuzzer's mutator table) — although every later report
+// shares entries with it. Every report on the way is held to that, not one.
+func TestHandedOutReportNeverChanges(t *testing.T) {
+	ctx := context.Background()
+	muts := sessionMutators()
+	for name, g := range map[string]*Graph{
+		"wordcount": WordcountTopology(false),
+		"cyclic":    replicatedCyclicTopology(t),
+	} {
+		t.Run(name, func(t *testing.T) {
+			s, err := OpenSession(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(24))
+			type held struct {
+				rep   *Report
+				bytes []byte
+			}
+			var handed []held
+			serial, patched := 0, 0
+			for edit := 0; edit <= 200; edit++ {
+				if edit > 0 {
+					muts[rng.Intn(len(muts))](t, rng, s, false, &serial)
+				}
+				rep, err := s.Synthesize(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st := s.LastStats(); !st.Rebuilt || st.Patched {
+					patched++
+				}
+				out, err := rep.MarshalIndent()
+				if err != nil {
+					t.Fatal(err)
+				}
+				handed = append(handed, held{rep, out})
+			}
+			if patched < 100 {
+				t.Errorf("only %d of 200 reports were patched from the one before: the script shares too little to prove anything", patched)
+			}
+			for k, h := range handed {
+				if again, err := h.rep.MarshalIndent(); err != nil || !bytes.Equal(again, h.bytes) {
+					t.Fatalf("report %d changed after it was handed out (%v)\n--- then ---\n%s\n--- now ---\n%s", k, err, h.bytes, again)
+				}
+			}
+		})
+	}
+}
+
+// TestReportEncodesWhileSessionMovesOn does what the service does: it
+// encodes the report it was handed after the session's lock is released, so
+// the next edit and its Synthesize run beside the encoder. Under the race
+// detector a report patched in place — an entry, or a list another report
+// holds — fails here; without it, the bytes must still be those of a second
+// encoding made once the session is quiet.
+func TestReportEncodesWhileSessionMovesOn(t *testing.T) {
+	ctx := context.Background()
+	muts := sessionMutators()
+	_, g := openGenerated(t, 100, 8)
+	s, err := OpenSession(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := s.Synthesize(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(24))
+	serial := 0
+	for round := 0; round < 300; round++ {
+		encoded := make(chan []byte, 1)
+		go func() {
+			out, err := rep.MarshalIndent()
+			if err != nil {
+				t.Error(err)
+			}
+			encoded <- out
+		}()
+		muts[rng.Intn(len(muts))](t, rng, s, false, &serial)
+		next, err := s.Synthesize(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		beside := <-encoded
+		if quiet, err := rep.MarshalIndent(); err != nil || !bytes.Equal(beside, quiet) {
+			t.Fatalf("round %d: the report encoded beside the next edit differs from its encoding afterwards (%v)", round, err)
+		}
+		rep = next
 	}
 }
 
