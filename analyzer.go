@@ -2,13 +2,14 @@ package blazes
 
 import (
 	"fmt"
+	"slices"
 
 	"blazes/internal/dataflow"
 	"blazes/internal/fd"
 )
 
 // Option configures an Analyzer (and spec→graph construction).
-type Option func(*settings)
+type Option func(*config)
 
 type sealRepair struct {
 	stream string
@@ -23,25 +24,15 @@ type config struct {
 	prefer []string
 }
 
-// settings is what the options write: the config, plus the public
-// strategy/sequencing pair that buildConfig folds into config.prefer once
-// every option has spoken (the two may arrive in either order).
-type settings struct {
-	config
-	strategy   string
-	sequencing bool
-}
-
 func buildConfig(opts []Option) config {
-	var s settings
+	var c config
 	for _, o := range opts {
-		o(&s)
+		o(&c)
 	}
-	s.prefer = dataflow.StrategyPreference(s.strategy, s.sequencing)
-	return s.config
+	return c
 }
 
-// checkStrategies rejects a WithStrategy name that is not registered.
+// checkStrategies rejects a WithStrategy name that is unknown.
 func (c *config) checkStrategies() error {
 	if err := dataflow.CheckStrategies(c.prefer); err != nil {
 		return fmt.Errorf("blazes: %w", err)
@@ -71,38 +62,31 @@ func (c *config) applySealRepairs(g *Graph) error {
 // not mutated; analysis runs on a sealed copy. An unknown stream name is an
 // error at analysis time.
 func WithSealRepair(stream string, key ...string) Option {
-	return func(c *settings) {
+	return func(c *config) {
 		c.sealRepairs = append(c.sealRepairs, sealRepair{stream: stream, key: fd.NewAttrSet(key...)})
 	}
 }
 
-// PreferSequencing selects M1 (preordained total order, e.g. Storm
-// transactional batch ids) over the default M2 dynamic ordering whenever
-// synthesis must order inputs — required for replay-based fault tolerance,
-// which needs cross-run determinism. It substitutes the "sequencing"
-// strategy for "ordering" wherever the chain (WithStrategy's choice, then
-// sealing, then ordering) names it, so a sealable component still gets its
-// seal; WithStrategy("sequencing") instead tries M1 first everywhere.
-func PreferSequencing() Option {
-	return func(c *settings) { c.sequencing = true }
-}
-
-// WithStrategy asks synthesis to try the named registered coordination
-// strategy first, before the default sealing-then-ordering chain. The
-// strategy still only applies where its preconditions hold (e.g.
-// "merge-rewrite" needs a declared merge); otherwise synthesis falls back
-// to the defaults, so the guarantee never weakens. Registered names are
-// listed by the blazes/strategy package; an unknown name is an error at
-// analysis time.
-func WithStrategy(name string) Option {
-	return func(c *settings) { c.strategy = name }
+// WithStrategy asks synthesis to try the named coordination strategies, in
+// order, before the default sealing-then-ordering chain. A strategy still
+// only applies where its preconditions hold (e.g. "merge-rewrite" needs a
+// declared merge); where none does, synthesis falls back to the defaults,
+// so the guarantee never weakens. WithStrategy("sealing", "sequencing")
+// selects M1 (preordained total order, e.g. Storm transactional batch ids)
+// wherever the default chain would order inputs with M2 while a sealable
+// component keeps its seal — what replay-based fault tolerance needs;
+// WithStrategy("sequencing") instead tries M1 first everywhere. The names
+// are listed by the blazes/strategy package; an unknown name is an error
+// at analysis time. A later WithStrategy replaces an earlier one.
+func WithStrategy(names ...string) Option {
+	return func(c *config) { c.prefer = slices.Clone(names) }
 }
 
 // WithVariant selects a named annotation variant for a component when a
 // graph is built from a Spec (e.g. WithVariant("Report", "CAMPAIGN")). It
 // has no effect on graphs built in code.
 func WithVariant(component, variant string) Option {
-	return func(c *settings) {
+	return func(c *config) {
 		if c.variants == nil {
 			c.variants = map[string]string{}
 		}
@@ -112,7 +96,7 @@ func WithVariant(component, variant string) Option {
 
 // WithVariants selects several variants at once; see WithVariant.
 func WithVariants(variants map[string]string) Option {
-	return func(c *settings) {
+	return func(c *config) {
 		if c.variants == nil {
 			c.variants = map[string]string{}
 		}

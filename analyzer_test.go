@@ -48,9 +48,9 @@ func TestAnalyzerSealRepairUnknownStream(t *testing.T) {
 	}
 }
 
-func TestAnalyzerPreferSequencing(t *testing.T) {
+func TestAnalyzerSealingThenSequencing(t *testing.T) {
 	g := buildWordcount(t)
-	seq, err := NewAnalyzer(PreferSequencing()).Synthesize(g)
+	seq, err := NewAnalyzer(WithStrategy("sealing", "sequencing")).Synthesize(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestAnalyzerPreferSequencing(t *testing.T) {
 		t.Fatalf("expected strategies: seq=%d dyn=%d", len(seq.Strategies()), len(dyn.Strategies()))
 	}
 	if got := seq.Strategies()[0].Mechanism; got != CoordSequenced {
-		t.Errorf("PreferSequencing mechanism = %s, want M1", got)
+		t.Errorf("sealing,sequencing mechanism = %s, want M1", got)
 	}
 	if got := dyn.Strategies()[0].Mechanism; got != CoordDynamicOrder {
 		t.Errorf("default mechanism = %s, want M2", got)
@@ -73,7 +73,7 @@ func TestAnalyzerRepairReachesFixpoint(t *testing.T) {
 	g := buildWordcount(t)
 
 	// M1 sequencing removes order sensitivity entirely: deterministic.
-	res, err := NewAnalyzer(PreferSequencing()).Repair(g)
+	res, err := NewAnalyzer(WithStrategy("sealing", "sequencing")).Repair(g)
 	if err != nil {
 		t.Fatal(err)
 	}

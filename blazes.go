@@ -125,7 +125,7 @@ type Strategy = dataflow.Strategy
 type Coordination = dataflow.Coordination
 
 // The delivery mechanisms of Figure 5, plus the mechanisms installed by
-// registered strategies (see the blazes/strategy package).
+// the extension strategies (see the blazes/strategy package).
 const (
 	CoordNone            = dataflow.CoordNone
 	CoordSequenced       = dataflow.CoordSequenced

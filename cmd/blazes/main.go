@@ -38,7 +38,9 @@
 //	-explain          print the full derivation tree
 //	-synthesize       print synthesized coordination strategies
 //	-repair           apply strategies and re-analyze to a fixpoint
-//	-sequencing       prefer M1 sequencing over M2 dynamic ordering
+//	-strategy a,b     try these coordination strategies, in order, before
+//	                  the default chain ("sealing,sequencing": M1 where
+//	                  ordering is needed, a seal wherever one suffices)
 //	-json             emit the analysis as a machine-readable Report
 //	                  (mutually exclusive with -explain: the report
 //	                  already carries the full derivation)
@@ -49,8 +51,8 @@
 //	   workload upheld the guarantee
 //	1  the spec failed to load, the analysis failed, or a verified
 //	   workload violated the guarantee
-//	2  usage error: bad flag syntax, unknown stream, component, variant
-//	   or workload
+//	2  usage error: bad flag syntax, unknown stream, component, variant,
+//	   strategy or workload
 package main
 
 import (
@@ -66,6 +68,7 @@ import (
 	"syscall"
 
 	"blazes"
+	"blazes/strategy"
 )
 
 const (
@@ -116,7 +119,7 @@ func runAnalyze(args []string, stdout, stderr io.Writer) int {
 		explain    = fs.Bool("explain", false, "print the full derivation")
 		synthesize = fs.Bool("synthesize", false, "print synthesized strategies")
 		repair     = fs.Bool("repair", false, "apply strategies and re-analyze to a fixpoint")
-		sequencing = fs.Bool("sequencing", false, "prefer M1 sequencing when ordering is needed")
+		prefer     = fs.String("strategy", "", "comma-separated coordination strategies to try first during synthesis")
 		jsonOut    = fs.Bool("json", false, "emit a machine-readable Report (JSON)")
 		variants   multiFlag
 		seals      multiFlag
@@ -130,7 +133,7 @@ func runAnalyze(args []string, stdout, stderr io.Writer) int {
 exit codes:
   0  analysis completed (whatever the verdict)
   1  the spec failed to load or the analysis failed
-  2  usage error: bad flag syntax, unknown stream, component or variant
+  2  usage error: bad flag syntax, unknown stream, component, variant or strategy
 `)
 	}
 	if err := fs.Parse(args); err != nil {
@@ -159,16 +162,17 @@ exit codes:
 	if *explain && *jsonOut {
 		return usageError("-explain cannot be combined with -json (the report already carries the full derivation)")
 	}
+	names, err := strategy.Parse(*prefer)
+	if err != nil {
+		return usageError("-strategy: %v", err)
+	}
 
 	spec, err := blazes.LoadSpec(*specPath)
 	if err != nil {
 		return fatal(err)
 	}
 
-	var opts []blazes.Option
-	if *sequencing {
-		opts = append(opts, blazes.PreferSequencing())
-	}
+	opts := []blazes.Option{blazes.WithStrategy(names...)}
 	for _, v := range variants {
 		comp, variant, ok := strings.Cut(v, "=")
 		if !ok || comp == "" || variant == "" {

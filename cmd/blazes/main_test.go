@@ -75,6 +75,23 @@ func TestGoldenAdreportCampaignJSON(t *testing.T) {
 	checkGolden(t, "adreport_campaign.json", stdout)
 }
 
+// TestGoldenSequencingList: the two goldens were recorded by the parent
+// commit's `-sequencing -synthesize -json`; the list that replaced the flag
+// must reproduce them byte for byte — M1 at the unsealed Count, the seal
+// kept where the campaign seal suffices.
+func TestGoldenSequencingList(t *testing.T) {
+	for golden, args := range map[string][]string{
+		"wordcount_sequencing.json":         {"-spec", wordcountSpec},
+		"adreport_campaign_sequencing.json": {"-spec", adreportSpec, "-variant", "Report=CAMPAIGN", "-seal", "clicks=campaign"},
+	} {
+		code, stdout, stderr := exec(t, append(args, "-strategy", "sealing,sequencing", "-synthesize", "-json")...)
+		if code != exitOK || stderr != "" {
+			t.Fatalf("%s: code = %d, stderr = %q", golden, code, stderr)
+		}
+		checkGolden(t, golden, stdout)
+	}
+}
+
 func TestGoldenWordcountVerdictText(t *testing.T) {
 	code, stdout, stderr := exec(t, "-spec", wordcountSpec, "-seal", "tweets=batch", "-synthesize")
 	if code != exitOK || stderr != "" {
@@ -98,7 +115,7 @@ func TestJSONIsParseableAndStable(t *testing.T) {
 	}
 }
 
-// unknownStrategy is the registry's unknown-name error: it lists the whole
+// unknownStrategy is the catalog's unknown-name error: it lists the whole
 // catalog, M1's `sequencing` included.
 const unknownStrategy = `unknown strategy "nope" (registered: [merge-rewrite ordering partition-sealing quorum-ordering sealing sequencing])`
 
@@ -129,6 +146,9 @@ func TestExitCodeContract(t *testing.T) {
 		{"verify-bad-seeds", []string{"verify", "-seeds", "0"}, exitUsage, "-seeds must be positive"},
 		{"verify-stray-args", []string{"verify", "extra"}, exitUsage, "unexpected arguments"},
 		{"verify-unknown-strategy", []string{"verify", "-strategy", "nope"}, exitUsage, unknownStrategy},
+		{"unknown-strategy-in-list", []string{"-spec", wordcountSpec, "-strategy", "sealing,nope"}, exitUsage, unknownStrategy},
+		{"sequencing-flag-retired", []string{"-spec", wordcountSpec, "-sequencing"}, exitUsage, "flag provided but not defined: -sequencing"},
+		{"verify-sequencing-flag-retired", []string{"verify", "-sequencing"}, exitUsage, "flag provided but not defined: -sequencing"},
 		{"verify-replay-reshrink-conflict", []string{"verify", "-replay", "x.json", "-reshrink", "dir"}, exitUsage, "cannot be combined"},
 	}
 	for _, tc := range cases {

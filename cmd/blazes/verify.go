@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	blazes verify [-workload name]... [-seeds n] [-parallel n] [-sequencing] [-strategy name] [-json]
+//	blazes verify [-workload name]... [-seeds n] [-parallel n] [-strategy a,b] [-json]
 //	blazes verify -shrink dir [...]          also write 1-minimal traces
 //	blazes verify -coordinator URL [...]     distribute via blazes serve
 //	blazes verify -replay trace.json         re-execute a shrunk trace
@@ -23,11 +23,12 @@
 //	-parallel n       worker count for exploring schedules concurrently;
 //	                  reports are byte-identical at any setting (0 = one
 //	                  worker per CPU, 1 = sequential)
-//	-sequencing       prefer M1 sequencing over M2 dynamic ordering
-//	-strategy name    try the named registered coordination strategy first
-//	                  during synthesis (the blazes/strategy registry:
-//	                  sealing, ordering, quorum-ordering, merge-rewrite,
-//	                  partition-sealing); unknown names are usage errors
+//	-strategy a,b     try these coordination strategies, in order, during
+//	                  synthesis (the blazes/strategy catalog: sealing,
+//	                  ordering, sequencing, quorum-ordering, merge-rewrite,
+//	                  partition-sealing; "sealing,sequencing" prefers M1
+//	                  over M2 where ordering is needed); unknown names are
+//	                  usage errors
 //	-json             emit the reports as a JSON array
 //	-shrink dir       delta-debug every anomalous cell to a 1-minimal
 //	                  replayable trace artifact written into dir
@@ -69,8 +70,7 @@ func runVerify(ctx context.Context, args []string, stdout, stderr io.Writer) int
 	var (
 		seeds       = fs.Int("seeds", verify.DefaultSeeds, "schedules per (mechanism, plan) configuration")
 		parallel    = fs.Int("parallel", 0, "schedule-sweep workers (0 = one per CPU, 1 = sequential; reports are byte-identical at any setting)")
-		sequencing  = fs.Bool("sequencing", false, "prefer M1 sequencing when ordering is needed")
-		strategyArg = fs.String("strategy", "", "try this registered coordination strategy first during synthesis")
+		strategyArg = fs.String("strategy", "", "comma-separated coordination strategies to try first during synthesis")
 		jsonOut     = fs.Bool("json", false, "emit reports as a JSON array")
 		shrinkDir   = fs.String("shrink", "", "write 1-minimal replayable traces for anomalous cells into this directory")
 		coordinator = fs.String("coordinator", "", "distribute the sweep via this coordinator URL (blazes serve)")
@@ -81,7 +81,7 @@ func runVerify(ctx context.Context, args []string, stdout, stderr io.Writer) int
 	)
 	fs.Var(&workloads, "workload", "workload name (repeatable; default: the full suite)")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: blazes verify [-workload name]... [-seeds n] [-parallel n] [-sequencing] [-strategy name] [-json]\n"+
+		fmt.Fprintf(stderr, "usage: blazes verify [-workload name]... [-seeds n] [-parallel n] [-strategy a,b] [-json]\n"+
 			"       blazes verify -shrink dir | -coordinator URL | -replay trace.json | -reshrink dir\n\n")
 		fs.PrintDefaults()
 		fmt.Fprintf(stderr, "\nworkloads: %s, generated-<n>c-s<seed>\n", strings.Join(workloadNames(), ", "))
@@ -98,7 +98,8 @@ func runVerify(ctx context.Context, args []string, stdout, stderr io.Writer) int
 		fs.Usage()
 		return exitUsage
 	}
-	if err := strategy.Validate(*strategyArg); err != nil {
+	prefer, err := strategy.Parse(*strategyArg)
+	if err != nil {
 		fmt.Fprintln(stderr, "blazes: verify:", err)
 		fs.Usage()
 		return exitUsage
@@ -155,10 +156,10 @@ func runVerify(ctx context.Context, args []string, stdout, stderr io.Writer) int
 		return exitUsage
 	}
 	if *coordinator != "" {
-		return runCoordinated(ctx, *coordinator, workloads, *seeds, *batch, *sequencing, *strategyArg, *shrinkDir, *jsonOut, stdout, stderr)
+		return runCoordinated(ctx, *coordinator, workloads, *seeds, *batch, *strategyArg, *shrinkDir, *jsonOut, stdout, stderr)
 	}
 
-	opts := verify.Options{Seeds: *seeds, PreferSequencing: *sequencing, Strategy: *strategyArg, Parallelism: libraryParallelism(*parallel)}
+	opts := verify.Options{Seeds: *seeds, Prefer: prefer, Parallelism: libraryParallelism(*parallel)}
 	var reports []*verify.Report
 	holds := true
 	for _, w := range selected {
@@ -305,16 +306,15 @@ func runReshrink(ctx context.Context, dir string, stdout, stderr io.Writer) int 
 // runCoordinated submits the sweep to a coordinator, streams progress to
 // stderr while worker processes drain it, and renders the merged result
 // exactly like a local run.
-func runCoordinated(ctx context.Context, coordinator string, workloads []string, seeds, batch int, sequencing bool, strategyName, shrinkDir string, jsonOut bool, stdout, stderr io.Writer) int {
+func runCoordinated(ctx context.Context, coordinator string, workloads []string, seeds, batch int, strategyList, shrinkDir string, jsonOut bool, stdout, stderr io.Writer) int {
 	base := strings.TrimRight(coordinator, "/")
 	var st service.SweepStatus
 	err := postJSON(ctx, base+"/v1/sweeps", service.SweepSubmitRequest{
-		Workloads:  workloads,
-		Seeds:      seeds,
-		Sequencing: sequencing,
-		Strategy:   strategyName,
-		Shrink:     shrinkDir != "",
-		BatchSize:  batch,
+		Workloads: workloads,
+		Seeds:     seeds,
+		Strategy:  strategyList,
+		Shrink:    shrinkDir != "",
+		BatchSize: batch,
 	}, &st)
 	if err != nil {
 		fmt.Fprintln(stderr, "blazes: verify:", err)

@@ -14,8 +14,8 @@
 //   - GraphBuilder: fluent construction of annotated dataflows with
 //     deferred validation (every mistake reported at Build, at once);
 //   - Analyzer: the one-shot analysis façade, configured by functional
-//     options (WithSealRepair, WithStrategy, PreferSequencing,
-//     WithVariant), wrapping label derivation, strategy synthesis, and
+//     options (WithSealRepair, WithStrategy, WithVariant), wrapping
+//     label derivation, strategy synthesis, and
 //     fixpoint repair;
 //   - Session: the mutable, incrementally re-analyzed counterpart for
 //     the interactive repair loop — mutate (Annotate, SealStream,
@@ -28,18 +28,18 @@
 //   - Spec: the grey-box annotation file format of Figure 1.
 //
 // Coordination is the one axis of delivery mechanisms (Figure 5's none /
-// M1 / M2 / M3 plus the registered extensions); each mechanism has one
-// Figure 5 name, one wire token (MechanismToken) and one registered
-// strategy that installs it, named by WithStrategy. PreferSequencing is
-// shorthand on that axis: where the default chain would say M2 ordering,
-// say M1 sequencing.
+// M1 / M2 / M3 plus the extensions); each mechanism has one Figure 5 name,
+// one wire token (MechanismToken) and one strategy that installs it. A
+// preference is a list of those strategies, named by WithStrategy:
+// WithStrategy("sealing", "sequencing") says M1 sequencing where the
+// default chain would say M2 ordering, and keeps every seal.
 //
 // Six sibling packages complete the public surface: blazes/substrate
 // (the simulated Storm wordcount, ad-tracking network, and Bloom
 // white-box extraction), blazes/experiments (regeneration of the paper's
 // evaluation figures), blazes/verify (the schedule-exploration harness
 // that proves the analyzer's guarantee under adversarial delivery),
-// blazes/strategy (the catalog of registered coordination strategies),
+// blazes/strategy (the catalog of coordination strategies),
 // blazes/topogen (seeded synthetic specs at any scale), and
 // blazes/service (the analysis as a long-running HTTP+JSON service —
 // `blazes serve` — hosting concurrent sessions). Everything under

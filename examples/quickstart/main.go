@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"blazes"
+	"blazes/strategy"
 )
 
 func main() {
@@ -30,8 +31,10 @@ func main() {
 	}
 
 	// Blazes recommends coordination; for a replay-based engine that
-	// means sequencing (Storm's transactional topologies).
-	analyzer := blazes.NewAnalyzer(blazes.PreferSequencing())
+	// means sequencing (Storm's transactional topologies) wherever a seal
+	// does not suffice.
+	prefer := blazes.WithStrategy(strategy.Sealing, strategy.Sequencing)
+	analyzer := blazes.NewAnalyzer(prefer)
 	res, err := analyzer.Synthesize(g)
 	if err != nil {
 		panic(err)
@@ -47,7 +50,7 @@ func main() {
 	// is compatible with Count's gate, so no global coordination is
 	// needed — only the per-batch seal protocol.
 	fmt.Println("\n== sealed on batch ==")
-	sealed := blazes.NewAnalyzer(blazes.PreferSequencing(), blazes.WithSealRepair("tweets", "batch"))
+	sealed := blazes.NewAnalyzer(prefer, blazes.WithSealRepair("tweets", "batch"))
 	res2, err := sealed.Synthesize(g)
 	if err != nil {
 		panic(err)

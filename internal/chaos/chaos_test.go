@@ -83,11 +83,11 @@ func TestGuaranteeAcrossSubstrates(t *testing.T) {
 	}
 }
 
-// TestPreferSequencingEliminatesRunAnomalies: under M1 (preordained order)
-// even the cross-run anomaly that M2 permits must disappear.
-func TestPreferSequencingEliminatesRunAnomalies(t *testing.T) {
+// TestSequencingEliminatesRunAnomalies: under M1 (preordained order) even
+// the cross-run anomaly that M2 permits must disappear.
+func TestSequencingEliminatesRunAnomalies(t *testing.T) {
 	t.Parallel()
-	rep, err := Check(context.Background(), ReplicatedReport(dataflow.POOR), Config{Prefer: dataflow.StrategyPreference("", true)})
+	rep, err := Check(context.Background(), ReplicatedReport(dataflow.POOR), Config{Prefer: []string{dataflow.StrategySealing, dataflow.StrategySequencing}})
 	if err != nil {
 		t.Fatal(err)
 	}

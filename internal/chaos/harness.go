@@ -57,11 +57,10 @@ type Config struct {
 	Seeds int
 	// Plans is the fault-plan sweep; nil selects DefaultPlans.
 	Plans []FaultPlan
-	// Prefer names registered strategies synthesis tries, in order, before
-	// the default sealing-then-ordering chain
-	// (dataflow.SynthesisOptions.Prefer; dataflow.StrategyPreference builds
-	// it from a strategy name and the sequencing flag). Unknown names are
-	// rejected.
+	// Prefer names strategies synthesis tries, in order, before the
+	// default sealing-then-ordering chain (dataflow.SynthesisOptions.Prefer);
+	// "sealing,sequencing" on the wire is []string{"sealing", "sequencing"}
+	// here. Unknown names are rejected.
 	Prefer []string
 	// Parallelism is the worker count for exploring seeded schedules
 	// concurrently. Each seed runs on its own simulator and the oracle

@@ -52,21 +52,24 @@ const (
 )
 
 // mechanism is one row of the mechanisms table.
-type mechanism struct{ name, token, strategy string }
+type mechanism struct {
+	name, token, strategy string
+	planner               StrategyDef
+}
 
-// mechanisms is the one table of delivery mechanisms, a row per
-// Coordination in declaration order: its Figure 5 name (String), its
-// stable wire token (Token), and the registered strategy that installs it
-// (Strategy; the strategy's StrategyDef.Mechanism points back). A new
-// mechanism is declared by adding a constant above and a row here.
+// mechanisms is the one table of delivery mechanisms and the one catalog
+// of strategies, a row per Coordination in declaration order: its Figure 5
+// name (String), its stable wire token (Token), the name of the strategy
+// that installs it (Strategy) and that strategy's planner. A new mechanism
+// is declared by adding a constant above and a row here.
 var mechanisms = [...]mechanism{
-	CoordNone:            {"none", "none", ""},
-	CoordSequenced:       {"sequencing (M1)", "sequencing", StrategySequencing},
-	CoordDynamicOrder:    {"dynamic ordering (M2)", "dynamic-ordering", StrategyOrdering},
-	CoordSealed:          {"sealing (M3)", "sealing", StrategySealing},
-	CoordQuorumOrder:     {"quorum ordering (M1q)", "quorum-ordering", StrategyQuorumOrdering},
-	CoordMergeRewrite:    {"merge rewrite (confluent)", "merge-rewrite", StrategyMergeRewrite},
-	CoordPartitionSealed: {"partition sealing (M3p)", "partition-sealing", StrategyPartitionSealing},
+	CoordNone:            {"none", "none", "", nil},
+	CoordSequenced:       {"sequencing (M1)", "sequencing", StrategySequencing, sequencingPlanner},
+	CoordDynamicOrder:    {"dynamic ordering (M2)", "dynamic-ordering", StrategyOrdering, orderingPlanner},
+	CoordSealed:          {"sealing (M3)", "sealing", StrategySealing, sealingPlanner},
+	CoordQuorumOrder:     {"quorum ordering (M1q)", "quorum-ordering", StrategyQuorumOrdering, quorumOrderingPlanner},
+	CoordMergeRewrite:    {"merge rewrite (confluent)", "merge-rewrite", StrategyMergeRewrite, mergeRewriteStrategy{}},
+	CoordPartitionSealed: {"partition sealing (M3p)", "partition-sealing", StrategyPartitionSealing, partitionSealingPlanner},
 }
 
 // Coordinations lists every delivery mechanism in declaration order.
@@ -93,9 +96,18 @@ func (c Coordination) String() string { return c.row().name }
 // Token is the mechanism's stable wire token (report v2).
 func (c Coordination) Token() string { return c.row().token }
 
-// Strategy names the registered strategy that installs the mechanism;
-// empty for CoordNone.
+// Strategy names the strategy that installs the mechanism; empty for
+// CoordNone.
 func (c Coordination) Strategy() string { return c.row().strategy }
+
+// Summary is the one-line description of the strategy that installs the
+// mechanism; empty for CoordNone.
+func (c Coordination) Summary() string {
+	if p := c.row().planner; p != nil {
+		return p.Summary()
+	}
+	return ""
+}
 
 // ParseCoordination inverts String and ParseToken inverts Token; the error
 // of either lists the valid spellings.

@@ -109,8 +109,8 @@ func TestCoordinationString(t *testing.T) {
 }
 
 // TestMechanismTable: the one table spells every mechanism once — names
-// and tokens are unique and parse back, and each mechanism and the
-// registered strategy that installs it point at each other.
+// and tokens are unique and parse back, and every mechanism but CoordNone
+// is installed by a strategy.
 func TestMechanismTable(t *testing.T) {
 	names, tokens := map[string]bool{}, map[string]bool{}
 	for _, c := range Coordinations() {
@@ -130,11 +130,8 @@ func TestMechanismTable(t *testing.T) {
 			}
 			continue
 		}
-		def, err := LookupStrategy(c.Strategy())
-		if err != nil {
-			t.Errorf("%v: %v", c, err)
-		} else if def.Mechanism() != c {
-			t.Errorf("%v names strategy %q, which installs %v", c, c.Strategy(), def.Mechanism())
+		if c.Strategy() == "" {
+			t.Errorf("%v is installed by no strategy", c)
 		}
 	}
 	for _, bad := range []string{"vector clocks (M9)", "teleportation"} {

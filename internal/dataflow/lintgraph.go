@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strings"
 
 	"blazes/internal/core"
 )
@@ -402,19 +403,8 @@ func lintUnsealedCycles(g *Graph, lc *lintContext) []LintDiagnostic {
 			Severity: SeverityWarning,
 			Subject:  names[0],
 			Message: fmt.Sprintf("cycle {%s} has an order-sensitive member but no sealed internal stream and no coordination; replica divergence can feed back around the cycle",
-				joinNames(names)),
+				strings.Join(names, ", ")),
 		})
 	}
 	return diags
-}
-
-func joinNames(names []string) string {
-	out := ""
-	for i, n := range names {
-		if i > 0 {
-			out += ", "
-		}
-		out += n
-	}
-	return out
 }

@@ -711,7 +711,7 @@ func refSealPlan(ra *refAnalysis, comp *Component) (map[string]fd.AttrSet, bool)
 	return keys, true
 }
 
-// refPlan is what each registered strategy decides for one flagged
+// refPlan is what each strategy decides for one flagged
 // component, written against the reference analysis: the mechanism, the
 // seal keys or ordered inputs, and whether the strategy applies at all.
 func refPlan(ra *refAnalysis, strategy string, comp *Component, origin, preferSequencing bool) (Strategy, bool) {
@@ -767,10 +767,12 @@ func refPlan(ra *refAnalysis, strategy string, comp *Component, origin, preferSe
 // refSynthesize is Synthesize over the reference analysis: flag the
 // components where an anomaly originates or a seal is consumed, then take
 // the first of preferred strategy, sealing, ordering that applies. Reasons
-// are prose, not decisions, and are left out. It decides from the public
-// (strategy, sequencing) pair itself — the flag turns the ordering
-// strategy's M2 into M1 and touches nothing else — where the product is fed
-// StrategyPreference's list, so comparing the two pins that function's rule.
+// are prose, not decisions, and are left out. It decides from the
+// (strategy, sequencing) pair the public API took before the preference
+// list replaced it — the flag turns the ordering strategy's M2 into M1 and
+// touches nothing else — where the product is fed sequencingList's
+// translation, so comparing the two pins that every old setting still
+// means what it meant.
 func refSynthesize(ra *refAnalysis, strategy string, preferSequencing bool) []Strategy {
 	chain := []string{StrategySealing, StrategyOrdering}
 	if strategy != "" {
@@ -813,6 +815,27 @@ func refSynthesize(ra *refAnalysis, strategy string, preferSequencing bool) []St
 		}
 	}
 	return out
+}
+
+// sequencingList is the migration rule for the retired -sequencing flag:
+// the chain [strategy?, sealing, ordering] with sequencing substituted for
+// ordering wherever it stands, so `-sequencing` alone is "sealing,sequencing"
+// and `-strategy X -sequencing` is "X',sealing,sequencing".
+func sequencingList(strategy string, sequencing bool) []string {
+	var prefer []string
+	if strategy != "" {
+		prefer = append(prefer, strategy)
+	}
+	if !sequencing {
+		return prefer
+	}
+	prefer = append(prefer, StrategySealing, StrategyOrdering)
+	for i, name := range prefer {
+		if name == StrategyOrdering {
+			prefer[i] = StrategySequencing
+		}
+	}
+	return prefer
 }
 
 // renderGraph spells out everything the analysis reads from a graph, so two
@@ -918,10 +941,10 @@ func diffReference(g *Graph) error {
 		}
 	}
 
-	// The analysis and, for the default chain and every registered
-	// strategy as the preferred one, with and without the sequencing flag,
-	// synthesis: the product is fed StrategyPreference's list, the
-	// reference the pair itself, so the edge rule cannot drift unnoticed.
+	// The analysis and, for the default chain and every strategy as the
+	// preferred one, with and without the retired sequencing flag,
+	// synthesis: the product is fed sequencingList's translation, the
+	// reference the pair itself, so no old setting changed meaning.
 	a, err := Analyze(g)
 	if err != nil {
 		return err
@@ -935,7 +958,7 @@ func diffReference(g *Graph) error {
 	}
 	for _, name := range []string{"", StrategySealing, StrategyOrdering, StrategySequencing, StrategyQuorumOrdering, StrategyMergeRewrite, StrategyPartitionSealing} {
 		for _, sequencing := range []bool{false, true} {
-			got := Synthesize(a, SynthesisOptions{Prefer: StrategyPreference(name, sequencing)})
+			got := Synthesize(a, SynthesisOptions{Prefer: sequencingList(name, sequencing)})
 			for i := range got {
 				got[i].Reason = ""
 			}

@@ -9,12 +9,7 @@ import "fmt"
 // runtime protocol is installed.
 const StrategyMergeRewrite = "merge-rewrite"
 
-func init() { RegisterStrategy(mergeRewriteStrategy{}) }
-
 type mergeRewriteStrategy struct{}
-
-func (mergeRewriteStrategy) Name() string            { return StrategyMergeRewrite }
-func (mergeRewriteStrategy) Mechanism() Coordination { return CoordMergeRewrite }
 
 func (mergeRewriteStrategy) Summary() string {
 	return "CRDT-style merge rewrite: replace the order-sensitive fold with a declared commutative merge — zero runtime coordination, but requires a Merge declaration and changes the component's semantics to the merge's"

@@ -7,44 +7,8 @@ import (
 	"testing"
 )
 
-// fakeStrategy is a registrable no-op used by the misuse tests.
-type fakeStrategy struct{ name string }
-
-func (f fakeStrategy) Name() string          { return f.name }
-func (f fakeStrategy) Summary() string       { return "test-only strategy" }
-func (fakeStrategy) Mechanism() Coordination { return CoordNone }
-func (f fakeStrategy) Plan(*StrategyContext) (Strategy, bool) {
-	return Strategy{}, false
-}
-
-// TestDuplicateStrategyRegistrationPanics: registering a name twice is a
-// programming error caught at init time, and the panic names both
-// registration sites so the offender is findable without a search.
-func TestDuplicateStrategyRegistrationPanics(t *testing.T) {
-	RegisterStrategy(fakeStrategy{name: "zz-test-duplicate"})
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("second registration of the same name did not panic")
-		}
-		msg, ok := r.(string)
-		if !ok {
-			t.Fatalf("panic value %T, want string", r)
-		}
-		if !strings.Contains(msg, `duplicate strategy "zz-test-duplicate"`) {
-			t.Errorf("panic %q does not name the duplicated strategy", msg)
-		}
-		// Both the new and the original registration sites are this file.
-		if strings.Count(msg, "strategyreg_test.go") != 2 {
-			t.Errorf("panic %q does not name both registration sites", msg)
-		}
-	}()
-	RegisterStrategy(fakeStrategy{name: "zz-test-duplicate"})
-}
-
-// TestLookupStrategyUnknown: the error names the full registered set, so a
-// typo at any boundary (API option, CLI flag, service field) is
-// self-correcting.
+// TestLookupStrategyUnknown: the error names the full catalog, so a typo at
+// any boundary (API option, CLI flag, service field) is self-correcting.
 func TestLookupStrategyUnknown(t *testing.T) {
 	_, err := LookupStrategy("nope")
 	if err == nil {
@@ -56,12 +20,15 @@ func TestLookupStrategyUnknown(t *testing.T) {
 	}
 	for _, name := range []string{StrategySealing, StrategyOrdering, StrategySequencing, StrategyQuorumOrdering, StrategyMergeRewrite, StrategyPartitionSealing} {
 		if !strings.Contains(msg, name) {
-			t.Errorf("error %q does not list registered strategy %q", msg, name)
+			t.Errorf("error %q does not list strategy %q", msg, name)
 		}
+	}
+	if _, err := LookupStrategy(""); err == nil {
+		t.Error("LookupStrategy accepted CoordNone's empty name")
 	}
 }
 
-// TestStrategyRegistryContents: the six shipped strategies are registered
+// TestStrategyRegistryContents: the six shipped strategies are in the table
 // and listed in sorted order.
 func TestStrategyRegistryContents(t *testing.T) {
 	names := StrategyNames()
@@ -75,23 +42,22 @@ func TestStrategyRegistryContents(t *testing.T) {
 	}
 	for _, want := range []string{StrategySealing, StrategyOrdering, StrategySequencing, StrategyQuorumOrdering, StrategyMergeRewrite, StrategyPartitionSealing} {
 		if !seen[want] {
-			t.Errorf("strategy %q not registered (registered: %v)", want, names)
+			t.Errorf("strategy %q not listed (listed: %v)", want, names)
 		}
-		def, err := LookupStrategy(want)
+		c, err := LookupStrategy(want)
 		if err != nil {
 			t.Errorf("LookupStrategy(%q): %v", want, err)
 			continue
 		}
-		if def.Name() != want {
-			t.Errorf("LookupStrategy(%q).Name() = %q", want, def.Name())
+		if c.Strategy() != want {
+			t.Errorf("LookupStrategy(%q) = %v, installed by %q", want, c, c.Strategy())
 		}
-		if def.Summary() == "" {
+		if c.Summary() == "" {
 			t.Errorf("strategy %q has no summary", want)
 		}
 	}
-	defs := Strategies()
-	if len(defs) != len(names) {
-		t.Errorf("Strategies() returned %d defs for %d names", len(defs), len(names))
+	if got := Strategies(); len(got) != len(names) {
+		t.Errorf("Strategies() returned %d mechanisms for %d names", len(got), len(names))
 	}
 }
 
@@ -99,9 +65,7 @@ func TestStrategyRegistryContents(t *testing.T) {
 // context's stream index answers for each of its input interfaces.
 type probeStrategy struct{ seen map[string][]string }
 
-func (probeStrategy) Name() string            { return "zz-test-probe" }
-func (probeStrategy) Summary() string         { return "test-only strategy" }
-func (probeStrategy) Mechanism() Coordination { return CoordNone }
+func (probeStrategy) Summary() string { return "test-only strategy" }
 func (p probeStrategy) Plan(ctx *StrategyContext) (Strategy, bool) {
 	for _, in := range ctx.Component.Inputs() {
 		p.seen[ctx.Component.Name+"."+in] = streamNames(ctx.StreamsInto(in))
@@ -109,12 +73,17 @@ func (p probeStrategy) Plan(ctx *StrategyContext) (Strategy, bool) {
 	return Strategy{}, false
 }
 
-// TestStrategyContextStreamsInto: the helper out-of-tree strategies use in
-// place of Graph.StreamsInto answers the same streams in the same order, on
-// plain components and on a supernode's member-qualified interfaces.
+// TestStrategyContextStreamsInto: the helper planners use in place of
+// Graph.StreamsInto answers the same streams in the same order, on plain
+// components and on a supernode's member-qualified interfaces.
 func TestStrategyContextStreamsInto(t *testing.T) {
 	probe := probeStrategy{seen: map[string][]string{}}
-	RegisterStrategy(probe)
+	offer := func(a *Analysis) {
+		clear(probe.seen)
+		for ca := range a.Components() {
+			plan(ca, []StrategyDef{probe})
+		}
+	}
 	// The first random graph whose supernode is offered to the strategy (some
 	// draws close a cycle the collapse refuses, or only a self-loop, or one
 	// that needs no coordination).
@@ -125,8 +94,7 @@ func TestStrategyContextStreamsInto(t *testing.T) {
 			if err != nil {
 				continue
 			}
-			clear(probe.seen)
-			Synthesize(a, SynthesisOptions{Prefer: []string{probe.Name()}})
+			offer(a)
 			for key := range probe.seen {
 				if strings.HasPrefix(key, "scc+") {
 					return g
@@ -139,10 +107,9 @@ func TestStrategyContextStreamsInto(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		clear(probe.seen)
-		Synthesize(a, SynthesisOptions{Prefer: []string{probe.Name()}})
+		offer(a)
 		if len(probe.seen) == 0 {
-			t.Fatalf("%s: no component was offered to the preferred strategy", g.Name)
+			t.Fatalf("%s: no component was offered to the strategy", g.Name)
 		}
 		for key, got := range probe.seen {
 			comp, iface, _ := strings.Cut(key, ".") // component names here have no dot; a supernode's interfaces do

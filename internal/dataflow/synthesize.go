@@ -14,8 +14,8 @@ import (
 // Strategy is a synthesized coordination plan for one component (Section
 // V-B): a seal-based protocol (per-partition barriers driven by producer
 // punctuations and a unanimous vote), an ordering mechanism, or one of the
-// registered extensions (quorum ordering, merge rewrite, per-partition
-// sealing — see RegisterStrategy).
+// extensions (quorum ordering, merge rewrite, per-partition sealing — see
+// the mechanisms table).
 type Strategy struct {
 	// Component names the component whose inputs are coordinated.
 	Component string
@@ -56,13 +56,14 @@ func (s Strategy) String() string {
 
 // SynthesisOptions tunes strategy selection.
 type SynthesisOptions struct {
-	// Prefer names registered strategies (RegisterStrategy) to try, in
+	// Prefer names strategies (rows of the mechanisms table) to try, in
 	// order, for every flagged component before the default
 	// sealing-then-ordering chain; where none applies synthesis falls back
 	// to that chain. Unknown names are ignored here — boundary layers
 	// (Analyzer options, CLI flags, service validation) reject them via
-	// CheckStrategies before synthesis runs. StrategyPreference builds the
-	// list from the public strategy/sequencing pair.
+	// CheckStrategies before synthesis runs. The list arrives unchanged
+	// from blazes.WithStrategy, verify.Options.Prefer and the -strategy
+	// flag or "strategy" request field ("sealing,sequencing").
 	Prefer []string
 }
 
@@ -82,7 +83,7 @@ type SynthesisOptions struct {
 // strategy: coordinating them cannot repair contents that already differ
 // (fix the origin and re-analyze — see Repair).
 //
-// Selection dispatches through the strategy registry: the preferred
+// Selection dispatches through the mechanisms table: the preferred
 // strategies (opts.Prefer) are tried in order, then the default
 // sealing-then-ordering chain, and the first strategy whose Plan accepts
 // the component wins.

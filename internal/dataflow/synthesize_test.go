@@ -13,7 +13,7 @@ func TestSynthesizeWordcountUnsealed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sts := Synthesize(a, SynthesisOptions{Prefer: StrategyPreference("", true)})
+	sts := Synthesize(a, SynthesisOptions{Prefer: []string{StrategySealing, StrategySequencing}})
 	if len(sts) != 1 {
 		t.Fatalf("strategies = %v, want exactly one", sts)
 	}
@@ -34,7 +34,7 @@ func TestSynthesizeWordcountSealed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sts := Synthesize(a, SynthesisOptions{Prefer: StrategyPreference("", true)})
+	sts := Synthesize(a, SynthesisOptions{Prefer: []string{StrategySealing, StrategySequencing}})
 	if len(sts) != 1 {
 		t.Fatalf("strategies = %v, want exactly one", sts)
 	}
@@ -100,7 +100,7 @@ func TestSynthesizeTHRESHNeedsNothing(t *testing.T) {
 // yields a deterministic dataflow (Async) — exactly what making the topology
 // transactional achieves.
 func TestRepairWordcountSequencing(t *testing.T) {
-	a, sts, err := Repair(WordcountTopology(false), SynthesisOptions{Prefer: StrategyPreference("", true)})
+	a, sts, err := Repair(WordcountTopology(false), SynthesisOptions{Prefer: []string{StrategySealing, StrategySequencing}})
 	if err != nil {
 		t.Fatal(err)
 	}

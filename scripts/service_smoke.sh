@@ -3,8 +3,9 @@
 # service on a free port, drive one create → mutate → analyze → verify
 # round trip over HTTP, then prove durability the hard way — kill -9 the
 # journaled server mid-life, restart it on the same journal, and assert
-# the session replays intact — and finally send SIGTERM and assert a
-# clean (exit 0) shutdown. CI runs this as the service job; it is also
+# the session replays intact, put a strategy list on the wire — and
+# finally send SIGTERM and assert a clean (exit 0) shutdown. CI runs
+# this as the service job; it is also
 # the quickest local sanity check after touching blazes/service,
 # blazes/internal/journal or cmd/blazes.
 set -euo pipefail
@@ -97,6 +98,16 @@ expect recovered-version "$RECOVERED" '"version": 1'
 expect recovered-stats "$(fetch GET /v1/stats)" '"recovered_sessions": 1'
 # The recovered session must analyze like the original sealed session did.
 expect recovered-analyze "$(fetch POST /v1/sessions/s1/analyze)" '"kind": "Async"'
+
+# A strategy preference is one comma-separated list on the wire: sealing
+# where seals allow, else M1 sequencing. The retired "sequencing" switch
+# is an unknown field, refused by name.
+expect create-list "$(fetch POST /v1/sessions "{\"name\":\"wc-m1\",\"spec\":\"$SPEC\",\"strategy\":\"sealing,sequencing\"}")" '"session": "s2"'
+expect analyze-list "$(fetch POST /v1/sessions/s2/analyze '{"synthesize":true}')" '"mechanism": "sequencing"'
+expect verify-list "$(fetch POST /v1/verify '{"workloads":["synthetic-chains"],"seeds":8,"parallelism":2,"strategy":"sealing,sequencing"}')" '"holds": true'
+RETIRED="$(curl -sS -w ' HTTP %{http_code}' -X POST -H 'Content-Type: application/json' -d '{"workloads":["synthetic-set"],"sequencing":true}' "$BASE/v1/verify")"
+expect retired-sequencing "$RETIRED" 'unknown field \"sequencing\"'
+expect retired-sequencing-400 "$RETIRED" 'HTTP 400'
 
 # Graceful shutdown: SIGTERM must yield exit code 0.
 kill -TERM "$SERVER_PID"

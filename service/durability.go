@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -33,7 +34,10 @@ import (
 // If a journal append ever fails (disk full, torn mount), the server
 // poisons itself into read-only mode instead of serving acknowledgements
 // it cannot honor: subsequent writes shed with 503 and /v1/stats reports
-// journal_broken.
+// journal_broken. A session whose mutate batch was applied but not
+// journaled answers its reads with 503 too — it holds a state no client
+// was told about and a restart reverts — while other sessions keep serving
+// reads.
 
 // journalRecord is the service's journal payload: one acknowledged state
 // change. Kind selects the fields, mirroring the HTTP surface:
@@ -174,8 +178,8 @@ func planRecovery(rec *journal.Recovered) (*rebuildPlan, error) {
 	byID := map[string]int{} // session id → index in plan.sessions, -1 = dropped
 	if rec.Snapshot != nil {
 		var doc snapshotDoc
-		if err := json.Unmarshal(rec.Snapshot, &doc); err != nil {
-			return nil, fmt.Errorf("corrupt snapshot payload: %w", err)
+		if err := decodeStrict(bytes.NewReader(rec.Snapshot), &doc); err != nil {
+			return nil, fmt.Errorf("snapshot at seq %d: %w", rec.SnapshotSeq, err)
 		}
 		plan.nextID = doc.NextID
 		plan.sessions = doc.Sessions
@@ -186,8 +190,8 @@ func planRecovery(rec *journal.Recovered) (*rebuildPlan, error) {
 	}
 	for _, r := range rec.Records {
 		var jr journalRecord
-		if err := json.Unmarshal(r.Payload, &jr); err != nil {
-			return nil, fmt.Errorf("corrupt journal record at seq %d: %w", r.Seq, err)
+		if err := decodeStrict(bytes.NewReader(r.Payload), &jr); err != nil {
+			return nil, fmt.Errorf("journal record at seq %d: %w", r.Seq, err)
 		}
 		switch jr.Kind {
 		case "create":

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -8,6 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"blazes/internal/journal"
 )
 
 // newDurable opens a journaled server on dir and waits out the boot
@@ -290,5 +293,78 @@ func TestBrokenJournalPoisonsWrites(t *testing.T) {
 	}
 	if code, body := call(t, h, "GET", "/v1/stats", nil); code != http.StatusOK || !strings.Contains(body, `"journal_broken": true`) {
 		t.Fatalf("stats should report journal_broken: %d %s", code, body)
+	}
+}
+
+// TestFailedAppendHidesUnjournaledWrite drives a journal failure through
+// the real append: a batch applied in memory whose record cannot be
+// written is not acknowledged, and nobody reads it either — that session
+// answers 503 until a restart reverts it, other sessions keep serving.
+func TestFailedAppendHidesUnjournaledWrite(t *testing.T) {
+	dir := t.TempDir()
+	srv := newDurable(t, dir, Options{})
+	h := srv.Handler()
+	spec := wordcountSpecText(t)
+	for _, name := range []string{"hit", "bystander"} {
+		if code, body := call(t, h, "POST", "/v1/sessions", CreateRequest{Name: name, Spec: spec}); code != http.StatusCreated {
+			t.Fatalf("create %s: %d %s", name, code, body)
+		}
+	}
+	_, before := call(t, h, "POST", "/v1/sessions/s1/analyze", nil)
+	if err := srv.jrn.Close(); err != nil { // every Append now fails with ErrClosed
+		t.Fatal(err)
+	}
+	seal := MutateOp{Op: "seal", Stream: "tweets", Key: []string{"batch"}}
+	if code, body := call(t, h, "POST", "/v1/sessions/s1/mutate", MutateRequest{Ops: []MutateOp{seal}}); code != http.StatusInternalServerError {
+		t.Fatalf("mutate over a closed journal: %d %s", code, body)
+	}
+	for _, r := range [][2]string{{"POST", "/v1/sessions/s1/analyze"}, {"GET", "/v1/sessions/s1"}, {"GET", "/v1/sessions/s1/lint"}} {
+		if code, body := call(t, h, r[0], r[1], nil); code != http.StatusServiceUnavailable || !strings.Contains(body, "journal did not record") {
+			t.Errorf("%s %s after the failed append: %d %s", r[0], r[1], code, body)
+		}
+	}
+	if code, body := call(t, h, "POST", "/v1/sessions/s2/analyze", nil); code != http.StatusOK {
+		t.Errorf("the bystander's analyze: %d %s", code, body)
+	}
+
+	re := newDurable(t, dir, Options{})
+	defer re.Close()
+	if code, after := call(t, re.Handler(), "POST", "/v1/sessions/s1/analyze", nil); code != http.StatusOK || after != before {
+		t.Errorf("after a restart s1 answers %d, want the pre-mutation analysis:\n got: %s\nwant: %s", code, after, before)
+	}
+}
+
+// TestRetiredSequencingFieldFailsOpen: a journal in the format the parent
+// wrote, whose create record carries the retired "sequencing": true, is
+// refused by name — seq and field — instead of replaying the session under
+// the default chain; the same journal without that field replays.
+func TestRetiredSequencingFieldFailsOpen(t *testing.T) {
+	spec, err := json.Marshal(wordcountSpecText(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	create := func(seq uint64, id, extra string) journal.Record {
+		return journal.Record{Seq: seq, Payload: []byte(`{"kind":"create","session":"` + id + `","name":"` + id + `","create":{"spec":` + string(spec) + extra + `}}`)}
+	}
+	writeWAL := func(dir string, records ...journal.Record) {
+		if err := os.WriteFile(filepath.Join(dir, "wal-00000000000000000001.log"), journal.EncodeRecords(records), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	dir := t.TempDir()
+	writeWAL(dir, create(1, "s1", ""), create(2, "s2", `,"sequencing":true`))
+	if _, err := Open(Options{JournalDir: dir}); err == nil || !strings.Contains(err.Error(), "seq 2") || !strings.Contains(err.Error(), `unknown field "sequencing"`) {
+		t.Fatalf("Open = %v, want an error naming seq 2 and the sequencing field", err)
+	}
+
+	dir = t.TempDir()
+	writeWAL(dir, create(1, "s1", ""), create(2, "s2", `,"strategy":"sealing,sequencing"`))
+	srv := newDurable(t, dir, Options{})
+	defer srv.Close()
+	for _, id := range []string{"s1", "s2"} {
+		if code, body := call(t, srv.Handler(), "POST", "/v1/sessions/"+id+"/analyze", nil); code != http.StatusOK {
+			t.Errorf("replayed %s: %d %s", id, code, body)
+		}
 	}
 }

@@ -187,6 +187,10 @@ type entry struct {
 	opMu   sync.Mutex
 	create CreateRequest
 	ops    []MutateOp
+	// unjournaled marks a session holding ops applied in memory whose
+	// journal append failed: what it would serve was never acknowledged
+	// and a restart reverts it, so its reads answer 503 until then.
+	unjournaled atomic.Bool
 }
 
 // New creates an in-memory server (no durability even if opts.JournalDir
@@ -325,10 +329,15 @@ func (s *Server) lookup(id string) (*entry, bool) {
 }
 
 // fetch is lookup plus the error response: 410 with the tombstone when the
-// session was evicted or lost, 404 when it never existed.
+// session was evicted or lost, 404 when it never existed, 503 when it holds
+// changes the journal did not record.
 func (s *Server) fetch(w http.ResponseWriter, id string) (*entry, bool) {
 	e, ok := s.lookup(id)
 	if ok {
+		if e.unjournaled.Load() {
+			writeError(w, http.StatusServiceUnavailable, "session %q holds changes the journal did not record; it serves again after a restart", id)
+			return nil, false
+		}
 		return e, true
 	}
 	s.mu.Lock()
@@ -409,10 +418,18 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 // maxBodyBytes bounds every request body the service will buffer.
 const maxBodyBytes = 8 << 20
 
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+// decodeStrict decodes one JSON value, refusing a field v's type does not
+// have — a live request body and a journaled one alike, so a field the
+// service no longer knows (a parent's "sequencing": true) is named, never
+// silently dropped.
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	return dec.Decode(v)
+}
+
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	if err := decodeStrict(http.MaxBytesReader(w, r.Body, maxBodyBytes), v); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return false
 	}
@@ -423,9 +440,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 // (an empty body leaves v at its zero value). Detection is by actually
 // decoding — not by Content-Length, which chunked requests don't carry.
 func decodeOptionalBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := decodeStrict(http.MaxBytesReader(w, r.Body, maxBodyBytes), v); err != nil {
 		if errors.Is(err, io.EOF) {
 			return true
 		}
@@ -447,12 +462,11 @@ type CreateRequest struct {
 	// Seals seals streams on the given key attributes before the first
 	// analysis.
 	Seals map[string][]string `json:"seals,omitempty"`
-	// Sequencing prefers M1 sequencing over M2 dynamic ordering whenever
-	// synthesis must order inputs.
-	Sequencing bool `json:"sequencing,omitempty"`
-	// Strategy asks synthesis to try the named registered coordination
-	// strategy first (see blazes/strategy); empty keeps the default chain.
-	// An unknown name fails session creation.
+	// Strategy is a comma-separated list of coordination strategies
+	// synthesis tries, in order, before the default chain (see
+	// blazes/strategy; "sealing,sequencing" prefers M1 sequencing over M2
+	// dynamic ordering); empty keeps the default chain. An unknown name
+	// fails session creation.
 	Strategy string `json:"strategy,omitempty"`
 }
 
@@ -468,13 +482,11 @@ func (req CreateRequest) NewSession() (*blazes.Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := []blazes.Option{blazes.WithVariants(req.Variants)}
-	if req.Sequencing {
-		opts = append(opts, blazes.PreferSequencing())
+	prefer, err := strategy.Parse(req.Strategy)
+	if err != nil {
+		return nil, err
 	}
-	if req.Strategy != "" {
-		opts = append(opts, blazes.WithStrategy(req.Strategy))
-	}
+	opts := []blazes.Option{blazes.WithVariants(req.Variants), blazes.WithStrategy(prefer...)}
 	for stream, key := range req.Seals {
 		opts = append(opts, blazes.WithSealRepair(stream, key...))
 	}
@@ -525,10 +537,6 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 
 	var req CreateRequest
 	if !decodeBody(w, r, &req) {
-		return
-	}
-	if req.Spec == "" {
-		writeError(w, http.StatusBadRequest, "spec is required")
 		return
 	}
 	sess, err := req.NewSession()
@@ -752,6 +760,8 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		jerr = s.appendRecord(journalRecord{Kind: "mutate", Session: e.id, Ops: req.Ops[:applied]})
 		if jerr == nil {
 			e.ops = append(e.ops, req.Ops[:applied]...)
+		} else {
+			e.unjournaled.Store(true)
 		}
 	}
 	s.snapMu.RUnlock()
@@ -759,8 +769,8 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 
 	if jerr != nil {
 		// The ops are applied in memory but not durable: the server is
-		// now poisoned read-only (see durability.go) and this batch is
-		// NOT acknowledged.
+		// now poisoned read-only, this session's reads answer 503 (see
+		// durability.go) and this batch is NOT acknowledged.
 		writeError(w, http.StatusInternalServerError, "journal: %v", jerr)
 		return
 	}
@@ -861,11 +871,9 @@ type VerifyRequest struct {
 	// Parallelism is the sweep worker count (0 = one per CPU, 1 =
 	// sequential); reports are byte-identical at any setting.
 	Parallelism int `json:"parallelism,omitempty"`
-	// Sequencing prefers M1 over M2 where ordering is required.
-	Sequencing bool `json:"sequencing,omitempty"`
-	// Strategy asks synthesis to try the named registered coordination
-	// strategy first (see blazes/strategy); unknown names are rejected
-	// with 400.
+	// Strategy is a comma-separated list of coordination strategies
+	// synthesis tries, in order, before the default chain (see
+	// blazes/strategy); unknown names are rejected with 400.
 	Strategy string `json:"strategy,omitempty"`
 }
 
@@ -898,7 +906,8 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "parallelism must be ≥ -1 (-1 selects one worker per CPU)")
 		return
 	}
-	if err := strategy.Validate(req.Strategy); err != nil {
+	prefer, err := strategy.Parse(req.Strategy)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -918,7 +927,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	if parallelism == 0 {
 		parallelism = -1 // one worker per CPU
 	}
-	opts := verify.Options{Seeds: req.Seeds, PreferSequencing: req.Sequencing, Strategy: req.Strategy, Parallelism: parallelism}
+	opts := verify.Options{Seeds: req.Seeds, Prefer: prefer, Parallelism: parallelism}
 	resp := VerifyResponse{Holds: true}
 	for _, wl := range selected {
 		rep, err := verify.CheckContext(r.Context(), wl, opts)

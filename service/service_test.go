@@ -222,7 +222,7 @@ func TestMutateBatchStopsAtFirstError(t *testing.T) {
 }
 
 // TestBadRequests pins the request-validation contract.
-// unknownStrategy is the registry's unknown-name error as a 400 body
+// unknownStrategy is the catalog's unknown-name error as a 400 body
 // carries it (JSON-escaped): it lists the whole catalog, M1's `sequencing`
 // included.
 const unknownStrategy = `unknown strategy \"nope\" (registered: [merge-rewrite ordering partition-sealing quorum-ordering sealing sequencing])`
@@ -247,6 +247,10 @@ func TestBadRequests(t *testing.T) {
 		{"verify-unknown-strategy", "POST", "/v1/verify", VerifyRequest{Strategy: "nope"}, http.StatusBadRequest, unknownStrategy},
 		{"sweep-unknown-strategy", "POST", "/v1/sweeps", SweepSubmitRequest{Strategy: "nope"}, http.StatusBadRequest, unknownStrategy},
 		{"create-unknown-strategy", "POST", "/v1/sessions", CreateRequest{Spec: "A: {annotation: {from: i, to: o, label: CR}}\ntopology:\n  sources:\n    - {name: s, to: A.i}\n", Strategy: "nope"}, http.StatusBadRequest, unknownStrategy},
+		{"verify-unknown-strategy-in-list", "POST", "/v1/verify", VerifyRequest{Strategy: "sealing,nope"}, http.StatusBadRequest, unknownStrategy},
+		{"create-retired-sequencing", "POST", "/v1/sessions", json.RawMessage(`{"spec":"x","sequencing":true}`), http.StatusBadRequest, `unknown field \"sequencing\"`},
+		{"verify-retired-sequencing", "POST", "/v1/verify", json.RawMessage(`{"sequencing":true}`), http.StatusBadRequest, `unknown field \"sequencing\"`},
+		{"sweep-retired-sequencing", "POST", "/v1/sweeps", json.RawMessage(`{"sequencing":true}`), http.StatusBadRequest, `unknown field \"sequencing\"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -67,11 +67,9 @@ type SweepSubmitRequest struct {
 	// Seeds is the schedule count per (mechanism, plan) cell; 0 selects
 	// the default (64).
 	Seeds int `json:"seeds,omitempty"`
-	// Sequencing prefers M1 over M2 where ordering is required.
-	Sequencing bool `json:"sequencing,omitempty"`
-	// Strategy asks synthesis to try the named registered coordination
-	// strategy first (see blazes/strategy); unknown names are rejected
-	// with 400.
+	// Strategy is a comma-separated list of coordination strategies
+	// synthesis tries, in order, before the default chain (see
+	// blazes/strategy); unknown names are rejected with 400.
 	Strategy string `json:"strategy,omitempty"`
 	// Shrink delta-debugs every anomalous cell to a 1-minimal replayable
 	// trace once the cell completes.
@@ -171,7 +169,8 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "batch_size must be non-negative")
 		return
 	}
-	if err := strategy.Validate(req.Strategy); err != nil {
+	prefer, err := strategy.Parse(req.Strategy)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -183,7 +182,7 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	job := &sweepJob{shrink: req.Shrink, traces: map[int]*verify.Trace{}}
-	opts := verify.Options{Seeds: req.Seeds, PreferSequencing: req.Sequencing, Strategy: req.Strategy}
+	opts := verify.Options{Seeds: req.Seeds, Prefer: prefer}
 	var cells []verify.Cell
 	for _, name := range names {
 		wl, err := verify.LookupWorkload(name)

@@ -77,7 +77,7 @@ type SessionStats struct {
 
 // OpenSession starts a session over a deep copy of g (the caller's graph is
 // never mutated). Seal-repair options apply to the session's copy up
-// front; PreferSequencing is remembered for Synthesize. The graph must
+// front; WithStrategy's list is remembered for Synthesize. The graph must
 // validate.
 func OpenSession(g *Graph, opts ...Option) (*Session, error) {
 	cfg := buildConfig(opts)
@@ -351,7 +351,7 @@ func (s *Session) Analyze(ctx context.Context) (*Report, error) {
 }
 
 // Synthesize is Analyze plus one synthesized coordination strategy per
-// component that needs machinery, honoring PreferSequencing.
+// component that needs machinery, honoring WithStrategy.
 func (s *Session) Synthesize(ctx context.Context) (*Report, error) {
 	return s.analyze(ctx, true)
 }

@@ -63,7 +63,7 @@ func FuzzSessionEdits(f *testing.F) {
 		names := dataflow.StrategyNames()
 		switch o := int(script[0]/4) % (len(names) + 2); {
 		case o == 1:
-			opts = []Option{PreferSequencing()}
+			opts = []Option{WithStrategy(dataflow.StrategySealing, dataflow.StrategySequencing)}
 		case o >= 2:
 			opts = []Option{WithStrategy(names[o-2])}
 		}

@@ -4,8 +4,8 @@ package blazes
 // 1k-component topology, driven through every interleaving the engine's
 // caches can get wrong — the synthesis cache (plans kept per component
 // between passes), the change set a pass reports (positions, not names) and
-// the session's positional report patching — once per registered strategy
-// and once with PreferSequencing, each report and Delta held to a fresh
+// the session's positional report patching — once per strategy and once
+// with the list "sealing,sequencing", each report and Delta held to a fresh
 // one-shot analysis of the same graph under the same options.
 
 import (
@@ -304,7 +304,7 @@ func TestSessionScriptDifferential(t *testing.T) {
 		name string
 		opts []Option
 	}
-	configs := []config{{"prefer-sequencing", []Option{PreferSequencing()}}}
+	configs := []config{{"prefer-sequencing", []Option{WithStrategy(dataflow.StrategySealing, dataflow.StrategySequencing)}}}
 	for _, name := range dataflow.StrategyNames() {
 		configs = append(configs, config{"strategy=" + name, []Option{WithStrategy(name)}})
 	}

@@ -1,19 +1,24 @@
-// Package strategy exposes the coordination-strategy registry behind the
+// Package strategy exposes the coordination-strategy catalog behind the
 // Blazes analyzer. Synthesis (blazes.Analyzer, blazes verify, the analysis
-// service) resolves strategies by name through this registry rather than a
+// service) resolves strategies by name through this catalog rather than a
 // hard-coded switch; every name accepted anywhere in the toolchain — the
-// WithStrategy option, the -strategy flag, the Strategy fields of the
+// WithStrategy option, the -strategy flag, the strategy fields of the
 // service API — comes from the set reported here, so error messages and
-// validation stay in lockstep with what is actually registered.
+// validation stay in lockstep with what actually exists.
 //
 // A strategy plans one coordination mechanism for one component, and the
-// two are one to one: sealing (M3), ordering (M2) and sequencing (M1) are
-// Figure 5's mechanisms — the first two, in that order, the paper's default
-// chain — and quorum-ordering, merge-rewrite and partition-sealing are
-// registered extensions. New strategies register
-// in internal/dataflow with RegisterStrategy and must pass the chaos
-// conformance gate (the synthesized graph converges under fault injection,
-// the stripped graph demonstrably diverges) before they ship.
+// two are one to one: each is a row of one table in internal/dataflow.
+// Sealing (M3), ordering (M2) and sequencing (M1) are Figure 5's
+// mechanisms — the first two, in that order, the paper's default chain —
+// and quorum-ordering, merge-rewrite and partition-sealing are extensions.
+// Every row must pass the chaos conformance gate (the synthesized graph
+// converges under fault injection, the stripped graph demonstrably
+// diverges) before it ships.
+//
+// A preference is a list of names, tried in order before the default
+// chain. On the command line and the wire it is one comma-separated string
+// ("sealing,sequencing": seal where seals allow, otherwise M1 where the
+// default would say M2 ordering); Parse turns it into the list.
 //
 // A strategy's plan for a component is a function of that component alone —
 // its derivation, its configuration, its input streams and their labels. A
@@ -23,9 +28,13 @@
 // the next, so they are read-only, seal keys and input lists included.
 package strategy
 
-import "blazes/internal/dataflow"
+import (
+	"strings"
 
-// Registered strategy names.
+	"blazes/internal/dataflow"
+)
+
+// Strategy names.
 const (
 	Sealing          = dataflow.StrategySealing
 	Ordering         = dataflow.StrategyOrdering
@@ -35,35 +44,40 @@ const (
 	PartitionSealing = dataflow.StrategyPartitionSealing
 )
 
-// Info describes one registered strategy.
+// Info describes one strategy.
 type Info struct {
-	// Name is the registry key, as accepted by blazes.WithStrategy, the
-	// verify -strategy flag, and the service Strategy fields.
+	// Name is the strategy's name, as accepted by blazes.WithStrategy, the
+	// -strategy flag, and the service strategy fields.
 	Name string
 	// Summary is a one-line description of the mechanism and when it
 	// applies.
 	Summary string
 }
 
-// Names returns every registered strategy name, sorted.
+// Names returns every strategy name, sorted.
 func Names() []string { return dataflow.StrategyNames() }
 
-// Validate reports whether name is registered; the error lists the valid
-// names. The empty name is valid and means "use the default chain".
-func Validate(name string) error {
-	if name == "" {
-		return nil
+// Parse splits a comma-separated preference list ("sealing,sequencing")
+// into its names and validates each; the error names the first unknown one
+// and lists the valid names. The empty string is the empty list: the
+// default chain.
+func Parse(list string) ([]string, error) {
+	if list == "" {
+		return nil, nil
 	}
-	_, err := dataflow.LookupStrategy(name)
-	return err
+	names := strings.Split(list, ",")
+	if err := dataflow.CheckStrategies(names); err != nil {
+		return nil, err
+	}
+	return names, nil
 }
 
-// Catalog returns an Info for every registered strategy, in name order.
+// Catalog returns an Info for every strategy, in name order.
 func Catalog() []Info {
-	defs := dataflow.Strategies()
-	infos := make([]Info, len(defs))
-	for i, d := range defs {
-		infos[i] = Info{Name: d.Name(), Summary: d.Summary()}
+	mechs := dataflow.Strategies()
+	infos := make([]Info, len(mechs))
+	for i, c := range mechs {
+		infos[i] = Info{Name: c.Strategy(), Summary: c.Summary()}
 	}
 	return infos
 }

@@ -24,7 +24,6 @@ import (
 
 	"blazes"
 	"blazes/internal/chaos"
-	"blazes/internal/dataflow"
 )
 
 // Workload is a runnable system under test: it exposes its annotated
@@ -60,14 +59,12 @@ type Options struct {
 	Seeds int
 	// Plans is the fault-plan sweep; nil selects DefaultPlans.
 	Plans []Plan
-	// PreferSequencing selects M1 (preordained total order) over M2
-	// dynamic ordering when synthesis must order inputs.
-	PreferSequencing bool
-	// Strategy asks synthesis to try the named registered coordination
-	// strategy first (see blazes/strategy); empty keeps the default
-	// sealing-then-ordering chain. An unknown name is an error before any
-	// schedule runs.
-	Strategy string
+	// Prefer names coordination strategies synthesis tries, in order,
+	// before the default sealing-then-ordering chain (see blazes/strategy;
+	// {"sealing", "sequencing"} selects M1 over M2 where inputs must be
+	// ordered); empty keeps the default chain. An unknown name is an error
+	// before any schedule runs.
+	Prefer []string
 	// Parallelism is the worker count for exploring seeded schedules
 	// concurrently (each on its own simulator, merged in seed order): the
 	// report — anomalies, details, JSON bytes — is byte-identical to a
@@ -90,13 +87,12 @@ func CheckContext(ctx context.Context, w Workload, opts Options) (*Report, error
 	return chaos.Check(ctx, w, opts.config())
 }
 
-// config is the harness form of the options; the strategy/sequencing pair
-// becomes one preference list by the rule every boundary shares.
+// config is the harness form of the options.
 func (opts Options) config() chaos.Config {
 	return chaos.Config{
 		Seeds:       opts.Seeds,
 		Plans:       opts.Plans,
-		Prefer:      dataflow.StrategyPreference(opts.Strategy, opts.PreferSequencing),
+		Prefer:      opts.Prefer,
 		Parallelism: opts.Parallelism,
 	}
 }
