@@ -1,10 +1,13 @@
 // Command loadgen is the open-loop load generator for `blazes serve`: it
 // drives many concurrent analysis sessions through the service's
 // create → mutate → analyze loop at a fixed arrival rate and reports, as
-// JSON, every reply by endpoint and status code (sheds included) and the
-// latency percentiles of the requests the server served. It exists for
-// the two things a closed loop cannot show — overload and a kill -9 under
-// load; how fast the service is, is `go run ./benchmark`'s to say.
+// JSON, every reply by endpoint and status code (sheds included) and a
+// latency section per endpoint. That section is `/v1/stats`' own: the same
+// histogram, quantile rule and fields, over the same sample — the 2xx
+// replies, queue wait included — timed from the client's side of the
+// socket. It exists for the two things a closed loop cannot show —
+// overload and a kill -9 under load; how fast the service is, is
+// `go run ./benchmark`'s to say.
 //
 // Open loop means arrivals are scheduled by the clock, not by completions:
 // each session starts at its arrival time whether or not earlier sessions

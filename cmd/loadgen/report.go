@@ -2,39 +2,42 @@ package main
 
 import (
 	"runtime"
-	"sort"
 	"sync"
 	"time"
+
+	"blazes/internal/hist"
 )
 
-// recorder collects exact per-endpoint latency samples of the 2xx replies
-// (a burst is at most a few hundred thousand requests, so sorting beats
-// histogram buckets for percentile fidelity) plus status-code and
-// transport-error tallies of every request.
+// recorder times the 2xx replies per endpoint, in the histogram
+// `/v1/stats` uses, and tallies every request by status code and transport
+// error.
 type recorder struct {
-	mu      sync.Mutex
-	samples map[string][]time.Duration
-	codes   map[string]map[int]int
-	errs    map[string]int
-	wall    time.Duration
+	mu    sync.Mutex
+	lat   map[string]*hist.Histogram
+	codes map[string]map[int]int
+	errs  map[string]int
+	wall  time.Duration
 }
 
 func newRecorder() *recorder {
 	return &recorder{
-		samples: map[string][]time.Duration{},
-		codes:   map[string]map[int]int{},
-		errs:    map[string]int{},
+		lat:   map[string]*hist.Histogram{},
+		codes: map[string]map[int]int{},
+		errs:  map[string]int{},
 	}
 }
 
-// observe tallies one response. Only a 2xx reply is a latency sample: a
-// 429 or 503 returns in microseconds, so counting sheds would pull the
-// percentiles down exactly when the server is overloaded.
+// observe tallies one response. Only a 2xx reply is a latency sample, as on
+// the server: a 429 or 503 returns in microseconds, so counting sheds would
+// pull the percentiles down exactly when the server is overloaded.
 func (r *recorder) observe(endpoint string, code int, d time.Duration) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if code >= 200 && code < 300 {
-		r.samples[endpoint] = append(r.samples[endpoint], d)
+		if r.lat[endpoint] == nil {
+			r.lat[endpoint] = new(hist.Histogram)
+		}
+		r.lat[endpoint].Observe(d)
 	}
 	if r.codes[endpoint] == nil {
 		r.codes[endpoint] = map[int]int{}
@@ -83,48 +86,15 @@ func (r *recorder) shedCount() int {
 	return n
 }
 
-// Percentiles is one endpoint's latency summary, microsecond units.
-type Percentiles struct {
-	Count  int    `json:"count"`
-	MeanUs uint64 `json:"mean_us"`
-	P50Us  uint64 `json:"p50_us"`
-	P95Us  uint64 `json:"p95_us"`
-	P99Us  uint64 `json:"p99_us"`
-	MaxUs  uint64 `json:"max_us"`
-}
-
-func percentiles(samples []time.Duration) Percentiles {
-	if len(samples) == 0 {
-		return Percentiles{}
-	}
-	sorted := append([]time.Duration(nil), samples...)
-	sort.Slice(sorted, func(i, k int) bool { return sorted[i] < sorted[k] })
-	at := func(q float64) uint64 {
-		i := int(q * float64(len(sorted)-1))
-		return uint64(sorted[i].Microseconds())
-	}
-	var sum time.Duration
-	for _, d := range sorted {
-		sum += d
-	}
-	return Percentiles{
-		Count:  len(sorted),
-		MeanUs: uint64((sum / time.Duration(len(sorted))).Microseconds()),
-		P50Us:  at(0.50),
-		P95Us:  at(0.95),
-		P99Us:  at(0.99),
-		MaxUs:  uint64(sorted[len(sorted)-1].Microseconds()),
-	}
-}
-
 // Report is the loadgen output document. Latency summarizes the 2xx
-// replies of each endpoint; Status tallies every reply by endpoint and
-// status code, sheds included.
+// replies of each endpoint, each timed from send to the last byte of the
+// reply, with the fields and quantile rule of `/v1/stats`; Status tallies
+// every reply by endpoint and status code, sheds included.
 type Report struct {
-	Meta    map[string]any         `json:"meta"`
-	Totals  Totals                 `json:"totals"`
-	Latency map[string]Percentiles `json:"latency"`
-	Status  map[string]map[int]int `json:"status"`
+	Meta    map[string]any          `json:"meta"`
+	Totals  Totals                  `json:"totals"`
+	Latency map[string]hist.Summary `json:"latency"`
+	Status  map[string]map[int]int  `json:"status"`
 }
 
 // Totals aggregates the burst.
@@ -140,9 +110,9 @@ type Totals struct {
 // report summarizes a finished burst; nothing records while it runs.
 func (r *recorder) report(cfg config) Report {
 	total := r.requests()
-	lat := map[string]Percentiles{}
-	for ep, s := range r.samples {
-		lat[ep] = percentiles(s)
+	lat := map[string]hist.Summary{}
+	for ep, h := range r.lat {
+		lat[ep] = h.Summary()
 	}
 	wall := r.wall.Seconds()
 	rps := 0.0

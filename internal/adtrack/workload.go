@@ -196,9 +196,6 @@ func (w Workload) Plan() []Burst {
 	return bursts
 }
 
-// TotalRecords returns the total click records the workload produces.
-func (w Workload) TotalRecords() int { return w.AdServers * w.EntriesPerServer }
-
 // Producers returns, per campaign, the servers that produce records for it
 // (the registry contents for the sealing protocol).
 func (w Workload) Producers() map[string][]string {

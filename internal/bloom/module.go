@@ -1,9 +1,6 @@
 package bloom
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // MergeOp is a Bloom rule operator: how derived rows reach the head
 // collection.
@@ -233,25 +230,4 @@ func validatePredCols(m *Module, e Expr) error {
 	default:
 		return nil
 	}
-}
-
-// readers returns rules reading the named collection.
-func (m *Module) readers(name string) []Rule {
-	var out []Rule
-	for _, r := range m.rules {
-		for _, read := range r.Body.reads() {
-			if read == name {
-				out = append(out, r)
-				break
-			}
-		}
-	}
-	return out
-}
-
-// sortedCollNames is a deterministic name listing used by analyses.
-func (m *Module) sortedCollNames() []string {
-	out := append([]string(nil), m.order...)
-	sort.Strings(out)
-	return out
 }

@@ -18,6 +18,7 @@ var DeterministicPackages = []string{
 	"blazes/internal/chaos",
 	"blazes/internal/dataflow",
 	"blazes/internal/coord",
+	"blazes/internal/hist",
 }
 
 // CtxFlowPackages lists the packages holding the sweep/analyze entry points

@@ -3,8 +3,9 @@
 # service on a free port, drive one create → mutate → analyze → verify
 # round trip over HTTP, then prove durability the hard way — kill -9 the
 # journaled server mid-life, restart it on the same journal, and assert
-# the session replays intact, put a strategy list on the wire — and
-# finally send SIGTERM and assert a clean (exit 0) shutdown. CI runs
+# the session replays intact, put a strategy list on the wire, hold
+# /v1/stats' latency counts to the 2xx replies — and finally send SIGTERM
+# and assert a clean (exit 0) shutdown. CI runs
 # this as the service job; it is also
 # the quickest local sanity check after touching blazes/service,
 # blazes/internal/journal or cmd/blazes.
@@ -108,6 +109,12 @@ expect verify-list "$(fetch POST /v1/verify '{"workloads":["synthetic-chains"],"
 RETIRED="$(curl -sS -w ' HTTP %{http_code}' -X POST -H 'Content-Type: application/json' -d '{"workloads":["synthetic-set"],"sequencing":true}' "$BASE/v1/verify")"
 expect retired-sequencing "$RETIRED" 'unknown field \"sequencing\"'
 expect retired-sequencing-400 "$RETIRED" 'HTTP 400'
+
+# /v1/stats times the 2xx replies only: since the restart one create and
+# one verify were served, and the 400 above is not a sample.
+STATS="$(fetch GET /v1/stats | tr -d ' \n')"
+expect stats-create-count "$STATS" '"create":{"count":1,'
+expect stats-verify-count "$STATS" '"verify":{"count":1,'
 
 # Graceful shutdown: SIGTERM must yield exit code 0.
 kill -TERM "$SERVER_PID"

@@ -6,8 +6,8 @@ import (
 	"time"
 )
 
-// Admission control: the mutate/analyze/verify/create paths run real
-// analysis work, so they pass through a bounded gate — a fixed number of
+// Admission control: the create/mutate/analyze/verify/sweep-submit paths
+// run real analysis work, so they pass through a bounded gate — a fixed number of
 // concurrency slots plus a bounded, deadline-aware wait queue. A request
 // that cannot get a slot before the queue bound, its own deadline, or the
 // queue timeout is shed with 429 and a Retry-After hint instead of piling

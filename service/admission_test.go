@@ -146,29 +146,3 @@ func TestOverloadSheds429(t *testing.T) {
 		r()
 	}
 }
-
-func TestLatencyHistogramQuantiles(t *testing.T) {
-	var h latencyHist
-	for i := 0; i < 90; i++ {
-		h.observe(90 * time.Microsecond)
-	}
-	for i := 0; i < 10; i++ {
-		h.observe(40 * time.Millisecond)
-	}
-	sum := h.summary()
-	if sum.Count != 100 {
-		t.Fatalf("count = %d", sum.Count)
-	}
-	if sum.P50Us < 50 || sum.P50Us > 100 {
-		t.Errorf("p50 = %dµs, want ≈90µs", sum.P50Us)
-	}
-	if sum.P99Us < 20_000 || sum.P99Us > 50_000 {
-		t.Errorf("p99 = %dµs, want ≈40ms", sum.P99Us)
-	}
-	if sum.MaxUs != 40_000 {
-		t.Errorf("max = %dµs", sum.MaxUs)
-	}
-	if sum.MeanUs == 0 {
-		t.Errorf("mean should be non-zero")
-	}
-}

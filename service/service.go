@@ -17,10 +17,11 @@
 //     succeeded. While the boot replay rebuilds sessions the server
 //     degrades to read-only (writes shed with 503) instead of blocking.
 //     See durability.go for the write protocol.
-//   - Backpressure: the expensive paths (create, mutate, analyze, verify)
-//     pass a bounded admission gate; beyond the concurrency slots and the
-//     bounded wait queue, requests shed with 429 + Retry-After instead of
-//     queueing unboundedly. See admission.go.
+//   - Backpressure: the expensive paths (create, mutate, analyze, verify,
+//     sweep submit) pass a bounded admission gate; beyond the concurrency
+//     slots and the bounded wait queue, requests shed with 429 +
+//     Retry-After instead of queueing unboundedly. See admission.go and
+//     Server.admitted, the one place such a request is admitted and timed.
 //   - Observability: GET /v1/stats reports sessions, journal lag, queue
 //     depth, shed counts and latency percentiles. See stats.go.
 //
@@ -56,6 +57,8 @@ import (
 	"time"
 
 	"blazes"
+	"blazes/internal/chaos"
+	"blazes/internal/hist"
 	"blazes/internal/journal"
 	"blazes/strategy"
 	"blazes/verify"
@@ -147,14 +150,12 @@ type Server struct {
 	recoveredCount atomic.Int64
 	replayErrors   atomic.Int64
 
-	// Admission + observability.
+	// Admission + observability. latency holds one histogram per admitted
+	// endpoint, under the name /v1/stats reports it by.
 	gate             *gate
 	evictedTotal     atomic.Uint64
 	readOnlyRejected atomic.Uint64
-	createLat        latencyHist
-	mutateLat        latencyHist
-	analyzeLat       latencyHist
-	verifyLat        latencyHist
+	latency          map[string]*hist.Histogram
 
 	// Sweep coordination (in-memory; sweeps are not journaled — a sweep
 	// is a computation, not acknowledged durable state). See sweeps.go.
@@ -169,7 +170,6 @@ type Server struct {
 	sweepBatchesClaimed  atomic.Uint64
 	sweepBatchesReported atomic.Uint64
 	sweepTracesShrunk    atomic.Uint64
-	sweepLat             latencyHist
 }
 
 type entry struct {
@@ -230,6 +230,7 @@ func New(opts Options) *Server {
 		lru:         list.New(),
 		snapEvery:   snapEvery,
 		gate:        newGate(maxConc, maxQueue, queueTimeout),
+		latency:     map[string]*hist.Histogram{"create": {}, "mutate": {}, "analyze": {}, "verify": {}, "sweep": {}},
 		recoveredCh: make(chan struct{}),
 		sweeps:      map[string]*sweepJob{},
 		sweepTTL:    sweepTTL,
@@ -289,15 +290,15 @@ func (s *Server) Close() error {
 // Handler returns the service's HTTP handler.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/sessions", s.handleCreate)
+	mux.HandleFunc("POST /v1/sessions", s.admitted("create", true, s.handleCreate))
 	mux.HandleFunc("GET /v1/sessions", s.handleList)
 	mux.HandleFunc("GET /v1/sessions/{id}", s.handleGet)
-	mux.HandleFunc("POST /v1/sessions/{id}/mutate", s.handleMutate)
-	mux.HandleFunc("POST /v1/sessions/{id}/analyze", s.handleAnalyze)
+	mux.HandleFunc("POST /v1/sessions/{id}/mutate", s.admitted("mutate", true, s.handleMutate))
+	mux.HandleFunc("POST /v1/sessions/{id}/analyze", s.admitted("analyze", false, s.handleAnalyze))
 	mux.HandleFunc("GET /v1/sessions/{id}/lint", s.handleLint)
 	mux.HandleFunc("DELETE /v1/sessions/{id}", s.handleDelete)
-	mux.HandleFunc("POST /v1/verify", s.handleVerify)
-	mux.HandleFunc("POST /v1/sweeps", s.handleSweepSubmit)
+	mux.HandleFunc("POST /v1/verify", s.admitted("verify", false, s.handleVerify))
+	mux.HandleFunc("POST /v1/sweeps", s.admitted("sweep", false, s.handleSweepSubmit))
 	mux.HandleFunc("GET /v1/sweeps", s.handleSweepList)
 	mux.HandleFunc("GET /v1/sweeps/{id}", s.handleSweepStatus)
 	mux.HandleFunc("POST /v1/sweeps/{id}/claim", s.handleSweepClaim)
@@ -358,22 +359,47 @@ func (s *Server) fetch(w http.ResponseWriter, id string) (*entry, bool) {
 	return nil, false
 }
 
-// admit passes the request through the admission gate; on shed it writes
-// the 429 (+ Retry-After) or 408 response itself. The returned release
-// must be called when ok.
-func (s *Server) admit(w http.ResponseWriter, r *http.Request) (release func(), ok bool) {
-	release, err := s.gate.acquire(r.Context().Done())
-	switch {
-	case err == nil:
-		return release, true
-	case errors.Is(err, errOverloaded):
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", s.gate.retryAfterSeconds()))
-		writeError(w, http.StatusTooManyRequests, "overloaded: admission queue is full, retry later")
-		return nil, false
-	default: // the request's own deadline/disconnect fired while queued
-		writeError(w, http.StatusRequestTimeout, "request canceled while queued for admission")
-		return nil, false
+// admitted mounts an expensive endpoint, the one place such a request is
+// admitted and timed: it answers 503 while the server cannot take the
+// request (available), passes the admission gate (429 + Retry-After when
+// shed, 408 when the request dies in the queue), runs h, and records the
+// time since arrival — queue wait included — into the endpoint's histogram
+// if, and only if, the reply was 2xx.
+func (s *Server) admitted(endpoint string, write bool, h http.HandlerFunc) http.HandlerFunc {
+	lat := s.latency[endpoint]
+	return func(w http.ResponseWriter, r *http.Request) {
+		arrival := time.Now()
+		if !s.available(w, write) {
+			return
+		}
+		release, err := s.gate.acquire(r.Context().Done())
+		switch {
+		case errors.Is(err, errOverloaded):
+			w.Header().Set("Retry-After", fmt.Sprintf("%d", s.gate.retryAfterSeconds()))
+			writeError(w, http.StatusTooManyRequests, "overloaded: admission queue is full, retry later")
+			return
+		case err != nil: // the request's own deadline/disconnect fired while queued
+			writeError(w, http.StatusRequestTimeout, "request canceled while queued for admission")
+			return
+		}
+		defer release()
+		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
+		h(sw, r)
+		if sw.code >= 200 && sw.code < 300 {
+			lat.Observe(time.Since(arrival))
+		}
 	}
+}
+
+// statusWriter remembers the status a handler replied with.
+type statusWriter struct {
+	http.ResponseWriter
+	code int
+}
+
+func (w *statusWriter) WriteHeader(code int) {
+	w.code = code
+	w.ResponseWriter.WriteHeader(code)
 }
 
 // available rejects requests the server cannot serve right now: during the
@@ -525,16 +551,6 @@ func (s *Server) info(e *entry, detail bool) SessionInfo {
 }
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
-	if !s.available(w, true) {
-		return
-	}
-	release, ok := s.admit(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	start := time.Now()
-
 	var req CreateRequest
 	if !decodeBody(w, r, &req) {
 		return
@@ -566,7 +582,6 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	s.snapMu.RUnlock()
 
-	s.createLat.observe(time.Since(start))
 	s.maybeSnapshot()
 	writeJSON(w, http.StatusCreated, s.info(e, true))
 }
@@ -718,16 +733,6 @@ func (op MutateOp) Apply(sess *blazes.Session) error {
 }
 
 func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
-	if !s.available(w, true) {
-		return
-	}
-	release, ok := s.admit(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	start := time.Now()
-
 	e, ok := s.fetch(w, r.PathValue("id"))
 	if !ok {
 		return
@@ -778,7 +783,6 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: opErr.Error(), Applied: applied})
 		return
 	}
-	s.mutateLat.observe(time.Since(start))
 	s.maybeSnapshot()
 	writeJSON(w, http.StatusOK, MutateResponse{Version: e.sess.Version(), Applied: applied, Durable: s.jrn != nil})
 }
@@ -791,16 +795,6 @@ type AnalyzeRequest struct {
 }
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	if !s.available(w, false) {
-		return
-	}
-	release, ok := s.admit(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	start := time.Now()
-
 	e, ok := s.fetch(w, r.PathValue("id"))
 	if !ok {
 		return
@@ -826,7 +820,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeError(w, code, "%v", err)
 		return
 	}
-	s.analyzeLat.observe(time.Since(start))
 	writeJSON(w, http.StatusOK, rep)
 }
 
@@ -862,7 +855,8 @@ func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
 }
 
 // VerifyRequest runs the schedule-exploration harness over named built-in
-// workloads (all of them when Workloads is empty).
+// workloads (all of them when Workloads is empty) and generated-<n>c-s<seed>
+// topologies of at most 10,000 components.
 type VerifyRequest struct {
 	Workloads []string `json:"workloads,omitempty"`
 	// Seeds is the schedule count per (mechanism, plan) configuration; 0
@@ -883,17 +877,35 @@ type VerifyResponse struct {
 	Reports []*verify.Report `json:"reports"`
 }
 
-func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
-	if !s.available(w, false) {
-		return
-	}
-	release, ok := s.admit(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	start := time.Now()
+// maxGeneratedComponents bounds the "generated-<n>c-s<seed>" workloads a
+// verify or sweep request may name: planning one generates its topology
+// inside the admitted request, so an unbounded n would let one request
+// exhaust the server's memory. 10,000 components is the size of the
+// benchmark's graphs and of CI's scale smoke. `blazes verify` and the
+// sweep workers resolve names unbounded.
+const maxGeneratedComponents = 10_000
 
+// lookupWorkloads resolves the workloads a verify or sweep request names,
+// the whole suite when it names none.
+func lookupWorkloads(names []string) ([]verify.Workload, error) {
+	if len(names) == 0 {
+		return verify.Workloads(), nil
+	}
+	out := make([]verify.Workload, 0, len(names))
+	for _, name := range names {
+		wl, err := verify.LookupWorkload(name)
+		if err != nil {
+			return nil, err
+		}
+		if g, ok := wl.(*chaos.GeneratedWorkload); ok && g.Components > maxGeneratedComponents {
+			return nil, fmt.Errorf("workload %q has %d components; the service plans at most %d", name, g.Components, maxGeneratedComponents)
+		}
+		out = append(out, wl)
+	}
+	return out, nil
+}
+
+func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	var req VerifyRequest
 	if !decodeOptionalBody(w, r, &req) {
 		return
@@ -911,17 +923,10 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	selected := verify.Workloads()
-	if len(req.Workloads) > 0 {
-		selected = nil
-		for _, name := range req.Workloads {
-			wl, err := verify.LookupWorkload(name)
-			if err != nil {
-				writeError(w, http.StatusBadRequest, "%v", err)
-				return
-			}
-			selected = append(selected, wl)
-		}
+	selected, err := lookupWorkloads(req.Workloads)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 	parallelism := req.Parallelism
 	if parallelism == 0 {
@@ -942,7 +947,6 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		resp.Reports = append(resp.Reports, rep)
 		resp.Holds = resp.Holds && rep.Holds
 	}
-	s.verifyLat.observe(time.Since(start))
 	writeJSON(w, http.StatusOK, resp)
 }
 

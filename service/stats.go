@@ -2,114 +2,21 @@ package service
 
 import (
 	"net/http"
-	"sync/atomic"
-	"time"
 
+	"blazes/internal/hist"
 	"blazes/internal/journal"
 )
 
 // Observability: GET /v1/stats reports everything needed to reason about
 // the server under load — session population, journal lag, admission
-// queue depth and shed counts, and latency percentiles per expensive
-// endpoint — with plain atomic counters so the endpoint itself stays cheap
-// enough to poll during overload.
+// queue depth and shed counts, and latency percentiles per admitted
+// endpoint — from atomic counters and lock-free histograms, so the
+// endpoint itself stays cheap enough to poll during overload.
 
-// latBucketBounds are the histogram bucket upper bounds in microseconds
-// (1-2-5 decades from 1µs to 100s); the final implicit bucket is
-// unbounded. Fixed log-spaced buckets keep recording lock-free and
-// percentile estimation deterministic.
-var latBucketBounds = [...]uint64{
-	1, 2, 5, 10, 20, 50, 100, 200, 500,
-	1_000, 2_000, 5_000, 10_000, 20_000, 50_000, 100_000, 200_000, 500_000,
-	1_000_000, 2_000_000, 5_000_000, 10_000_000, 20_000_000, 50_000_000, 100_000_000,
-}
-
-// latencyHist is a lock-free fixed-bucket latency histogram.
-type latencyHist struct {
-	buckets [len(latBucketBounds) + 1]atomic.Uint64
-	count   atomic.Uint64
-	sum     atomic.Uint64 // microseconds
-	max     atomic.Uint64 // microseconds
-}
-
-func (h *latencyHist) observe(d time.Duration) {
-	us := uint64(d.Microseconds())
-	i := 0
-	for i < len(latBucketBounds) && us > latBucketBounds[i] {
-		i++
-	}
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	h.sum.Add(us)
-	for {
-		cur := h.max.Load()
-		if us <= cur || h.max.CompareAndSwap(cur, us) {
-			return
-		}
-	}
-}
-
-// quantile estimates the q-quantile (0 < q < 1) in microseconds by linear
-// interpolation inside the holding bucket.
-func (h *latencyHist) quantile(q float64) uint64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	var cum float64
-	for i := range h.buckets {
-		n := float64(h.buckets[i].Load())
-		if n == 0 {
-			continue
-		}
-		if cum+n >= rank {
-			lo := uint64(0)
-			if i > 0 {
-				lo = latBucketBounds[i-1]
-			}
-			hi := h.max.Load()
-			if i < len(latBucketBounds) && latBucketBounds[i] < hi {
-				hi = latBucketBounds[i]
-			}
-			if hi < lo {
-				hi = lo
-			}
-			frac := (rank - cum) / n
-			return lo + uint64(frac*float64(hi-lo))
-		}
-		cum += n
-	}
-	return h.max.Load()
-}
-
-// LatencySummary is one endpoint's latency section, microsecond units.
-type LatencySummary struct {
-	Count    uint64 `json:"count"`
-	MeanUs   uint64 `json:"mean_us"`
-	P50Us    uint64 `json:"p50_us"`
-	P95Us    uint64 `json:"p95_us"`
-	P99Us    uint64 `json:"p99_us"`
-	MaxUs    uint64 `json:"max_us"`
-	TotalSec uint64 `json:"total_sec"`
-}
-
-func (h *latencyHist) summary() LatencySummary {
-	count := h.count.Load()
-	sum := h.sum.Load()
-	out := LatencySummary{
-		Count:    count,
-		P50Us:    h.quantile(0.50),
-		P95Us:    h.quantile(0.95),
-		P99Us:    h.quantile(0.99),
-		MaxUs:    h.max.Load(),
-		TotalSec: sum / 1_000_000,
-	}
-	if count > 0 {
-		out.MeanUs = sum / count
-	}
-	return out
-}
+// LatencySummary is one endpoint's latency section, microsecond units: the
+// 2xx replies, each timed from arrival (queue wait included) to the end of
+// its handler. See internal/hist for the quantile rule and its error bound.
+type LatencySummary = hist.Summary
 
 // StatsResponse is the /v1/stats document.
 type StatsResponse struct {
@@ -138,7 +45,7 @@ type StatsResponse struct {
 	// Sweeps reports the distributed-verification coordinator's counters.
 	Sweeps SweepStats `json:"sweeps"`
 
-	// Latency maps endpoint → summary for the gated endpoints.
+	// Latency maps endpoint → summary for the admitted endpoints.
 	Latency map[string]LatencySummary `json:"latency"`
 }
 
@@ -179,13 +86,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			BatchesReported: s.sweepBatchesReported.Load(),
 			TracesShrunk:    s.sweepTracesShrunk.Load(),
 		},
-		Latency: map[string]LatencySummary{
-			"create":  s.createLat.summary(),
-			"mutate":  s.mutateLat.summary(),
-			"analyze": s.analyzeLat.summary(),
-			"verify":  s.verifyLat.summary(),
-			"sweep":   s.sweepLat.summary(),
-		},
+		Latency: make(map[string]LatencySummary, len(s.latency)),
+	}
+	for endpoint, h := range s.latency {
+		resp.Latency[endpoint] = h.Summary()
 	}
 	resp.Sweeps.Active = int(resp.Sweeps.Submitted - resp.Sweeps.Completed)
 	resp.Admission.ReadOnlyRejected = s.readOnlyRejected.Load()

@@ -60,8 +60,9 @@ type sweepJob struct {
 }
 
 // SweepSubmitRequest starts a distributed sweep over named workloads (the
-// whole built-in suite when empty). Workload names resolve like worker
-// lookups do: the suite by name, plus "generated-<n>c-s<seed>" topologies.
+// whole built-in suite when empty). Workload names resolve as for
+// /v1/verify: the suite by name, plus "generated-<n>c-s<seed>" topologies
+// of at most 10,000 components.
 type SweepSubmitRequest struct {
 	Workloads []string `json:"workloads,omitempty"`
 	// Seeds is the schedule count per (mechanism, plan) cell; 0 selects
@@ -147,16 +148,6 @@ type SweepListResponse struct {
 }
 
 func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
-	if !s.available(w, false) {
-		return
-	}
-	release, ok := s.admit(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	start := time.Now()
-
 	var req SweepSubmitRequest
 	if !decodeOptionalBody(w, r, &req) {
 		return
@@ -174,25 +165,19 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	names := req.Workloads
-	if len(names) == 0 {
-		for _, wl := range verify.Workloads() {
-			names = append(names, wl.Name())
-		}
+	selected, err := lookupWorkloads(req.Workloads)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 
 	job := &sweepJob{shrink: req.Shrink, traces: map[int]*verify.Trace{}}
 	opts := verify.Options{Seeds: req.Seeds, Prefer: prefer}
 	var cells []verify.Cell
-	for _, name := range names {
-		wl, err := verify.LookupWorkload(name)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
+	for _, wl := range selected {
 		plan, err := verify.PlanCheck(wl, opts)
 		if err != nil {
-			writeError(w, http.StatusUnprocessableEntity, "plan %s: %v", name, err)
+			writeError(w, http.StatusUnprocessableEntity, "plan %s: %v", wl.Name(), err)
 			return
 		}
 		job.workloads = append(job.workloads, wl.Name())
@@ -230,7 +215,6 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	s.sweepMu.Unlock()
 
 	s.sweepsSubmitted.Add(1)
-	s.sweepLat.observe(time.Since(start))
 	writeJSON(w, http.StatusCreated, job.status())
 }
 

@@ -226,6 +226,19 @@ func TestWorkloadNamesResolveAlike(t *testing.T) {
 	}
 }
 
+// TestGeneratedWorkloadBound: a generated topology one component over the
+// bound is refused with 400 before anything generates it.
+func TestGeneratedWorkloadBound(t *testing.T) {
+	h := New(Options{}).Handler()
+	name := fmt.Sprintf("generated-%dc-s1", maxGeneratedComponents+1)
+	for _, path := range []string{"/v1/verify", "/v1/sweeps"} {
+		code, body := call(t, h, "POST", path, map[string]any{"workloads": []string{name}})
+		if code != http.StatusBadRequest || !strings.Contains(body, "at most 10000") {
+			t.Errorf("%s %s: %d %s, want 400 naming the bound", path, name, code, body)
+		}
+	}
+}
+
 // TestSweepEndpointValidation: malformed submissions, reports and lookups
 // fail loudly with the right status codes.
 func TestSweepEndpointValidation(t *testing.T) {
