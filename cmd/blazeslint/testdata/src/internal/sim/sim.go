@@ -3,7 +3,10 @@
 // fire through the real `go vet -vettool` protocol.
 package sim
 
-import "time"
+import (
+	"maps"
+	"time"
+)
 
 // Stamp reads the wall clock: the nondet analyzer must flag it.
 func Stamp() time.Time {
@@ -14,6 +17,16 @@ func Stamp() time.Time {
 func Keys(m map[string]int) []string {
 	var out []string
 	for k := range m {
+		out = append(out, k)
+	}
+	return out
+}
+
+// KeysSeq leaks the same order through the iterator: maporder must flag
+// it too.
+func KeysSeq(m map[string]int) []string {
+	var out []string
+	for k := range maps.Keys(m) {
 		out = append(out, k)
 	}
 	return out

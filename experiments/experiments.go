@@ -15,7 +15,7 @@ import (
 	"blazes/internal/sim"
 )
 
-// Time is virtual simulation time (nanoseconds).
+// Time is virtual simulation time (microseconds).
 type Time = sim.Time
 
 // Virtual-time units.

@@ -2,6 +2,7 @@ package bloom
 
 import (
 	"fmt"
+	"maps"
 
 	"blazes/internal/core"
 	"blazes/internal/dataflow"
@@ -320,9 +321,7 @@ func (a *ModuleAnalysis) Component(g *dataflow.Graph, rep bool) *dataflow.Compon
 	if comp.OutSchema == nil {
 		comp.OutSchema = map[string]fd.AttrSet{}
 	}
-	for out, schema := range a.OutSchema {
-		comp.OutSchema[out] = schema
-	}
+	maps.Copy(comp.OutSchema, a.OutSchema)
 	for _, p := range a.Paths {
 		comp.AddPath(p.From, p.To, p.Ann)
 	}

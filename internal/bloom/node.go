@@ -57,9 +57,6 @@ func NewNode(id string, mod *Module) (*Node, error) {
 	return n, nil
 }
 
-// Module returns the node's module.
-func (n *Node) Module() *Module { return n.mod }
-
 // Deliver queues rows for a collection; they become visible at the next
 // tick (asynchronous arrival).
 func (n *Node) Deliver(collection string, rows ...Row) error {

@@ -1,6 +1,10 @@
 package bloom
 
-import "fmt"
+import (
+	"fmt"
+	"maps"
+	"slices"
+)
 
 // ThresholdExpr is a *monotone* counting threshold: it emits each group key
 // once the group's cardinality reaches AtLeast. Unlike a general aggregation
@@ -66,13 +70,13 @@ func (e *ThresholdExpr) eval(m *Module, st stateReader) ([]Row, error) {
 			repr[k] = nr
 		}
 	}
+	// k is repr[k].key(), so key order is SortRows order.
 	var out []Row
-	for k, c := range counts {
-		if c >= e.AtLeast {
+	for _, k := range slices.Sorted(maps.Keys(counts)) {
+		if counts[k] >= e.AtLeast {
 			out = append(out, repr[k])
 		}
 	}
-	SortRows(out)
 	return out, nil
 }
 

@@ -2,7 +2,8 @@ package chaos
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 
 	"blazes/internal/adtrack"
@@ -111,13 +112,8 @@ func (w *AdNetworkWorkload) Run(seed int64, plan FaultPlan, mech dataflow.Coordi
 	}
 	out := Outcome{}
 	for i := 0; i < cfg.Replicas; i++ {
-		ids := make([]string, 0, len(answers[i]))
-		for id := range answers[i] {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		trace := make([]string, 0, len(ids))
-		for _, id := range ids {
+		trace := make([]string, 0, len(answers[i]))
+		for _, id := range slices.Sorted(maps.Keys(answers[i])) {
 			trace = append(trace, id+"→{"+canonSet(answers[i][id])+"}")
 		}
 		final := "state:" + res.LogDigests[i] + " held:" + strconv.Itoa(res.Held)

@@ -2,8 +2,11 @@ package chaos
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 
 	"blazes/internal/adtrack"
 	"blazes/internal/bloom"
@@ -159,11 +162,8 @@ func (r *bloomReplica) trace() []string {
 	sort.Strings(ids)
 	out := make([]string, 0, len(ids))
 	for _, id := range ids {
-		rows := make([]string, 0, len(r.answers[id]))
-		for row := range r.answers[id] {
-			rows = append(rows, row)
-		}
-		out = append(out, id+"→{"+canonSet(rows)+"}")
+		rows := slices.Sorted(maps.Keys(r.answers[id]))
+		out = append(out, id+"→{"+strings.Join(rows, ",")+"}")
 	}
 	return out
 }

@@ -2,8 +2,10 @@ package chaos
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
+	"strings"
 
 	"blazes/internal/coord"
 	"blazes/internal/core"
@@ -188,24 +190,16 @@ func (r *synReplica) read() { r.outputs = append(r.outputs, r.snapshot()) }
 
 func (r *synReplica) snapshot() string {
 	if r.confluent {
-		vals := make([]string, 0, len(r.set))
-		for v := range r.set {
-			vals = append(vals, v)
-		}
-		return canonSet(vals)
+		return strings.Join(slices.Sorted(maps.Keys(r.set)), ",")
 	}
 	if r.convergent {
 		return r.regVal
 	}
-	keys := make([]string, 0, len(r.chains))
-	for k := range r.chains {
-		keys = append(keys, k)
+	parts := slices.Sorted(maps.Keys(r.chains))
+	for i, k := range parts {
+		parts[i] = k + "=" + strconv.FormatUint(r.chains[k], 16)
 	}
-	sort.Strings(keys)
-	parts := make([]string, 0, len(keys))
-	for _, k := range keys {
-		parts = append(parts, k+"="+strconv.FormatUint(r.chains[k], 16))
-	}
+	// Sorted again as strings: "p10=…" sorts before "p1=…".
 	return canonSet(parts)
 }
 

@@ -2,7 +2,8 @@ package chaos
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -120,21 +121,11 @@ func (w *WordcountWorkload) Run(seed int64, plan FaultPlan, mech dataflow.Coordi
 
 // digestCounts canonicalizes per-batch word counts.
 func digestCounts(counts map[int64]map[string]int64) string {
-	batches := make([]int64, 0, len(counts))
-	for b := range counts {
-		batches = append(batches, b)
-	}
-	sort.Slice(batches, func(i, j int) bool { return batches[i] < batches[j] })
 	var out []string
-	for _, b := range batches {
-		words := make([]string, 0, len(counts[b]))
-		for word := range counts[b] {
-			words = append(words, word)
-		}
-		sort.Strings(words)
-		row := make([]string, 0, len(words))
-		for _, word := range words {
-			row = append(row, word+"="+strconv.FormatInt(counts[b][word], 10))
+	for _, b := range slices.Sorted(maps.Keys(counts)) {
+		row := slices.Sorted(maps.Keys(counts[b]))
+		for i, word := range row {
+			row[i] = word + "=" + strconv.FormatInt(counts[b][word], 10)
 		}
 		out = append(out, "b"+strconv.FormatInt(b, 10)+"{"+strings.Join(row, ",")+"}")
 	}

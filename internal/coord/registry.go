@@ -1,7 +1,8 @@
 package coord
 
 import (
-	"sort"
+	"maps"
+	"slices"
 
 	"blazes/internal/sim"
 )
@@ -34,15 +35,11 @@ func (r *Registry) Register(partition, producer string) {
 	set[producer] = true
 }
 
-// Producers returns the sorted producer set for a partition (test helper;
-// protocol code should use Lookup to pay the round trip).
+// Producers returns the sorted producer set for a partition at once, with
+// no round trip. Lookup answers with it; protocol code calls Lookup so that
+// it pays the round trip.
 func (r *Registry) Producers(partition string) []string {
-	var out []string
-	for p := range r.members[partition] {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Sorted(maps.Keys(r.members[partition]))
 }
 
 // Lookup asynchronously resolves the producer set for a partition, invoking

@@ -9,6 +9,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -305,11 +306,7 @@ func (g *Graph) Components() []*Component {
 	if p := g.sorted.Load(); p != nil {
 		return *p
 	}
-	out := make([]*Component, 0, len(g.components))
-	for _, c := range g.components {
-		out = append(out, c)
-	}
-	slices.SortFunc(out, func(a, b *Component) int { return cmp.Compare(a.Name, b.Name) })
+	out := slices.SortedFunc(maps.Values(g.components), func(a, b *Component) int { return cmp.Compare(a.Name, b.Name) })
 	g.sorted.Store(&out)
 	return out
 }
@@ -358,32 +355,6 @@ func (g *Graph) RemoveStream(name string) bool {
 
 // Streams returns all streams in declaration order.
 func (g *Graph) Streams() []*Stream { return g.streams }
-
-// StreamsInto returns the streams arriving at comp.iface. It scans every
-// stream of the graph, O(streams) per call: code that asks for many
-// interfaces of an analyzed graph should use the compiled index instead
-// (StrategyContext.StreamsInto).
-func (g *Graph) StreamsInto(comp, iface string) []*Stream {
-	var out []*Stream
-	for _, s := range g.streams {
-		if s.ToComp == comp && s.ToIface == iface {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// StreamsOutOf returns the streams leaving comp.iface. Like StreamsInto it
-// scans every stream of the graph, O(streams) per call.
-func (g *Graph) StreamsOutOf(comp, iface string) []*Stream {
-	var out []*Stream
-	for _, s := range g.streams {
-		if s.FromComp == comp && s.FromIface == iface {
-			out = append(out, s)
-		}
-	}
-	return out
-}
 
 // Validate checks structural sanity: stream endpoints must reference
 // declared components and interfaces used by at least one path, and every
@@ -436,12 +407,7 @@ func (g *Graph) Clone() *Graph {
 		nc.Deps = c.Deps
 		nc.Coordination = c.Coordination
 		nc.Merge = c.Merge
-		if c.OutSchema != nil {
-			nc.OutSchema = make(map[string]fd.AttrSet, len(c.OutSchema))
-			for k, v := range c.OutSchema {
-				nc.OutSchema[k] = v
-			}
-		}
+		nc.OutSchema = maps.Clone(c.OutSchema)
 		nc.Paths, nc.ins, nc.outs = slices.Clone(c.Paths), slices.Clone(c.ins), slices.Clone(c.outs)
 	}
 	ng.streams = make([]*Stream, 0, len(g.streams))

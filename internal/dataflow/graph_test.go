@@ -62,21 +62,6 @@ func TestValidateErrors(t *testing.T) {
 	})
 }
 
-func TestStreamQueries(t *testing.T) {
-	g := WordcountTopology(false)
-	into := g.StreamsInto("Count", "words")
-	if len(into) != 1 || into[0].Name != "words" {
-		t.Errorf("StreamsInto = %v", into)
-	}
-	outof := g.StreamsOutOf("Splitter", "words")
-	if len(outof) != 1 || outof[0].Name != "words" {
-		t.Errorf("StreamsOutOf = %v", outof)
-	}
-	if g.Stream("words") == nil || g.Stream("nothere") != nil {
-		t.Error("Stream lookup misbehaves")
-	}
-}
-
 func TestCloneIsDeep(t *testing.T) {
 	g := WordcountTopology(true)
 	g.Lookup("Count").Coordination = CoordSealed

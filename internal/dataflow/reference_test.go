@@ -12,6 +12,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"testing"
 
 	"blazes/internal/core"
 	"blazes/internal/fd"
@@ -509,6 +510,46 @@ func refIndexStreams(g *Graph) *refStreamIndex {
 		}
 	}
 	return idx
+}
+
+// StreamsInto returns the streams arriving at comp.iface. It scans every
+// stream of the graph, O(streams) per call; the engine asks the compiled
+// index instead (StrategyContext.StreamsInto).
+func (g *Graph) StreamsInto(comp, iface string) []*Stream {
+	var out []*Stream
+	for _, s := range g.streams {
+		if s.ToComp == comp && s.ToIface == iface {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// StreamsOutOf returns the streams leaving comp.iface. Like StreamsInto it
+// scans every stream of the graph, O(streams) per call.
+func (g *Graph) StreamsOutOf(comp, iface string) []*Stream {
+	var out []*Stream
+	for _, s := range g.streams {
+		if s.FromComp == comp && s.FromIface == iface {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+func TestStreamQueries(t *testing.T) {
+	g := WordcountTopology(false)
+	into := g.StreamsInto("Count", "words")
+	if len(into) != 1 || into[0].Name != "words" {
+		t.Errorf("StreamsInto = %v", into)
+	}
+	outof := g.StreamsOutOf("Splitter", "words")
+	if len(outof) != 1 || outof[0].Name != "words" {
+		t.Errorf("StreamsOutOf = %v", outof)
+	}
+	if g.Stream("words") == nil || g.Stream("nothere") != nil {
+		t.Error("Stream lookup misbehaves")
+	}
 }
 
 // refAnalysis is the result of the naive reference analysis.

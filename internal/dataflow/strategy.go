@@ -23,9 +23,9 @@ type StrategyContext struct {
 }
 
 // StreamsInto returns the streams arriving at the component's named input
-// interface, in declaration order, from the analysis's compiled index —
-// unlike Graph.StreamsInto it does not scan the graph. Their derived
-// labels are ctx.Analysis.Label(stream.Name).
+// interface, in declaration order, from the analysis's compiled index; it
+// does not scan the graph. Their derived labels are
+// ctx.Analysis.Label(stream.Name).
 func (ctx *StrategyContext) StreamsInto(iface string) []*Stream {
 	st := ctx.Analysis.st
 	in := st.node(ctx.index, iface, false)

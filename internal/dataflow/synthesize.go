@@ -35,11 +35,12 @@ type Strategy struct {
 func (s Strategy) String() string {
 	switch s.Mechanism {
 	case CoordSealed, CoordPartitionSealed:
-		keys := make([]string, 0, len(s.SealKeys))
-		for stream, key := range s.SealKeys {
-			keys = append(keys, fmt.Sprintf("%s on (%s)", stream, key))
+		keys := slices.Sorted(maps.Keys(s.SealKeys))
+		for i, stream := range keys {
+			keys[i] = fmt.Sprintf("%s on (%s)", stream, s.SealKeys[stream])
 		}
-		sort.Strings(keys)
+		// A stream name may hold a space: "a b on (k)" sorts before "a on (k)".
+		slices.Sort(keys)
 		style := "seal-based"
 		if s.Mechanism == CoordPartitionSealed {
 			style = "per-partition seal-based"

@@ -190,7 +190,7 @@ func TestFig13DoublingAdServers(t *testing.T) {
 // TestFig14SealShapes: the independent-seal curve buffers records for less
 // time than the unanimous-vote variant, whose releases come in late steps.
 func TestFig14SealShapes(t *testing.T) {
-	fig, err := Fig14WithSleep(1, 120, 50*sim.Millisecond)
+	fig, err := Fig12Or13(AdFigureConfig{Seed: 1, AdServers: 10, EntriesPerServer: 120, Sleep: 50 * sim.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,31 +116,6 @@ func Fig12Or13Context(ctx context.Context, cfg AdFigureConfig) (*AdFigure, error
 	return fig, nil
 }
 
-// Fig12 is the 5-ad-server figure.
-func Fig12(seed int64, entries int) (*AdFigure, error) {
-	return Fig12Or13(AdFigureConfig{Seed: seed, AdServers: 5, EntriesPerServer: entries, IncludeOrdered: true})
-}
-
-// Fig13 is the 10-ad-server figure.
-func Fig13(seed int64, entries int) (*AdFigure, error) {
-	return Fig12Or13(AdFigureConfig{Seed: seed, AdServers: 10, EntriesPerServer: entries, IncludeOrdered: true})
-}
-
-// Fig14 is the seal-only comparison at 10 ad servers.
-func Fig14(seed int64, entries int) (*AdFigure, error) {
-	return Fig14WithSleep(seed, entries, 0)
-}
-
-// Fig14WithSleep is Fig14 with an inter-burst pause override.
-func Fig14WithSleep(seed int64, entries int, sleep sim.Time) (*AdFigure, error) {
-	fig, err := Fig12Or13(AdFigureConfig{Seed: seed, AdServers: 10, EntriesPerServer: entries, Sleep: sleep, IncludeOrdered: false})
-	if err != nil {
-		return nil, err
-	}
-	fig.Title = "Seal-based strategies, 10 ad servers"
-	return fig, nil
-}
-
 // PrintAdFigure renders the curves as sampled series (records processed at
 // evenly spaced times), the form the paper plots.
 func PrintAdFigure(w io.Writer, fig *AdFigure, samples int) {

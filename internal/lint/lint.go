@@ -8,9 +8,10 @@
 //
 // Three analyzers ship today (see the registry for the extension recipe):
 //
-//   - maporder: flags `range` over a map in the deterministic packages when
-//     the loop body lets iteration order escape (appends feeding returned
-//     slices, emissions, sends, early returns) without a canonical sort.
+//   - maporder: in the deterministic packages a map is read sorted on the
+//     spot (slices.Sorted(maps.Keys(m)) and its Values/Func forms) or
+//     collected into a map (maps.Collect, Insert, Copy, Clone); any other
+//     range over a map, or use of maps.Keys/Values/All, is a finding.
 //   - nondet: forbids wall-clock reads (time.Now and friends), global
 //     math/rand draws, environment-conditioned behavior (os.Getenv), and
 //     multi-channel select in the deterministic packages.

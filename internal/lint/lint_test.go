@@ -10,9 +10,8 @@ import (
 
 // The three analyzers run over dedicated testdata packages (their own
 // module under testdata/src, so the go tool ignores it from the repo root)
-// with want-comment expectations: positive cases, the recognized
-// order-insensitive idioms, and the suppression marker in both its
-// reasoned and reasonless forms.
+// with want-comment expectations: positive cases, the accepted forms, and
+// the suppression marker in both its reasoned and reasonless forms.
 
 func TestMapOrder(t *testing.T) {
 	linttest.Run(t, "maporder", "testdata/src", "./maporder")

@@ -5,7 +5,7 @@
 //
 // Expectations are written in the source under test:
 //
-//	ch <- k // want "channel send escapes iteration order"
+//	for k := range m { // want "range over map lets iteration order escape"
 //
 // asserts that a diagnostic whose message contains the quoted substring is
 // reported on that line. A comment line of its own can also expect a

@@ -2,43 +2,46 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"strings"
 )
 
-// maporder flags `range` over a map whose loop body lets Go's randomized
-// iteration order escape: appending to a slice declared outside the loop
-// (it may feed emissions, schedules, report sections or a return value),
-// sending on a channel, returning or breaking out of the loop, or calling
-// into code with unknown side effects. The canonical repair is to iterate
-// sorted keys; the one recognized escape hatch is the decorate-sort idiom —
-// append inside the loop, canonical sort immediately after it in the same
-// block (sortedKeys itself passes this way).
+// maporder keeps Go's randomized map iteration order out of the
+// deterministic packages with one rule: a map is read either sorted on the
+// spot or collected into another map.
 //
-// Order-insensitive bodies pass without ceremony: writes into other maps,
-// delete, numeric accumulation (count++, sum += v), and locals that never
-// leave the loop are all commutative across iteration orders.
+//   - Sorted: maps.Keys or maps.Values passed straight to slices.Sorted,
+//     slices.SortedFunc or slices.SortedStableFunc.
+//   - Collected: maps.All passed straight to maps.Collect or maps.Insert,
+//     or the whole map handed to maps.Copy or maps.Clone.
+//
+// Every other range over a map value is a finding, and so is every other
+// use of maps.Keys, maps.Values or maps.All. A loop whose result provably
+// cannot depend on the order (a min, a max) says why in a
+// //lint:allow maporder marker.
 func runMapOrder(p *Pass) {
 	for _, f := range p.Files {
+		// drained holds the maps.Keys/Values/All references whose call is
+		// the direct argument of a sorting or collecting function.
+		drained := map[ast.Expr]bool{}
 		ast.Inspect(f, func(n ast.Node) bool {
-			var list []ast.Stmt
 			switch n := n.(type) {
-			case *ast.BlockStmt:
-				list = n.List
-			case *ast.CaseClause:
-				list = n.Body
-			case *ast.CommClause:
-				list = n.Body
-			default:
-				return true
-			}
-			for i, stmt := range list {
-				if ls, ok := stmt.(*ast.LabeledStmt); ok {
-					stmt = ls.Stmt
+			case *ast.RangeStmt:
+				if t := p.TypeOf(n.X); t != nil {
+					if _, isMap := t.Underlying().(*types.Map); isMap {
+						p.Reportf(n.Pos(), "range over map lets iteration order escape; range over slices.Sorted(maps.Keys(m)) or collect with maps.Collect/Insert/Copy/Clone (//lint:allow maporder <reason> if order provably cannot be observed)")
+					}
 				}
-				if rs, ok := stmt.(*ast.RangeStmt); ok {
-					p.checkMapRange(rs, list[i+1:])
+			case *ast.CallExpr:
+				if mapDrains[stdFunc(p, n.Fun)] {
+					for _, arg := range n.Args {
+						if call, ok := ast.Unparen(arg).(*ast.CallExpr); ok {
+							drained[ast.Unparen(call.Fun)] = true
+						}
+					}
+				}
+			case *ast.SelectorExpr:
+				if name := stdFunc(p, n); mapSeqs[name] && !drained[n] {
+					p.Reportf(n.Pos(), "%s lets iteration order escape; pass it straight to slices.Sorted/SortedFunc/SortedStableFunc or maps.Collect/Insert", name)
 				}
 			}
 			return true
@@ -46,516 +49,26 @@ func runMapOrder(p *Pass) {
 	}
 }
 
-// checkMapRange analyzes one range statement (and, for the sort-after
-// escape, the statements following it in the enclosing block).
-func (p *Pass) checkMapRange(rs *ast.RangeStmt, rest []ast.Stmt) {
-	t := p.TypeOf(rs.X)
-	if t == nil {
-		return
-	}
-	if _, isMap := t.Underlying().(*types.Map); !isMap {
-		return
-	}
-	c := &orderClassifier{pass: p, locals: map[types.Object]bool{}}
-	c.noteDefs(rs.Key)
-	c.noteDefs(rs.Value)
-	c.stmt(rs.Body)
-	if c.escape != token.NoPos {
-		p.Reportf(rs.Pos(), "range over map: %s escapes iteration order; iterate sorted keys or sort the result (//lint:allow maporder <reason> if order provably cannot be observed)", c.escapeWhat)
-		return
-	}
-	// An existential return is order-free only over a read-only body: an
-	// early exit skips however many of the remaining iterations' writes.
-	if c.constReturnSeen && (c.mutated || len(c.appended) > 0) {
-		p.Reportf(c.constReturnPos, "range over map: early return combined with loop writes makes how many iterations ran observable; separate the scan from the mutation or iterate sorted keys")
-		return
-	}
-	// Appends to outer slices are fine iff every appended variable is
-	// canonically sorted right after the loop.
-	for obj, pos := range c.appended {
-		if !sortedAfter(p, obj, rest) {
-			p.Reportf(pos, "range over map appends to %q without a canonical sort after the loop; sort it or iterate sorted keys", obj.Name())
-		}
-	}
+// mapSeqs are the iterators over a map, in the map's random order.
+var mapSeqs = map[string]bool{"maps.Keys": true, "maps.Values": true, "maps.All": true}
+
+// mapDrains are the functions that consume such an iterator into something
+// whose order does not depend on the map's.
+var mapDrains = map[string]bool{
+	"slices.Sorted": true, "slices.SortedFunc": true, "slices.SortedStableFunc": true,
+	"maps.Collect": true, "maps.Insert": true,
 }
 
-// orderClassifier walks a loop body deciding whether iteration order can
-// escape. locals tracks objects declared inside the body (writes to them
-// stay inside one iteration); appended records outer slices fed by append.
-//
-// Two order-insensitive idioms get dedicated tracking instead of an escape:
-//
-//   - flag-set: `found = true` on an outer variable — every iteration that
-//     fires writes the same constant, so the final state is order-free as
-//     long as no *conflicting* constant lands on the same variable;
-//   - existential return: `if pred(v) { return false }` — the loop answers
-//     "does any element match" with a constant, which is order-free only
-//     while the body performs no other outer-state mutation (an early
-//     return would otherwise skip a varying number of those mutations).
-type orderClassifier struct {
-	pass       *Pass
-	locals     map[types.Object]bool
-	appended   map[types.Object]token.Pos
-	escape     token.Pos
-	escapeWhat string
-
-	// mutated records any outer-state effect (map write, accumulation,
-	// append, delete/copy) — constant returns are only safe without them.
-	mutated bool
-	// constWrites maps outer variables to the constant assigned to them.
-	constWrites map[types.Object]string
-	// constReturn is the signature of constant-only returns seen so far.
-	constReturn     string
-	constReturnSeen bool
-	constReturnPos  token.Pos
-}
-
-func (c *orderClassifier) escapes(pos token.Pos, what string) {
-	if c.escape == token.NoPos {
-		c.escape, c.escapeWhat = pos, what
-	}
-}
-
-func (c *orderClassifier) noteDefs(e ast.Expr) {
-	id, ok := e.(*ast.Ident)
+// stdFunc names the package-level function e refers to as "pkg.Name" (by
+// import path), or "" when e is not a qualified function.
+func stdFunc(p *Pass, e ast.Expr) string {
+	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
 	if !ok {
-		return
+		return ""
 	}
-	if obj := c.pass.Info.Defs[id]; obj != nil {
-		c.locals[obj] = true
+	fn, ok := p.Info.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Pkg() == nil {
+		return ""
 	}
-}
-
-func (c *orderClassifier) stmt(s ast.Stmt) {
-	if c.escape != token.NoPos {
-		return
-	}
-	switch s := s.(type) {
-	case nil:
-	case *ast.BlockStmt:
-		for _, st := range s.List {
-			c.stmt(st)
-		}
-	case *ast.IfStmt:
-		c.stmt(s.Init)
-		c.stmt(s.Body)
-		c.stmt(s.Else)
-	case *ast.ForStmt:
-		c.stmt(s.Init)
-		c.stmt(s.Body)
-	case *ast.RangeStmt:
-		c.noteDefs(s.Key)
-		c.noteDefs(s.Value)
-		c.stmt(s.Body)
-	case *ast.SwitchStmt:
-		c.stmt(s.Init)
-		c.stmt(s.Body)
-	case *ast.TypeSwitchStmt:
-		c.stmt(s.Init)
-		c.stmt(s.Body)
-	case *ast.CaseClause:
-		for _, st := range s.Body {
-			c.stmt(st)
-		}
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, name := range vs.Names {
-						c.noteDefs(name)
-					}
-					for _, v := range vs.Values {
-						c.rhs(v)
-					}
-				}
-			}
-		}
-	case *ast.AssignStmt:
-		c.assign(s)
-	case *ast.IncDecStmt:
-		// ++/-- is commutative accumulation on integer types; on anything
-		// else the target must be loop-local or a map slot.
-		if !c.lvalueOK(s.X) && !c.integerTarget(s.X) {
-			c.escapes(s.Pos(), "increment of a non-local, non-map target")
-		}
-		c.noteWrite(s.X)
-	case *ast.ExprStmt:
-		c.rhs(s.X)
-	case *ast.BranchStmt:
-		switch s.Tok {
-		case token.CONTINUE:
-		default:
-			// break/goto make which-iteration-ran-last observable.
-			c.escapes(s.Pos(), s.Tok.String()+" out of the loop")
-		}
-	case *ast.ReturnStmt:
-		c.ret(s)
-	case *ast.SendStmt:
-		c.escapes(s.Pos(), "channel send")
-	case *ast.DeferStmt:
-		c.escapes(s.Pos(), "defer (runs in iteration order)")
-	case *ast.GoStmt:
-		c.escapes(s.Pos(), "goroutine launch")
-	case *ast.LabeledStmt:
-		c.stmt(s.Stmt)
-	case *ast.EmptyStmt:
-	default:
-		c.escapes(s.Pos(), "statement with unknown ordering effects")
-	}
-}
-
-// assign classifies one assignment. Allowed shapes: writes into maps,
-// writes to loop-locals, numeric compound accumulation (+=, |=, ...), and
-// append to an outer slice (recorded for the sort-after check).
-func (c *orderClassifier) assign(s *ast.AssignStmt) {
-	if s.Tok == token.DEFINE {
-		for _, lhs := range s.Lhs {
-			c.noteDefs(lhs)
-		}
-		for _, rhs := range s.Rhs {
-			c.rhs(rhs)
-		}
-		return
-	}
-	if s.Tok != token.ASSIGN {
-		// Compound assignment: integer accumulation (sum += v, bits |= b)
-		// is commutative, so outer accumulators are fine. String += builds
-		// in iteration order and float += is not associative bit-for-bit —
-		// those need a loop-local or map-slot target.
-		for _, lhs := range s.Lhs {
-			if !c.lvalueOK(lhs) && !c.integerTarget(lhs) {
-				c.escapes(s.Pos(), "order-dependent compound assignment to an outer target")
-				return
-			}
-			c.noteWrite(lhs)
-		}
-		for _, rhs := range s.Rhs {
-			c.rhs(rhs)
-		}
-		return
-	}
-	// Plain assignment: each LHS must be a map slot, a loop-local, or an
-	// outer variable receiving a constant (the flag-set idiom);
-	// `out = append(out, ...)` to an outer slice is recorded instead.
-	if len(s.Lhs) == 1 && len(s.Rhs) == 1 {
-		if obj, ok := c.appendTarget(s.Lhs[0], s.Rhs[0]); ok {
-			if c.locals[obj] {
-				return
-			}
-			c.mutated = true
-			if c.appended == nil {
-				c.appended = map[types.Object]token.Pos{}
-			}
-			if _, seen := c.appended[obj]; !seen {
-				c.appended[obj] = s.Pos()
-			}
-			return
-		}
-		if c.flagSet(s) {
-			return
-		}
-	}
-	for _, lhs := range s.Lhs {
-		if !c.lvalueOK(lhs) {
-			c.escapes(s.Pos(), "assignment to a non-local, non-map target")
-			return
-		}
-		c.noteWrite(lhs)
-	}
-	for _, rhs := range s.Rhs {
-		c.rhs(rhs)
-	}
-}
-
-// flagSet matches `found = <constant>` on an outer variable: every firing
-// iteration writes the same value, so the final state is order-free. A
-// second, different constant on the same variable reintroduces order
-// (last-writer-wins) and escapes.
-func (c *orderClassifier) flagSet(s *ast.AssignStmt) bool {
-	id, ok := s.Lhs[0].(*ast.Ident)
-	if !ok || id.Name == "_" {
-		return false
-	}
-	obj := c.pass.Info.ObjectOf(id)
-	if obj == nil || c.locals[obj] {
-		return false
-	}
-	tv, ok := c.pass.Info.Types[s.Rhs[0]]
-	if !ok || tv.Value == nil {
-		return false
-	}
-	val := tv.Value.ExactString()
-	if c.constWrites == nil {
-		c.constWrites = map[types.Object]string{}
-	}
-	if prev, seen := c.constWrites[obj]; seen && prev != val {
-		c.escapes(s.Pos(), "conflicting constant writes to "+obj.Name()+" (last iteration wins)")
-		return true
-	}
-	c.constWrites[obj] = val
-	c.mutated = true
-	return true
-}
-
-// ret classifies a return inside the loop body. Constant-only results (and
-// bare `return`) answer an existential query identically no matter which
-// iteration fired first, so they are deferred to checkMapRange, which
-// rejects them if the body also mutates outer state. Differing constant
-// signatures, or any computed result, escape immediately.
-func (c *orderClassifier) ret(s *ast.ReturnStmt) {
-	sig := ""
-	for _, res := range s.Results {
-		tv, ok := c.pass.Info.Types[res]
-		if !ok || tv.Value == nil {
-			if !isNilOrZero(res) {
-				c.escapes(s.Pos(), "return of a loop-dependent value from inside the loop")
-				return
-			}
-			sig += exprName(res) + ";"
-			continue
-		}
-		sig += tv.Value.ExactString() + ";"
-	}
-	if c.constReturnSeen && c.constReturn != sig {
-		c.escapes(s.Pos(), "returns with differing values from inside the loop")
-		return
-	}
-	c.constReturn, c.constReturnSeen = sig, true
-	if c.constReturnPos == token.NoPos {
-		c.constReturnPos = s.Pos()
-	}
-}
-
-// isNilOrZero matches the non-constant but iteration-independent results:
-// nil and composite zero values are not go/types constants yet carry no
-// order information.
-func isNilOrZero(e ast.Expr) bool {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		return e.Name == "nil"
-	}
-	return false
-}
-
-func exprName(e ast.Expr) string {
-	if id, ok := ast.Unparen(e).(*ast.Ident); ok {
-		return id.Name
-	}
-	return "?"
-}
-
-// noteWrite records that the body touched outer state (map slots, outer
-// accumulators) — information the existential-return rule needs, since an
-// early return skips the remaining iterations' writes.
-func (c *orderClassifier) noteWrite(e ast.Expr) {
-	if id, ok := ast.Unparen(e).(*ast.Ident); ok {
-		if id.Name == "_" {
-			return
-		}
-		if obj := c.pass.Info.ObjectOf(id); obj != nil && c.locals[obj] {
-			return
-		}
-	}
-	c.mutated = true
-}
-
-// appendTarget matches `v = append(v, ...)` and returns v's object.
-func (c *orderClassifier) appendTarget(lhs, rhs ast.Expr) (types.Object, bool) {
-	id, ok := lhs.(*ast.Ident)
-	if !ok {
-		return nil, false
-	}
-	call, ok := rhs.(*ast.CallExpr)
-	if !ok || !isBuiltin(c.pass, call.Fun, "append") || len(call.Args) == 0 {
-		return nil, false
-	}
-	arg, ok := call.Args[0].(*ast.Ident)
-	if !ok || arg.Name != id.Name {
-		return nil, false
-	}
-	obj := c.pass.Info.ObjectOf(id)
-	if obj == nil {
-		return nil, false
-	}
-	for _, extra := range call.Args[1:] {
-		c.rhs(extra)
-	}
-	return obj, true
-}
-
-// lvalueOK reports whether writing through the expression is commutative
-// across iteration orders: map slots (one write per distinct key) and
-// loop-locals (never outlive the iteration).
-func (c *orderClassifier) lvalueOK(e ast.Expr) bool {
-	switch e := e.(type) {
-	case *ast.Ident:
-		if e.Name == "_" {
-			return true
-		}
-		obj := c.pass.Info.ObjectOf(e)
-		return obj != nil && c.locals[obj]
-	case *ast.IndexExpr:
-		t := c.pass.TypeOf(e.X)
-		if t != nil {
-			if _, isMap := t.Underlying().(*types.Map); isMap {
-				return true
-			}
-		}
-		// Indexed writes into local slices stay local.
-		return c.lvalueOK(e.X)
-	case *ast.SelectorExpr:
-		// Field writes on loop-local structs are local.
-		return c.lvalueOK(e.X)
-	case *ast.StarExpr:
-		return c.lvalueOK(e.X)
-	case *ast.ParenExpr:
-		return c.lvalueOK(e.X)
-	}
-	return false
-}
-
-// integerTarget reports whether e has an integer type (commutative under
-// += / |= / ++ style accumulation, unlike strings and floats).
-func (c *orderClassifier) integerTarget(e ast.Expr) bool {
-	t := c.pass.TypeOf(e)
-	if t == nil {
-		return false
-	}
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsInteger != 0
-}
-
-// rhs scans an expression for order-carrying effects: any call that is not
-// a known-pure builtin could observe or record iteration order.
-func (c *orderClassifier) rhs(e ast.Expr) {
-	if e == nil || c.escape != token.NoPos {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if c.callOK(call) {
-			return true
-		}
-		c.escapes(call.Pos(), "call with unknown ordering effects")
-		return false
-	})
-}
-
-// pureBuiltins are builtins (and conversions) that cannot leak order.
-var pureBuiltins = map[string]bool{
-	"len": true, "cap": true, "min": true, "max": true,
-	"delete": true, "make": true, "new": true, "copy": true,
-	"append": true, "string": true, "int": true, "int32": true,
-	"int64": true, "uint64": true, "float64": true, "byte": true,
-	"rune": true, "complex": true, "real": true, "imag": true,
-}
-
-// pureValuePkgs are stdlib packages whose package-level functions compute
-// values without observable side effects, so calling them inside a loop
-// body cannot record iteration order.
-var pureValuePkgs = map[string]bool{
-	"strings": true, "strconv": true, "math": true,
-	"unicode": true, "unicode/utf8": true,
-}
-
-func (c *orderClassifier) callOK(call *ast.CallExpr) bool {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		obj := c.pass.Info.ObjectOf(fun)
-		if _, isBuiltin := obj.(*types.Builtin); isBuiltin {
-			if fun.Name == "delete" || fun.Name == "copy" {
-				c.mutated = true
-			}
-			return pureBuiltins[fun.Name]
-		}
-		if _, isType := obj.(*types.TypeName); isType {
-			return true // conversion
-		}
-	case *ast.SelectorExpr:
-		if c.pass.TypeOf(fun) == nil {
-			return true // qualified type conversion
-		}
-		if fn, ok := c.pass.Info.ObjectOf(fun.Sel).(*types.Func); ok && fn.Pkg() != nil {
-			if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() == nil {
-				path := fn.Pkg().Path()
-				if pureValuePkgs[path] {
-					return true
-				}
-				// fmt's S-family formats to a string; Print/Fprint write.
-				if path == "fmt" && strings.HasPrefix(fn.Name(), "S") {
-					return true
-				}
-			}
-		}
-	case *ast.ArrayType, *ast.MapType, *ast.FuncType, *ast.InterfaceType, *ast.StarExpr:
-		return true // conversion
-	}
-	return false
-}
-
-func isBuiltin(p *Pass, fun ast.Expr, name string) bool {
-	id, ok := ast.Unparen(fun).(*ast.Ident)
-	if !ok || id.Name != name {
-		return false
-	}
-	_, isBuiltin := p.Info.ObjectOf(id).(*types.Builtin)
-	return isBuiltin
-}
-
-// sortedAfter reports whether a statement after the loop canonically sorts
-// obj: a call mentioning obj whose function name contains "sort" or
-// "canonical" (sort.Strings, sort.Slice, slices.Sort, SortRows, ...).
-func sortedAfter(p *Pass, obj types.Object, rest []ast.Stmt) bool {
-	for _, stmt := range rest {
-		found := false
-		ast.Inspect(stmt, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || !isSortCall(call.Fun) {
-				return true
-			}
-			for _, arg := range call.Args {
-				if mentions(p, arg, obj) {
-					found = true
-					return false
-				}
-			}
-			return true
-		})
-		if found {
-			return true
-		}
-	}
-	return false
-}
-
-func isSortCall(fun ast.Expr) bool {
-	var name string
-	switch f := ast.Unparen(fun).(type) {
-	case *ast.Ident:
-		name = f.Name
-	case *ast.SelectorExpr:
-		name = f.Sel.Name
-		if x, ok := f.X.(*ast.Ident); ok && (x.Name == "sort" || x.Name == "slices") {
-			return true
-		}
-	default:
-		return false
-	}
-	lower := strings.ToLower(name)
-	return strings.Contains(lower, "sort") || strings.Contains(lower, "canon")
-}
-
-func mentions(p *Pass, e ast.Expr, obj types.Object) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && p.Info.ObjectOf(id) == obj {
-			found = true
-			return false
-		}
-		return !found
-	})
-	return found
+	return fn.Pkg().Path() + "." + fn.Name()
 }

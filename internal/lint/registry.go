@@ -42,7 +42,7 @@ var analyzers = []Analyzer{
 	{Name: "ctxflow", Scope: CtxFlowPackages, Run: runCtxFlow,
 		Doc: "sweep/analyze entry points accept context.Context first and thread it"},
 	{Name: "maporder", Scope: DeterministicPackages, Run: runMapOrder,
-		Doc: "range over a map must not let iteration order escape without a canonical sort"},
+		Doc: "a map is read sorted (slices.Sorted(maps.Keys(m))) or collected into a map (maps.Collect/Insert/Copy/Clone)"},
 	{Name: "nondet", Scope: DeterministicPackages, Run: runNonDet,
 		Doc: "no wall-clock reads, global math/rand draws, env-conditioned behavior or multi-channel select in deterministic packages"},
 }

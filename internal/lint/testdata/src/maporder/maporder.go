@@ -1,110 +1,74 @@
 // Package maporder exercises the maporder analyzer: each want comment pins
-// a finding, every other loop is a recognized order-insensitive idiom.
+// a finding; every other read of a map is sorted on the spot or collected
+// into a map.
 package maporder
 
-import "sort"
+import (
+	"cmp"
+	"maps"
+	"slices"
+)
 
-// Keys is the decorate-sort idiom: append inside, canonical sort right
-// after the loop. This is the one recognized escape hatch.
+// Keys sorts on the spot.
 func Keys(m map[string]int) []string {
-	var ks []string
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
+	return slices.Sorted(maps.Keys(m))
 }
 
-// Leak appends to an outer slice with no sort after the loop.
-func Leak(m map[string]int) []string {
-	var out []string
-	for k := range m {
-		out = append(out, k) // want "appends to \"out\" without a canonical sort"
+// Values sorts on the spot with a comparison.
+func Values(m map[string]int) []int {
+	return slices.SortedFunc(maps.Values(m), func(a, b int) int { return cmp.Compare(b, a) })
+}
+
+// Ordered ranges over the sorted keys, not over the map.
+func Ordered(m map[string]int) []int {
+	var out []int
+	for _, k := range slices.Sorted(maps.Keys(m)) {
+		out = append(out, m[k])
 	}
 	return out
 }
 
-// Send leaks iteration order into channel delivery order.
-func Send(m map[string]int, ch chan string) { // the finding lands on the range below
-	for k := range m { // want "channel send escapes iteration order"
-		ch <- k
-	}
+// Merge collects one map into others.
+func Merge(dst, src map[string]int) map[string]int {
+	maps.Insert(dst, maps.All(src))
+	maps.Copy(dst, src)
+	return maps.Collect(maps.All(maps.Clone(src)))
 }
 
-// ScanAndCount mixes an early return with outer writes: how many slots got
-// written depends on which key the runtime visited first.
-func ScanAndCount(m map[string]int, hits map[string]int) bool {
-	for k, v := range m {
-		hits[k] = v
-		if v > 10 {
-			return true // want "early return combined with loop writes"
-		}
+// Leak ranges over the map itself.
+func Leak(m map[string]int) []string {
+	var out []string
+	for k := range m { // want "range over map lets iteration order escape"
+		out = append(out, k)
 	}
-	return false
+	return out
 }
 
-// Any is the pure existential scan: a constant return over a read-only
-// body answers the same way no matter the order.
-func Any(m map[string]int) bool {
-	for _, v := range m {
-		if v > 10 {
-			return true
-		}
-	}
-	return false
-}
-
-// Count accumulates an integer: commutative, hence order-free.
-func Count(m map[string]int) int {
-	n := 0
-	for _, v := range m {
-		if v > 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// Sum is compound integer accumulation, equally commutative.
+// Sum ranges over the map too: the rule has no order-insensitive bodies,
+// only the reasoned marker.
 func Sum(m map[string]int) int {
 	total := 0
-	for _, v := range m {
+	for _, v := range m { // want "range over map"
 		total += v
 	}
 	return total
 }
 
-// Has is the flag-set idiom: every firing iteration writes the same
-// constant, so last-writer-wins cannot be observed.
-func Has(m map[string]bool) bool {
-	found := false
-	for _, v := range m {
-		if v {
-			found = true
-		}
-	}
-	return found
-}
-
-// Verdict writes conflicting constants to one variable: whichever
-// iteration ran last decides, so order escapes.
-func Verdict(m map[string]bool) string {
-	v := "none"
-	for _, ok := range m { // want "conflicting constant writes to v"
-		if ok {
-			v = "yes"
-		} else {
-			v = "no"
-		}
-	}
-	return v
-}
-
-// Invert writes into another map: one write per distinct key commutes.
-func Invert(m map[string]int) map[int]string {
-	out := make(map[int]string, len(m))
-	for k, v := range m {
-		out[v] = k
+// KeysLeak ranges over the iterator instead of the map: the same order.
+func KeysLeak(m map[string]int) []string {
+	var out []string
+	for k := range maps.Keys(m) { // want "maps.Keys lets iteration order escape"
+		out = append(out, k)
 	}
 	return out
+}
+
+// ValuesLeak collects the iterator into a slice without sorting it.
+func ValuesLeak(m map[string]int) []int {
+	return slices.Collect(maps.Values(m)) // want "maps.Values lets iteration order escape"
+}
+
+// AllLeak hands the iterator on instead of draining it.
+func AllLeak(m map[string]int, yield func(string, int) bool) {
+	maps.All(m)(yield) // want "maps.All lets iteration order escape"
 }

@@ -1,7 +1,7 @@
 package maporder
 
-// Allowed would be flagged (channel send), but the reasoned marker above
-// the loop documents why order cannot be observed and suppresses it.
+// Allowed would be flagged (a range over a map), but the reasoned marker
+// above the loop documents why order cannot be observed and suppresses it.
 func Allowed(m map[string]int, ch chan string) {
 	//lint:allow maporder the receiver drains into an order-insensitive set
 	for k := range m {
@@ -14,7 +14,7 @@ func Allowed(m map[string]int, ch chan string) {
 func Unreasoned(m map[string]int, ch chan string) {
 	// want-next "needs a reason"
 	//lint:allow maporder
-	for k := range m { // want "channel send escapes iteration order"
+	for k := range m { // want "range over map lets iteration order escape"
 		ch <- k
 	}
 }

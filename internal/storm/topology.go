@@ -256,10 +256,6 @@ func (t *Topology) addStage(name string, factory func(int) Bolt, n int, g Groupi
 // Metrics returns the run's metrics (valid once the simulator has drained).
 func (t *Topology) Metrics() Metrics { return t.metrics }
 
-// Sequencer exposes the ordering service (transactional mode; nil
-// otherwise).
-func (t *Topology) Sequencer() *coord.Sequencer { return t.seq }
-
 // Start wires the physical topology and begins emitting batches. Run the
 // simulator to completion (or a deadline) afterwards.
 func (t *Topology) Start() error {

@@ -1,9 +1,6 @@
 package storm
 
-import (
-	"blazes/internal/coord"
-	"blazes/internal/sim"
-)
+import "blazes/internal/coord"
 
 // readyMsg announces through the ordering service that a committer instance
 // has finished processing a batch and is ready to commit it.
@@ -55,7 +52,7 @@ func newTxCoordinator(t *Topology) *txCoordinator {
 // the network. Readiness is a notification (a zk watch fire), not a
 // serialized write, so it does not consume ordering-service capacity.
 func (c *txCoordinator) submitReady(r readyMsg) {
-	c.topo.sim.After(c.commitHop(), func() { c.onReady(r) })
+	c.topo.sim.After(c.topo.cfg.Link.Delay(c.topo.sim), func() { c.onReady(r) })
 }
 
 func (c *txCoordinator) onReady(r readyMsg) {
@@ -88,7 +85,7 @@ func (c *txCoordinator) tryCommit() {
 	// the coordination service, serialized there).
 	for _, ins := range st.instances {
 		ins := ins
-		c.topo.sim.After(c.commitHop(), func() {
+		c.topo.sim.After(c.topo.cfg.Link.Delay(c.topo.sim), func() {
 			bs := ins.batch(b)
 			c.topo.sim.After(c.topo.cfg.CommitCost, func() {
 				ins.applyCommit(b, bs)
@@ -115,14 +112,4 @@ func (c *txCoordinator) onApplied(b int64, idx int) {
 	c.next = b + 1
 	c.committing = false
 	c.tryCommit()
-}
-
-// commitHop draws one coordinator↔instance network delay.
-func (c *txCoordinator) commitHop() sim.Time {
-	cfg := c.topo.cfg.Link
-	d := cfg.MinDelay
-	if span := cfg.MaxDelay - cfg.MinDelay; span > 0 {
-		d += sim.Time(c.topo.sim.Rand().Int63n(int64(span) + 1))
-	}
-	return d
 }
