@@ -150,6 +150,7 @@ func TestExitCodeContract(t *testing.T) {
 		{"sequencing-flag-retired", []string{"-spec", wordcountSpec, "-sequencing"}, exitUsage, "flag provided but not defined: -sequencing"},
 		{"verify-sequencing-flag-retired", []string{"verify", "-sequencing"}, exitUsage, "flag provided but not defined: -sequencing"},
 		{"verify-replay-reshrink-conflict", []string{"verify", "-replay", "x.json", "-reshrink", "dir"}, exitUsage, "cannot be combined"},
+		{"verify-parallel-flag-retired", []string{"verify", "-parallel", "2"}, exitUsage, "flag provided but not defined: -parallel"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -161,6 +162,20 @@ func TestExitCodeContract(t *testing.T) {
 				t.Errorf("stderr %q missing %q", stderr, tc.err)
 			}
 		})
+	}
+}
+
+// TestVerifyUsageErrorHasNoSideEffects: a bad flag is reported before
+// anything is written — `-shrink dir -batch -1` exits 2 without creating
+// dir.
+func TestVerifyUsageErrorHasNoSideEffects(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "traces")
+	code, _, stderr := exec(t, "verify", "-shrink", dir, "-batch", "-1")
+	if code != exitUsage || !strings.Contains(stderr, "-batch must be non-negative") {
+		t.Fatalf("exit = %d, stderr = %q; want %d and the -batch error", code, stderr, exitUsage)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("usage error created %s (stat err %v)", dir, err)
 	}
 }
 

@@ -218,7 +218,7 @@ func TestDistributedVerifyCLI(t *testing.T) {
 			defer wg.Done()
 			var wout, werr bytes.Buffer
 			runSweepWorker(ctx, []string{
-				"-coordinator", base, "-poll", "50ms", "-parallel", "1",
+				"-coordinator", base, "-poll", "50ms",
 				"-name", []string{"wa", "wb"}[wi],
 			}, &wout, &werr)
 		}(wi)

@@ -8,12 +8,11 @@
 //
 // Usage:
 //
-//	blazes sweep-worker -coordinator URL [-sweep id] [-parallel n]
-//	                    [-poll d] [-name w] [-max n]
+//	blazes sweep-worker -coordinator URL [-sweep id] [-poll d] [-name w] [-max n]
 //
 // With -sweep the worker drains that one sweep and exits when it
 // completes; without it the worker serves every running sweep until
-// interrupted.
+// interrupted. A batch's seeds run on one worker per GOMAXPROCS.
 package main
 
 import (
@@ -39,13 +38,12 @@ func runSweepWorker(ctx context.Context, args []string, stdout, stderr io.Writer
 	var (
 		coordinator = fs.String("coordinator", "", "coordinator base URL, e.g. http://127.0.0.1:8351 (required)")
 		sweepID     = fs.String("sweep", "", "serve one sweep id and exit when it completes (default: every running sweep, until interrupted)")
-		parallel    = fs.Int("parallel", 0, "schedule workers per batch (0 = one per CPU, 1 = sequential)")
 		poll        = fs.Duration("poll", 500*time.Millisecond, "poll interval when no work is claimable")
 		name        = fs.String("name", "", "worker name reported in claims (default: host-pid)")
 		maxBatches  = fs.Int("max", 2, "max batches per claim")
 	)
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: blazes sweep-worker -coordinator URL [-sweep id] [-parallel n] [-poll d] [-name w] [-max n]\n\n")
+		fmt.Fprintf(stderr, "usage: blazes sweep-worker -coordinator URL [-sweep id] [-poll d] [-name w] [-max n]\n\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -64,8 +62,8 @@ func runSweepWorker(ctx context.Context, args []string, stdout, stderr io.Writer
 		fs.Usage()
 		return exitUsage
 	}
-	if *parallel < 0 || *maxBatches <= 0 || *poll <= 0 {
-		fmt.Fprintf(stderr, "blazes: sweep-worker: -parallel must be ≥ 0, -max and -poll positive\n")
+	if *maxBatches <= 0 || *poll <= 0 {
+		fmt.Fprintf(stderr, "blazes: sweep-worker: -max and -poll must be positive\n")
 		fs.Usage()
 		return exitUsage
 	}
@@ -74,7 +72,6 @@ func runSweepWorker(ctx context.Context, args []string, stdout, stderr io.Writer
 		host, _ := os.Hostname()
 		worker = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
-	parallelism := libraryParallelism(*parallel)
 	base := strings.TrimRight(*coordinator, "/")
 
 	for ctx.Err() == nil {
@@ -95,7 +92,7 @@ func runSweepWorker(ctx context.Context, args []string, stdout, stderr io.Writer
 		}
 		worked := false
 		for _, id := range ids {
-			n, done, err := workSweep(ctx, base, id, worker, parallelism, *maxBatches, stderr)
+			n, done, err := workSweep(ctx, base, id, worker, *maxBatches, stderr)
 			if err != nil {
 				if ctx.Err() != nil {
 					return exitOK
@@ -122,7 +119,7 @@ func runSweepWorker(ctx context.Context, args []string, stdout, stderr io.Writer
 // workSweep performs one claim round against sweep id: claim up to max
 // batches, run each locally, report the outcomes. It returns the number
 // of batches completed and whether the sweep has every batch reported.
-func workSweep(ctx context.Context, base, id, worker string, parallelism, max int, stderr io.Writer) (int, bool, error) {
+func workSweep(ctx context.Context, base, id, worker string, max int, stderr io.Writer) (int, bool, error) {
 	var claim service.SweepClaimResponse
 	err := postJSON(ctx, base+"/v1/sweeps/"+id+"/claim",
 		service.SweepClaimRequest{Worker: worker, Max: max}, &claim)
@@ -135,7 +132,7 @@ func workSweep(ctx context.Context, base, id, worker string, parallelism, max in
 		if err != nil {
 			return 0, done, err
 		}
-		outs, err := verify.RunCell(ctx, wl, b.Cell, parallelism, b.SeedFrom, b.SeedTo)
+		outs, err := verify.RunCell(ctx, wl, b.Cell, b.SeedFrom, b.SeedTo)
 		if err != nil {
 			// The claim lease expires and the batch is re-issued; nothing
 			// to report.

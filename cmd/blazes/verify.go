@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	blazes verify [-workload name]... [-seeds n] [-parallel n] [-strategy a,b] [-json]
+//	blazes verify [-workload name]... [-seeds n] [-strategy a,b] [-json]
 //	blazes verify -shrink dir [...]          also write 1-minimal traces
 //	blazes verify -coordinator URL [...]     distribute via blazes serve
 //	blazes verify -replay trace.json         re-execute a shrunk trace
@@ -20,9 +20,6 @@
 //	                  generated topologies as generated-<n>c-s<seed>
 //	-seeds n          schedules explored per (mechanism, fault plan)
 //	                  configuration (default 64)
-//	-parallel n       worker count for exploring schedules concurrently;
-//	                  reports are byte-identical at any setting (0 = one
-//	                  worker per CPU, 1 = sequential)
 //	-strategy a,b     try these coordination strategies, in order, during
 //	                  synthesis (the blazes/strategy catalog: sealing,
 //	                  ordering, sequencing, quorum-ordering, merge-rewrite,
@@ -41,6 +38,9 @@
 //	                  artifact in dir (no sweep) and rewrite the files in
 //	                  place; stale traces — recorded anomalies that no
 //	                  longer reproduce — are reported and left untouched
+//
+// Schedules run on one worker per GOMAXPROCS; reports are byte-identical at
+// any GOMAXPROCS, and GOMAXPROCS=1 is the sequential sweep.
 //
 // Exit codes follow the command's contract: 0 when every verified workload
 // upholds the guarantee (or the replayed trace reproduces, or every trace
@@ -69,7 +69,6 @@ func runVerify(ctx context.Context, args []string, stdout, stderr io.Writer) int
 	fs.SetOutput(stderr)
 	var (
 		seeds       = fs.Int("seeds", verify.DefaultSeeds, "schedules per (mechanism, plan) configuration")
-		parallel    = fs.Int("parallel", 0, "schedule-sweep workers (0 = one per CPU, 1 = sequential; reports are byte-identical at any setting)")
 		strategyArg = fs.String("strategy", "", "comma-separated coordination strategies to try first during synthesis")
 		jsonOut     = fs.Bool("json", false, "emit reports as a JSON array")
 		shrinkDir   = fs.String("shrink", "", "write 1-minimal replayable traces for anomalous cells into this directory")
@@ -81,7 +80,7 @@ func runVerify(ctx context.Context, args []string, stdout, stderr io.Writer) int
 	)
 	fs.Var(&workloads, "workload", "workload name (repeatable; default: the full suite)")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: blazes verify [-workload name]... [-seeds n] [-parallel n] [-strategy a,b] [-json]\n"+
+		fmt.Fprintf(stderr, "usage: blazes verify [-workload name]... [-seeds n] [-strategy a,b] [-json]\n"+
 			"       blazes verify -shrink dir | -coordinator URL | -replay trace.json | -reshrink dir\n\n")
 		fs.PrintDefaults()
 		fmt.Fprintf(stderr, "\nworkloads: %s, generated-<n>c-s<seed>\n", strings.Join(workloadNames(), ", "))
@@ -125,8 +124,8 @@ func runVerify(ctx context.Context, args []string, stdout, stderr io.Writer) int
 		fs.Usage()
 		return exitUsage
 	}
-	if *parallel < 0 {
-		fmt.Fprintf(stderr, "blazes: verify: -parallel must be non-negative\n")
+	if *batch < 0 {
+		fmt.Fprintf(stderr, "blazes: verify: -batch must be non-negative\n")
 		fs.Usage()
 		return exitUsage
 	}
@@ -144,22 +143,19 @@ func runVerify(ctx context.Context, args []string, stdout, stderr io.Writer) int
 			selected = append(selected, w)
 		}
 	}
+	// Every flag is checked above; creating the trace directory is the
+	// first side effect.
 	if *shrinkDir != "" {
 		if err := os.MkdirAll(*shrinkDir, 0o755); err != nil {
 			fmt.Fprintln(stderr, "blazes: verify:", err)
 			return exitError
 		}
 	}
-	if *batch < 0 {
-		fmt.Fprintf(stderr, "blazes: verify: -batch must be non-negative\n")
-		fs.Usage()
-		return exitUsage
-	}
 	if *coordinator != "" {
 		return runCoordinated(ctx, *coordinator, workloads, *seeds, *batch, *strategyArg, *shrinkDir, *jsonOut, stdout, stderr)
 	}
 
-	opts := verify.Options{Seeds: *seeds, Prefer: prefer, Parallelism: libraryParallelism(*parallel)}
+	opts := verify.Options{Seeds: *seeds, Prefer: prefer}
 	var reports []*verify.Report
 	holds := true
 	for _, w := range selected {
@@ -416,14 +412,4 @@ func workloadNames() []string {
 		names = append(names, w.Name())
 	}
 	return names
-}
-
-// libraryParallelism translates a validated -parallel flag (0 = one worker
-// per CPU, 1 = sequential) to the library's convention (0/1 sequential, -1
-// one worker per CPU).
-func libraryParallelism(flag int) int {
-	if flag == 0 {
-		return -1
-	}
-	return flag
 }

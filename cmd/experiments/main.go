@@ -7,11 +7,14 @@
 //	experiments -fig all           # everything, paper-scale
 //	experiments -fig 11            # the Storm wordcount sweep
 //	experiments -fig 12 -quick     # reduced-scale ad-network run
+//
+// A figure's independent simulations run on one worker per GOMAXPROCS;
+// GOMAXPROCS=1 runs them one after another. The output is identical either
+// way.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -26,17 +29,11 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	var (
-		fig      = flag.String("fig", "all", "figure to regenerate: 5, 11, 12, 13, 14, or all")
-		quick    = flag.Bool("quick", false, "reduced scale (faster, same shapes)")
-		seed     = flag.Int64("seed", 1, "simulation seed")
-		parallel = flag.Int("parallel", 0, "workers for a figure's independent simulations (0 = one per CPU, 1 = sequential; figures are identical at any setting)")
+		fig   = flag.String("fig", "all", "figure to regenerate: 5, 11, 12, 13, 14, or all")
+		quick = flag.Bool("quick", false, "reduced scale (faster, same shapes)")
+		seed  = flag.Int64("seed", 1, "simulation seed")
 	)
 	flag.Parse()
-	parallelism, err := libraryParallelism(*parallel)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		os.Exit(2)
-	}
 
 	run := func(name string, f func() error) {
 		if *fig != "all" && *fig != name {
@@ -65,7 +62,6 @@ func main() {
 	run("11", func() error {
 		cfg := experiments.DefaultFig11()
 		cfg.Seed = *seed
-		cfg.Parallelism = parallelism
 		if *quick {
 			cfg.Duration = 400 * experiments.Millisecond
 			cfg.Runs = 1
@@ -82,7 +78,6 @@ func main() {
 			f, err := experiments.Fig12Or13Context(ctx, experiments.AdFigureConfig{
 				Seed: *seed, AdServers: servers, EntriesPerServer: entries,
 				Sleep: sleep, BatchSize: batch, IncludeOrdered: includeOrdered,
-				Parallelism: parallelism,
 			})
 			if err != nil {
 				return err
@@ -97,18 +92,4 @@ func main() {
 	run("12", adFig(5, true, ""))
 	run("13", adFig(10, true, ""))
 	run("14", adFig(10, false, "Seal-based strategies, 10 ad servers"))
-}
-
-// libraryParallelism validates the -parallel flag (0 = one worker per CPU,
-// 1 = sequential) and translates it to the library's convention (0/1
-// sequential, -1 one worker per CPU). A negative flag is a usage error, as
-// in blazes verify: passed through, it would select one worker per CPU.
-func libraryParallelism(flag int) (int, error) {
-	switch {
-	case flag < 0:
-		return 0, errors.New("-parallel must be non-negative")
-	case flag == 0:
-		return -1, nil
-	}
-	return flag, nil
 }

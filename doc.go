@@ -46,11 +46,10 @@
 // internal/ is implementation detail; cmd/ and examples/ consume only
 // the public packages.
 //
-// Sweeps over simulations accept a Parallelism option (see verify.Options,
-// experiments.Fig11Config): independent seeded runs execute on a bounded
-// worker pool and fold in index order, so results are byte-identical at
-// any setting; one simulation is always sequential. See DESIGN.md's
-// "Parallel execution" section.
+// Sweeps over simulations (verify, experiments) run their independent
+// seeded runs on one worker per GOMAXPROCS and fold them in index order,
+// so results are byte-identical at any GOMAXPROCS; one simulation is always
+// sequential. See DESIGN.md's "Parallel execution" section.
 //
 // See README.md for a tour, DESIGN.md for the system inventory and
 // layering, and EXPERIMENTS.md for paper-vs-measured results.

@@ -4,6 +4,10 @@
 // machinery lives in internal packages; this package re-exports exactly
 // the surface a driver program needs, so `cmd/experiments` — or any other
 // harness — depends only on the public API.
+//
+// A figure's independent simulations run on one worker per GOMAXPROCS and
+// fold in a fixed order, so every figure is identical at any GOMAXPROCS;
+// there is no worker-count option.
 package experiments
 
 import (

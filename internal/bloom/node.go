@@ -271,23 +271,3 @@ func canonRows(rows []Row) []Row {
 	SortRows(out)
 	return out
 }
-
-// Drain ticks until no queued work remains, returning all emissions. The
-// step limit guards against non-quiescing programs.
-func (n *Node) Drain(maxTicks int) ([]Emission, error) {
-	var out []Emission
-	for i := 0; i < maxTicks; i++ {
-		if !n.Pending() && i > 0 {
-			return out, nil
-		}
-		em, err := n.Tick()
-		if err != nil {
-			return out, err
-		}
-		out = append(out, em...)
-		if !n.Pending() {
-			return out, nil
-		}
-	}
-	return out, fmt.Errorf("bloom: node %s did not quiesce within %d ticks", n.ID, maxTicks)
-}

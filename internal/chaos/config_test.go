@@ -8,10 +8,10 @@ import (
 	"blazes/internal/dataflow"
 )
 
-// TestConfigValidation pins the configuration contract: the documented
-// sentinels (Seeds 0, Parallelism 0/-1) default, everything else negative
-// is rejected loudly — Parallelism < -1 used to be silently accepted and
-// handed to the pool as "GOMAXPROCS".
+// TestConfigValidation pins the configuration contract: Seeds defaults only
+// at 0 and is rejected when negative. Parallelism, which nothing reads since
+// a sweep sizes its pool from GOMAXPROCS, accepts only 0 and 1 — the old
+// one-worker-per-CPU sentinel -1 and explicit worker counts included.
 func TestConfigValidation(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -19,12 +19,12 @@ func TestConfigValidation(t *testing.T) {
 		wantErr string
 	}{
 		{name: "zero value defaults"},
-		{name: "explicit seeds and parallelism", cfg: Config{Seeds: 4, Parallelism: 2}},
+		{name: "explicit seeds and parallelism", cfg: Config{Seeds: 4, Parallelism: 2}, wantErr: "must be 0 or 1"},
 		{name: "sequential parallelism", cfg: Config{Seeds: 4, Parallelism: 1}},
-		{name: "one worker per CPU sentinel", cfg: Config{Seeds: 4, Parallelism: -1}},
+		{name: "one worker per CPU sentinel", cfg: Config{Seeds: 4, Parallelism: -1}, wantErr: "must be 0 or 1"},
 		{name: "negative seeds", cfg: Config{Seeds: -1}, wantErr: "Seeds must be non-negative"},
-		{name: "parallelism below sentinel", cfg: Config{Parallelism: -2}, wantErr: "Parallelism must be ≥ -1"},
-		{name: "very negative parallelism", cfg: Config{Parallelism: -64}, wantErr: "Parallelism must be ≥ -1"},
+		{name: "parallelism below sentinel", cfg: Config{Parallelism: -2}, wantErr: "must be 0 or 1"},
+		{name: "very negative parallelism", cfg: Config{Parallelism: -64}, wantErr: "must be 0 or 1"},
 		{name: "seeds reported before parallelism", cfg: Config{Seeds: -5, Parallelism: -9}, wantErr: "Seeds must be non-negative"},
 	}
 	for _, tc := range cases {

@@ -62,24 +62,22 @@ type Config struct {
 	// "sealing,sequencing" on the wire is []string{"sealing", "sequencing"}
 	// here. Unknown names are rejected.
 	Prefer []string
-	// Parallelism is the worker count for exploring seeded schedules
-	// concurrently. Each seed runs on its own simulator and the oracle
-	// folds outcomes in seed order, so the verdict — anomalies, details,
-	// JSON report — is byte-identical to a sequential sweep. 0 or 1 keeps
-	// the sweep sequential; -1 selects GOMAXPROCS. Values below -1 are an
-	// error.
+	// Parallelism must be 0 or 1, and nothing reads it: a sweep runs one
+	// worker per GOMAXPROCS. The field exists only because
+	// benchmark/sweep.go names it, and goes when that line does (ROADMAP
+	// item 1(f)).
 	Parallelism int
 }
 
 // validate rejects configurations that previously slipped through
-// silently: Seeds and Parallelism are defaulted only at their documented
-// sentinel values (0, and -1 respectively), never for arbitrary negatives.
+// silently: Seeds is defaulted only at its documented sentinel 0, never for
+// an arbitrary negative.
 func (cfg Config) validate() error {
 	if cfg.Seeds < 0 {
 		return fmt.Errorf("chaos: Seeds must be non-negative (got %d; 0 selects the default %d)", cfg.Seeds, DefaultSeeds)
 	}
-	if cfg.Parallelism < -1 {
-		return fmt.Errorf("chaos: Parallelism must be ≥ -1 (got %d; -1 selects one worker per CPU)", cfg.Parallelism)
+	if cfg.Parallelism != 0 && cfg.Parallelism != 1 {
+		return fmt.Errorf("chaos: Parallelism %d: must be 0 or 1; a sweep runs one worker per GOMAXPROCS", cfg.Parallelism)
 	}
 	if err := dataflow.CheckStrategies(cfg.Prefer); err != nil {
 		return fmt.Errorf("chaos: %w", err)
@@ -438,7 +436,7 @@ func check(ctx context.Context, w Workload, cfg Config, each func(Cell, Sweep, [
 	if err != nil {
 		return nil, err
 	}
-	pool := sim.PoolFor(cfg.Parallelism)
+	pool := sim.NewPool(0)
 	sweeps := make([]Sweep, len(plan.Cells))
 	for i, cell := range plan.Cells {
 		outcomes, err := RunCell(ctx, w, cell, pool, 1, cell.Seeds+1)

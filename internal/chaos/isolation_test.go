@@ -4,9 +4,12 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"blazes/internal/dataflow"
 	"blazes/internal/sim"
@@ -164,7 +167,7 @@ func TestScheduleCannotSeeItsNeighbours(t *testing.T) {
 				check("interleaved with "+other.Name(), interleaved)
 
 				cell := Cell{Workload: w.Name(), Mechanism: mech.String(), Plan: plan, Seeds: seeds}
-				pooled, err := RunCell(ctx, w, cell, sim.PoolFor(4), 1, seeds+1)
+				pooled, err := RunCell(ctx, w, cell, sim.NewPool(4), 1, seeds+1)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -187,5 +190,48 @@ func TestScheduleCannotSeeItsNeighbours(t *testing.T) {
 	}
 	if prepared < 4 {
 		t.Errorf("%d workloads had a prepared plan to share, want at least 4: the test exercised nothing", prepared)
+	}
+}
+
+// concurrencyProbe wraps a workload and records the most runs ever in
+// flight at once. Its first few runs wait briefly for a second run to
+// start, so a pool of two or more workers reaches a peak of 2 however the
+// scheduler staggers them.
+type concurrencyProbe struct {
+	Workload
+	active, peak, waited atomic.Int32
+}
+
+func (p *concurrencyProbe) Run(seed int64, plan FaultPlan, mech dataflow.Coordination) (Outcome, error) {
+	n := p.active.Add(1)
+	defer p.active.Add(-1)
+	for {
+		old := p.peak.Load()
+		if n <= old || p.peak.CompareAndSwap(old, n) {
+			break
+		}
+	}
+	if p.waited.Add(1) <= 4 {
+		for deadline := time.Now().Add(50 * time.Millisecond); p.peak.Load() < 2 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	return p.Workload.Run(seed, plan, mech)
+}
+
+// TestCheckSizesItsPoolFromGOMAXPROCS: a Check with a zero Config runs its
+// schedules on one worker per GOMAXPROCS — at least two at once under
+// GOMAXPROCS 4, strictly one after another under GOMAXPROCS 1.
+func TestCheckSizesItsPoolFromGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tc := range []struct{ procs, minPeak, maxPeak int32 }{{4, 2, 4}, {1, 1, 1}} {
+		runtime.GOMAXPROCS(int(tc.procs))
+		probe := &concurrencyProbe{Workload: SyntheticSet()}
+		if _, err := Check(context.Background(), probe, Config{}); err != nil {
+			t.Fatalf("GOMAXPROCS %d: Check: %v", tc.procs, err)
+		}
+		if got := probe.peak.Load(); got < tc.minPeak || got > tc.maxPeak {
+			t.Errorf("GOMAXPROCS %d: %d schedules ran at once, want %d to %d", tc.procs, got, tc.minPeak, tc.maxPeak)
+		}
 	}
 }

@@ -94,7 +94,7 @@ func TestSweepStateRejects(t *testing.T) {
 // single-process Check of the same configuration.
 func TestSweepDeterminism(t *testing.T) {
 	ctx := context.Background()
-	cfg := Config{Seeds: 12, Parallelism: 2}
+	cfg := Config{Seeds: 12}
 
 	want, err := Check(ctx, SyntheticChains(false), cfg)
 	if err != nil {

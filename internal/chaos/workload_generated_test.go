@@ -15,7 +15,7 @@ import (
 // the generator drew.
 func TestGeneratedWorkloadCheck(t *testing.T) {
 	w := Generated(24, 7)
-	rep, err := Check(context.Background(), w, Config{Seeds: 8, Parallelism: -1})
+	rep, err := Check(context.Background(), w, Config{Seeds: 8})
 	if err != nil {
 		t.Fatalf("Check: %v", err)
 	}
@@ -108,7 +108,7 @@ func TestScaleGeneratedChaos(t *testing.T) {
 		t.Skip("set BLAZES_SCALE_FULL=1 to sweep a 1000-component generated topology")
 	}
 	w := Generated(1000, 11)
-	rep, err := Check(context.Background(), w, Config{Seeds: 16, Parallelism: -1})
+	rep, err := Check(context.Background(), w, Config{Seeds: 16})
 	if err != nil {
 		t.Fatalf("Check: %v", err)
 	}

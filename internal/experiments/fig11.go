@@ -37,12 +37,6 @@ type Fig11Config struct {
 	// Runs averages each cell over this many seeds (the paper averages
 	// three runs); 0 means 1.
 	Runs int
-	// Parallelism is the worker count for running the sweep's independent
-	// simulations (cluster size × commit mode × seed) concurrently. Each
-	// simulation owns its seeded simulator and results aggregate in a
-	// fixed order, so the rows are identical at any setting. 0 or 1 keeps
-	// the sweep sequential; < 0 selects GOMAXPROCS.
-	Parallelism int
 }
 
 // DefaultFig11 mirrors the paper's sweep (5–20 worker nodes).
@@ -83,9 +77,9 @@ func engineForFig11() storm.Config {
 // Fig11 runs the throughput sweep: each regime processes a saturating
 // offered load for the measurement window; throughput is committed input
 // tuples per second. The sweep's cells — every (cluster size, commit mode,
-// seed) simulation — are independent, so with Parallelism > 1 they run
-// concurrently on a worker pool and aggregate in cell order: the rows are
-// identical to a sequential sweep.
+// seed) simulation — are independent, so they run concurrently on one
+// worker per GOMAXPROCS and aggregate in cell order: the rows are identical
+// to a sequential sweep.
 func Fig11(cfg Fig11Config) ([]Fig11Row, error) {
 	return Fig11Context(context.Background(), cfg)
 }
@@ -116,7 +110,7 @@ func Fig11Context(ctx context.Context, cfg Fig11Config) ([]Fig11Row, error) {
 
 	tputs := make([]float64, len(cells))
 	errs := make([]error, len(cells))
-	if err := sim.PoolFor(cfg.Parallelism).MapContext(ctx, len(cells), func(i int) {
+	if err := sim.NewPool(0).MapContext(ctx, len(cells), func(i int) {
 		c := cells[i]
 		w := cfg.ClusterSizes[c.size]
 		engine := engineForFig11()

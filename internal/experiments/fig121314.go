@@ -44,15 +44,12 @@ type AdFigureConfig struct {
 	// IncludeOrdered adds the "Ordered" curve (Figures 12/13 include it;
 	// Figure 14 omits it to highlight the seal variants).
 	IncludeOrdered bool
-	// Parallelism runs the figure's independent curves (one simulated
-	// deployment per coordination regime) concurrently; curves collect in
-	// regime order, so the figure is identical at any setting. 0 or 1 is
-	// sequential; < 0 selects GOMAXPROCS.
-	Parallelism int
 }
 
 // Fig12Or13 runs the four curves of Figure 12 (5 ad servers) or Figure 13
-// (10 ad servers).
+// (10 ad servers). The curves — one simulated deployment per coordination
+// regime — run concurrently on one worker per GOMAXPROCS and collect in
+// regime order, so the figure is identical to a sequential run.
 func Fig12Or13(cfg AdFigureConfig) (*AdFigure, error) {
 	return Fig12Or13Context(context.Background(), cfg)
 }
@@ -86,7 +83,7 @@ func Fig12Or13Context(ctx context.Context, cfg AdFigureConfig) (*AdFigure, error
 	}
 	results := make([]*adtrack.Result, len(included))
 	errs := make([]error, len(included))
-	if err := sim.PoolFor(cfg.Parallelism).MapContext(ctx, len(included), func(i int) {
+	if err := sim.NewPool(0).MapContext(ctx, len(included), func(i int) {
 		v := included[i]
 		rc := adtrack.DefaultConfig(cfg.AdServers, v.regime, v.independent)
 		rc.Seed = cfg.Seed

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"blazes/internal/sim"
@@ -9,8 +10,10 @@ import (
 
 // TestFig11ParallelMatchesSequential: the sweep's rows — including the
 // floating-point throughput aggregation — are identical whether the
-// independent simulations run sequentially or on a worker pool.
+// independent simulations run sequentially (GOMAXPROCS 1) or on a worker
+// pool (GOMAXPROCS 8).
 func TestFig11ParallelMatchesSequential(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	cfg := Fig11Config{
 		Seed:           1,
 		ClusterSizes:   []int{3, 5},
@@ -23,7 +26,7 @@ func TestFig11ParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Parallelism = 8
+	runtime.GOMAXPROCS(8)
 	par, err := Fig11(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -34,19 +37,19 @@ func TestFig11ParallelMatchesSequential(t *testing.T) {
 }
 
 // TestFig12ParallelMatchesSequential: the ad-network figure's curves are
-// identical at any parallelism.
+// identical at any GOMAXPROCS.
 func TestFig12ParallelMatchesSequential(t *testing.T) {
-	base := AdFigureConfig{
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cfg := AdFigureConfig{
 		Seed: 1, AdServers: 3, EntriesPerServer: 40,
 		Sleep: 30 * sim.Millisecond, BatchSize: 10, IncludeOrdered: true,
 	}
-	seq, err := Fig12Or13(base)
+	seq, err := Fig12Or13(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	basePar := base
-	basePar.Parallelism = 4
-	par, err := Fig12Or13(basePar)
+	runtime.GOMAXPROCS(4)
+	par, err := Fig12Or13(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,8 @@
 // Package fd implements the fragment of functional-dependency theory that
 // Blazes needs to decide seal/partition compatibility: attribute sets,
-// (injective) functional dependencies, attribute closure, a chase across
-// component compositions, and the compatible(gate, key) predicate from
-// Section V of the paper.
+// (injective) functional dependencies, attribute closure and its injective
+// restriction (the chase across component compositions), and the
+// compatible(gate, key) predicate from Section V of the paper.
 //
 // The paper's key observation is that a stream sealed on key is usable by an
 // order-sensitive component partitioned on gate whenever some subset of gate

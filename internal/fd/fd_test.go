@@ -209,3 +209,62 @@ func TestFDString(t *testing.T) {
 		t.Errorf("String = %q", g.String())
 	}
 }
+
+// The cases below are the chase of Section V-A1/VII-B2 stated on Set: a
+// stage's lineage is a set of identity, rename and derived dependencies, a
+// path's lineage is the union of its stages', and the keys a seal survives
+// on are the injective closure of the seal key.
+
+func TestLineagePreserveAndRename(t *testing.T) {
+	s := NewSet(Identity("campaign"), Rename("clicks.id", "response.id"))
+	if !s.InjectivelyDetermines(NewAttrSet("campaign"), NewAttrSet("campaign")) {
+		t.Error("preserved attribute should injectively determine itself")
+	}
+	if !s.InjectivelyDetermines(NewAttrSet("clicks.id"), NewAttrSet("response.id")) {
+		t.Error("rename should record an injective dependency")
+	}
+}
+
+func TestLineageDeriveIsNotInjective(t *testing.T) {
+	s := NewSet(NewFD(NewAttrSet("clicks.id"), NewAttrSet("count")))
+	if s.InjectivelyDetermines(NewAttrSet("clicks.id"), NewAttrSet("count")) {
+		t.Error("a plain dependency must not be injective")
+	}
+	if !s.Determines(NewAttrSet("clicks.id"), NewAttrSet("count")) {
+		t.Error("a plain dependency should still determine its target")
+	}
+}
+
+func TestComposeChasesAcrossStages(t *testing.T) {
+	s := NewSet()
+	// Stage 1: splitter preserves batch, derives word from tweet text.
+	s.AddIdentity("batch")
+	s.Add(NewFD(NewAttrSet("text"), NewAttrSet("word")))
+	// Stage 2: counter preserves word and batch, derives count.
+	s.AddIdentity("word", "batch")
+	s.Add(NewFD(NewAttrSet("word", "batch"), NewAttrSet("count")))
+
+	sealed := s.InjectiveClosure(NewAttrSet("batch"))
+	if !sealed.Contains("batch") {
+		t.Errorf("batch seal should survive the composition, got %v", sealed)
+	}
+	if sealed.Contains("count") {
+		t.Errorf("count must not be implicitly sealed, got %v", sealed)
+	}
+}
+
+func TestChaseSealLostThroughAggregation(t *testing.T) {
+	// An aggregation that groups on a derived, non-injective column loses
+	// the seal: nothing in the output is injectively determined by the key.
+	s := NewSet(NewFD(NewAttrSet("campaign"), NewAttrSet("bucket"))) // e.g. hash-bucketed
+	if s.InjectiveClosure(NewAttrSet("campaign")).Contains("bucket") {
+		t.Error("non-injective derivation must not carry the seal")
+	}
+}
+
+func TestDeriveInjectiveCarriesSeal(t *testing.T) {
+	s := NewSet(NewInjectiveFD(NewAttrSet("campaign", "id"), NewAttrSet("pairkey")))
+	if !s.InjectiveClosure(NewAttrSet("campaign", "id")).Contains("pairkey") {
+		t.Error("caller-asserted injective derivation should carry the seal")
+	}
+}

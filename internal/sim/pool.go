@@ -19,23 +19,14 @@ import (
 // spawns its own bounded worker set).
 type Pool struct{ n int }
 
-// NewPool creates a pool of n workers. n ≤ 1 yields an inline pool whose
-// Map runs on the calling goroutine; n ≤ 0 selects GOMAXPROCS.
+// NewPool creates a pool of n workers; n ≤ 0 selects GOMAXPROCS, the size
+// every run-level sweep uses. A one-worker pool runs Map inline on the
+// calling goroutine.
 func NewPool(n int) *Pool {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
 	return &Pool{n: n}
-}
-
-// PoolFor sizes a pool from a Parallelism option under the library
-// convention: 0 or 1 is sequential (a nil pool, whose Map runs inline) and
-// -1 is one worker per CPU.
-func PoolFor(parallelism int) *Pool {
-	if parallelism == 0 || parallelism == 1 {
-		return nil
-	}
-	return NewPool(parallelism)
 }
 
 // Size reports the worker count (1 for an inline pool).

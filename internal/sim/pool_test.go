@@ -57,18 +57,18 @@ func TestNilPoolIsInline(t *testing.T) {
 	}
 }
 
-// TestPoolFor: the one spelling of a Parallelism option — 0 and 1 are
-// sequential (a nil pool), -1 is one worker per CPU, n > 1 is n workers.
-func TestPoolFor(t *testing.T) {
-	for _, tc := range []struct {
-		parallelism, size int
-		inline            bool
-	}{
-		{0, 1, true}, {1, 1, true}, {-1, runtime.GOMAXPROCS(0), false}, {3, 3, false},
-	} {
-		p := PoolFor(tc.parallelism)
-		if p.Size() != tc.size || (p == nil) != tc.inline {
-			t.Errorf("PoolFor(%d) = %v (size %d), want size %d, nil %v", tc.parallelism, p, p.Size(), tc.size, tc.inline)
+// TestNewPoolSizesFromGOMAXPROCS: NewPool(0), the pool every run-level
+// sweep uses, has one worker per GOMAXPROCS, so GOMAXPROCS=1 is the
+// sequential sweep; an explicit n is n workers.
+func TestNewPoolSizesFromGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 3} {
+		runtime.GOMAXPROCS(procs)
+		if got := NewPool(0).Size(); got != procs {
+			t.Errorf("GOMAXPROCS %d: NewPool(0).Size() = %d", procs, got)
 		}
+	}
+	if got := NewPool(5).Size(); got != 5 {
+		t.Errorf("NewPool(5).Size() = %d", got)
 	}
 }

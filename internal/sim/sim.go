@@ -8,8 +8,9 @@
 //
 // The scheduler is single-threaded: one loop pops events in (time, seq)
 // order and runs each to completion, and every random draw happens there.
-// Parallelism lives one level up — whole seeded simulations fan out over a
-// Pool (pool.go) and fold in index order. See DESIGN.md "Parallel execution".
+// Concurrency lives one level up — whole seeded simulations fan out over a
+// Pool (pool.go), one worker per GOMAXPROCS, and fold in index order. See
+// DESIGN.md "Parallel execution".
 package sim
 
 import (

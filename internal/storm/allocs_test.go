@@ -26,7 +26,7 @@ func TestSealedRunAllocsPerTuple(t *testing.T) {
 	engine.Link.MaxDelay = 12 * sim.Millisecond
 	rc := wc.RunConfig{
 		Seed: 1, Workers: 20, Batches: 12, TuplesPerBatch: 250, WordsPerTweet: 4, VocabSize: 800,
-		Mode: storm.CommitSealed, Punctuate: true, Engine: &engine, Parallelism: 1,
+		Mode: storm.CommitSealed, Punctuate: true, Engine: &engine,
 	}
 	var emitted int
 	allocs := testing.AllocsPerRun(2, func() {

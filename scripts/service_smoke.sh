@@ -82,7 +82,7 @@ expect mutate "$(fetch POST /v1/sessions/s1/mutate '{"ops":[{"op":"seal","stream
 ANALYZE2="$(fetch POST /v1/sessions/s1/analyze '{"synthesize":true}')"
 expect analyze-sealed "$ANALYZE2" '"kind": "Async"'
 expect analyze-delta "$ANALYZE2" '"delta"'
-expect verify "$(fetch POST /v1/verify '{"workloads":["synthetic-set"],"seeds":8,"parallelism":2}')" '"holds": true'
+expect verify "$(fetch POST /v1/verify '{"workloads":["synthetic-set"],"seeds":8}')" '"holds": true'
 expect stats "$(fetch GET /v1/stats)" '"durable": true'
 
 # Crash recovery: kill -9 (no drain, no journal close), restart on the
@@ -105,13 +105,18 @@ expect recovered-analyze "$(fetch POST /v1/sessions/s1/analyze)" '"kind": "Async
 # is an unknown field, refused by name.
 expect create-list "$(fetch POST /v1/sessions "{\"name\":\"wc-m1\",\"spec\":\"$SPEC\",\"strategy\":\"sealing,sequencing\"}")" '"session": "s2"'
 expect analyze-list "$(fetch POST /v1/sessions/s2/analyze '{"synthesize":true}')" '"mechanism": "sequencing"'
-expect verify-list "$(fetch POST /v1/verify '{"workloads":["synthetic-chains"],"seeds":8,"parallelism":2,"strategy":"sealing,sequencing"}')" '"holds": true'
+expect verify-list "$(fetch POST /v1/verify '{"workloads":["synthetic-chains"],"seeds":8,"strategy":"sealing,sequencing"}')" '"holds": true'
 RETIRED="$(curl -sS -w ' HTTP %{http_code}' -X POST -H 'Content-Type: application/json' -d '{"workloads":["synthetic-set"],"sequencing":true}' "$BASE/v1/verify")"
 expect retired-sequencing "$RETIRED" 'unknown field \"sequencing\"'
 expect retired-sequencing-400 "$RETIRED" 'HTTP 400'
+# A sweep's worker count is the server's GOMAXPROCS; the retired
+# "parallelism" field is refused by name too.
+RETIRED="$(curl -sS -w ' HTTP %{http_code}' -X POST -H 'Content-Type: application/json' -d '{"parallelism":2}' "$BASE/v1/verify")"
+expect retired-parallelism "$RETIRED" 'unknown field \"parallelism\"'
+expect retired-parallelism-400 "$RETIRED" 'HTTP 400'
 
 # /v1/stats times the 2xx replies only: since the restart one create and
-# one verify were served, and the 400 above is not a sample.
+# one verify were served, and the 400s above are not samples.
 STATS="$(fetch GET /v1/stats | tr -d ' \n')"
 expect stats-create-count "$STATS" '"create":{"count":1,'
 expect stats-verify-count "$STATS" '"verify":{"count":1,'

@@ -43,9 +43,9 @@ done
 [[ -n "$BASE" ]] || { echo "server never announced its address:"; cat "$OUT"; exit 1; }
 echo "coordinator at $BASE"
 
-"$BIN" sweep-worker -coordinator "$BASE" -poll 50ms -parallel 1 -max 1 -name smoke-w1 >"$W1OUT" 2>&1 &
+GOMAXPROCS=1 "$BIN" sweep-worker -coordinator "$BASE" -poll 50ms -max 1 -name smoke-w1 >"$W1OUT" 2>&1 &
 W1_PID=$!
-"$BIN" sweep-worker -coordinator "$BASE" -poll 50ms -parallel 1 -max 1 -name smoke-w2 >"$W2OUT" 2>&1 &
+GOMAXPROCS=1 "$BIN" sweep-worker -coordinator "$BASE" -poll 50ms -max 1 -name smoke-w2 >"$W2OUT" 2>&1 &
 W2_PID=$!
 
 # Sweep 1 — the anomaly pipeline: synthetic-chains strips to a known

@@ -862,9 +862,6 @@ type VerifyRequest struct {
 	// Seeds is the schedule count per (mechanism, plan) configuration; 0
 	// selects the default (64).
 	Seeds int `json:"seeds,omitempty"`
-	// Parallelism is the sweep worker count (0 = one per CPU, 1 =
-	// sequential); reports are byte-identical at any setting.
-	Parallelism int `json:"parallelism,omitempty"`
 	// Strategy is a comma-separated list of coordination strategies
 	// synthesis tries, in order, before the default chain (see
 	// blazes/strategy); unknown names are rejected with 400.
@@ -914,10 +911,6 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "seeds must be non-negative")
 		return
 	}
-	if req.Parallelism < -1 {
-		writeError(w, http.StatusBadRequest, "parallelism must be ≥ -1 (-1 selects one worker per CPU)")
-		return
-	}
 	prefer, err := strategy.Parse(req.Strategy)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
@@ -928,11 +921,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	parallelism := req.Parallelism
-	if parallelism == 0 {
-		parallelism = -1 // one worker per CPU
-	}
-	opts := verify.Options{Seeds: req.Seeds, Prefer: prefer, Parallelism: parallelism}
+	opts := verify.Options{Seeds: req.Seeds, Prefer: prefer}
 	resp := VerifyResponse{Holds: true}
 	for _, wl := range selected {
 		rep, err := verify.CheckContext(r.Context(), wl, opts)

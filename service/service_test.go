@@ -129,7 +129,7 @@ func TestGoldenRepairLoop(t *testing.T) {
 func TestGoldenVerify(t *testing.T) {
 	h := New(Options{}).Handler()
 	code, body := call(t, h, "POST", "/v1/verify", VerifyRequest{
-		Workloads: []string{"synthetic-set"}, Seeds: 8, Parallelism: 2,
+		Workloads: []string{"synthetic-set"}, Seeds: 8,
 	})
 	if code != http.StatusOK {
 		t.Fatalf("verify: %d %s", code, body)
@@ -251,6 +251,7 @@ func TestBadRequests(t *testing.T) {
 		{"create-retired-sequencing", "POST", "/v1/sessions", json.RawMessage(`{"spec":"x","sequencing":true}`), http.StatusBadRequest, `unknown field \"sequencing\"`},
 		{"verify-retired-sequencing", "POST", "/v1/verify", json.RawMessage(`{"sequencing":true}`), http.StatusBadRequest, `unknown field \"sequencing\"`},
 		{"sweep-retired-sequencing", "POST", "/v1/sweeps", json.RawMessage(`{"sequencing":true}`), http.StatusBadRequest, `unknown field \"sequencing\"`},
+		{"verify-retired-parallelism", "POST", "/v1/verify", json.RawMessage(`{"parallelism":2}`), http.StatusBadRequest, `unknown field \"parallelism\"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -39,7 +39,7 @@ func sweepWorker(t *testing.T, h http.Handler, sweepID, name string) {
 				t.Errorf("%s: lookup %q: %v", name, b.Cell.Workload, err)
 				return
 			}
-			outs, err := verify.RunCell(ctx, wl, b.Cell, 0, b.SeedFrom, b.SeedTo)
+			outs, err := verify.RunCell(ctx, wl, b.Cell, b.SeedFrom, b.SeedTo)
 			if err != nil {
 				t.Errorf("%s: run batch %d: %v", name, b.ID, err)
 				return

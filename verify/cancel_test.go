@@ -29,7 +29,7 @@ func TestCheckContextStopsMidSweep(t *testing.T) {
 	start := time.Now()
 	// A deliberately deep sweep that would take far longer than the
 	// timeout if cancellation did not bite.
-	_, err := verify.CheckContext(ctx, verify.Wordcount(), verify.Options{Seeds: 512, Parallelism: 2})
+	_, err := verify.CheckContext(ctx, verify.Wordcount(), verify.Options{Seeds: 512})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -41,7 +41,7 @@ func TestCheckContextStopsMidSweep(t *testing.T) {
 // TestCheckMatchesCheckContextBackground: the ctx-free entry point is the
 // background-context special case — reports are byte-identical.
 func TestCheckMatchesCheckContextBackground(t *testing.T) {
-	opts := verify.Options{Seeds: 6, Parallelism: 2}
+	opts := verify.Options{Seeds: 6}
 	a, err := verify.Check(verify.SyntheticSet(), opts)
 	if err != nil {
 		t.Fatal(err)

@@ -64,10 +64,10 @@ func NewSweepState(cells []Cell, batchSize int, claimTTL int64) *SweepState {
 }
 
 // RunCell executes one cell's seeds in [from, to) (1-based, to exclusive)
-// with the given parallelism (0/1 sequential, -1 one worker per CPU) and
-// returns one Outcome per seed in seed order.
-func RunCell(ctx context.Context, w Workload, cell Cell, parallelism int, from, to int) ([]Outcome, error) {
-	return chaos.RunCell(ctx, w, cell, sim.PoolFor(parallelism), from, to)
+// on one worker per GOMAXPROCS and returns one Outcome per seed in seed
+// order.
+func RunCell(ctx context.Context, w Workload, cell Cell, from, to int) ([]Outcome, error) {
+	return chaos.RunCell(ctx, w, cell, sim.NewPool(0), from, to)
 }
 
 // FoldCell merges a cell's per-seed outcomes (outcomes[i] = seed i+1) in

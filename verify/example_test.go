@@ -11,14 +11,11 @@ import (
 // so the harness runs it bare under every fault plan and asserts that all
 // seeded schedules converge to the same eventual outcome.
 //
-// Parallelism spreads the seeded runs over a worker pool — each schedule
+// The seeded runs spread over one worker per GOMAXPROCS — each schedule
 // runs on its own simulator and the oracle folds outcomes in seed order,
-// so the report (and its JSON form) is byte-identical at any setting.
+// so the report (and its JSON form) is byte-identical at any GOMAXPROCS.
 func Example() {
-	rep, err := verify.Check(verify.SyntheticSet(), verify.Options{
-		Seeds:       16,
-		Parallelism: 8, // byte-identical to Parallelism: 1, just faster
-	})
+	rep, err := verify.Check(verify.SyntheticSet(), verify.Options{Seeds: 16})
 	if err != nil {
 		panic(err)
 	}

@@ -14,6 +14,11 @@
 // into the paper's anomaly classes (cross-run and cross-instance
 // nondeterminism, replica divergence).
 //
+// Each seeded schedule runs on its own simulator, one worker per
+// GOMAXPROCS, and outcomes fold in seed order: the report — anomalies,
+// details, JSON bytes — is byte-identical at any GOMAXPROCS, and
+// GOMAXPROCS=1 is the sequential sweep.
+//
 //	rep, err := verify.Check(verify.Wordcount(), verify.Options{})
 //	if err != nil || !rep.Holds { ... }
 package verify
@@ -65,12 +70,6 @@ type Options struct {
 	// ordered); empty keeps the default chain. An unknown name is an error
 	// before any schedule runs.
 	Prefer []string
-	// Parallelism is the worker count for exploring seeded schedules
-	// concurrently (each on its own simulator, merged in seed order): the
-	// report — anomalies, details, JSON bytes — is byte-identical to a
-	// sequential sweep, only faster on multicore. 0 or 1 keeps the sweep
-	// sequential; < 0 selects GOMAXPROCS.
-	Parallelism int
 }
 
 // Check verifies the Blazes guarantee for one workload; see the package
@@ -89,12 +88,7 @@ func CheckContext(ctx context.Context, w Workload, opts Options) (*Report, error
 
 // config is the harness form of the options.
 func (opts Options) config() chaos.Config {
-	return chaos.Config{
-		Seeds:       opts.Seeds,
-		Plans:       opts.Plans,
-		Prefer:      opts.Prefer,
-		Parallelism: opts.Parallelism,
-	}
+	return chaos.Config{Seeds: opts.Seeds, Plans: opts.Plans, Prefer: opts.Prefer}
 }
 
 // Wordcount is the paper's streaming wordcount on the simulated Storm
