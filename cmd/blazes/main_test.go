@@ -151,6 +151,8 @@ func TestExitCodeContract(t *testing.T) {
 		{"verify-sequencing-flag-retired", []string{"verify", "-sequencing"}, exitUsage, "flag provided but not defined: -sequencing"},
 		{"verify-replay-reshrink-conflict", []string{"verify", "-replay", "x.json", "-reshrink", "dir"}, exitUsage, "cannot be combined"},
 		{"verify-parallel-flag-retired", []string{"verify", "-parallel", "2"}, exitUsage, "flag provided but not defined: -parallel"},
+		{"serve-snapshot-every-flag-retired", []string{"serve", "-snapshot-every", "8"}, exitUsage, "flag provided but not defined: -snapshot-every"},
+		{"serve-journal-segment-bytes-flag-retired", []string{"serve", "-journal-segment-bytes", "4096"}, exitUsage, "flag provided but not defined: -journal-segment-bytes"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

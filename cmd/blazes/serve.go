@@ -12,11 +12,9 @@
 //	-max-sessions n      concurrent session cap; least-recently-used
 //	                     sessions are evicted beyond it (default 64)
 //	-journal dir         journal every acknowledged mutation to dir and
-//	                     replay it on boot (durable mode; default off)
-//	-snapshot-every n    journal records between snapshot compactions
-//	                     (default 1024; needs -journal)
-//	-journal-segment-bytes n  rotate wal segments once they reach n bytes
-//	                     (default 0 = rotate only on snapshots; needs -journal)
+//	                     replay it on boot (durable mode; default off); the
+//	                     journal is one segment, compacted into a snapshot
+//	                     every 1024 records
 //	-max-concurrent n    admitted create/mutate/analyze/verify requests
 //	                     running at once (default GOMAXPROCS)
 //	-max-queue n         requests waiting for admission beyond which the
@@ -73,9 +71,7 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		addr        = fs.String("addr", "127.0.0.1:8351", "listen address (port 0 picks a free port)")
 		maxSessions = fs.Int("max-sessions", service.DefaultMaxSessions, "concurrent session cap (LRU eviction beyond it)")
 
-		journalDir    = fs.String("journal", "", "journal directory for durable mode (empty = in-memory)")
-		snapshotEvery = fs.Int("snapshot-every", service.DefaultSnapshotEvery, "journal records between snapshots (needs -journal)")
-		segmentBytes  = fs.Int64("journal-segment-bytes", 0, "rotate wal segments at this size; 0 = only on snapshots (needs -journal)")
+		journalDir = fs.String("journal", "", "journal directory for durable mode (empty = in-memory)")
 
 		maxConcurrent = fs.Int("max-concurrent", 0, "admitted expensive requests at once (0 = GOMAXPROCS)")
 		maxQueue      = fs.Int("max-queue", service.DefaultMaxQueue, "admission queue bound; beyond it requests shed with 429")
@@ -106,20 +102,18 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		fs.Usage()
 		return exitUsage
 	}
-	if *maxConcurrent < 0 || *maxQueue < 0 || *snapshotEvery < 0 || *segmentBytes < 0 {
-		fmt.Fprintf(stderr, "blazes: serve: -max-concurrent, -max-queue, -snapshot-every and -journal-segment-bytes must be non-negative\n")
+	if *maxConcurrent < 0 || *maxQueue < 0 {
+		fmt.Fprintf(stderr, "blazes: serve: -max-concurrent and -max-queue must be non-negative\n")
 		fs.Usage()
 		return exitUsage
 	}
 
 	svc, err := service.Open(service.Options{
-		MaxSessions:         *maxSessions,
-		JournalDir:          *journalDir,
-		SnapshotEvery:       *snapshotEvery,
-		JournalSegmentBytes: *segmentBytes,
-		MaxConcurrent:       *maxConcurrent,
-		MaxQueue:            *maxQueue,
-		QueueTimeout:        *queueTimeout,
+		MaxSessions:   *maxSessions,
+		JournalDir:    *journalDir,
+		MaxConcurrent: *maxConcurrent,
+		MaxQueue:      *maxQueue,
+		QueueTimeout:  *queueTimeout,
 	})
 	if err != nil {
 		fmt.Fprintf(stderr, "blazes: serve: %v\n", err)

@@ -3,12 +3,21 @@
 // snapshots, and snapshot+replay recovery. The journal stores opaque
 // payloads — the service serializes its own session op records — and owns
 // only the on-disk discipline: framing, checksums, atomic snapshot
-// replacement, segment rotation, and corrupt-tail truncation.
+// replacement, and corrupt-tail truncation.
 //
 // On-disk layout (all files live in one directory):
 //
-//	wal-<first-seq>.log    record segments, oldest first
+//	wal-<first-seq>.log    the record segment
 //	snap-<seq>.snap        a snapshot covering every record with Seq <= seq
+//
+// The journal writes one segment at a time and only Snapshot starts a new
+// one, at wal-<seq+1>, after the snapshot and its directory entry are
+// durable; the segments it covers are deleted then. Recovery still replays
+// every wal-*.log in seq order, so a directory holding several (written by
+// a release that also rotated on size) opens unchanged. Open refuses a
+// directory it cannot rebuild in full: an undecodable newest snapshot, or
+// a first segment that starts after the newest snapshot's seq + 1 (the
+// snapshot covering the gap is gone).
 //
 // Every file starts with an 8-byte header: the magic "BLZJ", a kind byte
 // ('W' for wal segments, 'S' for snapshots), a format version byte, and
@@ -76,7 +85,7 @@ type Record struct {
 
 // Recovered describes what Open found on disk.
 type Recovered struct {
-	// Snapshot is the newest decodable snapshot payload (nil if none) and
+	// Snapshot is the newest snapshot payload (nil if none) and
 	// SnapshotSeq the record seq it covers.
 	Snapshot    []byte
 	SnapshotSeq uint64
@@ -111,27 +120,25 @@ type Stats struct {
 	Bytes    int64 `json:"bytes"`
 }
 
-// Options tunes Open behavior beyond the on-disk defaults.
-type Options struct {
-	// SegmentBytes caps the active wal segment: once a commit pushes the
-	// segment past the cap, the journal rotates to a fresh segment (the
-	// full one stays on disk until the next snapshot obsoletes it), so no
-	// single wal file grows unboundedly between snapshots. 0 disables
-	// size-based rotation; snapshots still rotate.
-	SegmentBytes int64
-}
-
 // Journal is an open journal directory. Append is safe for concurrent use.
 type Journal struct {
-	dir      string
-	segBytes int64
+	dir string
 
-	mu      sync.Mutex
-	f       *os.File // active wal segment
-	size    int64    // bytes written to f
-	sealed  int64    // bytes in live, already-rotated segments
-	nextSeq uint64   // seq the next Append gets
-	closed  bool
+	// mu guards every field below it: the files, seq assignment and the
+	// counters Stats reports.
+	mu       sync.Mutex
+	f        *os.File  // active wal segment, the last of segments
+	size     int64     // bytes written to f
+	segments []segment // live wal files, oldest first
+	sealed   int64     // bytes in the live segments before f (only Open finds any)
+	nextSeq  uint64    // seq the next Append gets
+	closed   bool
+
+	synced      uint64 // highest seq known durable
+	appended    uint64
+	fsyncs      uint64
+	snapshotSeq uint64
+	snapshots   uint64
 
 	// Group commit: appenders queue on reqs; the writer goroutine drains
 	// the queue, writes every pending frame, fsyncs once, and releases
@@ -140,17 +147,6 @@ type Journal struct {
 	reqs     chan appendReq
 	done     chan struct{} // writer exited
 	inflight sync.WaitGroup
-
-	stats struct {
-		sync.Mutex
-		synced      uint64
-		appended    uint64
-		fsyncs      uint64
-		snapshotSeq uint64
-		snapshots   uint64
-	}
-
-	segments []segment // live wal files, oldest first
 }
 
 type segment struct {
@@ -167,13 +163,10 @@ type appendReq struct {
 // Open opens (or creates) the journal in dir and returns everything needed
 // to rebuild state: the newest snapshot plus the record suffix after it. A
 // corrupt tail is truncated; a file from a future format version fails
-// with ErrVersionSkew.
+// with ErrVersionSkew. An undecodable newest snapshot, or a first segment
+// that starts past the records the snapshot covers, fails naming the file:
+// Snapshot deleted what came before it, so no older state can stand in.
 func Open(dir string) (*Journal, *Recovered, error) {
-	return OpenWithOptions(dir, Options{})
-}
-
-// OpenWithOptions is Open with tuning; see Options.
-func OpenWithOptions(dir string, opts Options) (*Journal, *Recovered, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
@@ -183,25 +176,18 @@ func OpenWithOptions(dir string, opts Options) (*Journal, *Recovered, error) {
 	}
 
 	rec := &Recovered{}
-	// Newest decodable snapshot wins; a corrupt newest snapshot (e.g. a
-	// crash during the pre-rename write never happens — writes go to a
-	// .tmp first — but a torn disk is still survivable) falls back to the
-	// previous one.
-	for i := len(snaps) - 1; i >= 0; i-- {
-		payload, err := readSnapshot(snaps[i].path)
-		if err != nil {
-			if errors.Is(err, ErrVersionSkew) {
-				return nil, nil, fmt.Errorf("journal: %s: %w", snaps[i].path, err)
-			}
-			continue
+	if len(snaps) > 0 {
+		newest := snaps[len(snaps)-1]
+		if rec.Snapshot, err = readSnapshot(newest.path); err != nil {
+			return nil, nil, fmt.Errorf("journal: %s: %w", newest.path, err)
 		}
-		rec.Snapshot = payload
-		rec.SnapshotSeq = snaps[i].firstSeq
-		break
+		rec.SnapshotSeq = newest.firstSeq
+	}
+	if len(wals) > 0 && wals[0].firstSeq > rec.SnapshotSeq+1 {
+		return nil, nil, fmt.Errorf("journal: %s starts at seq %d, but no snapshot covers the records before it (newest snapshot seq %d)", wals[0].path, wals[0].firstSeq, rec.SnapshotSeq)
 	}
 
-	j := &Journal{dir: dir, segBytes: opts.SegmentBytes, nextSeq: 1, reqs: make(chan appendReq, 1024), done: make(chan struct{})}
-	j.stats.snapshotSeq = rec.SnapshotSeq
+	j := &Journal{dir: dir, nextSeq: 1, snapshotSeq: rec.SnapshotSeq, reqs: make(chan appendReq, 1024), done: make(chan struct{})}
 
 	// Replay wal segments in order. Records at or below the snapshot seq
 	// are already folded into the snapshot; a torn record ends the
@@ -252,7 +238,7 @@ func OpenWithOptions(dir string, opts Options) (*Journal, *Recovered, error) {
 	if rec.SnapshotSeq >= j.nextSeq {
 		j.nextSeq = rec.SnapshotSeq + 1
 	}
-	j.stats.synced = j.nextSeq - 1
+	j.synced = j.nextSeq - 1
 
 	// Open the active segment: append to the last live one, or start a
 	// fresh segment at the next seq.
@@ -282,7 +268,8 @@ func OpenWithOptions(dir string, opts Options) (*Journal, *Recovered, error) {
 }
 
 // openSegmentLocked creates a fresh wal segment whose first record will be
-// firstSeq. Caller holds j.mu (or is still single-threaded in Open).
+// firstSeq, and makes its header and its directory entry durable before any
+// record goes in. Caller holds j.mu (or is still single-threaded in Open).
 func (j *Journal) openSegmentLocked(firstSeq uint64) error {
 	path := filepath.Join(j.dir, fmt.Sprintf("wal-%020d.log", firstSeq))
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
@@ -293,6 +280,14 @@ func (j *Journal) openSegmentLocked(firstSeq uint64) error {
 	if _, err := f.Write(hdr[:]); err != nil {
 		f.Close()
 		return fmt.Errorf("journal: %w", err)
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return fmt.Errorf("journal: %w", err)
+	}
+	if err := syncDir(j.dir); err != nil {
+		f.Close()
+		return err
 	}
 	j.f, j.size = f, headerSize
 	j.segments = append(j.segments, segment{firstSeq: firstSeq, path: path})
@@ -366,32 +361,12 @@ func (j *Journal) commit(batch []appendReq) error {
 		return fmt.Errorf("journal: fsync: %w", err)
 	}
 	j.size += int64(len(buf))
-	if j.segBytes > 0 && j.size >= j.segBytes {
-		j.rotateLocked()
+	if maxSeq > j.synced {
+		j.synced = maxSeq
 	}
-	j.stats.Lock()
-	if maxSeq > j.stats.synced {
-		j.stats.synced = maxSeq
-	}
-	j.stats.appended += uint64(len(batch))
-	j.stats.fsyncs++
-	j.stats.Unlock()
+	j.appended += uint64(len(batch))
+	j.fsyncs++
 	return nil
-}
-
-// rotateLocked starts a fresh wal segment; the full old segment stays on
-// disk until the next snapshot obsoletes it (recovery replays every live
-// segment in order). A rotation failure is not an append failure — the
-// batch that triggered it is already durable in the old segment — so the
-// journal keeps appending there and retries on the next commit. Caller
-// holds j.mu.
-func (j *Journal) rotateLocked() {
-	old, oldSize := j.f, j.size
-	if err := j.openSegmentLocked(j.nextSeq); err != nil {
-		return
-	}
-	j.sealed += oldSize
-	_ = old.Close()
 }
 
 // Snapshot atomically records a state snapshot covering every record
@@ -406,6 +381,8 @@ func (j *Journal) Snapshot(payload []byte) error {
 	}
 	seq := j.nextSeq - 1
 
+	// writeSnapshot returns only once the snapshot and its directory entry
+	// are durable; until then the segments it replaces are the only copy.
 	path := filepath.Join(j.dir, fmt.Sprintf("snap-%020d.snap", seq))
 	if err := writeSnapshot(path, payload); err != nil {
 		return err
@@ -413,9 +390,9 @@ func (j *Journal) Snapshot(payload []byte) error {
 
 	// Rotate: records after the snapshot go to a fresh segment, and every
 	// wholly-covered old segment can go. Old segments are removed before
-	// the new one opens: a size rotation may already have created a
-	// (still-empty) segment named wal-<seq+1>, and O_EXCL would refuse to
-	// reuse the name while the file exists.
+	// the new one opens: with nothing appended since the last snapshot the
+	// active segment is already named wal-<seq+1>, and O_EXCL would refuse
+	// to reuse the name while the file exists.
 	if err := j.f.Close(); err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
@@ -438,36 +415,30 @@ func (j *Journal) Snapshot(payload []byte) error {
 		}
 	}
 
-	j.stats.Lock()
-	j.stats.snapshotSeq = seq
-	j.stats.snapshots++
-	j.stats.Unlock()
+	j.snapshotSeq = seq
+	j.snapshots++
 	return nil
 }
 
 // Stats returns current counters.
 func (j *Journal) Stats() Stats {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	last := j.nextSeq - 1
-	segs := len(j.segments)
-	size := j.size + j.sealed
-	j.mu.Unlock()
-	j.stats.Lock()
-	defer j.stats.Unlock()
 	lag := uint64(0)
-	if last > j.stats.synced {
-		lag = last - j.stats.synced
+	if last > j.synced {
+		lag = last - j.synced
 	}
 	return Stats{
 		LastSeq:     last,
-		SyncedSeq:   j.stats.synced,
+		SyncedSeq:   j.synced,
 		Lag:         lag,
-		Appended:    j.stats.appended,
-		Fsyncs:      j.stats.fsyncs,
-		SnapshotSeq: j.stats.snapshotSeq,
-		Snapshots:   j.stats.snapshots,
-		Segments:    segs,
-		Bytes:       size,
+		Appended:    j.appended,
+		Fsyncs:      j.fsyncs,
+		SnapshotSeq: j.snapshotSeq,
+		Snapshots:   j.snapshots,
+		Segments:    len(j.segments),
+		Bytes:       j.size + j.sealed,
 	}
 }
 
@@ -600,9 +571,19 @@ func writeSnapshot(path string, payload []byte) error {
 	if err := os.Rename(tmp, path); err != nil {
 		return fmt.Errorf("journal: snapshot: %w", err)
 	}
-	if dir, err := os.Open(filepath.Dir(path)); err == nil {
-		_ = dir.Sync()
-		_ = dir.Close()
+	return syncDir(filepath.Dir(path))
+}
+
+// syncDir fsyncs a directory, making the entries created, renamed or
+// removed in it durable.
+func syncDir(path string) error {
+	dir, err := os.Open(path)
+	if err == nil {
+		err = dir.Sync()
+		dir.Close() // opened only to sync; Sync's error is the one that counts
+	}
+	if err != nil {
+		return fmt.Errorf("journal: directory sync: %w", err)
 	}
 	return nil
 }
@@ -614,14 +595,14 @@ func readSnapshot(path string) ([]byte, error) {
 		return nil, err
 	}
 	if len(data) < headerSize {
-		return nil, fmt.Errorf("journal: snapshot too short")
+		return nil, fmt.Errorf("snapshot too short")
 	}
 	if err := checkHeader(data, kindSnap); err != nil {
 		return nil, err
 	}
 	records, good := decodeFrames(data[headerSize:])
 	if len(records) != 1 || headerSize+good != len(data) {
-		return nil, fmt.Errorf("journal: corrupt snapshot")
+		return nil, fmt.Errorf("corrupt snapshot")
 	}
 	return records[0].Payload, nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -61,6 +62,26 @@ func walPath(t *testing.T, dir string) string {
 	return matches[0]
 }
 
+// snapshotWithSuffix journals "a" and "b", snapshots them, journals "c",
+// closes, and returns the snapshot's path.
+func snapshotWithSuffix(t *testing.T, dir string) string {
+	t.Helper()
+	j, _ := openT(t, dir)
+	appendAll(t, j, "a", "b")
+	if err := j.Snapshot([]byte("state-after-ab")); err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, j, "c")
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snaps, err := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
+	if err != nil || len(snaps) != 1 {
+		t.Fatalf("snapshots = %v (err %v), want exactly 1", snaps, err)
+	}
+	return snaps[0]
+}
+
 // TestReplay is the table the recovery protocol is pinned by: each case
 // prepares a journal directory (possibly mangling it the way a crash
 // would) and states exactly what Open must recover.
@@ -72,6 +93,7 @@ func TestReplay(t *testing.T) {
 		snap    string   // expected snapshot payload
 		torn    bool
 		wantErr bool
+		errHas  string // required substring of the Open error
 	}{
 		{
 			name: "empty-directory",
@@ -214,6 +236,36 @@ func TestReplay(t *testing.T) {
 			},
 			torn: true,
 		},
+		{
+			// Snapshot deleted the segments holding "a" and "b", so no
+			// older state can stand in for an undecodable snapshot:
+			// recovering only "c" would lose them silently.
+			name: "corrupt-newest-snapshot",
+			prepare: func(t *testing.T, dir string) {
+				path := snapshotWithSuffix(t, dir)
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				data[len(data)-1] ^= 0xff
+				if err := os.WriteFile(path, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			},
+			wantErr: true,
+			errHas:  "snap-00000000000000000002.snap",
+		},
+		{
+			// The same loss by hand: the segment left starts at seq 3.
+			name: "snapshot-deleted",
+			prepare: func(t *testing.T, dir string) {
+				if err := os.Remove(snapshotWithSuffix(t, dir)); err != nil {
+					t.Fatal(err)
+				}
+			},
+			wantErr: true,
+			errHas:  "wal-00000000000000000003.log",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -224,6 +276,9 @@ func TestReplay(t *testing.T) {
 				if err == nil {
 					j.Close()
 					t.Fatal("Open succeeded, want error")
+				}
+				if !strings.Contains(err.Error(), tc.errHas) {
+					t.Errorf("Open error %q does not name %q", err, tc.errHas)
 				}
 				return
 			}
@@ -307,6 +362,141 @@ func TestSnapshotCompaction(t *testing.T) {
 	st := j.Stats()
 	if st.Snapshots != 3 || st.SnapshotSeq != 6 {
 		t.Errorf("stats = %+v, want 3 snapshots covering seq 6", st)
+	}
+}
+
+// writeSegment writes wal-<first>.log holding payloads as records first,
+// first+1, ... (a header alone when payloads is empty), as a journal that
+// also rotated on size left its full segments, and returns its size.
+func writeSegment(t *testing.T, dir string, first uint64, payloads ...string) int64 {
+	t.Helper()
+	var recs []Record
+	for i, p := range payloads {
+		recs = append(recs, Record{Seq: first + uint64(i), Payload: []byte(p)})
+	}
+	data := EncodeRecords(recs)
+	if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("wal-%020d.log", first)), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return int64(len(data))
+}
+
+// TestSegmentRotationByBytes: the segments a byte-capped journal left on
+// disk — several full ones, none torn — replay as one record stream in
+// order, count exactly in Stats, and appends resume with the next seq.
+func TestSegmentRotationByBytes(t *testing.T) {
+	dir := t.TempDir()
+	var want []string
+	var wantBytes int64
+	for first := uint64(1); first <= 40; first += 8 {
+		var seg []string
+		for seq := first; seq < first+8; seq++ {
+			seg = append(seg, fmt.Sprintf("record-%02d-xxxxxxxxxxxxxxxx", seq))
+		}
+		want = append(want, seg...)
+		wantBytes += writeSegment(t, dir, first, seg...)
+	}
+
+	j, rec := openT(t, dir)
+	defer j.Close()
+	if rec.Torn {
+		t.Error("clean multi-segment journal reported torn")
+	}
+	if !equal(payloads(rec.Records), want) {
+		t.Fatalf("recovered %d records %v, want %d", len(rec.Records), payloads(rec.Records), len(want))
+	}
+	if st := j.Stats(); st.Segments != 5 || st.Bytes != wantBytes {
+		t.Errorf("Stats segments %d, bytes %d; want 5, %d", st.Segments, st.Bytes, wantBytes)
+	}
+	if seqs := appendAll(t, j, "after"); seqs[0] != 41 {
+		t.Errorf("post-recovery seq = %d, want 41", seqs[0])
+	}
+}
+
+// TestSegmentRotationThenSnapshot: a byte-capped journal rotated after every
+// commit, so its active segment may be a bare header already named
+// wal-<next-seq>. A snapshot must reuse that name without tripping over the
+// file, and drop every pre-snapshot segment.
+func TestSegmentRotationThenSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	writeSegment(t, dir, 1, "a")
+	writeSegment(t, dir, 2, "b")
+	writeSegment(t, dir, 3)
+
+	j, _ := openT(t, dir)
+	if err := j.Snapshot([]byte("state")); err != nil {
+		t.Fatalf("snapshot after rotation: %v", err)
+	}
+	if got := filepath.Base(walPath(t, dir)); got != fmt.Sprintf("wal-%020d.log", 3) {
+		t.Errorf("live segment %s, want wal-<3>", got)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j2, rec := openT(t, dir)
+	defer j2.Close()
+	if string(rec.Snapshot) != "state" || rec.SnapshotSeq != 2 {
+		t.Fatalf("recovered snapshot %q at seq %d, want \"state\" at 2", rec.Snapshot, rec.SnapshotSeq)
+	}
+	if len(rec.Records) != 0 {
+		t.Fatalf("records after snapshot: %v", payloads(rec.Records))
+	}
+}
+
+// TestOpenLegacySegments: a directory holding several segments — what a
+// journal that also rotated on size left between two snapshots — replays
+// across all of them in order, reports exact sizes, resumes at the next
+// seq, and is folded back into one segment by the next snapshot.
+func TestOpenLegacySegments(t *testing.T) {
+	dir := t.TempDir()
+	var want []string
+	encode := func(first, last uint64) []byte {
+		var recs []Record
+		for seq := first; seq <= last; seq++ {
+			p := fmt.Sprintf("record-%02d", seq)
+			want = append(want, p)
+			recs = append(recs, Record{Seq: seq, Payload: []byte(p)})
+		}
+		return EncodeRecords(recs)
+	}
+	files := [][]byte{encode(1, 3), encode(4, 6), encode(7, 8)}
+	torn := encodeFrame(9, []byte("torn-away"))[:frameSize+2]
+	var wantBytes int64
+	for i, first := range []int{1, 4, 7} {
+		wantBytes += int64(len(files[i]))
+		data := files[i]
+		if i == len(files)-1 {
+			data = append(data, torn...)
+		}
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("wal-%020d.log", first)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	j, rec := openT(t, dir)
+	defer j.Close()
+	if !equal(payloads(rec.Records), want) {
+		t.Fatalf("recovered %v, want %v", payloads(rec.Records), want)
+	}
+	if !rec.Torn || rec.TruncatedBytes != int64(len(torn)) {
+		t.Errorf("torn = %v, truncated %d bytes; want true, %d", rec.Torn, rec.TruncatedBytes, len(torn))
+	}
+	if st := j.Stats(); st.Segments != 3 || st.Bytes != wantBytes {
+		t.Errorf("Stats segments %d, bytes %d; want 3, %d", st.Segments, st.Bytes, wantBytes)
+	}
+	if seqs := appendAll(t, j, "after"); seqs[0] != 9 {
+		t.Errorf("post-recovery seq = %d, want 9", seqs[0])
+	}
+	if st := j.Stats(); st.Bytes != wantBytes+int64(frameSize+len("after")) {
+		t.Errorf("Stats.Bytes after an append = %d, want %d", st.Bytes, wantBytes+int64(frameSize+len("after")))
+	}
+
+	if err := j.Snapshot([]byte("state")); err != nil {
+		t.Fatal(err)
+	}
+	walPath(t, dir)
+	if st := j.Stats(); st.Segments != 1 || st.Bytes != headerSize {
+		t.Errorf("Stats after the snapshot: segments %d, bytes %d; want 1, %d", st.Segments, st.Bytes, headerSize)
 	}
 }
 

@@ -3,9 +3,10 @@
 # service on a free port, drive one create → mutate → analyze → verify
 # round trip over HTTP, then prove durability the hard way — kill -9 the
 # journaled server mid-life, restart it on the same journal, and assert
-# the session replays intact, put a strategy list on the wire, hold
-# /v1/stats' latency counts to the 2xx replies — and finally send SIGTERM
-# and assert a clean (exit 0) shutdown. CI runs
+# the session replays intact from one untorn segment, put a strategy list
+# on the wire, hold /v1/stats' latency counts to the 2xx replies, refuse
+# the retired snapshot-interval flag — and finally send SIGTERM and assert a
+# clean (exit 0) shutdown. CI runs
 # this as the service job; it is also
 # the quickest local sanity check after touching blazes/service,
 # blazes/internal/journal or cmd/blazes.
@@ -96,7 +97,14 @@ wait_ready
 RECOVERED="$(fetch GET /v1/sessions/s1)"
 expect recovered-session "$RECOVERED" '"recovered": true'
 expect recovered-version "$RECOVERED" '"version": 1'
-expect recovered-stats "$(fetch GET /v1/stats)" '"recovered_sessions": 1'
+RSTATS="$(fetch GET /v1/stats | tr -d ' \n')"
+expect recovered-stats "$RSTATS" '"recovered_sessions":1'
+# What the boot replay found: a clean tail (a SIGKILL after the fsync
+# tears nothing), the records since the last snapshot, and one segment.
+expect recovery-untorn "$RSTATS" '"torn":false'
+expect journal-one-segment "$RSTATS" '"segments":1,'
+[[ "$RSTATS" =~ \"records\":[1-9] ]] || { echo "FAIL: recovery replayed no records:"; echo "$RSTATS"; exit 1; }
+echo "ok: recovery-records"
 # The recovered session must analyze like the original sealed session did.
 expect recovered-analyze "$(fetch POST /v1/sessions/s1/analyze)" '"kind": "Async"'
 
@@ -120,6 +128,13 @@ expect retired-parallelism-400 "$RETIRED" 'HTTP 400'
 STATS="$(fetch GET /v1/stats | tr -d ' \n')"
 expect stats-create-count "$STATS" '"create":{"count":1,'
 expect stats-verify-count "$STATS" '"verify":{"count":1,'
+
+# The snapshot interval is fixed: the retired flag is a usage error (exit
+# 2) that names it.
+RETIRED_EXIT=0
+RETIRED="$("$BIN" serve -snapshot-every 8 2>&1)" || RETIRED_EXIT=$?
+[[ "$RETIRED_EXIT" == 2 ]] || { echo "FAIL: the retired snapshot-interval flag exited $RETIRED_EXIT, want 2"; exit 1; }
+expect retired-snapshot-every "$RETIRED" 'flag provided but not defined: -snapshot-every'
 
 # Graceful shutdown: SIGTERM must yield exit code 0.
 kill -TERM "$SERVER_PID"

@@ -103,7 +103,7 @@ func (s *Server) appendRecord(rec journalRecord) error {
 	return nil
 }
 
-// maybeSnapshot writes a snapshot when the journal has grown SnapshotEvery
+// maybeSnapshot writes a snapshot when the journal has grown snapEvery
 // records past the last one. It takes the snapMu write lock, so it runs
 // with no append in flight and the doc it writes covers every assigned
 // seq. At most one snapshot runs at a time.

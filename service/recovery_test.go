@@ -126,9 +126,20 @@ func TestRecoveryDifferential(t *testing.T) {
 	}
 }
 
+// recoveryStats reads the recovery section of a durable server's /v1/stats.
+func recoveryStats(t *testing.T, h http.Handler) RecoveryStats {
+	t.Helper()
+	code, body := call(t, h, "GET", "/v1/stats", nil)
+	var st StatsResponse
+	if err := json.Unmarshal([]byte(body), &st); err != nil || code != http.StatusOK || st.Recovery == nil {
+		t.Fatalf("stats: %d %s (decode err %v)", code, body, err)
+	}
+	return *st.Recovery
+}
+
 // TestRecoveryTornTail appends garbage after a valid journal (a torn final
 // write) and requires recovery to keep every acknowledged op, drop the
-// tail, and stay writable.
+// tail, report what it dropped in /v1/stats, and stay writable.
 func TestRecoveryTornTail(t *testing.T) {
 	dir := t.TempDir()
 	srv := newDurable(t, dir, Options{})
@@ -162,6 +173,9 @@ func TestRecoveryTornTail(t *testing.T) {
 	rh := re.Handler()
 	if code, body := call(t, rh, "GET", "/v1/sessions/s1", nil); code != http.StatusOK || !strings.Contains(body, `"version": 1`) {
 		t.Fatalf("recovered s1: %d %s", code, body)
+	}
+	if got, want := recoveryStats(t, rh), (RecoveryStats{Records: 2, Torn: true, TruncatedBytes: 5}); got != want {
+		t.Errorf("recovery stats = %+v, want %+v", got, want)
 	}
 	// The server must still be writable, and ids must not be reused.
 	if code, body := call(t, rh, "POST", "/v1/sessions", CreateRequest{Name: "after", Spec: spec}); code != http.StatusCreated || !strings.Contains(body, `"session": "s2"`) {
@@ -210,7 +224,8 @@ func TestRecoveryDeleteAndEvict(t *testing.T) {
 // snapshots and checks the compacted journal still recovers everything.
 func TestRecoverySnapshotCompaction(t *testing.T) {
 	dir := t.TempDir()
-	srv := newDurable(t, dir, Options{SnapshotEvery: 8})
+	srv := newDurable(t, dir, Options{})
+	srv.snapEvery = 8
 	h := srv.Handler()
 	spec := wordcountSpecText(t)
 	if code, body := call(t, h, "POST", "/v1/sessions", CreateRequest{Name: "snap", Spec: spec}); code != http.StatusCreated {
@@ -238,6 +253,30 @@ func TestRecoverySnapshotCompaction(t *testing.T) {
 	rh := re.Handler()
 	if code, body := call(t, rh, "GET", "/v1/sessions/s1", nil); code != http.StatusOK || !strings.Contains(body, `"version": 20`) {
 		t.Fatalf("recovered s1: %d %s", code, body)
+	}
+}
+
+// TestRecoverySkippedRecordsReported: a mutate record journaled after its
+// session's delete (a delete racing a mutate) is skipped by the replay,
+// and /v1/stats says so instead of dropping it silently.
+func TestRecoverySkippedRecordsReported(t *testing.T) {
+	spec, err := json.Marshal(wordcountSpecText(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := []journal.Record{
+		{Seq: 1, Payload: []byte(`{"kind":"create","session":"s1","name":"s1","create":{"spec":` + string(spec) + `}}`)},
+		{Seq: 2, Payload: []byte(`{"kind":"delete","session":"s1"}`)},
+		{Seq: 3, Payload: []byte(`{"kind":"mutate","session":"s1","ops":[{"op":"seal","stream":"tweets","key":["batch"]}]}`)},
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "wal-00000000000000000001.log"), journal.EncodeRecords(records), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv := newDurable(t, dir, Options{})
+	defer srv.Close()
+	if got, want := recoveryStats(t, srv.Handler()), (RecoveryStats{Records: 3, SkippedRecords: 1}); got != want {
+		t.Errorf("recovery stats = %+v, want %+v", got, want)
 	}
 }
 

@@ -12,18 +12,20 @@
 // The service practices the fault-tolerance discipline it analyzes:
 //
 //   - Durability (Open with Options.JournalDir): every acknowledged
-//     mutation is journaled — fsync-batched, snapshot-compacted — and
-//     replayed on boot, so a kill -9 loses nothing a client was told
-//     succeeded. While the boot replay rebuilds sessions the server
-//     degrades to read-only (writes shed with 503) instead of blocking.
-//     See durability.go for the write protocol.
+//     mutation is journaled — fsync-batched into one segment, compacted
+//     by a snapshot every 1024 records — and replayed on boot, so a
+//     kill -9 loses nothing a client was told succeeded. While the boot
+//     replay rebuilds sessions the server degrades to read-only (writes
+//     shed with 503) instead of blocking. See durability.go for the write
+//     protocol.
 //   - Backpressure: the expensive paths (create, mutate, analyze, verify,
 //     sweep submit) pass a bounded admission gate; beyond the concurrency
 //     slots and the bounded wait queue, requests shed with 429 +
 //     Retry-After instead of queueing unboundedly. See admission.go and
 //     Server.admitted, the one place such a request is admitted and timed.
-//   - Observability: GET /v1/stats reports sessions, journal lag, queue
-//     depth, shed counts and latency percentiles. See stats.go.
+//   - Observability: GET /v1/stats reports sessions, journal lag, what
+//     the boot replay recovered and dropped, queue depth, shed counts and
+//     latency percentiles. See stats.go.
 //
 // Endpoints (all JSON):
 //
@@ -68,9 +70,8 @@ import (
 // Options.MaxSessions is zero.
 const DefaultMaxSessions = 64
 
-// DefaultSnapshotEvery is the journal-record interval between snapshots
-// when Options.SnapshotEvery is zero.
-const DefaultSnapshotEvery = 1024
+// snapshotEvery is the journal-record interval between snapshots.
+const snapshotEvery = 1024
 
 // DefaultMaxQueue is the admission wait-queue bound when Options.MaxQueue
 // is zero.
@@ -91,14 +92,6 @@ type Options struct {
 	// mutations are journaled there and replayed by Open after a restart.
 	// New ignores it — only Open wires durability.
 	JournalDir string
-	// SnapshotEvery is the number of journal records between snapshots
-	// (compaction); 0 selects DefaultSnapshotEvery.
-	SnapshotEvery int
-	// JournalSegmentBytes caps individual wal segment files: the journal
-	// rotates to a fresh segment once the active one reaches the cap (full
-	// segments last until the next snapshot obsoletes them). 0 disables
-	// size-based rotation.
-	JournalSegmentBytes int64
 
 	// MaxConcurrent bounds concurrently admitted expensive requests
 	// (create/mutate/analyze/verify); 0 selects GOMAXPROCS (min 2).
@@ -109,11 +102,6 @@ type Options struct {
 	// QueueTimeout caps the wait for a slot; a request still queued when
 	// it fires sheds with 429. 0 selects DefaultQueueTimeout.
 	QueueTimeout time.Duration
-
-	// SweepClaimTTL is the lease duration for sweep batches claimed by
-	// workers; an expired claim is re-issued to another worker. 0 selects
-	// DefaultSweepClaimTTL.
-	SweepClaimTTL time.Duration
 }
 
 // Server hosts analysis sessions. Create one with New (in-memory) or Open
@@ -136,7 +124,8 @@ type Server struct {
 
 	// Durability (nil jrn = in-memory server). snapMu serializes writers
 	// (read lock around apply+journal) against snapshots (write lock), so
-	// a snapshot always covers every record at or below its seq.
+	// a snapshot always covers every record at or below its seq. snapEvery
+	// is snapshotEvery; a test shortens it before the first write.
 	jrn           *journal.Journal
 	snapMu        sync.RWMutex
 	snapEvery     int
@@ -144,7 +133,9 @@ type Server struct {
 	journalBroken atomic.Bool
 
 	// Recovery: while recovering, writes shed with 503 and sessions appear
-	// as the background replay rebuilds them.
+	// as the background replay rebuilds them. recovery is what the replay
+	// found in the journal (nil on in-memory servers), fixed by Open.
+	recovery       *RecoveryStats
 	recovering     atomic.Bool
 	recoveredCh    chan struct{}
 	recoveredCount atomic.Int64
@@ -163,7 +154,6 @@ type Server struct {
 	sweeps      map[string]*sweepJob
 	sweepOrder  []string
 	nextSweepID int
-	sweepTTL    time.Duration
 
 	sweepsSubmitted      atomic.Uint64
 	sweepsCompleted      atomic.Uint64
@@ -215,25 +205,16 @@ func New(opts Options) *Server {
 	if queueTimeout <= 0 {
 		queueTimeout = DefaultQueueTimeout
 	}
-	snapEvery := opts.SnapshotEvery
-	if snapEvery <= 0 {
-		snapEvery = DefaultSnapshotEvery
-	}
-	sweepTTL := opts.SweepClaimTTL
-	if sweepTTL <= 0 {
-		sweepTTL = DefaultSweepClaimTTL
-	}
 	s := &Server{
 		max:         max,
 		byID:        map[string]*entry{},
 		tombIdx:     map[string]int{},
 		lru:         list.New(),
-		snapEvery:   snapEvery,
+		snapEvery:   snapshotEvery,
 		gate:        newGate(maxConc, maxQueue, queueTimeout),
 		latency:     map[string]*hist.Histogram{"create": {}, "mutate": {}, "analyze": {}, "verify": {}, "sweep": {}},
 		recoveredCh: make(chan struct{}),
 		sweeps:      map[string]*sweepJob{},
-		sweepTTL:    sweepTTL,
 	}
 	close(s.recoveredCh) // nothing to recover
 	return s
@@ -249,7 +230,7 @@ func Open(opts Options) (*Server, error) {
 	if opts.JournalDir == "" {
 		return s, nil
 	}
-	jrn, recovered, err := journal.OpenWithOptions(opts.JournalDir, journal.Options{SegmentBytes: opts.JournalSegmentBytes})
+	jrn, recovered, err := journal.Open(opts.JournalDir)
 	if err != nil {
 		return nil, fmt.Errorf("service: %w", err)
 	}
@@ -259,6 +240,13 @@ func Open(opts Options) (*Server, error) {
 		return nil, fmt.Errorf("service: %w", err)
 	}
 	s.jrn = jrn
+	s.recovery = &RecoveryStats{
+		SnapshotSeq:    recovered.SnapshotSeq,
+		Records:        len(recovered.Records),
+		Torn:           recovered.Torn,
+		TruncatedBytes: recovered.TruncatedBytes,
+		SkippedRecords: plan.skipped,
+	}
 	s.recoveredCh = make(chan struct{})
 	s.recovering.Store(true)
 	go s.recoverSessions(plan)

@@ -8,10 +8,11 @@ import (
 )
 
 // Observability: GET /v1/stats reports everything needed to reason about
-// the server under load — session population, journal lag, admission
-// queue depth and shed counts, and latency percentiles per admitted
-// endpoint — from atomic counters and lock-free histograms, so the
-// endpoint itself stays cheap enough to poll during overload.
+// the server under load — session population, journal lag, what the boot
+// replay recovered or dropped, admission queue depth and shed counts, and
+// latency percentiles per admitted endpoint — from atomic counters and
+// lock-free histograms, so the endpoint itself stays cheap enough to poll
+// during overload.
 
 // LatencySummary is one endpoint's latency section, microsecond units: the
 // 2xx replies, each timed from arrival (queue wait included) to the end of
@@ -39,6 +40,7 @@ type StatsResponse struct {
 	ReplayErrors      int64          `json:"replay_errors,omitempty"`
 	JournalBroken     bool           `json:"journal_broken,omitempty"`
 	Journal           *journal.Stats `json:"journal,omitempty"`
+	Recovery          *RecoveryStats `json:"recovery,omitempty"`
 
 	Admission AdmissionStats `json:"admission"`
 
@@ -47,6 +49,18 @@ type StatsResponse struct {
 
 	// Latency maps endpoint → summary for the admitted endpoints.
 	Latency map[string]LatencySummary `json:"latency"`
+}
+
+// RecoveryStats is what the boot replay of a durable server found in its
+// journal: the snapshot it started from and how many records followed it,
+// the torn tail Open cut away, and the records it skipped because their
+// session was already gone (a delete journaled ahead of a racing mutate).
+type RecoveryStats struct {
+	SnapshotSeq    uint64 `json:"snapshot_seq"`
+	Records        int    `json:"records"`
+	Torn           bool   `json:"torn"`
+	TruncatedBytes int64  `json:"truncated_bytes"`
+	SkippedRecords int    `json:"skipped_records"`
 }
 
 // SweepStats counts sweep-coordinator activity this process.
@@ -78,6 +92,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		RecoveredSessions: s.recoveredCount.Load(),
 		ReplayErrors:      s.replayErrors.Load(),
 		JournalBroken:     s.journalBroken.Load(),
+		Recovery:          s.recovery,
 		Admission:         s.gate.stats(),
 		Sweeps: SweepStats{
 			Submitted:       s.sweepsSubmitted.Load(),

@@ -27,10 +27,9 @@ import (
 	"blazes/verify"
 )
 
-// DefaultSweepClaimTTL is the batch-claim lease duration when
-// Options.SweepClaimTTL is zero: a worker that dies mid-batch has its
-// claim re-issued to another worker after this long.
-const DefaultSweepClaimTTL = 30 * time.Second
+// sweepClaimTTL is the batch-claim lease duration: a worker that dies
+// mid-batch has its claim re-issued to another worker after this long.
+const sweepClaimTTL = 30 * time.Second
 
 // maxSweeps bounds retained sweeps; submitting beyond it evicts the
 // oldest completed sweep (or sheds with 429 when every slot is active).
@@ -185,7 +184,7 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		job.plans = append(job.plans, plan)
 		cells = append(cells, plan.Cells...)
 	}
-	job.state = verify.NewSweepState(cells, req.BatchSize, s.sweepTTL.Milliseconds())
+	job.state = verify.NewSweepState(cells, req.BatchSize, sweepClaimTTL.Milliseconds())
 
 	s.sweepMu.Lock()
 	if len(s.sweeps) >= maxSweeps {
