@@ -19,6 +19,10 @@ type instance struct {
 
 	busyUntil sim.Time
 	batches   map[int64]*batchState
+	// seenWords is, per upstream instance, the widest any batch's dedup
+	// bitset has grown: a new batch's bitsets are carved from one array at
+	// these capacities.
+	seenWords []int
 	// queue holds tuples awaiting their execution event, in busy-time
 	// order. Execution events of one instance fire in exactly the order
 	// they were scheduled (busyUntil strictly increases), so a FIFO matches
@@ -74,17 +78,19 @@ func (bs *batchState) isSeen(from, seq int32) bool {
 	return word < len(bits) && bits[word]&(1<<(uint(seq)%64)) != 0
 }
 
-// markSeen records (from, seq) as processed.
-func (bs *batchState) markSeen(from, seq int32) {
+// markSeen records (from, seq) as processed in bs.
+func (in *instance) markSeen(bs *batchState, from, seq int32) {
 	bits := bs.seen[from]
 	word := int(seq) / 64
 	if word >= len(bits) {
 		// In one step: arrivals are reordered, so the first is as likely to
-		// need the last word as the first.
+		// need the last word as the first. Within the capacity the batch
+		// was carved with, this allocates nothing.
 		bits = append(bits, make([]uint64, word+1-len(bits))...)
+		bs.seen[from] = bits
+		in.seenWords[from] = max(in.seenWords[from], len(bits))
 	}
 	bits[word] |= 1 << (uint(seq) % 64)
-	bs.seen[from] = bits
 }
 
 type outMsg struct {
@@ -95,10 +101,11 @@ type outMsg struct {
 
 func newInstance(st *stage, idx int) *instance {
 	in := &instance{
-		st:      st,
-		idx:     idx,
-		bolt:    st.factory(idx),
-		batches: map[int64]*batchState{},
+		st:        st,
+		idx:       idx,
+		bolt:      st.factory(idx),
+		batches:   map[int64]*batchState{},
+		seenWords: make([]int, st.upstreamN),
 	}
 	in.collect = func(out Tuple) {
 		out.Batch = in.cur.tuple.Batch
@@ -128,6 +135,14 @@ func (in *instance) batch(b int64) *batchState {
 			expected: make([]int, n),
 			endFrom:  make([]bool, n),
 			seen:     make([][]uint64, n),
+		}
+		total := 0
+		for _, w := range in.seenWords {
+			total += w
+		}
+		words := make([]uint64, total)
+		for i, w := range in.seenWords {
+			bs.seen[i], words = words[:0:w], words[w:]
 		}
 		in.batches[b] = bs
 	}
@@ -162,7 +177,7 @@ func (in *instance) receive(m message) {
 		t.metrics.Stragglers++
 		return
 	}
-	bs.markSeen(m.from, m.seq)
+	in.markSeen(bs, m.from, m.seq)
 	bs.recvFrom[m.from]++
 
 	execAt := in.busyUntil

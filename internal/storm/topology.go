@@ -2,6 +2,7 @@ package storm
 
 import (
 	"fmt"
+	"slices"
 
 	"blazes/internal/coord"
 	"blazes/internal/sim"
@@ -327,12 +328,14 @@ func (t *Topology) maybeEmit() {
 func (t *Topology) emitBatch(b int64) {
 	perInstance := t.spoutTuples
 	any := false
+	pulled := 0
 	for i := range perInstance {
 		tuples, ok := t.spout.NextBatch(i, b)
 		if !ok {
 			tuples = nil
 		}
 		perInstance[i] = tuples
+		pulled += len(tuples)
 		any = any || ok
 	}
 	if !any {
@@ -352,6 +355,9 @@ func (t *Topology) emitBatch(b int64) {
 		sb.sends = sb.sends[:0]
 		sb.ends = sb.ends[:0]
 	}
+	// One send per tuple and first stage unless a grouping fans out: grow
+	// once rather than by append's steps.
+	sb.sends = slices.Grow(sb.sends, pulled*len(t.firstStages))
 	for _, st := range t.firstStages {
 		for i, tuples := range perInstance {
 			counts := make([]int, st.n)

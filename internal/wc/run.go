@@ -48,6 +48,8 @@ type RunResult struct {
 	Done    bool
 	// At is the virtual time when the simulation stopped.
 	At sim.Time
+	// Steps is the number of events the simulation ran (sim.Steps).
+	Steps uint64
 }
 
 // Run executes one wordcount topology to completion and returns its metrics
@@ -97,5 +99,5 @@ func Run(rc RunConfig) (RunResult, error) {
 	} else {
 		s.Run()
 	}
-	return RunResult{Metrics: tp.Metrics(), Store: store, Done: tp.Done(), At: s.Now()}, nil
+	return RunResult{Metrics: tp.Metrics(), Store: store, Done: tp.Done(), At: s.Now(), Steps: s.Steps()}, nil
 }

@@ -52,7 +52,11 @@ type TweetSpout struct {
 	Vocab []string
 }
 
-// NextBatch implements storm.Spout.
+// NextBatch implements storm.Spout. The word at position pos of tweet tuple
+// is vocab[h % len(vocab)], h being FNV-1a over (instance, batch, tuple, pos)
+// as little-endian 64-bit words. The hash state after (instance, batch) is
+// taken once per share and after the tweet index once per tweet, so a word
+// hashes only its position.
 func (s *TweetSpout) NextBatch(instance int, batch int64) ([]storm.Values, bool) {
 	if batch >= s.Batches {
 		return nil, false
@@ -61,36 +65,66 @@ func (s *TweetSpout) NextBatch(instance int, batch int64) ([]storm.Values, bool)
 	if len(vocab) == 0 {
 		vocab = DefaultVocabulary
 	}
+	n := uint64(len(vocab))
+	share := fnvWord(fnvWord(fnvOffset, uint64(instance)), uint64(batch))
+	// The share's text is one string, sized exactly by a first pass; each
+	// tweet is a substring of it.
+	size := s.TuplesPerBatch * max(s.WordsPerTweet-1, 0) // the spaces
+	for j := range s.TuplesPerBatch {
+		tweet := fnvWord(share, uint64(j))
+		for k := range s.WordsPerTweet {
+			size += len(vocab[fnvWord(tweet, uint64(k))%n])
+		}
+	}
+	var text strings.Builder
+	text.Grow(size)
 	tuples := make([]storm.Values, s.TuplesPerBatch)
 	// One backing array for the whole share: each tuple's Values is a
 	// capacity-clamped one-element subslice of it.
 	tweets := make([]string, s.TuplesPerBatch)
-	words := make([]string, s.WordsPerTweet) // scratch, reused across tweets
 	for j := range tuples {
-		for k := range words {
-			words[k] = vocab[wordIndex(instance, batch, j, k, len(vocab))]
+		start := text.Len()
+		tweet := fnvWord(share, uint64(j))
+		for k := range s.WordsPerTweet {
+			if k > 0 {
+				text.WriteByte(' ')
+			}
+			text.WriteString(vocab[fnvWord(tweet, uint64(k))%n])
 		}
-		tweets[j] = strings.Join(words, " ")
+		// Bytes a Builder has written never change, so this substring stays
+		// valid while later tweets are appended.
+		tweets[j] = text.String()[start:]
 		tuples[j] = tweets[j : j+1 : j+1]
 	}
 	return tuples, true
 }
 
-// wordIndex is FNV-1a over the four coordinates as little-endian 64-bit
-// words, inlined so that choosing a word allocates no hasher.
-func wordIndex(instance int, batch int64, tuple, pos, n int) int {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, v := range [4]uint64{uint64(instance), uint64(batch), uint64(tuple), uint64(pos)} {
-		for i := 0; i < 8; i++ {
-			h ^= v >> (8 * i) & 0xff
-			h *= prime64
-		}
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnvPrimePow[i] is fnvPrime to the i-th power.
+var fnvPrimePow = func() (p [9]uint64) {
+	p[0] = 1
+	for i := 1; i < len(p); i++ {
+		p[i] = p[i-1] * fnvPrime
 	}
-	return int(h % uint64(n))
+	return p
+}()
+
+// fnvWord continues the FNV-1a state h over v's eight little-endian bytes.
+// A zero byte's step is a bare multiplication by the prime, so the steps of
+// v's high zero bytes fold into one multiplication by a power of it: a
+// position or tweet index costs one or two steps, not eight.
+func fnvWord(h, v uint64) uint64 {
+	i := 0
+	for ; v != 0; i++ {
+		h ^= v & 0xff
+		h *= fnvPrime
+		v >>= 8
+	}
+	return h * fnvPrimePow[8-i]
 }
 
 // ExpectedCounts computes the ground-truth per-batch word counts of the
@@ -193,6 +227,11 @@ func (s *Store) Apply(batch int64, counts map[string]int64) {
 		s.rows[batch] = m
 	}
 	for w, c := range counts {
+		if _, ok := m[w]; !ok {
+			// A word is a substring of its spout share's text; the row
+			// outlives the batch and must not keep that text alive.
+			w = strings.Clone(w)
+		}
 		m[w] = c // keyed overwrite: replays are idempotent
 	}
 }

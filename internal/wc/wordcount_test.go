@@ -1,11 +1,198 @@
 package wc
 
 import (
+	"fmt"
+	"maps"
+	"os"
 	"reflect"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
+	"unsafe"
 
+	"blazes/internal/sim"
 	"blazes/internal/storm"
 )
+
+// referenceNextBatch is the generator NextBatch replaced, kept as its
+// oracle: every word is hashed from scratch by wordIndex and every tweet is
+// joined on its own.
+func referenceNextBatch(s *TweetSpout, instance int, batch int64) ([]storm.Values, bool) {
+	if batch >= s.Batches {
+		return nil, false
+	}
+	vocab := s.Vocab
+	if len(vocab) == 0 {
+		vocab = DefaultVocabulary
+	}
+	tuples := make([]storm.Values, s.TuplesPerBatch)
+	words := make([]string, s.WordsPerTweet)
+	for j := range tuples {
+		for k := range words {
+			words[k] = vocab[wordIndex(instance, batch, j, k, len(vocab))]
+		}
+		tuples[j] = storm.Values{strings.Join(words, " ")}
+	}
+	return tuples, true
+}
+
+// wordIndex is FNV-1a over the four coordinates as little-endian 64-bit
+// words.
+func wordIndex(instance int, batch int64, tuple, pos, n int) int {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for _, v := range [4]uint64{uint64(instance), uint64(batch), uint64(tuple), uint64(pos)} {
+		for i := 0; i < 8; i++ {
+			h ^= v >> (8 * i) & 0xff
+			h *= prime64
+		}
+	}
+	return int(h % uint64(n))
+}
+
+// matchReference fails t unless s.NextBatch(instance, batch) returns what
+// the reference generator does, byte for byte, each tweet in a one-element
+// Values a caller cannot append through.
+func matchReference(t *testing.T, s *TweetSpout, instance int, batch int64) {
+	t.Helper()
+	at := fmt.Sprintf("%d batches, %d tweets of %d words, %d-word vocabulary; instance %d batch %d",
+		s.Batches, s.TuplesPerBatch, s.WordsPerTweet, len(s.Vocab), instance, batch)
+	got, gotOK := s.NextBatch(instance, batch)
+	want, wantOK := referenceNextBatch(s, instance, batch)
+	if gotOK != wantOK || len(got) != len(want) || (got == nil) != (want == nil) {
+		t.Fatalf("%s: %d tuples (ok=%v, nil=%v), the reference %d (ok=%v, nil=%v)",
+			at, len(got), gotOK, got == nil, len(want), wantOK, want == nil)
+	}
+	for j := range got {
+		if len(got[j]) != 1 || cap(got[j]) != 1 || got[j][0] != want[j][0] {
+			t.Fatalf("%s, tweet %d: %q (len %d, cap %d), the reference %q",
+				at, j, got[j], len(got[j]), cap(got[j]), want[j][0])
+		}
+	}
+}
+
+func TestTweetSpoutMatchesReference(t *testing.T) {
+	vocabs := [][]string{nil, {"calm"}, {"a", "bb", "ccc", "δδ", "seal", "replica", "x"}, SyntheticVocabulary(800)}
+	for _, vocab := range vocabs {
+		for _, words := range []int{0, 1, 4} {
+			for _, tuples := range []int{0, 1, 500} {
+				s := &TweetSpout{Batches: 5, TuplesPerBatch: tuples, WordsPerTweet: words, Vocab: vocab}
+				for instance := range 4 {
+					for batch := range int64(6) {
+						matchReference(t, s, instance, batch)
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzTweetSpout holds NextBatch to the reference generator. The vocabulary
+// is a comma-separated list (empty for the default one), so words may be
+// empty or repeat.
+func FuzzTweetSpout(f *testing.F) {
+	f.Add(0, int64(0), int64(5), "", uint8(4), uint16(500))
+	f.Add(3, int64(5), int64(5), "calm", uint8(1), uint16(1))
+	f.Add(2, int64(4), int64(5), "a,bb,ccc,δδ,seal,replica,x", uint8(0), uint16(0))
+	f.Add(1, int64(3), int64(5), strings.Join(SyntheticVocabulary(800), ","), uint8(4), uint16(500))
+	f.Add(-1, int64(-7), int64(2), ",,x,", uint8(7), uint16(300))
+	f.Fuzz(func(t *testing.T, instance int, batch, batches int64, vocab string, words uint8, tuples uint16) {
+		s := &TweetSpout{Batches: batches, TuplesPerBatch: int(tuples % 1024), WordsPerTweet: int(words % 16)}
+		if vocab != "" {
+			s.Vocab = strings.Split(vocab, ",")
+		}
+		matchReference(t, s, instance, batch)
+	})
+}
+
+// TestStoreDoesNotPinSpoutText feeds one spout share through Splitter,
+// Count and Commit into the Store by hand: every word the bolts pass on is a
+// substring of the share's one text, and no row key of the store may still
+// point into it — a row outlives its batch, and would keep the whole text
+// alive for the rest of the run.
+func TestStoreDoesNotPinSpoutText(t *testing.T) {
+	spout := &TweetSpout{Batches: 1, TuplesPerBatch: 50, WordsPerTweet: 4}
+	tuples, _ := spout.NextBatch(0, 0)
+	first, last := tuples[0][0], tuples[len(tuples)-1][0]
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(first)))
+	hi := uintptr(unsafe.Pointer(unsafe.StringData(last))) + uintptr(len(last))
+	inText := func(s string) bool {
+		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		return p >= lo && p < hi
+	}
+
+	count, store := NewCount(), NewStore()
+	commit := NewCommit(store)
+	for _, v := range tuples {
+		if !inText(v[0]) {
+			t.Fatalf("tweet %q is not a substring of the share's text", v[0])
+		}
+		Splitter{}.Execute(storm.Tuple{Values: v}, func(w storm.Tuple) { count.Execute(w, nil) })
+	}
+	count.FinishBatch(0, func(out storm.Tuple) {
+		if !inText(out.Values[0]) {
+			t.Fatalf("Count emitted %q from outside the share's text", out.Values[0])
+		}
+		commit.Execute(out, nil)
+	})
+	commit.Commit(0)
+
+	row := store.rows[0]
+	if len(row) == 0 {
+		t.Fatal("nothing was committed")
+	}
+	for _, w := range slices.Sorted(maps.Keys(row)) {
+		if inText(w) {
+			t.Errorf("store row key %q points into the spout share's text", w)
+		}
+	}
+}
+
+// TestRunReportsSteps: RunResult.Steps is the simulator's event count, the
+// steps= that internal/storm's schedule golden recorded for a topology wired
+// by hand as Run wires it, at that golden's clean configuration.
+func TestRunReportsSteps(t *testing.T) {
+	golden, err := os.ReadFile("../storm/testdata/schedule.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine := storm.DefaultConfig()
+	engine.Link.MaxDelay = 6 * sim.Millisecond
+	checked := 0
+	for line := range strings.Lines(string(golden)) {
+		f := strings.Fields(line)
+		if len(f) < 4 || f[1] != "clean" {
+			continue
+		}
+		mode := storm.CommitSealed
+		if f[0] == storm.CommitTransactional.String() {
+			mode = storm.CommitTransactional
+		}
+		seed, err1 := strconv.ParseInt(strings.TrimPrefix(f[2], "seed="), 10, 64)
+		want, err2 := strconv.ParseUint(strings.TrimPrefix(f[3], "steps="), 10, 64)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("golden line %q: %v %v", line, err1, err2)
+		}
+		res, err := Run(RunConfig{
+			Seed: seed, Workers: 4, Batches: 4, TuplesPerBatch: 300, WordsPerTweet: 4, VocabSize: 60,
+			Mode: mode, Punctuate: true, Engine: &engine, Deadline: 2 * sim.Second,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Steps != want {
+			t.Errorf("%s seed %d: Steps = %d, the schedule golden recorded %d", mode, seed, res.Steps, want)
+		}
+		checked++
+	}
+	if checked != 6 {
+		t.Fatalf("checked %d golden lines, want the 6 clean ones", checked)
+	}
+}
 
 func TestTweetSpoutDeterministicWorkload(t *testing.T) {
 	s := &TweetSpout{Batches: 3, TuplesPerBatch: 5, WordsPerTweet: 4}
