@@ -195,7 +195,14 @@ type replica struct {
 	// which preserves the relative order in which they reached the replica
 	// — essential for the ordering regime's guarantee that all replicas
 	// process the same interleaving.
-	pending  []*record
+	pending []*record
+	// batch and req are what the scheduled drain step will apply: the
+	// clicks drained ahead of the request (if any) that ends the step.
+	// draining keeps them exclusive until fire runs, so one buffer serves
+	// every step, and fire is the one closure every step schedules.
+	batch    []bloom.Row
+	req      *record
+	fire     func()
 	ingested int
 	series   Series
 	// Sealed-regime state.
@@ -272,14 +279,14 @@ func Run(cfg Config, prepared ...*Prepared) (*Result, error) {
 			return
 		}
 		r.draining = true
-		var clicks []bloom.Row
+		r.batch = r.batch[:0]
 		i := 0
 		for ; i < len(r.pending) && !r.pending[i].request; i++ {
-			clicks = append(clicks, r.pending[i].row)
+			r.batch = append(r.batch, r.pending[i].row)
 		}
-		var req *record
+		r.req = nil
 		if i < len(r.pending) {
-			req = r.pending[i]
+			r.req = r.pending[i]
 			i++
 		}
 		r.pending = r.pending[i:]
@@ -288,19 +295,22 @@ func Run(cfg Config, prepared ...*Prepared) (*Result, error) {
 		if r.busyUntil > start {
 			start = r.busyUntil
 		}
-		done := start + sim.Time(len(clicks))*cfg.ProcessCost
+		done := start + sim.Time(len(r.batch))*cfg.ProcessCost
 		r.busyUntil = done
-		s.At(done, func() {
-			if len(clicks) > 0 {
-				if err := r.node.Deliver("click", clicks...); err != nil {
+		s.At(done, r.fire)
+	}
+	for _, r := range replicas {
+		r.fire = func() {
+			if len(r.batch) > 0 {
+				if err := r.node.Deliver("click", r.batch...); err != nil {
 					fail(err)
 					return
 				}
-				r.ingested += len(clicks)
+				r.ingested += len(r.batch)
 				r.series = append(r.series, Point{At: s.Now(), Records: r.ingested})
 			}
-			if req != nil {
-				if err := r.node.Deliver("request", req.row); err != nil {
+			if r.req != nil {
+				if err := r.node.Deliver("request", r.req.row); err != nil {
 					fail(err)
 					return
 				}
@@ -308,7 +318,7 @@ func Run(cfg Config, prepared ...*Prepared) (*Result, error) {
 			}
 			r.draining = false
 			drain(r)
-		})
+		}
 	}
 	enqueue := func(r *replica, m *record) {
 		r.pending = append(r.pending, m)

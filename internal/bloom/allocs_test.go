@@ -1,6 +1,7 @@
 package bloom_test
 
 import (
+	"runtime"
 	"testing"
 
 	"blazes/internal/adtrack"
@@ -85,5 +86,47 @@ func TestRequestTickAllocs(t *testing.T) {
 	t.Logf("one bloom-report-CAMPAIGN schedule: %.0f allocations", schedule)
 	if schedule > 1000 {
 		t.Errorf("one bloom-report-CAMPAIGN schedule made %.0f allocations, want at most 1000 (3103 when every schedule rebuilt the plan, the module and every row)", schedule)
+	}
+}
+
+// TestScheduleBytes pins the bytes a chaos-sized schedule allocates, which
+// TestRequestTickAllocs' counts cannot see: a slice regrown from nothing, a
+// copied row or an index that grows is one allocation of many bytes. The
+// collector paces a sweep by bytes (EXPERIMENTS.md "The sweep pays the
+// collector per byte"), so a schedule that allocates more runs slower even
+// when its allocation count holds. Each bound is the measured mean plus a
+// tenth; parent is what the tree before the flat store index, the reused
+// delta buffers, the pooled canonical-text scratch, the uncloned Deliver and
+// adtrack's reused drain buffer allocated.
+func TestScheduleBytes(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector changes allocation sizes")
+	}
+	plan := chaos.DefaultPlans()[0]
+	for _, c := range []struct {
+		w             chaos.Workload
+		bound, parent float64 // kB per schedule
+	}{
+		{chaos.ReplicatedReport(dataflow.CAMPAIGN), 93, 119.6},
+		{chaos.AdNetwork(), 196, 345.4},
+	} {
+		run := func(seed int64) {
+			if _, err := c.w.Run(seed, plan, dataflow.CoordSealed); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run(0) // prepares the workload's shared plan
+		const n = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for seed := int64(1); seed <= n; seed++ {
+			run(seed)
+		}
+		runtime.ReadMemStats(&after)
+		kb := float64(after.TotalAlloc-before.TotalAlloc) / n / 1024
+		t.Logf("one %s schedule: %.1f kB", c.w.Name(), kb)
+		if kb > c.bound {
+			t.Errorf("one %s schedule allocated %.1f kB, want at most %.1f (%.1f before the Bloom path stopped regrowing and copying)", c.w.Name(), kb, c.bound, c.parent)
+		}
 	}
 }

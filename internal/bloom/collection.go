@@ -1,6 +1,9 @@
 package bloom
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Kind classifies a collection's persistence and visibility semantics
 // (Bloom's collection types).
@@ -88,23 +91,105 @@ type Collection struct {
 	Schema Schema
 }
 
+// flatIndex is the hash index of the store and of the group index: an
+// open-addressed table of 1-based positions into the owner's flat slice (0
+// marks an empty slot), probed linearly from a hash's home slot, with
+// hashes[p-1] holding the hash of the element at position p so that neither
+// growth nor removal rehashes a row. The table is at most half full, so every
+// probe ends at an empty slot, and a removal closes its gap by backward shift
+// instead of leaving a tombstone. Owners probe it themselves (equality is
+// theirs to define):
+//
+//	for i := ix.home(h); ; i = ix.next(i) { p := ix.slots[i]; ... }
+type flatIndex struct {
+	slots  []int32
+	hashes []uint64
+	// shift maps a hash onto len(slots) slots: 64 minus its log2.
+	shift uint
+}
+
+// home is the first slot of h's probe sequence: the top bits of h times
+// 2^64/φ, so that hashes differing only in high bits still spread.
+func (ix *flatIndex) home(h uint64) int { return int((h * 0x9e3779b97f4a7c15) >> ix.shift) }
+
+// next is the slot after i.
+func (ix *flatIndex) next(i int) int { return (i + 1) & (len(ix.slots) - 1) }
+
+// makeRoom makes room for one more element: when it would fill the table
+// past half, the table doubles and every position is re-placed from its
+// recorded hash.
+func (ix *flatIndex) makeRoom() {
+	if 2*(len(ix.hashes)+1) <= len(ix.slots) {
+		return
+	}
+	ix.slots = make([]int32, max(8, 2*len(ix.slots)))
+	ix.shift = uint(64 - bits.TrailingZeros(uint(len(ix.slots))))
+	for p, h := range ix.hashes {
+		i := ix.home(h)
+		for ix.slots[i] != 0 {
+			i = ix.next(i)
+		}
+		ix.slots[i] = int32(p + 1)
+	}
+}
+
+// add records, in the empty slot i where h's probe ended, the element the
+// owner just appended.
+func (ix *flatIndex) add(i int, h uint64) {
+	ix.hashes = append(ix.hashes, h)
+	ix.slots[i] = int32(len(ix.hashes))
+}
+
+// remove forgets the element at position p, found in slot i, and gives
+// position p to the last element: the owner makes the same swap in its
+// slice.
+func (ix *flatIndex) remove(i int, p int32) {
+	mask := len(ix.slots) - 1
+	// Backward shift: an entry later in the cluster moves into the gap when
+	// the gap lies on its probe sequence, i.e. between its home and it.
+	for j := ix.next(i); ix.slots[j] != 0; j = ix.next(j) {
+		q := ix.slots[j]
+		if (j-ix.home(ix.hashes[q-1]))&mask >= (j-i)&mask {
+			ix.slots[i] = q
+			i = j
+		}
+	}
+	ix.slots[i] = 0
+	last := int32(len(ix.hashes))
+	if p != last {
+		h := ix.hashes[last-1]
+		j := ix.home(h)
+		for ix.slots[j] != last {
+			j = ix.next(j)
+		}
+		ix.slots[j], ix.hashes[p-1] = p, h
+	}
+	ix.hashes = ix.hashes[:last-1]
+}
+
+// reset empties the index, keeping its capacity.
+func (ix *flatIndex) reset() {
+	clear(ix.slots)
+	ix.hashes = ix.hashes[:0]
+}
+
 // store is the runtime contents of a collection: a set of rows held flat in
-// insertion order, indexed by FNV hash with element-wise equality resolving
-// collisions. Rows sharing a hash are chained through next, newest first;
-// head and next hold 1-based positions into rows, 0 ending a chain, so an
-// insert allocates nothing per row. Rows held by a store are immutable by
-// convention: the evaluator never mutates a row after construction, so
-// inserts do not clone. Cloning happens only at the public boundary (Deliver
-// in; snapshot/Rows/Emission out).
+// insertion order, indexed by FNV hash in a flatIndex with element-wise
+// equality resolving collisions, so an insert allocates nothing per row. Rows
+// held by a store are immutable by convention: the evaluator never mutates a
+// row after construction, and neither may the caller that handed it to
+// Deliver, so no insert clones. Cloning happens only on the way out
+// (snapshot/Rows/Emission). The zero store is empty and ready; a bare one is
+// the evaluator's transient row set (projection and emission dedup).
 type store struct {
-	// decl is the collection the store holds (nil for a bare test store).
+	// decl is the collection the store holds (nil for a bare store).
 	decl *Collection
 	// rows is in insertion order, except that remove fills the hole it
 	// leaves with the last row — a function of the operations applied,
 	// never of map iteration, so scans are deterministic.
 	rows []Row
-	head map[uint64]int32
-	next []int32
+	// index holds rows' positions; index.hashes runs parallel to rows.
+	index flatIndex
 	// hashShift discards low hash bits; tests raise it to force collisions.
 	hashShift uint
 	// version counts mutations (it never repeats), so two reads of the
@@ -112,8 +197,10 @@ type store struct {
 	// keys on it.
 	version uint64
 	// delta holds the rows newly inserted as of the last semi-naive
-	// rotation; newDelta accumulates inserts since. Node.Tick owns the
-	// rotation discipline.
+	// rotation; newDelta accumulates inserts since. The two buffers swap at
+	// every rotation and keep their capacity, which is safe because no
+	// reader holds delta across one: cScan.delta copies it out, never lends
+	// it. Node.Tick owns the rotation discipline.
 	delta    []Row
 	newDelta []Row
 	// pendingIns/pendingDel apply at the start of the next tick (<+, <-,
@@ -122,49 +209,36 @@ type store struct {
 	pendingIns, pendingDel, outbox []Row
 }
 
-func newStore() *store { return &store{head: map[uint64]int32{}} }
-
 // hash is the row's index hash.
 func (s *store) hash(r Row) uint64 { return r.hash() >> s.hashShift }
 
-// find returns the 1-based position of r in the chain of hash h, or 0.
-func (s *store) find(h uint64, r Row) int32 {
-	for i := s.head[h]; i != 0; i = s.next[i-1] {
-		if rowsSame(s.rows[i-1], r) {
-			return i
+// find returns where the probe for r under hash h ends: its slot, and r's
+// 1-based position in rows, or 0 when r is absent (the slot is then the
+// empty one an insert takes; -1 before the table exists).
+func (s *store) find(h uint64, r Row) (int, int32) {
+	ix := &s.index
+	if len(ix.slots) == 0 {
+		return -1, 0
+	}
+	for i := ix.home(h); ; i = ix.next(i) {
+		p := ix.slots[i]
+		if p == 0 || ix.hashes[p-1] == h && rowsSame(s.rows[p-1], r) {
+			return i, p
 		}
 	}
-	return 0
-}
-
-// relink repoints the one reference to position from in the chain of hash
-// h — the head entry or a predecessor's next — at position to.
-func (s *store) relink(h uint64, from, to int32) {
-	if s.head[h] == from {
-		if to == 0 {
-			delete(s.head, h)
-		} else {
-			s.head[h] = to
-		}
-		return
-	}
-	i := s.head[h]
-	for s.next[i-1] != from {
-		i = s.next[i-1]
-	}
-	s.next[i-1] = to
 }
 
 // insert adds a row; reports whether it was new. The row is aliased, not
 // cloned — callers must not mutate it afterwards.
 func (s *store) insert(r Row) bool {
 	h := s.hash(r)
-	if s.find(h, r) != 0 {
+	s.index.makeRoom()
+	i, p := s.find(h, r)
+	if p != 0 {
 		return false
 	}
-	s.next = append(s.next, s.head[h])
 	s.rows = append(s.rows, r)
-	s.head[h] = int32(len(s.rows))
+	s.index.add(i, h)
 	s.version++
 	return true
 }
@@ -180,37 +254,42 @@ func (s *store) insertDelta(r Row) bool {
 }
 
 // rotate promotes newDelta to delta, reporting whether anything changed.
+// The old delta's buffer, its references cleared, collects the next
+// generation.
 func (s *store) rotate() bool {
-	s.delta = s.newDelta
-	s.newDelta = nil
+	clear(s.delta)
+	s.delta, s.newDelta = s.newDelta, s.delta[:0]
 	return len(s.delta) > 0
 }
 
-// clearDelta drops both delta generations.
-func (s *store) clearDelta() { s.delta, s.newDelta = nil, nil }
+// clearDelta drops both delta generations, keeping their buffers.
+func (s *store) clearDelta() {
+	clear(s.delta)
+	clear(s.newDelta)
+	s.delta, s.newDelta = s.delta[:0], s.newDelta[:0]
+}
 
 // remove deletes a row; reports whether it was present. The last row moves
-// into the freed position, so removal is O(chain length), not O(rows).
+// into the freed position, so removal costs a probe, not a pass over rows.
 func (s *store) remove(r Row) bool {
-	h := s.hash(r)
-	i := s.find(h, r)
-	if i == 0 {
+	i, p := s.find(s.hash(r), r)
+	if p == 0 {
 		return false
 	}
-	s.relink(h, i, s.next[i-1])
-	last := int32(len(s.rows))
-	if i != last {
-		s.relink(s.hash(s.rows[last-1]), last, i)
-		s.rows[i-1], s.next[i-1] = s.rows[last-1], s.next[last-1]
-	}
-	s.rows[last-1] = nil
-	s.rows, s.next = s.rows[:last-1], s.next[:last-1]
+	s.index.remove(i, p)
+	last := len(s.rows) - 1
+	s.rows[p-1] = s.rows[last]
+	s.rows[last] = nil
+	s.rows = s.rows[:last]
 	s.version++
 	return true
 }
 
 // contains reports membership.
-func (s *store) contains(r Row) bool { return s.find(s.hash(r), r) != 0 }
+func (s *store) contains(r Row) bool {
+	_, p := s.find(s.hash(r), r)
+	return p != 0
+}
 
 // snapshot returns cloned rows in canonical order — the public read path.
 func (s *store) snapshot() []Row {
@@ -228,9 +307,9 @@ func (s *store) size() int { return len(s.rows) }
 // clear empties the store, keeping the capacity of its rows and index.
 func (s *store) clear() {
 	if len(s.rows) > 0 {
-		clear(s.head)
+		s.index.reset()
 		clear(s.rows)
-		s.rows, s.next = s.rows[:0], s.next[:0]
+		s.rows = s.rows[:0]
 		s.version++
 	}
 	s.clearDelta()

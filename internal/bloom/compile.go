@@ -11,7 +11,7 @@ import (
 // join/group key indexes are precomputed, and scans are bound to their store
 // pointers. Compiled evaluation therefore cannot fail, performs no schema
 // lookups, and never clones rows — rows are immutable by convention and
-// cloning is reserved for the public Deliver/Rows/Emission boundary. Each
+// cloning is reserved for the way out (Rows, Emission). Each
 // operator supports two modes:
 //
 //   - full: the complete result set (used at the first iteration of a
@@ -31,28 +31,6 @@ type compiledExpr interface {
 	anyDelta() bool
 }
 
-// rowSet is a transient hash set used for projection dedup.
-type rowSet struct {
-	buckets map[uint64][]Row
-}
-
-func newRowSet(capacity int) rowSet {
-	return rowSet{buckets: make(map[uint64][]Row, capacity)}
-}
-
-// add reports whether r was new, aliasing it into the set.
-func (s rowSet) add(r Row) bool {
-	h := r.hash()
-	b := s.buckets[h]
-	for _, x := range b {
-		if rowsSame(x, r) {
-			return false
-		}
-	}
-	s.buckets[h] = append(b, r)
-	return true
-}
-
 // cScan reads a bound store.
 type cScan struct{ st *store }
 
@@ -68,6 +46,10 @@ func (e *cScan) full(out []Row) []Row {
 	}
 	return append(out, e.st.rows...)
 }
+
+// delta copies the store's delta out, even for delta(nil): the next
+// rotation swaps the delta buffer in to collect the generation after, so a
+// lent one would change under its holder.
 func (e *cScan) delta(out []Row) []Row { return append(out, e.st.delta...) }
 func (e *cScan) anyDelta() bool        { return len(e.st.delta) > 0 }
 
@@ -111,10 +93,13 @@ type cProject struct {
 	in     compiledExpr
 	idx    []int
 	consts []Val
+	// seen dedups one evaluation's output rows; it is emptied after each,
+	// keeping its capacity.
+	seen store
 }
 
 func (e *cProject) project(out, rows []Row) []Row {
-	set := newRowSet(len(rows))
+	defer e.seen.clear()
 	for _, r := range rows {
 		nr := make(Row, len(e.idx))
 		for i, j := range e.idx {
@@ -124,7 +109,7 @@ func (e *cProject) project(out, rows []Row) []Row {
 				nr[i] = e.consts[i]
 			}
 		}
-		if set.add(nr) {
+		if e.seen.insert(nr) {
 			out = append(out, nr)
 		}
 	}
@@ -338,17 +323,15 @@ type groupAcc struct {
 	repr Row // first row of the group, for key values
 	n    int64
 	agg  []Val // running Sum/Min/Max values, indexed like cGroupBy.aggs
-	next int32 // the next group under the same hash, as in store.next
 }
 
 // groupIndex buckets rows by a key projection in the store's shape: the
-// accumulators lie flat in first-seen order, chained per hash through head
-// and next (1-based, 0 ending a chain). It belongs to one operator of one
-// node and every evaluation resets it, so after the first it is as large as
-// the groups met and allocates nothing.
+// accumulators lie flat in first-seen order, indexed by a flatIndex. It
+// belongs to one operator of one node and every evaluation resets it, so
+// after the first it is as large as the groups met and allocates nothing.
 type groupIndex struct {
-	accs []groupAcc
-	head map[uint64]int32
+	accs  []groupAcc
+	index flatIndex
 	// hashShift discards low hash bits; tests raise it to force collisions.
 	hashShift uint
 }
@@ -359,23 +342,24 @@ type groupIndex struct {
 // call. Shared by the group-by and threshold operators so the probe logic
 // cannot diverge.
 func (g *groupIndex) group(rows []Row, keyIdx []int, onRow func(acc *groupAcc, r Row)) []groupAcc {
-	if g.head == nil {
-		g.head = map[uint64]int32{}
-	}
-	clear(g.head)
+	ix := &g.index
+	ix.reset()
 	g.accs = g.accs[:0]
 	for _, r := range rows {
 		h := hashAt(r, keyIdx) >> g.hashShift
-		i := g.head[h]
-		for i != 0 && !keysSameAt(r, keyIdx, g.accs[i-1].repr, keyIdx) {
-			i = g.accs[i-1].next
+		ix.makeRoom()
+		i := ix.home(h)
+		p := ix.slots[i]
+		for p != 0 && !(ix.hashes[p-1] == h && keysSameAt(r, keyIdx, g.accs[p-1].repr, keyIdx)) {
+			i = ix.next(i)
+			p = ix.slots[i]
 		}
-		if i == 0 {
-			g.accs = append(g.accs, groupAcc{repr: r, next: g.head[h]})
-			i = int32(len(g.accs))
-			g.head[h] = i
+		if p == 0 {
+			g.accs = append(g.accs, groupAcc{repr: r})
+			ix.add(i, h)
+			p = int32(len(g.accs))
 		}
-		acc := &g.accs[i-1]
+		acc := &g.accs[p-1]
 		acc.n++
 		if onRow != nil {
 			onRow(acc, r)

@@ -2,6 +2,7 @@ package bloom
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"blazes/internal/sim"
@@ -110,5 +111,53 @@ func TestConcurrentNodesShareModule(t *testing.T) {
 	}
 	if errs[0] != nil {
 		t.Fatal(errs[0])
+	}
+}
+
+// TestCanonicalTextConcurrent: Digest, Render and the sorts behind Rows draw
+// their scratch from one pool that every node in the process shares. Eight
+// goroutines, each reading a node of its own of a different size (so the
+// pooled buffers move between shapes), must read exactly what a serial run
+// read. CI runs it under -race at one and at four processors.
+func TestCanonicalTextConcurrent(t *testing.T) {
+	const workers = 8
+	nodes := make([]*Node, workers)
+	read := func(n *Node) string {
+		return n.Digest() + " " + n.Render("path") + " " + n.Render("edge") + " " + fmt.Sprint(n.Rows("path"))
+	}
+	want := make([]string, workers)
+	for i := range nodes {
+		n, err := NewNode(fmt.Sprintf("canon%d", i), replicaModule())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for e := 0; e < 3+4*i; e++ {
+			if err := n.Deliver("edges", Row{S(fmt.Sprintf("n%d", e%(i+2))), S(fmt.Sprintf("n%d", (e*7+i)%(i+3)))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := n.Tick(); err != nil {
+			t.Fatal(err)
+		}
+		nodes[i], want[i] = n, read(n)
+	}
+	got := make([]string, workers)
+	var wg sync.WaitGroup
+	for i, n := range nodes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 200 {
+				if got[i] = read(n); got[i] != want[i] {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("node %d read concurrently %q, serially %q", i, got[i], want[i])
+		}
 	}
 }

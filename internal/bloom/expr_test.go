@@ -15,7 +15,7 @@ func evalExpr(t *testing.T, m *Module, data map[string][]Row, e Expr) []Row {
 		t.Fatal(err)
 	}
 	for coll, rows := range data {
-		n.state[coll] = newStore()
+		n.state[coll] = &store{}
 		for _, r := range rows {
 			n.state[coll].insert(r)
 		}

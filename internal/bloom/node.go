@@ -45,8 +45,7 @@ func NewNode(id string, mod *Module) (*Node, error) {
 	}
 	n := &Node{ID: id, mod: mod, state: map[string]*store{}}
 	for _, c := range mod.Collections() {
-		st := newStore()
-		st.decl = c
+		st := &store{decl: c}
 		n.state[c.Name] = st
 		n.stores = append(n.stores, st)
 	}
@@ -58,7 +57,10 @@ func NewNode(id string, mod *Module) (*Node, error) {
 }
 
 // Deliver queues rows for a collection; they become visible at the next
-// tick (asynchronous arrival).
+// tick (asynchronous arrival). The node keeps the rows it is handed, not
+// copies: the caller must not modify them afterwards. (It may reuse the
+// slice that carries them.) Everything the node hands out — Rows, every
+// Emission — is a copy.
 func (n *Node) Deliver(collection string, rows ...Row) error {
 	st := n.state[collection]
 	if st == nil {
@@ -80,9 +82,7 @@ func (n *Node) Deliver(collection string, rows ...Row) error {
 			}
 		}
 	}
-	for _, r := range rows {
-		st.pendingIns = append(st.pendingIns, r.clone())
-	}
+	st.pendingIns = append(st.pendingIns, rows...)
 	return nil
 }
 
@@ -135,17 +135,19 @@ func (n *Node) Ticks() int { return n.ticks }
 // state agrees — the comparison replica-convergence checks rest on.
 func (n *Node) Digest() string {
 	h := fnv.New64a()
-	var buf []byte
+	c := getScratch()
+	defer c.release()
 	for _, st := range n.stores {
 		if st.decl.Kind.Transient() {
 			continue
 		}
-		_, byKey := encodeSorted(st.rows, Row.appendKey)
-		buf = append(append(buf[:0], st.decl.Name...), '[')
-		for _, e := range byKey {
-			buf = append(e.row.appendString(buf), ';')
+		c.encodeSorted(st.rows, Row.appendKey)
+		c.text = append(append(c.text[:0], st.decl.Name...), '[')
+		for _, e := range c.spans {
+			c.text = append(e.row.appendString(c.text), ';')
 		}
-		h.Write(append(buf, ']'))
+		c.text = append(c.text, ']')
+		h.Write(c.text)
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
 }
@@ -261,10 +263,10 @@ func (n *Node) Tick() ([]Emission, error) {
 
 // canonRows dedups, clones, and canonically orders rows leaving the node.
 func canonRows(rows []Row) []Row {
-	set := newRowSet(len(rows))
+	var seen store
 	out := make([]Row, 0, len(rows))
 	for _, r := range rows {
-		if set.add(r) {
+		if seen.insert(r) {
 			out = append(out, r.clone())
 		}
 	}

@@ -1,6 +1,7 @@
 package bloom
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -91,6 +92,88 @@ func TestDeliverRejectsUnsupportedValueTypes(t *testing.T) {
 	}
 	if n.Size("log") != 2 {
 		t.Errorf("log size = %d, want 2", n.Size("log"))
+	}
+}
+
+// TestDeliverKeepsRowsEmitsCopies pins Deliver's ownership contract: the
+// node stores the rows it is handed as given — the caller promises not to
+// modify them — and its ticks, deferred deletes and the clearing of
+// transients leave them untouched; everything handed out (Rows, every
+// Emission, Render) is a copy, so a caller mutating it cannot reach the
+// node's state.
+func TestDeliverKeepsRowsEmitsCopies(t *testing.T) {
+	m := NewModule("owner")
+	m.Input("in", "k", "n")
+	m.Table("log", "k", "n")
+	m.Output("out", "k", "n")
+	m.Channel("ch", "k", "n")
+	m.Rule("log", Instant, Scan("in"))
+	m.Rule("out", Instant, Scan("log"))
+	m.Rule("ch", Async, Scan("in"))
+	m.Rule("log", Delete, Select(Scan("log"), Where("k", EQ, S("drop"))))
+	n, err := NewNode("owner", m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	given := []Row{{S("a"), I(1)}, {S("drop"), I(2)}, {S("b"), I(3)}}
+	want := make([]Row, len(given))
+	for i, r := range given {
+		want[i] = r.clone()
+	}
+	unchanged := func(when string) {
+		t.Helper()
+		for i := range given {
+			if !rowsSame(given[i], want[i]) {
+				t.Fatalf("%s: delivered row %d is %v, was %v", when, i, given[i], want[i])
+			}
+		}
+	}
+	if err := n.Deliver("in", given...); err != nil {
+		t.Fatal(err)
+	}
+	em, err := n.Tick()
+	if err != nil || len(em) != 2 {
+		t.Fatalf("the delivering tick emitted %v, err %v; want ch and out", em, err)
+	}
+	unchanged("after the delivering tick (and the clear of in)")
+	// The log holds the delivered rows themselves, not copies.
+	for _, r := range n.state["log"].rows {
+		if !slices.ContainsFunc(given, func(g Row) bool { return &g[0] == &r[0] }) {
+			t.Fatalf("log holds %v, a copy of a delivered row", r)
+		}
+	}
+	if _, err := n.Tick(); err != nil { // applies the deferred delete
+		t.Fatal(err)
+	}
+	unchanged("after the deferred delete")
+	if n.Size("log") != 2 {
+		t.Fatalf("log size %d after the delete, want 2", n.Size("log"))
+	}
+
+	digest, render := n.Digest(), n.Render("log")
+	for _, e := range em {
+		for _, r := range e.Rows {
+			r[0], r[1] = S("mutated"), I(-1)
+		}
+	}
+	for _, r := range n.Rows("log") {
+		r[0] = S("mutated")
+	}
+	em, err = n.Tick()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range em {
+		for _, r := range e.Rows {
+			r[1] = I(-1)
+		}
+	}
+	unchanged("after mutating every emission and Rows")
+	if got := n.Digest(); got != digest {
+		t.Errorf("digest moved from %s to %s when handed-out rows were mutated", digest, got)
+	}
+	if got := n.Render("log"); got != render || got != "(a, 1),(b, 3)" {
+		t.Errorf("Render = %q, was %q, want %q", got, render, "(a, 1),(b, 3)")
 	}
 }
 

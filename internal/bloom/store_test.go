@@ -16,7 +16,7 @@ type storeModel map[string]Row
 type storeOp struct{ kind, val byte }
 
 // opRow maps an op's value onto a row; the domain mixes ints, strings and
-// arities so rowsSame has to tell apart rows that share a hash chain.
+// arities so rowsSame has to tell apart rows that share a probe sequence.
 func opRow(v byte) Row {
 	switch v % 3 {
 	case 0:
@@ -31,11 +31,11 @@ func opRow(v byte) Row {
 // checkStoreOps applies ops to a store and to the model, comparing every
 // return value, and after every step the size, the canonical snapshot, the
 // internal row order's contents and the index's integrity. hashShift > 0
-// truncates the hash so chains grow long and swap-remove has links to patch.
+// truncates the hash so that clusters grow long and removal has entries to
+// shift back.
 func checkStoreOps(t testing.TB, hashShift uint, ops []storeOp) {
 	t.Helper()
-	st := newStore()
-	st.hashShift = hashShift
+	st := &store{hashShift: hashShift}
 	model := storeModel{}
 	var wantDelta []Row
 	for step, op := range ops {
@@ -109,33 +109,48 @@ func checkStoreAgainst(t testing.TB, step int, st *store, model storeModel) {
 	if scan := (&cScan{st: st}).full(nil); !RowsEqual(scan, want) {
 		t.Fatalf("step %d: scan %v, want %v", step, scan, want)
 	}
-	// Every row is reachable from its own hash's chain, and the chains hold
-	// nothing else: heads and links stay inside rows, no chain is empty.
-	if len(st.next) != len(st.rows) {
-		t.Fatalf("step %d: %d links for %d rows", step, len(st.next), len(st.rows))
+	checkIndex(t, step, st)
+}
+
+// checkIndex holds the flat index to the rows: each row is found on its own
+// hash's probe sequence, no slot points past rows, and exactly len(rows)
+// slots are occupied — together, one slot per row.
+func checkIndex(t testing.TB, step int, st *store) {
+	t.Helper()
+	ix := &st.index
+	if len(ix.hashes) != len(st.rows) {
+		t.Fatalf("step %d: %d hashes for %d rows", step, len(ix.hashes), len(st.rows))
 	}
-	reached := 0
-	for h, i := range st.head {
-		if i == 0 {
-			t.Fatalf("step %d: empty chain left under hash %x", step, h)
+	occupied := 0
+	for i, p := range ix.slots {
+		if p < 0 || int(p) > len(st.rows) {
+			t.Fatalf("step %d: slot %d points at position %d of %d rows", step, i, p, len(st.rows))
 		}
-		for ; i != 0; i = st.next[i-1] {
-			if int(i) > len(st.rows) || st.hash(st.rows[i-1]) != h {
-				t.Fatalf("step %d: chain of %x reaches position %d", step, h, i)
-			}
-			if reached++; reached > len(st.rows) {
-				t.Fatalf("step %d: chains loop", step)
-			}
+		if p != 0 {
+			occupied++
 		}
 	}
-	if reached != len(st.rows) {
-		t.Fatalf("step %d: chains reach %d of %d rows", step, reached, len(st.rows))
+	if occupied != len(st.rows) {
+		t.Fatalf("step %d: %d occupied slots for %d rows", step, occupied, len(st.rows))
+	}
+	for p, r := range st.rows {
+		h := st.hash(r)
+		if ix.hashes[p] != h {
+			t.Fatalf("step %d: row %v recorded under hash %x, hashes to %x", step, r, ix.hashes[p], h)
+		}
+		i := ix.home(h)
+		for ; ix.slots[i] != int32(p+1); i = ix.next(i) {
+			if ix.slots[i] == 0 {
+				t.Fatalf("step %d: row %v (position %d) is not on its probe sequence from slot %d", step, r, p+1, ix.home(h))
+			}
+		}
 	}
 }
 
 // TestStoreMatchesModel drives random op streams through the flat store and
-// the map model — with the full hash, and with all but the top few bits
-// dropped so nearly every row collides.
+// the map model — with the full hash, with all but the top few bits dropped
+// so that many rows share a home slot, and with none left so that every row
+// collides.
 func TestStoreMatchesModel(t *testing.T) {
 	for _, shift := range []uint{0, 61, 63, 64} {
 		for seed := int64(1); seed <= 20; seed++ {
@@ -150,7 +165,8 @@ func TestStoreMatchesModel(t *testing.T) {
 }
 
 // FuzzStoreOps is the same check over fuzzer-chosen op streams: byte pairs
-// (kind, value), the first byte picking how much of the hash survives.
+// (kind, value), run under the full hash, under none of it (every row
+// collides), and under the truncation the first byte picks.
 func FuzzStoreOps(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 4, 0, 7, 2, 1, 2, 4, 5, 0})
 	f.Add([]byte{63, 0, 0, 0, 3, 0, 6, 0, 9, 2, 3, 2, 0, 2, 9, 1, 12, 5, 0, 4, 0})
@@ -163,7 +179,9 @@ func FuzzStoreOps(f *testing.F) {
 		for i := 1; i+1 < len(data); i += 2 {
 			ops = append(ops, storeOp{kind: data[i], val: data[i+1]})
 		}
-		checkStoreOps(t, uint(data[0])%65, ops)
+		for _, shift := range []uint{0, 64, uint(data[0]) % 65} {
+			checkStoreOps(t, shift, ops)
+		}
 	})
 }
 

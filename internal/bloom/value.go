@@ -14,9 +14,11 @@
 // possible.
 //
 // Concurrency contract: the package keeps no mutable package-level state
-// and a Node touches only its own stores, so distinct replicas may be
-// constructed and ticked concurrently (the chaos harness's parallel sweeps
-// rely on this; pinned under -race by TestConcurrentTickAcrossReplicas). A
+// beyond canonPool, a sync.Pool of scratch buffers that no result outlives
+// (pinned under -race by TestCanonicalTextConcurrent), and a Node touches
+// only its own stores, so distinct replicas may be constructed and ticked
+// concurrently (the chaos harness's parallel sweeps rely on this; pinned
+// under -race by TestConcurrentTickAcrossReplicas). A
 // single Node remains single-threaded: Deliver and Tick must not race with
 // themselves. NewNode only reads the module it instantiates, so replicas
 // may share one.
@@ -28,6 +30,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Val is a field value: a string or an int64.
@@ -267,23 +270,43 @@ type encoded struct {
 	row      Row
 }
 
-// encodeSorted is decorate-sort: every row is encoded once, by enc, into one
-// shared buffer — not inside a comparator — and the rows' spans come back
-// ordered by encoding. rows itself is only read.
-func encodeSorted(rows []Row, enc func(Row, []byte) []byte) ([]byte, []encoded) {
-	var buf []byte
-	es := make([]encoded, len(rows))
+// canonScratch is the scratch behind canonical text: the encodings of a
+// row set, their spans, and the text built from them. SortRows, Render and
+// Digest draw it from canonPool and hand it back, so a sweep's thousands of
+// short-lived nodes share a few buffers instead of allocating three per
+// collection each time one is digested.
+type canonScratch struct {
+	enc   []byte
+	spans []encoded
+	text  []byte
+}
+
+var canonPool = sync.Pool{New: func() any { return new(canonScratch) }}
+
+func getScratch() *canonScratch { return canonPool.Get().(*canonScratch) }
+
+// release clears the spans' row references, so that the pool pins no rows,
+// and returns c to the pool.
+func (c *canonScratch) release() {
+	clear(c.spans)
+	canonPool.Put(c)
+}
+
+// encodeSorted is decorate-sort: every row is encoded once, by enc, into
+// c.enc — not inside a comparator — and c.spans comes back ordered by
+// encoding. rows itself is only read.
+func (c *canonScratch) encodeSorted(rows []Row, enc func(Row, []byte) []byte) {
+	c.enc, c.spans = c.enc[:0], c.spans[:0]
 	for i, r := range rows {
-		off := len(buf)
-		buf = enc(r, buf)
-		es[i] = encoded{off, len(buf), r}
+		off := len(c.enc)
+		c.enc = enc(r, c.enc)
+		c.spans = append(c.spans, encoded{off, len(c.enc), r})
 		if i == 0 {
 			// Rows of one collection encode to similar lengths.
-			buf = slices.Grow(buf, len(buf)*len(rows))
+			c.enc = slices.Grow(c.enc, len(c.enc)*len(rows))
 		}
 	}
-	slices.SortFunc(es, func(a, b encoded) int { return bytes.Compare(buf[a.off:a.end], buf[b.off:b.end]) })
-	return buf, es
+	slices.SortFunc(c.spans, func(a, b encoded) int { return bytes.Compare(c.enc[a.off:a.end], c.enc[b.off:b.end]) })
 }
 
 // SortRows orders rows canonically, by key (for deterministic iteration and
@@ -292,8 +315,10 @@ func SortRows(rows []Row) {
 	if len(rows) < 2 {
 		return
 	}
-	_, es := encodeSorted(rows, Row.appendKey)
-	for i, e := range es {
+	c := getScratch()
+	defer c.release()
+	c.encodeSorted(rows, Row.appendKey)
+	for i, e := range c.spans {
 		rows[i] = e.row
 	}
 }
@@ -301,15 +326,17 @@ func SortRows(rows []Row) {
 // renderSorted renders each row once, as String does, and joins the
 // renderings in sorted order with commas: the canonical text of a row set.
 func renderSorted(rows []Row) string {
-	buf, es := encodeSorted(rows, Row.appendString)
-	out := make([]byte, 0, len(buf)+len(es))
-	for i, e := range es {
+	c := getScratch()
+	defer c.release()
+	c.encodeSorted(rows, Row.appendString)
+	c.text = c.text[:0]
+	for i, e := range c.spans {
 		if i > 0 {
-			out = append(out, ',')
+			c.text = append(c.text, ',')
 		}
-		out = append(out, buf[e.off:e.end]...)
+		c.text = append(c.text, c.enc[e.off:e.end]...)
 	}
-	return string(out)
+	return string(c.text)
 }
 
 // RowsEqual reports set equality of two row slices.
