@@ -228,7 +228,8 @@ func Run(cfg Config, prepared ...*Prepared) (*Result, error) {
 	s := sim.New(cfg.Seed)
 	res := &Result{}
 
-	// NewNode only reads its module, so the replicas (of every run) share one.
+	// NewNode only reads its module, so the replicas (of every run) share
+	// one, and a run hands its nodes back for the next run to take up.
 	replicas := make([]*replica, cfg.Replicas)
 	for i := range replicas {
 		node, err := bloom.NewNode("report"+strconv.Itoa(i), plan.module)
@@ -513,6 +514,10 @@ func Run(cfg Config, prepared ...*Prepared) (*Result, error) {
 	if tickErr != nil {
 		return nil, tickErr
 	}
+	for _, r := range replicas {
+		r.node.Release()
+	}
+	s.Release()
 	res.Series = replicas[0].series
 	sort.Slice(res.Responses, func(i, j int) bool {
 		if res.Responses[i].At != res.Responses[j].At {

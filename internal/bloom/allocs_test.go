@@ -95,20 +95,24 @@ func TestRequestTickAllocs(t *testing.T) {
 // collector paces a sweep by bytes (EXPERIMENTS.md "The sweep pays the
 // collector per byte"), so a schedule that allocates more runs slower even
 // when its allocation count holds. Each bound is the measured mean plus a
-// tenth; parent is what the tree before the flat store index, the reused
-// delta buffers, the pooled canonical-text scratch, the uncloned Deliver and
-// adtrack's reused drain buffer allocated.
+// tenth; parent is what the tree allocated before a run handed its
+// simulator and its nodes back for the next run to take up (Sim.Release,
+// Node.Release).
 func TestScheduleBytes(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector changes allocation sizes")
 	}
+	// One processor, as a sweep worker is one goroutine: a run takes up what
+	// the run before it released on the same P, and a goroutine moved to
+	// another P in between would build afresh.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	plan := chaos.DefaultPlans()[0]
 	for _, c := range []struct {
 		w             chaos.Workload
 		bound, parent float64 // kB per schedule
 	}{
-		{chaos.ReplicatedReport(dataflow.CAMPAIGN), 93, 119.6},
-		{chaos.AdNetwork(), 196, 345.4},
+		{chaos.ReplicatedReport(dataflow.CAMPAIGN), 40, 84.0},
+		{chaos.AdNetwork(), 92, 178.4},
 	} {
 		run := func(seed int64) {
 			if _, err := c.w.Run(seed, plan, dataflow.CoordSealed); err != nil {
@@ -126,7 +130,7 @@ func TestScheduleBytes(t *testing.T) {
 		kb := float64(after.TotalAlloc-before.TotalAlloc) / n / 1024
 		t.Logf("one %s schedule: %.1f kB", c.w.Name(), kb)
 		if kb > c.bound {
-			t.Errorf("one %s schedule allocated %.1f kB, want at most %.1f (%.1f before the Bloom path stopped regrowing and copying)", c.w.Name(), kb, c.bound, c.parent)
+			t.Errorf("one %s schedule allocated %.1f kB, want at most %.1f (%.1f before runs reused simulators and nodes)", c.w.Name(), kb, c.bound, c.parent)
 		}
 	}
 }

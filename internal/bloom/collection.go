@@ -314,3 +314,15 @@ func (s *store) clear() {
 	}
 	s.clearDelta()
 }
+
+// release empties the store for its node's next run, dropping every row it
+// references, the queues' spare capacity included, and moves its version on.
+func (s *store) release() {
+	s.clear()
+	clear(s.pendingIns[:cap(s.pendingIns)])
+	clear(s.pendingDel[:cap(s.pendingDel)])
+	clear(s.outbox[:cap(s.outbox)])
+	s.pendingIns, s.pendingDel, s.outbox = s.pendingIns[:0], s.pendingDel[:0], s.outbox[:0]
+	s.hashShift = 0
+	s.version++
+}

@@ -29,6 +29,9 @@ type compiledExpr interface {
 	// anyDelta reports whether any store scanned by the subtree has a
 	// pending delta, without materializing delta rows.
 	anyDelta() bool
+	// release drops what the subtree's evaluations left behind — side
+	// caches, group accumulators — for its node's next run (Node.Release).
+	release()
 }
 
 // cScan reads a bound store.
@@ -52,6 +55,7 @@ func (e *cScan) full(out []Row) []Row {
 // lent one would change under its holder.
 func (e *cScan) delta(out []Row) []Row { return append(out, e.st.delta...) }
 func (e *cScan) anyDelta() bool        { return len(e.st.delta) > 0 }
+func (e *cScan) release()              {}
 
 // cPred is a compiled predicate: column offset resolved.
 type cPred struct {
@@ -87,6 +91,7 @@ func (e *cSelect) filter(out, rows []Row) []Row {
 func (e *cSelect) full(out []Row) []Row  { return e.filter(out, e.in.full(nil)) }
 func (e *cSelect) delta(out []Row) []Row { return e.filter(out, e.in.delta(nil)) }
 func (e *cSelect) anyDelta() bool        { return e.in.anyDelta() }
+func (e *cSelect) release()              { e.in.release() }
 
 // cProject projects/renames columns; idx[i] < 0 selects consts[i].
 type cProject struct {
@@ -119,6 +124,7 @@ func (e *cProject) project(out, rows []Row) []Row {
 func (e *cProject) full(out []Row) []Row  { return e.project(out, e.in.full(nil)) }
 func (e *cProject) delta(out []Row) []Row { return e.project(out, e.in.delta(nil)) }
 func (e *cProject) anyDelta() bool        { return e.in.anyDelta() }
+func (e *cProject) release()              { e.in.release() }
 
 // sideCache memoizes one join side's materialized rows and key-hash index,
 // keyed on the version counters of the stores its subtree scans (the same
@@ -162,6 +168,11 @@ func (c *sideCache) get(src compiledExpr, keys []int) ([]Row, map[uint64][]Row) 
 	}
 	c.valid = true
 	return c.rows, c.idx
+}
+
+// release forgets the side, keeping the version slice.
+func (c *sideCache) release() {
+	c.rows, c.idx, c.valid = nil, nil, false
 }
 
 // cJoin is a compiled equijoin. Output rows are the left row followed by the
@@ -250,6 +261,13 @@ func (e *cJoin) delta(out []Row) []Row {
 
 func (e *cJoin) anyDelta() bool { return e.l.anyDelta() || e.r.anyDelta() }
 
+func (e *cJoin) release() {
+	e.l.release()
+	e.r.release()
+	e.lFull.release()
+	e.rFull.release()
+}
+
 // cAntiJoin emits left rows whose key has no right match. Stratification
 // guarantees the right side is fully computed before any in-stratum delta
 // iteration, so delta only needs to filter the left delta.
@@ -295,6 +313,12 @@ func (e *cAntiJoin) full(out []Row) []Row {
 }
 
 func (e *cAntiJoin) anyDelta() bool { return e.l.anyDelta() || e.r.anyDelta() }
+
+func (e *cAntiJoin) release() {
+	e.l.release()
+	e.r.release()
+	e.rFull.release()
+}
 
 func (e *cAntiJoin) delta(out []Row) []Row {
 	if e.r.anyDelta() {
@@ -368,6 +392,15 @@ func (g *groupIndex) group(rows []Row, keyIdx []int, onRow func(acc *groupAcc, r
 	return g.accs
 }
 
+// release drops the last evaluation's groups and the rows they point at,
+// keeping the capacity.
+func (g *groupIndex) release() {
+	clear(g.accs[:cap(g.accs)])
+	g.accs = g.accs[:0]
+	g.index.reset()
+	g.hashShift = 0
+}
+
 // cGroupBy groups on key offsets and streams aggregates.
 type cGroupBy struct {
 	in     compiledExpr
@@ -434,6 +467,11 @@ func (e *cGroupBy) delta(out []Row) []Row {
 
 func (e *cGroupBy) anyDelta() bool { return e.in.anyDelta() }
 
+func (e *cGroupBy) release() {
+	e.in.release()
+	e.groups.release()
+}
+
 // cThreshold is the compiled monotone counting threshold.
 type cThreshold struct {
 	in      compiledExpr
@@ -466,6 +504,11 @@ func (e *cThreshold) delta(out []Row) []Row {
 }
 
 func (e *cThreshold) anyDelta() bool { return e.in.anyDelta() }
+
+func (e *cThreshold) release() {
+	e.in.release()
+	e.groups.release()
+}
 
 // compileExpr lowers an expression against the node's stores, returning the
 // compiled tree and its output schema.
@@ -686,6 +729,12 @@ func (cr *compiledRule) dirty() bool {
 	return false
 }
 
+// release drops the memo and what the body's operators cache.
+func (cr *compiledRule) release() {
+	cr.memoRows, cr.memoOK = nil, false
+	cr.body.release()
+}
+
 // program is a module compiled against one node's stores.
 type program struct {
 	maxStratum int
@@ -699,6 +748,18 @@ type program struct {
 	// order a tick emits them in.
 	rest       []*compiledRule
 	asyncHeads []*store
+}
+
+// release readies the program for its node's next run (Node.Release).
+func (p *program) release() {
+	for _, rules := range p.instant {
+		for _, cr := range rules {
+			cr.release()
+		}
+	}
+	for _, cr := range p.rest {
+		cr.release()
+	}
 }
 
 // compileProgram lowers every rule of the module against the node's stores.

@@ -28,9 +28,10 @@ func replicaModule() *Module {
 }
 
 // driveReplica delivers a deterministic workload derived from the replica
-// index and ticks the node to quiescence, returning the final digest.
-func driveReplica(i int) (string, error) {
-	n, err := NewNode(fmt.Sprintf("rep%d", i), replicaModule())
+// index to a node of mod and ticks it to quiescence, returning the final
+// digest; then it releases the node for the next replica to take up.
+func driveReplica(i int, mod *Module) (string, error) {
+	n, err := NewNode(fmt.Sprintf("rep%d", i), mod)
 	if err != nil {
 		return "", err
 	}
@@ -46,27 +47,32 @@ func driveReplica(i int) (string, error) {
 			return "", err
 		}
 	}
-	return n.Digest(), nil
+	d := n.Digest()
+	n.Release()
+	return d, nil
 }
 
 // TestConcurrentTickAcrossReplicas pins the concurrency contract the
 // parallel runtime relies on: distinct nodes share no mutable state, so
-// constructing and ticking many replicas concurrently (run under -race in
-// CI) yields exactly the digests of the sequential run.
+// constructing, ticking and releasing many replicas of one module
+// concurrently — each taking up a node another goroutine released — yields
+// exactly the digests of fresh nodes run one after another (run under -race
+// in CI).
 func TestConcurrentTickAcrossReplicas(t *testing.T) {
 	const replicas = 16
 	want := make([]string, replicas)
 	for i := range want {
-		d, err := driveReplica(i)
+		d, err := driveReplica(i, replicaModule()) // a module each: every node fresh
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = d
 	}
+	mod := replicaModule()
 	got := make([]string, replicas)
 	errs := make([]error, replicas)
 	sim.NewPool(8).Map(replicas, func(i int) {
-		got[i], errs[i] = driveReplica(i)
+		got[i], errs[i] = driveReplica(i, mod)
 	})
 	for i := range got {
 		if errs[i] != nil {

@@ -61,6 +61,9 @@ type Module struct {
 	colls map[string]*Collection
 	order []string
 	rules []Rule
+	// gen counts the declarations and rules added, so that a released node
+	// compiled before the last of them is never taken up again.
+	gen uint64
 }
 
 // NewModule creates an empty module.
@@ -74,6 +77,7 @@ func (m *Module) Declare(name string, kind Kind, schema ...string) *Module {
 		m.order = append(m.order, name)
 	}
 	m.colls[name] = &Collection{Name: name, Kind: kind, Schema: Schema(schema)}
+	m.gen++
 	return m
 }
 
@@ -105,12 +109,14 @@ func (m *Module) Channel(name string, schema ...string) *Module {
 // Rule appends a rule head op body.
 func (m *Module) Rule(head string, op MergeOp, body Expr) *Module {
 	m.rules = append(m.rules, Rule{Head: head, Op: op, Body: body})
+	m.gen++
 	return m
 }
 
 // NamedRule appends a labelled rule.
 func (m *Module) NamedRule(label, head string, op MergeOp, body Expr) *Module {
 	m.rules = append(m.rules, Rule{Head: head, Op: op, Body: body, Label: label})
+	m.gen++
 	return m
 }
 

@@ -3,6 +3,7 @@ package bloom
 import (
 	"fmt"
 	"hash/fnv"
+	"sync"
 )
 
 // Emission is a batch of rows leaving a node in one timestep: rows merged
@@ -30,12 +31,31 @@ type Node struct {
 	// pointers.
 	prog  *program
 	ticks int
+	// gen is the module's edit count when the node was compiled; released
+	// marks a node handed back by Release.
+	gen      uint64
+	released bool
 }
+
+// shelf holds released nodes by the module they were compiled from.
+type shelf map[*Module][]*Node
+
+// shelves is where Release puts a node and NewNode looks for one. It is a
+// sync.Pool of shelves, so the collector empties it like any pool: a shelf
+// keeps its modules reachable only until the collector drops it.
+var shelves = sync.Pool{New: func() any { return shelf{} }}
 
 // NewNode instantiates a module. The module must validate, stratify, and
 // compile (compilation additionally resolves predicate and having columns
-// that Validate's schema pass does not reach).
+// that Validate's schema pass does not reach). When a node of the same
+// module, unchanged since it was compiled, has been released, NewNode takes
+// that one up instead: it was validated and compiled from this module, and
+// it is empty.
 func NewNode(id string, mod *Module) (*Node, error) {
+	if n := takeReleased(mod); n != nil {
+		n.ID, n.released = id, false
+		return n, nil
+	}
 	if err := mod.Validate(); err != nil {
 		return nil, err
 	}
@@ -43,7 +63,7 @@ func NewNode(id string, mod *Module) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := &Node{ID: id, mod: mod, state: map[string]*store{}}
+	n := &Node{ID: id, mod: mod, state: map[string]*store{}, gen: mod.gen}
 	for _, c := range mod.Collections() {
 		st := &store{decl: c}
 		n.state[c.Name] = st
@@ -54,6 +74,45 @@ func NewNode(id string, mod *Module) (*Node, error) {
 		return nil, err
 	}
 	return n, nil
+}
+
+// takeReleased returns a released node of mod compiled at its current
+// edit count, or nil; the stale ones it meets go to the collector.
+func takeReleased(mod *Module) *Node {
+	sh := shelves.Get().(shelf)
+	defer shelves.Put(sh)
+	nodes := sh[mod]
+	for len(nodes) > 0 {
+		n := nodes[len(nodes)-1]
+		nodes[len(nodes)-1] = nil
+		nodes = nodes[:len(nodes)-1]
+		if n.gen == mod.gen {
+			sh[mod] = nodes
+			return n
+		}
+	}
+	delete(sh, mod)
+	return nil
+}
+
+// Release hands the node back, emptied, for a later NewNode of its module:
+// every store, index, delta, pending queue and outbox is emptied and every
+// rule memo and operator cache dropped, and each store's version moves on,
+// so nothing cached in one run can match in the next. What stays is the
+// compiled program and the capacity the run grew. The caller must not use
+// the node afterwards; a second Release does nothing.
+func (n *Node) Release() {
+	if n.released {
+		return
+	}
+	for _, st := range n.stores {
+		st.release()
+	}
+	n.prog.release()
+	n.ticks, n.released = 0, true
+	sh := shelves.Get().(shelf)
+	sh[n.mod] = append(sh[n.mod], n)
+	shelves.Put(sh)
 }
 
 // Deliver queues rows for a collection; they become visible at the next

@@ -14,14 +14,16 @@
 // possible.
 //
 // Concurrency contract: the package keeps no mutable package-level state
-// beyond canonPool, a sync.Pool of scratch buffers that no result outlives
-// (pinned under -race by TestCanonicalTextConcurrent), and a Node touches
-// only its own stores, so distinct replicas may be constructed and ticked
-// concurrently (the chaos harness's parallel sweeps rely on this; pinned
-// under -race by TestConcurrentTickAcrossReplicas). A
-// single Node remains single-threaded: Deliver and Tick must not race with
-// themselves. NewNode only reads the module it instantiates, so replicas
-// may share one.
+// beyond two sync.Pools — canonPool, scratch buffers that no result outlives
+// (pinned under -race by TestCanonicalTextConcurrent), and shelves, the
+// nodes Release handed back emptied (TestReleasedNodeMatchesFresh) — and a
+// Node touches only its own stores, so distinct replicas may be constructed
+// and ticked concurrently (the chaos harness's parallel sweeps rely on this;
+// pinned under -race by TestConcurrentTickAcrossReplicas). A single Node
+// remains single-threaded: Deliver and Tick must not race with themselves,
+// and a released node may next run on another goroutine. NewNode only reads
+// the module it instantiates, so replicas may share one; a module is never
+// pooled, only the emptied per-run state compiled from it.
 package bloom
 
 import (

@@ -306,7 +306,8 @@ func (w *BloomReportWorkload) Run(seed int64, plan FaultPlan, mech dataflow.Coor
 	if err != nil {
 		return Outcome{}, err
 	}
-	// NewNode only reads its module, so the replicas (of every run) share one.
+	// NewNode only reads its module, so the replicas (of every run) share
+	// one, and a run hands its nodes back for the next run to take up.
 	reps := make([]*bloomReplica, w.Replicas)
 	for i := range reps {
 		r, err := newBloomReplica("report"+strconv.Itoa(i), p.mod)
@@ -346,6 +347,8 @@ func (w *BloomReportWorkload) Run(seed int64, plan FaultPlan, mech dataflow.Coor
 			return Outcome{}, err
 		}
 		out.Replicas = append(out.Replicas, ReplicaOutcome{Trace: r.trace(), Final: final})
+		r.node.Release()
 	}
+	s.Release()
 	return out, nil
 }

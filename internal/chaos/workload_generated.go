@@ -165,58 +165,65 @@ func (w *GeneratedWorkload) Supports(mech dataflow.Coordination) bool {
 	return false
 }
 
-// genMsg is one injected message: sources[src]'s seq-th message. Its
-// global id is src*msgsPer+seq.
-type genMsg struct {
-	src, seq, id int
-}
+// total is the number of messages a run injects. sources[src]'s seq-th
+// message has id src*msgsPer+seq, so id/msgsPer is its source.
+func (m *genModel) total() int { return len(m.sources) * m.msgsPer }
 
 // genState is the per-run state of the interpreter.
 type genState struct {
 	m *genModel
-	// seen[iface][id]: the message was applied at the interface (dedupe —
-	// the at-least-once discipline). For confluent interfaces seen *is*
-	// the state.
-	seen [][]bool
+	// seen[iface*total+id]: the message was applied at the interface
+	// (dedupe — the at-least-once discipline). For confluent interfaces seen
+	// *is* the state.
+	seen []bool
 	// chains[iface][src] is the order-sensitive fold: a hash chain over
 	// the source's messages in arrival order (0 = no message yet; the
 	// chain hash is never 0 because every link hashes non-empty input).
 	chains [][]uint64
-	// forwarded[comp][id]: the component already relayed the message
+	// forwarded[comp*total+id]: the component already relayed the message
 	// downstream (cycle termination).
-	forwarded [][]bool
+	forwarded []bool
 }
 
 func newGenState(m *genModel) *genState {
-	total := len(m.sources) * m.msgsPer
+	total := m.total()
 	st := &genState{
 		m:         m,
-		seen:      make([][]bool, len(m.ifaces)),
+		seen:      make([]bool, len(m.ifaces)*total),
 		chains:    make([][]uint64, len(m.ifaces)),
-		forwarded: make([][]bool, len(m.comps)),
+		forwarded: make([]bool, len(m.comps)*total),
 	}
 	for i := range m.ifaces {
-		st.seen[i] = make([]bool, total)
 		if m.ifaces[i].ordered {
 			st.chains[i] = make([]uint64, len(m.sources))
 		}
 	}
-	for c := range m.comps {
-		st.forwarded[c] = make([]bool, total)
-	}
 	return st
 }
 
-// apply folds one message into an interface's state; duplicates are
-// ignored (idempotence under at-least-once delivery).
-func (st *genState) apply(iface int, msg genMsg) {
-	if st.seen[iface][msg.id] {
+// apply folds message id into an interface's state; duplicates are ignored
+// (idempotence under at-least-once delivery).
+func (st *genState) apply(iface, id int) {
+	at := iface*st.m.total() + id
+	if st.seen[at] {
 		return
 	}
-	st.seen[iface][msg.id] = true
+	st.seen[at] = true
 	if st.m.ifaces[iface].ordered {
-		st.chains[iface][msg.src] = synChainHash(st.chains[iface][msg.src], st.m.msgIDs[msg.id])
+		src := id / st.m.msgsPer
+		st.chains[iface][src] = synChainHash(st.chains[iface][src], st.m.msgIDs[id])
 	}
+}
+
+// forward reports whether the component that interface iface belongs to
+// relays message id now, which it does the first time only.
+func (st *genState) forward(iface, id int) bool {
+	at := st.m.ifaces[iface].comp*st.m.total() + id
+	if st.forwarded[at] {
+		return false
+	}
+	st.forwarded[at] = true
+	return true
 }
 
 // digest renders the canonical terminal state: every interface in model
@@ -225,6 +232,7 @@ func (st *genState) apply(iface int, msg genMsg) {
 func (st *genState) digest() string {
 	h := fnv.New64a()
 	var buf []byte
+	total := st.m.total()
 	for i, ifc := range st.m.ifaces {
 		buf = append(buf[:0], ifc.label...)
 		if ifc.ordered {
@@ -235,7 +243,7 @@ func (st *genState) digest() string {
 				}
 			}
 		} else {
-			for id, ok := range st.seen[i] {
+			for id, ok := range st.seen[i*total : (i+1)*total] {
 				if ok {
 					buf = append(strconv.AppendInt(buf, int64(id), 10), ',')
 				}
@@ -251,36 +259,60 @@ func (st *genState) digest() string {
 // exactly once per interface. This is the deterministic delivery order M1
 // preordains; M3's per-source sealing folds to the same per-source
 // sequential order, and M2 shuffles the arrival lists it produces.
-func (m *genModel) propagate(visit func(iface int, msg genMsg)) {
-	total := len(m.sources) * m.msgsPer
-	forwarded := make([][]bool, len(m.comps))
-	for c := range m.comps {
-		forwarded[c] = make([]bool, total)
-	}
-	arrived := make([][]bool, len(m.ifaces))
-	for i := range m.ifaces {
-		arrived[i] = make([]bool, total)
-	}
-	var deliver func(iface int, msg genMsg)
-	deliver = func(iface int, msg genMsg) {
-		if arrived[iface][msg.id] {
+func (m *genModel) propagate(visit func(iface, id int)) {
+	total := m.total()
+	arrived := make([]bool, len(m.ifaces)*total)
+	forwarded := make([]bool, len(m.comps)*total)
+	var deliver func(iface, id int)
+	deliver = func(iface, id int) {
+		if arrived[iface*total+id] {
 			return
 		}
-		arrived[iface][msg.id] = true
-		visit(iface, msg)
+		arrived[iface*total+id] = true
+		visit(iface, id)
 		c := m.ifaces[iface].comp
-		if forwarded[c][msg.id] {
+		if forwarded[c*total+id] {
 			return
 		}
-		forwarded[c][msg.id] = true
+		forwarded[c*total+id] = true
 		for _, ti := range m.outs[c] {
-			deliver(ti, msg)
+			deliver(ti, id)
 		}
 	}
 	for src := range m.sources {
 		for seq := 0; seq < m.msgsPer; seq++ {
-			deliver(m.sources[src], genMsg{src: src, seq: seq, id: src*m.msgsPer + seq})
+			deliver(m.sources[src], src*m.msgsPer+seq)
 		}
+	}
+}
+
+// genHops is CoordNone's run: every forwarding hop is a message on one
+// shaped link. A hop's callback holds the run and one word packing the
+// target interface (high half) and the message id (low half).
+type genHops struct {
+	st   *genState
+	s    *sim.Sim
+	link *sim.Link
+}
+
+// send puts message id on the link towards interface iface, leaving its
+// sender at at.
+func (r *genHops) send(at sim.Time, iface, id int) {
+	hop := uint64(iface)<<32 | uint64(id)
+	r.link.SendDup(sim.Unordered, at, func() { r.deliver(hop) })
+}
+
+// deliver applies an arrived hop and relays it the first time its
+// component sees the message.
+func (r *genHops) deliver(hop uint64) {
+	iface, id := int(hop>>32), int(uint32(hop))
+	r.st.apply(iface, id)
+	if !r.st.forward(iface, id) {
+		return
+	}
+	now := r.s.Now()
+	for _, ti := range r.st.m.outs[r.st.m.ifaces[iface].comp] {
+		r.send(now, ti, id)
 	}
 }
 
@@ -299,31 +331,18 @@ func (w *GeneratedWorkload) Run(seed int64, plan FaultPlan, mech dataflow.Coordi
 		// simulator, so arrival order at order-sensitive interfaces is
 		// schedule-dependent.
 		s := sim.New(seed)
-		link := sim.NewLink(s, plan.Shape(sim.LinkConfig{MinDelay: 100 * sim.Microsecond, MaxDelay: 10 * sim.Millisecond}))
-		var deliver func(iface int, msg genMsg)
-		deliver = func(iface int, msg genMsg) {
-			st.apply(iface, msg)
-			c := m.ifaces[iface].comp
-			if st.forwarded[c][msg.id] {
-				return
-			}
-			st.forwarded[c][msg.id] = true
-			now := s.Now()
-			for _, ti := range m.outs[c] {
-				link.SendDup(sim.Unordered, now, func() { deliver(ti, msg) })
-			}
-		}
+		r := &genHops{st: st, s: s, link: sim.NewLink(s, plan.Shape(sim.LinkConfig{MinDelay: 100 * sim.Microsecond, MaxDelay: 10 * sim.Millisecond}))}
 		for src := range m.sources {
 			// Dense same-source send cadence (2ms) against ≥10ms latency
 			// jitter: first-hop reordering is already likely, and each
 			// further hop compounds it.
 			for seq := 0; seq < m.msgsPer; seq++ {
 				at := sim.Time(seq)*2*sim.Millisecond + sim.Time(src%8)*250*sim.Microsecond
-				iface, msg := m.sources[src], genMsg{src: src, seq: seq, id: src*m.msgsPer + seq}
-				link.SendDup(sim.Unordered, at, func() { deliver(iface, msg) })
+				r.send(at, m.sources[src], src*m.msgsPer+seq)
 			}
 		}
 		s.Run()
+		s.Release()
 
 	case dataflow.CoordSequenced, dataflow.CoordSealed,
 		dataflow.CoordQuorumOrder, dataflow.CoordPartitionSealed:
@@ -340,17 +359,19 @@ func (w *GeneratedWorkload) Run(seed int64, plan FaultPlan, mech dataflow.Coordi
 		// interfaces agree within the run, but the order is drawn from the
 		// run's seed, so different runs may disagree (Figure 5 allows
 		// exactly this cross-run nondeterminism).
-		arrivals := make([][]genMsg, len(m.ifaces))
-		m.propagate(func(iface int, msg genMsg) {
-			arrivals[iface] = append(arrivals[iface], msg)
+		arrivals := make([][]int, len(m.ifaces))
+		m.propagate(func(iface, id int) {
+			arrivals[iface] = append(arrivals[iface], id)
 		})
-		rng := sim.New(seed).Rand()
-		for i, msgs := range arrivals {
-			rng.Shuffle(len(msgs), func(a, b int) { msgs[a], msgs[b] = msgs[b], msgs[a] })
-			for _, msg := range msgs {
-				st.apply(i, msg)
+		s := sim.New(seed)
+		rng := s.Rand()
+		for i, ids := range arrivals {
+			rng.Shuffle(len(ids), func(a, b int) { ids[a], ids[b] = ids[b], ids[a] })
+			for _, id := range ids {
+				st.apply(i, id)
 			}
 		}
+		s.Release()
 
 	default:
 		return Outcome{}, fmt.Errorf("generated: unsupported mechanism %s", mech)

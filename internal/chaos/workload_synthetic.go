@@ -320,5 +320,6 @@ func (w *SyntheticWorkload) Run(seed int64, plan FaultPlan, mech dataflow.Coordi
 	for _, r := range reps {
 		out.Replicas = append(out.Replicas, r.outcome())
 	}
+	s.Release()
 	return out, nil
 }

@@ -278,6 +278,13 @@ func (q *eventQueue) len() int {
 	return n
 }
 
+// release empties the queue for reuse: the pending handlers are dropped,
+// cur keeps its array, and the ring and far heap go.
+func (q *eventQueue) release() {
+	clear(q.cur)
+	*q = eventQueue{cur: q.cur[:0], curB: unringed}
+}
+
 func (q *eventQueue) push(e event) {
 	b := bucketOf(e.at)
 	switch {

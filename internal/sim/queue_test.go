@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -156,11 +157,11 @@ func (h *queueHarness) check(op string, want []int) {
 	}
 }
 
-// runQueueProgram interprets prog three bytes at a time: an opcode and two
-// arguments. It ends by draining both sides to empty, and reports whether the
-// ring came in on the way.
-func runQueueProgram(t testing.TB, prog []byte) (ringed bool) {
-	h := &queueHarness{t: t, sim: New(1)}
+// runQueueProgram interprets prog three bytes at a time on s, an opcode and
+// two arguments. It ends by draining both sides to empty, and reports whether
+// the ring came in on the way.
+func runQueueProgram(t testing.TB, s *Sim, prog []byte) (ringed bool) {
+	h := &queueHarness{t: t, sim: s}
 	for len(prog) >= 3 {
 		op, a, b := prog[0], prog[1], prog[2]
 		prog = prog[3:]
@@ -281,7 +282,7 @@ func TestQueueMatchesSortedModel(t *testing.T) {
 	for _, p := range queuePrograms {
 		t.Run(p.name, func(t *testing.T) {
 			// Every program but the first two is written to cross bringIn.
-			if ringed := runQueueProgram(t, p.prog); ringed != (p.name != "small" && p.name != "same-instant") {
+			if ringed := runQueueProgram(t, New(1), p.prog); ringed != (p.name != "small" && p.name != "same-instant") {
 				t.Fatalf("ring in: %v", ringed)
 			}
 		})
@@ -311,6 +312,99 @@ func TestRingComesInAboveBringIn(t *testing.T) {
 	}
 }
 
+// drainReleased empties the pool of released simulators, so that the next
+// New builds a fresh one.
+func drainReleased() {
+	for released.Get() != nil {
+	}
+}
+
+// TestReleasedSimMatchesNew releases a simulator holding events in each of
+// the queue's three layouts — one heap; ring lanes and chains; the far heap,
+// after RunUntil stopped short of it — with draws taken and a Read half
+// consumed, and holds the simulator New then takes up to a fresh one: the
+// same draws as a fresh source of the seed, and the same pop order as the
+// sorted model on every queue program. None of the dropped events runs.
+func TestReleasedSimMatchesNew(t *testing.T) {
+	if !race.Enabled {
+		// A pool hands back on the P it was given on, so one P makes the
+		// take-up certain; under -race the pool drops some at random.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	}
+	released := false
+	pending := func() {
+		if released {
+			t.Fatal("an event pending at Release ran after it")
+		}
+	}
+	layouts := []struct {
+		name  string
+		dirty func(s *Sim) bool // reports whether s holds the layout
+	}{
+		{"one heap", func(s *Sim) bool {
+			for i := 0; i < 40; i++ {
+				s.At(Time(i)*7, pending)
+			}
+			s.Step()
+			return s.events.ring == nil && len(s.events.cur) == 39
+		}},
+		{"ring lanes and chains", func(s *Sim) bool {
+			for i := 0; i <= bringIn+40; i++ {
+				s.At(Time(i%64)*bucketWidth/2+Time(i%3), pending)
+			}
+			for i := 0; i < 5; i++ {
+				s.Step()
+			}
+			r := s.events.ring
+			return r != nil && r.laneOcc != 0 && r.n > len(r.lanes[0].ev)
+		}},
+		{"far heap", func(s *Sim) bool {
+			for i := 0; i <= bringIn; i++ {
+				s.At(Time(i)*3*bucketWidth, pending)
+			}
+			s.RunUntil(10 * bucketWidth)
+			return s.events.ring != nil && len(s.events.far) > 0
+		}},
+	}
+	for _, l := range layouts {
+		for k, p := range queuePrograms {
+			drainReleased()
+			released = false
+			s := New(int64(k))
+			if !l.dirty(s) {
+				t.Fatalf("%s: the queue does not hold the layout", l.name)
+			}
+			s.Rand().Int63()
+			s.Rand().Read(make([]byte, 3)) // leaves a Read half consumed
+			s.Release()
+			released = true
+
+			seed := int64(100 + k)
+			got := New(seed)
+			if !race.Enabled && got != s {
+				t.Fatalf("%s: New built a simulator with a released one waiting", l.name)
+			}
+			if got.Now() != 0 || got.Steps() != 0 || got.Pending() != 0 {
+				t.Fatalf("%s: taken up at %v after %d steps with %d pending", l.name, got.Now(), got.Steps(), got.Pending())
+			}
+			// A fresh simulator's Rand is a fresh source of its seed.
+			want := rand.New(rand.NewSource(seed))
+			a, b := make([]byte, 5), make([]byte, 5)
+			got.Rand().Read(a)
+			want.Read(b)
+			if string(a) != string(b) {
+				t.Fatalf("%s: Read gives %x, a fresh source %x", l.name, a, b)
+			}
+			for i := 0; i < 50; i++ {
+				if g, w := got.Rand().Int63(), want.Int63(); g != w {
+					t.Fatalf("%s: draw %d is %d, a fresh source's %d", l.name, i, g, w)
+				}
+			}
+			t.Run(l.name+"/"+p.name, func(t *testing.T) { runQueueProgram(t, got, p.prog) })
+		}
+	}
+}
+
 // TestSmallSimAllocs pins what a sweep pays per simulation: ten thousand of
 // them a pass, a hundred-odd events each, none ever near bringIn. Such a
 // simulation allocates the Sim, its rand.Rand with its 607-word source, and
@@ -320,6 +414,7 @@ func TestSmallSimAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector changes allocation counts")
 	}
+	drainReleased()
 	noop := func() {}
 	var s *Sim
 	run := func() {
@@ -350,6 +445,17 @@ func TestSmallSimAllocs(t *testing.T) {
 	if least != 10384 {
 		t.Errorf("a 100-event simulation allocates %d bytes, want 10384", least)
 	}
+
+	// A sweep releases each simulation and the next one takes it up: once
+	// warm, the cycle allocates nothing.
+	cycle := func() {
+		run()
+		s.Release()
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("a released 100-event simulation allocates %v times when taken up, want 0", allocs)
+	}
 }
 
 func FuzzQueueOrder(f *testing.F) {
@@ -360,6 +466,6 @@ func FuzzQueueOrder(f *testing.F) {
 		if len(prog) > 600 {
 			prog = prog[:600] // the model is quadratic
 		}
-		runQueueProgram(t, prog)
+		runQueueProgram(t, New(1), prog)
 	})
 }

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 )
 
 // Time is virtual time in microseconds.
@@ -46,10 +47,34 @@ type Sim struct {
 	steps  uint64
 }
 
+// released holds simulators handed back by Release for New to take up
+// again. It is a sync.Pool, so the collector empties it: a sweep's worker
+// reuses one simulator schedule after schedule, and nothing outlives the
+// sweep.
+var released sync.Pool
+
 // New creates a simulator whose nondeterministic choices are driven by the
-// given seed.
+// given seed. It takes up a released simulator when there is one: reseeding
+// its rand.Rand gives the draws of a fresh source, and its queue is empty,
+// so the schedule is the one a fresh simulator would run.
 func New(seed int64) *Sim {
+	if s, ok := released.Get().(*Sim); ok {
+		s.rng.Seed(seed)
+		return s
+	}
 	return &Sim{rng: rand.New(rand.NewSource(seed)), events: eventQueue{curB: unringed}}
+}
+
+// Release hands the simulator back for a later New, emptied: pending events
+// are dropped without running, and the clock and counters restart. It keeps
+// the rand.Rand and the first heap's array, which is what a sweep's small
+// simulations allocate; a ring and a far heap go. Release a simulator once,
+// not from inside a run, and touch neither it, its Rand nor a Link on it
+// afterwards.
+func (s *Sim) Release() {
+	s.events.release()
+	s.now, s.seq, s.steps = 0, 0, 0
+	released.Put(s)
 }
 
 // Now returns the current virtual time.

@@ -99,5 +99,7 @@ func Run(rc RunConfig) (RunResult, error) {
 	} else {
 		s.Run()
 	}
-	return RunResult{Metrics: tp.Metrics(), Store: store, Done: tp.Done(), At: s.Now(), Steps: s.Steps()}, nil
+	res := RunResult{Metrics: tp.Metrics(), Store: store, Done: tp.Done(), At: s.Now(), Steps: s.Steps()}
+	s.Release()
+	return res, nil
 }
