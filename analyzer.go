@@ -69,9 +69,9 @@ func WithSealRepair(stream string, key ...string) Option {
 
 // WithStrategy asks synthesis to try the named coordination strategies, in
 // order, before the default sealing-then-ordering chain. A strategy still
-// only applies where its preconditions hold (e.g. "merge-rewrite" needs a
-// declared merge); where none does, synthesis falls back to the defaults,
-// so the guarantee never weakens. WithStrategy("sealing", "sequencing")
+// only applies where its preconditions hold (e.g. "partition-sealing" needs
+// inputs sealed on a compatible key); where none does, synthesis falls back
+// to the defaults, so the guarantee never weakens. WithStrategy("sealing", "sequencing")
 // selects M1 (preordained total order, e.g. Storm transactional batch ids)
 // wherever the default chain would order inputs with M2 while a sealable
 // component keeps its seal — what replay-based fault tolerance needs;

@@ -132,7 +132,6 @@ const (
 	CoordDynamicOrder    = dataflow.CoordDynamicOrder
 	CoordSealed          = dataflow.CoordSealed
 	CoordQuorumOrder     = dataflow.CoordQuorumOrder
-	CoordMergeRewrite    = dataflow.CoordMergeRewrite
 	CoordPartitionSealed = dataflow.CoordPartitionSealed
 )
 

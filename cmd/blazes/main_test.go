@@ -116,8 +116,13 @@ func TestJSONIsParseableAndStable(t *testing.T) {
 }
 
 // unknownStrategy is the catalog's unknown-name error: it lists the whole
-// catalog, M1's `sequencing` included.
-const unknownStrategy = `unknown strategy "nope" (registered: [merge-rewrite ordering partition-sealing quorum-ordering sealing sequencing])`
+// catalog, M1's `sequencing` included. retiredStrategy is the same error
+// for merge-rewrite, which is a confluence annotation, not a strategy.
+const (
+	strategyCatalog = `(registered: [ordering partition-sealing quorum-ordering sealing sequencing])`
+	unknownStrategy = `unknown strategy "nope" ` + strategyCatalog
+	retiredStrategy = `unknown strategy "merge-rewrite" ` + strategyCatalog
+)
 
 // TestExitCodeContract pins the documented 0/1/2 contract for both the
 // analysis flow and the verify subcommand.
@@ -147,6 +152,8 @@ func TestExitCodeContract(t *testing.T) {
 		{"verify-stray-args", []string{"verify", "extra"}, exitUsage, "unexpected arguments"},
 		{"verify-unknown-strategy", []string{"verify", "-strategy", "nope"}, exitUsage, unknownStrategy},
 		{"unknown-strategy-in-list", []string{"-spec", wordcountSpec, "-strategy", "sealing,nope"}, exitUsage, unknownStrategy},
+		{"merge-rewrite-retired", []string{"-spec", wordcountSpec, "-strategy", "merge-rewrite"}, exitUsage, retiredStrategy},
+		{"verify-merge-rewrite-retired", []string{"verify", "-strategy", "merge-rewrite"}, exitUsage, retiredStrategy},
 		{"sequencing-flag-retired", []string{"-spec", wordcountSpec, "-sequencing"}, exitUsage, "flag provided but not defined: -sequencing"},
 		{"verify-sequencing-flag-retired", []string{"verify", "-sequencing"}, exitUsage, "flag provided but not defined: -sequencing"},
 		{"verify-replay-reshrink-conflict", []string{"verify", "-replay", "x.json", "-reshrink", "dir"}, exitUsage, "cannot be combined"},

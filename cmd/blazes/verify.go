@@ -22,7 +22,7 @@
 //	                  configuration (default 64)
 //	-strategy a,b     try these coordination strategies, in order, during
 //	                  synthesis (the blazes/strategy catalog: sealing,
-//	                  ordering, sequencing, quorum-ordering, merge-rewrite,
+//	                  ordering, sequencing, quorum-ordering,
 //	                  partition-sealing; "sealing,sequencing" prefers M1
 //	                  over M2 where ordering is needed); unknown names are
 //	                  usage errors

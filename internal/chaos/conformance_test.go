@@ -17,7 +17,7 @@ func conformanceWorkload(strategy string) Workload {
 	switch strategy {
 	case dataflow.StrategySealing, dataflow.StrategyPartitionSealing:
 		return SyntheticChains(true)
-	case dataflow.StrategyOrdering, dataflow.StrategySequencing, dataflow.StrategyQuorumOrdering, dataflow.StrategyMergeRewrite:
+	case dataflow.StrategyOrdering, dataflow.StrategySequencing, dataflow.StrategyQuorumOrdering:
 		return SyntheticChains(false)
 	}
 	return nil
@@ -37,8 +37,8 @@ func TestStrategyConformance(t *testing.T) {
 		seeds, plans = DefaultSeeds, DefaultPlans()
 	}
 	mechs := dataflow.Strategies()
-	if len(mechs) < 6 {
-		t.Fatalf("table has %d strategies, want at least 6 (%v)", len(mechs), dataflow.StrategyNames())
+	if len(mechs) < 5 {
+		t.Fatalf("table has %d strategies, want at least 5 (%v)", len(mechs), dataflow.StrategyNames())
 	}
 	for _, mech := range mechs {
 		name := mech.Strategy()

@@ -140,8 +140,7 @@ type Report struct {
 // (whole or per-partition) and preordained orders (sequencing, quorum
 // stamps) eliminate every class; a dynamic ordering service removes
 // replication anomalies but not cross-run nondeterminism; a confluent
-// component — including one made confluent by a merge rewrite — needs
-// nothing (on the eventual-outcome comparison).
+// component needs nothing (on the eventual-outcome comparison).
 func allowedAnomalies(mech dataflow.Coordination) Anomalies {
 	if mech == dataflow.CoordDynamicOrder {
 		return Anomalies{Run: true}
@@ -262,17 +261,13 @@ func PlanCheck(w Workload, cfg Config) (*CheckPlan, error) {
 	}
 
 	for _, mech := range mechs {
-		// A merge rewrite makes the component confluent rather than
-		// ordering its inputs: the oracle compares eventual outcomes, as
-		// for natively confluent programs.
-		confluent := bare || mech == dataflow.CoordMergeRewrite
 		for _, plan := range cfg.Plans {
 			p.Cells = append(p.Cells, Cell{
 				Workload:  w.Name(),
 				Mechanism: mech.String(),
 				Plan:      plan,
 				Seeds:     cfg.Seeds,
-				Confluent: confluent,
+				Confluent: bare,
 			})
 		}
 	}

@@ -55,16 +55,6 @@ func TestWireNamesPinned(t *testing.T) {
 			Trace: []string{"p0=e633a7c3282f7dc2", "p1=465ffba00d627020", "p0=e633a7c3282f7dc2", "p1=465ffba00d627020"},
 			Final: "p0=e633a7c3282f7dc2,p1=465ffba00d627020",
 		})
-	check("synthetic merge digest", run(SyntheticChains(false), dataflow.CoordMergeRewrite),
-		ReplicaOutcome{
-			Trace: []string{
-				"p0=70000000273,p1=300000001d3",
-				"p0=1b00000006d7,p1=b81fa10f73d26150",
-				"p0=1b00000006d7,p1=b81fa00f73d2639d",
-				"p0=180000000568,p1=80000000868",
-			},
-			Final: "p0=1f00000004db,p1=b0000000a9b",
-		})
 
 	// The generated workload's ids only reach the outcome through its chain
 	// hashes and digest, so the digest is what is pinned: three messages a

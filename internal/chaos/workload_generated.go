@@ -154,8 +154,7 @@ func (w *GeneratedWorkload) Graph() (*dataflow.Graph, error) {
 // Supports implements Workload: the interpreter can impose every Figure 5
 // delivery mechanism on the generated graph, plus the registered ordering
 // and sealing extensions (quorum stamps and per-partition seals both fold
-// to canonical per-source orders at the digest level). Merge rewrite is
-// out: generated graphs declare no commutative merges.
+// to canonical per-source orders at the digest level).
 func (w *GeneratedWorkload) Supports(mech dataflow.Coordination) bool {
 	switch mech {
 	case dataflow.CoordNone, dataflow.CoordSequenced, dataflow.CoordDynamicOrder, dataflow.CoordSealed,

@@ -41,7 +41,7 @@ func TestGeneratedRunDeterminism(t *testing.T) {
 	plan := DefaultPlans()[1] // reorder
 	for _, mech := range dataflow.Coordinations() {
 		if !w.Supports(mech) {
-			continue // e.g. merge rewrite: generated graphs declare no merges
+			continue
 		}
 		a, err := w.Run(3, plan, mech)
 		if err != nil {

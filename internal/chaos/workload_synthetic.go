@@ -95,15 +95,8 @@ func (w *SyntheticWorkload) Graph() (*dataflow.Graph, error) {
 		comp.AddPath("msgs", "out", core.OWStar())
 		comp.AddPath("reads", "out", core.ORStar())
 	}
-	chains := !w.Confluent && !w.Convergent
-	if chains {
-		// The per-producer XOR digest in synReplica is a declared
-		// commutative merge, so the merge-rewrite strategy applies to the
-		// order-sensitive variants.
-		comp.Merge = "xor-set-digest"
-	}
 	src := g.Source("msgs", "Synthetic", "msgs")
-	if w.Gated && chains {
+	if w.Gated && !w.Confluent && !w.Convergent {
 		src.Seal = fd.NewAttrSet("producer")
 	}
 	g.Source("reads", "Synthetic", "reads")
@@ -116,9 +109,8 @@ func (w *SyntheticWorkload) Graph() (*dataflow.Graph, error) {
 // needs the per-producer seal, so only the gated variant supports it).
 func (w *SyntheticWorkload) Supports(mech dataflow.Coordination) bool {
 	switch mech {
-	case dataflow.CoordNone, dataflow.CoordSequenced, dataflow.CoordDynamicOrder, dataflow.CoordSealed:
-		return true
-	case dataflow.CoordQuorumOrder, dataflow.CoordMergeRewrite:
+	case dataflow.CoordNone, dataflow.CoordSequenced, dataflow.CoordDynamicOrder, dataflow.CoordSealed,
+		dataflow.CoordQuorumOrder:
 		return true
 	case dataflow.CoordPartitionSealed:
 		return w.Gated
@@ -144,11 +136,8 @@ func (m synMsg) value() string { return m.ID }
 // synReplica is one replica of the component under test.
 type synReplica struct {
 	confluent, convergent bool
-	// merge selects the rewritten fold (merge-rewrite strategy): an
-	// order-insensitive XOR digest per producer instead of the hash chain.
-	merge bool
-	seen  map[string]bool
-	set   map[string]bool // confluent: a grow-only set
+	seen                  map[string]bool
+	set                   map[string]bool // confluent: a grow-only set
 	// convergent: a last-writer-wins register.
 	regStamp int
 	regVal   string
@@ -174,13 +163,6 @@ func (r *synReplica) apply(m synMsg) {
 		if m.Stamp > r.regStamp {
 			r.regStamp, r.regVal = m.Stamp, m.value()
 		}
-		return
-	}
-	if r.merge {
-		// The declared commutative merge: XOR of element hashes is a set
-		// digest, insensitive to delivery order (dedup above supplies
-		// idempotence).
-		r.chains[m.Producer] ^= synElemHash(m.value())
 		return
 	}
 	r.chains[m.Producer] = synChainHash(r.chains[m.Producer], m.value())
@@ -227,8 +209,6 @@ func synChainHash(prev uint64, v string) uint64 {
 	return fnv1a(fnv1a(fnvOffset64, append(strconv.AppendUint(hex[:0], prev, 16), '|')), v)
 }
 
-func synElemHash(v string) uint64 { return fnv1a(fnvOffset64, v) }
-
 // Run implements Workload: the logical workload — who sends what when, M1's
 // order, the punctuations — is laid out here; carrying it is delivery's job.
 func (w *SyntheticWorkload) Run(seed int64, plan FaultPlan, mech dataflow.Coordination) (Outcome, error) {
@@ -237,16 +217,9 @@ func (w *SyntheticWorkload) Run(seed int64, plan FaultPlan, mech dataflow.Coordi
 	reps := make([]*synReplica, w.Replicas)
 	for i := range reps {
 		reps[i] = newSynReplica(w)
-		// Merge rewrite installs no delivery protocol: replicas run the
-		// declared commutative merge over the same chaotic uncoordinated
-		// schedule, and order-insensitivity of the merge does the rest.
-		reps[i].merge = mech == dataflow.CoordMergeRewrite && !w.Confluent
 		if perPartition {
 			reps[i].outputs = make([]string, w.Reads)
 		}
-	}
-	if mech == dataflow.CoordMergeRewrite {
-		mech = dataflow.CoordNone
 	}
 
 	// Each producer paces its messages across the span, all on one cadence,

@@ -41,11 +41,6 @@ const (
 	// order once the stability frontier passes, so the total order is
 	// preordained without a global sequencer round trip per message.
 	CoordQuorumOrder
-	// CoordMergeRewrite is not a delivery mechanism: the component's
-	// order-sensitive fold is replaced by a declared commutative merge,
-	// making it confluent by construction. No runtime protocol is
-	// installed; the derived labels change instead.
-	CoordMergeRewrite
 	// CoordPartitionSealed is M3 with independent partitions: each
 	// partition key seals and releases on its own, so one slow partition
 	// does not block reads against the others.
@@ -69,7 +64,6 @@ var mechanisms = [...]mechanism{
 	CoordDynamicOrder:    {"dynamic ordering (M2)", "dynamic-ordering", StrategyOrdering, orderingPlanner},
 	CoordSealed:          {"sealing (M3)", "sealing", StrategySealing, sealingPlanner},
 	CoordQuorumOrder:     {"quorum ordering (M1q)", "quorum-ordering", StrategyQuorumOrdering, quorumOrderingPlanner},
-	CoordMergeRewrite:    {"merge rewrite (confluent)", "merge-rewrite", StrategyMergeRewrite, mergeRewriteStrategy{}},
 	CoordPartitionSealed: {"partition sealing (M3p)", "partition-sealing", StrategyPartitionSealing, partitionSealingPlanner},
 }
 
@@ -157,11 +151,6 @@ type Component struct {
 	// Coordination records a delivery mechanism imposed on this
 	// component's inputs by a synthesized (or manually applied) strategy.
 	Coordination Coordination
-	// Merge optionally names a commutative, associative, idempotent merge
-	// function for the component's state. A non-empty Merge declares that
-	// the component's order-sensitive folds can be replaced by that merge,
-	// making the merge-rewrite strategy applicable.
-	Merge string
 
 	// ins and outs are the interface names the paths read and feed, each
 	// sorted: a component has a handful, and two flat lists cost the
@@ -406,7 +395,6 @@ func (g *Graph) Clone() *Graph {
 		nc.Rep = c.Rep
 		nc.Deps = c.Deps
 		nc.Coordination = c.Coordination
-		nc.Merge = c.Merge
 		nc.OutSchema = maps.Clone(c.OutSchema)
 		nc.Paths, nc.ins, nc.outs = slices.Clone(c.Paths), slices.Clone(c.ins), slices.Clone(c.outs)
 	}

@@ -54,14 +54,17 @@ type Incremental struct {
 	memo [][memoVersions]*derivation
 
 	// work is the queue of ranks awaiting re-derivation; it survives a
-	// cancelled pass. carry accumulates the ranks whose derivation changed,
-	// touched the streams whose label, seal or replication flag did (a
-	// stream patched in among them), and splices the taps patched in and
-	// out, since the last *completed* pass, so changes made by a cancelled
-	// pass are still reported by the pass that eventually completes.
+	// cancelled pass. carry accumulates the ranks whose derivation changed
+	// and was, beside each, the derivation the last *completed* pass left
+	// it; touched the streams a noted change resealed, replicated or
+	// patched in; and splices the taps patched in and out. The pass that
+	// completes reports what differs from the last completed one: a change
+	// made by a cancelled pass is reported, one it made and the completing
+	// pass undid is not.
 	work    idHeap
 	queued  []bool
 	carry   idSet
+	was     []*derivation
 	touched idSet
 	splices []Splice
 
@@ -108,18 +111,20 @@ type Stats struct {
 	// (Splices) is not rebuilt.
 	Rebuilt bool
 	// Recomputed lists the collapsed-graph output interfaces whose
-	// derivation record changed this round — freshly derived, or swapped
-	// in from the version cache — in propagation order.
+	// derivation record differs from the last completed pass's — freshly
+	// derived, or swapped in from the version cache — in propagation
+	// order.
 	Recomputed []NodeRef
 	// Reused counts output interfaces served from the memo.
 	Reused int
 	// Components and Streams are the same change set as positions in the
 	// name-ordered lists Analysis.Components and Analysis.Streams yield,
 	// ascending: the components with an interface in Recomputed, and the
-	// streams whose label, seal or replication flag changed, every stream
-	// Splices added among them. A Rebuilt pass reports neither — its
-	// positions pair with nothing that came before. Both are the engine's
-	// buffers, valid until its next Analyze.
+	// streams whose label differs from the last completed pass's or whose
+	// seal or replication flag a noted change set, every stream Splices
+	// added among them. A Rebuilt pass reports neither — its positions
+	// pair with nothing that came before. Both are the engine's buffers,
+	// valid until its next Analyze.
 	Components, Streams []int32
 	// Splices lists, in the order they were made, the patches since the
 	// last completed pass: applied one after the other to the previous
@@ -334,7 +339,6 @@ func (inc *Incremental) stamp(stream int32, l core.Label) {
 		return
 	}
 	inc.a.labels[stream] = l
-	inc.touched.add(stream)
 	if to := inc.st.to[stream]; to >= 0 {
 		for _, out := range inc.st.succ.at(to) {
 			inc.enqueue(inc.st.rank[out])
@@ -376,7 +380,7 @@ func (inc *Incremental) rebuild() error {
 	inc.st, inc.a, inc.memo, inc.complete = st, newAnalysis(st), memo, false
 	inc.work = inc.work[:0]
 	inc.queued = make([]bool, n)
-	inc.carry = newIDSet(n)
+	inc.carry, inc.was = newIDSet(n), inc.was[:0]
 	inc.touched = newIDSet(len(st.streams))
 	inc.splices = nil
 	inc.plans, inc.strategies = nil, nil // planned over the old structure
@@ -470,6 +474,9 @@ func (inc *Incremental) Analyze(ctx context.Context) (*Analysis, Stats, error) {
 		if a.derived[r] == d {
 			continue // streams already stamped with d.out, record unchanged
 		}
+		if !inc.carry.has[r] {
+			inc.was = append(inc.was, a.derived[r])
+		}
 		a.derived[r] = d
 		inc.carry.add(r)
 		inc.replan(st.nodeComp[v])
@@ -478,8 +485,25 @@ func (inc *Incremental) Analyze(ctx context.Context) (*Analysis, Stats, error) {
 		}
 	}
 
-	// The pass completed: report every interface whose derivation changed
-	// since the last completed pass, in propagation order.
+	// The pass completed: report every interface whose derivation differs
+	// from the last completed pass's, in propagation order, and the streams
+	// it stamps when their label moved with it.
+	changed := inc.carry.ids[:0]
+	for i, r := range inc.carry.ids {
+		was, d := inc.was[i], a.derived[r]
+		if d == was {
+			inc.carry.has[r] = false
+			continue
+		}
+		changed = append(changed, r)
+		if was != nil && !was.out.Equal(d.out) {
+			for _, s := range st.outOf.at(st.order[r]) {
+				inc.touched.add(s)
+			}
+		}
+	}
+	clear(inc.was)
+	inc.carry.ids, inc.was = changed, inc.was[:0]
 	slices.Sort(inc.carry.ids)
 	stats.Recomputed = make([]NodeRef, len(inc.carry.ids))
 	for i, r := range inc.carry.ids {
@@ -517,7 +541,7 @@ func (inc *Incremental) Analyze(ctx context.Context) (*Analysis, Stats, error) {
 func (inc *Incremental) derive(v int32, comp *Component, in []core.Label, ends []int32, outReps bool) *derivation {
 	st := inc.st
 	coordinated := comp.Coordination == CoordSequenced || comp.Coordination == CoordDynamicOrder ||
-		comp.Coordination == CoordQuorumOrder || comp.Coordination == CoordMergeRewrite
+		comp.Coordination == CoordQuorumOrder
 
 	d := &derivation{
 		paths:     slices.Clone(comp.Paths),
@@ -535,8 +559,7 @@ func (inc *Incremental) derive(v int32, comp *Component, in []core.Label, ends [
 	for _, p := range st.feed.at(v) {
 		ann := comp.Paths[p-first].Ann
 		if coordinated && ann.OrderSensitive() {
-			// A total order over inputs (M1/M2/M1q) or a commutative merge
-			// in place of the fold (merge rewrite) removes order
+			// A total order over inputs (M1/M2/M1q) removes order
 			// sensitivity: the path behaves as its confluent counterpart.
 			// (M2's residual cross-run nondeterminism is reapplied below.)
 			ann = core.Annotation{Confluent: true, Write: ann.Write}

@@ -272,7 +272,6 @@ func refCollapseSCCs(g *Graph) *Graph {
 		nc.Deps = c.Deps
 		nc.OutSchema = c.OutSchema
 		nc.Coordination = c.Coordination
-		nc.Merge = c.Merge // the one departure from the replaced code, which dropped it
 		for _, p := range c.Paths {
 			ann := p.Ann
 			if onCycle(c.Name, p) {
@@ -596,7 +595,7 @@ func refAnalyze(g *Graph) (*refAnalysis, error) {
 			ra.comps[comp.Name] = rc
 		}
 		coordinated := comp.Coordination == CoordSequenced || comp.Coordination == CoordDynamicOrder ||
-			comp.Coordination == CoordQuorumOrder || comp.Coordination == CoordMergeRewrite
+			comp.Coordination == CoordQuorumOrder
 		var merged []core.Label
 		for _, p := range comp.PathsTo(node.iface) {
 			ann := p.Ann
@@ -794,11 +793,6 @@ func refPlan(ra *refAnalysis, strategy string, comp *Component, origin, preferSe
 			}
 		}
 		sort.Strings(st.Inputs)
-	case StrategyMergeRewrite:
-		if !origin || comp.Merge == "" {
-			return Strategy{}, false
-		}
-		st.Mechanism = CoordMergeRewrite
 	default:
 		panic("refPlan: unknown strategy " + strategy)
 	}
@@ -884,7 +878,7 @@ func sequencingList(strategy string, sequencing bool) []string {
 func renderGraph(g *Graph) string {
 	var b strings.Builder
 	for _, c := range g.Components() {
-		fmt.Fprintf(&b, "component %s rep=%v coord=%v merge=%q\n", c.Name, c.Rep, c.Coordination, c.Merge)
+		fmt.Fprintf(&b, "component %s rep=%v coord=%v\n", c.Name, c.Rep, c.Coordination)
 		if c.Deps != nil {
 			fmt.Fprintf(&b, "  deps %v\n", c.Deps.FDs())
 		}
@@ -997,7 +991,7 @@ func diffReference(g *Graph) error {
 	if got, want := a.Explain(), ra.explain(); got != want {
 		return fmt.Errorf("derivation differs:\n got:\n%s\nwant:\n%s", got, want)
 	}
-	for _, name := range []string{"", StrategySealing, StrategyOrdering, StrategySequencing, StrategyQuorumOrdering, StrategyMergeRewrite, StrategyPartitionSealing} {
+	for _, name := range []string{"", StrategySealing, StrategyOrdering, StrategySequencing, StrategyQuorumOrdering, StrategyPartitionSealing} {
 		for _, sequencing := range []bool{false, true} {
 			got := Synthesize(a, SynthesisOptions{Prefer: sequencingList(name, sequencing)})
 			for i := range got {

@@ -124,7 +124,7 @@ func collapse(g *Graph, t *ifaceTable, scc, size []int32) (*Graph, map[string]bo
 		default:
 			nc := ng.Component(c.Name)
 			nc.Rep, nc.Deps, nc.OutSchema = c.Rep, c.Deps, c.OutSchema
-			nc.Coordination, nc.Merge = c.Coordination, c.Merge
+			nc.Coordination = c.Coordination
 			for k, p := range c.Paths {
 				ann := p.Ann
 				if pathOnCycle(t.pathOff[i] + int32(k)) {

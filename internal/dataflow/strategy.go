@@ -6,12 +6,11 @@ import (
 )
 
 // StrategyContext is everything a strategy's planner sees when planning
-// coordination for one component: the finished analysis, the collapsed
-// graph the analysis ran over, the component in question, and why it was
-// flagged (an anomaly originates here, or it consumes upstream seals).
+// coordination for one component: the finished analysis, the component in
+// question, and why it was flagged (an anomaly originates here, or it
+// consumes upstream seals).
 type StrategyContext struct {
 	Analysis  *Analysis
-	Graph     *Graph // the collapsed graph (supernodes, not raw components)
 	Component *Component
 	// Origin is true when reconciliation added an anomaly at this
 	// component (the nondeterminism is born here); false when the

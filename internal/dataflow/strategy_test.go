@@ -18,7 +18,7 @@ func TestLookupStrategyUnknown(t *testing.T) {
 	if !strings.Contains(msg, `unknown strategy "nope"`) {
 		t.Errorf("error %q does not name the unknown strategy", msg)
 	}
-	for _, name := range []string{StrategySealing, StrategyOrdering, StrategySequencing, StrategyQuorumOrdering, StrategyMergeRewrite, StrategyPartitionSealing} {
+	for _, name := range []string{StrategySealing, StrategyOrdering, StrategySequencing, StrategyQuorumOrdering, StrategyPartitionSealing} {
 		if !strings.Contains(msg, name) {
 			t.Errorf("error %q does not list strategy %q", msg, name)
 		}
@@ -28,7 +28,7 @@ func TestLookupStrategyUnknown(t *testing.T) {
 	}
 }
 
-// TestStrategyRegistryContents: the six shipped strategies are in the table
+// TestStrategyRegistryContents: the five shipped strategies are in the table
 // and listed in sorted order.
 func TestStrategyRegistryContents(t *testing.T) {
 	names := StrategyNames()
@@ -40,7 +40,7 @@ func TestStrategyRegistryContents(t *testing.T) {
 			break
 		}
 	}
-	for _, want := range []string{StrategySealing, StrategyOrdering, StrategySequencing, StrategyQuorumOrdering, StrategyMergeRewrite, StrategyPartitionSealing} {
+	for _, want := range []string{StrategySealing, StrategyOrdering, StrategySequencing, StrategyQuorumOrdering, StrategyPartitionSealing} {
 		if !seen[want] {
 			t.Errorf("strategy %q not listed (listed: %v)", want, names)
 		}

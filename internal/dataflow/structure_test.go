@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
 	"reflect"
 	"slices"
 	"testing"
@@ -15,7 +16,7 @@ import (
 // randomCyclicGraph builds a random layered graph with everything the
 // structure builder has to get right: components with several input and
 // output interfaces, replicated components and streams, sealed sources,
-// declared merges and schemas, pre-coordinated components, gossip
+// schemas, pre-coordinated components, gossip
 // self-loops, and back edges that close cycles over two or more components
 // (sometimes through only some of a component's paths, so supernodes keep
 // external interfaces).
@@ -38,11 +39,8 @@ func randomCyclicGraph(rng *rand.Rand) *Graph {
 				c.AddPath("in", "aux", ann())
 			}
 			c.Rep = rng.Intn(5) == 0
-			if rng.Intn(6) == 0 {
-				c.Merge = "max"
-			}
 			if rng.Intn(12) == 0 {
-				c.Coordination = Coordination(1 + rng.Intn(6))
+				c.Coordination = Coordination(1 + rng.Intn(5))
 			}
 			if rng.Intn(4) == 0 {
 				c.OutSchema = map[string]fd.AttrSet{"out": fd.NewAttrSet("j", "k")}
@@ -289,12 +287,17 @@ func structureDiff(got, want *structure) error {
 // compile — inside cycles, removals of taps and of the graph's own sources
 // and sinks from the middle of the declaration order (the last sink going
 // turns the verdict over to every stream), annotation, seal and replication
-// flips, one to three per pass.
+// flips, one to three per pass. The blocking tier draws 80 graphs;
+// BLAZES_SCALE_FULL draws 800.
 func TestPatchedStructureIsCompiled(t *testing.T) {
 	anns := []core.Annotation{core.CR, core.CW, core.ORStar(), core.OWGate("k"), core.ORGate("j")}
 	type edit func(g *Graph, inc *Incremental) // inc is nil on a dry run
+	seeds := int64(80)
+	if os.Getenv("BLAZES_SCALE_FULL") != "" {
+		seeds = 800
+	}
 	patchedPasses, fellBack, verdictTurns := 0, 0, 0
-	for seed := int64(0); seed < 80; seed++ {
+	for seed := int64(0); seed < seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomCyclicGraph(rng)
 		if seed%4 == 3 {

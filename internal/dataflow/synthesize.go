@@ -14,8 +14,8 @@ import (
 // Strategy is a synthesized coordination plan for one component (Section
 // V-B): a seal-based protocol (per-partition barriers driven by producer
 // punctuations and a unanimous vote), an ordering mechanism, or one of the
-// extensions (quorum ordering, merge rewrite, per-partition sealing — see
-// the mechanisms table).
+// extensions (quorum ordering, per-partition sealing — see the mechanisms
+// table).
 type Strategy struct {
 	// Component names the component whose inputs are coordinated.
 	Component string
@@ -48,8 +48,6 @@ func (s Strategy) String() string {
 		return fmt.Sprintf("%s: %s coordination — %s", s.Component, style, strings.Join(keys, "; "))
 	case CoordSequenced, CoordDynamicOrder, CoordQuorumOrder:
 		return fmt.Sprintf("%s: %s over inputs %s", s.Component, s.Mechanism, strings.Join(s.Inputs, ", "))
-	case CoordMergeRewrite:
-		return fmt.Sprintf("%s: merge rewrite — order-sensitive folds replaced by a commutative merge", s.Component)
 	default:
 		return fmt.Sprintf("%s: no coordination required", s.Component)
 	}
@@ -113,7 +111,7 @@ func plan(ca ComponentAnalysis, chain []StrategyDef) (Strategy, bool) {
 	if !origin && !consumesSeal(ca) {
 		return Strategy{}, false
 	}
-	ctx := StrategyContext{Analysis: ca.a, Graph: ca.a.Collapsed, Component: comp, Origin: origin, index: ca.index}
+	ctx := StrategyContext{Analysis: ca.a, Component: comp, Origin: origin, index: ca.index}
 	for _, def := range chain {
 		if st, ok := def.Plan(&ctx); ok {
 			return st, true

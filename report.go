@@ -153,8 +153,8 @@ type StrategyReport struct {
 	Component string `json:"component"`
 	// Mechanism is the stable wire token of the delivery mechanism
 	// (MechanismToken): "none", "sequencing" (M1), "dynamic-ordering"
-	// (M2), "sealing" (M3), "quorum-ordering" (M1q), "merge-rewrite" or
-	// "partition-sealing" (M3p).
+	// (M2), "sealing" (M3), "quorum-ordering" (M1q) or "partition-sealing"
+	// (M3p).
 	Mechanism string `json:"mechanism"`
 	// SealKeys maps each gating input stream to its seal key (sealing
 	// strategies only).

@@ -407,3 +407,39 @@ func TestRetiredSequencingFieldFailsOpen(t *testing.T) {
 		}
 	}
 }
+
+// TestRetiredMergeRewriteStrategyUnrecoverable: a journal whose create
+// record names the retired "merge-rewrite" strategy never recovers that
+// session under the default chain: the replay tombstones it as
+// unrecoverable and counts one replay error, and the other session
+// recovers.
+func TestRetiredMergeRewriteStrategyUnrecoverable(t *testing.T) {
+	spec, err := json.Marshal(wordcountSpecText(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	create := func(seq uint64, id, extra string) journal.Record {
+		return journal.Record{Seq: seq, Payload: []byte(`{"kind":"create","session":"` + id + `","name":"` + id + `","create":{"spec":` + string(spec) + extra + `}}`)}
+	}
+	dir := t.TempDir()
+	records := []journal.Record{create(1, "s1", ""), create(2, "s2", `,"strategy":"merge-rewrite"`)}
+	if err := os.WriteFile(filepath.Join(dir, "wal-00000000000000000001.log"), journal.EncodeRecords(records), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv := newDurable(t, dir, Options{})
+	defer srv.Close()
+	h := srv.Handler()
+	if code, body := call(t, h, "POST", "/v1/sessions/s1/analyze", nil); code != http.StatusOK {
+		t.Errorf("replayed s1: %d %s", code, body)
+	}
+	if code, body := call(t, h, "GET", "/v1/sessions/s2", nil); code != http.StatusGone || !strings.Contains(body, "unrecoverable") {
+		t.Errorf("s2 = %d %s, want 410 naming it unrecoverable", code, body)
+	}
+	var st StatsResponse
+	if code, body := call(t, h, "GET", "/v1/stats", nil); code != http.StatusOK || json.Unmarshal([]byte(body), &st) != nil {
+		t.Fatalf("stats: %d %s", code, body)
+	}
+	if st.ReplayErrors != 1 || st.RecoveredSessions != 1 {
+		t.Errorf("replay errors = %d, recovered = %d; want 1 and 1", st.ReplayErrors, st.RecoveredSessions)
+	}
+}

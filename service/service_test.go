@@ -221,12 +221,17 @@ func TestMutateBatchStopsAtFirstError(t *testing.T) {
 	}
 }
 
-// TestBadRequests pins the request-validation contract.
 // unknownStrategy is the catalog's unknown-name error as a 400 body
 // carries it (JSON-escaped): it lists the whole catalog, M1's `sequencing`
-// included.
-const unknownStrategy = `unknown strategy \"nope\" (registered: [merge-rewrite ordering partition-sealing quorum-ordering sealing sequencing])`
+// included. retiredStrategy is the same error for merge-rewrite, which is
+// a confluence annotation, not a strategy.
+const (
+	strategyCatalog = `(registered: [ordering partition-sealing quorum-ordering sealing sequencing])`
+	unknownStrategy = `unknown strategy \"nope\" ` + strategyCatalog
+	retiredStrategy = `unknown strategy \"merge-rewrite\" ` + strategyCatalog
+)
 
+// TestBadRequests pins the request-validation contract.
 func TestBadRequests(t *testing.T) {
 	h := New(Options{}).Handler()
 	cases := []struct {
@@ -248,6 +253,9 @@ func TestBadRequests(t *testing.T) {
 		{"sweep-unknown-strategy", "POST", "/v1/sweeps", SweepSubmitRequest{Strategy: "nope"}, http.StatusBadRequest, unknownStrategy},
 		{"create-unknown-strategy", "POST", "/v1/sessions", CreateRequest{Spec: "A: {annotation: {from: i, to: o, label: CR}}\ntopology:\n  sources:\n    - {name: s, to: A.i}\n", Strategy: "nope"}, http.StatusBadRequest, unknownStrategy},
 		{"verify-unknown-strategy-in-list", "POST", "/v1/verify", VerifyRequest{Strategy: "sealing,nope"}, http.StatusBadRequest, unknownStrategy},
+		{"create-retired-merge-rewrite", "POST", "/v1/sessions", CreateRequest{Spec: "A: {annotation: {from: i, to: o, label: CR}}\ntopology:\n  sources:\n    - {name: s, to: A.i}\n", Strategy: "merge-rewrite"}, http.StatusBadRequest, retiredStrategy},
+		{"verify-retired-merge-rewrite", "POST", "/v1/verify", VerifyRequest{Strategy: "merge-rewrite"}, http.StatusBadRequest, retiredStrategy},
+		{"sweep-retired-merge-rewrite", "POST", "/v1/sweeps", SweepSubmitRequest{Strategy: "merge-rewrite"}, http.StatusBadRequest, retiredStrategy},
 		{"create-retired-sequencing", "POST", "/v1/sessions", json.RawMessage(`{"spec":"x","sequencing":true}`), http.StatusBadRequest, `unknown field \"sequencing\"`},
 		{"verify-retired-sequencing", "POST", "/v1/verify", json.RawMessage(`{"sequencing":true}`), http.StatusBadRequest, `unknown field \"sequencing\"`},
 		{"sweep-retired-sequencing", "POST", "/v1/sweeps", json.RawMessage(`{"sequencing":true}`), http.StatusBadRequest, `unknown field \"sequencing\"`},

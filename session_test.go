@@ -880,6 +880,47 @@ func TestSessionCancelledRebuildDoesNotStaleCaches(t *testing.T) {
 	}
 }
 
+// TestSessionCancelledPassUndoneLeavesNoDelta: an analysis cut short after
+// it re-derived an edited component, an edit that puts the component back,
+// and a full analysis yield the report, delta included, of a twin session
+// that made the two edits and was never interrupted: the delta names no
+// component whose analysis did not change.
+func TestSessionCancelledPassUndoneLeavesNoDelta(t *testing.T) {
+	ctx := context.Background()
+	var reps [2][]byte
+	for twin := range reps {
+		s, err := OpenSession(WordcountTopology(false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Analyze(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Annotate("Splitter", "tweets", "words", OWStar()); err != nil {
+			t.Fatal(err)
+		}
+		// Cut after Splitter is re-derived, before Count is.
+		if twin == 1 {
+			if _, err := s.Analyze(&stopAfter{ctx, 1}); err == nil {
+				t.Fatal("the pass was not cut short")
+			}
+		}
+		if err := s.Annotate("Splitter", "tweets", "words", CR); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := s.Analyze(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reps[twin], err = rep.MarshalIndent(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(reps[0], reps[1]) {
+		t.Errorf("interrupted session reports\n%s\nuninterrupted\n%s", reps[1], reps[0])
+	}
+}
+
 // TestDecodeReportV1Fixtures: the v2 decoder still accepts the recorded v1
 // golden documents.
 func TestDecodeReportV1Fixtures(t *testing.T) {

@@ -10,7 +10,7 @@
 // two are one to one: each is a row of one table in internal/dataflow.
 // Sealing (M3), ordering (M2) and sequencing (M1) are Figure 5's
 // mechanisms — the first two, in that order, the paper's default chain —
-// and quorum-ordering, merge-rewrite and partition-sealing are extensions.
+// and quorum-ordering and partition-sealing are extensions.
 // Every row must pass the chaos conformance gate (the synthesized graph
 // converges under fault injection, the stripped graph demonstrably
 // diverges) before it ships.
@@ -40,7 +40,6 @@ const (
 	Ordering         = dataflow.StrategyOrdering
 	Sequencing       = dataflow.StrategySequencing
 	QuorumOrdering   = dataflow.StrategyQuorumOrdering
-	MergeRewrite     = dataflow.StrategyMergeRewrite
 	PartitionSealing = dataflow.StrategyPartitionSealing
 )
 

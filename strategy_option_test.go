@@ -64,12 +64,12 @@ func TestWithStrategySelectsMechanism(t *testing.T) {
 }
 
 // TestWithStrategyPreconditionFallback: a preferred strategy whose
-// preconditions fail (merge-rewrite without a declared merge) silently
+// preconditions fail (partition-sealing on the unsealed topology) silently
 // falls back to the default chain — the guarantee never weakens because a
 // preference cannot apply.
 func TestWithStrategyPreconditionFallback(t *testing.T) {
 	g := WordcountTopology(false)
-	pref, err := NewAnalyzer(WithStrategy("merge-rewrite")).Synthesize(g)
+	pref, err := NewAnalyzer(WithStrategy("partition-sealing")).Synthesize(g)
 	if err != nil {
 		t.Fatal(err)
 	}
