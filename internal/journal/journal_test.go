@@ -62,6 +62,71 @@ func walPath(t *testing.T, dir string) string {
 	return matches[0]
 }
 
+// logicalEnd returns the length of the header and records at the start of
+// the wal segment at path: where the next record goes, and where a presized
+// segment's zero tail begins.
+func logicalEnd(t *testing.T, path string) int64 {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records, _, err := DecodeRecords(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return int64(len(EncodeRecords(records)))
+}
+
+// writeAt writes data into the file at path at offset off, as a crash that
+// let only some sectors of a write reach the disk would leave it.
+func writeAt(t *testing.T, path string, off int64, data []byte) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(data, off); err != nil {
+		f.Close()
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// closedWith opens a journal in dir, appends payloads and closes it,
+// returning the path of its one segment.
+func closedWith(t *testing.T, dir string, payloads ...string) string {
+	t.Helper()
+	j, _ := openT(t, dir)
+	appendAll(t, j, payloads...)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return walPath(t, dir)
+}
+
+// crossingPayloads returns distinct 64 KiB payloads, one more than a
+// presize step holds.
+func crossingPayloads() []string {
+	out := make([]string, segmentStep/(64<<10)+1)
+	for i := range out {
+		out[i] = fmt.Sprintf("%02d", i) + strings.Repeat("x", 64<<10-2)
+	}
+	return out
+}
+
+// fileSize returns the length of the file at path.
+func fileSize(t *testing.T, path string) int64 {
+	t.Helper()
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return info.Size()
+}
+
 // snapshotWithSuffix journals "a" and "b", snapshots them, journals "c",
 // closes, and returns the snapshot's path.
 func snapshotWithSuffix(t *testing.T, dir string) string {
@@ -84,16 +149,21 @@ func snapshotWithSuffix(t *testing.T, dir string) string {
 
 // TestReplay is the table the recovery protocol is pinned by: each case
 // prepares a journal directory (possibly mangling it the way a crash
-// would) and states exactly what Open must recover.
+// would) and states exactly what Open must recover. A segment the journal
+// writes is presized, so a crash tears it at its logical end, not at EOF;
+// the cases that cut or extend a segment at EOF build it by hand in the
+// layout of a segment that ends at EOF, as releases before presizing left
+// it.
 func TestReplay(t *testing.T) {
 	cases := []struct {
-		name    string
-		prepare func(t *testing.T, dir string)
-		want    []string // recovered payloads, snapshot first if any
-		snap    string   // expected snapshot payload
-		torn    bool
-		wantErr bool
-		errHas  string // required substring of the Open error
+		name      string
+		prepare   func(t *testing.T, dir string)
+		want      []string // recovered payloads, snapshot first if any
+		snap      string   // expected snapshot payload
+		torn      bool
+		truncated int64 // expected Recovered.TruncatedBytes
+		wantErr   bool
+		errHas    string // required substring of the Open error
 	}{
 		{
 			name: "empty-directory",
@@ -102,12 +172,12 @@ func TestReplay(t *testing.T) {
 			want: nil,
 		},
 		{
+			// A clean Close leaves the zero tail of a presized segment,
+			// which is the end of the log, not a tear.
 			name: "clean-shutdown",
 			prepare: func(t *testing.T, dir string) {
-				j, _ := openT(t, dir)
-				appendAll(t, j, "a", "b", "c")
-				if err := j.Close(); err != nil {
-					t.Fatal(err)
+				if size := fileSize(t, closedWith(t, dir, "a", "b", "c")); size != segmentStep {
+					t.Fatalf("segment size %d, want presized to %d", size, segmentStep)
 				}
 			},
 			want: []string{"a", "b", "c"},
@@ -126,32 +196,20 @@ func TestReplay(t *testing.T) {
 		{
 			name: "torn-final-record",
 			prepare: func(t *testing.T, dir string) {
-				j, _ := openT(t, dir)
-				appendAll(t, j, "a", "b", "victim")
-				if err := j.Close(); err != nil {
-					t.Fatal(err)
-				}
-				// Chop mid-frame: the final record loses its tail.
-				path := walPath(t, dir)
-				data, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, data[:len(data)-3], 0o644); err != nil {
+				// Chop mid-frame at EOF: the final record loses its tail.
+				size := writeSegment(t, dir, 1, "a", "b", "victim")
+				if err := os.Truncate(walPath(t, dir), size-3); err != nil {
 					t.Fatal(err)
 				}
 			},
-			want: []string{"a", "b"},
-			torn: true,
+			want:      []string{"a", "b"},
+			torn:      true,
+			truncated: int64(frameSize + len("victim") - 3),
 		},
 		{
 			name: "garbage-tail",
 			prepare: func(t *testing.T, dir string) {
-				j, _ := openT(t, dir)
-				appendAll(t, j, "a")
-				if err := j.Close(); err != nil {
-					t.Fatal(err)
-				}
+				writeSegment(t, dir, 1, "a")
 				f, err := os.OpenFile(walPath(t, dir), os.O_WRONLY|os.O_APPEND, 0o644)
 				if err != nil {
 					t.Fatal(err)
@@ -161,7 +219,69 @@ func TestReplay(t *testing.T) {
 				}
 				f.Close()
 			},
-			want: []string{"a"},
+			want:      []string{"a"},
+			torn:      true,
+			truncated: 7,
+		},
+		{
+			// Only a prefix of the final frame reached the disk: the rest
+			// of it reads as the zero tail.
+			name: "presized-zeroed-final-frame-tail",
+			prepare: func(t *testing.T, dir string) {
+				path := closedWith(t, dir, "a", "b", "victim")
+				writeAt(t, path, logicalEnd(t, path)-3, make([]byte, 3))
+			},
+			want:      []string{"a", "b"},
+			torn:      true,
+			truncated: int64(frameSize + len("victim") - 3),
+		},
+		{
+			// The final frame's payload reached the disk and its header
+			// did not.
+			name: "presized-zero-header-then-payload",
+			prepare: func(t *testing.T, dir string) {
+				path := closedWith(t, dir, "a", "b")
+				writeAt(t, path, logicalEnd(t, path)+frameSize, []byte("victim"))
+			},
+			want:      []string{"a", "b"},
+			torn:      true,
+			truncated: int64(frameSize + len("victim")),
+		},
+		{
+			name: "presized-garbage-after-zero-tail",
+			prepare: func(t *testing.T, dir string) {
+				path := closedWith(t, dir, "a")
+				writeAt(t, path, logicalEnd(t, path)+100, []byte{0xde, 0xad, 0xbe, 0xef, 1, 2, 3})
+			},
+			want:      []string{"a"},
+			torn:      true,
+			truncated: 107,
+		},
+		{
+			// The appends cross the first presize step: the segment grows
+			// by one step and replays whole.
+			name: "presized-growth-across-step",
+			prepare: func(t *testing.T, dir string) {
+				if size := fileSize(t, closedWith(t, dir, crossingPayloads()...)); size != 2*segmentStep {
+					t.Fatalf("segment size %d, want %d", size, 2*segmentStep)
+				}
+			},
+			want: crossingPayloads(),
+		},
+		{
+			// Segment creation persisted the presized length but not the
+			// header: nothing was appended to it, so it is dropped like a
+			// header-less segment, not refused.
+			name: "presized-header-lost",
+			prepare: func(t *testing.T, dir string) {
+				path := filepath.Join(dir, "wal-00000000000000000001.log")
+				if err := os.WriteFile(path, nil, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.Truncate(path, segmentStep); err != nil {
+					t.Fatal(err)
+				}
+			},
 			torn: true,
 		},
 		{
@@ -183,27 +303,20 @@ func TestReplay(t *testing.T) {
 		{
 			name: "snapshot-plus-torn-suffix",
 			prepare: func(t *testing.T, dir string) {
-				j, _ := openT(t, dir)
-				appendAll(t, j, "a")
-				if err := j.Snapshot([]byte("state-after-a")); err != nil {
+				// What a journal that snapshotted after "a" left, its
+				// suffix segment chopped at EOF.
+				if err := writeSnapshot(filepath.Join(dir, "snap-00000000000000000001.snap"), []byte("state-after-a")); err != nil {
 					t.Fatal(err)
 				}
-				appendAll(t, j, "b", "victim")
-				if err := j.Close(); err != nil {
-					t.Fatal(err)
-				}
-				path := walPath(t, dir)
-				data, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, data[:len(data)-2], 0o644); err != nil {
+				size := writeSegment(t, dir, 2, "b", "victim")
+				if err := os.Truncate(walPath(t, dir), size-2); err != nil {
 					t.Fatal(err)
 				}
 			},
-			snap: "state-after-a",
-			want: []string{"b"},
-			torn: true,
+			snap:      "state-after-a",
+			want:      []string{"b"},
+			torn:      true,
+			truncated: int64(frameSize + len("victim") - 2),
 		},
 		{
 			name: "version-skew",
@@ -234,7 +347,8 @@ func TestReplay(t *testing.T) {
 					t.Fatal(err)
 				}
 			},
-			torn: true,
+			torn:      true,
+			truncated: 3,
 		},
 		{
 			// Snapshot deleted the segments holding "a" and "b", so no
@@ -292,8 +406,8 @@ func TestReplay(t *testing.T) {
 			if string(rec.Snapshot) != tc.snap {
 				t.Errorf("snapshot %q, want %q", rec.Snapshot, tc.snap)
 			}
-			if rec.Torn != tc.torn {
-				t.Errorf("torn = %v, want %v", rec.Torn, tc.torn)
+			if rec.Torn != tc.torn || rec.TruncatedBytes != tc.truncated {
+				t.Errorf("torn = %v, truncated %d bytes; want %v, %d", rec.Torn, rec.TruncatedBytes, tc.torn, tc.truncated)
 			}
 			// The journal must be writable after any recovery, and a
 			// second recovery must see old + new records.
@@ -564,6 +678,111 @@ func TestAppendAfterClose(t *testing.T) {
 	}
 	if err := j.Close(); err != nil {
 		t.Errorf("double Close = %v, want nil", err)
+	}
+}
+
+// TestFailedCommitBreaksJournal: the first failed write sticks. The
+// failing append, appends queued behind it and every later append and
+// snapshot return that error, and nothing more reaches the segment — a
+// batch written after a failed one could be acknowledged and then dropped
+// by recovery's torn-tail truncation.
+func TestFailedCommitBreaksJournal(t *testing.T) {
+	dir := t.TempDir()
+	j, _ := openT(t, dir)
+	appendAll(t, j, "a")
+	path := walPath(t, dir)
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ro, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.mu.Lock()
+	rw := j.f
+	j.f = ro // every write through it fails
+	j.mu.Unlock()
+	defer rw.Close()
+
+	_, first := j.Append([]byte("b"))
+	if first == nil {
+		t.Fatal("append through a read-only handle succeeded")
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				if _, err := j.Append(fmt.Appendf(nil, "w%d-%d", w, i)); err != first {
+					t.Errorf("append after a failed commit = %v, want %v", err, first)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if err := j.Snapshot([]byte("state")); err != first {
+		t.Errorf("snapshot after a failed commit = %v, want %v", err, first)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Error("the segment changed after the failed commit")
+	}
+	j2, rec := openT(t, dir)
+	defer j2.Close()
+	if got := payloads(rec.Records); !equal(got, []string{"a"}) || rec.Torn {
+		t.Errorf("recovered %v (torn %v), want [a] untorn", got, rec.Torn)
+	}
+}
+
+// TestPresizedCounters: Stats.Bytes counts headers and records, not the
+// length a segment is sized ahead to, and Recovered.TruncatedBytes counts
+// a torn tail through its last nonzero byte, not the zero tail after it;
+// truncation leaves no byte past the logical end.
+func TestPresizedCounters(t *testing.T) {
+	dir := t.TempDir()
+	j, _ := openT(t, dir)
+	appendAll(t, j, "a", "bb", "ccc")
+	want := int64(headerSize + 3*frameSize + len("abbccc"))
+	if st := j.Stats(); st.Bytes != want {
+		t.Errorf("Stats.Bytes = %d, want %d", st.Bytes, want)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := walPath(t, dir)
+	if size := fileSize(t, path); size != segmentStep {
+		t.Fatalf("segment size %d, want %d", size, segmentStep)
+	}
+
+	j, rec := openT(t, dir)
+	if st := j.Stats(); st.Bytes != want || rec.Torn || rec.TruncatedBytes != 0 {
+		t.Errorf("clean reopen: Stats.Bytes %d, torn %v, truncated %d; want %d, false, 0", st.Bytes, rec.Torn, rec.TruncatedBytes, want)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	writeAt(t, path, want+10, []byte{1, 2, 3, 4, 5})
+	j, rec = openT(t, dir)
+	defer j.Close()
+	if st := j.Stats(); st.Bytes != want || !rec.Torn || rec.TruncatedBytes != 15 {
+		t.Errorf("torn reopen: Stats.Bytes %d, torn %v, truncated %d; want %d, true, 15", st.Bytes, rec.Torn, rec.TruncatedBytes, want)
+	}
+	if size := fileSize(t, path); size != want {
+		t.Errorf("segment size after truncation %d, want %d", size, want)
+	}
+	appendAll(t, j, "d")
+	if st := j.Stats(); st.Bytes != want+frameSize+1 {
+		t.Errorf("Stats.Bytes after an append = %d, want %d", st.Bytes, want+frameSize+1)
 	}
 }
 

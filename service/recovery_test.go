@@ -137,9 +137,11 @@ func recoveryStats(t *testing.T, h http.Handler) RecoveryStats {
 	return *st.Recovery
 }
 
-// TestRecoveryTornTail appends garbage after a valid journal (a torn final
-// write) and requires recovery to keep every acknowledged op, drop the
-// tail, report what it dropped in /v1/stats, and stay writable.
+// TestRecoveryTornTail writes garbage at the logical end of a valid journal
+// (a torn final write; the segment is presized, so that is where a crash
+// tears it, not at EOF) and requires recovery to keep every acknowledged
+// op, drop the tail, report what it dropped in /v1/stats, and stay
+// writable.
 func TestRecoveryTornTail(t *testing.T) {
 	dir := t.TempDir()
 	srv := newDurable(t, dir, Options{})
@@ -159,11 +161,19 @@ func TestRecoveryTornTail(t *testing.T) {
 	if err != nil || len(wals) == 0 {
 		t.Fatalf("no wal segments (%v)", err)
 	}
-	f, err := os.OpenFile(wals[len(wals)-1], os.O_APPEND|os.O_WRONLY, 0)
+	data, err := os.ReadFile(wals[len(wals)-1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write([]byte{0x13, 0x37, 0xde, 0xad, 0xbe}); err != nil {
+	records, _, err := journal.DecodeRecords(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(wals[len(wals)-1], os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{0x13, 0x37, 0xde, 0xad, 0xbe}, int64(len(journal.EncodeRecords(records)))); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
