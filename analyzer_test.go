@@ -8,13 +8,27 @@ import (
 
 const specDir = "internal/spec/testdata"
 
-func loadSpec(t *testing.T, name string) *Spec {
-	t.Helper()
+func loadSpec(tb testing.TB, name string) *Spec {
+	tb.Helper()
 	s, err := LoadSpec(filepath.Join(specDir, name))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return s
+}
+
+// adSpecGraph is the ad-tracking network of adreport.blazes running query,
+// with the click stream sealed on sealKey when one is given.
+func adSpecGraph(tb testing.TB, query AdQuery, sealKey ...string) *Graph {
+	tb.Helper()
+	g, err := loadSpec(tb, "adreport.blazes").Graph("adreport", WithVariant("Report", string(query)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if len(sealKey) > 0 {
+		g.Stream("clicks").Seal = Attrs(sealKey...)
+	}
+	return g
 }
 
 func TestAnalyzerSealRepairDoesNotMutateInput(t *testing.T) {

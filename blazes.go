@@ -150,9 +150,3 @@ const (
 // WordcountTopology builds the paper's streaming wordcount dataflow
 // (Section VI-A); sealBatch seals the tweet source per batch.
 func WordcountTopology(sealBatch bool) *Graph { return dataflow.WordcountTopology(sealBatch) }
-
-// AdNetwork builds the paper's ad-tracking dataflow (Figures 3/4) with the
-// given reporting query; sealKey, when non-empty, seals the click stream.
-func AdNetwork(query AdQuery, sealKey ...string) *Graph {
-	return dataflow.AdNetwork(query, sealKey...)
-}

@@ -13,7 +13,7 @@ import (
 )
 
 func main() {
-	for _, query := range []blazes.AdQuery{blazes.THRESH, blazes.POOR, blazes.CAMPAIGN} {
+	for _, query := range []blazes.AdQuery{blazes.THRESH, blazes.POOR, blazes.WINDOW, blazes.CAMPAIGN} {
 		mod, err := substrate.ReportModule(query, 100)
 		if err != nil {
 			panic(err)
@@ -28,10 +28,13 @@ func main() {
 		}
 
 		// Assemble the full network (Report + Cache, both auto-annotated)
-		// and analyze; for CAMPAIGN also seal the click stream.
+		// and analyze; CAMPAIGN and WINDOW also seal the click stream.
 		var seal []string
-		if query == blazes.CAMPAIGN {
+		switch query {
+		case blazes.CAMPAIGN:
 			seal = []string{substrate.ColCampaign}
+		case blazes.WINDOW:
+			seal = []string{"window"}
 		}
 		g, err := substrate.WhiteboxAdNetwork(query, seal...)
 		if err != nil {

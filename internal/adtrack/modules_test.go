@@ -1,11 +1,19 @@
 package adtrack
 
 import (
+	"cmp"
+	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"blazes/internal/bloom"
 	"blazes/internal/core"
 	"blazes/internal/dataflow"
+	"blazes/internal/fd"
+	"blazes/internal/spec"
 )
 
 // TestWhiteBoxExtractionMatchesPaperAnnotations reproduces the Section
@@ -76,19 +84,33 @@ func TestWhiteBoxCacheMatchesPaper(t *testing.T) {
 
 // TestWhiteBoxGraphVerdicts runs the full Blazes analysis over the
 // automatically annotated dataflow and reproduces the Section VI-B2
-// verdicts with zero manual annotations.
+// derivations with zero manual annotations: each row's verdict, and where
+// given Report's output label and the steps the paper's derivation takes.
 func TestWhiteBoxGraphVerdicts(t *testing.T) {
 	tests := []struct {
 		query   dataflow.AdQuery
 		seal    []string
 		verdict core.Label
+		report  string               // Report's output label; "" leaves it unchecked
+		steps   map[string]core.Step // a step each named component's derivation holds
 	}{
-		{dataflow.THRESH, nil, core.Async},
-		{dataflow.POOR, nil, core.Diverge},
-		{dataflow.POOR, []string{ColCampaign}, core.Diverge},
-		{dataflow.CAMPAIGN, []string{ColCampaign}, core.Async},
-		{dataflow.WINDOW, []string{ColWindow}, core.Async},
-		{dataflow.WINDOW, nil, core.Diverge},
+		// THRESH is confluent: Async end to end without coordination.
+		{dataflow.THRESH, nil, core.Async, "Async", nil},
+		// POOR: the request path OR_id over Async reads nondeterministically,
+		// unprotected on a replicated Report ⇒ Inst; the Cache's CW path
+		// turns Inst into Taint, replicated ⇒ Diverge.
+		{dataflow.POOR, nil, core.Diverge, "Inst", map[string]core.Step{
+			"Report": {In: core.Async, Ann: core.ORGate("id"), Rule: core.Rule1, Out: core.NDRead("id")},
+			"Cache":  {In: core.Inst, Ann: core.CW, Rule: core.Rule3, Out: core.Taint},
+		}},
+		// POOR's gate {id} is incompatible with a campaign seal (Section V-A1).
+		{dataflow.POOR, []string{ColCampaign}, core.Diverge, "", nil},
+		// CAMPAIGN's gate {id,campaign} is compatible: the NDRead is protected.
+		{dataflow.CAMPAIGN, []string{ColCampaign}, core.Async, "Async", nil},
+		// WINDOW sealed on window is Async (Section VI-B2, last sentence);
+		// without punctuations it races queries against clicks like POOR.
+		{dataflow.WINDOW, []string{ColWindow}, core.Async, "", nil},
+		{dataflow.WINDOW, nil, core.Diverge, "", nil},
 	}
 	for _, tt := range tests {
 		name := string(tt.query)
@@ -107,7 +129,77 @@ func TestWhiteBoxGraphVerdicts(t *testing.T) {
 			if !a.Verdict.Equal(tt.verdict) {
 				t.Errorf("verdict = %s, want %s\n%s", a.Verdict, tt.verdict, a.Explain())
 			}
+			if tt.report != "" {
+				ca, _ := a.Component("Report")
+				if got := ca.Output("response").Reconciliation.Output; got.String() != tt.report {
+					t.Errorf("Report output = %s, want %s", got, tt.report)
+				}
+			}
+			for comp, want := range tt.steps {
+				ca, ok := a.Component(comp)
+				if !ok {
+					t.Fatalf("no analysis for component %q", comp)
+				}
+				steps := slices.Collect(ca.Steps())
+				if !slices.ContainsFunc(steps, func(st core.Step) bool { return st.String() == want.String() }) {
+					t.Errorf("component %s: missing step %q; have %v", comp, want, steps)
+				}
+			}
 		})
+	}
+}
+
+// TestWhiteBoxGraphMatchesSpec holds the two sources of the ad network to
+// each other: adreport.blazes, whose annotations restate Section VI-B1, and
+// Graph, whose annotations bloom.Analyze extracts from the Bloom rules. The
+// two name Cache's interfaces differently (request and response, against
+// request_out, response_in and response_out), so they are compared on what
+// names no interface: the verdict, every stream's label, and each
+// synthesized strategy's component, mechanism, seal keys and inputs.
+func TestWhiteBoxGraphMatchesSpec(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("..", "spec", "testdata", "adreport.blazes"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := spec.Parse(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	outcome := func(t *testing.T, g *dataflow.Graph) []string {
+		t.Helper()
+		a, err := dataflow.Analyze(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := []string{"verdict " + a.Verdict.String()}
+		for s, l := range a.Streams() {
+			out = append(out, "stream "+s.Name+" "+l.String())
+		}
+		for _, st := range dataflow.Synthesize(a, dataflow.SynthesisOptions{}) {
+			out = append(out, fmt.Sprintf("strategy %s %s %v %v", st.Component, st.Mechanism, st.SealKeys, st.Inputs))
+		}
+		return out
+	}
+	for _, q := range []dataflow.AdQuery{dataflow.THRESH, dataflow.POOR, dataflow.WINDOW, dataflow.CAMPAIGN} {
+		for _, seal := range [][]string{nil, {ColCampaign}, {ColID}, {ColWindow}, {ColID, ColCampaign}} {
+			t.Run(string(q)+"/seal="+cmp.Or(strings.Join(seal, "+"), "none"), func(t *testing.T) {
+				want, err := cfg.Graph("adreport", spec.BuildOptions{Variants: map[string]string{"Report": string(q)}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(seal) > 0 {
+					want.Stream("clicks").Seal = fd.NewAttrSet(seal...)
+				}
+				got, err := Graph(q, seal...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if g, w := outcome(t, got), outcome(t, want); !slices.Equal(g, w) {
+					t.Errorf("white-box graph and spec text disagree\n got: %s\nwant: %s",
+						strings.Join(g, "; "), strings.Join(w, "; "))
+				}
+			})
+		}
 	}
 }
 

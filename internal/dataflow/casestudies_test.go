@@ -68,100 +68,6 @@ func TestCaseStudyWordcountSealed(t *testing.T) {
 	}
 }
 
-// TestCaseStudyTHRESH reproduces Section VI-B2, first derivation: THRESH is
-// confluent, so the whole dataflow is Async without coordination.
-func TestCaseStudyTHRESH(t *testing.T) {
-	a, err := Analyze(AdNetwork(THRESH))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := outputLabel(t, a, "Report", "response"); !got.Equal(core.Async) {
-		t.Errorf("Report output = %s, want Async", got)
-	}
-	if !a.Verdict.Equal(core.Async) {
-		t.Errorf("verdict = %s, want Async", a.Verdict)
-	}
-}
-
-// TestCaseStudyPOOR reproduces Section VI-B2, second derivation: POOR with
-// no seal derives Diverge — nondeterministic outputs taint the replicated
-// cache and state diverges permanently.
-func TestCaseStudyPOOR(t *testing.T) {
-	a, err := Analyze(AdNetwork(POOR))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Report: request path OR_id over Async ⇒ NDRead_id, unprotected, Rep
-	// ⇒ Inst.
-	if got := outputLabel(t, a, "Report", "response"); !got.Equal(core.Inst) {
-		t.Errorf("Report output = %s, want Inst", got)
-	}
-	assertStep(t, a, "Report", core.Step{
-		In: core.Async, Ann: core.ORGate("id"), Rule: core.Rule1, Out: core.NDRead("id"),
-	})
-	// Cache: Inst × CW ⇒(3) Taint, Rep ⇒ Diverge.
-	assertStep(t, a, "Cache", core.Step{
-		In: core.Inst, Ann: core.CW, Rule: core.Rule3, Out: core.Taint,
-	})
-	if !a.Verdict.Equal(core.Diverge) {
-		t.Errorf("verdict = %s, want Diverge", a.Verdict)
-	}
-}
-
-// TestCaseStudyCAMPAIGNSealed reproduces Section VI-B2, third derivation:
-// with the click stream sealed on campaign, the CAMPAIGN query's gate
-// {id,campaign} is compatible; the NDRead is protected and the dataflow is
-// Async.
-func TestCaseStudyCAMPAIGNSealed(t *testing.T) {
-	a, err := Analyze(AdNetwork(CAMPAIGN, "campaign"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := outputLabel(t, a, "Report", "response"); !got.Equal(core.Async) {
-		t.Errorf("Report output = %s, want Async", got)
-	}
-	if !a.Verdict.Equal(core.Async) {
-		t.Errorf("verdict = %s, want Async", a.Verdict)
-	}
-}
-
-// TestCaseStudyPOORSealed: POOR's gate is {id}, incompatible with a campaign
-// seal — the dataflow still derives Diverge (only CAMPAIGN is compatible
-// with Seal_campaign; Section V-A1).
-func TestCaseStudyPOORSealed(t *testing.T) {
-	a, err := Analyze(AdNetwork(POOR, "campaign"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a.Verdict.Equal(core.Diverge) {
-		t.Errorf("verdict = %s, want Diverge", a.Verdict)
-	}
-}
-
-// TestCaseStudyWINDOWSealed: WINDOW sealed on window reduces to Async
-// (Section VI-B2, last sentence).
-func TestCaseStudyWINDOWSealed(t *testing.T) {
-	a, err := Analyze(AdNetwork(WINDOW, "window"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a.Verdict.Equal(core.Async) {
-		t.Errorf("verdict = %s, want Async", a.Verdict)
-	}
-}
-
-// TestCaseStudyWINDOWUnsealed: WINDOW without punctuations races queries
-// against clicks like POOR does.
-func TestCaseStudyWINDOWUnsealed(t *testing.T) {
-	a, err := Analyze(AdNetwork(WINDOW))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a.Verdict.Equal(core.Diverge) {
-		t.Errorf("verdict = %s, want Diverge", a.Verdict)
-	}
-}
-
 // assertStep checks that the component's derivation contains the given step.
 func assertStep(t *testing.T, a *Analysis, comp string, want core.Step) {
 	t.Helper()

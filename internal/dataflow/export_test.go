@@ -13,3 +13,21 @@ func (inc *Incremental) Visited() int { return inc.visited }
 
 // Planned reports how many components the last Synthesize planned.
 func (inc *Incremental) Planned() int { return inc.planned }
+
+// FullEqual holds an analysis of g to the reference analysis of g.
+var FullEqual = fullEqual
+
+// CollapsedOf compiles g and returns the graph the analysis runs over.
+var CollapsedOf = collapsedOf
+
+// ComponentNames lists g's components in declaration order.
+var ComponentNames = names
+
+// Plan offers one component's derivation to a strategy chain.
+var Plan = plan
+
+// RandomCyclicGraph draws a small layered graph with cycles.
+var RandomCyclicGraph = randomCyclicGraph
+
+// StreamNames lists the names of streams, in order.
+var StreamNames = streamNames

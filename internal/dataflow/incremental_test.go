@@ -26,81 +26,6 @@ func fullEqual(t *testing.T, tag string, a *Analysis, g *Graph) {
 	}
 }
 
-// TestIncrementalMatchesFreshOnPaperGraphs drives the built-in graphs
-// through annotation and seal flips and checks every re-analysis against a
-// fresh full analysis of the same graph.
-func TestIncrementalMatchesFreshOnPaperGraphs(t *testing.T) {
-	graphs := []*Graph{
-		WordcountTopology(false),
-		WordcountTopology(true),
-		AdNetwork(THRESH),
-		AdNetwork(CAMPAIGN, "campaign"),
-	}
-	ctx := context.Background()
-	for _, g := range graphs {
-		inc := NewIncremental(g.Clone())
-		a, _, err := inc.Analyze(ctx)
-		if err != nil {
-			t.Fatalf("%s: %v", g.Name, err)
-		}
-		fullEqual(t, g.Name, a, inc.Graph())
-	}
-}
-
-// TestIncrementalAnnotationFlip: flipping one acyclic component's
-// annotation re-derives only its downstream closure and still matches a
-// fresh analysis.
-func TestIncrementalAnnotationFlip(t *testing.T) {
-	ctx := context.Background()
-	inc := NewIncremental(AdNetwork(CAMPAIGN, "campaign"))
-	if _, stats, err := inc.Analyze(ctx); err != nil || !stats.Rebuilt {
-		t.Fatalf("first analyze: stats=%+v err=%v", stats, err)
-	}
-
-	report := inc.Graph().Lookup("Report")
-	for i, q := range []AdQuery{THRESH, POOR, CAMPAIGN, WINDOW, CAMPAIGN} {
-		if !report.SetPathAnn("request", "response", q.Annotation()) {
-			t.Fatal("path not found")
-		}
-		inc.NoteAnnotationChange("Report")
-		a, stats, err := inc.Analyze(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.Rebuilt {
-			t.Fatalf("flip %d (%s): structural rebuild for an annotation flip", i, q)
-		}
-		if len(stats.Recomputed) == 0 {
-			t.Fatalf("flip %d (%s): nothing recomputed", i, q)
-		}
-		fullEqual(t, string(q), a, inc.Graph())
-	}
-}
-
-// TestIncrementalCyclicAnnotationFlip: annotation changes on a component
-// that lies on an interface-level cycle degrade to a structural rebuild and
-// still match.
-func TestIncrementalCyclicAnnotationFlip(t *testing.T) {
-	ctx := context.Background()
-	inc := NewIncremental(AdNetwork(THRESH))
-	if _, _, err := inc.Analyze(ctx); err != nil {
-		t.Fatal(err)
-	}
-	cache := inc.Graph().Lookup("Cache")
-	if !cache.SetPathAnn("response", "response", core.OWStar()) {
-		t.Fatal("path not found")
-	}
-	inc.NoteAnnotationChange("Cache")
-	a, stats, err := inc.Analyze(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stats.Rebuilt {
-		t.Fatal("cyclic annotation change should rebuild the structure")
-	}
-	fullEqual(t, "cyclic-flip", a, inc.Graph())
-}
-
 // TestIncrementalSealFlip: sealing and unsealing a source stream matches a
 // fresh analysis without a structural rebuild.
 func TestIncrementalSealFlip(t *testing.T) {
@@ -161,37 +86,6 @@ func TestIncrementalTopologyMutations(t *testing.T) {
 	inc.NoteTopologyChange()
 	if _, _, err := inc.Analyze(ctx); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestIncrementalNoChangeReturnsCached: analyzing twice without a mutation
-// reuses the whole analysis.
-func TestIncrementalNoChangeReturnsCached(t *testing.T) {
-	ctx := context.Background()
-	inc := NewIncremental(AdNetwork(POOR))
-	a1, _, err := inc.Analyze(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, stats, err := inc.Analyze(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a1 != a2 {
-		t.Fatal("unchanged session should return the cached analysis")
-	}
-	if len(stats.Recomputed) != 0 {
-		t.Fatalf("recomputed %v on a no-op", stats.Recomputed)
-	}
-}
-
-// TestIncrementalCancellation: a cancelled context aborts the analysis.
-func TestIncrementalCancellation(t *testing.T) {
-	inc := NewIncremental(AdNetwork(THRESH))
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, _, err := inc.Analyze(ctx); err == nil {
-		t.Fatal("cancelled context should abort")
 	}
 }
 

@@ -5,8 +5,8 @@ import (
 	"blazes/internal/fd"
 )
 
-// Constructors for the paper's two running examples, used by the Section VI
-// case-study tests, the examples, and the experiment harness.
+// The paper's streaming wordcount. Its other running example, the ad
+// network, is built from its Bloom rules (adtrack.Graph).
 
 // WordcountTopology builds the Storm streaming wordcount dataflow of
 // Section I-B / VI-A: Splitter (CR) → Count (OW_{word,batch}) → Commit (CW).
@@ -29,8 +29,9 @@ func WordcountTopology(sealBatch bool) *Graph {
 	return g
 }
 
-// AdQuery selects which continuous query (Figure 6) the reporting server
-// runs; it determines the annotation of Report's request→response path.
+// AdQuery selects the reporting server's continuous query (Figure 6).
+// adtrack.ReportModule writes it as Bloom rules; bloom.Analyze derives the
+// annotation of Report's request→response path from them.
 type AdQuery string
 
 // The four reporting-server queries of Figure 6.
@@ -40,52 +41,3 @@ const (
 	WINDOW   AdQuery = "WINDOW"
 	CAMPAIGN AdQuery = "CAMPAIGN"
 )
-
-// Annotation returns the C.O.W.R. annotation of the query's request→response
-// path, as derived in Section VI-B1.
-func (q AdQuery) Annotation() core.Annotation {
-	switch q {
-	case THRESH:
-		return core.CR
-	case POOR:
-		return core.ORGate("id")
-	case WINDOW:
-		return core.ORGate("id", "window")
-	case CAMPAIGN:
-		return core.ORGate("id", "campaign")
-	default:
-		return core.ORStar()
-	}
-}
-
-// AdNetwork builds the ad-tracking dataflow of Figures 3/4: ad servers send
-// click logs to replicated reporting servers; analysts query through a
-// caching tier with a gossip self-edge. query selects the Report component's
-// standing query; sealKey, when non-empty, seals the click stream on those
-// attributes (e.g. "campaign" for the CAMPAIGN experiments).
-func AdNetwork(query AdQuery, sealKey ...string) *Graph {
-	g := NewGraph("ad-network-" + string(query))
-
-	report := g.Component("Report")
-	report.Rep = true
-	report.AddPath("click", "response", core.CW)
-	report.AddPath("request", "response", query.Annotation())
-
-	cache := g.Component("Cache")
-	cache.Rep = true
-	cache.AddPath("request", "response", core.CR)
-	cache.AddPath("response", "response", core.CW)
-	cache.AddPath("request", "request", core.CR)
-
-	clicks := g.Source("clicks", "Report", "click")
-	if len(sealKey) > 0 {
-		clicks.Seal = fd.NewAttrSet(sealKey...)
-	}
-	g.Source("analyst-q", "Cache", "request")
-	g.Connect("q", "Cache", "request", "Report", "request")
-	g.Connect("r", "Report", "response", "Cache", "response")
-	// The gossip self-edge: caches asynchronously share responses.
-	g.Connect("gossip", "Cache", "response", "Cache", "response")
-	g.Sink("analyst-r", "Cache", "response")
-	return g
-}

@@ -6,30 +6,6 @@ import (
 	"blazes/internal/core"
 )
 
-// TestFootnote3NoComponentLevelCycle pins the paper's footnote 3: the Cache
-// participates in a cycle via its gossip self-edge, but Cache and Report
-// form no cycle because Cache has no internal path from its response input
-// to its request output. Cycle detection must therefore be path-granular.
-func TestFootnote3NoComponentLevelCycle(t *testing.T) {
-	g := AdNetwork(THRESH)
-	cg := collapsedOf(t, g)
-	if cg == g {
-		t.Fatal("the gossip self-edge should force a collapse")
-	}
-	// Cache and Report must both survive as separate components.
-	if cg.Lookup("Cache") == nil || cg.Lookup("Report") == nil {
-		t.Fatalf("Cache/Report should not be merged; components = %v", names(cg))
-	}
-	// The gossip stream lies on the cycle and must be dropped.
-	if cg.Stream("gossip") != nil {
-		t.Error("gossip self-edge should be removed by the collapse")
-	}
-	// The q and r streams between Cache and Report survive.
-	if cg.Stream("q") == nil || cg.Stream("r") == nil {
-		t.Error("q/r streams must survive the collapse")
-	}
-}
-
 func TestSelfCycleUpgradesAnnotation(t *testing.T) {
 	// A self-loop whose cycle contains a CR path and a CW path: the cycle
 	// paths collapse to the highest severity (CW).

@@ -53,7 +53,7 @@ func FuzzSessionEdits(f *testing.F) {
 		case 0:
 			g = WordcountTopology(false)
 		case 1:
-			g = AdNetwork(CAMPAIGN, "campaign")
+			g = adSpecGraph(t, CAMPAIGN, "campaign")
 		case 2:
 			g = cyclicTopology(t)
 		default:

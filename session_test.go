@@ -14,15 +14,6 @@ import (
 	"testing"
 )
 
-func loadSessionSpec(t *testing.T, name string) *Spec {
-	t.Helper()
-	s, err := LoadSpec(filepath.Join("internal", "spec", "testdata", name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
 // cyclicTopology builds a two-component interface-level cycle (A↔B): the
 // collapse folds both into the "scc+A+B" supernode, whose name and
 // member-qualified interfaces ("B.out") contain dots — the shape that
@@ -292,16 +283,16 @@ func TestSessionDifferential(t *testing.T) {
 		case 0:
 			s, err = OpenSession(WordcountTopology(rng.Intn(2) == 0))
 		case 1:
-			s, err = OpenSession(AdNetwork(CAMPAIGN, "campaign"))
+			s, err = OpenSession(adSpecGraph(t, CAMPAIGN, "campaign"))
 		case 2:
-			s, err = loadSessionSpec(t, "wordcount.blazes").OpenSession("wordcount")
+			s, err = loadSpec(t, "wordcount.blazes").OpenSession("wordcount")
 		case 3:
 			s, err = OpenSession(cyclicTopology(t)) // supernode path
 		case 4:
 			s, err = OpenSession(replicatedCyclicTopology(t)) // edits next to a supernode
 		default:
 			specBacked = true
-			s, err = loadSessionSpec(t, "adreport.blazes").OpenSession("adreport",
+			s, err = loadSpec(t, "adreport.blazes").OpenSession("adreport",
 				WithVariant("Report", "CAMPAIGN"), WithSealRepair("clicks", "campaign"))
 		}
 		if err != nil {
@@ -451,7 +442,7 @@ func TestSessionDelta(t *testing.T) {
 // output interfaces than the whole graph.
 func TestSessionMemoization(t *testing.T) {
 	ctx := context.Background()
-	s, err := OpenSession(AdNetwork(CAMPAIGN, "campaign"))
+	s, err := OpenSession(adSpecGraph(t, CAMPAIGN, "campaign"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,7 +489,7 @@ func newEntries[T any](cur, prev []*T) int {
 // equals a fresh analysis.
 func TestSessionSharesUnchangedEntries(t *testing.T) {
 	ctx := context.Background()
-	s, err := OpenSession(AdNetwork(CAMPAIGN, "campaign"))
+	s, err := OpenSession(adSpecGraph(t, CAMPAIGN, "campaign"))
 	if err != nil {
 		t.Fatal(err)
 	}
