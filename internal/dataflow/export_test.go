@@ -31,3 +31,9 @@ var RandomCyclicGraph = randomCyclicGraph
 
 // StreamNames lists the names of streams, in order.
 var StreamNames = streamNames
+
+// AssertStep checks that comp's derivation contains the given step.
+var AssertStep = assertStep
+
+// OutputLabel returns the merged label of comp's output interface.
+var OutputLabel = outputLabel
