@@ -41,11 +41,14 @@
 // torn only if some byte after that frame is nonzero. A torn tail — a short
 // write from a crash mid-append — is reported in Recovered.Torn and
 // truncated away on open so no stale byte survives past the logical end.
-// Appends are durable when Append returns: concurrent appenders are
-// batched behind a single writer goroutine that issues one fsync per batch
-// (group commit), so a kill -9 can lose only records whose Append had not
-// yet returned. The first failed write or fsync breaks the journal for
-// good: every later Append returns that error and nothing more is written.
+// Appends are durable when Append returns. The journal has no goroutine of
+// its own: each appender queues its frame and then commits on its own
+// goroutine, one at a time. The appender that commits writes every frame
+// queued so far with one fsync (group commit), and an appender whose frame
+// an earlier commit carried returns without writing, so a kill -9 can lose
+// only records whose Append had not yet returned. The first failed write,
+// fsync or segment rotation breaks the journal for good: every later
+// Append returns that error and nothing more is written.
 package journal
 
 import (
@@ -142,45 +145,38 @@ type Stats struct {
 }
 
 // Journal is an open journal directory. Append is safe for concurrent use.
+//
+// Two locks, always taken commitMu before mu. commitMu serializes the
+// writers of the files: a commit, Snapshot and Close. mu guards the fields
+// below it; f, size and sized change only under both, so the holder of
+// commitMu reads them without mu. A commit releases mu across its write and
+// fsync, so appenders queue their frames meanwhile.
 type Journal struct {
 	dir string
 
-	// mu guards every field below it: the files, seq assignment and the
-	// counters Stats reports.
+	commitMu sync.Mutex
+
 	mu       sync.Mutex
-	f        *os.File  // active wal segment, the last of segments
+	f        *os.File  // active wal segment, the last of segments; nil after a failed rotation
 	size     int64     // f's logical end: its header and records
 	sized    int64     // f's length on disk, size plus a zero tail
 	segments []segment // live wal files, oldest first
 	sealed   int64     // logical bytes in the live segments before f (only Open finds any)
 	nextSeq  uint64    // seq the next Append gets
 	closed   bool
-	err      error // the first failed write or fsync; nothing is written after it
+	err      error  // the first failed write, fsync or rotation; nothing is written after it
+	pending  []byte // frames of the records after synced, in seq order, not yet written
 
 	synced      uint64 // highest seq known durable
 	appended    uint64
 	fsyncs      uint64
 	snapshotSeq uint64
 	snapshots   uint64
-
-	// Group commit: appenders queue on reqs; the writer goroutine drains
-	// the queue, writes every pending frame, fsyncs once, and releases
-	// the whole cohort. inflight tracks appenders between seq assignment
-	// and completion so Close can drain them before closing reqs.
-	reqs     chan appendReq
-	done     chan struct{} // writer exited
-	inflight sync.WaitGroup
 }
 
 type segment struct {
 	firstSeq uint64
 	path     string
-}
-
-type appendReq struct {
-	frame []byte
-	seq   uint64
-	done  chan error
 }
 
 // Open opens (or creates) the journal in dir and returns everything needed
@@ -210,7 +206,7 @@ func Open(dir string) (*Journal, *Recovered, error) {
 		return nil, nil, fmt.Errorf("journal: %s starts at seq %d, but no snapshot covers the records before it (newest snapshot seq %d)", wals[0].path, wals[0].firstSeq, rec.SnapshotSeq)
 	}
 
-	j := &Journal{dir: dir, nextSeq: 1, snapshotSeq: rec.SnapshotSeq, reqs: make(chan appendReq, 1024), done: make(chan struct{})}
+	j := &Journal{dir: dir, nextSeq: 1, snapshotSeq: rec.SnapshotSeq}
 
 	// Replay wal segments in order. Records at or below the snapshot seq
 	// are already folded into the snapshot; a torn record ends the
@@ -282,8 +278,6 @@ func Open(dir string) (*Journal, *Recovered, error) {
 	} else if err := j.openSegmentLocked(j.nextSeq); err != nil {
 		return nil, nil, err
 	}
-
-	go j.writer()
 	return j, rec, nil
 }
 
@@ -339,82 +333,65 @@ func (j *Journal) Append(payload []byte) (uint64, error) {
 	}
 	seq := j.nextSeq
 	j.nextSeq++
-	j.inflight.Add(1)
+	j.pending = appendFrame(j.pending, seq, payload)
 	j.mu.Unlock()
-	defer j.inflight.Done()
 
-	req := appendReq{frame: encodeFrame(seq, payload), seq: seq, done: make(chan error, 1)}
-	j.reqs <- req
-	return seq, <-req.done
+	j.commitMu.Lock()
+	defer j.commitMu.Unlock()
+	return seq, j.commit(seq)
 }
 
-// writer is the single goroutine that owns file writes: it drains every
-// queued append, writes the frames, fsyncs once, and releases the cohort.
-func (j *Journal) writer() {
-	defer close(j.done)
-	for req, ok := <-j.reqs; ok; req, ok = <-j.reqs {
-		batch := []appendReq{req}
-	drain:
-		for {
-			select {
-			case r, more := <-j.reqs:
-				if !more {
-					break drain
-				}
-				batch = append(batch, r)
-			default:
-				break drain
-			}
-		}
-		err := j.commit(batch)
-		for _, r := range batch {
-			r.done <- err
-		}
-	}
-}
-
-// commit writes and fsyncs one batch at the logical end, first growing the
-// segment by a step if the batch would cross its sized length. A failure
+// commit makes every record through seq durable; the caller holds
+// commitMu. If an earlier commit carried seq it returns at once; otherwise
+// it takes every queued frame and writes them as one batch. A failure
 // breaks the journal: the batch's bytes may be partly on disk, and after a
-// failed fsync the kernel may have dropped pages it reported written, so
-// no later batch may be written or acknowledged.
-func (j *Journal) commit(batch []appendReq) error {
+// failed fsync the kernel may have dropped pages it reported written, so no
+// later batch may be written or acknowledged.
+func (j *Journal) commit(seq uint64) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if j.synced >= seq {
+		return nil
+	}
 	if j.err != nil {
 		return j.err
 	}
-	var buf []byte
-	maxSeq := uint64(0)
-	for _, r := range batch {
-		buf = append(buf, r.frame...)
-		if r.seq > maxSeq {
-			maxSeq = r.seq
-		}
+	batch, last := j.pending, j.nextSeq-1
+	j.pending = nil
+	j.mu.Unlock() // appenders queue their frames while this batch is written
+	sized, err := write(j.f, batch, j.size, j.sized)
+	j.mu.Lock()
+	if err != nil {
+		j.err = err
+		return err
 	}
-	if end := j.size + int64(len(buf)); end > j.sized {
-		sized := (end/segmentStep + 1) * segmentStep
-		if err := j.f.Truncate(sized); err != nil {
-			j.err = fmt.Errorf("journal: presize: %w", err)
-			return j.err
-		}
-		j.sized = sized
-	}
-	if _, err := j.f.WriteAt(buf, j.size); err != nil {
-		j.err = fmt.Errorf("journal: append: %w", err)
-		return j.err
-	}
-	if err := j.f.Sync(); err != nil {
-		j.err = fmt.Errorf("journal: fsync: %w", err)
-		return j.err
-	}
-	j.size += int64(len(buf))
-	if maxSeq > j.synced {
-		j.synced = maxSeq
-	}
-	j.appended += uint64(len(batch))
+	j.size += int64(len(batch))
+	j.sized = sized
+	j.appended += last - j.synced
+	j.synced = last
 	j.fsyncs++
+	if len(j.pending) == 0 && cap(batch) <= segmentStep {
+		j.pending = batch[:0] // no appender came in meanwhile: reuse the buffer
+	}
 	return nil
+}
+
+// write writes buf at off in f and fsyncs, first growing f by a step if buf
+// would cross its sized length, and returns f's new length on disk.
+func write(f *os.File, buf []byte, off, sized int64) (int64, error) {
+	if end := off + int64(len(buf)); end > sized {
+		sized = (end/segmentStep + 1) * segmentStep
+		if err := f.Truncate(sized); err != nil {
+			return 0, fmt.Errorf("journal: presize: %w", err)
+		}
+	}
+	if _, err := f.WriteAt(buf, off); err != nil {
+		return 0, fmt.Errorf("journal: append: %w", err)
+	}
+	if err := f.Sync(); err != nil {
+		return 0, fmt.Errorf("journal: fsync: %w", err)
+	}
+	return sized, nil
 }
 
 // Snapshot atomically records a state snapshot covering every record
@@ -422,6 +399,8 @@ func (j *Journal) commit(batch []appendReq) error {
 // segments and snapshots the new snapshot obsoletes. The caller guarantees
 // payload reflects all records it has successfully appended.
 func (j *Journal) Snapshot(payload []byte) error {
+	j.commitMu.Lock()
+	defer j.commitMu.Unlock()
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
@@ -438,23 +417,29 @@ func (j *Journal) Snapshot(payload []byte) error {
 	if err := writeSnapshot(path, payload); err != nil {
 		return err
 	}
+	j.snapshotSeq = seq
+	j.snapshots++
 
 	// Rotate: records after the snapshot go to a fresh segment, and every
 	// wholly-covered old segment can go. Old segments are removed before
 	// the new one opens: with nothing appended since the last snapshot the
 	// active segment is already named wal-<seq+1>, and O_EXCL would refuse
-	// to reuse the name while the file exists.
-	if err := j.f.Close(); err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	old := j.segments
-	j.segments = nil
-	j.sealed = 0
-	for _, seg := range old {
+	// to reuse the name while the file exists. Once the active segment is
+	// closed a failure breaks the journal: there is nothing left to append
+	// to.
+	err := j.f.Close()
+	j.f = nil
+	for _, seg := range j.segments {
 		_ = os.Remove(seg.path)
 	}
-	if err := j.openSegmentLocked(seq + 1); err != nil {
-		return err
+	j.segments, j.sealed, j.size = nil, 0, 0
+	if err != nil {
+		j.err = fmt.Errorf("journal: %w", err)
+	} else if err := j.openSegmentLocked(seq + 1); err != nil {
+		j.err = err
+	}
+	if j.err != nil {
+		return j.err
 	}
 	// Drop superseded snapshots.
 	snaps, _, err := scanDir(j.dir)
@@ -465,9 +450,6 @@ func (j *Journal) Snapshot(payload []byte) error {
 			}
 		}
 	}
-
-	j.snapshotSeq = seq
-	j.snapshots++
 	return nil
 }
 
@@ -475,15 +457,11 @@ func (j *Journal) Snapshot(payload []byte) error {
 func (j *Journal) Stats() Stats {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	last := j.nextSeq - 1
-	lag := uint64(0)
-	if last > j.synced {
-		lag = last - j.synced
-	}
+	last := j.nextSeq - 1 // never below synced: a commit syncs through the last seq it saw
 	return Stats{
 		LastSeq:     last,
 		SyncedSeq:   j.synced,
-		Lag:         lag,
+		Lag:         last - j.synced,
 		Appended:    j.appended,
 		Fsyncs:      j.fsyncs,
 		SnapshotSeq: j.snapshotSeq,
@@ -496,18 +474,21 @@ func (j *Journal) Stats() Stats {
 // Close flushes pending appends and closes the journal. Further Appends
 // fail with ErrClosed.
 func (j *Journal) Close() error {
+	j.commitMu.Lock()
+	defer j.commitMu.Unlock()
 	j.mu.Lock()
-	if j.closed {
-		j.mu.Unlock()
-		return nil
-	}
+	closed, last := j.closed, j.nextSeq-1
 	j.closed = true
 	j.mu.Unlock()
-	j.inflight.Wait()
-	close(j.reqs)
-	<-j.done
-	j.mu.Lock()
-	defer j.mu.Unlock()
+	if closed {
+		return nil
+	}
+	// The appenders of the pending frames read the outcome from synced and
+	// err once they hold commitMu.
+	_ = j.commit(last)
+	if j.f == nil {
+		return nil
+	}
 	return j.f.Close()
 }
 
@@ -539,14 +520,15 @@ func checkHeader(h []byte, kind byte) error {
 	return nil
 }
 
-// encodeFrame renders one record frame (length, crc, seq, payload).
-func encodeFrame(seq uint64, payload []byte) []byte {
-	frame := make([]byte, frameSize+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint64(frame[8:16], seq)
-	copy(frame[frameSize:], payload)
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(frame[8:]))
-	return frame
+// appendFrame appends one record frame (length, crc, seq, payload) to dst.
+func appendFrame(dst []byte, seq uint64, payload []byte) []byte {
+	n := len(dst)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, 0) // the crc, once the rest is in
+	dst = binary.LittleEndian.AppendUint64(dst, seq)
+	dst = append(dst, payload...)
+	binary.LittleEndian.PutUint32(dst[n+4:], crc32.ChecksumIEEE(dst[n+8:]))
+	return dst
 }
 
 // decodeFrames walks frames in data, returning the decoded records and the
@@ -629,8 +611,7 @@ func writeSnapshot(path string, payload []byte) error {
 		return fmt.Errorf("journal: snapshot: %w", err)
 	}
 	hdr := fileHeader(kindSnap)
-	frame := encodeFrame(0, payload)
-	if _, err := f.Write(append(hdr[:], frame...)); err != nil {
+	if _, err := f.Write(appendFrame(hdr[:], 0, payload)); err != nil {
 		f.Close()
 		return fmt.Errorf("journal: snapshot: %w", err)
 	}
@@ -717,7 +698,7 @@ func EncodeRecords(records []Record) []byte {
 	hdr := fileHeader(kindWAL)
 	out := append([]byte(nil), hdr[:]...)
 	for _, r := range records {
-		out = append(out, encodeFrame(r.Seq, r.Payload)...)
+		out = appendFrame(out, r.Seq, r.Payload)
 	}
 	return out
 }

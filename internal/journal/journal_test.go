@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -574,7 +575,7 @@ func TestOpenLegacySegments(t *testing.T) {
 		return EncodeRecords(recs)
 	}
 	files := [][]byte{encode(1, 3), encode(4, 6), encode(7, 8)}
-	torn := encodeFrame(9, []byte("torn-away"))[:frameSize+2]
+	torn := appendFrame(nil, 9, []byte("torn-away"))[:frameSize+2]
 	var wantBytes int64
 	for i, first := range []int{1, 4, 7} {
 		wantBytes += int64(len(files[i]))
@@ -615,8 +616,8 @@ func TestOpenLegacySegments(t *testing.T) {
 }
 
 // TestConcurrentAppend hammers Append from many goroutines: every record
-// must survive, in an order consistent per goroutine, with fewer fsyncs
-// than appends (group commit actually batching).
+// must survive, in an order consistent per goroutine. How many fsyncs that
+// takes depends on the scheduler; TestGroupCommit pins the batching.
 func TestConcurrentAppend(t *testing.T) {
 	dir := t.TempDir()
 	j, _ := openT(t, dir)
@@ -664,6 +665,89 @@ func TestConcurrentAppend(t *testing.T) {
 			t.Fatalf("worker %d: record %d arrived before %d", w, i, next[key])
 		}
 		next[key]++
+	}
+}
+
+// queueAppends starts one appender per payload while the test holds
+// commitMu, and returns once every frame is queued, with a channel that
+// yields each appender's payload, seq and error after it returns.
+func queueAppends(j *Journal, payloads ...string) <-chan appended {
+	out := make(chan appended, len(payloads))
+	j.mu.Lock()
+	base := j.nextSeq - 1
+	j.mu.Unlock()
+	for _, p := range payloads {
+		go func() {
+			seq, err := j.Append([]byte(p))
+			out <- appended{p, seq, err}
+		}()
+	}
+	for queued := uint64(0); queued < uint64(len(payloads)); {
+		runtime.Gosched()
+		j.mu.Lock()
+		queued = j.nextSeq - 1 - base
+		j.mu.Unlock()
+	}
+	return out
+}
+
+type appended struct {
+	payload string
+	seq     uint64
+	err     error
+}
+
+// TestGroupCommit: appenders that queue while a commit holds commitMu are
+// carried by one write and one fsync, and a Close that races a queued
+// appender flushes its frame, whichever of the two commits.
+func TestGroupCommit(t *testing.T) {
+	dir := t.TempDir()
+	j, _ := openT(t, dir)
+	j.commitMu.Lock()
+	var queued []string
+	for i := 0; i < 8; i++ {
+		queued = append(queued, fmt.Sprintf("g%d", i))
+	}
+	done := queueAppends(j, queued...)
+	j.commitMu.Unlock()
+	bySeq := map[uint64]string{}
+	for range queued {
+		a := <-done
+		if a.err != nil {
+			t.Fatal(a.err)
+		}
+		bySeq[a.seq] = a.payload
+	}
+	if st := j.Stats(); st.Appended != 8 || st.Fsyncs != 1 || st.Lag != 0 {
+		t.Errorf("stats = %+v, want 8 appended in 1 fsync, lag 0", st)
+	}
+
+	j.commitMu.Lock()
+	last := queueAppends(j, "last")
+	closed := make(chan error)
+	go func() { closed <- j.Close() }()
+	j.commitMu.Unlock()
+	if a := <-last; a.err != nil {
+		t.Errorf("queued append racing Close = %v, want nil", a.err)
+	} else {
+		bySeq[a.seq] = a.payload
+	}
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.Append([]byte("late")); err != ErrClosed {
+		t.Errorf("Append after Close = %v, want ErrClosed", err)
+	}
+
+	j2, rec := openT(t, dir)
+	defer j2.Close()
+	if len(rec.Records) != len(bySeq) {
+		t.Fatalf("recovered %v, want %d records", payloads(rec.Records), len(bySeq))
+	}
+	for _, r := range rec.Records {
+		if string(r.Payload) != bySeq[r.Seq] {
+			t.Errorf("seq %d holds %q, but its Append returned it for %q", r.Seq, r.Payload, bySeq[r.Seq])
+		}
 	}
 }
 
@@ -740,6 +824,48 @@ func TestFailedCommitBreaksJournal(t *testing.T) {
 	defer j2.Close()
 	if got := payloads(rec.Records); !equal(got, []string{"a"}) || rec.Torn {
 		t.Errorf("recovered %v (torn %v), want [a] untorn", got, rec.Torn)
+	}
+}
+
+// TestFailedRotationBreaksJournal: a Snapshot whose new segment cannot be
+// created has already closed the active one, so the rotation's error
+// sticks: later appends and snapshots return it, Close does not close the
+// segment twice, and the durable snapshot recovers with no record lost.
+func TestFailedRotationBreaksJournal(t *testing.T) {
+	dir := t.TempDir()
+	j, _ := openT(t, dir)
+	appendAll(t, j, "a")
+	squatter := filepath.Join(dir, fmt.Sprintf("wal-%020d.log", 2))
+	if err := os.Mkdir(squatter, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	rotation := j.Snapshot([]byte("state"))
+	if rotation == nil {
+		t.Fatal("snapshot rotated onto an existing name")
+	}
+	if st := j.Stats(); st.SnapshotSeq != 1 || st.Snapshots != 1 || st.Segments != 0 || st.Bytes != 0 {
+		t.Errorf("stats after the failed rotation = %+v, want the snapshot at seq 1 and no segment", st)
+	}
+	if _, err := j.Append([]byte("b")); err != rotation {
+		t.Errorf("append after a failed rotation = %v, want %v", err, rotation)
+	}
+	if err := j.Snapshot([]byte("state-b")); err != rotation {
+		t.Errorf("snapshot after a failed rotation = %v, want %v", err, rotation)
+	}
+	if err := j.Close(); err != nil {
+		t.Errorf("Close after a failed rotation = %v, want nil", err)
+	}
+
+	if err := os.Remove(squatter); err != nil {
+		t.Fatal(err)
+	}
+	j2, rec := openT(t, dir)
+	defer j2.Close()
+	if string(rec.Snapshot) != "state" || rec.SnapshotSeq != 1 || len(rec.Records) != 0 || rec.Torn {
+		t.Errorf("recovered snapshot %q at seq %d, records %v, torn %v; want \"state\" at 1 and nothing else", rec.Snapshot, rec.SnapshotSeq, payloads(rec.Records), rec.Torn)
+	}
+	if seqs := appendAll(t, j2, "b"); seqs[0] != 2 {
+		t.Errorf("post-recovery seq = %d, want 2", seqs[0])
 	}
 }
 
