@@ -1,8 +1,8 @@
 package bloom
 
 import (
-	"fmt"
 	"maps"
+	"slices"
 
 	"blazes/internal/core"
 	"blazes/internal/dataflow"
@@ -62,11 +62,7 @@ func Analyze(m *Module) (*ModuleAnalysis, error) {
 			if !full[in][out] {
 				continue
 			}
-			ann, err := liveSegmentAnnotation(m, in, out, full)
-			if err != nil {
-				return nil, err
-			}
-			res.Paths = append(res.Paths, PathAnnotation{From: in, To: out, Ann: ann})
+			res.Paths = append(res.Paths, PathAnnotation{From: in, To: out, Ann: liveSegmentAnnotation(m, in, out, full)})
 		}
 	}
 	return res, nil
@@ -77,7 +73,7 @@ func Analyze(m *Module) (*ModuleAnalysis, error) {
 func fullReachability(m *Module) map[string]map[string]bool {
 	adj := map[string][]string{}
 	for _, r := range m.rules {
-		for _, read := range r.Body.reads() {
+		for _, read := range reads(r.Body) {
 			adj[read] = append(adj[read], r.Head)
 		}
 	}
@@ -100,28 +96,19 @@ func fullReachability(m *Module) map[string]map[string]bool {
 	return out
 }
 
-// ruleOps summarizes the operations performed by one rule body with its
-// transitive scratch expansions.
-type ruleOps struct {
-	nonmono bool
-	// gates lists the partition subscripts of nonmonotonic ops; a nil
-	// entry marks an op with unknown partitioning.
-	gates []fd.AttrSet
-}
-
-// expandRuleOps computes a rule's operations, inlining the derivations of
-// scratch collections it reads (they recompute each timestep, so their ops
-// happen at read time). Tables, channels and interfaces are boundaries.
-func expandRuleOps(m *Module, r Rule, visiting map[int]bool) ruleOps {
-	ops := exprOps(r.Body)
+// expandRuleOps returns the gates of a rule's nonmonotonic operations, its
+// body's and those of the scratch collections it reads, inlined (they
+// recompute each timestep, so their ops happen at read time). Tables,
+// channels and interfaces are boundaries. A rule is monotonic exactly when
+// it has no gate.
+func expandRuleOps(m *Module, r Rule, visiting map[int]bool) []fd.AttrSet {
+	gates := exprOps(r.Body)
 	if r.Op == Delete {
 		// Deletion is nonmonotonic with no known partitioning.
-		ops.nonmono = true
-		ops.gates = append(ops.gates, fd.AttrSet{})
+		gates = append(gates, fd.AttrSet{})
 	}
-	for _, read := range r.Body.reads() {
-		c := m.Collection(read)
-		if c == nil || c.Kind != Scratch {
+	for _, read := range reads(r.Body) {
+		if m.Collection(read).Kind != Scratch {
 			continue
 		}
 		for idx, dr := range m.rules {
@@ -129,55 +116,46 @@ func expandRuleOps(m *Module, r Rule, visiting map[int]bool) ruleOps {
 				continue
 			}
 			visiting[idx] = true
-			sub := expandRuleOps(m, dr, visiting)
+			gates = append(gates, expandRuleOps(m, dr, visiting)...)
 			visiting[idx] = false
-			ops.nonmono = ops.nonmono || sub.nonmono
-			ops.gates = append(ops.gates, sub.gates...)
 		}
 	}
-	return ops
+	return gates
 }
 
-// exprOps extracts the nonmonotonic operations (and their subscripts) of a
-// single expression tree, per the paper's subscript rules: an aggregation's
-// subscript is its grouping columns; an antijoin's subscript is the columns
-// in its theta clause.
-func exprOps(e Expr) ruleOps {
-	var ops ruleOps
+// exprOps is the monotonicity classifier: it returns a gate for every
+// nonmonotonic operation of a single expression tree, per the paper's
+// subscript rules (Section VII-B1): an aggregation's gate is its grouping
+// columns; an antijoin's is the columns in its theta clause. An empty gate
+// marks an op with unknown partitioning.
+func exprOps(e Expr) []fd.AttrSet {
 	switch x := e.(type) {
-	case *ScanExpr:
 	case *ProjectExpr:
-		ops = exprOps(x.Input)
+		return exprOps(x.Input)
 	case *SelectExpr:
-		ops = exprOps(x.Input)
+		return exprOps(x.Input)
 	case *JoinExpr:
-		l, r := exprOps(x.Left), exprOps(x.Right)
-		ops.nonmono = l.nonmono || r.nonmono
-		ops.gates = append(l.gates, r.gates...)
+		return append(exprOps(x.Left), exprOps(x.Right)...)
 	case *AntiJoinExpr:
-		l, r := exprOps(x.Left), exprOps(x.Right)
-		ops.nonmono = true
 		var theta []string
 		for _, p := range x.On {
 			theta = append(theta, p[0])
 		}
-		ops.gates = append(append(l.gates, r.gates...), fd.NewAttrSet(theta...))
+		return append(append(exprOps(x.Left), exprOps(x.Right)...), fd.NewAttrSet(theta...))
 	case *GroupByExpr:
-		in := exprOps(x.Input)
-		ops.nonmono = true
-		ops.gates = append(in.gates, fd.NewAttrSet(x.Keys...))
+		return append(exprOps(x.Input), fd.NewAttrSet(x.Keys...))
 	case *ThresholdExpr:
-		ops = exprOps(x.Input)
+		return exprOps(x.Input)
+	default:
+		return nil
 	}
-	return ops
 }
 
 // liveSegmentAnnotation computes the C.O.W.R. annotation for in→out.
-func liveSegmentAnnotation(m *Module, in, out string, full map[string]map[string]bool) (core.Annotation, error) {
+func liveSegmentAnnotation(m *Module, in, out string, full map[string]map[string]bool) core.Annotation {
 	live := map[string]bool{in: true}
 	queue := []string{in}
 	write := false
-	nonmono := false
 	var gates []fd.AttrSet
 
 	attributed := map[int]bool{}
@@ -185,17 +163,7 @@ func liveSegmentAnnotation(m *Module, in, out string, full map[string]map[string
 		cur := queue[0]
 		queue = queue[1:]
 		for idx, r := range m.rules {
-			if attributed[idx] {
-				continue
-			}
-			readsCur := false
-			for _, read := range r.Body.reads() {
-				if read == cur {
-					readsCur = true
-					break
-				}
-			}
-			if !readsCur {
+			if attributed[idx] || !slices.Contains(reads(r.Body), cur) {
 				continue
 			}
 			// Only rules that can influence this output count.
@@ -203,15 +171,9 @@ func liveSegmentAnnotation(m *Module, in, out string, full map[string]map[string
 				continue
 			}
 			attributed[idx] = true
-			ops := expandRuleOps(m, r, map[int]bool{})
-			nonmono = nonmono || ops.nonmono
-			gates = append(gates, ops.gates...)
+			gates = append(gates, expandRuleOps(m, r, map[int]bool{})...)
 
-			head := m.Collection(r.Head)
-			if head == nil {
-				return core.Annotation{}, fmt.Errorf("bloom: rule head %q undeclared", r.Head)
-			}
-			if head.Kind == Table || r.Op == Delete {
+			if m.Collection(r.Head).Kind == Table || r.Op == Delete {
 				// State write: the live segment ends at the table
 				// boundary (downstream ops run at *their* trigger time).
 				write = true
@@ -224,26 +186,23 @@ func liveSegmentAnnotation(m *Module, in, out string, full map[string]map[string
 		}
 	}
 
-	if !nonmono {
+	if len(gates) == 0 {
 		if write {
-			return core.CW, nil
+			return core.CW
 		}
-		return core.CR, nil
+		return core.CR
 	}
 	gate, known := combineGates(gates)
-	var ann core.Annotation
-	if !known {
-		if write {
-			ann = core.OWStar()
-		} else {
-			ann = core.ORStar()
-		}
-	} else if write {
-		ann = core.OWGate(gate.Attrs()...)
-	} else {
-		ann = core.ORGate(gate.Attrs()...)
+	switch {
+	case !known && write:
+		return core.OWStar()
+	case !known:
+		return core.ORStar()
+	case write:
+		return core.OWGate(gate.Attrs()...)
+	default:
+		return core.ORGate(gate.Attrs()...)
 	}
-	return ann, nil
 }
 
 // combineGates merges the gates of the nonmonotonic ops on a path: all

@@ -7,9 +7,10 @@ import (
 )
 
 // This file is the compiled evaluator. NewNode lowers every rule body into a
-// compiledExpr tree exactly once: schemas are resolved, column offsets and
-// join/group key indexes are precomputed, and scans are bound to their store
-// pointers. Compiled evaluation therefore cannot fail, performs no schema
+// compiledExpr tree exactly once, after Validate has resolved every name in
+// it: column offsets and join/group key indexes are read from the checked
+// schemas, and scans are bound to their store pointers. Neither compilation
+// nor compiled evaluation can fail; evaluation performs no schema
 // lookups, and never clones rows — rows are immutable by convention and
 // cloning is reserved for the way out (Rows, Emission). Each
 // operator supports two modes:
@@ -510,70 +511,44 @@ func (e *cThreshold) release() {
 	e.groups.release()
 }
 
-// compileExpr lowers an expression against the node's stores, returning the
-// compiled tree and its output schema.
-func compileExpr(m *Module, state map[string]*store, e Expr) (compiledExpr, Schema, error) {
+// compileExpr lowers a rule body that Validate has checked against the
+// node's stores. It reads every column offset from the operators' Schema
+// methods, which resolved every name when Validate ran them, so a name that
+// does not resolve here is a bug and panics.
+func compileExpr(m *Module, state map[string]*store, e Expr) compiledExpr {
 	switch x := e.(type) {
 	case *ScanExpr:
-		c := m.Collection(x.Name)
-		if c == nil {
-			return nil, nil, fmt.Errorf("bloom: scan of unknown collection %q", x.Name)
+		st := state[x.Name]
+		if st == nil {
+			panic(fmt.Sprintf("bloom: compiling a scan of unchecked collection %q", x.Name))
 		}
-		return &cScan{st: state[x.Name]}, c.Schema, nil
+		return &cScan{st: st}
 
 	case *ProjectExpr:
-		in, inSchema, err := compileExpr(m, state, x.Input)
-		if err != nil {
-			return nil, nil, err
-		}
-		ce := &cProject{in: in, idx: make([]int, len(x.Cols)), consts: make([]Val, len(x.Cols))}
-		out := make(Schema, len(x.Cols))
+		in := checkedSchema(m, x.Input)
+		ce := &cProject{in: compileExpr(m, state, x.Input), idx: make([]int, len(x.Cols)), consts: make([]Val, len(x.Cols))}
 		for i, c := range x.Cols {
 			if c.From != "" {
-				j := inSchema.IndexOf(c.From)
-				if j < 0 {
-					return nil, nil, fmt.Errorf("bloom: project references unknown column %q (have %v)", c.From, inSchema)
-				}
-				ce.idx[i] = j
+				ce.idx[i] = offset(in, c.From)
 			} else {
 				ce.idx[i] = -1
 				ce.consts[i] = c.Const
 			}
-			out[i] = c.out()
 		}
-		return ce, out, nil
+		return ce
 
 	case *SelectExpr:
-		in, inSchema, err := compileExpr(m, state, x.Input)
-		if err != nil {
-			return nil, nil, err
-		}
-		preds, err := compilePreds(x.Preds, inSchema, "select")
-		if err != nil {
-			return nil, nil, err
-		}
-		return &cSelect{in: in, preds: preds}, inSchema, nil
+		return &cSelect{in: compileExpr(m, state, x.Input), preds: compilePreds(x.Preds, checkedSchema(m, x.Input))}
 
 	case *JoinExpr:
-		l, ls, err := compileExpr(m, state, x.Left)
-		if err != nil {
-			return nil, nil, err
-		}
-		r, rs, err := compileExpr(m, state, x.Right)
-		if err != nil {
-			return nil, nil, err
-		}
-		outSchema, err := x.Schema(m)
-		if err != nil {
-			return nil, nil, err
-		}
-		ce := &cJoin{l: l, r: r}
+		ls, rs := checkedSchema(m, x.Left), checkedSchema(m, x.Right)
+		ce := &cJoin{l: compileExpr(m, state, x.Left), r: compileExpr(m, state, x.Right)}
 		ce.lFull.stores = readStores(state, x.Left)
 		ce.rFull.stores = readStores(state, x.Right)
 		rightKey := map[string]bool{}
 		for _, p := range x.On {
-			ce.lk = append(ce.lk, ls.IndexOf(p[0]))
-			ce.rk = append(ce.rk, rs.IndexOf(p[1]))
+			ce.lk = append(ce.lk, offset(ls, p[0]))
+			ce.rk = append(ce.rk, offset(rs, p[1]))
 			rightKey[p[1]] = true
 		}
 		for i, c := range rs {
@@ -581,81 +556,72 @@ func compileExpr(m *Module, state map[string]*store, e Expr) (compiledExpr, Sche
 				ce.keep = append(ce.keep, i)
 			}
 		}
-		return ce, outSchema, nil
+		return ce
 
 	case *AntiJoinExpr:
-		l, ls, err := compileExpr(m, state, x.Left)
-		if err != nil {
-			return nil, nil, err
-		}
-		r, rs, err := compileExpr(m, state, x.Right)
-		if err != nil {
-			return nil, nil, err
-		}
-		ce := &cAntiJoin{l: l, r: r}
+		ls, rs := checkedSchema(m, x.Left), checkedSchema(m, x.Right)
+		ce := &cAntiJoin{l: compileExpr(m, state, x.Left), r: compileExpr(m, state, x.Right)}
 		ce.rFull.stores = readStores(state, x.Right)
 		for _, p := range x.On {
-			li, ri := ls.IndexOf(p[0]), rs.IndexOf(p[1])
-			if li < 0 || ri < 0 {
-				return nil, nil, fmt.Errorf("bloom: antijoin key %v missing", p)
-			}
-			ce.lk = append(ce.lk, li)
-			ce.rk = append(ce.rk, ri)
+			ce.lk = append(ce.lk, offset(ls, p[0]))
+			ce.rk = append(ce.rk, offset(rs, p[1]))
 		}
-		return ce, ls, nil
+		return ce
 
 	case *GroupByExpr:
-		in, inSchema, err := compileExpr(m, state, x.Input)
-		if err != nil {
-			return nil, nil, err
-		}
-		outSchema, err := x.Schema(m)
-		if err != nil {
-			return nil, nil, err
-		}
-		ce := &cGroupBy{in: in, keyIdx: make([]int, len(x.Keys))}
-		for i, k := range x.Keys {
-			ce.keyIdx[i] = inSchema.IndexOf(k)
-		}
+		in := checkedSchema(m, x.Input)
+		ce := &cGroupBy{in: compileExpr(m, state, x.Input), keyIdx: offsets(in, x.Keys)}
 		for _, a := range x.Aggs {
 			col := -1
 			if a.Func != Count {
-				col = inSchema.IndexOf(a.Col)
+				col = offset(in, a.Col)
 			}
 			ce.aggs = append(ce.aggs, cAgg{fn: a.Func, col: col})
 			ce.folds = ce.folds || a.Func != Count
 		}
-		ce.having, err = compilePreds(x.Having, outSchema, "having")
-		if err != nil {
-			return nil, nil, err
-		}
-		return ce, outSchema, nil
+		ce.having = compilePreds(x.Having, checkedSchema(m, x))
+		return ce
 
 	case *ThresholdExpr:
-		in, inSchema, err := compileExpr(m, state, x.Input)
-		if err != nil {
-			return nil, nil, err
-		}
-		outSchema, err := x.Schema(m)
-		if err != nil {
-			return nil, nil, err
-		}
-		ce := &cThreshold{in: in, keyIdx: make([]int, len(x.Keys)), atLeast: x.AtLeast}
-		for i, k := range x.Keys {
-			ce.keyIdx[i] = inSchema.IndexOf(k)
-		}
-		return ce, outSchema, nil
+		in := checkedSchema(m, x.Input)
+		return &cThreshold{in: compileExpr(m, state, x.Input), keyIdx: offsets(in, x.Keys), atLeast: x.AtLeast}
 
 	default:
-		return nil, nil, fmt.Errorf("bloom: cannot compile expression %T", e)
+		panic(fmt.Sprintf("bloom: cannot compile expression %T", e))
 	}
+}
+
+// checkedSchema is the schema of part of a rule body Validate has checked.
+func checkedSchema(m *Module, e Expr) Schema {
+	s, err := e.Schema(m)
+	if err != nil {
+		panic("bloom: compiling an unchecked rule body: " + err.Error())
+	}
+	return s
+}
+
+// offset is col's position in a checked schema.
+func offset(s Schema, col string) int {
+	i := s.IndexOf(col)
+	if i < 0 {
+		panic(fmt.Sprintf("bloom: compiling column %q, missing from checked schema %v", col, s))
+	}
+	return i
+}
+
+func offsets(s Schema, cols []string) []int {
+	out := make([]int, len(cols))
+	for i, c := range cols {
+		out[i] = offset(s, c)
+	}
+	return out
 }
 
 // readStores resolves the distinct stores an expression subtree scans.
 func readStores(state map[string]*store, e Expr) []*store {
 	seen := map[string]bool{}
 	var out []*store
-	for _, name := range e.reads() {
+	for _, name := range reads(e) {
 		if !seen[name] {
 			seen[name] = true
 			out = append(out, state[name])
@@ -664,16 +630,12 @@ func readStores(state map[string]*store, e Expr) []*store {
 	return out
 }
 
-func compilePreds(preds []Pred, schema Schema, ctx string) ([]cPred, error) {
+func compilePreds(preds []Pred, s Schema) []cPred {
 	out := make([]cPred, 0, len(preds))
 	for _, p := range preds {
-		i := schema.IndexOf(p.Col)
-		if i < 0 {
-			return nil, fmt.Errorf("bloom: %s references unknown column %q", ctx, p.Col)
-		}
-		out = append(out, cPred{idx: i, op: p.Op, cnst: p.Const})
+		out = append(out, cPred{idx: offset(s, p.Col), op: p.Op, cnst: p.Const})
 	}
-	return out, nil
+	return out
 }
 
 // compiledRule is one rule bound to its head and read stores, with a
@@ -762,18 +724,15 @@ func (p *program) release() {
 	}
 }
 
-// compileProgram lowers every rule of the module against the node's stores.
-func compileProgram(m *Module, state map[string]*store, strata map[string]int, maxStratum int) (*program, error) {
+// compileProgram lowers every rule of a validated module against the node's
+// stores.
+func compileProgram(m *Module, state map[string]*store, strata map[string]int, maxStratum int) *program {
 	p := &program{maxStratum: maxStratum}
 	p.instant = make([][]*compiledRule, p.maxStratum+1)
 	p.heads = make([][]*store, p.maxStratum+1)
 	seenHead := make([]map[*store]bool, p.maxStratum+1)
-	for i, r := range m.rules {
-		body, _, err := compileExpr(m, state, r.Body)
-		if err != nil {
-			return nil, fmt.Errorf("bloom: module %q rule %d (%s): %w", m.Name, i, r, err)
-		}
-		cr := &compiledRule{rule: r, head: state[r.Head], body: body, readStores: readStores(state, r.Body)}
+	for _, r := range m.rules {
+		cr := &compiledRule{rule: r, head: state[r.Head], body: compileExpr(m, state, r.Body), readStores: readStores(state, r.Body)}
 		if r.Op != Instant {
 			p.rest = append(p.rest, cr)
 			if r.Op == Async && !slices.Contains(p.asyncHeads, cr.head) {
@@ -792,5 +751,5 @@ func compileProgram(m *Module, state map[string]*store, strata map[string]int, m
 		}
 	}
 	slices.SortFunc(p.asyncHeads, func(a, b *store) int { return strings.Compare(a.decl.Name, b.decl.Name) })
-	return p, nil
+	return p
 }

@@ -10,18 +10,22 @@ import (
 // analyzer can classify monotonicity, extract partition subscripts, and
 // trace column lineage.
 //
+// Schema is the one place a name in a rule body is resolved: each
+// operator's Schema checks every collection and column it names, so
+// Module.Validate, which takes the schema of every rule body, refuses any
+// name that does not resolve.
+//
 // Each expression carries two evaluation paths: the interpretive eval below
 // (the reference evaluator — it re-resolves schemas on every call and is
 // what seminaive_test.go's differential harness runs), and a compiled
 // counterpart in compile.go that Node.Tick actually executes after NewNode
-// resolves all schemas and column offsets once.
+// reads every column offset once from the checked schemas.
 type Expr interface {
-	// Schema returns the expression's output columns.
+	// Schema returns the expression's output columns, or an error naming
+	// the first collection or column that does not resolve.
 	Schema(m *Module) (Schema, error)
 	// eval computes the rows under the given state reader (reference path).
 	eval(m *Module, st stateReader) ([]Row, error)
-	// reads lists the collections the expression scans.
-	reads() []string
 }
 
 // stateReader supplies collection contents during reference evaluation.
@@ -45,7 +49,6 @@ func (e *ScanExpr) Schema(m *Module) (Schema, error) {
 }
 
 func (e *ScanExpr) eval(_ *Module, st stateReader) ([]Row, error) { return st.rowsOf(e.Name), nil }
-func (e *ScanExpr) reads() []string                               { return []string{e.Name} }
 
 // ColSpec projects one output column: either a copy of an input column
 // (identity lineage — injective) or a constant.
@@ -136,8 +139,6 @@ func (e *ProjectExpr) eval(m *Module, st stateReader) ([]Row, error) {
 	return dedup(out), nil
 }
 
-func (e *ProjectExpr) reads() []string { return e.Input.reads() }
-
 // CmpOp is a comparison operator for selections and having clauses.
 type CmpOp int
 
@@ -207,8 +208,27 @@ func Select(input Expr, preds ...Pred) *SelectExpr {
 	return &SelectExpr{Input: input, Preds: preds}
 }
 
-// Schema implements Expr.
-func (e *SelectExpr) Schema(m *Module) (Schema, error) { return e.Input.Schema(m) }
+// Schema implements Expr: the input's columns, which every predicate names.
+func (e *SelectExpr) Schema(m *Module) (Schema, error) {
+	in, err := e.Input.Schema(m)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkPredCols(e.Preds, in, "select"); err != nil {
+		return nil, err
+	}
+	return in, nil
+}
+
+// checkPredCols checks that every predicate compares a column of s.
+func checkPredCols(preds []Pred, s Schema, ctx string) error {
+	for _, p := range preds {
+		if !s.Contains(p.Col) {
+			return fmt.Errorf("bloom: %s references unknown column %q (have %v)", ctx, p.Col, s)
+		}
+	}
+	return nil
+}
 
 func (e *SelectExpr) eval(m *Module, st stateReader) ([]Row, error) {
 	in, err := e.Input.Schema(m)
@@ -240,8 +260,6 @@ func (e *SelectExpr) eval(m *Module, st stateReader) ([]Row, error) {
 	return out, nil
 }
 
-func (e *SelectExpr) reads() []string { return e.Input.reads() }
-
 // JoinExpr is an equijoin. Output schema is the left schema followed by the
 // right columns not used as join keys (natural-join style), so identity
 // lineage is preserved for every surviving column.
@@ -266,14 +284,11 @@ func (e *JoinExpr) Schema(m *Module) (Schema, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := checkKeys(e.On, ls, rs, "join"); err != nil {
+		return nil, err
+	}
 	rightKey := map[string]bool{}
 	for _, p := range e.On {
-		if !ls.Contains(p[0]) {
-			return nil, fmt.Errorf("bloom: join key %q missing from left schema %v", p[0], ls)
-		}
-		if !rs.Contains(p[1]) {
-			return nil, fmt.Errorf("bloom: join key %q missing from right schema %v", p[1], rs)
-		}
 		rightKey[p[1]] = true
 	}
 	out := append(Schema{}, ls...)
@@ -341,7 +356,19 @@ func (e *JoinExpr) eval(m *Module, st stateReader) ([]Row, error) {
 	return dedup(out), nil
 }
 
-func (e *JoinExpr) reads() []string { return append(e.Left.reads(), e.Right.reads()...) }
+// checkKeys checks that every {left, right} key pair of a join or an
+// antijoin names a column of each side.
+func checkKeys(on [][2]string, ls, rs Schema, ctx string) error {
+	for _, p := range on {
+		if !ls.Contains(p[0]) {
+			return fmt.Errorf("bloom: %s key %q missing from left schema %v", ctx, p[0], ls)
+		}
+		if !rs.Contains(p[1]) {
+			return fmt.Errorf("bloom: %s key %q missing from right schema %v", ctx, p[1], rs)
+		}
+	}
+	return nil
+}
 
 func joinKey(r Row, idx []int) string {
 	k := make(Row, len(idx))
@@ -363,8 +390,22 @@ func AntiJoin(left, right Expr, on ...[2]string) *AntiJoinExpr {
 	return &AntiJoinExpr{Left: left, Right: right, On: on}
 }
 
-// Schema implements Expr (left schema).
-func (e *AntiJoinExpr) Schema(m *Module) (Schema, error) { return e.Left.Schema(m) }
+// Schema implements Expr: the left schema, once both sides resolve and
+// hold their keys.
+func (e *AntiJoinExpr) Schema(m *Module) (Schema, error) {
+	ls, err := e.Left.Schema(m)
+	if err != nil {
+		return nil, err
+	}
+	rs, err := e.Right.Schema(m)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkKeys(e.On, ls, rs, "antijoin"); err != nil {
+		return nil, err
+	}
+	return ls, nil
+}
 
 func (e *AntiJoinExpr) eval(m *Module, st stateReader) ([]Row, error) {
 	ls, err := e.Left.Schema(m)
@@ -404,8 +445,6 @@ func (e *AntiJoinExpr) eval(m *Module, st stateReader) ([]Row, error) {
 	}
 	return out, nil
 }
-
-func (e *AntiJoinExpr) reads() []string { return append(e.Left.reads(), e.Right.reads()...) }
 
 // AggFunc is an aggregate function.
 type AggFunc int
@@ -461,7 +500,8 @@ func (e *GroupByExpr) WithHaving(preds ...Pred) *GroupByExpr {
 	return e
 }
 
-// Schema implements Expr: keys then aggregate columns.
+// Schema implements Expr: keys then aggregate columns, which the having
+// clause names.
 func (e *GroupByExpr) Schema(m *Module) (Schema, error) {
 	in, err := e.Input.Schema(m)
 	if err != nil {
@@ -481,6 +521,9 @@ func (e *GroupByExpr) Schema(m *Module) (Schema, error) {
 		out = append(out, a.As)
 	}
 	if err := checkNoDupCols(out, "group by", ""); err != nil {
+		return nil, err
+	}
+	if err := checkPredCols(e.Having, out, "having"); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -540,8 +583,6 @@ func (e *GroupByExpr) eval(m *Module, st stateReader) ([]Row, error) {
 	}
 	return out, nil
 }
-
-func (e *GroupByExpr) reads() []string { return e.Input.reads() }
 
 func applyAgg(a Agg, in Schema, grp []Row) Val {
 	switch a.Func {

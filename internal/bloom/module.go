@@ -151,7 +151,9 @@ func (m *Module) byKind(k Kind) []string {
 	return out
 }
 
-// Validate checks schema consistency of every rule.
+// Validate checks every rule: its head, and through the body's Schema every
+// collection and column the body names. A module that validates compiles:
+// NewNode refuses it only if it does not stratify.
 func (m *Module) Validate() error {
 	if len(m.rules) == 0 {
 		return fmt.Errorf("bloom: module %q has no rules", m.Name)
@@ -174,14 +176,6 @@ func (m *Module) Validate() error {
 			return fmt.Errorf("bloom: module %q rule %d: body schema %v does not match head %q schema %v",
 				m.Name, i, bodySchema, r.Head, head.Schema)
 		}
-		if err := validatePredCols(m, r.Body); err != nil {
-			return fmt.Errorf("bloom: module %q rule %d: %w", m.Name, i, err)
-		}
-		for _, read := range r.Body.reads() {
-			if m.colls[read] == nil {
-				return fmt.Errorf("bloom: module %q rule %d: reads unknown collection %q", m.Name, i, read)
-			}
-		}
 		if head.Kind == Input {
 			return fmt.Errorf("bloom: module %q rule %d: cannot write input interface %q", m.Name, i, r.Head)
 		}
@@ -190,50 +184,4 @@ func (m *Module) Validate() error {
 		}
 	}
 	return nil
-}
-
-// validatePredCols walks an expression checking the column references that
-// Schema resolution alone does not reach (selection predicates and having
-// clauses), so rule compilation at NewNode cannot fail on them later.
-func validatePredCols(m *Module, e Expr) error {
-	switch x := e.(type) {
-	case *SelectExpr:
-		s, err := x.Input.Schema(m)
-		if err != nil {
-			return err
-		}
-		for _, p := range x.Preds {
-			if !s.Contains(p.Col) {
-				return fmt.Errorf("bloom: select references unknown column %q (have %v)", p.Col, s)
-			}
-		}
-		return validatePredCols(m, x.Input)
-	case *GroupByExpr:
-		out, err := x.Schema(m)
-		if err != nil {
-			return err
-		}
-		for _, p := range x.Having {
-			if !out.Contains(p.Col) {
-				return fmt.Errorf("bloom: having references unknown column %q (have %v)", p.Col, out)
-			}
-		}
-		return validatePredCols(m, x.Input)
-	case *ProjectExpr:
-		return validatePredCols(m, x.Input)
-	case *ThresholdExpr:
-		return validatePredCols(m, x.Input)
-	case *JoinExpr:
-		if err := validatePredCols(m, x.Left); err != nil {
-			return err
-		}
-		return validatePredCols(m, x.Right)
-	case *AntiJoinExpr:
-		if err := validatePredCols(m, x.Left); err != nil {
-			return err
-		}
-		return validatePredCols(m, x.Right)
-	default:
-		return nil
-	}
 }

@@ -45,12 +45,11 @@ type shelf map[*Module][]*Node
 // keeps its modules reachable only until the collector drops it.
 var shelves = sync.Pool{New: func() any { return shelf{} }}
 
-// NewNode instantiates a module. The module must validate, stratify, and
-// compile (compilation additionally resolves predicate and having columns
-// that Validate's schema pass does not reach). When a node of the same
-// module, unchanged since it was compiled, has been released, NewNode takes
-// that one up instead: it was validated and compiled from this module, and
-// it is empty.
+// NewNode instantiates a module. The module must validate and stratify;
+// compilation then cannot fail, since Validate has resolved every name in
+// every rule body. When a node of the same module, unchanged since it was
+// compiled, has been released, NewNode takes that one up instead: it was
+// validated and compiled from this module, and it is empty.
 func NewNode(id string, mod *Module) (*Node, error) {
 	if n := takeReleased(mod); n != nil {
 		n.ID, n.released = id, false
@@ -69,10 +68,7 @@ func NewNode(id string, mod *Module) (*Node, error) {
 		n.state[c.Name] = st
 		n.stores = append(n.stores, st)
 	}
-	n.prog, err = compileProgram(mod, n.state, strata, maxStratum)
-	if err != nil {
-		return nil, err
-	}
+	n.prog = compileProgram(mod, n.state, strata, maxStratum)
 	return n, nil
 }
 
@@ -228,7 +224,8 @@ func (n *Node) rowsOf(name string) []Row { return n.state[name].snapshot() }
 //  5. clear transient collections.
 //
 // The error return is retained for API stability; compiled evaluation
-// cannot fail (all schema and column resolution happens in NewNode).
+// cannot fail (NewNode's Validate resolved every name, and compilation read
+// every offset).
 func (n *Node) Tick() ([]Emission, error) {
 	n.ticks++
 

@@ -361,15 +361,57 @@ func TestModuleValidateErrors(t *testing.T) {
 			m.Rule("t", Instant, Project(Scan("in"), ColAs("a", "k"), ColAs("b", "k")))
 			return m
 		}, "duplicate column"},
+		{"antijoin key missing on the right", func() *Module {
+			return antiJoinModule([2]string{"x", "nope"})
+		}, `antijoin key "nope" missing from right schema`},
+		{"antijoin key missing on the left", func() *Module {
+			return antiJoinModule([2]string{"nope", "x"})
+		}, `antijoin key "nope" missing from left schema`},
+		{"select on an unknown column", func() *Module {
+			m := NewModule("m")
+			m.Input("in", "v")
+			m.Table("t", "v")
+			m.Rule("t", Instant, Select(Scan("in"), Where("nope", EQ, I(1))))
+			return m
+		}, `select references unknown column "nope"`},
+		{"having on an unknown column", func() *Module {
+			m := NewModule("m")
+			m.Input("in", "v")
+			m.Table("t", "v", "n")
+			m.Rule("t", Instant, GroupBy(Scan("in"), []string{"v"}, Agg{Func: Count, As: "n"}).
+				WithHaving(Where("nope", GT, I(1))))
+			return m
+		}, `having references unknown column "nope"`},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			err := tt.build().Validate()
+			m := tt.build()
+			err := m.Validate()
 			if err == nil || !strings.Contains(err.Error(), tt.want) {
-				t.Errorf("err = %v, want substring %q", err, tt.want)
+				t.Fatalf("err = %v, want substring %q", err, tt.want)
+			}
+			// The runtime and the white-box extraction refuse the module
+			// with Validate's error.
+			if _, nerr := NewNode("n", m); nerr == nil || nerr.Error() != err.Error() {
+				t.Errorf("NewNode err = %v, want %v", nerr, err)
+			}
+			if _, aerr := Analyze(m); aerr == nil || aerr.Error() != err.Error() {
+				t.Errorf("Analyze err = %v, want %v", aerr, err)
 			}
 		})
 	}
+}
+
+// antiJoinModule sends each input row the table has not seen to the output,
+// the antijoin keyed on key.
+func antiJoinModule(key [2]string) *Module {
+	m := NewModule("m")
+	m.Input("in", "x")
+	m.Table("seen", "x")
+	m.Output("out", "x")
+	m.Rule("seen", Instant, Scan("in"))
+	m.Rule("out", Instant, AntiJoin(Scan("in"), Scan("seen"), key))
+	return m
 }
 
 func TestDrainQuiesces(t *testing.T) {

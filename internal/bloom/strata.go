@@ -36,28 +36,14 @@ func signedReads(e Expr, neg bool) []signedRead {
 	}
 }
 
-// nonmonotonic reports whether the expression applies any nonmonotonic
-// operator (aggregation or negation) — the paper's syntactic test
-// (Section VII-B1).
-func nonmonotonic(e Expr) bool {
-	switch x := e.(type) {
-	case *ScanExpr:
-		return false
-	case *ProjectExpr:
-		return nonmonotonic(x.Input)
-	case *SelectExpr:
-		return nonmonotonic(x.Input)
-	case *JoinExpr:
-		return nonmonotonic(x.Left) || nonmonotonic(x.Right)
-	case *AntiJoinExpr:
-		return true
-	case *GroupByExpr:
-		return true
-	case *ThresholdExpr:
-		return nonmonotonic(x.Input)
-	default:
-		return false
+// reads lists the collections an expression scans, in scan order.
+func reads(e Expr) []string {
+	srs := signedReads(e, false)
+	names := make([]string, len(srs))
+	for i, sr := range srs {
+		names[i] = sr.name
 	}
+	return names
 }
 
 // stratify assigns each collection a stratum such that positive

@@ -79,5 +79,3 @@ func (e *ThresholdExpr) eval(m *Module, st stateReader) ([]Row, error) {
 	}
 	return out, nil
 }
-
-func (e *ThresholdExpr) reads() []string { return e.Input.reads() }
