@@ -24,9 +24,8 @@
 //	blazes verify -json
 //	blazes verify -workload synthetic-chains -shrink traces/
 //	blazes verify -replay traces/synthetic-chains-none-reorder.json
-//	blazes verify -coordinator http://127.0.0.1:8351 -seeds 10000
+//	blazes verify -seeds 10000 -json
 //	blazes serve -addr 127.0.0.1:8351
-//	blazes sweep-worker -coordinator http://127.0.0.1:8351
 //	blazes lint internal/spec/testdata/wordcount.blazes internal/spec/testdata/adreport.blazes
 //	blazes gen -components 10000 -seed 8 -o big.blazes
 //
@@ -100,8 +99,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			return runVerify(ctx, args[1:], stdout, stderr)
 		case "serve":
 			return runServe(ctx, args[1:], stdout, stderr)
-		case "sweep-worker":
-			return runSweepWorker(ctx, args[1:], stdout, stderr)
 		case "lint":
 			return runLint(args[1:], stdout, stderr)
 		case "gen":

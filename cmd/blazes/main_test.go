@@ -160,6 +160,9 @@ func TestExitCodeContract(t *testing.T) {
 		{"verify-parallel-flag-retired", []string{"verify", "-parallel", "2"}, exitUsage, "flag provided but not defined: -parallel"},
 		{"serve-snapshot-every-flag-retired", []string{"serve", "-snapshot-every", "8"}, exitUsage, "flag provided but not defined: -snapshot-every"},
 		{"serve-journal-segment-bytes-flag-retired", []string{"serve", "-journal-segment-bytes", "4096"}, exitUsage, "flag provided but not defined: -journal-segment-bytes"},
+		{"sweep-worker-retired", []string{"sweep-worker"}, exitUsage, "-spec is required"},
+		{"verify-coordinator-flag-retired", []string{"verify", "-coordinator", "x"}, exitUsage, "flag provided but not defined: -coordinator"},
+		{"verify-batch-flag-retired", []string{"verify", "-batch", "1"}, exitUsage, "flag provided but not defined: -batch"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -175,13 +178,13 @@ func TestExitCodeContract(t *testing.T) {
 }
 
 // TestVerifyUsageErrorHasNoSideEffects: a bad flag is reported before
-// anything is written — `-shrink dir -batch -1` exits 2 without creating
+// anything is written — `-shrink dir -seeds 0` exits 2 without creating
 // dir.
 func TestVerifyUsageErrorHasNoSideEffects(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "traces")
-	code, _, stderr := exec(t, "verify", "-shrink", dir, "-batch", "-1")
-	if code != exitUsage || !strings.Contains(stderr, "-batch must be non-negative") {
-		t.Fatalf("exit = %d, stderr = %q; want %d and the -batch error", code, stderr, exitUsage)
+	code, _, stderr := exec(t, "verify", "-shrink", dir, "-seeds", "0")
+	if code != exitUsage || !strings.Contains(stderr, "-seeds must be positive") {
+		t.Fatalf("exit = %d, stderr = %q; want %d and the -seeds error", code, stderr, exitUsage)
 	}
 	if _, err := os.Stat(dir); !os.IsNotExist(err) {
 		t.Fatalf("usage error created %s (stat err %v)", dir, err)

@@ -2,13 +2,10 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"blazes/verify"
 )
@@ -184,76 +181,9 @@ func TestReplayExitCodes(t *testing.T) {
 		{"replay combined with sweep flags", []string{"verify", "-replay", tamperedPath, "-shrink", dir}, exitUsage},
 		{"unknown workload", []string{"verify", "-workload", "no-such"}, exitUsage},
 		{"bad seeds", []string{"verify", "-seeds", "0"}, exitUsage},
-		{"worker without coordinator", []string{"sweep-worker"}, exitUsage},
-		{"worker bad flags", []string{"sweep-worker", "-coordinator", "http://x", "-max", "0"}, exitUsage},
 	} {
 		if code, stdout, stderr := exec(t, tc.args...); code != tc.code {
 			t.Errorf("%s: code = %d, want %d\nstdout: %s\nstderr: %s", tc.name, code, tc.code, stdout, stderr)
 		}
-	}
-}
-
-// TestDistributedVerifyCLI is the full fleet in one process: `blazes
-// serve` coordinates, two `blazes sweep-worker` loops claim and report
-// over a real socket, and `blazes verify -coordinator` submits, streams
-// progress, collects the shrunk trace of the injected stripped-
-// coordination anomaly, and renders a JSON report byte-identical to a
-// local single-process run.
-func TestDistributedVerifyCLI(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	var out syncBuffer
-	serveDone := make(chan int, 1)
-	go func() {
-		var errb bytes.Buffer
-		serveDone <- runServe(ctx, []string{"-addr", "127.0.0.1:0"}, &out, &errb)
-	}()
-	base := waitForAddr(t, &out)
-
-	var wg sync.WaitGroup
-	for wi := 0; wi < 2; wi++ {
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
-			var wout, werr bytes.Buffer
-			runSweepWorker(ctx, []string{
-				"-coordinator", base, "-poll", "50ms",
-				"-name", []string{"wa", "wb"}[wi],
-			}, &wout, &werr)
-		}(wi)
-	}
-
-	dir := t.TempDir()
-	code, stdout, stderr := exec(t, "verify",
-		"-coordinator", base, "-workload", "synthetic-chains", "-seeds", "8", "-shrink", dir, "-json")
-	if code != exitOK {
-		t.Fatalf("verify -coordinator: code = %d\nstdout: %s\nstderr: %s", code, stdout, stderr)
-	}
-
-	wantCode, wantOut, wantErr := exec(t, "verify", "-workload", "synthetic-chains", "-seeds", "8", "-json")
-	if wantCode != exitOK {
-		t.Fatalf("local verify: code = %d, stderr: %s", wantCode, wantErr)
-	}
-	if stdout != wantOut {
-		t.Errorf("distributed report differs from local run:\n--- distributed ---\n%s\n--- local ---\n%s", stdout, wantOut)
-	}
-
-	traces, _ := filepath.Glob(filepath.Join(dir, "*.json"))
-	if len(traces) == 0 {
-		t.Fatalf("coordinator produced no shrunk traces; stderr: %s", stderr)
-	}
-	for _, path := range traces {
-		if code, _, rerr := exec(t, "verify", "-replay", path); code != exitOK {
-			t.Errorf("replay %s: code = %d, stderr: %s", path, code, rerr)
-		}
-	}
-
-	cancel()
-	wg.Wait()
-	select {
-	case <-serveDone:
-	case <-time.After(10 * time.Second):
-		t.Fatal("server did not shut down")
 	}
 }

@@ -1,12 +1,10 @@
 // The verify subcommand: schedule-exploration verification of the Blazes
-// guarantee over the built-in workloads — locally, or distributed across
-// sweep-worker processes via a coordinator.
+// guarantee over the built-in workloads.
 //
 // Usage:
 //
 //	blazes verify [-workload name]... [-seeds n] [-strategy a,b] [-json]
 //	blazes verify -shrink dir [...]          also write 1-minimal traces
-//	blazes verify -coordinator URL [...]     distribute via blazes serve
 //	blazes verify -replay trace.json         re-execute a shrunk trace
 //	blazes verify -reshrink dir              re-minimize a trace corpus in place
 //
@@ -29,9 +27,6 @@
 //	-json             emit the reports as a JSON array
 //	-shrink dir       delta-debug every anomalous cell to a 1-minimal
 //	                  replayable trace artifact written into dir
-//	-coordinator URL  submit the sweep to a `blazes serve` coordinator and
-//	                  poll until worker processes finish it; the merged
-//	                  report is byte-identical to a local run
 //	-replay file      re-execute a trace artifact and check it reproduces
 //	                  its recorded anomaly classification
 //	-reshrink dir     re-run delta debugging over every blazes.trace/v1
@@ -57,9 +52,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
-	"blazes/service"
 	"blazes/strategy"
 	"blazes/verify"
 )
@@ -72,8 +65,6 @@ func runVerify(ctx context.Context, args []string, stdout, stderr io.Writer) int
 		strategyArg = fs.String("strategy", "", "comma-separated coordination strategies to try first during synthesis")
 		jsonOut     = fs.Bool("json", false, "emit reports as a JSON array")
 		shrinkDir   = fs.String("shrink", "", "write 1-minimal replayable traces for anomalous cells into this directory")
-		coordinator = fs.String("coordinator", "", "distribute the sweep via this coordinator URL (blazes serve)")
-		batch       = fs.Int("batch", 0, "seeds per claimable batch in coordinator mode (0 = coordinator default)")
 		replayPath  = fs.String("replay", "", "replay a shrunk trace artifact (exclusive with the sweep flags)")
 		reshrinkDir = fs.String("reshrink", "", "re-minimize every trace artifact in this directory in place (no sweep)")
 		workloads   multiFlag
@@ -81,7 +72,7 @@ func runVerify(ctx context.Context, args []string, stdout, stderr io.Writer) int
 	fs.Var(&workloads, "workload", "workload name (repeatable; default: the full suite)")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: blazes verify [-workload name]... [-seeds n] [-strategy a,b] [-json]\n"+
-			"       blazes verify -shrink dir | -coordinator URL | -replay trace.json | -reshrink dir\n\n")
+			"       blazes verify -shrink dir | -replay trace.json | -reshrink dir\n\n")
 		fs.PrintDefaults()
 		fmt.Fprintf(stderr, "\nworkloads: %s, generated-<n>c-s<seed>\n", strings.Join(workloadNames(), ", "))
 		fmt.Fprintf(stderr, "strategies: %s\n", strings.Join(strategy.Names(), ", "))
@@ -104,7 +95,7 @@ func runVerify(ctx context.Context, args []string, stdout, stderr io.Writer) int
 		return exitUsage
 	}
 	if *replayPath != "" {
-		if len(workloads) > 0 || *shrinkDir != "" || *coordinator != "" || *reshrinkDir != "" {
+		if len(workloads) > 0 || *shrinkDir != "" || *reshrinkDir != "" {
 			fmt.Fprintf(stderr, "blazes: verify: -replay cannot be combined with sweep flags\n")
 			fs.Usage()
 			return exitUsage
@@ -112,7 +103,7 @@ func runVerify(ctx context.Context, args []string, stdout, stderr io.Writer) int
 		return runReplay(ctx, *replayPath, *jsonOut, stdout, stderr)
 	}
 	if *reshrinkDir != "" {
-		if len(workloads) > 0 || *shrinkDir != "" || *coordinator != "" {
+		if len(workloads) > 0 || *shrinkDir != "" {
 			fmt.Fprintf(stderr, "blazes: verify: -reshrink cannot be combined with sweep flags\n")
 			fs.Usage()
 			return exitUsage
@@ -121,11 +112,6 @@ func runVerify(ctx context.Context, args []string, stdout, stderr io.Writer) int
 	}
 	if *seeds <= 0 {
 		fmt.Fprintf(stderr, "blazes: verify: -seeds must be positive\n")
-		fs.Usage()
-		return exitUsage
-	}
-	if *batch < 0 {
-		fmt.Fprintf(stderr, "blazes: verify: -batch must be non-negative\n")
 		fs.Usage()
 		return exitUsage
 	}
@@ -150,9 +136,6 @@ func runVerify(ctx context.Context, args []string, stdout, stderr io.Writer) int
 			fmt.Fprintln(stderr, "blazes: verify:", err)
 			return exitError
 		}
-	}
-	if *coordinator != "" {
-		return runCoordinated(ctx, *coordinator, workloads, *seeds, *batch, *strategyArg, *shrinkDir, *jsonOut, stdout, stderr)
 	}
 
 	opts := verify.Options{Seeds: *seeds, Prefer: prefer}
@@ -294,72 +277,6 @@ func runReshrink(ctx context.Context, dir string, stdout, stderr io.Writer) int 
 	}
 	if failed > 0 {
 		fmt.Fprintf(stderr, "blazes: verify: reshrink: %d of %d trace(s) failed\n", failed, found)
-		return exitError
-	}
-	return exitOK
-}
-
-// runCoordinated submits the sweep to a coordinator, streams progress to
-// stderr while worker processes drain it, and renders the merged result
-// exactly like a local run.
-func runCoordinated(ctx context.Context, coordinator string, workloads []string, seeds, batch int, strategyList, shrinkDir string, jsonOut bool, stdout, stderr io.Writer) int {
-	base := strings.TrimRight(coordinator, "/")
-	var st service.SweepStatus
-	err := postJSON(ctx, base+"/v1/sweeps", service.SweepSubmitRequest{
-		Workloads: workloads,
-		Seeds:     seeds,
-		Strategy:  strategyList,
-		Shrink:    shrinkDir != "",
-		BatchSize: batch,
-	}, &st)
-	if err != nil {
-		fmt.Fprintln(stderr, "blazes: verify:", err)
-		return exitError
-	}
-	fmt.Fprintf(stderr, "sweep %s: %d cells, %d batches, %d seeds — waiting for workers\n",
-		st.Sweep, st.Cells, st.Batches, st.SeedsTotal)
-
-	lastDone := -1
-	for st.State != "complete" {
-		sleepCtx(ctx, 300*time.Millisecond)
-		if ctx.Err() != nil {
-			fmt.Fprintln(stderr, "blazes: verify:", ctx.Err())
-			return exitError
-		}
-		if err := getJSON(ctx, base+"/v1/sweeps/"+st.Sweep, &st); err != nil {
-			fmt.Fprintln(stderr, "blazes: verify:", err)
-			return exitError
-		}
-		if st.SeedsDone != lastDone || st.State == "shrinking" {
-			lastDone = st.SeedsDone
-			fmt.Fprintf(stderr, "sweep %s: %s %d/%d seeds\n", st.Sweep, st.State, st.SeedsDone, st.SeedsTotal)
-		}
-	}
-	if st.Error != "" {
-		fmt.Fprintf(stderr, "blazes: verify: sweep %s failed: %s\n", st.Sweep, st.Error)
-		return exitError
-	}
-	for _, msg := range st.ShrinkErrors {
-		fmt.Fprintf(stderr, "blazes: verify: shrink: %s\n", msg)
-	}
-	if err := writeTraces(shrinkDir, st.Traces, stderr); err != nil {
-		fmt.Fprintln(stderr, "blazes: verify:", err)
-		return exitError
-	}
-	if jsonOut {
-		out, err := verify.MarshalReports(st.Reports)
-		if err != nil {
-			fmt.Fprintln(stderr, "blazes: verify:", err)
-			return exitError
-		}
-		fmt.Fprintln(stdout, string(out))
-	} else {
-		for _, rep := range st.Reports {
-			fmt.Fprint(stdout, rep.Summary())
-		}
-	}
-	if st.Holds == nil || !*st.Holds {
-		fmt.Fprintln(stderr, "blazes: verify: guarantee violated")
 		return exitError
 	}
 	return exitOK

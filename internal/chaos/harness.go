@@ -150,8 +150,7 @@ func allowedAnomalies(mech dataflow.Coordination) Anomalies {
 
 // ParseCoordination resolves the canonical mechanism string (the
 // Coordination String form used in every Sweep and Cell) back to the
-// enum — the inverse every wire consumer (sweep workers, trace replay)
-// relies on.
+// enum — the inverse trace replay relies on.
 func ParseCoordination(s string) (dataflow.Coordination, error) {
 	c, err := dataflow.ParseCoordination(s)
 	if err != nil {
@@ -162,9 +161,9 @@ func ParseCoordination(s string) (dataflow.Coordination, error) {
 
 // Cell identifies one independently runnable sweep cell of a Check: a
 // (workload, mechanism, fault plan) configuration and the seed range
-// [1, Seeds] it explores. Cells are the unit of distribution — a cell's
-// seeds can be sharded across processes and the partial outcomes merged in
-// seed order without changing a byte of the verdict.
+// [1, Seeds] it explores. A cell's seeds can run in several ranges and the
+// partial outcomes merge in seed order without changing a byte of the
+// verdict.
 type Cell struct {
 	// Workload names the workload (resolvable via LookupWorkload).
 	Workload string `json:"workload"`
@@ -187,7 +186,7 @@ type Cell struct {
 // the ordered cells to sweep. PlanCheck derives it; FoldCell turns each
 // cell's outcomes into its Sweep; Assemble reassembles the Report. Check
 // itself is exactly plan → run → fold → assemble, so any other executor
-// (the distributed sweep coordinator) that preserves cell order and
+// (the benchmark, which times each stage) that preserves cell order and
 // seed-ordered folding produces byte-identical reports.
 type CheckPlan struct {
 	// Workload is the planned workload.
@@ -323,8 +322,8 @@ func RunCell(ctx context.Context, w Workload, cell Cell, pool *sim.Pool, from, t
 // FoldCell merges a cell's per-seed outcomes — outcomes[i] is seed i+1 —
 // through the confluence oracle in seed order and renders the cell's Sweep
 // verdict. The fold is pure and deterministic: however the outcomes were
-// produced (one process, a pool, or many worker processes), equal outcomes
-// yield a byte-identical Sweep.
+// produced (sequentially or on a pool, in one range or several), equal
+// outcomes yield a byte-identical Sweep.
 func FoldCell(cell Cell, outcomes []Outcome) Sweep {
 	oracle := NewOracle(cell.Confluent)
 	for i, out := range outcomes {
@@ -469,9 +468,10 @@ func Suite() []Workload {
 // LookupWorkload resolves a workload name to a fresh workload instance:
 // the Suite workloads by their fixed names, plus generated topology
 // workloads whose name encodes their configuration
-// ("generated-<components>c-s<seed>"), so any process holding only a name
-// — a sweep worker, a trace replayer — reconstructs the exact system under
-// test.
+// ("generated-<components>c-s<seed>"), so a trace replayer holding only a
+// name reconstructs the exact system under test. A generated name resolves
+// only in the one spelling Name renders, so a report never names a
+// workload other than the one asked for.
 func LookupWorkload(name string) (Workload, error) {
 	for _, w := range Suite() {
 		if w.Name() == name {
@@ -484,7 +484,9 @@ func LookupWorkload(name string) (Workload, error) {
 			components, err1 := strconv.Atoi(compStr)
 			seed, err2 := strconv.ParseInt(seedStr, 10, 64)
 			if err1 == nil && err2 == nil && components > 0 {
-				return Generated(components, seed), nil
+				if w := Generated(components, seed); w.Name() == name {
+					return w, nil
+				}
 			}
 		}
 		return nil, fmt.Errorf("chaos: malformed generated workload name %q (want generated-<components>c-s<seed>)", name)

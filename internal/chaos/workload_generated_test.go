@@ -91,7 +91,8 @@ func TestGeneratedNameRoundTrip(t *testing.T) {
 	if a.Replicas[0].Final != b.Replicas[0].Final {
 		t.Error("rebuilt workload disagrees with the original on the same run")
 	}
-	for _, bad := range []string{"generated-xc-s1", "generated-0c-s1", "generated-12", "generated-12c-sQ"} {
+	for _, bad := range []string{"generated-xc-s1", "generated-0c-s1", "generated-12", "generated-12c-sQ",
+		"generated-05c-s1", "generated-+5c-s1", "generated-5c-s+1", "generated-5c-s01"} {
 		if _, err := LookupWorkload(bad); err == nil {
 			t.Errorf("LookupWorkload(%q) accepted a malformed name", bad)
 		}

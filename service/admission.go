@@ -6,12 +6,12 @@ import (
 	"time"
 )
 
-// Admission control: the create/mutate/analyze/verify/sweep-submit paths
-// run real analysis work, so they pass through a bounded gate — a fixed number of
+// Admission control: the create/mutate/analyze/verify paths run real
+// analysis work, so they pass through a bounded gate — a fixed number of
 // concurrency slots plus a bounded, deadline-aware wait queue. A request
 // that cannot get a slot before the queue bound, its own deadline, or the
 // queue timeout is shed with 429 and a Retry-After hint instead of piling
-// up unboundedly behind a slow sweep. Cheap read paths (list, get, lint,
+// up unboundedly behind a slow verify. Cheap read paths (list, get, lint,
 // healthz, stats) bypass the gate so the server stays observable under
 // overload.
 

@@ -18,8 +18,8 @@
 //     replay rebuilds sessions the server degrades to read-only (writes
 //     shed with 503) instead of blocking. See durability.go for the write
 //     protocol.
-//   - Backpressure: the expensive paths (create, mutate, analyze, verify,
-//     sweep submit) pass a bounded admission gate; beyond the concurrency
+//   - Backpressure: the expensive paths (create, mutate, analyze, verify)
+//     pass a bounded admission gate; beyond the concurrency
 //     slots and the bounded wait queue, requests shed with 429 +
 //     Retry-After instead of queueing unboundedly. See admission.go and
 //     Server.admitted, the one place such a request is admitted and timed.
@@ -36,11 +36,6 @@
 //	POST   /v1/sessions/{id}/analyze incremental (re-)analysis → Report v2
 //	DELETE /v1/sessions/{id}         close a session
 //	POST   /v1/verify                run schedule-exploration verification
-//	POST   /v1/sweeps                submit a distributed verification sweep
-//	GET    /v1/sweeps                list sweeps
-//	GET    /v1/sweeps/{id}           sweep status (+ reports/traces when done)
-//	POST   /v1/sweeps/{id}/claim     worker: lease seed-range batches
-//	POST   /v1/sweeps/{id}/report    worker: report a batch's outcomes
 //	GET    /v1/stats                 load/durability/latency statistics
 //	GET    /healthz                  liveness + session count
 package service
@@ -147,19 +142,6 @@ type Server struct {
 	evictedTotal     atomic.Uint64
 	readOnlyRejected atomic.Uint64
 	latency          map[string]*hist.Histogram
-
-	// Sweep coordination (in-memory; sweeps are not journaled — a sweep
-	// is a computation, not acknowledged durable state). See sweeps.go.
-	sweepMu     sync.Mutex
-	sweeps      map[string]*sweepJob
-	sweepOrder  []string
-	nextSweepID int
-
-	sweepsSubmitted      atomic.Uint64
-	sweepsCompleted      atomic.Uint64
-	sweepBatchesClaimed  atomic.Uint64
-	sweepBatchesReported atomic.Uint64
-	sweepTracesShrunk    atomic.Uint64
 }
 
 type entry struct {
@@ -212,9 +194,8 @@ func New(opts Options) *Server {
 		lru:         list.New(),
 		snapEvery:   snapshotEvery,
 		gate:        newGate(maxConc, maxQueue, queueTimeout),
-		latency:     map[string]*hist.Histogram{"create": {}, "mutate": {}, "analyze": {}, "verify": {}, "sweep": {}},
+		latency:     map[string]*hist.Histogram{"create": {}, "mutate": {}, "analyze": {}, "verify": {}},
 		recoveredCh: make(chan struct{}),
-		sweeps:      map[string]*sweepJob{},
 	}
 	close(s.recoveredCh) // nothing to recover
 	return s
@@ -286,11 +267,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/sessions/{id}/lint", s.handleLint)
 	mux.HandleFunc("DELETE /v1/sessions/{id}", s.handleDelete)
 	mux.HandleFunc("POST /v1/verify", s.admitted("verify", false, s.handleVerify))
-	mux.HandleFunc("POST /v1/sweeps", s.admitted("sweep", false, s.handleSweepSubmit))
-	mux.HandleFunc("GET /v1/sweeps", s.handleSweepList)
-	mux.HandleFunc("GET /v1/sweeps/{id}", s.handleSweepStatus)
-	mux.HandleFunc("POST /v1/sweeps/{id}/claim", s.handleSweepClaim)
-	mux.HandleFunc("POST /v1/sweeps/{id}/report", s.handleSweepReport)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	return mux
@@ -863,14 +839,13 @@ type VerifyResponse struct {
 }
 
 // maxGeneratedComponents bounds the "generated-<n>c-s<seed>" workloads a
-// verify or sweep request may name: planning one generates its topology
-// inside the admitted request, so an unbounded n would let one request
-// exhaust the server's memory. 10,000 components is the size of the
-// benchmark's graphs and of CI's scale smoke. `blazes verify` and the
-// sweep workers resolve names unbounded.
+// verify request may name: planning one generates its topology inside the
+// admitted request, so an unbounded n would let one request exhaust the
+// server's memory. 10,000 components is the size of the benchmark's graphs
+// and of CI's scale smoke. `blazes verify` resolves names unbounded.
 const maxGeneratedComponents = 10_000
 
-// lookupWorkloads resolves the workloads a verify or sweep request names,
+// lookupWorkloads resolves the workloads a verify request names,
 // the whole suite when it names none.
 func lookupWorkloads(names []string) ([]verify.Workload, error) {
 	if len(names) == 0 {

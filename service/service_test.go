@@ -144,6 +144,42 @@ func TestGoldenVerify(t *testing.T) {
 	}
 }
 
+// TestWorkloadNamesResolveAlike: /v1/verify accepts the workload names
+// `blazes verify` does — the suite's, and a generated topology's, which
+// only LookupWorkload can resolve — and refuses an unknown one by listing
+// the valid spellings.
+func TestWorkloadNamesResolveAlike(t *testing.T) {
+	h := New(Options{}).Handler()
+	for _, tc := range []struct {
+		name string
+		code int
+	}{
+		{"synthetic-set", http.StatusOK},
+		{"generated-40c-s8", http.StatusOK},
+		{"no-such-workload", http.StatusBadRequest},
+	} {
+		code, body := call(t, h, "POST", "/v1/verify", VerifyRequest{Workloads: []string{tc.name}, Seeds: 2})
+		if code != tc.code {
+			t.Errorf("%s: %d %s, want %d", tc.name, code, body, tc.code)
+		}
+		if tc.code == http.StatusBadRequest &&
+			(!strings.Contains(body, "synthetic-set") || !strings.Contains(body, ", generated-")) {
+			t.Errorf("%s: error does not list the valid spellings: %s", tc.name, body)
+		}
+	}
+}
+
+// TestGeneratedWorkloadBound: a generated topology one component over the
+// bound is refused with 400 before anything generates it.
+func TestGeneratedWorkloadBound(t *testing.T) {
+	h := New(Options{}).Handler()
+	name := fmt.Sprintf("generated-%dc-s1", maxGeneratedComponents+1)
+	code, body := call(t, h, "POST", "/v1/verify", VerifyRequest{Workloads: []string{name}})
+	if code != http.StatusBadRequest || !strings.Contains(body, "at most 10000") {
+		t.Errorf("%s: %d %s, want 400 naming the bound", name, code, body)
+	}
+}
+
 // TestSessionLifecycle: list, get, mutate with variants, delete, 404s.
 func TestSessionLifecycle(t *testing.T) {
 	h := New(Options{}).Handler()
@@ -250,15 +286,17 @@ func TestBadRequests(t *testing.T) {
 		{"verify-unknown-workload", "POST", "/v1/verify", VerifyRequest{Workloads: []string{"nope"}}, http.StatusBadRequest, "unknown workload"},
 		{"verify-bad-seeds", "POST", "/v1/verify", VerifyRequest{Seeds: -1}, http.StatusBadRequest, "seeds"},
 		{"verify-unknown-strategy", "POST", "/v1/verify", VerifyRequest{Strategy: "nope"}, http.StatusBadRequest, unknownStrategy},
-		{"sweep-unknown-strategy", "POST", "/v1/sweeps", SweepSubmitRequest{Strategy: "nope"}, http.StatusBadRequest, unknownStrategy},
 		{"create-unknown-strategy", "POST", "/v1/sessions", CreateRequest{Spec: "A: {annotation: {from: i, to: o, label: CR}}\ntopology:\n  sources:\n    - {name: s, to: A.i}\n", Strategy: "nope"}, http.StatusBadRequest, unknownStrategy},
 		{"verify-unknown-strategy-in-list", "POST", "/v1/verify", VerifyRequest{Strategy: "sealing,nope"}, http.StatusBadRequest, unknownStrategy},
 		{"create-retired-merge-rewrite", "POST", "/v1/sessions", CreateRequest{Spec: "A: {annotation: {from: i, to: o, label: CR}}\ntopology:\n  sources:\n    - {name: s, to: A.i}\n", Strategy: "merge-rewrite"}, http.StatusBadRequest, retiredStrategy},
 		{"verify-retired-merge-rewrite", "POST", "/v1/verify", VerifyRequest{Strategy: "merge-rewrite"}, http.StatusBadRequest, retiredStrategy},
-		{"sweep-retired-merge-rewrite", "POST", "/v1/sweeps", SweepSubmitRequest{Strategy: "merge-rewrite"}, http.StatusBadRequest, retiredStrategy},
 		{"create-retired-sequencing", "POST", "/v1/sessions", json.RawMessage(`{"spec":"x","sequencing":true}`), http.StatusBadRequest, `unknown field \"sequencing\"`},
 		{"verify-retired-sequencing", "POST", "/v1/verify", json.RawMessage(`{"sequencing":true}`), http.StatusBadRequest, `unknown field \"sequencing\"`},
-		{"sweep-retired-sequencing", "POST", "/v1/sweeps", json.RawMessage(`{"sequencing":true}`), http.StatusBadRequest, `unknown field \"sequencing\"`},
+		// The sweep coordinator is retired: /v1/sweeps is not routed, so
+		// every body it once validated is now a plain 404.
+		{"sweep-unknown-strategy", "POST", "/v1/sweeps", VerifyRequest{Strategy: "nope"}, http.StatusNotFound, "404 page not found"},
+		{"sweep-retired-merge-rewrite", "POST", "/v1/sweeps", VerifyRequest{Strategy: "merge-rewrite"}, http.StatusNotFound, "404 page not found"},
+		{"sweep-retired-sequencing", "POST", "/v1/sweeps", json.RawMessage(`{"sequencing":true}`), http.StatusNotFound, "404 page not found"},
 		{"verify-retired-parallelism", "POST", "/v1/verify", json.RawMessage(`{"parallelism":2}`), http.StatusBadRequest, `unknown field \"parallelism\"`},
 	}
 	for _, tc := range cases {

@@ -44,9 +44,6 @@ type StatsResponse struct {
 
 	Admission AdmissionStats `json:"admission"`
 
-	// Sweeps reports the distributed-verification coordinator's counters.
-	Sweeps SweepStats `json:"sweeps"`
-
 	// Latency maps endpoint → summary for the admitted endpoints.
 	Latency map[string]LatencySummary `json:"latency"`
 }
@@ -61,19 +58,6 @@ type RecoveryStats struct {
 	Torn           bool   `json:"torn"`
 	TruncatedBytes int64  `json:"truncated_bytes"`
 	SkippedRecords int    `json:"skipped_records"`
-}
-
-// SweepStats counts sweep-coordinator activity this process.
-type SweepStats struct {
-	// Active is the number of submitted sweeps not yet complete.
-	Active          int    `json:"active"`
-	Submitted       uint64 `json:"submitted"`
-	Completed       uint64 `json:"completed"`
-	BatchesClaimed  uint64 `json:"batches_claimed"`
-	BatchesReported uint64 `json:"batches_reported"`
-	// TracesShrunk counts anomalous cells successfully delta-debugged to
-	// replayable traces.
-	TracesShrunk uint64 `json:"traces_shrunk"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -94,19 +78,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		JournalBroken:     s.journalBroken.Load(),
 		Recovery:          s.recovery,
 		Admission:         s.gate.stats(),
-		Sweeps: SweepStats{
-			Submitted:       s.sweepsSubmitted.Load(),
-			Completed:       s.sweepsCompleted.Load(),
-			BatchesClaimed:  s.sweepBatchesClaimed.Load(),
-			BatchesReported: s.sweepBatchesReported.Load(),
-			TracesShrunk:    s.sweepTracesShrunk.Load(),
-		},
-		Latency: make(map[string]LatencySummary, len(s.latency)),
+		Latency:           make(map[string]LatencySummary, len(s.latency)),
 	}
 	for endpoint, h := range s.latency {
 		resp.Latency[endpoint] = h.Summary()
 	}
-	resp.Sweeps.Active = int(resp.Sweeps.Submitted - resp.Sweeps.Completed)
 	resp.Admission.ReadOnlyRejected = s.readOnlyRejected.Load()
 	if s.jrn != nil {
 		st := s.jrn.Stats()
