@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"blazes/verify"
 )
 
 // The command is driven in-process through run(), pinning the documented
@@ -100,6 +102,23 @@ func TestGoldenWordcountVerdictText(t *testing.T) {
 	checkGolden(t, "wordcount_sealed_synthesize.txt", stdout)
 }
 
+// TestGoldenVerifyJSON pins the bytes of one verify report at a reduced
+// sweep: synthetic-set holds under every mechanism and plan at 8 seeds.
+func TestGoldenVerifyJSON(t *testing.T) {
+	code, stdout, stderr := exec(t, "verify", "-workload", "synthetic-set", "-seeds", "8", "-json")
+	if code != exitOK || stderr != "" {
+		t.Fatalf("code = %d, stderr = %q", code, stderr)
+	}
+	checkGolden(t, "verify_synthetic_set.json", stdout)
+	var reports []*verify.Report
+	if err := json.Unmarshal([]byte(stdout), &reports); err != nil {
+		t.Fatal(err)
+	}
+	if len(reports) != 1 || reports[0].Workload != "synthetic-set" || !reports[0].Holds {
+		t.Errorf("reports = %+v, want one holding synthetic-set report", reports)
+	}
+}
+
 // TestJSONIsParseableAndStable: the golden is valid JSON and carries the
 // report schema version.
 func TestJSONIsParseableAndStable(t *testing.T) {
@@ -127,6 +146,13 @@ const (
 // TestExitCodeContract pins the documented 0/1/2 contract for both the
 // analysis flow and the verify subcommand.
 func TestExitCodeContract(t *testing.T) {
+	// An unknown workload's error lists every valid spelling: the suite's
+	// names and the generated topologies'.
+	var names []string
+	for _, w := range verify.Workloads() {
+		names = append(names, w.Name())
+	}
+	unknownWorkload := `unknown workload "nope" (workloads: ` + strings.Join(names, ", ") + `, generated-<n>c-s<seed>)`
 	cases := []struct {
 		name string
 		args []string
@@ -147,7 +173,7 @@ func TestExitCodeContract(t *testing.T) {
 		{"bad-seal-syntax", []string{"-spec", wordcountSpec, "-seal", "tweets"}, exitUsage, "bad -seal"},
 		{"unknown-seal-stream", []string{"-spec", wordcountSpec, "-seal", "nope=batch"}, exitUsage, "unknown stream"},
 		{"stray-args", []string{"-spec", wordcountSpec, "extra"}, exitUsage, "unexpected arguments"},
-		{"verify-unknown-workload", []string{"verify", "-workload", "nope"}, exitUsage, "unknown workload"},
+		{"verify-unknown-workload", []string{"verify", "-workload", "nope"}, exitUsage, unknownWorkload},
 		{"verify-bad-seeds", []string{"verify", "-seeds", "0"}, exitUsage, "-seeds must be positive"},
 		{"verify-stray-args", []string{"verify", "extra"}, exitUsage, "unexpected arguments"},
 		{"verify-unknown-strategy", []string{"verify", "-strategy", "nope"}, exitUsage, unknownStrategy},

@@ -15,8 +15,8 @@
 //	                     replay it on boot (durable mode; default off); the
 //	                     journal is one segment, compacted into a snapshot
 //	                     every 1024 records
-//	-max-concurrent n    admitted create/mutate/analyze/verify requests
-//	                     running at once (default GOMAXPROCS)
+//	-max-concurrent n    admitted create/mutate/analyze requests running
+//	                     at once, one goroutine each (default GOMAXPROCS)
 //	-max-queue n         requests waiting for admission beyond which the
 //	                     server sheds with 429 (default 256)
 //	-queue-timeout d     max time a request waits for admission (default 2s)
@@ -73,7 +73,7 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 
 		journalDir = fs.String("journal", "", "journal directory for durable mode (empty = in-memory)")
 
-		maxConcurrent = fs.Int("max-concurrent", 0, "admitted expensive requests at once (0 = GOMAXPROCS)")
+		maxConcurrent = fs.Int("max-concurrent", 0, "admitted create/mutate/analyze requests at once (0 = GOMAXPROCS)")
 		maxQueue      = fs.Int("max-queue", service.DefaultMaxQueue, "admission queue bound; beyond it requests shed with 429")
 		queueTimeout  = fs.Duration("queue-timeout", service.DefaultQueueTimeout, "max wait for an admission slot")
 
@@ -134,7 +134,7 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 	srv := &http.Server{
 		Handler: withRequestTimeout(svc.Handler(), *requestTimeout),
 		// Cancel request contexts when the serve context dies, so
-		// in-flight analyze/verify work stops during the drain.
+		// in-flight analyze work stops during the drain.
 		BaseContext:       func(net.Listener) context.Context { return ctx },
 		ReadHeaderTimeout: *readHeaderTimeout,
 		WriteTimeout:      *writeTimeout,

@@ -72,8 +72,8 @@ func TestPlanCheckLayout(t *testing.T) {
 		if stripped := i >= len(plans); cell.Stripped != stripped {
 			t.Errorf("cell %d: Stripped = %v, want %v", i, cell.Stripped, stripped)
 		}
-		if _, err := ParseCoordination(cell.Mechanism); err != nil {
-			t.Errorf("cell %d: %v", i, err)
+		if stripped := cell.Mechanism == dataflow.CoordNone; cell.Stripped != stripped {
+			t.Errorf("cell %d: Mechanism = %v, Stripped = %v", i, cell.Mechanism, cell.Stripped)
 		}
 	}
 	if p.VacuousReproduction {

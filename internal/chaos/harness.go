@@ -149,7 +149,7 @@ func allowedAnomalies(mech dataflow.Coordination) Anomalies {
 }
 
 // ParseCoordination resolves the canonical mechanism string (the
-// Coordination String form used in every Sweep and Cell) back to the
+// Coordination String form used in every Sweep and Trace) back to the
 // enum — the inverse trace replay relies on.
 func ParseCoordination(s string) (dataflow.Coordination, error) {
 	c, err := dataflow.ParseCoordination(s)
@@ -166,20 +166,19 @@ func ParseCoordination(s string) (dataflow.Coordination, error) {
 // verdict.
 type Cell struct {
 	// Workload names the workload (resolvable via LookupWorkload).
-	Workload string `json:"workload"`
-	// Mechanism is the canonical Coordination string (ParseCoordination
-	// inverts it).
-	Mechanism string `json:"mechanism"`
+	Workload string
+	// Mechanism is the coordination every run of the cell installs.
+	Mechanism dataflow.Coordination
 	// Plan is the fault plan shaping every link.
-	Plan FaultPlan `json:"plan"`
+	Plan FaultPlan
 	// Seeds is the schedule count; the cell explores seeds 1..Seeds.
-	Seeds int `json:"seeds"`
+	Seeds int
 	// Confluent selects the oracle's eventual-outcome-only comparison
 	// (bare runs of certified-confluent programs).
-	Confluent bool `json:"confluent,omitempty"`
+	Confluent bool
 	// Stripped marks a divergence-reproduction sweep: coordination removed,
 	// observed anomalies documented rather than held to an allowance.
-	Stripped bool `json:"stripped,omitempty"`
+	Stripped bool
 }
 
 // CheckPlan is the execution plan of one Check: the analyzer's verdict and
@@ -263,7 +262,7 @@ func PlanCheck(w Workload, cfg Config) (*CheckPlan, error) {
 		for _, plan := range cfg.Plans {
 			p.Cells = append(p.Cells, Cell{
 				Workload:  w.Name(),
-				Mechanism: mech.String(),
+				Mechanism: mech,
 				Plan:      plan,
 				Seeds:     cfg.Seeds,
 				Confluent: bare,
@@ -279,7 +278,7 @@ func PlanCheck(w Workload, cfg Config) (*CheckPlan, error) {
 		for _, plan := range cfg.Plans {
 			p.Cells = append(p.Cells, Cell{
 				Workload:  w.Name(),
-				Mechanism: dataflow.CoordNone.String(),
+				Mechanism: dataflow.CoordNone,
 				Plan:      plan,
 				Seeds:     cfg.Seeds,
 				Stripped:  true,
@@ -295,10 +294,6 @@ func PlanCheck(w Workload, cfg Config) (*CheckPlan, error) {
 // at their seed's index, so the result is byte-identical to a sequential
 // run. Cancelling ctx stops the workers at the next seed boundary.
 func RunCell(ctx context.Context, w Workload, cell Cell, pool *sim.Pool, from, to int) ([]Outcome, error) {
-	mech, err := ParseCoordination(cell.Mechanism)
-	if err != nil {
-		return nil, err
-	}
 	if from < 1 || to > cell.Seeds+1 || from > to {
 		return nil, fmt.Errorf("chaos: %s under %s/%s: seed range [%d, %d) outside [1, %d]",
 			cell.Workload, cell.Mechanism, cell.Plan.Name, from, to, cell.Seeds)
@@ -307,7 +302,7 @@ func RunCell(ctx context.Context, w Workload, cell Cell, pool *sim.Pool, from, t
 	outcomes := make([]Outcome, n)
 	errs := make([]error, n)
 	if err := pool.MapContext(ctx, n, func(i int) {
-		outcomes[i], errs[i] = w.Run(int64(from+i), cell.Plan, mech)
+		outcomes[i], errs[i] = w.Run(int64(from+i), cell.Plan, cell.Mechanism)
 	}); err != nil {
 		return nil, fmt.Errorf("chaos: %s under %s/%s: %w", w.Name(), cell.Mechanism, cell.Plan.Name, err)
 	}
@@ -330,7 +325,7 @@ func FoldCell(cell Cell, outcomes []Outcome) Sweep {
 		oracle.Observe(int64(i+1), out)
 	}
 	s := Sweep{
-		Mechanism: cell.Mechanism,
+		Mechanism: cell.Mechanism.String(),
 		Plan:      cell.Plan.Name,
 		Seeds:     cell.Seeds,
 		Observed:  oracle.Anomalies(),
@@ -341,10 +336,7 @@ func FoldCell(cell Cell, outcomes []Outcome) Sweep {
 		s.Allowed = Anomalies{Run: true, Inst: true, Diverge: true}
 		s.OK = true
 	} else {
-		mech, err := ParseCoordination(cell.Mechanism)
-		if err == nil {
-			s.Allowed = allowedAnomalies(mech)
-		}
+		s.Allowed = allowedAnomalies(cell.Mechanism)
 		s.OK = s.Observed.Within(s.Allowed)
 	}
 	if d := oracle.Details(); len(d) > 0 {

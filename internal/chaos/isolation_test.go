@@ -166,7 +166,7 @@ func TestScheduleCannotSeeItsNeighbours(t *testing.T) {
 				}
 				check("interleaved with "+other.Name(), interleaved)
 
-				cell := Cell{Workload: w.Name(), Mechanism: mech.String(), Plan: plan, Seeds: seeds}
+				cell := Cell{Workload: w.Name(), Mechanism: mech, Plan: plan, Seeds: seeds}
 				pooled, err := RunCell(ctx, w, cell, sim.NewPool(4), 1, seeds+1)
 				if err != nil {
 					t.Fatal(err)

@@ -171,17 +171,12 @@ type shrinker struct {
 	// w is the cell's workload behind a per-call memo of its runs.
 	w      Workload
 	cell   Cell
-	mech   dataflow.Coordination
 	target Anomalies
 	steps  int
 }
 
-func newShrinker(w Workload, cell Cell, target Anomalies) (*shrinker, error) {
-	mech, err := ParseCoordination(cell.Mechanism)
-	if err != nil {
-		return nil, err
-	}
-	return &shrinker{w: &memoRuns{Workload: w, seen: map[runKey]Outcome{}}, cell: cell, mech: mech, target: target}, nil
+func newShrinker(w Workload, cell Cell, target Anomalies) *shrinker {
+	return &shrinker{w: &memoRuns{Workload: w, seen: map[runKey]Outcome{}}, cell: cell, target: target}
 }
 
 // memoRuns answers a repeated (plan, seed, mechanism) run from the first
@@ -231,7 +226,7 @@ func (sh *shrinker) fold(ctx context.Context, plan FaultPlan, seeds []int64) (An
 		if err := ctx.Err(); err != nil {
 			return Anomalies{}, "", err
 		}
-		out, err := sh.w.Run(seed, plan, sh.mech)
+		out, err := sh.w.Run(seed, plan, sh.cell.Mechanism)
 		if err != nil {
 			return Anomalies{}, "", fmt.Errorf("seed %d: %w", seed, err)
 		}
@@ -345,7 +340,7 @@ func (sh *shrinker) minimize(ctx context.Context, events []Event, base string, s
 	return &Trace{
 		Version:   TraceVersion,
 		Workload:  sh.cell.Workload,
-		Mechanism: sh.cell.Mechanism,
+		Mechanism: sh.cell.Mechanism.String(),
 		Confluent: sh.cell.Confluent,
 		Stripped:  sh.cell.Stripped,
 		BasePlan:  base,
@@ -405,10 +400,7 @@ func ShrinkCell(ctx context.Context, w Workload, cell Cell, outcomes []Outcome) 
 	if err != nil {
 		return nil, err
 	}
-	sh, err := newShrinker(w, cell, target)
-	if err != nil {
-		return nil, err
-	}
+	sh := newShrinker(w, cell, target)
 	// Cannot happen for deterministic workloads: the prefix fold already
 	// matched.
 	return sh.minimize(ctx, events, cell.Plan.Name, fmt.Errorf("chaos: %s under %s/%s: cell anomalies did not reproduce from recorded seeds",
@@ -422,14 +414,18 @@ func traceShrinker(tr *Trace) (*shrinker, error) {
 	if err != nil {
 		return nil, err
 	}
+	mech, err := ParseCoordination(tr.Mechanism)
+	if err != nil {
+		return nil, err
+	}
 	return newShrinker(w, Cell{
 		Workload:  tr.Workload,
-		Mechanism: tr.Mechanism,
+		Mechanism: mech,
 		Plan:      tr.Plan,
 		Seeds:     len(tr.Seeds),
 		Confluent: tr.Confluent,
 		Stripped:  tr.Stripped,
-	}, tr.Anomalies)
+	}, tr.Anomalies), nil
 }
 
 // ReshrinkTrace re-runs delta debugging over an existing trace's event set

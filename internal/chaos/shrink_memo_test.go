@@ -95,10 +95,7 @@ func TestShrinkMemoMatchesUnmemoized(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		sh, err := newShrinker(c.w, c.cell, target)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+		sh := newShrinker(c.w, c.cell, target)
 		plain := &countingWorkload{Workload: c.w, runs: map[string]int{}}
 		sh.w = plain
 		want, err := sh.minimize(ctx, events, c.cell.Plan.Name, fmt.Errorf("did not reproduce"))

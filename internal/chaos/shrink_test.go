@@ -7,12 +7,14 @@ import (
 	"path/filepath"
 	"testing"
 
+	"blazes/internal/dataflow"
 	"blazes/internal/sim"
 )
 
 // loadCorpus reads the seeded-anomaly corpus: each testdata/anomaly_*.json
 // file is one Cell known to exhibit an anomaly, covering hand-built and
-// generated workloads, plans with and without injected fault events.
+// generated workloads, plans with and without injected fault events. A
+// file names its mechanism by the Coordination's String form.
 func loadCorpus(t *testing.T) map[string]Cell {
 	t.Helper()
 	files, err := filepath.Glob(filepath.Join("testdata", "anomaly_*.json"))
@@ -25,8 +27,15 @@ func loadCorpus(t *testing.T) map[string]Cell {
 		if err != nil {
 			t.Fatalf("read %s: %v", f, err)
 		}
-		var cell Cell
-		if err := json.Unmarshal(data, &cell); err != nil {
+		var doc struct {
+			Cell
+			Mechanism string
+		}
+		if err := json.Unmarshal(data, &doc); err != nil {
+			t.Fatalf("parse %s: %v", f, err)
+		}
+		cell := doc.Cell
+		if cell.Mechanism, err = ParseCoordination(doc.Mechanism); err != nil {
 			t.Fatalf("parse %s: %v", f, err)
 		}
 		cells[filepath.Base(f)] = cell
@@ -92,10 +101,7 @@ func TestShrinkCorpus(t *testing.T) {
 			}
 
 			// (b) 1-minimality under the shrinker's own predicate.
-			sh, err := newShrinker(w, cell, tr.Anomalies)
-			if err != nil {
-				t.Fatal(err)
-			}
+			sh := newShrinker(w, cell, tr.Anomalies)
 			for i, ev := range tr.Events {
 				sub := append(append([]Event{}, tr.Events[:i]...), tr.Events[i+1:]...)
 				ok, err := sh.reproduces(ctx, sub)
@@ -114,7 +120,7 @@ func TestShrinkCorpus(t *testing.T) {
 func TestShrinkRejectsHealthyCell(t *testing.T) {
 	cell := Cell{
 		Workload:  "synthetic-set",
-		Mechanism: "none",
+		Mechanism: dataflow.CoordNone,
 		Plan:      FaultPlan{Name: "baseline"},
 		Seeds:     4,
 		Confluent: true,

@@ -6,14 +6,16 @@ import (
 	"time"
 )
 
-// Admission control: the create/mutate/analyze/verify paths run real
-// analysis work, so they pass through a bounded gate — a fixed number of
-// concurrency slots plus a bounded, deadline-aware wait queue. A request
-// that cannot get a slot before the queue bound, its own deadline, or the
-// queue timeout is shed with 429 and a Retry-After hint instead of piling
-// up unboundedly behind a slow verify. Cheap read paths (list, get, lint,
-// healthz, stats) bypass the gate so the server stays observable under
-// overload.
+// Admission control: the create/mutate/analyze paths run real analysis
+// work, so they pass through a bounded gate — a fixed number of
+// concurrency slots plus a bounded, deadline-aware wait queue. Each
+// admitted request does its work on its own goroutine and starts no
+// workers, so a slot is one busy goroutine and GOMAXPROCS slots keep the
+// CPUs busy without oversubscribing them. A request that cannot get a
+// slot before the queue bound, its own deadline, or the queue timeout is
+// shed with 429 and a Retry-After hint instead of piling up unboundedly
+// behind a slow analysis. Cheap read paths (list, get, lint, healthz,
+// stats) bypass the gate so the server stays observable under overload.
 
 // errOverloaded marks a shed request (wire form: 429 + Retry-After).
 var errOverloaded = errors.New("service: overloaded")

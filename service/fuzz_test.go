@@ -24,8 +24,7 @@ import (
 // it was; a batch that fails part-way keeps the ops before the failure (each
 // op is atomic), reports them in "applied", and they are replayed too. An
 // analyze the server ran is run on the fresh session as well, so both
-// report the same Delta next. Verify stays out: each input would run a
-// whole sweep.
+// report the same Delta next.
 func FuzzServiceRequests(f *testing.F) {
 	spec, err := os.ReadFile(filepath.Join("..", "internal", "spec", "testdata", "wordcount.blazes"))
 	if err != nil {

@@ -6,8 +6,9 @@
 // session from a spec, mutate it (seal, annotate, re-select variants,
 // rewire), and re-analyze incrementally — each analysis returns a Report
 // v2 whose Delta section says exactly what the last mutation changed.
-// Request contexts are honored end to end: an aborted analyze or verify
-// request cancels the underlying derivation or schedule sweep.
+// Request contexts are honored end to end: an aborted analyze request
+// cancels the underlying derivation. Schedule-exploration verification is
+// not an endpoint: use `blazes verify` or the blazes/verify package.
 //
 // The service practices the fault-tolerance discipline it analyzes:
 //
@@ -18,8 +19,8 @@
 //     replay rebuilds sessions the server degrades to read-only (writes
 //     shed with 503) instead of blocking. See durability.go for the write
 //     protocol.
-//   - Backpressure: the expensive paths (create, mutate, analyze, verify)
-//     pass a bounded admission gate; beyond the concurrency
+//   - Backpressure: the expensive paths (create, mutate, analyze) pass a
+//     bounded admission gate; beyond the concurrency
 //     slots and the bounded wait queue, requests shed with 429 +
 //     Retry-After instead of queueing unboundedly. See admission.go and
 //     Server.admitted, the one place such a request is admitted and timed.
@@ -35,7 +36,6 @@
 //	POST   /v1/sessions/{id}/mutate  apply a batch of mutations in order
 //	POST   /v1/sessions/{id}/analyze incremental (re-)analysis → Report v2
 //	DELETE /v1/sessions/{id}         close a session
-//	POST   /v1/verify                run schedule-exploration verification
 //	GET    /v1/stats                 load/durability/latency statistics
 //	GET    /healthz                  liveness + session count
 package service
@@ -54,11 +54,9 @@ import (
 	"time"
 
 	"blazes"
-	"blazes/internal/chaos"
 	"blazes/internal/hist"
 	"blazes/internal/journal"
 	"blazes/strategy"
-	"blazes/verify"
 )
 
 // DefaultMaxSessions bounds the number of concurrently open sessions when
@@ -89,7 +87,7 @@ type Options struct {
 	JournalDir string
 
 	// MaxConcurrent bounds concurrently admitted expensive requests
-	// (create/mutate/analyze/verify); 0 selects GOMAXPROCS (min 2).
+	// (create/mutate/analyze); 0 selects GOMAXPROCS (min 2).
 	MaxConcurrent int
 	// MaxQueue bounds requests waiting for an admission slot; beyond it
 	// requests shed immediately with 429. 0 selects DefaultMaxQueue.
@@ -155,7 +153,8 @@ type entry struct {
 	// opMu serializes this session's mutate batches so the journal's
 	// per-session record order always matches the apply order. create is
 	// the request that opened the session and ops every op acknowledged
-	// since — together they are the session's durable identity.
+	// since — together they are the session's durable identity, which only
+	// a durable server keeps (an in-memory one leaves ops nil).
 	opMu   sync.Mutex
 	create CreateRequest
 	ops    []MutateOp
@@ -194,7 +193,7 @@ func New(opts Options) *Server {
 		lru:         list.New(),
 		snapEvery:   snapshotEvery,
 		gate:        newGate(maxConc, maxQueue, queueTimeout),
-		latency:     map[string]*hist.Histogram{"create": {}, "mutate": {}, "analyze": {}, "verify": {}},
+		latency:     map[string]*hist.Histogram{"create": {}, "mutate": {}, "analyze": {}},
 		recoveredCh: make(chan struct{}),
 	}
 	close(s.recoveredCh) // nothing to recover
@@ -266,7 +265,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/sessions/{id}/analyze", s.admitted("analyze", false, s.handleAnalyze))
 	mux.HandleFunc("GET /v1/sessions/{id}/lint", s.handleLint)
 	mux.HandleFunc("DELETE /v1/sessions/{id}", s.handleDelete)
-	mux.HandleFunc("POST /v1/verify", s.admitted("verify", false, s.handleVerify))
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	return mux
@@ -727,10 +725,11 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	var jerr error
 	if applied > 0 {
 		jerr = s.appendRecord(journalRecord{Kind: "mutate", Session: e.id, Ops: req.Ops[:applied]})
-		if jerr == nil {
-			e.ops = append(e.ops, req.Ops[:applied]...)
-		} else {
+		switch {
+		case jerr != nil:
 			e.unjournaled.Store(true)
+		case s.jrn != nil: // only a snapshot reads the history
+			e.ops = append(e.ops, req.Ops[:applied]...)
 		}
 	}
 	s.snapMu.RUnlock()
@@ -816,90 +815,6 @@ func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
 		Errors:      blazes.HasLintErrors(diags),
 		Diagnostics: diags,
 	})
-}
-
-// VerifyRequest runs the schedule-exploration harness over named built-in
-// workloads (all of them when Workloads is empty) and generated-<n>c-s<seed>
-// topologies of at most 10,000 components.
-type VerifyRequest struct {
-	Workloads []string `json:"workloads,omitempty"`
-	// Seeds is the schedule count per (mechanism, plan) configuration; 0
-	// selects the default (64).
-	Seeds int `json:"seeds,omitempty"`
-	// Strategy is a comma-separated list of coordination strategies
-	// synthesis tries, in order, before the default chain (see
-	// blazes/strategy); unknown names are rejected with 400.
-	Strategy string `json:"strategy,omitempty"`
-}
-
-// VerifyResponse carries one report per verified workload.
-type VerifyResponse struct {
-	Holds   bool             `json:"holds"`
-	Reports []*verify.Report `json:"reports"`
-}
-
-// maxGeneratedComponents bounds the "generated-<n>c-s<seed>" workloads a
-// verify request may name: planning one generates its topology inside the
-// admitted request, so an unbounded n would let one request exhaust the
-// server's memory. 10,000 components is the size of the benchmark's graphs
-// and of CI's scale smoke. `blazes verify` resolves names unbounded.
-const maxGeneratedComponents = 10_000
-
-// lookupWorkloads resolves the workloads a verify request names,
-// the whole suite when it names none.
-func lookupWorkloads(names []string) ([]verify.Workload, error) {
-	if len(names) == 0 {
-		return verify.Workloads(), nil
-	}
-	out := make([]verify.Workload, 0, len(names))
-	for _, name := range names {
-		wl, err := verify.LookupWorkload(name)
-		if err != nil {
-			return nil, err
-		}
-		if g, ok := wl.(*chaos.GeneratedWorkload); ok && g.Components > maxGeneratedComponents {
-			return nil, fmt.Errorf("workload %q has %d components; the service plans at most %d", name, g.Components, maxGeneratedComponents)
-		}
-		out = append(out, wl)
-	}
-	return out, nil
-}
-
-func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
-	var req VerifyRequest
-	if !decodeOptionalBody(w, r, &req) {
-		return
-	}
-	if req.Seeds < 0 {
-		writeError(w, http.StatusBadRequest, "seeds must be non-negative")
-		return
-	}
-	prefer, err := strategy.Parse(req.Strategy)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	selected, err := lookupWorkloads(req.Workloads)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	opts := verify.Options{Seeds: req.Seeds, Prefer: prefer}
-	resp := VerifyResponse{Holds: true}
-	for _, wl := range selected {
-		rep, err := verify.CheckContext(r.Context(), wl, opts)
-		if err != nil {
-			code := http.StatusInternalServerError
-			if r.Context().Err() != nil {
-				code = http.StatusRequestTimeout
-			}
-			writeError(w, code, "verify %s: %v", wl.Name(), err)
-			return
-		}
-		resp.Reports = append(resp.Reports, rep)
-		resp.Holds = resp.Holds && rep.Holds
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {

@@ -125,61 +125,6 @@ func TestGoldenRepairLoop(t *testing.T) {
 	}
 }
 
-// TestGoldenVerify pins the verify endpoint's response at a reduced sweep.
-func TestGoldenVerify(t *testing.T) {
-	h := New(Options{}).Handler()
-	code, body := call(t, h, "POST", "/v1/verify", VerifyRequest{
-		Workloads: []string{"synthetic-set"}, Seeds: 8,
-	})
-	if code != http.StatusOK {
-		t.Fatalf("verify: %d %s", code, body)
-	}
-	checkGolden(t, "verify_synthetic_set.json", body)
-	var resp VerifyResponse
-	if err := json.Unmarshal([]byte(body), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if !resp.Holds || len(resp.Reports) != 1 {
-		t.Errorf("verify response: %+v", resp)
-	}
-}
-
-// TestWorkloadNamesResolveAlike: /v1/verify accepts the workload names
-// `blazes verify` does — the suite's, and a generated topology's, which
-// only LookupWorkload can resolve — and refuses an unknown one by listing
-// the valid spellings.
-func TestWorkloadNamesResolveAlike(t *testing.T) {
-	h := New(Options{}).Handler()
-	for _, tc := range []struct {
-		name string
-		code int
-	}{
-		{"synthetic-set", http.StatusOK},
-		{"generated-40c-s8", http.StatusOK},
-		{"no-such-workload", http.StatusBadRequest},
-	} {
-		code, body := call(t, h, "POST", "/v1/verify", VerifyRequest{Workloads: []string{tc.name}, Seeds: 2})
-		if code != tc.code {
-			t.Errorf("%s: %d %s, want %d", tc.name, code, body, tc.code)
-		}
-		if tc.code == http.StatusBadRequest &&
-			(!strings.Contains(body, "synthetic-set") || !strings.Contains(body, ", generated-")) {
-			t.Errorf("%s: error does not list the valid spellings: %s", tc.name, body)
-		}
-	}
-}
-
-// TestGeneratedWorkloadBound: a generated topology one component over the
-// bound is refused with 400 before anything generates it.
-func TestGeneratedWorkloadBound(t *testing.T) {
-	h := New(Options{}).Handler()
-	name := fmt.Sprintf("generated-%dc-s1", maxGeneratedComponents+1)
-	code, body := call(t, h, "POST", "/v1/verify", VerifyRequest{Workloads: []string{name}})
-	if code != http.StatusBadRequest || !strings.Contains(body, "at most 10000") {
-		t.Errorf("%s: %d %s, want 400 naming the bound", name, code, body)
-	}
-}
-
 // TestSessionLifecycle: list, get, mutate with variants, delete, 404s.
 func TestSessionLifecycle(t *testing.T) {
 	h := New(Options{}).Handler()
@@ -257,6 +202,46 @@ func TestMutateBatchStopsAtFirstError(t *testing.T) {
 	}
 }
 
+// TestInMemoryServerKeepsNoOpHistory: only a snapshot reads a session's
+// acknowledged ops, and only a durable server snapshots, so an in-memory
+// server keeps none however many it acknowledges; a durable one keeps
+// every one.
+func TestInMemoryServerKeepsNoOpHistory(t *testing.T) {
+	const n = 50
+	for _, tc := range []struct {
+		name string
+		srv  *Server
+		want int
+	}{
+		{"in-memory", New(Options{}), 0},
+		{"durable", newDurable(t, t.TempDir(), Options{}), n},
+	} {
+		h := tc.srv.Handler()
+		if code, body := call(t, h, "POST", "/v1/sessions", CreateRequest{Spec: wordcountSpecText(t)}); code != http.StatusCreated {
+			t.Fatalf("%s create: %d %s", tc.name, code, body)
+		}
+		for i := range n {
+			op := MutateOp{Op: "seal", Stream: "tweets", Key: []string{"batch"}}
+			if i%2 == 1 {
+				op.Key = nil // unseal
+			}
+			if code, body := call(t, h, "POST", "/v1/sessions/s1/mutate", MutateRequest{Ops: []MutateOp{op}}); code != http.StatusOK {
+				t.Fatalf("%s mutate %d: %d %s", tc.name, i, code, body)
+			}
+		}
+		e, ok := tc.srv.lookup("s1")
+		if !ok {
+			t.Fatalf("%s: session s1 gone", tc.name)
+		}
+		if got := len(e.ops); got != tc.want {
+			t.Errorf("%s server holds %d ops after %d mutates, want %d", tc.name, got, n, tc.want)
+		}
+		if err := tc.srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // unknownStrategy is the catalog's unknown-name error as a 400 body
 // carries it (JSON-escaped): it lists the whole catalog, M1's `sequencing`
 // included. retiredStrategy is the same error for merge-rewrite, which is
@@ -283,21 +268,17 @@ func TestBadRequests(t *testing.T) {
 		{"create-bad-variant", "POST", "/v1/sessions", CreateRequest{Spec: "A: {annotation: {from: i, to: o, label: CR}}\ntopology:\n  sources:\n    - {name: s, to: A.i}\n", Variants: map[string]string{"A": "X"}}, http.StatusBadRequest, "variant"},
 		{"unknown-session", "POST", "/v1/sessions/nope/analyze", nil, http.StatusNotFound, "unknown session"},
 		{"mutate-no-ops", "POST", "/v1/sessions/nope/mutate", MutateRequest{}, http.StatusNotFound, "unknown session"},
-		{"verify-unknown-workload", "POST", "/v1/verify", VerifyRequest{Workloads: []string{"nope"}}, http.StatusBadRequest, "unknown workload"},
-		{"verify-bad-seeds", "POST", "/v1/verify", VerifyRequest{Seeds: -1}, http.StatusBadRequest, "seeds"},
-		{"verify-unknown-strategy", "POST", "/v1/verify", VerifyRequest{Strategy: "nope"}, http.StatusBadRequest, unknownStrategy},
 		{"create-unknown-strategy", "POST", "/v1/sessions", CreateRequest{Spec: "A: {annotation: {from: i, to: o, label: CR}}\ntopology:\n  sources:\n    - {name: s, to: A.i}\n", Strategy: "nope"}, http.StatusBadRequest, unknownStrategy},
-		{"verify-unknown-strategy-in-list", "POST", "/v1/verify", VerifyRequest{Strategy: "sealing,nope"}, http.StatusBadRequest, unknownStrategy},
+		{"create-unknown-strategy-in-list", "POST", "/v1/sessions", CreateRequest{Spec: "A: {annotation: {from: i, to: o, label: CR}}\ntopology:\n  sources:\n    - {name: s, to: A.i}\n", Strategy: "sealing,nope"}, http.StatusBadRequest, unknownStrategy},
 		{"create-retired-merge-rewrite", "POST", "/v1/sessions", CreateRequest{Spec: "A: {annotation: {from: i, to: o, label: CR}}\ntopology:\n  sources:\n    - {name: s, to: A.i}\n", Strategy: "merge-rewrite"}, http.StatusBadRequest, retiredStrategy},
-		{"verify-retired-merge-rewrite", "POST", "/v1/verify", VerifyRequest{Strategy: "merge-rewrite"}, http.StatusBadRequest, retiredStrategy},
 		{"create-retired-sequencing", "POST", "/v1/sessions", json.RawMessage(`{"spec":"x","sequencing":true}`), http.StatusBadRequest, `unknown field \"sequencing\"`},
-		{"verify-retired-sequencing", "POST", "/v1/verify", json.RawMessage(`{"sequencing":true}`), http.StatusBadRequest, `unknown field \"sequencing\"`},
-		// The sweep coordinator is retired: /v1/sweeps is not routed, so
-		// every body it once validated is now a plain 404.
-		{"sweep-unknown-strategy", "POST", "/v1/sweeps", VerifyRequest{Strategy: "nope"}, http.StatusNotFound, "404 page not found"},
-		{"sweep-retired-merge-rewrite", "POST", "/v1/sweeps", VerifyRequest{Strategy: "merge-rewrite"}, http.StatusNotFound, "404 page not found"},
+		// The sweep coordinator and the verify endpoint are retired: neither
+		// route is mounted, so every body they once validated is now a
+		// plain 404.
+		{"sweep-unknown-strategy", "POST", "/v1/sweeps", json.RawMessage(`{"strategy":"nope"}`), http.StatusNotFound, "404 page not found"},
+		{"sweep-retired-merge-rewrite", "POST", "/v1/sweeps", json.RawMessage(`{"strategy":"merge-rewrite"}`), http.StatusNotFound, "404 page not found"},
 		{"sweep-retired-sequencing", "POST", "/v1/sweeps", json.RawMessage(`{"sequencing":true}`), http.StatusNotFound, "404 page not found"},
-		{"verify-retired-parallelism", "POST", "/v1/verify", json.RawMessage(`{"parallelism":2}`), http.StatusBadRequest, `unknown field \"parallelism\"`},
+		{"verify-retired", "POST", "/v1/verify", json.RawMessage(`{"workloads":["synthetic-set"],"seeds":8}`), http.StatusNotFound, "404 page not found"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -31,7 +31,7 @@ func latencies(t *testing.T, h http.Handler) map[string]LatencySummary {
 func TestLatencyCountsServedRequestsOnly(t *testing.T) {
 	srv := New(Options{MaxConcurrent: 1, MaxQueue: 1, QueueTimeout: time.Minute})
 	h := srv.Handler()
-	want := map[string]uint64{"create": 0, "mutate": 0, "analyze": 0, "verify": 0}
+	want := map[string]uint64{"create": 0, "mutate": 0, "analyze": 0}
 	step := func(name, method, path string, body any, code int, ctx context.Context) {
 		t.Helper()
 		data, err := json.Marshal(body)
@@ -62,7 +62,6 @@ func TestLatencyCountsServedRequestsOnly(t *testing.T) {
 		{"create", "/v1/sessions", CreateRequest{Spec: wordcountSpecText(t)}, http.StatusCreated},
 		{"mutate", "/v1/sessions/s1/mutate", MutateRequest{Ops: []MutateOp{{Op: "seal", Stream: "tweets", Key: []string{"batch"}}}}, http.StatusOK},
 		{"analyze", "/v1/sessions/s1/analyze", AnalyzeRequest{}, http.StatusOK},
-		{"verify", "/v1/verify", VerifyRequest{Workloads: []string{"synthetic-set"}, Seeds: 2}, http.StatusOK},
 	} {
 		want[tc.endpoint]++
 		step(tc.endpoint+" 2xx", "POST", tc.path, tc.body, tc.code, bg)
@@ -94,7 +93,7 @@ func TestLatencyCountsServedRequestsOnly(t *testing.T) {
 
 	srv.recovering.Store(true)
 	step("503 create", "POST", "/v1/sessions", CreateRequest{Spec: wordcountSpecText(t)}, http.StatusServiceUnavailable, bg)
-	step("503 verify", "POST", "/v1/verify", VerifyRequest{Workloads: []string{"synthetic-set"}, Seeds: 2}, http.StatusServiceUnavailable, bg)
+	step("503 analyze", "POST", "/v1/sessions/s1/analyze", AnalyzeRequest{}, http.StatusServiceUnavailable, bg)
 	srv.recovering.Store(false)
 }
 
