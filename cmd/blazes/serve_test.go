@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"regexp"
@@ -10,6 +11,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"blazes"
+	"blazes/service"
 )
 
 // TestServeLifecycle boots the server on a free port, drives a
@@ -31,15 +35,15 @@ func TestServeLifecycle(t *testing.T) {
 	// Round trip: create a session, seal, analyze.
 	spec := "Count:\n  annotation: {from: words, to: counts, label: OW, subscript: [word, batch]}\ntopology:\n  sources:\n    - {name: words, to: Count.words}\n  sinks:\n    - {name: counts, from: Count.counts}\n"
 	resp := post(t, base+"/v1/sessions", `{"name":"wc","spec":`+jsonString(spec)+`}`)
-	if !strings.Contains(resp, `"session": "s1"`) {
+	if info, ok := decodeAs[service.SessionInfo](resp); !ok || info.Session != "s1" {
 		t.Fatalf("create response: %s", resp)
 	}
 	resp = post(t, base+"/v1/sessions/s1/mutate", `{"ops":[{"op":"seal","stream":"words","key":["batch"]}]}`)
-	if !strings.Contains(resp, `"applied": 1`) {
+	if ack, ok := decodeAs[service.MutateResponse](resp); !ok || ack.Applied != 1 {
 		t.Fatalf("mutate response: %s", resp)
 	}
 	resp = post(t, base+"/v1/sessions/s1/analyze", "")
-	if !strings.Contains(resp, `"version": "blazes.report/v2"`) {
+	if rep, ok := decodeAs[blazes.Report](resp); !ok || rep.Version != "blazes.report/v2" {
 		t.Fatalf("analyze response: %s", resp)
 	}
 
@@ -158,6 +162,18 @@ func jsonString(s string) string {
 	return b.String()
 }
 
+// decodeAs decodes a reply body strictly — exactly one value, no field T
+// lacks — and reports whether it could.
+func decodeAs[T any](body string) (v T, ok bool) {
+	dec := json.NewDecoder(strings.NewReader(body))
+	dec.DisallowUnknownFields()
+	if dec.Decode(&v) != nil {
+		return v, false
+	}
+	_, err := dec.Token()
+	return v, err == io.EOF
+}
+
 // get fetches url and returns the body.
 func get(t *testing.T, url string) string {
 	t.Helper()
@@ -208,16 +224,16 @@ func TestServeDurableRestart(t *testing.T) {
 	var resp string
 	for time.Now().Before(deadline) {
 		resp = post(t, base+"/v1/sessions", `{"name":"wc","spec":`+jsonString(spec)+`}`)
-		if strings.Contains(resp, `"session": "s1"`) {
+		if info, ok := decodeAs[service.SessionInfo](resp); ok && info.Session == "s1" {
 			break
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if !strings.Contains(resp, `"session": "s1"`) {
+	if info, ok := decodeAs[service.SessionInfo](resp); !ok || info.Session != "s1" {
 		t.Fatalf("create never succeeded: %s", resp)
 	}
 	resp = post(t, base+"/v1/sessions/s1/mutate", `{"ops":[{"op":"seal","stream":"words","key":["batch"]}]}`)
-	if !strings.Contains(resp, `"durable": true`) {
+	if ack, ok := decodeAs[service.MutateResponse](resp); !ok || !ack.Durable {
 		t.Fatalf("mutate on a journaled server should acknowledge durability: %s", resp)
 	}
 	if code := stop(); code != exitOK {
@@ -229,18 +245,16 @@ func TestServeDurableRestart(t *testing.T) {
 	deadline = time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		resp = get(t, base+"/v1/sessions/s1")
-		if strings.Contains(resp, `"recovered": true`) {
+		if info, ok := decodeAs[service.SessionInfo](resp); ok && info.Recovered {
 			break
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if !strings.Contains(resp, `"recovered": true`) || !strings.Contains(resp, `"version": 1`) {
+	if info, ok := decodeAs[service.SessionInfo](resp); !ok || !info.Recovered || info.Version != 1 {
 		t.Fatalf("session not recovered after restart: %s", resp)
 	}
 	stats := get(t, base+"/v1/stats")
-	for _, want := range []string{`"durable": true`, `"recovered_sessions": 1`, `"journal"`} {
-		if !strings.Contains(stats, want) {
-			t.Errorf("stats missing %s: %s", want, stats)
-		}
+	if st, ok := decodeAs[service.StatsResponse](stats); !ok || !st.Durable || st.RecoveredSessions != 1 || st.Journal == nil {
+		t.Errorf("stats should report a durable server, one recovered session and a journal section: %s", stats)
 	}
 }

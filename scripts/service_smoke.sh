@@ -5,8 +5,11 @@
 # durability the hard way — kill -9 the journaled server mid-life, restart
 # it on the same journal, and assert the session replays intact from one
 # untorn segment, put a strategy list on the wire, hold /v1/stats' latency
-# counts to the 2xx replies, refuse the retired snapshot-interval flag —
-# and finally send SIGTERM and assert a clean (exit 0) shutdown. CI runs
+# counts to the 2xx replies, refuse a body with bytes after its JSON value
+# (400) and one past the 8 MiB limit (413), refuse the retired
+# snapshot-interval flag — and finally send SIGTERM and assert a clean
+# (exit 0) shutdown. Replies are compact JSON, so the needles below carry
+# no space after a colon. CI runs
 # this as the service job; it is also
 # the quickest local sanity check after touching blazes/service,
 # blazes/internal/journal or cmd/blazes.
@@ -64,7 +67,7 @@ wait_ready() {
 	# Writes shed 503 while the boot replay runs — wait for the server to
 	# leave read-only mode before driving traffic.
 	for _ in $(seq 1 100); do
-		[[ "$(fetch GET /v1/stats || true)" == *'"recovering": false'* ]] && return 0
+		[[ "$(fetch GET /v1/stats || true)" == *'"recovering":false'* ]] && return 0
 		sleep 0.1
 	done
 	echo "server never finished its boot replay:"
@@ -76,18 +79,18 @@ SPEC='Count:\n  annotation: {from: words, to: counts, label: OW, subscript: [wor
 
 boot -journal "$JOURNAL"
 wait_ready
-expect healthz "$(fetch GET /healthz)" '"ok": true'
-expect create "$(fetch POST /v1/sessions "{\"name\":\"wc\",\"spec\":\"$SPEC\"}")" '"session": "s1"'
-expect analyze-unsealed "$(fetch POST /v1/sessions/s1/analyze)" '"kind": "Run"'
-expect mutate "$(fetch POST /v1/sessions/s1/mutate '{"ops":[{"op":"seal","stream":"words","key":["batch"]}]}')" '"applied": 1'
+expect healthz "$(fetch GET /healthz)" '"ok":true'
+expect create "$(fetch POST /v1/sessions "{\"name\":\"wc\",\"spec\":\"$SPEC\"}")" '"session":"s1"'
+expect analyze-unsealed "$(fetch POST /v1/sessions/s1/analyze)" '"kind":"Run"'
+expect mutate "$(fetch POST /v1/sessions/s1/mutate '{"ops":[{"op":"seal","stream":"words","key":["batch"]}]}')" '"applied":1'
 ANALYZE2="$(fetch POST /v1/sessions/s1/analyze '{"synthesize":true}')"
-expect analyze-sealed "$ANALYZE2" '"kind": "Async"'
+expect analyze-sealed "$ANALYZE2" '"kind":"Async"'
 expect analyze-delta "$ANALYZE2" '"delta"'
 # Verification runs in `blazes verify`, not in the service: the route is
 # gone.
 RETIRED="$(curl -sS -w ' HTTP %{http_code}' -X POST -H 'Content-Type: application/json' -d '{"workloads":["synthetic-set"],"seeds":8}' "$BASE/v1/verify")"
 expect verify-retired-404 "$RETIRED" 'HTTP 404'
-expect stats "$(fetch GET /v1/stats)" '"durable": true'
+expect stats "$(fetch GET /v1/stats)" '"durable":true'
 
 # Crash recovery: kill -9 (no drain, no journal close), restart on the
 # same journal, and require the acknowledged session state back.
@@ -98,8 +101,8 @@ echo "killed -9; restarting on the journal"
 boot -journal "$JOURNAL"
 wait_ready
 RECOVERED="$(fetch GET /v1/sessions/s1)"
-expect recovered-session "$RECOVERED" '"recovered": true'
-expect recovered-version "$RECOVERED" '"version": 1'
+expect recovered-session "$RECOVERED" '"recovered":true'
+expect recovered-version "$RECOVERED" '"version":1'
 RSTATS="$(fetch GET /v1/stats | tr -d ' \n')"
 expect recovered-stats "$RSTATS" '"recovered_sessions":1'
 # What the boot replay found: a clean tail (a SIGKILL after the fsync
@@ -109,16 +112,30 @@ expect journal-one-segment "$RSTATS" '"segments":1,'
 [[ "$RSTATS" =~ \"records\":[1-9] ]] || { echo "FAIL: recovery replayed no records:"; echo "$RSTATS"; exit 1; }
 echo "ok: recovery-records"
 # The recovered session must analyze like the original sealed session did.
-expect recovered-analyze "$(fetch POST /v1/sessions/s1/analyze)" '"kind": "Async"'
+expect recovered-analyze "$(fetch POST /v1/sessions/s1/analyze)" '"kind":"Async"'
 
 # A strategy preference is one comma-separated list on the wire: sealing
 # where seals allow, else M1 sequencing. The retired "sequencing" switch
 # is an unknown field, refused by name.
-expect create-list "$(fetch POST /v1/sessions "{\"name\":\"wc-m1\",\"spec\":\"$SPEC\",\"strategy\":\"sealing,sequencing\"}")" '"session": "s2"'
-expect analyze-list "$(fetch POST /v1/sessions/s2/analyze '{"synthesize":true}')" '"mechanism": "sequencing"'
+expect create-list "$(fetch POST /v1/sessions "{\"name\":\"wc-m1\",\"spec\":\"$SPEC\",\"strategy\":\"sealing,sequencing\"}")" '"session":"s2"'
+expect analyze-list "$(fetch POST /v1/sessions/s2/analyze '{"synthesize":true}')" '"mechanism":"sequencing"'
 RETIRED="$(curl -sS -w ' HTTP %{http_code}' -X POST -H 'Content-Type: application/json' -d "{\"spec\":\"$SPEC\",\"sequencing\":true}" "$BASE/v1/sessions")"
 expect retired-sequencing "$RETIRED" 'unknown field \"sequencing\"'
 expect retired-sequencing-400 "$RETIRED" 'HTTP 400'
+
+# A request body is exactly one JSON value of at most 8 MiB: a second
+# value after a valid create is a 400 that names its first byte and opens
+# no session, and a 9 MiB create is a 413 that names the limit.
+TRAILING="$(curl -sS -w ' HTTP %{http_code}' -X POST -H 'Content-Type: application/json' -d "{\"name\":\"wc-junk\",\"spec\":\"$SPEC\"} {\"junk\":1} trailing" "$BASE/v1/sessions")"
+expect trailing-bytes-400 "$TRAILING" 'HTTP 400'
+expect trailing-bytes-named "$TRAILING" "'{' at offset"
+[[ "$(curl -sS -o /dev/null -w '%{http_code}' "$BASE/v1/sessions/s3")" == 404 ]] || { echo "FAIL: a refused create opened session s3"; exit 1; }
+echo "ok: trailing-bytes-nothing-applied"
+BIG="$(dirname "$BIN")/big.json"
+{ printf '{"spec":"'; head -c $((9 << 20)) /dev/zero | tr '\0' a; printf '"}'; } >"$BIG"
+OVERSIZED="$(curl -sS -w ' HTTP %{http_code}' -X POST -H 'Content-Type: application/json' --data-binary "@$BIG" "$BASE/v1/sessions")"
+expect oversized-413 "$OVERSIZED" 'HTTP 413'
+expect oversized-limit "$OVERSIZED" 'the limit is 8388608 bytes'
 
 # /v1/stats times the 2xx replies only: since the restart one create was
 # served, and the 400 above is not a sample. Only the admitted session

@@ -137,7 +137,7 @@ func TestOverloadSheds429(t *testing.T) {
 	if code, _ := call(t, h, "GET", "/v1/sessions/s1", nil); code != http.StatusOK {
 		t.Error("get should bypass the gate")
 	}
-	if code, body := call(t, h, "GET", "/v1/stats", nil); code != http.StatusOK || !strings.Contains(body, `"shed": 1`) {
+	if code, body := call(t, h, "GET", "/v1/stats", nil); code != http.StatusOK || reply[StatsResponse](t, body).Admission.Shed != 1 {
 		t.Errorf("stats under overload: %d %s", code, body)
 	}
 

@@ -24,7 +24,8 @@ import (
 // it was; a batch that fails part-way keeps the ops before the failure (each
 // op is atomic), reports them in "applied", and they are replayed too. An
 // analyze the server ran is run on the fresh session as well, so both
-// report the same Delta next.
+// report the same Delta next. No body decodeStrict refuses — a second value
+// after the first one included — is answered 2xx.
 func FuzzServiceRequests(f *testing.F) {
 	spec, err := os.ReadFile(filepath.Join("..", "internal", "spec", "testdata", "wordcount.blazes"))
 	if err != nil {
@@ -59,6 +60,13 @@ func FuzzServiceRequests(f *testing.F) {
 		`{"synthesize":"yes","name":1}`,
 		`{"ops":[]}`,
 		`{"ops":[{"op":"seal","stream":"twe`,
+		// More than one value: a second one, a stray bracket, a word, and
+		// whitespace, which is not a second value.
+		string(createBody) + ` {"junk":1} trailing`,
+		`{"ops":[{"op":"seal","stream":"tweets","key":["batch"]}]}{"ops":[{"op":"seal","stream":"tweets"}]}`,
+		`{"ops":[{"op":"seal","stream":"tweets","key":["batch"]}]}]`,
+		`{"synthesize":true} x`,
+		"{\"ops\":[{\"op\":\"seal\",\"stream\":\"tweets\",\"key\":[\"batch\"]}]}\n \t",
 	}
 	for endpoint := range uint8(4) {
 		for _, body := range seeds {
@@ -90,6 +98,11 @@ func FuzzServiceRequests(f *testing.F) {
 		switch endpoint % 4 {
 		case 0:
 			code, out = serve("POST", "/v1/sessions", body)
+			if code/100 == 2 {
+				if err := decodeStrict(bytes.NewReader(body), new(CreateRequest)); err != nil {
+					t.Fatalf("created a session from a body the decoder refuses (%v): %s", err, out)
+				}
+			}
 		case 1:
 			code, out = serve("POST", "/v1/sessions/s1/mutate", body)
 			var req MutateRequest
@@ -127,6 +140,8 @@ func FuzzServiceRequests(f *testing.F) {
 				if wantCode, want := analyzeReply(ctx, fresh, req.Synthesize); code != wantCode || !bytes.Equal(out, want) {
 					t.Fatalf("analyze answered %d, a fresh session %d\n--- server ---\n%s\n--- fresh ---\n%s", code, wantCode, out, want)
 				}
+			} else if code/100 == 2 {
+				t.Fatalf("analyzed a body the decoder refuses (%v): %s", err, out)
 			}
 		default:
 			code, out = serve("GET", "/v1/sessions/s1/lint", body)

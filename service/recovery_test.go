@@ -98,11 +98,12 @@ func TestRecoveryDifferential(t *testing.T) {
 		if code != http.StatusOK {
 			t.Fatalf("recovered get %s: %d %s", id, code, got)
 		}
-		if !strings.Contains(got, `"recovered": true`) {
+		info := reply[SessionInfo](t, got)
+		if !info.Recovered {
 			t.Errorf("%s should report recovered: %s", id, got)
 		}
-		if want := fmt.Sprintf(`"version": %d`, len(acked[i])); !strings.Contains(got, want) {
-			t.Errorf("%s: want %s in %s", id, want, got)
+		if want := uint64(len(acked[i])); info.Version != want {
+			t.Errorf("%s: want version %d in %s", id, want, got)
 		}
 
 		_, gotRep := call(t, rh, "POST", "/v1/sessions/"+id+"/analyze", nil)
@@ -181,14 +182,14 @@ func TestRecoveryTornTail(t *testing.T) {
 	re := newDurable(t, dir, Options{})
 	defer re.Close()
 	rh := re.Handler()
-	if code, body := call(t, rh, "GET", "/v1/sessions/s1", nil); code != http.StatusOK || !strings.Contains(body, `"version": 1`) {
+	if code, body := call(t, rh, "GET", "/v1/sessions/s1", nil); code != http.StatusOK || reply[SessionInfo](t, body).Version != 1 {
 		t.Fatalf("recovered s1: %d %s", code, body)
 	}
 	if got, want := recoveryStats(t, rh), (RecoveryStats{Records: 2, Torn: true, TruncatedBytes: 5}); got != want {
 		t.Errorf("recovery stats = %+v, want %+v", got, want)
 	}
 	// The server must still be writable, and ids must not be reused.
-	if code, body := call(t, rh, "POST", "/v1/sessions", CreateRequest{Name: "after", Spec: spec}); code != http.StatusCreated || !strings.Contains(body, `"session": "s2"`) {
+	if code, body := call(t, rh, "POST", "/v1/sessions", CreateRequest{Name: "after", Spec: spec}); code != http.StatusCreated || reply[SessionInfo](t, body).Session != "s2" {
 		t.Fatalf("create after torn-tail recovery: %d %s", code, body)
 	}
 }
@@ -215,7 +216,7 @@ func TestRecoveryDeleteAndEvict(t *testing.T) {
 	re := newDurable(t, dir, Options{MaxSessions: 2})
 	defer re.Close()
 	rh := re.Handler()
-	if code, body := call(t, rh, "GET", "/v1/sessions/s1", nil); code != http.StatusGone || !strings.Contains(body, `"evicted"`) {
+	if code, body := call(t, rh, "GET", "/v1/sessions/s1", nil); code != http.StatusGone || reply[GoneResponse](t, body).Tombstone.State != "evicted" {
 		t.Errorf("s1 should be a tombstone after restart: %d %s", code, body)
 	}
 	if code, _ := call(t, rh, "GET", "/v1/sessions/s2", nil); code != http.StatusNotFound {
@@ -225,7 +226,7 @@ func TestRecoveryDeleteAndEvict(t *testing.T) {
 		t.Errorf("s3 should survive restart: %d %s", code, body)
 	}
 	// New ids continue after the highest ever assigned.
-	if code, body := call(t, rh, "POST", "/v1/sessions", CreateRequest{Spec: spec}); code != http.StatusCreated || !strings.Contains(body, `"session": "s4"`) {
+	if code, body := call(t, rh, "POST", "/v1/sessions", CreateRequest{Spec: spec}); code != http.StatusCreated || reply[SessionInfo](t, body).Session != "s4" {
 		t.Errorf("create after restart: %d %s", code, body)
 	}
 }
@@ -261,7 +262,7 @@ func TestRecoverySnapshotCompaction(t *testing.T) {
 	re := newDurable(t, dir, Options{})
 	defer re.Close()
 	rh := re.Handler()
-	if code, body := call(t, rh, "GET", "/v1/sessions/s1", nil); code != http.StatusOK || !strings.Contains(body, `"version": 20`) {
+	if code, body := call(t, rh, "GET", "/v1/sessions/s1", nil); code != http.StatusOK || reply[SessionInfo](t, body).Version != 20 {
 		t.Fatalf("recovered s1: %d %s", code, body)
 	}
 }
@@ -304,13 +305,13 @@ func TestReadOnlyWhileRecovering(t *testing.T) {
 	if code, _ := call(t, h, "POST", "/v1/sessions/s1/analyze", nil); code != http.StatusServiceUnavailable {
 		t.Fatal("analyze should shed during recovery")
 	}
-	if code, body := call(t, h, "GET", "/v1/sessions", nil); code != http.StatusOK || !strings.Contains(body, `"recovering": true`) {
+	if code, body := call(t, h, "GET", "/v1/sessions", nil); code != http.StatusOK || !reply[ListResponse](t, body).Recovering {
 		t.Fatalf("list during recovery: %d %s", code, body)
 	}
-	if code, body := call(t, h, "GET", "/healthz", nil); code != http.StatusOK || !strings.Contains(body, `"recovering": true`) {
+	if code, body := call(t, h, "GET", "/healthz", nil); code != http.StatusOK || !reply[HealthResponse](t, body).Recovering {
 		t.Fatalf("healthz during recovery: %d %s", code, body)
 	}
-	if code, body := call(t, h, "GET", "/v1/stats", nil); code != http.StatusOK || !strings.Contains(body, `"read_only_rejected": 2`) {
+	if code, body := call(t, h, "GET", "/v1/stats", nil); code != http.StatusOK || reply[StatsResponse](t, body).Admission.ReadOnlyRejected != 2 {
 		t.Fatalf("stats during recovery: %d %s", code, body)
 	}
 	srv.recovering.Store(false)
@@ -340,7 +341,7 @@ func TestBrokenJournalPoisonsWrites(t *testing.T) {
 	if code, _ := call(t, h, "POST", "/v1/sessions/s1/analyze", nil); code != http.StatusOK {
 		t.Fatal("analyze should keep working when the journal is broken")
 	}
-	if code, body := call(t, h, "GET", "/v1/stats", nil); code != http.StatusOK || !strings.Contains(body, `"journal_broken": true`) {
+	if code, body := call(t, h, "GET", "/v1/stats", nil); code != http.StatusOK || !reply[StatsResponse](t, body).JournalBroken {
 		t.Fatalf("stats should report journal_broken: %d %s", code, body)
 	}
 }

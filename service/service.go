@@ -311,9 +311,9 @@ func (s *Server) fetch(w http.ResponseWriter, id string) (*entry, bool) {
 	}
 	s.mu.Unlock()
 	if tomb != nil {
-		writeJSON(w, http.StatusGone, map[string]any{
-			"error":     fmt.Sprintf("session %q is %s", id, tomb.State),
-			"tombstone": *tomb,
+		writeJSON(w, http.StatusGone, GoneResponse{
+			Error:     fmt.Sprintf("session %q is %s", id, tomb.State),
+			Tombstone: *tomb,
 		})
 		return nil, false
 	}
@@ -383,12 +383,12 @@ func (s *Server) available(w http.ResponseWriter, write bool) bool {
 	return true
 }
 
+// writeJSON sends v as one compact JSON value and a newline. Replies are
+// for programs; a person pipes them through jq.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 // ErrorResponse is the wire form of every non-2xx response.
@@ -403,39 +403,75 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
+// GoneResponse is the 410 reply for a session that was evicted or could
+// not be recovered: the error and the session's tombstone.
+type GoneResponse struct {
+	Error     string    `json:"error"`
+	Tombstone Tombstone `json:"tombstone"`
+}
+
 // maxBodyBytes bounds every request body the service will buffer.
 const maxBodyBytes = 8 << 20
 
-// decodeStrict decodes one JSON value, refusing a field v's type does not
-// have — a live request body and a journaled one alike, so a field the
-// service no longer knows (a parent's "sequencing": true) is named, never
-// silently dropped.
+// decodeStrict decodes exactly one JSON value, refusing a field v's type
+// does not have — a live request body and a journaled one alike, so a field
+// the service no longer knows (a parent's "sequencing": true) is named,
+// never silently dropped — and refusing any byte after the value but
+// whitespace, so a second value or trailing junk is named too.
 func decodeStrict(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	off := dec.InputOffset()
+	rest := io.MultiReader(dec.Buffered(), r)
+	var buf [512]byte
+	for {
+		n, err := rest.Read(buf[:])
+		for _, c := range buf[:n] {
+			if c != ' ' && c != '\t' && c != '\r' && c != '\n' {
+				return fmt.Errorf("%q at offset %d after the JSON value (a body is exactly one value)", c, off)
+			}
+			off++
+		}
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
 }
 
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := decodeStrict(http.MaxBytesReader(w, r.Body, maxBodyBytes), v); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return false
-	}
-	return true
+	return bodyDecoded(w, decodeStrict(http.MaxBytesReader(w, r.Body, maxBodyBytes), v))
 }
 
 // decodeOptionalBody is decodeBody for endpoints whose body may be empty
 // (an empty body leaves v at its zero value). Detection is by actually
 // decoding — not by Content-Length, which chunked requests don't carry.
 func decodeOptionalBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := decodeStrict(http.MaxBytesReader(w, r.Body, maxBodyBytes), v); err != nil {
-		if errors.Is(err, io.EOF) {
-			return true
-		}
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return false
+	err := decodeStrict(http.MaxBytesReader(w, r.Body, maxBodyBytes), v)
+	if errors.Is(err, io.EOF) {
+		return true
 	}
-	return true
+	return bodyDecoded(w, err)
+}
+
+// bodyDecoded reports whether decoding the body succeeded, answering 413
+// for a body past maxBodyBytes and 400 for any other refusal.
+func bodyDecoded(w http.ResponseWriter, err error) bool {
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, "request body too large: the limit is %d bytes", tooLarge.Limit)
+	default:
+		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	}
+	return false
 }
 
 // CreateRequest opens a session from a Blazes configuration document (the
@@ -548,6 +584,16 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, s.info(e, true))
 }
 
+// ListResponse is the GET /v1/sessions reply: the open sessions, most
+// recently used first, the retained tombstones, and whether the boot replay
+// is still rebuilding sessions. Its fields keep the order the keys have
+// always had on the wire.
+type ListResponse struct {
+	Evicted    []Tombstone   `json:"evicted,omitempty"`
+	Recovering bool          `json:"recovering,omitempty"`
+	Sessions   []SessionInfo `json:"sessions"`
+}
+
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	// Snapshot the entries under the store lock, then query each session
 	// after releasing it: Session methods take the session's own mutex,
@@ -559,16 +605,9 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	}
 	tombs := append([]Tombstone(nil), s.tombstones...)
 	s.mu.Unlock()
-	out := make([]SessionInfo, 0, len(entries))
+	resp := ListResponse{Sessions: make([]SessionInfo, 0, len(entries)), Evicted: tombs, Recovering: s.recovering.Load()}
 	for _, e := range entries {
-		out = append(out, s.info(e, false))
-	}
-	resp := map[string]any{"sessions": out}
-	if len(tombs) > 0 {
-		resp["evicted"] = tombs
-	}
-	if s.recovering.Load() {
-		resp["recovering"] = true
+		resp.Sessions = append(resp.Sessions, s.info(e, false))
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -817,10 +856,13 @@ func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// HealthResponse is the GET /healthz reply.
+type HealthResponse struct {
+	OK         bool `json:"ok"`
+	Recovering bool `json:"recovering"`
+	Sessions   int  `json:"sessions"`
+}
+
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
-		"ok":         true,
-		"sessions":   s.SessionCount(),
-		"recovering": s.recovering.Load(),
-	})
+	writeJSON(w, http.StatusOK, HealthResponse{OK: true, Recovering: s.recovering.Load(), Sessions: s.SessionCount()})
 }

@@ -53,6 +53,17 @@ func call(t *testing.T, h http.Handler, method, path string, body any) (int, str
 	return rec.Code, rec.Body.String()
 }
 
+// reply decodes a reply body strictly — exactly one value, no field T lacks
+// — into its documented type T.
+func reply[T any](t *testing.T, body string) T {
+	t.Helper()
+	var v T
+	if err := decodeStrict(strings.NewReader(body), &v); err != nil {
+		t.Fatalf("reply is no %T: %v\n%s", v, err, body)
+	}
+	return v
+}
+
 func checkGolden(t *testing.T, name, got string) {
 	t.Helper()
 	path := filepath.Join("testdata", name)
@@ -139,8 +150,11 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 
 	code, body = call(t, h, "GET", "/v1/sessions", nil)
-	if code != http.StatusOK || !strings.Contains(body, `"session": "s1"`) {
+	if code != http.StatusOK {
 		t.Fatalf("list: %d %s", code, body)
+	}
+	if list := reply[ListResponse](t, body); len(list.Sessions) != 1 || list.Sessions[0].Session != "s1" {
+		t.Fatalf("list: %s", body)
 	}
 	code, body = call(t, h, "GET", "/v1/sessions/s1", nil)
 	if code != http.StatusOK || !strings.Contains(body, `"Report"`) {
@@ -320,10 +334,11 @@ func TestLRUEviction(t *testing.T) {
 	if code != http.StatusGone {
 		t.Errorf("s2 should have been evicted (code %d)", code)
 	}
-	if !strings.Contains(body, `"evicted"`) || !strings.Contains(body, `"tombstone"`) {
+	if gone := reply[GoneResponse](t, body); gone.Tombstone.Session != "s2" || gone.Tombstone.State != "evicted" {
 		t.Errorf("evicted get should carry a tombstone, got %s", body)
 	}
-	if code, body := call(t, h, "GET", "/v1/sessions", nil); code != http.StatusOK || !strings.Contains(body, `"evicted"`) {
+	code, body = call(t, h, "GET", "/v1/sessions", nil)
+	if list := reply[ListResponse](t, body); code != http.StatusOK || len(list.Evicted) != 1 || list.Evicted[0].Session != "s2" {
 		t.Errorf("list should report evicted sessions: %d %s", code, body)
 	}
 	for _, id := range []string{"s1", "s3"} {
@@ -344,15 +359,8 @@ func TestHealthz(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("healthz: %d", code)
 	}
-	var doc map[string]any
-	if err := json.Unmarshal([]byte(body), &doc); err != nil {
-		t.Fatal(err)
-	}
-	if ok, _ := doc["ok"].(bool); !ok {
+	if health := reply[HealthResponse](t, body); !health.OK || health.Sessions != 1 {
 		t.Errorf("healthz: %s", body)
-	}
-	if n, _ := doc["sessions"].(float64); n != 1 {
-		t.Errorf("sessions = %v, want 1", doc["sessions"])
 	}
 }
 
