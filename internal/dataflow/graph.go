@@ -267,7 +267,18 @@ type Graph struct {
 	// sorted caches Components(); creating a component resets it. Atomic
 	// so that concurrent readers of an unchanging graph stay race-free.
 	sorted atomic.Pointer[[]*Component]
+	// spareComps and spareStreams are entries allocated ahead, as many at a
+	// time as the graph has (at least one, at most entryChunk), so that a
+	// graph built entry by entry, as a spec builds one, lies in a few arrays
+	// in build order rather than spread over the heap between its paths: a
+	// session adopts such a graph and walks it on every edit.
+	spareComps   []Component
+	spareStreams []Stream
 }
+
+// entryChunk bounds how many components, or streams, a graph allocates at
+// once.
+const entryChunk = 64
 
 // NewGraph creates an empty dataflow graph.
 func NewGraph(name string) *Graph {
@@ -283,7 +294,12 @@ func (g *Graph) Component(name string) *Component {
 	if c, ok := g.components[name]; ok {
 		return c
 	}
-	c := &Component{Name: name}
+	if len(g.spareComps) == 0 {
+		g.spareComps = make([]Component, min(max(len(g.components), 1), entryChunk))
+	}
+	c := &g.spareComps[0]
+	g.spareComps = g.spareComps[1:]
+	c.Name = name
 	g.components[name] = c
 	g.sorted.Store(nil)
 	return c
@@ -306,7 +322,12 @@ func (g *Graph) Lookup(name string) *Component { return g.components[name] }
 // Connect wires fromComp.fromIface to toComp.toIface with a named stream
 // and returns it for further annotation.
 func (g *Graph) Connect(name, fromComp, fromIface, toComp, toIface string) *Stream {
-	s := &Stream{
+	if len(g.spareStreams) == 0 {
+		g.spareStreams = make([]Stream, min(max(len(g.streams), 1), entryChunk))
+	}
+	s := &g.spareStreams[0]
+	g.spareStreams = g.spareStreams[1:]
+	*s = Stream{
 		Name:     name,
 		FromComp: fromComp, FromIface: fromIface,
 		ToComp: toComp, ToIface: toIface,
@@ -383,26 +404,70 @@ func (g *Graph) Validate() error {
 	return errors.Join(errs...)
 }
 
-// Clone deep-copies the graph so strategies can be applied to a copy.
+// Clone deep-copies the graph so strategies can be applied to a copy. The
+// copy's components and streams each live in one array, and so do their
+// paths and their interface lists, each carved with its capacity clamped so
+// that an AddPath reallocates rather than writes over a neighbour's. The
+// copy lists its components in the source's name order without sorting
+// them again.
 func (g *Graph) Clone() *Graph {
+	src := g.Components()
+	var nPaths, nIfaces int
+	for _, c := range src {
+		nPaths += len(c.Paths)
+		nIfaces += len(c.ins) + len(c.outs)
+	}
+	paths := make([]Path, 0, nPaths)
+	ifaces := make([]string, 0, nIfaces)
+	comps := make([]Component, len(src))
+	sorted := make([]*Component, len(src))
 	ng := &Graph{
 		Name:       g.Name,
-		components: make(map[string]*Component, len(g.components)),
+		components: make(map[string]*Component, len(src)),
 		byName:     make(map[string]*Stream, len(g.byName)),
+		streams:    make([]*Stream, len(g.streams)),
 	}
-	for _, c := range g.Components() {
-		nc := ng.Component(c.Name)
-		nc.Rep = c.Rep
-		nc.Deps = c.Deps
-		nc.Coordination = c.Coordination
-		nc.OutSchema = maps.Clone(c.OutSchema)
-		nc.Paths, nc.ins, nc.outs = slices.Clone(c.Paths), slices.Clone(c.ins), slices.Clone(c.outs)
+	for i, c := range src {
+		nc := &comps[i]
+		*nc = Component{
+			Name:         c.Name,
+			Rep:          c.Rep,
+			Paths:        carve(&paths, c.Paths),
+			Deps:         c.Deps,
+			OutSchema:    maps.Clone(c.OutSchema),
+			Coordination: c.Coordination,
+			ins:          carve(&ifaces, c.ins),
+			outs:         carve(&ifaces, c.outs),
+		}
+		ng.components[c.Name] = nc
+		sorted[i] = nc
 	}
-	ng.streams = make([]*Stream, 0, len(g.streams))
-	for _, s := range g.streams {
-		ns := ng.Connect(s.Name, s.FromComp, s.FromIface, s.ToComp, s.ToIface)
-		ns.Seal = s.Seal
-		ns.Rep = s.Rep
+	ng.sorted.Store(&sorted)
+	streams := make([]Stream, len(g.streams))
+	for i, s := range g.streams {
+		streams[i] = *s
+		ng.streams[i] = &streams[i]
+		ng.byName[s.Name] = &streams[i]
+	}
+	// A name resolves to its last declaration, as in the source, unless the
+	// source removed that one: then the name no longer resolves at all.
+	if len(ng.byName) != len(g.byName) {
+		for _, s := range g.streams {
+			if g.byName[s.Name] == nil {
+				delete(ng.byName, s.Name)
+			}
+		}
 	}
 	return ng
+}
+
+// carve appends src to the arena and returns the copy with its capacity
+// clamped; nil stays nil.
+func carve[T any](arena *[]T, src []T) []T {
+	if src == nil {
+		return nil
+	}
+	n := len(*arena)
+	*arena = append(*arena, src...)
+	return (*arena)[n : n+len(src) : n+len(src)]
 }

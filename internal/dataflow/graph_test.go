@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -129,5 +130,30 @@ func TestMechanismTable(t *testing.T) {
 	}
 	if got := Coordination(99); got.String() != "Coordination(99)" || got.Token() != "none" || got.Strategy() != "" {
 		t.Errorf("undeclared mechanism renders %q / %q / %q", got.String(), got.Token(), got.Strategy())
+	}
+}
+
+// TestValidateDoesNotReadSeals: Validate's verdict, and each error it
+// reports, is the same whatever the streams are sealed on. A session opened
+// on a spec relies on it: the spec's build validated the graph, and the
+// seal repairs applied after it set only Stream.Seal.
+func TestValidateDoesNotReadSeals(t *testing.T) {
+	invalid := NewGraph("invalid")
+	invalid.Component("empty")
+	invalid.Component("A").AddPath("in", "out", core.CR)
+	invalid.Connect("unknown-producer", "Nope", "out", "A", "in")
+	invalid.Source("unknown-iface", "A", "wrong")
+	invalid.Sink("unknown-out", "A", "wrong")
+	invalid.Connect("nothing", "", "", "", "")
+	for _, g := range []*Graph{WordcountTopology(false), WordcountTopology(true), invalid} {
+		want := fmt.Sprint(g.Validate())
+		for _, key := range []fd.AttrSet{{}, fd.NewAttrSet("batch"), fd.NewAttrSet("no", "such", "attrs")} {
+			for _, s := range g.Streams() {
+				s.Seal = key
+			}
+			if got := fmt.Sprint(g.Validate()); got != want {
+				t.Errorf("%s sealed on %v: Validate = %s, want %s", g.Name, key, got, want)
+			}
+		}
 	}
 }

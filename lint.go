@@ -1,6 +1,10 @@
 package blazes
 
-import "blazes/internal/dataflow"
+import (
+	"slices"
+
+	"blazes/internal/dataflow"
+)
 
 // LintDiagnostic is one advisory finding about a dataflow graph, carrying a
 // stable BLZnnn code, a severity, and the component or stream it concerns.
@@ -64,9 +68,14 @@ func HasLintErrors(diags []LintDiagnostic) bool {
 
 // Lint runs the graph diagnostics over the session's current graph. Like
 // the read-only inspectors it does not count as a mutation and does not
-// disturb the incremental analysis state.
+// disturb the incremental analysis state. The diagnostics are computed once
+// per version: a second call before the next mutation returns a copy of
+// the first one's.
 func (s *Session) Lint() []LintDiagnostic {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return dataflow.LintGraph(s.inc.Graph())
+	if v := s.inc.Version(); !s.linted || s.lintAt != v {
+		s.lint, s.lintAt, s.linted = dataflow.LintGraph(s.inc.Graph()), v, true
+	}
+	return slices.Clone(s.lint)
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # service_smoke.sh — end-to-end smoke test of `blazes serve`: boot the
 # service on a free port, drive one create → mutate → analyze round trip
-# over HTTP, check the retired verify route answers 404, then prove
+# over HTTP, check the retired verify route answers a JSON 404 and a wrong
+# method a JSON 405 with Allow, then prove
 # durability the hard way — kill -9 the journaled server mid-life, restart
 # it on the same journal, and assert the session replays intact from one
 # untorn segment, put a strategy list on the wire, hold /v1/stats' latency
@@ -87,9 +88,16 @@ ANALYZE2="$(fetch POST /v1/sessions/s1/analyze '{"synthesize":true}')"
 expect analyze-sealed "$ANALYZE2" '"kind":"Async"'
 expect analyze-delta "$ANALYZE2" '"delta"'
 # Verification runs in `blazes verify`, not in the service: the route is
-# gone.
-RETIRED="$(curl -sS -w ' HTTP %{http_code}' -X POST -H 'Content-Type: application/json' -d '{"workloads":["synthetic-set"],"seeds":8}' "$BASE/v1/verify")"
-expect verify-retired-404 "$RETIRED" 'HTTP 404'
+# gone. A path no route is mounted for answers a JSON 404, and a method the
+# path is not mounted under a JSON 405 with Allow, like every other refusal.
+RETIRED="$(curl -sS -w ' HTTP %{http_code} %{content_type}' -X POST -H 'Content-Type: application/json' -d '{"workloads":["synthetic-set"],"seeds":8}' "$BASE/v1/verify")"
+expect verify-retired-404 "$RETIRED" 'HTTP 404 application/json'
+expect unmounted-path-json "$RETIRED" '{"error":"no route for POST /v1/verify"}'
+WRONG_METHOD="$(curl -sS -i -X GET "$BASE/v1/sessions/s1/mutate" | tr -d '\r')"
+expect wrong-method-405 "$WRONG_METHOD" 'HTTP/1.1 405'
+expect wrong-method-allow "$WRONG_METHOD" 'Allow: POST'
+expect wrong-method-json "$WRONG_METHOD" 'Content-Type: application/json'
+expect wrong-method-error "$WRONG_METHOD" '{"error":"method GET not allowed on /v1/sessions/s1/mutate (allow: POST)"}'
 expect stats "$(fetch GET /v1/stats)" '"durable":true'
 
 # Crash recovery: kill -9 (no drain, no journal close), restart on the

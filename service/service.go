@@ -267,8 +267,41 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("DELETE /v1/sessions/{id}", s.handleDelete)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
-	return mux
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if h, pattern := mux.Handler(r); pattern == "" {
+			unmounted(w, r, h)
+			return
+		}
+		mux.ServeHTTP(w, r)
+	})
 }
+
+// unmounted answers a request no route matches with the status ServeMux's
+// handler h gives it, as an ErrorResponse instead of h's plain text: 404
+// for an unknown path, 405 with h's Allow header for a method the path is
+// not mounted under.
+func unmounted(w http.ResponseWriter, r *http.Request, h http.Handler) {
+	plain := &statusRecorder{header: http.Header{}}
+	h.ServeHTTP(plain, r)
+	if plain.code == http.StatusMethodNotAllowed {
+		allow := plain.header.Get("Allow")
+		w.Header().Set("Allow", allow)
+		writeError(w, plain.code, "method %s not allowed on %s (allow: %s)", r.Method, r.URL.Path, allow)
+		return
+	}
+	writeError(w, plain.code, "no route for %s %s", r.Method, r.URL.Path)
+}
+
+// statusRecorder keeps the status and headers a handler writes and drops
+// its body.
+type statusRecorder struct {
+	header http.Header
+	code   int
+}
+
+func (r *statusRecorder) Header() http.Header         { return r.header }
+func (r *statusRecorder) WriteHeader(code int)        { r.code = code }
+func (r *statusRecorder) Write(p []byte) (int, error) { return len(p), nil }
 
 // SessionCount reports the number of open sessions.
 func (s *Server) SessionCount() int {

@@ -287,12 +287,12 @@ func TestBadRequests(t *testing.T) {
 		{"create-retired-merge-rewrite", "POST", "/v1/sessions", CreateRequest{Spec: "A: {annotation: {from: i, to: o, label: CR}}\ntopology:\n  sources:\n    - {name: s, to: A.i}\n", Strategy: "merge-rewrite"}, http.StatusBadRequest, retiredStrategy},
 		{"create-retired-sequencing", "POST", "/v1/sessions", json.RawMessage(`{"spec":"x","sequencing":true}`), http.StatusBadRequest, `unknown field \"sequencing\"`},
 		// The sweep coordinator and the verify endpoint are retired: neither
-		// route is mounted, so every body they once validated is now a
-		// plain 404.
-		{"sweep-unknown-strategy", "POST", "/v1/sweeps", json.RawMessage(`{"strategy":"nope"}`), http.StatusNotFound, "404 page not found"},
-		{"sweep-retired-merge-rewrite", "POST", "/v1/sweeps", json.RawMessage(`{"strategy":"merge-rewrite"}`), http.StatusNotFound, "404 page not found"},
-		{"sweep-retired-sequencing", "POST", "/v1/sweeps", json.RawMessage(`{"sequencing":true}`), http.StatusNotFound, "404 page not found"},
-		{"verify-retired", "POST", "/v1/verify", json.RawMessage(`{"workloads":["synthetic-set"],"seeds":8}`), http.StatusNotFound, "404 page not found"},
+		// route is mounted, so every body they once validated is now a 404
+		// that names the route.
+		{"sweep-unknown-strategy", "POST", "/v1/sweeps", json.RawMessage(`{"strategy":"nope"}`), http.StatusNotFound, "no route for POST /v1/sweeps"},
+		{"sweep-retired-merge-rewrite", "POST", "/v1/sweeps", json.RawMessage(`{"strategy":"merge-rewrite"}`), http.StatusNotFound, "no route for POST /v1/sweeps"},
+		{"sweep-retired-sequencing", "POST", "/v1/sweeps", json.RawMessage(`{"sequencing":true}`), http.StatusNotFound, "no route for POST /v1/sweeps"},
+		{"verify-retired", "POST", "/v1/verify", json.RawMessage(`{"workloads":["synthetic-set"],"seeds":8}`), http.StatusNotFound, "no route for POST /v1/verify"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -303,6 +303,7 @@ func TestBadRequests(t *testing.T) {
 			if !strings.Contains(body, tc.err) {
 				t.Errorf("body %q missing %q", body, tc.err)
 			}
+			reply[ErrorResponse](t, body) // every refusal is an ErrorResponse
 		})
 	}
 }

@@ -39,8 +39,9 @@ func compactReply[T any](t *testing.T, what string, code, wantCode int, body str
 }
 
 // TestResponsesAreCompact: every reply the service writes — each route's,
-// and the 400, 404, 410, 413 and 503 errors — is one compact JSON value and
-// a newline, and decodes strictly into its documented type.
+// and the 400, 404, 405, 410, 413 and 503 errors, those of a path or a
+// method no route is mounted for included — is one compact JSON value and a
+// newline, and decodes strictly into its documented type.
 func TestResponsesAreCompact(t *testing.T) {
 	srv := newDurable(t, t.TempDir(), Options{MaxSessions: 1})
 	defer srv.Close()
@@ -78,6 +79,14 @@ func TestResponsesAreCompact(t *testing.T) {
 	compactReply[GoneResponse](t, "410", code, http.StatusGone, body)
 	code, body = send(h, "POST", "/v1/sessions/s2/mutate", bytes.Repeat([]byte(" "), maxBodyBytes+1))
 	compactReply[ErrorResponse](t, "413", code, http.StatusRequestEntityTooLarge, body)
+	code, body = call(t, h, "POST", "/v1/verify", nil)
+	compactReply[ErrorResponse](t, "404 unmounted path", code, http.StatusNotFound, body)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/sessions/s2/mutate", nil))
+	compactReply[ErrorResponse](t, "405 unmounted method", rec.Code, http.StatusMethodNotAllowed, rec.Body.String())
+	if allow := rec.Header().Get("Allow"); allow != "POST" {
+		t.Errorf("405 Allow = %q, want POST", allow)
+	}
 
 	code, body = call(t, h, "DELETE", "/v1/sessions/s2", nil)
 	if code != http.StatusNoContent || body != "" {

@@ -37,8 +37,7 @@ type Session struct {
 	version atomic.Uint64
 
 	// spec backs SetVariant; nil for sessions opened from a Graph.
-	spec     *Spec
-	variants map[string]string
+	spec *Spec
 
 	seq       int // completed analyses
 	prev      *Report
@@ -53,6 +52,11 @@ type Session struct {
 	// last returned; the engine returns the same list until a plan changes.
 	planned    []Strategy
 	strategies []StrategyReport
+	// lint holds the diagnostics of the graph at version lintAt, once
+	// linted.
+	lint   []LintDiagnostic
+	lintAt uint64
+	linted bool
 }
 
 // SessionStats describes what the most recent Analyze/Synthesize actually
@@ -76,9 +80,9 @@ type SessionStats struct {
 }
 
 // OpenSession starts a session over a deep copy of g (the caller's graph is
-// never mutated). Seal-repair options apply to the session's copy up
-// front; WithStrategy's list is remembered for Synthesize. The graph must
-// validate.
+// never mutated, and no session edit reaches it). Seal-repair options apply
+// to the session's copy up front; WithStrategy's list is remembered for
+// Synthesize. The graph must validate.
 func OpenSession(g *Graph, opts ...Option) (*Session, error) {
 	cfg := buildConfig(opts)
 	if err := cfg.checkStrategies(); err != nil {
@@ -97,21 +101,24 @@ func OpenSession(g *Graph, opts ...Option) (*Session, error) {
 // OpenSession builds the spec's graph (honoring WithVariant selections) and
 // opens a session over it. Spec-backed sessions additionally support
 // SetVariant.
+//
+// The session owns the graph the spec has just built: nobody else holds
+// it, so it is not copied, and it is validated once, by the build. A seal
+// repair sets only Stream.Seal, which Validate does not read, so a graph
+// that validated before its repairs validates after them.
 func (s *Spec) OpenSession(name string, opts ...Option) (*Session, error) {
-	g, err := s.Graph(name, opts...)
+	cfg := buildConfig(opts)
+	g, err := s.graph(name, cfg)
 	if err != nil {
 		return nil, err
 	}
-	sess, err := OpenSession(g, opts...)
-	if err != nil {
+	if err := cfg.checkStrategies(); err != nil {
 		return nil, err
 	}
-	sess.spec = s
-	sess.variants = map[string]string{}
-	for comp, v := range buildConfig(opts).variants {
-		sess.variants[comp] = v
+	if err := cfg.applySealRepairs(g); err != nil {
+		return nil, err
 	}
-	return sess, nil
+	return &Session{cfg: cfg, inc: dataflow.NewIncremental(g), spec: s}, nil
 }
 
 // Version returns the session's mutation counter; it increments once per
@@ -335,7 +342,6 @@ func (s *Session) SetVariant(component, variant string) error {
 		c.SetPaths(old)
 		return fmt.Errorf("blazes: session: SetVariant(%q, %q): %w", component, variant, err)
 	}
-	s.variants[component] = variant
 	s.inc.NoteTopologyChange()
 	s.bumped()
 	return nil

@@ -46,7 +46,11 @@ func SpecName(path string) string {
 // taken from WithVariant/WithVariants options; other options are ignored
 // here (pass them to the Analyzer instead).
 func (s *Spec) Graph(name string, opts ...Option) (*Graph, error) {
-	cfg := buildConfig(opts)
+	return s.graph(name, buildConfig(opts))
+}
+
+// graph builds and validates a new graph with cfg's variant selections.
+func (s *Spec) graph(name string, cfg config) (*Graph, error) {
 	bopts := spec.BuildOptions{Variants: map[string]string{}}
 	for comp, v := range cfg.variants {
 		bopts.Variants[comp] = v
