@@ -20,7 +20,8 @@ import (
 //  1. spawn `-bin serve -journal dir` and open a mutate burst against it;
 //  2. SIGKILL the server midway through the burst — no drain, no Close,
 //     exactly the crash the journal exists for;
-//  3. respawn on the same journal and wait out the boot replay;
+//  3. respawn on the same journal, wait out the boot replay and report the
+//     snapshot it recovered from;
 //  4. hold the recovered state to the client's acknowledgement record:
 //     every acknowledged session must be back, every recovered version
 //     must equal the acknowledged op count (+1 only when one op was
@@ -122,10 +123,12 @@ func runChaos(ctx context.Context, cfg config, stdout, stderr io.Writer) int {
 		return exitError
 	}
 	defer proc2.stop()
-	if err := waitRecovered(ctx, proc2.base); err != nil {
+	recovery, err := waitRecovered(ctx, proc2.base)
+	if err != nil {
 		fmt.Fprintf(stderr, "loadgen: %v\n", err)
 		return exitError
 	}
+	fmt.Fprintf(stderr, "loadgen: chaos: recovered from snapshot_seq %d and %d journal records\n", recovery.SnapshotSeq, recovery.Records)
 
 	lost, checked, err := verifyRecovered(ctx, proc2.base, states, stderr)
 	if err != nil {
@@ -150,28 +153,27 @@ func runChaos(ctx context.Context, cfg config, stdout, stderr io.Writer) int {
 	return exitOK
 }
 
-// waitRecovered polls /v1/stats until the boot replay finishes.
-func waitRecovered(ctx context.Context, base string) error {
+// waitRecovered polls /v1/stats until the boot replay finishes and
+// returns what the replay found in the journal.
+func waitRecovered(ctx context.Context, base string) (service.RecoveryStats, error) {
 	client := &http.Client{Timeout: 5 * time.Second}
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
 		if ctx.Err() != nil {
-			return ctx.Err()
+			return service.RecoveryStats{}, ctx.Err()
 		}
 		resp, err := client.Get(base + "/v1/stats")
 		if err == nil {
-			var st struct {
-				Recovering bool `json:"recovering"`
-			}
+			var st service.StatsResponse
 			err := json.NewDecoder(resp.Body).Decode(&st)
 			resp.Body.Close()
-			if err == nil && !st.Recovering {
-				return nil
+			if err == nil && !st.Recovering && st.Recovery != nil {
+				return *st.Recovery, nil
 			}
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-	return fmt.Errorf("server still recovering after 60s")
+	return service.RecoveryStats{}, fmt.Errorf("server still recovering after 60s")
 }
 
 // verifyRecovered holds the restarted server to the acknowledgement

@@ -1,6 +1,7 @@
 package storm_test
 
 import (
+	"runtime"
 	"testing"
 
 	"blazes/internal/race"
@@ -41,5 +42,44 @@ func TestSealedRunAllocsPerTuple(t *testing.T) {
 		t.Errorf("%.0f allocations for %d emitted tuples = %.3f per tuple, want at most 1.8", allocs, emitted, perTuple)
 	} else {
 		t.Logf("%.3f allocations per emitted tuple", perTuple)
+	}
+}
+
+// TestDuplicatingRunKeepsNoSpoutBatch pins a sealed run with duplicate
+// delivery and no replay at no more than 440 bytes per emitted tweet (400
+// measured). A duplicate copies the message it repeats, and only a replay
+// reads a routed batch again, so the spout routes every batch into one
+// reused buffer: keeping a batch per emission, which nothing reads, came to
+// 475 bytes per tweet.
+func TestDuplicatingRunKeepsNoSpoutBatch(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	engine := storm.DefaultConfig()
+	engine.PerTupleCost = 4 * sim.Microsecond
+	engine.BatchInterval = 10 * sim.Millisecond
+	engine.Link.MinDelay = 2 * sim.Millisecond
+	engine.Link.MaxDelay = 12 * sim.Millisecond
+	engine.Link.DupProb = 0.25
+	rc := wc.RunConfig{
+		Seed: 1, Workers: 20, Batches: 12, TuplesPerBatch: 250, WordsPerTweet: 1, VocabSize: 800,
+		Mode: storm.CommitSealed, Punctuate: true, Engine: &engine,
+	}
+	run := func() int {
+		res, err := wc.Run(rc)
+		if err != nil || !res.Done {
+			t.Fatalf("run: done=%v err=%v", res.Done, err)
+		}
+		return res.Metrics.EmittedTuples
+	}
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	emitted := run()
+	runtime.ReadMemStats(&after)
+	if perTuple := float64(after.TotalAlloc-before.TotalAlloc) / float64(emitted); perTuple > 440 {
+		t.Errorf("%.0f bytes per emitted tuple, want at most 440", perTuple)
+	} else {
+		t.Logf("%.0f bytes per emitted tuple", perTuple)
 	}
 }

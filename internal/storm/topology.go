@@ -139,8 +139,8 @@ type Topology struct {
 
 	// recordResend marks configurations under which a finished instance
 	// can observe a resend trigger (batch replay or duplicate delivery).
-	// Only then do instances retain their outbox and the spout its routed
-	// batches — that state is large and pure overhead otherwise.
+	// Only then do instances retain their outbox — that state is large and
+	// pure overhead otherwise.
 	recordResend bool
 	// routeBuf is the shared routing scratch buffer.
 	routeBuf []int
@@ -323,8 +323,9 @@ func (t *Topology) maybeEmit() {
 
 // emitBatch pulls batch b from every spout instance, routes it exactly
 // once, and streams it into the first stages. The routed batch is retained
-// for replay only when a resend is actually observable; otherwise a
-// reusable scratch buffer holds it just long enough to send.
+// only when a replay can read it (ReplayTimeout > 0); otherwise a reusable
+// scratch buffer holds it just long enough to send — a duplicate delivery
+// copies the message it duplicates.
 func (t *Topology) emitBatch(b int64) {
 	perInstance := t.spoutTuples
 	any := false
@@ -347,7 +348,7 @@ func (t *Topology) emitBatch(b int64) {
 	t.unacked++
 
 	var sb *spoutBatch
-	if t.recordResend {
+	if t.cfg.ReplayTimeout > 0 {
 		sb = &spoutBatch{}
 		t.spoutOutbox[b] = sb
 	} else {

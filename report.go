@@ -216,40 +216,12 @@ func strategyReport(st Strategy) StrategyReport {
 
 // Report projects the Result into its stable wire form.
 func (r *Result) Report() *Report {
-	an := r.analysis
-	rep := &Report{
-		Version:       ReportVersion,
-		Dataflow:      an.Graph.Name,
-		Verdict:       labelReport(an.Verdict),
-		Deterministic: an.Deterministic(),
-		Repaired:      r.repaired,
-	}
-	streams := make([]StreamReport, 0, len(an.Collapsed.Streams()))
-	for st, l := range an.Streams() {
-		streams = append(streams, streamReport(st, l))
-	}
-	rep.Streams = addresses(streams)
-	comps := make([]ComponentReport, 0, len(an.Collapsed.Components()))
-	for ca := range an.Components() {
-		comps = append(comps, componentReport(ca))
-	}
-	if len(comps) > 0 { // an empty list stays nil on the wire
-		rep.Components = addresses(comps)
-	}
+	rep := project(r.analysis, nil, nil)
+	rep.Repaired = r.repaired
 	for _, st := range r.strategies {
 		rep.Strategies = append(rep.Strategies, strategyReport(st))
 	}
 	return rep
-}
-
-// addresses lists the entries of backing by address: a one-shot report's
-// list is one array of entries and one word per entry, nothing per entry.
-func addresses[T any](backing []T) []*T {
-	list := make([]*T, len(backing))
-	for i := range backing {
-		list[i] = &backing[i]
-	}
-	return list
 }
 
 // streamReport projects one stream of the analyzed (collapsed) graph.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -144,9 +143,11 @@ func (s *Server) maybeSnapshot() {
 func (s *Server) snapshotLocked() snapshotDoc {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	doc := snapshotDoc{NextID: s.nextID}
-	// Oldest-first (LRU back to front) so the rebuild's insertion order
+	// The sessions the boot replay could not rebuild come first: they hold
+	// acknowledged records, so every boot retries them. The rest go
+	// oldest-first (LRU back to front) so the rebuild's insertion order
 	// reproduces the recency order.
+	doc := snapshotDoc{NextID: s.nextID, Sessions: append([]sessionSnapshot(nil), s.unrecoverable...)}
 	for el := s.lru.Back(); el != nil; el = el.Prev() {
 		e := el.Value.(*entry)
 		doc.Sessions = append(doc.Sessions, sessionSnapshot{
@@ -172,7 +173,10 @@ type rebuildPlan struct {
 // planRecovery folds the recovered journal into a rebuild plan. Records
 // for unknown sessions are skipped, not fatal: a delete racing a mutate
 // can journal the delete first while both were correctly acknowledged —
-// the end state (session gone) is identical either way.
+// the end state (session gone) is identical either way. Sessions keep the
+// order they come in — the snapshot's, oldest first, then the suffix's
+// creates — so the replay, which inserts each as the most recently used,
+// restores the recency order the snapshot recorded.
 func planRecovery(rec *journal.Recovered) (*rebuildPlan, error) {
 	plan := &rebuildPlan{nextID: 0}
 	byID := map[string]int{} // session id → index in plan.sessions, -1 = dropped
@@ -248,11 +252,6 @@ func planRecovery(rec *journal.Recovered) (*rebuildPlan, error) {
 			plan.nextID = n
 		}
 	}
-	sort.Slice(plan.sessions, func(i, k int) bool {
-		ni, _ := sessionNumber(plan.sessions[i].ID)
-		nk, _ := sessionNumber(plan.sessions[k].ID)
-		return ni < nk
-	})
 	if len(plan.evicted) > maxTombstones {
 		plan.evicted = plan.evicted[len(plan.evicted)-maxTombstones:]
 	}
@@ -297,9 +296,12 @@ func (s *Server) recoverSessions(plan *rebuildPlan) {
 		if err != nil {
 			// The journal acknowledged these ops, so failing to replay
 			// them is a real fault (likely operator-edited files). Keep
-			// serving: tombstone the session and count the damage.
+			// serving: tombstone the session, count the damage, and keep
+			// its records for the next snapshot, so the next boot tries
+			// again instead of finding them compacted away.
 			s.replayErrors.Add(1)
 			s.mu.Lock()
+			s.unrecoverable = append(s.unrecoverable, ss)
 			s.addTombstoneLocked(Tombstone{Session: ss.ID, Name: ss.Name, State: "unrecoverable"})
 			s.mu.Unlock()
 			continue

@@ -423,7 +423,10 @@ func TestRetiredSequencingFieldFailsOpen(t *testing.T) {
 // record names the retired "merge-rewrite" strategy never recovers that
 // session under the default chain: the replay tombstones it as
 // unrecoverable and counts one replay error, and the other session
-// recovers.
+// recovers. The session's acknowledged records survive the snapshots that
+// follow, so every later boot tries it again and fails it again instead of
+// finding its records compacted away. A client cannot delete it: it is no
+// open session.
 func TestRetiredMergeRewriteStrategyUnrecoverable(t *testing.T) {
 	spec, err := json.Marshal(wordcountSpecText(t))
 	if err != nil {
@@ -437,20 +440,86 @@ func TestRetiredMergeRewriteStrategyUnrecoverable(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "wal-00000000000000000001.log"), journal.EncodeRecords(records), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	srv := newDurable(t, dir, Options{})
-	defer srv.Close()
+	seal := MutateOp{Op: "seal", Stream: "tweets", Key: []string{"batch"}}
+	for boot := 1; boot <= 3; boot++ {
+		srv := newDurable(t, dir, Options{})
+		srv.snapEvery = 4
+		h := srv.Handler()
+		if code, body := call(t, h, "POST", "/v1/sessions/s1/analyze", nil); code != http.StatusOK {
+			t.Errorf("boot %d: replayed s1: %d %s", boot, code, body)
+		}
+		if code, body := call(t, h, "GET", "/v1/sessions/s2", nil); code != http.StatusGone || !strings.Contains(body, "unrecoverable") {
+			t.Errorf("boot %d: s2 = %d %s, want 410 naming it unrecoverable", boot, code, body)
+		}
+		if code, body := call(t, h, "DELETE", "/v1/sessions/s2", nil); code != http.StatusNotFound {
+			t.Errorf("boot %d: DELETE s2 = %d %s, want 404", boot, code, body)
+		}
+		var st StatsResponse
+		if code, body := call(t, h, "GET", "/v1/stats", nil); code != http.StatusOK || json.Unmarshal([]byte(body), &st) != nil {
+			t.Fatalf("boot %d: stats: %d %s", boot, code, body)
+		}
+		if st.ReplayErrors != 1 || st.RecoveredSessions != 1 {
+			t.Errorf("boot %d: replay errors = %d, recovered = %d; want 1 and 1", boot, st.ReplayErrors, st.RecoveredSessions)
+		}
+		if boot > 1 && st.Recovery.SnapshotSeq == 0 {
+			t.Errorf("boot %d recovered from no snapshot", boot)
+		}
+		// Write past the snapshot interval: the snapshot compacts away
+		// every segment that held s2's create.
+		before := srv.jrn.Stats().Snapshots
+		for i := 0; i < 4; i++ {
+			if code, body := call(t, h, "POST", "/v1/sessions/s1/mutate", MutateRequest{Ops: []MutateOp{seal}}); code != http.StatusOK {
+				t.Fatalf("boot %d: mutate s1: %d %s", boot, code, body)
+			}
+		}
+		if srv.jrn.Stats().Snapshots == before {
+			t.Fatalf("boot %d: no snapshot after 4 records at snapEvery 4", boot)
+		}
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestRecencySurvivesRestart: the LRU order a snapshot records is the order
+// after the restart. s1 is read after s2 and s3 are created, s3 written, and
+// a snapshot taken; after the restart a fourth session evicts s2, the least
+// recently used, not s1, the lowest id.
+func TestRecencySurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	spec := wordcountSpecText(t)
+	srv := newDurable(t, dir, Options{MaxSessions: 3})
+	srv.snapEvery = 4
 	h := srv.Handler()
-	if code, body := call(t, h, "POST", "/v1/sessions/s1/analyze", nil); code != http.StatusOK {
-		t.Errorf("replayed s1: %d %s", code, body)
+	for _, id := range []string{"s1", "s2", "s3"} {
+		if code, body := call(t, h, "POST", "/v1/sessions", CreateRequest{Name: id, Spec: spec}); code != http.StatusCreated {
+			t.Fatalf("create %s: %d %s", id, code, body)
+		}
 	}
-	if code, body := call(t, h, "GET", "/v1/sessions/s2", nil); code != http.StatusGone || !strings.Contains(body, "unrecoverable") {
-		t.Errorf("s2 = %d %s, want 410 naming it unrecoverable", code, body)
+	if code, body := call(t, h, "GET", "/v1/sessions/s1", nil); code != http.StatusOK {
+		t.Fatalf("touch s1: %d %s", code, body)
 	}
-	var st StatsResponse
-	if code, body := call(t, h, "GET", "/v1/stats", nil); code != http.StatusOK || json.Unmarshal([]byte(body), &st) != nil {
-		t.Fatalf("stats: %d %s", code, body)
+	seal := MutateOp{Op: "seal", Stream: "tweets", Key: []string{"batch"}}
+	if code, body := call(t, h, "POST", "/v1/sessions/s3/mutate", MutateRequest{Ops: []MutateOp{seal}}); code != http.StatusOK {
+		t.Fatalf("mutate s3: %d %s", code, body)
 	}
-	if st.ReplayErrors != 1 || st.RecoveredSessions != 1 {
-		t.Errorf("replay errors = %d, recovered = %d; want 1 and 1", st.ReplayErrors, st.RecoveredSessions)
+	if st := srv.jrn.Stats(); st.SnapshotSeq != 4 {
+		t.Fatalf("snapshot seq = %d, want 4 (stats %+v)", st.SnapshotSeq, st)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re := newDurable(t, dir, Options{MaxSessions: 3})
+	defer re.Close()
+	rh := re.Handler()
+	if code, body := call(t, rh, "POST", "/v1/sessions", CreateRequest{Name: "s4", Spec: spec}); code != http.StatusCreated {
+		t.Fatalf("create s4: %d %s", code, body)
+	}
+	if code, body := call(t, rh, "GET", "/v1/sessions/s2", nil); code != http.StatusGone || !strings.Contains(body, "evicted") {
+		t.Errorf("s2 = %d %s, want 410: it was the least recently used", code, body)
+	}
+	if code, body := call(t, rh, "GET", "/v1/sessions/s1", nil); code != http.StatusOK {
+		t.Errorf("s1 = %d %s, want 200: it was read after s2", code, body)
 	}
 }

@@ -114,6 +114,9 @@ type Server struct {
 	tombstones []Tombstone
 	tombIdx    map[string]int
 	tombBase   int
+	// unrecoverable holds the sessions the boot replay failed to rebuild,
+	// as it found them, for every snapshot to carry.
+	unrecoverable []sessionSnapshot
 
 	// Durability (nil jrn = in-memory server). snapMu serializes writers
 	// (read lock around apply+journal) against snapshots (write lock), so

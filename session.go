@@ -43,11 +43,7 @@ type Session struct {
 	prev      *Report
 	prevSynth bool
 	last      dataflow.Stats // of the latest pass; LastStats renders it
-	// prevOuts lists, component by component, the derivations prev was
-	// projected from, and prevEnd[i] ends those of prev.Components[i]; the
-	// spare pair is the one before, reused for the next report.
-	prevOuts, spareOuts []*dataflow.OutputAnalysis
-	prevEnd, spareEnd   []int
+	derived   derivations    // what prev's components were projected from
 	// strategies is the projection of planned, the strategy list the engine
 	// last returned; the engine returns the same list until a plan changes.
 	planned    []Strategy
@@ -376,25 +372,21 @@ func (s *Session) analyze(ctx context.Context, synth bool) (*Report, error) {
 	// splices, and the pass's change set names every entry that can differ;
 	// a first report, or one across a recompile, is paired with the previous
 	// one by name.
-	patched := s.prev != nil && !stats.Rebuilt
 	var rep *Report
-	if patched {
+	if s.prev != nil && !stats.Rebuilt {
 		rep = s.patch(an, stats)
 	} else {
-		rep = s.project(an)
+		rep = project(an, s.prev, &s.derived)
 	}
 	replanned := false
 	if synth {
 		rep.Strategies, replanned = s.strategyReports(s.inc.Synthesize(dataflow.SynthesisOptions{Prefer: s.cfg.prefer}))
 	}
-	switch {
-	case patched:
+	if s.prev != nil {
 		rep.Delta.header(s.prev, rep, recomputedComponents(an, stats), stats.Reused, s.seq)
 		if s.prevSynth && replanned {
 			rep.Delta.Strategies = strategyDeltas(s.prev.Strategies, rep.Strategies)
 		}
-	case s.prev != nil:
-		rep.Delta = computeDelta(s.prev, rep, recomputedComponents(an, stats), stats.Reused, s.seq, s.prevSynth && synth)
 	}
 	s.seq++
 	s.prev = rep
@@ -441,7 +433,7 @@ func (s *Session) strategyReports(planned []Strategy) (reports []StrategyReport,
 // of the addresses with the spliced entries inserted or dropped and the
 // changed positions projected into entries of their own. The report's Delta
 // holds the streams that came, went or changed label, in name order as
-// computeDelta would list them.
+// project lists them.
 func (s *Session) patch(an *dataflow.Analysis, stats dataflow.Stats) *Report {
 	prev := s.prev
 	rep := &Report{
@@ -521,9 +513,9 @@ func (s *Session) patch(an *dataflow.Analysis, stats dataflow.Stats) *Report {
 		ca := an.ComponentAt(int(pos))
 		lo := 0
 		if pos > 0 {
-			lo = s.prevEnd[pos-1]
+			lo = s.derived.end[pos-1]
 		}
-		outs, i, same := s.prevOuts[lo:s.prevEnd[pos]], 0, true
+		outs, i, same := s.derived.outs[lo:s.derived.end[pos]], 0, true
 		for d := range ca.Derivations() {
 			same = same && outs[i] == d
 			outs[i] = d
@@ -541,60 +533,104 @@ func (s *Session) patch(an *dataflow.Analysis, stats dataflow.Stats) *Report {
 	return rep
 }
 
-// project builds the wire report, sharing with the previous report, by
-// address, every entry that did not change; reports are immutable wire data,
-// so sharing is safe. A stream entry is shared when its wire fields still
-// describe the stream. A component entry is shared when the component still
-// yields the derivations the entry was projected from: a derivation is
-// immutable and keeps its address while it stays in force, also across a
-// structural rebuild, so equal pointers and an equal configuration mean an
-// equal record. Both lists are in name order in both reports and are paired
-// by one merge; a list in which nothing changed is shared whole.
-func (s *Session) project(an *dataflow.Analysis) *Report {
-	prev := s.prev
-	if prev == nil {
-		prev = &Report{}
-	}
+// derivations records, component by component, the derivations a session's
+// latest report was projected from, for the next report to compare against:
+// end[i] ends those of the report's i-th component. The spare pair is the
+// one before, reused for the next report.
+type derivations struct {
+	outs, spareOuts []*dataflow.OutputAnalysis
+	end, spareEnd   []int
+}
+
+// project builds the wire report of an analysis that has no kept structure
+// to patch — a one-shot analysis, a session's first, one across a recompile
+// — sharing with prev, the report before it, by address, every entry that
+// did not change; reports are immutable wire data, so sharing is safe. A
+// stream entry is shared when its wire fields still describe the stream. A
+// component entry is shared when the component still yields the derivations
+// the entry was projected from: a derivation is immutable and keeps its
+// address while it stays in force, also across a structural rebuild, so
+// equal pointers and an equal configuration mean an equal record. Both
+// lists are in name order in both reports and are paired by one merge; a
+// list in which nothing changed is shared whole, and the streams that came,
+// went or changed label on the way are the report's Delta.Streams.
+//
+// Without a report before it, the report has no Delta and the entries of
+// each list are carved from one array. derived, which only a session keeps,
+// holds the derivations prev was projected from and takes those of the new
+// report; a one-shot analysis passes nil and records none.
+func project(an *dataflow.Analysis, prev *Report, derived *derivations) *Report {
 	rep := &Report{
 		Version:       ReportVersion,
 		Dataflow:      an.Graph.Name,
 		Verdict:       labelReport(an.Verdict),
 		Deterministic: an.Deterministic(),
 	}
+	var carvedStreams []StreamReport
+	var carvedComps []ComponentReport
+	if prev == nil {
+		prev = &Report{}
+		carvedStreams = make([]StreamReport, 0, len(an.Collapsed.Streams()))
+		carvedComps = make([]ComponentReport, 0, len(an.Collapsed.Components()))
+	} else {
+		rep.Delta = &Delta{}
+	}
 
+	var delta []StreamDelta
 	streams, pi := sharedPrefix[*StreamReport]{prev: prev.Streams, size: len(an.Collapsed.Streams())}, 0
 	for st, l := range an.Streams() {
 		// An entry that kept its place shares its name's bytes with the
 		// stream, and a string equals itself without being read: the test
 		// for equality comes first.
 		for pi < len(prev.Streams) && prev.Streams[pi].Name != st.Name && prev.Streams[pi].Name < st.Name {
+			delta = append(delta, StreamDelta{Name: prev.Streams[pi].Name, Before: prev.Streams[pi].Label})
 			pi++
 		}
+		var pr *StreamReport
 		if pi < len(prev.Streams) && prev.Streams[pi].Name == st.Name {
+			pr = prev.Streams[pi]
 			pi++
-			if pr := prev.Streams[pi-1]; streamReportCurrent(pr, st, l, s.last.Rebuilt) {
+			if streamReportCurrent(pr, st, l, true) {
 				streams.keep(pi - 1)
 				continue
 			}
 		}
-		sr := streamReport(st, l)
-		streams.add(&sr)
+		sr := entry(&carvedStreams, streamReport(st, l))
+		streams.add(sr)
+		switch {
+		case pr != nil && !labelReportEqual(pr.Label, sr.Label):
+			delta = append(delta, StreamDelta{Name: sr.Name, Before: pr.Label, After: sr.Label})
+		case pr == nil && rep.Delta != nil:
+			delta = append(delta, StreamDelta{Name: sr.Name, After: sr.Label})
+		}
+	}
+	for _, pr := range prev.Streams[pi:] {
+		delta = append(delta, StreamDelta{Name: pr.Name, Before: pr.Label})
 	}
 	if rep.Streams = streams.list(); rep.Streams == nil {
 		rep.Streams = []*StreamReport{} // an empty list of streams is a list on the wire, not null
 	}
+	if rep.Delta != nil {
+		rep.Delta.Streams = delta
+	}
 
 	// outs collects, component by component, the derivations this report
 	// is projected from; outEnd[i] ends the i-th component's.
-	outs, outEnd := s.spareOuts[:0], s.spareEnd[:0]
+	var outs []*dataflow.OutputAnalysis
+	var outEnd []int
+	if derived != nil {
+		outs, outEnd = derived.spareOuts[:0], derived.spareEnd[:0]
+	}
 	comps, pi := sharedPrefix[*ComponentReport]{prev: prev.Components, size: len(an.Collapsed.Components())}, 0
 	for ca := range an.Components() {
 		comp := ca.Component
 		first := len(outs)
-		for d := range ca.Derivations() {
-			outs = append(outs, d)
+		if derived != nil {
+			for d := range ca.Derivations() {
+				outs = append(outs, d)
+			}
+			outEnd = append(outEnd, len(outs))
 		}
-		outEnd = append(outEnd, len(outs))
 		for pi < len(prev.Components) && prev.Components[pi].Name != comp.Name && prev.Components[pi].Name < comp.Name {
 			pi++
 		}
@@ -602,22 +638,35 @@ func (s *Session) project(an *dataflow.Analysis) *Report {
 			pi++
 			lo := 0
 			if pi > 1 {
-				lo = s.prevEnd[pi-2]
+				lo = derived.end[pi-2]
 			}
 			pr := prev.Components[pi-1]
 			if pr.Replicated == comp.Rep && pr.Coordination == coordinationToken(comp.Coordination) &&
-				slices.Equal(s.prevOuts[lo:s.prevEnd[pi-1]], outs[first:]) {
+				slices.Equal(derived.outs[lo:derived.end[pi-1]], outs[first:]) {
 				comps.keep(pi - 1)
 				continue
 			}
 		}
-		cr := componentReport(ca)
-		comps.add(&cr)
+		comps.add(entry(&carvedComps, componentReport(ca)))
 	}
 	rep.Components = comps.list()
-	s.spareOuts, s.spareEnd = s.prevOuts, s.prevEnd
-	s.prevOuts, s.prevEnd = outs, outEnd
+	if derived != nil {
+		derived.spareOuts, derived.spareEnd = derived.outs, derived.end
+		derived.outs, derived.end = outs, outEnd
+	}
 	return rep
+}
+
+// entry returns e by address: in the next slot of carved while it has room,
+// in an allocation of its own after that.
+func entry[T any](carved *[]T, e T) *T {
+	if len(*carved) < cap(*carved) {
+		*carved = append(*carved, e)
+		return &(*carved)[len(*carved)-1]
+	}
+	p := new(T)
+	*p = e
+	return p
 }
 
 // sharedPrefix builds a list that repeats entries of a previous list: while
@@ -700,38 +749,6 @@ func stringsEqualAttrs(w []string, s AttrSet) bool {
 		}
 	}
 	return true
-}
-
-// computeDelta diffs two consecutive session reports; recomputed names, in
-// name order, the collapsed components the engine actually re-derived.
-func computeDelta(prev, cur *Report, recomputed []string, reused, since int, strategies bool) *Delta {
-	d := &Delta{}
-	d.header(prev, cur, recomputed, reused, since)
-
-	// Streams are sorted by name in both reports; merge-walk them.
-	i, j := 0, 0
-	for i < len(prev.Streams) || j < len(cur.Streams) {
-		switch {
-		case j >= len(cur.Streams) || (i < len(prev.Streams) && prev.Streams[i].Name < cur.Streams[j].Name):
-			d.Streams = append(d.Streams, StreamDelta{Name: prev.Streams[i].Name, Before: prev.Streams[i].Label})
-			i++
-		case i >= len(prev.Streams) || cur.Streams[j].Name < prev.Streams[i].Name:
-			d.Streams = append(d.Streams, StreamDelta{Name: cur.Streams[j].Name, After: cur.Streams[j].Label})
-			j++
-		default:
-			if !labelReportEqual(prev.Streams[i].Label, cur.Streams[j].Label) {
-				d.Streams = append(d.Streams, StreamDelta{Name: cur.Streams[j].Name, Before: prev.Streams[i].Label, After: cur.Streams[j].Label})
-			}
-			i++
-			j++
-		}
-	}
-
-	if strategies {
-		d.Strategies = strategyDeltas(prev.Strategies, cur.Strategies)
-	}
-
-	return d
 }
 
 // header fills in what a delta says of the pass and of the verdict.

@@ -335,10 +335,12 @@ func TestSessionDifferential(t *testing.T) {
 }
 
 // analyzeCheckingDelta is s.Analyze or s.Synthesize with the report's Delta
-// held to the oracle: computeDelta's merge by name over the session's
-// previous report and this one, both whole. The session reports the pass's
-// own figures (the components it re-derived, the derivations it reused) the
-// same way on every path, so the oracle is given those.
+// held to the oracle: computeDelta's diff by name of the session's previous
+// report and this one, both whole. The oracle knows nothing of how either
+// report was built, so it checks a patched and a projected report alike.
+// The session reports the pass's own figures (the components it re-derived,
+// the derivations it reused) the same way on every path, so the oracle is
+// given those.
 func analyzeCheckingDelta(ctx context.Context, s *Session, synth bool) (*Report, error) {
 	prev, prevSynth, since := s.prev, s.prevSynth, s.seq
 	got, err := s.analyze(ctx, synth)
@@ -361,6 +363,58 @@ func analyzeCheckingDelta(ctx context.Context, s *Session, synth bool) (*Report,
 		return nil, fmt.Errorf("delta differs from the diff of the two reports\n--- session ---\n%s\n--- diff ---\n%s", g, w)
 	}
 	return got, nil
+}
+
+// computeDelta diffs two consecutive session reports: the streams whose
+// label changed, came or went, the verdict, and, when strategies is set,
+// the strategies, each in name order. recomputed and reused are the pass's
+// own figures, which neither report shows.
+func computeDelta(prev, cur *Report, recomputed []string, reused, since int, strategies bool) *Delta {
+	sameLabel := func(a, b LabelReport) bool {
+		return a.Kind == b.Kind && a.Severity == b.Severity && slices.Equal(a.Key, b.Key)
+	}
+	d := &Delta{Since: since, Reused: reused}
+	if len(recomputed) > 0 {
+		d.Recomputed = recomputed
+	}
+	if !sameLabel(prev.Verdict, cur.Verdict) {
+		d.Verdict = &VerdictDelta{Before: prev.Verdict, After: cur.Verdict}
+	}
+
+	before := map[string]LabelReport{}
+	for _, sr := range prev.Streams {
+		before[sr.Name] = sr.Label
+	}
+	for _, sr := range cur.Streams {
+		if l, ok := before[sr.Name]; !ok {
+			d.Streams = append(d.Streams, StreamDelta{Name: sr.Name, After: sr.Label})
+		} else if !sameLabel(l, sr.Label) {
+			d.Streams = append(d.Streams, StreamDelta{Name: sr.Name, Before: l, After: sr.Label})
+		}
+		delete(before, sr.Name)
+	}
+	for name, l := range before {
+		d.Streams = append(d.Streams, StreamDelta{Name: name, Before: l})
+	}
+	slices.SortFunc(d.Streams, func(a, b StreamDelta) int { return strings.Compare(a.Name, b.Name) })
+
+	if strategies {
+		plans := map[string][2]*StrategyReport{}
+		for i, list := range [][]StrategyReport{prev.Strategies, cur.Strategies} {
+			for _, sr := range list {
+				p := plans[sr.Component]
+				p[i] = &sr
+				plans[sr.Component] = p
+			}
+		}
+		for name, p := range plans {
+			if p[0] == nil || p[1] == nil || !reflect.DeepEqual(*p[0], *p[1]) {
+				d.Strategies = append(d.Strategies, StrategyDelta{Component: name, Before: p[0], After: p[1]})
+			}
+		}
+		slices.SortFunc(d.Strategies, func(a, b StrategyDelta) int { return strings.Compare(a.Component, b.Component) })
+	}
+	return d
 }
 
 func marshalWithoutDelta(t *testing.T, rep *Report) []byte {
@@ -435,6 +489,66 @@ func TestSessionDelta(t *testing.T) {
 	}
 	if len(third.Delta.Streams) != 0 || third.Delta.Verdict != nil || len(third.Delta.Recomputed) != 0 {
 		t.Errorf("no-op delta not empty: %+v", third.Delta)
+	}
+}
+
+// TestSessionRebuiltDeltaByHand: one pass across a recompile in which a
+// stream comes (an internal Connect), one goes (a tap removed) and one
+// changes label (C's path turns order-sensitive) carries exactly the Delta
+// written out here, not one computed by any diff.
+func TestSessionRebuiltDeltaByHand(t *testing.T) {
+	ctx := context.Background()
+	g := NewGraphBuilder("by-hand").
+		ComponentPath("A", "in", "out", CW).
+		ComponentPath("B", "in", "out", CW).
+		ComponentPath("C", "in", "out", CW).
+		Source("src", "A", "in").
+		Stream("ab", "A", "out", "B", "in").
+		Sink("out", "B", "out").
+		Sink("tap", "A", "out").
+		Source("csrc", "C", "in").
+		Sink("cout", "C", "out").
+		MustBuild()
+	s, err := OpenSession(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Analyze(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Connect("ab2", "A.out", "B.in"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RemoveEdge("tap"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Annotate("C", "in", "out", OWGate("k")); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := s.Analyze(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.LastStats(); !st.Rebuilt || st.Patched {
+		t.Fatalf("stats %+v: want a recompile (Rebuilt, not Patched)", st)
+	}
+	async := LabelReport{Kind: "Async", Severity: 2}
+	run := LabelReport{Kind: "Run", Severity: 3}
+	want := &Delta{
+		Since: 1,
+		Streams: []StreamDelta{
+			{Name: "ab2", After: async},
+			{Name: "cout", Before: async, After: run},
+			{Name: "tap", Before: async},
+		},
+		Verdict:    &VerdictDelta{Before: async, After: run},
+		Recomputed: []string{"A", "B", "C"}, // a recompile re-derives every component
+		Reused:     s.LastStats().Reused,    // the engine's count of memo hits, whatever it is
+	}
+	if !reflect.DeepEqual(rep.Delta, want) {
+		g, _ := json.Marshal(rep.Delta)
+		w, _ := json.Marshal(want)
+		t.Errorf("delta\n got %s\nwant %s", g, w)
 	}
 }
 
