@@ -32,7 +32,6 @@ import (
 // schemas) use Component, which returns a ComponentBuilder.
 type GraphBuilder struct {
 	g     *dataflow.Graph
-	seen  map[string]bool // declared stream names
 	seals map[string]AttrSet
 	reps  []string
 	errs  []error
@@ -42,7 +41,6 @@ type GraphBuilder struct {
 func NewGraphBuilder(name string) *GraphBuilder {
 	return &GraphBuilder{
 		g:     dataflow.NewGraph(name),
-		seen:  map[string]bool{},
 		seals: map[string]AttrSet{},
 	}
 }
@@ -53,9 +51,6 @@ func (b *GraphBuilder) errf(format string, args ...any) {
 
 // Component declares (or revisits) a component and returns its builder.
 func (b *GraphBuilder) Component(name string) *ComponentBuilder {
-	if name == "" {
-		b.errf("blazes: component name must be non-empty")
-	}
 	return &ComponentBuilder{b: b, c: b.g.Component(name)}
 }
 
@@ -66,35 +61,20 @@ func (b *GraphBuilder) ComponentPath(name, from, to string, ann Annotation) *Gra
 	return b
 }
 
-func (b *GraphBuilder) declare(name string) {
-	if name == "" {
-		b.errf("blazes: stream name must be non-empty")
-		return
-	}
-	if b.seen[name] {
-		b.errf("blazes: duplicate stream name %q", name)
-		return
-	}
-	b.seen[name] = true
-}
-
 // Source declares an external input stream feeding toComp.toIface.
 func (b *GraphBuilder) Source(name, toComp, toIface string) *GraphBuilder {
-	b.declare(name)
 	b.g.Source(name, toComp, toIface)
 	return b
 }
 
 // Sink declares an external output stream leaving fromComp.fromIface.
 func (b *GraphBuilder) Sink(name, fromComp, fromIface string) *GraphBuilder {
-	b.declare(name)
 	b.g.Sink(name, fromComp, fromIface)
 	return b
 }
 
 // Stream wires fromComp.fromIface to toComp.toIface.
 func (b *GraphBuilder) Stream(name, fromComp, fromIface, toComp, toIface string) *GraphBuilder {
-	b.declare(name)
 	b.g.Connect(name, fromComp, fromIface, toComp, toIface)
 	return b
 }
@@ -120,7 +100,9 @@ func (b *GraphBuilder) Replicate(stream string) *GraphBuilder {
 }
 
 // Build validates the accumulated graph and returns it, or every collected
-// construction error joined into one.
+// construction error joined into one. The rules for components and streams
+// — names non-empty, a stream name declared once, endpoints that exist —
+// are Graph.Validate's.
 func (b *GraphBuilder) Build() (*Graph, error) {
 	errs := append([]error(nil), b.errs...)
 	for _, name := range b.reps {
@@ -174,10 +156,6 @@ type ComponentBuilder struct {
 // Path declares an annotated from→to path; interfaces are created on first
 // use.
 func (cb *ComponentBuilder) Path(from, to string, ann Annotation) *ComponentBuilder {
-	if from == "" || to == "" {
-		cb.b.errf("blazes: component %q: path needs non-empty interface names", cb.c.Name)
-		return cb
-	}
 	cb.c.AddPath(from, to, ann)
 	return cb
 }

@@ -66,7 +66,6 @@ type QuorumOrder struct {
 	producers  []*QuorumProducer
 	replicas   []*quorumReplica
 	heartbeats int
-	delivered  int
 }
 
 // NewQuorumOrder creates a quorum-ordering service on the given simulator.
@@ -109,9 +108,6 @@ func (q *QuorumOrder) Producer() *QuorumProducer {
 // the protocol's total coordination cost, the analog of a Sequencer's
 // Submitted count.
 func (q *QuorumOrder) Heartbeats() int { return q.heartbeats }
-
-// Delivered reports the total number of replica deliveries.
-func (q *QuorumOrder) Delivered() int { return q.delivered }
 
 // QuorumProducer is one stamping client of the quorum order.
 type QuorumProducer struct {
@@ -239,7 +235,6 @@ func (r *quorumReplica) drain() {
 	sort.Slice(ready, func(i, j int) bool { return ready[i].st.less(ready[j].st) })
 	r.buffer = rest
 	for _, m := range ready {
-		r.q.delivered++
 		r.fn(m.st, m.msg)
 	}
 }

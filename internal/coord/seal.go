@@ -103,10 +103,6 @@ func (t *SealTracker) Seal(p Punctuation) {
 // Sealed reports whether the partition has been released.
 func (t *SealTracker) Sealed(partition string) bool { return t.done[partition] }
 
-// Pending reports how many messages are buffered for an unreleased
-// partition.
-func (t *SealTracker) Pending(partition string) int { return len(t.buffer[partition]) }
-
 // LateData reports messages that arrived after their partition released.
 func (t *SealTracker) LateData() int { return t.lateData }
 

@@ -170,8 +170,8 @@ func (a *Analysis) StreamAt(i int) (*Stream, core.Label) {
 // Label returns the derived label of the named stream (the zero label for
 // a stream the collapsed graph does not have).
 func (a *Analysis) Label(stream string) core.Label {
-	if ids := a.st.streamsNamed(stream); len(ids) > 0 {
-		return a.labels[ids[0]]
+	if id := a.st.streamNamed(stream); id >= 0 {
+		return a.labels[id]
 	}
 	return core.Label{}
 }

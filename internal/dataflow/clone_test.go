@@ -19,10 +19,9 @@ import (
 // cloneCases are the graphs Clone is held to: generated topologies at three
 // sizes and four seeds, and both fixture specs. Each builder returns a fresh,
 // equal graph on every call, so one build can be mutated while another
-// stands for what it held before. Every graph also declares one stream name
-// twice and another twice with the later one removed, so the stream list
-// holds a name Stream resolves to the second declaration and a name Stream
-// no longer resolves at all; and one component carries a lineage.
+// stands for what it held before. Every graph also declares a sealed source
+// after the spec's streams and one more that it removes again, so the stream
+// list was edited after the build; and one component carries a lineage.
 func cloneCases(t *testing.T) map[string]func() *dataflow.Graph {
 	t.Helper()
 	cases := map[string]func() *dataflow.Graph{}
@@ -74,10 +73,9 @@ func buildWithExtras(cfg *spec.Config, variants map[string]string) func() *dataf
 				break
 			}
 		}
-		g.Source(src.Name, src.ToComp, src.ToIface).Seal = fd.NewAttrSet("twice")
-		g.Source("removed-twice", src.ToComp, src.ToIface)
-		g.Source("removed-twice", src.ToComp, src.ToIface)
-		g.RemoveStream("removed-twice")
+		g.Source("extra", src.ToComp, src.ToIface).Seal = fd.NewAttrSet("extra")
+		g.Source("removed", src.ToComp, src.ToIface)
+		g.RemoveStream("removed")
 		g.Components()[0].Deps = fd.NewSet(fd.Identity("key"))
 		return g
 	}
@@ -85,8 +83,8 @@ func buildWithExtras(cfg *spec.Config, variants map[string]string) func() *dataf
 
 // sameGraph reports the first field in which b differs from a: a component
 // with its interfaces, paths, schema map and lineage, the name order of
-// Components, Lookup, a stream field, the stream order, and which
-// declaration Stream resolves every name to.
+// Components, Lookup, a stream field, the stream order, and which stream
+// Stream resolves every name to.
 func sameGraph(a, b *dataflow.Graph) error {
 	if a.Name != b.Name {
 		return fmt.Errorf("name %q, want %q", b.Name, a.Name)
@@ -123,7 +121,7 @@ func sameGraph(a, b *dataflow.Graph) error {
 			return fmt.Errorf("Streams()[%d] = %+v, want %+v", i, *bs[i], *x)
 		}
 		if ai, bi := slices.Index(as, a.Stream(x.Name)), slices.Index(bs, b.Stream(x.Name)); ai != bi {
-			return fmt.Errorf("Stream(%q) is declaration %d, want %d", x.Name, bi, ai)
+			return fmt.Errorf("Stream(%q) is stream %d, want %d", x.Name, bi, ai)
 		}
 	}
 	return nil
@@ -210,6 +208,22 @@ func TestCloneAllocs(t *testing.T) {
 		t.Errorf("Clone of %d components allocates %.0f objects, want at most %d", len(g.Components()), allocs, 6925/2)
 	}
 	t.Logf("Clone of %d components and %d streams: %.0f allocations", len(g.Components()), len(g.Streams()), allocs)
+}
+
+// TestValidateAllocs: validating a well-formed 1k-component generated graph
+// allocates nothing — the check that no stream name is declared twice
+// compares two lengths and builds its set of names only on a graph whose
+// lengths differ.
+func TestValidateAllocs(t *testing.T) {
+	g := generated(t, 1000, 8)
+	g.Components()
+	if allocs := testing.AllocsPerRun(5, func() {
+		if err := g.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 0 {
+		t.Errorf("Validate of %d components allocates %.0f objects, want none", len(g.Components()), allocs)
+	}
 }
 
 // BenchmarkGraphClone clones the 10k-component reference topology the

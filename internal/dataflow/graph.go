@@ -223,17 +223,6 @@ func (c *Component) PathsFrom(in string) []Path {
 	return out
 }
 
-// PathsTo returns the paths feeding the given output interface.
-func (c *Component) PathsTo(out string) []Path {
-	var res []Path
-	for _, p := range c.Paths {
-		if p.To == out {
-			res = append(res, p)
-		}
-	}
-	return res
-}
-
 // Stream connects an output interface of one component to an input
 // interface of another (or represents an external source/sink edge when one
 // endpoint is empty).
@@ -320,7 +309,8 @@ func (g *Graph) Components() []*Component {
 func (g *Graph) Lookup(name string) *Component { return g.components[name] }
 
 // Connect wires fromComp.fromIface to toComp.toIface with a named stream
-// and returns it for further annotation.
+// and returns it for further annotation. Nothing is checked here: Validate
+// applies the stream rules, a name declared twice among them.
 func (g *Graph) Connect(name, fromComp, fromIface, toComp, toIface string) *Stream {
 	if len(g.spareStreams) == 0 {
 		g.spareStreams = make([]Stream, min(max(len(g.streams), 1), entryChunk))
@@ -366,42 +356,83 @@ func (g *Graph) RemoveStream(name string) bool {
 // Streams returns all streams in declaration order.
 func (g *Graph) Streams() []*Stream { return g.streams }
 
-// Validate checks structural sanity: stream endpoints must reference
-// declared components and interfaces used by at least one path, and every
-// component must have at least one path. Every problem is reported — the
-// collected errors, each naming the offending component or stream, are
-// joined with errors.Join so a construction site can fix them in one pass.
-// Components are checked in name order and streams in declaration order,
-// so the message is deterministic.
+// Validate checks structural sanity: every component keeps the component
+// rules (CheckComponent) and every stream the stream rules (CheckStream) —
+// in particular no stream name is declared twice, so a name names one
+// stream. Every problem is reported — the collected errors, each naming the
+// offending component or stream, are joined with errors.Join so a
+// construction site can fix them in one pass. Components are checked in
+// name order and streams in declaration order, so the message is
+// deterministic.
 func (g *Graph) Validate() error {
 	var errs []error
 	for _, c := range g.Components() {
-		if len(c.Paths) == 0 {
-			errs = append(errs, fmt.Errorf("dataflow: component %q has no annotated paths", c.Name))
-		}
+		errs = CheckComponent(errs, "dataflow: ", c.Name, c.Paths)
+	}
+	// Stream resolves each name to a stream, and Connect and RemoveStream
+	// keep that map no larger than the set of declared names: as many
+	// entries as streams means no name is declared twice.
+	var declared map[string]bool
+	if len(g.byName) != len(g.streams) {
+		declared = make(map[string]bool, len(g.streams))
 	}
 	for _, s := range g.streams {
-		if !s.IsSource() {
-			c, ok := g.components[s.FromComp]
-			if !ok {
-				errs = append(errs, fmt.Errorf("dataflow: stream %q: unknown producer component %q", s.Name, s.FromComp))
-			} else if !hasSorted(c.outs, s.FromIface) {
-				errs = append(errs, fmt.Errorf("dataflow: stream %q: component %q has no output interface %q", s.Name, s.FromComp, s.FromIface))
-			}
-		}
-		if !s.IsSink() {
-			c, ok := g.components[s.ToComp]
-			if !ok {
-				errs = append(errs, fmt.Errorf("dataflow: stream %q: unknown consumer component %q", s.Name, s.ToComp))
-			} else if !hasSorted(c.ins, s.ToIface) {
-				errs = append(errs, fmt.Errorf("dataflow: stream %q: component %q has no input interface %q", s.Name, s.ToComp, s.ToIface))
-			}
-		}
-		if s.IsSource() && s.IsSink() {
-			errs = append(errs, fmt.Errorf("dataflow: stream %q connects nothing to nothing", s.Name))
+		errs = g.CheckStream(errs, "dataflow: ", s, declared[s.Name])
+		if declared != nil {
+			declared[s.Name] = true
 		}
 	}
 	return errors.Join(errs...)
+}
+
+// CheckComponent appends to errs one error, each beginning with prefix, for
+// every component rule a component named name with the given paths breaks:
+// the name is non-empty, there is at least one path, and every path names
+// both its interfaces.
+func CheckComponent(errs []error, prefix, name string, paths []Path) []error {
+	if name == "" {
+		errs = append(errs, fmt.Errorf("%scomponent name must be non-empty", prefix))
+	}
+	if len(paths) == 0 {
+		errs = append(errs, fmt.Errorf("%scomponent %q has no annotated paths", prefix, name))
+	}
+	if slices.ContainsFunc(paths, func(p Path) bool { return p.From == "" || p.To == "" }) {
+		errs = append(errs, fmt.Errorf("%scomponent %q: path needs non-empty interface names", prefix, name))
+	}
+	return errs
+}
+
+// CheckStream appends to errs one error, each beginning with prefix, for
+// every stream rule s breaks in g: the name is non-empty and, as declared
+// tells, not declared before; the stream connects something; the producer
+// and consumer components exist and have the interfaces s names.
+func (g *Graph) CheckStream(errs []error, prefix string, s *Stream, declared bool) []error {
+	switch {
+	case s.Name == "":
+		errs = append(errs, fmt.Errorf("%sstream name must be non-empty", prefix))
+	case declared:
+		errs = append(errs, fmt.Errorf("%sduplicate stream name %q", prefix, s.Name))
+	}
+	if s.IsSource() && s.IsSink() {
+		errs = append(errs, fmt.Errorf("%sstream %q connects nothing to nothing", prefix, s.Name))
+	}
+	if !s.IsSource() {
+		c, ok := g.components[s.FromComp]
+		if !ok {
+			errs = append(errs, fmt.Errorf("%sstream %q: unknown producer component %q", prefix, s.Name, s.FromComp))
+		} else if !hasSorted(c.outs, s.FromIface) {
+			errs = append(errs, fmt.Errorf("%sstream %q: component %q has no output interface %q", prefix, s.Name, s.FromComp, s.FromIface))
+		}
+	}
+	if !s.IsSink() {
+		c, ok := g.components[s.ToComp]
+		if !ok {
+			errs = append(errs, fmt.Errorf("%sstream %q: unknown consumer component %q", prefix, s.Name, s.ToComp))
+		} else if !hasSorted(c.ins, s.ToIface) {
+			errs = append(errs, fmt.Errorf("%sstream %q: component %q has no input interface %q", prefix, s.Name, s.ToComp, s.ToIface))
+		}
+	}
+	return errs
 }
 
 // Clone deep-copies the graph so strategies can be applied to a copy. The
@@ -448,15 +479,6 @@ func (g *Graph) Clone() *Graph {
 		streams[i] = *s
 		ng.streams[i] = &streams[i]
 		ng.byName[s.Name] = &streams[i]
-	}
-	// A name resolves to its last declaration, as in the source, unless the
-	// source removed that one: then the name no longer resolves at all.
-	if len(ng.byName) != len(g.byName) {
-		for _, s := range g.streams {
-			if g.byName[s.Name] == nil {
-				delete(ng.byName, s.Name)
-			}
-		}
 	}
 	return ng
 }

@@ -209,7 +209,7 @@ func (inc *Incremental) NoteStreamAdded(stream string) {
 	}
 	st, v := inc.st, int32(-1)
 	s := inc.g.Stream(stream)
-	if inc.complete && s != nil && s == inc.g.streams[len(inc.g.streams)-1] && len(st.streamsNamed(stream)) == 0 {
+	if inc.complete && s != nil && s == inc.g.streams[len(inc.g.streams)-1] && st.streamNamed(stream) < 0 {
 		v = st.tapNode(s)
 	}
 	if v < 0 {
@@ -236,15 +236,14 @@ func (inc *Incremental) NoteStreamRemoved(stream string) {
 		return
 	}
 	st, v := inc.st, int32(-1)
-	ids := st.streamsNamed(stream)
-	if inc.complete && len(ids) == 1 && inc.g.Stream(stream) == nil {
-		v = st.tapNode(st.streams[ids[0]])
+	id := st.streamNamed(stream)
+	if inc.complete && id >= 0 && inc.g.Stream(stream) == nil {
+		v = st.tapNode(st.streams[id])
 	}
 	if v < 0 {
 		inc.topoDirty = true
 		return
 	}
-	id := ids[0]
 	pos := st.dropTap(id)
 	inc.a.labels = slices.Delete(inc.a.labels, int(id), int(id)+1)
 	inc.touched.drop(id)
@@ -301,16 +300,11 @@ func (inc *Incremental) NoteStreamChange(stream string) {
 		return
 	}
 	st := inc.st
-	ids := st.streamsNamed(stream)
+	id := st.streamNamed(stream)
 	orig := inc.g.Stream(stream)
-	if len(ids) == 0 || orig == nil {
+	if id < 0 || orig == nil {
 		return
 	}
-	if len(ids) > 1 {
-		inc.topoDirty = true // a name declared twice: which copy changed is not recorded
-		return
-	}
-	id := ids[0]
 	s := st.streams[id]
 	s.Seal, s.Rep = orig.Seal, orig.Rep
 	inc.touched.add(id)

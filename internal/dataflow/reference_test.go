@@ -1004,3 +1004,14 @@ func diffReference(g *Graph) error {
 	}
 	return nil
 }
+
+// PathsTo returns the paths feeding the given output interface.
+func (c *Component) PathsTo(out string) []Path {
+	var res []Path
+	for _, p := range c.Paths {
+		if p.To == out {
+			res = append(res, p)
+		}
+	}
+	return res
+}

@@ -265,18 +265,18 @@ func compile(g *Graph) (*structure, error) {
 	return st, nil
 }
 
-// streamsNamed returns the ids of the collapsed graph's streams with the
-// given name — none when the collapse dropped the stream, more than one
-// only when the graph declares a name twice.
-func (st *structure) streamsNamed(name string) []int32 {
-	lo, _ := sort.Find(len(st.byName), func(i int) int {
+// streamNamed returns the id of the collapsed graph's stream with the given
+// name, or -1 when the collapse dropped the stream or g has none of that
+// name. A validated graph declares each name once, and addTap enters no
+// name the structure holds.
+func (st *structure) streamNamed(name string) int32 {
+	i, found := sort.Find(len(st.byName), func(i int) int {
 		return cmp.Compare(name, st.streams[st.byName[i]].Name)
 	})
-	hi := lo
-	for hi < len(st.byName) && st.streams[st.byName[hi]].Name == name {
-		hi++
+	if !found {
+		return -1
 	}
-	return st.byName[lo:hi]
+	return st.byName[i]
 }
 
 // A tap is a stream with one external end and the other on a component

@@ -6,8 +6,9 @@
 # durability the hard way — kill -9 the journaled server mid-life, restart
 # it on the same journal, and assert the session replays intact from one
 # untorn segment, put a strategy list on the wire, hold /v1/stats' latency
-# counts to the 2xx replies, refuse a body with bytes after its JSON value
-# (400) and one past the 8 MiB limit (413), refuse the retired
+# counts to the 2xx replies, refuse a spec that declares a stream name
+# twice (400), a body with bytes after its JSON value (400) and one past
+# the 8 MiB limit (413), refuse the retired
 # snapshot-interval flag — and finally send SIGTERM and assert a clean
 # (exit 0) shutdown. Replies are compact JSON, so the needles below carry
 # no space after a colon. CI runs
@@ -130,6 +131,13 @@ expect analyze-list "$(fetch POST /v1/sessions/s2/analyze '{"synthesize":true}')
 RETIRED="$(curl -sS -w ' HTTP %{http_code}' -X POST -H 'Content-Type: application/json' -d "{\"spec\":\"$SPEC\",\"sequencing\":true}" "$BASE/v1/sessions")"
 expect retired-sequencing "$RETIRED" 'unknown field \"sequencing\"'
 expect retired-sequencing-400 "$RETIRED" 'HTTP 400'
+
+# A stream name names one stream: a spec that declares one twice is a 400
+# whose JSON body names the stream.
+DUPSPEC='Count:\n  annotation: {from: words, to: counts, label: CR}\ntopology:\n  sources:\n    - {name: words, to: Count.words}\n    - {name: words, to: Count.words}\n  sinks:\n    - {name: counts, from: Count.counts}\n'
+DUPLICATE="$(curl -sS -w ' HTTP %{http_code} %{content_type}' -X POST -H 'Content-Type: application/json' -d "{\"name\":\"wc-dup\",\"spec\":\"$DUPSPEC\"}" "$BASE/v1/sessions")"
+expect duplicate-stream-400 "$DUPLICATE" 'HTTP 400 application/json'
+expect duplicate-stream-named "$DUPLICATE" '{"error":"dataflow: duplicate stream name \"words\""}'
 
 # A request body is exactly one JSON value of at most 8 MiB: a second
 # value after a valid create is a 400 that names its first byte and opens

@@ -175,8 +175,9 @@ type rebuildPlan struct {
 // can journal the delete first while both were correctly acknowledged —
 // the end state (session gone) is identical either way. Sessions keep the
 // order they come in — the snapshot's, oldest first, then the suffix's
-// creates — so the replay, which inserts each as the most recently used,
-// restores the recency order the snapshot recorded.
+// creates, a session the suffix writes moving to the back — so the replay,
+// which inserts each as the most recently used, restores the recency order
+// of the writes the journal recorded.
 func planRecovery(rec *journal.Recovered) (*rebuildPlan, error) {
 	plan := &rebuildPlan{nextID: 0}
 	byID := map[string]int{} // session id → index in plan.sessions, -1 = dropped
@@ -213,7 +214,13 @@ func planRecovery(rec *journal.Recovered) (*rebuildPlan, error) {
 				plan.skipped++
 				continue
 			}
-			plan.sessions[i].Ops = append(plan.sessions[i].Ops, jr.Ops...)
+			// A write makes the session the most recent: it moves to the back,
+			// its old place marked dropped as a delete marks it.
+			ss := plan.sessions[i]
+			ss.Ops = append(ss.Ops, jr.Ops...)
+			plan.sessions[i].ID = ""
+			byID[jr.Session] = len(plan.sessions)
+			plan.sessions = append(plan.sessions, ss)
 		case "delete":
 			i, ok := byID[jr.Session]
 			if !ok || i < 0 {

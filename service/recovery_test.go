@@ -484,7 +484,9 @@ func TestRetiredMergeRewriteStrategyUnrecoverable(t *testing.T) {
 // TestRecencySurvivesRestart: the LRU order a snapshot records is the order
 // after the restart. s1 is read after s2 and s3 are created, s3 written, and
 // a snapshot taken; after the restart a fourth session evicts s2, the least
-// recently used, not s1, the lowest id.
+// recently used, not s1, the lowest id. The same holds for a write the
+// journal holds after its last snapshot: s1 written after s2 and s3 are
+// created is, after the restart, more recent than s2.
 func TestRecencySurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	spec := wordcountSpecText(t)
@@ -521,5 +523,36 @@ func TestRecencySurvivesRestart(t *testing.T) {
 	}
 	if code, body := call(t, rh, "GET", "/v1/sessions/s1", nil); code != http.StatusOK {
 		t.Errorf("s1 = %d %s, want 200: it was read after s2", code, body)
+	}
+
+	// No snapshot: the write to s1 is a record of the journal's suffix.
+	dir = t.TempDir()
+	srv = newDurable(t, dir, Options{MaxSessions: 3})
+	h = srv.Handler()
+	for _, id := range []string{"s1", "s2", "s3"} {
+		if code, body := call(t, h, "POST", "/v1/sessions", CreateRequest{Name: id, Spec: spec}); code != http.StatusCreated {
+			t.Fatalf("create %s: %d %s", id, code, body)
+		}
+	}
+	if code, body := call(t, h, "POST", "/v1/sessions/s1/mutate", MutateRequest{Ops: []MutateOp{seal}}); code != http.StatusOK {
+		t.Fatalf("mutate s1: %d %s", code, body)
+	}
+	if st := srv.jrn.Stats(); st.SnapshotSeq != 0 {
+		t.Fatalf("snapshot seq = %d, want none (stats %+v)", st.SnapshotSeq, st)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re2 := newDurable(t, dir, Options{MaxSessions: 3})
+	defer re2.Close()
+	rh = re2.Handler()
+	if code, body := call(t, rh, "POST", "/v1/sessions", CreateRequest{Name: "s4", Spec: spec}); code != http.StatusCreated {
+		t.Fatalf("create s4 after the unsnapshotted write: %d %s", code, body)
+	}
+	if code, body := call(t, rh, "GET", "/v1/sessions/s2", nil); code != http.StatusGone || !strings.Contains(body, "evicted") {
+		t.Errorf("s2 = %d %s, want 410: it was the least recently used", code, body)
+	}
+	if code, body := call(t, rh, "GET", "/v1/sessions/s1", nil); code != http.StatusOK {
+		t.Errorf("s1 = %d %s, want 200: it was written after s2", code, body)
 	}
 }

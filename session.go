@@ -177,25 +177,18 @@ func (s *Session) LastStats() SessionStats {
 func (s *Session) AddComponent(name string, paths ...PathDecl) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if name == "" {
-		return fmt.Errorf("blazes: session: component name must be non-empty")
+	decls := make([]dataflow.Path, len(paths))
+	for i, p := range paths {
+		decls[i] = dataflow.Path(p)
 	}
-	if len(paths) == 0 {
-		return fmt.Errorf("blazes: session: component %q needs at least one annotated path", name)
+	if errs := dataflow.CheckComponent(nil, "blazes: session: ", name, decls); len(errs) > 0 {
+		return errs[0]
 	}
 	g := s.inc.Graph()
 	if g.Lookup(name) != nil {
 		return fmt.Errorf("blazes: session: component %q already exists", name)
 	}
-	for _, p := range paths {
-		if p.From == "" || p.To == "" {
-			return fmt.Errorf("blazes: session: component %q: path needs non-empty interface names", name)
-		}
-	}
-	c := g.Component(name)
-	for _, p := range paths {
-		c.AddPath(p.From, p.To, p.Ann)
-	}
+	g.Component(name).SetPaths(decls)
 	s.inc.NoteTopologyChange()
 	s.bumped()
 	return nil
@@ -219,43 +212,19 @@ func Path(from, to string, ann Annotation) PathDecl {
 func (s *Session) Connect(stream, from, to string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if stream == "" {
-		return fmt.Errorf("blazes: session: stream name must be non-empty")
+	st := dataflow.Stream{Name: stream}
+	var err error
+	if st.FromComp, st.FromIface, err = ispec.SplitEndpoint(from); err == nil {
+		st.ToComp, st.ToIface, err = ispec.SplitEndpoint(to)
+	}
+	if err != nil {
+		return fmt.Errorf("blazes: session: stream %q: %w", stream, err)
 	}
 	g := s.inc.Graph()
-	if g.Stream(stream) != nil {
-		return fmt.Errorf("blazes: session: duplicate stream name %q", stream)
+	if errs := g.CheckStream(nil, "blazes: session: ", &st, g.Stream(stream) != nil); len(errs) > 0 {
+		return errs[0]
 	}
-	if from == "" && to == "" {
-		return fmt.Errorf("blazes: session: stream %q connects nothing to nothing", stream)
-	}
-	fromComp, fromIface, err := ispec.SplitEndpoint(from)
-	if err != nil {
-		return fmt.Errorf("blazes: session: stream %q: %w", stream, err)
-	}
-	toComp, toIface, err := ispec.SplitEndpoint(to)
-	if err != nil {
-		return fmt.Errorf("blazes: session: stream %q: %w", stream, err)
-	}
-	if fromComp != "" {
-		c := g.Lookup(fromComp)
-		if c == nil {
-			return fmt.Errorf("blazes: session: stream %q: unknown producer component %q", stream, fromComp)
-		}
-		if len(c.PathsTo(fromIface)) == 0 {
-			return fmt.Errorf("blazes: session: stream %q: component %q has no output interface %q", stream, fromComp, fromIface)
-		}
-	}
-	if toComp != "" {
-		c := g.Lookup(toComp)
-		if c == nil {
-			return fmt.Errorf("blazes: session: stream %q: unknown consumer component %q", stream, toComp)
-		}
-		if len(c.PathsFrom(toIface)) == 0 {
-			return fmt.Errorf("blazes: session: stream %q: component %q has no input interface %q", stream, toComp, toIface)
-		}
-	}
-	g.Connect(stream, fromComp, fromIface, toComp, toIface)
+	g.Connect(stream, st.FromComp, st.FromIface, st.ToComp, st.ToIface)
 	s.inc.NoteStreamAdded(stream)
 	s.bumped()
 	return nil
