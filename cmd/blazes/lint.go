@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"strings"
 
 	"blazes"
@@ -169,18 +168,6 @@ func lintSpec(spec *blazes.Spec, name string, explicit map[string]string) ([]bla
 			merged = append(merged, d)
 		}
 	}
-	sort.SliceStable(merged, func(i, j int) bool {
-		a, b := merged[i], merged[j]
-		if a.Severity != b.Severity {
-			return a.Severity > b.Severity
-		}
-		if a.Code != b.Code {
-			return a.Code < b.Code
-		}
-		if a.Subject != b.Subject {
-			return a.Subject < b.Subject
-		}
-		return a.Message < b.Message
-	})
+	slices.SortStableFunc(merged, blazes.LintDiagnostic.Compare)
 	return merged, nil
 }

@@ -1,42 +1,23 @@
 // Command blazeslint runs the Blazes codebase linters — the custom static
 // analyzers that enforce the determinism contract (see internal/lint):
-// maporder, nondet and ctxflow.
+// maporder, nondet and ctxflow. It loads the named packages through the go
+// tool (default ./...), runs every registered analyzer and prints one
+// diagnostic per line:
 //
-// It speaks the `go vet -vettool` protocol, so the canonical invocation is
-// the one CI runs:
+//	go run ./cmd/blazeslint ./...
 //
-//	go build -o /tmp/blazeslint ./cmd/blazeslint
-//	go vet -vettool=/tmp/blazeslint ./...
-//
-// It also runs standalone over package patterns, loading packages itself
-// through the go tool:
-//
-//	blazeslint ./...
-//	blazeslint -checks maporder,nondet -json ./internal/storm
-//
-// Flags (standalone mode):
-//
-//	-checks names  comma-separated analyzer selection (default: all)
-//	-json          emit diagnostics as a JSON array
-//
-// Exit codes (standalone mode, the blazes CLI convention):
+// Exit codes (the blazes CLI convention):
 //
 //	0  no diagnostics
 //	1  diagnostics reported
 //	2  usage error or a package failed to load
-//
-// In vettool mode diagnostics exit 2 (the unitchecker convention cmd/go
-// expects) and tool errors exit 1.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"strings"
 
 	"blazes/internal/lint"
 )
@@ -52,80 +33,13 @@ func main() {
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	// The go vet handshakes arrive as bare flags before the .cfg argument.
-	for _, arg := range args {
-		switch {
-		case arg == "-V=full" || arg == "--V=full":
-			if err := lint.PrintVersion(stdout, filepath.Base(os.Args[0])); err != nil {
-				fmt.Fprintln(stderr, "blazeslint:", err)
-				return exitError
-			}
-			return exitOK
-		case arg == "-flags" || arg == "--flags":
-			lint.PrintFlagDefs(stdout)
-			return exitOK
-		}
-	}
-	if len(args) > 0 && strings.HasSuffix(args[len(args)-1], ".cfg") {
-		return runVetTool(args, stdout, stderr)
-	}
-	return runStandalone(args, stdout, stderr)
-}
-
-// runVetTool handles one `go vet` package unit. Analyzer selection flags
-// (-maporder, -nondet=true, ...) may precede the config path; with none,
-// every registered analyzer runs.
-func runVetTool(args []string, stdout, stderr io.Writer) int {
-	cfgPath := args[len(args)-1]
-	jsonOut := false
-	var selected []string
-	for _, arg := range args[:len(args)-1] {
-		name := strings.TrimLeft(arg, "-")
-		name, val, hasVal := strings.Cut(name, "=")
-		if name == "json" {
-			jsonOut = !hasVal || val == "true"
-			continue
-		}
-		if lint.IsValidAnalyzer(name) && (!hasVal || val == "true") {
-			selected = append(selected, name)
-		}
-	}
-	analyzers, err := lint.ForNames(strings.Join(selected, ","))
-	if err != nil {
-		fmt.Fprintln(stderr, "blazeslint:", err)
-		return exitError
-	}
-	diags, err := lint.RunUnit(cfgPath, analyzers)
-	if err != nil {
-		fmt.Fprintln(stderr, "blazeslint:", err)
-		return exitError
-	}
-	if len(diags) == 0 {
-		return exitOK
-	}
-	if jsonOut {
-		printJSON(stdout, diags)
-	} else {
-		for _, d := range diags {
-			fmt.Fprintln(stderr, d)
-		}
-	}
-	return exitUsage // exit 2: the unitchecker "diagnostics found" code
-}
-
-func runStandalone(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("blazeslint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	checks := fs.String("checks", "", "comma-separated analyzer names (default: all)")
-	jsonOut := fs.Bool("json", false, "emit diagnostics as JSON")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: blazeslint [-checks names] [-json] packages...\n       go vet -vettool=$(which blazeslint) ./...\n\nanalyzers:\n")
-		for _, name := range lint.Names() {
-			a, _ := lint.New(name)
-			fmt.Fprintf(stderr, "  %-10s %s\n", name, a.Doc)
+		fmt.Fprintf(stderr, "usage: blazeslint [packages]   (default ./...)\n\nanalyzers:\n")
+		for _, a := range lint.All() {
+			fmt.Fprintf(stderr, "  %-10s %s\n", a.Name, a.Doc)
 		}
-		fmt.Fprintf(stderr, "\nflags:\n")
-		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
@@ -137,12 +51,6 @@ func runStandalone(args []string, stdout, stderr io.Writer) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	analyzers, err := lint.ForNames(*checks)
-	if err != nil {
-		fmt.Fprintln(stderr, "blazeslint:", err)
-		fs.Usage()
-		return exitUsage
-	}
 	wd, err := os.Getwd()
 	if err != nil {
 		fmt.Fprintln(stderr, "blazeslint:", err)
@@ -153,43 +61,16 @@ func runStandalone(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "blazeslint:", err)
 		return exitUsage
 	}
-	var diags []lint.Diagnostic
+	analyzers := lint.All()
+	found := false
 	for _, pkg := range pkgs {
-		diags = append(diags, lint.Analyze(pkg, analyzers)...)
-	}
-	if *jsonOut {
-		printJSON(stdout, diags)
-	} else {
-		for _, d := range diags {
+		for _, d := range lint.Analyze(pkg, analyzers) {
 			fmt.Fprintln(stdout, d)
+			found = true
 		}
 	}
-	if len(diags) > 0 {
+	if found {
 		return exitError
 	}
 	return exitOK
-}
-
-// printJSON renders diagnostics as a stable JSON array (empty array, not
-// null, when clean).
-func printJSON(w io.Writer, diags []lint.Diagnostic) {
-	type wireDiag struct {
-		File    string `json:"file"`
-		Line    int    `json:"line"`
-		Column  int    `json:"column"`
-		Check   string `json:"check"`
-		Message string `json:"message"`
-	}
-	out := make([]wireDiag, 0, len(diags))
-	for _, d := range diags {
-		out = append(out, wireDiag{
-			File:    d.Pos.Filename,
-			Line:    d.Pos.Line,
-			Column:  d.Pos.Column,
-			Check:   d.Check,
-			Message: d.Message,
-		})
-	}
-	data, _ := json.MarshalIndent(out, "", "  ")
-	fmt.Fprintln(w, string(data))
 }

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	osexec "os/exec"
 	"path/filepath"
@@ -12,7 +11,7 @@ import (
 )
 
 // buildTool compiles blazeslint once per test run and returns its path;
-// the e2e tests hand it to `go vet -vettool` exactly as CI does.
+// the e2e tests run it in a module directory, as CI runs it.
 var buildTool = sync.OnceValues(func() (string, error) {
 	dir, err := os.MkdirTemp("", "blazeslint-test")
 	if err != nil {
@@ -42,39 +41,9 @@ func tool(t *testing.T) string {
 	return bin
 }
 
-// TestVetToolFindings drives the full unitchecker protocol against the
-// fixture module (named blazes, so its internal/sim hits the deterministic
-// scope): -V=full handshake, -flags, per-unit .cfg runs, diagnostics on
-// stderr, non-zero exit.
-func TestVetToolFindings(t *testing.T) {
-	cmd := osexec.Command("go", "vet", "-vettool="+tool(t), "./...")
-	cmd.Dir = filepath.Join("testdata", "src")
-	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("go vet over the seeded fixture should fail, output:\n%s", out)
-	}
-	for _, want := range []string{
-		"time.Now reads the wall clock",
-		"range over map lets iteration order escape",
-		"maps.Keys lets iteration order escape",
-	} {
-		if !strings.Contains(string(out), want) {
-			t.Errorf("go vet output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-// TestVetToolRepoClean is the whole-repo gate CI enforces: every real
-// violation in the deterministic packages is fixed or carries a reasoned
-// suppression, so the vettool passes the codebase.
-func TestVetToolRepoClean(t *testing.T) {
-	cmd := osexec.Command("go", "vet", "-vettool="+tool(t), "./...")
-	cmd.Dir = filepath.Join("..", "..")
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("go vet -vettool over the repo must pass: %v\n%s", err, out)
-	}
-}
-
+// TestStandaloneFindings runs the driver over the fixture module (named
+// blazes, so its internal/sim hits the deterministic scope): every seeded
+// violation is reported, one per line, and the exit code is 1.
 func TestStandaloneFindings(t *testing.T) {
 	cmd := osexec.Command(tool(t), "./...")
 	cmd.Dir = filepath.Join("testdata", "src")
@@ -82,71 +51,57 @@ func TestStandaloneFindings(t *testing.T) {
 	if code := exitCode(err); code != exitError {
 		t.Fatalf("exit = %d, want %d; output:\n%s", code, exitError, out)
 	}
-	if !strings.Contains(string(out), "time.Now reads the wall clock") {
-		t.Errorf("standalone output missing the nondet finding:\n%s", out)
+	wants := []string{
+		"time.Now reads the wall clock",
+		"range over map lets iteration order escape",
+		"maps.Keys lets iteration order escape",
 	}
-
-	// -checks narrows the run to one analyzer.
-	cmd = osexec.Command(tool(t), "-checks", "maporder", "./...")
-	cmd.Dir = filepath.Join("testdata", "src")
-	out, err = cmd.Output()
-	if code := exitCode(err); code != exitError {
-		t.Fatalf("exit = %d, want %d", code, exitError)
-	}
-	if strings.Contains(string(out), "time.Now") {
-		t.Errorf("-checks maporder still ran nondet:\n%s", out)
-	}
-
-	// -json emits a machine-readable array with positions and check names.
-	cmd = osexec.Command(tool(t), "-json", "./...")
-	cmd.Dir = filepath.Join("testdata", "src")
-	out, _ = cmd.Output()
-	var diags []struct {
-		File    string `json:"file"`
-		Line    int    `json:"line"`
-		Check   string `json:"check"`
-		Message string `json:"message"`
-	}
-	if err := json.Unmarshal(out, &diags); err != nil {
-		t.Fatalf("-json output invalid: %v\n%s", err, out)
-	}
-	checks := map[string]bool{}
-	for _, d := range diags {
-		if d.File == "" || d.Line == 0 {
-			t.Errorf("diagnostic missing position: %+v", d)
+	for _, want := range wants {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("output missing %q:\n%s", want, out)
 		}
-		checks[d.Check] = true
 	}
-	if !checks["nondet"] || !checks["maporder"] {
-		t.Errorf("JSON findings should cover both analyzers, got %v", checks)
-	}
-}
-
-func TestHandshake(t *testing.T) {
-	var out bytes.Buffer
-	if code := run([]string{"-V=full"}, &out, &out); code != exitOK {
-		t.Fatalf("-V=full exit = %d:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "buildID=") {
-		t.Errorf("-V=full output %q lacks the buildID the go command caches on", out.String())
-	}
-	out.Reset()
-	if code := run([]string{"-flags"}, &out, &out); code != exitOK {
-		t.Fatalf("-flags exit = %d", code)
-	}
-	var defs []map[string]any
-	if err := json.Unmarshal(out.Bytes(), &defs); err != nil {
-		t.Errorf("-flags output is not the JSON array cmd/go parses: %v\n%s", err, out.String())
+	if lines := strings.Count(string(out), "\n"); lines != len(wants) {
+		t.Errorf("%d lines, want one per finding (%d):\n%s", lines, len(wants), out)
 	}
 }
 
+// TestRepoClean is the whole-module gate CI enforces: every real violation
+// in the deterministic packages is fixed or carries a reasoned suppression.
+func TestRepoClean(t *testing.T) {
+	cmd := osexec.Command(tool(t), "./...")
+	cmd.Dir = filepath.Join("..", "..")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("blazeslint over the module must pass: %v\n%s", err, out)
+	}
+}
+
+// TestStandaloneUsage: the driver takes package patterns and no flags. What
+// `go vet -vettool` would pass (a handshake flag, a unit's .cfg file) and
+// the retired selection and output flags are usage errors.
 func TestStandaloneUsage(t *testing.T) {
-	var out bytes.Buffer
-	if code := run([]string{"-checks", "bogus", "./..."}, &out, &out); code != exitUsage {
-		t.Errorf("unknown check: exit = %d, want %d", code, exitUsage)
+	cfg := filepath.Join(t.TempDir(), "vet.cfg")
+	if err := os.WriteFile(cfg, []byte(`{"ImportPath":"blazes/internal/sim"}`), 0o666); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "maporder") {
-		t.Errorf("usage should list the valid analyzers:\n%s", out.String())
+	for _, args := range [][]string{
+		{"-V=full"},
+		{"-flags"},
+		{cfg},
+		{"-checks", "maporder", "./..."},
+		{"-json", "./..."},
+	} {
+		var out bytes.Buffer
+		if code := run(args, &out, &out); code != exitUsage {
+			t.Errorf("%v: exit = %d, want %d\n%s", args, code, exitUsage, out.String())
+		}
+	}
+	var out bytes.Buffer
+	run([]string{"-checks"}, &out, &out)
+	for _, name := range []string{"ctxflow", "maporder", "nondet"} {
+		if !strings.Contains(out.String(), name) {
+			t.Errorf("usage should list analyzer %s:\n%s", name, out.String())
+		}
 	}
 }
 

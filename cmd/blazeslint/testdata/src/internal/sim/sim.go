@@ -1,6 +1,6 @@
 // Package sim sits on a deterministic-scope import path (the fixture
 // module is also named blazes) so the e2e test can watch the analyzers
-// fire through the real `go vet -vettool` protocol.
+// fire through the driver.
 package sim
 
 import (

@@ -341,15 +341,26 @@ func (g *Graph) Sink(name, fromComp, fromIface string) *Stream {
 func (g *Graph) Stream(name string) *Stream { return g.byName[name] }
 
 // RemoveStream deletes the named stream from the graph and reports whether
-// it existed. Declaration order of the remaining streams is preserved.
+// it existed. Declaration order of the remaining streams is preserved. On a
+// graph that declares the name twice (Validate refuses it) the stream
+// Stream(name) returns goes, and the name then names the latest stream
+// still declaring it.
 func (g *Graph) RemoveStream(name string) bool {
 	s, ok := g.byName[name]
 	if !ok {
 		return false
 	}
+	dup := len(g.byName) < len(g.streams) // some name is declared twice
 	delete(g.byName, name)
 	i := slices.Index(g.streams, s)
 	g.streams = slices.Delete(g.streams, i, i+1)
+	if dup {
+		for _, t := range g.streams {
+			if t.Name == name {
+				g.byName[name] = t
+			}
+		}
+	}
 	return true
 }
 

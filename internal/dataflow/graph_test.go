@@ -63,6 +63,30 @@ func TestValidateErrors(t *testing.T) {
 	})
 }
 
+// TestRemoveStreamDeclaredTwice: removing a name the caller declared twice
+// removes one stream and leaves the name naming the other, so the graph
+// that is left is whole and valid.
+func TestRemoveStreamDeclaredTwice(t *testing.T) {
+	g := WordcountTopology(false)
+	first := g.Sink("x", "Commit", "db")
+	g.Sink("x", "Commit", "db")
+	if err := g.Validate(); err == nil {
+		t.Fatal("Validate accepted a stream name declared twice")
+	}
+	if !g.RemoveStream("x") {
+		t.Fatal("RemoveStream(x) = false")
+	}
+	if n := len(g.Streams()); n != 5 {
+		t.Errorf("%d streams after the removal, want 5", n)
+	}
+	if got := g.Stream("x"); got != first {
+		t.Errorf("Stream(x) = %v, want the remaining sink %v", got, first)
+	}
+	if err := g.Validate(); err != nil {
+		t.Errorf("Validate after the removal: %v", err)
+	}
+}
+
 func TestCloneIsDeep(t *testing.T) {
 	g := WordcountTopology(true)
 	g.Lookup("Count").Coordination = CoordSealed

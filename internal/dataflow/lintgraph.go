@@ -1,9 +1,10 @@
 package dataflow
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"blazes/internal/core"
@@ -99,6 +100,17 @@ func (d LintDiagnostic) String() string {
 	return fmt.Sprintf("%s %s %s: %s", d.Severity, d.Code, d.Subject, d.Message)
 }
 
+// Compare orders diagnostics errors first, then by code, subject and
+// message: the one order every list of findings is sorted in.
+func (d LintDiagnostic) Compare(e LintDiagnostic) int {
+	return cmp.Or(
+		cmp.Compare(e.Severity, d.Severity), // errors first
+		strings.Compare(d.Code, e.Code),
+		strings.Compare(d.Subject, e.Subject),
+		strings.Compare(d.Message, e.Message),
+	)
+}
+
 // lintContext is the structure every lint pass shares: the sorted component
 // list and component-level adjacency — built exactly once per LintGraph
 // call. Before it existed each pass rebuilt its own view (and the inner
@@ -137,9 +149,9 @@ func newLintContext(g *Graph) *lintContext {
 }
 
 // LintGraph runs every graph diagnostic over g and returns the findings
-// sorted errors-first, then by code, subject and message, so output is
-// deterministic. The graph should already pass Validate — structurally
-// broken graphs produce undefined (but non-panicking) lint results.
+// sorted by LintDiagnostic.Compare, so output is deterministic. The graph
+// should already pass Validate — structurally broken graphs produce
+// undefined (but non-panicking) lint results.
 func LintGraph(g *Graph) []LintDiagnostic {
 	lc := newLintContext(g)
 	var diags []LintDiagnostic
@@ -149,19 +161,7 @@ func LintGraph(g *Graph) []LintDiagnostic {
 	diags = append(diags, lintAnnotations(lc)...)
 	diags = append(diags, lintSealCompatibility(g)...)
 	diags = append(diags, lintUnsealedCycles(g, lc)...)
-	sort.SliceStable(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.Severity != b.Severity {
-			return a.Severity > b.Severity // errors first
-		}
-		if a.Code != b.Code {
-			return a.Code < b.Code
-		}
-		if a.Subject != b.Subject {
-			return a.Subject < b.Subject
-		}
-		return a.Message < b.Message
-	})
+	slices.SortStableFunc(diags, LintDiagnostic.Compare)
 	return diags
 }
 

@@ -29,10 +29,11 @@
 // safe.
 //
 // The package is stdlib-only by design: it reimplements the narrow slice of
-// golang.org/x/tools/go/analysis it needs (a Pass over typed syntax, a
-// unitchecker-compatible driver) so the repo keeps its zero-dependency
-// stance. cmd/blazeslint exposes the analyzers both as a `go vet -vettool`
-// and as a standalone checker.
+// golang.org/x/tools/go/analysis it needs (a Pass over typed syntax, and
+// Load, which type-checks packages the go tool lists against their
+// dependencies' export data) so the repo keeps its zero-dependency stance.
+// cmd/blazeslint is the one driver: `go run ./cmd/blazeslint ./...` loads
+// the whole module and runs every registered analyzer.
 package lint
 
 import (

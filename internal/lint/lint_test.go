@@ -40,9 +40,6 @@ func TestRegistry(t *testing.T) {
 		}
 	}
 	for _, n := range names {
-		if !lint.IsValidAnalyzer(n) {
-			t.Errorf("IsValidAnalyzer(%q) = false for a registered name", n)
-		}
 		a, err := lint.New(n)
 		if err != nil {
 			t.Fatalf("New(%q): %v", n, err)
@@ -51,29 +48,12 @@ func TestRegistry(t *testing.T) {
 			t.Errorf("New(%q) = %+v: incomplete analyzer", n, a)
 		}
 	}
-	if lint.IsValidAnalyzer("bogus") {
-		t.Error("IsValidAnalyzer(bogus) = true")
-	}
 	if _, err := lint.New("bogus"); err == nil || !strings.Contains(err.Error(), strings.Join(names, ", ")) {
 		t.Errorf("New(bogus) error %v should list the valid names", err)
 	}
 	all := lint.All()
 	if len(all) != len(names) {
 		t.Fatalf("All() returned %d analyzers, want %d", len(all), len(names))
-	}
-}
-
-func TestForNames(t *testing.T) {
-	as, err := lint.ForNames("")
-	if err != nil || len(as) != len(lint.Names()) {
-		t.Fatalf("ForNames(\"\") = %d analyzers, err %v; want the full set", len(as), err)
-	}
-	as, err = lint.ForNames(" nondet , maporder ")
-	if err != nil || len(as) != 2 || as[0].Name != "nondet" || as[1].Name != "maporder" {
-		t.Fatalf("ForNames selection = %v, err %v", as, err)
-	}
-	if _, err := lint.ForNames("maporder,bogus"); err == nil {
-		t.Error("ForNames with an unknown name should fail")
 	}
 }
 

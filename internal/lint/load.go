@@ -33,8 +33,8 @@ type listPackage struct {
 
 // Load lists the given package patterns (plus their dependencies, for
 // export data), parses and type-checks every non-dependency match, and
-// returns the packages ready for Analyze. It drives the go tool the same
-// way `go vet` does, so a package that builds also loads.
+// returns the packages ready for Analyze. The go tool builds the export
+// data, so a package that builds also loads.
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	args := append([]string{
 		"list", "-export", "-deps",
@@ -73,7 +73,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 
 	var pkgs []*Package
 	for _, t := range targets {
-		pkg, err := typecheck(t.ImportPath, t.Dir, t.GoFiles, t.ImportMap, exports)
+		pkg, err := check(t, exports)
 		if err != nil {
 			return nil, err
 		}
@@ -82,38 +82,25 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// typecheck parses the listed files (skipping tests) and type-checks them
-// against the export data of their dependencies.
-func typecheck(importPath, dir string, goFiles []string, importMap map[string]string, exports map[string]string) (*Package, error) {
+// check parses a listed package's files (skipping tests) and runs go/types
+// over them, resolving imports through the export-data index: the
+// compiler-produced files of the package's dependencies, so there is no
+// second type world. It is the one place source is type-checked.
+func check(lp *listPackage, exports map[string]string) (*Package, error) {
 	fset := token.NewFileSet()
 	var files []*ast.File
-	for _, name := range goFiles {
+	for _, name := range lp.GoFiles {
 		if strings.HasSuffix(name, "_test.go") {
 			continue
 		}
-		path := name
-		if !filepath.IsAbs(path) {
-			path = filepath.Join(dir, name)
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, fmt.Errorf("lint: %v", err)
 		}
 		files = append(files, f)
 	}
-	pkg, info, err := check(importPath, fset, files, importMap, exports)
-	if err != nil {
-		return nil, err
-	}
-	return &Package{ImportPath: importPath, Fset: fset, Files: files, Pkg: pkg, Info: info}, nil
-}
-
-// check runs go/types over parsed files, resolving imports through the
-// export-data index (the same compiler-produced files go vet hands its
-// analyzers, so there is no second type world).
-func check(importPath string, fset *token.FileSet, files []*ast.File, importMap map[string]string, exports map[string]string) (*types.Package, *types.Info, error) {
 	lookup := func(path string) (io.ReadCloser, error) {
-		if mapped, ok := importMap[path]; ok {
+		if mapped, ok := lp.ImportMap[path]; ok {
 			path = mapped
 		}
 		file, ok := exports[path]
@@ -134,9 +121,9 @@ func check(importPath string, fset *token.FileSet, files []*ast.File, importMap 
 		Importer: importer.ForCompiler(fset, "gc", lookup),
 		Error:    func(error) {}, // collect nothing; first error returned below
 	}
-	pkg, err := conf.Check(importPath, fset, files, info)
+	pkg, err := conf.Check(lp.ImportPath, fset, files, info)
 	if err != nil {
-		return nil, nil, fmt.Errorf("lint: type-checking %s: %v", importPath, err)
+		return nil, fmt.Errorf("lint: type-checking %s: %v", lp.ImportPath, err)
 	}
-	return pkg, info, nil
+	return &Package{ImportPath: lp.ImportPath, Fset: fset, Files: files, Pkg: pkg, Info: info}, nil
 }

@@ -2,7 +2,6 @@ package lint
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 )
 
@@ -36,8 +35,8 @@ var CtxFlowPackages = []string{
 
 // analyzers is the registry, in name order: adding an analyzer is
 // implementing the pass in its own file (run function + default scope) and
-// adding its row here. CLI error messages derive from Names(), so no
-// command-line code changes.
+// adding its row here. The driver runs All() and lists the analyzers from
+// the same table, so no command-line code changes.
 var analyzers = []Analyzer{
 	{Name: "ctxflow", Scope: CtxFlowPackages, Run: runCtxFlow,
 		Doc: "sweep/analyze entry points accept context.Context first and thread it"},
@@ -45,11 +44,6 @@ var analyzers = []Analyzer{
 		Doc: "a map is read sorted (slices.Sorted(maps.Keys(m))) or collected into a map (maps.Collect/Insert/Copy/Clone)"},
 	{Name: "nondet", Scope: DeterministicPackages, Run: runNonDet,
 		Doc: "no wall-clock reads, global math/rand draws, env-conditioned behavior or multi-channel select in deterministic packages"},
-}
-
-// IsValidAnalyzer reports whether name is a registered check.
-func IsValidAnalyzer(name string) bool {
-	return slices.Contains(Names(), name)
 }
 
 // Names returns the registered analyzer names, sorted.
@@ -62,7 +56,7 @@ func Names() []string {
 }
 
 // New builds the named analyzer with its default scope. Unknown names are
-// an error spelled with the valid set so CLI messages stay self-updating.
+// an error spelled with the valid set so the message stays self-updating.
 func New(name string) (*Analyzer, error) {
 	for _, a := range analyzers {
 		if a.Name == name {
@@ -79,20 +73,4 @@ func All() []*Analyzer {
 		out[i] = &a
 	}
 	return out
-}
-
-// ForNames resolves a comma-separated selection ("" selects all).
-func ForNames(selection string) ([]*Analyzer, error) {
-	if strings.TrimSpace(selection) == "" {
-		return All(), nil
-	}
-	var out []*Analyzer
-	for _, name := range strings.Split(selection, ",") {
-		a, err := New(strings.TrimSpace(name))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, a)
-	}
-	return out, nil
 }
