@@ -26,11 +26,12 @@
 //	-write-timeout d     http.Server WriteTimeout; 0 disables (default 2m)
 //	-idle-timeout d      http.Server IdleTimeout (default 2m)
 //
-// The server announces itself on stdout ("serving on http://..."), runs
-// until SIGINT/SIGTERM, then shuts down gracefully: in-flight requests get
-// a drain window and their contexts are cancelled, and in durable mode the
-// journal is flushed and closed. Exit codes: 0 after a clean shutdown, 1
-// if the listener or server fails, 2 on usage errors.
+// The server announces itself on stdout ("serving on http://...") once the
+// journal is replayed, so the first request sees every recovered session;
+// it runs until SIGINT/SIGTERM, then shuts down gracefully: in-flight
+// requests get a drain window and their contexts are cancelled, and in
+// durable mode the journal is flushed and closed. Exit codes: 0 after a
+// clean shutdown, 1 if the listener or server fails, 2 on usage errors.
 package main
 
 import (
@@ -120,7 +121,7 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		return exitError
 	}
 	if *journalDir != "" {
-		fmt.Fprintf(stdout, "blazes: journaling to %s (replay in progress, read-only until done)\n", *journalDir)
+		fmt.Fprintf(stdout, "blazes: journaling to %s (journal replayed)\n", *journalDir)
 	}
 
 	ln, err := net.Listen("tcp", *addr)

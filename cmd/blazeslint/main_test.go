@@ -66,6 +66,32 @@ func TestStandaloneFindings(t *testing.T) {
 	}
 }
 
+// TestUnknownMarkerNames: a //lint:allow marker naming no registered check
+// is reported where it stands, with a reason or without, and the
+// misspelled maporder marker leaves the map range under it reported.
+func TestUnknownMarkerNames(t *testing.T) {
+	cmd := osexec.Command(tool(t), "./...")
+	cmd.Dir = filepath.Join("testdata", "markers")
+	out, err := cmd.Output()
+	if code := exitCode(err); code != exitError {
+		t.Fatalf("exit = %d, want %d; output:\n%s", code, exitError, out)
+	}
+	wants := []string{
+		"sim.go:8:1: //lint:allow bogus names no check (valid: ctxflow, maporder, nondet) [bogus]",
+		"sim.go:9:1: //lint:allow mapordr names no check (valid: ctxflow, maporder, nondet) [mapordr]",
+		"sim.go:10:2: range over map lets iteration order escape",
+	}
+	lines := strings.Split(strings.TrimSuffix(string(out), "\n"), "\n")
+	if len(lines) != len(wants) {
+		t.Fatalf("%d lines, want %d:\n%s", len(lines), len(wants), out)
+	}
+	for i, want := range wants {
+		if !strings.Contains(lines[i], want) {
+			t.Errorf("line %d = %q, want it to contain %q", i+1, lines[i], want)
+		}
+	}
+}
+
 // TestRepoClean is the whole-module gate CI enforces: every real violation
 // in the deterministic packages is fixed or carries a reasoned suppression.
 func TestRepoClean(t *testing.T) {

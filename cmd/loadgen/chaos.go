@@ -20,8 +20,8 @@ import (
 //  1. spawn `-bin serve -journal dir` and open a mutate burst against it;
 //  2. SIGKILL the server midway through the burst — no drain, no Close,
 //     exactly the crash the journal exists for;
-//  3. respawn on the same journal, wait out the boot replay and report the
-//     snapshot it recovered from;
+//  3. respawn on the same journal (the address is announced only after
+//     the boot replay) and report the snapshot it recovered from;
 //  4. hold the recovered state to the client's acknowledgement record:
 //     every acknowledged session must be back, every recovered version
 //     must equal the acknowledged op count (+1 only when one op was
@@ -123,7 +123,7 @@ func runChaos(ctx context.Context, cfg config, stdout, stderr io.Writer) int {
 		return exitError
 	}
 	defer proc2.stop()
-	recovery, err := waitRecovered(ctx, proc2.base)
+	recovery, err := recoveryStats(ctx, proc2.base)
 	if err != nil {
 		fmt.Fprintf(stderr, "loadgen: %v\n", err)
 		return exitError
@@ -153,27 +153,19 @@ func runChaos(ctx context.Context, cfg config, stdout, stderr io.Writer) int {
 	return exitOK
 }
 
-// waitRecovered polls /v1/stats until the boot replay finishes and
-// returns what the replay found in the journal.
-func waitRecovered(ctx context.Context, base string) (service.RecoveryStats, error) {
-	client := &http.Client{Timeout: 5 * time.Second}
-	deadline := time.Now().Add(60 * time.Second)
-	for time.Now().Before(deadline) {
-		if ctx.Err() != nil {
-			return service.RecoveryStats{}, ctx.Err()
-		}
-		resp, err := client.Get(base + "/v1/stats")
-		if err == nil {
-			var st service.StatsResponse
-			err := json.NewDecoder(resp.Body).Decode(&st)
-			resp.Body.Close()
-			if err == nil && !st.Recovering && st.Recovery != nil {
-				return *st.Recovery, nil
-			}
-		}
-		time.Sleep(50 * time.Millisecond)
+// recoveryStats reads what the boot replay found in the journal from
+// /v1/stats. The server announces its address only after the replay, so
+// one read is the final answer.
+func recoveryStats(ctx context.Context, base string) (service.RecoveryStats, error) {
+	var st service.StatsResponse
+	code, err := getJSON(ctx, &http.Client{Timeout: 5 * time.Second}, base+"/v1/stats", &st)
+	switch {
+	case err != nil:
+		return service.RecoveryStats{}, err
+	case code != http.StatusOK || st.Recovery == nil:
+		return service.RecoveryStats{}, fmt.Errorf("/v1/stats answered %d with no recovery section", code)
 	}
-	return service.RecoveryStats{}, fmt.Errorf("server still recovering after 60s")
+	return *st.Recovery, nil
 }
 
 // verifyRecovered holds the restarted server to the acknowledgement
@@ -230,63 +222,27 @@ func verifyRecovered(ctx context.Context, base string, states []*sessionState, s
 	return lost, checked, nil
 }
 
-// freshReplayAnalysis rebuilds the session on a fresh in-memory server by
-// replaying its acknowledged ops through the same HTTP surface, and
-// returns the analyze body — the byte-identical oracle for the recovered
-// server's answer.
+// freshReplayAnalysis rebuilds the session through the exported rebuild
+// path — CreateRequest.NewSession, then MutateOp.Apply for each op — and
+// returns its analysis encoded as the analyze endpoint encodes it: the
+// byte-identical oracle for the recovered server's answer.
 func freshReplayAnalysis(ctx context.Context, st *sessionState, ops []service.MutateOp) (string, error) {
-	h := service.New(service.Options{}).Handler()
-	create, err := json.Marshal(service.CreateRequest{Name: fmt.Sprintf("load-%d", st.index), Spec: wordcountSpec})
+	sess, err := service.CreateRequest{Name: fmt.Sprintf("load-%d", st.index), Spec: wordcountSpec}.NewSession()
 	if err != nil {
 		return "", err
 	}
-	if code, body := handlerCall(ctx, h, "POST", "/v1/sessions", string(create)); code != http.StatusCreated {
-		return "", fmt.Errorf("fresh create: %d %s", code, body)
-	}
-	if len(ops) > 0 {
-		mb, err := json.Marshal(service.MutateRequest{Ops: ops})
-		if err != nil {
+	for _, op := range ops {
+		if err := op.Apply(sess); err != nil {
 			return "", err
 		}
-		if code, body := handlerCall(ctx, h, "POST", "/v1/sessions/s1/mutate", string(mb)); code != http.StatusOK {
-			return "", fmt.Errorf("fresh mutate: %d %s", code, body)
-		}
 	}
-	_, body := handlerCall(ctx, h, "POST", "/v1/sessions/s1/analyze", "")
-	return body, nil
-}
-
-// handlerCall invokes a handler directly (no socket) and returns status
-// and body.
-func handlerCall(ctx context.Context, h http.Handler, method, path, body string) (int, string) {
-	// Always give the request a body: handlers built for real server
-	// requests assume a non-nil Body, which NewRequest only guarantees for
-	// a non-nil reader.
-	req, _ := http.NewRequestWithContext(ctx, method, "http://loadgen"+path, strings.NewReader(body))
-	rec := &responseRecorder{header: http.Header{}}
-	h.ServeHTTP(rec, req)
-	return rec.code, rec.body.String()
-}
-
-// responseRecorder is a minimal httptest.ResponseRecorder stand-in
-// (net/http/httptest is test-only by convention; this binary ships).
-type responseRecorder struct {
-	header http.Header
-	body   strings.Builder
-	code   int
-}
-
-func (r *responseRecorder) Header() http.Header { return r.header }
-func (r *responseRecorder) WriteHeader(c int) {
-	if r.code == 0 {
-		r.code = c
+	rep, err := sess.Analyze(ctx)
+	if err != nil {
+		return "", err
 	}
-}
-func (r *responseRecorder) Write(p []byte) (int, error) {
-	if r.code == 0 {
-		r.code = http.StatusOK
-	}
-	return r.body.Write(p)
+	var b strings.Builder
+	err = json.NewEncoder(&b).Encode(rep)
+	return b.String(), err
 }
 
 func getJSON(ctx context.Context, client *http.Client, url string, out any) (int, error) {

@@ -203,9 +203,6 @@ func startTarget(ctx context.Context, cfg config, stderr io.Writer) (base string
 		if err != nil {
 			return "", nil, err
 		}
-		if err := svc.WaitRecovered(ctx); err != nil {
-			return "", nil, err
-		}
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			return "", nil, err

@@ -26,7 +26,8 @@
 //
 // on the flagged line or the line above it. A marker without a reason is
 // itself a diagnostic — every suppression documents why the construct is
-// safe.
+// safe — and so is a marker naming no registered check, which could
+// suppress nothing.
 //
 // The package is stdlib-only by design: it reimplements the narrow slice of
 // golang.org/x/tools/go/analysis it needs (a Pass over typed syntax, and
@@ -41,6 +42,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -59,22 +61,9 @@ type Analyzer struct {
 	Run func(*Pass)
 }
 
-// AppliesTo reports whether the analyzer covers the import path. Test
-// variants ("pkg [pkg.test]") are matched by their base path.
+// AppliesTo reports whether the analyzer covers the import path.
 func (a *Analyzer) AppliesTo(importPath string) bool {
-	if len(a.Scope) == 0 {
-		return true
-	}
-	base := importPath
-	if i := strings.Index(base, " ["); i >= 0 {
-		base = base[:i]
-	}
-	for _, p := range a.Scope {
-		if base == p {
-			return true
-		}
-	}
-	return false
+	return len(a.Scope) == 0 || slices.Contains(a.Scope, importPath)
 }
 
 // Pass carries one type-checked package through an analyzer.
@@ -132,14 +121,6 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type {
 // allowMarker is the suppression prefix: //lint:allow <check> <reason>.
 const allowMarker = "lint:allow"
 
-// allowance is one parsed //lint:allow marker.
-type allowance struct {
-	check  string
-	reason string
-	file   string
-	line   int
-}
-
 // suppressionIndex maps (file, line) to the checks allowed there. A marker
 // covers its own line and, when it stands alone on a line, the line below —
 // the two placements gofmt produces.
@@ -165,15 +146,14 @@ type Package struct {
 }
 
 // Analyze runs every analyzer that applies to the package and returns the
-// surviving diagnostics in position order. Unreasoned //lint:allow markers
-// are reported as findings of the named check so a suppression can never
-// silently drop its justification.
+// surviving diagnostics in position order. A //lint:allow marker naming no
+// registered check is a finding, and so is an unreasoned marker of a check
+// in this run, attributed to that check: a suppression can never silently
+// suppress nothing or drop its justification.
 func Analyze(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
-	idx, bad := indexSuppressions(pkg.Fset, pkg.Files)
-	names := map[string]bool{}
+	idx, markers := indexSuppressions(pkg.Fset, pkg.Files)
 	for _, a := range analyzers {
-		names[a.Name] = true
 		if !a.AppliesTo(pkg.ImportPath) {
 			continue
 		}
@@ -188,18 +168,18 @@ func Analyze(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 		}
 		a.Run(pass)
 	}
-	for _, b := range bad {
-		if !names[b.check] {
-			// A marker for an analyzer not in this run is not ours to
-			// police (and unknown check names are caught below only when
-			// the full registry runs).
+	known := Names()
+	for _, m := range markers {
+		var msg string
+		switch {
+		case !slices.Contains(known, m.check):
+			msg = fmt.Sprintf("//lint:allow %s names no check (valid: %s)", m.check, strings.Join(known, ", "))
+		case !m.reasoned && slices.ContainsFunc(analyzers, func(a *Analyzer) bool { return a.Name == m.check }):
+			msg = fmt.Sprintf("//lint:allow %s needs a reason (write: //lint:allow %s <why this is safe>)", m.check, m.check)
+		default:
 			continue
 		}
-		diags = append(diags, Diagnostic{
-			Pos:     token.Position{Filename: b.file, Line: b.line, Column: 1},
-			Check:   b.check,
-			Message: fmt.Sprintf("//lint:allow %s needs a reason (write: //lint:allow %s <why this is safe>)", b.check, b.check),
-		})
+		diags = append(diags, Diagnostic{Pos: m.pos, Check: m.check, Message: msg})
 	}
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
@@ -217,12 +197,19 @@ func Analyze(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 	return diags
 }
 
+// marker is one //lint:allow marker the runner may have to flag.
+type marker struct {
+	check    string
+	reasoned bool
+	pos      token.Position
+}
+
 // indexSuppressions scans every comment for //lint:allow markers. Markers
-// with a reason populate the index; reasonless markers are returned so the
-// runner can flag them.
-func indexSuppressions(fset *token.FileSet, files []*ast.File) (suppressionIndex, []allowance) {
+// with a reason populate the index; every marker is returned so the runner
+// can flag the reasonless and the misnamed ones.
+func indexSuppressions(fset *token.FileSet, files []*ast.File) (suppressionIndex, []marker) {
 	idx := suppressionIndex{}
-	var bad []allowance
+	var markers []marker
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -237,8 +224,9 @@ func indexSuppressions(fset *token.FileSet, files []*ast.File) (suppressionIndex
 				if check == "" {
 					continue
 				}
-				if strings.TrimSpace(reason) == "" {
-					bad = append(bad, allowance{check: check, file: pos.Filename, line: pos.Line})
+				reasoned := strings.TrimSpace(reason) != ""
+				markers = append(markers, marker{check: check, reasoned: reasoned, pos: token.Position{Filename: pos.Filename, Line: pos.Line, Column: 1}})
+				if !reasoned {
 					continue
 				}
 				lines := idx[pos.Filename]
@@ -253,5 +241,5 @@ func indexSuppressions(fset *token.FileSet, files []*ast.File) (suppressionIndex
 			}
 		}
 	}
-	return idx, bad
+	return idx, markers
 }

@@ -113,8 +113,8 @@ type AdmissionStats struct {
 	Admitted      uint64 `json:"admitted"`
 	Shed          uint64 `json:"shed"`
 	QueueTimeouts uint64 `json:"queue_timeouts"`
-	// ReadOnlyRejected counts writes shed while the server was read-only
-	// (recovery replay in progress, or a poisoned journal).
+	// ReadOnlyRejected counts writes shed with 503 because a poisoned
+	// journal made the server read-only.
 	ReadOnlyRejected uint64 `json:"read_only_rejected"`
 }
 

@@ -270,27 +270,18 @@ func sessionNumber(id string) (int, bool) {
 	return n, err == nil && strings.HasPrefix(id, "s")
 }
 
-// recover rebuilds sessions from the plan. It runs on a background
-// goroutine: while it works the server serves reads (recovered-so-far
-// sessions appear as they complete) and sheds writes with 503, so a big
-// recovery degrades to read-only instead of blocking the listener.
+// recoverSessions rebuilds the sessions of the plan and tombstones those it
+// cannot. Open runs it before it returns the server, so no request sees a
+// half-recovered one; it takes the locks the helpers expect all the same.
 func (s *Server) recoverSessions(plan *rebuildPlan) {
-	defer func() {
-		s.mu.Lock()
-		if plan.nextID > s.nextID {
-			s.nextID = plan.nextID
-		}
-		s.mu.Unlock()
-		s.recovering.Store(false)
-		close(s.recoveredCh)
-	}()
-
+	s.snapMu.RLock()
+	defer s.snapMu.RUnlock()
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.nextID = plan.nextID
 	for _, t := range plan.evicted {
 		s.addTombstoneLocked(t)
 	}
-	s.mu.Unlock()
-
 	for _, ss := range plan.sessions {
 		sess, err := ss.Create.NewSession()
 		if err == nil {
@@ -306,22 +297,16 @@ func (s *Server) recoverSessions(plan *rebuildPlan) {
 			// serving: tombstone the session, count the damage, and keep
 			// its records for the next snapshot, so the next boot tries
 			// again instead of finding them compacted away.
-			s.replayErrors.Add(1)
-			s.mu.Lock()
+			s.replayErrors++
 			s.unrecoverable = append(s.unrecoverable, ss)
 			s.addTombstoneLocked(Tombstone{Session: ss.ID, Name: ss.Name, State: "unrecoverable"})
-			s.mu.Unlock()
 			continue
 		}
 		e := &entry{id: ss.ID, name: ss.Name, sess: sess, create: ss.Create, ops: ss.Ops, recovered: true}
-		s.snapMu.RLock()
-		s.mu.Lock()
 		e.elem = s.lru.PushFront(e)
 		s.byID[e.id] = e
 		s.evictOverflowLocked()
-		s.mu.Unlock()
-		s.snapMu.RUnlock()
-		s.recoveredCount.Add(1)
+		s.recoveredCount++
 	}
 }
 

@@ -13,16 +13,13 @@ import (
 	"blazes/internal/journal"
 )
 
-// newDurable opens a journaled server on dir and waits out the boot
-// replay, failing the test on any error.
+// newDurable opens a journaled server on dir, failing the test on any
+// error.
 func newDurable(t *testing.T, dir string, opts Options) *Server {
 	t.Helper()
 	opts.JournalDir = dir
 	srv, err := Open(opts)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.WaitRecovered(t.Context()); err != nil {
 		t.Fatal(err)
 	}
 	return srv
@@ -291,32 +288,81 @@ func TestRecoverySkippedRecordsReported(t *testing.T) {
 	}
 }
 
-// TestReadOnlyWhileRecovering pins the degradation contract: while the
-// boot replay runs, writes and analysis shed with 503 + Retry-After, while
-// list/get/healthz/stats keep answering.
-func TestReadOnlyWhileRecovering(t *testing.T) {
-	srv := New(Options{})
-	srv.recovering.Store(true)
+// TestOpenReturnsRecovered: the server Open returns has finished its boot
+// replay. Right after Open, with nothing waited for, every session the
+// journal holds answers at its acknowledged version, an evicted and an
+// unrecoverable session answer 410 with their tombstones, and /v1/stats
+// counts the sessions the replay rebuilt and the one it could not.
+func TestOpenReturnsRecovered(t *testing.T) {
+	dir := t.TempDir()
+	srv := newDurable(t, dir, Options{MaxSessions: 3})
 	h := srv.Handler()
 	spec := wordcountSpecText(t)
-	if code, body := call(t, h, "POST", "/v1/sessions", CreateRequest{Spec: spec}); code != http.StatusServiceUnavailable {
-		t.Fatalf("create during recovery: %d %s", code, body)
+	rng := rand.New(rand.NewSource(11))
+	acked := map[string]uint64{}
+	for i := 1; i <= 4; i++ { // the fourth create evicts s1
+		id := fmt.Sprintf("s%d", i)
+		if code, body := call(t, h, "POST", "/v1/sessions", CreateRequest{Name: id, Spec: spec}); code != http.StatusCreated {
+			t.Fatalf("create %s: %d %s", id, code, body)
+		}
+		for k := 0; k < 6; k++ {
+			code, body := call(t, h, "POST", "/v1/sessions/"+id+"/mutate", MutateRequest{Ops: []MutateOp{randomOp(rng)}})
+			switch code {
+			case http.StatusOK:
+				acked[id] = reply[MutateResponse](t, body).Version
+			case http.StatusBadRequest: // invalid in this state, not acknowledged
+			default:
+				t.Fatalf("mutate %s: %d %s", id, code, body)
+			}
+		}
 	}
-	if code, _ := call(t, h, "POST", "/v1/sessions/s1/analyze", nil); code != http.StatusServiceUnavailable {
-		t.Fatal("analyze should shed during recovery")
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if code, body := call(t, h, "GET", "/v1/sessions", nil); code != http.StatusOK || !reply[ListResponse](t, body).Recovering {
-		t.Fatalf("list during recovery: %d %s", code, body)
+	// s5's create names a retired strategy: the replay cannot rebuild it.
+	quoted, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if code, body := call(t, h, "GET", "/healthz", nil); code != http.StatusOK || !reply[HealthResponse](t, body).Recovering {
-		t.Fatalf("healthz during recovery: %d %s", code, body)
+	jrn, _, err := journal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if code, body := call(t, h, "GET", "/v1/stats", nil); code != http.StatusOK || reply[StatsResponse](t, body).Admission.ReadOnlyRejected != 2 {
-		t.Fatalf("stats during recovery: %d %s", code, body)
+	if _, err := jrn.Append([]byte(`{"kind":"create","session":"s5","name":"s5","create":{"spec":` + string(quoted) + `,"strategy":"merge-rewrite"}}`)); err != nil {
+		t.Fatal(err)
 	}
-	srv.recovering.Store(false)
-	if code, body := call(t, h, "POST", "/v1/sessions", CreateRequest{Spec: spec}); code != http.StatusCreated {
-		t.Fatalf("create after recovery: %d %s", code, body)
+	if err := jrn.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := Open(Options{JournalDir: dir, MaxSessions: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	rh := re.Handler()
+	for _, id := range []string{"s2", "s3", "s4"} {
+		code, body := call(t, rh, "GET", "/v1/sessions/"+id, nil)
+		if info := reply[SessionInfo](t, body); code != http.StatusOK || !info.Recovered || info.Version != acked[id] {
+			t.Errorf("%s = %d %s, want 200, recovered, version %d", id, code, body, acked[id])
+		}
+	}
+	for id, want := range map[string]Tombstone{
+		"s1": {Session: "s1", Name: "s1", Version: acked["s1"], State: "evicted"},
+		"s5": {Session: "s5", Name: "s5", State: "unrecoverable"},
+	} {
+		code, body := call(t, rh, "GET", "/v1/sessions/"+id, nil)
+		if code != http.StatusGone || reply[GoneResponse](t, body).Tombstone != want {
+			t.Errorf("%s = %d %s, want 410 with tombstone %+v", id, code, body, want)
+		}
+	}
+	var st StatsResponse
+	if code, body := call(t, rh, "GET", "/v1/stats", nil); code != http.StatusOK || json.Unmarshal([]byte(body), &st) != nil {
+		t.Fatalf("stats: %d %s", code, body)
+	}
+	if st.Sessions != 3 || st.RecoveredSessions != 3 || st.ReplayErrors != 1 || st.Evicted != 2 {
+		t.Errorf("stats: %d sessions, %d recovered, %d replay errors, %d tombstones; want 3, 3, 1 and 2",
+			st.Sessions, st.RecoveredSessions, st.ReplayErrors, st.Evicted)
 	}
 }
 
@@ -341,8 +387,8 @@ func TestBrokenJournalPoisonsWrites(t *testing.T) {
 	if code, _ := call(t, h, "POST", "/v1/sessions/s1/analyze", nil); code != http.StatusOK {
 		t.Fatal("analyze should keep working when the journal is broken")
 	}
-	if code, body := call(t, h, "GET", "/v1/stats", nil); code != http.StatusOK || !reply[StatsResponse](t, body).JournalBroken {
-		t.Fatalf("stats should report journal_broken: %d %s", code, body)
+	if code, body := call(t, h, "GET", "/v1/stats", nil); code != http.StatusOK || !reply[StatsResponse](t, body).JournalBroken || reply[StatsResponse](t, body).Admission.ReadOnlyRejected != 2 {
+		t.Fatalf("stats should report journal_broken and two writes shed: %d %s", code, body)
 	}
 }
 

@@ -15,10 +15,10 @@
 //   - Durability (Open with Options.JournalDir): every acknowledged
 //     mutation is journaled — fsync-batched into one segment, compacted
 //     by a snapshot every 1024 records — and replayed on boot, so a
-//     kill -9 loses nothing a client was told succeeded. While the boot
-//     replay rebuilds sessions the server degrades to read-only (writes
-//     shed with 503) instead of blocking. See durability.go for the write
-//     protocol.
+//     kill -9 loses nothing a client was told succeeded. Open replays the
+//     journal before it returns, so the server it hands back holds every
+//     journaled session, rebuilt or tombstoned. See durability.go for the
+//     write protocol.
 //   - Backpressure: the expensive paths (create, mutate, analyze) pass a
 //     bounded admission gate; beyond the concurrency
 //     slots and the bounded wait queue, requests shed with 429 +
@@ -128,14 +128,12 @@ type Server struct {
 	snapshotting  atomic.Bool
 	journalBroken atomic.Bool
 
-	// Recovery: while recovering, writes shed with 503 and sessions appear
-	// as the background replay rebuilds them. recovery is what the replay
-	// found in the journal (nil on in-memory servers), fixed by Open.
+	// What the boot replay found in the journal (nil on in-memory
+	// servers), the sessions it rebuilt and those it could not: all fixed
+	// by Open before it returns.
 	recovery       *RecoveryStats
-	recovering     atomic.Bool
-	recoveredCh    chan struct{}
-	recoveredCount atomic.Int64
-	replayErrors   atomic.Int64
+	recoveredCount int64
+	replayErrors   int64
 
 	// Admission + observability. latency holds one histogram per admitted
 	// endpoint, under the name /v1/stats reports it by.
@@ -189,25 +187,22 @@ func New(opts Options) *Server {
 	if queueTimeout <= 0 {
 		queueTimeout = DefaultQueueTimeout
 	}
-	s := &Server{
-		max:         max,
-		byID:        map[string]*entry{},
-		tombIdx:     map[string]int{},
-		lru:         list.New(),
-		snapEvery:   snapshotEvery,
-		gate:        newGate(maxConc, maxQueue, queueTimeout),
-		latency:     map[string]*hist.Histogram{"create": {}, "mutate": {}, "analyze": {}},
-		recoveredCh: make(chan struct{}),
+	return &Server{
+		max:       max,
+		byID:      map[string]*entry{},
+		tombIdx:   map[string]int{},
+		lru:       list.New(),
+		snapEvery: snapshotEvery,
+		gate:      newGate(maxConc, maxQueue, queueTimeout),
+		latency:   map[string]*hist.Histogram{"create": {}, "mutate": {}, "analyze": {}},
 	}
-	close(s.recoveredCh) // nothing to recover
-	return s
 }
 
 // Open creates a durable server: it opens (or creates) the journal in
-// opts.JournalDir, truncates any torn tail, and starts the boot replay in
-// the background — the returned server serves reads immediately and sheds
-// writes with 503 until WaitRecovered unblocks. With an empty JournalDir
-// it is equivalent to New.
+// opts.JournalDir, truncates any torn tail, and replays the journal on the
+// caller's goroutine. The server it returns is recovered: every journaled
+// session is rebuilt, or tombstoned when it cannot be. With an empty
+// JournalDir it is equivalent to New.
 func Open(opts Options) (*Server, error) {
 	s := New(opts)
 	if opts.JournalDir == "" {
@@ -230,28 +225,17 @@ func Open(opts Options) (*Server, error) {
 		TruncatedBytes: recovered.TruncatedBytes,
 		SkippedRecords: plan.skipped,
 	}
-	s.recoveredCh = make(chan struct{})
-	s.recovering.Store(true)
-	go s.recoverSessions(plan)
+	s.recoverSessions(plan)
 	return s, nil
 }
 
-// WaitRecovered blocks until the boot replay has rebuilt every journaled
-// session (immediately for in-memory servers), or until ctx is done.
-func (s *Server) WaitRecovered(ctx context.Context) error {
-	select {
-	case <-s.recoveredCh:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
+// WaitRecovered returns nil: Open returns a recovered server, so there is
+// nothing to wait for. It stays only because the benchmark harness
+// (benchmark/serve.go) still calls it; it goes when those calls do.
+func (s *Server) WaitRecovered(context.Context) error { return nil }
 
 // Close flushes and closes the journal (a no-op for in-memory servers).
-// It waits for a boot replay in progress, so the journal it closes is
-// complete.
 func (s *Server) Close() error {
-	<-s.recoveredCh
 	if s.jrn == nil {
 		return nil
 	}
@@ -358,11 +342,11 @@ func (s *Server) fetch(w http.ResponseWriter, id string) (*entry, bool) {
 }
 
 // admitted mounts an expensive endpoint, the one place such a request is
-// admitted and timed: it answers 503 while the server cannot take the
-// request (available), passes the admission gate (429 + Retry-After when
-// shed, 408 when the request dies in the queue), runs h, and records the
-// time since arrival — queue wait included — into the endpoint's histogram
-// if, and only if, the reply was 2xx.
+// admitted and timed: it answers 503 when a poisoned journal shuts a
+// state-changing request out (available), passes the admission gate (429 +
+// Retry-After when shed, 408 when the request dies in the queue), runs h,
+// and records the time since arrival — queue wait included — into the
+// endpoint's histogram if, and only if, the reply was 2xx.
 func (s *Server) admitted(endpoint string, write bool, h http.HandlerFunc) http.HandlerFunc {
 	lat := s.latency[endpoint]
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -400,17 +384,10 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// available rejects requests the server cannot serve right now: during the
-// boot replay every expensive path degrades to 503 (read-only), and a
-// poisoned journal keeps state-changing paths (write=true) shut so the
-// server never acknowledges a mutation it cannot make durable.
+// available rejects a state-changing request (write=true) with 503 once a
+// poisoned journal has made the server read-only, so the server never
+// acknowledges a mutation it cannot make durable.
 func (s *Server) available(w http.ResponseWriter, write bool) bool {
-	if s.recovering.Load() {
-		s.readOnlyRejected.Add(1)
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "recovering: journal replay in progress, serving read-only")
-		return false
-	}
 	if write && s.journalBroken.Load() {
 		s.readOnlyRejected.Add(1)
 		writeError(w, http.StatusServiceUnavailable, "journal failed: server is read-only (see /v1/stats)")
@@ -621,13 +598,11 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 }
 
 // ListResponse is the GET /v1/sessions reply: the open sessions, most
-// recently used first, the retained tombstones, and whether the boot replay
-// is still rebuilding sessions. Its fields keep the order the keys have
-// always had on the wire.
+// recently used first, and the retained tombstones. Its fields keep the
+// order the keys have always had on the wire.
 type ListResponse struct {
-	Evicted    []Tombstone   `json:"evicted,omitempty"`
-	Recovering bool          `json:"recovering,omitempty"`
-	Sessions   []SessionInfo `json:"sessions"`
+	Evicted  []Tombstone   `json:"evicted,omitempty"`
+	Sessions []SessionInfo `json:"sessions"`
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -641,7 +616,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	}
 	tombs := append([]Tombstone(nil), s.tombstones...)
 	s.mu.Unlock()
-	resp := ListResponse{Sessions: make([]SessionInfo, 0, len(entries)), Evicted: tombs, Recovering: s.recovering.Load()}
+	resp := ListResponse{Sessions: make([]SessionInfo, 0, len(entries)), Evicted: tombs}
 	for _, e := range entries {
 		resp.Sessions = append(resp.Sessions, s.info(e, false))
 	}
@@ -894,11 +869,10 @@ func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
 
 // HealthResponse is the GET /healthz reply.
 type HealthResponse struct {
-	OK         bool `json:"ok"`
-	Recovering bool `json:"recovering"`
-	Sessions   int  `json:"sessions"`
+	OK       bool `json:"ok"`
+	Sessions int  `json:"sessions"`
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, HealthResponse{OK: true, Recovering: s.recovering.Load(), Sessions: s.SessionCount()})
+	writeJSON(w, http.StatusOK, HealthResponse{OK: true, Sessions: s.SessionCount()})
 }

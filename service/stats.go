@@ -28,14 +28,12 @@ type StatsResponse struct {
 	Evicted      int    `json:"evicted"`
 	EvictedTotal uint64 `json:"evicted_total"`
 
-	// Durable is true when a journal backs the server. Recovering is true
-	// while the boot replay is still rebuilding sessions (writes shed with
-	// 503); RecoveredSessions counts sessions rebuilt so far this boot and
-	// ReplayErrors sessions the journal acknowledged but could not be
-	// rebuilt. JournalBroken means an append failed and the server
-	// poisoned itself read-only.
+	// Durable is true when a journal backs the server. RecoveredSessions
+	// counts the sessions the boot replay rebuilt and ReplayErrors those
+	// the journal acknowledged but the replay could not rebuild.
+	// JournalBroken means an append failed and the server poisoned itself
+	// read-only.
 	Durable           bool           `json:"durable"`
-	Recovering        bool           `json:"recovering"`
 	RecoveredSessions int64          `json:"recovered_sessions"`
 	ReplayErrors      int64          `json:"replay_errors,omitempty"`
 	JournalBroken     bool           `json:"journal_broken,omitempty"`
@@ -72,9 +70,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Evicted:           tombs,
 		EvictedTotal:      s.evictedTotal.Load(),
 		Durable:           s.jrn != nil,
-		Recovering:        s.recovering.Load(),
-		RecoveredSessions: s.recoveredCount.Load(),
-		ReplayErrors:      s.replayErrors.Load(),
+		RecoveredSessions: s.recoveredCount,
+		ReplayErrors:      s.replayErrors,
 		JournalBroken:     s.journalBroken.Load(),
 		Recovery:          s.recovery,
 		Admission:         s.gate.stats(),

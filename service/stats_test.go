@@ -27,9 +27,10 @@ func latencies(t *testing.T, h http.Handler) map[string]LatencySummary {
 
 // TestLatencyCountsServedRequestsOnly: a 2xx reply adds exactly one sample
 // to its endpoint's histogram; a shed, a cancel in the queue, a rejected
-// batch, an unknown session and a 503 while recovering add none.
+// batch, an unknown session, a failed journal append and the 503s of the
+// read-only server it leaves add none.
 func TestLatencyCountsServedRequestsOnly(t *testing.T) {
-	srv := New(Options{MaxConcurrent: 1, MaxQueue: 1, QueueTimeout: time.Minute})
+	srv := newDurable(t, t.TempDir(), Options{MaxConcurrent: 1, MaxQueue: 1, QueueTimeout: time.Minute})
 	h := srv.Handler()
 	want := map[string]uint64{"create": 0, "mutate": 0, "analyze": 0}
 	step := func(name, method, path string, body any, code int, ctx context.Context) {
@@ -91,10 +92,12 @@ func TestLatencyCountsServedRequestsOnly(t *testing.T) {
 		r()
 	}
 
-	srv.recovering.Store(true)
+	if err := srv.jrn.Close(); err != nil { // every append now fails
+		t.Fatal(err)
+	}
+	step("500 create", "POST", "/v1/sessions", CreateRequest{Spec: wordcountSpecText(t)}, http.StatusInternalServerError, bg)
 	step("503 create", "POST", "/v1/sessions", CreateRequest{Spec: wordcountSpecText(t)}, http.StatusServiceUnavailable, bg)
-	step("503 analyze", "POST", "/v1/sessions/s1/analyze", AnalyzeRequest{}, http.StatusServiceUnavailable, bg)
-	srv.recovering.Store(false)
+	step("503 mutate", "POST", "/v1/sessions/s1/mutate", MutateRequest{Ops: []MutateOp{{Op: "seal", Stream: "tweets"}}}, http.StatusServiceUnavailable, bg)
 }
 
 // TestLatencyIncludesQueueWait: a request's time starts at arrival, not at

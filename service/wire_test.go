@@ -93,12 +93,17 @@ func TestResponsesAreCompact(t *testing.T) {
 		t.Errorf("delete: %d %q, want 204 and no body", code, body)
 	}
 
-	srv.recovering.Store(true)
+	// A failed append (500) poisons the server read-only: the next write
+	// is a 503, and reads keep answering.
+	if err := srv.jrn.Close(); err != nil {
+		t.Fatal(err)
+	}
+	code, body = call(t, h, "POST", "/v1/sessions", create)
+	compactReply[ErrorResponse](t, "500", code, http.StatusInternalServerError, body)
 	code, body = call(t, h, "POST", "/v1/sessions", create)
 	compactReply[ErrorResponse](t, "503", code, http.StatusServiceUnavailable, body)
 	code, body = call(t, h, "GET", "/v1/sessions", nil)
-	compactReply[ListResponse](t, "list while recovering", code, http.StatusOK, body)
-	srv.recovering.Store(false)
+	compactReply[ListResponse](t, "list while read-only", code, http.StatusOK, body)
 }
 
 // TestRequestBodyIsOneValue: a body holding anything after its JSON value
