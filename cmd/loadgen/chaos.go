@@ -10,6 +10,7 @@ import (
 	"os/exec"
 	"regexp"
 	"strings"
+	"sync"
 	"time"
 
 	"blazes/service"
@@ -18,8 +19,10 @@ import (
 // Chaos mode: the kill-9 durability acceptance test. The sequence is
 //
 //  1. spawn `-bin serve -journal dir` and open a mutate burst against it;
-//  2. SIGKILL the server midway through the burst — no drain, no Close,
-//     exactly the crash the journal exists for;
+//  2. SIGKILL the server once it has acknowledged more journaled writes
+//     than a snapshot needs (service.SnapshotEvery), with the burst still
+//     arriving — no drain, no Close, exactly the crash the journal exists
+//     for;
 //  3. respawn on the same journal (the address is announced only after
 //     the boot replay) and report the snapshot it recovered from;
 //  4. hold the recovered state to the client's acknowledgement record:
@@ -96,18 +99,24 @@ func runChaos(ctx context.Context, cfg config, stdout, stderr io.Writer) int {
 	}
 	defer proc.stop()
 
-	// Kill partway through the arrival schedule so the SIGKILL lands amid
-	// in-flight mutates.
-	burstLen := time.Duration(float64(cfg.sessions) / cfg.rate * float64(time.Second))
+	// Kill once the server has acknowledged more journaled writes than a
+	// snapshot needs, so the restart recovers from a snapshot plus a
+	// journal suffix however fast the host serves the burst; the rest of
+	// the burst is still arriving, so the SIGKILL lands amid in-flight
+	// mutates.
 	killAt := make(chan struct{})
-	killTimer := time.AfterFunc(burstLen/2, func() {
-		fmt.Fprintf(stderr, "loadgen: chaos: SIGKILL mid-burst\n")
-		proc.kill()
-		close(killAt)
-	})
-	defer killTimer.Stop()
-
+	var killOnce sync.Once
 	rec := newRecorder()
+	rec.onWrite = func(n int64) {
+		if n <= service.SnapshotEvery {
+			return
+		}
+		killOnce.Do(func() {
+			fmt.Fprintf(stderr, "loadgen: chaos: SIGKILL mid-burst after %d acknowledged writes\n", n)
+			proc.kill()
+			close(killAt)
+		})
+	}
 	states := burst(ctx, cfg, proc.base, rec, killAt)
 	select {
 	case <-killAt:

@@ -280,6 +280,7 @@ func driveSession(ctx context.Context, cfg config, client *http.Client, base str
 	}
 	st.id = info.Session
 	st.created = true
+	rec.wrote()
 
 	for k := 0; k < cfg.mutations; k++ {
 		op := opPool[rng.Intn(len(opPool))]
@@ -293,6 +294,7 @@ func driveSession(ctx context.Context, cfg config, client *http.Client, base str
 		st.inflight = nil
 		if code == http.StatusOK {
 			st.acked = append(st.acked, op)
+			rec.wrote()
 		}
 		// 429/503 sheds are counted by the recorder and simply dropped:
 		// an open-loop client does not retry into an overloaded server.

@@ -3,6 +3,7 @@ package main
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"blazes/internal/hist"
@@ -17,6 +18,18 @@ type recorder struct {
 	codes map[string]map[int]int
 	errs  map[string]int
 	wall  time.Duration
+	// writes counts acknowledged journaled writes (creates and mutates);
+	// onWrite, when set, is called with each new count.
+	writes  atomic.Int64
+	onWrite func(n int64)
+}
+
+// wrote counts one acknowledged journaled write.
+func (r *recorder) wrote() {
+	n := r.writes.Add(1)
+	if r.onWrite != nil {
+		r.onWrite(n)
+	}
 }
 
 func newRecorder() *recorder {

@@ -196,6 +196,11 @@ type store struct {
 	// store under equal versions saw identical contents. Rule memoization
 	// keys on it.
 	version uint64
+	// epoch counts the mutations that rewrite rows rather than append to
+	// it: remove, clear and release. Under one epoch the store only grew, so
+	// rows read earlier are a prefix of rows now; an aggregate over the
+	// store folds only the rows past that prefix (groupIndex).
+	epoch uint64
 	// delta holds the rows newly inserted as of the last semi-naive
 	// rotation; newDelta accumulates inserts since. The two buffers swap at
 	// every rotation and keep their capacity, which is safe because no
@@ -282,6 +287,7 @@ func (s *store) remove(r Row) bool {
 	s.rows[last] = nil
 	s.rows = s.rows[:last]
 	s.version++
+	s.epoch++
 	return true
 }
 
@@ -311,6 +317,7 @@ func (s *store) clear() {
 		clear(s.rows)
 		s.rows = s.rows[:0]
 		s.version++
+		s.epoch++
 	}
 	s.clearDelta()
 }
@@ -325,4 +332,5 @@ func (s *store) release() {
 	s.pendingIns, s.pendingDel, s.outbox = s.pendingIns[:0], s.pendingDel[:0], s.outbox[:0]
 	s.hashShift = 0
 	s.version++
+	s.epoch++
 }

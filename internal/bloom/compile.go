@@ -352,24 +352,46 @@ type groupAcc struct {
 
 // groupIndex buckets rows by a key projection in the store's shape: the
 // accumulators lie flat in first-seen order, indexed by a flatIndex. It
-// belongs to one operator of one node and every evaluation resets it, so
-// after the first it is as large as the groups met and allocates nothing.
+// belongs to one operator of one node, so after the first evaluation it is
+// as large as the groups met and allocates nothing.
+//
+// When the operator's input is a plain scan of a store (src), the groups
+// outlive an evaluation: they hold src's first folded rows, and the next
+// evaluation folds only the rows appended since, as long as src's epoch has
+// not moved (no remove, clear or release rewrote its rows). First-seen order
+// over an append-only list is prefix-stable, so the groups and their order
+// are the ones a regroup of every row gives. Any other input is regrouped
+// in full at every evaluation.
 type groupIndex struct {
 	accs  []groupAcc
 	index flatIndex
 	// hashShift discards low hash bits; tests raise it to force collisions.
 	hashShift uint
+	// src is the store the operator's input scans when that input is a bare
+	// scan, else nil. accs hold src's first folded rows, read under epoch.
+	src    *store
+	epoch  uint64
+	folded int
 }
 
-// group buckets rows by their keyIdx projection (hash plus key-equality
-// probe), counting cardinality per group and invoking onRow per assignment,
-// and returns the accumulators in first-seen order, valid until the next
-// call. Shared by the group-by and threshold operators so the probe logic
-// cannot diverge.
-func (g *groupIndex) group(rows []Row, keyIdx []int, onRow func(acc *groupAcc, r Row)) []groupAcc {
+// group buckets in's rows by their keyIdx projection (hash plus
+// key-equality probe), counting cardinality per group and invoking onRow per
+// assignment, and returns the accumulators in first-seen order, valid until
+// the next call. Shared by the group-by and threshold operators so the probe
+// logic cannot diverge.
+func (g *groupIndex) group(in compiledExpr, keyIdx []int, onRow func(acc *groupAcc, r Row)) []groupAcc {
+	var rows []Row
+	if st := g.src; st != nil && st.epoch == g.epoch {
+		rows = st.rows[g.folded:]
+	} else {
+		g.index.reset()
+		g.accs = g.accs[:0]
+		rows = in.full(nil)
+	}
+	if g.src != nil {
+		g.epoch, g.folded = g.src.epoch, len(g.src.rows)
+	}
 	ix := &g.index
-	ix.reset()
-	g.accs = g.accs[:0]
 	for _, r := range rows {
 		h := hashAt(r, keyIdx) >> g.hashShift
 		ix.makeRoom()
@@ -393,13 +415,14 @@ func (g *groupIndex) group(rows []Row, keyIdx []int, onRow func(acc *groupAcc, r
 	return g.accs
 }
 
-// release drops the last evaluation's groups and the rows they point at,
-// keeping the capacity.
+// release drops the groups and the rows they point at, keeping the
+// capacity.
 func (g *groupIndex) release() {
 	clear(g.accs[:cap(g.accs)])
 	g.accs = g.accs[:0]
 	g.index.reset()
 	g.hashShift = 0
+	g.folded = 0
 }
 
 // cGroupBy groups on key offsets and streams aggregates.
@@ -437,7 +460,7 @@ func (e *cGroupBy) full(out []Row) []Row {
 	if !e.folds {
 		fold = nil
 	}
-	for _, acc := range e.groups.group(e.in.full(nil), e.keyIdx, fold) {
+	for _, acc := range e.groups.group(e.in, e.keyIdx, fold) {
 		nr := make(Row, 0, len(e.keyIdx)+len(e.aggs))
 		for _, j := range e.keyIdx {
 			nr = append(nr, acc.repr[j])
@@ -482,7 +505,7 @@ type cThreshold struct {
 }
 
 func (e *cThreshold) full(out []Row) []Row {
-	for _, acc := range e.groups.group(e.in.full(nil), e.keyIdx, nil) {
+	for _, acc := range e.groups.group(e.in, e.keyIdx, nil) {
 		if acc.n < e.atLeast {
 			continue
 		}
@@ -580,11 +603,18 @@ func compileExpr(m *Module, state map[string]*store, e Expr) compiledExpr {
 			ce.folds = ce.folds || a.Func != Count
 		}
 		ce.having = compilePreds(x.Having, checkedSchema(m, x))
+		if sc, ok := ce.in.(*cScan); ok {
+			ce.groups.src = sc.st
+		}
 		return ce
 
 	case *ThresholdExpr:
 		in := checkedSchema(m, x.Input)
-		return &cThreshold{in: compileExpr(m, state, x.Input), keyIdx: offsets(in, x.Keys), atLeast: x.AtLeast}
+		ce := &cThreshold{in: compileExpr(m, state, x.Input), keyIdx: offsets(in, x.Keys), atLeast: x.AtLeast}
+		if sc, ok := ce.in.(*cScan); ok {
+			ce.groups.src = sc.st
+		}
+		return ce
 
 	default:
 		panic(fmt.Sprintf("bloom: cannot compile expression %T", e))

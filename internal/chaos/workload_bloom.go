@@ -170,35 +170,39 @@ func (r *bloomReplica) trace() []string {
 
 // finalDigest drains the node, digests its persistent click log, and
 // re-poses every request at quiescence — the eventual answers a confluent
-// (or properly coordinated) replica must agree on.
+// (or properly coordinated) replica must agree on. The probes are
+// independent requests, each answered under its own id, against a click log
+// no longer changing, so one tick answers them all: each probe's rows are
+// the ones a tick of its own would give.
 func (r *bloomReplica) finalDigest(p *bloomPlan) (string, error) {
 	if r.node.Pending() {
 		if _, err := r.node.Tick(); err != nil {
 			return "", err
 		}
 	}
+	for i := range p.probes {
+		if err := r.node.Deliver("request", p.probes[i].row); err != nil {
+			return "", err
+		}
+	}
+	em, err := r.node.Tick()
+	if err != nil {
+		return "", err
+	}
+	rows := make([][]string, len(p.probes))
+	for _, e := range em {
+		if e.Collection != "response" {
+			continue
+		}
+		for _, resp := range e.Rows {
+			if i, ok := p.probeAt[bloom.AsString(resp[1])]; ok {
+				rows[i] = append(rows[i], resp.String())
+			}
+		}
+	}
 	entries := make([]string, len(p.probes))
 	for i := range p.probes {
-		probe := &p.probes[i]
-		if err := r.node.Deliver("request", probe.row); err != nil {
-			return "", err
-		}
-		em, err := r.node.Tick()
-		if err != nil {
-			return "", err
-		}
-		var rows []string
-		for _, e := range em {
-			if e.Collection != "response" {
-				continue
-			}
-			for _, resp := range e.Rows {
-				if bloom.AsString(resp[1]) == probe.id {
-					rows = append(rows, resp.String())
-				}
-			}
-		}
-		entries[i] = probe.id + "→{" + canonSet(rows) + "}"
+		entries[i] = p.probes[i].id + "→{" + canonSet(rows[i]) + "}"
 	}
 	return digest("log{"+r.node.Render("clicklog")+"}", "final{"+canonSet(entries)+"}"), nil
 }
@@ -220,6 +224,8 @@ type bloomPlan struct {
 	msgs   []message
 	rows   []bloom.Row
 	probes []bloomProbe
+	// probeAt maps a probe's request id to its index in probes.
+	probeAt map[string]int
 	// sequenced is M1's preordained total order: clicks in workload order
 	// with requests interleaved at fixed positions.
 	sequenced []int
@@ -236,7 +242,7 @@ func (w *BloomReportWorkload) plan() (*bloomPlan, error) {
 			return nil, err
 		}
 		const span = 60 * sim.Millisecond
-		p := &bloomPlan{mod: mod}
+		p := &bloomPlan{mod: mod, probeAt: make(map[string]int, w.Requests)}
 		campaigns := make([]string, w.Campaigns)
 		for c := range campaigns {
 			campaigns[c] = adtrack.CampaignName(c)
@@ -279,6 +285,7 @@ func (w *BloomReportWorkload) plan() (*bloomPlan, error) {
 			p.msgs = append(p.msgs, message{at: at, partition: req.Campaign, read: true})
 			p.rows = append(p.rows, req.Row())
 			req.ReqID = "fq" + strconv.Itoa(i)
+			p.probeAt[req.ReqID] = len(p.probes)
 			p.probes = append(p.probes, bloomProbe{row: req.Row(), id: req.ReqID})
 		}
 		stride := clicks/(w.Requests+1) + 1
@@ -299,12 +306,31 @@ func (w *BloomReportWorkload) plan() (*bloomPlan, error) {
 
 // Run implements Workload.
 func (w *BloomReportWorkload) Run(seed int64, plan FaultPlan, mech dataflow.Coordination) (Outcome, error) {
+	p, reps, err := w.simulate(seed, plan, mech)
+	if err != nil {
+		return Outcome{}, err
+	}
+	out := Outcome{}
+	for _, r := range reps {
+		final, err := r.finalDigest(p)
+		if err != nil {
+			return Outcome{}, err
+		}
+		out.Replicas = append(out.Replicas, ReplicaOutcome{Trace: r.trace(), Final: final})
+		r.node.Release()
+	}
+	return out, nil
+}
+
+// simulate runs one seeded schedule and returns the replicas as it left
+// them, before their final digests.
+func (w *BloomReportWorkload) simulate(seed int64, plan FaultPlan, mech dataflow.Coordination) (*bloomPlan, []*bloomReplica, error) {
 	if !w.Supports(mech) {
-		return Outcome{}, fmt.Errorf("bloom-report: unsupported mechanism %s", mech)
+		return nil, nil, fmt.Errorf("bloom-report: unsupported mechanism %s", mech)
 	}
 	p, err := w.plan()
 	if err != nil {
-		return Outcome{}, err
+		return nil, nil, err
 	}
 	// NewNode only reads its module, so the replicas (of every run) share
 	// one, and a run hands its nodes back for the next run to take up.
@@ -312,7 +338,7 @@ func (w *BloomReportWorkload) Run(seed int64, plan FaultPlan, mech dataflow.Coor
 	for i := range reps {
 		r, err := newBloomReplica("report"+strconv.Itoa(i), p.mod)
 		if err != nil {
-			return Outcome{}, err
+			return nil, nil, err
 		}
 		reps[i] = r
 	}
@@ -334,21 +360,12 @@ func (w *BloomReportWorkload) Run(seed int64, plan FaultPlan, mech dataflow.Coor
 		},
 	}
 	if err := d.install(mech); err != nil {
-		return Outcome{}, fmt.Errorf("bloom-report: %w", err)
+		return nil, nil, fmt.Errorf("bloom-report: %w", err)
 	}
 	s.Run()
 	if runErr != nil {
-		return Outcome{}, runErr
-	}
-	out := Outcome{}
-	for _, r := range reps {
-		final, err := r.finalDigest(p)
-		if err != nil {
-			return Outcome{}, err
-		}
-		out.Replicas = append(out.Replicas, ReplicaOutcome{Trace: r.trace(), Final: final})
-		r.node.Release()
+		return nil, nil, runErr
 	}
 	s.Release()
-	return out, nil
+	return p, reps, nil
 }

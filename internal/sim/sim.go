@@ -54,23 +54,27 @@ type Sim struct {
 var released sync.Pool
 
 // New creates a simulator whose nondeterministic choices are driven by the
-// given seed. It takes up a released simulator when there is one: reseeding
-// its rand.Rand gives the draws of a fresh source, and its queue is empty,
-// so the schedule is the one a fresh simulator would run.
+// given seed: its Rand draws what rand.New(rand.NewSource(seed)) draws. Both
+// a fresh simulator and a released one it takes up copy the seed's state
+// out of the process's seeded-state table (source.go), and a taken-up one's
+// queue is empty, so the schedule is the one a fresh simulator would run.
 func New(seed int64) *Sim {
 	if s, ok := released.Get().(*Sim); ok {
 		s.rng.Seed(seed)
 		return s
 	}
-	return &Sim{rng: rand.New(rand.NewSource(seed)), events: eventQueue{curB: unringed}}
+	src := new(source)
+	src.Seed(seed)
+	return &Sim{rng: rand.New(src), events: eventQueue{curB: unringed}}
 }
 
 // Release hands the simulator back for a later New, emptied: pending events
 // are dropped without running, and the clock and counters restart. It keeps
-// the rand.Rand and the first heap's array, which is what a sweep's small
-// simulations allocate; a ring and a far heap go. Release a simulator once,
-// not from inside a run, and touch neither it, its Rand nor a Link on it
-// afterwards.
+// the rand.Rand with its source and the first heap's array, which is what a
+// sweep's small simulations allocate; a ring and a far heap go. The next New
+// overwrites the source's state with its seed's, so nothing drawn before
+// Release shows after it. Release a simulator once, not from inside a run,
+// and touch neither it, its Rand nor a Link on it afterwards.
 func (s *Sim) Release() {
 	s.events.release()
 	s.now, s.seq, s.steps = 0, 0, 0

@@ -63,8 +63,10 @@ import (
 // Options.MaxSessions is zero.
 const DefaultMaxSessions = 64
 
-// snapshotEvery is the journal-record interval between snapshots.
-const snapshotEvery = 1024
+// SnapshotEvery is the journal-record interval between snapshots: the write
+// whose record is the SnapshotEvery-th past the last snapshot writes the
+// next one before it is acknowledged.
+const SnapshotEvery = 1024
 
 // DefaultMaxQueue is the admission wait-queue bound when Options.MaxQueue
 // is zero.
@@ -121,7 +123,7 @@ type Server struct {
 	// Durability (nil jrn = in-memory server). snapMu serializes writers
 	// (read lock around apply+journal) against snapshots (write lock), so
 	// a snapshot always covers every record at or below its seq. snapEvery
-	// is snapshotEvery; a test shortens it before the first write.
+	// is SnapshotEvery; a test shortens it before the first write.
 	jrn           *journal.Journal
 	snapMu        sync.RWMutex
 	snapEvery     int
@@ -192,7 +194,7 @@ func New(opts Options) *Server {
 		byID:      map[string]*entry{},
 		tombIdx:   map[string]int{},
 		lru:       list.New(),
-		snapEvery: snapshotEvery,
+		snapEvery: SnapshotEvery,
 		gate:      newGate(maxConc, maxQueue, queueTimeout),
 		latency:   map[string]*hist.Histogram{"create": {}, "mutate": {}, "analyze": {}},
 	}
