@@ -2,6 +2,8 @@ package adtrack
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"blazes/internal/bloom"
 	"blazes/internal/dataflow"
@@ -20,6 +22,15 @@ type Prepared struct {
 	bursts    []Burst
 	requests  []record
 	producers map[string][]string
+	// clicks counts each campaign's clicks, campaigns sorted: what a sealing
+	// replica buffers of each partition.
+	clicks []campaignClicks
+}
+
+// campaignClicks is how many clicks one campaign has.
+type campaignClicks struct {
+	campaign string
+	n        int
 }
 
 // preparedFrom is what a Prepared was built from; Run refuses a plan
@@ -53,12 +64,17 @@ func Prepare(cfg Config) (*Prepared, error) {
 		return nil, err
 	}
 	p := &Prepared{from: cfg.preparedFrom(), module: mod, bursts: cfg.Workload.Plan(), producers: cfg.Workload.Producers()}
+	clicks := map[string]int{}
 	for i := range p.bursts {
 		b := &p.bursts[i]
 		b.records = make([]record, len(b.Clicks))
 		for j, c := range b.Clicks {
 			b.records[j] = record{row: c.Row(), campaign: c.Campaign}
+			clicks[c.Campaign]++
 		}
+	}
+	for _, campaign := range slices.Sorted(maps.Keys(clicks)) {
+		p.clicks = append(p.clicks, campaignClicks{campaign, clicks[campaign]})
 	}
 	for _, req := range cfg.Workload.RequestPlan(cfg.Requests, cfg.RequestSpacing) {
 		p.requests = append(p.requests, record{row: req.Row(), campaign: req.Campaign, request: true, at: req.At})

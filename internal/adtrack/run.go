@@ -335,7 +335,7 @@ func Run(cfg Config, prepared ...*Prepared) (*Result, error) {
 				for i := range b.records {
 					m := &b.records[i]
 					for _, r := range replicas {
-						r.link.Send(sim.Unordered, s.Now(), func() { enqueue(r, m) })
+						r.link.Send(sim.Unordered, s.Now(), sim.Func(func() { enqueue(r, m) }))
 					}
 				}
 			})
@@ -344,7 +344,7 @@ func Run(cfg Config, prepared ...*Prepared) (*Result, error) {
 			req := &requests[i]
 			s.At(req.at, func() {
 				for _, r := range replicas {
-					r.link.Send(sim.Unordered, s.Now(), func() { enqueue(r, req) })
+					r.link.Send(sim.Unordered, s.Now(), sim.Func(func() { enqueue(r, req) }))
 				}
 			})
 		}
@@ -438,6 +438,9 @@ func Run(cfg Config, prepared ...*Prepared) (*Result, error) {
 				}
 				delete(r.held, partition)
 			})
+			for _, c := range plan.clicks {
+				r.tracker.Reserve(c.campaign, c.n)
+			}
 		}
 		lookup := func(r *replica, campaign string) {
 			if r.looked[campaign] {
@@ -456,19 +459,19 @@ func Run(cfg Config, prepared ...*Prepared) (*Result, error) {
 				for _, r := range replicas {
 					for i := range b.records {
 						c := &b.records[i]
-						r.link.Send(b.Server, s.Now(), func() {
+						r.link.Send(b.Server, s.Now(), sim.Func(func() {
 							lookup(r, c.campaign)
 							if r.idx == 0 {
 								r.arrivals[c.campaign] = append(r.arrivals[c.campaign], s.Now())
 							}
 							r.tracker.Data(c.campaign, c)
-						})
+						}))
 					}
 					for _, campaign := range b.Seals {
-						r.link.Send(b.Server, s.Now(), func() {
+						r.link.Send(b.Server, s.Now(), sim.Func(func() {
 							lookup(r, campaign)
 							r.tracker.Seal(coord.Punctuation{Partition: campaign, Producer: b.Server})
-						})
+						}))
 					}
 				}
 			})
@@ -477,13 +480,13 @@ func Run(cfg Config, prepared ...*Prepared) (*Result, error) {
 			req := &requests[i]
 			s.At(req.at, func() {
 				for _, r := range replicas {
-					r.link.Send(sim.Unordered, s.Now(), func() {
+					r.link.Send(sim.Unordered, s.Now(), sim.Func(func() {
 						if r.tracker.Sealed(req.campaign) {
 							enqueue(r, req)
 						} else {
 							r.held[req.campaign] = append(r.held[req.campaign], req)
 						}
-					})
+					}))
 				}
 			})
 		}

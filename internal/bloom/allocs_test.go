@@ -95,9 +95,10 @@ func TestRequestTickAllocs(t *testing.T) {
 // collector paces a sweep by bytes (EXPERIMENTS.md "The sweep pays the
 // collector per byte"), so a schedule that allocates more runs slower even
 // when its allocation count holds. Each bound is the measured mean plus a
-// tenth; parent is what the tree allocated before a run handed its
-// simulator and its nodes back for the next run to take up (Sim.Release,
-// Node.Release).
+// tenth; before is what the schedule allocated before its bound was last
+// set, when a run did not yet hand its storm topology back
+// (Topology.Release), write its final digest once, or carve its messages'
+// handlers from one slice.
 func TestScheduleBytes(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector changes allocation sizes")
@@ -109,13 +110,17 @@ func TestScheduleBytes(t *testing.T) {
 	plan := chaos.DefaultPlans()[0]
 	for _, c := range []struct {
 		w             chaos.Workload
-		bound, parent float64 // kB per schedule
+		mech          dataflow.Coordination
+		bound, before float64 // kB per schedule
 	}{
-		{chaos.ReplicatedReport(dataflow.CAMPAIGN), 40, 84.0},
-		{chaos.AdNetwork(), 92, 178.4},
+		{chaos.ReplicatedReport(dataflow.CAMPAIGN), dataflow.CoordSealed, 22, 36.6},
+		{chaos.AdNetwork(), dataflow.CoordSealed, 85, 83.7},
+		{chaos.Wordcount(), dataflow.CoordSealed, 53, 122.1},
+		{chaos.SyntheticSet(), dataflow.CoordNone, 17, 18.9},
+		{chaos.Generated(40, 8), dataflow.CoordNone, 27, 31.3},
 	} {
 		run := func(seed int64) {
-			if _, err := c.w.Run(seed, plan, dataflow.CoordSealed); err != nil {
+			if _, err := c.w.Run(seed, plan, c.mech); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -128,9 +133,9 @@ func TestScheduleBytes(t *testing.T) {
 		}
 		runtime.ReadMemStats(&after)
 		kb := float64(after.TotalAlloc-before.TotalAlloc) / n / 1024
-		t.Logf("one %s schedule: %.1f kB", c.w.Name(), kb)
+		t.Logf("one %s %s schedule: %.1f kB", c.w.Name(), c.mech, kb)
 		if kb > c.bound {
-			t.Errorf("one %s schedule allocated %.1f kB, want at most %.1f (%.1f before runs reused simulators and nodes)", c.w.Name(), kb, c.bound, c.parent)
+			t.Errorf("one %s %s schedule allocated %.1f kB, want at most %.1f (%.1f before the bound was set)", c.w.Name(), c.mech, kb, c.bound, c.before)
 		}
 	}
 }

@@ -172,6 +172,18 @@ func (n *Node) Render(collection string) string {
 	return renderSorted(st.rows)
 }
 
+// AppendRender appends what Render returns to dst: a caller that writes the
+// rendering into a text of its own copies it once, there.
+func (n *Node) AppendRender(dst []byte, collection string) []byte {
+	st, ok := n.state[collection]
+	if !ok {
+		return dst
+	}
+	c := getScratch()
+	defer c.release()
+	return c.appendSorted(dst, st.rows)
+}
+
 // Size returns a collection's cardinality.
 func (n *Node) Size(collection string) int {
 	st, ok := n.state[collection]

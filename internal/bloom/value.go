@@ -330,15 +330,21 @@ func SortRows(rows []Row) {
 func renderSorted(rows []Row) string {
 	c := getScratch()
 	defer c.release()
+	c.text = c.appendSorted(c.text[:0], rows)
+	return string(c.text)
+}
+
+// appendSorted appends the canonical text of rows to dst, growing it once.
+func (c *canonScratch) appendSorted(dst []byte, rows []Row) []byte {
 	c.encodeSorted(rows, Row.appendString)
-	c.text = c.text[:0]
+	dst = slices.Grow(dst, len(c.enc)+len(c.spans))
 	for i, e := range c.spans {
 		if i > 0 {
-			c.text = append(c.text, ',')
+			dst = append(dst, ',')
 		}
-		c.text = append(c.text, c.enc[e.off:e.end]...)
+		dst = append(dst, c.enc[e.off:e.end]...)
 	}
-	return string(c.text)
+	return dst
 }
 
 // RowsEqual reports set equality of two row slices.

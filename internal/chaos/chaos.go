@@ -16,8 +16,10 @@ package chaos
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"blazes/internal/coord"
 	"blazes/internal/sim"
@@ -141,6 +143,14 @@ type Oracle struct {
 // comparison.
 func NewOracle(confluent bool) *Oracle { return &Oracle{confluent: confluent} }
 
+// same reports whether two replica outcomes agree on what the component's
+// property lets the oracle compare: the final state alone when it is
+// confluent, the trace and the final state otherwise. It compares in place;
+// comparable builds the same projection as one list, for the note.
+func (o *Oracle) same(a, b ReplicaOutcome) bool {
+	return a.Final == b.Final && (o.confluent || slices.Equal(a.Trace, b.Trace))
+}
+
 // comparable projects a replica outcome onto the comparison the component's
 // property warrants.
 func (o *Oracle) comparable(r ReplicaOutcome) []string {
@@ -163,7 +173,7 @@ func (o *Oracle) Observe(seed int64, out Outcome) {
 	}
 	r0 := out.Replicas[0]
 	for i, r := range out.Replicas[1:] {
-		if !equalStrings(o.comparable(r0), o.comparable(r)) && !o.observed.Inst {
+		if !o.observed.Inst && !o.same(r0, r) {
 			o.observed.Inst = true
 			o.note("seed %d: replica %d trace differs from replica 0: %s", seed, i+1,
 				firstDiff(o.comparable(r0), o.comparable(r)))
@@ -178,7 +188,7 @@ func (o *Oracle) Observe(seed int64, out Outcome) {
 		o.baseSeed, o.base = seed, &out
 		return
 	}
-	if !o.observed.Run && !equalStrings(o.comparable(o.base.Replicas[0]), o.comparable(r0)) {
+	if !o.observed.Run && !o.same(o.base.Replicas[0], r0) {
 		o.observed.Run = true
 		o.note("seeds %d vs %d: replica 0 outcome differs across schedules: %s", o.baseSeed, seed,
 			firstDiff(o.comparable(o.base.Replicas[0]), o.comparable(r0)))
@@ -191,18 +201,6 @@ func (o *Oracle) Anomalies() Anomalies { return o.observed }
 // Details returns human-readable descriptions of the first disagreement
 // seen per class.
 func (o *Oracle) Details() []string { return o.details }
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
 
 // firstDiff renders the first differing position of two traces, clipped.
 func firstDiff(a, b []string) string {
@@ -224,8 +222,25 @@ func firstDiff(a, b []string) string {
 	return fmt.Sprintf("lengths %d vs %d", len(a), len(b))
 }
 
+// digestSep separates the labeled parts of a digest.
+const digestSep = " | "
+
 // digest builds a canonical single-line digest from labeled parts.
-func digest(parts ...string) string { return strings.Join(parts, " | ") }
+func digest(parts ...string) string { return strings.Join(parts, digestSep) }
+
+// textBufs lends the buffer a digest is written into.
+var textBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeText returns the text write appends to an empty buffer: of a text
+// written in pieces, only the string kept is allocated.
+func writeText(write func([]byte) []byte) string {
+	buf := textBufs.Get().(*[]byte)
+	b := write((*buf)[:0])
+	text := string(b)
+	*buf = b
+	textBufs.Put(buf)
+	return text
+}
 
 // canonSet canonicalizes an unordered collection of strings.
 func canonSet(items []string) string {

@@ -55,6 +55,28 @@ type delivery struct {
 	apply func(replica, i int) // hands message i to a replica
 }
 
+// arrival is message i's arrival at replica ri, or at every replica at once
+// when ri is everyReplica. A schedule carves its arrivals from one slice, so
+// a message in flight costs no closure of its own.
+type arrival struct {
+	d     *delivery
+	ri, i int32
+}
+
+// everyReplica is the replica of an arrival that reaches them all.
+const everyReplica = -1
+
+// Fire hands the message to its replica, or to each in turn.
+func (a *arrival) Fire() {
+	if a.ri != everyReplica {
+		a.d.apply(int(a.ri), int(a.i))
+		return
+	}
+	for ri := range a.d.replicas {
+		a.d.apply(ri, int(a.i))
+	}
+}
+
 // install schedules the run under mech.
 func (d *delivery) install(mech dataflow.Coordination) error {
 	link := d.plan.Shape(d.link)
@@ -63,13 +85,15 @@ func (d *delivery) install(mech dataflow.Coordination) error {
 		// Every message travels on its own: reordering across messages and
 		// across replicas, and retransmissions.
 		l := sim.NewLink(d.s, link)
+		arrivals := make([]arrival, 0, len(d.msgs)*d.replicas)
 		for i := range d.msgs {
 			m := &d.msgs[i]
 			for ri := range d.replicas {
-				if m.once {
-					l.Send(sim.Unordered, m.at, func() { d.apply(ri, i) })
+				arrivals = append(arrivals, arrival{d, int32(ri), int32(i)})
+				if a := &arrivals[len(arrivals)-1]; m.once {
+					l.Send(sim.Unordered, m.at, a)
 				} else {
-					l.SendDup(sim.Unordered, m.at, func() { d.apply(ri, i) })
+					l.SendDup(sim.Unordered, m.at, a)
 				}
 			}
 		}
@@ -78,12 +102,10 @@ func (d *delivery) install(mech dataflow.Coordination) error {
 		// M1: step k of the preordained order happens at every replica at
 		// once. Nothing crosses a link, so no plan reaches it, and no step
 		// depends on another's time, so the spacing reaches no outcome.
+		steps := make([]arrival, len(d.order))
 		for k, i := range d.order {
-			d.s.At(sim.Time(k+1)*sim.Millisecond, func() {
-				for ri := range d.replicas {
-					d.apply(ri, i)
-				}
-			})
+			steps[k] = arrival{d, everyReplica, int32(i)}
+			d.s.Schedule(sim.Time(k+1)*sim.Millisecond, &steps[k])
 		}
 
 	case dataflow.CoordDynamicOrder:
@@ -141,8 +163,19 @@ func (d *delivery) install(mech dataflow.Coordination) error {
 			}
 			registry.Register(sl.Partition, sl.Producer)
 		}
+		// What each replica buffers of a partition, so its tracker sizes
+		// the buffer once.
+		data := make([]int, len(partitions))
+		for i := range d.msgs {
+			if m := &d.msgs[i]; !m.read {
+				if k := slices.Index(partitions, m.partition); k >= 0 {
+					data[k]++
+				}
+			}
+		}
+		sends := make([]sealSend, 0, (len(d.msgs)+len(d.seals))*d.replicas)
 		for ri := range d.replicas {
-			d.sealReplica(ri, sim.NewLink(d.s, link), registry, partitions)
+			sends = d.sealReplica(ri, sim.NewLink(d.s, link), registry, partitions, data, sends)
 		}
 
 	default:
@@ -155,56 +188,102 @@ func (d *delivery) install(mech dataflow.Coordination) error {
 // replica: one registry lookup per partition, data and punctuations on their
 // producer's FIFO stream (a seal must not overtake the data it closes), a
 // sealed partition folded at once, reads held until what they read is sealed.
-// l is the hop into this replica alone: FIFO keys are per link.
-func (d *delivery) sealReplica(ri int, l *sim.Link, registry *coord.Registry, partitions []string) {
-	held := map[string][]int{} // reads waiting, by the partition they wait for
-	release := func(partition string) {
-		for _, i := range held[partition] {
-			d.apply(ri, i)
-		}
-		delete(held, partition)
+// l is the hop into this replica alone: FIFO keys are per link. data[k] is
+// how many data messages partitions[k] has. The replica's sends are carved
+// from sends, which it returns extended.
+func (d *delivery) sealReplica(ri int, l *sim.Link, registry *coord.Registry, partitions []string, data []int, sends []sealSend) []sealSend {
+	r := &sealingReplica{d: d, ri: ri, partitions: len(partitions), held: map[string][]int{}}
+	r.tracker = coord.NewSealTracker(r.fold)
+	for k, partition := range partitions {
+		r.tracker.Reserve(partition, data[k])
+		registry.Lookup(partition, func(producers []string) { r.tracker.SetExpected(partition, producers) })
 	}
-	sealed := 0
-	tracker := coord.NewSealTracker(func(partition string, buffered []any) {
-		// A sealed partition is complete and immutable, so it is folded in
-		// the order it was sent, whatever order it arrived in: that is what
-		// makes an order-sensitive fold deterministic under sealing.
-		sent := make([]int, len(buffered))
-		for k, b := range buffered {
-			sent[k] = b.(int)
+	send := func(key string, at sim.Time, i int, seal, dup bool) {
+		sends = append(sends, sealSend{r, int32(i), seal})
+		if h := &sends[len(sends)-1]; dup {
+			l.SendDup(key, at, h)
+		} else {
+			l.Send(key, at, h)
 		}
-		slices.Sort(sent)
-		for _, i := range sent {
-			d.apply(ri, i)
-		}
-		sealed++
-		release(partition)
-		if sealed == len(partitions) {
-			release(allPartitions)
-		}
-	})
-	for _, partition := range partitions {
-		registry.Lookup(partition, func(producers []string) { tracker.SetExpected(partition, producers) })
 	}
 	for i := range d.msgs {
 		if m := &d.msgs[i]; !m.read {
-			l.SendDup(m.producer, m.at, func() { tracker.Data(m.partition, i) })
+			send(m.producer, m.at, i, false, true)
 		}
 	}
-	for _, sl := range d.seals {
-		l.Send(sl.Producer, sl.at, func() { tracker.Seal(sl.Punctuation) })
+	for k, sl := range d.seals {
+		send(sl.Producer, sl.at, k, true, false)
 	}
 	for i := range d.msgs {
-		m := &d.msgs[i]
-		if !m.read {
-			continue
+		if m := &d.msgs[i]; m.read {
+			send(sim.Unordered, m.at, i, false, false)
 		}
-		l.Send(sim.Unordered, m.at, func() {
-			if tracker.Sealed(m.partition) || m.partition == allPartitions && sealed == len(partitions) {
-				d.apply(ri, i)
-			} else {
-				held[m.partition] = append(held[m.partition], i)
-			}
-		})
 	}
+	return sends
+}
+
+// sealingReplica is one replica's side of the seal protocol.
+type sealingReplica struct {
+	d       *delivery
+	ri      int
+	tracker *coord.SealTracker
+	held    map[string][]int // reads waiting, by the partition they wait for
+	// sealed counts the partitions released, of partitions in all.
+	sealed, partitions int
+	sent               []int // fold's scratch
+}
+
+// sealSend is one message into a sealing replica: msgs[i], or seals[i] when
+// seal is set.
+type sealSend struct {
+	r    *sealingReplica
+	i    int32
+	seal bool
+}
+
+// Fire is the message's arrival: a seal votes, a datum is buffered, and a
+// read is answered now if what it reads is sealed and held otherwise.
+func (s *sealSend) Fire() {
+	r, d, i := s.r, s.r.d, int(s.i)
+	if s.seal {
+		r.tracker.Seal(d.seals[i].Punctuation)
+		return
+	}
+	switch m := &d.msgs[i]; {
+	case !m.read:
+		r.tracker.Data(m.partition, i)
+	case r.tracker.Sealed(m.partition) || m.partition == allPartitions && r.sealed == r.partitions:
+		d.apply(r.ri, i)
+	default:
+		r.held[m.partition] = append(r.held[m.partition], i)
+	}
+}
+
+// fold applies a sealed partition. A sealed partition is complete and
+// immutable, so it is folded in the order it was sent, whatever order it
+// arrived in: that is what makes an order-sensitive fold deterministic under
+// sealing. Then it answers the reads the partition held, and once every
+// partition is sealed, the reads that wait for all of them.
+func (r *sealingReplica) fold(partition string, buffered []any) {
+	r.sent = r.sent[:0]
+	for _, b := range buffered {
+		r.sent = append(r.sent, b.(int))
+	}
+	slices.Sort(r.sent)
+	for _, i := range r.sent {
+		r.d.apply(r.ri, i)
+	}
+	r.sealed++
+	r.release(partition)
+	if r.sealed == r.partitions {
+		r.release(allPartitions)
+	}
+}
+
+// release answers the reads held for partition.
+func (r *sealingReplica) release(partition string) {
+	for _, i := range r.held[partition] {
+		r.d.apply(r.ri, i)
+	}
+	delete(r.held, partition)
 }

@@ -202,9 +202,23 @@ func (r *bloomReplica) finalDigest(p *bloomPlan) (string, error) {
 	}
 	entries := make([]string, len(p.probes))
 	for i := range p.probes {
-		entries[i] = p.probes[i].id + "→{" + canonSet(rows[i]) + "}"
+		slices.Sort(rows[i])
+		entries[i] = p.probes[i].id + "→{" + strings.Join(rows[i], ",") + "}"
 	}
-	return digest("log{"+r.node.Render("clicklog")+"}", "final{"+canonSet(entries)+"}"), nil
+	slices.Sort(entries)
+	// The log is rendered straight into the digest, which is the one copy of
+	// it that is kept.
+	return writeText(func(b []byte) []byte {
+		b = r.node.AppendRender(append(b, "log{"...), "clicklog")
+		b = append(b, "}"+digestSep+"final{"...)
+		for i, e := range entries {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, e...)
+		}
+		return append(b, '}')
+	}), nil
 }
 
 // bloomProbe re-poses one request at quiescence, under an id of its own.

@@ -76,6 +76,11 @@ type genModel struct {
 	// msgIDs[id] is message id's "source:seq" — what an order-sensitive
 	// interface chains (wire data, TestWireNamesPinned) — formatted once.
 	msgIDs []string
+	// hops is how many sends a CoordNone run makes: every source message
+	// once, then each component relays each message it receives once on
+	// each of its outputs. No plan drops a message, so that is the same on
+	// every schedule.
+	hops int
 }
 
 func (w *GeneratedWorkload) build() (*genModel, error) {
@@ -137,6 +142,15 @@ func (w *GeneratedWorkload) build() (*genModel, error) {
 			m.outs[fi] = append(m.outs[fi], ti)
 		}
 	}
+	total := m.total()
+	relayed := make([]bool, len(m.comps)*total)
+	m.hops = total
+	m.propagate(func(iface, id int) {
+		if c := m.ifaces[iface].comp; !relayed[c*total+id] {
+			relayed[c*total+id] = true
+			m.hops += len(m.outs[c])
+		}
+	})
 	return m, nil
 }
 
@@ -286,25 +300,39 @@ func (m *genModel) propagate(visit func(iface, id int)) {
 }
 
 // genHops is CoordNone's run: every forwarding hop is a message on one
-// shaped link. A hop's callback holds the run and one word packing the
-// target interface (high half) and the message id (low half).
+// shaped link. The hops are carved from free, sized by the model's count
+// of them, so a hop costs no allocation of its own.
 type genHops struct {
 	st   *genState
 	s    *sim.Sim
 	link *sim.Link
+	free []genHop
 }
+
+// genHop is one hop in flight: message id towards interface iface.
+type genHop struct {
+	r         *genHops
+	iface, id int32
+}
+
+// Fire is the hop's arrival.
+func (h *genHop) Fire() { h.r.deliver(int(h.iface), int(h.id)) }
 
 // send puts message id on the link towards interface iface, leaving its
 // sender at at.
 func (r *genHops) send(at sim.Time, iface, id int) {
-	hop := uint64(iface)<<32 | uint64(id)
-	r.link.SendDup(sim.Unordered, at, func() { r.deliver(hop) })
+	if len(r.free) == 0 {
+		r.free = make([]genHop, 64) // beyond the model's count: not reached
+	}
+	h := &r.free[0]
+	r.free = r.free[1:]
+	*h = genHop{r, int32(iface), int32(id)}
+	r.link.SendDup(sim.Unordered, at, h)
 }
 
 // deliver applies an arrived hop and relays it the first time its
 // component sees the message.
-func (r *genHops) deliver(hop uint64) {
-	iface, id := int(hop>>32), int(uint32(hop))
+func (r *genHops) deliver(iface, id int) {
 	r.st.apply(iface, id)
 	if !r.st.forward(iface, id) {
 		return
@@ -330,7 +358,8 @@ func (w *GeneratedWorkload) Run(seed int64, plan FaultPlan, mech dataflow.Coordi
 		// simulator, so arrival order at order-sensitive interfaces is
 		// schedule-dependent.
 		s := sim.New(seed)
-		r := &genHops{st: st, s: s, link: sim.NewLink(s, plan.Shape(sim.LinkConfig{MinDelay: 100 * sim.Microsecond, MaxDelay: 10 * sim.Millisecond}))}
+		r := &genHops{st: st, s: s, link: sim.NewLink(s, plan.Shape(sim.LinkConfig{MinDelay: 100 * sim.Microsecond, MaxDelay: 10 * sim.Millisecond})),
+			free: make([]genHop, m.hops)}
 		for src := range m.sources {
 			// Dense same-source send cadence (2ms) against ≥10ms latency
 			// jitter: first-hop reordering is already likely, and each

@@ -145,9 +145,19 @@ type synReplica struct {
 	outputs  []string
 }
 
+// newSynReplica returns an empty replica, its maps sized once for every
+// message of the run: a map grown from empty by insertion allocates each of
+// its sizes on the way.
 func newSynReplica(w *SyntheticWorkload) *synReplica {
-	return &synReplica{confluent: w.Confluent, convergent: w.Convergent,
-		seen: map[string]bool{}, set: map[string]bool{}, chains: map[string]uint64{}}
+	total := w.Producers * w.PerProducer
+	r := &synReplica{confluent: w.Confluent, convergent: w.Convergent, seen: make(map[string]bool, total)}
+	switch {
+	case r.confluent:
+		r.set = make(map[string]bool, total)
+	case !r.convergent:
+		r.chains = make(map[string]uint64, w.Producers)
+	}
+	return r
 }
 
 func (r *synReplica) apply(m synMsg) {
@@ -185,8 +195,10 @@ func (r *synReplica) snapshot() string {
 	return canonSet(parts)
 }
 
+// outcome is what the replica showed; the run hands it its outputs, which
+// the replica writes no more.
 func (r *synReplica) outcome() ReplicaOutcome {
-	return ReplicaOutcome{Trace: append([]string{}, r.outputs...), Final: r.snapshot()}
+	return ReplicaOutcome{Trace: r.outputs, Final: r.snapshot()}
 }
 
 const (

@@ -5,7 +5,6 @@ import (
 	"maps"
 	"slices"
 	"strconv"
-	"strings"
 
 	"blazes/internal/dataflow"
 	"blazes/internal/sim"
@@ -114,20 +113,30 @@ func (w *WordcountWorkload) Run(seed int64, plan FaultPlan, mech dataflow.Coordi
 		return digestCounts(spout.ExpectedCounts(w.Workers)), nil
 	})
 	return Outcome{Replicas: []ReplicaOutcome{
-		{Final: digestCounts(res.Store.Snapshot())},
+		{Final: digestCounts(res.Store.Rows())},
 		{Final: truth},
 	}}, nil
 }
 
-// digestCounts canonicalizes per-batch word counts.
+// digestCounts canonicalizes per-batch word counts: "b<batch>{word=count,…}"
+// for each batch in order, words sorted, as digest joins its parts. It only
+// reads counts.
 func digestCounts(counts map[int64]map[string]int64) string {
-	var out []string
-	for _, b := range slices.Sorted(maps.Keys(counts)) {
-		row := slices.Sorted(maps.Keys(counts[b]))
-		for i, word := range row {
-			row[i] = word + "=" + strconv.FormatInt(counts[b][word], 10)
+	batches := slices.Sorted(maps.Keys(counts))
+	return writeText(func(b []byte) []byte {
+		for k, batch := range batches {
+			if k > 0 {
+				b = append(b, digestSep...)
+			}
+			b = append(strconv.AppendInt(append(b, 'b'), batch, 10), '{')
+			for i, word := range slices.Sorted(maps.Keys(counts[batch])) {
+				if i > 0 {
+					b = append(b, ',')
+				}
+				b = strconv.AppendInt(append(append(b, word...), '='), counts[batch][word], 10)
+			}
+			b = append(b, '}')
 		}
-		out = append(out, "b"+strconv.FormatInt(b, 10)+"{"+strings.Join(row, ",")+"}")
-	}
-	return digest(out...)
+		return b
+	})
 }

@@ -127,7 +127,7 @@ func (p *QuorumProducer) Send(msg any) {
 	p.seq++
 	st := Stamp{Clock: p.clock, Producer: p.id, Seq: p.seq}
 	for _, r := range p.q.replicas {
-		r.link.SendDup(p.stream, p.q.sim.Now(), func() { r.data(st, msg) })
+		r.link.SendDup(p.stream, p.q.sim.Now(), sim.Func(func() { r.data(st, msg) }))
 	}
 }
 
@@ -156,7 +156,7 @@ func (p *QuorumProducer) Done() {
 func (p *QuorumProducer) heartbeat(w uint64) {
 	p.q.heartbeats++
 	for _, r := range p.q.replicas {
-		r.link.SendDup(p.stream, p.q.sim.Now(), func() { r.mark(p.id, w) })
+		r.link.SendDup(p.stream, p.q.sim.Now(), sim.Func(func() { r.mark(p.id, w) }))
 	}
 }
 

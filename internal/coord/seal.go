@@ -75,6 +75,15 @@ func (t *SealTracker) KnowsExpected(partition string) bool {
 	return ok
 }
 
+// Reserve sizes a partition's buffer for n messages, so that buffering them
+// allocates once. More still fit, by growing; a partition already buffering
+// or released is left as it is.
+func (t *SealTracker) Reserve(partition string, n int) {
+	if _, ok := t.buffer[partition]; !ok && n > 0 && !t.done[partition] {
+		t.buffer[partition] = make([]any, 0, n)
+	}
+}
+
 // Data buffers one message for a partition. Messages for already-released
 // partitions are counted as late duplicates and dropped.
 func (t *SealTracker) Data(partition string, msg any) {

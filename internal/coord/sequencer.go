@@ -73,7 +73,7 @@ func (q *Sequencer) Subscribe(fn func(Sequenced)) {
 // and broadcast to all subscribers.
 func (q *Sequencer) Submit(msg any) {
 	q.submitted++
-	q.submit.Send(sim.Unordered, q.sim.Now(), func() { q.arrive(msg) })
+	q.submit.Send(sim.Unordered, q.sim.Now(), sim.Func(func() { q.arrive(msg) }))
 }
 
 // arrive sequences one message, modelling the service's serial processing.
@@ -88,10 +88,10 @@ func (q *Sequencer) arrive(msg any) {
 	sm := Sequenced{Seq: q.nextSeq, Msg: msg}
 	q.sim.At(done, func() {
 		for _, sub := range q.subscribers {
-			sub.link.Send("decided", q.sim.Now(), func() { // one FIFO stream
+			sub.link.Send("decided", q.sim.Now(), sim.Func(func() { // one FIFO stream
 				q.delivered++
 				sub.fn(sm)
-			})
+			}))
 		}
 	})
 }

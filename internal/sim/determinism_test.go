@@ -27,7 +27,7 @@ func scheduleTrace(seed int64) string {
 		s.At(Time(i)*100, func() {
 			// The third link's traffic is one FIFO stream.
 			key := [...]string{Unordered, Unordered, "stream"}[i%3]
-			links[i%3].SendDup(key, s.Now(), func() { record(fmt.Sprintf("l%d", i%3), i) })
+			links[i%3].SendDup(key, s.Now(), Func(func() { record(fmt.Sprintf("l%d", i%3), i) }))
 			if i%5 == 0 {
 				// Nested re-scheduling driven by the shared rng.
 				s.After(Time(s.Rand().Int63n(400)), func() { record("timer", i) })

@@ -87,7 +87,9 @@ const Unordered = ""
 // it draws the latency, holds the message through any partition open at its
 // send time, drops or duplicates it per the configuration, and keeps each
 // keyed stream FIFO — all determined by the simulator's seed. A message is a
-// callback, scheduled as is: a send allocates nothing of its own. It takes
+// Handler, scheduled as is: a send allocates nothing of its own, and a caller
+// that carves its handlers from one slice per run allocates nothing per
+// message either (a closure passes as Func). It takes
 // the time the message leaves its sender (a workload lays out its schedule
 // up front; a protocol passes Now) and a FIFO key: under a key other than
 // Unordered a message never arrives before an earlier send of the same key,
@@ -104,25 +106,25 @@ type Link struct {
 // NewLink creates a link on s shaped by cfg.
 func NewLink(s *Sim, cfg LinkConfig) *Link { return &Link{sim: s, cfg: cfg} }
 
-// Send carries one message exactly once: fn runs at the arrival of a message
+// Send carries one message exactly once: h fires at the arrival of a message
 // sent at sent. Nothing retransmits it, so DupProb is not consulted.
-func (l *Link) Send(key string, sent Time, fn func()) {
+func (l *Link) Send(key string, sent Time, h Handler) {
 	if !l.lost() {
-		l.sim.At(l.arrival(key, sent), fn)
+		l.sim.Schedule(l.arrival(key, sent), h)
 	}
 }
 
 // SendDup carries one message at least once: with probability DupProb the
-// sender retransmits and fn runs a second time, at a latency of its own
+// sender retransmits and h fires a second time, at a latency of its own
 // (under a key, in FIFO order behind the first).
-func (l *Link) SendDup(key string, sent Time, fn func()) {
+func (l *Link) SendDup(key string, sent Time, h Handler) {
 	if l.lost() {
 		return
 	}
-	l.sim.At(l.arrival(key, sent), fn)
+	l.sim.Schedule(l.arrival(key, sent), h)
 	if l.cfg.DupProb > 0 && l.sim.rng.Float64() < l.cfg.DupProb {
 		l.stats.Duplicate++
-		l.sim.At(l.arrival(key, sent), fn)
+		l.sim.Schedule(l.arrival(key, sent), h)
 	}
 }
 
@@ -131,7 +133,7 @@ func (l *Link) SendDup(key string, sent Time, fn func()) {
 // arrives. Either leg waits out a partition open when it leaves.
 func (l *Link) RoundTrip(sent Time, fn func()) {
 	if !l.lost() {
-		l.Send(Unordered, l.arrival(Unordered, sent), fn)
+		l.Send(Unordered, l.arrival(Unordered, sent), Func(fn))
 	}
 }
 

@@ -64,9 +64,9 @@ func driveLink(t *testing.T, seed int64, cfg LinkConfig, script []linkSend, dup 
 			}
 		}
 		if dup {
-			l.SendDup(m.key, m.at, fn)
+			l.SendDup(m.key, m.at, Func(fn))
 		} else {
-			l.Send(m.key, m.at, fn)
+			l.Send(m.key, m.at, Func(fn))
 		}
 	}
 	s.Run()

@@ -15,7 +15,7 @@ func TestPartitionBuffersUntilHeal(t *testing.T) {
 	var arrivals []Time
 	l := NewLink(s, cfg)
 	for _, sent := range []Time{5 * Millisecond, 20 * Millisecond, 60 * Millisecond} { // before, during, after
-		l.Send(Unordered, sent, func() { arrivals = append(arrivals, s.Now()) })
+		l.Send(Unordered, sent, Func(func() { arrivals = append(arrivals, s.Now()) }))
 	}
 	s.Run()
 	if len(arrivals) != 3 {

@@ -100,7 +100,7 @@ func deliverySequence(seed int64, cfg LinkConfig, n int) []int {
 	l := NewLink(s, cfg)
 	for i := 0; i < n; i++ {
 		s.At(Time(i)*10, func() {
-			l.SendDup(Unordered, s.Now(), func() { got = append(got, i) })
+			l.SendDup(Unordered, s.Now(), Func(func() { got = append(got, i) }))
 		})
 	}
 	s.Run()
@@ -159,7 +159,7 @@ func TestLinkDuplication(t *testing.T) {
 	count := map[int]int{}
 	l := NewLink(s, LinkConfig{MinDelay: 1, MaxDelay: 10, DupProb: 1.0})
 	for i := 0; i < 20; i++ {
-		l.SendDup(Unordered, 0, func() { count[i]++ })
+		l.SendDup(Unordered, 0, Func(func() { count[i]++ }))
 	}
 	s.Run()
 	for i := 0; i < 20; i++ {
@@ -177,7 +177,7 @@ func TestLinkDrop(t *testing.T) {
 	delivered := 0
 	l := NewLink(s, LinkConfig{MinDelay: 1, MaxDelay: 10, DropProb: 1.0})
 	for i := 0; i < 20; i++ {
-		l.Send(Unordered, 0, func() { delivered++ })
+		l.Send(Unordered, 0, Func(func() { delivered++ }))
 	}
 	s.Run()
 	if delivered != 0 {
@@ -195,7 +195,7 @@ func TestLinkDropRateApproximates(t *testing.T) {
 	l := NewLink(s, LinkConfig{MinDelay: 1, MaxDelay: 2, DropProb: 0.3})
 	const n = 5000
 	for i := 0; i < n; i++ {
-		l.Send(Unordered, 0, func() { delivered++ })
+		l.Send(Unordered, 0, Func(func() { delivered++ }))
 	}
 	s.Run()
 	rate := 1 - float64(delivered)/float64(n)
@@ -208,7 +208,7 @@ func TestLinkDropRateApproximates(t *testing.T) {
 func TestLinkConfigSwappedDelaysNormalized(t *testing.T) {
 	s := New(6)
 	n := 0
-	NewLink(s, LinkConfig{MinDelay: 100, MaxDelay: 1}).Send(Unordered, 0, func() { n++ })
+	NewLink(s, LinkConfig{MinDelay: 100, MaxDelay: 1}).Send(Unordered, 0, Func(func() { n++ }))
 	s.Run()
 	if n != 1 || s.Now() != 100 {
 		t.Errorf("swapped delay bounds: %d deliveries, the last at %v; want 1 at MinDelay", n, s.Now())

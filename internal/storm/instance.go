@@ -18,7 +18,10 @@ type instance struct {
 	bolt Bolt
 
 	busyUntil sim.Time
-	batches   map[int64]*batchState
+	// batches holds a batch's state at its number: a spout numbers its
+	// batches densely from 0, and a replay or duplicate names one already
+	// held.
+	batches []*batchState
 	// seenWords is, per upstream instance, the widest any batch's dedup
 	// bitset has grown: a new batch's bitsets are carved from one array at
 	// these capacities.
@@ -48,7 +51,9 @@ type batchState struct {
 	endFrom  []bool // upstream instance → punctuation arrived
 	// seen is a per-upstream-instance bitset over emission sequence
 	// numbers: the dedup state that used to be a map of formatted strings.
+	// Each is carved from words.
 	seen     [][]uint64
+	words    []uint64
 	finished bool
 	// finishDone is set once the scheduled finish event has actually run
 	// (FinishBatch executed, punctuations sent). Resends must wait for it:
@@ -99,54 +104,96 @@ type outMsg struct {
 	m      message
 }
 
-func newInstance(st *stage, idx int) *instance {
-	in := &instance{
+// newInstance returns instance idx of st, taking up one a released topology
+// kept (Release) if there is one: its queue and batch arrays come emptied,
+// and its two closures already point at it.
+func (t *Topology) newInstance(st *stage, idx int) *instance {
+	var in *instance
+	if n := len(t.spareInstances); n > 0 {
+		in = t.spareInstances[n-1]
+		t.spareInstances = t.spareInstances[:n-1]
+	} else {
+		in = new(instance)
+		in.collect = func(out Tuple) {
+			out.Batch = in.cur.tuple.Batch
+			in.emit(in.cur.bs, out)
+		}
+		in.exec = func() {
+			it := in.queue[in.queueOff]
+			in.queue[in.queueOff] = execItem{}
+			in.queueOff++
+			if in.queueOff == len(in.queue) {
+				in.queue = in.queue[:0]
+				in.queueOff = 0
+			}
+			in.cur = it
+			in.bolt.Execute(it.tuple, in.collect)
+			in.tryFinish(it.tuple.Batch, it.bs)
+		}
+	}
+	*in = instance{
 		st:        st,
 		idx:       idx,
 		bolt:      st.factory(idx),
-		batches:   map[int64]*batchState{},
-		seenWords: make([]int, st.upstreamN),
-	}
-	in.collect = func(out Tuple) {
-		out.Batch = in.cur.tuple.Batch
-		in.emit(in.cur.bs, out)
-	}
-	in.exec = func() {
-		it := in.queue[in.queueOff]
-		in.queue[in.queueOff] = execItem{}
-		in.queueOff++
-		if in.queueOff == len(in.queue) {
-			in.queue = in.queue[:0]
-			in.queueOff = 0
-		}
-		in.cur = it
-		in.bolt.Execute(it.tuple, in.collect)
-		in.tryFinish(it.tuple.Batch, it.bs)
+		batches:   in.batches[:0],
+		seenWords: zeroed(in.seenWords, st.upstreamN),
+		queue:     in.queue[:0],
+		exec:      in.exec,
+		collect:   in.collect,
 	}
 	return in
 }
 
 func (in *instance) batch(b int64) *batchState {
-	bs, ok := in.batches[b]
-	if !ok {
-		n := in.st.upstreamN
-		bs = &batchState{
-			recvFrom: make([]int, n),
-			expected: make([]int, n),
-			endFrom:  make([]bool, n),
-			seen:     make([][]uint64, n),
-		}
-		total := 0
-		for _, w := range in.seenWords {
-			total += w
-		}
-		words := make([]uint64, total)
-		for i, w := range in.seenWords {
-			bs.seen[i], words = words[:0:w], words[w:]
-		}
-		in.batches[b] = bs
+	for int64(len(in.batches)) <= b {
+		in.batches = append(in.batches, nil)
+	}
+	if bs := in.batches[b]; bs != nil {
+		return bs
+	}
+	bs := in.st.topo.newBatchState(in.st.upstreamN, in.seenWords)
+	in.batches[b] = bs
+	return bs
+}
+
+// newBatchState returns the state of a batch that n upstream instances feed,
+// its bitsets carved at the widths in seenWords: a batch state a released
+// topology kept (Release), emptied, or a new one.
+func (t *Topology) newBatchState(n int, seenWords []int) *batchState {
+	var bs *batchState
+	if k := len(t.spareBatches); k > 0 {
+		bs = t.spareBatches[k-1]
+		t.spareBatches = t.spareBatches[:k-1]
+	} else {
+		bs = new(batchState)
+	}
+	total := 0
+	for _, w := range seenWords {
+		total += w
+	}
+	*bs = batchState{
+		recvFrom: zeroed(bs.recvFrom, n),
+		expected: zeroed(bs.expected, n),
+		endFrom:  zeroed(bs.endFrom, n),
+		seen:     zeroed(bs.seen, n),
+		words:    zeroed(bs.words, total),
+		outbox:   bs.outbox[:0],
+	}
+	words := bs.words
+	for i, w := range seenWords {
+		bs.seen[i], words = words[:0:w], words[w:]
 	}
 	return bs
+}
+
+// zeroed returns s resized to n zero elements, in s's array when it fits.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // receive handles one network message.

@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
 
+	"blazes/internal/race"
 	"blazes/internal/sim"
 	"blazes/internal/storm"
 	"blazes/internal/wc"
@@ -41,8 +43,9 @@ var scheduleScenarios = []scheduleScenario{
 // renders what the schedule decides: the simulator's step count, the engine
 // metrics, the store's first-commit order and a digest of its rows. The
 // topology opens with 4,800 spout sends pending at once, so the simulator's
-// event queue is past the size at which its bucket ring comes in.
-func scheduleLine(t *testing.T, mode storm.CommitMode, sc scheduleScenario, seed int64) string {
+// event queue is past the size at which its bucket ring comes in. It
+// returns the topology, which the caller may release.
+func scheduleLine(t *testing.T, mode storm.CommitMode, sc scheduleScenario, seed int64) (string, *storm.Topology) {
 	t.Helper()
 	const workers = 4
 	s := sim.New(seed)
@@ -73,8 +76,21 @@ func scheduleLine(t *testing.T, mode storm.CommitMode, sc scheduleScenario, seed
 		h.Write([]byte(r))
 		h.Write([]byte{'\n'})
 	}
-	return fmt.Sprintf("%s %s seed=%d steps=%d pending=%d done=%v metrics=%+v order=%v rows=%d store=%016x",
+	line := fmt.Sprintf("%s %s seed=%d steps=%d pending=%d done=%v metrics=%+v order=%v rows=%d store=%016x",
 		mode, sc.name, seed, s.Steps(), s.Pending(), tp.Done(), tp.Metrics(), store.CommitOrder(), len(rows), h.Sum64())
+	s.Release()
+	return line, tp
+}
+
+// eachSchedule calls f for every line of the schedule golden, in order.
+func eachSchedule(f func(storm.CommitMode, scheduleScenario, int64)) {
+	for _, mode := range []storm.CommitMode{storm.CommitSealed, storm.CommitTransactional} {
+		for _, sc := range scheduleScenarios {
+			for seed := int64(1); seed <= 3; seed++ {
+				f(mode, sc, seed)
+			}
+		}
+	}
 }
 
 // TestScheduleGolden holds the engine to a schedule recorded before the
@@ -85,14 +101,11 @@ func scheduleLine(t *testing.T, mode storm.CommitMode, sc scheduleScenario, seed
 func TestScheduleGolden(t *testing.T) {
 	const golden = "testdata/schedule.golden"
 	var b strings.Builder
-	for _, mode := range []storm.CommitMode{storm.CommitSealed, storm.CommitTransactional} {
-		for _, sc := range scheduleScenarios {
-			for seed := int64(1); seed <= 3; seed++ {
-				b.WriteString(scheduleLine(t, mode, sc, seed))
-				b.WriteByte('\n')
-			}
-		}
-	}
+	eachSchedule(func(mode storm.CommitMode, sc scheduleScenario, seed int64) {
+		line, _ := scheduleLine(t, mode, sc, seed)
+		b.WriteString(line)
+		b.WriteByte('\n')
+	})
 	got := b.String()
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -120,4 +133,47 @@ func TestScheduleGolden(t *testing.T) {
 		}
 		t.Fatalf("schedule.golden has %d lines, the run produced %d", len(wl), len(gl))
 	}
+}
+
+// TestReleasedTopologyMatchesNew holds a topology taken up from a release to
+// a new one. Every schedule.golden scenario runs on a new topology, then
+// again on the topology the run before it released: runs that stopped at
+// their deadline with deliveries in flight, duplicates and replays that
+// filled outboxes, and, for the first, a wordcount of another shape. Each
+// pair of lines must be the same.
+func TestReleasedTopologyMatchesNew(t *testing.T) {
+	if !race.Enabled {
+		// A pool hands back on the P it was given on, so one P makes the
+		// take-up certain; under -race the pool drops some at random.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	}
+	var fresh []string
+	eachSchedule(func(mode storm.CommitMode, sc scheduleScenario, seed int64) {
+		storm.DrainReleased()
+		line, _ := scheduleLine(t, mode, sc, seed)
+		fresh = append(fresh, line)
+	})
+
+	storm.DrainReleased()
+	engine := storm.DefaultConfig()
+	engine.Link.DupProb = 0.2
+	engine.ReplayTimeout = 20 * sim.Millisecond
+	if _, err := wc.Run(wc.RunConfig{Seed: 9, Workers: 7, Batches: 3, TuplesPerBatch: 40, Mode: storm.CommitTransactional,
+		Punctuate: true, Engine: &engine, Deadline: 30 * sim.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	k := 0
+	var last *storm.Topology
+	eachSchedule(func(mode storm.CommitMode, sc scheduleScenario, seed int64) {
+		line, tp := scheduleLine(t, mode, sc, seed)
+		if !race.Enabled && last != nil && tp != last {
+			t.Fatalf("%s: the run did not take up the topology released before it", line)
+		}
+		if line != fresh[k] {
+			t.Errorf("taken-up topology:\n%s\nnew topology:\n%s", line, fresh[k])
+		}
+		tp.Release()
+		last = tp
+		k++
+	})
 }

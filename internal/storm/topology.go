@@ -3,6 +3,7 @@ package storm
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"blazes/internal/coord"
 	"blazes/internal/sim"
@@ -149,6 +150,10 @@ type Topology struct {
 	freeDeliveries []*delivery
 	slab           []delivery
 	slabSize       int
+	// spareInstances and spareBatches are what Release kept of the last
+	// run's instances and batch states, emptied, for this run to take up.
+	spareInstances []*instance
+	spareBatches   []*batchState
 
 	// Spout-side batch control.
 	nextBatch    int64
@@ -210,17 +215,25 @@ type stage struct {
 	upstreamN  int
 }
 
-// NewTopology creates an empty topology over the simulator.
+// released holds topologies handed back by Release for NewTopology to take
+// up again. Like the simulator's, it is a sync.Pool, so the collector
+// empties it and nothing outlives a sweep.
+var released sync.Pool
+
+// NewTopology creates an empty topology over the simulator. It takes up a
+// topology a finished run released if there is one, which holds nothing but
+// what Release kept — memory, not state — so the run is the one a new
+// topology would run.
 func NewTopology(s *sim.Sim, cfg Config, mode CommitMode) *Topology {
-	t := &Topology{
-		sim:          s,
-		cfg:          cfg,
-		mode:         mode,
-		byName:       map[string]*stage{},
-		inflight:     map[int64]*batchControl{},
-		spoutOutbox:  map[int64]*spoutBatch{},
-		totalBatches: -1,
+	t, _ := released.Get().(*Topology)
+	if t == nil {
+		t = new(Topology)
 	}
+	t.sim, t.cfg, t.mode = s, cfg, mode
+	t.byName = map[string]*stage{}
+	t.inflight = map[int64]*batchControl{}
+	t.spoutOutbox = map[int64]*spoutBatch{}
+	t.totalBatches = -1
 	if mode == CommitTransactional {
 		t.seq = coord.NewSequencer(s, cfg.Sequencer)
 		t.txc = newTxCoordinator(t)
@@ -286,7 +299,7 @@ func (t *Topology) Start() error {
 	for _, st := range t.stages {
 		st.instances = make([]*instance, st.n)
 		for i := 0; i < st.n; i++ {
-			st.instances[i] = newInstance(st, i)
+			st.instances[i] = t.newInstance(st, i)
 		}
 	}
 	t.spoutTuples = make([][]Values, t.spoutN)
@@ -474,6 +487,47 @@ func (t *Topology) newDelivery() *delivery {
 	t.slab = t.slab[1:]
 	d.t = t
 	return d
+}
+
+// Release hands the topology back for a later NewTopology, once its
+// simulator has stopped: the memory a run grew into is what the next run
+// would grow into again. It keeps the delivery pool (free deliveries and the
+// rest of the newest slab), the instances with their queue and batch
+// arrays, every batch state with its bitset and outbox arrays, and the
+// routing scratch. What it keeps holds no tuple: a free delivery dropped its
+// values at arrival, and the queues, outboxes and routed batch are cleared
+// here. Deliveries still in flight when the run stopped stay with their
+// slab and are not reused. Metrics, the store a committer wrote and every
+// bolt belong to the caller and are not touched. Release a topology once,
+// after its last event, and touch it no more.
+func (t *Topology) Release() {
+	for _, st := range t.stages {
+		for _, in := range st.instances {
+			for _, bs := range in.batches {
+				if bs != nil {
+					clear(bs.outbox)
+					t.spareBatches = append(t.spareBatches, bs)
+				}
+			}
+			clear(in.batches)
+			clear(in.queue)
+			in.st, in.bolt, in.cur = nil, nil, execItem{}
+			t.spareInstances = append(t.spareInstances, in)
+		}
+	}
+	sends, ends := t.scratchBatch.sends, t.scratchBatch.ends
+	clear(sends[:cap(sends)])
+	clear(ends[:cap(ends)])
+	*t = Topology{
+		routeBuf:       t.routeBuf[:0],
+		freeDeliveries: t.freeDeliveries,
+		slab:           t.slab,
+		slabSize:       t.slabSize,
+		spareInstances: t.spareInstances,
+		spareBatches:   t.spareBatches,
+		scratchBatch:   spoutBatch{sends: sends[:0], ends: ends[:0]},
+	}
+	released.Put(t)
 }
 
 // Fire is a delivery's arrival. The delivery goes back to the free list

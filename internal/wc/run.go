@@ -53,7 +53,9 @@ type RunResult struct {
 }
 
 // Run executes one wordcount topology to completion and returns its metrics
-// and the final backing-store contents.
+// and the final backing-store contents. It hands its simulator and its
+// topology back (sim.Release, storm.Topology.Release), so the next run in the
+// same goroutine takes up their memory instead of growing its own.
 func Run(rc RunConfig) (RunResult, error) {
 	if rc.Workers <= 0 {
 		return RunResult{}, fmt.Errorf("wc: Workers must be positive")
@@ -101,5 +103,6 @@ func Run(rc RunConfig) (RunResult, error) {
 	}
 	res := RunResult{Metrics: tp.Metrics(), Store: store, Done: tp.Done(), At: s.Now(), Steps: s.Steps()}
 	s.Release()
+	tp.Release()
 	return res, nil
 }

@@ -236,6 +236,11 @@ func (s *Store) Apply(batch int64, counts map[string]int64) {
 	}
 }
 
+// Rows lends the stored rows, batch → word → count, to read: they are the
+// store's own, so the caller writes nothing into them, and a later Apply
+// changes them. Snapshot copies them.
+func (s *Store) Rows() map[int64]map[string]int64 { return s.rows }
+
 // Snapshot returns a deep copy of the stored rows.
 func (s *Store) Snapshot() map[int64]map[string]int64 {
 	out := make(map[int64]map[string]int64, len(s.rows))
