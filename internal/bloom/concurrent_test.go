@@ -129,7 +129,7 @@ func TestCanonicalTextConcurrent(t *testing.T) {
 	const workers = 8
 	nodes := make([]*Node, workers)
 	read := func(n *Node) string {
-		return n.Digest() + " " + n.Render("path") + " " + n.Render("edge") + " " + fmt.Sprint(n.Rows("path"))
+		return n.Digest() + " " + string(n.AppendRender(nil, "path")) + " " + string(n.AppendRender(nil, "edge")) + " " + fmt.Sprint(n.Rows("path"))
 	}
 	want := make([]string, workers)
 	for i := range nodes {

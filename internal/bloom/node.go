@@ -161,19 +161,10 @@ func (n *Node) Rows(collection string) []Row {
 	return st.snapshot()
 }
 
-// Render returns the collection's rows as text: each rendered as Row.String
-// renders it, sorted, comma-joined — what a digest of the contents wants,
-// without the copies and the key sort Rows makes first.
-func (n *Node) Render(collection string) string {
-	st, ok := n.state[collection]
-	if !ok {
-		return ""
-	}
-	return renderSorted(st.rows)
-}
-
-// AppendRender appends what Render returns to dst: a caller that writes the
-// rendering into a text of its own copies it once, there.
+// AppendRender appends the collection's rows to dst as text: each rendered as
+// Row.String renders it, sorted, comma-joined — what a digest of the
+// contents wants, without the copies and the key sort Rows makes first. A
+// caller writing the rendering into a text of its own copies it once, there.
 func (n *Node) AppendRender(dst []byte, collection string) []byte {
 	st, ok := n.state[collection]
 	if !ok {

@@ -150,7 +150,7 @@ func TestDeliverKeepsRowsEmitsCopies(t *testing.T) {
 		t.Fatalf("log size %d after the delete, want 2", n.Size("log"))
 	}
 
-	digest, render := n.Digest(), n.Render("log")
+	digest, render := n.Digest(), string(n.AppendRender(nil, "log"))
 	for _, e := range em {
 		for _, r := range e.Rows {
 			r[0], r[1] = S("mutated"), I(-1)
@@ -172,7 +172,7 @@ func TestDeliverKeepsRowsEmitsCopies(t *testing.T) {
 	if got := n.Digest(); got != digest {
 		t.Errorf("digest moved from %s to %s when handed-out rows were mutated", digest, got)
 	}
-	if got := n.Render("log"); got != render || got != "(a, 1),(b, 3)" {
+	if got := string(n.AppendRender(nil, "log")); got != render || got != "(a, 1),(b, 3)" {
 		t.Errorf("Render = %q, was %q, want %q", got, render, "(a, 1),(b, 3)")
 	}
 }

@@ -37,7 +37,7 @@ func nodeScript(g *modGen, ticks int) [][]scriptRow {
 func nodeView(n *Node) string {
 	v := fmt.Sprintf("digest %s ticks %d pending %v\n", n.Digest(), n.Ticks(), n.Pending())
 	for _, c := range n.mod.Collections() {
-		v += fmt.Sprintf("%s: %q %v\n", c.Name, n.Render(c.Name), n.Rows(c.Name))
+		v += fmt.Sprintf("%s: %q %v\n", c.Name, n.AppendRender(nil, c.Name), n.Rows(c.Name))
 	}
 	return v
 }

@@ -273,8 +273,8 @@ type encoded struct {
 }
 
 // canonScratch is the scratch behind canonical text: the encodings of a
-// row set, their spans, and the text built from them. SortRows, Render and
-// Digest draw it from canonPool and hand it back, so a sweep's thousands of
+// row set, their spans, and the text built from them. SortRows, AppendRender
+// and Digest draw it from canonPool and hand it back, so a sweep's thousands of
 // short-lived nodes share a few buffers instead of allocating three per
 // collection each time one is digested.
 type canonScratch struct {
@@ -325,16 +325,9 @@ func SortRows(rows []Row) {
 	}
 }
 
-// renderSorted renders each row once, as String does, and joins the
-// renderings in sorted order with commas: the canonical text of a row set.
-func renderSorted(rows []Row) string {
-	c := getScratch()
-	defer c.release()
-	c.text = c.appendSorted(c.text[:0], rows)
-	return string(c.text)
-}
-
-// appendSorted appends the canonical text of rows to dst, growing it once.
+// appendSorted renders each row once, as String does, and appends the
+// renderings to dst in sorted order, comma-joined — the canonical text of a
+// row set — growing dst once.
 func (c *canonScratch) appendSorted(dst []byte, rows []Row) []byte {
 	c.encodeSorted(rows, Row.appendString)
 	dst = slices.Grow(dst, len(c.enc)+len(c.spans))

@@ -225,9 +225,6 @@ func firstDiff(a, b []string) string {
 // digestSep separates the labeled parts of a digest.
 const digestSep = " | "
 
-// digest builds a canonical single-line digest from labeled parts.
-func digest(parts ...string) string { return strings.Join(parts, digestSep) }
-
 // textBufs lends the buffer a digest is written into.
 var textBufs = sync.Pool{New: func() any { return new([]byte) }}
 

@@ -39,7 +39,7 @@ func perProbeDigest(r *bloomReplica, p *bloomPlan) (string, error) {
 		}
 		entries[i] = probe.id + "→{" + canonSet(rows) + "}"
 	}
-	return digest("log{"+r.node.Render("clicklog")+"}", "final{"+canonSet(entries)+"}"), nil
+	return "log{" + string(r.node.AppendRender(nil, "clicklog")) + "} | final{" + canonSet(entries) + "}", nil
 }
 
 // TestFinalDigestOneTick: answering every probe in one tick digests what

@@ -119,8 +119,8 @@ func (w *WordcountWorkload) Run(seed int64, plan FaultPlan, mech dataflow.Coordi
 }
 
 // digestCounts canonicalizes per-batch word counts: "b<batch>{word=count,…}"
-// for each batch in order, words sorted, as digest joins its parts. It only
-// reads counts.
+// for each batch in order, words sorted, the batches separated by digestSep.
+// It only reads counts.
 func digestCounts(counts map[int64]map[string]int64) string {
 	batches := slices.Sorted(maps.Keys(counts))
 	return writeText(func(b []byte) []byte {
