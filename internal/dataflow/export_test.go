@@ -1,5 +1,7 @@
 package dataflow
 
+import "testing"
+
 // Hooks for the external test package, which can import the topology
 // generator (an importer of this package) where in-package tests cannot.
 
@@ -37,3 +39,14 @@ var AssertStep = assertStep
 
 // OutputLabel returns the merged label of comp's output interface.
 var OutputLabel = outputLabel
+
+// CyclicOf compiles g and returns the components that lie on one of its
+// interface-level cycles.
+func CyclicOf(t *testing.T, g *Graph) map[string]bool {
+	t.Helper()
+	st, err := compile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.cyclic
+}

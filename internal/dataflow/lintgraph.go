@@ -74,9 +74,9 @@ const (
 	// whose gate the seal key cannot reach through the component's
 	// functional dependencies — the seal buys no determinism there.
 	CodeSealIncompatible = "BLZ005"
-	// CodeUnsealedCycle: a cycle with an order-sensitive member has no
-	// sealed internal stream and no coordination applied — replica
-	// divergence can feed back and amplify.
+	// CodeUnsealedCycle: a cycle with an order-sensitive path on it has no
+	// sealed stream on it and no coordination applied — replica divergence
+	// can feed back and amplify.
 	CodeUnsealedCycle = "BLZ006"
 )
 
@@ -111,56 +111,21 @@ func (d LintDiagnostic) Compare(e LintDiagnostic) int {
 	)
 }
 
-// lintContext is the structure every lint pass shares: the sorted component
-// list and component-level adjacency — built exactly once per LintGraph
-// call. Before it existed each pass rebuilt its own view (and the inner
-// loops re-scanned the whole stream list), which made linting quadratic on
-// 10k-component graphs.
-type lintContext struct {
-	comps    []*Component
-	index    map[string]int32 // component name → position in comps
-	adj      csr              // comp-level edges over internal streams
-	selfLoop []bool
-}
-
-func newLintContext(g *Graph) *lintContext {
-	comps := g.Components()
-	lc := &lintContext{
-		comps:    comps,
-		index:    make(map[string]int32, len(comps)),
-		selfLoop: make([]bool, len(comps)),
-	}
-	for i, c := range comps {
-		lc.index[c.Name] = int32(i)
-	}
-	var from, to []int32
-	for _, s := range g.Streams() {
-		if s.IsSource() || s.IsSink() {
-			continue
-		}
-		f, t := lc.index[s.FromComp], lc.index[s.ToComp]
-		from, to = append(from, f), append(to, t)
-		if f == t {
-			lc.selfLoop[f] = true
-		}
-	}
-	lc.adj = groupBy(len(comps), from, to)
-	return lc
-}
-
 // LintGraph runs every graph diagnostic over g and returns the findings
-// sorted by LintDiagnostic.Compare, so output is deterministic. The graph
+// sorted by LintDiagnostic.Compare, so output is deterministic. The checks
+// read g through the analyzer's own interface table and cycles, so lint
+// and analysis agree on what is reachable and what is a cycle. The graph
 // should already pass Validate — structurally broken graphs produce
 // undefined (but non-panicking) lint results.
 func LintGraph(g *Graph) []LintDiagnostic {
-	lc := newLintContext(g)
+	t := internIfaces(g)
 	var diags []LintDiagnostic
 	diags = append(diags, lintSealSchemas(g)...)
-	diags = append(diags, lintGateSchemas(g, lc)...)
-	diags = append(diags, lintReachability(g, lc)...)
-	diags = append(diags, lintAnnotations(lc)...)
+	diags = append(diags, lintGateSchemas(t)...)
+	diags = append(diags, lintReachability(t)...)
+	diags = append(diags, lintAnnotations(t.comps)...)
 	diags = append(diags, lintSealCompatibility(g)...)
-	diags = append(diags, lintUnsealedCycles(g, lc)...)
+	diags = append(diags, lintUnsealedCycles(t, findCycles(t))...)
 	slices.SortStableFunc(diags, LintDiagnostic.Compare)
 	return diags
 }
@@ -201,22 +166,18 @@ func lintSealSchemas(g *Graph) []LintDiagnostic {
 // feeding producer's schema does not carry. The gate partitions input
 // records; gating on an attribute the records lack degenerates to one
 // partition per record, which is OR*/OW* in disguise.
-func lintGateSchemas(g *Graph, lc *lintContext) []LintDiagnostic {
+func lintGateSchemas(t *ifaceTable) []LintDiagnostic {
 	var diags []LintDiagnostic
-	for _, s := range g.Streams() {
-		if s.IsSource() || s.IsSink() {
+	for i, s := range t.streams {
+		from, to := t.from[i], t.to[i]
+		if from < 0 || to < 0 {
 			continue
 		}
-		pi, ok := lc.index[s.FromComp]
-		ci, ok2 := lc.index[s.ToComp]
-		if !ok || !ok2 || lc.comps[pi].OutSchema == nil {
-			continue
-		}
-		schema, ok := lc.comps[pi].OutSchema[s.FromIface]
+		schema, ok := t.comps[t.nodeComp[from]].OutSchema[s.FromIface]
 		if !ok {
 			continue
 		}
-		for _, p := range lc.comps[ci].Paths {
+		for _, p := range t.comps[t.nodeComp[to]].Paths {
 			if p.From != s.ToIface || p.Ann.Confluent || p.Ann.GateStar || p.Ann.Gate.IsEmpty() {
 				continue
 			}
@@ -237,26 +198,26 @@ func lintGateSchemas(g *Graph, lc *lintContext) []LintDiagnostic {
 // lintReachability reports BLZ003: components no source stream reaches.
 // An unreachable component never processes a record, so its annotations
 // silently contribute nothing to the analysis — usually a mis-wired stream.
-// Graphs with no sources at all are skipped: nothing is reachable by
-// definition, and Validate-level concerns apply instead.
-func lintReachability(g *Graph, lc *lintContext) []LintDiagnostic {
-	seen := make([]bool, len(lc.comps))
+// Reach follows paths and streams interface by interface, and a component
+// counts as reached when any of its inputs is. Graphs with no sources at
+// all are skipped: nothing is reachable by definition, and Validate-level
+// concerns apply instead.
+func lintReachability(t *ifaceTable) []LintDiagnostic {
+	seen := make([]bool, len(t.nodeComp))
 	var frontier []int32
-	for _, s := range g.Streams() {
-		if s.IsSource() && !s.IsSink() {
-			if i, ok := lc.index[s.ToComp]; ok && !seen[i] {
-				seen[i] = true
-				frontier = append(frontier, i)
-			}
+	for i, s := range t.streams {
+		if v := t.to[i]; s.IsSource() && v >= 0 && !seen[v] {
+			seen[v] = true
+			frontier = append(frontier, v)
 		}
 	}
 	if len(frontier) == 0 {
 		return nil
 	}
 	for len(frontier) > 0 {
-		comp := frontier[0]
+		v := frontier[0]
 		frontier = frontier[1:]
-		for _, w := range lc.adj.at(comp) {
+		for _, w := range t.succ.at(v) {
 			if !seen[w] {
 				seen[w] = true
 				frontier = append(frontier, w)
@@ -264,8 +225,9 @@ func lintReachability(g *Graph, lc *lintContext) []LintDiagnostic {
 		}
 	}
 	var diags []LintDiagnostic
-	for i, c := range lc.comps {
-		if !seen[i] {
+	for i, c := range t.comps {
+		// An output is reached only through one of its component's inputs.
+		if !slices.Contains(seen[t.compStart[i]:t.compStart[i+1]], true) {
 			diags = append(diags, LintDiagnostic{
 				Code:     CodeUnreachable,
 				Severity: SeverityWarning,
@@ -285,9 +247,9 @@ func lintReachability(g *Graph, lc *lintContext) []LintDiagnostic {
 // partitioning but names no partition attributes. Spec-built graphs cannot
 // produce the latter (ParseAnnotation defaults to *), but builder-built
 // graphs can.
-func lintAnnotations(lc *lintContext) []LintDiagnostic {
+func lintAnnotations(comps []*Component) []LintDiagnostic {
 	var diags []LintDiagnostic
-	for _, c := range lc.comps {
+	for _, c := range comps {
 		kind := map[[2]string]core.Annotation{}
 		flagged := map[[2]string]bool{}
 		for _, p := range c.Paths {
@@ -352,51 +314,53 @@ func lintSealCompatibility(g *Graph) []LintDiagnostic {
 	return diags
 }
 
-// lintUnsealedCycles reports BLZ006: a component cycle with an
-// order-sensitive member, no sealed stream inside the cycle, and no
-// coordination applied to any member. Divergent replica state can feed back
-// around such a cycle and amplify instead of washing out — the divergence
-// risk the paper's case studies coordinate away.
-func lintUnsealedCycles(g *Graph, lc *lintContext) []LintDiagnostic {
-	groupID, n := tarjanSCC(len(lc.comps), lc.adj)
-	groups := groupBy(n, groupID, nil) // members ascending, i.e. in name order
-	// One pass over the streams marks which groups contain a sealed
-	// internal edge, instead of rescanning the stream list per group.
-	groupSealed := make([]bool, n)
-	for _, s := range g.Streams() {
-		if s.IsSource() || s.IsSink() || s.Seal.IsEmpty() {
+// lintUnsealedCycles reports BLZ006: a cycle the analysis collapses with an
+// order-sensitive path on it, no sealed stream on it, and no coordination
+// applied to any member. Divergent replica state can feed back around such
+// a cycle and amplify instead of washing out — the divergence risk the
+// paper's case studies coordinate away. A cycle is the analyzer's (Section
+// V-A, footnote 3): one over paths and streams, reported once per group of
+// components the collapse merges.
+func lintUnsealedCycles(t *ifaceTable, cy *cycles) []LintDiagnostic {
+	if cy == nil {
+		return nil
+	}
+	// Per group, under its least component: whether a path on its cycles
+	// is order-sensitive, and whether a sealed stream on them or a
+	// coordinated member stands the warning down.
+	orderSensitive := make([]bool, len(t.comps))
+	covered := make([]bool, len(t.comps))
+	for i, c := range t.comps {
+		r := cy.group[i]
+		if r < 0 {
 			continue
 		}
-		f, t := lc.index[s.FromComp], lc.index[s.ToComp]
-		if groupID[f] == groupID[t] {
-			groupSealed[groupID[f]] = true
+		if c.Coordination != CoordNone {
+			covered[r] = true
+		}
+		for k, p := range c.Paths {
+			j := t.pathOff[i] + int32(k)
+			if p.Ann.OrderSensitive() && cy.onCycle(t.pathIn[j], t.pathOut[j]) {
+				orderSensitive[r] = true
+			}
+		}
+	}
+	for i, s := range t.streams {
+		from, to := t.from[i], t.to[i]
+		if !s.Seal.IsEmpty() && from >= 0 && to >= 0 && cy.onCycle(from, to) {
+			covered[cy.group[t.nodeComp[to]]] = true
 		}
 	}
 
 	var diags []LintDiagnostic
-	for gid := range int32(n) {
-		group := groups.at(gid)
-		if len(group) == 1 && !lc.selfLoop[group[0]] {
+	for r := range int32(len(t.comps)) {
+		if !orderSensitive[r] || covered[r] {
 			continue
 		}
-		orderSensitive := false
-		coordinated := false
-		for _, i := range group {
-			for _, p := range lc.comps[i].Paths {
-				if p.Ann.OrderSensitive() {
-					orderSensitive = true
-				}
-			}
-			if lc.comps[i].Coordination != CoordNone {
-				coordinated = true
-			}
-		}
-		if !orderSensitive || coordinated || groupSealed[gid] {
-			continue
-		}
-		names := make([]string, 0, len(group))
-		for _, i := range group {
-			names = append(names, lc.comps[i].Name)
+		group := cy.members.at(r) // ascending, i.e. in name order
+		names := make([]string, len(group))
+		for k, c := range group {
+			names[k] = t.comps[c].Name
 		}
 		diags = append(diags, LintDiagnostic{
 			Code:     CodeUnsealedCycle,

@@ -199,6 +199,28 @@ func TestLintUnsealedCycle(t *testing.T) {
 	}
 }
 
+// TestLintComponentCycleWithoutPathCycle: a cycle is one over paths
+// (footnote 3). A and B wire into each other, but no path of A leads from
+// the input B feeds to the output that feeds B, so there is no cycle and no
+// BLZ006, however order-sensitive A is; every component is still reached.
+func TestLintComponentCycleWithoutPathCycle(t *testing.T) {
+	g := NewGraph("component-cycle")
+	a := g.Component("A")
+	a.AddPath("in", "o1", core.OWStar())
+	a.AddPath("i2", "o2", core.OWStar())
+	g.Component("B").AddPath("in", "out", core.CR)
+	g.Source("src", "A", "in")
+	g.Connect("ab", "A", "o1", "B", "in")
+	g.Connect("ba", "B", "out", "A", "i2")
+	g.Sink("snk", "A", "o2")
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if diags := LintGraph(g); len(diags) != 0 {
+		t.Errorf("got %v", diags)
+	}
+}
+
 // TestLintOrderingAndString pins the deterministic errors-first sort and
 // the rendered form.
 func TestLintOrderingAndString(t *testing.T) {
@@ -252,4 +274,18 @@ func TestLintValidateOwnership(t *testing.T) {
 			t.Errorf("lint re-reported a Validate defect: %v", d)
 		}
 	}
+
+	// A stream from an unknown component closes no cycle through a
+	// component that happens to have the named interface, and a graph
+	// with streams but no components lints at all.
+	h := NewGraph("ghost-cycle")
+	h.Component("A").AddPath("in", "out", core.OWStar())
+	h.Source("src", "A", "in")
+	h.Connect("ghost", "Nowhere", "out", "A", "in")
+	if diags := LintGraph(h); len(diags) != 0 {
+		t.Errorf("ghost stream: got %v", diags)
+	}
+	e := NewGraph("empty")
+	e.Connect("ghost", "X", "out", "Y", "in")
+	LintGraph(e)
 }

@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"slices"
 	"strings"
 
 	"blazes/internal/core"
@@ -19,28 +20,45 @@ import (
 // (component, interface, direction); paths are IN→OUT edges, streams OUT→IN
 // edges) are therefore the paper's cycles.
 
-// collapse rewrites g so that every interface-level cycle is collapsed:
-// intra-cycle streams are dropped and every path on a cycle is upgraded to
-// the highest-severity annotation among the cycle's paths. Cycles spanning
-// several components merge those components into one supernode whose
-// external paths connect reachable (external input, external output) pairs.
-// t is g's interface table, scc its condensation and size each strongly
-// connected component's member count.
-//
-// The result shares every component and stream the collapse leaves alone
-// with g, so in-place annotation and seal edits of those need no mirroring;
-// only components on a cycle and streams touching a supernode are copies.
-// It also returns the components of g that lie on a cycle.
-func collapse(g *Graph, t *ifaceTable, scc, size []int32) (*Graph, map[string]bool) {
-	nComps := len(t.comps)
-	onCycle := func(a, b int32) bool { return scc[a] == scc[b] && size[scc[a]] > 1 }
-	pathOnCycle := func(j int32) bool { return onCycle(t.pathIn[j], t.pathOut[j]) }
+// cycles is the cycle structure of an interface table, the one definition
+// of a cycle that the collapse and lint's BLZ006 both read.
+type cycles struct {
+	scc  []int32 // node → its strongly connected component
+	size []int32 // strongly connected component → its node count
+	// group maps each component on a cycle to the least component of its
+	// group — the components that share a cycle, transitively — and every
+	// other component to -1. members lists each group's components under
+	// that least one, ascending, i.e. in name order.
+	group   []int32
+	members csr
+}
 
-	// Union components that share a cyclic SCC.
-	group := make([]int32, nComps)
-	for i := range group {
-		group[i] = int32(i)
+// findCycles condenses t and groups the components on its cycles. It
+// returns nil when t has no cycle.
+func findCycles(t *ifaceTable) *cycles {
+	scc, n := tarjanSCC(len(t.nodeComp), t.succ)
+	// Edges alternate IN→OUT→IN, so a node is on a cycle exactly when its
+	// strongly connected component has a second member.
+	size := make([]int32, n)
+	for _, id := range scc {
+		size[id]++
 	}
+	if !slices.ContainsFunc(size, func(s int32) bool { return s > 1 }) {
+		return nil
+	}
+	cy := &cycles{scc: scc, size: size, group: make([]int32, len(t.comps))}
+	group := cy.group
+	for c := range group {
+		group[c] = -1
+	}
+	for v, c := range t.nodeComp {
+		if size[scc[v]] > 1 {
+			group[c] = c
+		}
+	}
+	// The streams of a strongly connected component join all its
+	// components, so union the two ends of every stream on a cycle, the
+	// lesser root becoming the root of both.
 	find := func(c int32) int32 {
 		for group[c] != c {
 			group[c] = group[group[c]]
@@ -48,37 +66,52 @@ func collapse(g *Graph, t *ifaceTable, scc, size []int32) (*Graph, map[string]bo
 		}
 		return c
 	}
-	cyclicComp := make([]bool, nComps)
-	first := make([]int32, len(size)) // cyclic SCC → its first member's component
-	for i := range first {
-		first[i] = -1
-	}
-	for v, c := range t.nodeComp {
-		id := scc[v]
-		if size[id] < 2 {
-			continue
-		}
-		cyclicComp[c] = true
-		if first[id] < 0 {
-			first[id] = c
-		} else if a, b := find(first[id]), find(c); a != b {
-			group[b] = a
+	for i := range t.streams {
+		if a, b := t.from[i], t.to[i]; a >= 0 && b >= 0 && cy.onCycle(a, b) {
+			ra, rb := find(t.nodeComp[a]), find(t.nodeComp[b])
+			group[max(ra, rb)] = min(ra, rb)
 		}
 	}
+	for c, r := range group {
+		if r >= 0 {
+			group[c] = find(int32(c))
+		}
+	}
+	cy.members = groupBy(len(group), group, nil)
+	return cy
+}
 
-	// Per group: the collapsed annotation (the maximum over the paths on
-	// its cycles, components in name order) and the member count.
+// onCycle reports whether nodes a and b lie on one cycle.
+func (cy *cycles) onCycle(a, b int32) bool {
+	return cy.scc[a] == cy.scc[b] && cy.size[cy.scc[a]] > 1
+}
+
+// collapse rewrites g so that every interface-level cycle is collapsed:
+// intra-cycle streams are dropped and every path on a cycle is upgraded to
+// the highest-severity annotation among the cycle's paths. Cycles spanning
+// several components merge those components into one supernode whose
+// external paths connect reachable (external input, external output) pairs.
+// t is g's interface table and cy its cycles.
+//
+// The result shares every component and stream the collapse leaves alone
+// with g, so in-place annotation and seal edits of those need no mirroring;
+// only components on a cycle and streams touching a supernode are copies.
+// It also returns the components of g that lie on a cycle.
+func collapse(g *Graph, t *ifaceTable, cy *cycles) (*Graph, map[string]bool) {
+	nComps := len(t.comps)
+	pathOnCycle := func(j int32) bool { return cy.onCycle(t.pathIn[j], t.pathOut[j]) }
+
+	// Per group: the collapsed annotation, the maximum over the paths on
+	// its cycles, components in name order.
 	groupAnn := make([]core.Annotation, nComps)
 	annSet := make([]bool, nComps)
-	members := make([]int32, nComps)
 	cyclic := map[string]bool{}
 	for i, c := range t.comps {
-		if !cyclicComp[i] {
+		r := cy.group[i]
+		if r < 0 {
 			continue
 		}
 		cyclic[c.Name] = true
-		r := find(int32(i))
-		members[r]++
 		for k, p := range c.Paths {
 			if !pathOnCycle(t.pathOff[i] + int32(k)) {
 				continue
@@ -93,9 +126,9 @@ func collapse(g *Graph, t *ifaceTable, scc, size []int32) (*Graph, map[string]bo
 	// super maps each component merged into a supernode (a group of two or
 	// more) to its group, every other component to -1.
 	super := make([]int32, nComps)
-	for i := range super {
+	for i, r := range cy.group {
 		super[i] = -1
-		if r := find(int32(i)); cyclicComp[i] && members[r] > 1 {
+		if r >= 0 && len(cy.members.at(r)) > 1 {
 			super[i] = r
 		}
 	}
@@ -119,7 +152,7 @@ func collapse(g *Graph, t *ifaceTable, scc, size []int32) (*Graph, map[string]bo
 	for i, c := range t.comps {
 		switch {
 		case super[i] >= 0:
-		case !cyclicComp[i]:
+		case cy.group[i] < 0:
 			ng.components[c.Name] = c
 		default:
 			nc := ng.Component(c.Name)
@@ -128,7 +161,7 @@ func collapse(g *Graph, t *ifaceTable, scc, size []int32) (*Graph, map[string]bo
 			for k, p := range c.Paths {
 				ann := p.Ann
 				if pathOnCycle(t.pathOff[i] + int32(k)) {
-					ann = groupAnn[find(int32(i))]
+					ann = groupAnn[cy.group[i]]
 				}
 				nc.AddPath(p.From, p.To, ann)
 			}
@@ -136,15 +169,14 @@ func collapse(g *Graph, t *ifaceTable, scc, size []int32) (*Graph, map[string]bo
 	}
 
 	// Build one supernode per group of two or more components.
-	groups := groupBy(nComps, super, nil)
 	superName := make([]string, nComps)
 	qualified := func(v int32) string { return t.comps[t.nodeComp[v]].Name + "." + t.nodeIface[v] }
 	seen := make([]int32, len(t.nodeComp)) // node → the BFS that last reached it
 	var ins, outs, queue []int32
 	bfs := int32(0)
 	for r := int32(0); int(r) < nComps; r++ {
-		comps := groups.at(r) // ascending, i.e. in name order
-		if len(comps) == 0 {
+		comps := cy.members.at(r) // ascending, i.e. in name order
+		if len(comps) < 2 {
 			continue
 		}
 		names := make([]string, len(comps))
@@ -226,7 +258,7 @@ func collapse(g *Graph, t *ifaceTable, scc, size []int32) (*Graph, map[string]bo
 	for i, s := range t.streams {
 		from, to := t.from[i], t.to[i]
 		internal := from >= 0 && to >= 0
-		if internal && onCycle(from, to) {
+		if internal && cy.onCycle(from, to) {
 			continue
 		}
 		fs, ts := superOfNode(from), superOfNode(to)

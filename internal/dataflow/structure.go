@@ -55,9 +55,11 @@ func (a ifaceKey) compare(b ifaceKey) int {
 	}
 }
 
-// internIfaces builds the table for g, which must have passed Validate
-// (every stream endpoint then resolves to a node). The component-name map
-// built here is the only map the compiled structure goes through.
+// internIfaces builds the table for g. On a graph that passes Validate
+// every stream endpoint resolves to a node; on one that does not, which
+// lint also reads, an endpoint that resolves to none is -1 like an external
+// one. The component-name map built here is the only map the compiled
+// structure goes through.
 func internIfaces(g *Graph) *ifaceTable {
 	comps := g.Components()
 	t := &ifaceTable{
@@ -109,11 +111,11 @@ func internIfaces(g *Graph) *ifaceTable {
 	dst := append(make([]int32, 0, nPaths+len(t.streams)), t.pathOut...)
 	for i, s := range t.streams {
 		t.from[i], t.to[i] = -1, -1
-		if !s.IsSource() {
-			t.from[i] = t.node(compIndex[s.FromComp], s.FromIface, true)
+		if c, ok := compIndex[s.FromComp]; ok && !s.IsSource() {
+			t.from[i] = t.node(c, s.FromIface, true)
 		}
-		if !s.IsSink() {
-			t.to[i] = t.node(compIndex[s.ToComp], s.ToIface, false)
+		if c, ok := compIndex[s.ToComp]; ok && !s.IsSink() {
+			t.to[i] = t.node(c, s.ToIface, false)
 		}
 		if t.from[i] >= 0 && t.to[i] >= 0 {
 			src = append(src, t.from[i])
@@ -220,15 +222,8 @@ func compile(g *Graph) (*structure, error) {
 		return nil, err
 	}
 	st := &structure{g: g, collapsed: g, ifaceTable: internIfaces(g)}
-	scc, n := tarjanSCC(len(st.nodeComp), st.succ)
-	// Edges alternate IN→OUT→IN, so a node is on a cycle exactly when its
-	// strongly connected component has a second member.
-	size := make([]int32, n)
-	for _, id := range scc {
-		size[id]++
-	}
-	if slices.ContainsFunc(size, func(s int32) bool { return s > 1 }) {
-		st.collapsed, st.cyclic = collapse(g, st.ifaceTable, scc, size)
+	if cy := findCycles(st.ifaceTable); cy != nil {
+		st.collapsed, st.cyclic = collapse(g, st.ifaceTable, cy)
 		if err := st.collapsed.Validate(); err != nil {
 			return nil, fmt.Errorf("dataflow: internal error: collapsed graph invalid: %w", err)
 		}

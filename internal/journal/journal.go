@@ -189,9 +189,12 @@ func Open(dir string) (*Journal, *Recovered, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
-	snaps, wals, err := scanDir(dir)
+	snaps, wals, tmps, err := scanDir(dir)
 	if err != nil {
 		return nil, nil, err
+	}
+	for _, tmp := range tmps {
+		_ = os.Remove(tmp) // a snapshot a crash cut short of its rename
 	}
 
 	rec := &Recovered{}
@@ -442,7 +445,7 @@ func (j *Journal) Snapshot(payload []byte) error {
 		return j.err
 	}
 	// Drop superseded snapshots.
-	snaps, _, err := scanDir(j.dir)
+	snaps, _, _, err := scanDir(j.dir)
 	if err == nil {
 		for _, s := range snaps {
 			if s.firstSeq < seq {
@@ -603,7 +606,8 @@ func dataEnd(data []byte) int {
 }
 
 // writeSnapshot writes payload to path atomically: temp file, fsync,
-// rename, directory fsync.
+// rename, directory fsync. A failure removes the temp file; Open removes
+// one a crash left behind.
 func writeSnapshot(path string, payload []byte) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -611,18 +615,18 @@ func writeSnapshot(path string, payload []byte) error {
 		return fmt.Errorf("journal: snapshot: %w", err)
 	}
 	hdr := fileHeader(kindSnap)
-	if _, err := f.Write(appendFrame(hdr[:], 0, payload)); err != nil {
-		f.Close()
-		return fmt.Errorf("journal: snapshot: %w", err)
+	_, err = f.Write(appendFrame(hdr[:], 0, payload))
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("journal: snapshot: %w", err)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("journal: snapshot: %w", err)
+	if err == nil {
+		err = os.Rename(tmp, path)
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err != nil {
+		_ = os.Remove(tmp)
 		return fmt.Errorf("journal: snapshot: %w", err)
 	}
 	return syncDir(filepath.Dir(path))
@@ -661,11 +665,12 @@ func readSnapshot(path string) ([]byte, error) {
 	return records[0].Payload, nil
 }
 
-// scanDir lists snapshot and wal files, sorted by their embedded seq.
-func scanDir(dir string) (snaps, wals []segment, err error) {
+// scanDir lists snapshot and wal files, sorted by their embedded seq, and
+// the snapshot temp files a crash left behind.
+func scanDir(dir string) (snaps, wals []segment, tmps []string, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, nil, fmt.Errorf("journal: %w", err)
+		return nil, nil, nil, fmt.Errorf("journal: %w", err)
 	}
 	for _, e := range entries {
 		name := e.Name()
@@ -678,11 +683,13 @@ func scanDir(dir string) (snaps, wals []segment, err error) {
 			if seq, ok := parseSeq(name, "snap-", ".snap"); ok {
 				snaps = append(snaps, segment{firstSeq: seq, path: filepath.Join(dir, name)})
 			}
+		case strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".snap.tmp"):
+			tmps = append(tmps, filepath.Join(dir, name))
 		}
 	}
 	sort.Slice(wals, func(i, k int) bool { return wals[i].firstSeq < wals[k].firstSeq })
 	sort.Slice(snaps, func(i, k int) bool { return snaps[i].firstSeq < snaps[k].firstSeq })
-	return snaps, wals, nil
+	return snaps, wals, tmps, nil
 }
 
 func parseSeq(name, prefix, suffix string) (uint64, bool) {

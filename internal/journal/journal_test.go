@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -477,6 +478,48 @@ func TestSnapshotCompaction(t *testing.T) {
 	st := j.Stats()
 	if st.Snapshots != 3 || st.SnapshotSeq != 6 {
 		t.Errorf("stats = %+v, want 3 snapshots covering seq 6", st)
+	}
+}
+
+// TestOpenRemovesStaleSnapshotTemp: a crash between a snapshot's write and
+// its rename leaves snap-<seq>.snap.tmp behind. Open recovers as if the
+// file were not there, and removes it.
+func TestOpenRemovesStaleSnapshotTemp(t *testing.T) {
+	clean, stale := t.TempDir(), t.TempDir()
+	snapshotWithSuffix(t, clean)
+	snapshotWithSuffix(t, stale)
+	tmp := filepath.Join(stale, fmt.Sprintf("snap-%020d.snap.tmp", 3))
+	if err := os.WriteFile(tmp, []byte("half a snapshot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	jc, want := openT(t, clean)
+	defer jc.Close()
+	js, got := openT(t, stale)
+	defer js.Close()
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("recovered %+v beside a stale temp file, want %+v", got, want)
+	}
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Errorf("stale temp file still there after Open (stat: %v)", err)
+	}
+}
+
+// TestFailedSnapshotRemovesTemp: a snapshot whose rename fails leaves no
+// temp file behind.
+func TestFailedSnapshotRemovesTemp(t *testing.T) {
+	dir := t.TempDir()
+	j, _ := openT(t, dir)
+	defer j.Close()
+	appendAll(t, j, "a")
+	// A directory where the snapshot goes makes the rename fail.
+	if err := os.Mkdir(filepath.Join(dir, fmt.Sprintf("snap-%020d.snap", 1)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Snapshot([]byte("state")); err == nil {
+		t.Fatal("Snapshot over a directory succeeded")
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 0 {
+		t.Errorf("temp files left after a failed snapshot: %v", tmps)
 	}
 }
 

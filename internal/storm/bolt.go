@@ -90,17 +90,6 @@ func mix64(s uint64) uint64 {
 	return s
 }
 
-// AllGrouping broadcasts every tuple to every consumer instance.
-type AllGrouping struct{}
-
-// Route implements Grouping.
-func (AllGrouping) Route(_ Tuple, n int, _ int64, buf []int) []int {
-	for i := 0; i < n; i++ {
-		buf = append(buf, i)
-	}
-	return buf
-}
-
 // GlobalGrouping routes every tuple to instance 0.
 type GlobalGrouping struct{}
 

@@ -42,13 +42,6 @@ func TestFieldsGroupingStableAndKeyed(t *testing.T) {
 	}
 }
 
-func TestAllGroupingBroadcasts(t *testing.T) {
-	targets := AllGrouping{}.Route(Tuple{}, 4, 0, nil)
-	if !reflect.DeepEqual(targets, []int{0, 1, 2, 3}) {
-		t.Errorf("targets = %v", targets)
-	}
-}
-
 func TestGlobalGroupingRoutesToZero(t *testing.T) {
 	if got := (GlobalGrouping{}).Route(Tuple{}, 7, 12345, nil); !reflect.DeepEqual(got, []int{0}) {
 		t.Errorf("targets = %v", got)

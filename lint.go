@@ -43,8 +43,8 @@ const (
 	// CodeSealIncompatible (warning): a seal cannot protect the
 	// order-sensitive path it feeds (the key does not determine the gate).
 	CodeSealIncompatible = dataflow.CodeSealIncompatible
-	// CodeUnsealedCycle (warning): a cycle with an order-sensitive member
-	// has no sealed internal stream and no coordination applied.
+	// CodeUnsealedCycle (warning): a cycle with an order-sensitive path on
+	// it has no sealed stream on it and no coordination applied.
 	CodeUnsealedCycle = dataflow.CodeUnsealedCycle
 )
 
