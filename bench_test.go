@@ -41,8 +41,8 @@ func BenchmarkFig7to10Calculus(b *testing.B) {
 // handful of components each, that fixed cost is most of the analysis.
 func BenchmarkCaseStudyDerivations(b *testing.B) {
 	graphs := []*dataflow.Graph{
-		dataflow.WordcountTopology(false),
-		dataflow.WordcountTopology(true),
+		WordcountTopology(false),
+		WordcountTopology(true),
 		adSpecGraph(b, THRESH),
 		adSpecGraph(b, POOR),
 		adSpecGraph(b, CAMPAIGN, "campaign"),

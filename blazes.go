@@ -4,6 +4,7 @@ import (
 	"blazes/internal/core"
 	"blazes/internal/dataflow"
 	"blazes/internal/fd"
+	"blazes/internal/spec"
 )
 
 // This file re-exports the Blazes domain vocabulary so that programs embed
@@ -148,5 +149,10 @@ const (
 )
 
 // WordcountTopology builds the paper's streaming wordcount dataflow
-// (Section VI-A); sealBatch seals the tweet source per batch.
-func WordcountTopology(sealBatch bool) *Graph { return dataflow.WordcountTopology(sealBatch) }
+// (Section VI-A) from WordcountSpec; sealBatch seals the tweet source per
+// batch.
+func WordcountTopology(sealBatch bool) *Graph { return spec.WordcountGraph(sealBatch) }
+
+// WordcountSpec returns the Blazes spec text of the streaming wordcount,
+// the one WordcountTopology builds.
+func WordcountSpec() string { return spec.Wordcount }

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"blazes"
 	"blazes/service"
 )
 
@@ -236,7 +237,7 @@ func verifyRecovered(ctx context.Context, base string, states []*sessionState, s
 // returns its analysis encoded as the analyze endpoint encodes it: the
 // byte-identical oracle for the recovered server's answer.
 func freshReplayAnalysis(ctx context.Context, st *sessionState, ops []service.MutateOp) (string, error) {
-	sess, err := service.CreateRequest{Name: fmt.Sprintf("load-%d", st.index), Spec: wordcountSpec}.NewSession()
+	sess, err := service.CreateRequest{Name: fmt.Sprintf("load-%d", st.index), Spec: blazes.WordcountSpec()}.NewSession()
 	if err != nil {
 		return "", err
 	}

@@ -48,6 +48,7 @@ import (
 	"syscall"
 	"time"
 
+	"blazes"
 	"blazes/service"
 )
 
@@ -56,25 +57,6 @@ const (
 	exitError = 1
 	exitUsage = 2
 )
-
-// wordcountSpec is the Storm wordcount topology from the paper's Section
-// VI-A1 — the same spec the repo's tests and examples use, inlined so
-// loadgen is a self-contained binary.
-const wordcountSpec = `Splitter:
-  annotation: { from: tweets, to: words, label: CR }
-Count:
-  annotation: { from: words, to: counts, label: OW, subscript: [word, batch] }
-Commit:
-  annotation: { from: counts, to: db, label: CW }
-topology:
-  sources:
-    - { name: tweets, to: Splitter.tweets }
-  streams:
-    - { name: words, from: Splitter.words, to: Count.words }
-    - { name: counts, from: Count.counts, to: Commit.counts }
-  sinks:
-    - { name: db, from: Commit.db }
-`
 
 // opPool are the mutations sessions draw from — every op is valid against
 // the wordcount spec in any order, so an acknowledged sequence always
@@ -273,7 +255,7 @@ func driveSession(ctx context.Context, cfg config, client *http.Client, base str
 	rng := rand.New(rand.NewSource(cfg.seed + int64(st.index)))
 	var info service.SessionInfo
 	code, err := doJSON(ctx, client, base+"/v1/sessions",
-		service.CreateRequest{Name: fmt.Sprintf("load-%d", st.index), Spec: wordcountSpec},
+		service.CreateRequest{Name: fmt.Sprintf("load-%d", st.index), Spec: blazes.WordcountSpec()},
 		&info, rec, "create")
 	if err != nil || code != http.StatusCreated {
 		return

@@ -78,3 +78,35 @@ func ExampleSession() {
 	// after:  verdict Async
 	// delta:  verdict Run -> Async, 4 stream labels changed
 }
+
+// ExampleComponentBuilder_Deps is Section V-A1's compatibility test. Report
+// gates its order-sensitive path on camp, and its clicks arrive sealed on
+// campaign. Without lineage the seal says nothing about camp, so Report
+// needs a total order; the lineage campaign ↣ camp, as a rename or as the
+// injective FD it abbreviates, makes the seal compatible with the gate.
+func ExampleComponentBuilder_Deps() {
+	for _, lineage := range []struct {
+		name string
+		deps *blazes.FDSet
+	}{
+		{"no lineage", nil},
+		{"rename", blazes.NewFDSet(blazes.RenameFD("campaign", "camp"))},
+		{"injective", blazes.NewFDSet(blazes.InjectiveFD(blazes.Attrs("campaign"), blazes.Attrs("camp")))},
+	} {
+		g := blazes.NewGraphBuilder("campaign-report").
+			Component("Report").Path("clicks", "response", blazes.OWGate("camp")).Deps(lineage.deps).Graph().
+			Source("clicks", "Report", "clicks").
+			Sink("report", "Report", "response").
+			Seal("clicks", "campaign").
+			MustBuild()
+		res, err := blazes.NewAnalyzer().Synthesize(g)
+		if err != nil {
+			panic(err)
+		}
+		fmt.Printf("%s: verdict %s, %s\n", lineage.name, res.Verdict(), res.Strategies()[0])
+	}
+	// Output:
+	// no lineage: verdict Run, Report: dynamic ordering (M2) over inputs clicks
+	// rename: verdict Async, Report: seal-based coordination — clicks on (campaign)
+	// injective: verdict Async, Report: seal-based coordination — clicks on (campaign)
+}

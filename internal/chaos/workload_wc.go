@@ -8,6 +8,7 @@ import (
 
 	"blazes/internal/dataflow"
 	"blazes/internal/sim"
+	"blazes/internal/spec"
 	"blazes/internal/storm"
 	"blazes/internal/wc"
 )
@@ -59,7 +60,7 @@ func (w *WordcountWorkload) Name() string { return "wordcount-storm" }
 
 // Graph implements Workload.
 func (w *WordcountWorkload) Graph() (*dataflow.Graph, error) {
-	return dataflow.WordcountTopology(true), nil
+	return spec.WordcountGraph(true), nil
 }
 
 // Supports implements Workload.

@@ -15,6 +15,7 @@ import (
 	"blazes/internal/adtrack"
 	"blazes/internal/core"
 	"blazes/internal/dataflow"
+	"blazes/internal/spec"
 )
 
 // adNetwork is adtrack.Graph(q, sealKey...), failing t on an error.
@@ -45,8 +46,8 @@ func requestAnn(t *testing.T, q dataflow.AdQuery) core.Annotation {
 // fresh full analysis of the same graph.
 func TestIncrementalMatchesFreshOnPaperGraphs(t *testing.T) {
 	graphs := []*dataflow.Graph{
-		dataflow.WordcountTopology(false),
-		dataflow.WordcountTopology(true),
+		spec.WordcountGraph(false),
+		spec.WordcountGraph(true),
 		adNetwork(t, dataflow.THRESH),
 		adNetwork(t, dataflow.CAMPAIGN, "campaign"),
 	}
@@ -174,7 +175,6 @@ func TestFootnote3NoComponentLevelCycle(t *testing.T) {
 // context's stream index answers for each of its input interfaces.
 type probeStrategy struct{ seen map[string][]string }
 
-func (probeStrategy) Summary() string { return "test-only strategy" }
 func (p probeStrategy) Plan(ctx *dataflow.StrategyContext) (dataflow.Strategy, bool) {
 	for _, in := range ctx.Component.Inputs() {
 		p.seen[ctx.Component.Name+"."+in] = dataflow.StreamNames(ctx.StreamsInto(in))
@@ -211,7 +211,7 @@ func TestStrategyContextStreamsInto(t *testing.T) {
 			}
 		}
 	}
-	for _, g := range []*dataflow.Graph{adNetwork(t, dataflow.POOR), dataflow.WordcountTopology(false), withSupernode()} {
+	for _, g := range []*dataflow.Graph{adNetwork(t, dataflow.POOR), spec.WordcountGraph(false), withSupernode()} {
 		a, err := dataflow.Analyze(g)
 		if err != nil {
 			t.Fatal(err)

@@ -14,7 +14,7 @@ import (
 // without seal annotations the wordcount dataflow derives Run — replay is
 // not deterministic and Blazes recommends coordination.
 func TestCaseStudyWordcountUnsealed(t *testing.T) {
-	a, err := Analyze(WordcountTopology(false))
+	a, err := Analyze(wordcountTopology(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestCaseStudyWordcountUnsealed(t *testing.T) {
 // with the input sealed on batch, the compatibility between punctuations and
 // the Count gate yields Async end to end.
 func TestCaseStudyWordcountSealed(t *testing.T) {
-	a, err := Analyze(WordcountTopology(true))
+	a, err := Analyze(wordcountTopology(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func outputLabel(t *testing.T, a *Analysis, comp, iface string) core.Label {
 }
 
 func TestExplainContainsDerivation(t *testing.T) {
-	a, err := Analyze(WordcountTopology(false))
+	a, err := Analyze(wordcountTopology(false))
 	if err != nil {
 		t.Fatal(err)
 	}

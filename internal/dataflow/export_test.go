@@ -19,6 +19,9 @@ func (inc *Incremental) Planned() int { return inc.planned }
 // FullEqual holds an analysis of g to the reference analysis of g.
 var FullEqual = fullEqual
 
+// WordcountByHand is the in-package tests' hand-built wordcount.
+var WordcountByHand = wordcountTopology
+
 // CollapsedOf compiles g and returns the graph the analysis runs over.
 var CollapsedOf = collapsedOf
 

@@ -95,15 +95,6 @@ func (c Coordination) Token() string { return c.row().token }
 // CoordNone.
 func (c Coordination) Strategy() string { return c.row().strategy }
 
-// Summary is the one-line description of the strategy that installs the
-// mechanism; empty for CoordNone.
-func (c Coordination) Summary() string {
-	if p := c.row().planner; p != nil {
-		return p.Summary()
-	}
-	return ""
-}
-
 // ParseCoordination inverts String and ParseToken inverts Token; the error
 // of either lists the valid spellings.
 func ParseCoordination(name string) (Coordination, error) {

@@ -67,7 +67,7 @@ func TestValidateErrors(t *testing.T) {
 // removes one stream and leaves the name naming the other, so the graph
 // that is left is whole and valid.
 func TestRemoveStreamDeclaredTwice(t *testing.T) {
-	g := WordcountTopology(false)
+	g := wordcountTopology(false)
 	first := g.Sink("x", "Commit", "db")
 	g.Sink("x", "Commit", "db")
 	if err := g.Validate(); err == nil {
@@ -88,7 +88,7 @@ func TestRemoveStreamDeclaredTwice(t *testing.T) {
 }
 
 func TestCloneIsDeep(t *testing.T) {
-	g := WordcountTopology(true)
+	g := wordcountTopology(true)
 	g.Lookup("Count").Coordination = CoordSealed
 	c := g.Clone()
 	c.Lookup("Count").Coordination = CoordNone
@@ -169,7 +169,7 @@ func TestValidateDoesNotReadSeals(t *testing.T) {
 	invalid.Source("unknown-iface", "A", "wrong")
 	invalid.Sink("unknown-out", "A", "wrong")
 	invalid.Connect("nothing", "", "", "", "")
-	for _, g := range []*Graph{WordcountTopology(false), WordcountTopology(true), invalid} {
+	for _, g := range []*Graph{wordcountTopology(false), wordcountTopology(true), invalid} {
 		want := fmt.Sprint(g.Validate())
 		for _, key := range []fd.AttrSet{{}, fd.NewAttrSet("batch"), fd.NewAttrSet("no", "such", "attrs")} {
 			for _, s := range g.Streams() {

@@ -30,7 +30,7 @@ func fullEqual(t *testing.T, tag string, a *Analysis, g *Graph) {
 // fresh analysis without a structural rebuild.
 func TestIncrementalSealFlip(t *testing.T) {
 	ctx := context.Background()
-	inc := NewIncremental(WordcountTopology(false))
+	inc := NewIncremental(wordcountTopology(false))
 	if _, _, err := inc.Analyze(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestIncrementalSealFlip(t *testing.T) {
 // components forces a rebuild and matches.
 func TestIncrementalTopologyMutations(t *testing.T) {
 	ctx := context.Background()
-	inc := NewIncremental(WordcountTopology(true))
+	inc := NewIncremental(wordcountTopology(true))
 	if _, _, err := inc.Analyze(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestIncrementalRandomizedFlips(t *testing.T) {
 	ctx := context.Background()
 	anns := []core.Annotation{core.CR, core.CW, core.ORGate("word"), core.OWGate("word", "batch"), core.ORStar(), core.OWStar()}
 	rng := rand.New(rand.NewSource(7))
-	inc := NewIncremental(WordcountTopology(true))
+	inc := NewIncremental(wordcountTopology(true))
 	if _, _, err := inc.Analyze(ctx); err != nil {
 		t.Fatal(err)
 	}

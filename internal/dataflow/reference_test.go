@@ -537,7 +537,7 @@ func (g *Graph) StreamsOutOf(comp, iface string) []*Stream {
 }
 
 func TestStreamQueries(t *testing.T) {
-	g := WordcountTopology(false)
+	g := wordcountTopology(false)
 	into := g.StreamsInto("Count", "words")
 	if len(into) != 1 || into[0].Name != "words" {
 		t.Errorf("StreamsInto = %v", into)

@@ -91,7 +91,7 @@ func (cy *cycles) onCycle(a, b int32) bool {
 // the highest-severity annotation among the cycle's paths. Cycles spanning
 // several components merge those components into one supernode whose
 // external paths connect reachable (external input, external output) pairs.
-// t is g's interface table and cy its cycles.
+// t is g's interface table, its streams indexed, and cy its cycles.
 //
 // The result shares every component and stream the collapse leaves alone
 // with g, so in-place annotation and seal edits of those need no mirroring;

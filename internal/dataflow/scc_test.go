@@ -83,7 +83,7 @@ func TestMultiComponentCycleCollapses(t *testing.T) {
 }
 
 func TestAcyclicGraphReturnedUnchanged(t *testing.T) {
-	g := WordcountTopology(false)
+	g := wordcountTopology(false)
 	if cg := collapsedOf(t, g); cg != g {
 		t.Error("acyclic graph should be returned unchanged")
 	}

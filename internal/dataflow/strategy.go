@@ -44,8 +44,6 @@ func (ctx *StrategyContext) StreamsInto(iface string) []*Stream {
 // it plans installs. It inspects a flagged component and either produces
 // a concrete Strategy or declines.
 type StrategyDef interface {
-	// Summary is a one-line description for catalogs and docs.
-	Summary() string
 	// Plan produces a Strategy for ctx.Component, or reports false when
 	// the strategy does not apply (synthesis then falls back down the
 	// default chain).

@@ -21,28 +21,23 @@ const (
 // The ordering family's planners, one per row of the mechanisms table.
 var (
 	orderingPlanner = orderingStrategy{
-		mech:    CoordDynamicOrder,
-		summary: "dynamic ordering (M2): an ordering service decides a total order over inputs per run — one coordination round trip per message; replicas agree, runs may differ",
-		reason:  "no compatible seal available; replicas must process state-modifying events in a single order",
+		mech:   CoordDynamicOrder,
+		reason: "no compatible seal available; replicas must process state-modifying events in a single order",
 	}
 	sequencingPlanner = orderingStrategy{
-		mech:    CoordSequenced,
-		summary: "sequencing (M1): a global sequencer preordains a total order over inputs — one coordination round trip per message; deterministic across runs and replays",
-		reason:  "no compatible seal available; replay-based fault tolerance requires a preordained total order",
+		mech:   CoordSequenced,
+		reason: "no compatible seal available; replay-based fault tolerance requires a preordained total order",
 	}
 	quorumOrderingPlanner = orderingStrategy{
-		mech:    CoordQuorumOrder,
-		summary: "quorum ordering (M1q): producer Lamport clocks + stability frontiers preordain a total order — coordination cost is one heartbeat per quiescent interval, not one round trip per message",
-		reason:  "producer clocks and stability frontiers preordain a total order without per-message sequencer round trips",
+		mech:   CoordQuorumOrder,
+		reason: "producer clocks and stability frontiers preordain a total order without per-message sequencer round trips",
 	}
 )
 
 type orderingStrategy struct {
-	mech            Coordination
-	summary, reason string
+	mech   Coordination
+	reason string
 }
-
-func (s orderingStrategy) Summary() string { return s.summary }
 
 func (s orderingStrategy) Plan(ctx *StrategyContext) (Strategy, bool) {
 	if !ctx.Origin {

@@ -17,27 +17,22 @@ const (
 var (
 	sealingPlanner = sealingStrategy{
 		mech:     CoordSealed,
-		summary:  "seal-based barriers (M3): buffer each partition until every producer seals it — no global coordination, cost proportional to partition count",
 		origin:   "order-sensitive paths are compatible with the seals on their rendezvousing inputs",
 		consumer: "sealed inputs gate per-partition processing; install the punctuation/voting protocol",
 	}
 	partitionSealingPlanner = sealingStrategy{
 		mech:     CoordPartitionSealed,
-		summary:  "per-partition sealing (M3p): partitions seal and release independently — same protocol cost as sealing, but a straggler partition delays only its own reads",
 		origin:   "order-sensitive paths are compatible with the seals on their rendezvousing inputs; partitions release independently as they seal",
 		consumer: "sealed inputs gate per-partition processing; partitions release independently as their seals arrive",
 	}
 )
 
 type sealingStrategy struct {
-	mech    Coordination
-	summary string
+	mech Coordination
 	// origin and consumer are the reasons given where an anomaly
 	// originates and where upstream seals are merely consumed.
 	origin, consumer string
 }
-
-func (s sealingStrategy) Summary() string { return s.summary }
 
 func (s sealingStrategy) Plan(ctx *StrategyContext) (Strategy, bool) {
 	keys, ok := ctx.sealPlan()

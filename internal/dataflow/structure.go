@@ -29,7 +29,9 @@ type ifaceTable struct {
 	streams  []*Stream // declaration order; the index is the stream id
 	from, to []int32   // stream → producer OUT / consumer IN node, -1 when external
 
-	succ  csr // node → successor nodes
+	succ csr // node → successor nodes
+
+	// Built by compile, not by internIfaces.
 	into  csr // IN node → ids of the streams arriving, declaration order
 	outOf csr // OUT node → ids of the streams leaving, declaration order
 	feed  csr // OUT node → the paths ending at it, declaration order
@@ -123,10 +125,15 @@ func internIfaces(g *Graph) *ifaceTable {
 		}
 	}
 	t.succ = groupBy(nNodes, src, dst)
-	t.into = groupBy(nNodes, t.to, nil)
-	t.outOf = groupBy(nNodes, t.from, nil)
-	t.feed = groupBy(nNodes, t.pathOut, nil)
 	return t
+}
+
+// indexStreams files the streams under the interface nodes they arrive at
+// and leave (into, outOf). internIfaces leaves them, and feed, to compile:
+// lint reads neither.
+func (t *ifaceTable) indexStreams() {
+	t.into = groupBy(len(t.nodeOut), t.to, nil)
+	t.outOf = groupBy(len(t.nodeOut), t.from, nil)
 }
 
 // key returns node v's place among its component's interface nodes.
@@ -223,12 +230,15 @@ func compile(g *Graph) (*structure, error) {
 	}
 	st := &structure{g: g, collapsed: g, ifaceTable: internIfaces(g)}
 	if cy := findCycles(st.ifaceTable); cy != nil {
+		st.indexStreams() // collapse reads the group boundaries through them
 		st.collapsed, st.cyclic = collapse(g, st.ifaceTable, cy)
 		if err := st.collapsed.Validate(); err != nil {
 			return nil, fmt.Errorf("dataflow: internal error: collapsed graph invalid: %w", err)
 		}
 		st.ifaceTable = internIfaces(st.collapsed)
 	}
+	st.indexStreams()
+	st.feed = groupBy(len(st.nodeOut), st.pathOut, nil)
 
 	var ok bool
 	if st.order, st.rank, ok = st.topoOrder(); !ok {

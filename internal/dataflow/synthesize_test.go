@@ -9,7 +9,7 @@ import (
 // TestSynthesizeWordcountUnsealed: Blazes recommends ordering (the Storm
 // "transactional topology") for the unsealed wordcount.
 func TestSynthesizeWordcountUnsealed(t *testing.T) {
-	a, err := Analyze(WordcountTopology(false))
+	a, err := Analyze(wordcountTopology(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestSynthesizeWordcountUnsealed(t *testing.T) {
 // seal-based strategy at Count so the runtime installs the punctuation
 // protocol — no global ordering.
 func TestSynthesizeWordcountSealed(t *testing.T) {
-	a, err := Analyze(WordcountTopology(true))
+	a, err := Analyze(wordcountTopology(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestSynthesizeWordcountSealed(t *testing.T) {
 // yields a deterministic dataflow (Async) — exactly what making the topology
 // transactional achieves.
 func TestRepairWordcountSequencing(t *testing.T) {
-	a, sts, err := Repair(WordcountTopology(false), SynthesisOptions{Prefer: []string{StrategySealing, StrategySequencing}})
+	a, sts, err := Repair(wordcountTopology(false), SynthesisOptions{Prefer: []string{StrategySealing, StrategySequencing}})
 	if err != nil {
 		t.Fatal(err)
 	}

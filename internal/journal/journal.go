@@ -185,6 +185,7 @@ type segment struct {
 // with ErrVersionSkew. An undecodable newest snapshot, or a first segment
 // that starts past the records the snapshot covers, fails naming the file:
 // Snapshot deleted what came before it, so no older state can stand in.
+// Once nothing is refused, snapshots older than the newest are removed.
 func Open(dir string) (*Journal, *Recovered, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("journal: %w", err)
@@ -215,9 +216,12 @@ func Open(dir string) (*Journal, *Recovered, error) {
 	// are already folded into the snapshot; a torn record ends the
 	// journal — everything after it (including later segments, which a
 	// correct writer cannot have produced) is unreachable.
-	var good int64 // logical bytes of the last live segment
+	var (
+		good, length int64 // logical bytes and length on disk of the last live segment
+		cut          bool  // the last live segment has a torn tail to truncate
+	)
 	for i, seg := range wals {
-		records, goodBytes, tornBytes, err := readSegment(seg.path)
+		records, goodBytes, tornBytes, size, err := readSegment(seg.path)
 		if err != nil {
 			return nil, nil, fmt.Errorf("journal: %s: %w", seg.path, err)
 		}
@@ -235,14 +239,9 @@ func Open(dir string) (*Journal, *Recovered, error) {
 			// header-less shell.
 			_ = os.Remove(seg.path)
 		} else {
-			if tornBytes > 0 {
-				if err := os.Truncate(seg.path, goodBytes); err != nil {
-					return nil, nil, fmt.Errorf("journal: truncating torn tail of %s: %w", seg.path, err)
-				}
-			}
 			j.segments = append(j.segments, seg)
 			j.sealed += good // the segment kept before this one is sealed
-			good = goodBytes
+			good, length, cut = goodBytes, size, tornBytes > 0
 		}
 		if goodBytes >= headerSize && tornBytes == 0 {
 			continue
@@ -265,21 +264,30 @@ func Open(dir string) (*Journal, *Recovered, error) {
 	j.synced = j.nextSeq - 1
 
 	// Open the active segment: write on at the logical end of the last
-	// live one, or start a fresh segment at the next seq.
+	// live one, cutting its torn tail away first, or start a fresh segment
+	// at the next seq.
 	if len(j.segments) > 0 {
 		last := j.segments[len(j.segments)-1]
 		f, err := os.OpenFile(last.path, os.O_WRONLY, 0o644)
 		if err != nil {
 			return nil, nil, fmt.Errorf("journal: %w", err)
 		}
-		info, err := f.Stat()
-		if err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("journal: %w", err)
+		if cut {
+			if err := f.Truncate(good); err != nil {
+				f.Close()
+				return nil, nil, fmt.Errorf("journal: truncating torn tail of %s: %w", last.path, err)
+			}
+			length = good
 		}
-		j.f, j.size, j.sized = f, good, info.Size()
+		j.f, j.size, j.sized = f, good, length
 	} else if err := j.openSegmentLocked(j.nextSeq); err != nil {
 		return nil, nil, err
+	}
+	// Every refusal is behind us: the snapshots older than the newest (a
+	// crash between a snapshot and the removal of the one it replaced
+	// leaves two) can go, so Snapshot finds at most one to replace.
+	for _, old := range snaps[:max(len(snaps)-1, 0)] {
+		_ = os.Remove(old.path)
 	}
 	return j, rec, nil
 }
@@ -297,23 +305,15 @@ func (j *Journal) openSegmentLocked(firstSeq uint64) error {
 		return fmt.Errorf("journal: %w", err)
 	}
 	hdr := fileHeader(kindWAL)
-	if _, err := f.Write(hdr[:]); err != nil {
-		f.Close()
-		return fmt.Errorf("journal: %w", err)
+	sized, err := write(f, hdr[:], 0, 0)
+	if err == nil {
+		err = syncDir(j.dir)
 	}
-	if err := f.Truncate(segmentStep); err != nil {
-		f.Close()
-		return fmt.Errorf("journal: presize: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("journal: %w", err)
-	}
-	if err := syncDir(j.dir); err != nil {
+	if err != nil {
 		f.Close()
 		return err
 	}
-	j.f, j.size, j.sized = f, headerSize, segmentStep
+	j.f, j.size, j.sized = f, headerSize, sized
 	j.segments = append(j.segments, segment{firstSeq: firstSeq, path: path})
 	return nil
 }
@@ -416,10 +416,10 @@ func (j *Journal) Snapshot(payload []byte) error {
 
 	// writeSnapshot returns only once the snapshot and its directory entry
 	// are durable; until then the segments it replaces are the only copy.
-	path := filepath.Join(j.dir, fmt.Sprintf("snap-%020d.snap", seq))
-	if err := writeSnapshot(path, payload); err != nil {
+	if err := writeSnapshot(snapshotPath(j.dir, seq), payload); err != nil {
 		return err
 	}
+	prev := j.snapshotSeq
 	j.snapshotSeq = seq
 	j.snapshots++
 
@@ -444,16 +444,17 @@ func (j *Journal) Snapshot(payload []byte) error {
 	if j.err != nil {
 		return j.err
 	}
-	// Drop superseded snapshots.
-	snaps, _, _, err := scanDir(j.dir)
-	if err == nil {
-		for _, s := range snaps {
-			if s.firstSeq < seq {
-				_ = os.Remove(s.path)
-			}
-		}
+	// Drop the snapshot this one supersedes, the only other one on disk:
+	// Open leaves no more. When none came before, the name matches no file.
+	if prev != seq {
+		_ = os.Remove(snapshotPath(j.dir, prev))
 	}
 	return nil
+}
+
+// snapshotPath names the snapshot covering every record through seq.
+func snapshotPath(dir string, seq uint64) string {
+	return filepath.Join(dir, fmt.Sprintf("snap-%020d.snap", seq))
 }
 
 // Stats returns current counters.
@@ -534,26 +535,31 @@ func appendFrame(dst []byte, seq uint64, payload []byte) []byte {
 	return dst
 }
 
-// decodeFrames walks frames in data, returning the decoded records and the
-// byte offset of the first torn/corrupt frame (== len(data) when the tail
-// is clean).
-func decodeFrames(data []byte) (records []Record, goodBytes int) {
-	off := 0
+// decodeFile checks that data is a journal file of the given kind and
+// walks its frames, returning the decoded records and the length of the
+// clean prefix, header included: the offset of the first torn or corrupt
+// frame, len(data) when the tail is clean. Data shorter than a header is
+// io.ErrUnexpectedEOF.
+func decodeFile(data []byte, kind byte) (records []Record, goodBytes int, err error) {
+	if len(data) < headerSize {
+		return nil, 0, io.ErrUnexpectedEOF
+	}
+	if err := checkHeader(data, kind); err != nil {
+		return nil, 0, err
+	}
+	off := headerSize
 	for {
 		rest := data[off:]
-		if len(rest) == 0 {
-			return records, off
-		}
 		if len(rest) < frameSize {
-			return records, off // torn length prefix
+			return records, off, nil // the end, or a torn length prefix
 		}
 		n := binary.LittleEndian.Uint32(rest[0:4])
 		if n > MaxRecordBytes || int(n) > len(rest)-frameSize {
-			return records, off // absurd length or torn payload
+			return records, off, nil // absurd length or torn payload
 		}
 		end := frameSize + int(n)
 		if crc32.ChecksumIEEE(rest[8:end]) != binary.LittleEndian.Uint32(rest[4:8]) {
-			return records, off // bit rot or torn write
+			return records, off, nil // bit rot or torn write
 		}
 		seq := binary.LittleEndian.Uint64(rest[8:16])
 		payload := make([]byte, n)
@@ -567,24 +573,23 @@ func decodeFrames(data []byte) (records []Record, goodBytes int) {
 // header included, and 0 for a segment with no header; tornBytes counts
 // the bytes after it through the last nonzero one, so a presized
 // segment's zero tail is clean and a segment is torn when tornBytes > 0 or
-// it has no header.
-func readSegment(path string) (records []Record, goodBytes, tornBytes int64, err error) {
+// it has no header. size is the file's length as read.
+func readSegment(path string) (records []Record, goodBytes, tornBytes, size int64, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, 0, 0, 0, err
 	}
 	end := dataEnd(data)
 	if len(data) < headerSize || end == 0 {
 		// A crash can leave a segment shorter than its header, or presized
 		// before its header reached the disk; nothing in it is recoverable.
-		return nil, 0, int64(end), nil
+		return nil, 0, int64(end), int64(len(data)), nil
 	}
-	if err := checkHeader(data, kindWAL); err != nil {
-		return nil, 0, 0, err
+	records, good, err := decodeFile(data, kindWAL)
+	if err != nil {
+		return nil, 0, 0, 0, err
 	}
-	records, good := decodeFrames(data[headerSize:])
-	goodBytes = int64(headerSize + good)
-	return records, goodBytes, max(int64(end)-goodBytes, 0), nil
+	return records, int64(good), max(int64(end-good), 0), int64(len(data)), nil
 }
 
 // zeroBlock is what dataEnd compares a zero tail against, a block at a time.
@@ -615,7 +620,7 @@ func writeSnapshot(path string, payload []byte) error {
 		return fmt.Errorf("journal: snapshot: %w", err)
 	}
 	hdr := fileHeader(kindSnap)
-	_, err = f.Write(appendFrame(hdr[:], 0, payload))
+	_, err = f.WriteAt(appendFrame(hdr[:], 0, payload), 0)
 	if err == nil {
 		err = f.Sync()
 	}
@@ -652,14 +657,11 @@ func readSnapshot(path string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(data) < headerSize {
-		return nil, fmt.Errorf("snapshot too short")
-	}
-	if err := checkHeader(data, kindSnap); err != nil {
+	records, good, err := decodeFile(data, kindSnap)
+	if err != nil {
 		return nil, err
 	}
-	records, good := decodeFrames(data[headerSize:])
-	if len(records) != 1 || headerSize+good != len(data) {
+	if len(records) != 1 || good != len(data) {
 		return nil, fmt.Errorf("corrupt snapshot")
 	}
 	return records[0].Payload, nil
@@ -717,12 +719,9 @@ func EncodeRecords(records []Record) []byte {
 // version fail with ErrVersionSkew; inputs that are not journal data at
 // all fail with a plain error.
 func DecodeRecords(data []byte) (records []Record, torn bool, err error) {
-	if len(data) < headerSize {
-		return nil, false, io.ErrUnexpectedEOF
-	}
-	if err := checkHeader(data, kindWAL); err != nil {
+	records, good, err := decodeFile(data, kindWAL)
+	if err != nil {
 		return nil, false, err
 	}
-	records, good := decodeFrames(data[headerSize:])
-	return records, headerSize+good < dataEnd(data), nil
+	return records, good < dataEnd(data), nil
 }

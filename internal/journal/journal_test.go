@@ -481,6 +481,72 @@ func TestSnapshotCompaction(t *testing.T) {
 	}
 }
 
+// TestHeaderlessSegmentSparesEarlierTail: Open drops a later segment whose
+// header a crash tore and truncates nothing else — the clean segment
+// before it keeps its presized zero tail, and appends go on into it.
+func TestHeaderlessSegmentSparesEarlierTail(t *testing.T) {
+	dir := t.TempDir()
+	path := closedWith(t, dir, "a")
+	shell := filepath.Join(dir, fmt.Sprintf("wal-%020d.log", 2))
+	if err := os.WriteFile(shell, []byte("BLZ"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, rec := openT(t, dir)
+	defer j.Close()
+	if got := payloads(rec.Records); !rec.Torn || rec.TruncatedBytes != 3 || !equal(got, []string{"a"}) {
+		t.Errorf("recovered %v, torn %v, %d bytes truncated; want [a], true, 3", got, rec.Torn, rec.TruncatedBytes)
+	}
+	if _, err := os.Stat(shell); !os.IsNotExist(err) {
+		t.Errorf("header-less segment still there after Open (stat: %v)", err)
+	}
+	if size := fileSize(t, path); size != segmentStep {
+		t.Errorf("clean segment is %d bytes after Open, want its presized %d", size, segmentStep)
+	}
+	appendAll(t, j, "b")
+	if size := fileSize(t, path); size != segmentStep {
+		t.Errorf("clean segment is %d bytes after an append, want %d: the append regrew it", size, segmentStep)
+	}
+}
+
+// TestOpenKeepsNewestSnapshot: a crash between a snapshot and the removal
+// of the one it replaced leaves two snapshots. Open recovers from the
+// newest and removes the older, so the next Snapshot has only one to
+// replace.
+func TestOpenKeepsNewestSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	j, _ := openT(t, dir)
+	appendAll(t, j, "a")
+	if err := j.Snapshot([]byte("state-after-a")); err != nil {
+		t.Fatal(err)
+	}
+	older := filepath.Join(dir, fmt.Sprintf("snap-%020d.snap", 1))
+	data, err := os.ReadFile(older)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, j, "b")
+	if err := j.Snapshot([]byte("state-after-ab")); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(older, data, 0o644); err != nil { // the removal the crash cut off
+		t.Fatal(err)
+	}
+
+	j, rec := openT(t, dir)
+	defer j.Close()
+	if string(rec.Snapshot) != "state-after-ab" || rec.SnapshotSeq != 2 || len(rec.Records) != 0 {
+		t.Errorf("recovered snapshot %q at seq %d and %d records, want \"state-after-ab\" at seq 2 and none",
+			rec.Snapshot, rec.SnapshotSeq, len(rec.Records))
+	}
+	snaps, err := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
+	if err != nil || len(snaps) != 1 || filepath.Base(snaps[0]) != fmt.Sprintf("snap-%020d.snap", 2) {
+		t.Errorf("snapshots on disk after Open = %v (err %v), want the seq-2 one alone", snaps, err)
+	}
+}
+
 // TestOpenRemovesStaleSnapshotTemp: a crash between a snapshot's write and
 // its rename leaves snap-<seq>.snap.tmp behind. Open recovers as if the
 // file were not there, and removes it.

@@ -303,7 +303,7 @@ func (in *instance) finish(b int64, bs *batchState) {
 	if now := t.sim.Now(); at < now {
 		at = now
 	}
-	at += t.cfg.FinishBatchCost
+	at += finishBatchCost
 	in.busyUntil = at
 	t.sim.At(at, func() {
 		in.bolt.FinishBatch(b, func(out Tuple) {
@@ -349,7 +349,7 @@ func (in *instance) enterCommit(b int64, bs *batchState) {
 	switch t.mode {
 	case CommitSealed:
 		// Independent commit: apply locally, then ack the spout.
-		t.sim.After(t.cfg.CommitCost, func() { in.applyCommit(b, bs) })
+		t.sim.After(commitCost, func() { in.applyCommit(b, bs) })
 	case CommitTransactional:
 		if !bs.readySent {
 			bs.readySent = true

@@ -32,16 +32,20 @@ func (m CommitMode) String() string {
 	return "sealed"
 }
 
+// The engine's fixed costs.
+const (
+	// finishBatchCost is the cost of a bolt's per-batch finalization.
+	finishBatchCost = 200 * sim.Microsecond
+	// commitCost is the local cost of applying one batch at a committer.
+	commitCost = 500 * sim.Microsecond
+)
+
 // Config shapes the simulated physical deployment.
 type Config struct {
 	// Link is the inter-instance network behaviour.
 	Link sim.LinkConfig
 	// PerTupleCost is each instance's serial execution cost per tuple.
 	PerTupleCost sim.Time
-	// FinishBatchCost is the cost of a bolt's per-batch finalization.
-	FinishBatchCost sim.Time
-	// CommitCost is the local cost of applying one batch at a committer.
-	CommitCost sim.Time
 	// EmitInterval paces spout emission (per tuple per spout instance).
 	EmitInterval sim.Time
 	// MaxInFlight bounds the number of uncommitted batches in the
@@ -71,15 +75,13 @@ type Config struct {
 // DefaultConfig is a reasonable LAN deployment.
 func DefaultConfig() Config {
 	return Config{
-		Link:            sim.DefaultLAN,
-		PerTupleCost:    20 * sim.Microsecond,
-		FinishBatchCost: 200 * sim.Microsecond,
-		CommitCost:      500 * sim.Microsecond,
-		EmitInterval:    10 * sim.Microsecond,
-		MaxInFlight:     4,
-		Punctuate:       true,
-		FlushTimeout:    50 * sim.Millisecond,
-		Sequencer:       coord.DefaultSequencer,
+		Link:         sim.DefaultLAN,
+		PerTupleCost: 20 * sim.Microsecond,
+		EmitInterval: 10 * sim.Microsecond,
+		MaxInFlight:  4,
+		Punctuate:    true,
+		FlushTimeout: 50 * sim.Millisecond,
+		Sequencer:    coord.DefaultSequencer,
 	}
 }
 

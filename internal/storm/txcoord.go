@@ -87,7 +87,7 @@ func (c *txCoordinator) tryCommit() {
 		ins := ins
 		c.topo.sim.After(c.topo.cfg.Link.Delay(c.topo.sim), func() {
 			bs := ins.batch(b)
-			c.topo.sim.After(c.topo.cfg.CommitCost, func() {
+			c.topo.sim.After(commitCost, func() {
 				ins.applyCommit(b, bs)
 				c.topo.seq.Submit(appliedMsg{batch: b, instance: ins.idx})
 			})

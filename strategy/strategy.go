@@ -1,10 +1,10 @@
-// Package strategy exposes the coordination-strategy catalog behind the
-// Blazes analyzer. Synthesis (blazes.Analyzer, blazes verify, the analysis
-// service) resolves strategies by name through this catalog rather than a
-// hard-coded switch; every name accepted anywhere in the toolchain — the
-// WithStrategy option, the -strategy flag, the strategy fields of the
-// service API — comes from the set reported here, so error messages and
-// validation stay in lockstep with what actually exists.
+// Package strategy names the coordination strategies behind the Blazes
+// analyzer. Synthesis (blazes.Analyzer, blazes verify, the analysis
+// service) resolves strategies by name rather than through a hard-coded
+// switch; every name accepted anywhere in the toolchain — the WithStrategy
+// option, the -strategy flag, the strategy fields of the service API — is
+// one Names returns, so error messages and validation stay in lockstep
+// with what actually exists.
 //
 // A strategy plans one coordination mechanism for one component, and the
 // two are one to one: each is a row of one table in internal/dataflow.
@@ -43,16 +43,6 @@ const (
 	PartitionSealing = dataflow.StrategyPartitionSealing
 )
 
-// Info describes one strategy.
-type Info struct {
-	// Name is the strategy's name, as accepted by blazes.WithStrategy, the
-	// -strategy flag, and the service strategy fields.
-	Name string
-	// Summary is a one-line description of the mechanism and when it
-	// applies.
-	Summary string
-}
-
 // Names returns every strategy name, sorted.
 func Names() []string { return dataflow.StrategyNames() }
 
@@ -69,14 +59,4 @@ func Parse(list string) ([]string, error) {
 		return nil, err
 	}
 	return names, nil
-}
-
-// Catalog returns an Info for every strategy, in name order.
-func Catalog() []Info {
-	mechs := dataflow.Strategies()
-	infos := make([]Info, len(mechs))
-	for i, c := range mechs {
-		infos[i] = Info{Name: c.Strategy(), Summary: c.Summary()}
-	}
-	return infos
 }
