@@ -82,14 +82,17 @@ func ExampleSession() {
 // ExampleComponentBuilder_Deps is Section V-A1's compatibility test. Report
 // gates its order-sensitive path on camp, and its clicks arrive sealed on
 // campaign. Without lineage the seal says nothing about camp, so Report
-// needs a total order; the lineage campaign ↣ camp, as a rename or as the
-// injective FD it abbreviates, makes the seal compatible with the gate.
+// needs a total order, and the identity campaign ↣ campaign, which says only
+// that campaign passes through, changes nothing; the lineage campaign ↣
+// camp, as a rename or as the injective FD it abbreviates, makes the seal
+// compatible with the gate.
 func ExampleComponentBuilder_Deps() {
 	for _, lineage := range []struct {
 		name string
 		deps *blazes.FDSet
 	}{
 		{"no lineage", nil},
+		{"identity", blazes.NewFDSet(blazes.IdentityFD("campaign"))},
 		{"rename", blazes.NewFDSet(blazes.RenameFD("campaign", "camp"))},
 		{"injective", blazes.NewFDSet(blazes.InjectiveFD(blazes.Attrs("campaign"), blazes.Attrs("camp")))},
 	} {
@@ -107,6 +110,7 @@ func ExampleComponentBuilder_Deps() {
 	}
 	// Output:
 	// no lineage: verdict Run, Report: dynamic ordering (M2) over inputs clicks
+	// identity: verdict Run, Report: dynamic ordering (M2) over inputs clicks
 	// rename: verdict Async, Report: seal-based coordination — clicks on (campaign)
 	// injective: verdict Async, Report: seal-based coordination — clicks on (campaign)
 }

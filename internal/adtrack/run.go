@@ -49,6 +49,10 @@ func (r Regime) String() string {
 	}
 }
 
+// backpressureThreshold is the sequencer queue delay above which clients
+// throttle and retry (Ordered regime).
+const backpressureThreshold = 250 * sim.Millisecond
+
 // Config parameterizes one ad-network run.
 type Config struct {
 	// Seed drives all network nondeterminism.
@@ -77,9 +81,6 @@ type Config struct {
 	// service and is the serialization bottleneck the sealed strategies
 	// avoid.
 	Sequencer coord.SequencerConfig
-	// BackpressureThreshold is the sequencer queue delay above which
-	// clients throttle and retry (Ordered regime).
-	BackpressureThreshold sim.Time
 	// Quorum configures the quorum-ordering protocol (Quorum regime).
 	Quorum coord.QuorumConfig
 }
@@ -90,19 +91,18 @@ func DefaultConfig(adServers int, regime Regime, independent bool) Config {
 	seq := coord.DefaultSequencer
 	seq.ProcessingCost = 4 * sim.Millisecond // quorum append at the service
 	return Config{
-		Seed:                  1,
-		Workload:              DefaultWorkload(adServers, independent),
-		Query:                 dataflow.CAMPAIGN,
-		Threshold:             100,
-		Replicas:              3,
-		Requests:              20,
-		RequestSpacing:        500 * sim.Millisecond,
-		Regime:                regime,
-		ProcessCost:           500 * sim.Microsecond,
-		Link:                  sim.LinkConfig{MinDelay: 500 * sim.Microsecond, MaxDelay: 8 * sim.Millisecond},
-		Sequencer:             seq,
-		BackpressureThreshold: 250 * sim.Millisecond,
-		Quorum:                coord.DefaultQuorum,
+		Seed:           1,
+		Workload:       DefaultWorkload(adServers, independent),
+		Query:          dataflow.CAMPAIGN,
+		Threshold:      100,
+		Replicas:       3,
+		Requests:       20,
+		RequestSpacing: 500 * sim.Millisecond,
+		Regime:         regime,
+		ProcessCost:    500 * sim.Microsecond,
+		Link:           sim.LinkConfig{MinDelay: 500 * sim.Microsecond, MaxDelay: 8 * sim.Millisecond},
+		Sequencer:      seq,
+		Quorum:         coord.DefaultQuorum,
 	}
 }
 
@@ -358,7 +358,7 @@ func Run(cfg Config, prepared ...*Prepared) (*Result, error) {
 		// backpressure): a burst finding the queue deep defers itself.
 		var submitBurst func(b *Burst)
 		submitBurst = func(b *Burst) {
-			if d := seq.QueueDelay(); d > cfg.BackpressureThreshold {
+			if d := seq.QueueDelay(); d > backpressureThreshold {
 				backoff := d + sim.Time(s.Rand().Int63n(int64(d)+1))
 				s.After(backoff, func() { submitBurst(b) })
 				return

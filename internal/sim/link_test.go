@@ -6,16 +6,13 @@ import (
 	"testing"
 )
 
-// randomLinkConfig draws a link shape: a latency spread, at-least-once and
-// loss probabilities (zero half the time, so the coins' absence is covered
-// too), and up to three partition windows that may overlap or chain.
+// randomLinkConfig draws a link shape: a latency spread, an at-least-once
+// probability (zero half the time, so the coin's absence is covered too),
+// and up to three partition windows that may overlap or chain.
 func randomLinkConfig(r *rand.Rand) LinkConfig {
 	cfg := LinkConfig{MinDelay: Time(r.Intn(50)), MaxDelay: Time(r.Intn(400))}
 	if r.Intn(2) == 0 {
 		cfg.DupProb = r.Float64()
-	}
-	if r.Intn(2) == 0 {
-		cfg.DropProb = r.Float64() / 2
 	}
 	for n := r.Intn(4); n > 0; n-- {
 		from := Time(r.Intn(800))
@@ -71,7 +68,7 @@ func driveLink(t *testing.T, seed int64, cfg LinkConfig, script []linkSend, dup 
 	}
 	s.Run()
 	st := l.Stats()
-	if st.Sent != len(script) || st.Delivered != st.Sent-st.Dropped+st.Duplicate || len(got) != st.Delivered {
+	if st.Sent != len(script) || st.Delivered != st.Sent+st.Duplicate || len(got) != st.Delivered {
 		t.Fatalf("stats %+v with %d deliveries run do not add up over %d sends", st, len(got), len(script))
 	}
 	return got, st

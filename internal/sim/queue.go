@@ -96,9 +96,10 @@ func (h *eventHeap) pop() event {
 // The ring's geometry. Virtual time is integer microseconds, so a bucket is
 // the events of 32 consecutive microseconds and the ring covers
 // ringSize×32 µs ≈ 33 ms ahead of the bucket being drained — longer than any
-// link or sequencer delay the substrates draw; timers beyond it (replay and
-// flush timeouts) wait in the far heap. None of these is a tuning knob: pop
-// order does not depend on them, only speed and memory do.
+// link or sequencer delay the substrates draw; timers beyond it (flush
+// timeouts, backoffs, a workload's schedule laid out up front) wait in the
+// far heap. None of these is a tuning knob: pop order does not depend on
+// them, only speed and memory do.
 const (
 	bucketShift = 5 // log2 of a bucket's width in µs
 	ringSize    = 1024

@@ -1,10 +1,10 @@
 // Package sim is a deterministic discrete-event simulator with virtual time.
 // It supplies the nondeterministic messaging environment in which the
 // paper's anomalies arise — reordering, duplication (at-least-once delivery)
-// and loss — while keeping every run perfectly reproducible from a seed:
-// the same (seed, configuration) pair always yields the same schedule, and
-// different seeds explore different delivery orders. This substitutes for
-// the paper's EC2 testbed; see DESIGN.md §2.
+// and partitions that heal — while keeping every run perfectly reproducible
+// from a seed: the same (seed, configuration) pair always yields the same
+// schedule, and different seeds explore different delivery orders. This
+// substitutes for the paper's EC2 testbed; see DESIGN.md §2.
 //
 // The scheduler is single-threaded: one loop pops events in (time, seq)
 // order and runs each to completion, and every random draw happens there.

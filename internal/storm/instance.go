@@ -19,8 +19,7 @@ type instance struct {
 
 	busyUntil sim.Time
 	// batches holds a batch's state at its number: a spout numbers its
-	// batches densely from 0, and a replay or duplicate names one already
-	// held.
+	// batches densely from 0, and a duplicate names one already held.
 	batches []*batchState
 	// seenWords is, per upstream instance, the widest any batch's dedup
 	// bitset has grown: a new batch's bitsets are carved from one array at
@@ -55,25 +54,14 @@ type batchState struct {
 	seen     [][]uint64
 	words    []uint64
 	finished bool
-	// finishDone is set once the scheduled finish event has actually run
-	// (FinishBatch executed, punctuations sent). Resends must wait for it:
-	// between finished and finishDone the outbox and counts are still
-	// incomplete.
-	finishDone bool
 	// flushScheduled marks the timer-based (unpunctuated) completion path.
 	flushScheduled bool
-	// outbox stores routed emissions for replay resend; only populated when
-	// the topology can actually observe a resend trigger (replay or
-	// duplicate delivery enabled), since it retains every emitted message.
-	outbox []outMsg
 	// counts tracks per-downstream-stage (by position), per-target emitted
 	// counts.
-	counts [][]int
-	// lastAttempt is the highest replay attempt this instance forwarded.
-	lastAttempt int32
-	emitSeq     int32
-	readySent   bool
-	committed   bool
+	counts    [][]int
+	emitSeq   int32
+	readySent bool
+	committed bool
 }
 
 // isSeen reports whether (from, seq) was already processed.
@@ -96,12 +84,6 @@ func (in *instance) markSeen(bs *batchState, from, seq int32) {
 		in.seenWords[from] = max(in.seenWords[from], len(bits))
 	}
 	bits[word] |= 1 << (uint(seq) % 64)
-}
-
-type outMsg struct {
-	stage  *stage
-	target int
-	m      message
 }
 
 // newInstance returns instance idx of st, taking up one a released topology
@@ -177,7 +159,6 @@ func (t *Topology) newBatchState(n int, seenWords []int) *batchState {
 		endFrom:  zeroed(bs.endFrom, n),
 		seen:     zeroed(bs.seen, n),
 		words:    zeroed(bs.words, total),
-		outbox:   bs.outbox[:0],
 	}
 	words := bs.words
 	for i, w := range seenWords {
@@ -202,10 +183,7 @@ func (in *instance) receive(m message) {
 	bs := in.batch(m.batchID())
 
 	if m.batchEnd() {
-		if bs.finished {
-			in.maybeResend(m.batchID(), bs, m.attempt)
-			return
-		}
+		// A duplicate punctuation writes what the first wrote.
 		bs.endFrom[m.from] = true
 		bs.expected[m.from] = int(m.count)
 		in.tryFinish(m.batchID(), bs)
@@ -213,14 +191,11 @@ func (in *instance) receive(m message) {
 	}
 
 	if bs.isSeen(m.from, m.seq) {
-		if bs.finished {
-			in.maybeResend(m.batchID(), bs, m.attempt)
-		}
-		return
+		return // a duplicate
 	}
 	if bs.finished {
-		// A tuple for a batch this instance already (timer-)flushed:
-		// data loss under the anomalous configuration.
+		// A tuple for a batch this instance already (timer-)flushed: the
+		// anomalous configuration leaves it out of the batch.
 		t.metrics.Stragglers++
 		return
 	}
@@ -259,11 +234,7 @@ func (in *instance) emit(bs *batchState, out Tuple) {
 		}
 		for _, target := range t.routeBuf {
 			bs.counts[di][target]++
-			m := message{seq: seq, from: int32(in.idx), tuple: out, attempt: bs.lastAttempt}
-			if t.recordResend {
-				bs.outbox = append(bs.outbox, outMsg{stage: down, target: target, m: m})
-			}
-			t.deliver(down, target, m, t.sim.Now())
+			t.deliver(down, target, message{seq: seq, from: int32(in.idx), tuple: out}, t.sim.Now())
 		}
 	}
 }
@@ -311,18 +282,17 @@ func (in *instance) finish(b int64, bs *batchState) {
 			in.emit(bs, out)
 		})
 		if t.cfg.Punctuate {
-			in.sendPunctuations(b, bs, bs.lastAttempt)
+			in.sendPunctuations(b, bs)
 		}
 		if in.st.committer {
 			in.enterCommit(b, bs)
 		}
-		bs.finishDone = true
 	})
 }
 
 // sendPunctuations announces this instance's per-target emission counts to
 // every downstream stage.
-func (in *instance) sendPunctuations(b int64, bs *batchState, attempt int32) {
+func (in *instance) sendPunctuations(b int64, bs *batchState) {
 	t := in.st.topo
 	for di, down := range in.st.downstream {
 		var counts []int
@@ -334,10 +304,7 @@ func (in *instance) sendPunctuations(b int64, bs *batchState, attempt int32) {
 			if counts != nil {
 				count = counts[target]
 			}
-			m := message{
-				seq: -1, from: int32(in.idx), tuple: Tuple{Batch: b},
-				count: int32(count), attempt: attempt,
-			}
+			m := message{seq: -1, from: int32(in.idx), tuple: Tuple{Batch: b}, count: int32(count)}
 			t.deliver(down, target, m, t.sim.Now())
 		}
 	}
@@ -371,28 +338,4 @@ func (in *instance) applyCommit(b int64, bs *batchState) {
 	// Ack travels back to the spout controller over the network.
 	idx := in.idx
 	t.sim.At(t.cfg.Link.Arrival(t.sim), func() { t.commitDone(b, idx) })
-}
-
-// maybeResend re-sends this instance's stored output for a finished batch
-// when a replayed message with a newer attempt arrives (recovering
-// downstream losses without re-execution — bolts are deterministic).
-func (in *instance) maybeResend(b int64, bs *batchState, attempt int32) {
-	t := in.st.topo
-	if !bs.finishDone || attempt <= bs.lastAttempt {
-		return
-	}
-	bs.lastAttempt = attempt
-	for _, om := range bs.outbox {
-		m := om.m
-		m.attempt = attempt
-		t.deliver(om.stage, om.target, m, t.sim.Now())
-	}
-	if t.cfg.Punctuate {
-		in.sendPunctuations(b, bs, attempt)
-	}
-	if in.st.committer && bs.committed {
-		// Re-ack: the spout may have missed the original acknowledgement.
-		idx := in.idx
-		t.sim.After(t.cfg.Link.MinDelay, func() { t.commitDone(b, idx) })
-	}
 }

@@ -208,32 +208,3 @@ func (o *txOrderBolt) Commit(b int64) {
 		*o.order = append(*o.order, b)
 	}
 }
-
-// TestReplayWithTotalLossOfFirstAttempt: drop everything initially via an
-// extreme drop rate, rely on replay to converge eventually. We bound the
-// run with a deadline to keep the test fast and assert progress instead of
-// completion when drops are extreme.
-func TestReplayMakesProgressUnderLoss(t *testing.T) {
-	s := sim.New(13)
-	cfg := DefaultConfig()
-	cfg.Link.DropProb = 0.2
-	cfg.ReplayTimeout = 50 * sim.Millisecond
-	bolt := &collectorBolt{}
-	tp := NewTopology(s, cfg, CommitSealed)
-	tp.SetSpout("src", staticSpout{batches: 3, tuplesPer: 5}, 2)
-	tp.AddCommitter("sink", func(int) Bolt { return bolt }, 2, ShuffleGrouping{}, "src")
-	if err := tp.Start(); err != nil {
-		t.Fatal(err)
-	}
-	s.RunUntil(20 * sim.Second)
-	if !tp.Done() {
-		t.Fatalf("run did not converge despite replay; metrics=%+v", tp.Metrics())
-	}
-	if tp.Metrics().Replays == 0 {
-		t.Error("expected at least one replay round at 20% loss")
-	}
-	// Dedup must hold: each logical tuple executed at most once.
-	if got := len(bolt.got); got != 3*5*2 {
-		t.Errorf("executed %d tuples, want exactly 30 (dedup across replays)", got)
-	}
-}

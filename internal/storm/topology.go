@@ -57,9 +57,6 @@ type Config struct {
 	// throughput measurements are taken in). Zero keeps ack-driven
 	// emission bounded by MaxInFlight.
 	BatchInterval sim.Time
-	// ReplayTimeout re-emits a batch that has not fully committed in time
-	// (at-least-once delivery). Zero disables replay.
-	ReplayTimeout sim.Time
 	// Punctuate controls whether batch-end punctuations flow through the
 	// topology. When false, bolts flush batches on a timer instead —
 	// the nondeterministic "early emission" the paper warns about.
@@ -87,19 +84,15 @@ func DefaultConfig() Config {
 
 // Metrics aggregates a run's outcomes.
 type Metrics struct {
-	// EmittedTuples counts first-attempt spout emissions.
+	// EmittedTuples counts spout emissions.
 	EmittedTuples int
-	// ReplayedTuples counts re-emissions.
-	ReplayedTuples int
 	// CommittedBatches counts batch commits (per committer instance).
 	CommittedBatches int
 	// AckedBatches counts fully committed batches.
 	AckedBatches int
 	// Stragglers counts tuples that arrived after their batch was
-	// timer-flushed (lost data under the anomalous configuration).
+	// timer-flushed: the anomalous configuration leaves them out of it.
 	Stragglers int
-	// Replays counts batch replay rounds.
-	Replays int
 	// FinishedAt is the virtual time of the final batch ack.
 	FinishedAt sim.Time
 	// CommitSeries records (time, cumulative acked batches) pairs.
@@ -112,7 +105,7 @@ type CommitPoint struct {
 	Batches int
 }
 
-// Throughput returns first-attempt tuples per virtual second.
+// Throughput returns spout tuples per virtual second.
 func (m Metrics) Throughput() float64 {
 	if m.FinishedAt == 0 {
 		return 0
@@ -140,11 +133,6 @@ type Topology struct {
 	txc         *txCoordinator
 	metrics     Metrics
 
-	// recordResend marks configurations under which a finished instance
-	// can observe a resend trigger (batch replay or duplicate delivery).
-	// Only then do instances retain their outbox — that state is large and
-	// pure overhead otherwise.
-	recordResend bool
 	// routeBuf is the shared routing scratch buffer.
 	routeBuf []int
 	// The delivery pool: slab is the uncarved rest of the newest slab,
@@ -163,18 +151,15 @@ type Topology struct {
 	totalBatches int64
 	inflight     map[int64]*batchControl
 	unacked      int // emitted batches not yet fully committed
-	spoutOutbox  map[int64]*spoutBatch
-	// scratchBatch is the reusable routed-batch buffer used when replay
-	// state need not be retained.
+	// scratchBatch is the reusable routed-batch buffer.
 	scratchBatch spoutBatch
 	// spoutTuples is the reusable per-instance pull buffer.
 	spoutTuples [][]Values
 }
 
-// spoutBatch is a batch routed once at first emission and stored verbatim so
-// replays deliver byte-identical messages to the same targets (Storm's
-// transactional spouts regenerate identical batches; re-routing a shuffle
-// grouping on replay would defeat downstream deduplication).
+// spoutBatch is one batch routed whole before its first tuple is sent: every
+// routing draw of a batch comes before its first network-delay draw, and
+// that order of the simulator's random draws is what fixes the schedule.
 type spoutBatch struct {
 	sends []spoutSend
 	// ends carries the per-(stage,instance) punctuation counts.
@@ -185,7 +170,7 @@ type spoutSend struct {
 	stage  *stage
 	target int
 	m      message
-	// offset is the pacing offset from the start of (re)emission.
+	// offset is the pacing offset from the batch's emission.
 	offset sim.Time
 }
 
@@ -199,7 +184,6 @@ type spoutEnd struct {
 
 type batchControl struct {
 	acked   bool
-	attempt int32
 	commits map[int]bool // committer instance → committed
 }
 
@@ -234,7 +218,6 @@ func NewTopology(s *sim.Sim, cfg Config, mode CommitMode) *Topology {
 	t.sim, t.cfg, t.mode = s, cfg, mode
 	t.byName = map[string]*stage{}
 	t.inflight = map[int64]*batchControl{}
-	t.spoutOutbox = map[int64]*spoutBatch{}
 	t.totalBatches = -1
 	if mode == CommitTransactional {
 		t.seq = coord.NewSequencer(s, cfg.Sequencer)
@@ -297,7 +280,6 @@ func (t *Topology) Start() error {
 		up.downstream = append(up.downstream, st)
 		st.upstreamN = up.n
 	}
-	t.recordResend = t.cfg.ReplayTimeout > 0 || t.cfg.Link.DupProb > 0
 	for _, st := range t.stages {
 		st.instances = make([]*instance, st.n)
 		for i := 0; i < st.n; i++ {
@@ -336,11 +318,9 @@ func (t *Topology) maybeEmit() {
 	}
 }
 
-// emitBatch pulls batch b from every spout instance, routes it exactly
-// once, and streams it into the first stages. The routed batch is retained
-// only when a replay can read it (ReplayTimeout > 0); otherwise a reusable
-// scratch buffer holds it just long enough to send — a duplicate delivery
-// copies the message it duplicates.
+// emitBatch pulls batch b from every spout instance, routes it whole into
+// the scratch buffer, and then streams it into the first stages, pacing
+// tuples and closing with punctuations.
 func (t *Topology) emitBatch(b int64) {
 	perInstance := t.spoutTuples
 	any := false
@@ -362,15 +342,9 @@ func (t *Topology) emitBatch(b int64) {
 	t.inflight[b] = &batchControl{commits: map[int]bool{}}
 	t.unacked++
 
-	var sb *spoutBatch
-	if t.cfg.ReplayTimeout > 0 {
-		sb = &spoutBatch{}
-		t.spoutOutbox[b] = sb
-	} else {
-		sb = &t.scratchBatch
-		sb.sends = sb.sends[:0]
-		sb.ends = sb.ends[:0]
-	}
+	sb := &t.scratchBatch
+	sb.sends = sb.sends[:0]
+	sb.ends = sb.ends[:0]
 	// One send per tuple and first stage unless a grouping fans out: grow
 	// once rather than by append's steps.
 	sb.sends = slices.Grow(sb.sends, pulled*len(t.firstStages))
@@ -402,28 +376,13 @@ func (t *Topology) emitBatch(b int64) {
 	for i := range perInstance {
 		t.metrics.EmittedTuples += len(perInstance[i])
 	}
-	t.sendBatch(sb, b, 1)
-	if t.cfg.ReplayTimeout > 0 {
-		t.scheduleReplayCheck(b)
-	}
-}
-
-// sendBatch streams the routed batch (attempt n) into the first stages,
-// pacing tuples and closing with punctuations.
-func (t *Topology) sendBatch(sb *spoutBatch, b int64, attempt int32) {
-	if sb == nil {
-		return
-	}
 	start := t.sim.Now()
 	for _, snd := range sb.sends {
-		m := snd.m
-		m.attempt = attempt
-		t.deliver(snd.stage, snd.target, m, start+snd.offset)
+		t.deliver(snd.stage, snd.target, snd.m, start+snd.offset)
 	}
 	for _, end := range sb.ends {
 		t.deliver(end.stage, end.target, message{
-			seq: -1, from: int32(end.from), tuple: Tuple{Batch: b},
-			count: int32(end.count), attempt: attempt,
+			seq: -1, from: int32(end.from), tuple: Tuple{Batch: b}, count: int32(end.count),
 		}, start+end.offset)
 	}
 }
@@ -435,9 +394,6 @@ func (t *Topology) sendBatch(sb *spoutBatch, b int64, attempt int32) {
 // hold it at the sender until they heal.
 func (t *Topology) deliver(st *stage, idx int, m message, notBefore sim.Time) {
 	delay := t.cfg.Link.Delay(t.sim)
-	if t.cfg.Link.DropProb > 0 && t.sim.Rand().Float64() < t.cfg.Link.DropProb {
-		return
-	}
 	at := t.cfg.Link.Release(notBefore, notBefore+delay)
 	if now := t.sim.Now(); at < now {
 		at = now
@@ -495,19 +451,18 @@ func (t *Topology) newDelivery() *delivery {
 // simulator has stopped: the memory a run grew into is what the next run
 // would grow into again. It keeps the delivery pool (free deliveries and the
 // rest of the newest slab), the instances with their queue and batch
-// arrays, every batch state with its bitset and outbox arrays, and the
-// routing scratch. What it keeps holds no tuple: a free delivery dropped its
-// values at arrival, and the queues, outboxes and routed batch are cleared
-// here. Deliveries still in flight when the run stopped stay with their
-// slab and are not reused. Metrics, the store a committer wrote and every
-// bolt belong to the caller and are not touched. Release a topology once,
-// after its last event, and touch it no more.
+// arrays, every batch state with its bitset arrays, and the routing scratch.
+// What it keeps holds no tuple: a free delivery dropped its values at
+// arrival, and the queues and routed batch are cleared here. Deliveries
+// still in flight when the run stopped stay with their slab and are not
+// reused. Metrics, the store a committer wrote and every bolt belong to the
+// caller and are not touched. Release a topology once, after its last event,
+// and touch it no more.
 func (t *Topology) Release() {
 	for _, st := range t.stages {
 		for _, in := range st.instances {
 			for _, bs := range in.batches {
 				if bs != nil {
-					clear(bs.outbox)
 					t.spareBatches = append(t.spareBatches, bs)
 				}
 			}
@@ -533,31 +488,13 @@ func (t *Topology) Release() {
 }
 
 // Fire is a delivery's arrival. The delivery goes back to the free list
-// before receive runs — receive may send, and the send may take this very
-// delivery.
+// before receive runs: its contents are copied out, and the next send may
+// take this very delivery.
 func (d *delivery) Fire() {
 	t, ins, m := d.t, d.ins, d.m
 	d.m.tuple.Values = nil // the pool must not keep a batch's strings alive
 	t.freeDeliveries = append(t.freeDeliveries, d)
 	ins.receive(m)
-}
-
-// scheduleReplayCheck re-emits the batch if it has not been acked in time.
-func (t *Topology) scheduleReplayCheck(b int64) {
-	t.sim.After(t.cfg.ReplayTimeout, func() {
-		bc := t.inflight[b]
-		if bc == nil || bc.acked {
-			return
-		}
-		bc.attempt++
-		t.metrics.Replays++
-		sb := t.spoutOutbox[b]
-		if sb != nil {
-			t.metrics.ReplayedTuples += len(sb.sends)
-		}
-		t.sendBatch(sb, b, bc.attempt+1)
-		t.scheduleReplayCheck(b)
-	})
 }
 
 // commitDone is called when one committer instance has durably applied a
@@ -577,7 +514,6 @@ func (t *Topology) commitDone(b int64, committerIdx int) {
 	t.metrics.AckedBatches++
 	t.metrics.FinishedAt = t.sim.Now()
 	t.metrics.CommitSeries = append(t.metrics.CommitSeries, CommitPoint{At: t.sim.Now(), Batches: t.metrics.AckedBatches})
-	delete(t.spoutOutbox, b)
 	if t.cfg.BatchInterval == 0 {
 		t.maybeEmit()
 	}

@@ -1,11 +1,11 @@
 // Package storm is a Storm-like distributed stream-processing engine built
 // on the discrete-event simulator: topologies of spouts and bolts with
-// shuffle/fields/all groupings, batch-granular at-least-once delivery with
-// replay, and two commit disciplines — *transactional* (batches commit in a
-// global total order through the ordering service, Storm's "transactional
-// topologies") and *sealed* (batches commit independently as soon as their
-// per-batch punctuations arrive, the strategy Blazes proves safe for the
-// wordcount of Section VI-A). It is the substrate for the Figure 11
+// shuffle/fields/all groupings, batch-granular delivery whose receivers drop
+// at-least-once duplicates, and two commit disciplines — *transactional*
+// (batches commit in a global total order through the ordering service,
+// Storm's "transactional topologies") and *sealed* (batches commit
+// independently as soon as their per-batch punctuations arrive, the strategy
+// Blazes proves safe for the wordcount of Section VI-A). It is the substrate for the Figure 11
 // experiment.
 //
 // Execution is single-threaded and deterministic: every bolt call, routing
@@ -20,7 +20,7 @@ import "fmt"
 type Values []string
 
 // Tuple is one message flowing through a topology. Every tuple belongs to a
-// batch — the unit of replay and of sealing.
+// batch — the unit of sealing and of commit.
 type Tuple struct {
 	Batch  int64
 	Values Values
@@ -42,11 +42,10 @@ func (t Tuple) String() string {
 // line. (An earlier revision carried a formatted string id; building and
 // hashing those strings dominated the allocation profile.)
 type message struct {
-	seq     int32 // producer's per-batch emission sequence; -1 for punctuations
-	from    int32 // producer instance index within its stage
-	attempt int32 // replay attempt that produced this message
-	count   int32 // punctuations: tuples the producer emitted to this consumer for batch
-	tuple   Tuple
+	seq   int32 // producer's per-batch emission sequence; -1 for punctuations
+	from  int32 // producer instance index within its stage
+	count int32 // punctuations: tuples the producer emitted to this consumer for batch
+	tuple Tuple
 }
 
 // batchEnd reports whether the message is a punctuation.

@@ -380,27 +380,6 @@ func TestUnpunctuatedTimerFlushExhibitsRunAnomaly(t *testing.T) {
 	}
 }
 
-// TestReplayRecoversFromLoss: with lossy links and replay enabled, the
-// sealed topology still converges to exactly-correct counts (dedup +
-// idempotent keyed commits turn at-least-once into effectively-once).
-func TestReplayRecoversFromLoss(t *testing.T) {
-	engine := storm.DefaultConfig()
-	engine.Link.DropProb = 0.05
-	engine.ReplayTimeout = 200 * 1000 // 200ms
-	rc := RunConfig{Seed: 5, Workers: 3, Batches: 4, TuplesPerBatch: 15, WordsPerTweet: 3, Mode: storm.CommitSealed, Punctuate: true, Engine: &engine}
-	res, err := Run(rc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Done {
-		t.Fatal("lossy run did not complete — replay failed to recover")
-	}
-	spout := &TweetSpout{Batches: rc.Batches, TuplesPerBatch: rc.TuplesPerBatch, WordsPerTweet: rc.WordsPerTweet}
-	if !reflect.DeepEqual(res.Store.Snapshot(), spout.ExpectedCounts(rc.Workers)) {
-		t.Error("counts diverged despite replay + idempotent commits")
-	}
-}
-
 // TestDuplicateDeliveryIsDeduplicated: at-least-once duplication does not
 // double-count.
 func TestDuplicateDeliveryIsDeduplicated(t *testing.T) {

@@ -45,9 +45,6 @@ type WordcountConfig = wc.RunConfig
 // WordcountResult is the outcome: engine metrics plus the committed store.
 type WordcountResult = wc.RunResult
 
-// StormMetrics is the engine's throughput/latency record.
-type StormMetrics = storm.Metrics
-
 // RunWordcount executes one wordcount topology to completion on the
 // simulated cluster.
 func RunWordcount(cfg WordcountConfig) (WordcountResult, error) { return wc.Run(cfg) }
