@@ -2,35 +2,29 @@ package adtrack
 
 import (
 	"fmt"
-	"maps"
-	"slices"
 
 	"blazes/internal/bloom"
+	"blazes/internal/coord"
 	"blazes/internal/dataflow"
 	"blazes/internal/sim"
 )
 
 // Prepared is the half of a run that is a function of the workload alone:
-// the click and request plans, every record's Bloom row boxed once, the
-// producer sets and the validated Report module. Seed, regime, links and
-// costs are not in it, so one Prepared serves every schedule of a sweep —
-// concurrently: Prepare is its only writer, and Run reads it and hands out
-// pointers into it that nothing writes through.
+// the message list the coordination installer carries, every click's and
+// request's Bloom row boxed once, and the validated Report module. Seed,
+// regime, links and costs are not in it, so one Prepared serves every
+// schedule of a sweep — concurrently: Prepare is its only writer, and Run
+// only reads it.
 type Prepared struct {
-	from      preparedFrom
-	module    *bloom.Module
-	bursts    []Burst
-	requests  []record
-	producers map[string][]string
-	// clicks counts each campaign's clicks, campaigns sorted: what a sealing
-	// replica buffers of each partition.
-	clicks []campaignClicks
-}
-
-// campaignClicks is how many clicks one campaign has.
-type campaignClicks struct {
-	campaign string
-	n        int
+	from   preparedFrom
+	module *bloom.Module
+	// msgs is every burst in Plan's order — its clicks, each from its ad
+	// server into its campaign's partition, then the campaigns the burst
+	// seals — and then the requests, each a read of its campaign. No hop
+	// of the ad network retransmits, so every message is Once. rows[i] is
+	// msgs[i]'s row; a seal has none.
+	msgs []coord.Message
+	rows []bloom.Row
 }
 
 // preparedFrom is what a Prepared was built from; Run refuses a plan
@@ -47,15 +41,6 @@ func (cfg Config) preparedFrom() preparedFrom {
 	return preparedFrom{cfg.Workload, cfg.Query, cfg.Threshold, cfg.Requests, cfg.RequestSpacing}
 }
 
-// record is one click or request as the regimes route it and the replicas
-// ingest it: the row, and the fields coordination looks at.
-type record struct {
-	row      bloom.Row
-	campaign string
-	request  bool
-	at       sim.Time // a request's send time; a click goes with its burst
-}
-
 // Prepare builds the seed-invariant half of cfg's runs. Run calls it for a
 // caller that prepared nothing, so there is one way a plan is made.
 func Prepare(cfg Config) (*Prepared, error) {
@@ -63,21 +48,20 @@ func Prepare(cfg Config) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Prepared{from: cfg.preparedFrom(), module: mod, bursts: cfg.Workload.Plan(), producers: cfg.Workload.Producers()}
-	clicks := map[string]int{}
-	for i := range p.bursts {
-		b := &p.bursts[i]
-		b.records = make([]record, len(b.Clicks))
-		for j, c := range b.Clicks {
-			b.records[j] = record{row: c.Row(), campaign: c.Campaign}
-			clicks[c.Campaign]++
+	p := &Prepared{from: cfg.preparedFrom(), module: mod}
+	for _, b := range cfg.Workload.Plan() {
+		for _, c := range b.Clicks {
+			p.msgs = append(p.msgs, coord.Message{At: b.At, Producer: b.Server, Partition: c.Campaign, Once: true})
+			p.rows = append(p.rows, c.Row())
+		}
+		for _, campaign := range b.Seals {
+			p.msgs = append(p.msgs, coord.Message{At: b.At, Producer: b.Server, Partition: campaign, Seal: true, Once: true})
+			p.rows = append(p.rows, nil)
 		}
 	}
-	for _, campaign := range slices.Sorted(maps.Keys(clicks)) {
-		p.clicks = append(p.clicks, campaignClicks{campaign, clicks[campaign]})
-	}
 	for _, req := range cfg.Workload.RequestPlan(cfg.Requests, cfg.RequestSpacing) {
-		p.requests = append(p.requests, record{row: req.Row(), campaign: req.Campaign, request: true, at: req.At})
+		p.msgs = append(p.msgs, coord.Message{At: req.At, Partition: req.Campaign, Read: true, Once: true})
+		p.rows = append(p.rows, req.Row())
 	}
 	return p, nil
 }

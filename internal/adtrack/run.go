@@ -35,23 +35,36 @@ const (
 	Quorum
 )
 
-// String names the regime as in the figures.
-func (r Regime) String() string {
-	switch r {
-	case Uncoordinated:
-		return "uncoordinated"
-	case Ordered:
-		return "ordered"
-	case Quorum:
-		return "quorum"
-	default:
-		return "sealed"
-	}
+// regimes names each regime as in the figures, and gives the mechanism the
+// coordination installer runs it under. A sealed request reads its own
+// campaign, so sealing holds it for that campaign alone.
+var regimes = [...]struct {
+	name string
+	mech dataflow.Coordination
+}{
+	Uncoordinated: {"uncoordinated", dataflow.CoordNone},
+	Ordered:       {"ordered", dataflow.CoordDynamicOrder},
+	Sealed:        {"sealed", dataflow.CoordSealed},
+	Quorum:        {"quorum", dataflow.CoordQuorumOrder},
 }
 
-// backpressureThreshold is the sequencer queue delay above which clients
-// throttle and retry (Ordered regime).
-const backpressureThreshold = 250 * sim.Millisecond
+// String names the regime as in the figures.
+func (r Regime) String() string {
+	if r < 0 || int(r) >= len(regimes) {
+		return "Regime(" + strconv.Itoa(int(r)) + ")"
+	}
+	return regimes[r].name
+}
+
+// RegimeFor returns the regime that runs under mech, if one does.
+func RegimeFor(mech dataflow.Coordination) (Regime, bool) {
+	for r, g := range regimes {
+		if g.mech == mech {
+			return Regime(r), true
+		}
+	}
+	return 0, false
+}
 
 // Config parameterizes one ad-network run.
 type Config struct {
@@ -148,9 +161,6 @@ type Result struct {
 	Series Series
 	// FinishedAt is when the last replica finished ingesting all records.
 	FinishedAt sim.Time
-	// RegistryLookups counts seal-protocol registry calls (one per
-	// campaign per replica expected).
-	RegistryLookups int
 	// Responses collects every response emitted, tagged by replica.
 	Responses []Response
 	// LogSizes is each replica's final click-log cardinality.
@@ -158,59 +168,34 @@ type Result struct {
 	// LogDigests is each replica's canonical persistent-state digest
 	// (bloom.Node.Digest), the content-sensitive companion to LogSizes.
 	LogDigests []string
-	// Held reports requests still held at run end (sealed regime, when a
-	// campaign never sealed).
-	Held int
-	// BufferSum and BufferCount accumulate, at replica 0, the time each
-	// click record spent buffered awaiting its partition's seal — the
-	// latency cost of low coordination locality that separates Figure
-	// 14's two curves.
-	BufferSum   sim.Time
-	BufferCount int
-	// CoordMessages counts the coordination-service messages the regime
-	// issued: sequencer submissions (one round trip per click/request)
-	// under Ordered, watermark heartbeats under Quorum, 0 otherwise —
-	// the cost axis on which quorum ordering beats the sequencer.
-	CoordMessages int
-}
-
-// AvgBufferTime is the mean time a record waited for its partition to seal.
-func (r *Result) AvgBufferTime() sim.Time {
-	if r.BufferCount == 0 {
-		return 0
-	}
-	return r.BufferSum / sim.Time(r.BufferCount)
+	// Counters are what the regime's coordination cost and left behind:
+	// its coordination-service messages, the sealed regime's registry
+	// lookups (one per campaign per replica), the requests still held at
+	// run end (a campaign never sealed), and the time clicks spent
+	// buffered awaiting their campaign's seal, over every replica.
+	coord.Counters
 }
 
 // replica is one reporting server instance in the simulation.
 type replica struct {
-	idx  int
-	node *bloom.Node
-	// link is the direct adserver→replica / analyst→replica hop; no send on
-	// it retransmits (DESIGN.md "What a fault plan duplicates").
-	link      *sim.Link
+	idx       int
+	node      *bloom.Node
 	busyUntil sim.Time
 	draining  bool
-	// pending is the serialized input queue. Clicks and requests share it,
-	// which preserves the relative order in which they reached the replica
-	// — essential for the ordering regime's guarantee that all replicas
-	// process the same interleaving.
-	pending []*record
+	// pending is the serialized input queue, as message indexes. Clicks
+	// and requests share it, which preserves the relative order in which
+	// they reached the replica — essential for the ordering regime's
+	// guarantee that all replicas process the same interleaving.
+	pending []int
 	// batch and req are what the scheduled drain step will apply: the
 	// clicks drained ahead of the request (if any) that ends the step.
 	// draining keeps them exclusive until fire runs, so one buffer serves
 	// every step, and fire is the one closure every step schedules.
 	batch    []bloom.Row
-	req      *record
+	req      bloom.Row
 	fire     func()
 	ingested int
 	series   Series
-	// Sealed-regime state.
-	tracker *coord.SealTracker
-	held    map[string][]*record
-	looked  map[string]bool
-	// arrivals records per-campaign data arrival times until release.
-	arrivals map[string][]sim.Time
 }
 
 // Run executes one ad-network run to completion. A caller running many
@@ -220,11 +205,13 @@ func Run(cfg Config, prepared ...*Prepared) (*Result, error) {
 	if cfg.Replicas <= 0 {
 		return nil, fmt.Errorf("adtrack: Replicas must be positive")
 	}
+	if cfg.Regime < 0 || int(cfg.Regime) >= len(regimes) {
+		return nil, fmt.Errorf("adtrack: unknown regime %s", cfg.Regime)
+	}
 	plan, err := planFor(cfg, prepared)
 	if err != nil {
 		return nil, err
 	}
-	bursts, requests := plan.bursts, plan.requests
 	s := sim.New(cfg.Seed)
 	res := &Result{}
 
@@ -236,14 +223,7 @@ func Run(cfg Config, prepared ...*Prepared) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		replicas[i] = &replica{
-			idx:      i,
-			node:     node,
-			link:     sim.NewLink(s, cfg.Link),
-			held:     map[string][]*record{},
-			looked:   map[string]bool{},
-			arrivals: map[string][]sim.Time{},
-		}
+		replicas[i] = &replica{idx: i, node: node}
 	}
 
 	var tickErr error
@@ -282,12 +262,12 @@ func Run(cfg Config, prepared ...*Prepared) (*Result, error) {
 		r.draining = true
 		r.batch = r.batch[:0]
 		i := 0
-		for ; i < len(r.pending) && !r.pending[i].request; i++ {
-			r.batch = append(r.batch, r.pending[i].row)
+		for ; i < len(r.pending) && !plan.msgs[r.pending[i]].Read; i++ {
+			r.batch = append(r.batch, plan.rows[r.pending[i]])
 		}
 		r.req = nil
 		if i < len(r.pending) {
-			r.req = r.pending[i]
+			r.req = plan.rows[r.pending[i]]
 			i++
 		}
 		r.pending = r.pending[i:]
@@ -311,7 +291,7 @@ func Run(cfg Config, prepared ...*Prepared) (*Result, error) {
 				r.series = append(r.series, Point{At: s.Now(), Records: r.ingested})
 			}
 			if r.req != nil {
-				if err := r.node.Deliver("request", r.req.row); err != nil {
+				if err := r.node.Deliver("request", r.req); err != nil {
 					fail(err)
 					return
 				}
@@ -321,181 +301,29 @@ func Run(cfg Config, prepared ...*Prepared) (*Result, error) {
 			drain(r)
 		}
 	}
-	enqueue := func(r *replica, m *record) {
-		r.pending = append(r.pending, m)
-		drain(r)
+	d := coord.Delivery{
+		Sim:       s,
+		Link:      cfg.Link,
+		Sequencer: cfg.Sequencer,
+		Quorum:    cfg.Quorum,
+		Replicas:  cfg.Replicas,
+		Msgs:      plan.msgs,
+		Apply: func(ri, i int) {
+			r := replicas[ri]
+			r.pending = append(r.pending, i)
+			drain(r)
+		},
 	}
-
-	switch cfg.Regime {
-	case Uncoordinated:
-		// Every click travels independently: reordering across records
-		// and across replicas.
-		for _, b := range bursts {
-			s.At(b.At, func() {
-				for i := range b.records {
-					m := &b.records[i]
-					for _, r := range replicas {
-						r.link.Send(sim.Unordered, s.Now(), sim.Func(func() { enqueue(r, m) }))
-					}
-				}
-			})
-		}
-		for i := range requests {
-			req := &requests[i]
-			s.At(req.at, func() {
-				for _, r := range replicas {
-					r.link.Send(sim.Unordered, s.Now(), sim.Func(func() { enqueue(r, req) }))
-				}
-			})
-		}
-
-	case Ordered:
-		seq := coord.NewSequencer(s, cfg.Sequencer)
-		for _, r := range replicas {
-			seq.Subscribe(func(m coord.Sequenced) { enqueue(r, m.Msg.(*record)) })
-		}
-		// Clients throttle when the service queue grows (connection
-		// backpressure): a burst finding the queue deep defers itself.
-		var submitBurst func(b *Burst)
-		submitBurst = func(b *Burst) {
-			if d := seq.QueueDelay(); d > backpressureThreshold {
-				backoff := d + sim.Time(s.Rand().Int63n(int64(d)+1))
-				s.After(backoff, func() { submitBurst(b) })
-				return
-			}
-			for i := range b.records {
-				seq.Submit(&b.records[i])
-			}
-		}
-		for i := range bursts {
-			s.At(bursts[i].At, func() { submitBurst(&bursts[i]) })
-		}
-		for i := range requests {
-			s.At(requests[i].at, func() { seq.Submit(&requests[i]) })
-		}
-		defer func() { res.CoordMessages = seq.Submitted() }()
-
-	case Quorum:
-		q := coord.NewQuorumOrder(s, cfg.Quorum)
-		for _, r := range replicas {
-			q.Subscribe(func(_ coord.Stamp, msg any) { enqueue(r, msg.(*record)) })
-		}
-		// One stamping producer per ad server (first-occurrence order, so
-		// producer ids — and hence the preordained order — are
-		// deterministic) plus one for the analyst.
-		producers := map[string]*coord.QuorumProducer{}
-		var plist []*coord.QuorumProducer
-		for _, b := range bursts {
-			if producers[b.Server] == nil {
-				p := q.Producer()
-				producers[b.Server] = p
-				plist = append(plist, p)
-			}
-		}
-		analyst := q.Producer()
-		plist = append(plist, analyst)
-		var end sim.Time
-		for _, b := range bursts {
-			end = max(end, b.At)
-			s.At(b.At, func() {
-				p := producers[b.Server]
-				for i := range b.records {
-					p.Send(&b.records[i])
-				}
-			})
-		}
-		for i := range requests {
-			end = max(end, requests[i].at)
-			s.At(requests[i].at, func() { analyst.Send(&requests[i]) })
-		}
-		// Quiescence markers flush everything buffered behind the frontier.
-		for _, p := range plist {
-			s.At(end+sim.Millisecond, p.Done)
-		}
-		defer func() { res.CoordMessages = q.Heartbeats() }()
-
-	case Sealed:
-		registry := coord.NewRegistry(s, cfg.Link)
-		for campaign, producers := range plan.producers {
-			for _, p := range producers {
-				registry.Register(campaign, p)
-			}
-		}
-		for _, r := range replicas {
-			r.tracker = coord.NewSealTracker(func(partition string, msgs []any) {
-				if r.idx == 0 {
-					for _, at := range r.arrivals[partition] {
-						res.BufferSum += s.Now() - at
-						res.BufferCount++
-					}
-					delete(r.arrivals, partition)
-				}
-				for _, m := range msgs {
-					enqueue(r, m.(*record))
-				}
-				for _, req := range r.held[partition] {
-					enqueue(r, req)
-				}
-				delete(r.held, partition)
-			})
-			for _, c := range plan.clicks {
-				r.tracker.Reserve(c.campaign, c.n)
-			}
-		}
-		lookup := func(r *replica, campaign string) {
-			if r.looked[campaign] {
-				return
-			}
-			r.looked[campaign] = true
-			registry.Lookup(campaign, func(producers []string) {
-				r.tracker.SetExpected(campaign, producers)
-			})
-		}
-		// Each ad server's traffic is one FIFO stream on a replica's link:
-		// punctuations are embedded in the producer's stream and must not
-		// overtake its data.
-		for _, b := range bursts {
-			s.At(b.At, func() {
-				for _, r := range replicas {
-					for i := range b.records {
-						c := &b.records[i]
-						r.link.Send(b.Server, s.Now(), sim.Func(func() {
-							lookup(r, c.campaign)
-							if r.idx == 0 {
-								r.arrivals[c.campaign] = append(r.arrivals[c.campaign], s.Now())
-							}
-							r.tracker.Data(c.campaign, c)
-						}))
-					}
-					for _, campaign := range b.Seals {
-						r.link.Send(b.Server, s.Now(), sim.Func(func() {
-							lookup(r, campaign)
-							r.tracker.Seal(coord.Punctuation{Partition: campaign, Producer: b.Server})
-						}))
-					}
-				}
-			})
-		}
-		for i := range requests {
-			req := &requests[i]
-			s.At(req.at, func() {
-				for _, r := range replicas {
-					r.link.Send(sim.Unordered, s.Now(), sim.Func(func() {
-						if r.tracker.Sealed(req.campaign) {
-							enqueue(r, req)
-						} else {
-							r.held[req.campaign] = append(r.held[req.campaign], req)
-						}
-					}))
-				}
-			})
-		}
-		defer func() { res.RegistryLookups = registry.Lookups() }()
+	if err := d.Install(regimes[cfg.Regime].mech); err != nil {
+		return nil, fmt.Errorf("adtrack: %w", err)
 	}
 
 	s.Run()
 	if tickErr != nil {
 		return nil, tickErr
+	}
+	if res.Counters, err = d.Result(); err != nil {
+		return nil, fmt.Errorf("adtrack: %w", err)
 	}
 
 	// Final bookkeeping: flush one tick per replica so trailing deliveries
@@ -507,9 +335,6 @@ func Run(cfg Config, prepared ...*Prepared) (*Result, error) {
 		}
 		res.LogSizes = append(res.LogSizes, r.node.Size("clicklog"))
 		res.LogDigests = append(res.LogDigests, r.node.Digest())
-		for _, reqs := range r.held {
-			res.Held += len(reqs)
-		}
 		if n := len(r.series); n > 0 && r.series[n-1].At > res.FinishedAt {
 			res.FinishedAt = r.series[n-1].At
 		}

@@ -87,9 +87,6 @@ type Burst struct {
 	At     sim.Time
 	Clicks []Click
 	Seals  []string
-	// records is Clicks as a run routes them, each row boxed once; Prepare
-	// fills it in.
-	records []record
 }
 
 // campaignsOf returns the campaigns server s produces, in emission order.
@@ -194,18 +191,6 @@ func (w Workload) Plan() []Burst {
 		flush()
 	}
 	return bursts
-}
-
-// Producers returns, per campaign, the servers that produce records for it
-// (the registry contents for the sealing protocol).
-func (w Workload) Producers() map[string][]string {
-	out := map[string][]string{}
-	for s := 0; s < w.AdServers; s++ {
-		for _, c := range w.campaignsOf(s) {
-			out[CampaignName(c)] = append(out[CampaignName(c)], ServerName(s))
-		}
-	}
-	return out
 }
 
 // Request is one analyst query.

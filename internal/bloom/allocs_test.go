@@ -98,7 +98,9 @@ func TestRequestTickAllocs(t *testing.T) {
 // tenth; before is what the schedule allocated before its bound was last
 // set, when a run did not yet hand its storm topology back
 // (Topology.Release), write its final digest once, or carve its messages'
-// handlers from one slice.
+// handlers from one slice — and, for the ad network, when it scheduled a
+// closure per click and a quorum replica copied its whole buffer on every
+// arrival.
 func TestScheduleBytes(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector changes allocation sizes")
@@ -114,7 +116,10 @@ func TestScheduleBytes(t *testing.T) {
 		bound, before float64 // kB per schedule
 	}{
 		{chaos.ReplicatedReport(dataflow.CAMPAIGN), dataflow.CoordSealed, 22, 36.6},
-		{chaos.AdNetwork(), dataflow.CoordSealed, 85, 83.7},
+		{chaos.AdNetwork(), dataflow.CoordSealed, 68, 76.9},
+		{chaos.AdNetwork(), dataflow.CoordNone, 51, 54.6},
+		{chaos.AdNetwork(), dataflow.CoordDynamicOrder, 74, 68.4},
+		{chaos.AdNetwork(), dataflow.CoordQuorumOrder, 124, 2795.7},
 		{chaos.Wordcount(), dataflow.CoordSealed, 53, 122.1},
 		{chaos.SyntheticSet(), dataflow.CoordNone, 17, 18.9},
 		{chaos.Generated(40, 8), dataflow.CoordNone, 27, 31.3},

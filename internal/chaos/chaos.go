@@ -63,6 +63,19 @@ func (p FaultPlan) shapeSequencer(cfg coord.SequencerConfig) coord.SequencerConf
 	return cfg
 }
 
+// delivery is a run's coord.Delivery with every hop a mechanism sends on
+// shaped by the plan: link, the workload's direct sender→replica hop, and
+// the default ordering service and quorum order, the latter heartbeating
+// every 10ms.
+func (p FaultPlan) delivery(s *sim.Sim, link sim.LinkConfig) coord.Delivery {
+	return coord.Delivery{
+		Sim:       s,
+		Link:      p.Shape(link),
+		Sequencer: p.shapeSequencer(coord.DefaultSequencer),
+		Quorum:    coord.QuorumConfig{Delivery: p.Shape(coord.DefaultQuorum.Delivery), HeartbeatEvery: 10 * sim.Millisecond},
+	}
+}
+
 // DefaultPlans is the standard adversarial sweep: a baseline with the
 // workload's native jitter, a heavy-reorder plan, an at-least-once plan,
 // and a partition that heals mid-run.

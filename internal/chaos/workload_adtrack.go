@@ -16,13 +16,13 @@ import (
 // replicas on the Bloom runtime, the ad-server click plan, the coordination
 // regimes of Section VIII-B) under chaotic delivery. The dataflow is the
 // white-box Figure 4 graph with the click source sealed per campaign, so
-// the analyzer recommends sealing; the harness maps mechanisms onto the
-// network's regimes:
-//
-//	CoordSealed       → adtrack.Sealed (per-campaign unanimous vote)
-//	CoordDynamicOrder → adtrack.Ordered (totally ordered messaging)
-//	CoordQuorumOrder  → adtrack.Quorum (stamped, frontier-stable order)
-//	CoordNone         → adtrack.Uncoordinated (direct delivery)
+// the analyzer recommends sealing. Each mechanism runs as the regime
+// adtrack.RegimeFor names, and the regime's messages go through the same
+// coord.Delivery as every other workload's: a click comes from its ad
+// server into its campaign's partition, a request reads its campaign, and
+// each burst's seals follow that burst's clicks on the server's stream.
+// None of them is retransmitted, so the duplicate plan reaches the network
+// only through the quorum order's hops.
 type AdNetworkWorkload struct {
 	Query            dataflow.AdQuery
 	AdServers        int
@@ -49,26 +49,14 @@ func (w *AdNetworkWorkload) Graph() (*dataflow.Graph, error) {
 
 // Supports implements Workload.
 func (w *AdNetworkWorkload) Supports(mech dataflow.Coordination) bool {
-	switch mech {
-	case dataflow.CoordNone, dataflow.CoordDynamicOrder, dataflow.CoordSealed, dataflow.CoordQuorumOrder:
-		return true
-	}
-	return false
+	_, ok := adtrack.RegimeFor(mech)
+	return ok
 }
 
 // Run implements Workload.
 func (w *AdNetworkWorkload) Run(seed int64, plan FaultPlan, mech dataflow.Coordination) (Outcome, error) {
-	var regime adtrack.Regime
-	switch mech {
-	case dataflow.CoordNone:
-		regime = adtrack.Uncoordinated
-	case dataflow.CoordDynamicOrder:
-		regime = adtrack.Ordered
-	case dataflow.CoordSealed:
-		regime = adtrack.Sealed
-	case dataflow.CoordQuorumOrder:
-		regime = adtrack.Quorum
-	default:
+	regime, ok := adtrack.RegimeFor(mech)
+	if !ok {
 		return Outcome{}, fmt.Errorf("adtrack: unsupported mechanism %s", mech)
 	}
 	cfg := adtrack.DefaultConfig(w.AdServers, regime, false)

@@ -232,10 +232,12 @@ type bloomProbe struct {
 // is fixed; only delivery varies. Runs share it read-only.
 type bloomPlan struct {
 	mod *bloom.Module
-	// msgs are the clicks, then the requests: a click rides its server's
-	// stream and belongs to its campaign's partition, a request reads one
-	// campaign. rows[i] is msgs[i]'s row, boxed once.
-	msgs   []message
+	// msgs are the clicks, then the seals, then the requests: a click rides
+	// its server's stream and belongs to its campaign's partition, every
+	// server punctuates a campaign a millisecond after its last click for
+	// it, and a request reads one campaign. rows[i] is msgs[i]'s row, boxed
+	// once; a seal has none.
+	msgs   []coord.Message
 	rows   []bloom.Row
 	probes []bloomProbe
 	// probeAt maps a probe's request id to its index in probes.
@@ -243,9 +245,6 @@ type bloomPlan struct {
 	// sequenced is M1's preordained total order: clicks in workload order
 	// with requests interleaved at fixed positions.
 	sequenced []int
-	// seals: every server punctuates a campaign a millisecond after its
-	// last click for it.
-	seals []seal
 }
 
 // plan returns the prepared plan, building it on first use.
@@ -264,6 +263,7 @@ func (w *BloomReportWorkload) plan() (*bloomPlan, error) {
 		// lastFor tracks each server's final send time per campaign so the
 		// punctuation follows its stream.
 		lastFor := make([]sim.Time, w.Campaigns)
+		var seals []coord.Message
 		for srv := 0; srv < w.Servers; srv++ {
 			server := adtrack.ServerName(srv)
 			clear(lastFor)
@@ -278,14 +278,17 @@ func (w *BloomReportWorkload) plan() (*bloomPlan, error) {
 				// Each server's stream is paced across the span.
 				at := span * sim.Time(i) / sim.Time(w.ClicksPerServer+1)
 				lastFor[i%w.Campaigns] = at
-				p.msgs = append(p.msgs, message{at: at, producer: server, partition: c.Campaign})
+				p.msgs = append(p.msgs, coord.Message{At: at, Producer: server, Partition: c.Campaign})
 				p.rows = append(p.rows, c.Row())
 			}
 			for c, campaign := range campaigns {
-				p.seals = append(p.seals, seal{coord.Punctuation{Partition: campaign, Producer: server}, lastFor[c] + sim.Millisecond})
+				seals = append(seals, coord.Message{At: lastFor[c] + sim.Millisecond, Producer: server, Partition: campaign, Seal: true})
 			}
 		}
 		clicks := len(p.msgs)
+		p.msgs = append(p.msgs, seals...)
+		p.rows = append(p.rows, make([]bloom.Row, len(seals))...)
+		requests := len(p.msgs)
 		for i := 0; i < w.Requests; i++ {
 			req := adtrack.Request{
 				ID:       adtrack.AdName(i%w.Campaigns, i%w.AdsPerCampaign),
@@ -296,14 +299,14 @@ func (w *BloomReportWorkload) plan() (*bloomPlan, error) {
 			// A request is a row on the wire like any other: bare, it is
 			// retransmitted like one.
 			at := 10*sim.Millisecond + span*sim.Time(i)/sim.Time(w.Requests)
-			p.msgs = append(p.msgs, message{at: at, partition: req.Campaign, read: true})
+			p.msgs = append(p.msgs, coord.Message{At: at, Partition: req.Campaign, Read: true})
 			p.rows = append(p.rows, req.Row())
 			req.ReqID = "fq" + strconv.Itoa(i)
 			p.probeAt[req.ReqID] = len(p.probes)
 			p.probes = append(p.probes, bloomProbe{row: req.Row(), id: req.ReqID})
 		}
 		stride := clicks/(w.Requests+1) + 1
-		next := clicks
+		next := requests
 		for i := 0; i < clicks; i++ {
 			p.sequenced = append(p.sequenced, i)
 			if (i+1)%stride == 0 && next < len(p.msgs) {
@@ -359,24 +362,22 @@ func (w *BloomReportWorkload) simulate(seed int64, plan FaultPlan, mech dataflow
 
 	var runErr error
 	s := sim.New(seed)
-	d := delivery{
-		s:        s,
-		plan:     plan,
-		link:     sim.LinkConfig{MinDelay: 200 * sim.Microsecond, MaxDelay: 6 * sim.Millisecond},
-		replicas: len(reps),
-		msgs:     p.msgs,
-		order:    p.sequenced,
-		seals:    p.seals,
-		apply: func(ri, i int) {
-			if err := reps[ri].deliver(p.msgs[i].read, p.rows[i]); err != nil && runErr == nil {
-				runErr = err
-			}
-		},
+	d := plan.delivery(s, sim.LinkConfig{MinDelay: 200 * sim.Microsecond, MaxDelay: 6 * sim.Millisecond})
+	d.Replicas = len(reps)
+	d.Msgs = p.msgs
+	d.Order = p.sequenced
+	d.Apply = func(ri, i int) {
+		if err := reps[ri].deliver(p.msgs[i].Read, p.rows[i]); err != nil && runErr == nil {
+			runErr = err
+		}
 	}
-	if err := d.install(mech); err != nil {
+	if err := d.Install(mech); err != nil {
 		return nil, nil, fmt.Errorf("bloom-report: %w", err)
 	}
 	s.Run()
+	if _, err := d.Result(); err != nil && runErr == nil {
+		runErr = err
+	}
 	if runErr != nil {
 		return nil, nil, runErr
 	}

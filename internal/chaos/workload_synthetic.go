@@ -236,19 +236,20 @@ func (w *SyntheticWorkload) Run(seed int64, plan FaultPlan, mech dataflow.Coordi
 
 	// Each producer paces its messages across the span, all on one cadence,
 	// and is its own partition, sealed a millisecond after its last message.
+	// The data come first in msgs, then the seals, then the reads.
 	total := w.Producers * w.PerProducer
+	reads := total + w.Producers
 	data := make([]synMsg, 0, total)
-	msgs := make([]message, 0, total+w.Reads)
-	seals := make([]seal, w.Producers)
-	for p := range seals {
+	msgs := make([]coord.Message, total, reads+w.Reads)
+	for p := range w.Producers {
 		producer := "p" + strconv.Itoa(p)
 		var at sim.Time
 		for i := 0; i < w.PerProducer; i++ {
 			at = span * sim.Time(i*w.Producers) / sim.Time(total)
 			data = append(data, synMsg{Producer: producer, Stamp: i*w.Producers + p + 1, ID: producer + ":" + strconv.Itoa(i)})
-			msgs = append(msgs, message{at: at, producer: producer, partition: producer})
+			msgs[len(data)-1] = coord.Message{At: at, Producer: producer, Partition: producer}
 		}
-		seals[p] = seal{coord.Punctuation{Partition: producer, Producer: producer}, at + sim.Millisecond}
+		msgs = append(msgs, coord.Message{At: at + sim.Millisecond, Producer: producer, Partition: producer, Seal: true})
 	}
 	// Reads are posed at the replica, so nothing retransmits them. A read
 	// observes the whole state, and under sealing waits for all of it —
@@ -257,9 +258,9 @@ func (w *SyntheticWorkload) Run(seed int64, plan FaultPlan, mech dataflow.Coordi
 	// across replicas, so each answer lands at its read's index: the trace
 	// compares query answers, not release order.
 	for i := 0; i < w.Reads; i++ {
-		m := message{at: span * sim.Time(i+1) / sim.Time(w.Reads+1), read: true, once: true}
+		m := coord.Message{At: span * sim.Time(i+1) / sim.Time(w.Reads+1), Read: true, Once: true}
 		if perPartition {
-			m.partition = "p" + strconv.Itoa(i%w.Producers)
+			m.Partition = "p" + strconv.Itoa(i%w.Producers)
 		}
 		msgs = append(msgs, m)
 	}
@@ -269,37 +270,35 @@ func (w *SyntheticWorkload) Run(seed int64, plan FaultPlan, mech dataflow.Coordi
 	for i := range data {
 		order = append(order, i)
 		if (i+1)%stride == 0 {
-			order = append(order, total)
+			order = append(order, reads)
 		}
 	}
-	order = append(order, total)
+	order = append(order, reads)
 
 	s := sim.New(seed)
-	d := delivery{
-		s:        s,
-		plan:     plan,
-		link:     sim.LinkConfig{MinDelay: 100 * sim.Microsecond, MaxDelay: 12 * sim.Millisecond},
-		replicas: len(reps),
-		msgs:     msgs,
-		order:    order,
-		seals:    seals,
-		apply: func(ri, i int) {
-			r := reps[ri]
-			switch {
-			case i < total:
-				r.apply(data[i])
-			case perPartition:
-				part := msgs[i].partition
-				r.outputs[i-total] = part + "=" + strconv.FormatUint(r.chains[part], 16)
-			default:
-				r.read()
-			}
-		},
+	d := plan.delivery(s, sim.LinkConfig{MinDelay: 100 * sim.Microsecond, MaxDelay: 12 * sim.Millisecond})
+	d.Replicas = len(reps)
+	d.Msgs = msgs
+	d.Order = order
+	d.Apply = func(ri, i int) {
+		r := reps[ri]
+		switch {
+		case i < total:
+			r.apply(data[i])
+		case perPartition:
+			part := msgs[i].Partition
+			r.outputs[i-reads] = part + "=" + strconv.FormatUint(r.chains[part], 16)
+		default:
+			r.read()
+		}
 	}
-	if err := d.install(mech); err != nil {
+	if err := d.Install(mech); err != nil {
 		return Outcome{}, fmt.Errorf("synthetic: %w", err)
 	}
 	s.Run()
+	if _, err := d.Result(); err != nil {
+		return Outcome{}, fmt.Errorf("synthetic: %w", err)
+	}
 
 	out := Outcome{}
 	for _, r := range reps {

@@ -2,6 +2,7 @@ package coord
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -83,11 +84,8 @@ func (q *QuorumOrder) Subscribe(fn func(Stamp, any)) {
 		q:         q,
 		fn:        fn,
 		link:      sim.NewLink(q.sim, q.cfg.Delivery),
-		watermark: map[int]uint64{},
-		seen:      map[[2]uint64]bool{},
-	}
-	for _, p := range q.producers {
-		r.watermark[p.id] = 0
+		watermark: make([]uint64, len(q.producers)),
+		delivered: make([]uint64, len(q.producers)),
 	}
 	q.replicas = append(q.replicas, r)
 }
@@ -98,7 +96,8 @@ func (q *QuorumOrder) Producer() *QuorumProducer {
 	p := &QuorumProducer{q: q, id: len(q.producers), stream: strconv.Itoa(len(q.producers))}
 	q.producers = append(q.producers, p)
 	for _, r := range q.replicas {
-		r.watermark[p.id] = 0
+		r.watermark = append(r.watermark, 0)
+		r.delivered = append(r.delivered, 0)
 	}
 	q.sim.After(q.cfg.HeartbeatEvery, p.tick)
 	return p
@@ -167,14 +166,16 @@ type quorumReplica struct {
 	fn func(Stamp, any)
 	// link is the hop into this replica, one FIFO stream per producer.
 	link *sim.Link
-	// buffer holds arrived-but-unstable messages.
+	// buffer holds arrived-but-unstable messages in stamp order, so the
+	// stable ones are always a prefix of it.
 	buffer []stamped
-	// watermark is the highest clock each producer has promised not to
-	// send at or below again (its last stamp or heartbeat).
-	watermark map[int]uint64
-	// seen dedups data messages by (producer, seq) under at-least-once
-	// delivery.
-	seen map[[2]uint64]bool
+	// watermark is, by producer id, the highest clock the producer has
+	// promised not to send at or below again (its last stamp or heartbeat).
+	watermark []uint64
+	// delivered is, by producer id, the highest seq received: a producer's
+	// data arrive on its FIFO stream in seq order, a retransmission behind
+	// its first copy, so a seq at or below it is a duplicate.
+	delivered []uint64
 }
 
 type stamped struct {
@@ -183,17 +184,18 @@ type stamped struct {
 }
 
 // data receives one stamped message: dedup, record the implied watermark
-// (the stamp itself — FIFO links make it one), buffer, and drain.
+// (the stamp itself — FIFO links make it one), buffer in stamp order, and
+// drain.
 func (r *quorumReplica) data(st Stamp, msg any) {
-	key := [2]uint64{uint64(st.Producer), st.Seq}
-	if r.seen[key] {
+	if st.Seq <= r.delivered[st.Producer] {
 		return
 	}
-	r.seen[key] = true
+	r.delivered[st.Producer] = st.Seq
 	if st.Clock > r.watermark[st.Producer] {
 		r.watermark[st.Producer] = st.Clock
 	}
-	r.buffer = append(r.buffer, stamped{st: st, msg: msg})
+	at := sort.Search(len(r.buffer), func(i int) bool { return st.less(r.buffer[i].st) })
+	r.buffer = slices.Insert(r.buffer, at, stamped{st: st, msg: msg})
 	r.drain()
 }
 
@@ -211,29 +213,16 @@ func (r *quorumReplica) mark(producer int, w uint64) {
 // per-pair links are FIFO, so everything ≤ the frontier has arrived:
 // delivering it in stamp order is safe and identical at every replica.
 func (r *quorumReplica) drain() {
-	frontier := uint64(math.MaxUint64)
-	//lint:allow maporder min over the values is order-insensitive
-	for _, w := range r.watermark {
-		if w < frontier {
-			frontier = w
-		}
+	frontier := uint64(0)
+	if len(r.watermark) > 0 {
+		frontier = slices.Min(r.watermark)
 	}
-	if len(r.watermark) == 0 {
-		frontier = 0
+	n := 0
+	for n < len(r.buffer) && r.buffer[n].st.Clock <= frontier {
+		n++
 	}
-	var ready, rest []stamped
-	for _, m := range r.buffer {
-		if m.st.Clock <= frontier {
-			ready = append(ready, m)
-		} else {
-			rest = append(rest, m)
-		}
-	}
-	if len(ready) == 0 {
-		return
-	}
-	sort.Slice(ready, func(i, j int) bool { return ready[i].st.less(ready[j].st) })
-	r.buffer = rest
+	ready := r.buffer[:n]
+	r.buffer = r.buffer[n:]
 	for _, m := range ready {
 		r.fn(m.st, m.msg)
 	}

@@ -42,9 +42,6 @@ type SealTracker struct {
 	done map[string]bool
 	// onSealed receives each completed partition exactly once.
 	onSealed func(partition string, msgs []any)
-	// lateData counts messages arriving after their partition sealed
-	// (at-least-once duplicates under the protocol contract).
-	lateData int
 }
 
 // NewSealTracker creates a tracker delivering completed partitions to
@@ -84,14 +81,15 @@ func (t *SealTracker) Reserve(partition string, n int) {
 	}
 }
 
-// Data buffers one message for a partition. Messages for already-released
-// partitions are counted as late duplicates and dropped.
-func (t *SealTracker) Data(partition string, msg any) {
+// Data buffers one message for a partition and reports whether it could: a
+// message for an already-released partition is dropped and reported, since
+// a producer that punctuated a partition broke its promise by sending more.
+func (t *SealTracker) Data(partition string, msg any) bool {
 	if t.done[partition] {
-		t.lateData++
-		return
+		return false
 	}
 	t.buffer[partition] = append(t.buffer[partition], msg)
+	return true
 }
 
 // Seal records a producer's punctuation for a partition and releases the
@@ -111,9 +109,6 @@ func (t *SealTracker) Seal(p Punctuation) {
 
 // Sealed reports whether the partition has been released.
 func (t *SealTracker) Sealed(partition string) bool { return t.done[partition] }
-
-// LateData reports messages that arrived after their partition released.
-func (t *SealTracker) LateData() int { return t.lateData }
 
 // maybeRelease performs the unanimous vote.
 func (t *SealTracker) maybeRelease(partition string) {

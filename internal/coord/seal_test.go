@@ -69,16 +69,6 @@ func TestSealBuffersUntilExpectedKnown(t *testing.T) {
 	}
 }
 
-func TestSealLateDataCounted(t *testing.T) {
-	tr := NewSealTracker(func(string, []any) {})
-	tr.SetExpected("c1", []string{"a"})
-	tr.Seal(Punctuation{"c1", "a"})
-	tr.Data("c1", "late")
-	if tr.LateData() != 1 {
-		t.Errorf("LateData = %d, want 1", tr.LateData())
-	}
-}
-
 func TestSealDuplicatePunctuationsIdempotent(t *testing.T) {
 	count := 0
 	tr := NewSealTracker(func(string, []any) { count++ })

@@ -1,8 +1,10 @@
 // Package coord implements the coordination substrates that Blazes
 // strategies compile to: a Zookeeper-like totally ordered messaging service
-// (the ordering strategies M1/M2 of Figure 5), a partition→producer registry,
-// and the seal tracker that implements the paper's per-partition unanimous
-// voting protocol (the sealing strategy M3).
+// (the ordering strategies M1/M2 of Figure 5), the quorum order (M1q), a
+// partition→producer registry, and the seal tracker that implements the
+// paper's per-partition unanimous voting protocol (the sealing strategy M3);
+// and Delivery, the one place a workload's messages are installed under
+// one of them.
 package coord
 
 import (

@@ -15,7 +15,8 @@ type AdSeries struct {
 	Series adtrack.Series
 	// FinishedAt is the run's completion time.
 	FinishedAt sim.Time
-	// AvgBufferTime is the mean seal-buffering delay (seal regimes).
+	// AvgBufferTime is the mean seal-buffering delay (seal regimes), over
+	// every replica.
 	AvgBufferTime sim.Time
 }
 
