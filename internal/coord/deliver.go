@@ -359,7 +359,6 @@ type sealingReplica struct {
 	waits       []partitionWait
 	bufferSum   sim.Time
 	bufferCount int
-	sent        []int // fold's scratch
 }
 
 // partitionWait sums the arrival times of a partition's buffered data, so
@@ -405,16 +404,12 @@ func (s *sealSend) Fire() {
 // arrived in: that is what makes an order-sensitive fold deterministic under
 // sealing. Then it answers the reads the partition held, and once every
 // partition is sealed, the reads that wait for all of them.
-func (r *sealingReplica) fold(partition string, buffered []any) {
+func (r *sealingReplica) fold(partition string, buffered []int) {
 	w := &r.waits[slices.Index(r.partitions, partition)]
 	r.bufferSum += sim.Time(w.n)*r.d.Sim.Now() - w.arrivals
 	r.bufferCount += w.n
-	r.sent = r.sent[:0]
-	for _, b := range buffered {
-		r.sent = append(r.sent, b.(int))
-	}
-	slices.Sort(r.sent)
-	for _, i := range r.sent {
+	slices.Sort(buffered) // the tracker hands the buffer over
+	for _, i := range buffered {
 		r.d.Apply(r.ri, i)
 	}
 	r.sealed++

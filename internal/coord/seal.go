@@ -36,21 +36,22 @@ type SealTracker struct {
 	expected map[string][]string
 	// sealedBy maps partition → producers that have punctuated.
 	sealedBy map[string]map[string]bool
-	// buffer holds per-partition data awaiting the seal.
-	buffer map[string][]any
+	// buffer holds per-partition data awaiting the seal, as message
+	// indexes.
+	buffer map[string][]int
 	// done marks released partitions.
 	done map[string]bool
 	// onSealed receives each completed partition exactly once.
-	onSealed func(partition string, msgs []any)
+	onSealed func(partition string, msgs []int)
 }
 
 // NewSealTracker creates a tracker delivering completed partitions to
 // onSealed.
-func NewSealTracker(onSealed func(partition string, msgs []any)) *SealTracker {
+func NewSealTracker(onSealed func(partition string, msgs []int)) *SealTracker {
 	return &SealTracker{
 		expected: map[string][]string{},
 		sealedBy: map[string]map[string]bool{},
-		buffer:   map[string][]any{},
+		buffer:   map[string][]int{},
 		done:     map[string]bool{},
 		onSealed: onSealed,
 	}
@@ -77,14 +78,15 @@ func (t *SealTracker) KnowsExpected(partition string) bool {
 // or released is left as it is.
 func (t *SealTracker) Reserve(partition string, n int) {
 	if _, ok := t.buffer[partition]; !ok && n > 0 && !t.done[partition] {
-		t.buffer[partition] = make([]any, 0, n)
+		t.buffer[partition] = make([]int, 0, n)
 	}
 }
 
-// Data buffers one message for a partition and reports whether it could: a
-// message for an already-released partition is dropped and reported, since
-// a producer that punctuated a partition broke its promise by sending more.
-func (t *SealTracker) Data(partition string, msg any) bool {
+// Data buffers one message, by its index, for a partition and reports
+// whether it could: a message for an already-released partition is dropped
+// and reported, since a producer that punctuated a partition broke its
+// promise by sending more.
+func (t *SealTracker) Data(partition string, msg int) bool {
 	if t.done[partition] {
 		return false
 	}

@@ -11,8 +11,8 @@ import (
 
 func TestSealReleasesOnUnanimousVote(t *testing.T) {
 	var released []string
-	var contents []any
-	tr := NewSealTracker(func(p string, msgs []any) {
+	var contents []int
+	tr := NewSealTracker(func(p string, msgs []int) {
 		released = append(released, p)
 		contents = msgs
 	})
@@ -29,7 +29,7 @@ func TestSealReleasesOnUnanimousVote(t *testing.T) {
 	if !reflect.DeepEqual(released, []string{"c1"}) {
 		t.Fatalf("released = %v", released)
 	}
-	if !reflect.DeepEqual(contents, []any{1, 2}) {
+	if !reflect.DeepEqual(contents, []int{1, 2}) {
 		t.Fatalf("contents = %v", contents)
 	}
 	if !tr.Sealed("c1") {
@@ -41,9 +41,9 @@ func TestSealSingleProducerFastPath(t *testing.T) {
 	// Independent seals (one producer per partition) release immediately —
 	// the low-latency path of Figure 14.
 	released := false
-	tr := NewSealTracker(func(string, []any) { released = true })
+	tr := NewSealTracker(func(string, []int) { released = true })
 	tr.SetExpected("c1", []string{"only"})
-	tr.Data("c1", "x")
+	tr.Data("c1", 0)
 	tr.Seal(Punctuation{"c1", "only"})
 	if !released {
 		t.Error("single-producer partition should release on its one seal")
@@ -54,7 +54,7 @@ func TestSealBuffersUntilExpectedKnown(t *testing.T) {
 	// Votes and data can arrive before the registry answers; nothing
 	// releases until the vote set is known.
 	released := false
-	tr := NewSealTracker(func(string, []any) { released = true })
+	tr := NewSealTracker(func(string, []int) { released = true })
 	tr.Data("c1", 1)
 	tr.Seal(Punctuation{"c1", "a"})
 	if released {
@@ -71,7 +71,7 @@ func TestSealBuffersUntilExpectedKnown(t *testing.T) {
 
 func TestSealDuplicatePunctuationsIdempotent(t *testing.T) {
 	count := 0
-	tr := NewSealTracker(func(string, []any) { count++ })
+	tr := NewSealTracker(func(string, []int) { count++ })
 	tr.SetExpected("c1", []string{"a", "b"})
 	tr.Seal(Punctuation{"c1", "a"})
 	tr.Seal(Punctuation{"c1", "a"}) // duplicate (at-least-once)
@@ -87,7 +87,7 @@ func TestSealDuplicatePunctuationsIdempotent(t *testing.T) {
 
 func TestSealPartitionsIndependent(t *testing.T) {
 	var released []string
-	tr := NewSealTracker(func(p string, _ []any) { released = append(released, p) })
+	tr := NewSealTracker(func(p string, _ []int) { released = append(released, p) })
 	tr.SetExpected("c1", []string{"a", "b"})
 	tr.SetExpected("c2", []string{"a"})
 	tr.Seal(Punctuation{"c2", "a"})
@@ -108,7 +108,7 @@ func TestSealUnanimityProperty(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		producers := []string{"p0", "p1", "p2", "p3", "p4"}[:1+r.Intn(5)]
 		released := false
-		tr := NewSealTracker(func(string, []any) { released = true })
+		tr := NewSealTracker(func(string, []int) { released = true })
 		tr.SetExpected("k", producers)
 		voted := map[string]bool{}
 		for _, p := range producers {

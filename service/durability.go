@@ -4,20 +4,28 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
+	"blazes"
+	"blazes/internal/dataflow"
 	"blazes/internal/journal"
+	ispec "blazes/internal/spec"
 )
 
 // Durability: every session mutation the service acknowledges is first
 // made durable as an op record in an append-only journal (the Session
 // mutation ops are atomic and eager-validated, so the journal is literally
-// the op stream). On boot the server replays snapshot + journal suffix and
-// rebuilds each session by re-opening its CreateRequest and re-applying
-// its ops — the same code paths the live handlers use, so a recovered
-// session is indistinguishable from one that never crashed (its analysis
-// history, which is derived state, starts fresh).
+// the op stream). A snapshot holds each session's state, not its history:
+// its CreateRequest and the shortest op list that takes the graph the
+// request opens to the session's graph (normalForm). On boot the server
+// replays snapshot + journal suffix and rebuilds each session by re-opening
+// its CreateRequest and re-applying the snapshot's ops, then the suffix's —
+// the same code paths the live handlers use, so a recovered session is
+// indistinguishable from one that never crashed (its analysis history,
+// which is derived state, starts fresh). Only its Version() is shorter than
+// its history; the entry keeps the difference.
 //
 // Write protocol (the order is the correctness argument):
 //
@@ -54,20 +62,26 @@ type journalRecord struct {
 }
 
 // snapshotDoc is the snapshot payload: the full state needed to rebuild
-// the server without any journal suffix. Sessions carry their op streams
-// rather than serialized graphs so snapshot recovery and journal replay
-// share one rebuild path.
+// the server without any journal suffix. Sessions carry their create
+// requests and normal-form op lists rather than serialized graphs, so
+// snapshot recovery and journal replay share one rebuild path, and a
+// snapshot is bounded by the sessions' graphs, not by their histories.
 type snapshotDoc struct {
 	NextID   int               `json:"next_id"`
 	Sessions []sessionSnapshot `json:"sessions"`
 	Evicted  []Tombstone       `json:"evicted,omitempty"`
 }
 
+// sessionSnapshot is one session of a snapshot. Version is its acknowledged
+// version, which replaying Ops alone would not reach. A snapshot with no
+// version field stored each session's whole history, so there the version
+// is the number of ops.
 type sessionSnapshot struct {
-	ID     string        `json:"id"`
-	Name   string        `json:"name"`
-	Create CreateRequest `json:"create"`
-	Ops    []MutateOp    `json:"ops,omitempty"`
+	ID      string        `json:"id"`
+	Name    string        `json:"name"`
+	Create  CreateRequest `json:"create"`
+	Ops     []MutateOp    `json:"ops,omitempty"`
+	Version uint64        `json:"version,omitempty"`
 }
 
 // Tombstone records a session that no longer occupies memory — evicted by
@@ -127,7 +141,12 @@ func (s *Server) maybeSnapshot() {
 	if st.LastSeq-st.SnapshotSeq < uint64(s.snapEvery) {
 		return
 	}
-	doc := s.snapshotLocked()
+	// Without a snapshot every record stays in the journal, so a session
+	// whose op list cannot be built loses nothing; it only goes uncompacted.
+	doc, err := s.snapshotLocked()
+	if err != nil {
+		return
+	}
 	payload, err := json.Marshal(doc)
 	if err != nil {
 		return
@@ -137,28 +156,184 @@ func (s *Server) maybeSnapshot() {
 	}
 }
 
-// snapshotLocked collects the full server state. Caller holds the snapMu
-// write lock (no writer is between apply and append) — entry op slices are
-// only appended under the snapMu read lock, so reading them here is safe.
-func (s *Server) snapshotLocked() snapshotDoc {
+// snapshotLocked collects the full server state. The caller holds the
+// snapMu write lock, so no session changes while it runs. It holds s.mu
+// only to collect the entries and reads each session's graph after, so a
+// list or get request never waits on another session's analysis.
+func (s *Server) snapshotLocked() (snapshotDoc, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	// The sessions the boot replay could not rebuild come first: they hold
 	// acknowledged records, so every boot retries them. The rest go
 	// oldest-first (LRU back to front) so the rebuild's insertion order
 	// reproduces the recency order.
 	doc := snapshotDoc{NextID: s.nextID, Sessions: append([]sessionSnapshot(nil), s.unrecoverable...)}
-	for el := s.lru.Back(); el != nil; el = el.Prev() {
-		e := el.Value.(*entry)
-		doc.Sessions = append(doc.Sessions, sessionSnapshot{
-			ID:     e.id,
-			Name:   e.name,
-			Create: e.create,
-			Ops:    append([]MutateOp(nil), e.ops...),
-		})
-	}
 	doc.Evicted = append(doc.Evicted, s.tombstones...)
-	return doc
+	entries := make([]*entry, 0, s.lru.Len())
+	for el := s.lru.Back(); el != nil; el = el.Prev() {
+		entries = append(entries, el.Value.(*entry))
+	}
+	s.mu.Unlock()
+	for _, e := range entries {
+		// At version 0 the graph is the one the request opens. A session
+		// unchanged since the last snapshot keeps the list made then.
+		if v := e.sess.Version(); v != e.normalAt {
+			ops, err := normalForm(e.create, e.sess.Graph())
+			if err != nil {
+				return snapshotDoc{}, fmt.Errorf("session %s: %w", e.id, err)
+			}
+			e.normal, e.normalAt = ops, v
+		}
+		doc.Sessions = append(doc.Sessions, sessionSnapshot{ID: e.id, Name: e.name, Create: e.create, Ops: e.normal, Version: e.version()})
+	}
+	return doc, nil
+}
+
+// normalForm returns the shortest op list that takes the graph req opens to
+// g, in this order:
+//
+//  1. remove-edge for every opened stream that does not survive;
+//  2. add-component for every component the opened graph lacks;
+//  3. for every other component whose paths changed, at most one variant
+//     op, then one annotate op per from→to whose annotation differs;
+//  4. connect for every stream that is no survivor, in order;
+//  5. seal for every stream whose seal differs.
+//
+// The survivors are the longest leading run of g's streams that the opened
+// graph declares in the same order and wiring: Connect appends and
+// RemoveEdge keeps the order of the rest, so no op list keeps more. Every op
+// reads only the graph, the opened spec and the strategy list, so a session
+// replayed from the list holds a graph equal to g and answers every later op
+// as the session holding g does.
+func normalForm(req CreateRequest, g *blazes.Graph) ([]MutateOp, error) {
+	cfg, err := ispec.Parse(req.Spec)
+	if err != nil {
+		return nil, err
+	}
+	// The graph NewSession opens, without the session around it.
+	opened, err := cfg.Graph(req.SessionName(), ispec.BuildOptions{Variants: req.Variants})
+	if err != nil {
+		return nil, err
+	}
+	for stream, key := range req.Seals {
+		if st := opened.Stream(stream); st != nil {
+			st.Seal = blazes.Attrs(key...)
+		}
+	}
+
+	var ops []MutateOp
+	streams, kept := g.Streams(), 0 // streams[:kept] survive
+	for _, st := range opened.Streams() {
+		if kept < len(streams) && sameWiring(st, streams[kept]) {
+			kept++
+			continue
+		}
+		ops = append(ops, MutateOp{Op: "remove-edge", Stream: st.Name})
+	}
+	for _, c := range g.Components() {
+		if opened.Lookup(c.Name) == nil {
+			defs := make([]PathDef, len(c.Paths))
+			for i, p := range c.Paths {
+				defs[i].From, defs[i].To = p.From, p.To
+				defs[i].Label, defs[i].Subscript = annotationLabel(p.Ann)
+			}
+			ops = append(ops, MutateOp{Op: "add-component", Name: c.Name, Paths: defs})
+		}
+	}
+	for _, c := range g.Components() {
+		was := opened.Lookup(c.Name)
+		if was == nil || slices.EqualFunc(was.Paths, c.Paths, pathEqual) {
+			continue
+		}
+		// Start from the opened paths or from the spec's base or variant
+		// paths one variant op selects: the start with c's from→to sequence
+		// that needs the fewest annotate ops.
+		best, found := annotateOps(c, was.Paths)
+		for _, v := range append([]string{""}, cfg.Component(c.Name).VariantOrder...) {
+			paths, err := cfg.VariantPaths(c.Name, v)
+			if err != nil {
+				return nil, err
+			}
+			if more, ok := annotateOps(c, paths); ok && (!found || len(more)+1 < len(best)) {
+				best, found = append([]MutateOp{{Op: "variant", Component: c.Name, Variant: v}}, more...), true
+			}
+		}
+		if !found {
+			return nil, fmt.Errorf("component %q: no variant op and annotate ops reach its paths", c.Name)
+		}
+		ops = append(ops, best...)
+	}
+	for _, st := range streams[kept:] {
+		ops = append(ops, MutateOp{Op: "connect", Stream: st.Name, From: endpoint(st.FromComp, st.FromIface), To: endpoint(st.ToComp, st.ToIface)})
+	}
+	for i, st := range streams {
+		var was blazes.AttrSet // a connected stream is unsealed
+		if i < kept {
+			was = opened.Stream(st.Name).Seal
+		}
+		if !st.Seal.Equal(was) {
+			ops = append(ops, MutateOp{Op: "seal", Stream: st.Name, Key: st.Seal.Attrs()})
+		}
+	}
+	return ops, nil
+}
+
+// annotateOps returns the annotate ops that turn paths into c's, one per
+// from→to whose annotation differs, and whether they do: the from→to
+// sequences must be equal, and since an annotate op sets every path of its
+// from→to, those paths must end with one annotation.
+func annotateOps(c *blazes.Component, paths []dataflow.Path) ([]MutateOp, bool) {
+	if len(paths) != len(c.Paths) {
+		return nil, false
+	}
+	var ops []MutateOp
+	for i, p := range c.Paths {
+		if paths[i].From != p.From || paths[i].To != p.To {
+			return nil, false
+		}
+		if annotationEqual(paths[i].Ann, p.Ann) || slices.ContainsFunc(ops, func(op MutateOp) bool { return op.From == p.From && op.To == p.To }) {
+			continue
+		}
+		for _, q := range c.Paths {
+			if q.From == p.From && q.To == p.To && !annotationEqual(q.Ann, p.Ann) {
+				return nil, false
+			}
+		}
+		label, sub := annotationLabel(p.Ann)
+		ops = append(ops, MutateOp{Op: "annotate", Component: c.Name, From: p.From, To: p.To, Label: label, Subscript: sub})
+	}
+	return ops, true
+}
+
+// sameWiring reports whether two streams have one name, endpoints and Rep.
+func sameWiring(a, b *blazes.Stream) bool {
+	return a.Name == b.Name && a.FromComp == b.FromComp && a.FromIface == b.FromIface &&
+		a.ToComp == b.ToComp && a.ToIface == b.ToIface && a.Rep == b.Rep
+}
+
+func pathEqual(a, b dataflow.Path) bool {
+	return a.From == b.From && a.To == b.To && annotationEqual(a.Ann, b.Ann)
+}
+
+func annotationEqual(a, b blazes.Annotation) bool {
+	return a.Confluent == b.Confluent && a.Write == b.Write && a.GateStar == b.GateStar && a.Gate.Equal(b.Gate)
+}
+
+// annotationLabel returns the label and subscript ParseAnnotation reads
+// back as a: "CR", "CW", "OR*" and "OW*" alone, "OR" and "OW" with the gate.
+func annotationLabel(a blazes.Annotation) (string, []string) {
+	if a.Confluent || a.GateStar {
+		return a.String(), nil
+	}
+	return a.String()[:2], a.Gate.Attrs()
+}
+
+// endpoint is the "Component.iface" a connect op names; "" for an external
+// end.
+func endpoint(comp, iface string) string {
+	if comp == "" {
+		return ""
+	}
+	return comp + "." + iface
 }
 
 // rebuildPlan is the cheap phase of recovery: snapshot + journal records
@@ -190,6 +365,9 @@ func planRecovery(rec *journal.Recovered) (*rebuildPlan, error) {
 		plan.sessions = doc.Sessions
 		plan.evicted = doc.Evicted
 		for i, ss := range plan.sessions {
+			if ss.Version == 0 { // a snapshot that stored histories
+				plan.sessions[i].Version = uint64(len(ss.Ops))
+			}
 			byID[ss.ID] = i
 		}
 	}
@@ -218,6 +396,7 @@ func planRecovery(rec *journal.Recovered) (*rebuildPlan, error) {
 			// its old place marked dropped as a delete marks it.
 			ss := plan.sessions[i]
 			ss.Ops = append(ss.Ops, jr.Ops...)
+			ss.Version += uint64(len(jr.Ops))
 			plan.sessions[i].ID = ""
 			byID[jr.Session] = len(plan.sessions)
 			plan.sessions = append(plan.sessions, ss)
@@ -238,7 +417,7 @@ func planRecovery(rec *journal.Recovered) (*rebuildPlan, error) {
 			plan.evicted = append(plan.evicted, Tombstone{
 				Session: jr.Session,
 				Name:    plan.sessions[i].Name,
-				Version: uint64(len(plan.sessions[i].Ops)),
+				Version: plan.sessions[i].Version,
 				State:   "evicted",
 			})
 			plan.sessions[i].ID = ""
@@ -302,7 +481,7 @@ func (s *Server) recoverSessions(plan *rebuildPlan) {
 			s.addTombstoneLocked(Tombstone{Session: ss.ID, Name: ss.Name, State: "unrecoverable"})
 			continue
 		}
-		e := &entry{id: ss.ID, name: ss.Name, sess: sess, create: ss.Create, ops: ss.Ops, recovered: true}
+		e := &entry{id: ss.ID, name: ss.Name, sess: sess, create: ss.Create, base: ss.Version - sess.Version(), recovered: true}
 		e.elem = s.lru.PushFront(e)
 		s.byID[e.id] = e
 		s.evictOverflowLocked()
@@ -347,7 +526,7 @@ func (s *Server) evictOverflowLocked() {
 		s.addTombstoneLocked(Tombstone{
 			Session: ev.id,
 			Name:    ev.name,
-			Version: ev.sess.Version(),
+			Version: ev.version(),
 			State:   "evicted",
 		})
 		_ = s.appendRecord(journalRecord{Kind: "evict", Session: ev.id})

@@ -13,11 +13,13 @@ import (
 	"testing"
 
 	"blazes"
+	"blazes/internal/journal"
 )
 
 // FuzzServiceRequests: any body sent to a session endpoint — create (0),
 // mutate (1), analyze (2) or lint (3), by the first argument mod 4 — of a
-// server holding one wordcount session draws no panic and no 5xx, and
+// server holding one session — wordcount, or adreport under a variant when
+// the first argument's bit 2 is set — draws no panic and no 5xx, and
 // leaves that session analyzing byte for byte like a fresh
 // CreateRequest.NewSession fed, through MutateOp.Apply, the ops the server
 // acknowledged. A rejected mutate that applied nothing leaves Version where
@@ -26,6 +28,11 @@ import (
 // analyze the server ran is run on the fresh session as well, so both
 // report the same Delta next. No body decodeStrict refuses — a second value
 // after the first one included — is answered 2xx.
+//
+// Then the server restarts from a snapshot, and the recovered session is
+// held to the same oracle: it is at the replay's version and analyzes like a
+// new replay of the acknowledged ops, and a mutate body sent again is
+// answered as the replay answers it.
 func FuzzServiceRequests(f *testing.F) {
 	spec, err := os.ReadFile(filepath.Join("..", "internal", "spec", "testdata", "wordcount.blazes"))
 	if err != nil {
@@ -36,6 +43,11 @@ func FuzzServiceRequests(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	adSpec, err := os.ReadFile(filepath.Join("..", "internal", "spec", "testdata", "adreport.blazes"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	creates := []CreateRequest{create, {Name: "adreport", Spec: string(adSpec), Variants: map[string]string{"Report": "CAMPAIGN"}}}
 
 	seeds := []string{
 		// Every op kind of MutateOp's doc comment, and a batch failing at
@@ -73,8 +85,26 @@ func FuzzServiceRequests(f *testing.F) {
 			f.Add(endpoint, []byte(body))
 		}
 	}
+	// Mutates of an adreport session: variant ops and added components, the
+	// ops a snapshot's op list must bring back after the restart.
+	for _, body := range []string{
+		`{"ops":[{"op":"variant","component":"Report","variant":"POOR"}]}`,
+		`{"ops":[{"op":"variant","component":"Report","variant":""}]}`,
+		`{"ops":[{"op":"remove-edge","stream":"q"},{"op":"variant","component":"Report","variant":""}]}`,
+		`{"ops":[{"op":"variant","component":"Report","variant":"CAMPAIGN"},{"op":"annotate","component":"Report","from":"click","to":"response","label":"OR","subscript":["id"]}]}`,
+		`{"ops":[{"op":"annotate","component":"Report","from":"request","to":"response","label":"CR"},{"op":"seal","stream":"clicks","key":["campaign"]}]}`,
+		`{"ops":[{"op":"add-component","name":"Audit","paths":[{"from":"in","to":"out","label":"CW"}]},{"op":"variant","component":"Audit","variant":""}]}`,
+		`{"ops":[{"op":"add-component","name":"Audit","paths":[{"from":"in","to":"out","label":"OW","subscript":["id"]}]},{"op":"connect","stream":"audit","from":"Cache.response","to":"Audit.in"}]}`,
+	} {
+		f.Add(uint8(5), []byte(body))
+	}
 
 	f.Fuzz(func(t *testing.T, endpoint uint8, body []byte) {
+		create := creates[endpoint>>2&1]
+		createBody, err := json.Marshal(create)
+		if err != nil {
+			t.Fatal(err)
+		}
 		srv := New(Options{})
 		h := srv.Handler()
 		serve := func(method, path string, body []byte) (int, []byte) {
@@ -91,7 +121,7 @@ func FuzzServiceRequests(f *testing.F) {
 			t.Fatal(err)
 		}
 		ctx := context.Background()
-		before := e.sess.Version()
+		var acked []MutateOp
 
 		var code int
 		var out []byte
@@ -104,35 +134,9 @@ func FuzzServiceRequests(f *testing.F) {
 				}
 			}
 		case 1:
-			code, out = serve("POST", "/v1/sessions/s1/mutate", body)
-			var req MutateRequest
-			acked := 0
-			if code/100 == 2 {
-				if err := decodeStrict(bytes.NewReader(body), &req); err != nil {
-					t.Fatalf("acknowledged a body the decoder refuses (%v): %s", err, out)
-				}
-				acked = len(req.Ops)
-			} else {
-				var er ErrorResponse
-				if err := json.Unmarshal(out, &er); err != nil {
-					t.Fatalf("%d reply is no ErrorResponse: %s", code, out)
-				}
-				if acked = er.Applied; acked > 0 {
-					if err := decodeStrict(bytes.NewReader(body), &req); err != nil || acked >= len(req.Ops) {
-						t.Fatalf("%d reply claims %d ops applied: %s", code, acked, out)
-					}
-				} else if v := e.sess.Version(); v != before {
-					t.Fatalf("%d mutate that applied nothing moved Version %d → %d: %s", code, before, v, out)
-				}
-			}
-			for _, op := range req.Ops[:acked] {
-				if err := op.Apply(fresh); err != nil {
-					t.Fatalf("replaying acknowledged op %+v: %v", op, err)
-				}
-			}
-			if got, want := e.sess.Version(), fresh.Version(); got != want {
-				t.Fatalf("Version %d after a %d mutate, a replay of its %d acknowledged ops is at %d", got, code, acked, want)
-			}
+			var ops []MutateOp
+			code, out, ops = mutateAcked(t, serve, body, e, fresh)
+			acked = append(acked, ops...)
 		case 2:
 			code, out = serve("POST", "/v1/sessions/s1/analyze", body)
 			var req AnalyzeRequest
@@ -154,7 +158,94 @@ func FuzzServiceRequests(f *testing.F) {
 		if wantCode, want := analyzeReply(ctx, fresh, false); code != wantCode || !bytes.Equal(got, want) {
 			t.Fatalf("the session analyzes (%d) unlike a replay of its acknowledged ops (%d)\n--- server ---\n%s\n--- replay ---\n%s", code, wantCode, got, want)
 		}
+
+		// The restart leg, on a server rebuilt from a snapshot as Open
+		// rebuilds one from a journal whose last record the snapshot covers.
+		srv.snapMu.Lock()
+		doc, err := srv.snapshotLocked()
+		srv.snapMu.Unlock()
+		if err != nil {
+			t.Fatalf("snapshot: %v", err)
+		}
+		payload, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := planRecovery(&journal.Recovered{Snapshot: payload, SnapshotSeq: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv = New(Options{})
+		srv.recoverSessions(plan)
+		if srv.replayErrors != 0 {
+			t.Fatalf("the snapshot's op list %+v does not replay", doc.Sessions[0].Ops)
+		}
+		h = srv.Handler()
+		e, _ = srv.lookup("s1")
+		replay, err := create.NewSession()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range acked {
+			if err := op.Apply(replay); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, want := e.version(), replay.Version(); got != want {
+			t.Fatalf("recovered at version %d, the replay of its %d acknowledged ops is at %d", got, len(acked), want)
+		}
+		code, got = serve("POST", "/v1/sessions/s1/analyze", nil)
+		if wantCode, want := analyzeReply(ctx, replay, false); code != wantCode || !bytes.Equal(got, want) {
+			t.Fatalf("the recovered session analyzes (%d) unlike a replay of its acknowledged ops (%d)\nop list %+v\n--- server ---\n%s\n--- replay ---\n%s", code, wantCode, doc.Sessions[0].Ops, got, want)
+		}
+		if endpoint%4 == 1 {
+			mutateAcked(t, serve, body, e, replay)
+			code, got = serve("POST", "/v1/sessions/s1/analyze", nil)
+			if wantCode, want := analyzeReply(ctx, replay, false); code != wantCode || !bytes.Equal(got, want) {
+				t.Fatalf("after the restart and a mutate the session analyzes (%d) unlike the replay (%d)\n--- server ---\n%s\n--- replay ---\n%s", code, wantCode, got, want)
+			}
+		}
 	})
+}
+
+// mutateAcked sends body to session s1's mutate endpoint of the server that
+// serve drives and replays on fresh the ops the reply acknowledged. It fails
+// the test when the reply and e's session disagree with the replay: a 2xx
+// for a body the decoder refuses, an "applied" no prefix of the batch has,
+// a Version that moved with nothing applied, or one the replay is not at.
+func mutateAcked(t *testing.T, serve func(method, path string, body []byte) (int, []byte), body []byte, e *entry, fresh *blazes.Session) (int, []byte, []MutateOp) {
+	t.Helper()
+	before := e.version()
+	code, out := serve("POST", "/v1/sessions/s1/mutate", body)
+	var req MutateRequest
+	acked := 0
+	if code/100 == 2 {
+		if err := decodeStrict(bytes.NewReader(body), &req); err != nil {
+			t.Fatalf("acknowledged a body the decoder refuses (%v): %s", err, out)
+		}
+		acked = len(req.Ops)
+	} else {
+		var er ErrorResponse
+		if err := json.Unmarshal(out, &er); err != nil {
+			t.Fatalf("%d reply is no ErrorResponse: %s", code, out)
+		}
+		if acked = er.Applied; acked > 0 {
+			if err := decodeStrict(bytes.NewReader(body), &req); err != nil || acked >= len(req.Ops) {
+				t.Fatalf("%d reply claims %d ops applied: %s", code, acked, out)
+			}
+		} else if v := e.version(); v != before {
+			t.Fatalf("%d mutate that applied nothing moved Version %d → %d: %s", code, before, v, out)
+		}
+	}
+	for _, op := range req.Ops[:acked] {
+		if err := op.Apply(fresh); err != nil {
+			t.Fatalf("replaying acknowledged op %+v: %v", op, err)
+		}
+	}
+	if got, want := e.version(), fresh.Version(); got != want {
+		t.Fatalf("Version %d after a %d mutate, a replay of its %d acknowledged ops is at %d", got, code, acked, want)
+	}
+	return code, out, req.Ops[:acked]
 }
 
 // analyzeReply is what the analyze endpoint answers for sess.

@@ -155,17 +155,26 @@ type entry struct {
 
 	// opMu serializes this session's mutate batches so the journal's
 	// per-session record order always matches the apply order. create is
-	// the request that opened the session and ops every op acknowledged
-	// since — together they are the session's durable identity, which only
-	// a durable server keeps (an in-memory one leaves ops nil).
+	// the request that opened the session, its durable identity. base is
+	// how far the acknowledged version runs ahead of sess.Version(): a
+	// recovered session replayed a snapshot's op list, which is shorter
+	// than its history.
 	opMu   sync.Mutex
 	create CreateRequest
-	ops    []MutateOp
+	base   uint64
+	// normal is the session's normal-form op list at sess.Version()
+	// normalAt; only snapshots, which run one at a time, read or write
+	// them. At version 0 the graph is the opened one and the list empty.
+	normal   []MutateOp
+	normalAt uint64
 	// unjournaled marks a session holding ops applied in memory whose
 	// journal append failed: what it would serve was never acknowledged
 	// and a restart reverts it, so its reads answer 503 until then.
 	unjournaled atomic.Bool
 }
+
+// version is the session's acknowledged version.
+func (e *entry) version() uint64 { return e.base + e.sess.Version() }
 
 // New creates an in-memory server (no durability even if opts.JournalDir
 // is set — use Open for that).
@@ -512,7 +521,9 @@ type CreateRequest struct {
 // NewSession opens the session the request describes. Exported because it
 // is the rebuild path shared by the live create handler, crash-recovery
 // replay, and external differential checkers (cmd/loadgen): a session is
-// its CreateRequest plus its acknowledged op stream.
+// its CreateRequest plus an op list that reaches its graph — its
+// acknowledged op stream, or a snapshot's shortest list and the journal's
+// ops after it.
 func (req CreateRequest) NewSession() (*blazes.Session, error) {
 	if req.Spec == "" {
 		return nil, fmt.Errorf("spec is required")
@@ -555,7 +566,7 @@ type SessionInfo struct {
 }
 
 func (s *Server) info(e *entry, detail bool) SessionInfo {
-	si := SessionInfo{Session: e.id, Name: e.name, Version: e.sess.Version(), State: "open", Recovered: e.recovered}
+	si := SessionInfo{Session: e.id, Name: e.name, Version: e.version(), State: "open", Recovered: e.recovered}
 	if detail {
 		si.Components = e.sess.ComponentNames()
 		si.Streams = e.sess.StreamNames()
@@ -712,9 +723,10 @@ type MutateResponse struct {
 }
 
 // Apply applies the op to sess. Exported because it is the replay half of
-// the durability contract: crash recovery and differential checkers
-// (cmd/loadgen, the recovery tests) re-apply journaled op streams with
-// exactly the semantics the mutate endpoint used.
+// the durability contract: crash recovery re-applies a snapshot's op list
+// and the journaled ops after it, and differential checkers (cmd/loadgen,
+// the recovery tests) the acknowledged op streams, with exactly the
+// semantics the mutate endpoint used.
 func (op MutateOp) Apply(sess *blazes.Session) error {
 	switch op.Op {
 	case "seal":
@@ -777,11 +789,8 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	var jerr error
 	if applied > 0 {
 		jerr = s.appendRecord(journalRecord{Kind: "mutate", Session: e.id, Ops: req.Ops[:applied]})
-		switch {
-		case jerr != nil:
+		if jerr != nil {
 			e.unjournaled.Store(true)
-		case s.jrn != nil: // only a snapshot reads the history
-			e.ops = append(e.ops, req.Ops[:applied]...)
 		}
 	}
 	s.snapMu.RUnlock()
@@ -799,7 +808,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.maybeSnapshot()
-	writeJSON(w, http.StatusOK, MutateResponse{Version: e.sess.Version(), Applied: applied, Durable: s.jrn != nil})
+	writeJSON(w, http.StatusOK, MutateResponse{Version: e.version(), Applied: applied, Durable: s.jrn != nil})
 }
 
 // AnalyzeRequest tunes one analysis; an empty body is a plain Analyze.
@@ -863,7 +872,7 @@ func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, LintResponse{
 		Session:     e.id,
-		Version:     e.sess.Version(),
+		Version:     e.version(),
 		Errors:      blazes.HasLintErrors(diags),
 		Diagnostics: diags,
 	})

@@ -216,46 +216,6 @@ func TestMutateBatchStopsAtFirstError(t *testing.T) {
 	}
 }
 
-// TestInMemoryServerKeepsNoOpHistory: only a snapshot reads a session's
-// acknowledged ops, and only a durable server snapshots, so an in-memory
-// server keeps none however many it acknowledges; a durable one keeps
-// every one.
-func TestInMemoryServerKeepsNoOpHistory(t *testing.T) {
-	const n = 50
-	for _, tc := range []struct {
-		name string
-		srv  *Server
-		want int
-	}{
-		{"in-memory", New(Options{}), 0},
-		{"durable", newDurable(t, t.TempDir(), Options{}), n},
-	} {
-		h := tc.srv.Handler()
-		if code, body := call(t, h, "POST", "/v1/sessions", CreateRequest{Spec: wordcountSpecText(t)}); code != http.StatusCreated {
-			t.Fatalf("%s create: %d %s", tc.name, code, body)
-		}
-		for i := range n {
-			op := MutateOp{Op: "seal", Stream: "tweets", Key: []string{"batch"}}
-			if i%2 == 1 {
-				op.Key = nil // unseal
-			}
-			if code, body := call(t, h, "POST", "/v1/sessions/s1/mutate", MutateRequest{Ops: []MutateOp{op}}); code != http.StatusOK {
-				t.Fatalf("%s mutate %d: %d %s", tc.name, i, code, body)
-			}
-		}
-		e, ok := tc.srv.lookup("s1")
-		if !ok {
-			t.Fatalf("%s: session s1 gone", tc.name)
-		}
-		if got := len(e.ops); got != tc.want {
-			t.Errorf("%s server holds %d ops after %d mutates, want %d", tc.name, got, n, tc.want)
-		}
-		if err := tc.srv.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // unknownStrategy is the catalog's unknown-name error as a 400 body
 // carries it (JSON-escaped): it lists the whole catalog, M1's `sequencing`
 // included. retiredStrategy is the same error for merge-rewrite, which is
