@@ -2,8 +2,10 @@ package adtrack
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
+	"sync"
 
 	"blazes/internal/bloom"
 	"blazes/internal/coord"
@@ -195,7 +197,33 @@ type replica struct {
 	req      bloom.Row
 	fire     func()
 	ingested int
-	series   Series
+	// series is replica 0's progress curve, and lastAt when any replica
+	// last ingested: FinishedAt reads it.
+	series Series
+	lastAt sim.Time
+}
+
+// releasedReplicas holds the replicas of finished runs for takeReplica:
+// their queue, batch and series arrays are the size the workload made them.
+var releasedReplicas sync.Pool
+
+// takeReplica returns an empty replica idx around node, a released one if
+// there is one.
+func takeReplica(idx int, node *bloom.Node) *replica {
+	r, _ := releasedReplicas.Get().(*replica)
+	if r == nil {
+		r = new(replica)
+	}
+	*r = replica{idx: idx, node: node, pending: r.pending[:0], batch: r.batch[:0], series: r.series[:0]}
+	return r
+}
+
+// release hands the replica and its node back.
+func (r *replica) release() {
+	r.node.Release()
+	clear(r.batch)
+	*r = replica{pending: r.pending, batch: r.batch, series: r.series}
+	releasedReplicas.Put(r)
 }
 
 // Run executes one ad-network run to completion. A caller running many
@@ -223,7 +251,7 @@ func Run(cfg Config, prepared ...*Prepared) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		replicas[i] = &replica{idx: i, node: node}
+		replicas[i] = takeReplica(i, node)
 	}
 
 	var tickErr error
@@ -270,7 +298,7 @@ func Run(cfg Config, prepared ...*Prepared) (*Result, error) {
 			r.req = plan.rows[r.pending[i]]
 			i++
 		}
-		r.pending = r.pending[i:]
+		r.pending = r.pending[:copy(r.pending, r.pending[i:])]
 
 		start := s.Now()
 		if r.busyUntil > start {
@@ -288,7 +316,10 @@ func Run(cfg Config, prepared ...*Prepared) (*Result, error) {
 					return
 				}
 				r.ingested += len(r.batch)
-				r.series = append(r.series, Point{At: s.Now(), Records: r.ingested})
+				r.lastAt = s.Now()
+				if r.idx == 0 {
+					r.series = append(r.series, Point{At: s.Now(), Records: r.ingested})
+				}
 			}
 			if r.req != nil {
 				if err := r.node.Deliver("request", r.req); err != nil {
@@ -325,6 +356,7 @@ func Run(cfg Config, prepared ...*Prepared) (*Result, error) {
 	if res.Counters, err = d.Result(); err != nil {
 		return nil, fmt.Errorf("adtrack: %w", err)
 	}
+	d.Release()
 
 	// Final bookkeeping: flush one tick per replica so trailing deliveries
 	// reach the log, then collect results. FinishedAt measures record
@@ -335,18 +367,19 @@ func Run(cfg Config, prepared ...*Prepared) (*Result, error) {
 		}
 		res.LogSizes = append(res.LogSizes, r.node.Size("clicklog"))
 		res.LogDigests = append(res.LogDigests, r.node.Digest())
-		if n := len(r.series); n > 0 && r.series[n-1].At > res.FinishedAt {
-			res.FinishedAt = r.series[n-1].At
-		}
+		res.FinishedAt = max(res.FinishedAt, r.lastAt)
 	}
 	if tickErr != nil {
 		return nil, tickErr
 	}
+	// The curve goes to the figures, so it is the run's own.
+	if series := replicas[0].series; len(series) > 0 {
+		res.Series = slices.Clone(series)
+	}
 	for _, r := range replicas {
-		r.node.Release()
+		r.release()
 	}
 	s.Release()
-	res.Series = replicas[0].series
 	sort.Slice(res.Responses, func(i, j int) bool {
 		if res.Responses[i].At != res.Responses[j].At {
 			return res.Responses[i].At < res.Responses[j].At

@@ -21,14 +21,15 @@ import (
 // Every built-in workload satisfies this by splitting a run in two. What is
 // a function of (seed, plan, mechanism) — the simulator, the replicas, their
 // nodes and stores, every queue — belongs to one Run: it is constructed
-// there, or taken up emptied from an earlier run that handed it back
-// (sim.Sim.Release, bloom.Node.Release), and handed back once the outcome
-// is read. What is a function of the workload alone — a click plan and its
-// rows, a validated module, a generated graph's indexes, a ground truth —
-// may be built once and shared by every run, under one rule: it lives in a
-// once on the workload value, never at package level, it is never pooled,
-// and nothing writes to it after the once
-// (TestScheduleCannotSeeItsNeighbours).
+// there, or taken up emptied from an earlier run that handed it back to a
+// released pool at package level beside the code that fills it
+// (sim.Sim.Release, bloom.Node.Release, coord.Delivery.Release), and handed
+// back once the outcome is read. What is a function of the workload alone —
+// a click plan and its rows, a validated module, a generated graph's
+// indexes, a ground truth — may be built once and shared by every run,
+// under one rule: it lives in a once on the workload value, never at
+// package level, it is never pooled, and nothing writes to it after the
+// once (TestScheduleCannotSeeItsNeighbours).
 type Workload interface {
 	// Name identifies the workload in reports.
 	Name() string

@@ -378,6 +378,7 @@ func (w *BloomReportWorkload) simulate(seed int64, plan FaultPlan, mech dataflow
 	if _, err := d.Result(); err != nil && runErr == nil {
 		runErr = err
 	}
+	d.Release()
 	if runErr != nil {
 		return nil, nil, runErr
 	}

@@ -3,7 +3,9 @@ package chaos
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"strconv"
+	"sync"
 
 	"blazes/internal/dataflow"
 	"blazes/internal/sim"
@@ -81,7 +83,17 @@ type genModel struct {
 	// each of its outputs. No plan drops a message, so that is the same on
 	// every schedule.
 	hops int
+	// visits lists every (interface, message) arrival in the canonical
+	// propagation order. arrivals lists the same message ids interface by
+	// interface, each interface's in that order: interface i's are
+	// arrivals[arrivalsAt[i]:arrivalsAt[i+1]].
+	visits     []genVisit
+	arrivals   []int32
+	arrivalsAt []int
 }
+
+// genVisit is message id's arrival at interface iface.
+type genVisit struct{ iface, id int32 }
 
 func (w *GeneratedWorkload) build() (*genModel, error) {
 	res, err := topogen.Generate(topogen.Default(w.Components, w.Seed))
@@ -145,12 +157,24 @@ func (w *GeneratedWorkload) build() (*genModel, error) {
 	total := m.total()
 	relayed := make([]bool, len(m.comps)*total)
 	m.hops = total
+	m.arrivalsAt = make([]int, len(m.ifaces)+1)
 	m.propagate(func(iface, id int) {
 		if c := m.ifaces[iface].comp; !relayed[c*total+id] {
 			relayed[c*total+id] = true
 			m.hops += len(m.outs[c])
 		}
+		m.visits = append(m.visits, genVisit{int32(iface), int32(id)})
+		m.arrivalsAt[iface+1]++
 	})
+	for i := range m.ifaces {
+		m.arrivalsAt[i+1] += m.arrivalsAt[i]
+	}
+	next := slices.Clone(m.arrivalsAt)
+	m.arrivals = make([]int32, len(m.visits))
+	for _, v := range m.visits {
+		m.arrivals[next[v.iface]] = v.id
+		next[v.iface]++
+	}
 	return m, nil
 }
 
@@ -189,29 +213,51 @@ type genState struct {
 	// (dedupe — the at-least-once discipline). For confluent interfaces seen
 	// *is* the state.
 	seen []bool
-	// chains[iface][src] is the order-sensitive fold: a hash chain over
-	// the source's messages in arrival order (0 = no message yet; the
-	// chain hash is never 0 because every link hashes non-empty input).
-	chains [][]uint64
+	// chains[iface*sources+src] is an ordered interface's fold: a hash
+	// chain over the source's messages in arrival order (0 = no message
+	// yet; the chain hash is never 0 because every link hashes non-empty
+	// input).
+	chains []uint64
 	// forwarded[comp*total+id]: the component already relayed the message
 	// downstream (cycle termination).
 	forwarded []bool
+	// hops is what a CoordNone run carves its hops from, and arrivals M2's
+	// copy of the model's arrival lists, which it shuffles.
+	hops     []genHop
+	arrivals []int32
 }
 
+// genReleased holds the states of finished runs for newGenState to take
+// up: the model sizes their arrays, so the next run of the same model
+// allocates none.
+var genReleased sync.Pool
+
+// newGenState returns an empty state for a run of m.
 func newGenState(m *genModel) *genState {
 	total := m.total()
-	st := &genState{
-		m:         m,
-		seen:      make([]bool, len(m.ifaces)*total),
-		chains:    make([][]uint64, len(m.ifaces)),
-		forwarded: make([]bool, len(m.comps)*total),
+	st, _ := genReleased.Get().(*genState)
+	if st == nil {
+		st = &genState{}
 	}
-	for i := range m.ifaces {
-		if m.ifaces[i].ordered {
-			st.chains[i] = make([]uint64, len(m.sources))
-		}
-	}
+	st.m = m
+	st.seen = zeroed(st.seen, len(m.ifaces)*total)
+	st.chains = zeroed(st.chains, len(m.ifaces)*len(m.sources))
+	st.forwarded = zeroed(st.forwarded, len(m.comps)*total)
 	return st
+}
+
+// release hands the state back for a later run.
+func (st *genState) release() {
+	clear(st.hops)
+	st.m = nil
+	genReleased.Put(st)
+}
+
+// zeroed returns s resized to n zero values, reusing its array if it fits.
+func zeroed[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
 }
 
 // apply folds message id into an interface's state; duplicates are ignored
@@ -223,8 +269,8 @@ func (st *genState) apply(iface, id int) {
 	}
 	st.seen[at] = true
 	if st.m.ifaces[iface].ordered {
-		src := id / st.m.msgsPer
-		st.chains[iface][src] = synChainHash(st.chains[iface][src], st.m.msgIDs[id])
+		at := iface*len(st.m.sources) + id/st.m.msgsPer
+		st.chains[at] = synChainHash(st.chains[at], st.m.msgIDs[id])
 	}
 }
 
@@ -249,7 +295,8 @@ func (st *genState) digest() string {
 	for i, ifc := range st.m.ifaces {
 		buf = append(buf[:0], ifc.label...)
 		if ifc.ordered {
-			for src, chain := range st.chains[i] {
+			n := len(st.m.sources)
+			for src, chain := range st.chains[i*n : (i+1)*n] {
 				if chain != 0 {
 					buf = append(strconv.AppendInt(buf, int64(src), 10), '=')
 					buf = append(strconv.AppendUint(buf, chain, 16), ',')
@@ -358,8 +405,9 @@ func (w *GeneratedWorkload) Run(seed int64, plan FaultPlan, mech dataflow.Coordi
 		// simulator, so arrival order at order-sensitive interfaces is
 		// schedule-dependent.
 		s := sim.New(seed)
+		st.hops = zeroed(st.hops, m.hops)
 		r := &genHops{st: st, s: s, link: sim.NewLink(s, plan.Shape(sim.LinkConfig{MinDelay: 100 * sim.Microsecond, MaxDelay: 10 * sim.Millisecond})),
-			free: make([]genHop, m.hops)}
+			free: st.hops}
 		for src := range m.sources {
 			// Dense same-source send cadence (2ms) against ≥10ms latency
 			// jitter: first-hop reordering is already likely, and each
@@ -380,23 +428,25 @@ func (w *GeneratedWorkload) Run(seed int64, plan FaultPlan, mech dataflow.Coordi
 		// sequence order, and M3p releases each partition independently —
 		// the terminal fold per source is identical. All collapse to the
 		// canonical propagation order, deterministic across seeds.
-		m.propagate(st.apply)
+		for _, v := range m.visits {
+			st.apply(int(v.iface), int(v.id))
+		}
 
 	case dataflow.CoordDynamicOrder:
 		// M2: an ordering service fixes one arrival order per run — all
 		// interfaces agree within the run, but the order is drawn from the
 		// run's seed, so different runs may disagree (Figure 5 allows
 		// exactly this cross-run nondeterminism).
-		arrivals := make([][]int, len(m.ifaces))
-		m.propagate(func(iface, id int) {
-			arrivals[iface] = append(arrivals[iface], id)
-		})
+		st.arrivals = append(st.arrivals[:0], m.arrivals...)
 		s := sim.New(seed)
 		rng := s.Rand()
-		for i, ids := range arrivals {
-			rng.Shuffle(len(ids), func(a, b int) { ids[a], ids[b] = ids[b], ids[a] })
+		var ids []int32
+		swap := func(a, b int) { ids[a], ids[b] = ids[b], ids[a] }
+		for i := range m.ifaces {
+			ids = st.arrivals[m.arrivalsAt[i]:m.arrivalsAt[i+1]]
+			rng.Shuffle(len(ids), swap)
 			for _, id := range ids {
-				st.apply(i, id)
+				st.apply(i, int(id))
 			}
 		}
 		s.Release()
@@ -405,5 +455,7 @@ func (w *GeneratedWorkload) Run(seed int64, plan FaultPlan, mech dataflow.Coordi
 		return Outcome{}, fmt.Errorf("generated: unsupported mechanism %s", mech)
 	}
 
-	return Outcome{Replicas: []ReplicaOutcome{{Final: st.digest()}}}, nil
+	out := Outcome{Replicas: []ReplicaOutcome{{Final: st.digest()}}}
+	st.release()
+	return out, nil
 }

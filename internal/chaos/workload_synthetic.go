@@ -5,7 +5,7 @@ import (
 	"maps"
 	"slices"
 	"strconv"
-	"strings"
+	"sync"
 
 	"blazes/internal/coord"
 	"blazes/internal/core"
@@ -44,6 +44,10 @@ type SyntheticWorkload struct {
 	Gated bool
 	// Producers, PerProducer, Reads, Replicas size the run.
 	Producers, PerProducer, Reads, Replicas int
+
+	// plans[1] is the plan the fields above determine under M3p, plans[0]
+	// under every other mechanism; set the fields before the first Run.
+	plans [2]once[*synPlan]
 }
 
 // SyntheticSet returns the confluent variant.
@@ -143,21 +147,45 @@ type synReplica struct {
 	regVal   string
 	chains   map[string]uint64 // order-sensitive: per-producer hash chains
 	outputs  []string
+	keys     []string // snapshot's scratch
 }
 
-// newSynReplica returns an empty replica, its maps sized once for every
-// message of the run: a map grown from empty by insertion allocates each of
-// its sizes on the way.
+// synReleased holds replicas a run handed back, their maps to be cleared
+// and filled again by the next run's newSynReplica.
+var synReleased sync.Pool
+
+// newSynReplica returns an empty replica: a released one with its maps
+// cleared, or a new one with its maps sized once for every message of the
+// run (a map grown from empty by insertion allocates each of its sizes on
+// the way).
 func newSynReplica(w *SyntheticWorkload) *synReplica {
 	total := w.Producers * w.PerProducer
-	r := &synReplica{confluent: w.Confluent, convergent: w.Convergent, seen: make(map[string]bool, total)}
+	r, _ := synReleased.Get().(*synReplica)
+	if r == nil {
+		r = &synReplica{seen: make(map[string]bool, total)}
+	}
+	clear(r.seen)
+	*r = synReplica{confluent: w.Confluent, convergent: w.Convergent, seen: r.seen,
+		set: r.set, chains: r.chains, keys: r.keys}
 	switch {
-	case r.confluent:
+	case r.confluent && r.set == nil:
 		r.set = make(map[string]bool, total)
-	case !r.convergent:
+	case r.confluent:
+		clear(r.set)
+	case r.convergent:
+	case r.chains == nil:
 		r.chains = make(map[string]uint64, w.Producers)
+	default:
+		clear(r.chains)
 	}
 	return r
+}
+
+// release hands the replica back for a later run; its outputs went into the
+// outcome and stay there.
+func (r *synReplica) release() {
+	r.outputs = nil
+	synReleased.Put(r)
 }
 
 func (r *synReplica) apply(m synMsg) {
@@ -182,7 +210,18 @@ func (r *synReplica) read() { r.outputs = append(r.outputs, r.snapshot()) }
 
 func (r *synReplica) snapshot() string {
 	if r.confluent {
-		return strings.Join(slices.Sorted(maps.Keys(r.set)), ",")
+		//lint:allow maporder the keys are sorted before anything reads them
+		r.keys = slices.AppendSeq(r.keys[:0], maps.Keys(r.set))
+		slices.Sort(r.keys)
+		return writeText(func(b []byte) []byte {
+			for i, k := range r.keys {
+				if i > 0 {
+					b = append(b, ',')
+				}
+				b = append(b, k...)
+			}
+			return b
+		})
 	}
 	if r.convergent {
 		return r.regVal
@@ -221,19 +260,20 @@ func synChainHash(prev uint64, v string) uint64 {
 	return fnv1a(fnv1a(fnvOffset64, append(strconv.AppendUint(hex[:0], prev, 16), '|')), v)
 }
 
-// Run implements Workload: the logical workload — who sends what when, M1's
-// order, the punctuations — is laid out here; carrying it is delivery's job.
-func (w *SyntheticWorkload) Run(seed int64, plan FaultPlan, mech dataflow.Coordination) (Outcome, error) {
-	const span = 80 * sim.Millisecond
-	perPartition := mech == dataflow.CoordPartitionSealed
-	reps := make([]*synReplica, w.Replicas)
-	for i := range reps {
-		reps[i] = newSynReplica(w)
-		if perPartition {
-			reps[i].outputs = make([]string, w.Reads)
-		}
-	}
+// synPlan is the logical workload — who sends what when, M1's order, the
+// punctuations — which the workload and whether the mechanism is M3p fix.
+// msgs lists the data first, then the seals, then the reads; data[i] is
+// msgs[i]'s message.
+type synPlan struct {
+	data  []synMsg
+	msgs  []coord.Message
+	order []int // M1's, as indexes of msgs
+}
 
+// layout lays out the logical workload, under M3p when perPartition;
+// carrying it is delivery's job.
+func (w *SyntheticWorkload) layout(perPartition bool) *synPlan {
+	const span = 80 * sim.Millisecond
 	// Each producer paces its messages across the span, all on one cadence,
 	// and is its own partition, sealed a millisecond after its last message.
 	// The data come first in msgs, then the seals, then the reads.
@@ -274,12 +314,33 @@ func (w *SyntheticWorkload) Run(seed int64, plan FaultPlan, mech dataflow.Coordi
 		}
 	}
 	order = append(order, reads)
+	return &synPlan{data: data, msgs: msgs, order: order}
+}
+
+// Run implements Workload.
+func (w *SyntheticWorkload) Run(seed int64, plan FaultPlan, mech dataflow.Coordination) (Outcome, error) {
+	perPartition := mech == dataflow.CoordPartitionSealed
+	k := 0
+	if perPartition {
+		k = 1
+	}
+	p, _ := w.plans[k].get(func() (*synPlan, error) { return w.layout(perPartition), nil })
+	data, msgs := p.data, p.msgs
+	total := w.Producers * w.PerProducer
+	reads := total + w.Producers
+	reps := make([]*synReplica, w.Replicas)
+	for i := range reps {
+		reps[i] = newSynReplica(w)
+		if perPartition {
+			reps[i].outputs = make([]string, w.Reads)
+		}
+	}
 
 	s := sim.New(seed)
 	d := plan.delivery(s, sim.LinkConfig{MinDelay: 100 * sim.Microsecond, MaxDelay: 12 * sim.Millisecond})
 	d.Replicas = len(reps)
 	d.Msgs = msgs
-	d.Order = order
+	d.Order = p.order
 	d.Apply = func(ri, i int) {
 		r := reps[ri]
 		switch {
@@ -299,10 +360,12 @@ func (w *SyntheticWorkload) Run(seed int64, plan FaultPlan, mech dataflow.Coordi
 	if _, err := d.Result(); err != nil {
 		return Outcome{}, fmt.Errorf("synthetic: %w", err)
 	}
+	d.Release()
 
 	out := Outcome{}
 	for _, r := range reps {
 		out.Replicas = append(out.Replicas, r.outcome())
+		r.release()
 	}
 	s.Release()
 	return out, nil

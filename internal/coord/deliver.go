@@ -3,6 +3,7 @@ package coord
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"blazes/internal/dataflow"
 	"blazes/internal/sim"
@@ -56,12 +57,48 @@ type Delivery struct {
 	Order []int
 	Apply func(replica, i int) // hands message i to a replica
 
+	kept      *kept // what Install carves from, until Release
 	seq       *Sequencer
 	quorum    *QuorumOrder
 	producers []*QuorumProducer // M1q's, in first-send order, which fixes their ids
 	registry  *Registry
 	sealing   []*sealingReplica
 	err       error
+}
+
+// kept is the memory an installation fills whose size the workload fixes,
+// not the seed: the handlers it carves, the sealing replicas with their
+// trackers, and the sequencer with its records. Release hands it to
+// released, and the next Install, of whatever workload, takes it up.
+type kept struct {
+	arrivals   []arrival // CoordNone's deliveries, M1's steps
+	subs       []submission
+	sends      []sealSend
+	partitions []string
+	data       []int
+	sealing    []*sealingReplica // the replicas in use; more kept past len
+	seq        *Sequencer
+}
+
+// released holds the memory of finished installations. It is a sync.Pool,
+// so the collector empties it: a sweep's worker reuses one schedule's
+// memory in the next, and nothing outlives the sweep.
+var released sync.Pool
+
+// Release hands what Install carved and filled back for a later Install to
+// take up. Call it once the run is over and Result read; neither the
+// Delivery nor anything Install scheduled on its simulator may be used
+// afterwards.
+func (d *Delivery) Release() {
+	k := d.kept
+	if k == nil {
+		return
+	}
+	clear(k.arrivals)
+	clear(k.subs)
+	clear(k.sends)
+	d.kept, d.seq, d.sealing = nil, nil, nil
+	released.Put(k)
 }
 
 // Counters is what a run's mechanism cost and left behind, once its
@@ -143,12 +180,17 @@ func (a *arrival) Fire() {
 
 // Install schedules the run under mech.
 func (d *Delivery) Install(mech dataflow.Coordination) error {
+	k, _ := released.Get().(*kept)
+	if k == nil {
+		k = new(kept)
+	}
+	d.kept = k
 	switch mech {
 	case dataflow.CoordNone:
 		// Every message travels on its own: reordering across messages and
 		// across replicas, and retransmissions.
 		l := sim.NewLink(d.Sim, d.Link)
-		arrivals := make([]arrival, 0, len(d.Msgs)*d.Replicas)
+		arrivals := slices.Grow(k.arrivals[:0], len(d.Msgs)*d.Replicas)
 		for i := range d.Msgs {
 			m := &d.Msgs[i]
 			if m.Seal {
@@ -163,21 +205,27 @@ func (d *Delivery) Install(mech dataflow.Coordination) error {
 				}
 			}
 		}
+		k.arrivals = arrivals
 
 	case dataflow.CoordSequenced:
-		// M1: step k of the preordained order happens at every replica at
+		// M1: each step of the preordained order happens at every replica at
 		// once. Nothing crosses a link, so no plan reaches it, and no step
 		// depends on another's time, so the spacing reaches no outcome.
-		steps := make([]arrival, len(d.Order))
-		for k, i := range d.Order {
-			steps[k] = arrival{d, everyReplica, int32(i)}
-			d.Sim.Schedule(sim.Time(k+1)*sim.Millisecond, &steps[k])
+		k.arrivals = slices.Grow(k.arrivals[:0], len(d.Order))[:len(d.Order)]
+		for step, i := range d.Order {
+			k.arrivals[step] = arrival{d, everyReplica, int32(i)}
+			d.Sim.Schedule(sim.Time(step+1)*sim.Millisecond, &k.arrivals[step])
 		}
 
 	case dataflow.CoordDynamicOrder:
 		// M2: the ordering service decides a per-run arrival order; its own
 		// hops suffer the fault plan too.
-		d.seq = NewSequencer(d.Sim, d.Sequencer)
+		if k.seq == nil {
+			k.seq = NewSequencer(d.Sim, d.Sequencer)
+		} else {
+			k.seq.reset(d.Sim, d.Sequencer)
+		}
+		d.seq = k.seq
 		for ri := range d.Replicas {
 			d.seq.Subscribe(func(m Sequenced) { d.Apply(ri, m.Msg.(int)) })
 		}
@@ -204,7 +252,7 @@ func (d *Delivery) Install(mech dataflow.Coordination) error {
 		// waits for, which the read says itself: every partition, or the one
 		// it targets, so that a straggler delays only its own readers.
 		d.registry = NewRegistry(d.Sim, d.Link)
-		var partitions []string // in first-seal order
+		partitions := k.partitions[:0] // in first-seal order
 		for i := range d.Msgs {
 			if m := &d.Msgs[i]; m.Seal {
 				if !slices.Contains(partitions, m.Partition) {
@@ -215,18 +263,22 @@ func (d *Delivery) Install(mech dataflow.Coordination) error {
 		}
 		// What each replica buffers of a partition, so its tracker sizes
 		// the buffer once.
-		data := make([]int, len(partitions))
+		data := slices.Grow(k.data[:0], len(partitions))[:len(partitions)]
+		clear(data)
 		for i := range d.Msgs {
 			if m := &d.Msgs[i]; !m.Read && !m.Seal {
-				if k := slices.Index(partitions, m.Partition); k >= 0 {
-					data[k]++
+				if p := slices.Index(partitions, m.Partition); p >= 0 {
+					data[p]++
 				}
 			}
 		}
-		sends := make([]sealSend, 0, len(d.Msgs)*d.Replicas)
+		k.partitions, k.data = partitions, data
+		k.sends = slices.Grow(k.sends[:0], len(d.Msgs)*d.Replicas)
+		k.sealing = k.sealing[:0]
 		for ri := range d.Replicas {
-			sends = d.sealReplica(ri, sim.NewLink(d.Sim, d.Link), partitions, data, sends)
+			d.sealReplica(ri, sim.NewLink(d.Sim, d.Link))
 		}
+		d.sealing = k.sealing
 
 	default:
 		return fmt.Errorf("unsupported mechanism %s", mech)
@@ -247,13 +299,8 @@ type submission struct {
 // returns when the last leaves. Under M1q it registers each producer at its
 // first submission.
 func (d *Delivery) submit() sim.Time {
-	n := 0
-	for from := 0; from < len(d.Msgs); from = d.runEnd(from) {
-		if !d.Msgs[from].Seal {
-			n++
-		}
-	}
-	subs := make([]submission, 0, n)
+	// A submission per run of messages: one at most per message.
+	subs := slices.Grow(d.kept.subs[:0], len(d.Msgs))
 	var names []string // M1q's producers, by id
 	var end sim.Time
 	for from := 0; from < len(d.Msgs); {
@@ -275,6 +322,7 @@ func (d *Delivery) submit() sim.Time {
 		}
 		from = to
 	}
+	d.kept.subs = subs
 	return end
 }
 
@@ -320,17 +368,30 @@ func (s *submission) Fire() {
 // producer's FIFO stream in list order (a seal must not overtake the data
 // it closes), a sealed partition folded at once, reads held until what they
 // read is sealed. l is the hop into this replica alone: FIFO keys are per
-// link. data[k] is how many data messages partitions[k] has. The replica's
-// sends are carved from sends, which it returns extended.
-func (d *Delivery) sealReplica(ri int, l *sim.Link, partitions []string, data []int, sends []sealSend) []sealSend {
-	r := &sealingReplica{d: d, ri: ri, partitions: partitions, held: map[string][]int{},
-		waits: make([]partitionWait, len(partitions))}
-	r.tracker = NewSealTracker(r.fold)
-	for k, partition := range partitions {
-		r.tracker.Reserve(partition, data[k])
+// link. The replica is the next of the kept ones, or a new one; its sends
+// are carved from the kept sends.
+func (d *Delivery) sealReplica(ri int, l *sim.Link) {
+	k := d.kept
+	var r *sealingReplica
+	if n := len(k.sealing); n < cap(k.sealing) {
+		k.sealing = k.sealing[:n+1]
+		r = k.sealing[n]
+		r.tracker.reset()
+		clear(r.held)
+		*r = sealingReplica{tracker: r.tracker, held: r.held, waits: r.waits}
+	} else {
+		r = &sealingReplica{held: map[string][]int{}}
+		r.tracker = NewSealTracker(r.fold)
+		k.sealing = append(k.sealing, r)
+	}
+	r.d, r.ri, r.partitions = d, ri, k.partitions
+	r.waits = slices.Grow(r.waits[:0], len(r.partitions))[:len(r.partitions)]
+	clear(r.waits)
+	for p, partition := range r.partitions {
+		r.tracker.Reserve(partition, k.data[p])
 		d.registry.Lookup(partition, func(producers []string) { r.tracker.SetExpected(partition, producers) })
 	}
-	d.sealing = append(d.sealing, r)
+	sends := k.sends
 	for i := range d.Msgs {
 		m := &d.Msgs[i]
 		sends = append(sends, sealSend{r, int32(i)})
@@ -343,7 +404,7 @@ func (d *Delivery) sealReplica(ri int, l *sim.Link, partitions []string, data []
 			l.SendDup(m.Producer, m.At, h)
 		}
 	}
-	return sends
+	k.sends = sends
 }
 
 // sealingReplica is one replica's side of the seal protocol.
@@ -408,7 +469,7 @@ func (r *sealingReplica) fold(partition string, buffered []int) {
 	w := &r.waits[slices.Index(r.partitions, partition)]
 	r.bufferSum += sim.Time(w.n)*r.d.Sim.Now() - w.arrivals
 	r.bufferCount += w.n
-	slices.Sort(buffered) // the tracker hands the buffer over
+	slices.Sort(buffered) // the tracker lends the buffer for the call
 	for _, i := range buffered {
 		r.d.Apply(r.ri, i)
 	}

@@ -1,6 +1,9 @@
 package coord
 
 import (
+	"fmt"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -114,5 +117,117 @@ func TestInstallHoldsReadsOfUnsealedPartitions(t *testing.T) {
 	}
 	if c.Held != 2 {
 		t.Errorf("%d reads held, want 2 (one per replica)", c.Held)
+	}
+}
+
+// applied is one message handed to one replica, and when.
+type applied struct {
+	ri, i int
+	at    sim.Time
+}
+
+// installRun installs msgs on replicas replicas under mech with a link that
+// reorders, duplicates and partitions, runs it to quiescence and returns
+// every Apply in order with the counters and the error; the Delivery comes
+// back unreleased.
+func installRun(t *testing.T, mech dataflow.Coordination, seed int64, replicas int, msgs []Message) (*Delivery, []applied, Counters, error) {
+	t.Helper()
+	s := sim.New(seed)
+	link := sim.LinkConfig{MinDelay: 100 * sim.Microsecond, MaxDelay: 6 * sim.Millisecond, DupProb: 0.25,
+		Partitions: []sim.PartitionWindow{{From: 3 * sim.Millisecond, Until: 9 * sim.Millisecond}}}
+	seq := DefaultSequencer
+	seq.SubmitDelay, seq.DeliverDelay = link, link
+	var got []applied
+	d := &Delivery{
+		Sim:       s,
+		Link:      link,
+		Sequencer: seq,
+		Quorum:    QuorumConfig{Delivery: link, HeartbeatEvery: 2 * sim.Millisecond},
+		Replicas:  replicas,
+		Msgs:      msgs,
+		Apply:     func(ri, i int) { got = append(got, applied{ri, i, s.Now()}) },
+	}
+	for i, m := range msgs {
+		if !m.Seal {
+			d.Order = append(d.Order, i)
+		}
+	}
+	if err := d.Install(mech); err != nil {
+		t.Fatal(err)
+	}
+	s.Run()
+	c, err := d.Result()
+	return d, got, c, err
+}
+
+// installMsgs lists n data messages per producer of producers, spread over
+// two partitions, each producer's seals after its data, and reads of one
+// partition, of every partition and of one nothing seals among them.
+func installMsgs(producers, n int) []Message {
+	var msgs []Message
+	for p := range producers {
+		name := string(rune('A' + p))
+		for i := range n {
+			msgs = append(msgs, Message{At: sim.Time(i) * sim.Millisecond, Producer: name,
+				Partition: []string{"p", "q"}[i%2], Once: i%3 == 0})
+			if i == n/2 {
+				msgs = append(msgs, Message{At: sim.Time(i) * sim.Millisecond, Partition: "p", Read: true, Once: true})
+			}
+		}
+		for _, part := range []string{"p", "q"} {
+			msgs = append(msgs, Message{At: sim.Time(n) * sim.Millisecond, Producer: name, Partition: part, Seal: true})
+		}
+	}
+	return append(msgs, Message{At: 2 * sim.Millisecond, Partition: AllPartitions, Read: true, Once: true},
+		Message{At: 3 * sim.Millisecond, Partition: "unsealed", Read: true, Once: true})
+}
+
+// TestReleasedDeliveryMatchesFresh: an installation that takes up what an
+// earlier one released — its carved handlers, sealing replicas and
+// trackers, sequencer and records, whichever mechanism and size the earlier
+// run had — hands every replica the same messages at the same instants,
+// with the same counters, as one on fresh memory, under every mechanism.
+func TestReleasedDeliveryMatchesFresh(t *testing.T) {
+	// One processor, so what a run puts in the pool is what the next gets.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	mechs := []dataflow.Coordination{dataflow.CoordNone, dataflow.CoordSequenced, dataflow.CoordDynamicOrder,
+		dataflow.CoordQuorumOrder, dataflow.CoordSealed, dataflow.CoordPartitionSealed}
+	target, small, large := installMsgs(2, 6), installMsgs(1, 2), installMsgs(3, 12)
+	for _, mech := range mechs {
+		for released.Get() != nil {
+		}
+		fresh, want, wantC, wantErr := installRun(t, mech, 7, 2, target)
+		fresh.Release()
+		if len(want) == 0 {
+			t.Fatalf("%s: nothing was applied", mech)
+		}
+		for _, prev := range mechs {
+			for _, primer := range []struct {
+				replicas int
+				msgs     []Message
+			}{{1, small}, {3, large}} {
+				// The race detector drops a pooled value now and then, so
+				// prime until the run takes up the primer's memory.
+				for attempt := 0; ; attempt++ {
+					d, _, _, _ := installRun(t, prev, 3, primer.replicas, primer.msgs)
+					k := d.kept
+					d.Release()
+					d, got, c, err := installRun(t, mech, 7, 2, target)
+					took := d.kept == k
+					d.Release()
+					if !took {
+						if attempt == 20 {
+							t.Fatalf("%s never took up what a %s run released", mech, prev)
+						}
+						continue
+					}
+					if !reflect.DeepEqual(got, want) || c != wantC || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+						t.Errorf("%s after a released %s run on %d replicas: applied %v, counters %+v, error %v; fresh applied %v, counters %+v, error %v",
+							mech, prev, primer.replicas, got, c, err, want, wantC, wantErr)
+					}
+					break
+				}
+			}
+		}
 	}
 }

@@ -50,7 +50,10 @@ type Sequencer struct {
 	nextSeq     uint64
 	busyUntil   sim.Time
 	submitted   int
-	delivered   int
+	// A message in the service is a decision, and its hop to each
+	// subscriber a handoff, both carved here: a message costs no closure.
+	decisions slab[decision]
+	handoffs  slab[handoff]
 }
 
 // subscriber is one delivery callback and the service→subscriber hop into
@@ -62,7 +65,18 @@ type subscriber struct {
 
 // NewSequencer creates an ordering service on the given simulator.
 func NewSequencer(s *sim.Sim, cfg SequencerConfig) *Sequencer {
-	return &Sequencer{sim: s, cfg: cfg, submit: sim.NewLink(s, cfg.SubmitDelay)}
+	q := &Sequencer{}
+	q.reset(s, cfg)
+	return q
+}
+
+// reset makes q a new service on s, keeping what it carves from.
+func (q *Sequencer) reset(s *sim.Sim, cfg SequencerConfig) {
+	q.decisions.reset()
+	q.handoffs.reset()
+	clear(q.subscribers)
+	*q = Sequencer{sim: s, cfg: cfg, submit: sim.NewLink(s, cfg.SubmitDelay),
+		subscribers: q.subscribers[:0], decisions: q.decisions, handoffs: q.handoffs}
 }
 
 // Subscribe registers a delivery callback. All subscribers observe the same
@@ -75,11 +89,31 @@ func (q *Sequencer) Subscribe(fn func(Sequenced)) {
 // and broadcast to all subscribers.
 func (q *Sequencer) Submit(msg any) {
 	q.submitted++
-	q.submit.Send(sim.Unordered, q.sim.Now(), sim.Func(func() { q.arrive(msg) }))
+	m := q.decisions.next()
+	*m = decision{q: q, sm: Sequenced{Msg: msg}}
+	q.submit.Send(sim.Unordered, q.sim.Now(), m)
+}
+
+// decision is one submitted message. It fires twice: when it reaches the
+// service, which sequences it, and when the service has processed it,
+// which broadcasts it.
+type decision struct {
+	q       *Sequencer
+	sm      Sequenced
+	decided bool
+}
+
+// Fire is the message's arrival at the service, then its decision.
+func (m *decision) Fire() {
+	if m.decided {
+		m.q.broadcast(m)
+		return
+	}
+	m.q.arrive(m)
 }
 
 // arrive sequences one message, modelling the service's serial processing.
-func (q *Sequencer) arrive(msg any) {
+func (q *Sequencer) arrive(m *decision) {
 	start := q.sim.Now()
 	if q.busyUntil > start {
 		start = q.busyUntil
@@ -87,16 +121,29 @@ func (q *Sequencer) arrive(msg any) {
 	done := start + q.cfg.ProcessingCost
 	q.busyUntil = done
 	q.nextSeq++
-	sm := Sequenced{Seq: q.nextSeq, Msg: msg}
-	q.sim.At(done, func() {
-		for _, sub := range q.subscribers {
-			sub.link.Send("decided", q.sim.Now(), sim.Func(func() { // one FIFO stream
-				q.delivered++
-				sub.fn(sm)
-			}))
-		}
-	})
+	m.sm.Seq = q.nextSeq
+	m.decided = true
+	q.sim.Schedule(done, m)
 }
+
+// broadcast sends a decided message to every subscriber, on the one FIFO
+// stream of each.
+func (q *Sequencer) broadcast(m *decision) {
+	for _, sub := range q.subscribers {
+		h := q.handoffs.next()
+		*h = handoff{sub: sub, sm: &m.sm}
+		sub.link.Send("decided", q.sim.Now(), h)
+	}
+}
+
+// handoff is a decided message's arrival at one subscriber.
+type handoff struct {
+	sub *subscriber
+	sm  *Sequenced
+}
+
+// Fire hands the message to the subscriber.
+func (h *handoff) Fire() { h.sub.fn(*h.sm) }
 
 // QueueDelay reports how far behind the service currently is: the time a
 // message arriving now would wait before being sequenced. Clients use it to
@@ -113,5 +160,23 @@ func (q *Sequencer) QueueDelay() sim.Time {
 // Submitted reports how many messages have been submitted.
 func (q *Sequencer) Submitted() int { return q.submitted }
 
-// Delivered reports the total number of subscriber deliveries.
-func (q *Sequencer) Delivered() int { return q.delivered }
+// slab carves values that must stay where they are while the simulator
+// holds them: it fills one array and, once that is full, starts another
+// twice its size. reset frees everything carved and keeps the last array,
+// so a run that carves no more than the one before it allocates nothing.
+type slab[T any] struct{ buf []T }
+
+// next returns a zero value carved from the slab.
+func (s *slab[T]) next() *T {
+	if len(s.buf) == cap(s.buf) {
+		s.buf = make([]T, 0, max(16, 2*cap(s.buf)))
+	}
+	s.buf = s.buf[:len(s.buf)+1]
+	return &s.buf[len(s.buf)-1]
+}
+
+// reset frees every value carved, zeroing those of the last array.
+func (s *slab[T]) reset() {
+	clear(s.buf)
+	s.buf = s.buf[:0]
+}

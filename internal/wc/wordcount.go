@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"blazes/internal/storm"
 )
@@ -181,10 +182,31 @@ func NewCount() *Count { return &Count{perBatch: map[int64]map[string]int64{}} }
 func (c *Count) Execute(t storm.Tuple, _ storm.Emitter) {
 	m, ok := c.perBatch[t.Batch]
 	if !ok {
-		m = map[string]int64{}
+		m = takeBatchMap()
 		c.perBatch[t.Batch] = m
 	}
 	m[t.Values[0]]++
+}
+
+// releasedBatchMaps holds the emptied per-batch maps of Count and Commit:
+// a batch's map goes back once its counts are read, and the next batch,
+// of this run or a later one, fills it again without growing it.
+var releasedBatchMaps sync.Pool
+
+// takeBatchMap returns an empty batch map, a released one if there is one.
+func takeBatchMap() map[string]int64 {
+	if m, ok := releasedBatchMaps.Get().(map[string]int64); ok {
+		return m
+	}
+	return map[string]int64{}
+}
+
+// releaseBatchMap empties m and hands it back.
+func releaseBatchMap(m map[string]int64) {
+	if m != nil {
+		clear(m)
+		releasedBatchMaps.Put(m)
+	}
 }
 
 // FinishBatch implements storm.Bolt: emits the batch's counts.
@@ -199,6 +221,7 @@ func (c *Count) FinishBatch(batch int64, emit storm.Emitter) {
 		emit(storm.Tuple{Values: storm.Values{w, strconv.FormatInt(m[w], 10)}})
 	}
 	delete(c.perBatch, batch)
+	releaseBatchMap(m)
 }
 
 // Store is the backing store Commit writes to: per-batch word counts plus
@@ -275,7 +298,7 @@ func NewCommit(store *Store) *Commit {
 func (c *Commit) Execute(t storm.Tuple, _ storm.Emitter) {
 	m, ok := c.pending[t.Batch]
 	if !ok {
-		m = map[string]int64{}
+		m = takeBatchMap()
 		c.pending[t.Batch] = m
 	}
 	n, _ := strconv.ParseInt(t.Values[1], 10, 64)
@@ -287,6 +310,8 @@ func (c *Commit) FinishBatch(int64, storm.Emitter) {}
 
 // Commit implements storm.Committer: apply the batch durably.
 func (c *Commit) Commit(batch int64) {
-	c.store.Apply(batch, c.pending[batch])
+	m := c.pending[batch]
+	c.store.Apply(batch, m)
 	delete(c.pending, batch)
+	releaseBatchMap(m)
 }
