@@ -162,22 +162,14 @@ func newSynReplica(w *SyntheticWorkload) *synReplica {
 	total := w.Producers * w.PerProducer
 	r, _ := synReleased.Get().(*synReplica)
 	if r == nil {
-		r = &synReplica{seen: make(map[string]bool, total)}
+		r = &synReplica{seen: make(map[string]bool, total), set: make(map[string]bool, total),
+			chains: make(map[string]uint64, w.Producers)}
 	}
 	clear(r.seen)
+	clear(r.set)
+	clear(r.chains)
 	*r = synReplica{confluent: w.Confluent, convergent: w.Convergent, seen: r.seen,
 		set: r.set, chains: r.chains, keys: r.keys}
-	switch {
-	case r.confluent && r.set == nil:
-		r.set = make(map[string]bool, total)
-	case r.confluent:
-		clear(r.set)
-	case r.convergent:
-	case r.chains == nil:
-		r.chains = make(map[string]uint64, w.Producers)
-	default:
-		clear(r.chains)
-	}
 	return r
 }
 
