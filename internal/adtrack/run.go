@@ -218,9 +218,8 @@ func takeReplica(idx int, node *bloom.Node) *replica {
 	return r
 }
 
-// release hands the replica and its node back.
+// release hands the replica back; its node is the caller's.
 func (r *replica) release() {
-	r.node.Release()
 	clear(r.batch)
 	*r = replica{pending: r.pending, batch: r.batch, series: r.series}
 	releasedReplicas.Put(r)
@@ -230,15 +229,26 @@ func (r *replica) release() {
 // schedules of one workload passes the plan it prepared once (Prepare);
 // without one the run prepares its own.
 func Run(cfg Config, prepared ...*Prepared) (*Result, error) {
+	res, nodes, err := RunHeld(cfg, prepared...)
+	for _, n := range nodes {
+		n.Release()
+	}
+	return res, err
+}
+
+// RunHeld is Run, except that it hands back the replicas' Bloom nodes, in
+// replica order and as the run left them, instead of releasing them, for a
+// caller that reads their state; the caller releases each.
+func RunHeld(cfg Config, prepared ...*Prepared) (*Result, []*bloom.Node, error) {
 	if cfg.Replicas <= 0 {
-		return nil, fmt.Errorf("adtrack: Replicas must be positive")
+		return nil, nil, fmt.Errorf("adtrack: Replicas must be positive")
 	}
 	if cfg.Regime < 0 || int(cfg.Regime) >= len(regimes) {
-		return nil, fmt.Errorf("adtrack: unknown regime %s", cfg.Regime)
+		return nil, nil, fmt.Errorf("adtrack: unknown regime %s", cfg.Regime)
 	}
 	plan, err := planFor(cfg, prepared)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	s := sim.New(cfg.Seed)
 	res := &Result{}
@@ -249,7 +259,7 @@ func Run(cfg Config, prepared ...*Prepared) (*Result, error) {
 	for i := range replicas {
 		node, err := bloom.NewNode("report"+strconv.Itoa(i), plan.module)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		replicas[i] = takeReplica(i, node)
 	}
@@ -346,37 +356,51 @@ func Run(cfg Config, prepared ...*Prepared) (*Result, error) {
 		},
 	}
 	if err := d.Install(regimes[cfg.Regime].mech); err != nil {
-		return nil, fmt.Errorf("adtrack: %w", err)
+		return nil, nil, fmt.Errorf("adtrack: %w", err)
 	}
 
 	s.Run()
 	if tickErr != nil {
-		return nil, tickErr
+		return nil, nil, tickErr
 	}
 	if res.Counters, err = d.Result(); err != nil {
-		return nil, fmt.Errorf("adtrack: %w", err)
+		return nil, nil, fmt.Errorf("adtrack: %w", err)
 	}
 	d.Release()
 
 	// Final bookkeeping: flush one tick per replica so trailing deliveries
 	// reach the log, then collect results. FinishedAt measures record
-	// ingestion (the paper's y-axis), not the analyst-request tail.
-	for _, r := range replicas {
+	// ingestion (the paper's y-axis), not the analyst-request tail. A
+	// replica whose state equals an earlier one's (bloom.Node.StateEqual;
+	// the earlier one ticks no more) takes that one's digest.
+	for i, r := range replicas {
 		if r.node.Pending() {
 			collectTick(r)
 		}
 		res.LogSizes = append(res.LogSizes, r.node.Size("clicklog"))
-		res.LogDigests = append(res.LogDigests, r.node.Digest())
+		digest := ""
+		for j, q := range replicas[:i] {
+			if r.node.StateEqual(q.node) {
+				digest = res.LogDigests[j]
+				break
+			}
+		}
+		if digest == "" {
+			digest = r.node.Digest()
+		}
+		res.LogDigests = append(res.LogDigests, digest)
 		res.FinishedAt = max(res.FinishedAt, r.lastAt)
 	}
 	if tickErr != nil {
-		return nil, tickErr
+		return nil, nil, tickErr
 	}
 	// The curve goes to the figures, so it is the run's own.
 	if series := replicas[0].series; len(series) > 0 {
 		res.Series = slices.Clone(series)
 	}
-	for _, r := range replicas {
+	nodes := make([]*bloom.Node, len(replicas))
+	for i, r := range replicas {
+		nodes[i] = r.node
 		r.release()
 	}
 	s.Release()
@@ -386,5 +410,5 @@ func Run(cfg Config, prepared ...*Prepared) (*Result, error) {
 		}
 		return res.Responses[i].Replica < res.Responses[j].Replica
 	})
-	return res, nil
+	return res, nodes, nil
 }

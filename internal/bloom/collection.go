@@ -174,7 +174,7 @@ func (ix *flatIndex) reset() {
 }
 
 // store is the runtime contents of a collection: a set of rows held flat in
-// insertion order, indexed by FNV hash in a flatIndex with element-wise
+// insertion order, indexed by row hash in a flatIndex with element-wise
 // equality resolving collisions, so an insert allocates nothing per row. Rows
 // held by a store are immutable by convention: the evaluator never mutates a
 // row after construction, and neither may the caller that handed it to

@@ -210,6 +210,38 @@ func (n *Node) Digest() string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
+// StateEqual reports whether n and m hold the same state: nodes of one
+// module compiled at one edit count, neither with pending work, whose
+// persistent collections hold equal row sets. Such nodes have equal Digests
+// and equal AppendRender text for every collection (transient ones are
+// empty between ticks), and a tick with equal deliveries emits alike on
+// both, so a caller digesting many replicas makes the text once per
+// distinct state. Each row of n is looked up in m's index under the hash
+// n's index recorded for it, so nothing is re-hashed or sorted; that needs
+// the stores to drop the same hash bits, which they do outside tests.
+func (n *Node) StateEqual(m *Node) bool {
+	if n.mod != m.mod || n.gen != m.gen || n.Pending() || m.Pending() {
+		return false
+	}
+	for i, a := range n.stores {
+		b := m.stores[i]
+		if a.decl.Kind.Transient() {
+			continue
+		}
+		if len(a.rows) != len(b.rows) || a.hashShift != b.hashShift {
+			return false
+		}
+		// Rows are a set on both sides, so equal sizes and every row of a
+		// found in b make the sets equal.
+		for p, r := range a.rows {
+			if _, q := b.find(a.index.hashes[p], r); q == 0 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // rowsOf implements stateReader.
 func (n *Node) rowsOf(name string) []Row { return n.state[name].snapshot() }
 

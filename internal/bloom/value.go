@@ -122,60 +122,81 @@ func compareVals(a, b Val) int {
 // Row is one tuple.
 type Row []Val
 
-// FNV-1a constants for the allocation-free row hashes used by store
-// membership, joins, and grouping on the hot path.
+// The row hashes behind store membership, joins and grouping are
+// allocation-free and take a word at a time: each value contributes a tag
+// word (its dynamic type, and a string's length) and then its contents,
+// eight bytes to a multiply. Nothing outside a probe sees a hash: every
+// probe confirms a match by element-wise equality, and no order is taken
+// from hash values, so the function is free to change.
 const (
-	fnvOffset64 uint64 = 14695981039346656037
-	fnvPrime64  uint64 = 1099511628211
+	hashSeed uint64 = 14695981039346656037
+	hashMul  uint64 = 0xbf58476d1ce4e5b9
 )
 
-func hashByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime64 }
+// mix folds one word into h: a multiply by an odd constant, then an
+// xor-shift that carries the product's high bits down. Both steps are
+// invertible, so two words that differ give states that differ.
+func mix(h, w uint64) uint64 {
+	h = (h ^ w) * hashMul
+	return h ^ h>>32
+}
 
-func hashString(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h = hashByte(h, s[i])
+// hashString folds s in after its tag word, eight bytes to a step. The
+// last word reads the string's last bytes, overlapping bytes the step
+// before it read when the length is not a multiple of eight (two 4-byte
+// halves below eight, the first, middle and last byte below four); the
+// tag's length keeps that unambiguous.
+func hashString(h uint64, tag byte, s string) uint64 {
+	h = mix(h, uint64(tag)|uint64(len(s))<<8)
+	for ; len(s) > 8; s = s[8:] {
+		h = mix(h, load64(s))
+	}
+	switch n := len(s); {
+	case n == 8:
+		h = mix(h, load64(s))
+	case n >= 4:
+		h = mix(h, uint64(load32(s))|uint64(load32(s[n-4:]))<<32)
+	case n > 0:
+		h = mix(h, uint64(s[0])|uint64(s[n/2])<<8|uint64(s[n-1])<<16)
 	}
 	return h
 }
 
-// hashVal folds one value into an FNV-1a hash. Values are tagged by dynamic
+// load64 and load32 read the first bytes of s little-endian; the compiler
+// makes each one load.
+func load64(s string) uint64 {
+	_ = s[7]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+}
+
+func load32(s string) uint32 {
+	_ = s[3]
+	return uint32(s[0]) | uint32(s[1])<<8 | uint32(s[2])<<16 | uint32(s[3])<<24
+}
+
+// hashVal folds one value into a row hash. Values are tagged by dynamic
 // type so I(1) and S("1") hash differently, and strings are length-prefixed
 // so adjacent values cannot concatenate ambiguously (("as","b") vs
 // ("a","sb")) — both mirroring key()'s encoding.
 func hashVal(h uint64, v Val) uint64 {
 	switch x := v.(type) {
 	case int64:
-		h = hashByte(h, 'i')
-		for s := 0; s < 64; s += 8 {
-			h = hashByte(h, byte(x>>s))
-		}
-		return h
+		return mix(mix(h, 'i'), uint64(x))
 	case string:
-		h = hashByte(h, 's')
-		h = hashLen(h, len(x))
-		return hashString(h, x)
+		return hashString(h, 's', x)
 	default:
 		// Deliver rejects other types, but stay total for values built by
 		// rule constants.
-		h = hashByte(h, 'o')
-		s := AsString(x)
-		h = hashLen(h, len(s))
-		return hashString(h, s)
+		return hashString(h, 'o', AsString(x))
 	}
-}
-
-func hashLen(h uint64, n int) uint64 {
-	for s := 0; s < 32; s += 8 {
-		h = hashByte(h, byte(n>>s))
-	}
-	return h
 }
 
 // hash is the row's set-membership hash. Collisions are resolved by bucket
 // scans with rowsSame, so the hash only needs to be well-distributed, not
 // unique.
 func (r Row) hash() uint64 {
-	h := fnvOffset64
+	h := hashSeed
 	for _, v := range r {
 		h = hashVal(h, v)
 	}
@@ -185,7 +206,7 @@ func (r Row) hash() uint64 {
 // hashAt hashes the projection of r onto the given column indexes (join and
 // group keys) without materializing the key row.
 func hashAt(r Row, idx []int) uint64 {
-	h := fnvOffset64
+	h := hashSeed
 	for _, j := range idx {
 		h = hashVal(h, r[j])
 	}

@@ -1,6 +1,9 @@
 package bloom
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestRowHashBoundaries(t *testing.T) {
 	// Length-prefixed string hashing: adjacent values must not concatenate
@@ -21,6 +24,18 @@ func TestRowHashBoundaries(t *testing.T) {
 	a, b := Row{S("x"), I(3)}, Row{S("x"), I(3)}
 	if a.hash() != b.hash() || !rowsSame(a, b) {
 		t.Error("equal rows must hash and compare equal")
+	}
+	// Every byte of a string reaches the hash, at every length around the
+	// eight-byte words it is read in.
+	for n := 1; n <= 24; n++ {
+		base := strings.Repeat("a", n)
+		h := Row{S(base)}.hash()
+		for i := range n {
+			flipped := base[:i] + "b" + base[i+1:]
+			if (Row{S(flipped)}).hash() == h {
+				t.Errorf("%q and %q hash alike: byte %d of %d is not read", base, flipped, i, n)
+			}
+		}
 	}
 }
 

@@ -7,6 +7,15 @@ import (
 	"blazes/internal/dataflow"
 )
 
+// finalDigest is a replica's final digest made afresh from its own state:
+// drained, then probed.
+func finalDigest(r *bloomReplica, p *bloomPlan) (string, error) {
+	if err := r.drain(); err != nil {
+		return "", err
+	}
+	return r.probe(p)
+}
+
 // perProbeDigest is the oracle of finalDigest: it drains the node, then
 // poses each probe in a tick of its own and keeps the response rows that
 // carry the probe's id.
@@ -64,7 +73,7 @@ func TestFinalDigestOneTick(t *testing.T) {
 						t.Fatal(err)
 					}
 					for i := range one {
-						got, err := one[i].finalDigest(p)
+						got, err := finalDigest(one[i], p)
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -55,9 +55,23 @@ func (w *AdNetworkWorkload) Supports(mech dataflow.Coordination) bool {
 
 // Run implements Workload.
 func (w *AdNetworkWorkload) Run(seed int64, plan FaultPlan, mech dataflow.Coordination) (Outcome, error) {
+	cfg, prepared, err := w.config(seed, plan, mech)
+	if err != nil {
+		return Outcome{}, err
+	}
+	res, err := adtrack.Run(cfg, prepared)
+	if err != nil {
+		return Outcome{}, err
+	}
+	return adNetworkOutcome(cfg, res), nil
+}
+
+// config returns the ad-network configuration of one schedule and the plan
+// every schedule shares.
+func (w *AdNetworkWorkload) config(seed int64, plan FaultPlan, mech dataflow.Coordination) (adtrack.Config, *adtrack.Prepared, error) {
 	regime, ok := adtrack.RegimeFor(mech)
 	if !ok {
-		return Outcome{}, fmt.Errorf("adtrack: unsupported mechanism %s", mech)
+		return adtrack.Config{}, nil, fmt.Errorf("adtrack: unsupported mechanism %s", mech)
 	}
 	cfg := adtrack.DefaultConfig(w.AdServers, regime, false)
 	cfg.Seed = seed
@@ -80,14 +94,11 @@ func (w *AdNetworkWorkload) Run(seed int64, plan FaultPlan, mech dataflow.Coordi
 	// The plan is a function of cfg's workload, query and requests only —
 	// none of which a schedule's seed, regime or fault plan touches.
 	prepared, err := w.prepared.get(func() (*adtrack.Prepared, error) { return adtrack.Prepare(cfg) })
-	if err != nil {
-		return Outcome{}, err
-	}
-	res, err := adtrack.Run(cfg, prepared)
-	if err != nil {
-		return Outcome{}, err
-	}
+	return cfg, prepared, err
+}
 
+// adNetworkOutcome is what a run's replicas answered and hold.
+func adNetworkOutcome(cfg adtrack.Config, res *adtrack.Result) Outcome {
 	// Per-replica answers keyed by request id; entries sorted by request
 	// id so only content distinguishes traces.
 	answers := make([]map[string][]string, cfg.Replicas)
@@ -107,5 +118,5 @@ func (w *AdNetworkWorkload) Run(seed int64, plan FaultPlan, mech dataflow.Coordi
 		final := "state:" + res.LogDigests[i] + " held:" + strconv.Itoa(res.Held)
 		out.Replicas = append(out.Replicas, ReplicaOutcome{Trace: trace, Final: final})
 	}
-	return out, nil
+	return out
 }

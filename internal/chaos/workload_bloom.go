@@ -168,18 +168,22 @@ func (r *bloomReplica) trace() []string {
 	return out
 }
 
-// finalDigest drains the node, digests its persistent click log, and
-// re-poses every request at quiescence — the eventual answers a confluent
-// (or properly coordinated) replica must agree on. The probes are
-// independent requests, each answered under its own id, against a click log
-// no longer changing, so one tick answers them all: each probe's rows are
-// the ones a tick of its own would give.
-func (r *bloomReplica) finalDigest(p *bloomPlan) (string, error) {
-	if r.node.Pending() {
-		if _, err := r.node.Tick(); err != nil {
-			return "", err
-		}
+// drain runs the tick that applies whatever the node still has queued.
+func (r *bloomReplica) drain() error {
+	if !r.node.Pending() {
+		return nil
 	}
+	_, err := r.node.Tick()
+	return err
+}
+
+// probe digests a drained node's persistent click log and re-poses every
+// request — the eventual answers a confluent (or properly coordinated)
+// replica must agree on. The probes are independent requests, each answered
+// under its own id, against a click log no longer changing, so one tick
+// answers them all: each probe's rows are the ones a tick of its own would
+// give.
+func (r *bloomReplica) probe(p *bloomPlan) (string, error) {
 	for i := range p.probes {
 		if err := r.node.Deliver("request", p.probes[i].row); err != nil {
 			return "", err
@@ -327,16 +331,52 @@ func (w *BloomReportWorkload) Run(seed int64, plan FaultPlan, mech dataflow.Coor
 	if err != nil {
 		return Outcome{}, err
 	}
+	finals, _, err := finalDigests(p, reps)
+	if err != nil {
+		return Outcome{}, err
+	}
 	out := Outcome{}
-	for _, r := range reps {
-		final, err := r.finalDigest(p)
-		if err != nil {
-			return Outcome{}, err
-		}
-		out.Replicas = append(out.Replicas, ReplicaOutcome{Trace: r.trace(), Final: final})
+	for i, r := range reps {
+		out.Replicas = append(out.Replicas, ReplicaOutcome{Trace: r.trace(), Final: finals[i]})
 		r.node.Release()
 	}
 	return out, nil
+}
+
+// finalDigests drains every replica and then gives each its final digest,
+// made once per distinct state: a replica whose state equals an earlier
+// one's (bloom.Node.StateEqual) answers every probe as that one does, so it
+// takes that one's digest and runs no probe tick of its own. States are
+// compared before any probe tick, which could move them. twins[i] is the
+// replica whose digest replica i carries: the first whose state equals its
+// own, i itself when none before it does.
+func finalDigests(p *bloomPlan, reps []*bloomReplica) (finals []string, twins []int, err error) {
+	for _, r := range reps {
+		if err := r.drain(); err != nil {
+			return nil, nil, err
+		}
+	}
+	twins = make([]int, len(reps))
+	for i, r := range reps {
+		twins[i] = i
+		for j := range i {
+			if twins[j] == j && r.node.StateEqual(reps[j].node) {
+				twins[i] = j
+				break
+			}
+		}
+	}
+	finals = make([]string, len(reps))
+	for i, r := range reps {
+		if j := twins[i]; j != i {
+			finals[i] = finals[j]
+			continue
+		}
+		if finals[i], err = r.probe(p); err != nil {
+			return nil, nil, err
+		}
+	}
+	return finals, twins, nil
 }
 
 // simulate runs one seeded schedule and returns the replicas as it left

@@ -153,11 +153,12 @@ type Stats struct {
 // fsync, so appenders queue their frames meanwhile.
 type Journal struct {
 	dir string
+	fs  fileSystem
 
 	commitMu sync.Mutex
 
 	mu       sync.Mutex
-	f        *os.File  // active wal segment, the last of segments; nil after a failed rotation
+	f        file      // active wal segment, the last of segments; nil after a failed rotation
 	size     int64     // f's logical end: its header and records
 	sized    int64     // f's length on disk, size plus a zero tail
 	segments []segment // live wal files, oldest first
@@ -187,21 +188,26 @@ type segment struct {
 // Snapshot deleted what came before it, so no older state can stand in.
 // Once nothing is refused, snapshots older than the newest are removed.
 func Open(dir string) (*Journal, *Recovered, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	return open(osFS{}, dir)
+}
+
+// open is Open on the file system fsys.
+func open(fsys fileSystem, dir string) (*Journal, *Recovered, error) {
+	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
-	snaps, wals, tmps, err := scanDir(dir)
+	snaps, wals, tmps, err := scanDir(fsys, dir)
 	if err != nil {
 		return nil, nil, err
 	}
 	for _, tmp := range tmps {
-		_ = os.Remove(tmp) // a snapshot a crash cut short of its rename
+		_ = fsys.Remove(tmp) // a snapshot a crash cut short of its rename
 	}
 
 	rec := &Recovered{}
 	if len(snaps) > 0 {
 		newest := snaps[len(snaps)-1]
-		if rec.Snapshot, err = readSnapshot(newest.path); err != nil {
+		if rec.Snapshot, err = readSnapshot(fsys, newest.path); err != nil {
 			return nil, nil, fmt.Errorf("journal: %s: %w", newest.path, err)
 		}
 		rec.SnapshotSeq = newest.firstSeq
@@ -210,7 +216,7 @@ func Open(dir string) (*Journal, *Recovered, error) {
 		return nil, nil, fmt.Errorf("journal: %s starts at seq %d, but no snapshot covers the records before it (newest snapshot seq %d)", wals[0].path, wals[0].firstSeq, rec.SnapshotSeq)
 	}
 
-	j := &Journal{dir: dir, nextSeq: 1, snapshotSeq: rec.SnapshotSeq}
+	j := &Journal{dir: dir, fs: fsys, nextSeq: 1, snapshotSeq: rec.SnapshotSeq}
 
 	// Replay wal segments in order. Records at or below the snapshot seq
 	// are already folded into the snapshot; a torn record ends the
@@ -221,7 +227,7 @@ func Open(dir string) (*Journal, *Recovered, error) {
 		cut          bool  // the last live segment has a torn tail to truncate
 	)
 	for i, seg := range wals {
-		records, goodBytes, tornBytes, size, err := readSegment(seg.path)
+		records, goodBytes, tornBytes, size, err := readSegment(fsys, seg.path)
 		if err != nil {
 			return nil, nil, fmt.Errorf("journal: %s: %w", seg.path, err)
 		}
@@ -237,7 +243,7 @@ func Open(dir string) (*Journal, *Recovered, error) {
 			// The crash tore even the file header; nothing in the segment
 			// is recoverable, so drop the file rather than appending to a
 			// header-less shell.
-			_ = os.Remove(seg.path)
+			_ = fsys.Remove(seg.path)
 		} else {
 			j.segments = append(j.segments, seg)
 			j.sealed += good // the segment kept before this one is sealed
@@ -251,10 +257,10 @@ func Open(dir string) (*Journal, *Recovered, error) {
 		// Later segments are unreachable past a torn record — a correct
 		// writer cannot have produced them.
 		for _, later := range wals[i+1:] {
-			if data, err := os.ReadFile(later.path); err == nil {
+			if data, err := fsys.ReadFile(later.path); err == nil {
 				rec.TruncatedBytes += int64(dataEnd(data))
 			}
-			_ = os.Remove(later.path)
+			_ = fsys.Remove(later.path)
 		}
 		break
 	}
@@ -268,7 +274,7 @@ func Open(dir string) (*Journal, *Recovered, error) {
 	// at the next seq.
 	if len(j.segments) > 0 {
 		last := j.segments[len(j.segments)-1]
-		f, err := os.OpenFile(last.path, os.O_WRONLY, 0o644)
+		f, err := fsys.OpenFile(last.path, os.O_WRONLY, 0o644)
 		if err != nil {
 			return nil, nil, fmt.Errorf("journal: %w", err)
 		}
@@ -287,7 +293,7 @@ func Open(dir string) (*Journal, *Recovered, error) {
 	// crash between a snapshot and the removal of the one it replaced
 	// leaves two) can go, so Snapshot finds at most one to replace.
 	for _, old := range snaps[:max(len(snaps)-1, 0)] {
-		_ = os.Remove(old.path)
+		_ = fsys.Remove(old.path)
 	}
 	return j, rec, nil
 }
@@ -300,14 +306,14 @@ func Open(dir string) (*Journal, *Recovered, error) {
 // single-threaded in Open).
 func (j *Journal) openSegmentLocked(firstSeq uint64) error {
 	path := filepath.Join(j.dir, fmt.Sprintf("wal-%020d.log", firstSeq))
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	f, err := j.fs.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
 	hdr := fileHeader(kindWAL)
 	sized, err := write(f, hdr[:], 0, 0)
 	if err == nil {
-		err = syncDir(j.dir)
+		err = syncDir(j.fs, j.dir)
 	}
 	if err != nil {
 		f.Close()
@@ -381,7 +387,7 @@ func (j *Journal) commit(seq uint64) error {
 
 // write writes buf at off in f and fsyncs, first growing f by a step if buf
 // would cross its sized length, and returns f's new length on disk.
-func write(f *os.File, buf []byte, off, sized int64) (int64, error) {
+func write(f file, buf []byte, off, sized int64) (int64, error) {
 	if end := off + int64(len(buf)); end > sized {
 		sized = (end/segmentStep + 1) * segmentStep
 		if err := f.Truncate(sized); err != nil {
@@ -416,7 +422,7 @@ func (j *Journal) Snapshot(payload []byte) error {
 
 	// writeSnapshot returns only once the snapshot and its directory entry
 	// are durable; until then the segments it replaces are the only copy.
-	if err := writeSnapshot(snapshotPath(j.dir, seq), payload); err != nil {
+	if err := writeSnapshot(j.fs, snapshotPath(j.dir, seq), payload); err != nil {
 		return err
 	}
 	prev := j.snapshotSeq
@@ -433,7 +439,7 @@ func (j *Journal) Snapshot(payload []byte) error {
 	err := j.f.Close()
 	j.f = nil
 	for _, seg := range j.segments {
-		_ = os.Remove(seg.path)
+		_ = j.fs.Remove(seg.path)
 	}
 	j.segments, j.sealed, j.size = nil, 0, 0
 	if err != nil {
@@ -447,7 +453,7 @@ func (j *Journal) Snapshot(payload []byte) error {
 	// Drop the snapshot this one supersedes, the only other one on disk:
 	// Open leaves no more. When none came before, the name matches no file.
 	if prev != seq {
-		_ = os.Remove(snapshotPath(j.dir, prev))
+		_ = j.fs.Remove(snapshotPath(j.dir, prev))
 	}
 	return nil
 }
@@ -574,8 +580,8 @@ func decodeFile(data []byte, kind byte) (records []Record, goodBytes int, err er
 // the bytes after it through the last nonzero one, so a presized
 // segment's zero tail is clean and a segment is torn when tornBytes > 0 or
 // it has no header. size is the file's length as read.
-func readSegment(path string) (records []Record, goodBytes, tornBytes, size int64, err error) {
-	data, err := os.ReadFile(path)
+func readSegment(fsys fileSystem, path string) (records []Record, goodBytes, tornBytes, size int64, err error) {
+	data, err := fsys.ReadFile(path)
 	if err != nil {
 		return nil, 0, 0, 0, err
 	}
@@ -613,9 +619,9 @@ func dataEnd(data []byte) int {
 // writeSnapshot writes payload to path atomically: temp file, fsync,
 // rename, directory fsync. A failure removes the temp file; Open removes
 // one a crash left behind.
-func writeSnapshot(path string, payload []byte) error {
+func writeSnapshot(fsys fileSystem, path string, payload []byte) error {
 	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("journal: snapshot: %w", err)
 	}
@@ -628,32 +634,27 @@ func writeSnapshot(path string, payload []byte) error {
 		err = cerr
 	}
 	if err == nil {
-		err = os.Rename(tmp, path)
+		err = fsys.Rename(tmp, path)
 	}
 	if err != nil {
-		_ = os.Remove(tmp)
+		_ = fsys.Remove(tmp)
 		return fmt.Errorf("journal: snapshot: %w", err)
 	}
-	return syncDir(filepath.Dir(path))
+	return syncDir(fsys, filepath.Dir(path))
 }
 
 // syncDir fsyncs a directory, making the entries created, renamed or
 // removed in it durable.
-func syncDir(path string) error {
-	dir, err := os.Open(path)
-	if err == nil {
-		err = dir.Sync()
-		dir.Close() // opened only to sync; Sync's error is the one that counts
-	}
-	if err != nil {
+func syncDir(fsys fileSystem, path string) error {
+	if err := fsys.SyncDir(path); err != nil {
 		return fmt.Errorf("journal: directory sync: %w", err)
 	}
 	return nil
 }
 
 // readSnapshot decodes a snapshot file's payload.
-func readSnapshot(path string) ([]byte, error) {
-	data, err := os.ReadFile(path)
+func readSnapshot(fsys fileSystem, path string) ([]byte, error) {
+	data, err := fsys.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
@@ -669,8 +670,8 @@ func readSnapshot(path string) ([]byte, error) {
 
 // scanDir lists snapshot and wal files, sorted by their embedded seq, and
 // the snapshot temp files a crash left behind.
-func scanDir(dir string) (snaps, wals []segment, tmps []string, err error) {
-	entries, err := os.ReadDir(dir)
+func scanDir(fsys fileSystem, dir string) (snaps, wals []segment, tmps []string, err error) {
+	entries, err := fsys.ReadDir(dir)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("journal: %w", err)
 	}

@@ -2,6 +2,7 @@ package journal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -307,7 +308,7 @@ func TestReplay(t *testing.T) {
 			prepare: func(t *testing.T, dir string) {
 				// What a journal that snapshotted after "a" left, its
 				// suffix segment chopped at EOF.
-				if err := writeSnapshot(filepath.Join(dir, "snap-00000000000000000001.snap"), []byte("state-after-a")); err != nil {
+				if err := writeSnapshot(osFS{}, filepath.Join(dir, "snap-00000000000000000001.snap"), []byte("state-after-a")); err != nil {
 					t.Fatal(err)
 				}
 				size := writeSegment(t, dir, 2, "b", "victim")
@@ -881,26 +882,19 @@ func TestAppendAfterClose(t *testing.T) {
 // by recovery's torn-tail truncation.
 func TestFailedCommitBreaksJournal(t *testing.T) {
 	dir := t.TempDir()
-	j, _ := openT(t, dir)
+	j, fs := openFaulty(t, dir)
 	appendAll(t, j, "a")
 	path := walPath(t, dir)
 	before, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ro, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.mu.Lock()
-	rw := j.f
-	j.f = ro // every write through it fails
-	j.mu.Unlock()
-	defer rw.Close()
+	errWrite := errors.New("injected write failure")
+	fs.failOn("writeat", errWrite)
 
 	_, first := j.Append([]byte("b"))
-	if first == nil {
-		t.Fatal("append through a read-only handle succeeded")
+	if !errors.Is(first, errWrite) {
+		t.Fatalf("append through a failing write = %v, want %v", first, errWrite)
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -918,6 +912,11 @@ func TestFailedCommitBreaksJournal(t *testing.T) {
 	wg.Wait()
 	if err := j.Snapshot([]byte("state")); err != first {
 		t.Errorf("snapshot after a failed commit = %v, want %v", err, first)
+	}
+	// The fault is gone, and still nothing is written: the failure stuck.
+	fs.failOn("", nil)
+	if _, err := j.Append([]byte("c")); err != first {
+		t.Errorf("append once writes work again = %v, want %v", err, first)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
